@@ -10,8 +10,13 @@ on the row engine and Q6 on the column engine.  The overhead of actually
 
 A second gate covers the *platform* telemetry added on top of the engine:
 the warm claim -> execute -> submit loop with full tracing (spans, structured
-logs, flight recorder) must stay within ``PLATFORM_OBS_MAX_OVERHEAD``
-(default 5%) of the same loop with ``TelemetryConfig.disabled()``.
+logs, flight recorder) may cost at most ``PLATFORM_OBS_MAX_SECONDS`` per task
+(default 0.2 ms) more than the same loop with ``TelemetryConfig.disabled()``.
+The ceiling is on what telemetry costs, not on its share of the loop: the
+share moves whenever an unrelated change makes the rest of the loop shorter or
+longer (telemetry costs about 0.10 ms of a loop that has been 4.6 ms and
+1.9 ms), and the cost is what a regression in ``obs/`` changes.  The share is
+still recorded in the artifact.
 
 A run writes ``BENCH_observability.json`` (engine + platform sections), a
 sample EXPLAIN ANALYZE span tree (``BENCH_observability_trace.json``) and a
@@ -48,10 +53,10 @@ from repro.workflow import build_tpch_database
 #: committed ceiling on the relative overhead of the tracing-disabled path.
 MAX_OVERHEAD = float(os.environ.get("OBS_BENCH_MAX_OVERHEAD", "0.05"))
 
-#: committed ceiling on the relative overhead of full platform telemetry on
-#: the warm claim -> execute -> submit loop.
-PLATFORM_MAX_OVERHEAD = float(
-    os.environ.get("PLATFORM_OBS_MAX_OVERHEAD", "0.05"))
+#: committed ceiling on what full platform telemetry may add to one lap of
+#: the warm claim -> execute -> submit loop, in seconds per task.
+PLATFORM_MAX_SECONDS = float(
+    os.environ.get("PLATFORM_OBS_MAX_SECONDS", "0.0002"))
 
 #: (query id, engine kind, samples per contestant)
 MATRIX = [
@@ -213,7 +218,7 @@ def _platform_loop(tpch_db, telemetry: TelemetryConfig, tasks: int):
 
 
 def test_platform_telemetry_overhead_is_bounded(tpch_db):
-    """Full tracing must cost < PLATFORM_OBS_MAX_OVERHEAD on the warm loop."""
+    """Full tracing must cost < PLATFORM_OBS_MAX_SECONDS per task on the warm loop."""
     telemetry_on = _platform_loop(tpch_db, TelemetryConfig(),
                                   tasks=PLATFORM_SAMPLES + 1)
     telemetry_off = _platform_loop(tpch_db, TelemetryConfig.disabled(),
@@ -245,15 +250,17 @@ def test_platform_telemetry_overhead_is_bounded(tpch_db):
     artifact_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
     _merge_artifact(artifact_dir / "BENCH_observability.json", {
         "platform": {
-            "max_overhead": PLATFORM_MAX_OVERHEAD,
+            "max_seconds": PLATFORM_MAX_SECONDS,
             "samples": PLATFORM_SAMPLES,
             "telemetry_off_seconds": disabled,
             "telemetry_on_seconds": enabled,
+            "marginal_seconds": marginal,
             "overhead": overhead,
         },
     })
-    assert overhead <= PLATFORM_MAX_OVERHEAD, \
-        f"platform telemetry overhead {overhead:.1%} > {PLATFORM_MAX_OVERHEAD:.0%}"
+    assert marginal <= PLATFORM_MAX_SECONDS, (
+        f"platform telemetry costs {marginal * 1000:.3f} ms per task "
+        f"> {PLATFORM_MAX_SECONDS * 1000:.3f} ms")
 
 
 def test_task_timeline_artifact(tpch_db):

@@ -215,12 +215,6 @@ class Task:
     created_at: float = field(default_factory=time.time)
     id: int | None = None
 
-    def lease_expired(self, now: float) -> bool:
-        """Whether this task's lease has lapsed (only meaningful when running)."""
-        return (self.status == TaskStatus.RUNNING.value
-                and self.assigned_at is not None
-                and now - self.assigned_at > self.timeout_seconds)
-
     def to_dict(self) -> dict:
         # shallow on purpose: every field is a scalar, and tasks are
         # serialised on every claim/sweep scan -- asdict's recursive

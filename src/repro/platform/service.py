@@ -19,16 +19,30 @@ timeout, an overdue lease is swept back to pending (or dead-lettered once the
 task's retry budget is exhausted) on the next claim, and result submission is
 idempotent -- a client-generated key makes retried submissions replay the
 original record, and the lease's attempt number fences out submissions from
-contributors whose lease has already been reassigned.  All claim/submit
-transitions happen under one service-level lock so concurrent requests (the
-threaded web server) can never double-assign a task.
+contributors whose lease has already been reassigned.
+
+Every state transition of the queue -- enqueue, claim, lease sweep, submit
+(fence, then write), kill -- is one store write transaction
+(:meth:`Store.transaction`): it reads the rows it is about to change and
+writes them back before anyone else can write.  That transaction is the only
+lock the queue has, and it holds at three boundaries: between the request
+threads of one server, between several server *processes* sharing one store
+file, and across a crash (a transition is either entirely on disk or not at
+all).  Claim, sweep, submit and kill read through the ``(experiment,
+status)`` index and decode only the tasks they touch, so what a claim or a
+submission costs follows its batch, not the queue's depth or history;
+``queue.claim_seconds`` records the time inside each claim transaction.  Two
+reads still grow with the queue: the pending count behind the ``queue.depth``
+gauge (an index walk, sampled by the sweep before each claim) and the
+de-duplication pass of ``enqueue_pool``, which reads a field out of every
+task row of the experiment.
 """
 
 from __future__ import annotations
 
 import secrets
-import threading
 import time
+from typing import Callable
 
 from repro.core import parse_grammar, serialize_grammar, validate
 from repro.core.templates import DEFAULT_TEMPLATE_LIMIT
@@ -68,8 +82,12 @@ class PlatformService:
     def __init__(self, store: Store | None = None,
                  metrics: MetricsRegistry | None = None,
                  logger: JsonLogger | None = None,
-                 telemetry: TelemetryConfig | None = None):
+                 telemetry: TelemetryConfig | None = None,
+                 clock: Callable[[], float] = time.time):
         self.store = store or Store()
+        #: the wall clock leases are granted and expire by (tests substitute
+        #: one they can move).
+        self._clock = clock
         #: service-level counters/histograms (tasks dispatched, results
         #: accepted, queue timeouts); the webapp serves its snapshot at
         #: ``/api/metrics``.
@@ -90,11 +108,6 @@ class PlatformService:
             self.telemetry.flight_capacity if self.telemetry.enabled else 0,
             slow_task_seconds=self.telemetry.slow_task_seconds,
             sink_path=self.telemetry.flight_log)
-        #: serialises every task-state transition (claim, sweep, submit,
-        #: kill).  The claim path reads pending tasks and persists the claim
-        #: under this lock, so two concurrent ``/api/tasks`` requests on the
-        #: threaded server can never assign the same task twice.
-        self._queue_lock = threading.RLock()
 
     # ------------------------------------------------------------------ users
 
@@ -273,33 +286,33 @@ class PlatformService:
 
     def enqueue_pool(self, acting: User, experiment: Experiment, pool: QueryPool,
                      dbms_label: str, host_name: str) -> list[Task]:
-        """Owner-only: queue every pool entry for one DBMS + host combination."""
+        """Owner-only: queue every pool entry for one DBMS + host combination.
+
+        Entries already queued for the combination are skipped; the check
+        (one SQL pass over the experiment's task rows) and the insert of the
+        new tasks are one transaction.
+        """
         project = self.store.project(experiment.project_id)
         self._require_owner(acting, project)
-        existing = {
-            (task.query_key, task.dbms_label, task.host_name)
-            for task in self.store.tasks(experiment.id)
-        }
-        created: list[Task] = []
-        for entry in pool.entries():
-            key = (repr(entry.key), dbms_label, host_name)
-            if key in existing:
-                continue
-            task = Task(
-                experiment_id=experiment.id,
-                query_sql=entry.sql,
-                query_key=repr(entry.key),
-                dbms_label=dbms_label,
-                host_name=host_name,
-                origin=entry.origin,
-                parent_key=repr(entry.parent_key) if entry.parent_key else None,
-                size=entry.query.size(),
-                timeout_seconds=experiment.timeout_seconds,
-                max_attempts=experiment.max_attempts,
-                trace_id=new_trace_id(),
-            )
-            self.store.insert("tasks", task)
-            created.append(task)
+        with self.store.transaction("enqueue"):
+            queued = self.store.task_query_keys(experiment.id, dbms_label, host_name)
+            created = [
+                Task(
+                    experiment_id=experiment.id,
+                    query_sql=entry.sql,
+                    query_key=repr(entry.key),
+                    dbms_label=dbms_label,
+                    host_name=host_name,
+                    origin=entry.origin,
+                    parent_key=repr(entry.parent_key) if entry.parent_key else None,
+                    size=entry.query.size(),
+                    timeout_seconds=experiment.timeout_seconds,
+                    max_attempts=experiment.max_attempts,
+                    trace_id=new_trace_id(),
+                )
+                for entry in pool.entries() if repr(entry.key) not in queued
+            ]
+            self.store.insert_many("tasks", created)
         if self.spans.enabled:
             for task in created:
                 self.spans.record("enqueue", task.trace_id, task=task.id,
@@ -321,32 +334,30 @@ class PlatformService:
                    dbms_label: str | None = None) -> list[Task]:
         """Claim a lease on up to ``limit`` pending tasks in one atomic batch.
 
-        This is the batched-driver entry point: one store scan and one batched
-        write claim the whole batch, instead of a round trip per task.  The
-        read-claim-persist sequence runs under the queue lock, so concurrent
-        claims partition the queue -- no task is ever assigned twice.  Every
-        claim first sweeps overdue leases back into the pending pool (or into
-        the dead-letter state), so lease expiry needs no background thread:
-        the queue heals whenever somebody asks for work.
+        This is the batched-driver entry point: one indexed read of the
+        ``limit`` oldest pending tasks and one batched write claim the whole
+        batch, in one store transaction, so concurrent claims -- from other
+        threads or other processes on the same store file -- partition the
+        queue: no task is ever assigned twice.  Every claim first sweeps
+        overdue leases back into the pending pool (or into the dead-letter
+        state), so lease expiry needs no background thread: the queue heals
+        whenever somebody asks for work.
 
         Claiming burns one unit of the task's retry budget and stamps the
         attempt number that a later submission must echo to be accepted.
+        ``queue.claim_seconds`` records the time inside the claim
+        transaction (the sweep and the gauges it samples are not in it).
         """
         project = self.store.project(experiment.project_id)
         self._require_contributor(contributor, project)
         if limit <= 0:
             raise ValidationError("the batch size must be a positive integer")
-        with self._queue_lock:
-            self._sweep_overdue_leases(experiment)
-            claimed: list[Task] = []
-            now = time.time()
-            for task in self.store.tasks(experiment.id):
-                if len(claimed) >= limit:
-                    break
-                if task.status != TaskStatus.PENDING.value:
-                    continue
-                if dbms_label is not None and task.dbms_label != dbms_label:
-                    continue
+        self._sweep_overdue_leases(experiment)
+        started = time.perf_counter()
+        with self.store.transaction("claim"):
+            now = self._clock()
+            claimed = self.store.pending_tasks(experiment.id, limit, dbms_label)
+            for task in claimed:
                 task.status = TaskStatus.RUNNING.value
                 task.assigned_to = contributor.contributor_key
                 task.assigned_at = now
@@ -355,8 +366,9 @@ class PlatformService:
                     # tasks inserted directly into the store (older data,
                     # test harnesses) get their trace id at first claim.
                     task.trace_id = new_trace_id()
-                claimed.append(task)
             self.store.update_many("tasks", claimed)
+        self.metrics.histogram("queue.claim_seconds").observe(
+            time.perf_counter() - started)
         if self.spans.enabled:
             for task in claimed:
                 self.spans.record("claim", task.trace_id, start=now,
@@ -370,17 +382,28 @@ class PlatformService:
         return claimed
 
     def kill_task(self, acting: User, task: Task) -> Task:
-        """Owner-only: kill a stuck task."""
+        """Owner-only: kill a task that is still queued or running.
+
+        The transition is made on the *stored* task, not on the caller's copy
+        (which may predate a claim, a retry or the result): ``pending`` and
+        ``running`` become ``killed``, a terminal task stays what it is.
+        Returns the stored task as it is afterwards.
+        """
         experiment = self.store.experiment(task.experiment_id)
         project = self.store.project(experiment.project_id)
         self._require_owner(acting, project)
-        with self._queue_lock:
-            task.status = TaskStatus.KILLED.value
-            self.store.update("tasks", task)
-        self.log.warning("task.killed", task=task.id, trace_id=task.trace_id,
-                         killed_by=acting.nickname)
-        self.metrics.counter("tasks.killed").inc()
-        return task
+        with self.store.transaction("kill"):
+            current = self.store.task(task.id)
+            killed = current.status in (TaskStatus.PENDING.value,
+                                        TaskStatus.RUNNING.value)
+            if killed:
+                current.status = TaskStatus.KILLED.value
+                self.store.update("tasks", current)
+        if killed:
+            self.log.warning("task.killed", task=current.id,
+                             trace_id=current.trace_id, killed_by=acting.nickname)
+            self.metrics.counter("tasks.killed").inc()
+        return current
 
     def expire_stuck_tasks(self, experiment: Experiment) -> list[Task]:
         """Sweep running tasks whose results were not delivered within the timeout.
@@ -392,57 +415,54 @@ class PlatformService:
         public method exists for owners and test harnesses that want to heal
         the queue without claiming work.
         """
-        with self._queue_lock:
-            return self._sweep_overdue_leases(experiment)
+        return self._sweep_overdue_leases(experiment)
 
     def _sweep_overdue_leases(self, experiment: Experiment) -> list[Task]:
-        """Re-queue / dead-letter overdue leases (queue lock must be held).
+        """Re-queue / dead-letter overdue leases in one transaction.
 
-        The sweep already walks every task of the experiment, so it doubles
-        as the sampling point for the queue gauges: pending depth and the
-        age of the oldest live lease (both post-sweep).
+        Only running tasks whose lease has ended are decoded (the SQL filter
+        looks at every running task).  The sweep is also the sampling point
+        of the queue gauges: pending depth and the age of the oldest live
+        lease (both post-sweep).
         """
-        swept: list[Task] = []
-        retried = dead_lettered = 0
-        pending = 0
-        oldest_lease = 0.0
-        now = time.time()
-        for task in self.store.tasks(experiment.id):
-            if task.lease_expired(now):
+        with self.store.transaction("sweep"):
+            now = self._clock()
+            swept = self.store.overdue_leases(experiment.id, now)
+            for task in swept:
                 if task.attempts >= task.max_attempts:
                     task.status = TaskStatus.DEAD_LETTER.value
                     task.last_error = (
                         f"lease expired after {task.timeout_seconds:.1f}s on attempt "
                         f"{task.attempts}/{task.max_attempts} (was assigned to "
                         f"{task.assigned_to})")
-                    dead_lettered += 1
-                    outcome = "dead_letter"
                 else:
                     task.status = TaskStatus.PENDING.value
                     task.assigned_to = None
                     task.assigned_at = None
-                    retried += 1
-                    outcome = "retried"
-                swept.append(task)
-                if self.spans.enabled and task.trace_id:
-                    self.spans.record("sweep", task.trace_id, start=now,
-                                      task=task.id, outcome=outcome,
-                                      attempt=task.attempts)
-                event = "task.retried" if outcome == "retried" else "task.dead_lettered"
-                self.log.warning(event, task=task.id, trace_id=task.trace_id,
-                                 attempt=task.attempts, reason="lease_expired")
-                if outcome == "dead_letter":
-                    self._record_flight(task, "dead_letter", now)
-            if task.status == TaskStatus.PENDING.value:
-                pending += 1
-            elif task.status == TaskStatus.RUNNING.value and task.assigned_at:
-                oldest_lease = max(oldest_lease, now - task.assigned_at)
-        self.store.update_many("tasks", swept)
-        self.metrics.gauge("queue.depth").set(pending)
-        self.metrics.gauge("queue.oldest_lease_seconds").set(oldest_lease)
+            self.store.update_many("tasks", swept)
+        # the sweep committed: a crashed one is retried by the next claim and
+        # must not count, trace or log its effects twice.
+        dead_lettered = 0
+        for task in swept:
+            dead = task.status == TaskStatus.DEAD_LETTER.value
+            dead_lettered += dead
+            if self.spans.enabled and task.trace_id:
+                self.spans.record("sweep", task.trace_id, start=now, task=task.id,
+                                  outcome="dead_letter" if dead else "retried",
+                                  attempt=task.attempts)
+            self.log.warning("task.dead_lettered" if dead else "task.retried",
+                             task=task.id, trace_id=task.trace_id,
+                             attempt=task.attempts, reason="lease_expired")
+            if dead:
+                self._record_flight(task, "dead_letter", now)
+        oldest_lease = self.store.oldest_lease(experiment.id)
+        self.metrics.gauge("queue.depth").set(
+            self.store.count_tasks(experiment.id, TaskStatus.PENDING.value))
+        self.metrics.gauge("queue.oldest_lease_seconds").set(
+            max(0.0, now - oldest_lease) if oldest_lease else 0.0)
         self.metrics.counter("queue.timeouts").inc(len(swept))
-        if retried:
-            self.metrics.counter("tasks.retried").inc(retried)
+        if len(swept) > dead_lettered:
+            self.metrics.counter("tasks.retried").inc(len(swept) - dead_lettered)
         if dead_lettered:
             self.metrics.counter("tasks.dead_lettered").inc(dead_lettered)
         return swept
@@ -471,10 +491,7 @@ class PlatformService:
 
     def queue_status(self, experiment: Experiment) -> dict[str, int]:
         """Counts per task status for one experiment."""
-        counts: dict[str, int] = {}
-        for task in self.store.tasks(experiment.id):
-            counts[task.status] = counts.get(task.status, 0) + 1
-        return counts
+        return self.store.task_counts(experiment.id)
 
     # ----------------------------------------------------------------- results
 
@@ -501,9 +518,11 @@ class PlatformService:
         Each submission is a dict with keys ``task`` (a :class:`Task` or its
         id), ``times``, and optional ``error`` / ``load_averages`` /
         ``extras`` / ``idempotency_key`` / ``attempt``.  The whole batch is
-        validated before anything is written and all fresh writes commit
-        atomically: an invalid submission rejects the batch without recording
-        anything.
+        one store transaction: its tasks are loaded in one read, every
+        submission is fenced against that stored state, and all fresh writes
+        commit together -- an invalid submission rejects the batch without
+        recording anything, and no claim, sweep or other submission can slip
+        in between the fence and the write.
 
         Fault tolerance (per submission, position-aligned with the returned
         list):
@@ -523,22 +542,14 @@ class PlatformService:
           (``tasks.dead_lettered``).
         """
         prepared: list[dict] = []
-        projects: dict[int, object] = {}
         for submission in submissions:
             task = submission.get("task")
-            if not isinstance(task, Task):
-                task = self.store.task(int(task))
-            experiment = self.store.experiment(task.experiment_id)
-            project = projects.get(experiment.project_id)
-            if project is None:
-                project = self.store.project(experiment.project_id)
-                projects[experiment.project_id] = project
-            self._require_contributor(contributor, project)
-            error = submission.get("error")
             times = list(submission.get("times") or [])
-            if error is None and not times:
+            if submission.get("error") is None and not times:
                 raise ValidationError("a successful run must report at least one timing")
-            prepared.append({**submission, "task": task, "times": times})
+            prepared.append({
+                **submission, "times": times,
+                "task_id": task.id if isinstance(task, Task) else int(task)})
 
         # buffered metric increments / span records / log events / flight
         # entries, applied only after the batch commits: a crashed
@@ -550,9 +561,12 @@ class PlatformService:
         ingest_buffer: list[dict] = []
         log_buffer: list[tuple[str, str, dict]] = []
         flight_buffer: list[tuple[Task, str]] = []
-        batch_started = time.time()
+        batch_started = self._clock()
 
-        with self._queue_lock:
+        with self.store.transaction("submit"):
+            stored = self.store.tasks_by_id(
+                submission["task_id"] for submission in prepared)
+            self._require_contributor_of(contributor, stored.values())
             records: list[ResultRecord | None] = []
             inserts: list[ResultRecord] = []
             task_updates: dict[int, Task] = {}
@@ -565,8 +579,8 @@ class PlatformService:
                         records.append(self.store.result(replay_id))
                         counters["results.deduplicated"] = \
                             counters.get("results.deduplicated", 0) + 1
-                        replayed: Task = submission["task"]
-                        trace_id = getattr(replayed, "trace_id", None)
+                        replayed = stored[submission["task_id"]]
+                        trace_id = replayed.trace_id
                         if trace_id:
                             span_buffer.append({
                                 "name": "submit", "trace_id": trace_id,
@@ -578,11 +592,10 @@ class PlatformService:
                             "idempotency_key": key,
                         }))
                         continue
-                submitted: Task = submission["task"]
-                # fence against stale leases on the *current* task state, not
-                # the (possibly outdated) copy the client sent along.
-                current = task_updates.get(submitted.id) \
-                    or self.store.task(submitted.id)
+                # fence against stale leases on the *stored* task state (as
+                # left by earlier submissions of this batch), not the possibly
+                # outdated copy the client sent along.
+                current = stored[submission["task_id"]]
                 attempt = submission.get("attempt")
                 if (current.status != TaskStatus.RUNNING.value
                         or current.assigned_to != contributor.contributor_key
@@ -679,18 +692,17 @@ class PlatformService:
                     counters["results.failed"] = counters.get("results.failed", 0) + 1
                 elif record.times:
                     best_seconds.append(min(record.times))
-                # keep the caller's Task copy in sync with the persisted state
-                # (older call sites read task.status off the object they passed).
-                submission["synced"] = (submitted, current)
             self.store.apply_batch(
                 inserts=[("results", record) for record in inserts],
                 updates=[("tasks", task) for task in task_updates.values()],
                 idempotency=idempotency,
             )
-            for submission in prepared:
-                synced = submission.get("synced")
-                if synced is not None and synced[0] is not synced[1]:
-                    synced[0].__dict__.update(synced[1].__dict__)
+        # keep the caller's Task copies in sync with the persisted state
+        # (older call sites read task.status off the object they passed).
+        for submission in prepared:
+            submitted = submission.get("task")
+            if isinstance(submitted, Task) and submitted.id in task_updates:
+                submitted.__dict__.update(task_updates[submitted.id].__dict__)
 
         # the batch committed: flush the buffered telemetry.  Submit spans
         # share the batch's window (arrival -> commit) on the timeline.
@@ -724,7 +736,7 @@ class PlatformService:
             self.log.log(level, event,
                          **{key: value for key, value in fields.items()
                             if value is not None})
-        now = time.time()
+        now = self._clock()
         for task, outcome in flight_buffer:
             self._record_flight(task, outcome, now)
         for name, amount in counters.items():
@@ -791,6 +803,13 @@ class PlatformService:
     def _require_contributor(self, user: User, project: Project) -> None:
         if user is None or not self._is_member(user, project):
             raise AccessDenied("only project contributors may perform this operation")
+
+    def _require_contributor_of(self, user: User, tasks) -> None:
+        """``user`` contributes to the project of every one of ``tasks``
+        (each experiment and project is read once)."""
+        for experiment_id in {task.experiment_id for task in tasks}:
+            experiment = self.store.experiment(experiment_id)
+            self._require_contributor(user, self.store.project(experiment.project_id))
 
     def _is_member(self, user: User, project: Project) -> bool:
         return user is not None and (

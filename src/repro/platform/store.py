@@ -10,14 +10,33 @@ Durability and concurrency:
 * file-backed databases open in **WAL mode** with a ``busy_timeout`` --
   readers never block the writer, a second process can open the same file,
   and a crash mid-transaction rolls back to the last commit on reopen,
-* every multi-row write (:meth:`insert_many`, :meth:`update_many`,
-  :meth:`apply_batch`) is one sqlite transaction: either every row of the
-  batch is visible after reopen or none is,
+* every write runs inside :meth:`Store.transaction` -- ``BEGIN IMMEDIATE`` ...
+  ``COMMIT`` under the connection lock.  The multi-row writes
+  (:meth:`insert_many`, :meth:`update_many`, :meth:`apply_batch`) are one
+  transaction each: either every row of the batch is visible after reopen or
+  none is.  A caller that opens the transaction itself makes its reads and
+  the writes that depend on them one atomic step -- between the threads
+  sharing this connection (the lock) *and* between processes sharing the
+  file (sqlite's write lock, taken by ``BEGIN IMMEDIATE`` before the first
+  read).  The service runs every task-state transition (claim, lease sweep,
+  submit, kill, enqueue) that way; the store is the only lock the queue has,
 * the **idempotency table** maps client-generated submission keys to result
   ids inside the same transaction that inserts the result, so a retried
   submission can replay the original record instead of inserting a duplicate,
-* hot lookups (``user_by_key`` / ``user_by_nickname``) go through
-  ``json_extract`` expression indexes instead of deserialising the table.
+* hot lookups go through ``json_extract`` expression indexes instead of
+  deserialising the table: users by key / nickname, results by experiment,
+  and tasks by ``(experiment, status)``.  The queue reads walk the index
+  range of one status, in id order, and decode (JSON -> entity) only the rows
+  they return.  Which of them sqlite also has to fetch row bodies for:
+  :meth:`count_tasks` and :meth:`task_counts` read index entries only;
+  :meth:`pending_tasks` reads the rows it returns (plus, with a
+  ``dbms_label`` filter, the pending rows of other labels it passes over);
+  :meth:`overdue_leases` and :meth:`oldest_lease` ``json_extract`` the lease
+  fields out of every *running* row -- bounded by the leases in flight, not
+  by the queue's depth or history; :meth:`task_query_keys` (enqueue
+  de-duplication) extracts three fields from every task row of the
+  experiment, so it is the one read that still grows with everything ever
+  enqueued.
 
 ``fault_hook`` is the seam for the fault-injection harness
 (:mod:`repro.platform.faults`): when set, it is invoked with a fault-point
@@ -32,7 +51,8 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Callable, Iterable, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import NotFound
 from repro.obs import NULL_LOGGER, JsonLogger
@@ -56,15 +76,31 @@ _TABLES = (
     "comments",
 )
 
-#: ``json_extract`` expression indexes created at startup: (name, table, path).
-#: The lookup SQL must repeat the indexed expression *verbatim* (a bound
-#: parameter in the path would not match the index expression).
+
+def _field(name: str) -> str:
+    """The SQL expression for one body field, spelled the way the indexes are.
+
+    sqlite uses an expression index only for a query that repeats the indexed
+    expression *verbatim* (a bound parameter in the path would not match), so
+    every statement below builds its expressions here.
+    """
+    return f"json_extract(body, '$.{name}')"
+
+
+#: ``json_extract`` expression indexes created at startup: (name, table, body
+#: fields).  Tasks have one composite index: equality on its first column
+#: serves "the tasks of an experiment", equality on both serves the queue
+#: reads, whose rows then come out in id order with no sort (an index entry
+#: ends in the rowid).
 _INDEXES = (
-    ("users_by_contributor_key", "users", "$.contributor_key"),
-    ("users_by_nickname", "users", "$.nickname"),
-    ("tasks_by_experiment", "tasks", "$.experiment_id"),
-    ("results_by_experiment", "results", "$.experiment_id"),
+    ("users_by_contributor_key", "users", ("contributor_key",)),
+    ("users_by_nickname", "users", ("nickname",)),
+    ("tasks_by_experiment_status", "tasks", ("experiment_id", "status")),
+    ("results_by_experiment", "results", ("experiment_id",)),
 )
+
+_TASKS_OF_EXPERIMENT_IN_STATUS = (
+    f"FROM tasks WHERE {_field('experiment_id')} = ? AND {_field('status')} = ?")
 
 T = TypeVar("T")
 
@@ -109,10 +145,12 @@ class Store:
                 "CREATE TABLE IF NOT EXISTS idempotency "
                 "(key TEXT PRIMARY KEY, result_id INTEGER NOT NULL) WITHOUT ROWID"
             )
-            for name, table, json_path in _INDEXES:
+            # files written before the composite task index carry this one.
+            self._connection.execute("DROP INDEX IF EXISTS tasks_by_experiment")
+            for name, table, fields in _INDEXES:
                 self._connection.execute(
                     f"CREATE INDEX IF NOT EXISTS {name} "
-                    f"ON {table} (json_extract(body, '{json_path}'))"
+                    f"ON {table} ({', '.join(map(_field, fields))})"
                 )
             self._connection.commit()
 
@@ -121,68 +159,96 @@ class Store:
         if hook is not None:
             hook(point)
 
+    # -- transactions -----------------------------------------------------------
+
+    @contextmanager
+    def transaction(self, operation: str = "transaction") -> Iterator[None]:
+        """One write transaction around the block: all of it commits or none.
+
+        ``BEGIN IMMEDIATE`` takes sqlite's write lock *before* the block's
+        first read, and the connection lock is held throughout, so what the
+        block reads cannot change before it writes -- neither through another
+        thread of this process nor through another process on the same file
+        (which waits out ``busy_timeout``).  Any exception rolls the
+        transaction back and propagates; ``operation`` names it in the
+        ``store.rollback`` log record.
+
+        Blocks nest: every write method of the store opens a transaction of
+        its own, and joins the caller's when there is one -- the outermost
+        block commits or rolls back.  Keep the block short: every other store
+        call of the process waits for it.
+        """
+        with self._lock:
+            if self._connection.in_transaction:
+                yield
+                return
+            self._connection.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._connection.commit()
+            except BaseException as exc:
+                self._rollback(operation, exc)
+                raise
+
+    def _rollback(self, operation: str, cause: BaseException) -> None:
+        self.log.error("store.rollback", operation=operation, error=str(cause),
+                       error_type=type(cause).__name__)
+        try:
+            self._connection.rollback()
+        except sqlite3.Error:  # pragma: no cover - connection already gone
+            pass
+
     # -- generic operations ------------------------------------------------------
+
+    def _insert_row(self, table: str, entity) -> None:
+        payload = entity.to_dict()
+        payload.pop("id", None)
+        cursor = self._connection.execute(
+            f"INSERT INTO {table} (body) VALUES (?)", (_encode(payload),))
+        entity.id = int(cursor.lastrowid)
+
+    def _update_row(self, table: str, entity) -> None:
+        if entity.id is None:
+            raise NotFound(f"cannot update an unsaved entity in '{table}'")
+        payload = entity.to_dict()
+        payload.pop("id", None)
+        cursor = self._connection.execute(
+            f"UPDATE {table} SET body = ? WHERE id = ?",
+            (_encode(payload), entity.id))
+        if cursor.rowcount == 0:
+            raise NotFound(f"no entity with id {entity.id} in '{table}'")
 
     def insert(self, table: str, entity) -> int:
         """Insert ``entity`` (anything with to_dict) and return its new id."""
-        payload = entity.to_dict()
-        payload.pop("id", None)
-        with self._lock:
-            cursor = self._connection.execute(
-                f"INSERT INTO {table} (body) VALUES (?)", (_encode(payload),)
-            )
-            self._connection.commit()
-            entity.id = int(cursor.lastrowid)
-            return entity.id
+        with self.transaction("insert"):
+            self._insert_row(table, entity)
+        return entity.id
 
     def insert_many(self, table: str, entities: list) -> list[int]:
         """Insert a batch of entities in one transaction; return their new ids."""
         if not entities:
             return []
-        with self._lock:
-            ids: list[int] = []
-            try:
+        try:
+            with self.transaction("insert_many"):
                 for entity in entities:
                     self._maybe_fault("insert_many.write")
-                    payload = entity.to_dict()
-                    payload.pop("id", None)
-                    cursor = self._connection.execute(
-                        f"INSERT INTO {table} (body) VALUES (?)", (_encode(payload),)
-                    )
-                    entity.id = int(cursor.lastrowid)
-                    ids.append(entity.id)
+                    self._insert_row(table, entity)
                 self._maybe_fault("insert_many.commit")
-            except Exception as exc:
-                self._rollback("insert_many", exc)
-                for entity in entities:
-                    entity.id = None
-                raise
-            self._connection.commit()
-            return ids
+        except BaseException:
+            for entity in entities:
+                entity.id = None
+            raise
+        return [entity.id for entity in entities]
 
     def update_many(self, table: str, entities: list) -> None:
         """Persist a batch of entities in one transaction (all or nothing)."""
         if not entities:
             return
-        with self._lock:
-            try:
-                for entity in entities:
-                    self._maybe_fault("update_many.write")
-                    if entity.id is None:
-                        raise NotFound(f"cannot update an unsaved entity in '{table}'")
-                    payload = entity.to_dict()
-                    payload.pop("id", None)
-                    cursor = self._connection.execute(
-                        f"UPDATE {table} SET body = ? WHERE id = ?",
-                        (_encode(payload), entity.id),
-                    )
-                    if cursor.rowcount == 0:
-                        raise NotFound(f"no entity with id {entity.id} in '{table}'")
-                self._maybe_fault("update_many.commit")
-            except Exception as exc:
-                self._rollback("update_many", exc)
-                raise
-            self._connection.commit()
+        with self.transaction("update_many"):
+            for entity in entities:
+                self._maybe_fault("update_many.write")
+                self._update_row(table, entity)
+            self._maybe_fault("update_many.commit")
 
     def apply_batch(self, inserts: list[tuple[str, object]],
                     updates: list[tuple[str, object]],
@@ -197,72 +263,35 @@ class Store:
         crash, duplicate key) the whole batch rolls back and insert ids are
         reset, so callers never observe a half-applied batch.
         """
-        with self._lock:
-            try:
+        try:
+            with self.transaction("apply_batch"):
                 for table, entity in inserts:
                     self._maybe_fault("apply_batch.insert")
-                    payload = entity.to_dict()
-                    payload.pop("id", None)
-                    cursor = self._connection.execute(
-                        f"INSERT INTO {table} (body) VALUES (?)", (_encode(payload),)
-                    )
-                    entity.id = int(cursor.lastrowid)
+                    self._insert_row(table, entity)
                 for table, entity in updates:
                     self._maybe_fault("apply_batch.update")
-                    if entity.id is None:
-                        raise NotFound(f"cannot update an unsaved entity in '{table}'")
-                    payload = entity.to_dict()
-                    payload.pop("id", None)
-                    cursor = self._connection.execute(
-                        f"UPDATE {table} SET body = ? WHERE id = ?",
-                        (_encode(payload), entity.id),
-                    )
-                    if cursor.rowcount == 0:
-                        raise NotFound(f"no entity with id {entity.id} in '{table}'")
+                    self._update_row(table, entity)
                 for key, entity in idempotency:
                     self._connection.execute(
                         "INSERT INTO idempotency (key, result_id) VALUES (?, ?)",
                         (key, entity.id),
                     )
                 self._maybe_fault("apply_batch.commit")
-            except Exception as exc:
-                self._rollback("apply_batch", exc)
-                for _table, entity in inserts:
-                    entity.id = None
-                raise
-            self._connection.commit()
-
-    def _rollback(self, operation: str = "",
-                  cause: Exception | None = None) -> None:
-        self.log.error("store.rollback", operation=operation,
-                       error=str(cause) if cause is not None else None,
-                       error_type=type(cause).__name__ if cause is not None else None)
-        try:
-            self._connection.rollback()
-        except sqlite3.Error:  # pragma: no cover - connection already gone
-            pass
+        except BaseException:
+            for _table, entity in inserts:
+                entity.id = None
+            raise
 
     def update(self, table: str, entity) -> None:
         """Persist the current state of ``entity`` (must already have an id)."""
-        if entity.id is None:
-            raise NotFound(f"cannot update an unsaved entity in '{table}'")
-        payload = entity.to_dict()
-        payload.pop("id", None)
-        with self._lock:
-            cursor = self._connection.execute(
-                f"UPDATE {table} SET body = ? WHERE id = ?",
-                (_encode(payload), entity.id),
-            )
-            self._connection.commit()
-            if cursor.rowcount == 0:
-                raise NotFound(f"no entity with id {entity.id} in '{table}'")
+        with self.transaction("update"):
+            self._update_row(table, entity)
 
     def delete(self, table: str, entity_id: int) -> None:
-        with self._lock:
+        with self.transaction("delete"):
             cursor = self._connection.execute(
                 f"DELETE FROM {table} WHERE id = ?", (entity_id,)
             )
-            self._connection.commit()
             if cursor.rowcount == 0:
                 raise NotFound(f"no entity with id {entity_id} in '{table}'")
 
@@ -276,33 +305,34 @@ class Store:
         return self._build(row, factory)
 
     def all(self, table: str, factory: Callable[[dict], T]) -> list[T]:
-        with self._lock:
-            rows = self._connection.execute(
-                f"SELECT id, body FROM {table} ORDER BY id"
-            ).fetchall()
-        return [self._build(row, factory) for row in rows]
+        return self._select(f"SELECT id, body FROM {table} ORDER BY id", (), factory)
 
     def find(self, table: str, factory: Callable[[dict], T],
              predicate: Callable[[T], bool]) -> list[T]:
         return [entity for entity in self.all(table, factory) if predicate(entity)]
 
-    def _find_indexed(self, table: str, json_path: str, value,
+    def _find_indexed(self, table: str, field: str, value,
                       factory: Callable[[dict], T]) -> list[T]:
-        """Rows whose ``json_extract(body, json_path)`` equals ``value``.
+        """Rows whose body ``field`` equals ``value``, in ascending id order.
 
-        ``json_path`` must be one of the expressions in :data:`_INDEXES` so
-        sqlite can satisfy the lookup from the index (O(log n)) instead of a
-        full deserialising scan.  The path is interpolated, not bound: a
-        parameter would not match the indexed expression.
+        ``field`` must lead one of :data:`_INDEXES` so sqlite can satisfy the
+        lookup from the index (O(log n)) instead of a full deserialising
+        scan.  The order is part of the contract and therefore spelled out:
+        behind the composite task index the rows of one experiment come out
+        grouped by status, and sqlite sorts them back by id.
         """
-        assert any(path == json_path and table == t for _n, t, path in _INDEXES)
+        assert any(table == t and fields[0] == field for _n, t, fields in _INDEXES)
+        return self._select(
+            f"SELECT id, body FROM {table} WHERE {_field(field)} = ? ORDER BY id",
+            (value,), factory)
+
+    def _rows(self, sql: str, parameters: tuple) -> list[tuple]:
         with self._lock:
-            rows = self._connection.execute(
-                f"SELECT id, body FROM {table} "
-                f"WHERE json_extract(body, '{json_path}') = ? ORDER BY id",
-                (value,),
-            ).fetchall()
-        return [self._build(row, factory) for row in rows]
+            return self._connection.execute(sql, parameters).fetchall()
+
+    def _select(self, sql: str, parameters: tuple,
+                factory: Callable[[dict], T]) -> list[T]:
+        return [self._build(row, factory) for row in self._rows(sql, parameters)]
 
     @staticmethod
     def _build(row: Iterable, factory: Callable[[dict], T]) -> T:
@@ -337,12 +367,12 @@ class Store:
         return self.get("users", user_id, models.User.from_dict)
 
     def user_by_nickname(self, nickname: str) -> models.User | None:
-        matches = self._find_indexed("users", "$.nickname", nickname,
+        matches = self._find_indexed("users", "nickname", nickname,
                                      models.User.from_dict)
         return matches[0] if matches else None
 
     def user_by_key(self, contributor_key: str) -> models.User | None:
-        matches = self._find_indexed("users", "$.contributor_key", contributor_key,
+        matches = self._find_indexed("users", "contributor_key", contributor_key,
                                      models.User.from_dict)
         return matches[0] if matches else None
 
@@ -375,18 +405,102 @@ class Store:
         return self.get("experiments", experiment_id, models.Experiment.from_dict)
 
     def tasks(self, experiment_id: int | None = None) -> list[models.Task]:
+        """Every task (of one experiment), decoded, in ascending id order."""
         if experiment_id is None:
             return self.all("tasks", models.Task.from_dict)
-        return self._find_indexed("tasks", "$.experiment_id", experiment_id,
+        return self._find_indexed("tasks", "experiment_id", experiment_id,
                                   models.Task.from_dict)
 
     def task(self, task_id: int) -> models.Task:
         return self.get("tasks", task_id, models.Task.from_dict)
 
+    def tasks_by_id(self, task_ids: Iterable[int]) -> dict[int, models.Task]:
+        """The tasks with these ids in one read, keyed by id."""
+        ids = set(task_ids)
+        tasks = self._select(
+            f"SELECT id, body FROM tasks WHERE id IN ({', '.join('?' * len(ids))})",
+            tuple(ids), models.Task.from_dict)
+        found = {task.id: task for task in tasks}
+        if len(found) != len(ids):
+            raise NotFound(f"no entity with id {min(ids - found.keys())} in 'tasks'")
+        return found
+
+    # -- the task queue -------------------------------------------------------------
+    #
+    # Each read below enters through ``tasks_by_experiment_status`` (one
+    # status's range, or the whole experiment's for ``task_counts`` and
+    # ``task_query_keys``).  They are reads; a state transition calls them
+    # inside ``transaction()`` and writes what it decides through
+    # ``update_many``.
+
+    def pending_tasks(self, experiment_id: int, limit: int,
+                      dbms_label: str | None = None) -> list[models.Task]:
+        """The ``limit`` lowest-id pending tasks of an experiment.
+
+        With ``dbms_label`` only tasks published for that DBMS count; the
+        walk then also passes over the pending tasks of other labels that
+        come first (sqlite reads their bodies for the filter; they are not
+        decoded).
+        """
+        sql = f"SELECT id, body {_TASKS_OF_EXPERIMENT_IN_STATUS}"
+        parameters: tuple = (experiment_id, models.TaskStatus.PENDING.value)
+        if dbms_label is not None:
+            sql += f" AND {_field('dbms_label')} = ?"
+            parameters += (dbms_label,)
+        return self._select(f"{sql} ORDER BY id LIMIT ?", parameters + (limit,),
+                            models.Task.from_dict)
+
+    def overdue_leases(self, experiment_id: int, now: float) -> list[models.Task]:
+        """Running tasks whose lease (``assigned_at + timeout_seconds``) ended
+        before ``now``, in id order.  sqlite reads the body of every running
+        row of the experiment for the filter; only the overdue ones are
+        decoded."""
+        return self._select(
+            f"SELECT id, body {_TASKS_OF_EXPERIMENT_IN_STATUS} "
+            f"AND {_field('assigned_at')} + {_field('timeout_seconds')} < ? "
+            "ORDER BY id",
+            (experiment_id, models.TaskStatus.RUNNING.value, now), models.Task.from_dict)
+
+    def oldest_lease(self, experiment_id: int) -> float | None:
+        """When the longest-held live lease was granted (None: nothing runs);
+        reads ``assigned_at`` out of every running row of the experiment."""
+        return self._rows(
+            f"SELECT MIN({_field('assigned_at')}) {_TASKS_OF_EXPERIMENT_IN_STATUS}",
+            (experiment_id, models.TaskStatus.RUNNING.value))[0][0]
+
+    def count_tasks(self, experiment_id: int, status: str) -> int:
+        """How many tasks of an experiment are in ``status``: a walk over that
+        status's index entries, linear in the count; no row is read."""
+        return self._rows(f"SELECT COUNT(*) {_TASKS_OF_EXPERIMENT_IN_STATUS}",
+                          (experiment_id, status))[0][0]
+
+    def task_counts(self, experiment_id: int) -> dict[str, int]:
+        """Tasks of an experiment per status (every index entry of the
+        experiment is visited once; nothing is decoded)."""
+        return dict(self._rows(
+            f"SELECT {_field('status')}, COUNT(*) FROM tasks "
+            f"WHERE {_field('experiment_id')} = ? GROUP BY {_field('status')}",
+            (experiment_id,)))
+
+    def task_query_keys(self, experiment_id: int, dbms_label: str,
+                        host_name: str) -> set[str]:
+        """Query keys already queued in an experiment for one DBMS + host.
+
+        Projected in SQL, so no task is decoded, but sqlite still reads the
+        body of every task row of the experiment: publishing N tasks in pools
+        of k costs N/k such passes (far cheaper than decoding the rows, still
+        quadratic in N).
+        """
+        return {key for (key,) in self._rows(
+            f"SELECT {_field('query_key')} FROM tasks "
+            f"WHERE {_field('experiment_id')} = ? "
+            f"AND {_field('dbms_label')} = ? AND {_field('host_name')} = ?",
+            (experiment_id, dbms_label, host_name))}
+
     def results(self, experiment_id: int | None = None) -> list[models.ResultRecord]:
         if experiment_id is None:
             return self.all("results", models.ResultRecord.from_dict)
-        return self._find_indexed("results", "$.experiment_id", experiment_id,
+        return self._find_indexed("results", "experiment_id", experiment_id,
                                   models.ResultRecord.from_dict)
 
     def result(self, result_id: int) -> models.ResultRecord:

@@ -273,7 +273,7 @@ class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
     every contributor behind the slowest request and hide concurrency bugs
     from the chaos/load tests.  Handler threads are daemonic so a hung
     request cannot block interpreter shutdown; request-level consistency is
-    the service's job (its queue lock makes claim/submit transitions atomic).
+    the service's job (every queue transition is one store transaction).
     """
 
     daemon_threads = True

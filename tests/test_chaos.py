@@ -18,6 +18,7 @@ keeps the evidence of what the run survived.
 
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -85,38 +86,67 @@ def _platform(store: Store, n_tasks: int, n_workers: int,
 # ---------------------------------------------------------------------------
 
 
+def _race_to_empty(services, workers, experiment) -> list[int]:
+    """Every worker claims batches of 3 until the queue is empty, all at once
+    (worker ``i`` through ``services[i % len(services)]``, the interpreter
+    switching threads as often as it can); returns every task id handed out."""
+    barrier = threading.Barrier(len(workers))
+    claims: list[int] = []
+    failures: list[BaseException] = []
+
+    def claim(service, worker):
+        try:
+            barrier.wait(timeout=30)
+            while batch := service.next_tasks(worker, experiment, limit=3):
+                claims.extend(task.id for task in batch)
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=claim,
+                                args=(services[index % len(services)], worker))
+               for index, worker in enumerate(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures and not any(thread.is_alive() for thread in threads)
+    return claims
+
+
 class TestConcurrentClaiming:
     def test_threads_partition_the_queue(self, tmp_path):
         """N racing claimers: every task leased exactly once, none lost."""
         store = Store(str(tmp_path / "claims.db"))
         service, _owner, workers, experiment = _platform(
             store, n_tasks=20, n_workers=4, lease_seconds=60.0)
-        barrier = threading.Barrier(len(workers))
-        claims: dict[str, list[int]] = {}
-
-        def claim(worker):
-            barrier.wait()
-            got = []
-            while True:
-                batch = service.next_tasks(worker, experiment, limit=3)
-                if not batch:
-                    break
-                got.extend(task.id for task in batch)
-            claims[worker.nickname] = got
-
-        threads = [threading.Thread(target=claim, args=(worker,))
-                   for worker in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        all_claims = [task_id for got in claims.values() for task_id in got]
+        all_claims = _race_to_empty([service], workers, experiment)
         assert len(all_claims) == 20  # none lost
         assert len(set(all_claims)) == 20  # none double-assigned
         leased = service.store.tasks(experiment.id)
         assert all(task.status == TaskStatus.RUNNING.value for task in leased)
         store.close()
+
+    def test_two_services_on_one_file_partition_the_queue(self, tmp_path):
+        """Two server processes' worth of state -- two connections, two
+        services -- share one store file: the store transaction, not a
+        per-process lock, is what keeps a task from being leased twice."""
+        path = str(tmp_path / "shared.db")
+        stores = [Store(path)]
+        service, _owner, workers, experiment = _platform(
+            stores[0], n_tasks=60, n_workers=4, lease_seconds=60.0)
+        stores.append(Store(path))
+        all_claims = _race_to_empty([service, PlatformService(stores[1])],
+                                    workers, experiment)
+        assert len(all_claims) == 60  # none lost
+        assert len(set(all_claims)) == 60  # none leased through both services
+        assert service.queue_status(experiment) == {"running": 60}
+        for store in stores:
+            store.close()
 
     def test_http_claims_partition_through_threaded_server(self, tmp_path):
         """Same partition property end-to-end over the threading WSGI server."""

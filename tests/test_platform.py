@@ -1,9 +1,12 @@
 """Tests for the platform: store, access control, queue, results, web API."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import AccessDenied, ConflictError, NotFound, ValidationError
 from repro.platform import PlatformServer, PlatformService, Store, Visibility
+from repro.platform.models import Task
 from repro.tpch import QUERIES
 
 
@@ -177,6 +180,30 @@ class TestQueueAndResults:
             service.kill_task(contributor, task)
         assert service.kill_task(owner, task).status == "killed"
 
+    def test_kill_acts_on_the_stored_task_not_the_callers_copy(self, populated):
+        """A copy fetched before the claim must not reset the lease's books."""
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        stale = service.store.task(tasks[0].id)  # pending, attempts 0
+        claimed = service.next_task(contributor, experiment)
+        assert claimed.id == stale.id
+        killed = service.kill_task(owner, stale)
+        assert killed.status == "killed"
+        stored = service.store.task(stale.id)
+        assert (stored.status, stored.attempts) == ("killed", 1)
+        assert stored.assigned_to == contributor.contributor_key
+        # the lease's result now arrives for a task that is no longer running.
+        assert service.submit_result(contributor, claimed, times=[0.1],
+                                     attempt=claimed.attempts) is None
+
+    def test_kill_leaves_a_finished_task_done(self, populated):
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        task = service.next_task(contributor, experiment)
+        running = service.store.task(task.id)  # the copy the owner looks at
+        service.submit_result(contributor, task, times=[0.1])
+        assert service.kill_task(owner, running).status == "done"
+        assert service.store.task(task.id).status == "done"
+        assert service.metrics.counter("tasks.killed").value == 0
+
     def test_stuck_tasks_expire(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
         task = service.next_task(contributor, experiment)
@@ -293,6 +320,22 @@ class TestStore:
         with pytest.raises(NotFound):
             service.store.user(user.id)
 
+    def test_tasks_of_an_experiment_come_back_in_id_order(self, service):
+        """The composite index groups an experiment's tasks by status; readers
+        (analytics, the pool replay, ``workload_digest``) rely on id order."""
+        statuses = ["done", "pending", "running", "failed", "pending", "done",
+                    "killed", "running", "pending", "done"]
+        tasks = [Task(experiment_id=1 + index % 2, query_sql="select 1",
+                      query_key=f"k{index}", dbms_label="x-1", host_name="h",
+                      status=status)
+                 for index, status in enumerate(statuses * 3)]
+        service.store.insert_many("tasks", tasks)
+        for experiment_id in (1, 2):
+            ids = [task.id for task in service.store.tasks(experiment_id)]
+            assert ids == sorted(task.id for task in tasks
+                                 if task.experiment_id == experiment_id)
+        assert [task.id for task in service.store.tasks()] == [t.id for t in tasks]
+
     def test_persistence_to_disk(self, tmp_path):
         path = str(tmp_path / "platform.db")
         first = PlatformService(Store(path))
@@ -376,3 +419,93 @@ class TestIndexedLookups:
         ).fetchall()
         detail = " ".join(str(row) for row in plan)
         assert "users_by_contributor_key" in detail
+
+
+class CountingStore(Store):
+    """A store that counts the rows it decodes, per entity class."""
+
+    def __init__(self, *args, **kwargs):
+        self.decoded = Counter()
+        super().__init__(*args, **kwargs)
+
+    def _build(self, row, factory):
+        self.decoded[factory.__self__.__name__] += 1
+        return Store._build(row, factory)
+
+
+class TestQueueCost:
+    """A queue transition reads its rows through the (experiment, status)
+    index and decodes only those -- at any queue depth."""
+
+    def _deep_queue(self, depth):
+        service = PlatformService(CountingStore())
+        owner = service.register_user("owner", "owner@example.org")
+        contributor = service.register_user("contrib", "contrib@example.org")
+        project = service.create_project(owner, "deep")
+        service.invite_contributor(owner, project, contributor)
+        experiment = service.add_experiment(owner, project, "q6", QUERIES[6],
+                                            timeout_seconds=30)
+        service.store.insert_many("tasks", [
+            Task(experiment_id=experiment.id, query_sql=QUERIES[6],
+                 query_key=f"k{index}", dbms_label="columnstore-1.0",
+                 host_name="laptop", timeout_seconds=30)
+            for index in range(depth)])
+        return service, contributor, experiment
+
+    def _task_rows_decoded(self, service, call):
+        service.store.decoded.clear()
+        result = call()
+        return service.store.decoded["Task"], result
+
+    @pytest.mark.parametrize("depth", [100, 5000])
+    def test_claim_and_submit_decode_only_their_batch(self, depth):
+        service, contributor, experiment = self._deep_queue(depth)
+
+        def claim():
+            return service.next_tasks(contributor, experiment, limit=8,
+                                      dbms_label="columnstore-1.0")
+
+        decoded, first = self._task_rows_decoded(service, claim)
+        assert len(first) == 8 and decoded == 8
+        # three of the leases lapse: the next claim decodes them (the sweep)
+        # and its own batch, nothing else.
+        for task in first[:3]:
+            task.assigned_at -= 10_000
+        service.store.update_many("tasks", first[:3])
+        decoded, second = self._task_rows_decoded(service, claim)
+        assert [task.id for task in second[:3]] == [task.id for task in first[:3]]
+        assert len(second) == 8 and decoded == 8 + 3
+
+        decoded, records = self._task_rows_decoded(
+            service, lambda: service.submit_results(contributor, [
+                {"task": task.id, "times": [0.1], "attempt": task.attempts,
+                 "idempotency_key": f"key-{task.id}"} for task in second]))
+        assert all(records) and decoded == 8
+        assert service.queue_status(experiment) == {
+            "pending": depth - 13, "running": 5, "done": 8}
+
+    def test_queue_statements_use_the_composite_index(self, populated):
+        """Claim, overdue-lease and count statements are index searches."""
+        service, owner, contributor, _, _, experiment = populated
+        pool = service.build_pool(experiment)
+        pool.seed_baseline()
+        service.enqueue_pool(owner, experiment, pool, "columnstore-1.0", "laptop")
+        connection = service.store._connection
+        statements = []
+        connection.set_trace_callback(statements.append)
+        try:
+            service.next_tasks(contributor, experiment, limit=4)
+            service.next_tasks(contributor, experiment, limit=4,
+                               dbms_label="columnstore-1.0")
+            service.queue_status(experiment)
+        finally:
+            connection.set_trace_callback(None)
+        reads = {sql for sql in statements
+                 if sql.startswith("SELECT") and "FROM tasks" in sql}
+        # pending (with and without label), overdue, oldest lease, two counts
+        assert len(reads) >= 6
+        for sql in reads:
+            plan = " ".join(str(row) for row in
+                            connection.execute(f"EXPLAIN QUERY PLAN {sql}"))
+            assert "tasks_by_experiment_status" in plan, (sql, plan)
+            assert "SCAN" not in plan, (sql, plan)

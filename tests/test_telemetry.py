@@ -508,6 +508,11 @@ class TestDerivedMetrics:
         snapshot = service.metrics.snapshot()
         assert snapshot["gauges"]["queue.depth"] == 1.0
         assert snapshot["gauges"]["queue.oldest_lease_seconds"] == 0.0
+        # what a claim costs at that depth sits next to them.
+        assert "queue.claim_seconds" not in snapshot["histograms"]
+        service.next_tasks(contributor, experiment, limit=1)
+        claim = service.metrics.snapshot()["histograms"]["queue.claim_seconds"]
+        assert claim["count"] == 1 and 0.0 < claim["p50"] <= claim["p95"]
 
 
 class TestProfilesByTrace:
