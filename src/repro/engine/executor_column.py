@@ -10,18 +10,22 @@ operates on numpy column arrays:
    come from the database's cached columnar views, derived tables are
    executed recursively),
 2. the plan's push-down predicates are applied as boolean masks at scan time,
-3. the scheduled equi-joins run as hash joins producing index vectors that
-   gather both sides,
+3. the scheduled equi-joins (and explicit ``JOIN``s) ask the key kernels of
+   :mod:`repro.engine.keys` for the matching row pairs; the joined frame
+   gathers a column through those index vectors the first time something
+   reads it,
 4. the plan's residual predicates are evaluated column-at-a-time; predicates
    containing subqueries fall back to row-at-a-time evaluation for that
    predicate only (subqueries themselves run through a row executor),
-5. grouping builds a group-id vector and computes aggregates with
-   ``np.bincount`` / ``minimum.at`` style kernels,
-6. projection, DISTINCT, ORDER BY and LIMIT materialise the final rows.
+5. grouping gets its group-id vector from the same key kernels and computes
+   aggregates with ``np.bincount`` / ``minimum.at`` style kernels,
+6. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
+   that index, and only the surviving rows are materialised, column-wise.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -38,11 +42,11 @@ from repro.engine.compile import (
 from repro.engine.database import ColumnarTable, Database
 from repro.engine.executor_row import RowExecutor, scan_source
 from repro.engine.expression import evaluate as row_evaluate
+from repro.engine.keys import group_rows, hash_codes, join_indexes, order_index
 from repro.engine.mask import (
     Kleene,
     Nullable,
     as_objects,
-    data_of,
     kleene_and,
     kleene_not,
     kleene_or,
@@ -50,7 +54,7 @@ from repro.engine.mask import (
     truth_mask,
 )
 from repro.engine.parallel import chunk_ranges, run_tasks, survivor_rows
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan
+from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
 from repro.engine.planner import ColumnInfo, Scope
 from repro.engine.types import infer_type
 from repro.obs import NULL_SPAN, QueryTrace, Span
@@ -151,16 +155,22 @@ class ColumnExecutor:
             select = query
         self._uncorrelated_cache = {}
         self._vector_subquery_failed = set()
+        # a sort key outside the select list fails here, before any scan
+        positions = order_positions(select, self._block(select).output_names)
         frame, names = self._execute_block(select)
-        rows = frame.rows()
-        if select.order_by and self._trace is not None:
-            with self._trace.span("order") as span:
-                rows = self._order(select, names, rows)
-                span.set(rows_out=len(rows))
-        else:
-            rows = self._order(select, names, rows)
-        rows = self._limit(select, rows)
-        return names, rows
+        index = None
+        if positions:
+            with self._span("order") as span:
+                index = order_index([
+                    (frame.arrays[position], item.descending)
+                    for position, item in zip(positions, select.order_by)])
+                span.set(rows_out=frame.length)
+        if select.offset or select.limit is not None:
+            start = select.offset or 0
+            window = slice(start, None if select.limit is None
+                           else start + select.limit)
+            index = window if index is None else index[window]
+        return names, frame.rows(index)
 
     def run_subquery(self, select: ast.Select, outer_env: _FallbackRowEnv | None
                      ) -> list[tuple]:
@@ -250,12 +260,7 @@ class ColumnExecutor:
                     span.set(rows_in=rows_in, rows_out=frame.length, **attrs)
             frames.append(frame)
 
-        if len(frames) > 1 and trace is not None:
-            with trace.span("join") as span:
-                frame = self._join_frames(frames, block.join_order)
-                span.set(rows_out=frame.length)
-        else:
-            frame = self._join_frames(frames, block.join_order)
+        frame, _ = self._join_frames(frames, [None] * len(frames), block.join_order)
 
         span_cm = self._span("filter") if block.residual else NULL_SPAN
         with span_cm as span:
@@ -337,18 +342,7 @@ class ColumnExecutor:
                              **attrs)
             frames.append(frame)
             selections.append(selection)
-        if not frames:
-            raise PlanError("a query block needs at least one FROM item")
-
-        if len(frames) > 1 and trace is not None:
-            with trace.span("join") as span:
-                frame, selection = self._join_frames_sel(frames, selections,
-                                                         block.join_order)
-                span.set(rows_out=frame.length if selection is None
-                         else len(selection))
-        else:
-            frame, selection = self._join_frames_sel(frames, selections,
-                                                     block.join_order)
+        frame, selection = self._join_frames(frames, selections, block.join_order)
 
         if block.residual:
             with self._span("filter") as span:
@@ -553,78 +547,83 @@ class ColumnExecutor:
             mask[position] = bool(row_evaluate(predicate, env))
         return mask
 
-    def _join_frames_sel(self, frames: list[ColFrame],
-                         selections: list[np.ndarray | None],
-                         join_order: list[JoinStep]
-                         ) -> tuple[ColFrame, np.ndarray | None]:
-        """Join scans following the schedule, composing their selections.
+    def _join_frames(self, frames: list[ColFrame],
+                     selections: list[np.ndarray | None],
+                     join_order: list[JoinStep]
+                     ) -> tuple[ColFrame, np.ndarray | None]:
+        """Join the scans following the schedule, composing their selections.
 
-        Each hash join gathers directly from the base arrays through the
-        selection indexes, so a filtered scan is never materialised just to
-        be gathered again by the join.
+        Keys are read from the base arrays through the selection indexes and
+        the joined frame gathers its columns lazily, so a filtered scan is
+        never materialised just to be gathered again by the join.
         """
+        if not frames:
+            raise PlanError("a query block needs at least one FROM item")
         first = join_order[0].frame_index
         frame, selection = frames[first], selections[first]
-        for step in join_order[1:]:
-            next_frame = frames[step.frame_index]
-            next_selection = selections[step.frame_index]
-            positions = []
-            for left_ref, right_ref, _ in step.connecting:
-                if frame.position(left_ref) is not None:
-                    positions.append((frame.position(left_ref),
-                                      next_frame.position(right_ref)))
-                else:
-                    positions.append((frame.position(right_ref),
-                                      next_frame.position(left_ref)))
-            frame = self._hash_join_sel(frame, selection, next_frame, next_selection,
-                                        positions)
-            selection = None
-        return frame, selection
+        if len(join_order) == 1:
+            return frame, selection
+        with self._span("join") as span:
+            probe_rows = build_rows = 0
+            for step in join_order[1:]:
+                next_frame = frames[step.frame_index]
+                next_selection = selections[step.frame_index]
+                positions = []
+                for left_ref, right_ref, _ in step.connecting:
+                    if frame.position(left_ref) is not None:
+                        positions.append((frame.position(left_ref),
+                                          next_frame.position(right_ref)))
+                    else:
+                        positions.append((frame.position(right_ref),
+                                          next_frame.position(left_ref)))
+                probe_rows += frame.length if selection is None else len(selection)
+                build_rows += next_frame.length if next_selection is None \
+                    else len(next_selection)
+                frame = self._join(frame, selection, next_frame, next_selection,
+                                   positions)
+                selection = None
+            span.set(rows_in=probe_rows, rows_out=frame.length, build_rows=build_rows)
+        return frame, None
 
-    def _hash_join_sel(self, left: ColFrame, left_sel: np.ndarray | None,
-                       right: ColFrame, right_sel: np.ndarray | None,
-                       equi: list[tuple[int, int]]) -> ColFrame:
-        """Inner hash join gathering both sides through their selections."""
-        left_count = left.length if left_sel is None else len(left_sel)
-        right_count = right.length if right_sel is None else len(right_sel)
+    def _join(self, left: ColFrame, left_sel: np.ndarray | None,
+              right: ColFrame, right_sel: np.ndarray | None,
+              equi: list[tuple[int, int]],
+              residual: Sequence[ast.Expression] = (),
+              keep_unmatched_left: bool = False) -> ColFrame:
+        """Join two (selected) frames on ``equi`` position pairs.
 
-        if not equi:
-            left_indexes = np.repeat(np.arange(left_count), right_count)
-            right_indexes = np.tile(np.arange(right_count), left_count)
-        else:
-            right_keys = [
-                right.arrays[position] if right_sel is None
-                else right.arrays[position][right_sel]
-                for _, position in equi
-            ]
-            table: dict[tuple, list[int]] = {}
-            for index in range(right_count):
-                key = tuple(array[index] for array in right_keys)
-                table.setdefault(key, []).append(index)
-            left_keys = [
-                left.arrays[position] if left_sel is None
-                else left.arrays[position][left_sel]
-                for position, _ in equi
-            ]
-            left_list: list[int] = []
-            right_list: list[int] = []
-            for index in range(left_count):
-                key = tuple(array[index] for array in left_keys)
-                matches = table.get(key)
-                if matches:
-                    left_list.extend([index] * len(matches))
-                    right_list.extend(matches)
-            left_indexes = np.array(left_list, dtype=np.int64)
-            right_indexes = np.array(right_list, dtype=np.int64)
-
-        if left_sel is not None:
-            left_indexes = left_sel[left_indexes]
-        if right_sel is not None:
-            right_indexes = right_sel[right_indexes]
-        arrays = [array[left_indexes] for array in left.arrays]
-        arrays += [array[right_indexes] for array in right.arrays]
-        return ColFrame(columns=left.columns + right.columns, arrays=arrays,
-                        length=len(left_indexes))
+        The key kernels pick the row pairs; ``residual`` predicates then
+        filter the candidate pairs; a LEFT join appends its unmatched left
+        rows, NULL-padded on the right, after the matches.
+        """
+        left_rows = left.length if left_sel is None else len(left_sel)
+        right_rows = right.length if right_sel is None else len(right_sel)
+        if equi:
+            left_idx, right_idx, unmatched = join_indexes(
+                [_selected(left.arrays[position], left_sel) for position, _ in equi],
+                [_selected(right.arrays[position], right_sel) for _, position in equi])
+        else:  # cross join via index replication
+            left_idx = np.repeat(np.arange(left_rows, dtype=np.int64), right_rows)
+            right_idx = np.tile(np.arange(right_rows, dtype=np.int64), left_rows)
+        if residual:
+            candidates = _joined(left, left_sel, left_idx, right, right_sel, right_idx)
+            evaluator = self._evaluator(candidates)
+            mask = np.ones(candidates.length, dtype=bool)
+            for predicate in residual:
+                mask &= evaluator.evaluate_predicate(predicate)
+            left_idx, right_idx = left_idx[mask], right_idx[mask]
+        padded = False
+        if keep_unmatched_left:
+            if residual or not equi:
+                matched = np.zeros(left_rows, dtype=bool)
+                matched[left_idx] = True
+                unmatched = np.flatnonzero(~matched)
+            padded = len(unmatched) > 0
+            if padded:
+                left_idx = np.concatenate([left_idx, unmatched])
+                right_idx = np.concatenate(
+                    [right_idx, np.full(len(unmatched), -1, dtype=np.int64)])
+        return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded)
 
     def _project_sel(self, select: ast.Select, frame: ColFrame,
                      selection: np.ndarray | None, kernels: ColumnBlockKernels | None,
@@ -635,6 +634,9 @@ class ColumnExecutor:
         item_fns = kernels.projection if kernels is not None else None
         arrays: list[np.ndarray] = []
         columns: list[ColumnInfo] = []
+        # a projected dictionary-encoded column keeps its codes, so a block
+        # grouping over this one (a derived table) still groups on int32.
+        codes: list[np.ndarray | None] = []
         for position, item in enumerate(select.items):
             if isinstance(item.expression, ast.Star):
                 star = item.expression
@@ -642,6 +644,8 @@ class ColumnExecutor:
                     if star.table is None or column.binding.lower() == star.table.lower():
                         arrays.append(context.column(index))
                         columns.append(ColumnInfo("", column.name, column.type_name))
+                        codes.append(None if frame.codes is None
+                                     else _selected(frame.codes[index], selection))
                 continue
             kernel = item_fns[position] if item_fns is not None else None
             if kernel is not None:
@@ -652,7 +656,10 @@ class ColumnExecutor:
             arrays.append(array)
             columns.append(ColumnInfo("", item.output_name(position),
                                       self._column_type(item.expression, frame, array)))
-        return ColFrame(columns=columns, arrays=arrays, length=length), names
+            codes.append(_column_codes(frame, item.expression, selection))
+        return ColFrame(columns=columns, arrays=arrays, length=length,
+                        codes=codes if any(code is not None for code in codes)
+                        else None), names
 
     def _aggregate_sel(self, select: ast.Select, frame: ColFrame,
                        selection: np.ndarray | None,
@@ -672,7 +679,8 @@ class ColumnExecutor:
             value = self._evaluate_materialised(materialised, expression)
             return self._as_array(value, length)
 
-        return self._aggregate_with(select, frame, length, vector_of, names)
+        return self._aggregate_with(select, frame, selection, length, vector_of,
+                                    names)
 
     def _evaluate_materialised(self, materialised: "_LazySelection",
                                expression: ast.Expression) -> Any:
@@ -865,10 +873,9 @@ class ColumnExecutor:
         total = int(sum(len(selection) for selection in selections))
         if total == 0 and not select.group_by and select.having is None:
             return self._empty_aggregate_result(select, frame, names)
-        key_plans = self._group_key_plans(select, info.item, frame)
         aggregates, firsts = info.sites
         traced = self._trace is not None
-        tasks = [self._partial_task(frame, selection, kernels, key_plans,
+        tasks = [self._partial_task(select, frame, selection, kernels,
                                     aggregates, firsts, traced)
                  for selection in selections]
         count_metric("parallel.aggregate_tasks", len(tasks))
@@ -879,38 +886,23 @@ class ColumnExecutor:
         aggregator = _merge_partials(select, partials, aggregates, firsts)
         return self._aggregate_finish(select, frame, aggregator, names)
 
-    def _group_key_plans(self, select: ast.Select, item: ast.TableRef,
-                         frame: ColFrame) -> list[tuple[str, Any]]:
-        """Per-key evaluation plans for the worker grouping phase.
+    def _group_factors(self, select: ast.Select, frame: ColFrame,
+                       selection: np.ndarray | None, vector_of) -> list:
+        """The GROUP BY key columns, one value per (selected) row.
 
-        A key that is a plain dictionary-encoded column groups on the
-        whole-table int32 code vector (codes biject to values, with -1 for
-        NULL, so the partition -- and the first-seen order -- is identical
-        to grouping on the decoded strings); everything else evaluates the
-        expression per worker.
+        A key that is a plain dictionary-encoded column groups on its int32
+        code vector (codes biject to values, with -1 for NULL, so the
+        partition -- and the first-seen order -- is identical to grouping
+        on the decoded strings); everything else evaluates the expression.
         """
-        plans: list[tuple[str, Any]] = []
-        view = None
+        factors = []
         for expression in select.group_by:
-            if self.dictionary_encoding and isinstance(expression, ast.ColumnRef):
-                if view is None:
-                    view = self.database.columnar(item.name,
-                                                  typed_nulls=self.null_masks)
-                try:
-                    position = frame.position(expression)
-                except ExecutionError:
-                    position = None
-                codes = None if position is None \
-                    else view.codes.get(frame.columns[position].name)
-                if codes is not None:
-                    plans.append(("codes", codes))
-                    continue
-            plans.append(("eval", expression))
-        return plans
+            codes = _column_codes(frame, expression, selection)
+            factors.append(vector_of(expression) if codes is None else codes)
+        return factors
 
-    def _partial_task(self, frame: ColFrame, selection: np.ndarray,
-                      kernels: ColumnBlockKernels | None,
-                      key_plans: list[tuple[str, Any]],
+    def _partial_task(self, select: ast.Select, frame: ColFrame,
+                      selection: np.ndarray, kernels: ColumnBlockKernels | None,
                       aggregates: dict[int, ast.FunctionCall],
                       firsts: dict[int, ast.Expression], traced: bool):
         """One worker's aggregation morsel: group its rows, fold partials."""
@@ -929,10 +921,11 @@ class ColumnExecutor:
                 value = self._evaluate_materialised(materialised, expression)
                 return self._as_array(value, length)
 
-            if key_plans:
-                factors = [plan[selection] if kind == "codes" else vector_of(plan)
-                           for kind, plan in key_plans]
-                group_ids, first_index, keys = _worker_groups(factors, length)
+            if select.group_by:
+                factors = self._group_factors(select, frame, selection, vector_of)
+                group_ids, first_index = group_rows(factors, length)
+                keys = [tuple(factor[index] for factor in factors)
+                        for index in first_index]
             else:
                 count = 1 if length else 0
                 group_ids = np.zeros(length, dtype=np.int64)
@@ -973,14 +966,18 @@ class ColumnExecutor:
                 for column in view.schema.columns
             ]
             arrays = [view.columns[column.name] for column in view.schema.columns]
-            return ColFrame(columns=columns, arrays=arrays, length=view.length)
+            codes = [view.codes.get(column.name) for column in view.schema.columns] \
+                if self.dictionary_encoding and view.codes else None
+            return ColFrame(columns=columns, arrays=arrays, length=view.length,
+                            codes=codes)
         if isinstance(item, ast.SubqueryRef):
             frame, names = self._execute_block(item.subquery)
             columns = [
                 ColumnInfo(binding=item.alias, name=name, type_name=column.type_name)
                 for name, column in zip(names, frame.columns)
             ]
-            return ColFrame(columns=columns, arrays=frame.arrays, length=frame.length)
+            return ColFrame(columns=columns, arrays=frame.arrays, length=frame.length,
+                            codes=frame.codes)
         if isinstance(item, ast.Join):
             return self._materialise_join(item)
         raise PlanError(f"unsupported FROM item {type(item).__name__}")
@@ -999,8 +996,8 @@ class ColumnExecutor:
             columns = frame.columns[width_right:] + frame.columns[:width_right]
             return ColFrame(columns=columns, arrays=reordered, length=frame.length)
 
-        keep_unmatched = join.kind == "left"
-        return self._hash_join(left, right, equi, residual, keep_unmatched)
+        return self._join(left, None, right, None, equi, residual,
+                          keep_unmatched_left=join.kind == "left")
 
     def _split_join_condition(self, condition: ast.Expression | None,
                               left: ColFrame, right: ColFrame
@@ -1024,76 +1021,7 @@ class ColumnExecutor:
             residual.append(conjunct)
         return equi, residual
 
-    def _hash_join(self, left: ColFrame, right: ColFrame, equi: list[tuple[int, int]],
-                   residual: list[ast.Expression], keep_unmatched_left: bool) -> ColFrame:
-        """Hash join two frames on ``equi`` position pairs, apply residual after."""
-        columns = left.columns + right.columns
-
-        if not equi:
-            # cross join via index replication
-            left_indexes = np.repeat(np.arange(left.length), right.length)
-            right_indexes = np.tile(np.arange(right.length), left.length)
-        else:
-            table: dict[tuple, list[int]] = {}
-            right_keys = [right.arrays[position] for _, position in equi]
-            for index in range(right.length):
-                key = tuple(array[index] for array in right_keys)
-                table.setdefault(key, []).append(index)
-            left_keys = [left.arrays[position] for position, _ in equi]
-            left_list: list[int] = []
-            right_list: list[int] = []
-            unmatched: list[int] = []
-            for index in range(left.length):
-                key = tuple(array[index] for array in left_keys)
-                matches = table.get(key)
-                if matches:
-                    left_list.extend([index] * len(matches))
-                    right_list.extend(matches)
-                elif keep_unmatched_left:
-                    unmatched.append(index)
-            left_indexes = np.array(left_list, dtype=np.int64)
-            right_indexes = np.array(right_list, dtype=np.int64)
-
-        left_arrays = [array[left_indexes] for array in left.arrays]
-        right_arrays = [array[right_indexes] for array in right.arrays]
-        joined = ColFrame(columns=columns, arrays=left_arrays + right_arrays,
-                          length=len(left_indexes))
-        if residual:
-            evaluator = self._evaluator(joined)
-            mask = np.ones(joined.length, dtype=bool)
-            for predicate in residual:
-                mask &= evaluator.evaluate_predicate(predicate)
-            matched_left = left_indexes[mask] if keep_unmatched_left else None
-            joined = joined.mask(mask)
-        else:
-            matched_left = left_indexes if keep_unmatched_left else None
-
-        if keep_unmatched_left:
-            if equi and not residual:
-                missing = np.array(unmatched, dtype=np.int64)
-            else:
-                matched = np.zeros(left.length, dtype=bool)
-                if matched_left is not None and len(matched_left):
-                    matched[matched_left] = True
-                if equi:
-                    # rows that never matched the hash table are also unmatched
-                    pass
-                missing = np.arange(left.length)[~matched]
-                if equi:
-                    hash_unmatched = np.array(unmatched, dtype=np.int64)
-                    missing = np.union1d(missing, hash_unmatched)
-            if len(missing):
-                pad_left = [array[missing] for array in left.arrays]
-                pad_right = [
-                    _null_array(len(missing), column.type_name)
-                    for column in right.columns
-                ]
-                joined = _concat_frames(joined, ColFrame(columns=columns,
-                                                         arrays=pad_left + pad_right,
-                                                         length=len(missing)))
-        return joined
-
-    # -- filtering / joining ---------------------------------------------------------
+    # -- filtering ---------------------------------------------------------------------
 
     def _apply_pushdown(self, frame: ColFrame,
                         pushdown: dict[str, list[ast.Expression]]) -> ColFrame:
@@ -1124,21 +1052,6 @@ class ColumnExecutor:
             env = _FallbackRowEnv(self, frame, index)
             mask[index] = bool(row_evaluate(predicate, env))
         return mask
-
-    def _join_frames(self, frames: list[ColFrame], join_order: list[JoinStep]) -> ColFrame:
-        if not frames:
-            raise PlanError("a query block needs at least one FROM item")
-        current = frames[join_order[0].frame_index]
-        for step in join_order[1:]:
-            next_frame = frames[step.frame_index]
-            positions = []
-            for left_ref, right_ref, _ in step.connecting:
-                if current.position(left_ref) is not None:
-                    positions.append((current.position(left_ref), next_frame.position(right_ref)))
-                else:
-                    positions.append((current.position(right_ref), next_frame.position(left_ref)))
-            current = self._hash_join(current, next_frame, positions, [], False)
-        return current
 
     # -- projection ---------------------------------------------------------------------
 
@@ -1211,19 +1124,23 @@ class ColumnExecutor:
                 value = self._fallback_column(frame, expression)
             return self._as_array(value, frame.length)
 
-        return self._aggregate_with(select, frame, frame.length, vector_of, names)
+        return self._aggregate_with(select, frame, None, frame.length, vector_of,
+                                    names)
 
-    def _aggregate_with(self, select: ast.Select, frame: ColFrame, length: int,
+    def _aggregate_with(self, select: ast.Select, frame: ColFrame,
+                        selection: np.ndarray | None, length: int,
                         vector_of, names: list[str]) -> tuple[ColFrame, list[str]]:
         """Shared grouping/aggregation tail over a vector provider.
 
         ``vector_of(expression)`` returns one value per (selected) input row;
         the materialised and selection-vector paths only differ in how that
-        provider is built.
+        provider is built.  Grouping is the one-morsel case of what each
+        worker of the parallel path does.
         """
         if select.group_by:
-            keys = [vector_of(expression) for expression in select.group_by]
-            group_ids, first_index, group_count = _group_ids(keys, length)
+            factors = self._group_factors(select, frame, selection, vector_of)
+            group_ids, first_index = group_rows(factors, length)
+            group_count = len(first_index)
         else:
             group_ids = np.zeros(length, dtype=np.int64)
             first_index = np.zeros(1 if length else 0, dtype=np.int64)
@@ -1272,52 +1189,14 @@ class ColumnExecutor:
                                       self._column_type(item.expression, frame, array)))
         return ColFrame(columns=columns, arrays=arrays, length=1), names
 
-    # -- distinct / order / limit -----------------------------------------------------------
+    # -- distinct --------------------------------------------------------------------------
 
     def _distinct(self, frame: ColFrame) -> ColFrame:
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        for index in range(frame.length):
-            row = frame.row(index)
-            if row not in seen:
-                seen.add(row)
-                keep.append(index)
-        return frame.take(np.array(keep, dtype=np.int64))
-
-    def _order(self, select: ast.Select, names: list[str], rows: list[tuple]) -> list[tuple]:
-        if not select.order_by:
-            return rows
-        lowered = [name.lower() for name in names]
-        ordered = list(rows)
-        for item in reversed(select.order_by):
-            position = self._order_position(item, lowered, select)
-            ordered.sort(key=lambda row: (row[position] is None, row[position]),
-                         reverse=item.descending)
-        return ordered
-
-    def _order_position(self, item: ast.OrderItem, lowered: list[str],
-                        select: ast.Select) -> int:
-        from repro.sqlparser.printer import to_sql
-
-        expression = item.expression
-        if isinstance(expression, ast.ColumnRef) and expression.table is None:
-            name = expression.name.lower()
-            if name in lowered:
-                return lowered.index(name)
-        if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
-            return expression.value - 1
-        rendered = to_sql(expression)
-        for index, select_item in enumerate(select.items):
-            if to_sql(select_item.expression) == rendered:
-                return index
-        raise PlanError(
-            f"ORDER BY expression '{rendered}' is not part of the select list")
-
-    def _limit(self, select: ast.Select, rows: list[tuple]) -> list[tuple]:
-        start = select.offset or 0
-        if select.limit is None:
-            return rows[start:] if start else rows
-        return rows[start:start + select.limit]
+        """Keep the first of every set of equal rows."""
+        keys = list(frame.arrays) if frame.codes is None else [
+            array if codes is None else codes
+            for array, codes in zip(frame.arrays, frame.codes)]
+        return frame.take(group_rows(keys, frame.length)[1])
 
 
 class _RowEnvBridge:
@@ -1342,6 +1221,136 @@ class _BridgeFrame:
 
     def scope(self, outer: Scope | None = None) -> Scope:
         return Scope(columns=list(self.columns), outer=outer)
+
+
+def _selected(array: Any, selection: np.ndarray | None) -> Any:
+    """``array`` at the selected rows (None stays None, no selection = all)."""
+    if array is None or selection is None:
+        return array
+    return array[selection]
+
+
+def _column_codes(frame: ColFrame, expression: ast.Expression,
+                  selection: np.ndarray | None) -> np.ndarray | None:
+    """Dictionary codes of ``expression`` at the selected rows, when it is
+    nothing but a dictionary-encoded column of ``frame`` (None otherwise)."""
+    if frame.codes is None or not isinstance(expression, ast.ColumnRef):
+        return None
+    try:
+        position = frame.position(expression)
+    except ExecutionError:
+        return None
+    if position is None:
+        return None
+    return _selected(frame.codes[position], selection)
+
+
+def _pad_values(gathered: Any, missing: np.ndarray) -> Any:
+    """A gathered column with NULL at the rows an outer join padded."""
+    values, valid = (gathered.values, gathered.valid) \
+        if isinstance(gathered, Nullable) else (gathered, None)
+    if values.dtype == np.float64:
+        # an explicit validity mask, not bare NaN: predicates over the
+        # padded rows must evaluate UNKNOWN (in-band NaN would compare
+        # False and make NOT over the comparison wrongly TRUE).
+        return Nullable(values, ~missing if valid is None else valid & ~missing)
+    # integers, dates and booleans have no in-band null in the columnar
+    # layout, so the padded side switches to object arrays holding None.
+    padded = gathered.to_objects() if isinstance(gathered, Nullable) \
+        else gathered.astype(object)
+    padded[missing] = None
+    return padded
+
+
+def _pad_codes(gathered: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    return np.where(missing, np.int32(-1), gathered)
+
+
+class _GatheredColumns(Sequence):
+    """The columns of a join result, each gathered the first time it is read.
+
+    A join decides *which rows* pair up; most of the columns riding along
+    are never looked at again (TPC-H Q5's six-way join ends in 47 columns
+    and reads three).  ``parts`` holds, per source frame, its arrays, the
+    row index into them and whether that index has -1 entries (a row an
+    outer join padded: NULL in every column of the part); joining again
+    only re-indexes the parts.
+    """
+
+    __slots__ = ("parts", "_pad", "_where", "_gathered")
+
+    def __init__(self, parts: list[tuple[Sequence, np.ndarray, bool]], pad):
+        self.parts = parts
+        self._pad = pad
+        self._where = [(part, local) for part, (arrays, _, _) in enumerate(parts)
+                       for local in range(len(arrays))]
+        self._gathered: dict[int, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[index] for index in range(*position.indices(len(self)))]
+        part, local = self._where[position]  # IndexError ends an iteration
+        position %= len(self._where)
+        if position not in self._gathered:
+            arrays, index, padded = self.parts[part]
+            source = arrays[local]
+            if source is None or not padded:
+                column = _selected(source, index)
+            else:
+                missing = index < 0
+                # an empty source has nothing to gather: every row is padding
+                column = self._pad(
+                    source[np.where(missing, 0, index)] if len(source)
+                    else np.zeros(len(index), dtype=source.dtype), missing)
+            self._gathered[position] = column
+        return self._gathered[position]
+
+
+def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
+             padded: bool) -> np.ndarray | None:
+    """The row index ``inner[outer]``; None stands for "every row, in order"
+    and, with ``padded``, a -1 in ``outer`` stays -1."""
+    if inner is None or outer is None:
+        return outer if inner is None else inner
+    if not padded:
+        return inner[outer]
+    if not len(inner):
+        return outer  # nothing to index: every row is padding
+    return np.where(outer < 0, -1, inner[np.maximum(outer, 0)])
+
+
+def _reindexed(arrays: Sequence, selection: np.ndarray | None, index: np.ndarray,
+               padded: bool) -> list[tuple[Sequence, np.ndarray, bool]]:
+    """The parts of ``arrays[selection][index]``, without gathering anything."""
+    parts = arrays.parts if isinstance(arrays, _GatheredColumns) \
+        else [(arrays, None, False)]
+    return [(source,
+             _compose(_compose(inner, selection, False), index, padded),
+             inner_padded or padded)
+            for source, inner, inner_padded in parts]
+
+
+def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray,
+            right: ColFrame, right_sel: np.ndarray | None, right_idx: np.ndarray,
+            padded: bool = False) -> ColFrame:
+    """The frame of ``left`` rows ``left_idx`` beside ``right`` rows ``right_idx``
+    (both counted within their selections; ``padded``: -1 in ``right_idx``
+    stands for an all-NULL right row)."""
+    def gathered(left_columns, right_columns, pad):
+        return _GatheredColumns(
+            _reindexed(left_columns, left_sel, left_idx, False)
+            + _reindexed(right_columns, right_sel, right_idx, padded), pad)
+
+    codes = None
+    if left.codes is not None or right.codes is not None:
+        codes = gathered(left.codes or [None] * len(left.columns),
+                         right.codes or [None] * len(right.columns), _pad_codes)
+    return ColFrame(columns=left.columns + right.columns,
+                    arrays=gathered(left.arrays, right.arrays, _pad_values),
+                    length=len(left_idx), codes=codes)
 
 
 class _LazySelection:
@@ -1524,22 +1533,6 @@ class _GroupAggregator:
 # ---------------------------------------------------------------------------
 
 
-def _group_ids(keys: list[np.ndarray], length: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Assign a dense group id per row from the grouping key columns."""
-    ids = np.empty(length, dtype=np.int64)
-    first: list[int] = []
-    mapping: dict[tuple, int] = {}
-    for index in range(length):
-        key = tuple(array[index] for array in keys)
-        group = mapping.get(key)
-        if group is None:
-            group = len(mapping)
-            mapping[key] = group
-            first.append(index)
-        ids[index] = group
-    return ids, np.array(first, dtype=np.int64), len(mapping)
-
-
 def _group_values(values: Any) -> Any:
     """Per-group results on a single representation (masks decode to objects)."""
     if isinstance(values, (Nullable, Kleene)):
@@ -1605,53 +1598,6 @@ def _compare_groups(operator: str, left: np.ndarray, right: np.ndarray) -> np.nd
         raise ExecutionError(f"unsupported comparison operator '{operator}'")
     return compare_arrays(operator, np.asarray(_group_values(left)),
                           np.asarray(_group_values(right)))
-
-
-def _null_array(length: int, type_name: str) -> Any:
-    """All-NULL padding column for the unmatched side of an outer join."""
-    if type_name == "float":
-        # an explicit validity mask, not bare NaN: predicates over the
-        # padded rows must evaluate UNKNOWN (in-band NaN would compare
-        # False and make NOT over the comparison wrongly TRUE).
-        return Nullable(np.full(length, np.nan, dtype=np.float64),
-                        np.zeros(length, dtype=bool))
-    # integers and dates have no in-band null in the columnar layout, so the
-    # padding side of an outer join switches to object arrays holding None.
-    return np.full(length, None, dtype=object)
-
-
-def _concat_frames(first: ColFrame, second: ColFrame) -> ColFrame:
-    arrays = [_concat_arrays(left, right)
-              for left, right in zip(first.arrays, second.arrays)]
-    return ColFrame(columns=list(first.columns), arrays=arrays,
-                    length=first.length + second.length)
-
-
-def _concat_arrays(left: Any, right: Any) -> Any:
-    """Concatenate two column pieces across the mask representations.
-
-    Same-dtype typed pieces stay typed (validity concatenated, all-valid for
-    plain pieces); anything else decodes both sides to object arrays.
-    """
-    if isinstance(left, Nullable) or isinstance(right, Nullable):
-        left_values, left_valid = data_of(left)
-        right_values, right_valid = data_of(right)
-        if (isinstance(left_values, np.ndarray) and isinstance(right_values, np.ndarray)
-                and left_values.dtype == right_values.dtype
-                and left_values.dtype != object):
-            if left_valid is None:
-                left_valid = np.ones(len(left_values), dtype=bool)
-            if right_valid is None:
-                right_valid = np.ones(len(right_values), dtype=bool)
-            return Nullable(np.concatenate([left_values, right_values]),
-                            np.concatenate([left_valid, right_valid]))
-        left, right = as_objects(left), as_objects(right)
-    elif isinstance(left, Kleene) or isinstance(right, Kleene):
-        left, right = as_objects(left), as_objects(right)
-    if left.dtype != right.dtype:
-        left = left.astype(object)
-        right = right.astype(object)
-    return np.concatenate([left, right])
 
 
 def _empty_aggregate_value(expression: ast.Expression) -> Any:
@@ -1765,81 +1711,6 @@ def _aggregate_sites(select: ast.Select
     return aggregates, firsts
 
 
-def _worker_groups(factors: list, length: int
-                   ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Group one worker's rows: ids, first-row positions, first-seen keys."""
-    fast = _factorized_groups(factors, length)
-    if fast is not None:
-        return fast
-    ids = np.empty(length, dtype=np.int64)
-    first: list[int] = []
-    mapping: dict[tuple, int] = {}
-    for index in range(length):
-        key = tuple(factor[index] for factor in factors)
-        group = mapping.get(key)
-        if group is None:
-            group = len(mapping)
-            mapping[key] = group
-            first.append(index)
-        ids[index] = group
-    return ids, np.array(first, dtype=np.int64), list(mapping)
-
-
-def _factorized_groups(factors: list, length: int
-                       ) -> tuple[np.ndarray, np.ndarray, list[tuple]] | None:
-    """Vectorised grouping via ``np.unique`` factorisation (None = bail out).
-
-    Bails to the exact dict loop on anything ``np.unique`` cannot order the
-    way python equality hashes: object arrays (None / mixed types raise),
-    masked representations, NaN floats (each NaN is its own group on the
-    hash path) and combined code spaces that would overflow int64.
-    """
-    inverses: list[np.ndarray] = []
-    sizes: list[int] = []
-    for factor in factors:
-        codes = _factor_codes(factor)
-        if codes is None:
-            return None
-        inverse, size = codes
-        inverses.append(inverse)
-        sizes.append(size)
-    combined = inverses[0].astype(np.int64)
-    space = sizes[0]
-    for inverse, size in zip(inverses[1:], sizes[1:]):
-        space = space * size
-        if space > 2 ** 62:
-            return None
-        combined = combined * size + inverse
-    unique, inverse = np.unique(combined, return_inverse=True)
-    group_total = len(unique)
-    first = np.full(group_total, length, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(length, dtype=np.int64))
-    # remap the sorted-unique ids onto first-seen order (the hash path's
-    # and the serial executor's group order).
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(group_total, dtype=np.int64)
-    rank[order] = np.arange(group_total, dtype=np.int64)
-    ids = rank[inverse]
-    first_index = first[order]
-    keys = [tuple(factor[index] for factor in factors) for index in first_index]
-    return ids, first_index, keys
-
-
-def _factor_codes(factor) -> tuple[np.ndarray, int] | None:
-    """Dense codes of one grouping factor, or None when unsafe to sort."""
-    if not isinstance(factor, np.ndarray):
-        return None  # Nullable/Kleene: NULL identity stays on the hash path
-    if factor.dtype.kind not in "biufSUM":
-        return None
-    if factor.dtype.kind == "f" and np.isnan(factor).any():
-        return None  # python hashing keeps each NaN a distinct group
-    try:
-        unique, inverse = np.unique(factor, return_inverse=True)
-    except TypeError:
-        return None
-    return inverse.astype(np.int64), len(unique)
-
-
 def _partial_aggregate(call: ast.FunctionCall, vector_of, group_ids: np.ndarray,
                        group_count: int) -> tuple:
     """One worker's mergeable partial state for a single aggregate call.
@@ -1906,18 +1777,9 @@ def _merge_partials(select: ast.Select, partials: list[_WorkerPartial],
     groups in worker order reproduces the serial first-seen group order
     (and first-row values) exactly.
     """
-    mapping: dict[tuple, int] = {}
-    local_maps: list[np.ndarray] = []
-    for partial in partials:
-        local = np.empty(len(partial.keys), dtype=np.int64)
-        for position, key in enumerate(partial.keys):
-            group = mapping.get(key)
-            if group is None:
-                group = len(mapping)
-                mapping[key] = group
-            local[position] = group
-        local_maps.append(local)
-    seen = len(mapping)
+    groups, seen = hash_codes([key for partial in partials for key in partial.keys])
+    bounds = np.cumsum([len(partial.keys) for partial in partials])
+    local_maps = np.split(groups, bounds[:-1])
     group_count = seen if select.group_by else 1
 
     merged_firsts = {

@@ -33,12 +33,11 @@ from repro.engine.compile import (
 )
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan
+from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
 from repro.engine.planner import ColumnInfo, Scope, output_columns
 from repro.errors import ExecutionError, PlanError
 from repro.obs import NULL_SPAN, QueryTrace
 from repro.sqlparser import ast
-from repro.sqlparser.printer import to_sql
 
 
 def scan_source(item: ast.TableExpression) -> str:
@@ -52,6 +51,20 @@ def scan_source(item: ast.TableExpression) -> str:
     if isinstance(item, ast.Join):
         return f"{item.kind} join"
     return type(item).__name__
+
+
+def _hash_table(rows: list[tuple], positions: list[int]) -> dict[tuple, list[tuple]]:
+    """Build side of a hash join: rows by key, NULL-keyed rows left out.
+
+    ``NULL = anything`` is UNKNOWN, so a row with a NULL in any key column
+    can match nothing; probes with such a key find no entry either.
+    """
+    table: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        key = tuple(row[position] for position in positions)
+        if None not in key:
+            table.setdefault(key, []).append(row)
+    return table
 
 
 @dataclass
@@ -211,6 +224,8 @@ class RowExecutor:
     def _execute_block(self, select: ast.Select, outer: "_RowEnv | None"
                        ) -> tuple[list[str], list[tuple]]:
         block = self._block(select)
+        # a sort key outside the select list fails here, before any scan
+        positions = order_positions(select, block.output_names)
         kernels = self._block_kernels(block)
         trace = self._trace
 
@@ -235,12 +250,7 @@ class RowExecutor:
                              **self._chunk_attrs(item))
             frames.append(frame)
 
-        if len(frames) > 1 and trace is not None:
-            with trace.span("join") as span:
-                frame = self._join_frames(frames, block.join_order, outer)
-                span.set(rows_out=len(frame.rows))
-        else:
-            frame = self._join_frames(frames, block.join_order, outer)
+        frame = self._join_frames(frames, block.join_order, outer)
 
         has_residual = bool(block.residual)
         span_cm = self._span("filter") if has_residual else NULL_SPAN
@@ -275,12 +285,10 @@ class RowExecutor:
 
         if select.distinct:
             rows = list(dict.fromkeys(rows))
-        if select.order_by and trace is not None:
-            with trace.span("order") as span:
-                rows = self._order(select, columns, rows, frame)
+        if positions:
+            with self._span("order") as span:
+                rows = self._order(select, positions, rows)
                 span.set(rows_out=len(rows))
-        else:
-            rows = self._order(select, columns, rows, frame)
         rows = self._limit(select, rows)
         return columns, rows
 
@@ -433,10 +441,7 @@ class RowExecutor:
         if equi and self.hash_joins:
             right_positions = [right.position(ref) for _, ref in equi]
             left_positions = [left.position(ref) for ref, _ in equi]
-            table: dict[tuple, list[tuple]] = {}
-            for row in right.rows:
-                key = tuple(row[position] for position in right_positions)
-                table.setdefault(key, []).append(row)
+            table = _hash_table(right.rows, right_positions)
             for left_row in left.rows:
                 key = tuple(left_row[position] for position in left_positions)
                 matched = False
@@ -488,9 +493,17 @@ class RowExecutor:
         if not frames:
             return RowFrame(columns=[], rows=[()])
         current = frames[join_order[0].frame_index]
-        for step in join_order[1:]:
-            current = self._pairwise_join(current, frames[step.frame_index],
-                                          list(step.connecting), outer)
+        if len(join_order) == 1:
+            return current
+        with self._span("join") as span:
+            probe_rows = build_rows = 0
+            for step in join_order[1:]:
+                probe_rows += len(current.rows)
+                build_rows += len(frames[step.frame_index].rows)
+                current = self._pairwise_join(current, frames[step.frame_index],
+                                              list(step.connecting), outer)
+            span.set(rows_in=probe_rows, rows_out=len(current.rows),
+                     build_rows=build_rows)
         return current
 
     def _pairwise_join(self, left: RowFrame, right: RowFrame,
@@ -508,10 +521,7 @@ class RowExecutor:
                 else:
                     left_positions.append(left.position(right_ref))
                     right_positions.append(right.position(left_ref))
-            table: dict[tuple, list[tuple]] = {}
-            for row in right.rows:
-                key = tuple(row[position] for position in right_positions)
-                table.setdefault(key, []).append(row)
+            table = _hash_table(right.rows, right_positions)
             rows = []
             for left_row in left.rows:
                 key = tuple(left_row[position] for position in left_positions)
@@ -589,45 +599,14 @@ class RowExecutor:
 
     # -- ordering / limits -----------------------------------------------------------------
 
-    def _order(self, select: ast.Select, columns: list[str], rows: list[tuple],
-               frame: RowFrame) -> list[tuple]:
-        if not select.order_by:
-            return rows
-        lowered = [name.lower() for name in columns]
+    def _order(self, select: ast.Select, positions: list[int],
+               rows: list[tuple]) -> list[tuple]:
+        """Sort on the resolved output positions, NULLs as the largest value."""
         ordered = list(rows)
-        for item in reversed(select.order_by):
-            key_function = self._order_key(item, lowered, select, frame)
-            ordered.sort(key=key_function, reverse=item.descending)
+        for item, position in reversed(list(zip(select.order_by, positions))):
+            ordered.sort(key=lambda row: (row[position] is None, row[position]),
+                         reverse=item.descending)
         return ordered
-
-    def _order_key(self, item: ast.OrderItem, lowered_columns: list[str],
-                   select: ast.Select, frame: RowFrame):
-        expression = item.expression
-        position: int | None = None
-        if isinstance(expression, ast.ColumnRef) and expression.table is None:
-            name = expression.name.lower()
-            if name in lowered_columns:
-                position = lowered_columns.index(name)
-        if position is None and isinstance(expression, ast.Literal) and isinstance(
-                expression.value, int):
-            position = expression.value - 1
-        if position is None:
-            # fall back to matching the rendered expression against select items
-            rendered = to_sql(expression)
-            for index, select_item in enumerate(select.items):
-                if to_sql(select_item.expression) == rendered:
-                    position = index
-                    break
-        if position is None:
-            raise PlanError(
-                f"ORDER BY expression '{to_sql(expression)}' is not part of the select list"
-            )
-
-        def key(row: tuple):
-            value = row[position]
-            return (value is None, value)
-
-        return key
 
     def _limit(self, select: ast.Select, rows: list[tuple]) -> list[tuple]:
         start = select.offset or 0

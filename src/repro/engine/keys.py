@@ -1,0 +1,239 @@
+"""Key kernels: equi-joins, grouping and ORDER BY as array operations.
+
+Every operator of the column engine that has to decide which rows carry
+*equal* (or ordered) keys goes through this module.  Key columns are first
+turned into ``int64`` codes, one column at a time, by the cheapest exact
+method their dtype allows:
+
+* bool / integer arrays (dictionary code vectors included) -- an offset,
+  ``value - min``; no sort, no hash,
+* float arrays -- ``np.unique`` ranks, every NaN its own code (NaN equals
+  nothing, itself included, exactly as under Python hashing),
+* everything numpy cannot compare natively -- object arrays (strings
+  without a dictionary, legacy ``None``-carrying columns, mixed types) and
+  the rare typed pair that has no exact common dtype -- one pass through a
+  Python ``dict``, driven by ``dict.fromkeys`` / ``map`` rather than a
+  bytecode loop.  This is the only place a dict sees rows; it keeps Python
+  equality (``1 == 1.0 == True``) by construction, and every row it
+  handles is counted as ``join.fallback_rows`` / ``group.fallback_rows``
+  (all others as ``*.kernel_rows``).
+
+Multi-column keys multiply their per-column codes together, re-ranking
+first whenever the product would leave ``int64``, and a code space wider
+than the row count is re-ranked too: joins and grouping then index small
+tables by code (run starts, first rows) instead of searching or sorting
+rows, with temporaries of the order of the key columns themselves.
+
+NULL follows SQL: a NULL join key matches nothing (its row lands in
+``unmatched_left``), NULL group keys form one group, and NULLs sort after
+every value.  Row order is part of the contract -- joins emit "probe-row
+order, then build-row order", groups are numbered in first-seen order -- so
+float sums and ``LIMIT`` without a total order see the rows in the order
+the per-row loops these kernels replaced produced them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.engine.mask import Nullable, data_of
+from repro.obs.metrics import count as count_metric
+
+__all__ = ["group_rows", "hash_codes", "join_indexes", "order_index"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+#: combined code spaces are re-ranked before they reach this bound.
+_CODE_SPACE = 2 ** 62
+#: integers beyond this do not survive the trip through float64.
+_EXACT_FLOAT = 2 ** 53
+
+
+def hash_codes(items: list, ranked: bool = False) -> tuple[np.ndarray, int]:
+    """Dense codes of hashable ``items`` under Python equality.
+
+    Codes number the distinct values in first-seen order or, ``ranked``, in
+    sorted order (only the distinct values are sorted; a ``TypeError`` for
+    values Python cannot order, as sorting the items would raise).
+    """
+    distinct = dict.fromkeys(items)
+    lookup = {item: code
+              for code, item in enumerate(sorted(distinct) if ranked else distinct)}
+    codes = np.fromiter(map(lookup.__getitem__, items), dtype=np.int64,
+                        count=len(items))
+    return codes, len(lookup)
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """``(codes, code space, went through the dict)`` of one values array.
+
+    Codes are equal exactly where the values are; for typed arrays they
+    also keep the values' order.
+    """
+    if len(values) == 0:
+        return _EMPTY, 1, False
+    kind = values.dtype.kind
+    if kind in "bi":
+        low, high = int(values.min()), int(values.max())
+        if high - low < _CODE_SPACE:
+            return values.astype(np.int64) - low, high - low + 1, False
+    if kind in "bif":
+        uniques, codes = np.unique(values, return_inverse=True, equal_nan=False)
+        return codes.astype(np.int64, copy=False), len(uniques), False
+    codes, space = hash_codes(values.tolist())
+    return codes, space, True
+
+
+def _joint(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Both sides of one join key in a dtype that compares them exactly."""
+    if left.dtype.kind in "bif" and right.dtype.kind in "bif":
+        joint = np.concatenate([left, right])
+        if joint.dtype.kind != "f" or all(
+                side.dtype.kind == "f" or len(side) == 0
+                or (-_EXACT_FLOAT <= side.min() and side.max() <= _EXACT_FLOAT)
+                for side in (left, right)):
+            return joint
+    return np.concatenate([left.astype(object), right.astype(object)])
+
+
+def _rerank(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Equal codes, squeezed into ``[0, distinct codes)``."""
+    uniques, ranks = np.unique(codes, return_inverse=True)
+    return ranks.astype(np.int64, copy=False), len(uniques)
+
+
+def _combine(columns: list[tuple[np.ndarray, np.ndarray | None]],
+             null_is_a_key: bool) -> tuple[np.ndarray, int, int | None, bool]:
+    """One code per row, in ``[0, space)``, over ``(values, validity)`` columns.
+
+    Returns ``(codes, space, null code, went through the dict)`` with
+    ``space`` no larger than the row count (or 1), so a table indexed by
+    code costs what the key columns cost.  With ``null_is_a_key`` an invalid
+    entry is one more value of its column (grouping); without, the rows with
+    an invalid entry share the *null code*, which no other row has (joins;
+    None when there is no such row).
+    """
+    combined, space, hashed, null_rows = _EMPTY, 1, False, None
+    for position, (values, valid) in enumerate(columns):
+        codes, size, via_dict = _codes(values)
+        hashed |= via_dict
+        if valid is not None:
+            if null_is_a_key:
+                codes = np.where(valid, codes, size)
+                size += 1
+            else:
+                null_rows = ~valid if null_rows is None else null_rows | ~valid
+        if position == 0:
+            combined, space = codes, size
+            continue
+        if space * size >= _CODE_SPACE:
+            combined, space = _rerank(combined)
+            if space * size >= _CODE_SPACE:
+                codes, size = _rerank(codes)
+        combined = combined * size + codes
+        space *= size
+    null_code = None
+    if null_rows is not None and null_rows.any():
+        combined = np.where(null_rows, space, combined)
+        null_code = space  # the largest code, so it still is after re-ranking
+        space += 1
+    if space > max(len(combined), 1):
+        combined, space = _rerank(combined)
+        null_code = None if null_code is None else space - 1
+    return combined, space, null_code, hashed
+
+
+def _count(operator: str, rows: int, hashed: bool) -> None:
+    count_metric(f"{operator}.fallback_rows" if hashed else f"{operator}.kernel_rows",
+                 rows)
+
+
+def join_indexes(left: list, right: list
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equi-join two lists of key columns (one column per key, per side).
+
+    Returns ``(left_idx, right_idx, unmatched_left)``: the matching row
+    pairs in left-row order, each left row's matches in right-row order,
+    and the ascending left rows that matched nothing.  Rows with a NULL in
+    any key column never match.
+    """
+    left_rows, right_rows = len(left[0]), len(right[0])
+    columns = []
+    for left_column, right_column in zip(left, right):
+        left_values, left_valid = data_of(left_column)
+        right_values, right_valid = data_of(right_column)
+        valid = None
+        if left_valid is not None or right_valid is not None:
+            valid = np.concatenate([
+                np.ones(len(values), dtype=bool) if side is None else side
+                for values, side in ((left_values, left_valid),
+                                     (right_values, right_valid))])
+        columns.append((_joint(left_values, right_values), valid))
+    codes, space, null_code, hashed = _combine(columns, null_is_a_key=False)
+    _count("join", len(codes), hashed)
+    probe, build = codes[:left_rows], codes[left_rows:]
+
+    # counting sort of the build rows: a run per code, rows ascending in it
+    # (the row number breaks ties, so any sort is a stable one)
+    order = np.argsort(build * right_rows + np.arange(right_rows, dtype=np.int64))
+    run_lengths = np.bincount(build, minlength=space)
+    if null_code is not None:
+        run_lengths[null_code] = 0  # its rows sort last and stay unread
+    run_starts = np.cumsum(run_lengths) - run_lengths
+    counts = run_lengths[probe]
+    left_idx = np.repeat(np.arange(left_rows, dtype=np.int64), counts)
+    # position of every output row inside its left row's run of matches
+    within = np.arange(len(left_idx), dtype=np.int64) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    right_idx = order[np.repeat(run_starts[probe], counts) + within]
+    return left_idx, right_idx, np.flatnonzero(counts == 0)
+
+
+def group_rows(factors: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``rows`` rows by their key columns.
+
+    Returns ``(group_ids, first_index)``: a dense id per row, ids numbered
+    in first-seen order, and the first row of every group.  NULLs group
+    together; every NaN is its own group.
+    """
+    columns = []
+    for factor in factors:
+        if isinstance(factor, Nullable):
+            columns.append((factor.values, factor.valid))
+        else:
+            columns.append((factor, None))  # a None in an object array hashes
+    codes, space, _, hashed = _combine(columns, null_is_a_key=True)
+    _count("group", rows, hashed)
+    first = np.full(space, rows, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
+    seen = np.flatnonzero(first < rows)
+    seen = seen[np.argsort(first[seen])]
+    group_of = np.empty(space, dtype=np.int64)
+    group_of[seen] = np.arange(len(seen), dtype=np.int64)
+    return group_of[codes], first[seen]
+
+
+def _ranks(column: "np.ndarray | Nullable") -> np.ndarray:
+    """Order-preserving ``int64`` ranks of one column, NULL ranked last."""
+    values, valid = data_of(column)
+    if valid is not None:
+        ranks = np.empty(len(values), dtype=np.int64)
+        present = _ranks(values[valid])
+        ranks[valid] = present
+        ranks[~valid] = present.max() + 1 if len(present) else 0
+        return ranks
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
+    return hash_codes(values.tolist(), ranked=True)[0]
+
+
+def order_index(keys: list[tuple["np.ndarray | Nullable", bool]]) -> np.ndarray:
+    """Stable row order under ``[(column, descending), ...]`` sort keys.
+
+    The first key is the most significant.  NULLs are the largest value
+    (last ascending, first descending) and ties keep their input order in
+    either direction -- what sorting the row tuples on ``(value is None,
+    value)`` with ``reverse=descending``, one key at a time, gave.
+    """
+    ranks = [-_ranks(column) if descending else _ranks(column)
+             for column, descending in keys]
+    return np.lexsort(ranks[::-1])

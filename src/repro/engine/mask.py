@@ -51,12 +51,15 @@ __all__ = [
     "wrap_valid",
 ]
 
-_IS_NONE = np.frompyfunc(lambda value: value is None, 1, 1)
-
 
 def none_positions(array: np.ndarray) -> np.ndarray:
-    """Boolean mask of the ``None`` entries of an object array."""
-    return _IS_NONE(array).astype(bool)
+    """Boolean mask of the ``None`` entries of an object array.
+
+    One comparison loop inside numpy, no Python call per cell: of the
+    values a column can hold (numbers, strings, dates, booleans and their
+    numpy scalars) only ``None`` itself compares equal to ``None``.
+    """
+    return np.equal(array, None)
 
 
 class _ObjectViewMemo:

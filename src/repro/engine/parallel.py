@@ -24,6 +24,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import MetricsContext, current_metrics
+
 #: thread-name prefix of pool workers; also the re-entrancy guard marker.
 THREAD_PREFIX = "repro-morsel"
 
@@ -66,13 +68,34 @@ def run_tasks(workers: int, tasks: Sequence[Callable[[], Any]]) -> list:
     Single-task lists (and calls that already run on a pool thread, which
     would otherwise risk pool starvation) execute inline.  The first task
     exception propagates to the caller after every future has settled.
+    What the tasks count (:func:`repro.obs.metrics.count`) lands in the
+    caller's metrics context, as if they had run inline.
     """
     if len(tasks) <= 1 or workers <= 1 \
             or threading.current_thread().name.startswith(THREAD_PREFIX):
         return [task() for task in tasks]
     pool = get_pool(workers)
-    futures = [pool.submit(task) for task in tasks]
-    return [future.result() for future in futures]
+    metrics = current_metrics()
+    if metrics is None:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+    # pool threads do not inherit the caller's context: each task counts
+    # into a context of its own, folded into the query's once it is done.
+    futures = [pool.submit(_counted, task) for task in tasks]
+    results = []
+    for future in futures:
+        result, counters = future.result()
+        for name, amount in counters.items():
+            metrics.count(name, amount)
+        results.append(result)
+    return results
+
+
+def _counted(task: Callable[[], Any]) -> tuple[Any, dict[str, float]]:
+    """Run ``task`` under a fresh metrics context; return what it counted."""
+    local = MetricsContext()
+    with local.activate():
+        return task(), local.counters
 
 
 def chunk_ranges(chunk_count: int, survivors: np.ndarray | None, workers: int

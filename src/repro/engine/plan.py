@@ -81,6 +81,36 @@ def normalize_sql(sql: str) -> str:
     return "".join(parts).strip().rstrip("; ")
 
 
+def order_positions(select: ast.Select, output_names: list[str]) -> list[int]:
+    """Output-column position of every ORDER BY item of ``select``.
+
+    An item names an output column, gives its 1-based position, or repeats
+    a select-list expression.  Both executors resolve the items before
+    they scan anything, so a sort key that is not part of the select list
+    costs a :class:`PlanError` and no rows.
+    """
+    lowered = [name.lower() for name in output_names]
+    positions: list[int] = []
+    for item in select.order_by:
+        expression = item.expression
+        if isinstance(expression, ast.ColumnRef) and expression.table is None \
+                and expression.name.lower() in lowered:
+            positions.append(lowered.index(expression.name.lower()))
+            continue
+        if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
+            positions.append(expression.value - 1)
+            continue
+        rendered = to_sql(expression)
+        for index, select_item in enumerate(select.items):
+            if to_sql(select_item.expression) == rendered:
+                positions.append(index)
+                break
+        else:
+            raise PlanError(
+                f"ORDER BY expression '{rendered}' is not part of the select list")
+    return positions
+
+
 @dataclass(frozen=True)
 class JoinStep:
     """One step of a block's join schedule.

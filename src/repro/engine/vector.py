@@ -24,8 +24,9 @@ how vectorised engines punt on non-vectorisable operators.
 
 from __future__ import annotations
 
+import datetime
 import operator as _operator
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -55,6 +56,11 @@ from repro.engine.types import (
 from repro.errors import ExecutionError
 from repro.obs.metrics import count as count_metric
 from repro.sqlparser import ast
+
+
+#: in-band NULL of a plain int64 day-ordinal column.
+_DATE_NULL = int(np.iinfo(np.int64).min)
+_EPOCH_ORDINAL = ordinal_to_date(0).toordinal()
 
 
 class VectorFallback(Exception):
@@ -433,9 +439,15 @@ class ColFrame:
 
     Arrays may be plain ndarrays, :class:`Nullable` pairs, or object arrays;
     all three support the gather / mask / scalar indexing the frame uses.
+    ``arrays`` is any sequence: a join hands in one that gathers a column
+    the first time it is read.  ``codes``, when present, runs parallel to
+    ``arrays`` and holds the ``int32`` dictionary codes (-1 = NULL) of the
+    columns that still are a dictionary-encoded base column (None for the
+    others); grouping keys on those codes instead of the strings.
     """
 
-    def __init__(self, columns: list[ColumnInfo], arrays: list[np.ndarray], length: int):
+    def __init__(self, columns: list[ColumnInfo], arrays: Sequence[np.ndarray],
+                 length: int, codes: Sequence[np.ndarray | None] | None = None):
         # frame constructions are counted on the active query's metrics
         # context ("frame.materialisations"): the selection-vector executor
         # is asserted (in tests) to allocate no intermediate frame per
@@ -445,6 +457,7 @@ class ColFrame:
         self.columns = columns
         self.arrays = arrays
         self.length = length
+        self.codes = codes
         self._index: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
         self.reindex()
@@ -495,9 +508,15 @@ class ColFrame:
             values.append(_to_python(value, column.type_name))
         return tuple(values)
 
-    def rows(self) -> list[tuple]:
-        """Materialise every row (used at result-delivery time)."""
-        return [self.row(index) for index in range(self.length)]
+    def rows(self, index: "np.ndarray | slice | None" = None) -> list[tuple]:
+        """Materialise the rows (all, or those ``index`` picks, in its order).
+
+        Result delivery: one ``tolist`` per column and a ``zip``, giving the
+        values :meth:`row` gives cell by cell.
+        """
+        return list(zip(*[
+            _python_values(array if index is None else array[index], column.type_name)
+            for column, array in zip(self.columns, self.arrays)]))
 
 
 def concat_values(left: Any, right: Any) -> Any:
@@ -523,9 +542,31 @@ def concat_values(left: Any, right: Any) -> Any:
     return str(left) + str(right)
 
 
-def _to_python(value: Any, type_name: str) -> Any:
-    from repro.engine.types import ordinal_to_date
+def _python_values(array: Any, type_name: str) -> list:
+    """One column as python values: what :func:`_to_python` gives per cell."""
+    values, valid = (array.values, array.valid) if isinstance(array, Nullable) \
+        else (array, None)
+    if values.dtype == object:
+        items = values.tolist()
+        if type_name == "date" or any(issubclass(kind, np.generic)
+                                      for kind in set(map(type, items))):
+            items = [_to_python(item, type_name) for item in items]
+    elif type_name == "date" and values.dtype.kind == "i":
+        present = values != _DATE_NULL
+        if valid is not None:
+            present &= valid
+        valid = present
+        days = np.where(present, values, 0) + _EPOCH_ORDINAL
+        items = list(map(datetime.date.fromordinal, days.tolist()))
+    else:
+        items = values.tolist()
+    if valid is not None:
+        for position in np.flatnonzero(~valid).tolist():
+            items[position] = None
+    return items
 
+
+def _to_python(value: Any, type_name: str) -> Any:
     if type_name == "date":
         if isinstance(value, (int, np.integer)):
             if int(value) == np.iinfo(np.int64).min:

@@ -75,6 +75,12 @@ from repro.pool.pool import QueryPool
 from repro.sqlparser import extract_grammar
 from repro.sqlparser.extract import ExtractionOptions
 
+#: engine counters of submitted profiles that ``/api/metrics`` sums up as
+#: ``engine.<name>``: rows through the join / grouping kernels, and through
+#: their dict fallback (see :mod:`repro.engine.keys`).
+ENGINE_KERNEL_COUNTERS = ("join.kernel_rows", "join.fallback_rows",
+                          "group.kernel_rows", "group.fallback_rows")
+
 
 class PlatformService:
     """Facade over the store implementing the platform's use cases."""
@@ -647,6 +653,14 @@ class PlatformService:
                     outcome = "retried"
                 profile = record.extras.get("profile") \
                     if isinstance(record.extras, dict) else None
+                if isinstance(profile, dict) and isinstance(profile.get("counters"), dict):
+                    # which join/group kernel the contributor's engine ran,
+                    # summed over every accepted result
+                    for name in ENGINE_KERNEL_COUNTERS:
+                        amount = profile["counters"].get(name)
+                        if isinstance(amount, (int, float)) and amount:
+                            counters[f"engine.{name}"] = \
+                                counters.get(f"engine.{name}", 0) + amount
                 if isinstance(record.extras, dict):
                     # driver-side span records ride along in the extras;
                     # ingesting them gives the server's recorder (and the

@@ -174,6 +174,166 @@ class TestBasicQueries:
         assert len(result) == 4
 
 
+class TestOrderingAndDelivery:
+    """ORDER BY / OFFSET / LIMIT and the python values a result delivers."""
+
+    @pytest.fixture()
+    def sparse_db(self) -> Database:
+        database = Database("sparse")
+        database.create_table("s", [("id", "int"), ("grade", "str"), ("score", "float"),
+                                    ("day", "date"), ("flag", "bool"), ("n", "int")])
+        database.insert_rows("s", [
+            (1, "b", 2.5, "2020-03-01", True, 7),
+            (2, None, None, None, None, None),
+            (3, "a", 2.5, "2020-01-01", False, 7),
+            (4, "b", 1.0, None, True, 3),
+            (5, None, 9.0, "2020-02-01", None, None),
+            (6, "a", None, "2020-01-01", False, 3),
+        ])
+        return database
+
+    @pytest.mark.parametrize("order_by,expected", [
+        ("grade, id", [3, 6, 1, 4, 2, 5]),                # NULLs last ascending
+        ("grade desc, id", [2, 5, 1, 4, 3, 6]),           # ... first descending
+        ("score desc, day, id desc", [6, 2, 5, 3, 1, 4]),
+        ("n, score desc, id", [6, 4, 1, 3, 2, 5]),
+        ("flag desc, grade", [2, 5, 1, 4, 3, 6]),         # ties keep scan order
+        ("2 desc, 1", [2, 5, 1, 4, 3, 6]),                # positions
+    ])
+    def test_order_by_null_placement_and_ties(self, sparse_db, order_by, expected):
+        sql = f"select id, grade, score, day, flag, n from s order by {order_by}"
+        for kind in ("row", "column"):
+            rows = create_engine(kind, sparse_db).execute(sql).rows
+            assert [row[0] for row in rows] == expected, f"{kind}: {order_by}"
+
+    @pytest.mark.parametrize("tail,expected", [
+        ("limit 2", [1, 2]), ("limit 2 offset 3", [4, 5]), ("offset 4", [5, 6]),
+        ("limit 0", []), ("limit 10 offset 5", [6]), ("offset 9", []),
+    ])
+    def test_limit_and_offset_with_and_without_order(self, sparse_db, tail, expected):
+        for kind in ("row", "column"):
+            engine = create_engine(kind, sparse_db)
+            assert [row[0] for row in engine.execute(
+                f"select id from s {tail}").rows] == expected
+            assert [row[0] for row in engine.execute(
+                f"select id from s order by id {tail}").rows] == expected
+
+    def test_delivered_values_are_plain_python(self, sparse_db):
+        """Column-wise delivery hands out what the row engine holds: python
+        scalars, ``datetime.date`` for dates, None for every NULL."""
+        sql = "select id, grade, score, day, flag, n, n + 1 from s order by id"
+        reference = create_engine("row", sparse_db).execute(sql).rows
+        for null_masks in (True, False):
+            engine = ColumnEngine(sparse_db, options=EngineOptions(null_masks=null_masks))
+            rows = engine.execute(sql).rows
+            assert rows == reference
+            assert [[type(value) for value in row] for row in rows] == \
+                [[type(value) for value in row] for row in reference]
+        assert reference[0][3] == datetime.date(2020, 3, 1) and reference[1][3] is None
+
+    @pytest.mark.parametrize("kind", ["row", "column"])
+    def test_bad_sort_key_fails_before_any_scan(self, kind, small_db, monkeypatch):
+        """ORDER BY is resolved against the select list before the first scan:
+        a variant the morpher broke costs a PlanError, not a query."""
+        from repro.errors import PlanError
+
+        scanned = []
+        for reader in ("rows", "columnar"):
+            original = getattr(Database, reader)
+
+            def spy(self, name, *args, _original=original, **kwargs):
+                scanned.append(name)
+                return _original(self, name, *args, **kwargs)
+
+            monkeypatch.setattr(Database, reader, spy)
+        engine = create_engine(kind, small_db)
+        with pytest.raises(PlanError, match=r"ORDER BY expression 'price' is not "
+                                            r"part of the select list"):
+            engine.execute("select name, count(*) from t group by name order by price")
+        assert scanned == []
+        assert engine.execute("select name from t order by name limit 1").rows \
+            == [("alpha",)]
+        assert scanned  # the spy does see a query that runs
+
+
+class TestJoinShapes:
+    """Join pipelines the fuzzer's two-table forms do not reach: outer-join
+    padding that is joined, grouped or de-duplicated again, RIGHT joins,
+    empty sides, derived tables on both sides -- every toggle combination
+    against the nested-loop interpreted row engine."""
+
+    QUERIES = [
+        "select a.id, b.id, c.id from a left join b on a.k = b.k join c on b.s = c.s",
+        "select a.id, b.id, c.id from a left join b on a.k = b.k "
+        "left join c on b.s = c.s",
+        "select a.id, b.id, c.id, c.d from a left join b on a.k = b.k, c "
+        "where a.s = c.s",
+        "select a.id, b.id, c.id from c, a left join b on a.k = b.k "
+        "where a.s = c.s and c.id > 1",
+        "select a.id, b.id from a right join b on a.k = b.k and a.s = b.s",
+        "select a.id, e.id from a left join e on a.k = e.k",
+        "select e.id, a.id from e left join a on a.k = e.k",
+        "select a.id, e.id from a, e where a.k = e.k",
+        "select b.s, count(*), sum(a.f) from a left join b on a.k = b.k group by b.s",
+        "select c.s, c.d, count(*) from a left join b on a.k = b.k "
+        "left join c on b.s = c.s group by c.s, c.d",
+        "select distinct b.s, c.d from a left join b on a.k = b.k "
+        "left join c on b.s = c.s",
+        "select a.id, b.id from a left join b on a.k = b.k and b.id > 1",
+        "select a.id, b.id from a left join b on a.id < b.id",
+        "select a.id, b.id from a left join b on a.k = b.k "
+        "where b.s is null or b.s = 'y'",
+        "select t.s, u.s, count(*) from "
+        "(select b.s as s, a.k as k from a, b where a.k = b.k) t, "
+        "(select s, id from c) u where t.s = u.s group by t.s, u.s",
+        "select * from a left join b on a.k = b.k order by 1 desc, 5 limit 4 offset 1",
+        "select a.id, b.id from a, b where a.f = b.k",
+        "select a.id, b.id from a, b",
+    ]
+
+    @pytest.fixture(scope="class")
+    def join_db(self) -> Database:
+        database = Database("joins", chunk_rows=4)
+        database.create_table("a", [("id", "int"), ("k", "int"), ("s", "str"),
+                                    ("f", "float")])
+        database.insert_rows("a", [
+            (1, 10, "x", 10.0), (2, None, "y", None), (3, 20, None, 2.5),
+            (4, None, None, 0.5), (5, 10, "y", 20.0), (6, 30, "z", None)])
+        database.create_table("b", [("id", "int"), ("k", "int"), ("s", "str")])
+        database.insert_rows("b", [
+            (1, 10, "y"), (2, None, "y"), (3, None, None), (4, 20, "z"), (5, 10, "x")])
+        database.create_table("c", [("id", "int"), ("s", "str"), ("d", "date")])
+        database.insert_rows("c", [
+            (1, "y", "2020-01-01"), (2, "z", None), (3, None, "2020-02-02"),
+            (4, "q", "2020-03-03")])
+        database.create_table("e", [("id", "int"), ("k", "int")])  # stays empty
+        return database
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_every_toggle_agrees_with_the_nested_loop_reference(self, join_db, sql):
+        import itertools
+
+        def canonical(rows):
+            if "order by" in sql:
+                return rows
+            return sorted(rows, key=lambda row: [(value is None, str(value))
+                                                 for value in row])
+
+        reference = RowEngine(join_db, options=EngineOptions(
+            hash_joins=False, compile_expressions=False)).execute(sql)
+        for toggles in itertools.product([True, False], repeat=4):
+            options = EngineOptions(compile_expressions=toggles[0],
+                                    selection_vectors=toggles[1],
+                                    dictionary_encoding=toggles[2],
+                                    null_masks=toggles[3])
+            for engine in (RowEngine(join_db, options=options),
+                           ColumnEngine(join_db, options=options)):
+                result = engine.execute(sql)
+                assert result.columns == reference.columns
+                assert canonical(result.rows) == canonical(reference.rows), \
+                    f"{engine.strategy()} {toggles}"
+
+
 class TestEngineVersions:
     def test_with_version_overrides_options(self, small_db):
         base = ColumnEngine(small_db)

@@ -3,11 +3,14 @@
 A seeded generator produces ~200 random queries -- filters with nested
 NOT/AND/OR over NULL-heavy literals, IN/BETWEEN/LIKE (negations included),
 IS NULL, arithmetic and CASE projections, aggregates with GROUP BY/HAVING,
-and equi-joins over nullable keys -- against a small database whose every
-column carries NULLs.  Each query is executed by the row and the column
-engine under the full EngineOptions toggle matrix (deduplicated by the
-options each engine actually consumes) and the result multisets must match
-the interpreted row engine exactly.
+and equi-joins (on a never-NULL key, on one and on two nullable keys, and
+as a LEFT JOIN) -- against a small database whose every column carries
+NULLs.  Each query is executed by the row and the column engine under the
+full EngineOptions toggle matrix (deduplicated by the options each engine
+actually consumes) and every result multiset must match the interpreted,
+nested-loop row engine exactly: a reference that evaluates ``a.k = b.k``
+as the predicate it is, so the hash joins cannot share a misreading of
+NULL keys with it.
 
 Determinism: the corpus derives from a fixed seed, so a failure always
 reproduces under the same iteration index (printed in the assertion
@@ -17,6 +20,7 @@ runs 50, the tier-1 suite the full 200.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import itertools
 import os
@@ -280,8 +284,13 @@ class QueryGenerator:
     def _join_query(self) -> str:
         items = ", ".join(["a.id", "b.id"] + self.rng.sample(
             ["a.x", "a.s", "b.v", "b.t"], self.rng.randrange(1, 3)))
-        return (f"select {items} from a, b "
-                f"where a.id = b.a_id and ({self.predicate(2, joined=True)})")
+        keys = self.rng.choice(["a.id = b.a_id", "a.x = b.v",
+                                "a.x = b.v and a.s = b.t", "a.s = b.t"])
+        predicate = self.predicate(2, joined=True)
+        if self.rng.random() < 0.25:
+            return (f"select {items} from a left join b on {keys} "
+                    f"where {predicate}")
+        return f"select {items} from a, b where {keys} and ({predicate})"
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +368,8 @@ def _assert_trace_invariants(database: Database, result, context: str) -> None:
 
 
 def _assert_parity(database: Database, sql: str, label: str) -> None:
-    reference = RowEngine(
-        database, options=_options(False, False, True, True)).execute(sql)
+    reference = RowEngine(database, options=dataclasses.replace(
+        _options(False, False, True, True), hash_joins=False)).execute(sql)
     expected = _canonical(reference.rows)
     seen: set[tuple] = set()
     for toggles in ALL_TOGGLES:
@@ -384,12 +393,12 @@ def _assert_parity(database: Database, sql: str, label: str) -> None:
                 config = (f"{engine.strategy()} compile={toggles[0]} "
                           f"sel={toggles[1]} zones={toggles[2]} dict={toggles[3]} "
                           f"masks={toggles[4]} workers={workers}")
-            assert result.columns == reference.columns, \
-                f"{label} [{config}] columns differ on: {sql}"
-            assert _canonical(result.rows) == expected, \
-                f"{label} [{config}] rows differ on: {sql}"
-            _assert_trace_invariants(database, result,
-                                     f"{label} [{config}] on: {sql}")
+                assert result.columns == reference.columns, \
+                    f"{label} [{config}] columns differ on: {sql}"
+                assert _canonical(result.rows) == expected, \
+                    f"{label} [{config}] rows differ on: {sql}"
+                _assert_trace_invariants(database, result,
+                                         f"{label} [{config}] on: {sql}")
 
 
 def test_differential_fuzz_parity(fuzz_db):

@@ -159,7 +159,7 @@ class TestSubqueryCacheKeying:
     @pytest.mark.parametrize("kind", ["row", "column"])
     def test_uncorrelated_subquery_never_reprints_sql(self, kind, small_db, monkeypatch):
         """The per-row cache hit must be an id() lookup, not a to_sql render."""
-        import repro.engine.executor_row as executor_row
+        import repro.engine.plan as plan_module
         import repro.sqlparser.printer as printer
 
         calls = {"count": 0}
@@ -170,7 +170,7 @@ class TestSubqueryCacheKeying:
             return original(node)
 
         monkeypatch.setattr(printer, "to_sql", counting)
-        monkeypatch.setattr(executor_row, "to_sql", counting)
+        monkeypatch.setattr(plan_module, "to_sql", counting)
 
         engine = (RowEngine if kind == "row" else ColumnEngine)(small_db)
         plan = engine.prepare(

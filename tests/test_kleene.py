@@ -176,3 +176,77 @@ class TestScalarKleeneOperands:
         for engine, combo in _engines(truth_db, KERNEL_TOGGLES):
             assert engine.execute(sql).scalar() == expected, \
                 f"{engine.strategy()} {combo}: {sql}"
+
+
+# ---------------------------------------------------------------------------
+# NULL join keys: ``NULL = NULL`` is UNKNOWN, so a hash join must not pair them
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def null_key_db() -> Database:
+    """Two tables whose join columns carry NULLs on both sides."""
+    database = Database("null-keys", chunk_rows=4)
+    database.create_table("a", [("id", "int"), ("k", "int"), ("s", "str")])
+    database.insert_rows("a", [
+        (1, 10, "x"), (2, None, "y"), (3, 20, None), (4, None, None), (5, 10, "y"),
+    ])
+    database.create_table("b", [("id", "int"), ("k", "int"), ("s", "str")])
+    database.insert_rows("b", [
+        (1, 10, "y"), (2, None, "y"), (3, None, None), (4, 20, "z"), (5, 10, "x"),
+    ])
+    return database
+
+
+def _join_engines(database):
+    """Both engines under every toggle that picks a different join path."""
+    for hash_joins, null_masks, (compile_expressions, selection_vectors) in \
+            itertools.product([True, False], [True, False], KERNEL_TOGGLES):
+        options = EngineOptions(hash_joins=hash_joins, null_masks=null_masks,
+                                compile_expressions=compile_expressions,
+                                selection_vectors=selection_vectors)
+        yield RowEngine(database, options=options), options
+        yield ColumnEngine(database, options=options), options
+
+
+class TestNullJoinKeys:
+    @pytest.mark.parametrize("sql,expected", [
+        # inner, one integer key: the two NULL-keyed a rows pair with nothing
+        ("select a.id, b.id from a, b where a.k = b.k",
+         [(1, 1), (1, 5), (3, 4), (5, 1), (5, 5)]),
+        # string keys: a.s is NULL for ids 3 and 4, b.s for id 3
+        ("select a.id, b.id from a, b where a.s = b.s",
+         [(1, 5), (2, 1), (2, 2), (5, 1), (5, 2)]),
+        # two keys: a NULL in either one rules the pair out
+        ("select a.id, b.id from a, b where a.k = b.k and a.s = b.s",
+         [(1, 5), (5, 1)]),
+        # LEFT JOIN: a NULL-keyed left row is NULL-padded, not matched
+        ("select a.id, b.id from a left join b on a.s = b.s",
+         [(1, 5), (2, 1), (2, 2), (3, None), (4, None), (5, 1), (5, 2)]),
+        ("select a.id, b.id from a left join b on a.k = b.k and a.s = b.s",
+         [(1, 5), (2, None), (3, None), (4, None), (5, 1)]),
+        # ... and IS NULL over the padding sees it
+        ("select a.id from a left join b on a.k = b.k where b.id is null",
+         [(2,), (4,)]),
+    ])
+    def test_null_keys_never_match(self, sql, expected, null_key_db):
+        for engine, options in _join_engines(null_key_db):
+            rows = sorted(engine.execute(sql).rows,
+                          key=lambda row: tuple((value is None, value) for value in row))
+            assert rows == expected, f"{engine.strategy()} {options}: {sql}"
+
+
+def test_none_positions_is_an_identity_test():
+    """Falsy and NaN cells are values; only ``None`` itself is NULL."""
+    import datetime
+
+    import numpy as np
+
+    from repro.engine.mask import none_positions
+
+    cells = [None, 0, 0.0, "", False, float("nan"), np.float64(0), np.int64(0),
+             datetime.date(2020, 1, 1), "None", None]
+    mask = none_positions(np.array(cells, dtype=object))
+    assert mask.dtype == bool
+    assert mask.tolist() == [cell is None for cell in cells]
+    assert none_positions(np.array([], dtype=object)).tolist() == []

@@ -285,6 +285,64 @@ class TestExplain:
 
 
 # ---------------------------------------------------------------------------
+# join / grouping kernels: which path the rows took
+# ---------------------------------------------------------------------------
+
+#: bench/workloads.py's ``tpch-mix`` texts, plus the paper's running example.
+TPCH_MIX = (3, 5, 6, 7, 8, 9, 10, 12, 14)
+
+
+class TestKeyKernelCounters:
+    @pytest.mark.parametrize("number", TPCH_MIX + (1,))
+    def test_benchmark_queries_never_take_the_dict_fallback(self, tpch_db, number):
+        """Integer join keys and dictionary-coded group keys stay in numpy on
+        every query the platform benchmarks; a slide back onto the dict pass
+        (a lost code vector, a key column decoded to objects) fails here
+        rather than in a benchmark."""
+        engine = ColumnEngine(tpch_db)
+        select = engine.prepare(QUERIES[number]).select
+        result = engine.execute(QUERIES[number])
+        assert result.metrics.get("join.fallback_rows") == 0
+        assert result.metrics.get("group.fallback_rows") == 0
+        joins = len(select.from_items) > 1 or any(
+            len(inner.from_items) > 1 for inner in select.subqueries())
+        assert bool(result.metrics.get("join.kernel_rows")) == joins
+        if select.group_by:
+            assert result.metrics.get("group.kernel_rows") > 0
+
+    def test_string_keys_without_a_dictionary_are_counted_as_fallback(self, tpch_db):
+        engine = ColumnEngine(tpch_db, options=EngineOptions(dictionary_encoding=False))
+        result = engine.execute(QUERIES[1])
+        assert result.metrics.get("group.fallback_rows") > 0
+        assert result.metrics.get("group.kernel_rows") == 0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_worker_threads_report_their_rows(self, tpch_db, workers):
+        engine = ColumnEngine(tpch_db, options=EngineOptions(workers=workers))
+        scanned = engine.execute(
+            "select count(*) from lineitem where l_shipdate <= date '1998-09-02'").scalar()
+        result = engine.execute(QUERIES[1])
+        assert result.metrics.get("group.kernel_rows") == scanned
+
+    @pytest.mark.parametrize("engine_cls", [RowEngine, ColumnEngine])
+    def test_join_span_reports_probe_build_and_output_rows(self, tpch_db, engine_cls):
+        result = engine_cls(tpch_db).execute(
+            "select count(*) from orders, lineitem where o_orderkey = l_orderkey",
+            trace=True)
+        span = result.trace.find("join")
+        assert span.rows_in == tpch_db.row_count("orders")
+        assert span.attributes["build_rows"] == tpch_db.row_count("lineitem")
+        assert span.rows_out == tpch_db.row_count("lineitem") == result.scalar()
+
+    def test_explain_analyze_shows_kernel_rows(self, tpch_db):
+        result = ColumnEngine(tpch_db).execute("explain analyze " + QUERIES[3])
+        text = "\n".join(line for (line,) in result.rows)
+        assert "build_rows=" in text
+        assert "join.kernel_rows=" in text and "group.kernel_rows=" in text
+        assert "fallback_rows" not in text
+
+
+# ---------------------------------------------------------------------------
 # platform + driver + analytics surfaces
 # ---------------------------------------------------------------------------
 
@@ -318,6 +376,21 @@ class TestPlatformMetrics:
         assert snapshot["counters"]["results.accepted"] == 1
         best = snapshot["histograms"]["results.best_seconds"]
         assert best["count"] == 1 and best["min"] == pytest.approx(0.04)
+
+    def test_service_sums_the_engines_kernel_rows(self):
+        """``/api/metrics`` shows which join / grouping path contributors'
+        engines took, from the profiles riding on accepted results."""
+        service, contributor, experiment = self._service_with_results()
+        task = service.next_task(contributor, experiment)
+        counters = {"join.kernel_rows": 120, "group.fallback_rows": 7,
+                    "scan.chunks_scanned": 3, "join.fallback_rows": "many"}
+        service.submit_result(contributor, task, times=[0.05],
+                              extras={"profile": {"counters": counters}})
+        snapshot = service.metrics.snapshot()["counters"]
+        assert snapshot["engine.join.kernel_rows"] == 120
+        assert snapshot["engine.group.fallback_rows"] == 7
+        assert not any(name.startswith("engine.scan") or name == "engine.join.fallback_rows"
+                       for name in snapshot)
 
     def test_metrics_endpoint(self):
         from repro.platform import PlatformServer

@@ -194,11 +194,9 @@ class TestNullSemantics:
         rows = _assert_parity(
             nullable_db,
             "select t.id, u.id from t, u where t.id = u.t_id order by u.id")
-        # a NULL key is never paired with a non-NULL key (both engines share
-        # the same hash-match behaviour, which is what parity pins down)
-        key_of = {1: 1, 2: None, 3: 6, 4: 4}
-        assert all((left is None) == (key_of[right] is None)
-                   for left, right in rows)
+        # NULL = NULL is UNKNOWN: u.id 2 (NULL t_id) pairs with no t row, not
+        # even the NULL-id one
+        assert rows == [(1, 1), (6, 3), (4, 4)]
 
     def test_null_in_aggregates(self, nullable_db):
         rows = _assert_parity(
