@@ -1,15 +1,16 @@
-"""Kernel-compilation benchmark: compiled kernels + selection vectors vs the
-recursive interpreters, on both engines.
+"""Kernel-compilation benchmark: generated pipelines (row engine) and compiled
+kernels + selection vectors (column engine) vs the recursive interpreters.
 
 The driver executes every pool query five-plus times per target system over a
-prepared plan; compiled kernels hang off that cached plan, so the repetition
+prepared plan; what is compiled hangs off that cached plan, so the repetition
 loop pays near-zero per-tuple dispatch.  This benchmark quantifies the warm
 speedup on the paper's running examples -- TPC-H Q1 (aggregation-heavy, the
 row engine's worst case for per-row interpretation) and Q6 (scan-dominated,
 the column engine's selection-vector showcase) -- for both engines in both
-modes, and acts as the CI perf-regression gate: the warm speedup of the
-compiled configuration must not drop below ``KERNEL_BENCH_MIN_SPEEDUP``
-(default 1.3x) on Q1/row and Q6/column.
+modes, and acts as the CI perf-regression gate.  On the row engine both
+queries compare one generated function against the interpreter and must stay
+10x apart (see ``BENCH_kernels.json`` for the recorded speedups); Q6 on the
+column engine must keep ``KERNEL_BENCH_MIN_SPEEDUP`` (default 1.3x).
 
 A run writes ``BENCH_kernels.json`` (into ``BENCH_ARTIFACT_DIR`` or the
 current directory) so CI can track the perf trajectory.
@@ -28,15 +29,15 @@ from repro.engine import ColumnEngine, EngineOptions, RowEngine
 from repro.tpch import QUERIES
 from repro.workflow import build_tpch_database
 
-#: committed regression threshold for the gated (query, engine) pairs.
+#: committed regression threshold for the gated column-engine pair.
 MIN_SPEEDUP = float(os.environ.get("KERNEL_BENCH_MIN_SPEEDUP", "1.3"))
 
-#: (query id, engine kind, repetitions per timing loop, gated?)
+#: (query id, engine kind, repetitions per timing loop, gate or None)
 MATRIX = [
-    (1, "row", 6, True),
-    (6, "row", 6, False),
-    (1, "column", 25, False),
-    (6, "column", 60, True),
+    (1, "row", 6, 10.0),
+    (6, "row", 6, 10.0),
+    (1, "column", 25, None),
+    (6, "column", 60, MIN_SPEEDUP),
 ]
 
 # workers pinned to 1: this gate measures single-threaded kernel speedups;
@@ -81,7 +82,7 @@ def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once):
     """Compiled kernels must keep their warm speedup on the gated hot paths."""
     entries = []
     gated_failures = []
-    for query_id, kind, repetitions, gated in MATRIX:
+    for query_id, kind, repetitions, gate in MATRIX:
         sql = QUERIES[query_id]
         interpreted = _warm_seconds(_make_engine(kind, tpch_db, INTERPRETED), sql,
                                     repetitions)
@@ -101,13 +102,13 @@ def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once):
             "interpreted_seconds": interpreted,
             "compiled_seconds": compiled,
             "speedup": speedup,
-            "gated": gated,
+            "gated": gate is not None,
+            "min_speedup": gate,
         })
         print(f"Q{query_id} {kind}: interpreted={interpreted * 1000:.3f}ms "
               f"compiled={compiled * 1000:.3f}ms speedup={speedup:.2f}x")
-        if gated and speedup < MIN_SPEEDUP:
-            gated_failures.append(
-                f"Q{query_id}/{kind}: {speedup:.2f}x < {MIN_SPEEDUP}x")
+        if gate is not None and speedup < gate:
+            gated_failures.append(f"Q{query_id}/{kind}: {speedup:.2f}x < {gate}x")
 
     selection_frames = _frames_per_execution(
         _make_engine("column", tpch_db, COMPILED), QUERIES[6])

@@ -10,6 +10,9 @@ Sub-commands:
   TPC-H instance (grammar -> pool -> queue -> driver -> analytics),
 * ``explain [sql-file] [--tpch N] [--analyze]`` -- print the plan tree (or,
   with ``--analyze``, the traced execution) of a query on a built-in engine,
+* ``pipelines``               -- per TPC-H text, how many row-engine
+  blocks run on a generated pipeline and how many on the interpreter (exit
+  code 1 when a text the benchmark runs is not fully generated),
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -89,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     explain_parser.add_argument("--workers", type=int, default=1,
                                 help="column-engine morsel workers (1 = serial)")
 
+    commands.add_parser(
+        "pipelines", help="generated vs interpreted row-engine blocks per TPC-H text")
+
     arguments = parser.parse_args(argv)
     handler = {
         "grammar": _cmd_grammar,
@@ -97,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         "table2": _cmd_table2,
         "demo": _cmd_demo,
         "explain": _cmd_explain,
+        "pipelines": _cmd_pipelines,
         "metrics": _cmd_metrics,
         "timeline": _cmd_timeline,
     }[arguments.command]
@@ -172,6 +179,41 @@ def _cmd_explain(arguments) -> int:
     stats = engine.cache_stats()
     print(f"plan cache: {stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['size']}/{stats['maxsize']} plans cached")
+    return 0
+
+
+#: the texts ``bench/`` runs on the row engine: the paper's Q1 and ``tpch-mix``.
+_BENCHMARKED = (1, 3, 5, 6, 7, 8, 9, 10, 12, 14)
+
+
+def _cmd_pipelines(arguments) -> int:
+    from repro.engine import RowEngine
+    from repro.tpch import QUERIES
+    from repro.workflow import build_tpch_database
+
+    # a tiny instance: the table counts blocks, it does not time them
+    engine = RowEngine(build_tpch_database(scale_factor=0.0005))
+    print("query  blocks  generated  interpreted  hooked-exprs   (block executions)")
+    regressed = []
+    for number in sorted(QUERIES):
+        plan = engine.prepare(QUERIES[number])
+        pipelines = engine.pipelines(plan)
+        counters = engine.execute(plan).metrics
+        hooked = sum(len(pipeline.get("interpreted", ())) for pipeline in pipelines)
+        print(f"Q{number:<5} {len(pipelines):>6}  "
+              f"{int(counters.get('row.pipeline.generated')):>9}  "
+              f"{int(counters.get('row.pipeline.interpreted_blocks')):>11}  {hooked:>12}")
+        for pipeline in pipelines:
+            if not pipeline["generated"]:
+                print(f"       interpreted block ({', '.join(pipeline['output'])}): "
+                      f"{pipeline['fallback']}")
+        if number in _BENCHMARKED and (
+                hooked or not all(pipeline["generated"] for pipeline in pipelines)):
+            regressed.append(number)
+    if regressed:
+        print("benchmarked texts not fully generated: "
+              + ", ".join(f"Q{number}" for number in regressed), file=sys.stderr)
+        return 1
     return 0
 
 

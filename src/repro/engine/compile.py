@@ -1,18 +1,28 @@
-"""Compile-once expression kernels for both physical backends.
+"""Compile-once lowering of planned query blocks, for both physical backends.
 
 The recursive interpreters (:mod:`repro.engine.expression` for the row engine,
 :class:`repro.engine.vector.VectorEvaluator` for the column engine) re-dispatch
-on the AST node type for every row / every operator application.  On the
-driver's plan-once/execute-many loop that dispatch dominates the measured
-time, drowning the execution-strategy contrast the paper cares about.
+on the AST node type for every row / every operator application; on the
+driver's plan-once/execute-many loop that dispatch drowns the
+execution-strategy contrast the paper cares about.  This module lowers each
+planned block *once*; the result is cached on the
+:class:`~repro.engine.plan.QueryPlan` (:meth:`QueryPlan.kernels`), so the LRU
+plan cache amortises compilation exactly like planning.
 
-This module lowers each planned query block's expressions *once* into plain
-Python closures:
-
-* **Row kernels** -- ``fn(row) -> value`` closures with column references
-  resolved to fixed tuple positions at compile time.  Predicates, projections,
-  group keys and aggregate accumulators are all fused closures; only
-  subquery-bearing expressions stay on the interpreter.
+* **Row pipelines** -- data-centric code generation.  :func:`compile_row_block`
+  writes the source of one Python function per block and ``compile()``s it
+  into a :class:`RowPipeline`: one hash table per non-driving FROM item
+  (push-down predicates inlined in the build loop, a scalar key for
+  one-column joins), then a single loop nest in the plan's join order --
+  ``for r0 in scan0: if <push-down>: for r1 in h1.get(k, ()): ... <residual>
+  -> <accumulate | project>`` -- with one row variable per binding instead of
+  concatenated tuples, one running state list per group instead of value
+  lists, and integer row counters that are all a traced run needs.
+  :class:`_Source` emits the expressions as straight-line statements.  What it
+  cannot lower -- a subquery, a column of an outer block -- it hands to the
+  interpreter *per subexpression*, from inside the generated loop (the
+  ``interp`` hook).  :func:`compile_row_kernel` is the same generator pointed
+  at one expression (``fn(row) -> value``).
 * **Column kernels** -- ``fn(ctx) -> ndarray`` closures over a
   :class:`ColumnContext` that evaluates leaf columns through a **selection
   vector**: an ``int64`` index of the surviving rows.  Scans and residual
@@ -20,25 +30,30 @@ Python closures:
   :class:`~repro.engine.vector.ColFrame` after every predicate; gathered
   columns are memoised per evaluation so repeated references pay one gather.
 
-Kernels mirror the interpreter semantics exactly (NULL propagation, date
-coercion, LIKE, three-valued predicates); anything they cannot express raises
-:class:`CompileFallback` at compile time and the executors keep using the
-interpreter for that expression.  Compiled blocks are cached on the
-:class:`~repro.engine.plan.QueryPlan` (see :meth:`QueryPlan.kernels`), so the
-engine's LRU plan cache amortises compilation exactly like planning.
+Both mirror the interpreter semantics exactly (NULL propagation, date
+coercion, LIKE, three-valued predicates).  :class:`CompileFallback` reaches a
+caller only where there is no row to interpret on: from
+:func:`compile_row_kernel`, around aggregate calls (the block then has
+``run=None`` and the executor interprets it whole) and from the column
+compiler, whose executor keeps the ``VectorEvaluator`` for that expression.
 """
 
 from __future__ import annotations
 
 import datetime
-import operator as _operator
-from dataclasses import dataclass
-from typing import Any, Callable
+import itertools
+import linecache
+import math
+import weakref
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.engine.expression import (
     compare_values,
+    evaluate,
     in_members,
     like_predicate,
     scalar_functions,
@@ -80,15 +95,8 @@ class CompileFallback(Exception):
     """Raised when an expression cannot be lowered to a compiled kernel."""
 
 
-#: comparison operators shared by the row and column compilers.
-_CMP = {
-    "=": _operator.eq,
-    "<>": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-}
+#: the comparison operators both compilers lower, with their Python spelling.
+_PY_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 #: arithmetic operators the column kernels lower through
 #: :func:`repro.engine.vector.arith_arrays` (NULL-propagating).
@@ -129,23 +137,6 @@ class Layout:
         return self.columns[position].type_name
 
 
-class _OffsetLayout:
-    """A layout whose positions are shifted (used by aggregate finalisers)."""
-
-    __slots__ = ("base", "offset")
-
-    def __init__(self, base: Layout, offset: int):
-        self.base = base
-        self.offset = offset
-
-    def position(self, ref: ast.ColumnRef) -> int | None:
-        position = self.base.position(ref)
-        return None if position is None else position + self.offset
-
-    def type_of(self, position: int) -> str:
-        return self.base.type_of(position - self.offset)
-
-
 # ---------------------------------------------------------------------------
 # shared compile-time analysis
 # ---------------------------------------------------------------------------
@@ -183,7 +174,8 @@ def _never_date(node: ast.Expression, layout) -> bool:
         return False
     if isinstance(node, ast.ColumnRef):
         position = layout.position(node)
-        return position is not None and layout.type_of(position) in ("int", "float", "bool")
+        return position is not None and layout.type_of(position) in (
+            "int", "float", "bool", "str")
     if isinstance(node, ast.UnaryOp):
         return _never_date(node.operand, layout)
     if isinstance(node, ast.BinaryOp):
@@ -227,704 +219,765 @@ def _cast_converter(type_name: str) -> Callable[[Any], Any]:
 
 
 # ---------------------------------------------------------------------------
-# row kernels
+# row pipelines: generated source
 # ---------------------------------------------------------------------------
 
 
-def compile_row_kernel(expression: ast.Expression, layout,
-                       agg_slots: dict[int, int] | None = None
-                       ) -> Callable[[tuple], Any]:
-    """Lower ``expression`` to a ``fn(row) -> value`` closure.
+def _div(left, right):
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left / right
 
-    ``agg_slots`` maps ``id(FunctionCall)`` of aggregate calls to positions in
-    the row (used by aggregate finalisers, where the "row" is the tuple of
-    aggregate results followed by the group's first frame row).  Raises
-    :class:`CompileFallback` for subqueries and unresolvable columns.
+
+def _sub(left, right):
+    if isinstance(left, datetime.date) and isinstance(right, datetime.date):
+        return (left - right).days
+    return left - right
+
+
+def _shift(value, amount, unit):
+    if not isinstance(value, datetime.date):
+        raise ExecutionError("interval arithmetic requires a date operand")
+    return add_interval(value, amount, unit)
+
+
+def _interval_left(_value):
+    raise ExecutionError("an interval may only appear on the right-hand side")
+
+
+def _substr(value, start, length=None):
+    begin = max(int(start) - 1, 0)
+    text = str(value)
+    return text[begin:] if length is None else text[begin:begin + int(length)]
+
+
+#: what generated source may call besides builtins and its bound constants.
+_RUNTIME = {
+    "_div": _div, "_sub": _sub, "_shift": _shift, "_interval_left": _interval_left,
+    "_substr": _substr, "add_interval": add_interval, "to_date": to_date,
+    "compare_values": compare_values, "in_members": in_members,
+    "like_predicate": like_predicate,
+}
+
+#: numbers the ``<rowpipe:N>`` file names generated sources are registered under.
+_SERIAL = itertools.count(1)
+
+#: node types the interpreter can evaluate with no row at all.
+_FOLDABLE = (ast.Literal, ast.DateLiteral, ast.IntervalLiteral, ast.UnaryOp,
+             ast.BinaryOp, ast.BoolOp, ast.Comparison, ast.IsNull, ast.Between,
+             ast.Like, ast.InList, ast.Cast, ast.Extract, ast.Substring, ast.CaseWhen)
+
+#: the node shapes evaluate_aggregate accepts around aggregate calls.
+_AGGREGATE_WRAPPERS = (ast.BinaryOp, ast.UnaryOp, ast.Comparison, ast.BoolOp,
+                       ast.CaseWhen, ast.Cast)
+
+
+def _constant(node: ast.Expression) -> bool:
+    return all(isinstance(part, _FOLDABLE)
+               or (isinstance(part, ast.FunctionCall) and not part.is_aggregate)
+               for part in node.walk())
+
+
+class _Val(NamedTuple):
+    """A generated expression: ``src`` is Python source that may be evaluated
+    once every name in ``nulls`` is known not to be None, and the SQL value is
+    NULL exactly when one of them is.  A temporary holding its own NULL has
+    ``nulls == (src,)``; ``const`` is ``(value,)`` for a compile-time constant."""
+
+    src: str
+    nulls: tuple[str, ...] = ()
+    const: tuple | None = None
+
+
+_NULL = _Val("None", ("None",), (None,))
+
+
+class _Source:
+    """Emits the body of one generated function, statement by statement.
+
+    Operators that propagate NULL and cannot raise compose into one inline
+    Python expression guarded once by the union of their operands' ``nulls``.
+    Everything the interpreter evaluates conditionally (Kleene operands past
+    the first, CASE branches, IN members) is generated inside the block that
+    makes it conditional, and everything that can raise is assigned to a
+    temporary where the interpreter would evaluate it, so errors surface for
+    the same rows.  ``scopes`` follows the blocks: what a block bound or
+    proved non-NULL is forgotten when it closes.
     """
-    pair = _row(expression, layout, agg_slots or {})
-    const, value = pair
-    if const:
-        return lambda _row, _value=value: _value
-    return value
 
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.depth = 1
+        self.env: dict[str, Any] = dict(_RUNTIME)
+        self.scopes: list[tuple[dict[str, str], set[str]]] = [({}, set())]
+        self.serial = itertools.count()
+        #: what column refs resolve in: the layout, each position's source
+        #: (``r0[5]``) and the whole row's, for the interpreter hook (None = no
+        #: hook: what cannot be lowered raises).
+        self.cols: tuple[Any, list[str], str | None] = (Layout([]), [], None)
+        #: (expression, layout) pairs evaluated through the interpreter hook.
+        self.interpreted: list[tuple[ast.Expression, Any]] = []
+        #: memo entries in insertion order, so a failed lowering can be undone.
+        self.journal: list[tuple[dict[str, str], str]] = []
+        #: (call, final value) per aggregate call, while finalising a group.
+        self.finals: list[tuple[ast.FunctionCall, _Val]] | None = None
 
-def _row(node: ast.Expression, layout, slots: dict[int, int]) -> tuple[bool, Any]:
-    if id(node) in slots:
-        slot = slots[id(node)]
-        return False, lambda row, _s=slot: row[_s]
-    if isinstance(node, ast.Literal):
-        return True, node.value
-    if isinstance(node, ast.DateLiteral):
-        return True, to_date(node.value)
-    if isinstance(node, ast.IntervalLiteral):
-        return True, node
-    if isinstance(node, ast.ColumnRef):
-        position = layout.position(node)
+    # -- emission -----------------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def open(self, header: str) -> None:
+        self.emit(header)
+        self.depth += 1
+        self.scopes.append(({}, set()))
+
+    def close(self, blocks: int = 1) -> None:
+        self.depth -= blocks
+        del self.scopes[-blocks:]
+
+    @contextmanager
+    def block(self, header: str):
+        self.open(header)
+        try:
+            yield
+        finally:
+            self.close()
+
+    def fresh(self, prefix: str = "t") -> str:
+        return f"{prefix}{next(self.serial)}"
+
+    def bind(self, value: Any) -> str:
+        name = self.fresh("K")
+        self.env[name] = value
+        return name
+
+    def function(self, name: str, parameters: str) -> tuple[Callable, str]:
+        """Compile the emitted body; its source is registered in ``linecache``
+        for as long as the function lives, so tracebacks show the line."""
+        source = f"def {name}({parameters}):\n" + "\n".join(self.lines) + "\n"
+        filename = f"<rowpipe:{next(_SERIAL)}>"
+        exec(compile(source, filename, "exec"), self.env)
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(self.env[name], linecache.cache.pop, filename, None)
+        return self.env[name], source
+
+    # -- values ---------------------------------------------------------------
+
+    def known(self, atom: str) -> bool:
+        return any(atom in known for _, known in self.scopes)
+
+    def _memo(self, src: str) -> str | None:
+        """The name already holding ``src`` in an enclosing scope."""
+        for memo, _ in reversed(self.scopes):
+            if src in memo:
+                return memo[src]
+        return None
+
+    def _remember(self, src: str, name: str) -> str:
+        self.scopes[-1][0][src] = name
+        self.journal.append((self.scopes[-1][0], src))
+        return name
+
+    def nulls(self, atoms: tuple[str, ...], test: str = "is None",
+              joiner: str = " or ") -> str:
+        """Source testing those of ``atoms`` not yet proved non-NULL ('' = none left)."""
+        return joiner.join(f"{atom} {test}" for atom in atoms if not self.known(atom))
+
+    def value(self, val: _Val) -> str:
+        """Source of the SQL value of ``val`` (None = NULL)."""
+        unknown = self.nulls(val.nulls)
+        if val.const is not None or not unknown or val.nulls == (val.src,):
+            return val.src
+        return f"(None if {unknown} else {val.src})"
+
+    def truth(self, val: _Val) -> str:
+        """Source that is truthy exactly when ``val`` is TRUE."""
+        present = self.nulls(val.nulls, "is not None", " and ")
+        if val.const is not None or not present or val.nulls == (val.src,):
+            return val.src
+        return f"{present} and {val.src}"
+
+    def atom(self, val: _Val) -> _Val:
+        """Evaluate ``val`` here, once, into a temporary holding its own NULL."""
+        if val.const is not None or val.nulls == (val.src,):
+            return val
+        name = self._memo(val.src)
+        if name is None:
+            name = self._remember(val.src, self.fresh())
+            self.emit(f"{name} = {self.value(val)}")
+        return _Val(name, (name,))
+
+    def constant(self, value: Any) -> _Val:
+        if value is None:
+            return _NULL
+        if isinstance(value, ast.IntervalLiteral):
+            raise CompileFallback("an interval outside date arithmetic")
+        literal = type(value) in (int, str, bool) or (
+            type(value) is float and math.isfinite(value))
+        return _Val(repr(value) if literal else self.bind(value), (), (value,))
+
+    def strict(self, template: str, *operands: _Val, effect: bool = False) -> _Val:
+        """A NULL-propagating operator: NULL exactly when an operand is.
+
+        ``effect`` marks operators that can raise or return NULL themselves;
+        they are evaluated on the spot instead of inline in their consumer.
+        """
+        if any(operand.const == (None,) for operand in operands):
+            return _NULL
+        nulls = tuple(dict.fromkeys(atom for operand in operands for atom in operand.nulls))
+        val = _Val(template.format(*(operand.src for operand in operands)), nulls)
+        return self.atom(val) if effect else val
+
+    def column(self, ref: ast.ColumnRef) -> _Val:
+        layout, slots, _ = self.cols
+        position = layout.position(ref)
         if position is None:
-            raise CompileFallback(f"column '{node.qualified}' is not local")
-        return False, lambda row, _p=position: row[_p]
-    if isinstance(node, ast.Star):
-        return True, 1
-    if isinstance(node, ast.UnaryOp):
-        return _row_unary(node, layout, slots)
-    if isinstance(node, ast.BinaryOp):
-        return _row_binary(node, layout, slots)
-    if isinstance(node, ast.BoolOp):
-        return _row_bool(node, layout, slots)
-    if isinstance(node, ast.Comparison):
-        return _row_comparison(node, layout, slots)
-    if isinstance(node, ast.IsNull):
-        operand = _as_fn(_row(node.operand, layout, slots))
-        negated = node.negated
-        return False, lambda row: (operand(row) is None) != negated
-    if isinstance(node, ast.Between):
-        return _row_between(node, layout, slots)
-    if isinstance(node, ast.Like):
-        return _row_like(node, layout, slots)
-    if isinstance(node, ast.InList):
-        return _row_in_list(node, layout, slots)
-    if isinstance(node, ast.FunctionCall):
-        return _row_function(node, layout, slots)
-    if isinstance(node, ast.Cast):
-        converter = _cast_converter(node.type_name)
-        operand_pair = _row(node.operand, layout, slots)
-        operand = _as_fn(operand_pair)
+            raise CompileFallback(f"column '{ref.qualified}' is not local")
+        slot = slots[position]
+        name = self._memo(slot)
+        if name is None:
+            name = self._remember(slot, "c" + slot[1:-1].replace("[", "_"))
+            self.emit(f"{name} = {slot}")
+        return _Val(name, (name,))
 
-        def fn(row):
-            value = operand(row)
-            return None if value is None else converter(value)
-        return _maybe_fold(fn, operand_pair)
-    if isinstance(node, ast.Extract):
+    def guard(self, predicate: ast.Expression) -> None:
+        """Skip the loop's current row unless ``predicate`` is TRUE."""
+        val = self.expr(predicate)
+        self.emit(f"if not ({self.truth(val)}): continue")
+        self.scopes[-1][1].update(val.nulls)
+
+    # -- expressions ----------------------------------------------------------
+
+    def expr(self, node: ast.Expression) -> _Val:
+        """Lower ``node``; what cannot be lowered (a subquery, an outer column)
+        is evaluated by the interpreter, on the current row, right here."""
+        mark = len(self.lines), len(self.journal), len(self.interpreted)
+        try:
+            return self._lower(node)
+        except CompileFallback:
+            layout, _, row = self.cols
+            # around an aggregate there is no row to interpret on
+            if row is None or (self.finals is not None and ast.has_local_aggregate(node)):
+                raise
+            del self.lines[mark[0]:], self.interpreted[mark[2]:]
+            while len(self.journal) > mark[1]:
+                memo, src = self.journal.pop()
+                memo.pop(src, None)
+            self.interpreted.append((node, layout))
+            return self.atom(_Val(f"interp({len(self.interpreted) - 1}, {row})"))
+
+    def _lower(self, node: ast.Expression) -> _Val:
+        kind = type(node)
+        if kind is ast.Literal:
+            return self.constant(node.value)
+        if kind is ast.ColumnRef:
+            return self.column(node)
+        if kind is ast.Star:
+            return self.constant(1)
+        if kind is ast.FunctionCall and node.is_aggregate:
+            for call, final in self.finals or ():
+                if call is node:
+                    return final
+            raise CompileFallback(
+                f"aggregate function '{node.name.lower()}' used outside an aggregation context")
+        if _constant(node):
+            # one copy of the semantics: the interpreter folds; what raises
+            # stays a run-time expression so the error keeps its timing.
+            try:
+                folded = evaluate(node, None)
+            except Exception:
+                pass
+            else:
+                return self.constant(folded)
+        handler = getattr(self, "_" + kind.__name__.lower(), None)
+        if handler is None:
+            raise CompileFallback(f"cannot compile expression node {kind.__name__}")
+        return handler(node)
+
+    def _unaryop(self, node: ast.UnaryOp) -> _Val:
+        template = {"not": "(not {})", "-": "(-{})"}.get(node.operator, "(+{})")
+        return self.strict(template, self.expr(node.operand))
+
+    def _binaryop(self, node: ast.BinaryOp) -> _Val:
+        op, layout = node.operator, self.cols[0]
+        if op == "||":
+            return self.strict("(str({}) + str({}))", self.expr(node.left),
+                               self.expr(node.right))
+        if isinstance(node.right, ast.IntervalLiteral):
+            amount = node.right.value if op == "+" else -node.right.value
+            call = "add_interval" if _always_date(node.left, layout) else "_shift"
+            return self.strict(f"{call}({{}}, {amount!r}, {node.right.unit!r})",
+                               self.expr(node.left), effect=call == "_shift")
+        if isinstance(node.left, ast.IntervalLiteral):
+            return self.strict("_interval_left({})", self.expr(node.right), effect=True)
+        left, right = self.expr(node.left), self.expr(node.right)
+        if op == "/":
+            if right.const is not None and right.const[0]:
+                return self.strict("({} / {})", left, right)
+            return self.strict("_div({}, {})", left, right, effect=True)
+        if op == "-" and not (_never_date(node.left, layout)
+                              or _never_date(node.right, layout)):
+            return self.strict("_sub({}, {})", left, right)
+        if op in ("+", "-", "*", "%"):
+            return self.strict(f"({{}} {op} {{}})", left, right, effect=op == "%")
+        raise CompileFallback(f"unsupported binary operator '{op}'")
+
+    def kleene(self, conjunction: bool, operands: list[Callable[[], _Val]]) -> _Val:
+        """Three-valued AND / OR, evaluating operands as the interpreter does:
+        in order, until one decides (FALSE for AND, TRUE for OR)."""
+        result = self.fresh()
+        decided = "False" if conjunction else "True"
+        self.emit(f"{result} = {conjunction}")
+        for index, operand in enumerate(operands):
+            with self.block(f"if {result} is not {decided}:") if index else nullcontext():
+                val = operand()
+                unknown = self.nulls(val.nulls)
+                test = f"not {val.src}" if conjunction else val.src
+                if unknown:
+                    self.emit(f"if {unknown}: {result} = None")
+                self.emit(f"{'el' if unknown else ''}if {test}: {result} = {decided}")
+        return _Val(result, (result,))
+
+    def _boolop(self, node: ast.BoolOp) -> _Val:
+        return self.kleene(node.operator == "and",
+                           [lambda operand=operand: self.expr(operand)
+                            for operand in node.operands])
+
+    def _same_kind(self, *nodes: ast.Expression) -> bool:
+        """True when plain Python comparison needs no date coercion."""
+        layout = self.cols[0]
+        return (all(_never_date(node, layout) for node in nodes)
+                or all(_always_date(node, layout) for node in nodes))
+
+    def _compare(self, op: str, left: _Val, right: _Val, plain: bool) -> _Val:
+        template = f"({{}} {_PY_CMP[op]} {{}})" if plain \
+            else f"compare_values({op!r}, {{}}, {{}})"
+        return self.strict(template, left, right)
+
+    def _comparison(self, node: ast.Comparison) -> _Val:
+        if node.quantifier is not None:
+            raise CompileFallback("quantified comparisons require a subquery")
+        if node.operator not in _PY_CMP:
+            raise CompileFallback(f"unsupported comparison operator '{node.operator}'")
+        return self._compare(node.operator, self.expr(node.left), self.expr(node.right),
+                             self._same_kind(node.left, node.right))
+
+    def _isnull(self, node: ast.IsNull) -> _Val:
+        operand = self.expr(node.operand)
+        test = self.nulls(operand.nulls, "is not None", " and ") if node.negated \
+            else self.nulls(operand.nulls)
+        if operand.const is not None or not test:
+            return self.constant((operand.const == (None,)) != node.negated)
+        return _Val(f"({test})")
+
+    def _between(self, node: ast.Between) -> _Val:
+        # the interpreter evaluates all three operands, then decomposes into
+        # the Kleene conjunction low <= x AND x <= high.
+        operand, low, high = (self.atom(self.expr(part))
+                              for part in (node.operand, node.low, node.high))
+        plain = self._same_kind(node.operand, node.low, node.high)
+        if plain and not low.nulls and not high.nulls:
+            inside = self.strict("({} <= {} <= {})", low, operand, high)
+        else:
+            inside = self.kleene(True, [
+                lambda: self._compare("<=", low, operand, plain),
+                lambda: self._compare("<=", operand, high, plain)])
+        return self.strict("(not {})", inside) if node.negated else inside
+
+    def _like(self, node: ast.Like) -> _Val:
+        operand, pattern = self.expr(node.operand), self.expr(node.pattern)
+        if pattern.const is not None and pattern.const[0] is not None:
+            matcher = self.bind(like_predicate(str(pattern.const[0])))
+            matched = self.strict(f"{matcher}({{}})", operand)
+        else:
+            matched = self.strict("like_predicate(str({1}))({0})", operand, pattern)
+        return self.strict("(not {})", matched) if node.negated else matched
+
+    def _inlist(self, node: ast.InList) -> _Val:
+        operand = self.expr(node.operand)
+        try:
+            members = frozenset(evaluate(item, None) for item in node.items) \
+                if all(_constant(item) for item in node.items) else None
+        except Exception:  # a member raises (at run time, then) or is unhashable
+            members = None
+        if members is not None and None not in members:
+            return self.strict(f"({{}} {'not in' if node.negated else 'in'} "
+                               f"{self.bind(members)})", operand)
+        # the general form: members are evaluated only for a non-NULL operand
+        # and a NULL member can make the answer UNKNOWN.
+        if operand.const == (None,):
+            return _NULL
+        operand, result = self.atom(operand), self.fresh()
+        self.emit(f"{result} = None")
+        with self.block(f"if {self.nulls(operand.nulls, 'is not None', ' and ') or True}:"):
+            items = ", ".join(self.value(self.expr(item)) for item in node.items)
+            self.emit(f"{result} = in_members({operand.src}, {{{items}}}, {node.negated})")
+        return _Val(result, (result,))
+
+    def _functioncall(self, node: ast.FunctionCall) -> _Val:
+        name = node.name.lower()
+        handler = scalar_functions.get(name)
+        if handler is None:
+            raise CompileFallback(f"unknown function '{name}'")
+        arguments = [self.expr(argument) for argument in node.arguments]
+        function = self.bind(handler)
+        if name == "coalesce":
+            values = ", ".join(self.value(argument) for argument in arguments)
+            return self.atom(_Val(f"{function}({values})"))
+        slots = ", ".join("{}" for _ in arguments)
+        return self.strict(f"{function}({slots})", *arguments, effect=True)
+
+    def _cast(self, node: ast.Cast) -> _Val:
+        converter = _cast_converter(node.type_name)
+        name = converter.__name__ if converter in (int, float, str) else "to_date"
+        return self.strict(f"{name}({{}})", self.expr(node.operand), effect=True)
+
+    def _extract(self, node: ast.Extract) -> _Val:
         if node.field_name not in ("year", "month", "day"):
             raise CompileFallback(f"unsupported EXTRACT field '{node.field_name}'")
-        operand_pair = _row(node.operand, layout, slots)
-        operand = _as_fn(operand_pair)
-        field_name = node.field_name
+        if _always_date(node.operand, self.cols[0]):
+            return self.strict(f"{{}}.{node.field_name}", self.expr(node.operand))
+        return self.strict(f"to_date({{}}).{node.field_name}", self.expr(node.operand),
+                           effect=True)
 
-        def fn(row):
-            value = operand(row)
-            return None if value is None else getattr(to_date(value), field_name)
-        return _maybe_fold(fn, operand_pair)
-    if isinstance(node, ast.Substring):
-        return _row_substring(node, layout, slots)
-    if isinstance(node, ast.CaseWhen):
-        branches = [(_as_fn(_row(condition, layout, slots)),
-                     _as_fn(_row(result, layout, slots)))
-                    for condition, result in node.branches]
-        default = _as_fn(_row(node.default, layout, slots)) \
-            if node.default is not None else None
+    def _substring(self, node: ast.Substring) -> _Val:
+        parts = [node.operand, node.start] + ([node.length] if node.length is not None else [])
+        slots = ", ".join("{}" for _ in parts)
+        return self.strict(f"_substr({slots})", *(self.expr(part) for part in parts),
+                           effect=True)
 
-        def fn(row):
-            for condition, result in branches:
-                if condition(row):
-                    return result(row)
-            return default(row) if default is not None else None
-        return False, fn
-    raise CompileFallback(f"cannot compile expression node {type(node).__name__}")
+    def _casewhen(self, node: ast.CaseWhen) -> _Val:
+        result = self.fresh()
+        self._branches(list(node.branches), node.default, result)
+        return _Val(result, (result,))
 
-
-def _row_unary(node: ast.UnaryOp, layout, slots) -> tuple[bool, Any]:
-    operand_pair = _row(node.operand, layout, slots)
-    operand = _as_fn(operand_pair)
-    if node.operator == "not":
-        def fn(row):
-            value = operand(row)
-            return None if value is None else (not value)
-    elif node.operator == "-":
-        def fn(row):
-            value = operand(row)
-            return None if value is None else -value
-    else:
-        def fn(row):
-            value = operand(row)
-            return None if value is None else +value
-    return _maybe_fold(fn, operand_pair)
+    def _branches(self, branches: list, default: ast.Expression | None, result: str) -> None:
+        if not branches:
+            chosen = "None" if default is None else self.value(self.expr(default))
+            self.emit(f"{result} = {chosen}")
+            return
+        condition, outcome = branches[0]
+        test = self.truth(self.expr(condition))
+        with self.block(f"if {test}:"):
+            self.emit(f"{result} = {self.value(self.expr(outcome))}")
+        with self.block("else:"):
+            self._branches(branches[1:], default, result)
 
 
-def _row_binary(node: ast.BinaryOp, layout, slots) -> tuple[bool, Any]:
-    left_pair = _row(node.left, layout, slots)
-    right_pair = _row(node.right, layout, slots)
-    left, right = _as_fn(left_pair), _as_fn(right_pair)
-    op = node.operator
+def compile_row_kernel(expression: ast.Expression, layout) -> Callable[[tuple], Any]:
+    """Lower ``expression`` to a generated ``fn(row) -> value`` function.
 
-    if op == "||":
-        def fn(row):
-            lhs, rhs = left(row), right(row)
-            if lhs is None or rhs is None:
-                return None
-            return str(lhs) + str(rhs)
-        return _maybe_fold(fn, left_pair, right_pair)
-
-    if right_pair[0] and isinstance(right_pair[1], ast.IntervalLiteral):
-        interval = right_pair[1]
-        amount = interval.value if op == "+" else -interval.value
-        unit = interval.unit
-
-        def fn(row):
-            lhs = left(row)
-            if lhs is None:
-                return None
-            if not isinstance(lhs, datetime.date):
-                raise ExecutionError("interval arithmetic requires a date operand")
-            return add_interval(lhs, amount, unit)
-        return _maybe_fold(fn, left_pair)
-
-    if left_pair[0] and isinstance(left_pair[1], ast.IntervalLiteral):
-        def fn(row):
-            raise ExecutionError("an interval may only appear on the right-hand side")
-        return False, fn
-
-    _, fn = _row_binary_from(node, left, right)
-    return _maybe_fold(fn, left_pair, right_pair)
+    Raises :class:`CompileFallback` for subqueries and unresolvable columns.
+    """
+    source = _Source()
+    source.cols = (layout, [f"r0[{position}]" for position in range(len(layout.columns))], None)
+    source.emit(f"return {source.value(source.expr(expression))}")
+    return source.function("kernel", "r0")[0]
 
 
-def _row_bool(node: ast.BoolOp, layout, slots) -> tuple[bool, Any]:
-    pairs = [_row(operand, layout, slots) for operand in node.operands]
-    fns = tuple(_as_fn(pair) for pair in pairs)
-    # Kleene connectives: FALSE decides AND and TRUE decides OR even past
-    # UNKNOWN operands; an undecided combination with an UNKNOWN is UNKNOWN.
-    if node.operator == "and":
-        def fn(row):
-            unknown = False
-            for operand in fns:
-                value = operand(row)
-                if value is None:
-                    unknown = True
-                elif not value:
-                    return False
-            return None if unknown else True
-    else:
-        def fn(row):
-            unknown = False
-            for operand in fns:
-                value = operand(row)
-                if value is None:
-                    unknown = True
-                elif value:
-                    return True
-            return None if unknown else False
-    return _maybe_fold(fn, *pairs)
+# ---------------------------------------------------------------------------
+# row pipelines: one generated function per planned block
+# ---------------------------------------------------------------------------
 
 
-def _row_comparison(node: ast.Comparison, layout, slots) -> tuple[bool, Any]:
-    if node.quantifier is not None:
-        raise CompileFallback("quantified comparisons require a subquery")
-    compare = _CMP.get(node.operator)
-    if compare is None:
-        raise CompileFallback(f"unsupported comparison operator '{node.operator}'")
-    left_pair = _row(node.left, layout, slots)
-    right_pair = _row(node.right, layout, slots)
-    left, right = _as_fn(left_pair), _as_fn(right_pair)
+@dataclass
+class RowPipeline:
+    """One planned block lowered to a single generated function (row engine).
 
-    fast = ((_never_date(node.left, layout) and _never_date(node.right, layout))
-            or (_always_date(node.left, layout) and _always_date(node.right, layout)))
-    if fast:
-        def fn(row):
-            lhs, rhs = left(row), right(row)
-            return None if lhs is None or rhs is None else compare(lhs, rhs)
-    else:
-        op = node.operator
+    ``run(scans, interp)`` takes the row list of every FROM item (FROM order)
+    and the interpreter hook ``interp(index, row)`` for the expressions in
+    ``interpreted``; it returns ``(rows, counts)`` with ``counts = (rows out of
+    each scan, rows at each join level, rows past the residual filter)``.
+    ``rows`` is None for the empty global group, which keeps the
+    interpreter's semantics.  ``run`` is None when the whole block stays on
+    the interpreter (``fallback`` says why).
+    """
 
-        def fn(row):
-            return compare_values(op, left(row), right(row))
-    return _maybe_fold(fn, left_pair, right_pair)
-
-
-def _row_between(node: ast.Between, layout, slots) -> tuple[bool, Any]:
-    operand_pair = _row(node.operand, layout, slots)
-    low_pair = _row(node.low, layout, slots)
-    high_pair = _row(node.high, layout, slots)
-    operand, low, high = _as_fn(operand_pair), _as_fn(low_pair), _as_fn(high_pair)
-    negated = node.negated
-    operands = (node.operand, node.low, node.high)
-    fast = (all(_never_date(part, layout) for part in operands)
-            or all(_always_date(part, layout) for part in operands))
-    # BETWEEN decomposes into its Kleene conjunction: a NULL operand or
-    # bound only yields UNKNOWN while the range test stays undecided (a
-    # FALSE conjunct still decides, e.g. 6 NOT BETWEEN NULL AND 5 is TRUE).
-    if fast:
-        def fn(row):
-            value = operand(row)
-            lo, hi = low(row), high(row)
-            above = None if value is None or lo is None else (lo <= value)
-            below = None if value is None or hi is None else (value <= hi)
-            if (above is not None and not above) or (below is not None and not below):
-                inside: Any = False
-            elif above is None or below is None:
-                inside = None
-            else:
-                inside = True
-            if not negated:
-                return inside
-            return None if inside is None else (not inside)
-    else:
-        def fn(row):
-            value = operand(row)
-            lo, hi = low(row), high(row)
-            above = compare_values("<=", lo, value)
-            below = compare_values("<=", value, hi)
-            if (above is not None and not above) or (below is not None and not below):
-                inside: Any = False
-            elif above is None or below is None:
-                inside = None
-            else:
-                inside = True
-            if not negated:
-                return inside
-            return None if inside is None else (not inside)
-    return _maybe_fold(fn, operand_pair, low_pair, high_pair)
+    #: registered in ``linecache`` as ``run.__code__.co_filename`` (``<rowpipe:N>``).
+    run: Callable | None
+    source: str = ""
+    hash_joins: bool = True
+    #: (expression, layout) pairs the generated loop evaluates through the hook.
+    interpreted: list = field(default_factory=list)
+    #: the joined columns, in join order.
+    columns: list = field(default_factory=list)
+    fallback: str | None = None
 
 
-def _row_like(node: ast.Like, layout, slots) -> tuple[bool, Any]:
-    operand_pair = _row(node.operand, layout, slots)
-    pattern_pair = _row(node.pattern, layout, slots)
-    operand = _as_fn(operand_pair)
-    negated = node.negated
-    if pattern_pair[0]:
-        if pattern_pair[1] is None:
-            return True, None  # NULL pattern: UNKNOWN everywhere
-        predicate = like_predicate(str(pattern_pair[1]))
+def compile_row_block(block, hash_joins: bool = True) -> RowPipeline:
+    """Lower one :class:`~repro.engine.plan.BlockPlan` to a generated pipeline.
 
-        def fn(row):
-            value = operand(row)
-            if value is None:
-                return None  # LIKE over NULL is UNKNOWN, negated or not
-            matched = predicate(value)
-            return (not matched) if negated else matched
-    else:
-        pattern = _as_fn(pattern_pair)
-
-        def fn(row):
-            value = operand(row)
-            pattern_value = pattern(row)
-            if value is None or pattern_value is None:
-                return None
-            matched = like_predicate(str(pattern_value))(value)
-            return (not matched) if negated else matched
-    return False, fn
+    Never raises: a block the generator cannot lower (a subquery inside an
+    aggregated select list or HAVING, an aggregate shape the interpreter
+    rejects too, more nested loops than Python compiles) comes back with
+    ``run=None`` and runs on the interpreter.
+    """
+    try:
+        return _generate_pipeline(block, hash_joins)
+    except Exception as error:
+        return RowPipeline(None, hash_joins=hash_joins,
+                           fallback=str(error) or type(error).__name__)
 
 
-def _row_in_list(node: ast.InList, layout, slots) -> tuple[bool, Any]:
-    operand_pair = _row(node.operand, layout, slots)
-    operand = _as_fn(operand_pair)
-    item_pairs = [_row(item, layout, slots) for item in node.items]
-    negated = node.negated
-    if all(const for const, _ in item_pairs):
-        try:
-            members = frozenset(value for _, value in item_pairs)
-        except TypeError:
-            members = None
-        if members is not None:
-            def fn(row):
-                value = operand(row)
-                if value is None:
-                    return None
-                return in_members(value, members, negated)
-            return _maybe_fold(fn, operand_pair)
-    item_fns = tuple(_as_fn(pair) for pair in item_pairs)
-
-    def fn(row):
-        value = operand(row)
-        if value is None:
-            return None
-        return in_members(value, {item(row) for item in item_fns}, negated)
-    return False, fn
+def row_pipeline(plan, block, hash_joins: bool = True) -> RowPipeline:
+    """The block's pipeline, generated once and cached on ``plan``."""
+    if hash_joins:
+        return plan.kernels(block, ("row",), compile_row_block)
+    return plan.kernels(block, ("row", "nested-loops"),
+                        lambda planned: compile_row_block(planned, hash_joins=False))
 
 
-def _row_function(node: ast.FunctionCall, layout, slots) -> tuple[bool, Any]:
-    name = node.name.lower()
-    if node.is_aggregate:
+def _check_aggregate_shape(node: ast.Expression) -> None:
+    """Reject what :func:`evaluate_aggregate` rejects around aggregate calls,
+    so generated and interpreted blocks refuse exactly the same queries."""
+    if (isinstance(node, ast.FunctionCall) and node.is_aggregate) \
+            or not ast.has_local_aggregate(node):
+        return
+    if not isinstance(node, _AGGREGATE_WRAPPERS):
         raise CompileFallback(
-            f"aggregate function '{name}' used outside an aggregation context")
-    handler = scalar_functions.get(name)
-    if handler is None:
-        raise CompileFallback(f"unknown function '{name}'")
-    pairs = [_row(argument, layout, slots) for argument in node.arguments]
-    fns = tuple(_as_fn(pair) for pair in pairs)
-    if name == "coalesce":
-        def fn(row):
-            return handler(*[argument(row) for argument in fns])
-    else:
-        def fn(row):
-            arguments = [argument(row) for argument in fns]
-            if any(argument is None for argument in arguments):
-                return None
-            return handler(*arguments)
-    return _maybe_fold(fn, *pairs)
+            f"cannot compile aggregate expression node {type(node).__name__}")
+    for child in node.children():
+        _check_aggregate_shape(child)
 
 
-def _row_substring(node: ast.Substring, layout, slots) -> tuple[bool, Any]:
-    operand_pair = _row(node.operand, layout, slots)
-    start_pair = _row(node.start, layout, slots)
-    operand, start = _as_fn(operand_pair), _as_fn(start_pair)
-    if node.length is not None:
-        length_pair = _row(node.length, layout, slots)
-        length = _as_fn(length_pair)
-
-        def fn(row):
-            value = operand(row)
-            if value is None:
-                return None
-            begin = max(int(start(row)) - 1, 0)
-            return str(value)[begin:begin + int(length(row))]
-        return _maybe_fold(fn, operand_pair, start_pair, length_pair)
-
-    def fn(row):
-        value = operand(row)
-        if value is None:
-            return None
-        return str(value)[max(int(start(row)) - 1, 0):]
-    return _maybe_fold(fn, operand_pair, start_pair)
+def _tuple(parts: list[str]) -> str:
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-# ---------------------------------------------------------------------------
-# row block kernels (predicates / projection / aggregation)
-# ---------------------------------------------------------------------------
+def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
+    select = block.select
+    # a derived table's columns are typed "str" by the planner for want of
+    # better knowledge; only a base table's str column is known to hold strings.
+    items = [columns if isinstance(item, ast.TableRef) else
+             [replace(column, type_name="any") for column in columns]
+             for item, columns in zip(select.from_items, block.item_columns)]
+    slots = [[f"r{index}[{position}]" for position in range(len(columns))]
+             for index, columns in enumerate(items)]
+    layouts = [Layout(columns) for columns in items]
+    pushdown = [_item_pushdown(block, columns) for columns in items]
+    order = [step.frame_index for step in block.join_order]
+    src = _Source()
 
+    def scan_guards(index: int) -> None:
+        src.cols = (layouts[index], slots[index], f"r{index}")
+        for predicate in pushdown[index]:
+            src.guard(predicate)
 
-@dataclass
-class RowPredicates:
-    """A conjunction split into one fused compiled closure + interpreter rest."""
-
-    fused: Callable[[tuple], bool] | None
-    interpreted: list[ast.Expression]
-
-
-def compile_row_predicates(predicates: list[ast.Expression], layout) -> RowPredicates:
-    compiled: list[Callable] = []
-    interpreted: list[ast.Expression] = []
-    for predicate in predicates:
-        try:
-            compiled.append(compile_row_kernel(predicate, layout))
-        except CompileFallback:
-            interpreted.append(predicate)
-    fused: Callable[[tuple], bool] | None = None
-    if compiled:
-        if len(compiled) == 1:
-            kernel = compiled[0]
-
-            def fused(row, _kernel=kernel):
-                return bool(_kernel(row))
+    # build sides: one hash table (or filtered list) per non-driving FROM item,
+    # push-down predicates inlined in the build loop.
+    for index in range(len(items)):
+        src.emit(f"s{index} = scans[{index}]")
+    scanned = [f"b{index}" if pushdown[index] else f"len(s{index})"
+               for index in range(len(items))]
+    headers: list[str] = []
+    #: per join level: what the rows joined so far resolve in (see _Source.cols)
+    joined: list[tuple[Layout, list[str], str]] = [(Layout([]), [], "()")]
+    for level, step in enumerate(block.join_order):
+        index, table = step.frame_index, f"h{step.frame_index}"
+        probe: list[str] = []
+        build: list[str] = []
+        if level and hash_joins:
+            left, right = joined[-1][0], layouts[index]
+            for left_ref, right_ref, _ in step.connecting:
+                if left.position(left_ref) is None:
+                    left_ref, right_ref = right_ref, left_ref
+                if left.position(left_ref) is None or right.position(right_ref) is None:
+                    raise CompileFallback("unresolvable join key")
+                probe.append(joined[-1][1][left.position(left_ref)])
+                build.append(slots[index][right.position(right_ref)])
+        if level and (build or pushdown[index]):
+            src.emit(f"{table} = {'{}' if build else '[]'}")
+            if pushdown[index]:
+                src.emit(f"b{index} = 0")
+            with src.block(f"for r{index} in s{index}:"):
+                scan_guards(index)
+                if pushdown[index]:
+                    src.emit(f"b{index} += 1")
+                if build:
+                    src.emit(f"k = {build[0] if len(build) == 1 else _tuple(build)}")
+                    src.emit("if k is None: continue" if len(build) == 1
+                             else "if None in k: continue")
+                    src.emit(f"m = {table}.get(k)")
+                    src.emit(f"if m is None: {table}[k] = [r{index}]")
+                    src.emit(f"else: m.append(r{index})")
+                else:
+                    src.emit(f"{table}.append(r{index})")
+        if build:
+            src.emit(f"m{index} = {table}.get")
+            headers.append(f"for r{index} in m{index}("
+                           f"{probe[0] if len(probe) == 1 else _tuple(probe)}, ()):")
+        elif level:
+            headers.append(f"for r{index} in {table if pushdown[index] else f's{index}'}:")
         else:
-            kernels = tuple(compiled)
+            headers.append(f"for r{index} in s{index}:")
+        joined.append((Layout(joined[-1][0].columns + items[index]),
+                       joined[-1][1] + slots[index],
+                       " + ".join(f"r{item}" for item in order[:level + 1])))
 
-            def fused(row, _kernels=kernels):
-                for kernel in _kernels:
-                    if not kernel(row):
-                        return False
-                return True
-    return RowPredicates(fused=fused, interpreted=interpreted)
-
-
-@dataclass
-class RowAggregation:
-    """Fused group-by/aggregate kernels for one block.
-
-    ``finalisers`` evaluate each select item over the *combined* tuple
-    ``(agg results) + (first row of the group)``; ``having_fn`` does the same
-    for the HAVING clause.
-    """
-
-    key_fn: Callable[[tuple], tuple] | None
-    inits: list[Callable[[], Any]]
-    updates: list[Callable[[Any, tuple], None]]
-    finals: list[Callable[[Any], Any]]
-    finalisers: list[Callable[[tuple], Any]]
-    having_fn: Callable[[tuple], Any] | None
-
-
-def _accumulator(call: ast.FunctionCall, layout
-                 ) -> tuple[Callable[[], Any], Callable[[Any, tuple], None],
-                            Callable[[Any], Any]]:
-    """Build (init, update, final) for one aggregate call."""
-    name = call.name.lower()
-    if name == "count" and (not call.arguments or isinstance(call.arguments[0], ast.Star)):
-        def update(state, row):
-            state[0] += 1
-        return (lambda: [0]), update, (lambda state: state[0])
-
-    if not call.arguments:
-        raise CompileFallback(f"aggregate '{name}' requires an argument")
-    argument = compile_row_kernel(call.arguments[0], layout)
-
-    if call.distinct:
-        def update(state, row, _argument=argument):
-            value = _argument(row)
-            if value is not None:
-                state.add(value)
-        init = set
+    # the loop nest: driving scan, then one probe per join step.
+    counters = [f"n{level}" for level in range(len(order))
+                if level or pushdown[order[0]]] + (["nf"] if block.residual else [])
+    if counters:
+        src.emit(" = ".join(counters) + " = 0")
+    if not block.needs_aggregation:
+        src.emit("out = []")
+        src.emit("push = out.append")
+    elif select.group_by:
+        src.emit("groups = {}")
+        src.emit("lookup = groups.get")
     else:
-        def update(state, row, _argument=argument):
-            value = _argument(row)
-            if value is not None:
-                state.append(value)
-        init = list
+        src.emit("g = None")
+    levels: list[str] = []
+    for level, index in enumerate(order):
+        src.open(headers[level])
+        if not level:
+            scan_guards(index)
+            if pushdown[index]:
+                scanned[index] = "n0"
+        elif not hash_joins:
+            src.cols = joined[level + 1]
+            for _, _, conjunct in block.join_order[level].connecting:
+                src.guard(conjunct)
+        if f"n{level}" in counters:
+            src.emit(f"n{level} += 1")
+        levels.append(f"n{level}" if f"n{level}" in counters else scanned[index])
+    if not order:  # no FROM clause: one empty row
+        src.open("for _ in (0,):")
+        levels.append("1")
+    src.cols = joined[-1]
+    for predicate in block.residual:
+        src.guard(predicate)
+    if block.residual:
+        src.emit("nf += 1")
+    counts = (f"([{', '.join(scanned)}], [{', '.join(levels)}], "
+              f"{'nf' if block.residual else levels[-1]})")
 
-    if name == "count":
-        final = len
-    elif name == "sum":
-        def final(state):
-            return sum(state) if state else None
-    elif name == "avg":
-        def final(state):
-            return sum(state) / len(state) if state else None
-    elif name == "min":
-        def final(state):
-            return min(state) if state else None
-    elif name == "max":
-        def final(state):
-            return max(state) if state else None
+    if block.needs_aggregation:
+        _emit_aggregation(src, select, [f"r{index}" for index in order], len(levels), counts)
     else:
-        raise CompileFallback(f"unknown aggregate function '{name}'")
-    return init, update, final
+        values: list[str] = []
+        for item in select.items:
+            star = item.expression
+            if isinstance(star, ast.Star):
+                values += [slot for column, slot in zip(joined[-1][0].columns, joined[-1][1])
+                           if star.table is None
+                           or column.binding.lower() == star.table.lower()]
+            else:
+                values.append(src.value(src.expr(star)))
+        src.emit(f"push({_tuple(values)})")
+        src.close(len(levels))
+        src.emit(f"return out, {counts}")
+    return RowPipeline(*src.function("pipeline", "scans, interp"), hash_joins,
+                       src.interpreted, joined[-1][0].columns)
 
 
-def _compile_finaliser(node: ast.Expression, combined_layout, slots: dict[int, int],
-                       layout) -> Callable[[tuple], Any]:
-    """Compile an aggregate-bearing expression over the combined group tuple.
+def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: int,
+                      counts: str) -> None:
+    """Grouping, running accumulators and per-group finalisation.
 
-    Mirrors :func:`repro.engine.expression.evaluate_aggregate`: only the node
-    shapes the interpreter supports around aggregate calls are accepted, so
-    compiled and interpreted blocks reject exactly the same queries.
+    Called with ``src`` inside the innermost of ``nest`` loops.  Each group is
+    one state list ``g``: the group's first rows, then a running slot per
+    distinct (accumulator, argument) pair -- ``sum`` and ``avg`` of one
+    argument share theirs.  ``sum`` adds left to right from 0, exactly as the
+    builtin does.
     """
-    if id(node) in slots:
-        return compile_row_kernel(node, combined_layout, slots)
-    if not ast.has_local_aggregate(node):
-        # whole subtree is evaluated on the group's first row
-        return compile_row_kernel(node, combined_layout, slots)
-    if isinstance(node, ast.BinaryOp):
-        return _as_fn(_row_binary_from(
-            node, _compile_finaliser(node.left, combined_layout, slots, layout),
-            _compile_finaliser(node.right, combined_layout, slots, layout)))
-    if isinstance(node, ast.UnaryOp):
-        operand = _compile_finaliser(node.operand, combined_layout, slots, layout)
-        if node.operator == "-":
-            def fn(combined):
-                value = operand(combined)
-                return None if value is None else -value
-            return fn
-        if node.operator == "not":
-            def fn(combined):
-                value = operand(combined)
-                return None if value is None else (not value)
-            return fn
-        return operand
-    if isinstance(node, ast.Comparison):
-        left = _compile_finaliser(node.left, combined_layout, slots, layout)
-        right = _compile_finaliser(node.right, combined_layout, slots, layout)
-        op = node.operator
-
-        def fn(combined):
-            return compare_values(op, left(combined), right(combined))
-        return fn
-    if isinstance(node, ast.BoolOp):
-        operands = [_compile_finaliser(operand, combined_layout, slots, layout)
-                    for operand in node.operands]
-        if node.operator == "and":
-            def fn(combined):
-                unknown = False
-                for operand in operands:
-                    value = operand(combined)
-                    if value is None:
-                        unknown = True
-                    elif not value:
-                        return False
-                return None if unknown else True
-        else:
-            def fn(combined):
-                unknown = False
-                for operand in operands:
-                    value = operand(combined)
-                    if value is None:
-                        unknown = True
-                    elif value:
-                        return True
-                return None if unknown else False
-        return fn
-    if isinstance(node, ast.CaseWhen):
-        branches = [(_compile_finaliser(condition, combined_layout, slots, layout),
-                     _compile_finaliser(result, combined_layout, slots, layout))
-                    for condition, result in node.branches]
-        default = _compile_finaliser(node.default, combined_layout, slots, layout) \
-            if node.default is not None else None
-
-        def fn(combined):
-            for condition, result in branches:
-                if condition(combined):
-                    return result(combined)
-            return default(combined) if default is not None else None
-        return fn
-    if isinstance(node, ast.Cast):
-        inner = _compile_finaliser(node.operand, combined_layout, slots, layout)
-        converter = _cast_converter(node.type_name)
-
-        def fn(combined):
-            value = inner(combined)
-            return None if value is None else converter(value)
-        return fn
-    raise CompileFallback(
-        f"cannot compile aggregate expression node {type(node).__name__}")
-
-
-def _row_binary_from(node: ast.BinaryOp, left: Callable, right: Callable
-                     ) -> tuple[bool, Any]:
-    """Binary combinator over already-compiled operand closures.
-
-    The single copy of the row engine's arithmetic semantics: both plain row
-    kernels (:func:`_row_binary`) and aggregate finalisers build on it.
-    """
-    op = node.operator
-    if op == "+":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            return None if lhs is None or rhs is None else lhs + rhs
-    elif op == "-":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            if lhs is None or rhs is None:
-                return None
-            if isinstance(lhs, datetime.date) and isinstance(rhs, datetime.date):
-                return (lhs - rhs).days
-            return lhs - rhs
-    elif op == "*":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            return None if lhs is None or rhs is None else lhs * rhs
-    elif op == "/":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            if lhs is None or rhs is None:
-                return None
-            if rhs == 0:
-                raise ExecutionError("division by zero")
-            return lhs / rhs
-    elif op == "%":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            return None if lhs is None or rhs is None else lhs % rhs
-    elif op == "||":
-        def fn(combined):
-            lhs, rhs = left(combined), right(combined)
-            return None if lhs is None or rhs is None else str(lhs) + str(rhs)
-    else:
-        raise CompileFallback(f"unsupported binary operator '{op}'")
-    return False, fn
-
-
-def _collect_aggregate_calls(select: ast.Select) -> list[ast.FunctionCall]:
     expressions = [item.expression for item in select.items]
     if select.having is not None:
         expressions.append(select.having)
-    calls: list[ast.FunctionCall] = []
     for expression in expressions:
-        for node in ast.walk_local(expression):
-            if isinstance(node, ast.FunctionCall) and node.is_aggregate:
-                calls.append(node)
-    return calls
+        _check_aggregate_shape(expression)
+    inits = [_tuple(rows)]
+    states: dict[tuple[str, str], str] = {}
 
+    def state(kind: str, argument: str, initial: str) -> tuple[str, bool]:
+        created = (kind, argument) not in states
+        if created:
+            states[(kind, argument)] = f"g[{len(inits)}]"
+            inits.append(initial)
+        return states[(kind, argument)], created
 
-def compile_row_aggregation(select: ast.Select, layout) -> RowAggregation:
-    """Fuse grouping + accumulation + finalisation into closures.
-
-    Raises :class:`CompileFallback` when any piece needs the interpreter; the
-    executor then keeps the whole aggregation on the interpreted path.
-    """
-    for item in select.items:
-        if any(isinstance(node, ast.Select) for node in item.expression.walk()):
-            raise CompileFallback("subquery in an aggregated select item")
-    if select.having is not None and any(
-            isinstance(node, ast.Select) for node in select.having.walk()):
-        raise CompileFallback("subquery in HAVING")
-
-    calls = _collect_aggregate_calls(select)
-    slots = {id(call): index for index, call in enumerate(calls)}
-    combined_layout = _OffsetLayout(layout, len(calls))
-
-    inits, updates, finals = [], [], []
-    for call in calls:
-        init, update, final = _accumulator(call, layout)
-        inits.append(init)
-        updates.append(update)
-        finals.append(final)
-
-    finalisers = [
-        _compile_finaliser(item.expression, combined_layout, slots, layout)
-        for item in select.items
-    ]
-    having_fn = _compile_finaliser(select.having, combined_layout, slots, layout) \
-        if select.having is not None else None
-
-    key_fn: Callable[[tuple], tuple] | None = None
     if select.group_by:
-        key_kernels = tuple(compile_row_kernel(expression, layout)
-                            for expression in select.group_by)
-        if len(key_kernels) == 1:
-            key0 = key_kernels[0]
+        keys = [src.value(src.expr(expression)) for expression in select.group_by]
+        src.emit(f"k = {keys[0] if len(keys) == 1 else _tuple(keys)}")
+        src.emit("g = lookup(k)")
+    new_group = len(src.lines)  # patched once every slot is known
+    src.emit("if g is None: g = " + ("groups[k] = " if select.group_by else ""))
 
-            def key_fn(row, _key=key0):
-                return (_key(row),)
-        else:
-            def key_fn(row, _keys=key_kernels):
-                return tuple(key(row) for key in _keys)
-
-    return RowAggregation(key_fn=key_fn, inits=inits, updates=updates, finals=finals,
-                          finalisers=finalisers, having_fn=having_fn)
-
-
-@dataclass
-class RowBlockKernels:
-    """Every compiled kernel of one planned block (row engine)."""
-
-    #: per FROM item: fused push-down predicates (None = no predicates).
-    pushdown: list[RowPredicates | None]
-    #: the block's residual conjunction.
-    residual: RowPredicates | None
-    #: per select item: compiled projection kernel (None = star / interpreter);
-    #: the whole list is None for aggregated blocks.
-    projection: list[Callable | None] | None
-    #: fused aggregation kernels (None when interpretation is required).
-    aggregation: RowAggregation | None
-
-
-def compile_row_block(block) -> RowBlockKernels:
-    """Compile one :class:`~repro.engine.plan.BlockPlan` for the row engine."""
-    select = block.select
-    item_layouts = [Layout(columns) for columns in block.item_columns]
-    joined_columns = [
-        column
-        for step in block.join_order
-        for column in block.item_columns[step.frame_index]
-    ]
-    joined_layout = Layout(joined_columns if block.join_order else block.columns)
-
-    pushdown: list[RowPredicates | None] = []
-    for index, columns in enumerate(block.item_columns):
-        predicates = _item_pushdown(block, columns)
-        pushdown.append(
-            compile_row_predicates(predicates, item_layouts[index]) if predicates else None)
-
-    residual = compile_row_predicates(block.residual, joined_layout) \
-        if block.residual else None
-
-    projection: list[Callable | None] | None = None
-    aggregation: RowAggregation | None = None
-    if block.needs_aggregation:
-        try:
-            aggregation = compile_row_aggregation(select, joined_layout)
-        except CompileFallback:
-            aggregation = None
-    else:
-        projection = []
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                projection.append(None)
+    updates: dict[tuple[str, ...], list[str]] = {}
+    finals: list[tuple[ast.FunctionCall, str]] = []
+    for expression in expressions:
+        for call in ast.walk_local(expression):
+            if not (isinstance(call, ast.FunctionCall) and call.is_aggregate):
                 continue
-            try:
-                projection.append(compile_row_kernel(item.expression, joined_layout))
-            except CompileFallback:
-                projection.append(None)
-    return RowBlockKernels(pushdown=pushdown, residual=residual,
-                           projection=projection, aggregation=aggregation)
+            name = call.name.lower()
+            if name == "count" and (not call.arguments
+                                    or isinstance(call.arguments[0], ast.Star)):
+                slot, created = state("rows", "", "0")
+                if created:
+                    updates.setdefault((), []).append(f"{slot} += 1")
+                finals.append((call, slot))
+                continue
+            if not call.arguments:
+                raise CompileFallback(f"aggregate '{name}' requires an argument")
+            if name not in ("count", "sum", "avg", "min", "max"):
+                raise CompileFallback(f"unknown aggregate function '{name}'")
+            argument = src.expr(call.arguments[0])
+            if name in ("min", "max") and not call.distinct:
+                argument = src.atom(argument)
+            value, todo = argument.src, updates.setdefault(argument.nulls, [])
+            if call.distinct:
+                seen, created = state("distinct", value, "set()")
+                if created:
+                    todo.append(f"{seen}.add({value})")
+                finals.append((call, {
+                    "count": f"len({seen})",
+                    "avg": f"(sum({seen}) / len({seen}) if {seen} else None)",
+                }.get(name, f"({name}({seen}) if {seen} else None)")))
+            elif name in ("min", "max"):
+                best, created = state(name, value, "None")
+                if created:
+                    todo.append(f"if {best} is None or {value} {'<' if name == 'min' else '>'} "
+                                f"{best}: {best} = {value}")
+                finals.append((call, best))
+            else:
+                count, created = state("count", value, "0")
+                if created:
+                    todo.append(f"{count} += 1")
+                total, created = state("sum", value, "0") if name != "count" else ("", False)
+                if created:
+                    todo.append(f"{total} += {value}")
+                finals.append((call, {
+                    "count": count, "sum": f"({total} if {count} else None)",
+                    "avg": f"({total} / {count} if {count} else None)"}[name]))
+    for nulls, statements in updates.items():
+        present = src.nulls(nulls, "is not None", " and ")
+        with src.block(f"if {present}:") if present else nullcontext():
+            for statement in statements:
+                src.emit(statement)
+    src.lines[new_group] += "[" + ", ".join(inits) + "]"
+    src.close(nest)
+
+    if select.group_by:
+        src.emit("groups = groups.values()")
+    else:
+        # the empty global group: non-aggregate subexpressions are NULL there,
+        # which only the interpreter's evaluate_aggregate knows how to say.
+        src.emit(f"if g is None: return None, {counts}")
+        src.emit("groups = [g]")
+    src.emit("out = []")
+    with src.block("for g in groups:"):
+        if rows:
+            src.emit(f"{_tuple(rows)} = g[0]")
+        src.finals = []
+        for number, (call, final) in enumerate(finals):
+            src.emit(f"a{number} = {final}")
+            src.finals.append((call, _Val(f"a{number}", (f"a{number}",))))
+        if select.having is not None:
+            src.emit(f"if not ({src.truth(src.expr(select.having))}): continue")
+        values = [src.value(src.expr(item.expression)) for item in select.items]
+        src.emit(f"out.append({_tuple(values)})")
+    src.emit(f"return out, {counts}")
 
 
 def _item_pushdown(block, columns: list[ColumnInfo]) -> list[ast.Expression]:
@@ -1158,7 +1211,7 @@ def _col_align(left_node, right_node, left_pair, right_pair, layout):
 def _col_comparison(node: ast.Comparison, layout, guard) -> tuple[bool, Any]:
     if node.quantifier is not None:
         raise CompileFallback("quantified comparisons require row-at-a-time evaluation")
-    if node.operator not in _CMP:
+    if node.operator not in _PY_CMP:
         raise CompileFallback(f"unsupported comparison operator '{node.operator}'")
     left_pair = _col(node.left, layout, guard)
     right_pair = _col(node.right, layout, guard)

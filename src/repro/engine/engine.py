@@ -20,9 +20,10 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.engine.compile import compile_column_block, row_pipeline
 from repro.engine.database import Database
 from repro.engine.executor_column import ColumnExecutor
-from repro.engine.executor_row import RowExecutor
+from repro.engine.executor_row import RowExecutor, describe_pipeline
 from repro.engine.plan import PlanCache, Planner, QueryPlan, normalize_sql
 from repro.engine.result import QueryResult
 from repro.errors import EngineError
@@ -54,11 +55,12 @@ class EngineOptions:
         mimicking the overflow-guarded expression evaluation the paper's
         MonetDB Q1 anecdote describes.
     compile_expressions:
-        Lower each prepared plan's expressions once into compiled Python
-        closures (fused per-row kernels on the row engine, column kernels on
-        the column engine) instead of walking the AST with the recursive
-        interpreter per row / per operator.  Compiled kernels are cached on
-        the :class:`QueryPlan`, so the plan cache amortises compilation.
+        Lower each prepared plan once instead of walking the AST with the
+        recursive interpreter per row / per operator: on the row engine one
+        generated Python function per query block (hash builds, the join
+        loop nest, filters and aggregation fused), on the column engine
+        column kernels.  Either is cached on the :class:`QueryPlan`, so the
+        plan cache amortises compilation.
     selection_vectors:
         Column engine only: scans and residual predicates refine an ``int64``
         selection index that flows through joins, grouping and projection,
@@ -267,6 +269,18 @@ class Engine:
         """``EXPLAIN <select>``: render the logical plan without executing."""
         plan = self.prepare(sql)
         lines = format_plan(plan, engine=self.label)
+        for pipeline in self.pipelines(plan):
+            header = f"block ({', '.join(pipeline['output'])}): "
+            if not pipeline["generated"]:
+                lines.append(f"{header}interpreted -- {pipeline['fallback']}")
+                continue
+            lines.append(f"{header}generated pipeline {pipeline['file']}, "
+                         f"{' + '.join(pipeline['fused'])} fused over "
+                         f"{pipeline['driving'] or 'one empty row'}")
+            lines += [f"  build {build['source']}: {build['join']}"
+                      for build in pipeline["builds"]]
+            lines += [f"  interpreted per row: {text}" for text in pipeline["interpreted"]]
+            lines += [f"  | {line}" for line in pipeline["source"].splitlines()]
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines],
                            engine=self.label)
 
@@ -304,7 +318,13 @@ class Engine:
             "plan": plan.root.describe(),
             "plan_cache": self.plan_cache.describe(),
             "plan_tree": format_plan(plan, engine=self.label),
+            "pipelines": self.pipelines(plan),
         }
+
+    def pipelines(self, plan: QueryPlan) -> list[dict]:
+        """Per query block, the generated pipeline that runs it (row engine with
+        ``compile_expressions``; other configurations have none to show)."""
+        return []
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction statistics of the plan cache."""
@@ -336,29 +356,13 @@ class Engine:
         raise NotImplementedError
 
     def _precompile(self, plan: QueryPlan) -> None:
-        """Eagerly compile the plan's kernels (so execution timing excludes it).
+        """Eagerly compile the plan's blocks (so execution timing excludes it).
 
-        Compilation is best-effort: a block the compiler cannot lower simply
-        stays on the interpreter, and any unexpected compile failure must
-        never break a query that interprets fine.
+        Compilation is best-effort: what the compiler cannot lower stays on
+        the interpreter, and no compile failure may break a query that
+        interprets fine.
         """
-        if not self.options.compile_expressions:
-            return
-        from repro.engine.compile import compile_column_block, compile_row_block
-        if self.strategy() == "column":
-            guard = self.options.overflow_guard
-
-            def build(block):
-                return compile_column_block(block, overflow_guard=guard)
-            flavour = ("col", guard)
-        else:
-            build = compile_row_block
-            flavour = ("row",)
-        for block in plan.blocks.values():
-            try:
-                plan.kernels(block, flavour, build)
-            except Exception:
-                continue
+        raise NotImplementedError
 
 
 class RowEngine(Engine):
@@ -373,6 +377,17 @@ class RowEngine(Engine):
 
     def strategy(self) -> str:
         return "row"
+
+    def pipelines(self, plan: QueryPlan) -> list[dict]:
+        if not self.options.compile_expressions:
+            return []
+        return [describe_pipeline(block, row_pipeline(plan, block, self.options.hash_joins))
+                for block in plan.blocks.values()]
+
+    def _precompile(self, plan: QueryPlan) -> None:
+        if self.options.compile_expressions:
+            for block in plan.blocks.values():
+                row_pipeline(plan, block, self.options.hash_joins)  # never raises
 
     def _execute_plan(self, plan: QueryPlan,
                       trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:
@@ -401,6 +416,17 @@ class ColumnEngine(Engine):
 
     def strategy(self) -> str:
         return "column"
+
+    def _precompile(self, plan: QueryPlan) -> None:
+        if not self.options.compile_expressions:
+            return
+        guard = self.options.overflow_guard
+        for block in plan.blocks.values():
+            try:
+                plan.kernels(block, ("col", guard), lambda planned: compile_column_block(
+                    planned, overflow_guard=guard))
+            except Exception:
+                continue
 
     def _execute_plan(self, plan: QueryPlan,
                       trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:

@@ -55,7 +55,7 @@ from repro.engine.mask import (
 )
 from repro.engine.parallel import chunk_ranges, run_tasks, survivor_rows
 from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
-from repro.engine.planner import ColumnInfo, Scope
+from repro.engine.planner import ColumnInfo
 from repro.engine.types import infer_type
 from repro.obs import NULL_SPAN, QueryTrace, Span
 from repro.obs.metrics import count as count_metric
@@ -1203,24 +1203,9 @@ class _RowEnvBridge:
     """Adapts a :class:`_FallbackRowEnv` to the row executor's outer-env shape."""
 
     def __init__(self, env: _FallbackRowEnv):
-        self._env = env
-        self.frame = _BridgeFrame(env.frame)
+        self.frame = env.frame  # a ColFrame resolves positions like a RowFrame
         self.row = env.frame.row(env.index)
         self.outer = None
-
-
-class _BridgeFrame:
-    """Minimal RowFrame-compatible facade over a ColFrame."""
-
-    def __init__(self, frame: ColFrame):
-        self._frame = frame
-        self.columns = frame.columns
-
-    def position(self, ref: ast.ColumnRef) -> int | None:
-        return self._frame.position(ref)
-
-    def scope(self, outer: Scope | None = None) -> Scope:
-        return Scope(columns=list(self.columns), outer=outer)
 
 
 def _selected(array: Any, selection: np.ndarray | None) -> Any:
@@ -1482,7 +1467,7 @@ class _GroupAggregator:
             sums = np.bincount(group_ids, weights=numeric.astype(np.float64),
                                minlength=self.group_count)
             if name == "sum":
-                return _mask_empty(sums, counts)
+                return _mask_empty(_retyped(sums, counts, numeric.dtype), counts)
             with np.errstate(invalid="ignore", divide="ignore"):
                 averages = sums / counts
             return _mask_empty(averages, counts)
@@ -1497,7 +1482,7 @@ class _GroupAggregator:
             accumulator = np.full(self.group_count, fill, dtype=np.float64)
             operator = np.minimum if name == "min" else np.maximum
             operator.at(accumulator, group_ids, values.astype(np.float64))
-            return _mask_empty(accumulator, counts)
+            return _mask_empty(_retyped(accumulator, counts, values.dtype), counts)
         # strings / objects: python loop per row
         accumulator: list[Any] = [None] * self.group_count
         for value, group in zip(values, group_ids):
@@ -1543,6 +1528,15 @@ def _group_values(values: Any) -> Any:
 def _null_mask(values: np.ndarray) -> np.ndarray:
     # one representation dispatch for NULL detection, shared with IS NULL
     return isnull_mask(values, len(values), negated=False)
+
+
+def _retyped(values: np.ndarray, counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Per-group float64 SUM / MIN / MAX accumulations as the input's type again:
+    integers over integer inputs, as on the row engine (0 stands in for empty
+    groups, which :func:`_mask_empty` turns into NULL)."""
+    if dtype.kind not in "iub":
+        return values
+    return np.rint(np.where(counts > 0, values, 0)).astype(np.int64)
 
 
 def _mask_empty(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -1728,14 +1722,14 @@ def _partial_aggregate(call: ast.FunctionCall, vector_of, group_ids: np.ndarray,
     values = vector_of(call.arguments[0])
     if call.distinct:
         underlying = values.values if isinstance(values, Nullable) else values
-        numeric = isinstance(underlying, np.ndarray) \
-            and underlying.dtype.kind in ("i", "f")
+        dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
+            and underlying.dtype.kind in ("i", "f") else None
         buckets: list[dict] = [{} for _ in range(group_count)]
         nulls = _null_mask(values)
         for index in range(len(values)):
             if not nulls[index]:
                 buckets[group_ids[index]].setdefault(values[index], None)
-        return ("distinct", buckets, numeric)
+        return ("distinct", buckets, dtype)
     valid = ~_null_mask(values)
     if name == "count":
         return ("counts",
@@ -1749,14 +1743,14 @@ def _partial_aggregate(call: ast.FunctionCall, vector_of, group_ids: np.ndarray,
     if name in ("sum", "avg"):
         sums = np.bincount(grouped, weights=numeric.astype(np.float64),
                            minlength=group_count)
-        return ("sums", sums, counts)
+        return ("sums", sums, counts, numeric.dtype)
     if name in ("min", "max"):
         if numeric.dtype.kind in ("i", "f"):
             fill = np.inf if name == "min" else -np.inf
             accumulator = np.full(group_count, fill, dtype=np.float64)
             operator = np.minimum if name == "min" else np.maximum
             operator.at(accumulator, grouped, numeric.astype(np.float64))
-            return ("minmax_num", accumulator, counts)
+            return ("minmax_num", accumulator, counts, numeric.dtype)
         extremes: list[Any] = [None] * group_count
         for value, group in zip(numeric, grouped):
             current = extremes[group]
@@ -1834,23 +1828,24 @@ def _merge_aggregate(call: ast.FunctionCall, parts: list[tuple],
                 np.add.at(totals, local, counts)
         return totals
     if kind == "distinct":
-        numeric = parts[0][2]
+        dtype = _merged_dtype([(part[2], any(part[1])) for part in parts])
         buckets: list[dict] = [{} for _ in range(group_count)]
         for (_, worker_buckets, _), local in zip(parts, local_maps):
             for position, bucket in enumerate(worker_buckets):
                 target = buckets[int(local[position])]
                 for value in bucket:
                     target.setdefault(value, None)
-        return _finalize_distinct(name, buckets, numeric)
+        return _finalize_distinct(name, buckets, dtype)
     if kind == "sums":
         sums = np.zeros(group_count, dtype=np.float64)
         counts = np.zeros(group_count, dtype=np.int64)
-        for (_, worker_sums, worker_counts), local in zip(parts, local_maps):
+        for (_, worker_sums, worker_counts, _), local in zip(parts, local_maps):
             if len(worker_sums):
                 np.add.at(sums, local, worker_sums)
                 np.add.at(counts, local, worker_counts)
         if name == "sum":
-            return _mask_empty(sums, counts)
+            dtype = _merged_dtype([(part[3], part[2].any()) for part in parts])
+            return _mask_empty(_retyped(sums, counts, dtype), counts)
         with np.errstate(invalid="ignore", divide="ignore"):
             averages = sums / counts
         return _mask_empty(averages, counts)
@@ -1859,11 +1854,12 @@ def _merge_aggregate(call: ast.FunctionCall, parts: list[tuple],
         accumulator = np.full(group_count, fill, dtype=np.float64)
         counts = np.zeros(group_count, dtype=np.int64)
         operator = np.minimum if name == "min" else np.maximum
-        for (_, worker_acc, worker_counts), local in zip(parts, local_maps):
+        for (_, worker_acc, worker_counts, _), local in zip(parts, local_maps):
             if len(worker_acc):
                 operator.at(accumulator, local, worker_acc)
                 np.add.at(counts, local, worker_counts)
-        return _mask_empty(accumulator, counts)
+        dtype = _merged_dtype([(part[3], part[2].any()) for part in parts])
+        return _mask_empty(_retyped(accumulator, counts, dtype), counts)
     # minmax_obj: python compare loop (None marks still-empty groups)
     extremes: list[Any] = [None] * group_count
     for (_, worker_extremes, _), local in zip(parts, local_maps):
@@ -1879,7 +1875,15 @@ def _merge_aggregate(call: ast.FunctionCall, parts: list[tuple],
     return np.array(extremes, dtype=object)
 
 
-def _finalize_distinct(name: str, buckets: list[dict], numeric: bool
+def _merged_dtype(parts: list[tuple[np.dtype | None, bool]]) -> np.dtype | None:
+    """One aggregate's input dtype over its (dtype, contributed) worker partials: a
+    CASE may be all-integer in one worker's morsels and float in the next's."""
+    dtypes = [dtype for dtype, contributed in parts if contributed] or [parts[0][0]]
+    # ``is``: numpy compares a dtype equal to None (None means float64 to it)
+    return None if any(dtype is None for dtype in dtypes) else np.result_type(*dtypes)
+
+
+def _finalize_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
                        ) -> np.ndarray:
     """Final per-group values of a DISTINCT aggregate from merged value sets.
 
@@ -1902,8 +1906,10 @@ def _finalize_distinct(name: str, buckets: list[dict], numeric: bool
         if name == "avg":
             with np.errstate(invalid="ignore", divide="ignore"):
                 sums = sums / counts
+        elif dtype is not None:
+            sums = _retyped(sums, counts, dtype)
         return _mask_empty(sums, counts)
-    if numeric:
+    if dtype is not None:
         fill = np.inf if name == "min" else -np.inf
         accumulator = np.full(len(buckets), fill, dtype=np.float64)
         counts = np.empty(len(buckets), dtype=np.int64)
@@ -1914,7 +1920,7 @@ def _finalize_distinct(name: str, buckets: list[dict], numeric: bool
                 if (value < accumulator[index]) if name == "min" \
                         else (value > accumulator[index]):
                     accumulator[index] = value
-        return _mask_empty(accumulator, counts)
+        return _mask_empty(_retyped(accumulator, counts, dtype), counts)
     results = np.full(len(buckets), None, dtype=object)
     for index, bucket in enumerate(buckets):
         best = None

@@ -1,43 +1,48 @@
 """Tuple-at-a-time (row store) physical backend.
 
-The executor is a thin *physical* backend over the shared logical plan
-(:mod:`repro.engine.plan`): all analysis -- scope resolution, conjunct
-classification, the push-down assignment and the join order -- is read from
-the :class:`BlockPlan` of each query block instead of being re-derived from
-the AST per execution.  The physical pipeline for one block is:
+A thin *physical* backend over the shared logical plan (:mod:`repro.engine.plan`):
+scope resolution, conjunct classification, the push-down assignment, the join
+order and the correlation of every block are read from its :class:`BlockPlan`.
+A block runs one of two ways:
 
-1. materialise every FROM item into a :class:`RowFrame` (base tables read
-   the chunk row-views the columnar storage layer decodes -- NULLs arrive
-   as real ``None`` -- derived tables are executed recursively, explicit
-   JOINs folded into a frame),
-2. apply the plan's per-binding push-down predicates at scan time,
-3. join the frames following the plan's join schedule, preferring hash joins
-   on the scheduled equi-join conditions, falling back to nested loops,
-4. apply the plan's residual predicates (including all predicates that
-   contain subqueries -- correlated subqueries are re-executed per row,
-   uncorrelated ones are cached),
-5. group / aggregate / HAVING,
-6. project, de-duplicate (DISTINCT), sort, LIMIT/OFFSET.
+* **Generated pipeline** (``compile_expressions=True``, the default).  The
+  block's :class:`~repro.engine.compile.RowPipeline` -- one Python function
+  generated from the plan and cached on it -- gets the row list of every FROM
+  item and does the rest in one pass: hash builds with the push-down
+  predicates inlined, one loop nest over the driving scan and the probes, the
+  residual predicates, then grouping with running accumulators or the
+  projection.  No joined tuple and no per-group value list is materialised.
+  The executor fetches the inputs (a base table is the storage layer's cached
+  row view; derived tables and explicit JOINs are executed into row lists),
+  lends the function an interpreter hook for the subexpressions it could not
+  lower (a subquery, an outer column), and turns its integer counters into the
+  ``scan`` / ``join`` / ``filter`` / ``aggregate`` spans of a traced run.
+* **Interpreter** (``compile_expressions=False``, a block outside the prepared
+  plan, or one the generator declined because the interpreter would refuse it
+  too).  Frames are materialised operator by operator -- scan + push-down,
+  hash or nested-loop join, residual filter, group / aggregate / HAVING or
+  project -- and :mod:`repro.engine.expression` walks every expression per
+  row.  It is the reference the generated code is tested against.
+
+DISTINCT, ORDER BY and LIMIT / OFFSET run on the block's output either way;
+correlated subqueries re-execute per outer row, uncorrelated ones once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.compile import (
-    RowAggregation,
-    RowBlockKernels,
-    RowPredicates,
-    compile_row_block,
-)
+from repro.engine.compile import Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
 from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
-from repro.engine.planner import ColumnInfo, Scope, output_columns
+from repro.engine.planner import ColumnInfo
 from repro.errors import ExecutionError, PlanError
-from repro.obs import NULL_SPAN, QueryTrace
+from repro.obs import NULL_SPAN, QueryTrace, Span
+from repro.obs.metrics import count as count_metric
 from repro.sqlparser import ast
+from repro.sqlparser.printer import to_sql
 
 
 def scan_source(item: ast.TableExpression) -> str:
@@ -51,6 +56,30 @@ def scan_source(item: ast.TableExpression) -> str:
     if isinstance(item, ast.Join):
         return f"{item.kind} join"
     return type(item).__name__
+
+
+def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
+    """How one block runs on the row engine, for ``Engine.explain`` / EXPLAIN."""
+    if pipeline.run is None:
+        return {"output": list(block.output_names), "generated": False,
+                "fallback": pipeline.fallback}
+    sources = [scan_source(block.select.from_items[step.frame_index])
+               for step in block.join_order]
+    return {
+        "output": list(block.output_names),
+        "generated": True,
+        "file": pipeline.run.__code__.co_filename,
+        "driving": sources[0] if sources else None,
+        "builds": [{"source": source,
+                    "join": f"hash on {len(step.connecting)} key"
+                            f"{'s' if len(step.connecting) != 1 else ''}"
+                    if pipeline.hash_joins and step.connecting else "nested loop"}
+                   for source, step in zip(sources[1:], block.join_order[1:])],
+        "fused": ["scan"] + ["join"] * (len(sources) > 1) + ["filter"] * bool(block.residual)
+        + ["aggregate" if block.needs_aggregation else "project"],
+        "interpreted": [to_sql(expression) for expression, _ in pipeline.interpreted],
+        "source": pipeline.source,
+    }
 
 
 def _hash_table(rows: list[tuple], positions: list[int]) -> dict[tuple, list[tuple]]:
@@ -73,32 +102,13 @@ class RowFrame:
 
     columns: list[ColumnInfo]
     rows: list[tuple]
-    _index: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _by_name: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.reindex()
-
-    def reindex(self) -> None:
-        """Rebuild the column lookup structures after columns changed."""
-        self._index = {}
-        self._by_name = {}
-        for position, column in enumerate(self.columns):
-            self._index[(column.binding.lower(), column.name.lower())] = position
-            self._by_name.setdefault(column.name.lower(), []).append(position)
+        self._layout = Layout(self.columns)
 
     def position(self, ref: ast.ColumnRef) -> int | None:
         """Column position of ``ref`` in this frame, or None when absent."""
-        if ref.table:
-            return self._index.get((ref.table.lower(), ref.name.lower()))
-        positions = self._by_name.get(ref.name.lower())
-        if not positions:
-            return None
-        return positions[0]
-
-    def scope(self, outer: Scope | None = None) -> Scope:
-        """Build a name-resolution scope over this frame."""
-        return Scope(columns=list(self.columns), outer=outer)
+        return self._layout.position(ref)
 
 
 class _RowEnv:
@@ -106,7 +116,7 @@ class _RowEnv:
 
     __slots__ = ("executor", "frame", "row", "outer")
 
-    def __init__(self, executor: "RowExecutor", frame: RowFrame, row: tuple,
+    def __init__(self, executor: "RowExecutor", frame: "RowFrame | Layout", row: tuple,
                  outer: "_RowEnv | None" = None):
         self.executor = executor
         self.frame = frame
@@ -141,7 +151,6 @@ class RowExecutor:
         self._planner: Planner | None = None
         self._extra_blocks: dict[int, BlockPlan] = {}
         self._uncorrelated_cache: dict[int, list[tuple]] = {}
-        self._correlated: dict[int, bool] = {}
 
     def _span(self, name: str, **attributes):
         """An operator span when tracing, the shared no-op span otherwise."""
@@ -150,15 +159,15 @@ class RowExecutor:
             return NULL_SPAN
         return trace.span(name, **attributes)
 
-    def _chunk_attrs(self, item: ast.TableExpression) -> dict:
-        """Chunk accounting for a scan span: the row engine reads every chunk."""
-        if isinstance(item, ast.TableRef):
-            try:
-                chunks = len(self.database.storage(item.name).chunks)
-            except Exception:
-                return {}
-            return {"chunks_scanned": chunks, "chunks_skipped": 0}
-        return {}
+    def _scan_span(self, item: ast.TableExpression):
+        """The ``scan`` span of one FROM item (the no-op span when not tracing)."""
+        if self._trace is None:
+            return NULL_SPAN
+        chunks = {}
+        if isinstance(item, ast.TableRef):  # the row engine reads every chunk
+            chunks = {"chunks_scanned": len(self.database.storage(item.name).chunks),
+                      "chunks_skipped": 0}
+        return self._trace.span("scan", source=scan_source(item), **chunks)
 
     # -- public API -----------------------------------------------------------
 
@@ -175,11 +184,12 @@ class RowExecutor:
     def run_subquery(self, select: ast.Select, outer: "_RowEnv | None") -> list[tuple]:
         """Execute a nested SELECT, caching uncorrelated results.
 
-        The per-execution cache (and the correlation analysis) is keyed by
-        ``id(select)`` -- the plan keeps the AST alive, so the key is stable
-        and the per-row lookup does not re-print the subquery's SQL.
+        Whether the block is correlated was decided when it was planned; the
+        per-execution cache is keyed by ``id(select)`` -- the plan keeps the
+        AST alive, so the key is stable and the per-row lookup does not
+        re-print the subquery's SQL.
         """
-        correlated = self._is_correlated(select, outer)
+        correlated = outer is not None and self._block(select).correlated
         cache_key = id(select) if not correlated else None
         if cache_key is not None and cache_key in self._uncorrelated_cache:
             return self._uncorrelated_cache[cache_key]
@@ -204,160 +214,124 @@ class RowExecutor:
             block = self._planner.plan_block(select, registry=self._extra_blocks)
         return block
 
-    def _block_kernels(self, block: BlockPlan) -> RowBlockKernels | None:
-        """The block's compiled kernels (None = interpret).
+    def _pipeline(self, block: BlockPlan) -> RowPipeline | None:
+        """The block's generated pipeline (None = interpret).
 
-        Only blocks owned by a shared plan get kernels: the plan caches the
-        compiled closures, so repeated executions -- and the column engine's
-        row-fallback subqueries -- reuse them.  Compilation is best-effort;
-        any failure leaves the block on the interpreter.
+        Only blocks owned by a shared plan get one: the plan caches it, so
+        repeated executions -- and the column engine's row-fallback
+        subqueries -- reuse the compiled function.
         """
         if not self.compile_expressions or self._plan is None:
             return None
         if self._plan.block(block.select) is not block:
             return None
-        try:
-            return self._plan.kernels(block, ("row",), compile_row_block)
-        except Exception:
-            return None
+        pipeline = row_pipeline(self._plan, block, self.hash_joins)
+        return pipeline if pipeline.run is not None else None
 
     def _execute_block(self, select: ast.Select, outer: "_RowEnv | None"
                        ) -> tuple[list[str], list[tuple]]:
         block = self._block(select)
         # a sort key outside the select list fails here, before any scan
         positions = order_positions(select, block.output_names)
-        kernels = self._block_kernels(block)
-        trace = self._trace
-
-        # single-relation predicates are applied while scanning each input, so
-        # each scan span covers materialisation plus push-down filtering.
-        frames: list[RowFrame] = []
-        for index, item in enumerate(select.from_items):
-            span_cm = (trace.span("scan", source=scan_source(item))
-                       if trace is not None else NULL_SPAN)
-            with span_cm as span:
-                frame = self._materialise(item, outer)
-                rows_in = len(frame.rows)
-                if block.pushdown:
-                    if kernels is not None:
-                        compiled = kernels.pushdown[index]
-                        if compiled is not None:
-                            frame = self._filter_kernels(frame, compiled, outer)
-                    else:
-                        frame = self._apply_pushdown(frame, block.pushdown, outer)
-                if trace is not None:
-                    span.set(rows_in=rows_in, rows_out=len(frame.rows),
-                             **self._chunk_attrs(item))
-            frames.append(frame)
-
-        frame = self._join_frames(frames, block.join_order, outer)
-
-        has_residual = bool(block.residual)
-        span_cm = self._span("filter") if has_residual else NULL_SPAN
-        with span_cm as span:
-            rows_in = len(frame.rows)
-            if kernels is not None and kernels.residual is not None:
-                frame = self._filter_kernels(frame, kernels.residual, outer)
-            else:
-                frame = self._filter(frame, block.residual, outer)
-            if trace is not None and has_residual:
-                span.set(rows_in=rows_in, rows_out=len(frame.rows))
-
-        with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            if block.needs_aggregation:
-                aggregation = kernels.aggregation if kernels is not None else None
-                if aggregation is not None and (frame.rows or select.group_by):
-                    columns, rows = self._aggregate_kernels(select, frame, aggregation,
-                                                            block.output_names)
-                else:
-                    # the empty global group keeps the interpreter's semantics
-                    # (non-aggregate subexpressions evaluate to NULL).
-                    columns, rows = self._aggregate(select, frame, outer,
-                                                    block.output_names)
-            elif kernels is not None and kernels.projection is not None:
-                columns, rows = self._project_kernels(select, frame, outer,
-                                                      block.output_names,
-                                                      kernels.projection)
-            else:
-                columns, rows = self._project(select, frame, outer, block.output_names)
-            if trace is not None:
-                span.set(rows_in=len(frame.rows), rows_out=len(rows))
-
+        pipeline = self._pipeline(block)
+        if pipeline is None:
+            count_metric("row.pipeline.interpreted_blocks")
+            rows = self._interpret_block(block, outer)
+        else:
+            count_metric("row.pipeline.generated")
+            rows = self._run_pipeline(block, pipeline, outer)
         if select.distinct:
             rows = list(dict.fromkeys(rows))
         if positions:
             with self._span("order") as span:
                 rows = self._order(select, positions, rows)
                 span.set(rows_out=len(rows))
-        rows = self._limit(select, rows)
-        return columns, rows
+        return block.output_names, self._limit(select, rows)
 
-    # -- compiled physical operators ---------------------------------------------
+    # -- generated pipelines ------------------------------------------------------
 
-    def _filter_kernels(self, frame: RowFrame, predicates: RowPredicates,
-                        outer: "_RowEnv | None") -> RowFrame:
-        """Filter a frame through a compiled conjunction (+ interpreter rest)."""
-        rows = frame.rows
-        if predicates.fused is not None:
-            fused = predicates.fused
-            rows = [row for row in rows if fused(row)]
-        if predicates.interpreted:
-            rows = [row for row in rows
-                    if self._passes(predicates.interpreted, frame, row, outer)]
-        if rows is frame.rows:
-            return frame
-        return RowFrame(columns=frame.columns, rows=rows)
+    def _run_pipeline(self, block: BlockPlan, pipeline: RowPipeline,
+                      outer: "_RowEnv | None") -> list[tuple]:
+        """Fetch the block's inputs and run its generated function over them."""
+        select, trace = block.select, self._trace
+        scans: list[list[tuple]] = []
+        scan_spans = []
+        for item in select.from_items:
+            with self._scan_span(item) as span:
+                # base tables hand out the storage layer's cached row view
+                scans.append(self.database.rows(item.name) if isinstance(item, ast.TableRef)
+                             else self._materialise(item, outer).rows)
+            scan_spans.append(span)
 
-    def _project_kernels(self, select: ast.Select, frame: RowFrame,
-                         outer: "_RowEnv | None", columns: list[str],
-                         item_fns: list) -> tuple[list[str], list[tuple]]:
-        star_positions = self._star_positions(select, frame)
-        items = list(zip(select.items, item_fns))
-        need_env = any(fn is None and not isinstance(item.expression, ast.Star)
-                       for item, fn in items)
-        rows: list[tuple] = []
-        for row in frame.rows:
-            env = _RowEnv(self, frame, row, outer) if need_env else None
-            values: list[Any] = []
-            for item, fn in items:
-                if fn is not None:
-                    values.append(fn(row))
-                elif isinstance(item.expression, ast.Star):
-                    values.extend(row[position]
-                                  for position in star_positions[id(item)])
-                else:
-                    values.append(evaluate(item.expression, env))
-            rows.append(tuple(values))
-        return columns, rows
+        def interp(index: int, row: tuple) -> Any:
+            expression, layout = pipeline.interpreted[index]
+            return evaluate(expression, _RowEnv(self, layout, row, outer))
 
-    def _aggregate_kernels(self, select: ast.Select, frame: RowFrame,
-                           aggregation: RowAggregation, columns: list[str]
-                           ) -> tuple[list[str], list[tuple]]:
-        """Fused grouping + accumulation + finalisation over compiled kernels."""
-        key_fn = aggregation.key_fn
-        inits = aggregation.inits
-        updates = aggregation.updates
-        groups: dict[tuple, tuple[list, tuple]] = {}
-        for row in frame.rows:
-            key = key_fn(row) if key_fn is not None else ()
-            entry = groups.get(key)
-            if entry is None:
-                entry = groups[key] = ([init() for init in inits], row)
-            states = entry[0]
-            for state, update in zip(states, updates):
-                update(state, row)
+        with self._span("pipeline") as span:
+            rows, counts = pipeline.run(scans, interp)
+            if rows is None:
+                # the empty global group keeps the interpreter's semantics
+                # (non-aggregate subexpressions evaluate to NULL).
+                rows = self._aggregate(select, RowFrame(pipeline.columns, []), outer)
+            if trace is not None:
+                self._fused_spans(span, pipeline.run.__code__.co_filename, block, scans,
+                                  scan_spans, counts, len(rows))
+        return rows
 
-        rows: list[tuple] = []
-        finals = aggregation.finals
-        having_fn = aggregation.having_fn
-        for states, first_row in groups.values():
-            combined = tuple(final(state)
-                             for final, state in zip(finals, states)) + first_row
-            if having_fn is not None and not bool(having_fn(combined)):
-                continue
-            rows.append(tuple(finaliser(combined)
-                              for finaliser in aggregation.finalisers))
-        return columns, rows
+    def _fused_spans(self, parent: Span, fused: str, block: BlockPlan,
+                     scans: list[list[tuple]], scan_spans: list[Span], counts: tuple,
+                     rows_out: int) -> None:
+        """Operator spans of a generated pipeline, from its row counters.
+
+        The operators share one loop nest, so they share its wall time: each
+        span covers the pipeline's window and names the generated source it
+        is ``fused`` into instead of claiming a time of its own.
+        """
+        scanned, levels, passed = counts
+        parent.set(source=fused)  # "<rowpipe:N>", the name its source has in linecache
+        for span, rows, kept in zip(scan_spans, scans, scanned):
+            span.set(rows_in=len(rows), rows_out=kept, fused=fused)
+        operators = [("aggregate" if block.needs_aggregation else "project",
+                      passed, rows_out, {})]
+        if block.residual:
+            operators.insert(0, ("filter", levels[-1], passed, {}))
+        if len(levels) > 1:
+            build = sum(scanned[step.frame_index] for step in block.join_order[1:])
+            operators.insert(0, ("join", sum(levels[:-1]), levels[-1], {"build_rows": build}))
+        for name, rows_in, rows_out, attributes in operators:
+            span = Span(name)
+            span.started = parent.started
+            parent.children.append(span.set(
+                rows_in=rows_in, rows_out=rows_out, fused=fused, **attributes).close())
+
+    # -- the interpreter ----------------------------------------------------------
+
+    def _interpret_block(self, block: BlockPlan, outer: "_RowEnv | None") -> list[tuple]:
+        select = block.select
+        # single-relation predicates are applied while scanning each input, so
+        # each scan span covers materialisation plus push-down filtering.
+        frames: list[RowFrame] = []
+        for item in select.from_items:
+            with self._scan_span(item) as span:
+                frame = self._materialise(item, outer)
+                rows_in = len(frame.rows)
+                if block.pushdown:
+                    frame = self._apply_pushdown(frame, block.pushdown, outer)
+                span.set(rows_in=rows_in, rows_out=len(frame.rows))
+            frames.append(frame)
+
+        frame = self._join_frames(frames, block.join_order, outer)
+
+        with (self._span("filter") if block.residual else NULL_SPAN) as span:
+            rows_in = len(frame.rows)
+            frame = self._filter(frame, block.residual, outer)
+            span.set(rows_in=rows_in, rows_out=len(frame.rows))
+
+        with self._span("aggregate" if block.needs_aggregation else "project") as span:
+            rows = self._aggregate(select, frame, outer) if block.needs_aggregation \
+                else self._project(select, frame, outer)
+            span.set(rows_in=len(frame.rows), rows_out=len(rows))
+        return rows
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -454,13 +428,12 @@ class RowExecutor:
                     rows.append(left_row + null_padding)
             return rows
 
+        condition = residual + [
+            ast.Comparison("=", left_ref, right_ref) for left_ref, right_ref in equi]
         for left_row in left.rows:
             matched = False
             for right_row in right.rows:
                 candidate = left_row + right_row
-                condition = residual + [
-                    ast.Comparison("=", left_ref, right_ref) for left_ref, right_ref in equi
-                ]
                 if self._passes(condition, combined, candidate, outer):
                     rows.append(candidate)
                     matched = True
@@ -509,35 +482,12 @@ class RowExecutor:
     def _pairwise_join(self, left: RowFrame, right: RowFrame,
                        connecting: list[tuple[ast.ColumnRef, ast.ColumnRef, ast.Expression]],
                        outer: "_RowEnv | None") -> RowFrame:
-        columns = left.columns + right.columns
-        combined = RowFrame(columns=columns, rows=[])
-        if connecting and self.hash_joins:
-            left_positions = []
-            right_positions = []
-            for left_ref, right_ref, _ in connecting:
-                if left.position(left_ref) is not None:
-                    left_positions.append(left.position(left_ref))
-                    right_positions.append(right.position(right_ref))
-                else:
-                    left_positions.append(left.position(right_ref))
-                    right_positions.append(right.position(left_ref))
-            table = _hash_table(right.rows, right_positions)
-            rows = []
-            for left_row in left.rows:
-                key = tuple(left_row[position] for position in left_positions)
-                for right_row in table.get(key, ()):
-                    rows.append(left_row + right_row)
-            combined.rows = rows
-            return combined
-        # cross join (with any connecting predicates applied per pair)
-        predicates = [conjunct for _, _, conjunct in connecting]
-        rows = []
-        for left_row in left.rows:
-            for right_row in right.rows:
-                candidate = left_row + right_row
-                if self._passes(predicates, combined, candidate, outer):
-                    rows.append(candidate)
-        combined.rows = rows
+        combined = RowFrame(columns=left.columns + right.columns, rows=[])
+        # each connecting conjunct as (ref into left, ref into right); none = cross join
+        equi = [(left_ref, right_ref) if left.position(left_ref) is not None
+                else (right_ref, left_ref) for left_ref, right_ref, _ in connecting]
+        combined.rows = self._hash_join_rows(left, right, equi, [], combined, outer,
+                                             keep_unmatched_left=False)
         return combined
 
     def _filter(self, frame: RowFrame, predicates: list[ast.Expression],
@@ -549,35 +499,28 @@ class RowExecutor:
 
     # -- projection / aggregation ----------------------------------------------------
 
-    def _project(self, select: ast.Select, frame: RowFrame, outer: "_RowEnv | None",
-                 columns: list[str]) -> tuple[list[str], list[tuple]]:
+    def _project(self, select: ast.Select, frame: RowFrame,
+                 outer: "_RowEnv | None") -> list[tuple]:
+        # per select item: the frame positions a star expands to (None = an expression)
+        stars = [None if not isinstance(item.expression, ast.Star) else [
+            index for index, column in enumerate(frame.columns)
+            if item.expression.table is None
+            or column.binding.lower() == item.expression.table.lower()]
+            for item in select.items]
         rows: list[tuple] = []
-        star_positions = self._star_positions(select, frame)
         for row in frame.rows:
             env = _RowEnv(self, frame, row, outer)
             values: list[Any] = []
-            for item in select.items:
-                if isinstance(item.expression, ast.Star):
-                    values.extend(row[position] for position in star_positions[id(item)])
+            for item, star in zip(select.items, stars):
+                if star is not None:
+                    values.extend(row[position] for position in star)
                 else:
                     values.append(evaluate(item.expression, env))
             rows.append(tuple(values))
-        return columns, rows
+        return rows
 
-    def _star_positions(self, select: ast.Select, frame: RowFrame) -> dict[int, list[int]]:
-        positions: dict[int, list[int]] = {}
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                star = item.expression
-                selected = [
-                    index for index, column in enumerate(frame.columns)
-                    if star.table is None or column.binding.lower() == star.table.lower()
-                ]
-                positions[id(item)] = selected
-        return positions
-
-    def _aggregate(self, select: ast.Select, frame: RowFrame, outer: "_RowEnv | None",
-                   columns: list[str]) -> tuple[list[str], list[tuple]]:
+    def _aggregate(self, select: ast.Select, frame: RowFrame,
+                   outer: "_RowEnv | None") -> list[tuple]:
         groups: dict[tuple, list[_RowEnv]] = {}
         if select.group_by:
             for row in frame.rows:
@@ -595,7 +538,7 @@ class RowExecutor:
             rows.append(tuple(
                 evaluate_aggregate(item.expression, envs) for item in select.items
             ))
-        return columns, rows
+        return rows
 
     # -- ordering / limits -----------------------------------------------------------------
 
@@ -613,47 +556,3 @@ class RowExecutor:
         if select.limit is None:
             return rows[start:] if start else rows
         return rows[start:start + select.limit]
-
-    # -- helpers ----------------------------------------------------------------------------
-
-    def _is_correlated(self, select: ast.Select, outer: "_RowEnv | None") -> bool:
-        """Heuristic correlation test: any column not resolvable locally.
-
-        The walk is memoised by ``id(select)`` -- the driver re-runs the same
-        subquery once per outer row, and the answer never changes.
-        """
-        if outer is None:
-            return False
-        cached = self._correlated.get(id(select))
-        if cached is not None:
-            return cached
-        local_bindings: list[ColumnInfo] = []
-        for item in select.from_items:
-            local_bindings.extend(self._item_columns(item))
-        local = Scope(columns=local_bindings)
-        correlated = any(
-            isinstance(node, ast.ColumnRef) and local.resolve_local(node) is None
-            for node in select.walk()
-        )
-        self._correlated[id(select)] = correlated
-        return correlated
-
-    def _item_columns(self, item: ast.TableExpression) -> list[ColumnInfo]:
-        if isinstance(item, ast.TableRef):
-            try:
-                schema = self.database.catalog.table(item.name)
-            except Exception:
-                return []
-            return [
-                ColumnInfo(binding=item.binding, name=column.name, type_name=column.type_name)
-                for column in schema.columns
-            ]
-        if isinstance(item, ast.SubqueryRef):
-            scope = Scope(columns=[])
-            names = output_columns(item.subquery, scope) if not any(
-                isinstance(entry.expression, ast.Star) for entry in item.subquery.items
-            ) else []
-            return [ColumnInfo(binding=item.alias, name=name, type_name="str") for name in names]
-        if isinstance(item, ast.Join):
-            return self._item_columns(item.left) + self._item_columns(item.right)
-        return []

@@ -146,6 +146,10 @@ class BlockPlan:
     output_names: list[str]
     #: True when the block needs the grouping/aggregation path.
     needs_aggregation: bool
+    #: True when some column in the block (nested blocks included) does not
+    #: resolve against its own FROM items: run as a subquery, its result
+    #: depends on the outer row and cannot be cached across rows.
+    correlated: bool = False
 
     def describe(self) -> dict:
         """Compact, JSON-friendly description (used by ``Engine.explain``)."""
@@ -157,6 +161,7 @@ class BlockPlan:
             "residual": len(self.residual),
             "output": list(self.output_names),
             "aggregated": self.needs_aggregation,
+            "correlated": self.correlated,
         }
 
 
@@ -288,6 +293,9 @@ class Planner:
         output_names = output_columns(select, output_scope)
         needs_aggregation = (bool(select.group_by) or select.having is not None
                              or select.has_aggregates())
+        local = _ColumnSet(local_columns)
+        correlated = any(isinstance(node, ast.ColumnRef) and not local.has(node)
+                         for node in select.walk())
 
         block = BlockPlan(
             select=select,
@@ -299,6 +307,7 @@ class Planner:
             join_order=join_order,
             output_names=output_names,
             needs_aggregation=needs_aggregation,
+            correlated=correlated,
         )
         blocks[id(select)] = block
 

@@ -421,17 +421,24 @@ def case_branch_values(value: Any) -> Any:
 
 
 def collapse_case_result(result: np.ndarray) -> np.ndarray:
-    """Collapse a CASE object result to float64 when (and only when) safe.
+    """Collapse a CASE object result to a numeric array when (and only when) safe.
 
-    The NULL check must run first: numpy's object->float64 ``astype``
+    All-integer results stay ``int64`` (so ``sum(case ... then 1 else 0 end)``
+    is an integer, as on the row engine); anything else numeric is float64.
+    The NULL check must run first: numpy's object->float64 conversion
     silently turns ``None`` into NaN, which the row engine never produces.
     """
     if none_positions(result).any():
         return result
     try:
-        return result.astype(np.float64)
-    except (TypeError, ValueError):
+        collapsed = np.array(result.tolist())
+    except (TypeError, ValueError, OverflowError):
         return result
+    if collapsed.dtype.kind == "i":
+        return collapsed.astype(np.int64, copy=False)
+    if collapsed.dtype.kind in "fb":
+        return collapsed.astype(np.float64, copy=False)
+    return result
 
 
 class ColFrame:

@@ -1,0 +1,375 @@
+"""The row engine's generated pipelines.
+
+* a Hypothesis property: a generated expression kernel and the interpreter
+  agree on random expression trees over rows with NULLs -- values, types and
+  the ``ExecutionError`` they raise;
+* every query the platform benchmarks (TPC-H Q1, the ``q1-pool`` variants,
+  the nine ``tpch-mix`` texts) runs on generated pipelines only and returns
+  the interpreter's rows;
+* what a pipeline shows of itself: source in ``linecache``, structure in
+  ``explain``, fused operators in ``EXPLAIN ANALYZE``.
+"""
+
+from __future__ import annotations
+
+import datetime
+import linecache
+import traceback
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import Database, EngineOptions, RowEngine
+from repro.engine.compile import Layout, compile_row_kernel, row_pipeline
+from repro.engine.expression import evaluate
+from repro.engine.planner import ColumnInfo
+from repro.errors import ExecutionError, PlanError
+from repro.platform import PlatformService
+from repro.pool import Morpher
+from repro.sqlparser import ast
+from repro.tpch import QUERIES
+
+# ---------------------------------------------------------------------------
+# (a) generated expression kernels == the interpreter
+# ---------------------------------------------------------------------------
+
+COLUMNS = [ColumnInfo("t", "i1", "int"), ColumnInfo("t", "i2", "int"),
+           ColumnInfo("t", "f1", "float"), ColumnInfo("t", "s1", "str"),
+           ColumnInfo("t", "d1", "date")]
+LAYOUT = Layout(COLUMNS)
+
+ROWS = st.tuples(
+    st.none() | st.integers(-3, 3),
+    st.none() | st.integers(0, 40),
+    st.none() | st.sampled_from([-2.5, 0.0, 0.25, 7.5]),
+    st.none() | st.sampled_from(["", "abba", "axle", "Box", "1994-05-01"]),
+    st.none() | st.dates(datetime.date(1994, 1, 1), datetime.date(1995, 12, 31)),
+)
+
+
+class _Env:
+    def __init__(self, row: tuple):
+        self.row = row
+
+    def lookup(self, ref: ast.ColumnRef):
+        return self.row[LAYOUT.position(ref)]
+
+
+def _column(name: str):
+    return st.just(ast.ColumnRef(name=name))
+
+
+NULL = st.just(ast.Literal(None, "null"))
+INTERVALS = st.builds(ast.IntervalLiteral, st.integers(-3, 14),
+                      st.sampled_from(["day", "month", "year"]))
+COMPARISONS = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+
+
+def _case(conditions, results):
+    return st.builds(ast.CaseWhen,
+                     st.lists(st.tuples(conditions, results), min_size=1, max_size=2),
+                     st.none() | results)
+
+
+def _numbers(numbers, strings, dates, booleans):
+    return st.one_of(
+        st.builds(ast.UnaryOp, st.just("-"), numbers),
+        st.builds(ast.BinaryOp, st.sampled_from(["+", "-", "*", "/", "%"]), numbers, numbers),
+        st.builds(ast.BinaryOp, st.just("-"), dates, dates),  # date - date -> days
+        st.builds(ast.Cast, numbers, st.sampled_from(["int", "float"])),
+        st.builds(ast.Extract, st.sampled_from(["year", "month", "day"]), dates),
+        st.builds(ast.FunctionCall, st.sampled_from(["abs", "coalesce"]),
+                  st.lists(numbers, min_size=1, max_size=1)),
+        st.builds(ast.FunctionCall, st.just("coalesce"),
+                  st.lists(numbers, min_size=2, max_size=3)),
+        st.builds(ast.FunctionCall, st.just("length"), st.lists(strings, min_size=1, max_size=1)),
+        _case(booleans, numbers),
+    )
+
+
+def _strings(numbers, strings, dates, booleans):
+    start = st.builds(ast.Literal, st.integers(0, 4), st.just("number"))
+    return st.one_of(
+        st.builds(ast.BinaryOp, st.just("||"), strings, strings | numbers),
+        st.builds(ast.FunctionCall, st.sampled_from(["lower", "upper"]),
+                  st.lists(strings, min_size=1, max_size=1)),
+        st.builds(ast.Substring, strings, start, st.none() | start),
+        st.builds(ast.Cast, numbers | dates, st.just("varchar")),
+        _case(booleans, strings),
+    )
+
+
+def _dates(numbers, strings, dates, booleans):
+    return st.one_of(
+        st.builds(ast.BinaryOp, st.sampled_from(["+", "-"]), dates, INTERVALS),
+        # the two ways interval arithmetic goes wrong
+        st.builds(ast.BinaryOp, st.just("+"), numbers, INTERVALS),
+        st.builds(ast.BinaryOp, st.just("+"), INTERVALS, dates),
+        st.builds(ast.Cast, dates | st.just(ast.Literal("1995-02-28", "string")),
+                  st.just("date")),
+        _case(booleans, dates),
+    )
+
+
+def _booleans(numbers, strings, dates, booleans):
+    date_text = st.builds(ast.Literal, st.sampled_from(["1994-06-30", "1995-01-01"]),
+                          st.just("string"))
+    patterns = st.builds(ast.Literal, st.sampled_from(["a%", "%a", "_x%", "abba", "%"]),
+                         st.just("string"))
+    return st.one_of(
+        st.builds(ast.Comparison, COMPARISONS, numbers, numbers),
+        st.builds(ast.Comparison, COMPARISONS, strings, strings),
+        st.builds(ast.Comparison, COMPARISONS, dates, dates | date_text),  # date coercion
+        st.builds(ast.Between, numbers, numbers, numbers, st.booleans()),
+        st.builds(ast.Between, dates, dates | date_text, dates, st.booleans()),
+        st.builds(ast.InList, numbers, st.lists(numbers, min_size=1, max_size=3),
+                  st.booleans()),
+        st.builds(ast.InList, strings, st.lists(strings, min_size=1, max_size=3),
+                  st.booleans()),
+        st.builds(ast.Like, strings, patterns | NULL, st.booleans()),
+        st.builds(ast.IsNull, numbers | strings | dates | booleans, st.booleans()),
+        st.builds(ast.UnaryOp, st.just("not"), booleans),
+        st.builds(ast.BoolOp, st.sampled_from(["and", "or"]),
+                  st.lists(booleans, min_size=2, max_size=3)),
+    )
+
+
+@st.composite
+def expressions(draw, depth: int = 3):
+    """A random, mostly well-typed expression tree of any of the four kinds."""
+    number = NULL | st.builds(ast.Literal, st.sampled_from([0, 1, 2, 3.5, -1]),
+                              st.just("number")) \
+        | _column("i1") | _column("i2") | _column("f1")
+    string = NULL | st.builds(ast.Literal, st.sampled_from(["abba", "x", ""]),
+                              st.just("string")) | _column("s1")
+    date = NULL | st.builds(ast.DateLiteral, st.sampled_from(["1994-12-31", "1995-03-15"])) \
+        | _column("d1")
+    boolean = NULL | st.builds(ast.Literal, st.booleans(), st.just("boolean"))
+    for _ in range(depth):
+        kinds = (number, string, date, boolean)
+        number, string, date, boolean = (
+            number | _numbers(*kinds), string | _strings(*kinds),
+            date | _dates(*kinds), boolean | _booleans(*kinds))
+    return draw(st.one_of(number, string, date, boolean))
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except ExecutionError as error:
+        return "ExecutionError", str(error)
+    except Exception as error:  # both sides must fail alike, whatever it is
+        return type(error).__name__, None
+    return type(value).__name__, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression=expressions(), row=ROWS)
+def test_generated_kernel_matches_interpreter(expression, row):
+    expected = _outcome(lambda: evaluate(expression, _Env(row)))
+    actual = _outcome(lambda: compile_row_kernel(expression, LAYOUT)(row))
+    assert actual == expected
+
+
+@pytest.mark.parametrize("expression,row,message", [
+    (ast.BinaryOp("/", ast.ColumnRef("i2"), ast.ColumnRef("i1")),
+     (0, 5, None, None, None), "division by zero"),
+    (ast.BinaryOp("+", ast.ColumnRef("i1"), ast.IntervalLiteral(1, "day")),
+     (1, None, None, None, None), "interval arithmetic requires a date operand"),
+    (ast.BinaryOp("+", ast.IntervalLiteral(1, "day"), ast.ColumnRef("d1")),
+     (None, None, None, None, datetime.date(1995, 1, 1)),
+     "an interval may only appear on the right-hand side"),
+])
+def test_generated_kernel_raises_the_interpreters_errors(expression, row, message):
+    with pytest.raises(ExecutionError, match=message):
+        evaluate(expression, _Env(row))
+    with pytest.raises(ExecutionError, match=message):
+        compile_row_kernel(expression, LAYOUT)(row)
+    # ... and NULL wins over the error, as in the interpreter
+    nulls = (None,) * len(row)
+    assert compile_row_kernel(expression, LAYOUT)(nulls) is None
+    assert evaluate(expression, _Env(nulls)) is None
+
+
+# ---------------------------------------------------------------------------
+# (b) the benchmarked queries run on generated pipelines, and only on them
+# ---------------------------------------------------------------------------
+
+#: bench/workloads.py: the fixed ``tpch-mix`` texts and the ``q1-pool`` recipe.
+TPCH_MIX = (3, 5, 6, 7, 8, 9, 10, 12, 14)
+POOL_SEED, POOL_RANDOM, POOL_SIZE = 7, 8, 24
+
+
+def _q1_pool_variants() -> list[str]:
+    service = PlatformService()
+    owner = service.register_user("owner", "owner@example.org")
+    project = service.create_project(owner, "tpch", synopsis="q1-pool")
+    experiment = service.add_experiment(owner, project, "q1-pool", QUERIES[1], repeats=5,
+                                        timeout_seconds=30)
+    pool = service.build_pool(experiment, seed=POOL_SEED)
+    pool.seed_baseline()
+    pool.seed_random(POOL_RANDOM)
+    Morpher(pool, seed=POOL_SEED).grow_to(POOL_SIZE)
+    return [entry.sql for entry in pool.entries()]
+
+
+def _assert_generated(database: Database, sql: str) -> bool:
+    """Generated == interpreted, with no block and no expression interpreted.
+
+    Returns False for a text both configurations reject while planning.
+    """
+    reference = RowEngine(database, options=EngineOptions(compile_expressions=False))
+    generated = RowEngine(database)
+    try:
+        expected = reference.execute(sql)
+    except PlanError:
+        with pytest.raises(PlanError):
+            generated.execute(sql)
+        return False
+    plan = generated.prepare(sql)
+    result = generated.execute(plan)
+    assert result.columns == expected.columns
+    assert result.rows == expected.rows, sql
+    assert result.metrics.get("row.pipeline.interpreted_blocks") == 0, sql
+    assert result.metrics.get("row.pipeline.generated") == len(plan.blocks), sql
+    assert expected.metrics.get("row.pipeline.generated") == 0
+    assert expected.metrics.get("row.pipeline.interpreted_blocks") == len(plan.blocks)
+    for block in plan.blocks.values():
+        pipeline = row_pipeline(plan, block)
+        assert pipeline.run is not None, pipeline.fallback
+        assert pipeline.interpreted == [], sql
+    return True
+
+
+@pytest.mark.parametrize("number", (1,) + TPCH_MIX)
+def test_benchmark_texts_run_generated(tpch_db, number):
+    assert _assert_generated(tpch_db, QUERIES[number])
+
+
+def test_q1_pool_variants_run_generated(tpch_db):
+    variants = _q1_pool_variants()
+    assert len(variants) == POOL_SIZE
+    valid = sum(_assert_generated(tpch_db, sql) for sql in variants)
+    assert valid == 16  # bench/README: 8 of the 24 sort on a key they do not select
+
+
+@pytest.mark.parametrize("number", (1, 3, 4, 10, 11, 12, 14, 16))
+@pytest.mark.parametrize("options", [
+    EngineOptions(hash_joins=False), EngineOptions(predicate_pushdown=False)],
+    ids=["nested-loops", "no-pushdown"])
+def test_toggles_are_emitted_not_interpreted(tpch_db, number, options):
+    reference = RowEngine(tpch_db, options=EngineOptions(
+        compile_expressions=False, hash_joins=options.hash_joins,
+        predicate_pushdown=options.predicate_pushdown))
+    result = RowEngine(tpch_db, options=options).execute(QUERIES[number])
+    assert result.rows == reference.execute(QUERIES[number]).rows
+    assert result.metrics.get("row.pipeline.interpreted_blocks") == 0
+
+
+def test_all_22_tpch_texts_generate(tpch_db):
+    """Subqueries ride along through the interpreter hook; no block falls back."""
+    engine = RowEngine(tpch_db)
+    for number in sorted(QUERIES):
+        plan = engine.prepare(QUERIES[number])
+        for block in plan.blocks.values():
+            assert row_pipeline(plan, block).run is not None, number
+
+
+def test_empty_global_group_keeps_interpreter_semantics(tpch_db):
+    sql = ("select count(*), sum(l_quantity), l_returnflag, max(l_tax) + 1 "
+           "from lineitem where l_quantity < 0")
+    expected = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False)).execute(sql)
+    result = RowEngine(tpch_db).execute(sql)
+    assert result.rows == expected.rows == [(0, None, None, None)]
+    assert result.metrics.get("row.pipeline.generated") == 1
+
+
+def test_unsupported_aggregate_shape_falls_back_as_a_block(tpch_db):
+    """What evaluate_aggregate rejects is rejected, not quietly computed."""
+    engine = RowEngine(tpch_db)
+    sql = "select abs(sum(l_quantity)) from lineitem"
+    plan = engine.prepare(sql)
+    assert row_pipeline(plan, plan.root).fallback == \
+        "cannot compile aggregate expression node FunctionCall"
+    with pytest.raises(ExecutionError, match="cannot evaluate aggregate expression"):
+        engine.execute(plan)
+
+
+# ---------------------------------------------------------------------------
+# plan-owned state
+# ---------------------------------------------------------------------------
+
+
+def test_correlation_is_decided_at_plan_time(tpch_db):
+    engine = RowEngine(tpch_db)
+    correlated = engine.prepare(QUERIES[17])  # ... where p_partkey = l_partkey (outer)
+    assert not correlated.root.correlated
+    inner = [block for block in correlated.blocks.values() if block is not correlated.root]
+    assert [block.correlated for block in inner] == [True]
+    uncorrelated = engine.prepare(
+        "select count(*) from orders where o_totalprice > "
+        "(select avg(o_totalprice) from orders)")
+    assert [block.correlated for block in uncorrelated.blocks.values()] == [False, False]
+    # an uncorrelated subquery runs once per execution, a correlated one per outer row
+    assert engine.execute(uncorrelated).metrics.get("row.pipeline.generated") == 2
+    assert engine.execute(correlated).metrics.get("row.pipeline.generated") > 2
+
+
+# ---------------------------------------------------------------------------
+# observability of generated code
+# ---------------------------------------------------------------------------
+
+
+def test_traceback_shows_the_generated_line(tpch_db):
+    engine = RowEngine(tpch_db)
+    with pytest.raises(ExecutionError, match="division by zero") as caught:
+        engine.execute("select l_tax / (l_quantity - l_quantity) from lineitem")
+    frames = [frame for frame in traceback.extract_tb(caught.value.__traceback__)
+              if frame.filename.startswith("<rowpipe:")]
+    assert frames, "no generated frame in the traceback"
+    assert "_div(" in frames[-1].line
+    assert linecache.getline(frames[-1].filename, frames[-1].lineno).strip() == frames[-1].line
+
+
+def test_explain_exposes_structure_and_source(tpch_db):
+    engine = RowEngine(tpch_db)
+    (pipeline,) = engine.explain(QUERIES[3])["pipelines"]
+    assert pipeline["generated"] and pipeline["driving"] == "customer"
+    assert pipeline["builds"] == [{"source": "orders", "join": "hash on 1 key"},
+                                  {"source": "lineitem", "join": "hash on 1 key"}]
+    assert pipeline["fused"] == ["scan", "join", "aggregate"]
+    assert pipeline["source"].startswith("def pipeline(scans, interp):")
+    assert pipeline["interpreted"] == []
+    text = "\n".join(line for (line,) in engine.execute("explain " + QUERIES[3]).rows)
+    assert f"generated pipeline {pipeline['file']}" in text
+    assert "| def pipeline(scans, interp):" in text
+    hooked = engine.explain(QUERIES[4])["pipelines"][0]
+    assert len(hooked["interpreted"]) == 1 and hooked["interpreted"][0].startswith("exists")
+    interpreted = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False))
+    assert interpreted.explain(QUERIES[3])["pipelines"] == []
+
+
+def test_explain_analyze_marks_the_fused_operators(tpch_db):
+    result = RowEngine(tpch_db).execute(QUERIES[3], trace=True)
+    pipeline = result.trace.find("pipeline")
+    filename = pipeline.attributes["source"]
+    assert filename.startswith("<rowpipe:")
+    assert [child.name for child in pipeline.children] == ["join", "aggregate"]
+    for name in ("scan", "join", "aggregate"):
+        for span in result.trace.find_all(name):
+            assert span.attributes["fused"] == filename
+    scans = {span.attributes["source"]: span for span in result.trace.find_all("scan")}
+    assert scans["orders"].rows_in == tpch_db.row_count("orders")
+    assert scans["orders"].rows_out < scans["orders"].rows_in  # o_orderdate pushed down
+    join = result.trace.find("join")
+    assert join.attributes["build_rows"] == \
+        scans["orders"].rows_out + scans["lineitem"].rows_out
+    aggregate = result.trace.find("aggregate")
+    assert aggregate.rows_in == join.rows_out and aggregate.rows_out >= len(result.rows)
+    # the interpreter's spans claim their own time and say nothing of fusion
+    plain = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False)).execute(
+        QUERIES[3], trace=True)
+    assert plain.trace.find("pipeline") is None
+    assert "fused" not in plain.trace.find("join").attributes
+    assert plain.trace.find("join").rows_out == join.rows_out
