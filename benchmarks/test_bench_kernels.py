@@ -12,6 +12,10 @@ queries compare one generated function against the interpreter and must stay
 10x apart (see ``BENCH_kernels.json`` for the recorded speedups); Q6 on the
 column engine must keep ``KERNEL_BENCH_MIN_SPEEDUP`` (default 1.3x).
 
+The row engine's join access paths are gated on counts, not on a ratio of
+timings: a warm execution of Q9 probes storage key indexes and neither builds
+one nor fills a hash table (``join.index_builds`` / ``join.build_rows``).
+
 A run writes ``BENCH_kernels.json`` (into ``BENCH_ARTIFACT_DIR`` or the
 current directory) so CI can track the perf trajectory.
 """
@@ -76,6 +80,19 @@ def _frames_per_execution(engine, sql: str) -> int:
     engine.execute(plan)
     result = engine.execute(plan)
     return int(result.metrics.get("frame.materialisations"))
+
+
+def test_warm_joins_probe_indexes_and_build_nothing(tpch_db):
+    """Q9 joins five unfiltered base tables to a filtered ``part``: after the
+    first execution every one of them is a probe into an index storage kept."""
+    engine = _make_engine("row", tpch_db, COMPILED)
+    plan = engine.prepare(QUERIES[9])
+    engine.execute(plan)
+    for _ in range(2):
+        counters = engine.execute(plan).metrics
+        assert counters.get("join.build_rows") == 0
+        assert counters.get("join.index_builds") == 0
+        assert counters.get("join.index_probes") > 0
 
 
 def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once):

@@ -11,15 +11,20 @@ plan cache amortises compilation exactly like planning.
 
 * **Row pipelines** -- data-centric code generation.  :func:`compile_row_block`
   writes the source of one Python function per block and ``compile()``s it
-  into a :class:`RowPipeline`: one hash table per non-driving FROM item
-  (push-down predicates inlined in the build loop, a scalar key for
-  one-column joins), then a single loop nest in the plan's join order --
-  ``for r0 in scan0: if <push-down>: for r1 in h1.get(k, ()): ... <residual>
-  -> <accumulate | project>`` -- with one row variable per binding instead of
-  concatenated tuples, one running state list per group instead of value
-  lists, and integer row counters that are all a traced run needs.
-  :class:`_Source` emits the expressions as straight-line statements.  What it
-  cannot lower -- a subquery, a column of an outer block -- it hands to the
+  into a :class:`RowPipeline`: an access path per non-driving FROM item, then
+  a single loop nest in the plan's join order -- ``for r0 in scan0: if
+  <push-down>: for r1 in ix1(k, ()): ... <residual> -> <accumulate |
+  project>`` -- with one row variable per binding instead of concatenated
+  tuples, one running state list per group instead of value lists, and
+  integer row counters that are all a traced run needs.  A base table joined
+  on equality keys is probed through the key index storage owns
+  (:meth:`StorageTable.key_index`, a scalar key for one-column joins), its
+  push-down predicates inlined in the probe loop; a hash table is built per
+  execution (push-down inlined in the build loop) only over a derived table,
+  or over a filtered base table when nothing upstream is filtered -- see
+  :func:`_probes_index`.  :class:`_Source` emits the expressions as
+  straight-line statements.  A column of an enclosing block is bound once per
+  run (``outers``).  What cannot be lowered -- a subquery -- goes to the
   interpreter *per subexpression*, from inside the generated loop (the
   ``interp`` hook).  :func:`compile_row_kernel` is the same generator pointed
   at one expression (``fn(row) -> value``).
@@ -317,6 +322,8 @@ class _Source:
         self.cols: tuple[Any, list[str], str | None] = (Layout([]), [], None)
         #: (expression, layout) pairs evaluated through the interpreter hook.
         self.interpreted: list[tuple[ast.Expression, Any]] = []
+        #: the local each column of an enclosing block is bound to (see _outer_key).
+        self.outers: dict[tuple[str, str], str] = {}
         #: memo entries in insertion order, so a failed lowering can be undone.
         self.journal: list[tuple[dict[str, str], str]] = []
         #: (call, final value) per aggregate call, while finalising a group.
@@ -433,7 +440,10 @@ class _Source:
         layout, slots, _ = self.cols
         position = layout.position(ref)
         if position is None:
-            raise CompileFallback(f"column '{ref.qualified}' is not local")
+            name = self.outers.get(_outer_key(ref))
+            if name is None:
+                raise CompileFallback(f"column '{ref.qualified}' is not local")
+            return _Val(name, (name,))
         slot = slots[position]
         name = self._memo(slot)
         if name is None:
@@ -681,17 +691,34 @@ def compile_row_kernel(expression: ast.Expression, layout) -> Callable[[tuple], 
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class IndexProbe:
+    """A join side read through a storage key index instead of a scan."""
+
+    table: str
+    #: the key columns, by name and by position in the table's rows.
+    columns: tuple[str, ...]
+    positions: tuple[int, ...]
+
+    def describe(self) -> str:
+        return f"index {self.table}({', '.join(self.columns)})"
+
+
 @dataclass
 class RowPipeline:
     """One planned block lowered to a single generated function (row engine).
 
-    ``run(scans, interp)`` takes the row list of every FROM item (FROM order)
-    and the interpreter hook ``interp(index, row)`` for the expressions in
-    ``interpreted``; it returns ``(rows, counts)`` with ``counts = (rows out of
-    each scan, rows at each join level, rows past the residual filter)``.
-    ``rows`` is None for the empty global group, which keeps the
-    interpreter's semantics.  ``run`` is None when the whole block stays on
-    the interpreter (``fallback`` says why).
+    ``run(scans, indexes, outers, interp)`` takes, per FROM item, the row
+    list it scans or the key index it probes (None in the other list; see
+    ``probes``), the values of ``outer_refs`` and the interpreter hook
+    ``interp(index, row)`` for the expressions in ``interpreted``.  Indexes
+    are arguments, never constants of the function: storage drops them on a
+    mutation, and a cached plan must see the next ones.  It returns ``(rows, counts)`` with ``counts = (rows read from each
+    FROM item, rows of it past its push-down, rows at each join level, rows
+    past the residual filter)``; an item read through an index counts the rows
+    its probes reached.  ``rows`` is None for the empty global group, which
+    keeps the interpreter's semantics.  ``run`` is None when the whole block
+    stays on the interpreter (``fallback`` says why).
     """
 
     #: registered in ``linecache`` as ``run.__code__.co_filename`` (``<rowpipe:N>``).
@@ -702,6 +729,12 @@ class RowPipeline:
     interpreted: list = field(default_factory=list)
     #: the joined columns, in join order.
     columns: list = field(default_factory=list)
+    #: per FROM item: the storage index it is probed through (None = scanned).
+    probes: list[IndexProbe | None] = field(default_factory=list)
+    #: the FROM items a hash table (or filtered list) is built over per execution.
+    builds: list[int] = field(default_factory=list)
+    #: the enclosing blocks' columns bound once per run, in ``outers`` order.
+    outer_refs: list = field(default_factory=list)
     fallback: str | None = None
 
 
@@ -745,6 +778,26 @@ def _tuple(parts: list[str]) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
+def _outer_key(ref: ast.ColumnRef) -> tuple[str, str]:
+    """What tells two references to enclosing blocks' columns apart."""
+    return (ref.table or "").lower(), ref.name.lower()
+
+
+def _probes_index(item: ast.TableExpression, keyed: bool, filtered: bool,
+                  upstream_filtered: bool) -> bool:
+    """Whether a join side is read through a storage key index.
+
+    Only a base table joined on equality keys can be.  Unfiltered, it always
+    is: the table a build loop would fill *is* the index.  With push-down
+    predicates of its own it is when a level before it in the join order
+    carries some too -- the probes then reach a fraction of its rows and the
+    inlined guards run on those alone, where a build runs them on every row.
+    Under an unfiltered upstream the probes reach every row anyway (a
+    many-to-one join reaches it repeatedly), so the filtered build stays.
+    """
+    return keyed and isinstance(item, ast.TableRef) and (not filtered or upstream_filtered)
+
+
 def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
     select = block.select
     # a derived table's columns are typed "str" by the planner for want of
@@ -758,25 +811,30 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
     pushdown = [_item_pushdown(block, columns) for columns in items]
     order = [step.frame_index for step in block.join_order]
     src = _Source()
+    # a column an enclosing block resolves is constant while the function runs
+    outer_refs = {_outer_key(ref): ref for ref in block.outer_refs}
+    src.outers = {key: f"o{number}" for number, key in enumerate(outer_refs)}
+    if outer_refs:
+        src.emit(f"{_tuple(list(src.outers.values()))} = outers")
 
     def scan_guards(index: int) -> None:
         src.cols = (layouts[index], slots[index], f"r{index}")
         for predicate in pushdown[index]:
             src.guard(predicate)
 
-    # build sides: one hash table (or filtered list) per non-driving FROM item,
-    # push-down predicates inlined in the build loop.
-    for index in range(len(items)):
-        src.emit(f"s{index} = scans[{index}]")
-    scanned = [f"b{index}" if pushdown[index] else f"len(s{index})"
-               for index in range(len(items))]
-    headers: list[str] = []
-    #: per join level: what the rows joined so far resolve in (see _Source.cols)
+    def key(parts: list[str]) -> str:
+        return parts[0] if len(parts) == 1 else _tuple(parts)
+
+    # per join level: the key on either side, and what the rows joined so far
+    # resolve in (see _Source.cols).
+    keys: list[tuple[list[str], list[int]]] = []
     joined: list[tuple[Layout, list[str], str]] = [(Layout([]), [], "()")]
+    probes: list[IndexProbe | None] = [None] * len(items)
+    upstream_filtered = False
     for level, step in enumerate(block.join_order):
-        index, table = step.frame_index, f"h{step.frame_index}"
+        index = step.frame_index
         probe: list[str] = []
-        build: list[str] = []
+        build: list[int] = []
         if level and hash_joins:
             left, right = joined[-1][0], layouts[index]
             for left_ref, right_ref, _ in step.connecting:
@@ -785,8 +843,37 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
                 if left.position(left_ref) is None or right.position(right_ref) is None:
                     raise CompileFallback("unresolvable join key")
                 probe.append(joined[-1][1][left.position(left_ref)])
-                build.append(slots[index][right.position(right_ref)])
+                build.append(right.position(right_ref))
+        keys.append((probe, build))
+        item = select.from_items[index]
+        if _probes_index(item, bool(build), bool(pushdown[index]), upstream_filtered):
+            probes[index] = IndexProbe(
+                item.name, tuple(items[index][position].name for position in build),
+                tuple(build))
+        upstream_filtered = upstream_filtered or bool(pushdown[index])
+        joined.append((Layout(joined[-1][0].columns + items[index]),
+                       joined[-1][1] + slots[index],
+                       " + ".join(f"r{item}" for item in order[:level + 1])))
+
+    # access paths: a storage index to probe, or the rows to scan -- and, for
+    # a scanned join side, one hash table (or filtered list) per execution,
+    # push-down predicates inlined in the build loop.
+    for index, probe in enumerate(probes):
+        src.emit(f"s{index} = scans[{index}]" if probe is None
+                 else f"ix{index} = indexes[{index}].get")
+    visited = [f"len(s{index})" for index in range(len(items))]
+    scanned = [f"b{index}" if pushdown[index] else f"len(s{index})"
+               for index in range(len(items))]
+    headers: list[str] = []
+    builds: list[int] = []
+    for level, step in enumerate(block.join_order):
+        index, table = step.frame_index, f"h{step.frame_index}"
+        probe, build = keys[level]
+        if probes[index] is not None:
+            headers.append(f"for r{index} in ix{index}({key(probe)}, ()):")
+            continue
         if level and (build or pushdown[index]):
+            builds.append(index)
             src.emit(f"{table} = {'{}' if build else '[]'}")
             if pushdown[index]:
                 src.emit(f"b{index} = 0")
@@ -795,7 +882,7 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
                 if pushdown[index]:
                     src.emit(f"b{index} += 1")
                 if build:
-                    src.emit(f"k = {build[0] if len(build) == 1 else _tuple(build)}")
+                    src.emit(f"k = {key([slots[index][position] for position in build])}")
                     src.emit("if k is None: continue" if len(build) == 1
                              else "if None in k: continue")
                     src.emit(f"m = {table}.get(k)")
@@ -805,19 +892,16 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
                     src.emit(f"{table}.append(r{index})")
         if build:
             src.emit(f"m{index} = {table}.get")
-            headers.append(f"for r{index} in m{index}("
-                           f"{probe[0] if len(probe) == 1 else _tuple(probe)}, ()):")
+            headers.append(f"for r{index} in m{index}({key(probe)}, ()):")
         elif level:
             headers.append(f"for r{index} in {table if pushdown[index] else f's{index}'}:")
         else:
             headers.append(f"for r{index} in s{index}:")
-        joined.append((Layout(joined[-1][0].columns + items[index]),
-                       joined[-1][1] + slots[index],
-                       " + ".join(f"r{item}" for item in order[:level + 1])))
 
     # the loop nest: driving scan, then one probe per join step.
     counters = [f"n{level}" for level in range(len(order))
-                if level or pushdown[order[0]]] + (["nf"] if block.residual else [])
+                if level or pushdown[order[0]]] + (["nf"] if block.residual else []) \
+        + [f"v{index}" for index, probe in enumerate(probes) if probe and pushdown[index]]
     if counters:
         src.emit(" = ".join(counters) + " = 0")
     if not block.needs_aggregation:
@@ -835,6 +919,13 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
             scan_guards(index)
             if pushdown[index]:
                 scanned[index] = "n0"
+        elif probes[index] is not None:
+            # rows in = the rows the probes reached, rows out = those past the guards
+            visited[index] = scanned[index] = f"n{level}"
+            if pushdown[index]:
+                visited[index] = f"v{index}"
+                src.emit(f"v{index} += 1")
+                scan_guards(index)
         elif not hash_joins:
             src.cols = joined[level + 1]
             for _, _, conjunct in block.join_order[level].connecting:
@@ -850,7 +941,7 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         src.guard(predicate)
     if block.residual:
         src.emit("nf += 1")
-    counts = (f"([{', '.join(scanned)}], [{', '.join(levels)}], "
+    counts = (f"([{', '.join(visited)}], [{', '.join(scanned)}], [{', '.join(levels)}], "
               f"{'nf' if block.residual else levels[-1]})")
 
     if block.needs_aggregation:
@@ -868,8 +959,9 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         src.emit(f"push({_tuple(values)})")
         src.close(len(levels))
         src.emit(f"return out, {counts}")
-    return RowPipeline(*src.function("pipeline", "scans, interp"), hash_joins,
-                       src.interpreted, joined[-1][0].columns)
+    return RowPipeline(*src.function("pipeline", "scans, indexes, outers, interp"), hash_joins,
+                       src.interpreted, joined[-1][0].columns, probes, builds,
+                       list(outer_refs.values()))
 
 
 def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: int,

@@ -118,6 +118,17 @@ class Database:
         """
         return self.storage(name).rows()
 
+    def key_index(self, name: str, columns: Sequence[str]) -> dict:
+        """Rows of table ``name`` by their key in ``columns`` (NULL keys left out).
+
+        The key is a scalar for one column and a tuple for several.  The
+        index lives in the storage table until the next mutation, like the
+        row view it references; treat it as read-only.
+        """
+        table = self.storage(name)
+        return table.key_index(tuple(table.schema.column_index(column)
+                                     for column in columns))
+
     def columnar(self, name: str, typed_nulls: bool = True) -> ColumnarTable:
         """Return (building and caching if needed) the column view of ``name``.
 
@@ -156,14 +167,22 @@ class Database:
         return self.catalog.table_names()
 
     def size_summary(self) -> dict[str, dict]:
-        """Per-table storage summary (rows, chunks, bytes, compression).
+        """Per-table storage summary (rows, chunks, bytes, compression, indexes).
 
         Derived from the aggregated storage statistics -- the experiment
         documentation path prints this so runs record the data layout they
-        measured against.
+        measured against.  ``indexes`` lists the key indexes alive right now:
+        their columns, distinct keys and indexed (non-NULL-keyed) rows.
         """
-        return {name: self.storage(name).statistics().describe()
-                for name in self.table_names()}
+        summary = {}
+        for name in self.table_names():
+            table = self.storage(name)
+            columns = table.schema.columns
+            summary[name] = {**table.statistics().describe(), "indexes": [
+                {"columns": [columns[position].name for position in positions],
+                 "keys": len(index), "rows": sum(map(len, index.values()))}
+                for positions, index in table.key_indexes().items()]}
+        return summary
 
     def __contains__(self, name: str) -> bool:
         return name in self.catalog

@@ -57,10 +57,10 @@ class EngineOptions:
     compile_expressions:
         Lower each prepared plan once instead of walking the AST with the
         recursive interpreter per row / per operator: on the row engine one
-        generated Python function per query block (hash builds, the join
-        loop nest, filters and aggregation fused), on the column engine
-        column kernels.  Either is cached on the :class:`QueryPlan`, so the
-        plan cache amortises compilation.
+        generated Python function per query block (index probes or hash
+        builds, the join loop nest, filters and aggregation fused), on the
+        column engine column kernels.  Either is cached on the
+        :class:`QueryPlan`, so the plan cache amortises compilation.
     selection_vectors:
         Column engine only: scans and residual predicates refine an ``int64``
         selection index that flows through joins, grouping and projection,
@@ -277,8 +277,10 @@ class Engine:
             lines.append(f"{header}generated pipeline {pipeline['file']}, "
                          f"{' + '.join(pipeline['fused'])} fused over "
                          f"{pipeline['driving'] or 'one empty row'}")
-            lines += [f"  build {build['source']}: {build['join']}"
-                      for build in pipeline["builds"]]
+            lines += [f"  join {side['source']}: {side['join']}"
+                      f"{', built per execution' if side['built'] else ''}"
+                      for side in pipeline["joins"]]
+            lines += [f"  bound once per run: {name}" for name in pipeline["hoisted"]]
             lines += [f"  interpreted per row: {text}" for text in pipeline["interpreted"]]
             lines += [f"  | {line}" for line in pipeline["source"].splitlines()]
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines],

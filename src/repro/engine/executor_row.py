@@ -7,16 +7,18 @@ A block runs one of two ways:
 
 * **Generated pipeline** (``compile_expressions=True``, the default).  The
   block's :class:`~repro.engine.compile.RowPipeline` -- one Python function
-  generated from the plan and cached on it -- gets the row list of every FROM
-  item and does the rest in one pass: hash builds with the push-down
-  predicates inlined, one loop nest over the driving scan and the probes, the
-  residual predicates, then grouping with running accumulators or the
-  projection.  No joined tuple and no per-group value list is materialised.
-  The executor fetches the inputs (a base table is the storage layer's cached
-  row view; derived tables and explicit JOINs are executed into row lists),
-  lends the function an interpreter hook for the subexpressions it could not
-  lower (a subquery, an outer column), and turns its integer counters into the
-  ``scan`` / ``join`` / ``filter`` / ``aggregate`` spans of a traced run.
+  generated from the plan and cached on it -- gets its inputs and does the
+  rest in one pass: one loop nest over the driving scan and the probes, the
+  push-down and residual predicates, then grouping with running accumulators
+  or the projection.  No joined tuple and no per-group value list is
+  materialised.  The executor fetches the inputs per run -- a scanned base
+  table is the storage layer's cached row view, a probed one its key index
+  (:meth:`Database.key_index`), derived tables and explicit JOINs are executed
+  into row lists -- looks up the columns of enclosing blocks the function
+  binds once, lends it an interpreter hook for the subexpressions it could not
+  lower (a subquery), and turns its integer counters into the ``join.*``
+  counters and the ``scan`` / ``join`` / ``filter`` / ``aggregate`` spans of a
+  traced run.
 * **Interpreter** (``compile_expressions=False``, a block outside the prepared
   plan, or one the generator declined because the interpreter would refuse it
   too).  Frames are materialised operator by operator -- scan + push-down,
@@ -31,13 +33,15 @@ correlated subqueries re-execute per outer row, uncorrelated ones once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
-from repro.engine.compile import Layout, RowPipeline, row_pipeline
+from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
 from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
 from repro.engine.planner import ColumnInfo
+from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
 from repro.obs import NULL_SPAN, QueryTrace, Span
 from repro.obs.metrics import count as count_metric
@@ -63,37 +67,40 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
     if pipeline.run is None:
         return {"output": list(block.output_names), "generated": False,
                 "fallback": pipeline.fallback}
-    sources = [scan_source(block.select.from_items[step.frame_index])
-               for step in block.join_order]
+    items = [block.select.from_items[step.frame_index] for step in block.join_order]
+    sources = [scan_source(item) for item in items]
+
+    def join(step: JoinStep) -> str:
+        probe = pipeline.probes[step.frame_index]
+        if probe is not None:
+            return probe.describe()
+        if pipeline.hash_joins and step.connecting:
+            return f"hash on {len(step.connecting)} key{'s' if len(step.connecting) != 1 else ''}"
+        return "nested loop"
+
     return {
         "output": list(block.output_names),
         "generated": True,
         "file": pipeline.run.__code__.co_filename,
         "driving": sources[0] if sources else None,
-        "builds": [{"source": source,
-                    "join": f"hash on {len(step.connecting)} key"
-                            f"{'s' if len(step.connecting) != 1 else ''}"
-                    if pipeline.hash_joins and step.connecting else "nested loop"}
-                   for source, step in zip(sources[1:], block.join_order[1:])],
+        # "table": the base table (None for a derived one); "built": a hash
+        # table (or filtered list) is filled per execution
+        "joins": [{"source": source, "join": join(step),
+                   "table": item.name if isinstance(item, ast.TableRef) else None,
+                   "built": step.frame_index in pipeline.builds,
+                   "filtered": any(block.pushdown.get(column.binding.lower())
+                                   for column in block.item_columns[step.frame_index])}
+                  for source, item, step in zip(sources[1:], items[1:], block.join_order[1:])],
         "fused": ["scan"] + ["join"] * (len(sources) > 1) + ["filter"] * bool(block.residual)
         + ["aggregate" if block.needs_aggregation else "project"],
         "interpreted": [to_sql(expression) for expression, _ in pipeline.interpreted],
+        "hoisted": [ref.qualified for ref in pipeline.outer_refs],
         "source": pipeline.source,
     }
 
 
-def _hash_table(rows: list[tuple], positions: list[int]) -> dict[tuple, list[tuple]]:
-    """Build side of a hash join: rows by key, NULL-keyed rows left out.
-
-    ``NULL = anything`` is UNKNOWN, so a row with a NULL in any key column
-    can match nothing; probes with such a key find no entry either.
-    """
-    table: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        key = tuple(row[position] for position in positions)
-        if None not in key:
-            table.setdefault(key, []).append(row)
-    return table
+#: what a reference to an enclosing block's column is looked up from.
+_NO_COLUMNS = Layout([])
 
 
 @dataclass
@@ -159,15 +166,18 @@ class RowExecutor:
             return NULL_SPAN
         return trace.span(name, **attributes)
 
-    def _scan_span(self, item: ast.TableExpression):
+    def _scan_span(self, item: ast.TableExpression, probe: IndexProbe | None = None):
         """The ``scan`` span of one FROM item (the no-op span when not tracing)."""
         if self._trace is None:
             return NULL_SPAN
-        chunks = {}
-        if isinstance(item, ast.TableRef):  # the row engine reads every chunk
-            chunks = {"chunks_scanned": len(self.database.storage(item.name).chunks),
-                      "chunks_skipped": 0}
-        return self._trace.span("scan", source=scan_source(item), **chunks)
+        if probe is not None:
+            attributes = {"access": "index", "index": probe.describe()}
+        elif isinstance(item, ast.TableRef):  # a row-engine scan reads every chunk
+            attributes = {"chunks_scanned": len(self.database.storage(item.name).chunks),
+                          "chunks_skipped": 0}
+        else:
+            attributes = {}
+        return self._trace.span("scan", source=scan_source(item), **attributes)
 
     # -- public API -----------------------------------------------------------
 
@@ -254,32 +264,55 @@ class RowExecutor:
                       outer: "_RowEnv | None") -> list[tuple]:
         """Fetch the block's inputs and run its generated function over them."""
         select, trace = block.select, self._trace
-        scans: list[list[tuple]] = []
+        probes = pipeline.probes
+        scans: list[list[tuple] | None] = []
+        indexes: list[dict | None] = []
         scan_spans = []
-        for item in select.from_items:
-            with self._scan_span(item) as span:
-                # base tables hand out the storage layer's cached row view
-                scans.append(self.database.rows(item.name) if isinstance(item, ast.TableRef)
-                             else self._materialise(item, outer).rows)
+        for item, probe in zip(select.from_items, probes):
+            with self._scan_span(item, probe) as span:
+                if probe is not None:
+                    # fetched per run: storage drops an index when the table changes
+                    index = self.database.storage(probe.table).key_index(probe.positions)
+                    rows = None
+                else:
+                    # base tables hand out the storage layer's cached row view
+                    index = None
+                    rows = self.database.rows(item.name) if isinstance(item, ast.TableRef) \
+                        else self._materialise(item, outer).rows
+            scans.append(rows)
+            indexes.append(index)
             scan_spans.append(span)
+        outers = ()
+        if pipeline.outer_refs:
+            env = _RowEnv(self, _NO_COLUMNS, (), outer)
+            outers = [env.lookup(ref) for ref in pipeline.outer_refs]
 
         def interp(index: int, row: tuple) -> Any:
             expression, layout = pipeline.interpreted[index]
             return evaluate(expression, _RowEnv(self, layout, row, outer))
 
         with self._span("pipeline") as span:
-            rows, counts = pipeline.run(scans, interp)
+            rows, counts = pipeline.run(scans, indexes, outers, interp)
             if rows is None:
                 # the empty global group keeps the interpreter's semantics
                 # (non-aggregate subexpressions evaluate to NULL).
                 rows = self._aggregate(select, RowFrame(pipeline.columns, []), outer)
+            _, scanned, levels, _ = counts
+            build_rows = sum(scanned[position] for position in pipeline.builds)
+            if build_rows:
+                count_metric("join.build_rows", build_rows)
+            # one probe per row that reached the level above the probed side
+            index_probes = sum(levels[level - 1] for level, step in enumerate(block.join_order)
+                               if probes[step.frame_index] is not None)
+            if index_probes:
+                count_metric("join.index_probes", index_probes)
             if trace is not None:
-                self._fused_spans(span, pipeline.run.__code__.co_filename, block, scans,
-                                  scan_spans, counts, len(rows))
+                self._fused_spans(span, pipeline.run.__code__.co_filename, block,
+                                  scan_spans, counts, build_rows, len(rows))
         return rows
 
     def _fused_spans(self, parent: Span, fused: str, block: BlockPlan,
-                     scans: list[list[tuple]], scan_spans: list[Span], counts: tuple,
+                     scan_spans: list[Span], counts: tuple, build_rows: int,
                      rows_out: int) -> None:
         """Operator spans of a generated pipeline, from its row counters.
 
@@ -287,17 +320,17 @@ class RowExecutor:
         span covers the pipeline's window and names the generated source it
         is ``fused`` into instead of claiming a time of its own.
         """
-        scanned, levels, passed = counts
+        visited, scanned, levels, passed = counts
         parent.set(source=fused)  # "<rowpipe:N>", the name its source has in linecache
-        for span, rows, kept in zip(scan_spans, scans, scanned):
-            span.set(rows_in=len(rows), rows_out=kept, fused=fused)
+        for span, rows, kept in zip(scan_spans, visited, scanned):
+            span.set(rows_in=rows, rows_out=kept, fused=fused)
         operators = [("aggregate" if block.needs_aggregation else "project",
                       passed, rows_out, {})]
         if block.residual:
             operators.insert(0, ("filter", levels[-1], passed, {}))
         if len(levels) > 1:
-            build = sum(scanned[step.frame_index] for step in block.join_order[1:])
-            operators.insert(0, ("join", sum(levels[:-1]), levels[-1], {"build_rows": build}))
+            operators.insert(0, ("join", sum(levels[:-1]), levels[-1],
+                                 {"build_rows": build_rows}))
         for name, rows_in, rows_out, attributes in operators:
             span = Span(name)
             span.started = parent.started
@@ -413,13 +446,11 @@ class RowExecutor:
         rows: list[tuple] = []
 
         if equi and self.hash_joins:
-            right_positions = [right.position(ref) for _, ref in equi]
-            left_positions = [left.position(ref) for ref, _ in equi]
-            table = _hash_table(right.rows, right_positions)
+            table = hash_rows(right.rows, tuple(right.position(ref) for _, ref in equi))
+            key_of = itemgetter(*(left.position(ref) for ref, _ in equi))
             for left_row in left.rows:
-                key = tuple(left_row[position] for position in left_positions)
                 matched = False
-                for right_row in table.get(key, ()):
+                for right_row in table.get(key_of(left_row), ()):
                     candidate = left_row + right_row
                     if self._passes(residual, combined, candidate, outer):
                         rows.append(candidate)

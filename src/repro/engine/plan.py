@@ -146,10 +146,19 @@ class BlockPlan:
     output_names: list[str]
     #: True when the block needs the grouping/aggregation path.
     needs_aggregation: bool
-    #: True when some column in the block (nested blocks included) does not
-    #: resolve against its own FROM items: run as a subquery, its result
-    #: depends on the outer row and cannot be cached across rows.
-    correlated: bool = False
+    #: the column references of the block, nested blocks included, that no
+    #: block from the referencing one up to this one resolves (ORDER BY items
+    #: name output columns and are not among them).
+    free_refs: list[ast.ColumnRef] = field(default_factory=list)
+    #: the block's own references that an enclosing block resolves: constant
+    #: for as long as the block runs once.
+    outer_refs: list[ast.ColumnRef] = field(default_factory=list)
+
+    @property
+    def correlated(self) -> bool:
+        """True when, run as a subquery, the block's result depends on the
+        outer row and cannot be cached across rows."""
+        return bool(self.free_refs)
 
     def describe(self) -> dict:
         """Compact, JSON-friendly description (used by ``Engine.explain``)."""
@@ -293,10 +302,6 @@ class Planner:
         output_names = output_columns(select, output_scope)
         needs_aggregation = (bool(select.group_by) or select.having is not None
                              or select.has_aggregates())
-        local = _ColumnSet(local_columns)
-        correlated = any(isinstance(node, ast.ColumnRef) and not local.has(node)
-                         for node in select.walk())
-
         block = BlockPlan(
             select=select,
             item_columns=item_columns,
@@ -307,7 +312,6 @@ class Planner:
             join_order=join_order,
             output_names=output_names,
             needs_aggregation=needs_aggregation,
-            correlated=correlated,
         )
         blocks[id(select)] = block
 
@@ -316,6 +320,24 @@ class Planner:
         for expression in self._block_expressions(select):
             for subselect in _direct_subselects(expression):
                 self._plan_block(subselect, scope, blocks)
+
+        # ORDER BY items resolve to output columns (order_positions), never
+        # against a row, so an alias there is not an outer reference.
+        local = _ColumnSet(local_columns)
+        for part in select.children():
+            if isinstance(part, ast.OrderItem):
+                continue
+            for node in ast.walk_local(part):
+                if isinstance(node, ast.ColumnRef) and not local.has(node):
+                    block.free_refs.append(node)
+                    if outer_scope is not None and outer_scope.is_visible(node):
+                        block.outer_refs.append(node)
+                for child in node.children():
+                    if isinstance(child, ast.Select):
+                        # a derived table sees this block's outer scope, not its columns
+                        block.free_refs += [
+                            ref for ref in self._plan_block(child, scope, blocks).free_refs
+                            if isinstance(node, ast.SubqueryRef) or not local.has(ref)]
         return block
 
     def _order_pushdown(self, binding: str, predicates: list[ast.Expression],

@@ -88,6 +88,14 @@ class Scope:
             outer = outer.outer
         raise PlanError(f"unknown column '{ref.qualified}'")
 
+    def is_visible(self, ref: ast.ColumnRef) -> bool:
+        """True when ``ref`` resolves in this scope or an outer one."""
+        try:
+            self.resolve(ref)
+        except PlanError:
+            return False
+        return True
+
     def is_local(self, ref: ast.ColumnRef) -> bool:
         """True when ``ref`` resolves in this scope (not an outer one)."""
         return self.resolve_local(ref) is not None

@@ -14,7 +14,7 @@ from repro.engine.storage.chunk import Chunk
 from repro.engine.storage.segment import ColumnSegment, Dictionary, build_segment
 from repro.engine.storage.skipping import ZoneIndex, estimate_selectivity
 from repro.engine.storage.stats import ColumnStatistics, TableStatistics, ZoneMap
-from repro.engine.storage.table import DEFAULT_CHUNK_ROWS, StorageTable
+from repro.engine.storage.table import DEFAULT_CHUNK_ROWS, StorageTable, hash_rows
 
 __all__ = [
     "Chunk",
@@ -28,4 +28,5 @@ __all__ = [
     "ZoneMap",
     "build_segment",
     "estimate_selectivity",
+    "hash_rows",
 ]

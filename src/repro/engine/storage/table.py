@@ -4,15 +4,17 @@ A :class:`StorageTable` is the single source of truth both engines read:
 appended rows are sealed into fixed-size chunks (default 4096 rows) of typed
 :class:`~repro.engine.storage.segment.ColumnSegment` objects, and every view
 -- the row executor's row tuples, the column executor's whole-column arrays,
-the dictionary code vectors, the zone-map index, the table statistics -- is
-derived (and cached) from those segments.  Mutations bump ``version`` and
-drop the caches, so stale views can never leak across inserts or re-creates.
+the dictionary code vectors, the zone-map index, the table statistics, the
+key indexes the row engine's joins probe -- is derived (and cached) from those
+segments.  Mutations bump ``version`` and drop the caches, so stale views can
+never leak across inserts or re-creates.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from repro.engine.storage.chunk import Chunk
 from repro.engine.storage.memo import IdentityMemo
 from repro.engine.storage.segment import ColumnSegment, Dictionary, build_segment
 from repro.engine.storage.stats import ColumnStatistics, TableStatistics, ZoneMap
+from repro.obs.metrics import count as count_metric
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (catalog is runtime-free here)
     from repro.engine.catalog import TableSchema
@@ -31,6 +34,29 @@ DEFAULT_CHUNK_ROWS = 4096
 #: columnar dtype of the NULL-free whole-column view, per logical type.
 _EMPTY_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_,
                  "date": np.int64}
+
+
+def hash_rows(rows: Iterable[tuple], positions: tuple[int, ...]) -> dict:
+    """Build side of an equi-join: the rows by key, NULL-keyed rows left out.
+
+    The key is the value itself for one position and a tuple for several.
+    ``NULL = anything`` is UNKNOWN, so a row with a NULL in any key column can
+    match nothing; a probe with such a key finds no entry either.  Key
+    equality is ``dict`` equality (``1 == 1.0 == True``).
+    """
+    key_of = itemgetter(*positions)
+    several = len(positions) > 1
+    table: dict = {}
+    for row in rows:
+        key = key_of(row)
+        if (None in key) if several else (key is None):
+            continue
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [row]
+        else:
+            bucket.append(row)
+    return table
 
 
 class StorageTable:
@@ -58,6 +84,7 @@ class StorageTable:
         self._rows_cache: list[tuple] | None = None
         self._stats_cache: TableStatistics | None = None
         self._zone_index: "ZoneIndex | None" = None
+        self._key_indexes: dict[tuple[int, ...], dict] = {}
         # guards the tail seal and the lazily-built cached views: concurrent
         # readers (batched driver threads, morsel workers) must observe a
         # fully-built chunk list / index, never a partially-sealed tail.
@@ -99,6 +126,7 @@ class StorageTable:
         self._rows_cache = None
         self._stats_cache = None
         self._zone_index = None
+        self._key_indexes = {}
 
     # -- row views ---------------------------------------------------------------
 
@@ -119,6 +147,25 @@ class StorageTable:
             if self._rows_cache is None:
                 self._rows_cache = list(self.iter_rows())
             return self._rows_cache
+
+    def key_index(self, positions: tuple[int, ...]) -> dict:
+        """The cached rows by their key in the columns at ``positions``.
+
+        A :func:`hash_rows` table over :meth:`rows` -- it references the
+        cached tuples, it does not copy them -- built on first use and
+        dropped by the next mutation.  Treat it as read-only.
+        """
+        with self._lock:
+            index = self._key_indexes.get(positions)
+            if index is None:
+                index = self._key_indexes[positions] = hash_rows(self.rows(), positions)
+                count_metric("join.index_builds")
+            return index
+
+    def key_indexes(self) -> dict[tuple[int, ...], dict]:
+        """The live key indexes by column positions (a copy of the registry)."""
+        with self._lock:
+            return dict(self._key_indexes)
 
     # -- column views --------------------------------------------------------------
 

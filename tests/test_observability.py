@@ -331,8 +331,16 @@ class TestKeyKernelCounters:
             trace=True)
         span = result.trace.find("join")
         assert span.rows_in == tpch_db.row_count("orders")
-        assert span.attributes["build_rows"] == tpch_db.row_count("lineitem")
         assert span.rows_out == tpch_db.row_count("lineitem") == result.scalar()
+        if engine_cls is ColumnEngine:
+            assert span.attributes["build_rows"] == tpch_db.row_count("lineitem")
+        else:
+            # the row engine builds nothing: it probes storage's lineitem(l_orderkey)
+            assert span.attributes["build_rows"] == 0
+            probed = result.trace.find_all("scan")[1]
+            assert probed.attributes["access"] == "index"
+            assert probed.rows_in == probed.rows_out == tpch_db.row_count("lineitem")
+            assert result.metrics.get("join.index_probes") == span.rows_in
 
     def test_explain_analyze_shows_kernel_rows(self, tpch_db):
         result = ColumnEngine(tpch_db).execute("explain analyze " + QUERIES[3])
@@ -383,12 +391,15 @@ class TestPlatformMetrics:
         service, contributor, experiment = self._service_with_results()
         task = service.next_task(contributor, experiment)
         counters = {"join.kernel_rows": 120, "group.fallback_rows": 7,
-                    "scan.chunks_scanned": 3, "join.fallback_rows": "many"}
+                    "scan.chunks_scanned": 3, "join.fallback_rows": "many",
+                    "join.index_probes": 40, "join.index_builds": 2, "join.build_rows": 9}
         service.submit_result(contributor, task, times=[0.05],
                               extras={"profile": {"counters": counters}})
         snapshot = service.metrics.snapshot()["counters"]
         assert snapshot["engine.join.kernel_rows"] == 120
         assert snapshot["engine.group.fallback_rows"] == 7
+        assert (snapshot["engine.join.index_probes"], snapshot["engine.join.index_builds"],
+                snapshot["engine.join.build_rows"]) == (40, 2, 9)
         assert not any(name.startswith("engine.scan") or name == "engine.join.fallback_rows"
                        for name in snapshot)
 

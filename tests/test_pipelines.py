@@ -6,6 +6,9 @@
 * every query the platform benchmarks (TPC-H Q1, the ``q1-pool`` variants,
   the nine ``tpch-mix`` texts) runs on generated pipelines only and returns
   the interpreter's rows;
+* access paths: which join sides probe a storage key index and which are
+  built per execution, and that a cached plan follows the table's mutations;
+* plan-owned state: correlation, and outer columns bound once per run;
 * what a pipeline shows of itself: source in ``linecache``, structure in
   ``explain``, fused operators in ``EXPLAIN ANALYZE``.
 """
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import populate_tpch
 from repro.engine import Database, EngineOptions, RowEngine
 from repro.engine.compile import Layout, compile_row_kernel, row_pipeline
 from repro.engine.expression import evaluate
@@ -262,9 +266,16 @@ def test_toggles_are_emitted_not_interpreted(tpch_db, number, options):
     reference = RowEngine(tpch_db, options=EngineOptions(
         compile_expressions=False, hash_joins=options.hash_joins,
         predicate_pushdown=options.predicate_pushdown))
-    result = RowEngine(tpch_db, options=options).execute(QUERIES[number])
+    engine = RowEngine(tpch_db, options=options)
+    result = engine.execute(QUERIES[number])
     assert result.rows == reference.execute(QUERIES[number]).rows
     assert result.metrics.get("row.pipeline.interpreted_blocks") == 0
+    sides = [side for pipeline in engine.explain(QUERIES[number])["pipelines"]
+             for side in pipeline["joins"]]
+    if not options.hash_joins:  # no key, nothing to probe an index with
+        assert {side["join"] for side in sides} <= {"nested loop"}
+    else:  # nothing is pushed down, so every keyed base-table side is unfiltered
+        assert not any(side["built"] for side in sides if side["table"])
 
 
 def test_all_22_tpch_texts_generate(tpch_db):
@@ -297,6 +308,127 @@ def test_unsupported_aggregate_shape_falls_back_as_a_block(tpch_db):
 
 
 # ---------------------------------------------------------------------------
+# access paths: storage key indexes vs per-execution builds
+# ---------------------------------------------------------------------------
+
+
+def _join_sides(engine: RowEngine, number: int) -> dict[str, dict]:
+    return {side["source"]: side for pipeline in engine.explain(QUERIES[number])["pipelines"]
+            for side in pipeline["joins"]}
+
+
+def test_unfiltered_sides_probe_an_index_and_build_nothing(tpch_db):
+    engine = RowEngine(tpch_db)
+    for number in (8, 9):  # every side is unfiltered, or filtered under a filtered part
+        sides = _join_sides(engine, number)
+        assert sides and all(side["join"].startswith("index ") and not side["built"]
+                             for side in sides.values()), number
+        (pipeline, _) = engine.explain(QUERIES[number])["pipelines"]
+        assert "for r0 in s0:" in pipeline["source"]
+        assert pipeline["source"].count(" in s") == 1  # the driving scan, no build loop
+    assert _join_sides(engine, 9)["partsupp"]["join"] == "index partsupp(ps_suppkey, ps_partkey)"
+    # Q5: region is filtered under a filtered orders; orders itself is filtered
+    # under an unfiltered customer, the one build left
+    sides = _join_sides(engine, 5)
+    assert sides["region"] == {"source": "region", "join": "index region(r_regionkey)",
+                               "table": "region", "built": False, "filtered": True}
+    assert [source for source, side in sides.items() if side["built"]] == ["orders"]
+    assert sides["orders"]["filtered"] and sides["orders"]["join"] == "hash on 1 key"
+    source = engine.explain(QUERIES[5])["pipelines"][0]["source"]
+    assert "for r1 in s1:" in source and source.count(" in s") == 2
+
+
+@pytest.mark.parametrize("number", (7, 12))
+def test_filtered_side_under_unfiltered_upstream_keeps_its_build(tpch_db, number):
+    engine = RowEngine(tpch_db)
+    sides = _join_sides(engine, number)
+    assert sides["lineitem"] == {"source": "lineitem", "join": "hash on 1 key",
+                                 "table": "lineitem", "built": True, "filtered": True}
+    assert [source for source, side in sides.items() if side["built"]] == ["lineitem"]
+    warm = engine.execute(engine.prepare(QUERIES[number]), trace=True)
+    scans = {span.attributes["source"]: span for span in warm.trace.find_all("scan")}
+    assert warm.metrics.get("join.build_rows") == scans["lineitem"].rows_out > 0
+    assert warm.trace.find("join").attributes["build_rows"] == scans["lineitem"].rows_out
+
+
+def test_self_join_bindings_share_one_index():
+    database = Database("q7")
+    populate_tpch(database, scale_factor=0.0003)
+    engine = RowEngine(database)
+    plan = engine.prepare(QUERIES[7])
+    pipeline = next(row_pipeline(plan, block) for block in plan.blocks.values()
+                    if len(block.join_order) > 1)
+    nations = [probe for probe in pipeline.probes if probe and probe.table == "nation"]
+    assert [probe.positions for probe in nations] == [(0,), (0,)]
+    cold = engine.execute(plan)
+    assert list(database.storage("nation").key_indexes()) == [(0,)]
+    # orders, customer and one nation index: built by the cold run, found by the next
+    assert cold.metrics.get("join.index_builds") == 3
+    assert engine.execute(plan).metrics.get("join.index_builds") == 0
+    summary = database.size_summary()["nation"]["indexes"]
+    assert summary == [{"columns": ["n_nationkey"], "keys": 25, "rows": 25}]
+
+
+def test_cached_plan_sees_rows_inserted_between_executions():
+    database = Database("mutating")
+    database.create_table("parent", [("id", "int"), ("name", "str")])
+    database.create_table("child", [("id", "int"), ("parent_id", "int"), ("v", "int")])
+    database.insert_rows("parent", [(1, "one"), (2, "two"), (3, "three")])
+    database.insert_rows("child", [(1, 1, 10), (2, 1, 11), (3, 2, 20), (4, None, 99)])
+    engine = RowEngine(database)
+    reference = RowEngine(database, options=EngineOptions(compile_expressions=False,
+                                                          hash_joins=False))
+    plans = [engine.prepare(sql) for sql in (
+        # an unfiltered index side; a filtered one under a filtered driving scan
+        "select name, v from parent, child where parent.id = parent_id order by v",
+        "select name, v from parent, child where parent.id = parent_id "
+        "and name <> 'two' and v > 10 order by v")]
+    assert [side["join"] for plan in plans for pipeline in engine.pipelines(plan)
+            for side in pipeline["joins"]] == ["index child(parent_id)"] * 2
+
+    def check(index_builds: int) -> None:
+        builds = 0
+        for plan in plans:
+            result = engine.execute(plan)
+            assert result.rows == reference.execute(plan.sql).rows, plan.sql
+            builds += result.metrics.get("join.index_builds")
+            assert result.metrics.get("join.build_rows") == 0
+            assert result.metrics.get("join.index_probes") > 0
+        assert builds == index_builds
+
+    check(index_builds=1)  # the two plans share child(parent_id)
+    check(index_builds=0)
+    database.insert_rows("child", [(5, 3, 30), (6, 1, 12)])
+    check(index_builds=1)  # dropped with the rows it referenced, rebuilt once
+    assert engine.execute(plans[0]).rows[-1] == ("three", 30)
+    # re-created: the plan cache is the caller's to clear, the index is not
+    database.drop_table("child")
+    database.create_table("child", [("id", "int"), ("parent_id", "int"), ("v", "int")])
+    database.insert_rows("child", [(1, 2, 7)])
+    assert engine.execute(plans[0]).rows == [("two", 7)]
+
+
+def test_join_keys_compare_as_dict_keys_do():
+    """NULL keys match nothing; ``1 == 1.0 == True`` match each other, as in
+    the per-execution hash table the index replaces."""
+    database = Database("keys")
+    database.create_table("l", [("k", "float"), ("k2", "int")])
+    database.create_table("r", [("k", "int"), ("k2", "int"), ("flag", "bool")])
+    database.insert_rows("l", [(1.0, 1), (2.0, None), (None, 3), (4.5, 4)])
+    database.insert_rows("r", [(1, 1, True), (2, None, False), (None, 3, None), (4, 4, True)])
+    engine = RowEngine(database)
+    reference = RowEngine(database, options=EngineOptions(compile_expressions=False))
+    for sql, expected in [
+        ("select l.k, r.k from l, r where l.k = r.k", [(1.0, 1), (2.0, 2)]),
+        ("select l.k, r.k from l, r where l.k = r.k and l.k2 = r.k2", [(1.0, 1)]),
+        ("select l.k, r.flag from l, r where l.k = r.flag", [(1.0, True), (1.0, True)]),
+    ]:
+        result = engine.execute(sql)
+        assert result.rows == expected == reference.execute(sql).rows, sql
+        assert result.metrics.get("join.index_probes") == 4
+
+
+# ---------------------------------------------------------------------------
 # plan-owned state
 # ---------------------------------------------------------------------------
 
@@ -314,6 +446,71 @@ def test_correlation_is_decided_at_plan_time(tpch_db):
     # an uncorrelated subquery runs once per execution, a correlated one per outer row
     assert engine.execute(uncorrelated).metrics.get("row.pipeline.generated") == 2
     assert engine.execute(correlated).metrics.get("row.pipeline.generated") > 2
+
+
+def test_order_by_alias_is_not_an_outer_reference(tpch_db):
+    engine = RowEngine(tpch_db)
+    # Q3 4 5 7 8 9 10 11 13 15 16 20 21 22 order by a select-list alias
+    for number in sorted(QUERIES):
+        assert engine.explain(QUERIES[number])["plan"]["correlated"] is False, number
+    sql = ("select n_name from nation where n_regionkey = "
+           "(select r_regionkey as rk from region where r_name = 'ASIA' order by rk limit 1)")
+    plan = engine.prepare(sql)
+    assert [block.correlated for block in plan.blocks.values()] == [False, False]
+    result = engine.execute(plan)
+    assert len(result.rows) == 5
+    assert result.metrics.get("row.pipeline.generated") == 2  # not once per nation
+
+
+@pytest.fixture(scope="module")
+def tiny_tpch() -> Database:
+    database = Database("tpch-tiny")
+    populate_tpch(database, scale_factor=0.0003)
+    return database
+
+
+@pytest.mark.parametrize("number,scale", [(17, "test"), (20, "test"), (21, "tiny"), (2, "tiny")])
+def test_outer_columns_are_bound_once_per_run(tpch_db, tiny_tpch, number, scale):
+    database = tpch_db if scale == "test" else tiny_tpch  # Q21 interprets for 10 s on the larger
+    engine = RowEngine(database)
+    plan = engine.prepare(QUERIES[number])
+    hoisted = []
+    for block in plan.blocks.values():
+        pipeline = row_pipeline(plan, block)
+        assert not any(isinstance(expression, ast.ColumnRef)
+                       for expression, _ in pipeline.interpreted), number
+        assert {ref.qualified for ref in pipeline.outer_refs} == \
+            {ref.qualified for ref in block.outer_refs}
+        hoisted += pipeline.outer_refs
+        if pipeline.outer_refs:
+            assert "= outers\n" in pipeline.source and block.correlated
+    assert hoisted, number
+    reference = RowEngine(database, options=EngineOptions(compile_expressions=False))
+    assert engine.execute(plan).rows == reference.execute(QUERIES[number]).rows
+
+
+def test_outer_null_and_unknown_columns_keep_interpreter_semantics():
+    database = Database("outer")
+    database.create_table("a", [("id", "int"), ("x", "int")])
+    database.create_table("b", [("a_id", "int"), ("v", "int")])
+    database.insert_rows("a", [(1, 5), (2, None), (3, 7)])
+    database.insert_rows("b", [(1, 5), (1, 9), (2, 5), (3, None), (3, 7)])
+    engine = RowEngine(database)
+    reference = RowEngine(database, options=EngineOptions(compile_expressions=False))
+    for sql in (
+        "select id, (select count(*) from b where v = x) from a",
+        "select id from a where exists (select 1 from b where a_id = id and v >= x)",
+        "select id from a where x in (select v from b where a_id = a.id)",
+    ):
+        assert engine.execute(sql).rows == reference.execute(sql).rows, sql
+    # a column no enclosing block resolves is not hoisted: it fails where the
+    # interpreter fails, when a row reaches it
+    for engine_ in (engine, reference):
+        assert engine_.execute("select id from a where exists "
+                               "(select 1 from b where v < 0 and v = nosuch)").rows == []
+        with pytest.raises(ExecutionError, match="unknown column 'nosuch'"):
+            engine_.execute("select id from a where exists "
+                            "(select 1 from b where v = nosuch)")
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +533,21 @@ def test_explain_exposes_structure_and_source(tpch_db):
     engine = RowEngine(tpch_db)
     (pipeline,) = engine.explain(QUERIES[3])["pipelines"]
     assert pipeline["generated"] and pipeline["driving"] == "customer"
-    assert pipeline["builds"] == [{"source": "orders", "join": "hash on 1 key"},
-                                  {"source": "lineitem", "join": "hash on 1 key"}]
+    # all three carry push-down predicates, so both probed sides run theirs in the loop
+    assert pipeline["joins"] == [
+        {"source": "orders", "join": "index orders(o_custkey)", "table": "orders",
+         "built": False, "filtered": True},
+        {"source": "lineitem", "join": "index lineitem(l_orderkey)", "table": "lineitem",
+         "built": False, "filtered": True}]
     assert pipeline["fused"] == ["scan", "join", "aggregate"]
-    assert pipeline["source"].startswith("def pipeline(scans, interp):")
-    assert pipeline["interpreted"] == []
+    assert pipeline["source"].startswith("def pipeline(scans, indexes, outers, interp):")
+    assert pipeline["interpreted"] == [] and pipeline["hoisted"] == []
     text = "\n".join(line for (line,) in engine.execute("explain " + QUERIES[3]).rows)
     assert f"generated pipeline {pipeline['file']}" in text
-    assert "| def pipeline(scans, interp):" in text
+    assert "  join lineitem: index lineitem(l_orderkey)" in text
+    assert "| def pipeline(scans, indexes, outers, interp):" in text
+    text = "\n".join(line for (line,) in engine.execute("explain " + QUERIES[12]).rows)
+    assert "  join lineitem: hash on 1 key, built per execution" in text
     hooked = engine.explain(QUERIES[4])["pipelines"][0]
     assert len(hooked["interpreted"]) == 1 and hooked["interpreted"][0].startswith("exists")
     interpreted = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False))
@@ -360,11 +564,19 @@ def test_explain_analyze_marks_the_fused_operators(tpch_db):
         for span in result.trace.find_all(name):
             assert span.attributes["fused"] == filename
     scans = {span.attributes["source"]: span for span in result.trace.find_all("scan")}
-    assert scans["orders"].rows_in == tpch_db.row_count("orders")
-    assert scans["orders"].rows_out < scans["orders"].rows_in  # o_orderdate pushed down
+    assert scans["customer"].rows_in == tpch_db.row_count("customer")
+    assert "access" not in scans["customer"].attributes
+    # an index-probed side reads the rows its probes reach, not the table
+    assert scans["orders"].attributes["access"] == "index"
+    assert scans["orders"].attributes["index"] == "index orders(o_custkey)"
+    assert "chunks_scanned" not in scans["orders"].attributes
+    assert 0 < scans["orders"].rows_in < tpch_db.row_count("orders")
+    assert scans["orders"].rows_out < scans["orders"].rows_in  # o_orderdate in the probe loop
     join = result.trace.find("join")
-    assert join.attributes["build_rows"] == \
-        scans["orders"].rows_out + scans["lineitem"].rows_out
+    assert join.attributes["build_rows"] == 0  # nothing is built per execution
+    assert join.rows_in == scans["customer"].rows_out + scans["orders"].rows_out
+    assert result.metrics.get("join.index_probes") == join.rows_in
+    assert "join.build_rows" not in result.metrics.snapshot()
     aggregate = result.trace.find("aggregate")
     assert aggregate.rows_in == join.rows_out and aggregate.rows_out >= len(result.rows)
     # the interpreter's spans claim their own time and say nothing of fusion

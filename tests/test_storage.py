@@ -3,14 +3,16 @@
 Covers chunking and zone maps, dictionary encoding, NULL round-trips and
 NULL-semantics parity between the engines (filter, join key and aggregate
 positions), statistics-driven scan skipping and predicate ordering, the
-drop/recreate cache-invalidation regression, and the extended
-``Database.size_summary``.
+drop/recreate cache-invalidation regression, the key indexes the row engine's
+joins probe, and the extended ``Database.size_summary``.
 """
 
 from __future__ import annotations
 
 import datetime
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from repro.engine import (
     EngineOptions,
     RowEngine,
 )
-from repro.engine.storage import DEFAULT_CHUNK_ROWS
+from repro.engine.storage import DEFAULT_CHUNK_ROWS, hash_rows
+from repro.obs import MetricsContext
 
 #: every combination of the storage + kernel toggles relevant to semantics.
 ALL_TOGGLES = list(itertools.product([False, True], repeat=4))
@@ -471,6 +474,73 @@ class TestDropRecreate:
         assert database.catalog.table_statistics("t") is None
 
 
+class TestKeyIndex:
+    def test_rows_by_key_without_null_keys(self, nullable_db):
+        rows = nullable_db.rows("u")
+        index = nullable_db.key_index("u", ["t_id"])
+        assert index == {1: [rows[0]], 6: [rows[2]], 4: [rows[3]]}  # scalar keys, no None
+        assert index[1][0] is rows[0]  # references into the row view, not copies
+        composite = nullable_db.key_index("u", ["t_id", "tag"])
+        assert composite == {(1, "x"): [rows[0]], (4, "z"): [rows[3]]}  # a NULL in either: out
+        assert nullable_db.key_index("u", ["T_ID"]) is index  # one index per key, cached
+
+    def test_keys_compare_as_dict_keys(self):
+        rows = [(1, "int"), (1.0, "float"), (True, "bool"), (2, "two"), (None, "null")]
+        assert hash_rows(rows, (0,)) == {1: rows[:3], 2: [rows[3]]}
+        assert hash_rows(rows, (0, 1)) == {(key, tag): [(key, tag)] for key, tag in rows[:4]}
+
+    def test_mutation_drops_the_index(self, nullable_db):
+        before = nullable_db.key_index("u", ["t_id"])
+        assert nullable_db.size_summary()["u"]["indexes"] == [
+            {"columns": ["t_id"], "keys": 3, "rows": 3}]
+        nullable_db.insert_rows("u", [(5, 1, "w")])
+        assert nullable_db.size_summary()["u"]["indexes"] == []
+        after = nullable_db.key_index("u", ["t_id"])
+        assert after is not before and [row[0] for row in after[1]] == [1, 5]
+        assert 5 not in [row[0] for row in before[1]]
+        nullable_db.drop_table("u")
+        nullable_db.create_table("u", [("id", "int"), ("t_id", "int"), ("tag", "str")])
+        assert nullable_db.key_index("u", ["t_id"]) == {}
+
+    def test_builds_are_counted_per_query(self, nullable_db):
+        metrics = MetricsContext()
+        with metrics.activate():
+            nullable_db.key_index("u", ["t_id"])
+            nullable_db.key_index("u", ["t_id"])
+            nullable_db.key_index("u", ["id"])
+        assert metrics.get("join.index_builds") == 2
+
+    def test_concurrent_cold_readers_build_once(self):
+        database = Database("cold")
+        database.create_table("t", [("k", "int"), ("v", "int")])
+        database.insert_rows("t", [(value % 97, value) for value in range(20000)])
+        database.rows("t")
+        found, builds = [], []
+        barrier = threading.Barrier(8)
+
+        def reader() -> None:
+            metrics = MetricsContext()
+            with metrics.activate():
+                barrier.wait(timeout=10)
+                found.append(database.key_index("t", ["k"]))
+            builds.append(metrics.get("join.index_builds"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(found) == 8 and all(index is found[0] for index in found)
+        assert sorted(builds) == [0] * 7 + [1]
+        assert sum(map(len, found[0].values())) == 20000
+
+
 class TestSizeSummary:
     def test_summary_reports_bytes_and_compression(self, nullable_db):
         summary = nullable_db.size_summary()
@@ -481,6 +551,7 @@ class TestSizeSummary:
         assert entry["raw_bytes"] > 0
         assert entry["compression_ratio"] == pytest.approx(
             entry["raw_bytes"] / entry["encoded_bytes"], rel=1e-3)
+        assert entry["indexes"] == []  # none until a join probes one
 
     def test_demo_summary_mentions_storage(self):
         from repro.workflow import run_demo_scenario
