@@ -12,12 +12,14 @@ queries compare one generated function against the interpreter and must stay
 10x apart (see ``BENCH_kernels.json`` for the recorded speedups); Q6 on the
 column engine must keep ``KERNEL_BENCH_MIN_SPEEDUP`` (default 1.3x).
 
-The row engine's join access paths are gated on counts, not on a ratio of
-timings: a warm execution of Q9 probes storage key indexes and neither builds
-one nor fills a hash table (``join.index_builds`` / ``join.build_rows``).
+Both engines' join access paths are gated on counts, not on a ratio of
+timings: a warm execution of Q9 probes storage key indexes (row) / key orders
+(column) and neither builds one nor fills a hash table or sorts a build side
+(``join.index_builds`` / ``join.order_builds`` / ``join.build_rows``).
 
-A run writes ``BENCH_kernels.json`` (into ``BENCH_ARTIFACT_DIR`` or the
-current directory) so CI can track the perf trajectory.
+A run writes ``BENCH_kernels.json`` (into the shared ``artifact_dir``:
+``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) so CI can
+track the perf trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -95,7 +96,20 @@ def test_warm_joins_probe_indexes_and_build_nothing(tpch_db):
         assert counters.get("join.index_probes") > 0
 
 
-def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once):
+def test_warm_column_joins_probe_orders_and_sort_nothing(tpch_db):
+    """The same Q9 on the column engine: every join after the first execution
+    probes a key order storage kept; no build side is sorted again."""
+    engine = _make_engine("column", tpch_db, COMPILED)
+    plan = engine.prepare(QUERIES[9])
+    engine.execute(plan)
+    for _ in range(2):
+        counters = engine.execute(plan).metrics
+        assert counters.get("join.build_rows") == 0
+        assert counters.get("join.order_builds") == 0
+        assert counters.get("join.order_probes") > 0
+
+
+def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, artifact_dir):
     """Compiled kernels must keep their warm speedup on the gated hot paths."""
     entries = []
     gated_failures = []
@@ -140,7 +154,7 @@ def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once):
             "masked": masked_frames,
         },
     }
-    target = Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_kernels.json"
+    target = artifact_dir / "BENCH_kernels.json"
     target.write_text(json.dumps(artifact, indent=2))
 
     # the selection-vector path allocates no intermediate frame per predicate:

@@ -12,9 +12,9 @@ time with ``null_masks`` on vs off (same storage, different scan views), and
 acts as the CI regression gate: the speedup must stay above
 ``NULL_BENCH_MIN_SPEEDUP`` (default 1.5x).
 
-A run writes ``BENCH_null_masks.json`` (into ``BENCH_ARTIFACT_DIR`` or the
-current directory) with the measured times and the null fractions measured
-from the table statistics.
+A run writes ``BENCH_null_masks.json`` (into the shared ``artifact_dir``:
+``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) with the
+measured times and the null fractions measured from the table statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -89,7 +88,8 @@ def _warm_seconds(engine, sql: str, repetitions: int = 30, rounds: int = 3) -> f
     return best / repetitions
 
 
-def test_null_mask_scan_beats_object_arrays(nullable_db, benchmark, run_once):
+def test_null_mask_scan_beats_object_arrays(nullable_db, benchmark, run_once,
+                                             artifact_dir):
     """Typed null-mask scans must keep their warm speedup on nullable Q6."""
     # workers pinned to 1: this gate measures the single-threaded scan paths.
     masked = ColumnEngine(nullable_db, options=EngineOptions(workers=1))
@@ -133,7 +133,7 @@ def test_null_mask_scan_beats_object_arrays(nullable_db, benchmark, run_once):
             },
         ],
     }
-    target = Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_null_masks.json"
+    target = artifact_dir / "BENCH_null_masks.json"
     target.write_text(json.dumps(artifact, indent=2))
 
     print(f"null masks: on={on_seconds * 1000:.3f}ms off={off_seconds * 1000:.3f}ms "

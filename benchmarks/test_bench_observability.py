@@ -21,8 +21,9 @@ still recorded in the artifact.
 A run writes ``BENCH_observability.json`` (engine + platform sections), a
 sample EXPLAIN ANALYZE span tree (``BENCH_observability_trace.json``) and a
 stitched end-to-end task timeline from a fault-forced retry
-(``BENCH_task_timeline.json``) into ``BENCH_ARTIFACT_DIR`` or the current
-directory, so CI archives a real cross-process trace next to the numbers.
+(``BENCH_task_timeline.json``) into the shared ``artifact_dir``
+(``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``), so CI
+archives a real cross-process trace next to the numbers.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _interleaved_seconds(functions: list, samples: int) -> list[float]:
     return [statistics.median(timings) for timings in collected]
 
 
-def test_disabled_tracing_overhead_is_bounded(tpch_db, benchmark, run_once):
+def test_disabled_tracing_overhead_is_bounded(tpch_db, benchmark, run_once, artifact_dir):
     """``Engine.execute`` must cost within MAX_OVERHEAD of the bare plan."""
     entries = []
     failures = []
@@ -143,7 +144,6 @@ def test_disabled_tracing_overhead_is_bounded(tpch_db, benchmark, run_once):
             failures.append(f"Q{query_id}/{kind}: {overhead:.1%} > {MAX_OVERHEAD:.0%}")
 
     sample = ColumnEngine(tpch_db).execute("explain analyze " + QUERIES[6])
-    artifact_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
     _merge_artifact(artifact_dir / "BENCH_observability.json", {
         "max_overhead": MAX_OVERHEAD,
         "entries": entries,
@@ -217,7 +217,7 @@ def _platform_loop(tpch_db, telemetry: TelemetryConfig, tasks: int):
     return step
 
 
-def test_platform_telemetry_overhead_is_bounded(tpch_db):
+def test_platform_telemetry_overhead_is_bounded(tpch_db, artifact_dir):
     """Full tracing must cost < PLATFORM_OBS_MAX_SECONDS per task on the warm loop."""
     telemetry_on = _platform_loop(tpch_db, TelemetryConfig(),
                                   tasks=PLATFORM_SAMPLES + 1)
@@ -247,7 +247,6 @@ def test_platform_telemetry_overhead_is_bounded(tpch_db):
           f"telemetry-on={enabled * 1000:.3f}ms "
           f"paired marginal={marginal * 1000:.3f}ms ({overhead:+.1%})")
 
-    artifact_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
     _merge_artifact(artifact_dir / "BENCH_observability.json", {
         "platform": {
             "max_seconds": PLATFORM_MAX_SECONDS,
@@ -263,7 +262,7 @@ def test_platform_telemetry_overhead_is_bounded(tpch_db):
         f"> {PLATFORM_MAX_SECONDS * 1000:.3f} ms")
 
 
-def test_task_timeline_artifact(tpch_db):
+def test_task_timeline_artifact(tpch_db, artifact_dir):
     """Emit a stitched end-to-end timeline crossing a fault-injected retry."""
     telemetry = TelemetryConfig()
     service = PlatformService(telemetry=telemetry, logger=JsonLogger())
@@ -301,6 +300,5 @@ def test_task_timeline_artifact(tpch_db):
                                  profiles=profiles_by_trace(results))
     assert len(timelines) == 1
     assert timelines[0].attempts == 2 and timelines[0].outcome == "done"
-    artifact_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
     (artifact_dir / "BENCH_task_timeline.json").write_text(
         json.dumps(timeline_report(timelines), indent=2))

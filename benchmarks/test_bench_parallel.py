@@ -25,8 +25,9 @@ threads, not a faster grouping routine on one side.  The gate has two parts:
 
 Every run also cross-checks serial and parallel results for equality --
 the speedup is worthless if the answers drift -- and writes
-``BENCH_parallel.json`` (into ``BENCH_ARTIFACT_DIR`` or the current
-directory) so CI can track the perf trajectory.
+``BENCH_parallel.json`` (into the shared ``artifact_dir``:
+``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) so CI can
+track the perf trajectory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -92,7 +92,7 @@ def _rows_match(serial_rows, parallel_rows) -> bool:
     return True
 
 
-def test_morsel_parallel_speedup(tpch_db, benchmark, run_once):
+def test_morsel_parallel_speedup(tpch_db, benchmark, run_once, artifact_dir):
     """Parallel execution must clear the floor (and, with a CPU per worker,
     the speedup gate) without changing a single answer."""
     entries = []
@@ -145,7 +145,7 @@ def test_morsel_parallel_speedup(tpch_db, benchmark, run_once):
         "floor": FLOOR,
         "entries": entries,
     }
-    target = Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_parallel.json"
+    target = artifact_dir / "BENCH_parallel.json"
     target.write_text(json.dumps(artifact, indent=2))
 
     assert not failures, "; ".join(failures)

@@ -5,17 +5,15 @@ benchmark quantifies what the keyed plan cache buys on that loop for a TPC-H
 pool query, and verifies that the row and column engines produce
 byte-identical results through the shared plan IR for the tier-1 query set.
 
-A smoke run writes ``BENCH_plan_cache.json`` (into ``BENCH_ARTIFACT_DIR`` or
-the current directory) so CI can track the perf trajectory from this PR
-onward.
+A smoke run writes ``BENCH_plan_cache.json`` (into the shared
+``artifact_dir``: ``BENCH_ARTIFACT_DIR``, else the git-ignored
+``bench-artifacts/``) so CI can track the perf trajectory.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +41,8 @@ def _timed_loop(engine, sql: str, repetitions: int) -> float:
     return time.perf_counter() - started
 
 
-def test_plan_cache_speeds_up_repeated_execution(tpch_db, benchmark, run_once):
+def test_plan_cache_speeds_up_repeated_execution(tpch_db, benchmark, run_once,
+                                                 artifact_dir):
     """Repeated execution with the plan cache beats cold planning every time."""
     sql = QUERIES[1]  # the paper's running example
     cold_engine = ColumnEngine(tpch_db, plan_cache_size=0)
@@ -72,7 +71,7 @@ def test_plan_cache_speeds_up_repeated_execution(tpch_db, benchmark, run_once):
         "speedup": speedup,
         "cache_stats": stats,
     }
-    target = Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_plan_cache.json"
+    target = artifact_dir / "BENCH_plan_cache.json"
     target.write_text(json.dumps(artifact, indent=2))
 
     assert stats["hits"] >= REPETITIONS

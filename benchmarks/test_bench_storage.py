@@ -10,9 +10,10 @@ must stay above ``STORAGE_BENCH_MIN_SPEEDUP`` (default 2x).  A second,
 ungated entry reports the dictionary-code evaluation speedup on a string
 IN-scan.
 
-A run writes ``BENCH_storage.json`` (into ``BENCH_ARTIFACT_DIR`` or the
-current directory) with the measured times, the chunk scan/skip counts and
-the per-table compression summary, so CI can track the storage trajectory.
+A run writes ``BENCH_storage.json`` (into the shared ``artifact_dir``:
+``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) with the
+measured times, the chunk scan/skip counts and the per-table compression
+summary, so CI can track the storage trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -84,7 +84,7 @@ def _chunk_counts(engine, sql: str) -> dict[str, int]:
     }
 
 
-def test_zone_maps_skip_clustered_scan(clustered_db, benchmark, run_once):
+def test_zone_maps_skip_clustered_scan(clustered_db, benchmark, run_once, artifact_dir):
     """Zone-map chunk skipping must keep its warm speedup on the gated scan."""
     # workers pinned to 1: the zone-map gate measures single-threaded skipping.
     zone_on = ColumnEngine(clustered_db, options=EngineOptions(workers=1))
@@ -138,7 +138,7 @@ def test_zone_maps_skip_clustered_scan(clustered_db, benchmark, run_once):
         ],
         "lineitem": lineitem.describe(),
     }
-    target = Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_storage.json"
+    target = artifact_dir / "BENCH_storage.json"
     target.write_text(json.dumps(artifact, indent=2))
 
     total_chunks = counts["chunks_scanned"] + counts["chunks_skipped"]

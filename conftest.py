@@ -11,8 +11,13 @@ survive an id reuse across test boundaries and make a replayed query take a
 different (cached) path than its first run.  Instrumentation counters need
 no reset any more -- they live on the per-query metrics context attached to
 each ``QueryResult`` (see :mod:`repro.obs`), not on process-global state.
+
+``artifact_dir`` is where the micro-gates under ``benchmarks/`` and the chaos
+run under ``tests/`` leave their ``BENCH_*.json`` / ``CHAOS_summary.json``:
+never the checkout root, so a test run leaves the tree clean.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -30,3 +35,13 @@ def _reset_memo_caches():
 
     reset_mask_caches()
     yield
+
+
+@pytest.fixture(scope="session")
+def artifact_dir() -> Path:
+    """``BENCH_ARTIFACT_DIR`` (CI uploads it), else the git-ignored
+    ``bench-artifacts/`` of the checkout; created on first use."""
+    target = Path(os.environ.get("BENCH_ARTIFACT_DIR")
+                  or Path(__file__).resolve().parent / "bench-artifacts")
+    target.mkdir(parents=True, exist_ok=True)
+    return target

@@ -12,9 +12,11 @@ Sub-commands:
   with ``--analyze``, the traced execution) of a query on a built-in engine,
 * ``pipelines``               -- per TPC-H text, how many row-engine
   blocks run on a generated pipeline and how many on the interpreter, and what
-  a warm execution's joins cost: rows put into per-execution builds, probes
-  into storage key indexes (exit code 1 when a text the benchmark runs is not
-  fully generated, or builds a hash table over an unfiltered base table),
+  a warm execution's joins cost on either engine: rows put into per-execution
+  builds, probes into storage key indexes (row) and key orders (column); exit
+  code 1 when a text the benchmark runs is not fully generated, builds a hash
+  table or sorts a build side over an unfiltered base table, or builds an
+  index or order when warm,
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -95,8 +97,8 @@ def main(argv: list[str] | None = None) -> int:
                                 help="column-engine morsel workers (1 = serial)")
 
     commands.add_parser(
-        "pipelines", help="generated vs interpreted row-engine blocks and join access "
-                          "paths per TPC-H text")
+        "pipelines", help="generated vs interpreted row-engine blocks and both engines' "
+                          "join access paths per TPC-H text")
 
     arguments = parser.parse_args(argv)
     handler = {
@@ -189,27 +191,40 @@ def _cmd_explain(arguments) -> int:
 _BENCHMARKED = (1, 3, 5, 6, 7, 8, 9, 10, 12, 14)
 
 
+def _builds_unfiltered(pipelines: list[dict]) -> bool:
+    """A join side built per execution over an unfiltered base table: what
+    storage's key index (row) / key order (column) exists to replace."""
+    return any(side["built"] and side["table"] and not side["filtered"]
+               for pipeline in pipelines for side in pipeline.get("joins", ()))
+
+
 def _cmd_pipelines(arguments) -> int:
-    from repro.engine import RowEngine
+    from repro.engine import ColumnEngine, RowEngine
     from repro.tpch import QUERIES
     from repro.workflow import build_tpch_database
 
     # a tiny instance: the table counts blocks and rows, it does not time them
-    engine = RowEngine(build_tpch_database(scale_factor=0.0005))
+    database = build_tpch_database(scale_factor=0.0005)
+    engine, column_engine = RowEngine(database), ColumnEngine(database)
     print("query  blocks  generated  interpreted  hooked-exprs  build rows/exec  index probes"
-          "   (block executions; warm)")
-    unlowered, rebuilt = [], []
+          "  |  column: sorted rows/exec  order probes   (block executions; warm)")
+    unlowered, rebuilt, resorted = [], [], []
     for number in sorted(QUERIES):
         plan = engine.prepare(QUERIES[number])
         pipelines = engine.pipelines(plan)
         engine.execute(plan)  # the first execution builds the indexes the next ones probe
         counters = engine.execute(plan).metrics
+        column_plan = column_engine.prepare(QUERIES[number])
+        column_engine.execute(column_plan)  # ... and the key orders
+        column_counters = column_engine.execute(column_plan).metrics
         hooked = sum(len(pipeline.get("interpreted", ())) for pipeline in pipelines)
         print(f"Q{number:<5} {len(pipelines):>6}  "
               f"{int(counters.get('row.pipeline.generated')):>9}  "
               f"{int(counters.get('row.pipeline.interpreted_blocks')):>11}  {hooked:>12}  "
               f"{int(counters.get('join.build_rows')):>15}  "
-              f"{int(counters.get('join.index_probes')):>12}")
+              f"{int(counters.get('join.index_probes')):>12}  |  "
+              f"{int(column_counters.get('join.build_rows')):>24}  "
+              f"{int(column_counters.get('join.order_probes')):>12}")
         for pipeline in pipelines:
             if not pipeline["generated"]:
                 print(f"       interpreted block ({', '.join(pipeline['output'])}): "
@@ -218,17 +233,20 @@ def _cmd_pipelines(arguments) -> int:
             continue
         if hooked or not all(pipeline["generated"] for pipeline in pipelines):
             unlowered.append(number)
-        # an unfiltered base table's hash table is storage's key index
-        if counters.get("join.index_builds") or any(
-                side["built"] and side["table"] and not side["filtered"]
-                for pipeline in pipelines for side in pipeline.get("joins", ())):
+
+        if counters.get("join.index_builds") or _builds_unfiltered(pipelines):
             rebuilt.append(number)
-    for numbers, complaint in ((unlowered, "not fully generated"),
-                               (rebuilt, "build a hash table over an unfiltered base table")):
+        if column_counters.get("join.order_builds") \
+                or _builds_unfiltered(column_engine.pipelines(column_plan)):
+            resorted.append(number)
+    for numbers, complaint in (
+            (unlowered, "not fully generated"),
+            (rebuilt, "build a hash table over an unfiltered base table"),
+            (resorted, "sort an unfiltered base table on the column engine")):
         if numbers:
             print(f"benchmarked texts {complaint}: "
                   + ", ".join(f"Q{number}" for number in numbers), file=sys.stderr)
-    return 1 if unlowered or rebuilt else 0
+    return 1 if unlowered or rebuilt or resorted else 0
 
 
 def _cmd_demo(arguments) -> int:

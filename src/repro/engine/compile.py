@@ -72,7 +72,7 @@ from repro.engine.mask import (
     kleene_or,
     truth_mask,
 )
-from repro.engine.planner import ColumnInfo
+from repro.engine.planner import ColumnInfo, Layout
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
     abs_values,
@@ -106,40 +106,6 @@ _PY_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 #: arithmetic operators the column kernels lower through
 #: :func:`repro.engine.vector.arith_arrays` (NULL-propagating).
 _ARITH_OPS = ("+", "-", "*", "/", "%")
-
-
-class Layout:
-    """Compile-time column layout mirroring a frame's position lookup.
-
-    ``ambiguous`` selects what an unqualified name matching several columns
-    does: ``"first"`` mirrors the row frames (first binding wins), ``"raise"``
-    mirrors the column engine's strict resolution.
-    """
-
-    __slots__ = ("columns", "ambiguous", "_index", "_by_name")
-
-    def __init__(self, columns: list[ColumnInfo], ambiguous: str = "first"):
-        self.columns = list(columns)
-        self.ambiguous = ambiguous
-        self._index: dict[tuple[str, str], int] = {}
-        self._by_name: dict[str, list[int]] = {}
-        for position, column in enumerate(self.columns):
-            self._index[(column.binding.lower(), column.name.lower())] = position
-            self._by_name.setdefault(column.name.lower(), []).append(position)
-
-    def position(self, ref: ast.ColumnRef) -> int | None:
-        if ref.table:
-            return self._index.get((ref.table.lower(), ref.name.lower()))
-        positions = self._by_name.get(ref.name.lower())
-        if not positions:
-            return None
-        if len(positions) > 1 and self.ambiguous == "raise":
-            raise ExecutionError(
-                f"ambiguous column '{ref.name}' (qualify it with a table alias)")
-        return positions[0]
-
-    def type_of(self, position: int) -> str:
-        return self.columns[position].type_name
 
 
 # ---------------------------------------------------------------------------
@@ -1533,17 +1499,92 @@ class ColumnBlockKernels:
     vectors: dict[int, Callable]
 
 
-def compile_column_block(block, overflow_guard: bool = False) -> ColumnBlockKernels:
+#: the column types whose values a key order sorts as integers.
+_ORDERED_KEY_TYPES = ("int", "bool", "date")
+
+
+@dataclass(frozen=True)
+class OrderProbe:
+    """A join side probed through a storage key order instead of a sort of
+    its rows per execution."""
+
+    table: str
+    #: the key columns, by name.
+    columns: tuple[str, ...]
+
+    def describe(self) -> str:
+        return f"order {self.table}({', '.join(self.columns)})"
+
+
+@dataclass
+class ColumnJoin:
+    """One scheduled join of a block, resolved against the frames it meets."""
+
+    frame_index: int
+    #: per key, its position in the frame joined so far and in the FROM item.
+    positions: list[tuple[int, int]]
+    #: the lookup over the joined frame's columns (so far, then the item's).
+    layout: Layout
+    #: the key order a base table joined on integer-kind keys can be probed
+    #: through; None for derived tables, explicit JOINs, cross joins and
+    #: float or string keys, whose build side is sorted per execution.
+    probe: OrderProbe | None
+
+
+@dataclass
+class ColumnBlockShape:
+    """The frames one planned block runs through, known before it runs.
+
+    Everything here is a function of the plan -- the column lookup of every
+    FROM item and of every join prefix, where each join's keys sit, which
+    storage order a join may probe -- so frames are handed their lookup
+    instead of indexing their columns again on every execution.
+    """
+
+    item_layouts: list[Layout]
+    #: the join schedule after its first (driving) item.
+    joins: list[ColumnJoin]
+    #: the lookup of the frame the residual, grouping and projection see.
+    joined_layout: Layout
+
+
+def column_block_shape(block) -> ColumnBlockShape:
+    """Resolve the frame layouts and join keys of one planned block."""
+    item_layouts = [Layout(columns, ambiguous="raise") for columns in block.item_columns]
+    if not block.join_order:
+        return ColumnBlockShape(item_layouts, [], Layout(block.columns, ambiguous="raise"))
+    first = block.join_order[0].frame_index
+    joined, columns, joins = item_layouts[first], list(block.item_columns[first]), []
+    for step in block.join_order[1:]:
+        item = item_layouts[step.frame_index]
+        positions = []
+        for left_ref, right_ref, _ in step.connecting:
+            if joined.position(left_ref) is None:
+                left_ref, right_ref = right_ref, left_ref
+            positions.append((joined.position(left_ref), item.position(right_ref)))
+        source = block.select.from_items[step.frame_index]
+        probe = None
+        if positions and isinstance(source, ast.TableRef) and all(
+                item.type_of(position) in _ORDERED_KEY_TYPES for _, position in positions):
+            probe = OrderProbe(source.name, tuple(item.columns[position].name
+                                                  for _, position in positions))
+        columns = columns + block.item_columns[step.frame_index]
+        joined = Layout(columns, ambiguous="raise")
+        joins.append(ColumnJoin(step.frame_index, positions, joined, probe))
+    return ColumnBlockShape(item_layouts, joins, joined)
+
+
+def column_shape(plan, block) -> ColumnBlockShape:
+    """The block's shape, resolved once and cached on ``plan`` (whatever the
+    engine options: interpreted blocks run through the same frames)."""
+    return plan.kernels(block, ("col", "shape"), column_block_shape)
+
+
+def compile_column_block(block, shape: ColumnBlockShape,
+                         overflow_guard: bool = False) -> ColumnBlockKernels:
     """Compile one :class:`~repro.engine.plan.BlockPlan` for the column engine."""
     select = block.select
-    item_layouts = [Layout(columns, ambiguous="raise") for columns in block.item_columns]
-    joined_columns = [
-        column
-        for step in block.join_order
-        for column in block.item_columns[step.frame_index]
-    ]
-    joined_layout = Layout(joined_columns if block.join_order else block.columns,
-                           ambiguous="raise")
+    item_layouts, joined_layout = shape.item_layouts, shape.joined_layout
 
     def try_compile(expression, layout):
         try:
@@ -1574,6 +1615,13 @@ def compile_column_block(block, overflow_guard: bool = False) -> ColumnBlockKern
         ]
     return ColumnBlockKernels(pushdown=pushdown, residual=residual,
                               projection=projection, vectors=vectors)
+
+
+def column_kernels(plan, block, overflow_guard: bool = False) -> ColumnBlockKernels:
+    """The block's column kernels, compiled once and cached on ``plan``."""
+    shape = column_shape(plan, block)  # before the build: the plan's lock is not reentrant
+    return plan.kernels(block, ("col", overflow_guard),
+                        lambda planned: compile_column_block(planned, shape, overflow_guard))
 
 
 def _aggregation_vector_expressions(select: ast.Select) -> list[ast.Expression]:

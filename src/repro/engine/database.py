@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from repro.engine.catalog import Catalog, ColumnDef, TableSchema
 from repro.engine.storage import DEFAULT_CHUNK_ROWS, Dictionary, StorageTable
 from repro.engine.types import coerce_value
 from repro.errors import ExecutionError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.keys import KeyOrder
 
 
 @dataclass
@@ -35,12 +38,14 @@ class ColumnarTable:
     is built with ``typed_nulls=False`` (the legacy object-array baseline)
     -- decode to object arrays holding ``None`` at NULL positions.
     ``codes``/``dictionaries`` expose the dictionary encoding of string
-    columns so scans can evaluate predicates over int32 codes.
+    columns so scans can evaluate predicates over int32 codes.  ``version``
+    is the storage version the arrays were read at.
     """
 
     schema: TableSchema
     columns: dict[str, np.ndarray]
     length: int
+    version: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
     dictionaries: dict[str, Dictionary] = field(default_factory=dict)
 
@@ -69,7 +74,6 @@ class Database:
         table = StorageTable(schema, chunk_rows=self.chunk_rows,
                              dictionary_strings=self.dictionary_strings)
         self._storage[schema.name] = table
-        self._drop_columnar(schema.name)
         self.catalog.bind_statistics(schema.name, table.statistics)
         return schema
 
@@ -96,9 +100,7 @@ class Database:
                 coerce_value(value, column.type_name)
                 for value, column in zip(row, schema.columns)
             ))
-        count = self._storage[schema.name].append_rows(coerced)
-        self._drop_columnar(schema.name)
-        return count
+        return self._storage[schema.name].append_rows(coerced)
 
     # -- access ------------------------------------------------------------------
 
@@ -129,23 +131,35 @@ class Database:
         return table.key_index(tuple(table.schema.column_index(column)
                                      for column in columns))
 
+    def key_order(self, name: str, columns: Sequence[str]) -> "KeyOrder | None":
+        """Rows of table ``name`` sorted by their key in ``columns`` (NULL keys
+        left out), for the column engine's joins to probe; None when a column
+        is not of integer kind.  Lives in the storage table until the next
+        mutation, like the key indexes; treat it as read-only.
+        """
+        table = self.storage(name)
+        return table.key_order(tuple(table.schema.column_index(column)
+                                     for column in columns))
+
     def columnar(self, name: str, typed_nulls: bool = True) -> ColumnarTable:
         """Return (building and caching if needed) the column view of ``name``.
 
         ``typed_nulls`` selects the nullable-column representation: typed
         ``(values, validity)`` pairs (default) or the legacy object-array
         decode (the ``null_masks`` engine-option ablation baseline).  The
-        two variants are cached independently.
+        two variants are cached independently, each until the storage
+        version it was read at is no longer the table's.
         """
         schema = self.catalog.table(name)
+        table = self._storage[schema.name]
         cached = self._columnar.get((schema.name, typed_nulls))
-        if cached is not None:
+        if cached is not None and cached.version == table.version:
             return cached
         with self._columnar_lock:
             cached = self._columnar.get((schema.name, typed_nulls))
-            if cached is not None:
+            version = table.version
+            if cached is not None and cached.version == version:
                 return cached
-            table = self._storage[schema.name]
             columns: dict[str, np.ndarray] = {}
             codes: dict[str, np.ndarray] = {}
             dictionaries: dict[str, Dictionary] = {}
@@ -157,8 +171,8 @@ class Database:
                     codes[column.name] = column_codes
                     dictionaries[column.name] = table.dictionary(column.name)
             view = ColumnarTable(schema=schema, columns=columns,
-                                 length=table.row_count, codes=codes,
-                                 dictionaries=dictionaries)
+                                 length=table.row_count, version=version,
+                                 codes=codes, dictionaries=dictionaries)
             self._columnar[(schema.name, typed_nulls)] = view
             return view
 
@@ -172,7 +186,8 @@ class Database:
         Derived from the aggregated storage statistics -- the experiment
         documentation path prints this so runs record the data layout they
         measured against.  ``indexes`` lists the key indexes alive right now:
-        their columns, distinct keys and indexed (non-NULL-keyed) rows.
+        their columns, distinct keys and indexed (non-NULL-keyed) rows;
+        ``orders`` the key orders, with their size in bytes as well.
         """
         summary = {}
         for name in self.table_names():
@@ -181,7 +196,11 @@ class Database:
             summary[name] = {**table.statistics().describe(), "indexes": [
                 {"columns": [columns[position].name for position in positions],
                  "keys": len(index), "rows": sum(map(len, index.values()))}
-                for positions, index in table.key_indexes().items()]}
+                for positions, index in table.key_indexes().items()], "orders": [
+                {"columns": [columns[position].name for position in positions],
+                 "keys": order.distinct, "rows": order.indexed_rows,
+                 "bytes": order.nbytes}
+                for positions, order in table.key_orders().items()]}
         return summary
 
     def __contains__(self, name: str) -> bool:

@@ -20,9 +20,9 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.engine.compile import compile_column_block, row_pipeline
+from repro.engine.compile import column_kernels, column_shape, row_pipeline
 from repro.engine.database import Database
-from repro.engine.executor_column import ColumnExecutor
+from repro.engine.executor_column import ColumnExecutor, describe_column_pipeline
 from repro.engine.executor_row import RowExecutor, describe_pipeline
 from repro.engine.plan import PlanCache, Planner, QueryPlan, normalize_sql
 from repro.engine.result import QueryResult
@@ -270,19 +270,7 @@ class Engine:
         plan = self.prepare(sql)
         lines = format_plan(plan, engine=self.label)
         for pipeline in self.pipelines(plan):
-            header = f"block ({', '.join(pipeline['output'])}): "
-            if not pipeline["generated"]:
-                lines.append(f"{header}interpreted -- {pipeline['fallback']}")
-                continue
-            lines.append(f"{header}generated pipeline {pipeline['file']}, "
-                         f"{' + '.join(pipeline['fused'])} fused over "
-                         f"{pipeline['driving'] or 'one empty row'}")
-            lines += [f"  join {side['source']}: {side['join']}"
-                      f"{', built per execution' if side['built'] else ''}"
-                      for side in pipeline["joins"]]
-            lines += [f"  bound once per run: {name}" for name in pipeline["hoisted"]]
-            lines += [f"  interpreted per row: {text}" for text in pipeline["interpreted"]]
-            lines += [f"  | {line}" for line in pipeline["source"].splitlines()]
+            lines += self._pipeline_lines(pipeline)
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines],
                            engine=self.label)
 
@@ -324,9 +312,14 @@ class Engine:
         }
 
     def pipelines(self, plan: QueryPlan) -> list[dict]:
-        """Per query block, the generated pipeline that runs it (row engine with
-        ``compile_expressions``; other configurations have none to show)."""
+        """Per query block, how it runs: the row engine's generated pipeline
+        (with ``compile_expressions``; interpreted, it has none to show), the
+        column engine's join access paths."""
         return []
+
+    def _pipeline_lines(self, pipeline: dict) -> list[str]:
+        """EXPLAIN's lines for one entry of :meth:`pipelines`."""
+        raise NotImplementedError
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction statistics of the plan cache."""
@@ -386,6 +379,20 @@ class RowEngine(Engine):
         return [describe_pipeline(block, row_pipeline(plan, block, self.options.hash_joins))
                 for block in plan.blocks.values()]
 
+    def _pipeline_lines(self, pipeline: dict) -> list[str]:
+        header = f"block ({', '.join(pipeline['output'])}): "
+        if not pipeline["generated"]:
+            return [f"{header}interpreted -- {pipeline['fallback']}"]
+        return [f"{header}generated pipeline {pipeline['file']}, "
+                f"{' + '.join(pipeline['fused'])} fused over "
+                f"{pipeline['driving'] or 'one empty row'}",
+                *(f"  join {side['source']}: {side['join']}"
+                  f"{', built per execution' if side['built'] else ''}"
+                  for side in pipeline["joins"]),
+                *(f"  bound once per run: {name}" for name in pipeline["hoisted"]),
+                *(f"  interpreted per row: {text}" for text in pipeline["interpreted"]),
+                *(f"  | {line}" for line in pipeline["source"].splitlines())]
+
     def _precompile(self, plan: QueryPlan) -> None:
         if self.options.compile_expressions:
             for block in plan.blocks.values():
@@ -419,14 +426,22 @@ class ColumnEngine(Engine):
     def strategy(self) -> str:
         return "column"
 
+    def pipelines(self, plan: QueryPlan) -> list[dict]:
+        return [describe_column_pipeline(block, column_shape(plan, block))
+                for block in plan.blocks.values()]
+
+    def _pipeline_lines(self, pipeline: dict) -> list[str]:
+        return [f"block ({', '.join(pipeline['output'])}): column pipeline over "
+                f"{pipeline['driving'] or 'one empty row'}",
+                *(f"  join {side['source']}: {side['join']}" for side in pipeline["joins"])]
+
     def _precompile(self, plan: QueryPlan) -> None:
-        if not self.options.compile_expressions:
-            return
-        guard = self.options.overflow_guard
         for block in plan.blocks.values():
             try:
-                plan.kernels(block, ("col", guard), lambda planned: compile_column_block(
-                    planned, overflow_guard=guard))
+                if self.options.compile_expressions:
+                    column_kernels(plan, block, self.options.overflow_guard)
+                else:
+                    column_shape(plan, block)
             except Exception:
                 continue
 

@@ -25,24 +25,38 @@ operates on numpy column arrays:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
 from repro.engine.compile import (
     ColumnBlockKernels,
+    ColumnBlockShape,
     ColumnContext,
+    ColumnJoin,
     CompileFallback,
     Layout,
     as_mask,
-    compile_column_block,
+    column_block_shape,
+    column_kernels,
+    column_shape,
     compile_row_kernel,
 )
 from repro.engine.database import ColumnarTable, Database
 from repro.engine.executor_row import RowExecutor, scan_source
 from repro.engine.expression import evaluate as row_evaluate
-from repro.engine.keys import group_rows, hash_codes, join_indexes, order_index
+from repro.engine.keys import (
+    KeyOrder,
+    group_rows,
+    hash_codes,
+    integer_kind,
+    join_indexes,
+    order_index,
+    probe_order,
+)
 from repro.engine.mask import (
     Kleene,
     Nullable,
@@ -54,7 +68,7 @@ from repro.engine.mask import (
     truth_mask,
 )
 from repro.engine.parallel import chunk_ranges, run_tasks, survivor_rows
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
+from repro.engine.plan import BlockPlan, Planner, QueryPlan, order_positions
 from repro.engine.planner import ColumnInfo
 from repro.engine.types import infer_type
 from repro.obs import NULL_SPAN, QueryTrace, Span
@@ -91,6 +105,38 @@ class _FallbackRowEnv:
 
     def run_subquery(self, select: ast.Select) -> list[tuple]:
         return self.executor.run_subquery(select, outer_env=self)
+
+
+def describe_column_pipeline(block: BlockPlan, shape: ColumnBlockShape) -> dict:
+    """How one block's joins run on the column engine, for ``Engine.explain`` /
+    EXPLAIN: per join step what is probed -- a storage key order, or the build
+    side sorted per execution."""
+    items = block.select.from_items
+
+    def join(step: ColumnJoin) -> str:
+        if step.probe is None:
+            keys = len(step.positions)
+            return f"sorted per execution on {keys} key{'s' if keys != 1 else ''}" \
+                if keys else "cross product"
+        # under a selection the row counts of each execution decide between
+        # the stored order (pairs filtered) and a sort of the selected rows
+        return step.probe.describe() + (
+            ", selected rows only (or their sort, by row counts)"
+            if block.filtered(step.frame_index) else "")
+
+    return {
+        "output": list(block.output_names),
+        "driving": scan_source(items[block.join_order[0].frame_index])
+        if block.join_order else None,
+        # "table": the base table (None for a derived one); "built": the build
+        # side is sorted on every execution, whatever its row counts
+        "joins": [{"source": scan_source(items[step.frame_index]), "join": join(step),
+                   "table": items[step.frame_index].name
+                   if isinstance(items[step.frame_index], ast.TableRef) else None,
+                   "built": step.probe is None,
+                   "filtered": block.filtered(step.frame_index)}
+                  for step in shape.joins],
+    }
 
 
 class ColumnExecutor:
@@ -227,29 +273,35 @@ class ColumnExecutor:
             return None
         if self._plan.block(block.select) is not block:
             return None
-        guard = self.overflow_guard
-
-        def build(planned):
-            return compile_column_block(planned, overflow_guard=guard)
         try:
-            return self._plan.kernels(block, ("col", guard), build)
+            return column_kernels(self._plan, block, self.overflow_guard)
         except ExecutionError:
             raise
         except Exception:
             return None
+
+    def _block_shape(self, block: BlockPlan) -> ColumnBlockShape:
+        """The layouts and join keys of the block's frames: the plan's own
+        when the block is part of it, resolved on the spot otherwise."""
+        if self._plan is not None and self._plan.block(block.select) is block:
+            return column_shape(self._plan, block)
+        return column_block_shape(block)
 
     def _execute_block(self, select: ast.Select) -> tuple[ColFrame, list[str]]:
         block = self._block(select)
         if self.selection_vectors:
             return self._execute_block_sel(select, block)
         trace = self._trace
+        shape = self._block_shape(block)
 
         frames = []
-        for item in select.from_items:
+        scans = []  # per FROM item: its frame still is the base table's arrays
+        for index, item in enumerate(select.from_items):
             span_cm = (trace.span("scan", source=scan_source(item))
                        if trace is not None else NULL_SPAN)
             with span_cm as span:
-                frame = self._materialise(item)
+                scan = frame = self._materialise(item, block.item_columns[index],
+                                                 shape.item_layouts[index])
                 rows_in = frame.length
                 if block.pushdown:
                     frame = self._apply_pushdown(frame, block.pushdown)
@@ -259,8 +311,9 @@ class ColumnExecutor:
                         {"chunks_scanned": total, "chunks_skipped": 0}
                     span.set(rows_in=rows_in, rows_out=frame.length, **attrs)
             frames.append(frame)
+            scans.append(frame is scan)
 
-        frame, _ = self._join_frames(frames, [None] * len(frames), block.join_order)
+        frame, _ = self._join_frames(frames, [None] * len(frames), block, shape, scans)
 
         span_cm = self._span("filter") if block.residual else NULL_SPAN
         with span_cm as span:
@@ -294,12 +347,13 @@ class ColumnExecutor:
         new :class:`ColFrame`.
         """
         kernels = self._block_kernels(block)
+        shape = self._block_shape(block)
         trace = self._trace
 
         if self.workers > 1:
             info = self._parallel_info(select, block)
             if info is not None:
-                return self._execute_block_parallel(select, block, kernels, info)
+                return self._execute_block_parallel(select, block, kernels, shape, info)
 
         # each scan span covers materialisation, the zone-map chunk gate and
         # the push-down refinement of that scan's selection vector.
@@ -309,7 +363,8 @@ class ColumnExecutor:
             span_cm = (trace.span("scan", source=scan_source(item))
                        if trace is not None else NULL_SPAN)
             with span_cm as span:
-                frame = self._materialise(item)
+                frame = self._materialise(item, block.item_columns[index],
+                                          shape.item_layouts[index])
                 selection: np.ndarray | None = None
                 scanned = skipped = None
                 if block.pushdown:
@@ -342,7 +397,8 @@ class ColumnExecutor:
                              **attrs)
             frames.append(frame)
             selections.append(selection)
-        frame, selection = self._join_frames(frames, selections, block.join_order)
+        frame, selection = self._join_frames(frames, selections, block, shape,
+                                             [True] * len(frames))
 
         if block.residual:
             with self._span("filter") as span:
@@ -549,63 +605,105 @@ class ColumnExecutor:
 
     def _join_frames(self, frames: list[ColFrame],
                      selections: list[np.ndarray | None],
-                     join_order: list[JoinStep]
+                     block: BlockPlan, shape: ColumnBlockShape, scans: list[bool]
                      ) -> tuple[ColFrame, np.ndarray | None]:
         """Join the scans following the schedule, composing their selections.
 
         Keys are read from the base arrays through the selection indexes and
         the joined frame gathers its columns lazily, so a filtered scan is
-        never materialised just to be gathered again by the join.
+        never materialised just to be gathered again by the join.  ``scans``
+        marks the frames that still are their FROM item's base arrays: a
+        base table among them is probed through its storage key order.
         """
         if not frames:
             raise PlanError("a query block needs at least one FROM item")
-        first = join_order[0].frame_index
+        first = block.join_order[0].frame_index
         frame, selection = frames[first], selections[first]
-        if len(join_order) == 1:
+        if not shape.joins:
             return frame, selection
         with self._span("join") as span:
             probe_rows = build_rows = 0
-            for step in join_order[1:]:
+            for step in shape.joins:
                 next_frame = frames[step.frame_index]
                 next_selection = selections[step.frame_index]
-                positions = []
-                for left_ref, right_ref, _ in step.connecting:
-                    if frame.position(left_ref) is not None:
-                        positions.append((frame.position(left_ref),
-                                          next_frame.position(right_ref)))
-                    else:
-                        positions.append((frame.position(right_ref),
-                                          next_frame.position(left_ref)))
-                probe_rows += frame.length if selection is None else len(selection)
-                build_rows += next_frame.length if next_selection is None \
-                    else len(next_selection)
+                rows = frame.length if selection is None else len(selection)
+                probe_rows += rows
+                order = None
+                if scans[step.frame_index]:
+                    order = self._stored_order(step, frame, rows, next_frame,
+                                               next_selection)
+                if order is None and step.positions:
+                    build_rows += next_frame.length if next_selection is None \
+                        else len(next_selection)
                 frame = self._join(frame, selection, next_frame, next_selection,
-                                   positions)
+                                   step.positions, order=order, layout=step.layout)
                 selection = None
             span.set(rows_in=probe_rows, rows_out=frame.length, build_rows=build_rows)
         return frame, None
+
+    def _stored_order(self, step: ColumnJoin, left: ColFrame, probe_rows: int,
+                      right: ColFrame, right_sel: np.ndarray | None
+                      ) -> KeyOrder | None:
+        """The storage key order a join step probes (None: sort its build side).
+
+        A base table joined on integer-kind keys has one.  All of its rows
+        selected, it is probed as it is.  Under a selection it is probed, and
+        the pairs whose build row is selected kept, when the probes are
+        expected to reach fewer rows than are selected -- ``probe rows x
+        indexed rows / distinct keys``, three exact counts -- since sorting
+        the selection costs its rows; else the selection is sorted as before.
+        """
+        if step.probe is None \
+                or not integer_kind([left.arrays[position] for position, _ in step.positions]):
+            return None
+        order = self.database.key_order(step.probe.table, step.probe.columns)
+        if order is None or order.rows != right.length:
+            return None  # the table moved on under the frame: sort what was scanned
+        if right_sel is not None \
+                and probe_rows * order.indexed_rows >= len(right_sel) * order.distinct:
+            return None
+        return order
 
     def _join(self, left: ColFrame, left_sel: np.ndarray | None,
               right: ColFrame, right_sel: np.ndarray | None,
               equi: list[tuple[int, int]],
               residual: Sequence[ast.Expression] = (),
-              keep_unmatched_left: bool = False) -> ColFrame:
+              keep_unmatched_left: bool = False,
+              order: KeyOrder | None = None, layout: Layout | None = None) -> ColFrame:
         """Join two (selected) frames on ``equi`` position pairs.
 
-        The key kernels pick the row pairs; ``residual`` predicates then
-        filter the candidate pairs; a LEFT join appends its unmatched left
-        rows, NULL-padded on the right, after the matches.
+        The key kernels pick the row pairs -- probing ``order``, the key
+        order of all of ``right``'s rows (inner joins only), or sorting the
+        selected ones -- ``residual`` predicates then filter the candidate
+        pairs; a LEFT join appends its unmatched left rows, NULL-padded on
+        the right, after the matches.  ``layout`` is the joined frame's.
         """
         left_rows = left.length if left_sel is None else len(left_sel)
         right_rows = right.length if right_sel is None else len(right_sel)
+        unmatched = None
         if equi:
-            left_idx, right_idx, unmatched = join_indexes(
-                [_selected(left.arrays[position], left_sel) for position, _ in equi],
-                [_selected(right.arrays[position], right_sel) for _, position in equi])
+            probe = [_selected(left.arrays[position], left_sel) for position, _ in equi]
+            if order is not None:
+                count_metric("join.order_probes")
+                left_idx, right_idx, _ = probe_order(order, probe)
+                if right_sel is not None:
+                    selected = np.zeros(right.length, dtype=bool)
+                    selected[right_sel] = True
+                    keep = selected[right_idx]
+                    left_idx = np.flatnonzero(keep) if left_idx is None else left_idx[keep]
+                    right_idx, right_sel = right_idx[keep], None
+            else:
+                if right_rows:
+                    count_metric("join.build_rows", right_rows)
+                left_idx, right_idx, unmatched = join_indexes(
+                    probe, [_selected(right.arrays[position], right_sel)
+                            for _, position in equi])
         else:  # cross join via index replication
             left_idx = np.repeat(np.arange(left_rows, dtype=np.int64), right_rows)
             right_idx = np.tile(np.arange(right_rows, dtype=np.int64), left_rows)
         if residual:
+            if left_idx is None:
+                left_idx = np.arange(left_rows, dtype=np.int64)
             candidates = _joined(left, left_sel, left_idx, right, right_sel, right_idx)
             evaluator = self._evaluator(candidates)
             mask = np.ones(candidates.length, dtype=bool)
@@ -623,7 +721,8 @@ class ColumnExecutor:
                 left_idx = np.concatenate([left_idx, unmatched])
                 right_idx = np.concatenate(
                     [right_idx, np.full(len(unmatched), -1, dtype=np.int64)])
-        return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded)
+        return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded,
+                       layout)
 
     def _project_sel(self, select: ast.Select, frame: ColFrame,
                      selection: np.ndarray | None, kernels: ColumnBlockKernels | None,
@@ -728,7 +827,7 @@ class ColumnExecutor:
 
     def _execute_block_parallel(self, select: ast.Select, block: BlockPlan,
                                 kernels: ColumnBlockKernels | None,
-                                info: "_ParallelScan"
+                                shape: ColumnBlockShape, info: "_ParallelScan"
                                 ) -> tuple[ColFrame, list[str]]:
         """Morsel-driven variant of :meth:`_execute_block_sel`.
 
@@ -750,7 +849,7 @@ class ColumnExecutor:
         span_cm = (trace.span("scan", source=scan_source(item))
                    if trace is not None else NULL_SPAN)
         with span_cm as span:
-            frame = self._materialise(item)
+            frame = self._materialise(item, block.item_columns[0], shape.item_layouts[0])
             pairs = []
             if block.pushdown:
                 pairs = kernels.pushdown[0] if kernels is not None \
@@ -958,18 +1057,22 @@ class ColumnExecutor:
 
     # -- FROM materialisation ----------------------------------------------------
 
-    def _materialise(self, item: ast.TableExpression) -> ColFrame:
+    def _materialise(self, item: ast.TableExpression,
+                     columns: list[ColumnInfo] | None = None,
+                     layout: Layout | None = None) -> ColFrame:
+        """The frame of one FROM item; ``columns`` / ``layout`` are the
+        plan's for it, when the item is one the block's plan resolved."""
         if isinstance(item, ast.TableRef):
             view = self.database.columnar(item.name, typed_nulls=self.null_masks)
-            columns = [
-                ColumnInfo(binding=item.binding, name=column.name, type_name=column.type_name)
-                for column in view.schema.columns
-            ]
+            if columns is None:
+                columns = [ColumnInfo(binding=item.binding, name=column.name,
+                                      type_name=column.type_name)
+                           for column in view.schema.columns]
             arrays = [view.columns[column.name] for column in view.schema.columns]
             codes = [view.codes.get(column.name) for column in view.schema.columns] \
                 if self.dictionary_encoding and view.codes else None
             return ColFrame(columns=columns, arrays=arrays, length=view.length,
-                            codes=codes)
+                            codes=codes, layout=layout)
         if isinstance(item, ast.SubqueryRef):
             frame, names = self._execute_block(item.subquery)
             columns = [
@@ -977,12 +1080,12 @@ class ColumnExecutor:
                 for name, column in zip(names, frame.columns)
             ]
             return ColFrame(columns=columns, arrays=frame.arrays, length=frame.length,
-                            codes=frame.codes)
+                            codes=frame.codes, layout=layout)
         if isinstance(item, ast.Join):
-            return self._materialise_join(item)
+            return self._materialise_join(item, layout)
         raise PlanError(f"unsupported FROM item {type(item).__name__}")
 
-    def _materialise_join(self, join: ast.Join) -> ColFrame:
+    def _materialise_join(self, join: ast.Join, layout: Layout | None = None) -> ColFrame:
         left = self._materialise(join.left)
         right = self._materialise(join.right)
         equi, residual = self._split_join_condition(join.condition, left, right)
@@ -994,10 +1097,11 @@ class ColumnExecutor:
             width_right = len(right.columns)
             reordered = frame.arrays[width_right:] + frame.arrays[:width_right]
             columns = frame.columns[width_right:] + frame.columns[:width_right]
-            return ColFrame(columns=columns, arrays=reordered, length=frame.length)
+            return ColFrame(columns=columns, arrays=reordered, length=frame.length,
+                            layout=layout)
 
         return self._join(left, None, right, None, equi, residual,
-                          keep_unmatched_left=join.kind == "left")
+                          keep_unmatched_left=join.kind == "left", layout=layout)
 
     def _split_join_condition(self, condition: ast.Expression | None,
                               left: ColFrame, right: ColFrame
@@ -1257,31 +1361,33 @@ class _GatheredColumns(Sequence):
     A join decides *which rows* pair up; most of the columns riding along
     are never looked at again (TPC-H Q5's six-way join ends in 47 columns
     and reads three).  ``parts`` holds, per source frame, its arrays, the
-    row index into them and whether that index has -1 entries (a row an
-    outer join padded: NULL in every column of the part); joining again
-    only re-indexes the parts.
+    row index into them (None: every row, in order) and whether that index
+    has -1 entries (a row an outer join padded: NULL in every column of the
+    part); joining again only re-indexes the parts.
     """
 
-    __slots__ = ("parts", "_pad", "_where", "_gathered")
+    __slots__ = ("parts", "_pad", "_ends", "_gathered")
 
-    def __init__(self, parts: list[tuple[Sequence, np.ndarray, bool]], pad):
+    def __init__(self, parts: list[tuple[Sequence, np.ndarray | None, bool]], pad):
         self.parts = parts
         self._pad = pad
-        self._where = [(part, local) for part, (arrays, _, _) in enumerate(parts)
-                       for local in range(len(arrays))]
+        #: per part, the position after its last column.
+        self._ends = list(accumulate(len(arrays) for arrays, _, _ in parts))
         self._gathered: dict[int, Any] = {}
 
     def __len__(self) -> int:
-        return len(self._where)
+        return self._ends[-1]
 
     def __getitem__(self, position):
         if isinstance(position, slice):
             return [self[index] for index in range(*position.indices(len(self)))]
-        part, local = self._where[position]  # IndexError ends an iteration
-        position %= len(self._where)
+        if not -len(self) <= position < len(self):
+            raise IndexError(position)  # ends an iteration
+        position %= len(self)
         if position not in self._gathered:
+            part = bisect_right(self._ends, position)
             arrays, index, padded = self.parts[part]
-            source = arrays[local]
+            source = arrays[position - (self._ends[part - 1] if part else 0)]
             if source is None or not padded:
                 column = _selected(source, index)
             else:
@@ -1307,8 +1413,9 @@ def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
     return np.where(outer < 0, -1, inner[np.maximum(outer, 0)])
 
 
-def _reindexed(arrays: Sequence, selection: np.ndarray | None, index: np.ndarray,
-               padded: bool) -> list[tuple[Sequence, np.ndarray, bool]]:
+def _reindexed(arrays: Sequence, selection: np.ndarray | None,
+               index: np.ndarray | None, padded: bool
+               ) -> list[tuple[Sequence, np.ndarray | None, bool]]:
     """The parts of ``arrays[selection][index]``, without gathering anything."""
     parts = arrays.parts if isinstance(arrays, _GatheredColumns) \
         else [(arrays, None, False)]
@@ -1318,12 +1425,13 @@ def _reindexed(arrays: Sequence, selection: np.ndarray | None, index: np.ndarray
             for source, inner, inner_padded in parts]
 
 
-def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray,
+def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray | None,
             right: ColFrame, right_sel: np.ndarray | None, right_idx: np.ndarray,
-            padded: bool = False) -> ColFrame:
+            padded: bool = False, layout: Layout | None = None) -> ColFrame:
     """The frame of ``left`` rows ``left_idx`` beside ``right`` rows ``right_idx``
-    (both counted within their selections; ``padded``: -1 in ``right_idx``
-    stands for an all-NULL right row)."""
+    (both counted within their selections; no ``left_idx``: every selected
+    left row, once, in order; ``padded``: -1 in ``right_idx`` stands for an
+    all-NULL right row)."""
     def gathered(left_columns, right_columns, pad):
         return _GatheredColumns(
             _reindexed(left_columns, left_sel, left_idx, False)
@@ -1335,7 +1443,7 @@ def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray,
                          right.codes or [None] * len(right.columns), _pad_codes)
     return ColFrame(columns=left.columns + right.columns,
                     arrays=gathered(left.arrays, right.arrays, _pad_values),
-                    length=len(left_idx), codes=codes)
+                    length=len(right_idx), codes=codes, layout=layout)
 
 
 class _LazySelection:

@@ -88,8 +88,7 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
         "joins": [{"source": source, "join": join(step),
                    "table": item.name if isinstance(item, ast.TableRef) else None,
                    "built": step.frame_index in pipeline.builds,
-                   "filtered": any(block.pushdown.get(column.binding.lower())
-                                   for column in block.item_columns[step.frame_index])}
+                   "filtered": block.filtered(step.frame_index)}
                   for source, item, step in zip(sources[1:], items[1:], block.join_order[1:])],
         "fused": ["scan"] + ["join"] * (len(sources) > 1) + ["filter"] * bool(block.residual)
         + ["aggregate" if block.needs_aggregation else "project"],

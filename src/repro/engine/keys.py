@@ -24,6 +24,13 @@ than the row count is re-ranked too: joins and grouping then index small
 tables by code (run starts, first rows) instead of searching or sorting
 rows, with temporaries of the order of the key columns themselves.
 
+A join is two halves.  :func:`build_order` sorts the build side's rows by
+code, once, into a :class:`KeyOrder` that remembers how a key becomes a
+code; :func:`probe_order` codes the probe side's keys the same way and reads
+the matching runs.  The order of a whole base table is kept by storage and
+probed by every execution; anything else is built where it is probed --
+:func:`join_indexes` is the two calls in a row.
+
 NULL follows SQL: a NULL join key matches nothing (its row lands in
 ``unmatched_left``), NULL group keys form one group, and NULLs sort after
 every value.  Row order is part of the contract -- joins emit "probe-row
@@ -39,7 +46,8 @@ import numpy as np
 from repro.engine.mask import Nullable, data_of
 from repro.obs.metrics import count as count_metric
 
-__all__ = ["group_rows", "hash_codes", "join_indexes", "order_index"]
+__all__ = ["KeyOrder", "build_order", "group_rows", "hash_codes", "integer_kind",
+           "join_indexes", "order_index", "probe_order"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 #: combined code spaces are re-ranked before they reach this bound.
@@ -147,15 +155,236 @@ def _count(operator: str, rows: int, hashed: bool) -> None:
                  rows)
 
 
+class _Offset:
+    """Codes of a key column whose values span no more than its row count:
+    ``value - low``."""
+
+    __slots__ = ("low", "high")
+
+    def __init__(self, low: int, high: int):
+        self.low, self.high = low, high
+
+    def size(self) -> int:
+        return self.high - self.low + 1
+
+    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, found)``; a code is only meaningful where found."""
+        # the subtraction may wrap for a value outside [low, high]: not found
+        return values - self.low, (values >= self.low) & (values <= self.high)
+
+    def nbytes(self) -> int:
+        return 0
+
+
+class _Distinct:
+    """Codes of sparse keys: their rank among the sorted distinct values."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def size(self) -> int:
+        return len(self.values)
+
+    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        distinct = self.values
+        if not len(distinct):
+            return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
+        low, high = int(distinct[0]), int(distinct[-1])
+        # a binary search per probe against one pass over the span: when the
+        # probes outweigh the span, rank them through a table built for them
+        if len(values) * len(distinct).bit_length() > high - low:
+            ranks = np.full(high - low + 1, -1, dtype=np.int64)
+            ranks[distinct - low] = np.arange(len(distinct), dtype=np.int64)
+            inside = (values >= low) & (values <= high)
+            codes = ranks[np.where(inside, values - low, 0)]
+            found = inside & (codes >= 0)
+            return codes, found
+        codes = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
+        return codes, distinct[codes] == values
+
+    def nbytes(self) -> int:
+        return self.values.nbytes
+
+
+def _ranked(values: np.ndarray) -> tuple[_Distinct, np.ndarray]:
+    """``values`` coded by their rank among their own distinct values."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return _Distinct(distinct), codes.astype(np.int64, copy=False)
+
+
+def _coded(values: np.ndarray) -> "tuple[_Offset | _Distinct, np.ndarray]":
+    """How one build-side key column (``int64``, NULL-free) is coded, and its
+    codes: by offset while the values span no more than the rows -- the code
+    tables then cost what the column costs -- by rank otherwise."""
+    if len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low < len(values):
+            return _Offset(low, high), values - low
+    return _ranked(values)
+
+
+def integer_kind(columns: list) -> bool:
+    """True when every key column is a bool / integer array: date ordinals and
+    dictionary codes included, floats, strings and ``None``-carrying object
+    arrays not."""
+    return all(data_of(column)[0].dtype.kind in "bi" for column in columns)
+
+
+class KeyOrder:
+    """The build side of an equi-join: its rows sorted by key, ready to probe.
+
+    A pure function of the key columns, so one built over a whole base table
+    serves every execution until the table changes (storage keeps it, see
+    ``StorageTable.key_order``); the same structure is built per execution
+    over a filtered or derived side.  ``steps`` say how a key becomes a code
+    in ``[0, len(run_starts))``: per key column an offset or a rank among
+    sorted distinct values, and, wherever the combined code space outgrows
+    the row count, a rank among the sorted distinct combined codes.  ``order``
+    lists the rows by code, a code's rows ascending; rows with a NULL in any
+    key column are left out, they match nothing.
+    """
+
+    __slots__ = ("steps", "order", "run_starts", "run_lengths", "first", "rows",
+                 "distinct", "unique")
+
+    def __init__(self, steps, codes: np.ndarray, space: int, present: np.ndarray | None,
+                 rows: int):
+        self.steps = steps
+        #: rows of the build side, NULL-keyed ones included.
+        self.rows = rows
+        keyed = len(codes)
+        # the row number breaks ties, so any sort is a stable one
+        order = np.argsort(codes * max(keyed, 1) + np.arange(keyed, dtype=np.int64))
+        self.order = order if present is None else present[order]
+        self.run_lengths = np.bincount(codes, minlength=max(space, 1))
+        self.run_starts = np.cumsum(self.run_lengths) - self.run_lengths
+        self.distinct = int(np.count_nonzero(self.run_lengths))
+        #: no key twice (a primary key): a probe row has one match or none.
+        self.unique = self.distinct == keyed
+        #: unique keys only: the row of every code, -1 for a code without one.
+        self.first = None
+        if self.unique:
+            self.first = np.full(len(self.run_lengths), -1, dtype=np.int64)
+            self.first[codes] = np.arange(keyed, dtype=np.int64) if present is None \
+                else present
+
+    @property
+    def indexed_rows(self) -> int:
+        """Rows a probe can reach (those without a NULL key)."""
+        return len(self.order)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.order, self.run_starts, self.run_lengths, self.first]
+        return sum(array.nbytes for array in arrays if array is not None) \
+            + sum(coder.nbytes() + (0 if rerank is None else rerank.nbytes())
+                  for coder, rerank in self.steps)
+
+    def codes(self, columns: list) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(codes, found)`` of probe-side key columns; ``found`` is None when
+        every row has a code, else the code is 0 where it is False."""
+        combined = found = None
+        for (coder, rerank), column in zip(self.steps, columns):
+            values, valid = data_of(column)
+            codes, hit = coder.lookup(values.astype(np.int64, copy=False))
+            if valid is not None:
+                hit &= valid
+            combined = codes if combined is None else combined * coder.size() + codes
+            found = hit if found is None else found & hit
+            if rerank is not None:
+                combined, hit = rerank.lookup(combined)
+                found &= hit
+        if found.all():
+            return combined, None
+        return np.where(found, combined, 0), found
+
+
+def build_order(columns: list) -> KeyOrder | None:
+    """Sort the rows of a join's build side by its key columns, once.
+
+    None when a key column is not of integer kind (see :func:`join_indexes`).
+    """
+    pairs = [data_of(column) for column in columns]
+    if not all(values.dtype.kind in "bi" for values, _ in pairs):
+        return None
+    rows = len(columns[0])
+    present = None
+    masks = [valid for _, valid in pairs if valid is not None]
+    if masks:
+        valid = masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
+        if not valid.all():
+            present = np.flatnonzero(valid)
+    count_metric("join.kernel_rows", rows)
+    steps, combined, space = [], None, 1
+    for values, _ in pairs:
+        values = values.astype(np.int64, copy=False)
+        if present is not None:
+            values = values[present]
+        coder, codes = _coded(values)
+        combined = codes if combined is None else combined * coder.size() + codes
+        space *= coder.size()
+        rerank = None
+        if space > max(len(combined), 1):
+            # no wider than the rows again, so the next product stays in int64
+            rerank, combined = _ranked(combined)
+            space = rerank.size()
+        steps.append((coder, rerank))
+    return KeyOrder(steps, combined, space, present, rows)
+
+
+def probe_order(order: KeyOrder, columns: list
+                ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Probe a build side with integer-kind key columns.
+
+    Returns what :func:`join_indexes` returns; ``left_idx`` is None for
+    "every probe row, once, in order" (a unique build key all of them find).
+    """
+    codes, found = order.codes(columns)
+    rows = len(codes)
+    count_metric("join.kernel_rows", rows)
+    if order.unique:
+        right_idx = order.first[codes]
+        matched = right_idx >= 0 if found is None else found & (right_idx >= 0)
+        if matched.all():
+            return None, right_idx, _EMPTY
+        left_idx = np.flatnonzero(matched)
+        return left_idx, right_idx[left_idx], np.flatnonzero(~matched)
+    counts = order.run_lengths[codes]
+    if found is not None:
+        counts[~found] = 0
+    left_idx = np.repeat(np.arange(rows, dtype=np.int64), counts)
+    # a left row's matches are consecutive in ``order``, from its run's start
+    ends = np.cumsum(counts)
+    positions = np.repeat(order.run_starts[codes] - (ends - counts), counts) \
+        + np.arange(len(left_idx), dtype=np.int64)
+    return left_idx, order.order[positions], np.flatnonzero(counts == 0)
+
+
 def join_indexes(left: list, right: list
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Equi-join two lists of key columns (one column per key, per side).
 
     Returns ``(left_idx, right_idx, unmatched_left)``: the matching row
     pairs in left-row order, each left row's matches in right-row order,
     and the ascending left rows that matched nothing.  Rows with a NULL in
-    any key column never match.
+    any key column never match.  Keys of integer kind on both sides (bool,
+    integers, date ordinals, dictionary codes) are :func:`probe_order` over
+    :func:`build_order` of the right side, and ``left_idx`` may then be None
+    (every left row, once, in order); floats, strings and mixed dtypes are
+    coded jointly, under Python equality.
     """
+    if integer_kind(left):
+        order = build_order(right)
+        if order is not None:
+            return probe_order(order, left)
+    return _joint_indexes(left, right)
+
+
+def _joint_indexes(left: list, right: list
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`join_indexes` by coding both sides' keys in one space."""
     left_rows, right_rows = len(left[0]), len(right[0])
     columns = []
     for left_column, right_column in zip(left, right):

@@ -160,6 +160,11 @@ class BlockPlan:
         outer row and cannot be cached across rows."""
         return bool(self.free_refs)
 
+    def filtered(self, frame_index: int) -> bool:
+        """True when push-down predicates apply to the FROM item at ``frame_index``."""
+        return any(self.pushdown.get(column.binding.lower())
+                   for column in self.item_columns[frame_index])
+
     def describe(self) -> dict:
         """Compact, JSON-friendly description (used by ``Engine.explain``)."""
         return {
@@ -279,9 +284,13 @@ class Planner:
 
         if self.predicate_pushdown:
             binding_tables = _binding_tables(select.from_items)
+            # the WHERE clause's own single-relation conjuncts, then what its
+            # residual disjunctions imply (those stay residual as well)
             pushdown = {
-                binding: self._order_pushdown(binding, list(predicates), binding_tables)
-                for binding, predicates in classified.single.items()
+                binding: self._order_pushdown(
+                    binding, classified.single.get(binding, [])
+                    + classified.implied.get(binding, []), binding_tables)
+                for binding in dict.fromkeys([*classified.single, *classified.implied])
             }
             residual = list(classified.residual)
         else:

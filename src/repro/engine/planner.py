@@ -8,7 +8,8 @@ analysis from the AST themselves):
 
 * :class:`ColumnInfo` / :class:`Scope` -- name resolution of (possibly
   qualified) column references against the FROM-clause bindings, with a link
-  to an outer scope for correlated subqueries,
+  to an outer scope for correlated subqueries; :class:`Layout` -- the same
+  resolution to a column *position*, shared by frames and the compilers,
 * :func:`classify_conjuncts` -- splits the WHERE clause into single-relation
   filters (push-down candidates), equi-join conditions, and residual
   predicates (anything referencing several relations, outer columns or
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 
 
@@ -36,6 +37,41 @@ class ColumnInfo:
     @property
     def key(self) -> tuple[str, str]:
         return (self.binding.lower(), self.name.lower())
+
+
+class Layout:
+    """Position lookup over a list of columns: a frame's, or at compile time
+    the one a frame will have.
+
+    ``ambiguous`` selects what an unqualified name matching several columns
+    does: ``"first"`` mirrors the row frames (first binding wins), ``"raise"``
+    mirrors the column engine's strict resolution.
+    """
+
+    __slots__ = ("columns", "ambiguous", "_index", "_by_name")
+
+    def __init__(self, columns: list[ColumnInfo], ambiguous: str = "first"):
+        self.columns = list(columns)
+        self.ambiguous = ambiguous
+        self._index: dict[tuple[str, str], int] = {}
+        self._by_name: dict[str, list[int]] = {}
+        for position, column in enumerate(self.columns):
+            self._index[(column.binding.lower(), column.name.lower())] = position
+            self._by_name.setdefault(column.name.lower(), []).append(position)
+
+    def position(self, ref: ast.ColumnRef) -> int | None:
+        if ref.table:
+            return self._index.get((ref.table.lower(), ref.name.lower()))
+        positions = self._by_name.get(ref.name.lower())
+        if not positions:
+            return None
+        if len(positions) > 1 and self.ambiguous == "raise":
+            raise ExecutionError(
+                f"ambiguous column '{ref.name}' (qualify it with a table alias)")
+        return positions[0]
+
+    def type_of(self, position: int) -> str:
+        return self.columns[position].type_name
 
 
 @dataclass
@@ -134,6 +170,10 @@ class ClassifiedPredicates:
     #: everything else (multi-relation non-equi predicates, predicates with
     #: subqueries, predicates referencing outer columns).
     residual: list[ast.Expression] = field(default_factory=list)
+    #: single-relation predicates that are no conjunct of the WHERE clause but
+    #: follow from a residual disjunction (see :func:`implied_by_disjunction`),
+    #: keyed by binding -- push-down candidates on top of ``single``.
+    implied: dict[str, list[ast.Expression]] = field(default_factory=dict)
 
     def all_predicates(self) -> list[ast.Expression]:
         """Every conjunct, in classification order (used when push-down is off)."""
@@ -180,7 +220,42 @@ def classify_conjuncts(where: ast.Expression | None, scope: Scope) -> Classified
             classified.residual.append(conjunct)
         else:
             classified.residual.append(conjunct)
+            for binding, predicate in implied_by_disjunction(conjunct, scope).items():
+                classified.implied.setdefault(binding, []).append(predicate)
     return classified
+
+
+def implied_by_disjunction(conjunct: ast.Expression, scope: Scope
+                           ) -> dict[str, ast.Expression]:
+    """The single-relation predicates a subquery-free ``OR`` implies, by binding.
+
+    TPC-H Q7's ``(n1.n_name = 'FRANCE' and n2.n_name = 'GERMANY') or
+    (n1.n_name = 'GERMANY' and n2.n_name = 'FRANCE')`` spans two relations and
+    stays residual, yet no row with another ``n1.n_name`` can pass it.  When
+    *every* disjunct has conjuncts over binding *b* alone (no column of an
+    enclosing block among them), the ``OR`` over the disjuncts of the ``AND``
+    of those conjuncts is TRUE wherever the disjunction is -- under Kleene
+    logic too: a TRUE disjunction has a TRUE disjunct, whose conjuncts are all
+    TRUE -- so *b*'s scan may drop every row it rejects.  The disjunction
+    itself stays where it is.
+    """
+    if not (isinstance(conjunct, ast.BoolOp) and conjunct.operator == "or"):
+        return {}
+    per_disjunct: list[dict[str, list[ast.Expression]]] = []
+    for disjunct in conjunct.operands:
+        own: dict[str, list[ast.Expression]] = {}
+        for part in ast.conjuncts(disjunct):
+            bindings = scope.bindings_of(part)
+            if len(bindings) == 1 and all(scope.is_local(ref)
+                                          for ref in ast.column_refs(part)):
+                own.setdefault(next(iter(bindings)), []).append(part)
+        per_disjunct.append(own)
+    return {
+        binding: ast.BoolOp("or", [
+            own[binding][0] if len(own[binding]) == 1 else ast.BoolOp("and", own[binding])
+            for own in per_disjunct])
+        for binding in per_disjunct[0]
+        if all(binding in own for own in per_disjunct)}
 
 
 def _is_equi_join(conjunct: ast.Expression, scope: Scope) -> bool:

@@ -5,9 +5,10 @@ appended rows are sealed into fixed-size chunks (default 4096 rows) of typed
 :class:`~repro.engine.storage.segment.ColumnSegment` objects, and every view
 -- the row executor's row tuples, the column executor's whole-column arrays,
 the dictionary code vectors, the zone-map index, the table statistics, the
-key indexes the row engine's joins probe -- is derived (and cached) from those
-segments.  Mutations bump ``version`` and drop the caches, so stale views can
-never leak across inserts or re-creates.
+key indexes the row engine's joins probe and the key orders the column
+engine's do -- is derived (and cached) from those segments.  Mutations bump
+``version`` and drop the caches, so stale views can never leak across inserts
+or re-creates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.obs.metrics import count as count_metric
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (catalog is runtime-free here)
     from repro.engine.catalog import TableSchema
+    from repro.engine.keys import KeyOrder
     from repro.engine.storage.skipping import ZoneIndex
 
 #: default number of rows per chunk (the morsel size).
@@ -85,6 +87,7 @@ class StorageTable:
         self._stats_cache: TableStatistics | None = None
         self._zone_index: "ZoneIndex | None" = None
         self._key_indexes: dict[tuple[int, ...], dict] = {}
+        self._key_orders: dict[tuple[int, ...], "KeyOrder | None"] = {}
         # guards the tail seal and the lazily-built cached views: concurrent
         # readers (batched driver threads, morsel workers) must observe a
         # fully-built chunk list / index, never a partially-sealed tail.
@@ -127,6 +130,7 @@ class StorageTable:
         self._stats_cache = None
         self._zone_index = None
         self._key_indexes = {}
+        self._key_orders = {}
 
     # -- row views ---------------------------------------------------------------
 
@@ -166,6 +170,32 @@ class StorageTable:
         """The live key indexes by column positions (a copy of the registry)."""
         with self._lock:
             return dict(self._key_indexes)
+
+    def key_order(self, positions: tuple[int, ...]) -> "KeyOrder | None":
+        """The rows sorted by their key in the columns at ``positions``.
+
+        The column engine's counterpart of :meth:`key_index`: one
+        :func:`~repro.engine.keys.build_order` over the whole-column arrays,
+        built on first use and dropped by the next mutation.  None (cached
+        as well) when a key column is not of integer kind -- floats and
+        strings are coded jointly with the probe side, per execution.
+        """
+        from repro.engine.keys import build_order
+
+        with self._lock:
+            if positions not in self._key_orders:
+                names = [self.schema.columns[position].name for position in positions]
+                order = self._key_orders[positions] = build_order(
+                    [self.column_array(name) for name in names])
+                if order is not None:
+                    count_metric("join.order_builds")
+            return self._key_orders[positions]
+
+    def key_orders(self) -> dict[tuple[int, ...], "KeyOrder"]:
+        """The live key orders by column positions (a copy of the registry)."""
+        with self._lock:
+            return {positions: order for positions, order in self._key_orders.items()
+                    if order is not None}
 
     # -- column views --------------------------------------------------------------
 

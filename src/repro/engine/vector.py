@@ -45,7 +45,7 @@ from repro.engine.mask import (
     truth_mask,
     wrap_valid,
 )
-from repro.engine.planner import ColumnInfo
+from repro.engine.planner import ColumnInfo, Layout
 from repro.engine.types import (
     add_interval,
     date_to_ordinal,
@@ -454,7 +454,8 @@ class ColFrame:
     """
 
     def __init__(self, columns: list[ColumnInfo], arrays: Sequence[np.ndarray],
-                 length: int, codes: Sequence[np.ndarray | None] | None = None):
+                 length: int, codes: Sequence[np.ndarray | None] | None = None,
+                 layout: Layout | None = None):
         # frame constructions are counted on the active query's metrics
         # context ("frame.materialisations"): the selection-vector executor
         # is asserted (in tests) to allocate no intermediate frame per
@@ -465,17 +466,16 @@ class ColFrame:
         self.arrays = arrays
         self.length = length
         self.codes = codes
-        self._index: dict[tuple[str, str], int] = {}
-        self._by_name: dict[str, list[int]] = {}
-        self.reindex()
+        #: the position lookup over ``columns``' bindings and names.  Scans
+        #: and joins are handed the one their block's plan owns; any other
+        #: frame builds one the first time a reference is resolved in it.
+        self._layout = layout
 
-    def reindex(self) -> None:
-        """Rebuild the column lookup structures after columns changed."""
-        self._index = {}
-        self._by_name = {}
-        for position, column in enumerate(self.columns):
-            self._index[(column.binding.lower(), column.name.lower())] = position
-            self._by_name.setdefault(column.name.lower(), []).append(position)
+    @property
+    def layout(self) -> Layout:
+        if self._layout is None:
+            self._layout = Layout(self.columns, ambiguous="raise")
+        return self._layout
 
     def position(self, ref: ast.ColumnRef) -> int | None:
         """Column position of ``ref`` in this frame, or None when absent.
@@ -483,15 +483,7 @@ class ColFrame:
         An unqualified name matching several bindings is a user error a real
         engine reports rather than silently resolving to the first match.
         """
-        if ref.table:
-            return self._index.get((ref.table.lower(), ref.name.lower()))
-        positions = self._by_name.get(ref.name.lower())
-        if not positions:
-            return None
-        if len(positions) > 1:
-            raise ExecutionError(
-                f"ambiguous column '{ref.name}' (qualify it with a table alias)")
-        return positions[0]
+        return self.layout.position(ref)
 
     def array(self, position: int) -> np.ndarray:
         return self.arrays[position]
@@ -499,13 +491,14 @@ class ColFrame:
     def take(self, indexes: np.ndarray) -> "ColFrame":
         """Return a new frame with the rows selected by ``indexes``."""
         arrays = [array[indexes] for array in self.arrays]
-        return ColFrame(columns=list(self.columns), arrays=arrays, length=len(indexes))
+        return ColFrame(columns=self.columns, arrays=arrays, length=len(indexes),
+                        layout=self._layout)
 
     def mask(self, predicate: np.ndarray) -> "ColFrame":
         """Return a new frame keeping only the rows where ``predicate`` is True."""
         arrays = [array[predicate] for array in self.arrays]
-        return ColFrame(columns=list(self.columns), arrays=arrays,
-                        length=int(predicate.sum()))
+        return ColFrame(columns=self.columns, arrays=arrays,
+                        length=int(predicate.sum()), layout=self._layout)
 
     def row(self, index: int) -> tuple:
         """Materialise one row (dates converted back to :class:`datetime.date`)."""

@@ -77,12 +77,14 @@ from repro.sqlparser.extract import ExtractionOptions
 
 #: engine counters of submitted profiles that ``/api/metrics`` sums up as
 #: ``engine.<name>``: rows through the column engine's join / grouping kernels
-#: and through their dict fallback (see :mod:`repro.engine.keys`), and the row
-#: engine's join access paths -- probes into storage key indexes, indexes built
-#: (the first execution after a mutation), rows put into per-execution builds.
+#: and through their dict fallback (see :mod:`repro.engine.keys`), and both
+#: engines' join access paths -- probes into storage key indexes (row) and key
+#: orders (column), indexes / orders built (the first execution after a
+#: mutation), rows put into per-execution builds.
 ENGINE_KERNEL_COUNTERS = ("join.kernel_rows", "join.fallback_rows",
                           "group.kernel_rows", "group.fallback_rows",
-                          "join.index_probes", "join.index_builds", "join.build_rows")
+                          "join.index_probes", "join.index_builds",
+                          "join.order_probes", "join.order_builds", "join.build_rows")
 
 
 class PlatformService:

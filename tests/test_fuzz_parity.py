@@ -3,9 +3,9 @@
 A seeded generator produces ~200 random queries -- filters with nested
 NOT/AND/OR over NULL-heavy literals, IN/BETWEEN/LIKE (negations included),
 IS NULL, arithmetic and CASE projections, aggregates with GROUP BY/HAVING,
-and equi-joins (on a never-NULL key, on one and on two nullable keys, and
-as a LEFT JOIN) -- against a small database whose every column carries
-NULLs.  Each query is executed by the row and the column engine under the
+and equi-joins (on a never-NULL key, on one and on two nullable keys, as a
+LEFT JOIN, under an OR of ANDs over both tables) -- against a small database
+whose every column carries NULLs.  Each query is executed by the row and the column engine under the
 full EngineOptions toggle matrix (deduplicated by the options each engine
 actually consumes) and every result multiset must match the interpreted,
 nested-loop row engine exactly: a reference that evaluates ``a.k = b.k``
@@ -285,12 +285,20 @@ class QueryGenerator:
             return f"({first}) {connective} ({second})"
         return first
 
+    def _or_of_ands(self) -> str:
+        """``(a-leaf and b-leaf) or ...``: every disjunct pins both tables, so
+        the planner pushes the OR of each table's own conjuncts below the join
+        (NULL-heavy on purpose: an UNKNOWN conjunct must not keep a row)."""
+        return " or ".join(f"({self._leaf(False)} and {self._b_cmp()})"
+                           for _ in range(self.rng.randrange(2, 4)))
+
     def _join_query(self) -> str:
         items = ", ".join(["a.id", "b.id"] + self.rng.sample(
             ["a.x", "a.s", "b.v", "b.t"], self.rng.randrange(1, 3)))
         keys = self.rng.choice(["a.id = b.a_id", "a.x = b.v",
                                 "a.x = b.v and a.s = b.t", "a.s = b.t"])
-        predicate = self.predicate(2, joined=True)
+        predicate = self._or_of_ands() if self.rng.random() < 0.3 \
+            else self.predicate(2, joined=True)
         if self.rng.random() < 0.25:
             return (f"select {items} from a left join b on {keys} "
                     f"where {predicate}")
@@ -415,13 +423,27 @@ def test_differential_fuzz_parity(fuzz_db):
 
 def test_join_sample_holds_after_an_insert():
     """Derived views (row lists, columnar arrays, the key indexes the row
-    engine's joins probe) are dropped by a mutation: the join queries of the
-    corpus agree with the reference before an insert and after it."""
+    engine's joins probe and the key orders the column engine's do) are
+    dropped by a mutation: the join queries of the corpus agree with the
+    reference before an insert and after it -- on fresh engines, and on two
+    whose cached plans ran against the old views."""
     database = _fuzz_database()
     generator = QueryGenerator(random.Random(FUZZ_SEED))
     corpus = [generator.query() for _ in range(FUZZ_ITERATIONS)]
     sample = [sql for sql in corpus if " b " in sql][:8]
     assert sample
+    warm = [RowEngine(database), ColumnEngine(database)]
+    reference = RowEngine(database, options=dataclasses.replace(
+        _options(False, False, True, True), hash_joins=False))
+
+    def assert_warm_engines(label: str) -> None:
+        for number, sql in enumerate(sample):
+            expected = _canonical(reference.execute(sql).rows)
+            for engine in warm:
+                assert _canonical(engine.execute(engine.prepare(sql)).rows) == expected, \
+                    f"{label}, cached {engine.strategy()} plan of join {number}: {sql}"
+
+    assert_warm_engines("before insert")
     for number, sql in enumerate(sample):
         _assert_parity(database, sql, f"before insert, join {number}")
     # new matches for every key shape: duplicate keys, NULL keys, a new a.id
@@ -429,6 +451,7 @@ def test_join_sample_holds_after_an_insert():
                                (92, None, None, None, None)])
     database.insert_rows("b", [(46, 91, 7, "abba"), (47, 91, None, None),
                                (48, None, 7, "abba"), (49, 3, 12, "box")])
+    assert_warm_engines("after insert")
     for number, sql in enumerate(sample):
         _assert_parity(database, sql, f"after insert, join {number}")
 

@@ -17,8 +17,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.keys import group_rows, hash_codes, join_indexes, order_index
+from repro.engine.keys import (
+    _joint_indexes,
+    build_order,
+    group_rows,
+    hash_codes,
+    join_indexes,
+    order_index,
+    probe_order,
+)
 from repro.engine.mask import Nullable
 from repro.obs import MetricsContext
 
@@ -65,12 +75,18 @@ def reference_groups(factors: list, rows: int):
     return ids, first
 
 
+def _as_lists(left_rows: int, found) -> tuple[list, list, list]:
+    left_idx, right_idx, unmatched = found
+    if left_idx is None:  # every left row, once, in order
+        left_idx = np.arange(left_rows)
+    return left_idx.tolist(), right_idx.tolist(), unmatched.tolist()
+
+
 def assert_join(left: list, right: list) -> MetricsContext:
     metrics = MetricsContext()
     with metrics.activate():
-        left_idx, right_idx, unmatched = join_indexes(left, right)
-    expected = reference_join(left, right)
-    assert (left_idx.tolist(), right_idx.tolist(), unmatched.tolist()) == expected
+        found = join_indexes(left, right)
+    assert _as_lists(len(left[0]), found) == reference_join(left, right)
     return metrics
 
 
@@ -244,6 +260,133 @@ class TestJoinIndexes:
                             dtype=np.int64)
         assert_join([extremes], [extremes[::-1].copy()])
         assert_groups([extremes])
+
+
+# ---------------------------------------------------------------------------
+# the join's two halves: a build side sorted once, probed any number of times
+# ---------------------------------------------------------------------------
+
+#: few values, so keys repeat and meet across the sides; negatives; a 2**60
+#: span, which no offset table may cover (the sorted-distinct branch).
+KEY_VALUES = st.sampled_from([-3, -1, 0, 1, 2, 3, 5, 8, 2 ** 60, -2 ** 60])
+KINDS = st.sampled_from(["int", "bool", "date"])
+
+
+def _typed(kind: str, values: list, nulls: list | None):
+    if kind == "bool":
+        array = np.array([value > 0 for value in values], dtype=bool)
+    elif kind == "date":  # day ordinals
+        array = np.array([18262 + value % 7 for value in values], dtype=np.int64)
+    else:
+        array = np.array(values, dtype=np.int64)
+    return array if nulls is None else Nullable(array, ~np.array(nulls, dtype=bool))
+
+
+@st.composite
+def key_sides(draw, unique_build: bool = False):
+    """``(left, right)`` lists of 1-3 integer-kind key columns, NULLs on either."""
+    kinds = draw(st.lists(KINDS, min_size=1, max_size=3))
+    if unique_build:
+        kinds[0] = "int"  # a bool or weekday column cannot tell six rows apart
+
+    def side(rows: int, unique: bool):
+        columns = []
+        for position, kind in enumerate(kinds):
+            if unique and position == 0:
+                values = draw(st.lists(KEY_VALUES, min_size=rows, max_size=rows,
+                                       unique=True))
+            else:
+                values = draw(st.lists(KEY_VALUES, min_size=rows, max_size=rows))
+            nulls = None
+            if not unique and draw(st.booleans()):
+                nulls = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            columns.append(_typed(kind, values, nulls))
+        return columns
+
+    left = side(draw(st.integers(0, 12)), False)
+    right = side(draw(st.integers(0, 6 if unique_build else 12)), unique_build)
+    return left, right
+
+
+class TestBuildAndProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(key_sides())
+    def test_probing_a_built_order_is_the_joint_code_join(self, sides):
+        """``probe_order(build_order(right), left)`` returns what the kernel it
+        was split from returns -- which still serves floats and strings -- and
+        what the per-row dict loop does."""
+        left, right = sides
+        order = build_order(right)
+        found = _as_lists(len(left[0]), probe_order(order, left))
+        assert found == _as_lists(len(left[0]), _joint_indexes(left, right))
+        assert found == reference_join(
+            [column.to_objects() if isinstance(column, Nullable) else column
+             for column in left],
+            [column.to_objects() if isinstance(column, Nullable) else column
+             for column in right])
+        # one build serves any number of probes
+        assert _as_lists(len(right[0]), probe_order(order, right)) \
+            == _as_lists(len(right[0]), _joint_indexes(right, right))
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_sides(unique_build=True))
+    def test_unique_build_keys(self, sides):
+        """A primary-key build side: a match or none per probe row, and no left
+        index at all when every probe row has one."""
+        left, right = sides
+        order = build_order(right)
+        assert order.unique and order.distinct == order.indexed_rows == len(right[0])
+        left_idx, right_idx, unmatched = probe_order(order, left)
+        expected = _joint_indexes(left, right)
+        assert _as_lists(len(left[0]), (left_idx, right_idx, unmatched)) \
+            == _as_lists(len(left[0]), expected)
+        assert (left_idx is None) == (len(expected[2]) == 0)
+
+    def test_every_probe_row_matching_once_needs_no_left_index(self):
+        build = np.array([40, 10, 30, 20], dtype=np.int64)
+        probe = np.array([10, 10, 40, 30], dtype=np.int64)
+        left_idx, right_idx, unmatched = join_indexes([probe], [build])
+        assert left_idx is None and right_idx.tolist() == [1, 1, 0, 2]
+        assert unmatched.tolist() == []
+        left_idx, right_idx, unmatched = join_indexes([np.append(probe, 50)], [build])
+        assert left_idx.tolist() == [0, 1, 2, 3] and unmatched.tolist() == [4]
+
+    def test_order_facts(self):
+        keys = Nullable(np.array([7, 3, 7, 0, 3, 7], dtype=np.int64),
+                        np.array([True, True, True, False, True, True]))
+        order = build_order([keys])
+        assert (order.rows, order.indexed_rows, order.distinct, order.unique) \
+            == (6, 5, 2, False)
+        assert order.order.tolist() == [1, 4, 0, 2, 5]  # by key, a key's rows ascending
+        assert order.nbytes > 0
+        sparse = build_order([np.array([0, 2 ** 60, 5], dtype=np.int64)])
+        assert sparse.unique and sparse.distinct == 3
+
+    def test_many_probes_against_sparse_keys_take_the_table(self):
+        """Sparse keys are ranked by binary search, or -- when the probes
+        outweigh the key span -- through a table laid out for them; both
+        answer alike."""
+        rng = random.Random(5)
+        build = np.array(sorted(rng.sample(range(0, 4000, 4), 300)), dtype=np.int64)
+        order = build_order([build])
+        few = np.array([rng.randrange(-8, 4100) for _ in range(20)], dtype=np.int64)
+        many = np.array([rng.randrange(-8, 4100) for _ in range(2000)], dtype=np.int64)
+        for probe in (few, many):
+            assert _as_lists(len(probe), probe_order(order, [probe])) \
+                == _as_lists(len(probe), _joint_indexes([probe], [build]))
+
+    @pytest.mark.parametrize("make_left,make_right", [
+        (ints, floats), (floats, ints), (strings, strings), (ints, strings)])
+    def test_other_keys_are_not_orderable(self, make_left, make_right):
+        """Float, string and mixed-dtype keys keep the joint coding and its
+        Python-equality contract; no order is built for them."""
+        rng = random.Random(2)
+        left, right = make_left(rng, 30), make_right(rng, 20)
+        assert (build_order([right]) is None) == (make_right is not ints)
+        metrics = assert_join([left], [right])
+        hashed = strings in (make_left, make_right)
+        assert metrics.snapshot() == {
+            "join.fallback_rows" if hashed else "join.kernel_rows": 50}
 
 
 # ---------------------------------------------------------------------------

@@ -332,11 +332,12 @@ class TestKeyKernelCounters:
         span = result.trace.find("join")
         assert span.rows_in == tpch_db.row_count("orders")
         assert span.rows_out == tpch_db.row_count("lineitem") == result.scalar()
+        # neither engine builds anything: both probe storage's lineitem(l_orderkey),
+        # the column engine its key order, the row engine its key index
+        assert span.attributes["build_rows"] == 0
         if engine_cls is ColumnEngine:
-            assert span.attributes["build_rows"] == tpch_db.row_count("lineitem")
+            assert result.metrics.get("join.order_probes") == 1
         else:
-            # the row engine builds nothing: it probes storage's lineitem(l_orderkey)
-            assert span.attributes["build_rows"] == 0
             probed = result.trace.find_all("scan")[1]
             assert probed.attributes["access"] == "index"
             assert probed.rows_in == probed.rows_out == tpch_db.row_count("lineitem")
@@ -392,7 +393,8 @@ class TestPlatformMetrics:
         task = service.next_task(contributor, experiment)
         counters = {"join.kernel_rows": 120, "group.fallback_rows": 7,
                     "scan.chunks_scanned": 3, "join.fallback_rows": "many",
-                    "join.index_probes": 40, "join.index_builds": 2, "join.build_rows": 9}
+                    "join.index_probes": 40, "join.index_builds": 2, "join.build_rows": 9,
+                    "join.order_probes": 5, "join.order_builds": 1}
         service.submit_result(contributor, task, times=[0.05],
                               extras={"profile": {"counters": counters}})
         snapshot = service.metrics.snapshot()["counters"]
@@ -400,6 +402,8 @@ class TestPlatformMetrics:
         assert snapshot["engine.group.fallback_rows"] == 7
         assert (snapshot["engine.join.index_probes"], snapshot["engine.join.index_builds"],
                 snapshot["engine.join.build_rows"]) == (40, 2, 9)
+        assert (snapshot["engine.join.order_probes"],
+                snapshot["engine.join.order_builds"]) == (5, 1)
         assert not any(name.startswith("engine.scan") or name == "engine.join.fallback_rows"
                        for name in snapshot)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import (
     ColumnEngine,
     Database,
+    EngineOptions,
     PlanCache,
     Planner,
     QueryPlan,
@@ -72,6 +73,60 @@ class TestPlanner:
         root = planner.plan(select).root
         assert root.pushdown == {}
         assert len(root.residual) == 1
+
+    def test_disjunction_implies_single_relation_predicates(self, small_db, tpch_db):
+        """Every disjunct of Q7's nation predicate pins both ``n1`` and ``n2``:
+        each scan gets the OR of its own conjuncts, the disjunction stays."""
+        from repro.sqlparser.printer import to_sql
+
+        inner = next(block for block in ColumnEngine(tpch_db).prepare(QUERIES[7])
+                     .blocks.values() if len(block.item_columns) == 6)
+        assert [to_sql(predicate) for predicate in inner.pushdown["n1"]] == [
+            "(n1.n_name = 'FRANCE') or (n1.n_name = 'GERMANY')"]
+        assert [to_sql(predicate) for predicate in inner.pushdown["n2"]] == [
+            "(n2.n_name = 'GERMANY') or (n2.n_name = 'FRANCE')"]
+        assert inner.classified.single.keys() == {"lineitem"}  # not WHERE conjuncts
+        assert len(inner.residual) == 1
+
+        planner = Planner(small_db.catalog)
+        root = planner.plan(parse_select(
+            "select t.id from t, u where t.id = u.t_id and "
+            "((t.price > 15 and t.name = 'alpha' and u.tag = 'x') or (t.price < 5 and u.id = 2))"
+        )).root
+        assert [to_sql(predicate) for predicate in root.pushdown["t"]] == [
+            "((t.price > 15) and (t.name = 'alpha')) or (t.price < 5)"]
+        assert [to_sql(predicate) for predicate in root.pushdown["u"]] == [
+            "(u.tag = 'x') or (u.id = 2)"]
+
+    @pytest.mark.parametrize("where", [
+        # a disjunct without a conjunct over t alone / over u alone
+        "(t.price > 15 and u.tag = 'x') or t.id + u.id = 4",
+        # a subquery anywhere in the disjunction
+        "(t.price > 15 and u.tag = 'x') or (t.price < 5 and u.id in (select id from u))",
+    ])
+    def test_disjunction_that_implies_nothing(self, small_db, where):
+        root = Planner(small_db.catalog).plan(parse_select(
+            f"select t.id from t, u where t.id = u.t_id and ({where})")).root
+        assert root.pushdown == {} and len(root.residual) == 1
+
+    def test_nothing_is_implied_without_pushdown(self, small_db):
+        root = Planner(small_db.catalog, predicate_pushdown=False).plan(parse_select(
+            "select t.id from t, u where t.id = u.t_id and "
+            "((t.price > 15 and u.tag = 'x') or (t.price < 5 and u.id = 2))")).root
+        assert root.pushdown == {} and len(root.residual) == 1
+
+    def test_implied_predicates_keep_null_semantics(self, small_db):
+        """A disjunct whose own conjunct is UNKNOWN (``u.tag`` NULL) cannot make
+        the disjunction TRUE, so dropping its rows early changes nothing."""
+        small_db.insert_rows("u", [(4, 3, None), (5, None, "x")])
+        sql = ("select t.id, u.id from t, u where t.id = u.t_id and "
+               "((t.price > 15 and u.tag <> 'x') or (t.name = 'alpha' and not (u.tag = 'y')))")
+        expected = RowEngine(small_db, options=EngineOptions(
+            predicate_pushdown=False, hash_joins=False, compile_expressions=False)).execute(sql)
+        assert sorted(expected.rows) == [(1, 1), (3, 3)]
+        for engine in (RowEngine(small_db), ColumnEngine(small_db)):
+            assert engine.prepare(sql).root.pushdown.keys() == {"t", "u"}
+            assert sorted(engine.execute(sql).rows) == sorted(expected.rows)
 
     def test_describe_is_json_friendly(self, small_db):
         import json

@@ -541,6 +541,119 @@ class TestKeyIndex:
         assert sum(map(len, found[0].values())) == 20000
 
 
+class TestKeyOrder:
+    """The column engine's counterpart of the key index: rows sorted by key."""
+
+    SQL = "select t.id, u.id from t, u where t.id = u.t_id"
+
+    def test_rows_by_key_without_null_keys(self, nullable_db):
+        order = nullable_db.key_order("u", ["t_id"])
+        assert order.order.tolist() == [0, 3, 2]  # t_id 1, 4, 6; the NULL-keyed row left out
+        assert (order.rows, order.indexed_rows, order.distinct, order.unique) == (4, 3, 3, True)
+        assert nullable_db.key_order("u", ["T_ID"]) is order  # one per key, cached
+        assert nullable_db.key_order("u", ["tag"]) is None  # strings are coded per execution
+        assert nullable_db.key_order("t", ["price"]) is None  # and so are floats
+        assert nullable_db.size_summary()["u"]["orders"] == [
+            {"columns": ["t_id"], "keys": 3, "rows": 3, "bytes": order.nbytes}]
+
+    def test_mutation_and_recreation_drop_the_order(self, nullable_db):
+        before = nullable_db.key_order("u", ["t_id"])
+        nullable_db.insert_rows("u", [(5, 1, "w")])
+        assert nullable_db.size_summary()["u"]["orders"] == []
+        after = nullable_db.key_order("u", ["t_id"])
+        assert after is not before and after.order.tolist() == [0, 4, 3, 2]
+        nullable_db.drop_table("u")
+        nullable_db.create_table("u", [("id", "int"), ("t_id", "int"), ("tag", "str")])
+        assert nullable_db.key_order("u", ["t_id"]).indexed_rows == 0
+
+    @pytest.mark.parametrize("selection_vectors", [True, False])
+    def test_one_order_serves_both_null_representations(self, nullable_db,
+                                                        selection_vectors):
+        """``t.id`` probes ``u(t_id)``: typed ``(values, validity)`` pairs probe
+        the stored order; the legacy object decode of the nullable key cannot
+        (``None`` among the values) and is coded jointly, as before."""
+        expected = sorted(RowEngine(nullable_db).execute(self.SQL).rows)
+        builds = 0
+        for null_masks in (True, False):
+            engine = ColumnEngine(nullable_db, options=EngineOptions(
+                null_masks=null_masks, selection_vectors=selection_vectors))
+            result = engine.execute(self.SQL)
+            assert sorted(result.rows) == expected == [(1, 1), (4, 4), (6, 3)]
+            assert result.metrics.get("join.order_probes") == (1 if null_masks else 0)
+            builds += result.metrics.get("join.order_builds")
+        assert builds == 1 and len(nullable_db.storage("u").key_orders()) == 1
+
+    def test_self_join_bindings_share_one_order(self, tpch_db):
+        engine = ColumnEngine(tpch_db)
+        plan = engine.prepare(
+            "select n1.n_name, n2.n_name from supplier, customer, nation n1, nation n2 "
+            "where s_nationkey = n1.n_nationkey and c_nationkey = n2.n_nationkey "
+            "and s_suppkey = c_custkey")
+        engine.execute(plan)
+        result = engine.execute(plan)
+        assert result.metrics.get("join.order_probes") == 3
+        assert result.metrics.get("join.order_builds") == 0
+        assert [positions for positions in tpch_db.storage("nation").key_orders()] == [(0,)]
+
+    def test_concurrent_cold_readers_build_once(self):
+        database = Database("cold")
+        database.create_table("t", [("k", "int"), ("v", "int")])
+        database.insert_rows("t", [(value % 97, value) for value in range(20000)])
+        found, builds = [], []
+        barrier = threading.Barrier(8)
+
+        def reader() -> None:
+            metrics = MetricsContext()
+            with metrics.activate():
+                barrier.wait(timeout=10)
+                found.append(database.key_order("t", ["k"]))
+            builds.append(metrics.get("join.order_builds"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(found) == 8 and all(order is found[0] for order in found)
+        assert sorted(builds) == [0] * 7 + [1]
+        assert found[0].indexed_rows == 20000 and found[0].distinct == 97
+
+
+class TestStaleViews:
+    def test_cached_column_plan_sees_an_insert(self):
+        """The columnar view is keyed on the storage version: the arrays a
+        plan scans after an insert are the new ones, and so is the order its
+        join probes -- built once, then warm again."""
+        database = Database("versions")
+        database.create_table("p", [("id", "int")])
+        database.create_table("c", [("id", "int"), ("p_id", "int")])
+        database.insert_rows("p", [(1,), (2,), (3,)])
+        database.insert_rows("c", [(10, 1), (11, 3), (12, 3)])
+        engine = ColumnEngine(database)
+        plan = engine.prepare("select p.id, c.id from p, c where p.id = c.p_id")
+        cold = engine.execute(plan)
+        assert cold.rows == [(1, 10), (3, 11), (3, 12)]
+        assert cold.metrics.get("join.order_builds") == 1
+        assert engine.execute(plan).metrics.get("join.order_builds") == 0
+        stale = database.columnar("c")
+        database.insert_rows("c", [(13, 2), (14, 1)])
+        assert database.columnar("c") is not stale
+        assert database.columnar("c").version == database.storage("c").version
+        first = engine.execute(plan)
+        assert first.rows == [(1, 10), (1, 14), (2, 13), (3, 11), (3, 12)]
+        assert first.metrics.get("join.order_builds") == 1
+        again = engine.execute(plan)
+        assert again.rows == first.rows and again.metrics.get("join.order_builds") == 0
+        assert again.metrics.get("join.order_probes") == 1
+        assert again.metrics.get("join.build_rows") == 0
+
+
 class TestSizeSummary:
     def test_summary_reports_bytes_and_compression(self, nullable_db):
         summary = nullable_db.size_summary()
