@@ -13,7 +13,8 @@ Sub-commands:
 * ``pipelines``               -- per TPC-H text, how many row-engine
   blocks run on a generated pipeline and how many on the interpreter, and what
   a warm execution's joins cost on either engine: rows put into per-execution
-  builds, probes into storage key indexes (row) and key orders (column); exit
+  builds, probes into storage key indexes (row) and key orders (column), and
+  the table each benchmarked text's joins drive from; exit
   code 1 when a text the benchmark runs is not fully generated, builds a hash
   table or sorts a build side over an unfiltered base table, or builds an
   index or order when warm,
@@ -231,6 +232,10 @@ def _cmd_pipelines(arguments) -> int:
                       f"{pipeline['fallback']}")
         if number not in _BENCHMARKED:
             continue
+        for block in plan.blocks.values():
+            if len(block.join_order) > 1:  # the order both engines join in
+                names = block.join_names()
+                print(f"       drives from {names[0]}: {' -> '.join(names)}")
         if hooked or not all(pipeline["generated"] for pipeline in pipelines):
             unlowered.append(number)
 

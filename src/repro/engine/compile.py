@@ -22,8 +22,9 @@ plan cache amortises compilation exactly like planning.
   push-down predicates inlined in the probe loop; a hash table is built per
   execution (push-down inlined in the build loop) only over a derived table,
   or over a filtered base table when nothing upstream is filtered -- see
-  :func:`_probes_index`.  :class:`_Source` emits the expressions as
-  straight-line statements.  A column of an enclosing block is bound once per
+  :func:`~repro.engine.planner.probes_index`, which the planner's join costs
+  consult as well.  :class:`_Source` emits the expressions as straight-line
+  statements.  A column of an enclosing block is bound once per
   run (``outers``).  What cannot be lowered -- a subquery -- goes to the
   interpreter *per subexpression*, from inside the generated loop (the
   ``interp`` hook).  :func:`compile_row_kernel` is the same generator pointed
@@ -72,7 +73,7 @@ from repro.engine.mask import (
     kleene_or,
     truth_mask,
 )
-from repro.engine.planner import ColumnInfo, Layout
+from repro.engine.planner import ColumnInfo, Layout, probes_index
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
     abs_values,
@@ -693,7 +694,7 @@ class RowPipeline:
     hash_joins: bool = True
     #: (expression, layout) pairs the generated loop evaluates through the hook.
     interpreted: list = field(default_factory=list)
-    #: the joined columns, in join order.
+    #: the joined columns, in FROM order.
     columns: list = field(default_factory=list)
     #: per FROM item: the storage index it is probed through (None = scanned).
     probes: list[IndexProbe | None] = field(default_factory=list)
@@ -749,21 +750,6 @@ def _outer_key(ref: ast.ColumnRef) -> tuple[str, str]:
     return (ref.table or "").lower(), ref.name.lower()
 
 
-def _probes_index(item: ast.TableExpression, keyed: bool, filtered: bool,
-                  upstream_filtered: bool) -> bool:
-    """Whether a join side is read through a storage key index.
-
-    Only a base table joined on equality keys can be.  Unfiltered, it always
-    is: the table a build loop would fill *is* the index.  With push-down
-    predicates of its own it is when a level before it in the join order
-    carries some too -- the probes then reach a fraction of its rows and the
-    inlined guards run on those alone, where a build runs them on every row.
-    Under an unfiltered upstream the probes reach every row anyway (a
-    many-to-one join reaches it repeatedly), so the filtered build stays.
-    """
-    return keyed and isinstance(item, ast.TableRef) and (not filtered or upstream_filtered)
-
-
 def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
     select = block.select
     # a derived table's columns are typed "str" by the planner for want of
@@ -792,34 +778,28 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         return parts[0] if len(parts) == 1 else _tuple(parts)
 
     # per join level: the key on either side, and what the rows joined so far
-    # resolve in (see _Source.cols).
+    # resolve in (see _Source.cols) -- their columns in FROM order, whatever
+    # the join order (see JoinStep).
     keys: list[tuple[list[str], list[int]]] = []
     joined: list[tuple[Layout, list[str], str]] = [(Layout([]), [], "()")]
     probes: list[IndexProbe | None] = [None] * len(items)
     upstream_filtered = False
     for level, step in enumerate(block.join_order):
         index = step.frame_index
-        probe: list[str] = []
-        build: list[int] = []
-        if level and hash_joins:
-            left, right = joined[-1][0], layouts[index]
-            for left_ref, right_ref, _ in step.connecting:
-                if left.position(left_ref) is None:
-                    left_ref, right_ref = right_ref, left_ref
-                if left.position(left_ref) is None or right.position(right_ref) is None:
-                    raise CompileFallback("unresolvable join key")
-                probe.append(joined[-1][1][left.position(left_ref)])
-                build.append(right.position(right_ref))
+        columns, sources, _ = joined[-1]
+        probe = [sources[position] for position, _ in step.keys] if hash_joins else []
+        build = [position for _, position in step.keys] if hash_joins else []
         keys.append((probe, build))
         item = select.from_items[index]
-        if _probes_index(item, bool(build), bool(pushdown[index]), upstream_filtered):
+        if probes_index(item, bool(build), bool(pushdown[index]), upstream_filtered):
             probes[index] = IndexProbe(
                 item.name, tuple(items[index][position].name for position in build),
                 tuple(build))
         upstream_filtered = upstream_filtered or bool(pushdown[index])
-        joined.append((Layout(joined[-1][0].columns + items[index]),
-                       joined[-1][1] + slots[index],
-                       " + ".join(f"r{item}" for item in order[:level + 1])))
+        joined.append((Layout(columns.columns[:step.cut] + items[index]
+                              + columns.columns[step.cut:]),
+                       sources[:step.cut] + slots[index] + sources[step.cut:],
+                       " + ".join(f"r{item}" for item in sorted(order[:level + 1]))))
 
     # access paths: a storage index to probe, or the rows to scan -- and, for
     # a scanned join side, one hash table (or filtered list) per execution,
@@ -1523,7 +1503,9 @@ class ColumnJoin:
     frame_index: int
     #: per key, its position in the frame joined so far and in the FROM item.
     positions: list[tuple[int, int]]
-    #: the lookup over the joined frame's columns (so far, then the item's).
+    #: where the item's columns go among those joined so far.
+    cut: int
+    #: the lookup over the joined frame's columns (in FROM order).
     layout: Layout
     #: the key order a base table joined on integer-kind keys can be probed
     #: through; None for derived tables, explicit JOINs, cross joins and
@@ -1557,20 +1539,18 @@ def column_block_shape(block) -> ColumnBlockShape:
     joined, columns, joins = item_layouts[first], list(block.item_columns[first]), []
     for step in block.join_order[1:]:
         item = item_layouts[step.frame_index]
-        positions = []
-        for left_ref, right_ref, _ in step.connecting:
-            if joined.position(left_ref) is None:
-                left_ref, right_ref = right_ref, left_ref
-            positions.append((joined.position(left_ref), item.position(right_ref)))
+        positions = list(step.keys)
         source = block.select.from_items[step.frame_index]
         probe = None
         if positions and isinstance(source, ast.TableRef) and all(
                 item.type_of(position) in _ORDERED_KEY_TYPES for _, position in positions):
             probe = OrderProbe(source.name, tuple(item.columns[position].name
                                                   for _, position in positions))
-        columns = columns + block.item_columns[step.frame_index]
+        # the joined columns stay in FROM order (see JoinStep)
+        columns = columns[:step.cut] + block.item_columns[step.frame_index] \
+            + columns[step.cut:]
         joined = Layout(columns, ambiguous="raise")
-        joins.append(ColumnJoin(step.frame_index, positions, joined, probe))
+        joins.append(ColumnJoin(step.frame_index, positions, step.cut, joined, probe))
     return ColumnBlockShape(item_layouts, joins, joined)
 
 

@@ -622,23 +622,26 @@ class ColumnExecutor:
         if not shape.joins:
             return frame, selection
         with self._span("join") as span:
-            probe_rows = build_rows = 0
+            build_rows = 0
+            levels = [frame.length if selection is None else len(selection)]
             for step in shape.joins:
                 next_frame = frames[step.frame_index]
                 next_selection = selections[step.frame_index]
-                rows = frame.length if selection is None else len(selection)
-                probe_rows += rows
                 order = None
                 if scans[step.frame_index]:
-                    order = self._stored_order(step, frame, rows, next_frame,
+                    order = self._stored_order(step, frame, levels[-1], next_frame,
                                                next_selection)
                 if order is None and step.positions:
                     build_rows += next_frame.length if next_selection is None \
                         else len(next_selection)
                 frame = self._join(frame, selection, next_frame, next_selection,
-                                   step.positions, order=order, layout=step.layout)
+                                   step.positions, order=order, layout=step.layout,
+                                   cut=step.cut)
                 selection = None
-            span.set(rows_in=probe_rows, rows_out=frame.length, build_rows=build_rows)
+                levels.append(frame.length)
+            if self._trace is not None:
+                span.set(rows_in=sum(levels[:-1]), rows_out=frame.length,
+                         build_rows=build_rows, **block.join_levels(levels))
         return frame, None
 
     def _stored_order(self, step: ColumnJoin, left: ColFrame, probe_rows: int,
@@ -669,14 +672,17 @@ class ColumnExecutor:
               equi: list[tuple[int, int]],
               residual: Sequence[ast.Expression] = (),
               keep_unmatched_left: bool = False,
-              order: KeyOrder | None = None, layout: Layout | None = None) -> ColFrame:
+              order: KeyOrder | None = None, layout: Layout | None = None,
+              cut: int | None = None) -> ColFrame:
         """Join two (selected) frames on ``equi`` position pairs.
 
         The key kernels pick the row pairs -- probing ``order``, the key
         order of all of ``right``'s rows (inner joins only), or sorting the
         selected ones -- ``residual`` predicates then filter the candidate
         pairs; a LEFT join appends its unmatched left rows, NULL-padded on
-        the right, after the matches.  ``layout`` is the joined frame's.
+        the right, after the matches.  ``layout`` is the joined frame's,
+        whose columns are ``left``'s with ``right``'s put in at ``cut``
+        (None: after them).
         """
         left_rows = left.length if left_sel is None else len(left_sel)
         right_rows = right.length if right_sel is None else len(right_sel)
@@ -722,7 +728,7 @@ class ColumnExecutor:
                 right_idx = np.concatenate(
                     [right_idx, np.full(len(unmatched), -1, dtype=np.int64)])
         return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded,
-                       layout)
+                       layout, cut)
 
     def _project_sel(self, select: ast.Select, frame: ColFrame,
                      selection: np.ndarray | None, kernels: ColumnBlockKernels | None,
@@ -1425,23 +1431,50 @@ def _reindexed(arrays: Sequence, selection: np.ndarray | None,
             for source, inner, inner_padded in parts]
 
 
+def _split(parts: list[tuple[Sequence, np.ndarray | None, bool]], cut: int
+           ) -> tuple[list, list]:
+    """``parts`` as those of the columns before position ``cut`` and those of
+    the columns from it on (a part astride it is cut in two)."""
+    before, after, start = [], [], 0
+    for part in parts:
+        arrays, index, padded = part
+        stop = start + len(arrays)
+        if stop <= cut:
+            before.append(part)
+        elif start >= cut:
+            after.append(part)
+        else:
+            before.append((arrays[:cut - start], index, padded))
+            after.append((arrays[cut - start:], index, padded))
+        start = stop
+    return before, after
+
+
 def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray | None,
             right: ColFrame, right_sel: np.ndarray | None, right_idx: np.ndarray,
-            padded: bool = False, layout: Layout | None = None) -> ColFrame:
+            padded: bool = False, layout: Layout | None = None,
+            cut: int | None = None) -> ColFrame:
     """The frame of ``left`` rows ``left_idx`` beside ``right`` rows ``right_idx``
     (both counted within their selections; no ``left_idx``: every selected
     left row, once, in order; ``padded``: -1 in ``right_idx`` stands for an
-    all-NULL right row)."""
+    all-NULL right row).  ``right``'s columns go in at ``cut`` among
+    ``left``'s (None: after them)."""
+    if cut is None:
+        cut = len(left.columns)
+
     def gathered(left_columns, right_columns, pad):
+        before = _reindexed(left_columns, left_sel, left_idx, False)
+        after = []
+        if cut < len(left.columns):
+            before, after = _split(before, cut)
         return _GatheredColumns(
-            _reindexed(left_columns, left_sel, left_idx, False)
-            + _reindexed(right_columns, right_sel, right_idx, padded), pad)
+            before + _reindexed(right_columns, right_sel, right_idx, padded) + after, pad)
 
     codes = None
     if left.codes is not None or right.codes is not None:
         codes = gathered(left.codes or [None] * len(left.columns),
                          right.codes or [None] * len(right.columns), _pad_codes)
-    return ColFrame(columns=left.columns + right.columns,
+    return ColFrame(columns=left.columns[:cut] + right.columns + left.columns[cut:],
                     arrays=gathered(left.arrays, right.arrays, _pad_values),
                     length=len(right_idx), codes=codes, layout=layout)
 

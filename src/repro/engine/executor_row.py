@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any
+from typing import Any, Sequence
 
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
@@ -329,7 +329,7 @@ class RowExecutor:
             operators.insert(0, ("filter", levels[-1], passed, {}))
         if len(levels) > 1:
             operators.insert(0, ("join", sum(levels[:-1]), levels[-1],
-                                 {"build_rows": build_rows}))
+                                 {"build_rows": build_rows, **block.join_levels(levels)}))
         for name, rows_in, rows_out, attributes in operators:
             span = Span(name)
             span.started = parent.started
@@ -352,7 +352,7 @@ class RowExecutor:
                 span.set(rows_in=rows_in, rows_out=len(frame.rows))
             frames.append(frame)
 
-        frame = self._join_frames(frames, block.join_order, outer)
+        frame = self._join_frames(frames, block, outer)
 
         with (self._span("filter") if block.residual else NULL_SPAN) as span:
             rows_in = len(frame.rows)
@@ -392,24 +392,20 @@ class RowExecutor:
         columns = left.columns + right.columns
         combined = RowFrame(columns=columns, rows=[])
 
-        condition = join.condition
-        equi, residual = self._split_join_condition(condition, left, right)
+        equi, residual = self._split_join_condition(join.condition, left, right)
+        keys = [(left.position(left_ref), right.position(right_ref))
+                for left_ref, right_ref in equi]
+        condition = [ast.Comparison("=", left_ref, right_ref) for left_ref, right_ref in equi]
 
-        if join.kind in ("inner", "cross"):
-            rows = self._hash_join_rows(left, right, equi, residual, combined, outer,
-                                        keep_unmatched_left=False)
-        elif join.kind == "left":
-            rows = self._hash_join_rows(left, right, equi, residual, combined, outer,
-                                        keep_unmatched_left=True)
+        if join.kind in ("inner", "cross", "left"):
+            rows = self._hash_join_rows(left, right, keys, condition, residual, combined,
+                                        outer, keep_unmatched_left=join.kind == "left")
         elif join.kind == "right":
-            # express RIGHT as LEFT with the operands swapped, then reorder.
-            swapped_columns = right.columns + left.columns
-            swapped = RowFrame(columns=swapped_columns, rows=[])
-            swapped_equi = [(r, l) for (l, r) in equi]
-            swapped_rows = self._hash_join_rows(right, left, swapped_equi, residual, swapped,
-                                                outer, keep_unmatched_left=True)
-            width_right = len(right.columns)
-            rows = [row[width_right:] + row[:width_right] for row in swapped_rows]
+            # express RIGHT as LEFT with the operands swapped: the left frame's
+            # rows are put in before the right one's
+            rows = self._hash_join_rows(right, left, [(r, l) for (l, r) in keys], condition,
+                                        residual, combined, outer,
+                                        keep_unmatched_left=True, cut=0)
         else:
             raise PlanError(f"unsupported join kind '{join.kind}'")
         combined.rows = rows
@@ -437,38 +433,35 @@ class RowExecutor:
         return equi, residual
 
     def _hash_join_rows(self, left: RowFrame, right: RowFrame,
-                        equi: list[tuple[ast.ColumnRef, ast.ColumnRef]],
+                        keys: Sequence[tuple[int, int]], condition: list[ast.Expression],
                         residual: list[ast.Expression], combined: RowFrame,
-                        outer: "_RowEnv | None", keep_unmatched_left: bool) -> list[tuple]:
-        """Join two frames with an optional hash phase plus residual filtering."""
+                        outer: "_RowEnv | None", keep_unmatched_left: bool,
+                        cut: int | None = None) -> list[tuple]:
+        """Join two frames: a hash phase on ``keys`` (position pairs) plus
+        ``residual`` filtering, or -- without hash joins -- nested loops over
+        the keys' ``condition`` conjuncts and the residual.  A joined row is
+        the left one with the right one put in at column ``cut`` (None: after
+        it), the order of ``combined``'s columns."""
         null_padding = (None,) * len(right.columns)
         rows: list[tuple] = []
-
-        if equi and self.hash_joins:
-            table = hash_rows(right.rows, tuple(right.position(ref) for _, ref in equi))
-            key_of = itemgetter(*(left.position(ref) for ref, _ in equi))
-            for left_row in left.rows:
-                matched = False
-                for right_row in table.get(key_of(left_row), ()):
-                    candidate = left_row + right_row
-                    if self._passes(residual, combined, candidate, outer):
-                        rows.append(candidate)
-                        matched = True
-                if keep_unmatched_left and not matched:
-                    rows.append(left_row + null_padding)
-            return rows
-
-        condition = residual + [
-            ast.Comparison("=", left_ref, right_ref) for left_ref, right_ref in equi]
+        if cut is None:
+            cut = len(left.columns)
+        table = None
+        if keys and self.hash_joins:
+            table = hash_rows(right.rows, tuple(position for _, position in keys))
+            key_of = itemgetter(*(position for position, _ in keys))
+        else:
+            residual = residual + condition
         for left_row in left.rows:
+            head, tail = left_row[:cut], left_row[cut:]
             matched = False
-            for right_row in right.rows:
-                candidate = left_row + right_row
-                if self._passes(condition, combined, candidate, outer):
+            for right_row in right.rows if table is None else table.get(key_of(left_row), ()):
+                candidate = head + right_row + tail
+                if self._passes(residual, combined, candidate, outer):
                     rows.append(candidate)
                     matched = True
             if keep_unmatched_left and not matched:
-                rows.append(left_row + null_padding)
+                rows.append(head + null_padding + tail)
         return rows
 
     def _passes(self, predicates: list[ast.Expression], frame: RowFrame, row: tuple,
@@ -491,34 +484,33 @@ class RowExecutor:
         kept = [row for row in frame.rows if self._passes(predicates, frame, row, outer)]
         return RowFrame(columns=frame.columns, rows=kept)
 
-    def _join_frames(self, frames: list[RowFrame], join_order: list[JoinStep],
+    def _join_frames(self, frames: list[RowFrame], block: BlockPlan,
                      outer: "_RowEnv | None") -> RowFrame:
         if not frames:
             return RowFrame(columns=[], rows=[()])
+        join_order = block.join_order
         current = frames[join_order[0].frame_index]
         if len(join_order) == 1:
             return current
         with self._span("join") as span:
-            probe_rows = build_rows = 0
+            build_rows = 0
+            levels = [len(current.rows)]
             for step in join_order[1:]:
-                probe_rows += len(current.rows)
-                build_rows += len(frames[step.frame_index].rows)
-                current = self._pairwise_join(current, frames[step.frame_index],
-                                              list(step.connecting), outer)
-            span.set(rows_in=probe_rows, rows_out=len(current.rows),
-                     build_rows=build_rows)
+                right = frames[step.frame_index]
+                build_rows += len(right.rows)
+                # the joined columns stay in FROM order (see JoinStep)
+                combined = RowFrame(columns=current.columns[:step.cut] + right.columns
+                                    + current.columns[step.cut:], rows=[])
+                combined.rows = self._hash_join_rows(
+                    current, right, step.keys,
+                    [conjunct for _, _, conjunct in step.connecting], [], combined, outer,
+                    keep_unmatched_left=False, cut=step.cut)
+                current = combined
+                levels.append(len(current.rows))
+            if self._trace is not None:
+                span.set(rows_in=sum(levels[:-1]), rows_out=levels[-1],
+                         build_rows=build_rows, **block.join_levels(levels))
         return current
-
-    def _pairwise_join(self, left: RowFrame, right: RowFrame,
-                       connecting: list[tuple[ast.ColumnRef, ast.ColumnRef, ast.Expression]],
-                       outer: "_RowEnv | None") -> RowFrame:
-        combined = RowFrame(columns=left.columns + right.columns, rows=[])
-        # each connecting conjunct as (ref into left, ref into right); none = cross join
-        equi = [(left_ref, right_ref) if left.position(left_ref) is not None
-                else (right_ref, left_ref) for left_ref, right_ref, _ in connecting]
-        combined.rows = self._hash_join_rows(left, right, equi, [], combined, outer,
-                                             keep_unmatched_left=False)
-        return combined
 
     def _filter(self, frame: RowFrame, predicates: list[ast.Expression],
                 outer: "_RowEnv | None") -> RowFrame:

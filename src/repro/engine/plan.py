@@ -12,8 +12,9 @@ This module factors the analysis into a *plan-once/execute-many* pipeline:
 * :class:`Planner` walks a parsed SELECT once and produces a
   :class:`QueryPlan` -- one :class:`BlockPlan` per query block (the root
   SELECT plus every nested subquery), each holding the resolved scope
-  columns, the classified predicates, the push-down assignment, the
-  precomputed join schedule and the output names,
+  columns, the classified predicates, the push-down assignment, the join
+  schedule (a left-deep order costed from the storage statistics, with every
+  key position resolved) and the output names,
 * :class:`RowExecutor` / :class:`ColumnExecutor` consume the shared plan and
   only perform the *physical* work (materialise, filter, join, aggregate),
 * :class:`PlanCache` is a keyed LRU (normalised SQL text -> plan) that
@@ -21,9 +22,10 @@ This module factors the analysis into a *plan-once/execute-many* pipeline:
   and the pool's morph/re-measure cycle lex, parse and plan exactly once per
   distinct query.
 
-The plan is *logical*: column positions inside intermediate frames still
-differ between the row and column backends and are resolved at runtime; the
-plan only fixes the decisions both backends share.
+The plan is *logical*: access paths and the representation of intermediate
+frames stay each backend's own; the plan fixes the decisions both share --
+among them that the joined columns stay in FROM order whatever the join order,
+and so the position of every join key.
 """
 
 from __future__ import annotations
@@ -31,16 +33,19 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.engine.catalog import Catalog
 from repro.engine.planner import (
     ClassifiedPredicates,
     ColumnInfo,
+    Layout,
     Scope,
     classify_conjuncts,
     output_columns,
+    probes_index,
 )
-from repro.engine.storage.skipping import estimate_selectivity
+from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
 from repro.errors import PlanError
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -118,10 +123,24 @@ class JoinStep:
     ``frame_index`` names the FROM item to bring in next; ``connecting`` are
     the equi-join conjuncts linking it to the frames joined so far (empty for
     the first step and for cross joins).
+
+    Whatever the join order, the columns joined so far stay in FROM order:
+    the item's go in at ``cut``.  An unqualified name two bindings share then
+    resolves to the binding the FROM clause lists first, as it did when the
+    conjuncts were classified, and ``*`` expands as the text reads -- neither
+    may depend on which table the statistics chose to drive from.
     """
 
     frame_index: int
     connecting: tuple[EquiJoin, ...] = ()
+    #: per connecting conjunct, the key's position among the columns joined
+    #: so far and among the item's own.
+    keys: tuple[tuple[int, int], ...] = ()
+    #: where the item's columns go among the columns joined so far.
+    cut: int = 0
+    #: the rows the planner expects this level to put out (None when the
+    #: block was not costed); EXPLAIN ANALYZE prints the actual rows beside it.
+    estimated_rows: float | None = None
 
 
 @dataclass
@@ -140,7 +159,9 @@ class BlockPlan:
     #: predicates evaluated after all joins (includes the single-relation
     #: ones when push-down is disabled, preserving their evaluation order).
     residual: list[ast.Expression]
-    #: greedy equi-join-connected join order over the FROM items.
+    #: left-deep join order over the FROM items: costed from the storage
+    #: statistics where the catalog knows every item's size, else FROM order
+    #: along the equi-join edges (see :meth:`Planner._schedule_joins`).
     join_order: list[JoinStep]
     #: output column names, in projection order (stars expanded).
     output_names: list[str]
@@ -165,11 +186,35 @@ class BlockPlan:
         return any(self.pushdown.get(column.binding.lower())
                    for column in self.item_columns[frame_index])
 
+    def join_names(self) -> list[str]:
+        """The join order by the names the FROM items go by."""
+        return [from_item_name(self.select.from_items[step.frame_index])
+                for step in self.join_order]
+
+    def estimated_rows(self) -> list[float] | None:
+        """The rows the planner expects out of each join level (None when the
+        block was not costed)."""
+        if not self.join_order or self.join_order[0].estimated_rows is None:
+            return None
+        return [round(step.estimated_rows, 1) for step in self.join_order]
+
+    def join_levels(self, rows: list[int]) -> dict:
+        """What a traced ``join`` span says of the schedule: the order by
+        name, the rows that came out of each level and, beside them, the rows
+        the planner expected -- an estimate gone wrong shows as the pair
+        drifting apart."""
+        attributes = {"order": " -> ".join(self.join_names()), "level_rows": list(rows)}
+        estimated = self.estimated_rows()
+        if estimated is not None:
+            attributes["estimated_rows"] = estimated
+        return attributes
+
     def describe(self) -> dict:
         """Compact, JSON-friendly description (used by ``Engine.explain``)."""
         return {
             "from_items": len(self.item_columns),
-            "join_order": [step.frame_index for step in self.join_order],
+            "join_order": self.join_names(),
+            "estimated_rows": self.estimated_rows(),
             "pushdown": {binding: len(preds) for binding, preds in self.pushdown.items()},
             "equi_joins": len(self.classified.equi_joins),
             "residual": len(self.residual),
@@ -240,9 +285,10 @@ class Planner:
 
     The planner owns every analysis decision both executors share: scope and
     binding resolution, conjunct classification, the push-down assignment
-    (honouring the engine's ``predicate_pushdown`` option) and the greedy
-    join order.  It is stateless across :meth:`plan` calls and therefore
-    safe to share between threads.
+    (honouring the engine's ``predicate_pushdown`` option) and the join
+    order, costed from the statistics storage binds on the catalog.  It is
+    stateless across :meth:`plan` calls and therefore safe to share between
+    threads.
     """
 
     def __init__(self, catalog: Catalog, predicate_pushdown: bool = True):
@@ -301,14 +347,12 @@ class Planner:
                 for predicate in predicates
             ] + list(classified.residual)
 
-        join_order = self._schedule_joins(item_columns, classified)
-        joined_columns = [
-            column
-            for step in join_order
-            for column in item_columns[step.frame_index]
-        ]
-        output_scope = Scope(columns=joined_columns or local_columns, outer=outer_scope)
-        output_names = output_columns(select, output_scope)
+        graph = _JoinGraph(item_columns, classified.equi_joins)
+        # an equality between two bindings of one FROM item (an explicit JOIN
+        # tree) joins no two items: it filters the joined rows
+        residual += graph.internal
+        join_order = self._schedule_joins(select.from_items, graph, pushdown)
+        output_names = output_columns(select, scope)  # a star expands in FROM order
         needs_aggregation = (bool(select.group_by) or select.having is not None
                              or select.has_aggregates())
         block = BlockPlan(
@@ -412,38 +456,56 @@ class Planner:
 
     # -- join scheduling ---------------------------------------------------------
 
-    def _schedule_joins(self, item_columns: list[list[ColumnInfo]],
-                        classified: ClassifiedPredicates) -> list[JoinStep]:
-        """Greedy join order: always bring in an equi-join-connected frame next."""
-        if not item_columns:
+    def _schedule_joins(self, items: list[ast.TableExpression], graph: "_JoinGraph",
+                        pushdown: dict[str, list[ast.Expression]]) -> list[JoinStep]:
+        """The block's left-deep join order, costed from the storage statistics.
+
+        The incumbent is the order the text suggests (:meth:`_JoinGraph.from_order`).
+        Greedy orders -- extend by the item with the smallest estimated output
+        along the equi-join edges, started once from every linked item -- are costed
+        by the same model (:class:`_JoinCosts`) and replace it only when
+        strictly cheaper; every tie goes to the lower FROM index, so the same
+        text and data always plan the same way.  A block with a single item,
+        or with an item whose size the catalog cannot state, keeps the
+        incumbent and is not costed at all.
+        """
+        if not items:
             return []
-        sets = [_ColumnSet(columns) for columns in item_columns]
-        equi = list(classified.equi_joins)
-        steps = [JoinStep(0)]
-        current = _ColumnSet(list(item_columns[0]))
-        remaining = list(range(1, len(item_columns)))
-        while remaining:
-            chosen = None
-            for index in remaining:
-                if _connecting(current, sets[index], equi):
-                    chosen = index
-                    break
-            if chosen is None:
-                chosen = remaining[0]
-            remaining.remove(chosen)
-            connecting = _connecting(current, sets[chosen], equi)
-            for entry in connecting:
-                equi.remove(entry)
-            steps.append(JoinStep(chosen, tuple(connecting)))
-            current = current.merged(sets[chosen])
-        return steps
+        order = graph.from_order()
+        costs = self._join_costs(items, graph, pushdown) if len(items) > 1 else None
+        if costs is None:
+            return graph.steps(order)
+        cost, estimated = costs.schedule(order)
+        # an item no equi-join links to any other is a cross product: it goes
+        # last, so no candidate starts from one (unless nothing is linked)
+        linked = [index for index, edges in enumerate(graph.edges) if edges]
+        for start in linked or range(len(items)):
+            candidate = costs.greedy(start)
+            candidate_cost, candidate_rows = costs.schedule(candidate)
+            if candidate_cost < cost:
+                order, cost, estimated = candidate, candidate_cost, candidate_rows
+        return graph.steps(order, estimated)
+
+    def _join_costs(self, items: list[ast.TableExpression], graph: "_JoinGraph",
+                    pushdown: dict[str, list[ast.Expression]]) -> "_JoinCosts | None":
+        """The cost model over the block's FROM items; None when one of them
+        is not a base table with statistics bound on the catalog (a derived
+        table, an explicit JOIN tree, a table without storage)."""
+        statistics = []
+        for item in items:
+            found = self.catalog.table_statistics(item.name) \
+                if isinstance(item, ast.TableRef) else None
+            if found is None:
+                return None
+            statistics.append(found)
+        return _JoinCosts(graph, items, statistics,
+                          [pushdown.get(item.binding.lower(), []) for item in items])
 
 
 class _ColumnSet:
     """Static column-membership test mirroring frame position lookup."""
 
     def __init__(self, columns: list[ColumnInfo]):
-        self.columns = columns
         self._qualified = {(column.binding.lower(), column.name.lower())
                            for column in columns}
         self._names = {column.name.lower() for column in columns}
@@ -453,20 +515,183 @@ class _ColumnSet:
             return (ref.table.lower(), ref.name.lower()) in self._qualified
         return ref.name.lower() in self._names
 
-    def merged(self, other: "_ColumnSet") -> "_ColumnSet":
-        return _ColumnSet(self.columns + other.columns)
+
+class _JoinGraph:
+    """A block's equi-join conjuncts as edges between its FROM items.
+
+    Every reference is resolved once, against all of the block's columns in
+    FROM order -- the scope the conjuncts were classified in -- so neither a
+    schedule nor a cost ever looks a name up in the columns joined so far.
+    """
+
+    def __init__(self, item_columns: list[list[ColumnInfo]], equi_joins: list[EquiJoin]):
+        self.item_columns = item_columns
+        self.widths = [len(columns) for columns in item_columns]
+        layout = Layout([column for columns in item_columns for column in columns])
+        owner = [index for index, width in enumerate(self.widths) for _ in range(width)]
+        starts = [0, *accumulate(self.widths)]
+        #: per item, in WHERE order: (the item at the other end, the own key
+        #: column, the other item's, the conjunct as classified).
+        self.edges: list[list[tuple[int, int, int, EquiJoin]]] = [[] for _ in self.widths]
+        #: the conjuncts whose two sides are bindings of one FROM item.
+        self.internal: list[ast.Expression] = []
+        for entry in equi_joins:
+            left, right = layout.position(entry[0]), layout.position(entry[1])
+            left_item, right_item = owner[left], owner[right]
+            if left_item == right_item:
+                self.internal.append(entry[2])
+                continue
+            left, right = left - starts[left_item], right - starts[right_item]
+            self.edges[left_item].append((right_item, left, right, entry))
+            self.edges[right_item].append((left_item, right, left, entry))
+
+    def from_order(self) -> list[int]:
+        """The order the text suggests: FROM item 0, then always the first
+        item in FROM order that an equi-join links to those joined so far
+        (the first one left, when none is: a cross product)."""
+        order, remaining = [0], list(range(1, len(self.widths)))
+        while remaining:
+            chosen = next((index for index in remaining
+                           if any(other in order for other, *_ in self.edges[index])),
+                          remaining[0])
+            remaining.remove(chosen)
+            order.append(chosen)
+        return order
+
+    def steps(self, order: list[int], estimated: list[float] | None = None
+              ) -> list[JoinStep]:
+        """The schedule joining the items in ``order``: per step the conjuncts
+        linking it to the items before it and where their keys sit."""
+        steps: list[JoinStep] = []
+        joined: list[int] = []
+
+        def start(item: int) -> int:  # of an item's columns among those joined so far
+            return sum(self.widths[other] for other in joined if other < item)
+
+        for level, index in enumerate(order):
+            linked = [edge for edge in self.edges[index] if edge[0] in joined]
+            steps.append(JoinStep(
+                index, tuple(entry for *_, entry in linked),
+                tuple((start(other) + theirs, own) for other, own, theirs, _ in linked),
+                start(index), None if estimated is None else estimated[level]))
+            joined.append(index)
+        return steps
 
 
-def _connecting(left: _ColumnSet, right: _ColumnSet,
-                equi_joins: list[EquiJoin]) -> list[EquiJoin]:
-    """Equi-joins linking ``left`` and ``right`` (either ref orientation)."""
-    found = []
-    for left_ref, right_ref, conjunct in equi_joins:
-        if left.has(left_ref) and right.has(right_ref):
-            found.append((left_ref, right_ref, conjunct))
-        elif left.has(right_ref) and right.has(left_ref):
-            found.append((left_ref, right_ref, conjunct))
-    return found
+class _JoinCosts:
+    """What a left-deep join order over base tables costs: the rows touched.
+
+    Per item the catalog's row count and the share of it that passes the
+    item's push-down conjuncts (:func:`estimate_conjunction`); per key column
+    its NDV.  The driving table is read whole.  A join side probed through a
+    storage index is reached at ``rows in x rows / NDV(key)`` rows, the NDV
+    being the larger of the two sides' (keys the item does not hold reach
+    nothing); one that :func:`probes_index` says is built per execution pays
+    all of its rows and then the matches among those it keeps.  A level puts
+    out ``rows in x kept / NDV(key)``.  A composite key's NDV is the product
+    of its columns' clipped by the row count of the table they belong to; an
+    item no equi-join links to the ones before it multiplies.
+    """
+
+    def __init__(self, graph: _JoinGraph, items: list[ast.TableRef], statistics: list,
+                 pushdown: list[list[ast.Expression]]):
+        self.graph = graph
+        self.items = items
+        self.rows = [found.row_count for found in statistics]
+        self.filtered = [bool(predicates) for predicates in pushdown]
+        self.kept = [found.row_count * estimate_conjunction(predicates, found)
+                     if predicates else found.row_count
+                     for found, predicates in zip(statistics, pushdown)]
+        #: per item, the NDV of each key column one of its edges names.
+        self.ndv = [{own: max(found.column(columns[own].name).distinct_estimate, 1)
+                     for _, own, _, _ in edges}
+                    for found, columns, edges in zip(statistics, graph.item_columns, graph.edges)]
+        #: per item, the items its edges lead to, as a bit set.
+        self.linked = [sum({1 << other for other, *_ in edges}) for edges in graph.edges]
+        self._levels: dict[tuple[int, int, bool], tuple[float, float, float]] = {}
+
+    def level(self, joined: int, rows_in: float, upstream_filtered: bool, index: int
+              ) -> tuple[float, float]:
+        """``(rows touched, rows out)`` of joining item ``index`` to the items
+        in the bit set ``joined``, which put out ``rows_in`` rows."""
+        # both are linear in the rows in, and the terms the same for every
+        # prefix that holds the same neighbours: worked out once per block
+        key = (index, joined & self.linked[index], upstream_filtered)
+        terms = self._levels.get(key)
+        if terms is None:
+            terms = self._levels[key] = self._level_terms(*key)
+        fixed, touched, out = terms
+        return fixed + rows_in * touched, rows_in * out
+
+    def _level_terms(self, index: int, neighbours: int, upstream_filtered: bool
+                     ) -> tuple[float, float, float]:
+        """Joining ``index`` to a prefix holding its ``neighbours``: the rows
+        touched whatever comes in, and per row in the rows touched and put out."""
+        rows, kept = self.rows[index], self.kept[index]
+        if not neighbours:  # a cross product, over a filtered list built first
+            return (rows if self.filtered[index] else 0), kept, kept
+        keys, own_ndv, their_ndv = 0, 1, {}
+        for other, own, theirs, _ in self.graph.edges[index]:
+            if neighbours >> other & 1:
+                keys += 1
+                own_ndv *= self.ndv[index][own]
+                their_ndv[other] = their_ndv.get(other, 1) * self.ndv[other][theirs]
+        own_ndv = min(own_ndv, rows)
+        left_ndv = 1
+        for other, ndv in their_ndv.items():
+            left_ndv *= min(ndv, self.rows[other])
+        if keys > 1 and len(their_ndv) == 1:
+            # several columns between two tables are one foreign key and
+            # correlated, their NDVs' product far too many: neither end holds
+            # more distinct keys than the smaller table has rows
+            own_ndv = left_ndv = min(own_ndv, left_ndv)
+        # with more distinct keys on the left than in the item, the probes of
+        # the others find nothing: one divisor for the rows reached and put out
+        ndv = max(left_ndv, own_ndv, 1)
+        if probes_index(self.items[index], True, self.filtered[index], upstream_filtered):
+            return 0, rows / ndv, kept / ndv
+        return rows, kept / ndv, kept / ndv
+
+    def schedule(self, order: list[int]) -> tuple[float, list[float]]:
+        """The rows ``order`` touches in all, and the rows out of each level."""
+        first = order[0]
+        cost, estimated = float(self.rows[first]), [float(self.kept[first])]
+        joined, upstream_filtered = 1 << first, self.filtered[first]
+        for index in order[1:]:
+            touched, out = self.level(joined, estimated[-1], upstream_filtered, index)
+            cost += touched
+            estimated.append(out)
+            joined |= 1 << index
+            upstream_filtered = upstream_filtered or self.filtered[index]
+        return cost, estimated
+
+    def greedy(self, start: int) -> list[int]:
+        """From ``start``, always the linked item with the smallest estimated
+        output next (the lower FROM index on a tie); unlinked items last."""
+        order = [start]
+        remaining = [index for index in range(len(self.rows)) if index != start]
+        joined, rows_in, upstream_filtered = 1 << start, self.kept[start], self.filtered[start]
+        while remaining:
+            linked = [index for index in remaining if joined & self.linked[index]]
+            chosen, rows_out = None, 0.0
+            for index in linked or remaining:
+                out = self.level(joined, rows_in, upstream_filtered, index)[1]
+                if chosen is None or out < rows_out:
+                    chosen, rows_out = index, out
+            remaining.remove(chosen)
+            order.append(chosen)
+            joined |= 1 << chosen
+            rows_in = rows_out
+            upstream_filtered = upstream_filtered or self.filtered[chosen]
+        return order
+
+
+def from_item_name(item: ast.TableExpression) -> str:
+    """The name a FROM item goes by in a printed join order: a table's
+    binding, a derived table's alias, an explicit JOIN tree's in brackets."""
+    if isinstance(item, ast.Join):
+        return f"({from_item_name(item.left)} join {from_item_name(item.right)})"
+    return item.binding if isinstance(item, ast.TableRef) else item.alias
 
 
 def _binding_tables(items: list[ast.TableExpression]) -> dict[str, str]:

@@ -275,6 +275,24 @@ def _is_equi_join(conjunct: ast.Expression, scope: Scope) -> bool:
     return left_info.binding.lower() != right_info.binding.lower()
 
 
+def probes_index(item: ast.TableExpression, keyed: bool, filtered: bool,
+                 upstream_filtered: bool) -> bool:
+    """Whether the row engine reads a join side through a storage key index.
+
+    Only a base table joined on equality keys can be.  Unfiltered, it always
+    is: the table a build loop would fill *is* the index.  With push-down
+    predicates of its own it is when a level before it in the join order
+    carries some too -- the probes then reach a fraction of its rows and the
+    inlined guards run on those alone, where a build runs them on every row.
+    Under an unfiltered upstream the probes reach every row anyway (a
+    many-to-one join reaches it repeatedly), so the filtered build stays.
+
+    The pipeline generator emits what this says and the planner's join costs
+    charge for it, so the two cannot disagree.
+    """
+    return keyed and isinstance(item, ast.TableRef) and (not filtered or upstream_filtered)
+
+
 def output_columns(select: ast.Select, scope: Scope) -> list[str]:
     """Compute the output column names of a block (aliases, names, colN)."""
     names: list[str] = []

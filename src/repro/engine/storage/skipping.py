@@ -12,7 +12,9 @@ Two consumers sit on top of the chunk zone maps:
 * :func:`estimate_selectivity` -- the planner's ordering heuristic: given
   table statistics it scores each push-down conjunct with an estimated
   selectivity in ``[0, 1]`` so the most selective predicate refines the
-  selection vector first.
+  selection vector first; :func:`estimate_conjunction` scores a whole scan's
+  conjuncts together -- the filtered cardinality the join order is costed
+  from.
 
 Both work in the encoded value domain (dates as day ordinals), matching the
 zone maps and column statistics.
@@ -20,7 +22,7 @@ zone maps and column statistics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -430,15 +432,74 @@ def estimate_selectivity(predicate: ast.Expression,
         return _DEFAULT_SELECTIVITY
 
 
+def estimate_conjunction(predicates: Iterable[ast.Expression],
+                         statistics: "TableStatistics") -> float:
+    """Estimated fraction of rows that pass every one of ``predicates``.
+
+    The range conjuncts over one column -- ``<`` / ``<=`` / ``>`` / ``>=``
+    against a constant and ``BETWEEN``, at any depth of ``AND`` -- are
+    intersected into a single interval and estimated once: ``d >= a and d <
+    b`` is the window ``[a, b)``, not two independent half-ranges whose
+    product overstates a one-month window twenty-fold.  Everything else
+    multiplies in as :func:`estimate_selectivity` scores it.
+    """
+    try:
+        return max(0.0, min(1.0, _estimate_conjunction(predicates, statistics)))
+    except Exception:
+        return _DEFAULT_SELECTIVITY
+
+
+def _estimate_conjunction(predicates, statistics) -> float:
+    selectivity = 1.0
+    #: per range-constrained column: its statistics and the interval so far.
+    intervals: dict[str, list] = {}
+    for predicate in predicates:
+        for node in ast.conjuncts(predicate):
+            bounds = _range_bounds(node, statistics)
+            if bounds is None:
+                selectivity *= _estimate(node, statistics)
+                continue
+            column, low, high = bounds
+            interval = intervals.setdefault(column.name.lower(), [column, None, None])
+            if low is not None and (interval[1] is None or low > interval[1]):
+                interval[1] = low
+            if high is not None and (interval[2] is None or high < interval[2]):
+                interval[2] = high
+    for column, low, high in intervals.values():
+        # a range is TRUE on non-NULL rows only: once per column, not per bound
+        selectivity *= _non_null_fraction(column, statistics) \
+            * _range_fraction(column, low, high)
+    return selectivity
+
+
+def _range_bounds(node: ast.Expression, statistics):
+    """``(column statistics, low, high)`` of a range conjunct over one column
+    against constants (None = open on that side); None for any other shape."""
+    if isinstance(node, ast.Between) and not node.negated:
+        column = _stats_column(node.operand, statistics)
+        low = _numeric_constant(node.low, column)
+        high = _numeric_constant(node.high, column)
+        return None if low is None or high is None else (column, low, high)
+    if not isinstance(node, ast.Comparison) or node.quantifier is not None:
+        return None
+    column, operator, constant_node = _stats_column(node.left, statistics), \
+        node.operator, node.right
+    if column is None:
+        column, operator, constant_node = _stats_column(node.right, statistics), \
+            _FLIPPED.get(node.operator), node.left
+    if operator not in ("<", "<=", ">", ">="):
+        return None
+    constant = _numeric_constant(constant_node, column)
+    if constant is None:
+        return None
+    return (column, None, constant) if operator in ("<", "<=") else (column, constant, None)
+
+
 def _estimate(node: ast.Expression, statistics: "TableStatistics") -> float:
     if isinstance(node, ast.BoolOp):
-        parts = [_estimate(operand, statistics) for operand in node.operands]
         if node.operator == "and":
-            product = 1.0
-            for part in parts:
-                product *= part
-            return product
-        return min(1.0, sum(parts))
+            return _estimate_conjunction(node.operands, statistics)
+        return min(1.0, sum(_estimate(operand, statistics) for operand in node.operands))
     if isinstance(node, ast.UnaryOp) and node.operator == "not":
         # Kleene NOT keeps the FALSE fraction; UNKNOWN rows pass neither
         # the predicate nor its negation, so 1 - estimate is conservative.
@@ -484,29 +545,23 @@ def _estimate_comparison(node: ast.Comparison, statistics) -> float:
     if node.quantifier is not None:
         return _DEFAULT_SELECTIVITY
     column = _stats_column(node.left, statistics)
-    operator = node.operator
-    constant_node = node.right
     if column is None:
         column = _stats_column(node.right, statistics)
-        operator = _FLIPPED.get(node.operator, node.operator)
-        constant_node = node.left
     if column is None:
         return _DEFAULT_SELECTIVITY
     # a comparison is TRUE only on non-NULL operand rows: the null fraction
     # scales every estimate below (it is a first-class statistic here).
     non_null = _non_null_fraction(column, statistics)
-    if operator == "=":
+    if node.operator == "=":
         if column.type_name == "str" or column.distinct_estimate:
             return non_null / max(column.distinct_estimate, 1)
         return _DEFAULT_SELECTIVITY
-    if operator == "<>":
+    if node.operator == "<>":
         return non_null * (1.0 - 1.0 / max(column.distinct_estimate, 1))
-    constant = _numeric_constant(constant_node, column)
-    if constant is None:
+    bounds = _range_bounds(node, statistics)
+    if bounds is None:
         return _DEFAULT_SELECTIVITY
-    if operator in ("<", "<="):
-        return non_null * _range_fraction(column, None, constant)
-    return non_null * _range_fraction(column, constant, None)
+    return non_null * _range_fraction(*bounds)
 
 
 def _stats_column(node: ast.Expression, statistics):

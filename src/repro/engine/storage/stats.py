@@ -48,7 +48,8 @@ class ColumnStatistics:
     null_count: int = 0
     #: upper-bound NDV estimate: exact for dictionary-encoded columns (the
     #: table-wide dictionary size), otherwise the sum of per-chunk distinct
-    #: counts clipped to the non-NULL row count.
+    #: counts clipped to the non-NULL row count and, for int / date / bool
+    #: columns, to the width of the value span ``max - min + 1``.
     distinct_estimate: int = 0
     encoded_bytes: int = 0
     raw_bytes: int = 0

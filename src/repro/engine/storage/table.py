@@ -302,6 +302,13 @@ class StorageTable:
             else:
                 entry.distinct_estimate = min(distinct_sum,
                                               stats.row_count - entry.null_count)
+                if column.type_name in ("int", "date", "bool") \
+                        and entry.min_value is not None:
+                    # a value repeated in several chunks is counted in each:
+                    # the span holds no more distinct integers than it is wide
+                    entry.distinct_estimate = min(
+                        entry.distinct_estimate,
+                        int(entry.max_value) - int(entry.min_value) + 1)
             stats.columns[lowered] = entry
             stats.encoded_bytes += entry.encoded_bytes
             stats.raw_bytes += entry.raw_bytes

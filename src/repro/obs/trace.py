@@ -242,9 +242,13 @@ def _plan_node(plan, select) -> dict:
         scans.append(_from_item_node(plan, item, pushdown))
 
     if len(scans) > 1:
-        order = described.get("join_order", [])
-        join_label = (f"Join (order: {' -> '.join(str(i) for i in order)}, "
-                      f"equi={described.get('equi_joins', 0)})")
+        # the order by binding name; where the planner costed it, the rows it
+        # expects out of each level (EXPLAIN ANALYZE's join span has the actual)
+        estimated = described.get("estimated_rows")
+        join_label = (f"Join (order: {' -> '.join(described.get('join_order', []))}, "
+                      + (f"estimated rows: {' -> '.join(f'{rows:g}' for rows in estimated)}, "
+                         if estimated else "")
+                      + f"equi={described.get('equi_joins', 0)})")
         body: list[dict] = [{"label": join_label, "children": scans}]
     else:
         body = scans

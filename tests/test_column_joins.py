@@ -51,7 +51,8 @@ def test_benchmarked_texts_sort_no_unfiltered_base_table(tpch_db, number):
 def test_explain_prints_the_access_path_of_every_join(tpch_db):
     engine = ColumnEngine(tpch_db)
     lines = [line for (line,) in engine.execute("explain " + QUERIES[7]).rows]
-    assert "  join orders: order orders(o_orderkey)" in lines
+    # driven from n2, its two rows left: customer -> orders -> lineitem -> supplier -> n1
+    assert "  join orders: order orders(o_custkey)" in lines
     assert "  join nation as n1: order nation(n_nationkey), selected rows only " \
            "(or their sort, by row counts)" in lines
     assert any(line.endswith("column pipeline over derived shipping") for line in lines)
@@ -100,8 +101,10 @@ def test_three_build_choices_follow_the_row_counts(parent_child):
     assert run(join) == {"order_probes": 1}
     # 2 probe rows x 200 indexed / 20 keys = 20 pairs < 172 selected children
     assert run(join + " and p.id <= 2 and c.v > 0") == {"order_probes": 1}
-    # 40 probe rows reach all 200 indexed rows >= 172 selected: sort those
-    assert run(join + " and c.v > 0") == {"build_rows": 172}
+    # a filter on c alone makes c the driving table: p's stored order is probed
+    assert run(join + " and c.v > 0") == {"order_probes": 1}
+    # all 40 of p selected: they reach all 200 indexed rows >= 172 selected, sort those
+    assert run(join + " and p.id >= 1 and c.v > 0") == {"build_rows": 172}
     # exactly at the boundary the selection is sorted: 3 x 10 = 30 selected
     assert run(join + " and p.id <= 3 and c.id < 30") == {"build_rows": 30}
     assert run(join + " and p.id <= 3 and c.id < 31") == {"order_probes": 1}
@@ -116,7 +119,7 @@ def test_derived_tables_explicit_joins_and_masked_frames_sort_per_execution(pare
         ("select p.id, c.id from p left join c on p.id = c.p_id",
          ColumnEngine(parent_child), {"build_rows": 202}),
         # the masked pipeline filters its frames before it joins them
-        ("select p.id, c.id from p, c where p.id = c.p_id and c.v > 0",
+        ("select p.id, c.id from p, c where p.id = c.p_id and p.id >= 1 and c.v > 0",
          ColumnEngine(parent_child, options=EngineOptions(selection_vectors=False)),
          {"build_rows": 172}),
         ("select p.id, c.id from p, c where p.id = c.p_id and p.id < 5",
@@ -134,6 +137,11 @@ def test_join_span_counts_per_execution_builds_only(parent_child):
     engine = ColumnEngine(parent_child)
     probed = engine.execute("select count(*) from p, c where p.id = c.p_id", trace=True)
     assert probed.trace.find("join").attributes["build_rows"] == 0
-    sorted_ = engine.execute("select count(*) from p, c where p.id = c.p_id and c.v > 0",
-                             trace=True)
-    assert sorted_.trace.find("join").attributes["build_rows"] == 172
+    sorted_ = engine.execute("select count(*) from p, c where p.id = c.p_id and p.id >= 1 "
+                             "and c.v > 0", trace=True)
+    join = sorted_.trace.find("join")
+    assert join.attributes["build_rows"] == 172
+    # the order by name, the rows out of each level and the planner's estimate of them
+    assert join.attributes["order"] == "p -> c"
+    assert join.attributes["level_rows"] == [40, 171]  # one selected child has a NULL key
+    assert join.attributes["estimated_rows"] == [40.0, 202.0]

@@ -327,43 +327,65 @@ def test_unfiltered_sides_probe_an_index_and_build_nothing(tpch_db):
         assert "for r0 in s0:" in pipeline["source"]
         assert pipeline["source"].count(" in s") == 1  # the driving scan, no build loop
     assert _join_sides(engine, 9)["partsupp"]["join"] == "index partsupp(ps_suppkey, ps_partkey)"
-    # Q5: region is filtered under a filtered orders; orders itself is filtered
-    # under an unfiltered customer, the one build left
+    # Q5 drives from its one-row region: the filtered orders, five levels down,
+    # is probed like every other side and nothing is built
+    (pipeline,) = engine.explain(QUERIES[5])["pipelines"]
+    assert pipeline["driving"] == "region"
     sides = _join_sides(engine, 5)
-    assert sides["region"] == {"source": "region", "join": "index region(r_regionkey)",
-                               "table": "region", "built": False, "filtered": True}
-    assert [source for source, side in sides.items() if side["built"]] == ["orders"]
-    assert sides["orders"]["filtered"] and sides["orders"]["join"] == "hash on 1 key"
-    source = engine.explain(QUERIES[5])["pipelines"][0]["source"]
-    assert "for r1 in s1:" in source and source.count(" in s") == 2
+    assert list(sides) == ["nation", "supplier", "customer", "orders", "lineitem"]
+    assert sides["orders"] == {"source": "orders", "join": "index orders(o_custkey)",
+                               "table": "orders", "built": False, "filtered": True}
+    assert not any(side["built"] for side in sides.values())
+    assert "for r5 in s5:" in pipeline["source"] and pipeline["source"].count(" in s") == 1
 
 
-@pytest.mark.parametrize("number", (7, 12))
-def test_filtered_side_under_unfiltered_upstream_keeps_its_build(tpch_db, number):
+@pytest.mark.parametrize("number,driving", [(7, "nation as n2"), (12, "lineitem")])
+def test_filtered_tables_drive_and_nothing_is_built(tpch_db, number, driving):
+    """At the parent Q7 and Q12 built their filtered ``lineitem`` per execution
+    under an unfiltered driving table; costed, the filtered table drives."""
     engine = RowEngine(tpch_db)
-    sides = _join_sides(engine, number)
-    assert sides["lineitem"] == {"source": "lineitem", "join": "hash on 1 key",
-                                 "table": "lineitem", "built": True, "filtered": True}
-    assert [source for source, side in sides.items() if side["built"]] == ["lineitem"]
+    pipeline = next(pipeline for pipeline in engine.explain(QUERIES[number])["pipelines"]
+                    if pipeline["joins"])
+    assert pipeline["driving"] == driving
+    assert not any(side["built"] for side in pipeline["joins"])
     warm = engine.execute(engine.prepare(QUERIES[number]), trace=True)
+    assert warm.metrics.get("join.build_rows") == 0
+    assert warm.trace.find("join").attributes["build_rows"] == 0
+
+
+def test_filtered_side_under_unfiltered_upstream_keeps_its_build(tpch_db):
+    """Where the order leaves a filtered side under an unfiltered upstream --
+    25 unfiltered nations cost less to drive from than 1 500 orders do --
+    the side is still built per execution, over the rows that pass."""
+    engine = RowEngine(tpch_db)
+    sql = ("select n_name, count(*) from nation, customer, orders where n_nationkey = "
+           "c_nationkey and c_custkey = o_custkey and o_orderstatus = 'F' group by n_name")
+    (pipeline,) = engine.explain(sql)["pipelines"]
+    assert pipeline["driving"] == "nation"
+    assert pipeline["joins"][1] == {"source": "orders", "join": "hash on 1 key",
+                                    "table": "orders", "built": True, "filtered": True}
+    warm = engine.execute(engine.prepare(sql), trace=True)
     scans = {span.attributes["source"]: span for span in warm.trace.find_all("scan")}
-    assert warm.metrics.get("join.build_rows") == scans["lineitem"].rows_out > 0
-    assert warm.trace.find("join").attributes["build_rows"] == scans["lineitem"].rows_out
+    assert warm.metrics.get("join.build_rows") == scans["orders"].rows_out > 0
+    assert warm.trace.find("join").attributes["build_rows"] == scans["orders"].rows_out
 
 
 def test_self_join_bindings_share_one_index():
-    database = Database("q7")
+    database = Database("self-join")
     populate_tpch(database, scale_factor=0.0003)
     engine = RowEngine(database)
-    plan = engine.prepare(QUERIES[7])
-    pipeline = next(row_pipeline(plan, block) for block in plan.blocks.values()
-                    if len(block.join_order) > 1)
+    plan = engine.prepare(
+        "select n1.n_name, n2.n_name from supplier, customer, nation n1, nation n2 "
+        "where s_nationkey = n1.n_nationkey and c_nationkey = n2.n_nationkey "
+        "and s_suppkey = c_custkey")
+    assert plan.root.join_names() == ["supplier", "customer", "n1", "n2"]
+    pipeline = row_pipeline(plan, plan.root)
     nations = [probe for probe in pipeline.probes if probe and probe.table == "nation"]
     assert [probe.positions for probe in nations] == [(0,), (0,)]
     cold = engine.execute(plan)
     assert list(database.storage("nation").key_indexes()) == [(0,)]
-    # orders, customer and one nation index: built by the cold run, found by the next
-    assert cold.metrics.get("join.index_builds") == 3
+    # customer and one nation index: built by the cold run, found by the next
+    assert cold.metrics.get("join.index_builds") == 2
     assert engine.execute(plan).metrics.get("join.index_builds") == 0
     summary = database.size_summary()["nation"]["indexes"]
     assert summary == [{"columns": ["n_nationkey"], "keys": 25, "rows": 25}]
@@ -547,7 +569,13 @@ def test_explain_exposes_structure_and_source(tpch_db):
     assert "  join lineitem: index lineitem(l_orderkey)" in text
     assert "| def pipeline(scans, indexes, outers, interp):" in text
     text = "\n".join(line for (line,) in engine.execute("explain " + QUERIES[12]).rows)
-    assert "  join lineitem: hash on 1 key, built per execution" in text
+    # the join order by binding name, with the rows the planner expects per level
+    assert "Join (order: lineitem -> orders, estimated rows: " in text
+    assert "  join orders: index orders(o_orderkey)" in text
+    text = "\n".join(line for (line,) in engine.execute(
+        "explain select count(*) from nation, customer, orders where n_nationkey = "
+        "c_nationkey and c_custkey = o_custkey and o_orderstatus = 'F'").rows)
+    assert "  join orders: hash on 1 key, built per execution" in text
     hooked = engine.explain(QUERIES[4])["pipelines"][0]
     assert len(hooked["interpreted"]) == 1 and hooked["interpreted"][0].startswith("exists")
     interpreted = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False))

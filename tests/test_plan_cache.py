@@ -6,6 +6,7 @@ from repro.engine import (
     ColumnEngine,
     Database,
     EngineOptions,
+    JoinStep,
     PlanCache,
     Planner,
     QueryPlan,
@@ -128,6 +129,12 @@ class TestPlanner:
             assert engine.prepare(sql).root.pushdown.keys() == {"t", "u"}
             assert sorted(engine.execute(sql).rows) == sorted(expected.rows)
 
+    def test_intra_item_equality_is_residual_not_a_join_key(self, small_db):
+        root = Planner(small_db.catalog).plan(parse_select(
+            "select t.id from t join u on t.id = u.t_id where t.id = u.id")).root
+        assert len(root.classified.equi_joins) == 1 and len(root.residual) == 1
+        assert root.join_order[0].connecting == ()
+
     def test_describe_is_json_friendly(self, small_db):
         import json
 
@@ -136,6 +143,121 @@ class TestPlanner:
         description = plan.describe()
         assert json.dumps(description)
         assert description["root"]["equi_joins"] == 1
+
+
+# ---------------------------------------------------------------------------
+# join order from the storage statistics
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mix_db() -> Database:
+    """TPC-H at the ``tpch-mix`` workload's scale factor."""
+    from repro.data import populate_tpch
+
+    database = Database("tpch-mix")
+    populate_tpch(database, scale_factor=0.004)
+    return database
+
+
+def _order(planner: Planner, sql: str) -> list[str]:
+    return planner.plan(parse_select(sql)).root.join_names()
+
+
+class TestJoinOrder:
+    def test_the_most_selective_table_drives(self, small_db):
+        planner = Planner(small_db.catalog)
+        join = "select t.name, u.tag from t, u where t.id = u.t_id"
+        # unfiltered, the three rows of u cost less to read whole than t's four
+        assert _order(planner, join) == ["u", "t"]
+        assert _order(planner, join + " and t.id = 3") == ["t", "u"]
+        root = planner.plan(parse_select(join + " and t.id = 3")).root
+        assert root.estimated_rows() == [1.0, 0.8]  # 4 rows / 4 ids; x 3 rows of u / 4 ids
+        assert root.join_order[1].keys == ((0, 1),) and root.join_order[1].cut == 3
+
+    def test_planning_twice_gives_the_same_order(self, mix_db):
+        for number in (5, 7, 8):
+            orders = {tuple(tuple(block.join_names()) for block in
+                            Planner(mix_db.catalog).plan(parse_select(QUERIES[number]))
+                            .blocks.values()) for _ in range(3)}
+            assert len(orders) == 1, number
+
+    def test_a_tie_keeps_from_order(self):
+        database = Database("twins")
+        for name in ("a", "b", "c"):
+            database.create_table(name, [("k", "int")])
+            database.insert_rows(name, [(number,) for number in range(5)])
+        planner = Planner(database.catalog)
+        for listed in (["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]):
+            first, second, third = listed
+            sql = (f"select count(*) from {', '.join(listed)} "
+                   f"where {first}.k = {second}.k and {second}.k = {third}.k")
+            assert _order(planner, sql) == listed
+
+    def test_missing_statistics_keep_from_order_and_cost_nothing(self, small_db):
+        from repro.engine import Catalog
+
+        catalog = Catalog()  # schemas only: no storage, so no statistics
+        catalog.create_table("t", [("id", "int"), ("name", "str")])
+        catalog.create_table("u", [("id", "int"), ("t_id", "int")])
+        root = Planner(catalog).plan(parse_select(
+            "select t.name from t, u where t.id = u.t_id and u.id = 1")).root
+        assert root.join_names() == ["t", "u"] and root.estimated_rows() is None
+        # a derived table or an explicit JOIN tree has no size either
+        planner = Planner(small_db.catalog)
+        for sql in ("select t.name from t, (select t_id from u where id = 1) d "
+                    "where t.id = d.t_id",
+                    "select t.name from t, u join t t2 on u.t_id = t2.id where t.id = u.id"):
+            root = planner.plan(parse_select(sql)).root
+            assert [step.frame_index for step in root.join_order] == [0, 1], sql
+            assert root.estimated_rows() is None, sql
+        assert root.join_names() == ["t", "(u join t2)"]
+
+    def test_single_item_block_is_untouched(self, small_db):
+        root = Planner(small_db.catalog).plan(parse_select(
+            "select name from t where price > 15")).root
+        assert root.join_order == [JoinStep(0)] and root.estimated_rows() is None
+
+    def test_a_cross_product_item_goes_last(self, mix_db):
+        planner = Planner(mix_db.catalog)
+        assert _order(planner, "select count(*) from region, orders, customer "
+                               "where o_custkey = c_custkey and c_acctbal > 9000") \
+            == ["customer", "orders", "region"]
+        # nothing but cross products: smallest first
+        assert _order(planner, "select count(*) from supplier, region, nation") \
+            == ["region", "nation", "supplier"]
+
+    @pytest.mark.parametrize("number", (3, 9, 10, 12))
+    def test_toggled_engines_still_plan_and_agree(self, number):
+        from repro.data import populate_tpch
+
+        tpch_db = Database("tpch-tiny")  # nested loops without push-down: keep them short
+        populate_tpch(tpch_db, scale_factor=0.0002)
+        expected = normalise(sorted(RowEngine(tpch_db).execute(QUERIES[number]).rows))
+        assert expected
+        for options in (EngineOptions(predicate_pushdown=False),
+                        EngineOptions(hash_joins=False),
+                        EngineOptions(predicate_pushdown=False, hash_joins=False,
+                                      compile_expressions=False)):
+            for factory in (RowEngine, ColumnEngine):
+                engine = factory(tpch_db, options=options)
+                assert any(block.estimated_rows() is not None  # costed all the same
+                           for block in engine.prepare(QUERIES[number]).blocks.values())
+                assert normalise(sorted(engine.execute(QUERIES[number]).rows)) == expected
+
+    @pytest.mark.parametrize("number,driving", [
+        (3, {"customer"}), (5, {"region"}), (7, {"n1", "n2"}), (8, {"part"}), (9, {"part"}),
+        (10, {"orders"}), (12, {"lineitem"}), (14, {"lineitem"})])
+    def test_tpch_mix_texts_drive_from_their_most_selective_table(self, mix_db, number,
+                                                                  driving):
+        plan = RowEngine(mix_db).prepare(QUERIES[number])
+        (block,) = [block for block in plan.blocks.values() if len(block.join_order) > 1]
+        assert block.join_names()[0] in driving
+        assert block.describe()["join_order"] == block.join_names()
+        # both engines read the one order
+        column = ColumnEngine(mix_db).prepare(QUERIES[number])
+        assert [block.join_names() for block in column.blocks.values()] \
+            == [block.join_names() for block in plan.blocks.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -265,5 +387,7 @@ class TestCachedExecutionEquivalence:
         engine = RowEngine(small_db)
         report = engine.explain("select t.name, u.tag from t, u where t.id = u.t_id")
         assert report["plan"]["equi_joins"] == 1
-        assert report["plan"]["join_order"] == [0, 1]
+        # by binding name; u (3 rows) drives, t's four are probed
+        assert report["plan"]["join_order"] == ["u", "t"]
+        assert report["plan"]["estimated_rows"] == [3.0, 3.0]
         assert report["plan_cache"]["misses"] >= 1

@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.data import populate_tpch
 from repro.engine import (
     ColumnEngine,
     Database,
@@ -24,6 +25,7 @@ from repro.engine import (
     RowEngine,
 )
 from repro.engine.storage import DEFAULT_CHUNK_ROWS, hash_rows
+from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
 from repro.obs import MetricsContext
 
 #: every combination of the storage + kernel toggles relevant to semantics.
@@ -445,6 +447,101 @@ class TestScanSkipping:
         assert to_sql(predicates[0]) == "id = 17"
 
 
+class TestStatistics:
+    """What the join order is costed from: NDVs and filtered cardinalities."""
+
+    def test_integer_and_date_ndv_do_not_count_a_value_once_per_chunk(self):
+        database = Database("tpch-ndv")
+        populate_tpch(database, scale_factor=0.004)
+        for table, column, tolerance in [
+                ("lineitem", "l_partkey", 0), ("lineitem", "l_suppkey", 0),
+                ("lineitem", "l_orderkey", 0), ("lineitem", "l_shipdate", 0.01),
+                ("orders", "o_custkey", 0), ("customer", "c_nationkey", 0),
+                ("supplier", "s_nationkey", 0), ("partsupp", "ps_partkey", 0)]:
+            position = database.catalog.table(table).column_index(column)
+            actual = len({row[position] for row in database.rows(table)})
+            estimate = database.catalog.table_statistics(table).column(column).distinct_estimate
+            # 6 chunks of lineitem each hold most part keys: summed, 4 764 for 800
+            assert actual <= estimate <= actual * (1 + tolerance), (table, column)
+
+    def test_span_clips_only_discrete_types(self):
+        database = Database("spans", chunk_rows=4)
+        database.create_table("s", [("i", "int"), ("f", "float"), ("b", "bool"),
+                                    ("d", "date"), ("n", "int")])
+        database.insert_rows("s", [(index % 3, (index % 3) / 2, index % 2 == 0,
+                                    f"2020-01-0{index % 2 + 1}", None)
+                                   for index in range(12)])
+        columns = database.catalog.table_statistics("s").columns
+        assert [columns[name].distinct_estimate for name in "ifbdn"] == [3, 9, 2, 2, 0]
+
+    @pytest.fixture()
+    def days(self) -> "TableStatistics":
+        """1 000 rows: ``day`` one per row over 1 000 days, ``x`` 0..99 with
+        every tenth row NULL."""
+        database = Database("windows", chunk_rows=100)
+        database.create_table("w", [("day", "date"), ("x", "int"), ("tag", "str")])
+        start = datetime.date(2020, 1, 1)
+        database.insert_rows("w", [
+            ((start + datetime.timedelta(days=index)).isoformat(),
+             None if index % 10 == 0 else index % 100, "ab"[index % 2])
+            for index in range(1000)])
+        return database.catalog.table_statistics("w")
+
+    @staticmethod
+    def _conjuncts(where: str) -> list:
+        from repro.sqlparser import ast
+        from repro.sqlparser.parser import parse_select
+
+        return ast.conjuncts(parse_select(f"select 1 from w where {where}").where)
+
+    def test_a_window_is_one_interval_not_two_half_ranges(self, days):
+        window = self._conjuncts("day >= date '2021-01-01' and day < date '2021-02-01'")
+        assert estimate_conjunction(window, days) == pytest.approx(31 / 999)
+        # each half alone keeps what it did; their product overstated the window
+        halves = [estimate_selectivity(conjunct, days) for conjunct in window]
+        assert halves == [pytest.approx(633 / 999), pytest.approx(397 / 999)]
+        assert halves[0] * halves[1] > 7 * estimate_conjunction(window, days)
+        # BETWEEN, flipped operands, date arithmetic and a nested AND read the same
+        for where in ("day between date '2021-01-01' and date '2021-02-01'",
+                      "date '2021-01-01' <= day and date '2021-02-01' > day",
+                      "day >= date '2021-01-01' and "
+                      "day < date '2021-01-01' + interval '1' month",
+                      "(day >= date '2021-01-01' and (day < date '2021-02-01'))",
+                      "day >= date '2020-06-01' and day >= date '2021-01-01' "
+                      "and day < date '2021-02-01' and day < date '2022-01-01'"):
+            assert estimate_conjunction(self._conjuncts(where), days) \
+                == pytest.approx(31 / 999), where
+
+    def test_one_sided_ranges_and_other_conjuncts_multiply_as_before(self, days):
+        for where in ("day < date '2021-01-01'", "x > 50", "tag = 'a'", "x = 7",
+                      "tag like 'a%'", "x in (1, 2, 3)", "x is null"):
+            (conjunct,) = self._conjuncts(where)
+            assert estimate_conjunction([conjunct], days) \
+                == pytest.approx(estimate_selectivity(conjunct, days)), where
+        mixed = self._conjuncts("day < date '2021-01-01' and tag = 'a' and x > 50")
+        product = 1.0
+        for conjunct in mixed:
+            product *= estimate_selectivity(conjunct, days)
+        assert estimate_conjunction(mixed, days) == pytest.approx(product)
+        assert estimate_conjunction([], days) == 1.0
+
+    def test_an_empty_intersection_keeps_nothing(self, days):
+        assert estimate_conjunction(self._conjuncts(
+            "day >= date '2021-06-01' and day < date '2021-01-01'"), days) == 0.0
+        assert estimate_conjunction(self._conjuncts("x > 70 and x < 20"), days) == 0.0
+        assert estimate_conjunction(self._conjuncts("day > date '2030-01-01'"), days) == 0.0
+
+    def test_the_null_fraction_counts_once_per_column(self, days):
+        # a tenth of x is NULL: a window over x keeps 0.9 of its share of the span
+        window = self._conjuncts("x >= 9 and x <= 59")
+        assert estimate_conjunction(window, days) == pytest.approx(0.9 * 50 / 98)
+        halves = [estimate_selectivity(conjunct, days) for conjunct in window]
+        assert halves == [pytest.approx(0.9 * 90 / 98), pytest.approx(0.9 * 58 / 98)]
+        # an AND inside a predicate goes through the same estimate
+        (nested,) = self._conjuncts("(x >= 9 and x <= 59) or x is null")
+        assert estimate_selectivity(nested, days) == pytest.approx(0.9 * 50 / 98 + 0.1)
+
+
 class TestDropRecreate:
     """insert -> query -> drop -> recreate -> query must not see stale arrays."""
 
@@ -569,9 +666,10 @@ class TestKeyOrder:
     @pytest.mark.parametrize("selection_vectors", [True, False])
     def test_one_order_serves_both_null_representations(self, nullable_db,
                                                         selection_vectors):
-        """``t.id`` probes ``u(t_id)``: typed ``(values, validity)`` pairs probe
-        the stored order; the legacy object decode of the nullable key cannot
-        (``None`` among the values) and is coded jointly, as before."""
+        """``u.t_id`` probes ``t(id)`` (the smaller ``u`` drives): typed
+        ``(values, validity)`` pairs probe the stored order; the legacy object
+        decode of the nullable key cannot (``None`` among the values) and is
+        coded jointly, as before."""
         expected = sorted(RowEngine(nullable_db).execute(self.SQL).rows)
         builds = 0
         for null_masks in (True, False):
@@ -581,9 +679,11 @@ class TestKeyOrder:
             assert sorted(result.rows) == expected == [(1, 1), (4, 4), (6, 3)]
             assert result.metrics.get("join.order_probes") == (1 if null_masks else 0)
             builds += result.metrics.get("join.order_builds")
-        assert builds == 1 and len(nullable_db.storage("u").key_orders()) == 1
+        assert builds == 1 and len(nullable_db.storage("t").key_orders()) == 1
 
-    def test_self_join_bindings_share_one_order(self, tpch_db):
+    def test_self_join_bindings_share_one_order(self):
+        tpch_db = Database("self-join")  # its own: the orders it holds are counted
+        populate_tpch(tpch_db, scale_factor=0.0003)
         engine = ColumnEngine(tpch_db)
         plan = engine.prepare(
             "select n1.n_name, n2.n_name from supplier, customer, nation n1, nation n2 "
