@@ -20,8 +20,9 @@ from repro.engine import ColumnEngine, EngineOptions
 # the compiled-kernel path makes variants so uniform (and so fast that fixed
 # per-query overhead dominates at this tiny scale) that the distribution
 # collapses to the noise floor.  Pin the engine version whose cost profile
-# the figure is about.
-INTERPRETED = EngineOptions(compile_expressions=False, selection_vectors=False)
+# the figure is about: the interpreted one, whose every variant gathers the
+# rows it selects once and walks its expressions operator by operator.
+INTERPRETED = EngineOptions(compile_expressions=False)
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,19 @@
 """Kernel-compilation benchmark: generated pipelines (row engine) and compiled
-kernels + selection vectors (column engine) vs the recursive interpreters.
+kernels (column engine) vs the recursive interpreters.
 
 The driver executes every pool query five-plus times per target system over a
 prepared plan; what is compiled hangs off that cached plan, so the repetition
 loop pays near-zero per-tuple dispatch.  This benchmark quantifies the warm
 speedup on the paper's running examples -- TPC-H Q1 (aggregation-heavy, the
-row engine's worst case for per-row interpretation) and Q6 (scan-dominated,
-the column engine's selection-vector showcase) -- for both engines in both
-modes, and acts as the CI perf-regression gate.  On the row engine both
-queries compare one generated function against the interpreter and must stay
-10x apart (see ``BENCH_kernels.json`` for the recorded speedups); Q6 on the
-column engine must keep ``KERNEL_BENCH_MIN_SPEEDUP`` (default 1.3x).
+row engine's worst case for per-row interpretation) and Q6 (scan-dominated)
+-- for both engines in both modes, and acts as the CI perf-regression gate.
+On the row engine both queries compare one generated function against the
+interpreter and must stay 10x apart (see ``BENCH_kernels.json`` for the
+recorded speedups).  On the column engine both modes run the one pipeline and
+differ in ``compile_expressions`` alone: the ratios (Q1 ~1.3x, Q6 ~1.3-1.4x
+of a 0.11 ms query) are recorded, not gated -- a threshold the toggle's whole
+effect sits on measures the box -- and the column gate is the exact count of
+frames a warm Q6 builds.
 
 Both engines' join access paths are gated on counts, not on a ratio of
 timings: a warm execution of Q9 probes storage key indexes (row) / key orders
@@ -27,7 +30,6 @@ track the perf trajectory.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
@@ -36,23 +38,18 @@ from repro.engine import ColumnEngine, EngineOptions, RowEngine
 from repro.tpch import QUERIES
 from repro.workflow import build_tpch_database
 
-#: committed regression threshold for the gated column-engine pair.
-MIN_SPEEDUP = float(os.environ.get("KERNEL_BENCH_MIN_SPEEDUP", "1.3"))
-
 #: (query id, engine kind, repetitions per timing loop, gate or None)
 MATRIX = [
     (1, "row", 6, 10.0),
     (6, "row", 6, 10.0),
     (1, "column", 25, None),
-    (6, "column", 60, MIN_SPEEDUP),
+    (6, "column", 60, None),
 ]
 
 # workers pinned to 1: this gate measures single-threaded kernel speedups;
 # morsel parallelism has its own gate (test_bench_parallel.py).
-INTERPRETED = EngineOptions(compile_expressions=False, selection_vectors=False,
-                            workers=1)
-COMPILED = EngineOptions(compile_expressions=True, selection_vectors=True,
-                         workers=1)
+INTERPRETED = EngineOptions(compile_expressions=False, workers=1)
+COMPILED = EngineOptions(compile_expressions=True, workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -174,24 +171,16 @@ def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, arti
         if gate is not None and speedup < gate:
             gated_failures.append(f"Q{query_id}/{kind}: {speedup:.2f}x < {gate}x")
 
-    selection_frames = _frames_per_execution(
-        _make_engine("column", tpch_db, COMPILED), QUERIES[6])
-    masked_frames = _frames_per_execution(
-        _make_engine("column", tpch_db, INTERPRETED), QUERIES[6])
+    frames = _frames_per_execution(_make_engine("column", tpch_db, COMPILED), QUERIES[6])
 
     artifact = {
-        "min_speedup": MIN_SPEEDUP,
         "entries": entries,
-        "q6_colframe_materialisations": {
-            "selection_vectors": selection_frames,
-            "masked": masked_frames,
-        },
+        "q6_colframe_materialisations": frames,
     }
     target = artifact_dir / "BENCH_kernels.json"
     target.write_text(json.dumps(artifact, indent=2))
 
-    # the selection-vector path allocates no intermediate frame per predicate:
-    # Q6 costs exactly one scan frame plus one result frame.
-    assert selection_frames == 2
-    assert masked_frames > selection_frames
+    # the column gate: no intermediate frame per predicate, Q6 costs exactly
+    # one scan frame plus one result frame.
+    assert frames == 2
     assert not gated_failures, "; ".join(gated_failures)

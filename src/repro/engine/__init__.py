@@ -27,11 +27,14 @@ keyed LRU :class:`PlanCache` so repeated executions -- the driver's
 five-repetition loop, the pool's morph/re-measure cycle -- parse and plan
 exactly once per distinct query.
 
-On top of the plan sits the kernel compiler (:mod:`repro.engine.compile`):
-each prepared plan's expressions are lowered once into Python closures --
-fused per-row kernels for the row engine, selection-vector column kernels
-for the column engine -- cached on the plan and toggled by the
-``compile_expressions`` / ``selection_vectors`` engine options.
+On top of the plan sits the compiler (:mod:`repro.engine.compile`): each
+prepared plan is lowered once -- one generated Python function per query
+block for the row engine, selection-vector column kernels for the column
+engine -- cached on the plan and toggled by the ``compile_expressions``
+engine option.  The column engine runs every block through one pipeline
+(scan -> refine -> join -> partial -> combine -> finalise or project, see
+:mod:`repro.engine.executor_column`) whose unit of work is a morsel: one per
+block, or one per worker of the ``workers`` option.
 """
 
 from repro.engine.catalog import Catalog, ColumnDef, TableSchema

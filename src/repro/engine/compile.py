@@ -32,21 +32,27 @@ plan cache amortises compilation exactly like planning.
 * **Column kernels** -- ``fn(ctx) -> ndarray`` closures over a
   :class:`ColumnContext` that evaluates leaf columns through a **selection
   vector**: an ``int64`` index of the surviving rows.  Scans and residual
-  predicates refine the selection instead of materialising a masked
-  :class:`~repro.engine.vector.ColFrame` after every predicate; gathered
-  columns are memoised per evaluation so repeated references pay one gather.
+  predicates refine the selection, nothing is materialised per predicate;
+  gathered columns are memoised per evaluation so repeated references pay
+  one gather.  Beside them, per block, what the column pipeline needs to
+  know before it runs (:class:`ColumnBlockShape`): frame layouts, join keys,
+  output types and -- found by the one walk over an aggregated select list,
+  :func:`aggregate_sites` -- the numbered leaf sites kernels, partial
+  aggregate states and per-group evaluation are all indexed by.
 
 Both mirror the interpreter semantics exactly (NULL propagation, date
 coercion, LIKE, three-valued predicates).  :class:`CompileFallback` reaches a
 caller only where there is no row to interpret on: from
 :func:`compile_row_kernel`, around aggregate calls (the block then has
 ``run=None`` and the executor interprets it whole) and from the column
-compiler, whose executor keeps the ``VectorEvaluator`` for that expression.
+compiler, whose block then has no kernel (None) for that expression and
+whose executor hands it to the ``VectorEvaluator``.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import linecache
 import math
@@ -71,9 +77,10 @@ from repro.engine.mask import (
     kleene_and,
     kleene_not,
     kleene_or,
+    none_positions,
     truth_mask,
 )
-from repro.engine.planner import ColumnInfo, Layout, probes_index
+from repro.engine.planner import ColumnInfo, Layout, always_date, output_type, probes_index
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
     abs_values,
@@ -159,21 +166,6 @@ def _never_date(node: ast.Expression, layout) -> bool:
     if isinstance(node, (ast.Extract, ast.Substring, ast.Comparison, ast.Between,
                          ast.IsNull, ast.Like, ast.InList, ast.BoolOp)):
         return True
-    return False
-
-
-def _always_date(node: ast.Expression, layout) -> bool:
-    """True when ``node`` always evaluates to a date (or NULL)."""
-    if isinstance(node, ast.DateLiteral):
-        return True
-    if isinstance(node, ast.ColumnRef):
-        position = layout.position(node)
-        return position is not None and layout.type_of(position) == "date"
-    if (isinstance(node, ast.BinaryOp) and node.operator in ("+", "-")
-            and isinstance(node.right, ast.IntervalLiteral)):
-        return _always_date(node.left, layout)
-    if isinstance(node, ast.Cast):
-        return node.type_name.lower().startswith("date")
     return False
 
 
@@ -483,7 +475,7 @@ class _Source:
                                self.expr(node.right))
         if isinstance(node.right, ast.IntervalLiteral):
             amount = node.right.value if op == "+" else -node.right.value
-            call = "add_interval" if _always_date(node.left, layout) else "_shift"
+            call = "add_interval" if always_date(node.left, layout) else "_shift"
             return self.strict(f"{call}({{}}, {amount!r}, {node.right.unit!r})",
                                self.expr(node.left), effect=call == "_shift")
         if isinstance(node.left, ast.IntervalLiteral):
@@ -525,7 +517,7 @@ class _Source:
         """True when plain Python comparison needs no date coercion."""
         layout = self.cols[0]
         return (all(_never_date(node, layout) for node in nodes)
-                or all(_always_date(node, layout) for node in nodes))
+                or all(always_date(node, layout) for node in nodes))
 
     def _compare(self, op: str, left: _Val, right: _Val, plain: bool) -> _Val:
         template = f"({{}} {_PY_CMP[op]} {{}})" if plain \
@@ -613,7 +605,7 @@ class _Source:
     def _extract(self, node: ast.Extract) -> _Val:
         if node.field_name not in ("year", "month", "day"):
             raise CompileFallback(f"unsupported EXTRACT field '{node.field_name}'")
-        if _always_date(node.operand, self.cols[0]):
+        if always_date(node.operand, self.cols[0]):
             return self.strict(f"{{}}.{node.field_name}", self.expr(node.operand))
         return self.strict(f"to_date({{}}).{node.field_name}", self.expr(node.operand),
                            effect=True)
@@ -1465,18 +1457,24 @@ ColumnPredicate = tuple["Callable[[ColumnContext], Any] | None", ast.Expression]
 
 @dataclass
 class ColumnBlockKernels:
-    """Every compiled kernel of one planned block (column engine)."""
+    """The kernels of one planned block (column engine).
+
+    None stands for "the vectorised interpreter evaluates this one": what the
+    compiler cannot lower and, with ``compile_expressions`` off, everything
+    -- the pipeline that runs them is the same.
+    """
 
     #: per FROM item: its push-down predicates (empty list = nothing to apply).
     pushdown: list[list[ColumnPredicate]]
     #: the block's residual conjunction, one entry per predicate.
     residual: list[ColumnPredicate]
-    #: per select item: projection kernel (None = star / interpreter); the
-    #: whole list is None for aggregated blocks.
-    projection: list[Callable | None] | None
-    #: kernels for aggregation-internal expressions (group keys, aggregate
-    #: arguments, per-group first-row values), keyed by ``id(expression)``.
-    vectors: dict[int, Callable]
+    #: per select item of a block that does not aggregate (None for a star too).
+    projection: list[Callable | None]
+    #: of an aggregated block, by site number (see :class:`AggregateSites`):
+    #: per group key, per aggregate call (its argument) and per first-row site.
+    keys: list[Callable | None]
+    arguments: list[Callable | None]
+    firsts: list[Callable | None]
 
 
 #: the column types whose values a key order sorts as integers.
@@ -1513,14 +1511,171 @@ class ColumnJoin:
     probe: OrderProbe | None
 
 
+class GroupValues(NamedTuple):
+    """What an aggregated block knows of its groups once its morsels'
+    partial states are combined: one value per group and leaf site."""
+
+    count: int
+    #: per aggregate-call site, the finished aggregate.
+    calls: list[np.ndarray]
+    #: per first-row site, the expression at each group's first row.
+    firsts: list[np.ndarray]
+
+
+@dataclass
+class AggregateSites:
+    """The leaf sites of an aggregated block, found and numbered by one walk.
+
+    A select item (or HAVING) over groups is a tree whose leaves are
+    aggregate calls and subtrees free of them -- those read at each group's
+    first row -- under the few node shapes :func:`aggregate_sites` knows to
+    combine per group.  The leaves are what runs per row: the kernel
+    compiler, the executor's partial states and the per-group closures all
+    name them by their number here, as they do the group keys.
+    """
+
+    keys: list[ast.Expression]
+    #: per key, the joined frame's column it is nothing but (a dictionary-
+    #: encoded one groups on its codes), else None.
+    key_columns: list[int | None]
+    calls: list[ast.FunctionCall]
+    #: per call, what it aggregates (None: ``count(*)``, every row).
+    arguments: list[ast.Expression | None]
+    firsts: list[ast.Expression]
+    #: per select item, its per-group values from those of the leaves.
+    items: list[Callable[[GroupValues], Any]]
+    having: Callable[[GroupValues], Any] | None
+
+
+def aggregate_sites(select: ast.Select, layout: Layout) -> AggregateSites:
+    """Walk the select list and HAVING of an aggregated block, once.
+
+    A node shape the walk does not know around an aggregate call lowers to a
+    closure raising the :class:`ExecutionError` when the groups are evaluated.
+    """
+    calls: list[ast.FunctionCall] = []
+    firsts: list[ast.Expression] = []
+
+    def lower(node: ast.Expression) -> Callable[[GroupValues], Any]:
+        if isinstance(node, ast.FunctionCall) and node.is_aggregate:
+            calls.append(node)
+            return lambda groups, _site=len(calls) - 1: groups.calls[_site]
+        if not ast.has_local_aggregate(node):
+            firsts.append(node)
+            return lambda groups, _site=len(firsts) - 1: groups.firsts[_site]
+        if isinstance(node, (ast.BinaryOp, ast.Comparison)):
+            left, right = lower(node.left), lower(node.right)
+            combine = _group_arithmetic if isinstance(node, ast.BinaryOp) else _group_comparison
+            return lambda groups: combine(node.operator, left(groups), right(groups))
+        if isinstance(node, ast.UnaryOp):
+            operand = lower(node.operand)
+            if node.operator == "not":
+                return lambda groups: kleene_not(operand(groups))
+            if node.operator == "-":  # NULL-propagating: an empty group's SUM is None
+                return lambda groups: negate_values(group_values(operand(groups)))
+            return operand
+        if isinstance(node, ast.BoolOp):
+            connective = kleene_and if node.operator == "and" else kleene_or
+            operands = [lower(operand) for operand in node.operands]
+            return lambda groups: functools.reduce(
+                connective, (operand(groups) for operand in operands))
+        if isinstance(node, ast.CaseWhen):
+            branches = [(lower(condition), lower(result)) for condition, result in node.branches]
+            default = None if node.default is None else lower(node.default)
+            return lambda groups: _group_case(branches, default, groups)
+        if isinstance(node, ast.Cast):
+            return lower(node.operand)
+
+        def unsupported(_groups):
+            raise ExecutionError(
+                f"cannot aggregate expression node {type(node).__name__} column-wise")
+        return unsupported
+
+    items = [lower(item.expression) for item in select.items]
+    having = None if select.having is None else lower(select.having)
+    return AggregateSites(
+        keys=list(select.group_by),
+        key_columns=[_column_of(key, layout) for key in select.group_by],
+        calls=calls,
+        arguments=[None if not call.arguments or isinstance(call.arguments[0], ast.Star)
+                   else call.arguments[0] for call in calls],
+        firsts=firsts, items=items, having=having)
+
+
+#: per-group results on a single representation (masks decode to objects):
+#: what a CASE branch's rows are normalised to as well.
+group_values = case_branch_values
+
+
+def _group_arithmetic(operator: str, left: Any, right: Any) -> np.ndarray:
+    left, left_nulls = _as_float_with_nulls(group_values(left))
+    right, right_nulls = _as_float_with_nulls(group_values(right))
+    if operator == "+":
+        result = left + right
+    elif operator == "-":
+        result = left - right
+    elif operator == "*":
+        result = left * right
+    elif operator == "/":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            result = left / right
+    elif operator == "%":
+        result = left % right
+    else:
+        raise ExecutionError(f"unsupported aggregate operator '{operator}'")
+    nulls = left_nulls
+    if right_nulls is not None:
+        nulls = right_nulls if nulls is None else (nulls | right_nulls)
+    if nulls is not None and nulls.any():
+        result = result.astype(object)
+        result[nulls] = None
+    return result
+
+
+def _as_float_with_nulls(values) -> tuple[np.ndarray, np.ndarray | None]:
+    """Float view of per-group values plus the mask of NULL groups."""
+    array = np.asarray(values)
+    if array.dtype != object:
+        return np.asarray(array, dtype=np.float64), None
+    nulls = none_positions(array)
+    if not nulls.any():
+        return array.astype(np.float64), None
+    converted = np.fromiter(
+        (0.0 if value is None else float(value) for value in array),
+        dtype=np.float64, count=len(array))
+    return converted, nulls
+
+
+def _group_comparison(operator: str, left: Any, right: Any) -> Any:
+    if operator not in _PY_CMP:
+        raise ExecutionError(f"unsupported comparison operator '{operator}'")
+    return compare_arrays(operator, np.asarray(group_values(left)),
+                          np.asarray(group_values(right)))
+
+
+def _group_case(branches: list, default: Callable | None, groups: GroupValues) -> np.ndarray:
+    result = np.full(groups.count, None, dtype=object)
+    decided = np.zeros(groups.count, dtype=bool)
+    for condition, branch in branches:
+        mask = truth_mask(condition(groups), groups.count) & ~decided
+        result[mask] = np.asarray(group_values(branch(groups)), dtype=object)[mask]
+        decided |= mask
+    if default is not None:
+        result[~decided] = np.asarray(group_values(default(groups)), dtype=object)[~decided]
+    return result
+
+
 @dataclass
 class ColumnBlockShape:
     """The frames one planned block runs through, known before it runs.
 
     Everything here is a function of the plan -- the column lookup of every
     FROM item and of every join prefix, where each join's keys sit, which
-    storage order a join may probe -- so frames are handed their lookup
-    instead of indexing their columns again on every execution.
+    storage order a join may probe, what comes out of the select list -- so
+    frames are handed their lookup instead of indexing their columns again,
+    and nothing walks the select list, on every execution.  It exists
+    whatever the engine options: interpreted blocks run through the same
+    frames.
     """
 
     item_layouts: list[Layout]
@@ -1528,13 +1683,39 @@ class ColumnBlockShape:
     joins: list[ColumnJoin]
     #: the lookup of the frame the residual, grouping and projection see.
     joined_layout: Layout
+    #: per select item, its :func:`~repro.engine.planner.output_type`.
+    output_types: list[str | None]
+    #: per select item, the joined frame's column it is nothing but (a
+    #: dictionary-encoded one keeps its codes in the output), else None.
+    output_columns: list[int | None]
+    #: the leaf sites of an aggregated block (None: the block projects).
+    sites: AggregateSites | None
+
+
+def _column_of(expression: ast.Expression, layout: Layout) -> int | None:
+    return layout.position(expression) if isinstance(expression, ast.ColumnRef) else None
 
 
 def column_block_shape(block) -> ColumnBlockShape:
-    """Resolve the frame layouts and join keys of one planned block."""
+    """Resolve the frame layouts, join keys and outputs of one planned block."""
     item_layouts = [Layout(columns, ambiguous="raise") for columns in block.item_columns]
+    joins, joined = _block_joins(block, item_layouts)
+    items = [item.expression for item in block.select.items]
+    # an ambiguous name is for the evaluation to refuse, not for this look ahead
+    lenient = Layout(joined.columns)
+    return ColumnBlockShape(
+        item_layouts, joins, joined,
+        output_types=[None if isinstance(item, ast.Star) else output_type(item, lenient)
+                      for item in items],
+        output_columns=[_column_of(item, lenient) for item in items],
+        sites=aggregate_sites(block.select, lenient) if block.needs_aggregation else None)
+
+
+def _block_joins(block, item_layouts: list[Layout]) -> tuple[list[ColumnJoin], Layout]:
+    """The block's join schedule after its driving item, resolved, and the
+    layout of the frame it ends in."""
     if not block.join_order:
-        return ColumnBlockShape(item_layouts, [], Layout(block.columns, ambiguous="raise"))
+        return [], Layout(block.columns, ambiguous="raise")
     first = block.join_order[0].frame_index
     joined, columns, joins = item_layouts[first], list(block.item_columns[first]), []
     for step in block.join_order[1:]:
@@ -1551,100 +1732,44 @@ def column_block_shape(block) -> ColumnBlockShape:
             + columns[step.cut:]
         joined = Layout(columns, ambiguous="raise")
         joins.append(ColumnJoin(step.frame_index, positions, step.cut, joined, probe))
-    return ColumnBlockShape(item_layouts, joins, joined)
+    return joins, joined
 
 
 def column_shape(plan, block) -> ColumnBlockShape:
-    """The block's shape, resolved once and cached on ``plan`` (whatever the
-    engine options: interpreted blocks run through the same frames)."""
+    """The block's shape, resolved once and cached on ``plan``."""
     return plan.kernels(block, ("col", "shape"), column_block_shape)
 
 
-def compile_column_block(block, shape: ColumnBlockShape,
-                         overflow_guard: bool = False) -> ColumnBlockKernels:
-    """Compile one :class:`~repro.engine.plan.BlockPlan` for the column engine."""
-    select = block.select
+def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = False,
+                         compiled: bool = True) -> ColumnBlockKernels:
+    """The kernels of one :class:`~repro.engine.plan.BlockPlan` for the column
+    engine; every one of them None unless ``compiled``."""
     item_layouts, joined_layout = shape.item_layouts, shape.joined_layout
 
-    def try_compile(expression, layout):
+    def lower(expression, layout=joined_layout):
+        if not compiled or expression is None or isinstance(expression, ast.Star):
+            return None
         try:
             return compile_column_kernel(expression, layout, overflow_guard)
         except CompileFallback:
             return None
 
-    pushdown = [
-        [(try_compile(predicate, item_layouts[index]), predicate)
-         for predicate in _item_pushdown(block, columns)]
-        for index, columns in enumerate(block.item_columns)
-    ]
-    residual = [(try_compile(predicate, joined_layout), predicate)
-                for predicate in block.residual]
-
-    projection: list[Callable | None] | None = None
-    vectors: dict[int, Callable] = {}
-    if block.needs_aggregation:
-        for expression in _aggregation_vector_expressions(select):
-            kernel = try_compile(expression, joined_layout)
-            if kernel is not None:
-                vectors[id(expression)] = kernel
-    else:
-        projection = [
-            None if isinstance(item.expression, ast.Star)
-            else try_compile(item.expression, joined_layout)
-            for item in select.items
-        ]
-    return ColumnBlockKernels(pushdown=pushdown, residual=residual,
-                              projection=projection, vectors=vectors)
+    sites = shape.sites
+    return ColumnBlockKernels(
+        pushdown=[[(lower(predicate, item_layouts[index]), predicate)
+                   for predicate in _item_pushdown(block, columns)]
+                  for index, columns in enumerate(block.item_columns)],
+        residual=[(lower(predicate), predicate) for predicate in block.residual],
+        projection=[] if sites else [lower(item.expression) for item in block.select.items],
+        keys=[lower(key) for key in sites.keys] if sites else [],
+        arguments=[lower(argument) for argument in sites.arguments] if sites else [],
+        firsts=[lower(first) for first in sites.firsts] if sites else [])
 
 
-def column_kernels(plan, block, overflow_guard: bool = False) -> ColumnBlockKernels:
-    """The block's column kernels, compiled once and cached on ``plan``."""
+def column_kernels(plan, block, overflow_guard: bool = False,
+                   compiled: bool = True) -> ColumnBlockKernels:
+    """The block's column kernels, lowered once and cached on ``plan``."""
     shape = column_shape(plan, block)  # before the build: the plan's lock is not reentrant
-    return plan.kernels(block, ("col", overflow_guard),
-                        lambda planned: compile_column_block(planned, shape, overflow_guard))
-
-
-def _aggregation_vector_expressions(select: ast.Select) -> list[ast.Expression]:
-    """Expressions the group aggregator evaluates as whole vectors.
-
-    Mirrors the recursion of the executor's group aggregator: aggregate-call
-    arguments and maximal aggregate-free subtrees are evaluated column-wise;
-    everything in between is combined per group.
-    """
-    collected: list[ast.Expression] = []
-
-    def collect(expression: ast.Expression) -> None:
-        if isinstance(expression, ast.FunctionCall) and expression.is_aggregate:
-            collected.extend(argument for argument in expression.arguments
-                             if not isinstance(argument, ast.Star))
-            return
-        if not ast.has_local_aggregate(expression):
-            collected.append(expression)
-            return
-        if isinstance(expression, ast.BinaryOp):
-            collect(expression.left)
-            collect(expression.right)
-        elif isinstance(expression, ast.UnaryOp):
-            collect(expression.operand)
-        elif isinstance(expression, ast.Comparison):
-            collect(expression.left)
-            collect(expression.right)
-        elif isinstance(expression, ast.BoolOp):
-            for operand in expression.operands:
-                collect(operand)
-        elif isinstance(expression, ast.CaseWhen):
-            for condition, result in expression.branches:
-                collect(condition)
-                collect(result)
-            if expression.default is not None:
-                collect(expression.default)
-        elif isinstance(expression, ast.Cast):
-            collect(expression.operand)
-
-    for expression in select.group_by:
-        collect(expression)
-    for item in select.items:
-        collect(item.expression)
-    if select.having is not None:
-        collect(select.having)
-    return collected
+    return plan.kernels(
+        block, ("col", overflow_guard, compiled),
+        lambda planned: compile_column_block(planned, shape, overflow_guard, compiled))

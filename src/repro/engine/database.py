@@ -34,9 +34,8 @@ class ColumnarTable:
     NULL-free columns keep their native dtypes (int64, float64, bool, int64
     day ordinals for dates, object strings).  A nullable typed column stays
     typed as a :class:`~repro.engine.mask.Nullable` ``(values, validity)``
-    pair; nullable string columns -- and every nullable column when the view
-    is built with ``typed_nulls=False`` (the legacy object-array baseline)
-    -- decode to object arrays holding ``None`` at NULL positions.
+    pair; nullable string columns decode to object arrays holding ``None``
+    at NULL positions.
     ``codes``/``dictionaries`` expose the dictionary encoding of string
     columns so scans can evaluate predicates over int32 codes.  ``version``
     is the storage version the arrays were read at.
@@ -60,7 +59,7 @@ class Database:
         self.dictionary_strings = dictionary_strings
         self.catalog = Catalog()
         self._storage: dict[str, StorageTable] = {}
-        self._columnar: dict[tuple[str, bool], ColumnarTable] = {}
+        self._columnar: dict[str, ColumnarTable] = {}
         # concurrent executors (batched driver threads, morsel workers) may
         # request the same columnar view; builds serialise on this lock.
         self._columnar_lock = threading.Lock()
@@ -81,11 +80,7 @@ class Database:
         """Drop table ``name``, its storage, and every cached derived view."""
         self.catalog.drop_table(name)
         self._storage.pop(name.lower(), None)
-        self._drop_columnar(name.lower())
-
-    def _drop_columnar(self, name: str) -> None:
-        for typed_nulls in (False, True):
-            self._columnar.pop((name, typed_nulls), None)
+        self._columnar.pop(name.lower(), None)
 
     def insert_rows(self, name: str, rows: Iterable[Sequence]) -> int:
         """Append ``rows`` (sequences in column order) to table ``name``."""
@@ -141,22 +136,19 @@ class Database:
         return table.key_order(tuple(table.schema.column_index(column)
                                      for column in columns))
 
-    def columnar(self, name: str, typed_nulls: bool = True) -> ColumnarTable:
+    def columnar(self, name: str) -> ColumnarTable:
         """Return (building and caching if needed) the column view of ``name``.
 
-        ``typed_nulls`` selects the nullable-column representation: typed
-        ``(values, validity)`` pairs (default) or the legacy object-array
-        decode (the ``null_masks`` engine-option ablation baseline).  The
-        two variants are cached independently, each until the storage
-        version it was read at is no longer the table's.
+        The view is cached until the storage version it was read at is no
+        longer the table's.
         """
         schema = self.catalog.table(name)
         table = self._storage[schema.name]
-        cached = self._columnar.get((schema.name, typed_nulls))
+        cached = self._columnar.get(schema.name)
         if cached is not None and cached.version == table.version:
             return cached
         with self._columnar_lock:
-            cached = self._columnar.get((schema.name, typed_nulls))
+            cached = self._columnar.get(schema.name)
             version = table.version
             if cached is not None and cached.version == version:
                 return cached
@@ -164,8 +156,7 @@ class Database:
             codes: dict[str, np.ndarray] = {}
             dictionaries: dict[str, Dictionary] = {}
             for column in schema.columns:
-                columns[column.name] = table.column_array(column.name,
-                                                          typed_nulls=typed_nulls)
+                columns[column.name] = table.column_array(column.name)
                 column_codes = table.column_codes(column.name)
                 if column_codes is not None:
                     codes[column.name] = column_codes
@@ -173,7 +164,7 @@ class Database:
             view = ColumnarTable(schema=schema, columns=columns,
                                  length=table.row_count, version=version,
                                  codes=codes, dictionaries=dictionaries)
-            self._columnar[(schema.name, typed_nulls)] = view
+            self._columnar[schema.name] = view
             return view
 
     def table_names(self) -> list[str]:

@@ -61,48 +61,43 @@ class EngineOptions:
         builds, the join loop nest, filters and aggregation fused), on the
         column engine column kernels.  Either is cached on the
         :class:`QueryPlan`, so the plan cache amortises compilation.
-    selection_vectors:
-        Column engine only: scans and residual predicates refine an ``int64``
-        selection index that flows through joins, grouping and projection,
-        instead of materialising a masked ``ColFrame`` after every predicate.
     zone_maps:
-        Column engine only (with ``selection_vectors``): the scan loop skips
-        whole storage chunks whose zone maps refute the push-down predicates
-        before the selection vector is refined.
+        Column engine only: the scan skips whole storage chunks whose zone
+        maps refute the push-down predicates before any selection vector is
+        refined.
     dictionary_encoding:
-        Column engine only (with ``selection_vectors``): equality / IN / LIKE
-        scan predicates over dictionary-encoded string columns evaluate once
-        over the table-wide dictionary and then against the ``int32`` code
-        vector instead of the object string array.
-    null_masks:
-        Column engine only: scan nullable typed columns as ``(values,
-        validity)`` pairs that stay on int64/float64 arrays through the
-        kernel pipeline.  Off, nullable columns decode to the legacy object
-        arrays holding ``None`` (correct but slow -- kept as the ablation
-        baseline the null-mask benchmark measures against).  Semantics are
-        identical either way; only the representation changes.
+        Column engine only: equality / IN / LIKE scan predicates over
+        dictionary-encoded string columns evaluate once over the table-wide
+        dictionary and then against the ``int32`` code vector instead of the
+        object string array.
     workers:
-        Column engine only (with ``selection_vectors``): morsel-driven
-        parallelism degree.  Above 1, eligible scans (single base table, no
-        subqueries, more than one storage chunk) partition their chunk list
-        across the shared worker pool (:mod:`repro.engine.parallel`, created
-        lazily and reused across queries): each worker runs zone-map
-        refutation, predicate kernels and selection-vector construction
-        over its own chunk range, and aggregation runs as per-worker
-        partial states merged deterministically.  Results are identical to
-        the serial path (the default, 1, which is left byte-for-byte
-        untouched for the ablation matrix); floating-point SUM/AVG may
-        differ in the last ulp because partial sums re-associate.
+        Column engine only: morsel-driven parallelism degree.  Every block
+        runs through one pipeline whose unit of work is a morsel; at 1 (the
+        default) a block is one morsel and runs inline.  Above 1, eligible
+        blocks (single base table, no subqueries, more than one storage
+        chunk) split their surviving chunks into one contiguous range per
+        worker and run each stage's morsels on the shared worker pool
+        (:mod:`repro.engine.parallel`, created lazily and reused across
+        queries): push-down and residual predicates refine each morsel's
+        selection vector, aggregation folds each into a partial state, and
+        the partial states combine in morsel order.  Results are identical
+        to one morsel's; floating-point SUM/AVG may differ in the last ulp
+        because partial sums re-associate.
+
+    Every field is an engine version the platform can be asked to measure,
+    so there is none for what has one value in use: predicates always refine
+    a selection vector, and nullable typed columns always travel as
+    ``(values, validity)`` pairs (two earlier toggles could switch back to a
+    masked frame per predicate and to object arrays holding ``None``;
+    neither was ever the better choice, see the README's "Knobs").
     """
 
     predicate_pushdown: bool = True
     hash_joins: bool = True
     overflow_guard: bool = False
     compile_expressions: bool = True
-    selection_vectors: bool = True
     zone_maps: bool = True
     dictionary_encoding: bool = True
-    null_masks: bool = True
     workers: int = 1
 
     def describe(self) -> dict[str, "bool | int"]:
@@ -112,10 +107,8 @@ class EngineOptions:
             "hash_joins": self.hash_joins,
             "overflow_guard": self.overflow_guard,
             "compile_expressions": self.compile_expressions,
-            "selection_vectors": self.selection_vectors,
             "zone_maps": self.zone_maps,
             "dictionary_encoding": self.dictionary_encoding,
-            "null_masks": self.null_masks,
             "workers": self.workers,
         }
 
@@ -438,10 +431,8 @@ class ColumnEngine(Engine):
     def _precompile(self, plan: QueryPlan) -> None:
         for block in plan.blocks.values():
             try:
-                if self.options.compile_expressions:
-                    column_kernels(plan, block, self.options.overflow_guard)
-                else:
-                    column_shape(plan, block)
+                column_kernels(plan, block, self.options.overflow_guard,
+                               self.options.compile_expressions)
             except Exception:
                 continue
 
@@ -453,10 +444,8 @@ class ColumnEngine(Engine):
             hash_joins=self.options.hash_joins,
             overflow_guard=self.options.overflow_guard,
             compile_expressions=self.options.compile_expressions,
-            selection_vectors=self.options.selection_vectors,
             zone_maps=self.options.zone_maps,
             dictionary_encoding=self.options.dictionary_encoding,
-            null_masks=self.options.null_masks,
             workers=self.options.workers,
             plan=plan,
             trace=trace,

@@ -4,46 +4,66 @@ Like :mod:`repro.engine.executor_row`, this executor consumes the shared
 logical plan (:mod:`repro.engine.plan`) -- scope resolution, conjunct
 classification, the push-down assignment and the join schedule all come from
 the :class:`BlockPlan` of each query block -- but every physical step
-operates on numpy column arrays:
+operates on numpy column arrays, and every block runs through the one
+pipeline of :meth:`ColumnExecutor._execute_block`:
 
-1. FROM items are materialised as :class:`ColFrame` column sets (base tables
-   come from the database's cached columnar views, derived tables are
-   executed recursively),
-2. the plan's push-down predicates are applied as boolean masks at scan time,
-3. the scheduled equi-joins (and explicit ``JOIN``s) ask the key kernels of
-   :mod:`repro.engine.keys` for the matching row pairs; the joined frame
-   gathers a column through those index vectors the first time something
-   reads it,
-4. the plan's residual predicates are evaluated column-at-a-time; predicates
-   containing subqueries fall back to row-at-a-time evaluation for that
-   predicate only (subqueries themselves run through a row executor),
-5. grouping gets its group-id vector from the same key kernels and computes
-   aggregates with ``np.bincount`` / ``minimum.at`` style kernels,
+1. **scan** -- FROM items are :class:`ColFrame` column sets that are never
+   filtered in place (base tables come from the database's cached columnar
+   views, derived tables are executed recursively).  The zone maps drop the
+   chunks the push-down predicates refute; what survives is one *morsel* --
+   or, where the block fans out over the worker pool
+   (:mod:`repro.engine.parallel`), one per worker.  Serial execution is the
+   one-morsel case of the same code,
+2. **refine** -- push-down and residual predicates narrow each morsel's
+   selection vector, an ``int64`` index of the surviving rows (None: all of
+   them, the first predicate then runs over the arrays as they are);
+   predicates containing subqueries fall back to row-at-a-time evaluation
+   for that predicate only (subqueries themselves run through a row
+   executor),
+3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
+   kernels of :mod:`repro.engine.keys` for the matching row pairs; the joined
+   frame gathers a column through those index vectors the first time
+   something reads it,
+4. **partial** -- an aggregated block folds each morsel into a partial
+   state: its groups (ids from the same key kernels) and, per aggregate
+   call, ``np.bincount`` / ``minimum.at`` style accumulators,
+5. **combine / finalise** -- several partials merge in morsel order (one *is*
+   the combined state), the aggregates finish and the select list and HAVING
+   are evaluated per group; a block that does not aggregate projects over
+   the concatenated selection instead,
 6. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
    that index, and only the surviving rows are materialised, column-wise.
+
+Expressions run as the compiled kernels of :mod:`repro.engine.compile` or,
+kernel by kernel where there is none (all of them with
+``compile_expressions`` off), through the :class:`VectorEvaluator`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
 from repro.engine.compile import (
+    AggregateSites,
     ColumnBlockKernels,
     ColumnBlockShape,
     ColumnContext,
     ColumnJoin,
-    CompileFallback,
+    GroupValues,
     Layout,
     as_mask,
     column_block_shape,
     column_kernels,
     column_shape,
+    compile_column_block,
     compile_row_kernel,
+    group_values,
 )
 from repro.engine.database import ColumnarTable, Database
 from repro.engine.executor_row import RowExecutor, scan_source
@@ -57,31 +77,19 @@ from repro.engine.keys import (
     order_index,
     probe_order,
 )
-from repro.engine.mask import (
-    Kleene,
-    Nullable,
-    as_objects,
-    kleene_and,
-    kleene_not,
-    kleene_or,
-    none_positions,
-    truth_mask,
-)
-from repro.engine.parallel import chunk_ranges, run_tasks, survivor_rows
+from repro.engine.mask import Kleene, Nullable, as_objects, truth_mask
+from repro.engine.parallel import chunk_ranges, run_tasks
 from repro.engine.plan import BlockPlan, Planner, QueryPlan, order_positions
 from repro.engine.planner import ColumnInfo
-from repro.engine.types import infer_type
 from repro.obs import NULL_SPAN, QueryTrace, Span
 from repro.obs.metrics import count as count_metric
-from repro.engine.vector import (
-    ColFrame,
-    VectorEvaluator,
-    VectorFallback,
-    compare_arrays,
-    isnull_mask,
-)
+from repro.engine.vector import ColFrame, VectorEvaluator, VectorFallback, isnull_mask
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
+
+#: the output type read off an array, where the plan knows none.
+_DTYPE_TYPES = {np.dtype(np.int64): "int", np.dtype(np.float64): "float",
+                np.dtype(np.bool_): "bool"}
 
 
 class _FallbackRowEnv:
@@ -144,9 +152,8 @@ class ColumnExecutor:
 
     def __init__(self, database: Database, predicate_pushdown: bool = True,
                  hash_joins: bool = True, overflow_guard: bool = False,
-                 compile_expressions: bool = True, selection_vectors: bool = True,
-                 zone_maps: bool = True, dictionary_encoding: bool = True,
-                 null_masks: bool = True, workers: int = 1,
+                 compile_expressions: bool = True, zone_maps: bool = True,
+                 dictionary_encoding: bool = True, workers: int = 1,
                  plan: QueryPlan | None = None,
                  trace: QueryTrace | None = None):
         self.database = database
@@ -154,10 +161,8 @@ class ColumnExecutor:
         self.hash_joins = hash_joins
         self.overflow_guard = overflow_guard
         self.compile_expressions = compile_expressions
-        self.selection_vectors = selection_vectors
         self.zone_maps = zone_maps
         self.dictionary_encoding = dictionary_encoding
-        self.null_masks = null_masks
         self.workers = max(1, int(workers))
         self._plan = plan
         self._trace = trace
@@ -245,7 +250,6 @@ class ColumnExecutor:
         return self._row_executor.run_subquery(
             select, outer=None if outer_env is None else _RowEnvBridge(outer_env))
 
-
     # -- block execution -------------------------------------------------------
 
     def _block(self, select: ast.Select) -> BlockPlan:
@@ -262,214 +266,218 @@ class ColumnExecutor:
             block = self._planner.plan_block(select, registry=self._extra_blocks)
         return block
 
-    def _block_kernels(self, block: BlockPlan) -> ColumnBlockKernels | None:
-        """The block's compiled column kernels (None = interpret).
+    def _block_kernels(self, block: BlockPlan
+                       ) -> tuple[ColumnBlockShape, ColumnBlockKernels]:
+        """The block's shape -- frame layouts, join keys, outputs, aggregate
+        sites -- and its kernels.
 
-        Kernels are cached on the shared plan, so repeated executions of a
-        prepared plan reuse them.  Compilation is best-effort; failures leave
-        the block on the vectorised interpreter.
+        Both are cached on the shared plan when the block is part of it, so
+        repeated executions of a prepared plan reuse them; a block planned on
+        the spot resolves its shape on the spot and is interpreted.
+        Compilation is best-effort: a failure leaves the block on the
+        vectorised interpreter.
         """
-        if not self.compile_expressions or self._plan is None:
-            return None
-        if self._plan.block(block.select) is not block:
-            return None
+        if self._plan is None or self._plan.block(block.select) is not block:
+            shape = column_block_shape(block)
+            return shape, compile_column_block(block, shape, compiled=False)
+        shape = column_shape(self._plan, block)
         try:
-            return column_kernels(self._plan, block, self.overflow_guard)
+            return shape, column_kernels(self._plan, block, self.overflow_guard,
+                                         self.compile_expressions)
         except ExecutionError:
             raise
         except Exception:
-            return None
-
-    def _block_shape(self, block: BlockPlan) -> ColumnBlockShape:
-        """The layouts and join keys of the block's frames: the plan's own
-        when the block is part of it, resolved on the spot otherwise."""
-        if self._plan is not None and self._plan.block(block.select) is block:
-            return column_shape(self._plan, block)
-        return column_block_shape(block)
+            return shape, compile_column_block(block, shape, compiled=False)
 
     def _execute_block(self, select: ast.Select) -> tuple[ColFrame, list[str]]:
-        block = self._block(select)
-        if self.selection_vectors:
-            return self._execute_block_sel(select, block)
-        trace = self._trace
-        shape = self._block_shape(block)
+        """Run one block: scan -> refine -> join -> partial -> combine ->
+        finalise, or project.
 
-        frames = []
-        scans = []  # per FROM item: its frame still is the base table's arrays
-        for index, item in enumerate(select.from_items):
-            span_cm = (trace.span("scan", source=scan_source(item))
-                       if trace is not None else NULL_SPAN)
-            with span_cm as span:
-                scan = frame = self._materialise(item, block.item_columns[index],
-                                                 shape.item_layouts[index])
-                rows_in = frame.length
-                if block.pushdown:
-                    frame = self._apply_pushdown(frame, block.pushdown)
-                if trace is not None:
-                    total = self._chunk_total(item)
-                    attrs = {} if total is None else \
-                        {"chunks_scanned": total, "chunks_skipped": 0}
-                    span.set(rows_in=rows_in, rows_out=frame.length, **attrs)
-            frames.append(frame)
-            scans.append(frame is scan)
-
-        frame, _ = self._join_frames(frames, [None] * len(frames), block, shape, scans)
-
-        span_cm = self._span("filter") if block.residual else NULL_SPAN
-        with span_cm as span:
-            rows_in = frame.length
-            frame = self._filter(frame, block.residual)
-            if trace is not None and block.residual:
-                span.set(rows_in=rows_in, rows_out=frame.length)
-
-        with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows_in = frame.length
-            if block.needs_aggregation:
-                frame, names = self._aggregate(select, frame, block.output_names)
-            else:
-                frame, names = self._project(select, frame, block.output_names)
-            if trace is not None:
-                span.set(rows_in=rows_in, rows_out=frame.length)
-
-        if select.distinct:
-            frame = self._distinct(frame)
-        return frame, names
-
-    # -- selection-vector execution ---------------------------------------------
-
-    def _execute_block_sel(self, select: ast.Select, block: BlockPlan
-                           ) -> tuple[ColFrame, list[str]]:
-        """Execute one block with predicates refining a selection vector.
-
-        Scans stay unmaterialised: push-down and residual predicates narrow an
-        ``int64`` selection index over the base arrays, joins gather through
-        the composed selection, and only aggregation / projection produce a
-        new :class:`ColFrame`.
+        Scans stay unmaterialised: push-down and residual predicates narrow
+        the ``int64`` selection of each morsel over the base arrays, joins
+        gather through the composed selection, and only aggregation /
+        projection produce a new :class:`ColFrame`.  A block has one morsel
+        unless it fans out (:meth:`_fans_out`); then each stage runs its
+        morsels as tasks on the worker pool (:meth:`_each_morsel`).
         """
-        kernels = self._block_kernels(block)
-        shape = self._block_shape(block)
+        block = self._block(select)
+        shape, kernels = self._block_kernels(block)
         trace = self._trace
-
-        if self.workers > 1:
-            info = self._parallel_info(select, block)
-            if info is not None:
-                return self._execute_block_parallel(select, block, kernels, shape, info)
+        if not select.from_items:
+            raise PlanError("a query block needs at least one FROM item")
+        fanned = self.workers > 1 and self._fans_out(select, block)
+        if fanned:
+            count_metric("parallel.blocks", 1)
 
         # each scan span covers materialisation, the zone-map chunk gate and
-        # the push-down refinement of that scan's selection vector.
+        # the push-down refinement of that scan's morsels.
         frames: list[ColFrame] = []
-        selections: list[np.ndarray | None] = []
+        scans: list[list[np.ndarray | None]] = []
         for index, item in enumerate(select.from_items):
             span_cm = (trace.span("scan", source=scan_source(item))
                        if trace is not None else NULL_SPAN)
             with span_cm as span:
                 frame = self._materialise(item, block.item_columns[index],
                                           shape.item_layouts[index])
-                selection: np.ndarray | None = None
-                scanned = skipped = None
-                if block.pushdown:
-                    pairs = kernels.pushdown[index] if kernels is not None \
-                        else self._interpreted_pushdown(block, frame)
-                    if pairs:
-                        base = None
-                        if isinstance(item, ast.TableRef):
-                            if self.dictionary_encoding:
-                                pairs = self._dictionary_pairs(item, frame, pairs)
-                            if self.zone_maps:
-                                base, scanned, skipped = self._zone_map_selection(
-                                    item, frame,
-                                    [predicate for _, predicate in pairs])
-                        selection = self._refine_selection(frame, base, pairs)
-                if trace is not None:
-                    attrs = {}
-                    if scanned is None:
-                        total = self._chunk_total(item)
-                        if total is not None:
-                            scanned, skipped = total, 0
-                    if scanned is not None:
-                        attrs["chunks_scanned"] = scanned
-                        attrs["chunks_skipped"] = skipped
-                    if selection is not None:
-                        attrs["selection_size"] = len(selection)
-                    span.set(rows_in=frame.length,
-                             rows_out=frame.length if selection is None
-                             else len(selection),
-                             **attrs)
-            frames.append(frame)
-            selections.append(selection)
-        frame, selection = self._join_frames(frames, selections, block, shape,
-                                             [True] * len(frames))
+                frames.append(frame)
+                scans.append(self._scan(item, frame, kernels.pushdown[index], fanned, span))
+        if shape.joins:  # every scan is one morsel: only single-table blocks fan out
+            frame, morsels = self._join_frames(
+                frames, [morsels[0] for morsels in scans], block, shape), [None]
+        else:
+            frame, morsels = frames[0], scans[0]
 
         if block.residual:
             with self._span("filter") as span:
-                rows_in = frame.length if selection is None else len(selection)
-                pairs = kernels.residual if kernels is not None \
-                    else [(None, predicate) for predicate in block.residual]
-                selection = self._refine_selection(frame, selection, pairs)
+                rows_in = _rows(frame, morsels) if trace is not None else 0
+
+                def refine(selection, lane):
+                    refined = self._refine(frame, selection, kernels.residual)
+                    if lane is not None:
+                        lane.set(rows_in=_rows(frame, [selection]), rows_out=len(refined))
+                    return refined
+
+                morsels = self._each_morsel("parallel.filter_tasks", span, fanned,
+                                            morsels, refine)
                 if trace is not None:
-                    span.set(rows_in=rows_in, rows_out=len(selection),
-                             selection_size=len(selection))
+                    rows_out = _rows(frame, morsels)
+                    span.set(rows_in=rows_in, rows_out=rows_out, selection_size=rows_out)
 
         with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows_in = frame.length if selection is None else len(selection)
+            rows_in = _rows(frame, morsels) if trace is not None else 0
             if block.needs_aggregation:
-                frame, names = self._aggregate_sel(select, frame, selection, kernels,
-                                                   block.output_names)
+                frame = self._aggregate(select, shape, kernels, frame, morsels, fanned, span)
             else:
-                frame, names = self._project_sel(select, frame, selection, kernels,
-                                                 block.output_names)
+                frame = self._project(
+                    select, shape, kernels, frame,
+                    morsels[0] if len(morsels) == 1 else np.concatenate(morsels))
             if trace is not None:
                 span.set(rows_in=rows_in, rows_out=frame.length)
 
         if select.distinct:
             frame = self._distinct(frame)
-        return frame, names
+        return frame, block.output_names
 
-    def _interpreted_pushdown(self, block: BlockPlan, frame: ColFrame
-                              ) -> list[tuple[None, ast.Expression]]:
-        """The (uncompiled) push-down predicates applying to one scan frame."""
-        bindings = {column.binding.lower() for column in frame.columns}
-        return [(None, predicate)
-                for binding in bindings
-                for predicate in block.pushdown.get(binding, [])]
+    # -- morsels -------------------------------------------------------------------
+
+    def _fans_out(self, select: ast.Select, block: BlockPlan) -> bool:
+        """Whether the block's scan splits into one morsel per worker.
+
+        It does when it scans exactly one base table of at least two sealed
+        chunks, contains no subquery anywhere (workers never recurse into
+        the executor, which keeps the shared pool deadlock-free) and has
+        work to spread: push-down predicates, residual predicates, or an
+        aggregation.
+        """
+        item = select.from_items[0]
+        if len(select.from_items) != 1 or not isinstance(item, ast.TableRef) \
+                or select.subqueries():
+            return False
+        try:
+            storage = self.database.storage(item.name)
+        except Exception:
+            return False
+        storage.flush()
+        return len(storage.chunks) >= 2 and bool(
+            block.pushdown or block.residual or block.needs_aggregation)
+
+    def _each_morsel(self, counter: str, span, fanned: bool, morsels: list,
+                     work: Callable[[Any, Span | None], Any]) -> list:
+        """``work(morsel, lane)`` for every morsel of one stage, in morsel order.
+
+        The one morsel of a block that does not fan out runs right here.
+        Those of one that does run as tasks on the worker pool -- counted
+        under ``counter``; when tracing, each records a detached ``worker``
+        lane ``work`` annotates and the coordinator files under the stage's
+        ``span``.  Per-query metrics stay attributed on the coordinating
+        thread (:func:`~repro.engine.parallel.run_tasks`).
+        """
+        if not fanned:
+            return [work(morsel, None) for morsel in morsels]
+        traced = self._trace is not None
+
+        def task(morsel):
+            lane = Span("worker") if traced else None
+            result = work(morsel, lane)
+            if lane is not None:
+                lane.close()
+            return result, lane
+
+        count_metric(counter, len(morsels))
+        results = run_tasks(self.workers, [partial(task, morsel) for morsel in morsels])
+        if traced:
+            span.children.extend(lane for _, lane in results)
+        return [result for result, _ in results]
+
+    def _scan(self, item: ast.TableExpression, frame: ColFrame, pairs: list,
+              fanned: bool, span) -> list[np.ndarray | None]:
+        """The morsels of one FROM item: per morsel, the selection its
+        push-down predicates leave of it (None: every row of the item).
+
+        Over a base table the zone maps first drop the chunks the predicates
+        refute.  What survives is one morsel or, fanned out, one contiguous
+        chunk range per worker; a morsel covering every chunk starts from no
+        selection at all, so its first predicate runs over the arrays as
+        they are.
+        """
+        survivors = scanned = skipped = None
+        if pairs and isinstance(item, ast.TableRef):
+            if self.dictionary_encoding:
+                pairs = self._dictionary_pairs(item, frame, pairs)
+            if self.zone_maps:
+                survivors, scanned, skipped = self._zone_survivors(
+                    item, frame, [predicate for _, predicate in pairs])
+        if fanned or survivors is not None:
+            zones = self.database.storage(item.name).zone_index()
+            ranges = chunk_ranges(zones.chunk_count, survivors,
+                                  self.workers if fanned else 1)
+        else:
+            ranges = [None]  # no chunk to tell from another: every row, one morsel
+
+        def rows(chunks) -> np.ndarray | None:
+            return None if chunks is None else zones.rows_of(chunks[2])
+
+        def refine(chunks, lane):
+            base = rows(chunks)
+            selection = self._refine(frame, base, pairs)
+            if lane is not None:
+                start, stop, piece = chunks
+                lane.set(rows_in=_rows(frame, [base]), rows_out=len(selection),
+                         chunks_scanned=len(piece),
+                         chunks_skipped=(stop - start) - len(piece))
+            return selection
+
+        if pairs:
+            morsels = self._each_morsel("parallel.scan_tasks", span, fanned, ranges, refine)
+        else:
+            morsels = [rows(chunks) for chunks in ranges]
+        if self._trace is not None:
+            attrs = {}
+            if scanned is None:
+                scanned, skipped = self._chunk_total(item), 0
+            if scanned is not None:
+                attrs["chunks_scanned"] = scanned
+                attrs["chunks_skipped"] = skipped
+            rows_out = _rows(frame, morsels)
+            if any(selection is not None for selection in morsels):
+                attrs["selection_size"] = rows_out
+            if fanned:
+                attrs["workers"] = len(morsels)
+            span.set(rows_in=frame.length, rows_out=rows_out, **attrs)
+        return morsels
 
     # -- statistics-driven scan skipping ----------------------------------------
-
-    def _zone_map_selection(self, item: ast.TableRef, frame: ColFrame,
-                            predicates: list[ast.Expression]
-                            ) -> tuple[np.ndarray | None, int, int]:
-        """Initial scan selection skipping chunks the zone maps refute.
-
-        Returns ``(selection, scanned, skipped)``: the selection is None when
-        no chunk can be skipped (preserving the no-selection fast path),
-        otherwise an int64 index covering exactly the rows of the surviving
-        chunks; ``scanned``/``skipped`` are the chunk counts attributed to
-        the active metrics context (their sum is the table's chunk total).
-        """
-        zone_index = self.database.storage(item.name).zone_index()
-
-        def resolve(ref: ast.ColumnRef) -> tuple[str, str] | None:
-            position = frame.position(ref)
-            if position is None:
-                return None
-            column = frame.columns[position]
-            return column.name, column.type_name
-
-        selection, scanned, skipped = zone_index.selection(predicates, resolve)
-        count_metric("scan.chunks_scanned", scanned)
-        count_metric("scan.chunks_skipped", skipped)
-        return selection, scanned, skipped
 
     def _zone_survivors(self, item: ast.TableRef, frame: ColFrame,
                         predicates: list[ast.Expression]
                         ) -> tuple[np.ndarray | None, int, int]:
-        """Chunk-level zone-map gate for the morsel path.
+        """The zone-map gate of a scan: the chunks its predicates cannot refute.
 
-        Same refutation (and metrics attribution) as
-        :meth:`_zone_map_selection`, but returns the surviving *chunk
-        indexes* rather than a row selection, so the coordinator can split
-        them into contiguous per-worker morsel ranges before any row index
-        is built.
+        Returns ``(survivors, scanned, skipped)``: the surviving *chunk
+        indexes* (None when no chunk can be skipped) -- a row index is built
+        only once they are split into morsels -- and the chunk counts
+        attributed to the active metrics context (their sum is the table's
+        chunk total).
         """
         zone_index = self.database.storage(item.name).zone_index()
 
@@ -494,7 +502,7 @@ class ColumnExecutor:
         and then applied to the int32 code vector instead of the object
         array.
         """
-        view = self.database.columnar(item.name, typed_nulls=self.null_masks)
+        view = self.database.columnar(item.name)
         if not view.codes:
             return pairs
         cache = self.database.storage(item.name).scan_kernel_cache
@@ -562,39 +570,34 @@ class ColumnExecutor:
             return mask
         return kernel
 
-    def _refine_selection(self, frame: ColFrame, selection: np.ndarray | None,
-                          pairs) -> np.ndarray:
+    def _refine(self, frame: ColFrame, selection: np.ndarray | None,
+                pairs: list) -> np.ndarray | None:
         """Narrow ``selection`` by each predicate without materialising.
 
         Compiled kernels evaluate over the already-selected rows; interpreted
         predicates evaluate over the full base columns and are sliced at the
         selected positions; subquery predicates fall back row-at-a-time over
-        the selected rows only.
+        the selected rows only.  One predicate is enough for the result to be
+        an index: None comes back only where ``pairs`` is empty.
         """
         for kernel, predicate in pairs:
             if selection is not None and len(selection) == 0:
                 break
             if kernel is not None:
                 length = frame.length if selection is None else len(selection)
-                context = ColumnContext(frame.arrays, length, selection)
-                mask = as_mask(kernel(context), length)
-                selection = np.flatnonzero(mask) if selection is None \
-                    else selection[mask]
-                continue
-            try:
-                full = self._evaluator(frame).evaluate_predicate(predicate)
-                selection = np.flatnonzero(full) if selection is None \
-                    else selection[full[selection]]
-            except VectorFallback:
-                mask = self._fallback_predicate_sel(frame, selection, predicate)
-                selection = np.flatnonzero(mask) if selection is None \
-                    else selection[mask]
-        if selection is None:
-            selection = np.arange(frame.length, dtype=np.int64)
+                mask = as_mask(kernel(ColumnContext(frame.arrays, length, selection)), length)
+            else:
+                try:
+                    mask = self._evaluator(frame).evaluate_predicate(predicate)
+                    if selection is not None:
+                        mask = mask[selection]
+                except VectorFallback:
+                    mask = self._fallback_predicate(frame, selection, predicate)
+            selection = np.flatnonzero(mask) if selection is None else selection[mask]
         return selection
 
-    def _fallback_predicate_sel(self, frame: ColFrame, selection: np.ndarray | None,
-                                predicate: ast.Expression) -> np.ndarray:
+    def _fallback_predicate(self, frame: ColFrame, selection: np.ndarray | None,
+                            predicate: ast.Expression) -> np.ndarray:
         """Row-at-a-time predicate over the selected rows only."""
         indexes = range(frame.length) if selection is None else selection
         mask = np.zeros(len(indexes), dtype=bool)
@@ -605,32 +608,25 @@ class ColumnExecutor:
 
     def _join_frames(self, frames: list[ColFrame],
                      selections: list[np.ndarray | None],
-                     block: BlockPlan, shape: ColumnBlockShape, scans: list[bool]
-                     ) -> tuple[ColFrame, np.ndarray | None]:
+                     block: BlockPlan, shape: ColumnBlockShape) -> ColFrame:
         """Join the scans following the schedule, composing their selections.
 
         Keys are read from the base arrays through the selection indexes and
         the joined frame gathers its columns lazily, so a filtered scan is
-        never materialised just to be gathered again by the join.  ``scans``
-        marks the frames that still are their FROM item's base arrays: a
-        base table among them is probed through its storage key order.
+        never materialised just to be gathered again by the join.  The frames
+        still are their FROM items' base arrays: a base table among them is
+        probed through its storage key order.
         """
-        if not frames:
-            raise PlanError("a query block needs at least one FROM item")
         first = block.join_order[0].frame_index
         frame, selection = frames[first], selections[first]
-        if not shape.joins:
-            return frame, selection
         with self._span("join") as span:
             build_rows = 0
             levels = [frame.length if selection is None else len(selection)]
             for step in shape.joins:
                 next_frame = frames[step.frame_index]
                 next_selection = selections[step.frame_index]
-                order = None
-                if scans[step.frame_index]:
-                    order = self._stored_order(step, frame, levels[-1], next_frame,
-                                               next_selection)
+                order = self._stored_order(step, frame, levels[-1], next_frame,
+                                           next_selection)
                 if order is None and step.positions:
                     build_rows += next_frame.length if next_selection is None \
                         else len(next_selection)
@@ -642,7 +638,7 @@ class ColumnExecutor:
             if self._trace is not None:
                 span.set(rows_in=sum(levels[:-1]), rows_out=frame.length,
                          build_rows=build_rows, **block.join_levels(levels))
-        return frame, None
+        return frame
 
     def _stored_order(self, step: ColumnJoin, left: ColFrame, probe_rows: int,
                       right: ColFrame, right_sel: np.ndarray | None
@@ -730,13 +726,28 @@ class ColumnExecutor:
         return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded,
                        layout, cut)
 
-    def _project_sel(self, select: ast.Select, frame: ColFrame,
-                     selection: np.ndarray | None, kernels: ColumnBlockKernels | None,
-                     names: list[str]) -> tuple[ColFrame, list[str]]:
+    # -- projection ---------------------------------------------------------------------
+
+    def _vector(self, kernel: Callable | None, expression: ast.Expression,
+                context: ColumnContext, materialised: "_LazySelection") -> Any:
+        """``expression`` over the selected rows, one value each: its kernel's
+        or, without one, the interpreter's over the (lazily) materialised rows."""
+        if kernel is not None:
+            value = kernel(context)
+        else:
+            frame = materialised.frame()
+            try:
+                value = self._evaluator(frame).evaluate(expression)
+            except VectorFallback:
+                value = self._fallback_column(frame, expression)
+        return self._as_array(value, context.length)
+
+    def _project(self, select: ast.Select, shape: ColumnBlockShape,
+                 kernels: ColumnBlockKernels, frame: ColFrame,
+                 selection: np.ndarray | None) -> ColFrame:
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
         materialised = _LazySelection(frame, selection)
-        item_fns = kernels.projection if kernels is not None else None
         arrays: list[np.ndarray] = []
         columns: list[ColumnInfo] = []
         # a projected dictionary-encoded column keeps its codes, so a block
@@ -749,317 +760,121 @@ class ColumnExecutor:
                     if star.table is None or column.binding.lower() == star.table.lower():
                         arrays.append(context.column(index))
                         columns.append(ColumnInfo("", column.name, column.type_name))
-                        codes.append(None if frame.codes is None
-                                     else _selected(frame.codes[index], selection))
+                        codes.append(_codes_of(frame, index, selection))
                 continue
-            kernel = item_fns[position] if item_fns is not None else None
-            if kernel is not None:
-                value = kernel(context)
-            else:
-                value = self._evaluate_materialised(materialised, item.expression)
-            array = self._as_array(value, length)
+            array = self._vector(kernels.projection[position], item.expression,
+                                 context, materialised)
             arrays.append(array)
             columns.append(ColumnInfo("", item.output_name(position),
-                                      self._column_type(item.expression, frame, array)))
-            codes.append(_column_codes(frame, item.expression, selection))
+                                      shape.output_types[position] or _type_of(array)))
+            codes.append(_codes_of(frame, shape.output_columns[position], selection))
         return ColFrame(columns=columns, arrays=arrays, length=length,
                         codes=codes if any(code is not None for code in codes)
-                        else None), names
+                        else None)
 
-    def _aggregate_sel(self, select: ast.Select, frame: ColFrame,
-                       selection: np.ndarray | None,
-                       kernels: ColumnBlockKernels | None,
-                       names: list[str]) -> tuple[ColFrame, list[str]]:
+    def _fallback_column(self, frame: ColFrame, expression: ast.Expression) -> np.ndarray:
+        values = []
+        for index in range(frame.length):
+            env = _FallbackRowEnv(self, frame, index)
+            values.append(row_evaluate(expression, env))
+        return np.array(values, dtype=object)
+
+    def _as_array(self, value: Any, length: int) -> np.ndarray:
+        if isinstance(value, Kleene):
+            # projected predicates deliver row-engine booleans: True/False/None
+            return as_objects(value)
+        if isinstance(value, (np.ndarray, Nullable)):
+            return value
+        return np.full(length, value, dtype=object if isinstance(value, str) else None)
+
+    # -- aggregation ---------------------------------------------------------------------
+
+    def _aggregate(self, select: ast.Select, shape: ColumnBlockShape,
+                   kernels: ColumnBlockKernels, frame: ColFrame,
+                   morsels: list[np.ndarray | None], fanned: bool, span) -> ColFrame:
+        """Aggregate in three steps: a partial group state per morsel, their
+        combination (only where there are several: one partial *is* the
+        combined state) and the finish -- the aggregates from their partial
+        states, then HAVING and the select list per group."""
+        sites = shape.sites
+        partials = self._each_morsel("parallel.aggregate_tasks", span, fanned, morsels,
+                                     partial(self._partial, sites, kernels, frame))
+        state = partials[0] if len(partials) == 1 else _combined(sites, partials)
+
+        firsts = state.firsts
+        if not sites.keys:
+            # a global aggregate over an empty input still is one group: its
+            # counts are 0, its other aggregates NULL and, with no first row
+            # to read, so is everything else -- the row engine's empty group.
+            firsts = [first if len(first) else np.full(1, None, dtype=object)
+                      for first in firsts]
+        groups = GroupValues(
+            state.count,
+            [_finished_aggregate(call.name.lower(), partial_state)
+             for call, partial_state in zip(sites.calls, state.calls)],
+            firsts)
+        arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
+        if sites.having is None:
+            return self._output(select, shape, arrays, state.count)
+        # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
+        # (a Kleene mask's invalid rows, or None in an object array)
+        # collapses to False here, exactly like the filter position.
+        keep = truth_mask(sites.having(groups), state.count)
+        return self._output(select, shape, [values[keep] for values in arrays],
+                            int(keep.sum()))
+
+    def _output(self, select: ast.Select, shape: ColumnBlockShape,
+                arrays: list[np.ndarray], length: int) -> ColFrame:
+        """The frame of an aggregated block's output: one array per select
+        item, typed by the plan where it knows (a MIN over dates is an
+        ``int64`` array like any other)."""
+        return ColFrame(
+            columns=[ColumnInfo("", item.output_name(position),
+                                shape.output_types[position] or _type_of(array))
+                     for position, (item, array) in enumerate(zip(select.items, arrays))],
+            arrays=arrays, length=length)
+
+    def _partial(self, sites: AggregateSites, kernels: ColumnBlockKernels,
+                 frame: ColFrame, selection: np.ndarray | None, lane: Span | None
+                 ) -> "_GroupState":
+        """One morsel's partial state: its rows grouped, each first-row site
+        read at the groups' first rows, each aggregate call folded."""
         length = frame.length if selection is None else len(selection)
-        if length == 0 and not select.group_by and select.having is None:
-            return self._empty_aggregate_result(select, frame, names)
         context = ColumnContext(frame.arrays, length, selection)
         materialised = _LazySelection(frame, selection)
-        vectors = kernels.vectors if kernels is not None else {}
-
-        def vector_of(expression: ast.Expression) -> np.ndarray:
-            kernel = vectors.get(id(expression))
-            if kernel is not None:
-                return self._as_array(kernel(context), length)
-            value = self._evaluate_materialised(materialised, expression)
-            return self._as_array(value, length)
-
-        return self._aggregate_with(select, frame, selection, length, vector_of,
-                                    names)
-
-    def _evaluate_materialised(self, materialised: "_LazySelection",
-                               expression: ast.Expression) -> Any:
-        """Interpreter fallback: evaluate over a (lazily) materialised frame."""
-        frame = materialised.frame()
-        try:
-            return self._evaluator(frame).evaluate(expression)
-        except VectorFallback:
-            return self._fallback_column(frame, expression)
-
-    # -- morsel-parallel execution ------------------------------------------------
-
-    def _parallel_info(self, select: ast.Select, block: BlockPlan
-                       ) -> "_ParallelScan | None":
-        """Decide whether this block runs morsel-parallel (None -> serial).
-
-        Eligible blocks scan exactly one base table with at least two sealed
-        chunks, contain no subqueries anywhere (workers never recurse into
-        the executor, which keeps the shared pool deadlock-free) and have
-        parallelisable work: push-down predicates, residual predicates, or
-        an aggregation whose expressions decompose into mergeable per-worker
-        partials.
-        """
-        if len(select.from_items) != 1 \
-                or not isinstance(select.from_items[0], ast.TableRef):
-            return None
-        if select.subqueries():
-            return None
-        item = select.from_items[0]
-        try:
-            storage = self.database.storage(item.name)
-        except Exception:
-            return None
-        storage.flush()
-        if len(storage.chunks) < 2:
-            return None
-        if not (block.pushdown or block.residual or block.needs_aggregation):
-            return None
-        sites = None
-        if block.needs_aggregation:
-            sites = _aggregate_sites(select)
-            if sites is None:
-                return None
-        return _ParallelScan(item, storage, sites)
-
-    def _execute_block_parallel(self, select: ast.Select, block: BlockPlan,
-                                kernels: ColumnBlockKernels | None,
-                                shape: ColumnBlockShape, info: "_ParallelScan"
-                                ) -> tuple[ColFrame, list[str]]:
-        """Morsel-driven variant of :meth:`_execute_block_sel`.
-
-        The scan's chunk list is split into contiguous worker ranges (after
-        the zone-map gate drops refuted chunks); each worker refines its own
-        selection slice through the push-down and residual kernels and,
-        under aggregation, folds its rows into partial group states that
-        merge deterministically on the coordinating thread.  Workers record
-        detached trace lanes the coordinator files under the operator spans;
-        per-query metrics stay attributed on the coordinating thread.
-        """
-        trace = self._trace
-        item = info.item
-        chunks = info.storage.chunks
-        starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
-        counts = np.array([chunk.row_count for chunk in chunks], dtype=np.int64)
-        count_metric("parallel.blocks", 1)
-
-        span_cm = (trace.span("scan", source=scan_source(item))
-                   if trace is not None else NULL_SPAN)
-        with span_cm as span:
-            frame = self._materialise(item, block.item_columns[0], shape.item_layouts[0])
-            pairs = []
-            if block.pushdown:
-                pairs = kernels.pushdown[0] if kernels is not None \
-                    else self._interpreted_pushdown(block, frame)
-                if pairs and self.dictionary_encoding:
-                    pairs = self._dictionary_pairs(item, frame, pairs)
-            survivors = None
-            scanned = skipped = None
-            if pairs and self.zone_maps:
-                survivors, scanned, skipped = self._zone_survivors(
-                    item, frame, [predicate for _, predicate in pairs])
-            ranges = chunk_ranges(len(chunks), survivors, self.workers)
-            if pairs:
-                tasks = [self._scan_task(frame, pairs, chunk_range, starts,
-                                         counts, trace is not None)
-                         for chunk_range in ranges]
-                count_metric("parallel.scan_tasks", len(tasks))
-                results = run_tasks(self.workers, tasks)
-                selections = [selection for selection, _ in results]
-                if trace is not None:
-                    span.children.extend(lane for _, lane in results
-                                         if lane is not None)
-            else:
-                # no scan predicates: the per-worker selections are the
-                # contiguous row ranges themselves, built inline.
-                selections = [
-                    np.arange(int(starts[start]),
-                              int(starts[start]) + int(counts[start:stop].sum()),
-                              dtype=np.int64)
-                    for start, stop, _ in ranges]
-            total_rows = int(sum(len(selection) for selection in selections))
-            if trace is not None:
-                if scanned is None:
-                    scanned, skipped = len(chunks), 0
-                span.set(rows_in=frame.length, rows_out=total_rows,
-                         chunks_scanned=scanned, chunks_skipped=skipped,
-                         selection_size=total_rows, workers=len(selections))
-
-        if block.residual:
-            with self._span("filter") as span:
-                rows_in = total_rows
-                residual_pairs = kernels.residual if kernels is not None \
-                    else [(None, predicate) for predicate in block.residual]
-                tasks = [self._refine_task(frame, selection, residual_pairs,
-                                           trace is not None)
-                         for selection in selections]
-                count_metric("parallel.filter_tasks", len(tasks))
-                results = run_tasks(self.workers, tasks)
-                selections = [selection for selection, _ in results]
-                total_rows = int(sum(len(selection) for selection in selections))
-                if trace is not None:
-                    span.children.extend(lane for _, lane in results
-                                         if lane is not None)
-                    span.set(rows_in=rows_in, rows_out=total_rows,
-                             selection_size=total_rows)
-
-        with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows_in = total_rows
-            if block.needs_aggregation:
-                frame, names = self._aggregate_parallel(select, frame, selections,
-                                                        kernels, info,
-                                                        block.output_names, span)
-            else:
-                selection = np.concatenate(selections)
-                frame, names = self._project_sel(select, frame, selection, kernels,
-                                                 block.output_names)
-            if trace is not None:
-                span.set(rows_in=rows_in, rows_out=frame.length)
-
-        if select.distinct:
-            frame = self._distinct(frame)
-        return frame, names
-
-    def _scan_task(self, frame: ColFrame, pairs, chunk_range, starts: np.ndarray,
-                   counts: np.ndarray, traced: bool):
-        """One worker's scan morsel: selection build + push-down refinement."""
-        start, stop, piece = chunk_range
-
-        def task():
-            lane = Span("worker") if traced else None
-            total = int(counts[start:stop].sum())
-            if len(piece) == (stop - start):
-                base = np.arange(int(starts[start]), int(starts[start]) + total,
-                                 dtype=np.int64)
-            else:
-                base = survivor_rows(piece, starts, counts)
-            selection = self._refine_selection(frame, base, pairs)
-            if lane is not None:
-                survived = len(piece)
-                lane.set(rows_in=len(base), rows_out=len(selection),
-                         chunks_scanned=survived,
-                         chunks_skipped=(stop - start) - survived)
-                lane.close()
-            return selection, lane
-
-        return task
-
-    def _refine_task(self, frame: ColFrame, selection: np.ndarray, pairs,
-                     traced: bool):
-        """One worker's residual-filter morsel over its scan selection."""
-
-        def task():
-            lane = Span("worker") if traced else None
-            refined = self._refine_selection(frame, selection, pairs)
-            if lane is not None:
-                lane.set(rows_in=len(selection), rows_out=len(refined))
-                lane.close()
-            return refined, lane
-
-        return task
-
-    def _aggregate_parallel(self, select: ast.Select, frame: ColFrame,
-                            selections: list[np.ndarray],
-                            kernels: ColumnBlockKernels | None,
-                            info: "_ParallelScan", names: list[str], span
-                            ) -> tuple[ColFrame, list[str]]:
-        """Aggregate via per-worker partial group states merged on the
-        coordinator (AVG decomposes into sum/count; HAVING runs post-merge).
-        """
-        total = int(sum(len(selection) for selection in selections))
-        if total == 0 and not select.group_by and select.having is None:
-            return self._empty_aggregate_result(select, frame, names)
-        aggregates, firsts = info.sites
-        traced = self._trace is not None
-        tasks = [self._partial_task(select, frame, selection, kernels,
-                                    aggregates, firsts, traced)
-                 for selection in selections]
-        count_metric("parallel.aggregate_tasks", len(tasks))
-        results = run_tasks(self.workers, tasks)
-        if traced:
-            span.children.extend(lane for _, lane in results if lane is not None)
-        partials = [partial for partial, _ in results]
-        aggregator = _merge_partials(select, partials, aggregates, firsts)
-        return self._aggregate_finish(select, frame, aggregator, names)
-
-    def _group_factors(self, select: ast.Select, frame: ColFrame,
-                       selection: np.ndarray | None, vector_of) -> list:
-        """The GROUP BY key columns, one value per (selected) row.
-
-        A key that is a plain dictionary-encoded column groups on its int32
-        code vector (codes biject to values, with -1 for NULL, so the
-        partition -- and the first-seen order -- is identical to grouping
-        on the decoded strings); everything else evaluates the expression.
-        """
-        factors = []
-        for expression in select.group_by:
-            codes = _column_codes(frame, expression, selection)
-            factors.append(vector_of(expression) if codes is None else codes)
-        return factors
-
-    def _partial_task(self, select: ast.Select, frame: ColFrame,
-                      selection: np.ndarray, kernels: ColumnBlockKernels | None,
-                      aggregates: dict[int, ast.FunctionCall],
-                      firsts: dict[int, ast.Expression], traced: bool):
-        """One worker's aggregation morsel: group its rows, fold partials."""
-        vectors = kernels.vectors if kernels is not None else {}
-
-        def task():
-            lane = Span("worker") if traced else None
-            length = len(selection)
-            context = ColumnContext(frame.arrays, length, selection)
-            materialised = _LazySelection(frame, selection)
-
-            def vector_of(expression: ast.Expression) -> np.ndarray:
-                kernel = vectors.get(id(expression))
-                if kernel is not None:
-                    return self._as_array(kernel(context), length)
-                value = self._evaluate_materialised(materialised, expression)
-                return self._as_array(value, length)
-
-            if select.group_by:
-                factors = self._group_factors(select, frame, selection, vector_of)
-                group_ids, first_index = group_rows(factors, length)
-                keys = [tuple(factor[index] for factor in factors)
-                        for index in first_index]
-            else:
-                count = 1 if length else 0
-                group_ids = np.zeros(length, dtype=np.int64)
-                first_index = np.zeros(count, dtype=np.int64)
-                keys = [()] * count
-
-            first_values: dict[int, np.ndarray] = {}
-            for key, expression in firsts.items():
-                values = vector_of(expression)
-                if len(first_index) == 0:
-                    first_values[key] = np.array(
-                        [], dtype=object if isinstance(values, (Nullable, Kleene))
-                        else values.dtype)
-                    continue
-                gathered = values[first_index]
-                if isinstance(gathered, (Nullable, Kleene)):
-                    gathered = gathered.to_objects()
-                first_values[key] = gathered
-
-            group_count = len(keys)
-            partial_aggregates = {
-                key: _partial_aggregate(call, vector_of, group_ids, group_count)
-                for key, call in aggregates.items()}
-            if lane is not None:
-                lane.set(rows_in=length, rows_out=group_count)
-                lane.close()
-            return _WorkerPartial(keys, first_values, partial_aggregates), lane
-
-        return task
+        factors = None
+        if sites.keys:
+            # a key that is a plain dictionary-encoded column groups on its
+            # int32 code vector (codes biject to values, with -1 for NULL, so
+            # the partition -- and the first-seen order -- is identical to
+            # grouping on the decoded strings); everything else evaluates.
+            factors = []
+            for key, column, kernel in zip(sites.keys, sites.key_columns, kernels.keys):
+                codes = _codes_of(frame, column, selection)
+                factors.append(self._vector(kernel, key, context, materialised)
+                               if codes is None else codes)
+            group_ids, first_index = group_rows(factors, length)
+            count = len(first_index)
+        else:
+            group_ids = np.zeros(length, dtype=np.int64)
+            first_index = np.zeros(1 if length else 0, dtype=np.int64)
+            count = 1
+        firsts = []
+        if sites.firsts:  # row by row like any expression: only the groups' first rows are read
+            first_rows = first_index if selection is None else selection[first_index]
+            first_context = ColumnContext(frame.arrays, len(first_rows), first_rows)
+            first_frame = _LazySelection(frame, first_rows)
+            firsts = [group_values(self._vector(kernel, expression, first_context, first_frame))
+                      for expression, kernel in zip(sites.firsts, kernels.firsts)]
+        calls = [
+            _partial_aggregate(
+                call, None if argument is None
+                else self._vector(kernel, argument, context, materialised),
+                group_ids, count)
+            for call, argument, kernel in zip(sites.calls, sites.arguments, kernels.arguments)]
+        if lane is not None:
+            lane.set(rows_in=length, rows_out=len(first_index))
+        return _GroupState(count, firsts, calls, factors, first_index)
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -1069,7 +884,7 @@ class ColumnExecutor:
         """The frame of one FROM item; ``columns`` / ``layout`` are the
         plan's for it, when the item is one the block's plan resolved."""
         if isinstance(item, ast.TableRef):
-            view = self.database.columnar(item.name, typed_nulls=self.null_masks)
+            view = self.database.columnar(item.name)
             if columns is None:
                 columns = [ColumnInfo(binding=item.binding, name=column.name,
                                       type_name=column.type_name)
@@ -1131,174 +946,6 @@ class ColumnExecutor:
             residual.append(conjunct)
         return equi, residual
 
-    # -- filtering ---------------------------------------------------------------------
-
-    def _apply_pushdown(self, frame: ColFrame,
-                        pushdown: dict[str, list[ast.Expression]]) -> ColFrame:
-        bindings = {column.binding.lower() for column in frame.columns}
-        predicates: list[ast.Expression] = []
-        for binding in bindings:
-            predicates.extend(pushdown.get(binding, []))
-        if not predicates:
-            return frame
-        return self._filter(frame, predicates)
-
-    def _filter(self, frame: ColFrame, predicates: list[ast.Expression]) -> ColFrame:
-        if not predicates or frame.length == 0:
-            return frame
-        evaluator = self._evaluator(frame)
-        mask = np.ones(frame.length, dtype=bool)
-        for predicate in predicates:
-            try:
-                mask &= evaluator.evaluate_predicate(predicate)
-            except VectorFallback:
-                mask &= self._fallback_predicate(frame, predicate)
-        return frame.mask(mask)
-
-    def _fallback_predicate(self, frame: ColFrame, predicate: ast.Expression) -> np.ndarray:
-        """Row-at-a-time evaluation of one predicate (subqueries and friends)."""
-        mask = np.zeros(frame.length, dtype=bool)
-        for index in range(frame.length):
-            env = _FallbackRowEnv(self, frame, index)
-            mask[index] = bool(row_evaluate(predicate, env))
-        return mask
-
-    # -- projection ---------------------------------------------------------------------
-
-    def _project(self, select: ast.Select, frame: ColFrame,
-                 names: list[str]) -> tuple[ColFrame, list[str]]:
-        evaluator = self._evaluator(frame)
-        arrays: list[np.ndarray] = []
-        columns: list[ColumnInfo] = []
-        for position, item in enumerate(select.items):
-            if isinstance(item.expression, ast.Star):
-                star = item.expression
-                for column, array in zip(frame.columns, frame.arrays):
-                    if star.table is None or column.binding.lower() == star.table.lower():
-                        arrays.append(array)
-                        columns.append(ColumnInfo("", column.name, column.type_name))
-                continue
-            try:
-                value = evaluator.evaluate(item.expression)
-            except VectorFallback:
-                value = self._fallback_column(frame, item.expression)
-            array = self._as_array(value, frame.length)
-            arrays.append(array)
-            columns.append(ColumnInfo("", item.output_name(position),
-                                      self._column_type(item.expression, frame, array)))
-        return ColFrame(columns=columns, arrays=arrays, length=frame.length), names
-
-    def _fallback_column(self, frame: ColFrame, expression: ast.Expression) -> np.ndarray:
-        values = []
-        for index in range(frame.length):
-            env = _FallbackRowEnv(self, frame, index)
-            values.append(row_evaluate(expression, env))
-        return np.array(values, dtype=object)
-
-    def _as_array(self, value: Any, length: int) -> np.ndarray:
-        if isinstance(value, Kleene):
-            # projected predicates deliver row-engine booleans: True/False/None
-            return as_objects(value)
-        if isinstance(value, (np.ndarray, Nullable)):
-            return value
-        return np.full(length, value, dtype=object if isinstance(value, str) else None)
-
-    def _column_type(self, expression: ast.Expression, frame: ColFrame,
-                     array: np.ndarray) -> str:
-        if isinstance(expression, ast.ColumnRef):
-            position = frame.position(expression)
-            if position is not None:
-                return frame.columns[position].type_name
-        if array.dtype == np.int64:
-            return "int"
-        if array.dtype == np.float64:
-            return "float"
-        if array.dtype == bool:
-            return "bool"
-        if len(array):
-            return infer_type(array[0])
-        return "str"
-
-    # -- aggregation ---------------------------------------------------------------------
-
-    def _aggregate(self, select: ast.Select, frame: ColFrame,
-                   names: list[str]) -> tuple[ColFrame, list[str]]:
-        if frame.length == 0 and not select.group_by and select.having is None:
-            return self._empty_aggregate_result(select, frame, names)
-        evaluator = self._evaluator(frame)
-
-        def vector_of(expression: ast.Expression) -> np.ndarray:
-            try:
-                value = evaluator.evaluate(expression)
-            except VectorFallback:
-                value = self._fallback_column(frame, expression)
-            return self._as_array(value, frame.length)
-
-        return self._aggregate_with(select, frame, None, frame.length, vector_of,
-                                    names)
-
-    def _aggregate_with(self, select: ast.Select, frame: ColFrame,
-                        selection: np.ndarray | None, length: int,
-                        vector_of, names: list[str]) -> tuple[ColFrame, list[str]]:
-        """Shared grouping/aggregation tail over a vector provider.
-
-        ``vector_of(expression)`` returns one value per (selected) input row;
-        the materialised and selection-vector paths only differ in how that
-        provider is built.  Grouping is the one-morsel case of what each
-        worker of the parallel path does.
-        """
-        if select.group_by:
-            factors = self._group_factors(select, frame, selection, vector_of)
-            group_ids, first_index = group_rows(factors, length)
-            group_count = len(first_index)
-        else:
-            group_ids = np.zeros(length, dtype=np.int64)
-            first_index = np.zeros(1 if length else 0, dtype=np.int64)
-            group_count = 1
-
-        aggregator = _GroupAggregator(vector_of, group_ids, first_index, group_count)
-        return self._aggregate_finish(select, frame, aggregator, names)
-
-    def _aggregate_finish(self, select: ast.Select, frame: ColFrame,
-                          aggregator: "_GroupAggregator", names: list[str]
-                          ) -> tuple[ColFrame, list[str]]:
-        """HAVING + projection over per-group states (serial or merged)."""
-        group_count = aggregator.group_count
-        if select.having is not None:
-            # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
-            # (a Kleene mask's invalid rows, or None in an object array)
-            # collapses to False here, exactly like the filter position.
-            keep = truth_mask(aggregator.evaluate(select.having), group_count)
-        else:
-            keep = np.ones(group_count, dtype=bool)
-
-        arrays: list[np.ndarray] = []
-        columns: list[ColumnInfo] = []
-        for position, item in enumerate(select.items):
-            values = _group_values(aggregator.evaluate(item.expression))
-            values = np.asarray(values)
-            arrays.append(values[keep])
-            columns.append(ColumnInfo("", item.output_name(position),
-                                      self._column_type(item.expression, frame,
-                                                        values)))
-        return ColFrame(columns=columns, arrays=arrays, length=int(keep.sum())), names
-
-    def _empty_aggregate_result(self, select: ast.Select, frame: ColFrame,
-                                names: list[str]) -> tuple[ColFrame, list[str]]:
-        """A global aggregate over an empty input still produces one row.
-
-        Count aggregates yield 0, everything else NULL -- matching the row
-        interpreter's empty-group semantics exactly.
-        """
-        arrays: list[np.ndarray] = []
-        columns: list[ColumnInfo] = []
-        for position, item in enumerate(select.items):
-            array = np.array([_empty_aggregate_value(item.expression)], dtype=object)
-            arrays.append(array)
-            columns.append(ColumnInfo("", item.output_name(position),
-                                      self._column_type(item.expression, frame, array)))
-        return ColFrame(columns=columns, arrays=arrays, length=1), names
-
     # -- distinct --------------------------------------------------------------------------
 
     def _distinct(self, frame: ColFrame) -> ColFrame:
@@ -1325,19 +972,23 @@ def _selected(array: Any, selection: np.ndarray | None) -> Any:
     return array[selection]
 
 
-def _column_codes(frame: ColFrame, expression: ast.Expression,
-                  selection: np.ndarray | None) -> np.ndarray | None:
-    """Dictionary codes of ``expression`` at the selected rows, when it is
-    nothing but a dictionary-encoded column of ``frame`` (None otherwise)."""
-    if frame.codes is None or not isinstance(expression, ast.ColumnRef):
+def _rows(frame: ColFrame, morsels: list[np.ndarray | None]) -> int:
+    """The rows ``morsels`` select of ``frame`` (None: all of them)."""
+    return sum(frame.length if selection is None else len(selection)
+               for selection in morsels)
+
+
+def _codes_of(frame: ColFrame, column: int | None, selection: np.ndarray | None
+              ) -> np.ndarray | None:
+    """The dictionary codes of ``frame``'s column at position ``column`` at the
+    selected rows (None: no column, or not a dictionary-encoded one)."""
+    if column is None or frame.codes is None:
         return None
-    try:
-        position = frame.position(expression)
-    except ExecutionError:
-        return None
-    if position is None:
-        return None
-    return _selected(frame.codes[position], selection)
+    return _selected(frame.codes[column], selection)
+
+
+def _type_of(array: Any) -> str:
+    return _DTYPE_TYPES.get(array.dtype, "str")
 
 
 def _pad_values(gathered: Any, missing: np.ndarray) -> Any:
@@ -1501,169 +1152,39 @@ class _LazySelection:
         return self._frame
 
 
-class _GroupAggregator:
-    """Evaluates (possibly aggregate) expressions per group, vectorised.
+# ---------------------------------------------------------------------------
+# aggregation: partial -> combine -> finish
+#
+# Each aggregate function is three functions of one *partial state*, a tuple
+# whose first entry names its kind:
+#
+#   ("counts", counts)                    COUNT(*) / COUNT(x)
+#   ("sums", sums, counts, dtype)         SUM / AVG
+#   ("extremes", extremes, counts, dtype) MIN / MAX; ``dtype`` None: Python
+#                                         values in an object array
+#   ("distinct", buckets, dtype)          any DISTINCT aggregate: per group the
+#                                         distinct values in first-seen order
+#
+# with one entry per group; ``dtype`` is the input's, which decides whether a
+# float64 accumulation goes out as integers again.
+# ---------------------------------------------------------------------------
 
-    ``vector_of(expression)`` supplies one value per input row; the caller
-    decides whether that comes from compiled kernels over a selection vector
-    or from the vectorised interpreter over a materialised frame.
-    """
 
-    def __init__(self, vector_of, group_ids: np.ndarray,
-                 first_index: np.ndarray, group_count: int):
-        self.vector_of = vector_of
-        self.group_ids = group_ids
+class _GroupState:
+    """The groups of one morsel -- or of all of them, combined: per first-row
+    site the expression at each group's first row, per aggregate call its
+    partial state.  A morsel's also keeps its key columns and the groups'
+    first rows, which is what combining reads the group keys from."""
+
+    __slots__ = ("count", "firsts", "calls", "factors", "first_index")
+
+    def __init__(self, count: int, firsts: list[np.ndarray], calls: list[tuple],
+                 factors: list | None = None, first_index: np.ndarray | None = None):
+        self.count = count
+        self.firsts = firsts
+        self.calls = calls
+        self.factors = factors
         self.first_index = first_index
-        self.group_count = group_count
-
-    # -- public ------------------------------------------------------------------
-
-    def evaluate(self, expression: ast.Expression) -> np.ndarray:
-        """Return one value per group for ``expression``."""
-        if isinstance(expression, ast.FunctionCall) and expression.is_aggregate:
-            return self._aggregate_call(expression)
-        if not self._has_aggregate(expression):
-            return self._first_row_values(expression)
-        if isinstance(expression, ast.BinaryOp):
-            left = self.evaluate(expression.left)
-            right = self.evaluate(expression.right)
-            return _combine(expression.operator, left, right)
-        if isinstance(expression, ast.UnaryOp):
-            value = self.evaluate(expression.operand)
-            if expression.operator == "not":
-                return kleene_not(value)
-            return -value if expression.operator == "-" else value
-        if isinstance(expression, ast.Comparison):
-            left = self.evaluate(expression.left)
-            right = self.evaluate(expression.right)
-            return _compare_groups(expression.operator, left, right)
-        if isinstance(expression, ast.BoolOp):
-            combine = kleene_and if expression.operator == "and" else kleene_or
-            combined = self.evaluate(expression.operands[0])
-            for operand in expression.operands[1:]:
-                combined = combine(combined, self.evaluate(operand))
-            return combined
-        if isinstance(expression, ast.CaseWhen):
-            result = np.full(self.group_count, None, dtype=object)
-            decided = np.zeros(self.group_count, dtype=bool)
-            for condition, branch in expression.branches:
-                mask = truth_mask(self.evaluate(condition),
-                                  self.group_count) & ~decided
-                values = _group_values(self.evaluate(branch))
-                result[mask] = np.asarray(values, dtype=object)[mask]
-                decided |= mask
-            if expression.default is not None:
-                default = _group_values(self.evaluate(expression.default))
-                result[~decided] = np.asarray(default, dtype=object)[~decided]
-            return result
-        if isinstance(expression, ast.Cast):
-            return self.evaluate(expression.operand)
-        raise ExecutionError(
-            f"cannot aggregate expression node {type(expression).__name__} column-wise")
-
-    # -- internals -------------------------------------------------------------------
-
-    def _has_aggregate(self, expression: ast.Expression) -> bool:
-        return ast.has_local_aggregate(expression)
-
-    def _vector(self, expression: ast.Expression) -> np.ndarray:
-        return self.vector_of(expression)
-
-    def _first_row_values(self, expression: ast.Expression) -> np.ndarray:
-        values = self._vector(expression)
-        if len(self.first_index) == 0:
-            return np.array([], dtype=object if isinstance(values, (Nullable, Kleene))
-                            else values.dtype)
-        gathered = values[self.first_index]
-        # one value per group: decoding masked pairs to objects is cheap and
-        # keeps the per-group combinators on a single representation.
-        if isinstance(gathered, (Nullable, Kleene)):
-            return gathered.to_objects()
-        return gathered
-
-    def _aggregate_call(self, call: ast.FunctionCall) -> np.ndarray:
-        name = call.name.lower()
-        if name == "count":
-            if not call.arguments or isinstance(call.arguments[0], ast.Star):
-                return np.bincount(self.group_ids, minlength=self.group_count).astype(np.int64)
-            values = self._vector(call.arguments[0])
-            if call.distinct:
-                return self._count_distinct(values)
-            valid = ~_null_mask(values)
-            return np.bincount(self.group_ids[valid], minlength=self.group_count).astype(np.int64)
-
-        values = self._vector(call.arguments[0])
-        if call.distinct:
-            values, group_ids = self._distinct_pairs(values)
-        else:
-            group_ids = self.group_ids
-        valid = ~_null_mask(values)
-        group_ids = group_ids[valid]
-        numeric = values[valid]
-        if isinstance(numeric, Nullable):
-            numeric = numeric.values  # all-valid after the null-mask slice
-        counts = np.bincount(group_ids, minlength=self.group_count)
-
-        if name in ("sum", "avg"):
-            sums = np.bincount(group_ids, weights=numeric.astype(np.float64),
-                               minlength=self.group_count)
-            if name == "sum":
-                return _mask_empty(_retyped(sums, counts, numeric.dtype), counts)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                averages = sums / counts
-            return _mask_empty(averages, counts)
-        if name in ("min", "max"):
-            return self._min_max(numeric, group_ids, counts, name)
-        raise ExecutionError(f"unknown aggregate function '{name}'")
-
-    def _min_max(self, values: np.ndarray, group_ids: np.ndarray,
-                 counts: np.ndarray, name: str) -> np.ndarray:
-        if values.dtype.kind in ("i", "f"):
-            fill = np.inf if name == "min" else -np.inf
-            accumulator = np.full(self.group_count, fill, dtype=np.float64)
-            operator = np.minimum if name == "min" else np.maximum
-            operator.at(accumulator, group_ids, values.astype(np.float64))
-            return _mask_empty(_retyped(accumulator, counts, values.dtype), counts)
-        # strings / objects: python loop per row
-        accumulator: list[Any] = [None] * self.group_count
-        for value, group in zip(values, group_ids):
-            current = accumulator[group]
-            if current is None:
-                accumulator[group] = value
-            elif (value < current) if name == "min" else (value > current):
-                accumulator[group] = value
-        return np.array(accumulator, dtype=object)
-
-    def _count_distinct(self, values: np.ndarray) -> np.ndarray:
-        sets: list[set] = [set() for _ in range(self.group_count)]
-        nulls = _null_mask(values)
-        for index in range(len(values)):
-            if not nulls[index]:
-                sets[self.group_ids[index]].add(values[index])
-        return np.array([len(bucket) for bucket in sets], dtype=np.int64)
-
-    def _distinct_pairs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        for index in range(len(values)):
-            key = (int(self.group_ids[index]), values[index])
-            if key not in seen:
-                seen.add(key)
-                keep.append(index)
-        keep_array = np.array(keep, dtype=np.int64)
-        return values[keep_array], self.group_ids[keep_array]
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _group_values(values: Any) -> Any:
-    """Per-group results on a single representation (masks decode to objects)."""
-    if isinstance(values, (Nullable, Kleene)):
-        return as_objects(values)
-    return values
 
 
 def _null_mask(values: np.ndarray) -> np.ndarray:
@@ -1689,178 +1210,18 @@ def _mask_empty(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return result
 
 
-def _combine(operator: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    left, left_nulls = _as_float_with_nulls(_group_values(left))
-    right, right_nulls = _as_float_with_nulls(_group_values(right))
-    if operator == "+":
-        result = left + right
-    elif operator == "-":
-        result = left - right
-    elif operator == "*":
-        result = left * right
-    elif operator == "/":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result = left / right
-    elif operator == "%":
-        result = left % right
-    else:
-        raise ExecutionError(f"unsupported aggregate operator '{operator}'")
-    nulls = left_nulls
-    if right_nulls is not None:
-        nulls = right_nulls if nulls is None else (nulls | right_nulls)
-    if nulls is not None and nulls.any():
-        result = result.astype(object)
-        result[nulls] = None
-    return result
+def _better(name: str, value: Any, current: Any) -> bool:
+    """Whether ``value`` replaces ``current`` (None: nothing yet) as the MIN / MAX."""
+    return current is None or ((value < current) if name == "min" else (value > current))
 
 
-def _as_float_with_nulls(values) -> tuple[np.ndarray, np.ndarray | None]:
-    """Float view of per-group values plus the mask of NULL groups."""
-    array = np.asarray(values)
-    if array.dtype != object:
-        return np.asarray(array, dtype=np.float64), None
-    nulls = none_positions(array)
-    if not nulls.any():
-        return array.astype(np.float64), None
-    converted = np.fromiter(
-        (0.0 if value is None else float(value) for value in array),
-        dtype=np.float64, count=len(array))
-    return converted, nulls
-
-
-def _compare_groups(operator: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    if operator not in ("=", "<>", "<", "<=", ">", ">="):
-        raise ExecutionError(f"unsupported comparison operator '{operator}'")
-    return compare_arrays(operator, np.asarray(_group_values(left)),
-                          np.asarray(_group_values(right)))
-
-
-def _empty_aggregate_value(expression: ast.Expression) -> Any:
-    if isinstance(expression, ast.FunctionCall) and expression.name.lower() == "count":
-        return 0
-    return None
-
-
-# ---------------------------------------------------------------------------
-# morsel-parallel aggregation
-# ---------------------------------------------------------------------------
-
-
-class _ParallelScan:
-    """Eligibility record of one morsel-parallel single-table block."""
-
-    __slots__ = ("item", "storage", "sites")
-
-    def __init__(self, item: ast.TableRef, storage, sites):
-        self.item = item
-        self.storage = storage
-        self.sites = sites
-
-
-class _WorkerPartial:
-    """One worker's group keys, first-row gathers and aggregate partials."""
-
-    __slots__ = ("keys", "firsts", "aggregates")
-
-    def __init__(self, keys: list[tuple], firsts: dict[int, np.ndarray],
-                 aggregates: dict[int, tuple]):
-        self.keys = keys
-        self.firsts = firsts
-        self.aggregates = aggregates
-
-
-class _MergedAggregator(_GroupAggregator):
-    """Per-group evaluation over merged worker partials.
-
-    Inherits the full expression dispatch (combinators, CASE, HAVING
-    semantics) from :class:`_GroupAggregator`; only the two leaf lookups
-    change -- first-row values and aggregate-call results come from the
-    merged per-group states instead of row vectors.
-    """
-
-    def __init__(self, group_count: int, firsts: dict[int, np.ndarray],
-                 aggregates: dict[int, np.ndarray]):
-        empty = np.empty(0, dtype=np.int64)
-        super().__init__(None, empty, empty, group_count)
-        self._merged_firsts = firsts
-        self._merged_aggregates = aggregates
-
-    def _first_row_values(self, expression: ast.Expression) -> np.ndarray:
-        try:
-            return self._merged_firsts[id(expression)]
-        except KeyError:
-            raise ExecutionError(
-                f"cannot aggregate expression node {type(expression).__name__} "
-                f"column-wise") from None
-
-    def _aggregate_call(self, call: ast.FunctionCall) -> np.ndarray:
-        return self._merged_aggregates[id(call)]
-
-
-def _aggregate_sites(select: ast.Select
-                     ) -> tuple[dict[int, ast.FunctionCall],
-                                dict[int, ast.Expression]] | None:
-    """Collect the leaf sites an aggregated block evaluates per group.
-
-    Walks every select item (and HAVING) exactly the way
-    :meth:`_GroupAggregator.evaluate` will: aggregate function calls and
-    aggregate-free subtrees are the leaves whose per-group values workers
-    compute independently and the coordinator merges.  Returns None when
-    any node falls outside that dispatch -- the block then runs serial and
-    behaves (or raises) identically.
-    """
-    aggregates: dict[int, ast.FunctionCall] = {}
-    firsts: dict[int, ast.Expression] = {}
-
-    def visit(node: ast.Expression) -> bool:
-        if isinstance(node, ast.FunctionCall) and node.is_aggregate:
-            aggregates[id(node)] = node
-            return True
-        if not ast.has_local_aggregate(node):
-            firsts[id(node)] = node
-            return True
-        if isinstance(node, ast.BinaryOp):
-            return visit(node.left) and visit(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return visit(node.operand)
-        if isinstance(node, ast.Comparison):
-            return visit(node.left) and visit(node.right)
-        if isinstance(node, ast.BoolOp):
-            return all(visit(operand) for operand in node.operands)
-        if isinstance(node, ast.CaseWhen):
-            for condition, branch in node.branches:
-                if not (visit(condition) and visit(branch)):
-                    return False
-            return node.default is None or visit(node.default)
-        if isinstance(node, ast.Cast):
-            return visit(node.operand)
-        return False
-
-    for item in select.items:
-        if isinstance(item.expression, ast.Star):
-            return None
-        if not visit(item.expression):
-            return None
-    if select.having is not None and not visit(select.having):
-        return None
-    return aggregates, firsts
-
-
-def _partial_aggregate(call: ast.FunctionCall, vector_of, group_ids: np.ndarray,
+def _partial_aggregate(call: ast.FunctionCall, values: Any, group_ids: np.ndarray,
                        group_count: int) -> tuple:
-    """One worker's mergeable partial state for a single aggregate call.
-
-    The per-group shapes mirror :meth:`_GroupAggregator._aggregate_call`
-    exactly: COUNT decomposes to counts, SUM/AVG to (sum, count) pairs,
-    MIN/MAX to running extremes, and DISTINCT aggregates keep per-group
-    insertion-ordered value sets that finalise after the merge.
-    """
+    """The partial state of one aggregate call over one morsel's rows;
+    ``values`` is its argument there (None: ``count(*)``)."""
     name = call.name.lower()
-    if name == "count" and (not call.arguments
-                            or isinstance(call.arguments[0], ast.Star)):
-        return ("counts",
-                np.bincount(group_ids, minlength=group_count).astype(np.int64))
-    values = vector_of(call.arguments[0])
+    if values is None:
+        return "counts", np.bincount(group_ids, minlength=group_count).astype(np.int64)
     if call.distinct:
         underlying = values.values if isinstance(values, Nullable) else values
         dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
@@ -1870,82 +1231,70 @@ def _partial_aggregate(call: ast.FunctionCall, vector_of, group_ids: np.ndarray,
         for index in range(len(values)):
             if not nulls[index]:
                 buckets[group_ids[index]].setdefault(values[index], None)
-        return ("distinct", buckets, dtype)
-    valid = ~_null_mask(values)
-    if name == "count":
-        return ("counts",
-                np.bincount(group_ids[valid],
-                            minlength=group_count).astype(np.int64))
-    grouped = group_ids[valid]
-    numeric = values[valid]
-    if isinstance(numeric, Nullable):
-        numeric = numeric.values  # all-valid after the null-mask slice
+        return "distinct", buckets, dtype
+    nulls = _null_mask(values)
+    if nulls.any():
+        valid = ~nulls
+        grouped, numeric = group_ids[valid], values[valid]
+    else:  # nothing to leave out, nothing to gather
+        grouped, numeric = group_ids, values
     counts = np.bincount(grouped, minlength=group_count)
+    if name == "count":
+        return "counts", counts.astype(np.int64)
+    if isinstance(numeric, Nullable):
+        numeric = numeric.values  # no NULL is left among them
     if name in ("sum", "avg"):
-        sums = np.bincount(grouped, weights=numeric.astype(np.float64),
+        sums = np.bincount(grouped, weights=numeric.astype(np.float64, copy=False),
                            minlength=group_count)
-        return ("sums", sums, counts, numeric.dtype)
-    if name in ("min", "max"):
-        if numeric.dtype.kind in ("i", "f"):
-            fill = np.inf if name == "min" else -np.inf
-            accumulator = np.full(group_count, fill, dtype=np.float64)
-            operator = np.minimum if name == "min" else np.maximum
-            operator.at(accumulator, grouped, numeric.astype(np.float64))
-            return ("minmax_num", accumulator, counts, numeric.dtype)
-        extremes: list[Any] = [None] * group_count
-        for value, group in zip(numeric, grouped):
-            current = extremes[group]
-            if current is None:
-                extremes[group] = value
-            elif (value < current) if name == "min" else (value > current):
-                extremes[group] = value
-        return ("minmax_obj", extremes, counts)
-    raise ExecutionError(f"unknown aggregate function '{name}'")
+        return "sums", sums, counts, numeric.dtype
+    if name not in ("min", "max"):
+        raise ExecutionError(f"unknown aggregate function '{name}'")
+    if numeric.dtype.kind in ("i", "f"):
+        extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
+        (np.minimum if name == "min" else np.maximum).at(
+            extremes, grouped, numeric.astype(np.float64, copy=False))
+        return "extremes", extremes, counts, numeric.dtype
+    # strings / objects: python loop per row
+    best: list[Any] = [None] * group_count
+    for value, group in zip(numeric, grouped):
+        if _better(name, value, best[group]):
+            best[group] = value
+    return "extremes", np.array(best, dtype=object), counts, None
 
 
-def _merge_partials(select: ast.Select, partials: list[_WorkerPartial],
-                    aggregates: dict[int, ast.FunctionCall],
-                    firsts: dict[int, ast.Expression]) -> _MergedAggregator:
-    """Fold per-worker partials into one group state, serial-identical.
+def _combined(sites: AggregateSites, partials: list[_GroupState]) -> _GroupState:
+    """Fold the morsels' partial states into one, serial-identical.
 
-    Workers cover contiguous ascending row ranges, so visiting their local
-    groups in worker order reproduces the serial first-seen group order
-    (and first-row values) exactly.
+    Morsels cover ascending row ranges, so visiting their groups in morsel
+    order reproduces the first-seen group order (and first-row values) of a
+    single pass over all the rows exactly.
     """
-    groups, seen = hash_codes([key for partial in partials for key in partial.keys])
-    bounds = np.cumsum([len(partial.keys) for partial in partials])
-    local_maps = np.split(groups, bounds[:-1])
-    group_count = seen if select.group_by else 1
-
-    merged_firsts = {
-        key: _merge_firsts([partial.firsts[key] for partial in partials],
-                           local_maps, seen)
-        for key in firsts}
-    merged_aggregates = {
-        key: _merge_aggregate(call,
-                              [partial.aggregates[key] for partial in partials],
-                              local_maps, group_count)
-        for key, call in aggregates.items()}
-    return _MergedAggregator(group_count, merged_firsts, merged_aggregates)
+    if sites.keys:
+        groups, count = hash_codes([tuple(factor[index] for factor in state.factors)
+                                    for state in partials for index in state.first_index])
+        local_maps = np.split(groups, np.cumsum([state.count for state in partials])[:-1])
+    else:  # the one global group, in every morsel
+        count, local_maps = 1, [np.zeros(1, dtype=np.int64)] * len(partials)
+    return _GroupState(
+        count,
+        [_combined_firsts([state.firsts[site] for state in partials], local_maps, count)
+         for site in range(len(sites.firsts))],
+        [_combined_aggregate(call.name.lower(), [state.calls[site] for state in partials],
+                             local_maps, count)
+         for site, call in enumerate(sites.calls)])
 
 
-def _merge_firsts(parts: list[np.ndarray], local_maps: list[np.ndarray],
-                  seen: int) -> np.ndarray:
-    """First-row values per global group (first contributor in worker order)."""
-    reference = None
-    for part in parts:
-        if len(part):
-            reference = part
-            break
-    if reference is None:
-        return np.array([], dtype=parts[0].dtype if parts else object)
-    dtype = reference.dtype
-    for part in parts:
-        if len(part) and part.dtype != dtype:
-            dtype = object
-            break
-    merged = np.empty(seen, dtype=dtype)
-    filled = np.zeros(seen, dtype=bool)
+def _combined_firsts(parts: list[np.ndarray], local_maps: list[np.ndarray],
+                     count: int) -> np.ndarray:
+    """First-row values per combined group (first contributor in morsel order)."""
+    filled_parts = [part for part in parts if len(part)]
+    if not filled_parts:
+        return np.array([], dtype=parts[0].dtype)
+    dtype = filled_parts[0].dtype
+    if any(part.dtype != dtype for part in filled_parts):
+        dtype = object
+    merged = np.empty(count, dtype=dtype)
+    filled = np.zeros(count, dtype=bool)
     for part, local in zip(parts, local_maps):
         if not len(part):
             continue
@@ -1956,119 +1305,96 @@ def _merge_firsts(parts: list[np.ndarray], local_maps: list[np.ndarray],
     return merged
 
 
-def _merge_aggregate(call: ast.FunctionCall, parts: list[tuple],
-                     local_maps: list[np.ndarray], group_count: int
-                     ) -> np.ndarray:
-    """Combine one aggregate's worker partials into per-group results."""
-    name = call.name.lower()
+def _combined_aggregate(name: str, parts: list[tuple], local_maps: list[np.ndarray],
+                        group_count: int) -> tuple:
+    """One aggregate's partial states, scattered into the combined groups."""
     kind = parts[0][0]
     if kind == "counts":
         totals = np.zeros(group_count, dtype=np.int64)
         for (_, counts), local in zip(parts, local_maps):
-            if len(counts):
-                np.add.at(totals, local, counts)
-        return totals
+            np.add.at(totals, local, counts)
+        return kind, totals
     if kind == "distinct":
-        dtype = _merged_dtype([(part[2], any(part[1])) for part in parts])
         buckets: list[dict] = [{} for _ in range(group_count)]
-        for (_, worker_buckets, _), local in zip(parts, local_maps):
-            for position, bucket in enumerate(worker_buckets):
+        for (_, morsel_buckets, _), local in zip(parts, local_maps):
+            for position, bucket in enumerate(morsel_buckets):
                 target = buckets[int(local[position])]
                 for value in bucket:
                     target.setdefault(value, None)
-        return _finalize_distinct(name, buckets, dtype)
+        return kind, buckets, _combined_dtype([(part[2], any(part[1])) for part in parts])
+    counts = np.zeros(group_count, dtype=np.int64)
+    for part, local in zip(parts, local_maps):
+        np.add.at(counts, local, part[2])
+    dtype = _combined_dtype([(part[3], part[2].any()) for part in parts])
     if kind == "sums":
         sums = np.zeros(group_count, dtype=np.float64)
-        counts = np.zeros(group_count, dtype=np.int64)
-        for (_, worker_sums, worker_counts, _), local in zip(parts, local_maps):
-            if len(worker_sums):
-                np.add.at(sums, local, worker_sums)
-                np.add.at(counts, local, worker_counts)
-        if name == "sum":
-            dtype = _merged_dtype([(part[3], part[2].any()) for part in parts])
-            return _mask_empty(_retyped(sums, counts, dtype), counts)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            averages = sums / counts
-        return _mask_empty(averages, counts)
-    if kind == "minmax_num":
-        fill = np.inf if name == "min" else -np.inf
-        accumulator = np.full(group_count, fill, dtype=np.float64)
-        counts = np.zeros(group_count, dtype=np.int64)
-        operator = np.minimum if name == "min" else np.maximum
-        for (_, worker_acc, worker_counts, _), local in zip(parts, local_maps):
-            if len(worker_acc):
-                operator.at(accumulator, local, worker_acc)
-                np.add.at(counts, local, worker_counts)
-        dtype = _merged_dtype([(part[3], part[2].any()) for part in parts])
-        return _mask_empty(_retyped(accumulator, counts, dtype), counts)
-    # minmax_obj: python compare loop (None marks still-empty groups)
-    extremes: list[Any] = [None] * group_count
-    for (_, worker_extremes, _), local in zip(parts, local_maps):
-        for position, value in enumerate(worker_extremes):
-            if value is None:
-                continue
-            group = int(local[position])
-            current = extremes[group]
-            if current is None:
-                extremes[group] = value
-            elif (value < current) if name == "min" else (value > current):
-                extremes[group] = value
-    return np.array(extremes, dtype=object)
+        for part, local in zip(parts, local_maps):
+            np.add.at(sums, local, part[1])
+        return kind, sums, counts, dtype
+    if dtype is not None:
+        extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
+        for part, local in zip(parts, local_maps):
+            if part[3] is not None:  # else Python values, and none of them (see below)
+                (np.minimum if name == "min" else np.maximum).at(extremes, local, part[1])
+        return kind, extremes, counts, dtype
+    # Python values in a morsel that has some (a CASE may be numbers in one
+    # morsel and hold NULLs, an object array, in the next): compare finished values
+    best: list[Any] = [None] * group_count
+    for part, local in zip(parts, local_maps):
+        for group, value in zip(local.tolist(), _finished_aggregate(name, part)):
+            if value is not None and _better(name, value, best[group]):
+                best[group] = value
+    return kind, np.array(best, dtype=object), counts, None
 
 
-def _merged_dtype(parts: list[tuple[np.dtype | None, bool]]) -> np.dtype | None:
-    """One aggregate's input dtype over its (dtype, contributed) worker partials: a
-    CASE may be all-integer in one worker's morsels and float in the next's."""
+def _combined_dtype(parts: list[tuple[np.dtype | None, bool]]) -> np.dtype | None:
+    """One aggregate's input dtype over its (dtype, contributed) partial states: a
+    CASE may be all-integer in one morsel and float in the next."""
     dtypes = [dtype for dtype, contributed in parts if contributed] or [parts[0][0]]
     # ``is``: numpy compares a dtype equal to None (None means float64 to it)
     return None if any(dtype is None for dtype in dtypes) else np.result_type(*dtypes)
 
 
-def _finalize_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
-                       ) -> np.ndarray:
-    """Final per-group values of a DISTINCT aggregate from merged value sets.
+def _finished_aggregate(name: str, state: tuple) -> np.ndarray:
+    """The per-group values of one aggregate call from its partial state."""
+    kind = state[0]
+    if kind == "counts":
+        return state[1]
+    if kind == "distinct":
+        return _finished_distinct(name, state[1], state[2])
+    _, values, counts, dtype = state
+    if name == "avg":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _mask_empty(values / counts, counts)
+    if dtype is None:  # MIN / MAX over Python values: None where a group had none
+        return values
+    return _mask_empty(_retyped(values, counts, dtype), counts)
 
-    The buckets hold each group's distinct values in global first-occurrence
-    order -- exactly the row order the serial distinct-pair slice feeds its
-    kernels -- so sequential accumulation reproduces the serial results
-    bit for bit.
+
+def _finished_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
+                       ) -> np.ndarray:
+    """A DISTINCT aggregate from each group's distinct values.
+
+    The buckets hold them in first-occurrence order over all the rows, so
+    accumulating them one by one gives the same sums whatever the morsels.
     """
+    counts = np.array([len(bucket) for bucket in buckets], dtype=np.int64)
     if name == "count":
-        return np.array([len(bucket) for bucket in buckets], dtype=np.int64)
+        return counts
     if name in ("sum", "avg"):
         sums = np.empty(len(buckets), dtype=np.float64)
-        counts = np.empty(len(buckets), dtype=np.int64)
         for index, bucket in enumerate(buckets):
             total = 0.0
             for value in bucket:
                 total += float(value)
             sums[index] = total
-            counts[index] = len(bucket)
-        if name == "avg":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sums = sums / counts
-        elif dtype is not None:
-            sums = _retyped(sums, counts, dtype)
-        return _mask_empty(sums, counts)
-    if dtype is not None:
-        fill = np.inf if name == "min" else -np.inf
-        accumulator = np.full(len(buckets), fill, dtype=np.float64)
-        counts = np.empty(len(buckets), dtype=np.int64)
-        for index, bucket in enumerate(buckets):
-            counts[index] = len(bucket)
-            for value in bucket:
-                value = float(value)
-                if (value < accumulator[index]) if name == "min" \
-                        else (value > accumulator[index]):
-                    accumulator[index] = value
-        return _mask_empty(_retyped(accumulator, counts, dtype), counts)
-    results = np.full(len(buckets), None, dtype=object)
+        return _finished_aggregate(name, ("sums", sums, counts, dtype or np.dtype(object)))
+    best: list[Any] = [None] * len(buckets)
     for index, bucket in enumerate(buckets):
-        best = None
         for value in bucket:
-            if best is None:
-                best = value
-            elif (value < best) if name == "min" else (value > best):
-                best = value
-        results[index] = best
-    return results
+            if _better(name, value, best[index]):
+                best[index] = value
+    if dtype is None:
+        return np.array(best, dtype=object)
+    return _finished_aggregate(name, ("extremes", np.array(
+        [0.0 if value is None else float(value) for value in best]), counts, dtype))

@@ -30,7 +30,6 @@ The Kleene connectives follow the standard tables::
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "kleene_not",
     "kleene_or",
     "none_positions",
-    "reset_mask_caches",
     "truth_mask",
     "wrap_valid",
 ]
@@ -62,51 +60,6 @@ def none_positions(array: np.ndarray) -> np.ndarray:
     return np.equal(array, None)
 
 
-class _ObjectViewMemo:
-    """Identity-keyed memo of decoded object views (capacity-bounded).
-
-    A duplicate of the storage layer's :class:`IdentityMemo` shape, kept
-    local so this module stays import-cycle-free below the storage package.
-    Entries hold a strong reference to their key, so an id can never be
-    recycled while its entry is alive.  The memo is process-wide and reached
-    from morsel-parallel pool threads, so access serialises on a lock.
-    """
-
-    __slots__ = ("capacity", "_entries", "_lock")
-
-    def __init__(self, capacity: int = 512):
-        self.capacity = capacity
-        self._entries: dict[int, tuple[Any, np.ndarray]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: Any) -> np.ndarray | None:
-        with self._lock:
-            entry = self._entries.get(id(key))
-            if entry is not None and entry[0] is key:
-                return entry[1]
-            return None
-
-    def put(self, key: Any, value: np.ndarray) -> None:
-        with self._lock:
-            if len(self._entries) >= self.capacity:
-                self._entries.clear()
-            self._entries[id(key)] = (key, value)
-
-
-#: decoded object views of Nullable/Kleene instances, keyed by identity.
-#: Fallback paths (row-at-a-time predicates, string kernels) may decode the
-#: same column several times per query; the memo makes that one decode.
-#: Reset per test (see conftest) so identity reuse can never leak a stale
-#: decode across tests and fuzzer shrinking stays deterministic.
-_OBJECT_VIEW_MEMO = _ObjectViewMemo()
-
-
-def reset_mask_caches() -> None:
-    """Drop the process-wide validity-kernel memo caches."""
-    global _OBJECT_VIEW_MEMO
-    _OBJECT_VIEW_MEMO = _ObjectViewMemo()
-
-
 class Nullable:
     """A typed values array plus validity mask (True = value present).
 
@@ -114,13 +67,15 @@ class Nullable:
     every consumer must combine validity rather than trust them.
     """
 
-    __slots__ = ("values", "valid")
+    __slots__ = ("values", "valid", "_objects")
     #: numpy defers binary ops to us instead of coercing to object arrays.
     __array_priority__ = 1000
 
     def __init__(self, values: np.ndarray, valid: np.ndarray):
         self.values = values
         self.valid = valid
+        #: the decoded view :func:`as_objects` hands out, once asked for.
+        self._objects: np.ndarray | None = None
 
     # -- array protocol --------------------------------------------------------
 
@@ -194,12 +149,13 @@ class Kleene:
     truth bit), so ``truth`` *is* the is-TRUE filter mask.
     """
 
-    __slots__ = ("truth", "valid")
+    __slots__ = ("truth", "valid", "_objects")
     __array_priority__ = 1000
 
     def __init__(self, truth: np.ndarray, valid: np.ndarray):
         self.truth = truth & valid
         self.valid = valid
+        self._objects: np.ndarray | None = None
 
     @classmethod
     def unknown(cls, length: int) -> "Kleene":
@@ -282,14 +238,17 @@ def combine_valid(*valids: np.ndarray | None) -> np.ndarray | None:
 
 
 def as_objects(value: Any) -> Any:
-    """Object-array view of any bulk operand (memoised for masked inputs)."""
+    """Object-array view of any bulk operand; read-only.
+
+    A :class:`Nullable` / :class:`Kleene` decodes once and keeps the view:
+    fallback paths (row-at-a-time predicates, string kernels) may ask for the
+    same column several times per query.  Two threads racing here both
+    decode, to equal arrays.
+    """
     if isinstance(value, (Nullable, Kleene)):
-        cached = _OBJECT_VIEW_MEMO.get(value)
-        if cached is not None:
-            return cached
-        decoded = value.to_objects()
-        _OBJECT_VIEW_MEMO.put(value, decoded)
-        return decoded
+        if value._objects is None:
+            value._objects = value.to_objects()
+        return value._objects
     if isinstance(value, np.ndarray):
         return value if value.dtype == object else value.astype(object)
     return value

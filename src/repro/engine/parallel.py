@@ -1,12 +1,15 @@
 """Morsel-driven worker pool for chunk-parallel query execution.
 
-The storage layer's fixed-size chunks (:data:`~repro.engine.storage.table.
-DEFAULT_CHUNK_ROWS` rows of typed segments, each with its own zone map) are a
-ready-made morsel unit: the column executor partitions a scan's chunk list
-into contiguous per-worker ranges and fans predicate evaluation, selection-
-vector construction and partial aggregation across the pool, merging the
-per-worker results (and their trace span lanes) deterministically on the
-coordinating thread.
+The column executor has one pipeline whose unit of work is a *morsel*; how
+many a block has is a run-time fact.  Serial execution is one morsel, run
+inline.  The storage layer's fixed-size chunks (:data:`~repro.engine.storage.
+table.DEFAULT_CHUNK_ROWS` rows of typed segments, each with its own zone map)
+are the unit a block that fans out is split by: :func:`chunk_ranges`
+partitions the scan's surviving chunks into contiguous per-worker ranges, and
+every stage -- selection refinement, residual filter, partial aggregation --
+runs its morsels as tasks on the pool (:func:`run_tasks`); the per-morsel
+results (and their trace span lanes) combine deterministically, in morsel
+order, on the coordinating thread.
 
 The pool itself is shared process-wide, created lazily on first use and
 sized by the largest ``EngineOptions.workers`` seen so far, so repeated
@@ -123,14 +126,3 @@ def chunk_ranges(chunk_count: int, survivors: np.ndarray | None, workers: int
         stop = chunk_count if index == effective - 1 else int(pieces[index + 1][0])
         ranges.append((start, stop, piece))
     return ranges
-
-
-def survivor_rows(survivors: np.ndarray, starts: np.ndarray,
-                  counts: np.ndarray) -> np.ndarray:
-    """Concatenated row indexes of ``survivors`` (ascending chunk order)."""
-    if len(survivors) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([
-        np.arange(starts[index], starts[index] + counts[index], dtype=np.int64)
-        for index in survivors
-    ])

@@ -43,6 +43,7 @@ from repro.engine.planner import (
     Scope,
     classify_conjuncts,
     output_columns,
+    output_types,
     probes_index,
 )
 from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
@@ -440,8 +441,9 @@ class Planner:
             # enclosing block's own columns (mirroring execution order).
             inner = self._plan_block(item.subquery, outer_scope, blocks)
             return [
-                ColumnInfo(binding=item.alias, name=name, type_name="str")
-                for name in inner.output_names
+                ColumnInfo(binding=item.alias, name=name, type_name=type_name or "str")
+                for name, type_name in zip(inner.output_names,
+                                           output_types(item.subquery, inner.columns))
             ]
         if isinstance(item, ast.Join):
             left = self._item_columns(item.left, outer_scope, blocks)

@@ -293,15 +293,73 @@ def probes_index(item: ast.TableExpression, keyed: bool, filtered: bool,
     return keyed and isinstance(item, ast.TableRef) and (not filtered or upstream_filtered)
 
 
+def always_date(node: ast.Expression, layout: Layout) -> bool:
+    """True when ``node`` always evaluates to a date (or NULL)."""
+    if isinstance(node, ast.DateLiteral):
+        return True
+    if isinstance(node, ast.ColumnRef):
+        position = layout.position(node)
+        return position is not None and layout.type_of(position) == "date"
+    if (isinstance(node, ast.BinaryOp) and node.operator in ("+", "-")
+            and isinstance(node.right, ast.IntervalLiteral)):
+        return always_date(node.left, layout)
+    if isinstance(node, ast.Cast):
+        return node.type_name.lower().startswith("date")
+    if isinstance(node, ast.FunctionCall):
+        return node.name.lower() in ("min", "max") and len(node.arguments) == 1 \
+            and always_date(node.arguments[0], layout)
+    if isinstance(node, ast.CaseWhen):
+        # every branch a date or the NULL literal, and one of them a date
+        results = [result for _, result in node.branches if not _null_literal(result)]
+        if node.default is not None and not _null_literal(node.default):
+            results.append(node.default)
+        return bool(results) and all(always_date(result, layout) for result in results)
+    return False
+
+
+def _null_literal(node: ast.Expression) -> bool:
+    return isinstance(node, ast.Literal) and node.value is None
+
+
+def output_type(expression: ast.Expression, layout: Layout) -> str | None:
+    """The type of one select item as far as the plan knows it: a bare
+    column's, ``"date"`` for what :func:`always_date` says is one, else None
+    (the column engine then reads it off the array the item evaluates to --
+    which cannot tell a day ordinal from an integer, hence this)."""
+    if isinstance(expression, ast.ColumnRef):
+        position = layout.position(expression)
+        if position is not None:
+            return layout.type_of(position)
+    return "date" if always_date(expression, layout) else None
+
+
+def _star_columns(star: ast.Star, columns: list[ColumnInfo]) -> list[ColumnInfo]:
+    return [column for column in columns
+            if star.table is None or column.binding.lower() == star.table.lower()]
+
+
 def output_columns(select: ast.Select, scope: Scope) -> list[str]:
     """Compute the output column names of a block (aliases, names, colN)."""
     names: list[str] = []
     for position, item in enumerate(select.items):
         if isinstance(item.expression, ast.Star):
-            star = item.expression
-            for column in scope.columns:
-                if star.table is None or column.binding.lower() == star.table.lower():
-                    names.append(column.name)
-            continue
-        names.append(item.output_name(position))
+            names.extend(column.name for column in _star_columns(item.expression,
+                                                                 scope.columns))
+        else:
+            names.append(item.output_name(position))
     return names
+
+
+def output_types(select: ast.Select, columns: list[ColumnInfo]) -> list[str | None]:
+    """Beside :func:`output_columns`' names, the types :func:`output_type`
+    knows of a block over ``columns``: what a derived table's columns are
+    typed from."""
+    layout = Layout(columns)
+    types: list[str | None] = []
+    for item in select.items:
+        if isinstance(item.expression, ast.Star):
+            types.extend(column.type_name for column in _star_columns(item.expression,
+                                                                      columns))
+        else:
+            types.append(output_type(item.expression, layout))
+    return types

@@ -3,10 +3,11 @@
 Two consumers sit on top of the chunk zone maps:
 
 * :class:`ZoneIndex` -- a vectorised, per-table index of chunk min/max/null
-  summaries.  The column executor's scan loop asks it which chunks a
-  conjunction of push-down predicates can possibly touch and receives an
-  initial selection vector covering only the surviving chunks (or ``None``
-  when nothing could be skipped, keeping the no-selection fast path).
+  summaries.  The column executor's scan asks it which chunks a conjunction
+  of push-down predicates can possibly touch and receives the surviving
+  chunk indexes (or ``None`` when nothing could be skipped, keeping the
+  no-selection fast path); it splits them into morsels and only then asks
+  for the rows of each (:meth:`ZoneIndex.rows_of`).
   Refutation is *conservative*: a predicate shape the index does not
   understand simply keeps every chunk.
 * :func:`estimate_selectivity` -- the planner's ordering heuristic: given
@@ -141,28 +142,25 @@ class ZoneIndex:
         skipped = self.chunk_count - len(survivors)
         return survivors, self.chunk_count - skipped, skipped
 
-    def rows_of(self, chunk_indexes: np.ndarray) -> np.ndarray:
-        """Concatenated row indexes of ``chunk_indexes`` (ascending order)."""
+    def rows_of(self, chunk_indexes: np.ndarray) -> np.ndarray | None:
+        """The row indexes of the chunks at ``chunk_indexes`` (ascending).
+
+        None when that is every chunk -- all rows, nothing to index them by --
+        and one ``arange`` over a run of neighbouring chunks.
+        """
+        if len(chunk_indexes) == self.chunk_count:
+            return None
         if len(chunk_indexes) == 0:
             return np.empty(0, dtype=np.int64)
+        first, last = int(chunk_indexes[0]), int(chunk_indexes[-1])
+        if last - first + 1 == len(chunk_indexes):
+            return np.arange(self.starts[first], self.starts[last] + self.counts[last],
+                             dtype=np.int64)
         return np.concatenate([
             np.arange(self.starts[index], self.starts[index] + self.counts[index],
                       dtype=np.int64)
             for index in chunk_indexes
         ])
-
-    def selection(self, predicates: list[ast.Expression],
-                  resolve: Callable[[ast.ColumnRef], tuple[str, str] | None]
-                  ) -> tuple[np.ndarray | None, int, int]:
-        """Initial selection for a scan filtered by ``predicates``.
-
-        Like :meth:`survivors` but with the surviving chunks expanded to an
-        int64 *row* selection (still None when nothing could be skipped).
-        """
-        survivors, scanned, skipped = self.survivors(predicates, resolve)
-        if survivors is None:
-            return None, scanned, skipped
-        return self.rows_of(survivors), scanned, skipped
 
     # -- refutation -------------------------------------------------------------
 

@@ -199,8 +199,7 @@ class StorageTable:
 
     # -- column views --------------------------------------------------------------
 
-    def column_array(self, name: str, typed_nulls: bool = True
-                     ) -> "np.ndarray | Nullable":
+    def column_array(self, name: str) -> "np.ndarray | Nullable":
         """The whole-column array in the engines' columnar representation.
 
         NULL-free columns decode to their native dtypes (int64, float64,
@@ -208,9 +207,7 @@ class StorageTable:
         stays on its native dtype as a :class:`~repro.engine.mask.Nullable`
         ``(values, validity)`` pair -- the segment arrays and null masks are
         exposed directly, no per-value decode.  Nullable *string* columns
-        (and every nullable column when ``typed_nulls`` is off, the legacy
-        object-array path kept as the benchmark/ablation baseline) decode to
-        object arrays carrying ``None`` at NULL positions.
+        decode to object arrays carrying ``None`` at NULL positions.
         """
         from repro.engine.mask import Nullable
 
@@ -222,7 +219,7 @@ class StorageTable:
             return np.empty(0, dtype=_EMPTY_DTYPES.get(type_name, object))
         if any(segment.has_nulls for segment in segments):
             type_name = self.schema.columns[index].type_name
-            if typed_nulls and type_name in _EMPTY_DTYPES:
+            if type_name in _EMPTY_DTYPES:
                 values = [segment.values for segment in segments]
                 valid = [segment.validity() for segment in segments]
                 return Nullable(

@@ -445,7 +445,7 @@ class ColFrame:
     """An intermediate relation in column-major (numpy) form.
 
     Arrays may be plain ndarrays, :class:`Nullable` pairs, or object arrays;
-    all three support the gather / mask / scalar indexing the frame uses.
+    all three support the gather / scalar indexing the frame uses.
     ``arrays`` is any sequence: a join hands in one that gathers a column
     the first time it is read.  ``codes``, when present, runs parallel to
     ``arrays`` and holds the ``int32`` dictionary codes (-1 = NULL) of the
@@ -457,10 +457,10 @@ class ColFrame:
                  length: int, codes: Sequence[np.ndarray | None] | None = None,
                  layout: Layout | None = None):
         # frame constructions are counted on the active query's metrics
-        # context ("frame.materialisations"): the selection-vector executor
-        # is asserted (in tests) to allocate no intermediate frame per
-        # residual predicate, and per-query attribution keeps the probe
-        # thread-safe under the batched driver.
+        # context ("frame.materialisations"): the executor is asserted (in
+        # tests) to allocate no intermediate frame per predicate, and
+        # per-query attribution keeps the probe thread-safe under the
+        # batched driver.
         count_metric("frame.materialisations")
         self.columns = columns
         self.arrays = arrays
@@ -493,12 +493,6 @@ class ColFrame:
         arrays = [array[indexes] for array in self.arrays]
         return ColFrame(columns=self.columns, arrays=arrays, length=len(indexes),
                         layout=self._layout)
-
-    def mask(self, predicate: np.ndarray) -> "ColFrame":
-        """Return a new frame keeping only the rows where ``predicate`` is True."""
-        arrays = [array[predicate] for array in self.arrays]
-        return ColFrame(columns=self.columns, arrays=arrays,
-                        length=int(predicate.sum()), layout=self._layout)
 
     def row(self, index: int) -> tuple:
         """Materialise one row (dates converted back to :class:`datetime.date`)."""

@@ -223,8 +223,9 @@ class TestOrderingAndDelivery:
         scalars, ``datetime.date`` for dates, None for every NULL."""
         sql = "select id, grade, score, day, flag, n, n + 1 from s order by id"
         reference = create_engine("row", sparse_db).execute(sql).rows
-        for null_masks in (True, False):
-            engine = ColumnEngine(sparse_db, options=EngineOptions(null_masks=null_masks))
+        for compile_expressions in (True, False):
+            engine = ColumnEngine(sparse_db, options=EngineOptions(
+                compile_expressions=compile_expressions))
             rows = engine.execute(sql).rows
             assert rows == reference
             assert [[type(value) for value in row] for row in rows] == \
@@ -254,6 +255,59 @@ class TestOrderingAndDelivery:
         assert engine.execute("select name from t order by name limit 1").rows \
             == [("alpha",)]
         assert scanned  # the spy does see a query that runs
+
+
+class TestComputedDates:
+    """A date the select list *computes* -- not a bare column -- leaves the
+    column engine as a ``datetime.date`` too: its type is the plan's to know
+    (the array is ``int64`` day ordinals like any integer's).  Values and
+    python types against the row engine, one morsel and four, compiled and
+    interpreted."""
+
+    @pytest.fixture(scope="class")
+    def dated_db(self) -> Database:
+        database = Database("dated", chunk_rows=8)
+        database.create_table("a", [("id", "int"), ("x", "int"), ("d", "date")])
+        start = datetime.date(2020, 1, 1)
+        database.insert_rows("a", [
+            (index, index % 4, None if index % 7 == 3
+             else (start + datetime.timedelta(days=(index * 37) % 300)).isoformat())
+            for index in range(40)])
+        return database
+
+    @pytest.mark.parametrize("sql", [
+        "select max(a.d), min(a.d) from a",
+        "select x, max(d) as latest from a group by x order by x",
+        "select max(d) from a where id < 0",
+        "select count(*) from a where d = (select max(d) from a)",
+        "select id, d + interval '1' day, d - interval '2' month from a order by id",
+        "select id, case when x > 1 then d else null end from a order by id",
+        "select id, case when x > 1 then d when x = 0 then date '2021-01-01' end "
+        "from a order by id",
+        "select t.m, t.n from (select min(a.d) as m, count(*) as n from a) as t",
+        "select min(t.d), max(t.e) from (select d, d + interval '1' day as e from a) as t",
+        "select t.x, t.m + interval '1' day from (select x, min(d) as m from a group by x) "
+        "as t order by t.x",
+    ])
+    def test_values_and_types_match_the_row_engine(self, dated_db, sql):
+        reference = RowEngine(dated_db).execute(sql).rows
+        assert reference
+        for workers in (1, 4):
+            for compile_expressions in (True, False):
+                options = EngineOptions(workers=workers,
+                                        compile_expressions=compile_expressions)
+                rows = ColumnEngine(dated_db, options=options).execute(sql).rows
+                assert rows == reference, options.describe()
+                assert [[type(value) for value in row] for row in rows] == \
+                    [[type(value) for value in row] for row in reference], options.describe()
+
+    def test_the_issue_texts_on_tpch(self, tpch_db, row_engine, column_engine):
+        for sql in ("select max(o_orderdate) from orders",
+                    "select count(*) from orders "
+                    "where o_orderdate = (select max(o_orderdate) from orders)"):
+            assert column_engine.execute(sql).rows == row_engine.execute(sql).rows
+        assert column_engine.execute("select max(o_orderdate) from orders").rows == \
+            [(datetime.date(1998, 11, 22),)]
 
 
 class TestJoinShapes:
@@ -321,11 +375,10 @@ class TestJoinShapes:
 
         reference = RowEngine(join_db, options=EngineOptions(
             hash_joins=False, compile_expressions=False)).execute(sql)
-        for toggles in itertools.product([True, False], repeat=4):
+        for toggles in itertools.product([True, False], repeat=3):
             options = EngineOptions(compile_expressions=toggles[0],
-                                    selection_vectors=toggles[1],
-                                    dictionary_encoding=toggles[2],
-                                    null_masks=toggles[3])
+                                    dictionary_encoding=toggles[1],
+                                    workers=4 if toggles[2] else 1)
             for engine in (RowEngine(join_db, options=options),
                            ColumnEngine(join_db, options=options)):
                 result = engine.execute(sql)
@@ -335,6 +388,18 @@ class TestJoinShapes:
 
 
 class TestEngineVersions:
+    def test_options_are_the_seven_versions_the_platform_compares(self):
+        """Every field is an engine version an experiment can be asked to
+        measure (and a doubling of what the differential tests walk): a new
+        one has to argue its case here."""
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(EngineOptions)] == [
+            "predicate_pushdown", "hash_joins", "overflow_guard", "compile_expressions",
+            "zone_maps", "dictionary_encoding", "workers"]
+        assert list(EngineOptions().describe()) == [
+            field.name for field in dataclasses.fields(EngineOptions)]
+
     def test_with_version_overrides_options(self, small_db):
         base = ColumnEngine(small_db)
         guarded = base.with_version("1.1-guarded", overflow_guard=True)

@@ -2,15 +2,18 @@
 
 A seeded generator produces ~200 random queries -- filters with nested
 NOT/AND/OR over NULL-heavy literals, IN/BETWEEN/LIKE (negations included),
-IS NULL, arithmetic and CASE projections, aggregates with GROUP BY/HAVING,
-and equi-joins (on a never-NULL key, on one and on two nullable keys, as a
-LEFT JOIN, under an OR of ANDs over both tables) -- against a small database
-whose every column carries NULLs.  Each query is executed by the row and the column engine under the
-full EngineOptions toggle matrix (deduplicated by the options each engine
-actually consumes) and every result multiset must match the interpreted,
-nested-loop row engine exactly: a reference that evaluates ``a.k = b.k``
-as the predicate it is, so the hash joins cannot share a misreading of
-NULL keys with it.
+IS NULL, arithmetic and CASE projections, aggregates with GROUP BY/HAVING
+(DISTINCT forms, a CASE that is an integer in some rows and a float in
+others, arithmetic over aggregates, MIN / MAX of a date), equi-joins (on a
+never-NULL key, on one and on two nullable keys, as a LEFT JOIN, under an OR
+of ANDs over both tables) and aggregation over those joins -- against a
+small database whose every column carries NULLs.  Each query is executed by
+the row and the column engine under the full EngineOptions toggle matrix
+(deduplicated by the options each engine actually consumes; the column
+engine with one morsel per block and with four) and every result multiset
+must match the interpreted, nested-loop row engine exactly: a reference that
+evaluates ``a.k = b.k`` as the predicate it is, so the hash joins cannot
+share a misreading of NULL keys with it.
 
 Determinism: the corpus derives from a fixed seed, so a failure always
 reproduces under the same iteration index (printed in the assertion
@@ -34,19 +37,17 @@ from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 FUZZ_SEED = 20260730
 FUZZ_ITERATIONS = int(os.environ.get("FUZZ_ITERATIONS", "200"))
 
-#: the full toggle matrix (compile_expressions, selection_vectors,
-#: zone_maps, dictionary_encoding, null_masks) -- including the legacy
-#: object-array decode baseline, which must stay semantically identical.
-ALL_TOGGLES = list(itertools.product([False, True], repeat=5))
+#: the full toggle matrix (compile_expressions, zone_maps,
+#: dictionary_encoding); the column engine runs each row of it with
+#: ``workers`` 1 and 4: 16 configurations per query.
+ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
 
 
-def _options(compile_expressions, selection_vectors, zone_maps,
-             dictionary_encoding, null_masks=True, workers=1) -> EngineOptions:
+def _options(compile_expressions, zone_maps, dictionary_encoding,
+             workers=1) -> EngineOptions:
     return EngineOptions(compile_expressions=compile_expressions,
-                         selection_vectors=selection_vectors,
                          zone_maps=zone_maps,
                          dictionary_encoding=dictionary_encoding,
-                         null_masks=null_masks,
                          workers=workers)
 
 
@@ -104,8 +105,8 @@ class QueryGenerator:
 
     Stays inside the dialect both engines share bit-for-bit: no division or
     modulo (numpy and Python disagree on division-by-zero faulting), date
-    columns only in comparison position, numeric values small enough that
-    ``int64`` cannot overflow.
+    columns only in comparison position and under MIN / MAX, numeric values
+    small enough that ``int64`` cannot overflow.
     """
 
     NUM_COLS = ["a.id", "a.x"]
@@ -241,11 +242,13 @@ class QueryGenerator:
 
     def query(self) -> str:
         roll = self.rng.random()
-        if roll < 0.45:
+        if roll < 0.35:
             return self._filter_query()
-        if roll < 0.75:
+        if roll < 0.6:
             return self._aggregate_query()
-        return self._join_query()
+        if roll < 0.78:
+            return self._join_query()
+        return self._join_aggregate_query()
 
     def _filter_query(self) -> str:
         items = ", ".join(["a.id"] + [self.projection()
@@ -253,27 +256,60 @@ class QueryGenerator:
         distinct = "distinct " if self.rng.random() < 0.15 else ""
         return f"select {distinct}{items} from a where {self.predicate(3)}"
 
+    AGGREGATES = ["count(*)", "count(a.x)", "sum(a.x)", "sum(a.y)",
+                  "min(a.x)", "max(a.y)", "avg(a.y)", "min(a.s)",
+                  "count(distinct a.s)"]
+    JOINED_AGGREGATES = ["sum(b.v)", "count(b.id)", "max(b.t)", "count(distinct b.v)"]
+
+    def _aggregate(self, joined: bool = False) -> str:
+        """One select item over the groups: what the column engine's single
+        aggregator owns -- plain and DISTINCT calls, a CASE argument that is
+        an integer in some rows (and morsels) and a float or NULL in others,
+        arithmetic between aggregates, MIN / MAX of a date."""
+        roll = self.rng.random()
+        if roll < 0.4:
+            return self.rng.choice(self.AGGREGATES
+                                   + (self.JOINED_AGGREGATES if joined else []))
+        if roll < 0.55:
+            function = self.rng.choice(["sum", "avg", "min", "max", "count"])
+            columns = ["a.x", "a.y"] + (["a.s"] if function in ("min", "max", "count")
+                                        else [])
+            return f"{function}(distinct {self.rng.choice(columns)})"
+        if roll < 0.75:
+            function = self.rng.choice(["sum", "avg", "min", "max"])
+            tail = self.rng.choice([" else a.y", " else 2.5", " else null", ""])
+            return (f"{function}(case when {self._leaf(joined)} "
+                    f"then {self.rng.choice(['a.x', 'a.id', '3'])}{tail} end)")
+        if roll < 0.9:
+            return self.rng.choice([
+                "sum(a.x) + count(*)", "max(a.x) - min(a.x)", "count(*) * 2",
+                "sum(a.y) - min(a.y)", "count(a.x) + count(a.s)",
+                "- sum(a.x)", "sum(a.x) * count(distinct a.s)"])
+        return f"{self.rng.choice(['min', 'max'])}(a.d)"
+
     def _aggregate_query(self) -> str:
-        aggregates = ["count(*)", "count(a.x)", "sum(a.x)", "sum(a.y)",
-                      "min(a.x)", "max(a.y)", "avg(a.y)", "min(a.s)",
-                      "count(distinct a.s)"]
-        items = [self.rng.choice(aggregates)
-                 for _ in range(self.rng.randrange(1, 4))]
+        items = [self._aggregate() for _ in range(self.rng.randrange(1, 4))]
         where = f" where {self.predicate(2)}" if self.rng.random() < 0.7 else ""
+        return f"select {self._grouped(items, f'a{where}', ['a.s', 'a.x'])}"
+
+    def _grouped(self, items: list[str], source: str, keys: list[str]) -> str:
+        """``items from source``, grouped (and filtered by HAVING) or global."""
         if self.rng.random() < 0.55:
-            key = self.rng.choice(["a.s", "a.x"])
+            key = self.rng.choice(keys)
             having = ""
             if self.rng.random() < 0.5:
                 having = f" having {self._having_predicate()}"
-            return (f"select {key}, {', '.join(items)} from a{where} "
-                    f"group by {key}{having}")
-        return f"select {', '.join(items)} from a{where}"
+            return f"{key}, {', '.join(items)} from {source} group by {key}{having}"
+        return f"{', '.join(items)} from {source}"
 
     def _having_predicate(self) -> str:
         leaves = [
             f"count(*) {self._cmp_op()} {self.rng.randrange(0, 6)}",
             f"sum(a.x) {self._cmp_op()} {self._int_literal()}",
             f"min(a.y) {self._cmp_op()} {self._float_literal()}",
+            f"count(distinct a.s) {self._cmp_op()} {self.rng.randrange(0, 4)}",
+            f"sum(a.x) + count(*) {self._cmp_op()} {self.rng.randrange(0, 60)}",
+            f"max(a.d) {self._cmp_op()} {self._date_literal()}",
         ]
         first = self.rng.choice(leaves)
         roll = self.rng.random()
@@ -292,17 +328,28 @@ class QueryGenerator:
         return " or ".join(f"({self._leaf(False)} and {self._b_cmp()})"
                            for _ in range(self.rng.randrange(2, 4)))
 
-    def _join_query(self) -> str:
-        items = ", ".join(["a.id", "b.id"] + self.rng.sample(
-            ["a.x", "a.s", "b.v", "b.t"], self.rng.randrange(1, 3)))
+    def _joined_source(self) -> str:
+        """``a`` joined to ``b``, as a comma join or a LEFT JOIN, filtered."""
         keys = self.rng.choice(["a.id = b.a_id", "a.x = b.v",
                                 "a.x = b.v and a.s = b.t", "a.s = b.t"])
         predicate = self._or_of_ands() if self.rng.random() < 0.3 \
             else self.predicate(2, joined=True)
-        if self.rng.random() < 0.25:
-            return (f"select {items} from a left join b on {keys} "
-                    f"where {predicate}")
-        return f"select {items} from a, b where {keys} and ({predicate})"
+        if self.rng.random() < 0.3:
+            return f"a left join b on {keys} where {predicate}"
+        return f"a, b where {keys} and ({predicate})"
+
+    def _join_query(self) -> str:
+        items = ", ".join(["a.id", "b.id"] + self.rng.sample(
+            ["a.x", "a.s", "b.v", "b.t"], self.rng.randrange(1, 3)))
+        return f"select {items} from {self._joined_source()}"
+
+    def _join_aggregate_query(self) -> str:
+        """GROUP BY / HAVING over the join shapes: the group keys and the
+        aggregate arguments read the joined frame's lazily gathered (and,
+        under a LEFT JOIN, NULL-padded) columns and dictionary codes."""
+        items = [self._aggregate(joined=True) for _ in range(self.rng.randrange(1, 4))]
+        keys = ["a.s", "a.x", "b.t", "b.v"]
+        return f"select {self._grouped(items, self._joined_source(), keys)}"
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +428,11 @@ def _assert_trace_invariants(database: Database, result, context: str) -> None:
 
 def _assert_parity(database: Database, sql: str, label: str) -> None:
     reference = RowEngine(database, options=dataclasses.replace(
-        _options(False, False, True, True), hash_joins=False)).execute(sql)
+        _options(False, True, True), hash_joins=False)).execute(sql)
     expected = _canonical(reference.rows)
     seen: set[tuple] = set()
     for toggles in ALL_TOGGLES:
         for workers in (1, 4):
-            if workers > 1 and not toggles[1]:
-                # morsel parallelism rides on the selection-vector path; the
-                # materialising path ignores the knob, so skip the duplicate.
-                continue
             options = _options(*toggles, workers=workers)
             engines = [ColumnEngine(database, options=options)]
             if workers == 1:
@@ -403,8 +446,7 @@ def _assert_parity(database: Database, sql: str, label: str) -> None:
                 seen.add(effective)
                 result = engine.execute(sql, trace=True)
                 config = (f"{engine.strategy()} compile={toggles[0]} "
-                          f"sel={toggles[1]} zones={toggles[2]} dict={toggles[3]} "
-                          f"masks={toggles[4]} workers={workers}")
+                          f"zones={toggles[1]} dict={toggles[2]} workers={workers}")
                 assert result.columns == reference.columns, \
                     f"{label} [{config}] columns differ on: {sql}"
                 assert _canonical(result.rows) == expected, \
@@ -434,7 +476,7 @@ def test_join_sample_holds_after_an_insert():
     assert sample
     warm = [RowEngine(database), ColumnEngine(database)]
     reference = RowEngine(database, options=dataclasses.replace(
-        _options(False, False, True, True), hash_joins=False))
+        _options(False, True, True), hash_joins=False))
 
     def assert_warm_engines(label: str) -> None:
         for number, sql in enumerate(sample):

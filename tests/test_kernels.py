@@ -1,9 +1,9 @@
 """Tests for the compiled-kernel layer and selection-vector execution.
 
 Covers the kernel-compilation subsystem (``engine/compile.py``), the
-``compile_expressions`` / ``selection_vectors`` engine options, the
-ambiguous-column fix in ``ColFrame.position``, the O(1) subquery-cache
-keying, and an 8-way row/column parity sweep over every TPC-H query.
+``compile_expressions`` engine option, the ambiguous-column fix in
+``ColFrame.position``, the O(1) subquery-cache keying, and an 8-way
+row/column parity sweep over every TPC-H query.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from repro.sqlparser import ast
 from repro.tpch import QUERIES
 from tests.conftest import normalise
 
-#: every combination of the kernel engine options.
-TOGGLES = list(itertools.product([False, True], repeat=2))
+#: the kernel engine option (compile_expressions), off and on.
+TOGGLES = [(False,), (True,)]
 
 #: every combination of kernel + storage options
-#: (compile_expressions, selection_vectors, zone_maps, dictionary_encoding).
-STORAGE_TOGGLES = list(itertools.product([False, True], repeat=4))
+#: (compile_expressions, zone_maps, dictionary_encoding).
+STORAGE_TOGGLES = list(itertools.product([False, True], repeat=3))
 
 
-def _options(compile_expressions: bool, selection_vectors: bool,
-             zone_maps: bool = True, dictionary_encoding: bool = True
-             ) -> EngineOptions:
+def _options(compile_expressions: bool, zone_maps: bool = True,
+             dictionary_encoding: bool = True) -> EngineOptions:
     return EngineOptions(compile_expressions=compile_expressions,
-                         selection_vectors=selection_vectors,
                          zone_maps=zone_maps,
                          dictionary_encoding=dictionary_encoding)
 
@@ -68,19 +66,19 @@ def small_db() -> Database:
 
 class TestTPCHParity:
     """Row and column engines agree on every TPC-H query under every
-    combination of compile_expressions x selection_vectors x zone_maps x
-    dictionary_encoding: kernels, the selection-vector pipeline and the
-    storage scan features must change performance, never semantics.
+    combination of compile_expressions x zone_maps x dictionary_encoding:
+    kernels and the storage scan features must change performance, never
+    semantics.
 
     Redundant configurations are deduplicated by the options each engine
     actually consumes (the row engine ignores the column-scan toggles), so
-    the sweep covers the full 16-combination matrix without re-running
+    the sweep covers the full 8-combination matrix without re-running
     identical row-engine configurations."""
 
     @pytest.mark.parametrize("query_id", sorted(QUERIES))
     def test_all_toggle_combinations_agree(self, query_id, parity_db):
         sql = QUERIES[query_id]
-        reference = RowEngine(parity_db, options=_options(False, False)).execute(sql)
+        reference = RowEngine(parity_db, options=_options(False)).execute(sql)
         expected = (reference.columns, normalise(reference.rows))
         seen: set[tuple] = set()
         for toggles in STORAGE_TOGGLES:
@@ -94,7 +92,7 @@ class TestTPCHParity:
                 seen.add(effective)
                 result = engine.execute(sql)
                 label = (f"Q{query_id} {engine.strategy()} compile={toggles[0]} "
-                         f"sel={toggles[1]} zones={toggles[2]} dict={toggles[3]}")
+                         f"zones={toggles[1]} dict={toggles[2]}")
                 assert result.columns == reference.columns, f"{label}: columns differ"
                 assert normalise(result.rows) == expected[1], f"{label}: rows differ"
 
@@ -102,7 +100,7 @@ class TestTPCHParity:
     def test_parallel_matches_serial(self, query_id, parity_db):
         """Morsel-parallel execution (workers=4) is indistinguishable from
         serial execution on every TPC-H query under every storage-toggle
-        combination that reaches the selection-vector path.  Non-float values
+        combination.  Non-float values
         must match bit for bit; float aggregates may differ only by the
         re-association of per-worker partial sums (last-ulp territory), so
         they are compared with a tight relative tolerance instead."""
@@ -111,8 +109,7 @@ class TestTPCHParity:
                 itertools.product([False, True], repeat=3):
             results = [
                 ColumnEngine(parity_db, options=EngineOptions(
-                    compile_expressions=compile_expressions,
-                    selection_vectors=True, zone_maps=zone_maps,
+                    compile_expressions=compile_expressions, zone_maps=zone_maps,
                     dictionary_encoding=dictionary,
                     workers=workers)).execute(sql)
                 for workers in (1, 4)
@@ -189,26 +186,25 @@ class TestSelectionVectors:
         return int(result.metrics.get("frame.materialisations"))
 
     def test_no_intermediate_frame_per_residual_predicate(self, parity_db):
-        """With selection vectors, a query with four predicates allocates
-        exactly as many ColFrames as one with none: predicates refine the
-        selection index instead of materialising masked frames."""
-        engine = ColumnEngine(parity_db)
-        with_predicates = self._frames_per_execution(engine, QUERIES[6])
-        without_predicates = self._frames_per_execution(
-            engine, "select sum(l_extendedprice * l_discount) as revenue from lineitem")
-        assert with_predicates == without_predicates == 2  # scan + result
-
-    def test_materialising_path_allocates_more(self, parity_db):
-        masked = ColumnEngine(parity_db, options=_options(True, False))
-        selecting = ColumnEngine(parity_db, options=_options(True, True))
-        assert (self._frames_per_execution(masked, QUERIES[6])
-                > self._frames_per_execution(selecting, QUERIES[6]))
+        """A query with four predicates allocates exactly as many ColFrames
+        as one with none: predicates refine the selection index instead of
+        materialising a masked frame each -- one morsel or four.  Interpreted,
+        the selected rows are gathered once, for whatever is evaluated after
+        the predicates, not once per predicate."""
+        unfiltered = "select sum(l_extendedprice * l_discount) as revenue from lineitem"
+        for workers in (1, 4):
+            engine = ColumnEngine(parity_db, options=EngineOptions(workers=workers))
+            assert self._frames_per_execution(engine, QUERIES[6]) == 2  # scan + result
+            assert self._frames_per_execution(engine, unfiltered) == 2
+        interpreted = ColumnEngine(parity_db, options=_options(False))
+        assert self._frames_per_execution(interpreted, QUERIES[6]) == 3
+        assert self._frames_per_execution(interpreted, unfiltered) == 2
 
     def test_join_pipeline_composes_selections(self, parity_db):
-        masked = ColumnEngine(parity_db, options=_options(True, False))
-        selecting = ColumnEngine(parity_db, options=_options(True, True))
-        assert (self._frames_per_execution(selecting, QUERIES[3])
-                < self._frames_per_execution(masked, QUERIES[3]))
+        """Q3's three filtered scans and two joins: a frame per scan, one per
+        join and the result -- the filtered scans are joined through their
+        selections, never materialised to be gathered again."""
+        assert self._frames_per_execution(ColumnEngine(parity_db), QUERIES[3]) == 6
 
 
 class TestEmptyAggregates:
@@ -228,6 +224,23 @@ class TestEmptyAggregates:
         engine = ColumnEngine(small_db, options=_options(*toggles))
         result = engine.execute("select count(*), sum(price) from t where id > 99")
         assert result.rows == [(0, None)]
+
+
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    def test_expressions_over_empty_aggregates(self, toggles, small_db):
+        """What is computed from the aggregates of an empty input is computed
+        from them (0 + 0 is 0, not NULL); a NULL aggregate stays NULL through
+        a unary minus; what is not an aggregate -- a literal too -- has no
+        row to be read from and is NULL."""
+        sql = ("select count(*) + count(price), - sum(price), 7, count(*) * 2 "
+               "from t where id > 99")
+        grouped = ("select name, - sum(case when id > 5 then price end), - sum(price) "
+                   "from t group by name order by name")
+        for engine in (RowEngine(small_db, options=_options(*toggles)),
+                       ColumnEngine(small_db, options=_options(*toggles))):
+            assert engine.execute(sql).rows == [(0, None, None, None)], engine.label
+            assert engine.execute(grouped).rows == [
+                ("alpha", None, -10.0), ("beta", None, -20.0), ("gamma", None, -30.0)]
 
 
 class TestAggregateResultTypes:
@@ -306,14 +319,14 @@ class TestKernelCompilation:
     def test_options_describe_includes_new_toggles(self, small_db):
         described = ColumnEngine(small_db).options.describe()
         assert described["compile_expressions"] is True
-        assert described["selection_vectors"] is True
+        assert described["workers"] == 1
 
     def test_with_version_overrides_toggles(self, small_db):
         base = ColumnEngine(small_db)
         interpreted = base.with_version("interp", compile_expressions=False,
-                                        selection_vectors=False)
+                                        zone_maps=False)
         assert not interpreted.options.compile_expressions
-        assert not interpreted.options.selection_vectors
+        assert not interpreted.options.zone_maps
         assert base.options.compile_expressions
 
     def test_kernels_cached_on_plan(self, small_db):

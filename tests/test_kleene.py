@@ -17,13 +17,13 @@ import pytest
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 
-#: the full storage/kernel toggle matrix (compile_expressions,
-#: selection_vectors, zone_maps, dictionary_encoding).
-ALL_TOGGLES = list(itertools.product([False, True], repeat=4))
+#: the full storage/kernel toggle matrix (compile_expressions, zone_maps,
+#: dictionary_encoding).
+ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
 
-#: the kernel toggles alone (the storage toggles cannot affect projection /
+#: the kernel toggle alone (the storage toggles cannot affect projection /
 #: HAVING / CASE positions, which run after the scan).
-KERNEL_TOGGLES = list(itertools.product([False, True], repeat=2))
+KERNEL_TOGGLES = [(False,), (True,)]
 
 #: the nine (a, b) value combinations; 1 encodes TRUE, 0 FALSE, None NULL
 #: (through the predicate ``a = 1`` / ``b = 1``).
@@ -69,10 +69,8 @@ EXPRESSIONS = [
 ]
 
 
-def _options(compile_expressions, selection_vectors, zone_maps=True,
-             dictionary_encoding=True):
+def _options(compile_expressions, zone_maps=True, dictionary_encoding=True):
     return EngineOptions(compile_expressions=compile_expressions,
-                         selection_vectors=selection_vectors,
                          zone_maps=zone_maps,
                          dictionary_encoding=dictionary_encoding)
 
@@ -200,11 +198,10 @@ def null_key_db() -> Database:
 
 def _join_engines(database):
     """Both engines under every toggle that picks a different join path."""
-    for hash_joins, null_masks, (compile_expressions, selection_vectors) in \
-            itertools.product([True, False], [True, False], KERNEL_TOGGLES):
-        options = EngineOptions(hash_joins=hash_joins, null_masks=null_masks,
-                                compile_expressions=compile_expressions,
-                                selection_vectors=selection_vectors)
+    for hash_joins, (compile_expressions,) in \
+            itertools.product([True, False], KERNEL_TOGGLES):
+        options = EngineOptions(hash_joins=hash_joins,
+                                compile_expressions=compile_expressions)
         yield RowEngine(database, options=options), options
         yield ColumnEngine(database, options=options), options
 

@@ -26,7 +26,6 @@ from repro.engine.parallel import (
     pool_size,
     run_tasks,
     shutdown_pool,
-    survivor_rows,
 )
 from repro.engine.storage.memo import IdentityMemo
 from repro.platform.service import PlatformService
@@ -141,16 +140,20 @@ class TestMorselRanges:
         start, stop, piece = ranges[0]
         assert (start, stop) == (0, 5) and len(piece) == 0
 
-    def test_survivor_rows_concatenates_chunk_rows(self):
-        starts = np.array([0, 17, 34], dtype=np.int64)
-        counts = np.array([17, 17, 8], dtype=np.int64)
-        rows = survivor_rows(np.array([0, 2], dtype=np.int64), starts, counts)
+    @pytest.fixture()
+    def zones(self):
+        """The zone index of a 42-row table in chunks of 17, 17 and 8 rows."""
+        database = Database("zones", chunk_rows=17)
+        database.create_table("t", [("id", "int")])
+        database.insert_rows("t", [(index,) for index in range(42)])
+        return database.storage("t").zone_index()
+
+    def test_rows_of_concatenates_chunk_rows(self, zones):
+        rows = zones.rows_of(np.array([0, 2], dtype=np.int64))
         assert rows.tolist() == list(range(17)) + list(range(34, 42))
 
-    def test_survivor_rows_empty(self):
-        rows = survivor_rows(np.array([], dtype=np.int64),
-                             np.array([0], dtype=np.int64),
-                             np.array([5], dtype=np.int64))
+    def test_rows_of_empty(self, zones):
+        rows = zones.rows_of(np.array([], dtype=np.int64))
         assert rows.dtype == np.int64 and len(rows) == 0
 
 
@@ -173,6 +176,14 @@ EDGE_QUERIES = [
     "select min(region) as lo, max(region) as hi from sales where qty > 2",
     "select qty % 3 as bucket, count(*) as n from sales "
     "where id >= 13 group by qty % 3 order by bucket",
+    # a CASE that is numbers in the first morsels and all NULL (an object
+    # array) in the last: MIN / MAX partial states of two kinds combine
+    "select max(case when id < 500 then qty end) as hi, "
+    "min(case when id < 500 then qty end) as lo from sales",
+    "select region, max(case when id < 500 then amount end) as hi from sales "
+    "group by region order by region",
+    "select sum(qty) + count(*) as both, max(amount) - min(amount) as spread, "
+    "count(*) * 2 as twice from sales where qty > 1",
 ]
 
 
@@ -211,6 +222,34 @@ class TestParallelParity:
         result = _column_engine(parallel_db, workers=1).execute(sql, trace=True)
         for span in result.trace.spans():
             assert all(child.name != "worker" for child in span.children)
+
+    def test_serial_is_one_morsel_of_the_same_pipeline(self):
+        """A warm ``workers=1`` block counts nothing under ``parallel.*``,
+        records no ``worker`` lane and builds the scan's frame and the
+        result's; four workers split the same block into four morsels per
+        stage and build no frame more."""
+        from repro.data import populate_tpch
+        from repro.tpch import QUERIES
+
+        database = Database("tpch-morsels")
+        populate_tpch(database, scale_factor=0.02)
+        for query in (1, 6):
+            counters = {}
+            for workers in (1, 4):
+                engine = _column_engine(database, workers)
+                plan = engine.prepare(QUERIES[query])
+                engine.execute(plan)
+                warm = engine.execute(plan, trace=True)
+                counters[workers] = {
+                    name: value for name, value in warm.metrics.snapshot().items()
+                    if name.startswith(("parallel.", "frame."))}
+                lanes = [child for span in warm.trace.spans() for child in span.children
+                         if child.name == "worker"]
+                assert len(lanes) == (0 if workers == 1 else 8), f"Q{query} x{workers}"
+            assert counters[1] == {"frame.materialisations": 2}, f"Q{query}"
+            assert counters[4] == {
+                "frame.materialisations": 2, "parallel.blocks": 1,
+                "parallel.scan_tasks": 4, "parallel.aggregate_tasks": 4}, f"Q{query}"
 
     def test_parallel_counts_its_blocks(self, parallel_db):
         sql = "select count(*) from sales where amount > 50"

@@ -29,20 +29,19 @@ from repro.engine.storage.skipping import estimate_conjunction, estimate_selecti
 from repro.obs import MetricsContext
 
 #: every combination of the storage + kernel toggles relevant to semantics.
-ALL_TOGGLES = list(itertools.product([False, True], repeat=4))
+ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
 
 
-def _options(compile_expressions=True, selection_vectors=True, zone_maps=True,
+def _options(compile_expressions=True, zone_maps=True,
              dictionary_encoding=True) -> EngineOptions:
     return EngineOptions(compile_expressions=compile_expressions,
-                         selection_vectors=selection_vectors,
                          zone_maps=zone_maps,
                          dictionary_encoding=dictionary_encoding)
 
 
 def _assert_parity(database: Database, sql: str) -> list[tuple]:
     """Both engines agree on ``sql`` under every storage/kernel toggle combo."""
-    reference = RowEngine(database, options=_options(False, False)).execute(sql)
+    reference = RowEngine(database, options=_options(False)).execute(sql)
     for toggles in ALL_TOGGLES:
         options = _options(*toggles)
         for engine in (RowEngine(database, options=options),
@@ -137,12 +136,6 @@ class TestChunking:
         # nullable strings stay object arrays (string kernels iterate anyway)
         assert view.columns["name"].dtype == object
         assert view.columns["name"][1] is None
-
-    def test_columnar_views_legacy_object_decode(self, nullable_db):
-        view = nullable_db.columnar("t", typed_nulls=False)
-        assert view.columns["price"].dtype == object
-        assert view.columns["price"][1] is None
-        assert view.columns["id"][2] is None
 
 
 class TestDictionaryEncoding:
@@ -274,8 +267,8 @@ class TestNullSemantics:
 
     def test_division_by_zero_faults_in_every_representation(self):
         # the typed null-mask path must fault on a zero divisor at a *valid*
-        # slot exactly like the row engine and the object-array baseline --
-        # not silently produce inf under the sentinel-sanitising errstate
+        # slot exactly like the row engine -- compiled or interpreted -- not
+        # silently produce inf under the sentinel-sanitising errstate
         from repro.errors import ExecutionError
 
         database = Database("divzero", chunk_rows=3)
@@ -283,8 +276,7 @@ class TestNullSemantics:
         database.insert_rows("t", [(1.5, 0), (None, 2), (3.0, 3)])
         sql = "select count(*) from t where f / x > 0.1"
         for engine in (RowEngine(database), ColumnEngine(database),
-                       ColumnEngine(database,
-                                    options=EngineOptions(null_masks=False))):
+                       ColumnEngine(database, options=_options(False))):
             with pytest.raises(ExecutionError, match="division by zero"):
                 engine.execute(sql)
 
@@ -324,6 +316,57 @@ class TestNullSemantics:
             "select l.id from l left join r on l.id = r.lid "
             "where not (r.lid = 1) order by l.id")
         assert rows == [(2,)]
+
+    def test_null_injected_q6_stays_on_typed_arrays(self):
+        """TPC-H Q6 over a lineitem with NULLs injected into its columns agrees
+        with the row engine, and no kernel of it leaves the typed
+        representation: every push-down predicate evaluates to a ``bool``
+        array or a :class:`Kleene`, the ``sum`` argument to a ``float64``
+        :class:`Nullable` -- never to an object array holding ``None``."""
+        import random
+
+        from repro.engine.compile import ColumnContext, column_kernels
+        from repro.engine.mask import Kleene, Nullable
+
+        source = Database("tpch-source")
+        populate_tpch(source, scale_factor=0.002)
+        schema = source.catalog.table("lineitem")
+        nullable = [schema.column_index(name)
+                    for name in ("l_discount", "l_quantity", "l_shipdate")]
+        rng = random.Random(20260730)
+        database = Database("tpch-nullable", chunk_rows=512)
+        database.create_table(
+            "lineitem", [(column.name, column.type_name) for column in schema.columns])
+        database.insert_rows("lineitem", [
+            tuple(None if position in nullable and rng.random() < 0.08 else value
+                  for position, value in enumerate(row))
+            for row in source.rows("lineitem")])
+        sql = """
+            select sum(l_extendedprice * l_discount) as revenue from lineitem
+            where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01'
+              and l_discount between 0.05 and 0.07 and l_quantity < 24"""
+        expected = RowEngine(database).execute(sql).scalar()
+        assert expected > 0
+        for workers in (1, 4):
+            for compile_expressions in (True, False):
+                engine = ColumnEngine(database, options=EngineOptions(
+                    workers=workers, compile_expressions=compile_expressions))
+                assert engine.execute(sql).scalar() == pytest.approx(expected, rel=1e-12), \
+                    engine.options.describe()
+
+        plan = ColumnEngine(database).prepare(sql)
+        kernels = column_kernels(plan, plan.root)
+        view = database.columnar("lineitem")
+        context = ColumnContext([view.columns[column.name] for column in schema.columns],
+                                view.length)
+        predicates = [kernel(context) for kernel, _ in kernels.pushdown[0]]
+        assert len(predicates) == 4
+        for value in predicates:
+            assert isinstance(value, Kleene) or value.dtype == bool
+        (argument,) = kernels.arguments
+        product = argument(context)
+        assert isinstance(product, Nullable) and product.dtype == np.float64
+        assert not product.valid.all()
 
     def test_not_between_with_null_bound_column(self):
         database = Database("bounds", chunk_rows=3)
@@ -663,21 +706,17 @@ class TestKeyOrder:
         nullable_db.create_table("u", [("id", "int"), ("t_id", "int"), ("tag", "str")])
         assert nullable_db.key_order("u", ["t_id"]).indexed_rows == 0
 
-    @pytest.mark.parametrize("selection_vectors", [True, False])
-    def test_one_order_serves_both_null_representations(self, nullable_db,
-                                                        selection_vectors):
-        """``u.t_id`` probes ``t(id)`` (the smaller ``u`` drives): typed
-        ``(values, validity)`` pairs probe the stored order; the legacy object
-        decode of the nullable key cannot (``None`` among the values) and is
-        coded jointly, as before."""
+    def test_nullable_keys_probe_the_stored_order(self, nullable_db):
+        """``u.t_id`` probes ``t(id)`` (the smaller ``u`` drives): the typed
+        ``(values, validity)`` pairs of the nullable key probe the stored
+        order, which is built once for every engine over the database."""
         expected = sorted(RowEngine(nullable_db).execute(self.SQL).rows)
         builds = 0
-        for null_masks in (True, False):
-            engine = ColumnEngine(nullable_db, options=EngineOptions(
-                null_masks=null_masks, selection_vectors=selection_vectors))
+        for compile_expressions in (True, False):
+            engine = ColumnEngine(nullable_db, options=_options(compile_expressions))
             result = engine.execute(self.SQL)
             assert sorted(result.rows) == expected == [(1, 1), (4, 4), (6, 3)]
-            assert result.metrics.get("join.order_probes") == (1 if null_masks else 0)
+            assert result.metrics.get("join.order_probes") == 1
             builds += result.metrics.get("join.order_builds")
         assert builds == 1 and len(nullable_db.storage("t").key_orders()) == 1
 
