@@ -20,7 +20,9 @@ timings: a warm execution of Q9 probes storage key indexes (row) / key orders
 (column) and neither builds one nor fills a hash table or sorts a build side
 (``join.index_builds`` / ``join.order_builds`` / ``join.build_rows``), and a
 warm pass over the nine ``tpch-mix`` texts stays under the build rows and index
-probes the statistics-costed join orders brought it down to.
+probes the statistics-costed join orders brought it down to.  So is the scan
+access path: the rows a warm pass's driving scans visit are exact counts, a
+window's for Q6 / Q10 / Q12 / Q14, the table's for the rest and for Q1.
 
 A run writes ``BENCH_kernels.json`` (into the shared ``artifact_dir``:
 ``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) so CI can
@@ -99,31 +101,65 @@ def test_warm_joins_probe_indexes_and_build_nothing(tpch_db):
 TPCH_MIX = (3, 5, 6, 7, 8, 9, 10, 12, 14)
 
 
-def test_costed_join_orders_keep_a_warm_tpch_mix_pass_off_the_builds():
-    """One warm pass over the nine ``tpch-mix`` texts at the workload's scale
-    factor, counted not timed.  Joined in FROM order the row engine put 8 039
-    rows into per-execution hash tables and made 30 288 index probes (Q7 alone
-    dragged 6 835 ``lineitem`` rows through three joins), the column engine
-    sorted 7 176 build-side rows; driving every block from its most selective
-    table, the row engine builds nothing and probes a quarter as often."""
+@pytest.fixture(scope="module")
+def warm_pass():
+    """One warm pass over Q1 and the nine ``tpch-mix`` texts at the workload's
+    scale factor on either engine, counted not timed: per (engine kind, text)
+    the counters of the second execution, and the database."""
     database = build_tpch_database(scale_factor=0.004)
     counters = {}
     for kind in ("row", "column"):
         engine = _make_engine(kind, database, COMPILED)
-        totals = counters[kind] = dict.fromkeys(
-            ("join.build_rows", "join.index_probes", "join.index_builds",
-             "join.order_builds"), 0)
-        for number in TPCH_MIX:
+        for number in (1, *TPCH_MIX):
             plan = engine.prepare(QUERIES[number])
             engine.execute(plan)
-            warm = engine.execute(plan).metrics
-            for name in totals:
-                totals[name] += int(warm.get(name))
+            counters[kind, number] = engine.execute(plan).metrics.snapshot()
+    return counters, database
+
+
+def test_costed_join_orders_keep_a_warm_tpch_mix_pass_off_the_builds(warm_pass):
+    """The nine ``tpch-mix`` texts.  Joined in FROM order the row engine put 8 039
+    rows into per-execution hash tables and made 30 288 index probes (Q7 alone
+    dragged 6 835 ``lineitem`` rows through three joins), the column engine
+    sorted 7 176 build-side rows; driving every block from its most selective
+    table, the row engine builds nothing and probes a quarter as often."""
+    warm, _ = warm_pass
+    counters = {kind: {name: sum(int(warm[kind, number].get(name, 0)) for number in TPCH_MIX)
+                       for name in ("join.build_rows", "join.index_probes",
+                                    "join.index_builds", "join.order_builds")}
+                for kind in ("row", "column")}
     print(f"warm tpch-mix pass: {counters}")
     assert counters["row"]["join.build_rows"] <= 1_000
     assert counters["row"]["join.index_probes"] <= 10_000
     assert counters["column"]["join.build_rows"] <= 7_176
     assert counters["row"]["join.index_builds"] == counters["column"]["join.order_builds"] == 0
+
+
+def test_selective_driving_scans_visit_their_window_not_the_table(warm_pass):
+    """The same warm pass, for what the row engine's driving scans read.  Q6 /
+    Q10 / Q12 / Q14 bound one date column of their driving table to a year, a
+    quarter, a year, a month: the scan visits the rows in that range of the
+    column's storage key order (78 186 table rows before, 7 509 now) and
+    builds no order when warm.  The other five texts visit what they visited,
+    and Q1 -- whose ``l_shipdate <= 1998-09-02`` keeps 96 % of the span, the
+    refused side of the rule -- every row of ``lineitem``."""
+    warm, database = warm_pass
+    lineitem, orders = database.row_count("lineitem"), database.row_count("orders")
+    assert (lineitem, orders) == (24_062, 6_000)
+    expected = {6: 3_499, 10: 237, 12: 3_517, 14: 256,  # the rows in the window
+                1: lineitem,
+                3: database.row_count("customer"), 5: database.row_count("region"),
+                7: database.row_count("nation"), 8: database.row_count("part"),
+                9: database.row_count("part")}
+    visited = {number: warm["row", number].get("scan.rows_visited") for number in expected}
+    print(f"driving rows visited, warm: {visited}")
+    assert visited == expected
+    assert 3 * lineitem + orders == 78_186
+    assert sum(visited[number] for number in (6, 10, 12, 14)) == 7_509
+    for number in expected:
+        counters = warm["row", number]
+        assert counters.get("scan.window_probes", 0) == (number in (6, 10, 12, 14)), number
+        assert "scan.order_builds" not in counters and "join.order_builds" not in counters
 
 
 def test_warm_column_joins_probe_orders_and_sort_nothing(tpch_db):

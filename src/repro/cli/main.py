@@ -13,11 +13,12 @@ Sub-commands:
 * ``pipelines``               -- per TPC-H text, how many row-engine
   blocks run on a generated pipeline and how many on the interpreter, and what
   a warm execution's joins cost on either engine: rows put into per-execution
-  builds, probes into storage key indexes (row) and key orders (column), and
+  builds, probes into storage key indexes (row) and key orders (column), the
+  rows its base-table scans visit beside the rows of the tables they scan, and
   the table each benchmarked text's joins drive from; exit
   code 1 when a text the benchmark runs is not fully generated, builds a hash
-  table or sorts a build side over an unfiltered base table, or builds an
-  index or order when warm,
+  table or sorts a build side over an unfiltered base table, builds an
+  index or order when warm, or carries a scan window yet visits the table,
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -199,6 +200,29 @@ def _builds_unfiltered(pipelines: list[dict]) -> bool:
                for pipeline in pipelines for side in pipeline.get("joins", ()))
 
 
+def _scanned_rows(database, plan, pipelines: list[dict]) -> int:
+    """The rows of the base tables one run of every block scans: the table
+    each block drives from, those of its explicit JOIN trees and the join
+    sides it builds per execution -- what ``scan.rows_visited`` reads when no
+    scan window narrows a driving scan."""
+    from repro.sqlparser import ast
+
+    def base_tables(item) -> list[str]:
+        if isinstance(item, ast.Join):
+            return base_tables(item.left) + base_tables(item.right)
+        return [item.name] if isinstance(item, ast.TableRef) else []
+
+    tables = []
+    for block, pipeline in zip(plan.blocks.values(), pipelines):
+        for level, step in enumerate(block.join_order):
+            item = block.select.from_items[step.frame_index]
+            if not level or isinstance(item, ast.Join):
+                tables += base_tables(item)
+        tables += [side["table"] for side in pipeline.get("joins", ())
+                   if side["built"] and side["table"]]
+    return sum(database.row_count(table) for table in tables)
+
+
 def _cmd_pipelines(arguments) -> int:
     from repro.engine import ColumnEngine, RowEngine
     from repro.tpch import QUERIES
@@ -208,8 +232,9 @@ def _cmd_pipelines(arguments) -> int:
     database = build_tpch_database(scale_factor=0.0005)
     engine, column_engine = RowEngine(database), ColumnEngine(database)
     print("query  blocks  generated  interpreted  hooked-exprs  build rows/exec  index probes"
+          "  rows scanned / table rows"
           "  |  column: sorted rows/exec  order probes   (block executions; warm)")
-    unlowered, rebuilt, resorted = [], [], []
+    unlowered, rebuilt, resorted, unwindowed = [], [], [], []
     for number in sorted(QUERIES):
         plan = engine.prepare(QUERIES[number])
         pipelines = engine.pipelines(plan)
@@ -219,11 +244,14 @@ def _cmd_pipelines(arguments) -> int:
         column_engine.execute(column_plan)  # ... and the key orders
         column_counters = column_engine.execute(column_plan).metrics
         hooked = sum(len(pipeline.get("interpreted", ())) for pipeline in pipelines)
+        visited = int(counters.get("scan.rows_visited"))
+        table_rows = _scanned_rows(database, plan, pipelines)
         print(f"Q{number:<5} {len(pipelines):>6}  "
               f"{int(counters.get('row.pipeline.generated')):>9}  "
               f"{int(counters.get('row.pipeline.interpreted_blocks')):>11}  {hooked:>12}  "
               f"{int(counters.get('join.build_rows')):>15}  "
-              f"{int(counters.get('join.index_probes')):>12}  |  "
+              f"{int(counters.get('join.index_probes')):>12}  "
+              f"{f'{visited} / {table_rows}':>25}  |  "
               f"{int(column_counters.get('join.build_rows')):>24}  "
               f"{int(column_counters.get('join.order_probes')):>12}")
         for pipeline in pipelines:
@@ -239,19 +267,28 @@ def _cmd_pipelines(arguments) -> int:
         if hooked or not all(pipeline["generated"] for pipeline in pipelines):
             unlowered.append(number)
 
-        if counters.get("join.index_builds") or _builds_unfiltered(pipelines):
+        for block in plan.blocks.values():
+            if block.window is not None:
+                print(f"       window {block.window.interval()}, est. "
+                      f"{round(block.window.estimated_rows)} of {block.window.table_rows} rows")
+        if any(block.window for block in plan.blocks.values()) and visited >= table_rows:
+            unwindowed.append(number)
+        if counters.get("join.index_builds") or counters.get("scan.order_builds") \
+                or _builds_unfiltered(pipelines):
             rebuilt.append(number)
         if column_counters.get("join.order_builds") \
                 or _builds_unfiltered(column_engine.pipelines(column_plan)):
             resorted.append(number)
     for numbers, complaint in (
             (unlowered, "not fully generated"),
-            (rebuilt, "build a hash table over an unfiltered base table"),
-            (resorted, "sort an unfiltered base table on the column engine")):
+            (rebuilt, "build a hash table over an unfiltered base table (or an index / "
+                      "order when warm)"),
+            (resorted, "sort an unfiltered base table on the column engine"),
+            (unwindowed, "carry a scan window yet visit the table")):
         if numbers:
             print(f"benchmarked texts {complaint}: "
                   + ", ".join(f"Q{number}" for number in numbers), file=sys.stderr)
-    return 1 if unlowered or rebuilt or resorted else 0
+    return 1 if unlowered or rebuilt or resorted or unwindowed else 0
 
 
 def _cmd_demo(arguments) -> int:

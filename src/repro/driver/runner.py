@@ -85,9 +85,15 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
                   trace: bool = False) -> RunOutcome:
     """Run ``query`` ``repeats`` times on ``engine`` and collect execution times.
 
-    The query is prepared (parsed and planned) exactly once; every repetition
-    executes the prepared plan and reports :attr:`QueryResult.elapsed`, i.e.
-    pure execution time -- planning is not double-counted into the timings.
+    The query is prepared (parsed, planned and compiled) exactly once; every
+    repetition executes the prepared plan and reports
+    :attr:`QueryResult.elapsed`, i.e. pure execution time -- planning is not
+    double-counted into the timings, and neither is what ``prepare`` builds
+    for a fresh plan: generated pipelines, column kernels and the scan
+    kernels storage keeps per table version (dictionary-code kernels,
+    zone-map survivor sets).  What the *data* owes the first execution after
+    a table changed -- row and columnar views, key indexes, key orders -- is
+    inside that execution's time.
 
     Errors are captured, not raised: a failing query is a first-class outcome
     in SQALPEL (it shows up as a yellow node in the experiment history).

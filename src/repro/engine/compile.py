@@ -23,8 +23,11 @@ plan cache amortises compilation exactly like planning.
   execution (push-down inlined in the build loop) only over a derived table,
   or over a filtered base table when nothing upstream is filtered -- see
   :func:`~repro.engine.planner.probes_index`, which the planner's join costs
-  consult as well.  :class:`_Source` emits the expressions as straight-line
-  statements.  A column of an enclosing block is bound once per
+  consult as well.  Where the plan confined the driving scan to a scan window
+  (``BlockPlan.window``), the loop runs over the rows in that range of one
+  column, which the executor fetches through storage's key order, and the
+  conjuncts the window decides are not emitted.  :class:`_Source` emits the
+  expressions as straight-line statements.  A column of an enclosing block is bound once per
   run (``outers``).  What cannot be lowered -- a subquery -- goes to the
   interpreter *per subexpression*, from inside the generated loop (the
   ``interp`` hook).  :func:`compile_row_kernel` is the same generator pointed
@@ -668,7 +671,9 @@ class RowPipeline:
     """One planned block lowered to a single generated function (row engine).
 
     ``run(scans, indexes, outers, interp)`` takes, per FROM item, the row
-    list it scans or the key index it probes (None in the other list; see
+    list it scans -- for the driving item of a block with a scan window, the
+    rows in the window: the function does not test what the window decides --
+    or the key index it probes (None in the other list; see
     ``probes``), the values of ``outer_refs`` and the interpreter hook
     ``interp(index, row)`` for the expressions in ``interpreted``.  Indexes
     are arguments, never constants of the function: storage drops them on a
@@ -690,6 +695,10 @@ class RowPipeline:
     columns: list = field(default_factory=list)
     #: per FROM item: the storage index it is probed through (None = scanned).
     probes: list[IndexProbe | None] = field(default_factory=list)
+    #: per FROM item: the scan window ``run`` expects its rows to be confined
+    #: to -- the plan's, for the driving item -- because it does not test what
+    #: the window decides (None = the item's rows, whole).
+    windows: list = field(default_factory=list)
     #: the FROM items a hash table (or filtered list) is built over per execution.
     builds: list[int] = field(default_factory=list)
     #: the enclosing blocks' columns bound once per run, in ``outers`` order.
@@ -753,7 +762,15 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
              for index, columns in enumerate(items)]
     layouts = [Layout(columns) for columns in items]
     pushdown = [_item_pushdown(block, columns) for columns in items]
+    filtered = [bool(predicates) for predicates in pushdown]
     order = [step.frame_index for step in block.join_order]
+    windows = [block.window_of(index) for index in range(len(items))]
+    for index, window in enumerate(windows):
+        if window is not None:
+            # the executor hands the loop the rows in the window, in row
+            # order: the conjuncts it decides are TRUE on every one of them
+            pushdown[index] = [predicate for predicate in pushdown[index]
+                               if not window.decides(predicate)]
     src = _Source()
     # a column an enclosing block resolves is constant while the function runs
     outer_refs = {_outer_key(ref): ref for ref in block.outer_refs}
@@ -783,11 +800,11 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         build = [position for _, position in step.keys] if hash_joins else []
         keys.append((probe, build))
         item = select.from_items[index]
-        if probes_index(item, bool(build), bool(pushdown[index]), upstream_filtered):
+        if probes_index(item, bool(build), filtered[index], upstream_filtered):
             probes[index] = IndexProbe(
                 item.name, tuple(items[index][position].name for position in build),
                 tuple(build))
-        upstream_filtered = upstream_filtered or bool(pushdown[index])
+        upstream_filtered = upstream_filtered or filtered[index]
         joined.append((Layout(columns.columns[:step.cut] + items[index]
                               + columns.columns[step.cut:]),
                        sources[:step.cut] + slots[index] + sources[step.cut:],
@@ -898,7 +915,7 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         src.close(len(levels))
         src.emit(f"return out, {counts}")
     return RowPipeline(*src.function("pipeline", "scans, indexes, outers, interp"), hash_joins,
-                       src.interpreted, joined[-1][0].columns, probes, builds,
+                       src.interpreted, joined[-1][0].columns, probes, windows, builds,
                        list(outer_refs.values()))
 
 

@@ -126,6 +126,10 @@ class Engine:
                                           compare=False)
     _planner: Planner | None = field(default=None, init=False, repr=False, compare=False)
 
+    #: whether the backend's driving scans read the plan's scan windows
+    #: (``BlockPlan.window``): EXPLAIN names the access path only where it is taken.
+    scan_windows = False
+
     @property
     def label(self) -> str:
         """Human-readable ``name-version`` label used in results and figures."""
@@ -261,7 +265,7 @@ class Engine:
     def _explain_plan(self, sql: str) -> QueryResult:
         """``EXPLAIN <select>``: render the logical plan without executing."""
         plan = self.prepare(sql)
-        lines = format_plan(plan, engine=self.label)
+        lines = format_plan(plan, engine=self.label, windows=self.scan_windows)
         for pipeline in self.pipelines(plan):
             lines += self._pipeline_lines(pipeline)
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines],
@@ -300,7 +304,7 @@ class Engine:
             "options": self.options.describe(),
             "plan": plan.root.describe(),
             "plan_cache": self.plan_cache.describe(),
-            "plan_tree": format_plan(plan, engine=self.label),
+            "plan_tree": format_plan(plan, engine=self.label, windows=self.scan_windows),
             "pipelines": self.pipelines(plan),
         }
 
@@ -363,6 +367,8 @@ class RowEngine(Engine):
                          options=options or EngineOptions(),
                          plan_cache_size=plan_cache_size)
 
+    scan_windows = True
+
     def strategy(self) -> str:
         return "row"
 
@@ -378,7 +384,8 @@ class RowEngine(Engine):
             return [f"{header}interpreted -- {pipeline['fallback']}"]
         return [f"{header}generated pipeline {pipeline['file']}, "
                 f"{' + '.join(pipeline['fused'])} fused over "
-                f"{pipeline['driving'] or 'one empty row'}",
+                f"{pipeline['driving'] or 'one empty row'}"
+                + (f", window {pipeline['window']}" if pipeline["window"] else ""),
                 *(f"  join {side['source']}: {side['join']}"
                   f"{', built per execution' if side['built'] else ''}"
                   for side in pipeline["joins"]),
@@ -435,10 +442,15 @@ class ColumnEngine(Engine):
                                self.options.compile_expressions)
             except Exception:
                 continue
+        # what the scans keep per table version is keyed by the identity of
+        # this plan's predicates: built here, not inside its first execution
+        try:
+            self._executor(plan).warm_scans(plan)
+        except Exception:
+            pass
 
-    def _execute_plan(self, plan: QueryPlan,
-                      trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:
-        executor = ColumnExecutor(
+    def _executor(self, plan: QueryPlan, trace: QueryTrace | None = None) -> ColumnExecutor:
+        return ColumnExecutor(
             self.database,
             predicate_pushdown=self.options.predicate_pushdown,
             hash_joins=self.options.hash_joins,
@@ -450,7 +462,10 @@ class ColumnEngine(Engine):
             plan=plan,
             trace=trace,
         )
-        return executor.execute(plan)
+
+    def _execute_plan(self, plan: QueryPlan,
+                      trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:
+        return self._executor(plan, trace).execute(plan)
 
 
 _ENGINE_KINDS = {

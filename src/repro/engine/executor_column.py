@@ -422,11 +422,11 @@ class ColumnExecutor:
         """
         survivors = scanned = skipped = None
         if pairs and isinstance(item, ast.TableRef):
-            if self.dictionary_encoding:
-                pairs = self._dictionary_pairs(item, frame, pairs)
-            if self.zone_maps:
-                survivors, scanned, skipped = self._zone_survivors(
-                    item, frame, [predicate for _, predicate in pairs])
+            pairs, gate = self._scan_gate(item, frame.layout, pairs)
+            if gate is not None:
+                survivors, scanned, skipped = gate
+                count_metric("scan.chunks_scanned", scanned)
+                count_metric("scan.chunks_skipped", skipped)
         if fanned or survivors is not None:
             zones = self.database.storage(item.name).zone_index()
             ranges = chunk_ranges(zones.chunk_count, survivors,
@@ -468,32 +468,45 @@ class ColumnExecutor:
 
     # -- statistics-driven scan skipping ----------------------------------------
 
-    def _zone_survivors(self, item: ast.TableRef, frame: ColFrame,
-                        predicates: list[ast.Expression]
-                        ) -> tuple[np.ndarray | None, int, int]:
-        """The zone-map gate of a scan: the chunks its predicates cannot refute.
+    def warm_scans(self, plan: QueryPlan) -> None:
+        """Build what the scans of ``plan`` keep per table version -- the
+        dictionary-code kernels and zone-map survivor sets of its push-down
+        predicates (:meth:`_scan_gate`) -- so a fresh plan's first execution
+        finds them.  They are keyed by predicate identity: a text prepared
+        again has new predicates and would build them again."""
+        for block in plan.blocks.values():
+            shape, kernels = self._block_kernels(block)
+            for item, layout, pairs in zip(block.select.from_items, shape.item_layouts,
+                                           kernels.pushdown):
+                if pairs and isinstance(item, ast.TableRef):
+                    self._scan_gate(item, layout, pairs)
 
-        Returns ``(survivors, scanned, skipped)``: the surviving *chunk
-        indexes* (None when no chunk can be skipped) -- a row index is built
-        only once they are split into morsels -- and the chunk counts
-        attributed to the active metrics context (their sum is the table's
-        chunk total).
+    def _scan_gate(self, item: ast.TableRef, layout: Layout, pairs: list
+                   ) -> tuple[list, tuple[np.ndarray | None, int, int] | None]:
+        """What stands before a base-table scan's first predicate: its
+        push-down ``pairs`` with the dictionary-code kernels swapped in, and
+        the zone-map gate ``(survivors, scanned, skipped)`` -- the surviving
+        *chunk indexes* (None when no chunk can be skipped; a row index is
+        built only once they are split into morsels) and the chunk counts,
+        whose sum is the table's chunk total; None with zone maps off.  Both
+        are memoised in storage until the table changes.
         """
-        zone_index = self.database.storage(item.name).zone_index()
+        if self.dictionary_encoding:
+            pairs = self._dictionary_pairs(item, layout, pairs)
+        if not self.zone_maps:
+            return pairs, None
 
         def resolve(ref: ast.ColumnRef) -> tuple[str, str] | None:
-            position = frame.position(ref)
+            position = layout.position(ref)
             if position is None:
                 return None
-            column = frame.columns[position]
+            column = layout.columns[position]
             return column.name, column.type_name
 
-        survivors, scanned, skipped = zone_index.survivors(predicates, resolve)
-        count_metric("scan.chunks_scanned", scanned)
-        count_metric("scan.chunks_skipped", skipped)
-        return survivors, scanned, skipped
+        return pairs, self.database.storage(item.name).zone_index().survivors(
+            [predicate for _, predicate in pairs], resolve)
 
-    def _dictionary_pairs(self, item: ast.TableRef, frame: ColFrame, pairs):
+    def _dictionary_pairs(self, item: ast.TableRef, layout: Layout, pairs):
         """Swap scan predicates over dictionary-encoded columns to code kernels.
 
         Equality / IN / LIKE (and their negations) over a dictionary-encoded
@@ -514,7 +527,7 @@ class ColumnExecutor:
                 hits += 1
             else:
                 misses += 1
-                dictionary_kernel = self._dictionary_kernel(view, frame, predicate)
+                dictionary_kernel = self._dictionary_kernel(view, layout, predicate)
                 cache.put((predicate,), dictionary_kernel)
             swapped.append((dictionary_kernel or kernel, predicate))
         if hits:
@@ -523,7 +536,7 @@ class ColumnExecutor:
             count_metric("scan.dictionary_kernel.misses", misses)
         return swapped
 
-    def _dictionary_kernel(self, view: ColumnarTable, frame: ColFrame,
+    def _dictionary_kernel(self, view: ColumnarTable, layout: Layout,
                            predicate: ast.Expression):
         if isinstance(predicate, ast.Comparison):
             if predicate.operator not in ("=", "<>") or predicate.quantifier is not None:
@@ -536,7 +549,7 @@ class ColumnExecutor:
         positions = set()
         for ref in refs:
             try:
-                position = frame.position(ref)
+                position = layout.position(ref)
             except ExecutionError:
                 return None
             if position is None:
@@ -544,7 +557,7 @@ class ColumnExecutor:
             positions.add(position)
         if len(positions) != 1:
             return None
-        column = frame.columns[positions.pop()]
+        column = layout.columns[positions.pop()]
         codes = view.codes.get(column.name)
         if codes is None:
             return None

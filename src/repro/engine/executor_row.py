@@ -12,8 +12,11 @@ A block runs one of two ways:
   push-down and residual predicates, then grouping with running accumulators
   or the projection.  No joined tuple and no per-group value list is
   materialised.  The executor fetches the inputs per run -- a scanned base
-  table is the storage layer's cached row view, a probed one its key index
-  (:meth:`Database.key_index`), derived tables and explicit JOINs are executed
+  table is the storage layer's cached row view or, where the plan confined the
+  driving scan to a scan window, the rows in that range of one column read
+  through its key order (:meth:`RowExecutor._scan_rows`, which counts
+  ``scan.rows_visited`` / ``scan.window_probes``); a probed one its key index
+  (:meth:`Database.key_index`); derived tables and explicit JOINs are executed
   into row lists -- looks up the columns of enclosing blocks the function
   binds once, lends it an interpreter hook for the subexpressions it could not
   lower (a subquery), and turns its integer counters into the ``join.*``
@@ -24,7 +27,9 @@ A block runs one of two ways:
   too).  Frames are materialised operator by operator -- scan + push-down,
   hash or nested-loop join, residual filter, group / aggregate / HAVING or
   project -- and :mod:`repro.engine.expression` walks every expression per
-  row.  It is the reference the generated code is tested against.
+  row (a windowed driving scan hands it fewer rows; it still evaluates every
+  predicate on them).  It is the reference the generated code is tested
+  against.
 
 DISTINCT, ORDER BY and LIMIT / OFFSET run on the block's output either way;
 correlated subqueries re-execute per outer row, uncorrelated ones once.
@@ -39,7 +44,14 @@ from typing import Any, Sequence
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, order_positions
+from repro.engine.plan import (
+    BlockPlan,
+    JoinStep,
+    Planner,
+    QueryPlan,
+    ScanWindow,
+    order_positions,
+)
 from repro.engine.planner import ColumnInfo
 from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
@@ -83,6 +95,8 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
         "generated": True,
         "file": pipeline.run.__code__.co_filename,
         "driving": sources[0] if sources else None,
+        # the range of one column the driving scan reads instead of the table
+        "window": None if block.window is None else block.window.interval(),
         # "table": the base table (None for a derived one); "built": a hash
         # table (or filtered list) is filled per execution
         "joins": [{"source": source, "join": join(step),
@@ -165,15 +179,20 @@ class RowExecutor:
             return NULL_SPAN
         return trace.span(name, **attributes)
 
-    def _scan_span(self, item: ast.TableExpression, probe: IndexProbe | None = None):
+    def _scan_span(self, item: ast.TableExpression, probe: IndexProbe | None = None,
+                   window: ScanWindow | None = None):
         """The ``scan`` span of one FROM item (the no-op span when not tracing)."""
         if self._trace is None:
             return NULL_SPAN
         if probe is not None:
             attributes = {"access": "index", "index": probe.describe()}
-        elif isinstance(item, ast.TableRef):  # a row-engine scan reads every chunk
+        elif isinstance(item, ast.TableRef):
+            # no zone map refutes a chunk of a row-engine scan: its rows come
+            # from the row view over all of them, a window's through a key order
             attributes = {"chunks_scanned": len(self.database.storage(item.name).chunks),
                           "chunks_skipped": 0}
+            if window is not None:
+                attributes.update(access="window", window=window.interval())
         else:
             attributes = {}
         return self._trace.span("scan", source=scan_source(item), **attributes)
@@ -223,6 +242,28 @@ class RowExecutor:
             block = self._planner.plan_block(select, registry=self._extra_blocks)
         return block
 
+    def _scan_rows(self, item: ast.TableRef, window: ScanWindow | None = None
+                   ) -> list[tuple]:
+        """The rows a scan of base table ``item`` visits, in row order.
+
+        The storage layer's cached row view (read-only) or, for a driving
+        scan the plan confined to a ``window``, the rows whose key lies in its
+        range, found through the column's storage key order -- fetched per
+        run: storage drops both when the table changes.  Generated pipelines
+        and the interpreter both get their base-table rows here, so
+        ``scan.rows_visited`` counts the same thing for either.
+        """
+        if window is None:
+            rows = self.database.rows(item.name)
+        else:
+            # the order first: rows appended in between are beyond its row ids
+            order = self.database.storage(item.name).key_order((window.position,), "scan")
+            table = self.database.rows(item.name)
+            rows = [table[row] for row in order.range_rows(window.low, window.high).tolist()]
+            count_metric("scan.window_probes")
+        count_metric("scan.rows_visited", len(rows))
+        return rows
+
     def _pipeline(self, block: BlockPlan) -> RowPipeline | None:
         """The block's generated pipeline (None = interpret).
 
@@ -267,16 +308,15 @@ class RowExecutor:
         scans: list[list[tuple] | None] = []
         indexes: list[dict | None] = []
         scan_spans = []
-        for item, probe in zip(select.from_items, probes):
-            with self._scan_span(item, probe) as span:
+        for item, probe, window in zip(select.from_items, probes, pipeline.windows):
+            with self._scan_span(item, probe, window) as span:
                 if probe is not None:
                     # fetched per run: storage drops an index when the table changes
                     index = self.database.storage(probe.table).key_index(probe.positions)
                     rows = None
                 else:
-                    # base tables hand out the storage layer's cached row view
                     index = None
-                    rows = self.database.rows(item.name) if isinstance(item, ast.TableRef) \
+                    rows = self._scan_rows(item, window) if isinstance(item, ast.TableRef) \
                         else self._materialise(item, outer).rows
             scans.append(rows)
             indexes.append(index)
@@ -343,9 +383,12 @@ class RowExecutor:
         # single-relation predicates are applied while scanning each input, so
         # each scan span covers materialisation plus push-down filtering.
         frames: list[RowFrame] = []
-        for item in select.from_items:
-            with self._scan_span(item) as span:
-                frame = self._materialise(item, outer)
+        for position, item in enumerate(select.from_items):
+            window = block.window_of(position)
+            with self._scan_span(item, window=window) as span:
+                # a windowed driving scan visits fewer rows; every predicate
+                # is still evaluated on them
+                frame = self._materialise(item, outer, window)
                 rows_in = len(frame.rows)
                 if block.pushdown:
                     frame = self._apply_pushdown(frame, block.pushdown, outer)
@@ -367,14 +410,15 @@ class RowExecutor:
 
     # -- FROM materialisation ----------------------------------------------------
 
-    def _materialise(self, item: ast.TableExpression, outer: "_RowEnv | None") -> RowFrame:
+    def _materialise(self, item: ast.TableExpression, outer: "_RowEnv | None",
+                     window: ScanWindow | None = None) -> RowFrame:
         if isinstance(item, ast.TableRef):
             schema = self.database.catalog.table(item.name)
             columns = [
                 ColumnInfo(binding=item.binding, name=column.name, type_name=column.type_name)
                 for column in schema.columns
             ]
-            return RowFrame(columns=columns, rows=list(self.database.rows(item.name)))
+            return RowFrame(columns=columns, rows=list(self._scan_rows(item, window)))
         if isinstance(item, ast.SubqueryRef):
             names, rows = self._execute_block(item.subquery, outer=outer)
             columns = [

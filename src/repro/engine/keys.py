@@ -54,6 +54,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _CODE_SPACE = 2 ** 62
 #: integers beyond this do not survive the trip through float64.
 _EXACT_FLOAT = 2 ** 53
+_INT64_MAX = 2 ** 63 - 1
 
 
 def hash_codes(items: list, ranked: bool = False) -> tuple[np.ndarray, int]:
@@ -172,6 +173,11 @@ class _Offset:
         # the subtraction may wrap for a value outside [low, high]: not found
         return values - self.low, (values >= self.low) & (values <= self.high)
 
+    def first_code(self, bound: int) -> int:
+        """The code of the smallest value that is no less than ``bound``
+        (``size()`` when there is none): codes keep the values' order."""
+        return min(max(bound - self.low, 0), self.size())
+
     def nbytes(self) -> int:
         return 0
 
@@ -203,6 +209,11 @@ class _Distinct:
             return codes, found
         codes = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
         return codes, distinct[codes] == values
+
+    def first_code(self, bound: int) -> int:
+        if bound > _INT64_MAX:
+            return len(self.values)
+        return int(np.searchsorted(self.values, max(bound, -_INT64_MAX - 1)))
 
     def nbytes(self) -> int:
         return self.values.nbytes
@@ -282,6 +293,21 @@ class KeyOrder:
             + sum(coder.nbytes() + (0 if rerank is None else rerank.nbytes())
                   for coder, rerank in self.steps)
 
+    def range_rows(self, low: int | None, high: int | None) -> np.ndarray:
+        """The rows whose key lies in ``[low, high)``, ascending (None = open
+        on that side), of an order over one column; NULL keys are in no range.
+
+        Their codes are consecutive, so their rows are: one slice of
+        ``order`` between two run starts, sorted back into row order.
+        """
+        (coder, _), = self.steps  # one column: never re-ranked
+        first = 0 if low is None else coder.first_code(low)
+        beyond = coder.size() if high is None else coder.first_code(high)
+        if beyond <= first:
+            return _EMPTY
+        stop = self.run_starts[beyond] if beyond < coder.size() else len(self.order)
+        return np.sort(self.order[self.run_starts[first]:stop])
+
     def codes(self, columns: list) -> tuple[np.ndarray, np.ndarray | None]:
         """``(codes, found)`` of probe-side key columns; ``found`` is None when
         every row has a code, else the code is 0 where it is False."""
@@ -301,10 +327,12 @@ class KeyOrder:
         return np.where(found, combined, 0), found
 
 
-def build_order(columns: list) -> KeyOrder | None:
+def build_order(columns: list, operator: str = "join") -> KeyOrder | None:
     """Sort the rows of a join's build side by its key columns, once.
 
     None when a key column is not of integer kind (see :func:`join_indexes`).
+    The rows count as ``<operator>.kernel_rows``: a scan window's order is
+    not a join's work.
     """
     pairs = [data_of(column) for column in columns]
     if not all(values.dtype.kind in "bi" for values, _ in pairs):
@@ -316,7 +344,7 @@ def build_order(columns: list) -> KeyOrder | None:
         valid = masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
         if not valid.all():
             present = np.flatnonzero(valid)
-    count_metric("join.kernel_rows", rows)
+    count_metric(f"{operator}.kernel_rows", rows)
     steps, combined, space = [], None, 1
     for values, _ in pairs:
         values = values.astype(np.int64, copy=False)

@@ -30,6 +30,7 @@ and so the position of every join key.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -46,7 +47,12 @@ from repro.engine.planner import (
     output_types,
     probes_index,
 )
-from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
+from repro.engine.storage.skipping import (
+    column_intervals,
+    estimate_conjunction,
+    estimate_selectivity,
+)
+from repro.engine.types import ordinal_to_date
 from repro.errors import PlanError
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -55,36 +61,24 @@ from repro.sqlparser.printer import to_sql
 EquiJoin = tuple[ast.ColumnRef, ast.ColumnRef, ast.Expression]
 
 
+#: a quoted literal: ``''`` is an escaped quote, an unterminated one runs to
+#: the end of the text.
+_LITERAL = re.compile(r"('(?:[^']|'')*(?:'|\Z))")
+_BLANKS = re.compile(r"\s+")
+
+
 def normalize_sql(sql: str) -> str:
     """Whitespace-collapsed cache key for a SQL text (case preserved).
 
     Whitespace inside single-quoted string literals is preserved -- two
     queries differing only inside a literal must never share a cache key.
+    Every ``prepare`` of a text pays this, plan-cache hit or not, so it is
+    two regex passes and no loop over characters: cut the text at its
+    literals, collapse each run of blanks between them to one space.
     """
-    parts: list[str] = []
-    index, length = 0, len(sql)
-    while index < length:
-        char = sql[index]
-        if char == "'":
-            # copy the quoted literal verbatim ('' is an escaped quote)
-            end = index + 1
-            while end < length:
-                if sql[end] == "'":
-                    if end + 1 < length and sql[end + 1] == "'":
-                        end += 2
-                        continue
-                    break
-                end += 1
-            parts.append(sql[index:min(end + 1, length)])
-            index = end + 1
-        elif char.isspace():
-            if parts and parts[-1] != " ":
-                parts.append(" ")
-            index += 1
-        else:
-            parts.append(char)
-            index += 1
-    return "".join(parts).strip().rstrip("; ")
+    pieces = _LITERAL.split(sql)  # every other piece is a literal
+    pieces[::2] = [_BLANKS.sub(" ", piece) for piece in pieces[::2]]
+    return "".join(pieces).strip().rstrip("; ")
 
 
 def order_positions(select: ast.Select, output_names: list[str]) -> list[int]:
@@ -144,9 +138,73 @@ class JoinStep:
     estimated_rows: float | None = None
 
 
+@dataclass(frozen=True)
+class ScanWindow:
+    """The range of one int / date column a block's driving scan is confined to.
+
+    The narrowest interval the driving base table's push-down conjuncts put
+    on one column -- comparisons against constants, ``BETWEEN`` and ``=``,
+    intersected (:func:`~repro.engine.storage.skipping.column_intervals`) --
+    as half-open integers ``[low, high)`` on the encoded scale (day ordinals
+    for a date; None = open on that side; ``high <= low`` = no row).  The row
+    engine reads the rows inside it through the column's storage key order,
+    in row order, instead of walking the table, and does not evaluate the
+    conjuncts in ``subsumed``: each is TRUE exactly on the rows in the window.
+    """
+
+    column: str
+    #: of the column in the table's rows.
+    position: int
+    type_name: str
+    low: int | None
+    high: int | None
+    #: the push-down conjuncts the window decides alone.
+    subsumed: tuple[ast.Expression, ...]
+    #: what the statistics said when the block was planned.
+    estimated_rows: float
+    table_rows: int
+
+    #: the cost model's constant: a windowed row costs about 1.5 visits (the
+    #: slice of the order, its sort back into row order, the fetch of the
+    #: tuples), so a window pays up to two thirds of the table -- taken under
+    #: half, for the estimate's error.
+    MAX_TABLE_SHARE = 0.5
+
+    def decides(self, predicate: ast.Expression) -> bool:
+        return any(predicate is subsumed for subsumed in self.subsumed)
+
+    def interval(self) -> str:
+        """``l_shipdate [1994-01-01, 1995-01-01)``: what EXPLAIN and the
+        traced scan span print."""
+        def bound(value: int) -> str:
+            if self.type_name == "date":
+                try:
+                    return ordinal_to_date(value).isoformat()
+                except OverflowError:  # a day no calendar has: print the ordinal
+                    pass
+            return str(value)
+
+        low = "(-inf" if self.low is None else f"[{bound(self.low)}"
+        high = "+inf" if self.high is None else bound(self.high)
+        return f"{self.column} {low}, {high})"
+
+    def describe(self) -> dict:
+        return {"column": self.column, "interval": self.interval(),
+                "estimated_rows": round(self.estimated_rows, 1),
+                "table_rows": self.table_rows, "subsumed": len(self.subsumed)}
+
+
 @dataclass
 class BlockPlan:
-    """The shared analysis of one SELECT block."""
+    """The shared analysis of one SELECT block.
+
+    Beside what both engines execute -- classified predicates, push-down
+    assignment, join order, output names -- it carries one access-path
+    decision, ``window``: the row engine's driving scan reads the rows in the
+    window's range; the column engine runs its first predicate over the whole
+    arrays, which at the sizes measured costs it no more (see the README's
+    "Access paths").
+    """
 
     select: ast.Select
     #: the columns each FROM item contributes, in FROM order.
@@ -175,6 +233,9 @@ class BlockPlan:
     #: the block's own references that an enclosing block resolves: constant
     #: for as long as the block runs once.
     outer_refs: list[ast.ColumnRef] = field(default_factory=list)
+    #: the range of one column the driving scan is confined to (None: the
+    #: block scans its driving table whole; see :meth:`Planner._scan_window`).
+    window: ScanWindow | None = None
 
     @property
     def correlated(self) -> bool:
@@ -186,6 +247,13 @@ class BlockPlan:
         """True when push-down predicates apply to the FROM item at ``frame_index``."""
         return any(self.pushdown.get(column.binding.lower())
                    for column in self.item_columns[frame_index])
+
+    def window_of(self, frame_index: int) -> ScanWindow | None:
+        """The scan window the scan of the FROM item at ``frame_index`` is
+        confined to: the block's, for the item its join order drives from."""
+        if self.window is not None and self.join_order[0].frame_index == frame_index:
+            return self.window
+        return None
 
     def join_names(self) -> list[str]:
         """The join order by the names the FROM items go by."""
@@ -217,6 +285,7 @@ class BlockPlan:
             "join_order": self.join_names(),
             "estimated_rows": self.estimated_rows(),
             "pushdown": {binding: len(preds) for binding, preds in self.pushdown.items()},
+            "window": None if self.window is None else self.window.describe(),
             "equi_joins": len(self.classified.equi_joins),
             "residual": len(self.residual),
             "output": list(self.output_names),
@@ -366,6 +435,7 @@ class Planner:
             join_order=join_order,
             output_names=output_names,
             needs_aggregation=needs_aggregation,
+            window=self._scan_window(select.from_items, join_order, pushdown),
         )
         blocks[id(select)] = block
 
@@ -411,6 +481,42 @@ class Planner:
             return predicates
         return sorted(predicates,
                       key=lambda predicate: estimate_selectivity(predicate, statistics))
+
+    def _scan_window(self, items: list[ast.TableExpression], join_order: list[JoinStep],
+                     pushdown: dict[str, list[ast.Expression]]) -> ScanWindow | None:
+        """The block's scan window: the narrowest interval the driving table's
+        push-down conjuncts put on one of its int / date columns, if any.
+
+        Taken when the statistics say it holds under half the table's rows
+        (:attr:`ScanWindow.MAX_TABLE_SHARE`) -- a fact of the plan, not an
+        option; of several columns' the fewest estimated rows win, ties to
+        column order.  None without push-down, statistics or a base table to
+        drive from.  The join order was costed with the driving table read
+        whole and stays as it is: the column engine shares it and reads no
+        window.
+        """
+        if not join_order or not isinstance(items[join_order[0].frame_index], ast.TableRef):
+            return None
+        item = items[join_order[0].frame_index]
+        predicates = pushdown.get(item.binding.lower())
+        statistics = self.catalog.table_statistics(item.name)
+        if not predicates or statistics is None or not statistics.row_count:
+            return None
+        schema = self.catalog.table(item.name)
+        candidates = []
+        for interval in column_intervals(predicates, statistics)[0]:
+            window = interval.window()
+            if window is not None:
+                estimated = statistics.row_count * interval.fraction(statistics)
+                candidates.append((estimated, schema.column_index(interval.column.name),
+                                   window, interval))
+        if not candidates:
+            return None
+        estimated, position, (low, high), interval = min(candidates, key=lambda found: found[:2])
+        if estimated >= statistics.row_count * ScanWindow.MAX_TABLE_SHARE:
+            return None
+        return ScanWindow(interval.column.name, position, interval.column.type_name, low, high,
+                          tuple(interval.decided), estimated, statistics.row_count)
 
     def _block_expressions(self, select: ast.Select) -> list[ast.Expression]:
         expressions: list[ast.Expression] = []

@@ -15,7 +15,10 @@ Two consumers sit on top of the chunk zone maps:
   selectivity in ``[0, 1]`` so the most selective predicate refines the
   selection vector first; :func:`estimate_conjunction` scores a whole scan's
   conjuncts together -- the filtered cardinality the join order is costed
-  from.
+  from.  Underneath, :func:`column_intervals` intersects the range conjuncts
+  over each column into one interval: the estimate reads its share of the
+  column's span, and the planner takes the narrowest int / date one as the
+  block's scan window (``BlockPlan.window``).
 
 Both work in the encoded value domain (dates as day ordinals), matching the
 zone maps and column statistics.
@@ -23,6 +26,8 @@ zone maps and column statistics.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
@@ -33,7 +38,7 @@ from repro.obs.metrics import count as count_metric
 from repro.sqlparser import ast
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.storage.stats import TableStatistics
+    from repro.engine.storage.stats import ColumnStatistics, TableStatistics
     from repro.engine.storage.table import StorageTable
 
 #: sentinel for "no usable constant on this side".
@@ -434,9 +439,8 @@ def estimate_conjunction(predicates: Iterable[ast.Expression],
                          statistics: "TableStatistics") -> float:
     """Estimated fraction of rows that pass every one of ``predicates``.
 
-    The range conjuncts over one column -- ``<`` / ``<=`` / ``>`` / ``>=``
-    against a constant and ``BETWEEN``, at any depth of ``AND`` -- are
-    intersected into a single interval and estimated once: ``d >= a and d <
+    The range conjuncts over one column are intersected into a single
+    interval (:func:`column_intervals`) and estimated once: ``d >= a and d <
     b`` is the window ``[a, b)``, not two independent half-ranges whose
     product overstates a one-month window twenty-fold.  Everything else
     multiplies in as :func:`estimate_selectivity` scores it.
@@ -448,36 +452,117 @@ def estimate_conjunction(predicates: Iterable[ast.Expression],
 
 
 def _estimate_conjunction(predicates, statistics) -> float:
+    intervals, others = column_intervals(predicates, statistics)
     selectivity = 1.0
-    #: per range-constrained column: its statistics and the interval so far.
-    intervals: dict[str, list] = {}
-    for predicate in predicates:
-        for node in ast.conjuncts(predicate):
-            bounds = _range_bounds(node, statistics)
-            if bounds is None:
-                selectivity *= _estimate(node, statistics)
-                continue
-            column, low, high = bounds
-            interval = intervals.setdefault(column.name.lower(), [column, None, None])
-            if low is not None and (interval[1] is None or low > interval[1]):
-                interval[1] = low
-            if high is not None and (interval[2] is None or high < interval[2]):
-                interval[2] = high
-    for column, low, high in intervals.values():
-        # a range is TRUE on non-NULL rows only: once per column, not per bound
-        selectivity *= _non_null_fraction(column, statistics) \
-            * _range_fraction(column, low, high)
+    for node in others:
+        selectivity *= _estimate(node, statistics)
+    for interval in intervals:
+        selectivity *= interval.fraction(statistics)
     return selectivity
 
 
-def _range_bounds(node: ast.Expression, statistics):
-    """``(column statistics, low, high)`` of a range conjunct over one column
-    against constants (None = open on that side); None for any other shape."""
+#: the column types whose values are integers on the encoded scale: an
+#: interval over one is exact, inclusive and exclusive ends told apart, and
+#: takes the column's equalities in -- the scan windows the planner hands the
+#: row engine (``BlockPlan.window``) are intervals over these.
+_INTEGER_TYPES = ("int", "date")
+
+
+@dataclass
+class ColumnInterval:
+    """What the range conjuncts over one column, intersected, leave of it.
+
+    ``low`` / ``high`` are constants on the column's encoded scale (None =
+    open on that side), ``*_open`` says the end itself is excluded.  The
+    estimate reads the bounds as points of a continuum; over an int / date
+    column :meth:`window` rounds them to the half-open integer interval that
+    holds exactly the values every one of the conjuncts accepts.
+    """
+
+    column: "ColumnStatistics"
+    low: "int | float | None" = None
+    high: "int | float | None" = None
+    low_open: bool = False
+    high_open: bool = False
+    #: the predicates, as handed in, that consist of this column's range
+    #: conjuncts alone: TRUE exactly on the non-NULL values inside the interval.
+    decided: list[ast.Expression] = field(default_factory=list)
+
+    def narrow(self, other: "ColumnInterval") -> None:
+        """Intersect with another interval over the same column."""
+        if other.low is not None and (
+                self.low is None or (other.low, other.low_open) > (self.low, self.low_open)):
+            self.low, self.low_open = other.low, other.low_open
+        if other.high is not None and (
+                self.high is None
+                or (other.high, not other.high_open) < (self.high, not self.high_open)):
+            self.high, self.high_open = other.high, other.high_open
+
+    def window(self) -> "tuple[int | None, int | None] | None":
+        """``(low, high)`` of the half-open integer interval ``[low, high)``
+        (None = open on that side); None for a column that is not int / date."""
+        if self.column.type_name not in _INTEGER_TYPES:
+            return None
+        low, high = self.low, self.high
+        if low is not None:  # the first integer inside
+            low = math.floor(low) + 1 if self.low_open else math.ceil(low)
+        if high is not None:  # the first integer beyond
+            high = math.ceil(high) if self.high_open else math.floor(high) + 1
+        return low, high
+
+    def fraction(self, statistics: "TableStatistics") -> float:
+        """Estimated fraction of the table's rows inside the interval: its
+        share of the column's [min, max] span -- an integer window one value
+        wide keeps what an equality does, ``1 / NDV`` -- on the non-NULL rows:
+        a range is TRUE on those only, once per column, not once per bound."""
+        window = self.window()
+        if window is not None and None not in window and window[1] - window[0] == 1:
+            fraction = 1.0 / max(self.column.distinct_estimate, 1)
+        else:
+            fraction = _range_fraction(self.column, self.low, self.high)
+        return _non_null_fraction(self.column, statistics) * fraction
+
+
+def column_intervals(predicates: Iterable[ast.Expression], statistics: "TableStatistics"
+                     ) -> tuple[list[ColumnInterval], list[ast.Expression]]:
+    """The intervals a conjunction puts on single columns, and what is left.
+
+    The range conjuncts -- ``<`` / ``<=`` / ``>`` / ``>=`` against a constant
+    on either side, non-negated ``BETWEEN``, and over an int / date column
+    ``=`` -- at any depth of ``AND`` are intersected per column, in the order
+    the columns are first met; every other conjunct comes back as it is.  The
+    one walk over these shapes: the selectivity estimate multiplies the
+    intervals' fractions, the planner's scan window is the narrowest of them.
+    """
+    intervals: dict[str, ColumnInterval] = {}
+    others: list[ast.Expression] = []
+    for predicate in predicates:
+        touched = set()
+        for node in ast.conjuncts(predicate):
+            found = _conjunct_interval(node, statistics)
+            if found is None:
+                others.append(node)
+                touched.add(None)
+                continue
+            name = found.column.name.lower()
+            if name in intervals:
+                intervals[name].narrow(found)
+            else:
+                intervals[name] = found
+            touched.add(name)
+        if len(touched) == 1 and None not in touched:
+            intervals[touched.pop()].decided.append(predicate)
+    return list(intervals.values()), others
+
+
+def _conjunct_interval(node: ast.Expression, statistics) -> ColumnInterval | None:
+    """The interval of one range conjunct over a column against constants;
+    None for any other shape."""
     if isinstance(node, ast.Between) and not node.negated:
         column = _stats_column(node.operand, statistics)
         low = _numeric_constant(node.low, column)
         high = _numeric_constant(node.high, column)
-        return None if low is None or high is None else (column, low, high)
+        return None if low is None or high is None else ColumnInterval(column, low, high)
     if not isinstance(node, ast.Comparison) or node.quantifier is not None:
         return None
     column, operator, constant_node = _stats_column(node.left, statistics), \
@@ -485,12 +570,16 @@ def _range_bounds(node: ast.Expression, statistics):
     if column is None:
         column, operator, constant_node = _stats_column(node.right, statistics), \
             _FLIPPED.get(node.operator), node.left
-    if operator not in ("<", "<=", ">", ">="):
-        return None
     constant = _numeric_constant(constant_node, column)
     if constant is None:
         return None
-    return (column, None, constant) if operator in ("<", "<=") else (column, constant, None)
+    if operator in ("<", "<="):
+        return ColumnInterval(column, high=constant, high_open=operator == "<")
+    if operator in (">", ">="):
+        return ColumnInterval(column, low=constant, low_open=operator == ">")
+    if operator == "=" and column.type_name in _INTEGER_TYPES:
+        return ColumnInterval(column, constant, constant)
+    return None
 
 
 def _estimate(node: ast.Expression, statistics: "TableStatistics") -> float:
@@ -502,18 +591,18 @@ def _estimate(node: ast.Expression, statistics: "TableStatistics") -> float:
         # Kleene NOT keeps the FALSE fraction; UNKNOWN rows pass neither
         # the predicate nor its negation, so 1 - estimate is conservative.
         return max(0.0, 1.0 - _estimate(node.operand, statistics))
+    interval = _conjunct_interval(node, statistics)
+    if interval is not None:
+        return interval.fraction(statistics)
     if isinstance(node, ast.Comparison):
         return _estimate_comparison(node, statistics)
-    if isinstance(node, ast.Between):
-        column = _stats_column(node.operand, statistics)
-        low = _numeric_constant(node.low, column)
-        high = _numeric_constant(node.high, column)
-        if column is None or low is None or high is None:
+    if isinstance(node, ast.Between):  # negated, or a bound that is no constant
+        interval = _conjunct_interval(ast.Between(node.operand, node.low, node.high),
+                                      statistics)
+        if interval is None:
             return _DEFAULT_SELECTIVITY
-        fraction = _range_fraction(column, low, high)
-        if node.negated:
-            fraction = 1.0 - fraction
-        return fraction * _non_null_fraction(column, statistics)
+        return _non_null_fraction(interval.column, statistics) \
+            * (1.0 - _range_fraction(interval.column, interval.low, interval.high))
     if isinstance(node, ast.InList):
         column = _stats_column(node.operand, statistics)
         if column is None or not column.distinct_estimate:
@@ -556,10 +645,7 @@ def _estimate_comparison(node: ast.Comparison, statistics) -> float:
         return _DEFAULT_SELECTIVITY
     if node.operator == "<>":
         return non_null * (1.0 - 1.0 / max(column.distinct_estimate, 1))
-    bounds = _range_bounds(node, statistics)
-    if bounds is None:
-        return _DEFAULT_SELECTIVITY
-    return non_null * _range_fraction(*bounds)
+    return _DEFAULT_SELECTIVITY  # a range against what is no constant
 
 
 def _stats_column(node: ast.Expression, statistics):
@@ -576,25 +662,27 @@ def _non_null_fraction(column, statistics) -> float:
     return max(0.0, 1.0 - column.null_count / statistics.row_count)
 
 
-def _numeric_constant(node: ast.Expression, column) -> float | None:
-    """Constant of ``node`` on a numeric/date column's encoded scale."""
+def _numeric_constant(node: ast.Expression, column) -> int | float | None:
+    """Constant of ``node`` on a numeric/date column's encoded scale, exactly:
+    a day ordinal for a date column (against a date literal, an ISO string or
+    ``date +/- interval``, nothing else compares with a date), the literal's
+    own int or finite float for a numeric one."""
     if column is None or column.type_name == "str":
         return None
-    if isinstance(node, ast.DateLiteral):
-        return float(date_to_ordinal(node.value)) if column.type_name == "date" else None
-    if isinstance(node, ast.Literal):
-        value = node.value
-        if column.type_name == "date" and isinstance(value, str):
+    if column.type_name == "date":
+        if isinstance(node, ast.DateLiteral):
+            return date_to_ordinal(node.value)
+        if isinstance(node, ast.Literal) and isinstance(node.value, str):
             try:
-                return float(date_to_ordinal(value))
+                return date_to_ordinal(node.value)
             except Exception:
                 return None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    if column.type_name == "date":
-        folded = _fold_date_interval(node)
-        if folded is not None:
-            return float(folded)
+        return _fold_date_interval(node)
+    if isinstance(node, ast.Literal):
+        value = node.value
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and math.isfinite(value):
+            return value
     return None
 
 

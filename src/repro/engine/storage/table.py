@@ -6,7 +6,7 @@ appended rows are sealed into fixed-size chunks (default 4096 rows) of typed
 -- the row executor's row tuples, the column executor's whole-column arrays,
 the dictionary code vectors, the zone-map index, the table statistics, the
 key indexes the row engine's joins probe and the key orders the column
-engine's do -- is derived (and cached) from those segments.  Mutations bump
+engine's joins and the row engine's scan windows do -- is derived (and cached) from those segments.  Mutations bump
 ``version`` and drop the caches, so stale views can never leak across inserts
 or re-creates.
 """
@@ -171,7 +171,8 @@ class StorageTable:
         with self._lock:
             return dict(self._key_indexes)
 
-    def key_order(self, positions: tuple[int, ...]) -> "KeyOrder | None":
+    def key_order(self, positions: tuple[int, ...],
+                  operator: str = "join") -> "KeyOrder | None":
         """The rows sorted by their key in the columns at ``positions``.
 
         The column engine's counterpart of :meth:`key_index`: one
@@ -179,6 +180,12 @@ class StorageTable:
         built on first use and dropped by the next mutation.  None (cached
         as well) when a key column is not of integer kind -- floats and
         strings are coded jointly with the probe side, per execution.
+
+        An order over one column is its value order too, which a row-engine
+        scan window reads a range of (``KeyOrder.range_rows``): the same
+        registry, whoever asks first builds it -- and names the ``operator``
+        the build counts under (``<operator>.order_builds`` /
+        ``.kernel_rows``), so ``join.order_builds`` stays the joins' own.
         """
         from repro.engine.keys import build_order
 
@@ -186,9 +193,9 @@ class StorageTable:
             if positions not in self._key_orders:
                 names = [self.schema.columns[position].name for position in positions]
                 order = self._key_orders[positions] = build_order(
-                    [self.column_array(name) for name in names])
+                    [self.column_array(name) for name in names], operator)
                 if order is not None:
-                    count_metric("join.order_builds")
+                    count_metric(f"{operator}.order_builds")
             return self._key_orders[positions]
 
     def key_orders(self) -> dict[tuple[int, ...], "KeyOrder"]:

@@ -216,15 +216,17 @@ def format_trace(trace: QueryTrace) -> list[str]:
     return lines
 
 
-def format_plan(plan, engine: str = "") -> list[str]:
+def format_plan(plan, engine: str = "", windows: bool = False) -> list[str]:
     """Render a prepared :class:`QueryPlan` as a logical operator tree.
 
     Works off the plan's own structures (duck-typed, so :mod:`repro.obs`
     stays free of engine imports): the nesting is Limit / OrderBy /
     Distinct / Aggregate-or-Project over Filter over Join over Scans, with
-    derived tables recursing into their sub-blocks.
+    derived tables recursing into their sub-blocks.  With ``windows`` -- for
+    an engine that reads them -- a driving scan the plan confined to a scan
+    window names it, with the rows the planner expects in it.
     """
-    tree = _plan_node(plan, plan.select)
+    tree = _plan_node(plan, plan.select, windows)
     header = _header(engine, plan.sql or "")
     lines = [header] if header else []
     lines.extend(_draw_tree(lambda node: node["label"],
@@ -232,14 +234,18 @@ def format_plan(plan, engine: str = "") -> list[str]:
     return lines
 
 
-def _plan_node(plan, select) -> dict:
+def _plan_node(plan, select, windows: bool = False) -> dict:
     block = plan.block(select)
     described = block.describe() if block is not None else {}
     pushdown = described.get("pushdown", {})
+    # the scan window of the item the join order drives from
+    window = described.get("window") if windows else None
+    driving = block.join_order[0].frame_index if window else None
 
     scans: list[dict] = []
-    for item in select.from_items:
-        scans.append(_from_item_node(plan, item, pushdown))
+    for index, item in enumerate(select.from_items):
+        scans.append(_from_item_node(plan, item, pushdown, windows,
+                                     window if index == driving else None))
 
     if len(scans) > 1:
         # the order by binding name; where the planner costed it, the rows it
@@ -273,7 +279,12 @@ def _plan_node(plan, select) -> dict:
     return node
 
 
-def _from_item_node(plan, item, pushdown: dict) -> dict:
+def _thousands(number: float) -> str:
+    return f"{round(number):,}".replace(",", " ")
+
+
+def _from_item_node(plan, item, pushdown: dict, windows: bool = False,
+                    window: dict | None = None) -> dict:
     name = getattr(item, "name", None)
     if name is not None:  # TableRef
         binding = getattr(item, "binding", name)
@@ -281,18 +292,29 @@ def _from_item_node(plan, item, pushdown: dict) -> dict:
         if binding and binding.lower() != name.lower():
             label += f" as {binding}"
         predicates = pushdown.get(binding.lower() if binding else name.lower(), 0)
-        if predicates:
+        if window:
+            # Scan lineitem (window l_shipdate [1994-01-01, 1995-01-01), est.
+            # 3 328 of 24 062 rows; pushdown: 2 more predicates)
+            label += (f" (window {window['interval']}, "
+                      f"est. {_thousands(window['estimated_rows'])} of "
+                      f"{_thousands(window['table_rows'])} rows")
+            predicates -= window["subsumed"]
+            if predicates:
+                label += (f"; pushdown: {predicates} more "
+                          f"predicate{'s' if predicates != 1 else ''}")
+            label += ")"
+        elif predicates:
             label += f" (pushdown: {predicates} predicate{'s' if predicates != 1 else ''})"
         return {"label": label, "children": []}
     subquery = getattr(item, "subquery", None)
     if subquery is not None:  # SubqueryRef
         alias = getattr(item, "alias", "?")
         return {"label": f"Derived {alias}",
-                "children": [_plan_node(plan, subquery)]}
+                "children": [_plan_node(plan, subquery, windows)]}
     left = getattr(item, "left", None)
     if left is not None:  # explicit Join item
         kind = getattr(item, "kind", "inner")
         return {"label": f"{kind.title()}Join",
-                "children": [_from_item_node(plan, item.left, pushdown),
-                             _from_item_node(plan, item.right, pushdown)]}
+                "children": [_from_item_node(plan, item.left, pushdown, windows),
+                             _from_item_node(plan, item.right, pushdown, windows)]}
     return {"label": type(item).__name__, "children": []}

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import datetime
+import re
+import sqlite3
+
 import pytest
 
 from repro.core import parse_grammar
@@ -65,3 +69,46 @@ def normalise(rows, digits: int = 2):
             round(value, digits) if isinstance(value, float) else value for value in row
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# an outside voter: the same tables in stdlib sqlite3
+# ---------------------------------------------------------------------------
+
+_SQLITE_TYPES = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "date": "TEXT",
+                 "bool": "INTEGER"}
+
+
+def sqlite_mirror(database: Database, tables: list[str] | None = None) -> sqlite3.Connection:
+    """``tables`` of ``database`` (all of them by default) loaded into an
+    in-memory SQLite, rows in storage order, dates as ISO text.
+
+    The engines are tested against each other everywhere else; this is the
+    voter that shares no code with them.  It speaks the subset of the dialect
+    both understand -- Kleene logic, comparisons, ``BETWEEN``, ``IN``,
+    ``LIKE``, the five aggregates, ``LIMIT`` in scan order -- through
+    :func:`sqlite_rows`, which rewrites the date literals.
+    """
+    connection = sqlite3.connect(":memory:")
+    for name in tables or database.table_names():
+        columns = database.catalog.table(name).columns
+        connection.execute(f"create table {name} (" + ", ".join(
+            f"{column.name} {_SQLITE_TYPES[column.type_name]}" for column in columns) + ")")
+        connection.executemany(
+            f"insert into {name} values ({', '.join('?' * len(columns))})",
+            [tuple(value.isoformat() if isinstance(value, datetime.date) else value
+                   for value in row) for row in database.rows(name)])
+    return connection
+
+
+def sqlite_rows(connection: sqlite3.Connection, sql: str) -> list[tuple]:
+    """What SQLite answers to ``sql``, written in this repo's dialect:
+    ``date '2020-03-01'`` becomes ``'2020-03-01'`` (ISO text orders as dates do)."""
+    return connection.execute(
+        re.sub(r"\bdate\s+'", "'", sql, flags=re.IGNORECASE)).fetchall()
+
+
+def comparable(rows) -> list[tuple]:
+    """Engine rows as SQLite would hand them back: dates as ISO text."""
+    return [tuple(value.isoformat() if isinstance(value, datetime.date) else value
+                  for value in row) for row in rows]

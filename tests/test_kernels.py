@@ -339,6 +339,43 @@ class TestKernelCompilation:
         second = plan.kernels(block, ("row",), compile_row_block)
         assert first is second
 
+    def test_prepare_leaves_no_compile_work_to_the_first_execution(self, monkeypatch):
+        """``measure_query`` times executions of a prepared plan: the column
+        engine's dictionary-code kernels (a ``compile()`` and a walk over the
+        dictionary per string predicate) and zone-map survivor sets are keyed
+        by the identity of the plan's predicates, so a fresh plan has to build
+        them -- in ``prepare``, not inside its first timed repetition."""
+        import builtins
+
+        database = Database("tpch-prepare")
+        populate_tpch(database, scale_factor=0.001)
+        engine = ColumnEngine(database)
+        texts = [QUERIES[number] for number in (3, 5, 6, 7, 8, 9, 10, 12, 14)]
+        compiled: list[str] = []
+        real_compile = builtins.compile
+
+        def spy(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        for round_ in range(2):  # a text prepared again has new predicates
+            engine.clear_plan_cache()
+            built = 0
+            for sql in texts:
+                plan = engine.prepare(sql)
+                built += len(database.storage("lineitem").scan_kernel_cache)
+                monkeypatch.setattr(builtins, "compile", spy)
+                first = engine.execute(plan)
+                monkeypatch.setattr(builtins, "compile", real_compile)
+                assert first.metrics.get("scan.dictionary_kernel.misses") == 0, sql
+                assert first.metrics.get("scan.zone_memo.misses") == 0, sql
+            assert compiled == []
+            assert built  # there were kernels to build, and prepare built them
+        # a mutation after prepare drops them; the next execution rebuilds, as before
+        plan = engine.prepare(QUERIES[3])  # c_mktsegment = 'BUILDING'
+        database.insert_rows("customer", [database.rows("customer")[0]])
+        assert engine.execute(plan).metrics.get("scan.dictionary_kernel.misses") == 1
+
     def test_row_kernel_matches_interpreter(self):
         layout = Layout([ColumnInfo("t", "a", "int"), ColumnInfo("t", "b", "float")])
         expression = ast.BinaryOp(

@@ -1,6 +1,8 @@
 """Tests for the logical-plan IR, the planner and the engine plan cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     ColumnEngine,
@@ -288,6 +290,51 @@ class TestPlanCache:
         assert spaced is not single  # literals differ: must not share a plan
         assert normalize_sql("select '' || 'x  y'") == "select '' || 'x  y'"
         assert normalize_sql("select 'it''s  ok'  from t") == "select 'it''s  ok' from t"
+
+    @staticmethod
+    def _normalize_by_character(sql: str) -> str:
+        """The loop ``normalize_sql`` was before it became two regex passes:
+        the reference the property below holds it to."""
+        parts: list[str] = []
+        index, length = 0, len(sql)
+        while index < length:
+            char = sql[index]
+            if char == "'":
+                # copy the quoted literal verbatim ('' is an escaped quote)
+                end = index + 1
+                while end < length:
+                    if sql[end] == "'":
+                        if end + 1 < length and sql[end + 1] == "'":
+                            end += 2
+                            continue
+                        break
+                    end += 1
+                parts.append(sql[index:min(end + 1, length)])
+                index = end + 1
+            elif char.isspace():
+                if parts and parts[-1] != " ":
+                    parts.append(" ")
+                index += 1
+            else:
+                parts.append(char)
+                index += 1
+        return "".join(parts).strip().rstrip("; ")
+
+    def test_normalisation_equals_the_per_character_loop_on_tpch(self):
+        for number, sql in QUERIES.items():
+            assert normalize_sql(sql) == self._normalize_by_character(sql), number
+            padded = f"\n  {sql} ;\n; "
+            assert normalize_sql(padded) == self._normalize_by_character(padded) \
+                == normalize_sql(sql), number
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["select", "x", "'", "''", " ", "  ", "\n", "\t", ";", "; ", "'a  b'", "'it''s'",
+         "=", "\r\n", "'\n'", "' ;'"]), max_size=14).map("".join))
+    def test_normalisation_equals_the_per_character_loop(self, sql):
+        """Generated texts: blanks and newlines inside and outside literals,
+        ``''`` escapes, unterminated quotes, leading / trailing blanks and ``;``."""
+        assert normalize_sql(sql) == self._normalize_by_character(sql)
 
     def test_eviction_lru(self, small_db):
         engine = RowEngine(small_db, plan_cache_size=2)
