@@ -74,7 +74,9 @@ def experiment_history(pool: QueryPool, system: str) -> ExperimentHistory:
 
     for entry in pool.entries():
         elapsed = entry.best_time(system)
-        error = entry.has_error(system)
+        failures = [observation for observation in entry.observations
+                    if observation.failed and observation.system == system]
+        error = bool(failures)
         if error:
             color = ERROR_COLOR
         elif entry.origin in Strategy.names():
@@ -86,6 +88,12 @@ def experiment_history(pool: QueryPool, system: str) -> ExperimentHistory:
             "observations": len(entry.observations),
             "systems": sorted(entry.observed_systems()),
         }
+        if error:
+            # why the node is yellow: the last failure on this system and its
+            # kind (refused by the engine -- ``syntax`` / ``plan`` -- or an
+            # ``execution`` fault), as the platform kept it on the result.
+            details["error"] = failures[-1].error
+            details["error_kind"] = failures[-1].metadata.get("error_kind")
         history.nodes.append(HistoryNode(
             sequence=entry.sequence,
             sql=entry.sql,

@@ -128,7 +128,7 @@ class TaskTimeline:
             detail = " ".join(
                 f"{key}={value}"
                 for key, value in sorted((span.get("attributes") or {}).items())
-                if key in ("attempt", "outcome", "error", "rows", "dedup",
+                if key in ("attempt", "outcome", "reason", "error", "rows", "dedup",
                            "operation", "endpoint", "status"))
             line = (f"{'  ' * (depth + 1)}{span['name']:<18} "
                     f"+{span['start'] - origin:8.3f}s {width:8.1f}ms")

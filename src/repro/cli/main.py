@@ -344,6 +344,7 @@ def _store_snapshot(path: str) -> dict:
     """Queue counts computed offline from a platform store file."""
     import time
 
+    from repro.errors import VERDICT_KINDS
     from repro.platform.store import Store
 
     store = Store(path)
@@ -356,7 +357,14 @@ def _store_snapshot(path: str) -> dict:
         if task.status == "running" and task.assigned_at is not None:
             age = now - task.assigned_at
             oldest_lease = age if oldest_lease is None else max(oldest_lease, age)
-    counters["results.stored"] = len(store.results())
+    results = store.results()
+    counters["results.stored"] = len(results)
+    # leases that ended in an error, and how many of those the engine refused
+    # (dead-lettered on that lease; the others were retried or spent the budget)
+    counters["results.failed"] = sum(record.failed for record in results)
+    counters["tasks.refused"] = sum(
+        record.failed and record.extras.get("error_kind") in VERDICT_KINDS
+        for record in results)
     if oldest_lease is not None:
         gauges["queue.oldest_lease_seconds"] = oldest_lease
     return {"counters": counters, "gauges": gauges, "histograms": {}, "derived": {}}

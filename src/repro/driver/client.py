@@ -40,7 +40,7 @@ from repro.obs import (
     new_span_id,
     new_trace_id,
 )
-from repro.platform.models import Experiment, Task
+from repro.platform.models import Experiment, new_submission
 from repro.platform.service import PlatformService
 
 #: HTTP statuses worth retrying: the platform is overloaded or restarting,
@@ -92,7 +92,8 @@ class PlatformClient(Protocol):
     def submit_result(self, task_id: int, times: list[float], error: str | None,
                       load_averages: dict, extras: dict,
                       idempotency_key: str | None = None,
-                      attempt: int | None = None) -> dict | None: ...
+                      attempt: int | None = None,
+                      error_kind: str | None = None) -> dict | None: ...
 
     def submit_results(self, results: list[dict]) -> list[dict | None]: ...
 
@@ -201,16 +202,11 @@ class HTTPClient:
     def submit_result(self, task_id: int, times: list[float], error: str | None,
                       load_averages: dict, extras: dict,
                       idempotency_key: str | None = None,
-                      attempt: int | None = None) -> dict | None:
-        payload = {
-            "task": task_id,
-            "times": times,
-            "error": error,
-            "load_averages": load_averages,
-            "extras": extras,
-            "idempotency_key": idempotency_key,
-            "attempt": attempt,
-        }
+                      attempt: int | None = None,
+                      error_kind: str | None = None) -> dict | None:
+        payload = new_submission(task_id, times, error, error_kind=error_kind,
+                             load_averages=load_averages, extras=extras,
+                             idempotency_key=idempotency_key, attempt=attempt)
         response = self._request("POST", "/api/result", payload)
         return response.get("result")
 
@@ -250,14 +246,11 @@ class InProcessClient:
     def submit_result(self, task_id: int, times: list[float], error: str | None,
                       load_averages: dict, extras: dict,
                       idempotency_key: str | None = None,
-                      attempt: int | None = None) -> dict | None:
-        task: Task = self.service.store.task(task_id)
-        result = self.service.submit_result(self._contributor(), task, times=times,
-                                            error=error, load_averages=load_averages,
-                                            extras=extras,
-                                            idempotency_key=idempotency_key,
-                                            attempt=attempt)
-        return result.to_dict() if result is not None else None
+                      attempt: int | None = None,
+                      error_kind: str | None = None) -> dict | None:
+        return self.submit_results([new_submission(
+            task_id, times, error, error_kind=error_kind, load_averages=load_averages,
+            extras=extras, idempotency_key=idempotency_key, attempt=attempt)])[0]
 
     def submit_results(self, results: list[dict]) -> list[dict | None]:
         records = self.service.submit_results(self._contributor(), list(results))

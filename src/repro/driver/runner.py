@@ -30,7 +30,7 @@ from repro.driver.client import PlatformClient, RetryPolicy
 from repro.driver.config import DriverConfig
 from repro.engine.engine import Engine
 from repro.engine.plan import QueryPlan
-from repro.errors import TransportError
+from repro.errors import TransportError, error_kind
 from repro.obs import (
     NULL_LOGGER,
     JsonLogger,
@@ -43,6 +43,7 @@ from repro.obs import (
     use_context,
     write_span_log,
 )
+from repro.platform.models import new_submission
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
 
@@ -63,6 +64,9 @@ class RunOutcome:
     sql: str
     times: list[float] = field(default_factory=list)
     error: str | None = None
+    #: :func:`repro.errors.error_kind` of the exception behind ``error`` (None
+    #: on success): whether the engine refused the text or an execution failed.
+    error_kind: str | None = None
     rows: int = 0
     load_before: dict = field(default_factory=dict)
     load_after: dict = field(default_factory=dict)
@@ -82,7 +86,7 @@ class RunOutcome:
 
 def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
                   repeats: int = 5, timeout: float | None = None,
-                  trace: bool = False) -> RunOutcome:
+                  trace: bool = False, refusal: Exception | None = None) -> RunOutcome:
     """Run ``query`` ``repeats`` times on ``engine`` and collect execution times.
 
     The query is prepared (parsed, planned and compiled) exactly once; every
@@ -97,6 +101,13 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
 
     Errors are captured, not raised: a failing query is a first-class outcome
     in SQALPEL (it shows up as a yellow node in the experiment history).
+    ``error`` is the formatted exception and ``error_kind`` says which failure
+    it was (:func:`repro.errors.error_kind`): ``syntax`` / ``plan`` when
+    ``prepare`` refused the text -- the engine's verdict, the same on every
+    lease -- and ``execution`` for anything an execution raised.  A caller
+    that already prepared the text and was refused passes the exception as
+    ``refusal``; it is recorded as the outcome and the text is not lexed,
+    parsed and planned a second time to fail again.
 
     Timeout semantics: the budget is checked after each repetition, so one
     over-budget repetition is still *recorded* but flagged
@@ -117,11 +128,18 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
         sql = to_sql(query)
     outcome = RunOutcome(sql=sql, load_before=read_load_averages())
 
-    plan: QueryPlan | None = None
-    try:
-        plan = engine.prepare(query)
-    except Exception as exc:
+    def failed(exc: Exception) -> None:
         outcome.error = f"{type(exc).__name__}: {exc}"
+        outcome.error_kind = error_kind(exc)
+
+    plan: QueryPlan | None = None
+    if refusal is not None:
+        failed(refusal)
+    else:
+        try:
+            plan = engine.prepare(query)
+        except Exception as exc:
+            failed(exc)
 
     profile: dict | None = None
     if plan is not None:
@@ -135,7 +153,7 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
                 else:
                     result = engine.execute(plan)
             except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
+                failed(exc)
                 break
             outcome.times.append(result.elapsed)
             outcome.rows = len(result.rows)
@@ -191,6 +209,9 @@ class ExperimentDriver:
                 profile["trace_id"] = trace_id
         load = {"before": outcome.load_before, "after": outcome.load_after}
         submit_context = SpanContext(trace_id, new_span_id()) if trace_id else None
+        # the kind rides beside the error only: a client that knows no kinds
+        # (an older transport, a test double) still delivers every success.
+        kind = {} if outcome.error is None else {"error_kind": outcome.error_kind}
         with use_context(submit_context):
             return self.client.submit_result(
                 task_id=task["id"],
@@ -200,6 +221,7 @@ class ExperimentDriver:
                 extras=outcome.extras,
                 idempotency_key=uuid.uuid4().hex,
                 attempt=task.get("attempts"),
+                **kind,
             )
 
     def run_all(self, experiment_id: int, max_tasks: int | None = None) -> int:
@@ -317,26 +339,27 @@ class BatchRunner:
         if not tasks:
             return 0
 
-        plans: dict[str, QueryPlan | None] = {}
+        # per distinct text its plan, or the exception ``prepare`` refused it
+        # with: measure_query records that as the failed outcome of every
+        # task holding the text, without preparing it again.
+        plans: dict[str, QueryPlan] = {}
+        refusals: dict[str, Exception] = {}
         for task in tasks:
             sql = task["query_sql"]
-            if sql not in plans:
+            if sql not in plans and sql not in refusals:
                 try:
                     plans[sql] = self.engine.prepare(sql)
-                except Exception:
-                    # leave the error to measure_query, which records it as a
-                    # first-class failed outcome for this task.
-                    plans[sql] = None
+                except Exception as exc:
+                    refusals[sql] = exc
 
         def run(task: dict) -> RunOutcome:
             sql = task["query_sql"]
-            prepared = plans.get(sql)
             started = time.time()
-            outcome = measure_query(self.engine,
-                                    prepared if prepared is not None else sql,
+            outcome = measure_query(self.engine, plans.get(sql, sql),
                                     repeats=self.config.repeats,
                                     timeout=self.config.timeout,
-                                    trace=self.spans is not None)
+                                    trace=self.spans is not None,
+                                    refusal=refusals.get(sql))
             if self.spans is not None and task.get("trace_id"):
                 execute_span = self.spans.record(
                     "driver.execute", task["trace_id"],
@@ -380,20 +403,18 @@ class BatchRunner:
                 outcome.extras["spans"] = self.spans.spans(trace_id)
 
         submissions = [
-            {
-                "task": task["id"],
-                "times": outcome.times,
-                "error": outcome.error,
-                "load_averages": {"before": outcome.load_before,
-                                  "after": outcome.load_after},
-                "extras": outcome.extras,
+            new_submission(
+                task["id"], outcome.times, outcome.error,
+                error_kind=outcome.error_kind,
+                load_averages={"before": outcome.load_before,
+                               "after": outcome.load_after},
+                extras=outcome.extras,
                 # one key per task *execution*, minted before the first
                 # submission attempt and reused across retries.
-                "idempotency_key": uuid.uuid4().hex,
+                idempotency_key=uuid.uuid4().hex,
                 # echo the lease's attempt number so the platform can fence
                 # out this submission if the lease was reassigned meanwhile.
-                "attempt": task.get("attempts"),
-            }
+                attempt=task.get("attempts"))
             for task, outcome in zip(tasks, outcomes)
         ]
         self._submit(submissions)

@@ -22,7 +22,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.engine.compile import column_kernels, column_shape, row_pipeline
 from repro.engine.database import Database
-from repro.engine.executor_column import ColumnExecutor, describe_column_pipeline
+from repro.engine.executor_column import (
+    ColumnExecutor,
+    describe_column_pipeline,
+    require_from_items,
+)
 from repro.engine.executor_row import RowExecutor, describe_pipeline
 from repro.engine.plan import PlanCache, Planner, QueryPlan, normalize_sql
 from repro.engine.result import QueryResult
@@ -157,6 +161,15 @@ class Engine:
 
         Passing an already-prepared plan returns it unchanged, so callers can
         uniformly write ``engine.execute(engine.prepare(sql))`` loops.
+
+        This is the engine's verdict on the text: whatever it would refuse
+        without reading a row -- a text that does not parse
+        (:class:`~repro.errors.SQLError`), a table the catalog does not hold
+        (:class:`~repro.errors.CatalogError`), a sort key outside the select
+        list, a FROM item or join kind no executor runs
+        (:class:`~repro.errors.PlanError`) -- is raised here.  A refused text is
+        never cached and never reaches :meth:`execute`, which can only fail on
+        the data (:func:`repro.errors.error_kind` ``"execution"``).
         """
         return self._prepare_profiled(query, {}, None)
 
@@ -352,7 +365,9 @@ class Engine:
 
         Compilation is best-effort: what the compiler cannot lower stays on
         the interpreter, and no compile failure may break a query that
-        interprets fine.
+        interprets fine.  The one thing it may raise is the backend's own
+        refusal of a text the shared planner accepts (a
+        :class:`~repro.errors.PlanError`, as :meth:`prepare` documents).
         """
         raise NotImplementedError
 
@@ -436,6 +451,7 @@ class ColumnEngine(Engine):
                 *(f"  join {side['source']}: {side['join']}" for side in pipeline["joins"])]
 
     def _precompile(self, plan: QueryPlan) -> None:
+        require_from_items(plan.select)
         for block in plan.blocks.values():
             try:
                 column_kernels(plan, block, self.options.overflow_guard,

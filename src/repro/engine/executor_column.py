@@ -79,7 +79,7 @@ from repro.engine.keys import (
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, truth_mask
 from repro.engine.parallel import chunk_ranges, run_tasks
-from repro.engine.plan import BlockPlan, Planner, QueryPlan, order_positions
+from repro.engine.plan import BlockPlan, Planner, QueryPlan
 from repro.engine.planner import ColumnInfo
 from repro.obs import NULL_SPAN, QueryTrace, Span
 from repro.obs.metrics import count as count_metric
@@ -113,6 +113,23 @@ class _FallbackRowEnv:
 
     def run_subquery(self, select: ast.Select) -> list[tuple]:
         return self.executor.run_subquery(select, outer_env=self)
+
+
+def require_from_items(select: ast.Select) -> None:
+    """Refuse the one planned text this backend does not run: a block without
+    FROM items as the root or as a derived table under it
+    (:meth:`ColumnExecutor._execute_block`; a FROM-less subquery inside an
+    expression falls back to the row executor, which runs one).
+    ``ColumnEngine.prepare`` asks, so the refusal is not left to ``execute``."""
+    if not select.from_items:
+        raise PlanError("a query block needs at least one FROM item")
+    pending = list(select.from_items)
+    while pending:
+        item = pending.pop()
+        if isinstance(item, ast.Join):
+            pending += [item.left, item.right]
+        elif isinstance(item, ast.SubqueryRef):
+            require_from_items(item.subquery)
 
 
 def describe_column_pipeline(block: BlockPlan, shape: ColumnBlockShape) -> dict:
@@ -206,8 +223,7 @@ class ColumnExecutor:
             select = query
         self._uncorrelated_cache = {}
         self._vector_subquery_failed = set()
-        # a sort key outside the select list fails here, before any scan
-        positions = order_positions(select, self._block(select).output_names)
+        positions = self._block(select).order_positions
         frame, names = self._execute_block(select)
         index = None
         if positions:

@@ -44,14 +44,7 @@ from typing import Any, Sequence
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
-from repro.engine.plan import (
-    BlockPlan,
-    JoinStep,
-    Planner,
-    QueryPlan,
-    ScanWindow,
-    order_positions,
-)
+from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, ScanWindow
 from repro.engine.planner import ColumnInfo
 from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
@@ -281,8 +274,7 @@ class RowExecutor:
     def _execute_block(self, select: ast.Select, outer: "_RowEnv | None"
                        ) -> tuple[list[str], list[tuple]]:
         block = self._block(select)
-        # a sort key outside the select list fails here, before any scan
-        positions = order_positions(select, block.output_names)
+        positions = block.order_positions
         pipeline = self._pipeline(block)
         if pipeline is None:
             count_metric("row.pipeline.interpreted_blocks")

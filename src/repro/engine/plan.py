@@ -60,6 +60,9 @@ from repro.sqlparser.printer import to_sql
 #: Equi-join conjunct as classified from the WHERE clause.
 EquiJoin = tuple[ast.ColumnRef, ast.ColumnRef, ast.Expression]
 
+#: the kinds of explicit JOIN the executors run (the parser also reads FULL).
+JOIN_KINDS = ("inner", "cross", "left", "right")
+
 
 #: a quoted literal: ``''`` is an escaped quote, an unterminated one runs to
 #: the end of the text.
@@ -85,9 +88,10 @@ def order_positions(select: ast.Select, output_names: list[str]) -> list[int]:
     """Output-column position of every ORDER BY item of ``select``.
 
     An item names an output column, gives its 1-based position, or repeats
-    a select-list expression.  Both executors resolve the items before
-    they scan anything, so a sort key that is not part of the select list
-    costs a :class:`PlanError` and no rows.
+    a select-list expression.  The planner resolves the items of every block
+    once (:attr:`BlockPlan.order_positions`; the executors only read them), so
+    a sort key that is not part of the select list is refused by ``prepare``
+    with a :class:`PlanError`: the text never reaches ``execute``, on any block.
     """
     lowered = [name.lower() for name in output_names]
     positions: list[int] = []
@@ -199,7 +203,8 @@ class BlockPlan:
     """The shared analysis of one SELECT block.
 
     Beside what both engines execute -- classified predicates, push-down
-    assignment, join order, output names -- it carries one access-path
+    assignment, join order, output names, the output position of every ORDER
+    BY item -- it carries one access-path
     decision, ``window``: the row engine's driving scan reads the rows in the
     window's range; the column engine runs its first predicate over the whole
     arrays, which at the sizes measured costs it no more (see the README's
@@ -226,6 +231,9 @@ class BlockPlan:
     output_names: list[str]
     #: True when the block needs the grouping/aggregation path.
     needs_aggregation: bool
+    #: per ORDER BY item, the position of its output column (see
+    #: :func:`order_positions`); empty when the block does not sort.
+    order_positions: list[int]
     #: the column references of the block, nested blocks included, that no
     #: block from the referencing one up to this one resolves (ORDER BY items
     #: name output columns and are not among them).
@@ -435,6 +443,7 @@ class Planner:
             join_order=join_order,
             output_names=output_names,
             needs_aggregation=needs_aggregation,
+            order_positions=order_positions(select, output_names),
             window=self._scan_window(select.from_items, join_order, pushdown),
         )
         blocks[id(select)] = block
@@ -552,6 +561,8 @@ class Planner:
                                            output_types(item.subquery, inner.columns))
             ]
         if isinstance(item, ast.Join):
+            if item.kind not in JOIN_KINDS:
+                raise PlanError(f"unsupported join kind '{item.kind}'")
             left = self._item_columns(item.left, outer_scope, blocks)
             right = self._item_columns(item.right, outer_scope, blocks)
             combined = left + right

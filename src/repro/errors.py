@@ -114,6 +114,27 @@ class ExecutionError(EngineError):
     """A runtime failure while executing a query (type errors, overflow, ...)."""
 
 
+#: the error kinds that are the engine's verdict on the query *text*: it
+#: would refuse the text again on any lease, so the platform dead-letters the
+#: task at once.  Every other kind is a fault of one execution and is retried.
+VERDICT_KINDS = frozenset({"syntax", "plan"})
+
+
+def error_kind(error: BaseException) -> str:
+    """The kind a driver reports a failed measurement under.
+
+    ``"syntax"`` (the text did not lex or parse) and ``"plan"`` (it names
+    what the catalog does not hold, or cannot be planned) are
+    :data:`VERDICT_KINDS`; ``"execution"`` is everything else, exceptions
+    from outside this hierarchy included.
+    """
+    if isinstance(error, SQLError):
+        return "syntax"
+    if isinstance(error, (PlanError, CatalogError)):
+        return "plan"
+    return "execution"
+
+
 # ---------------------------------------------------------------------------
 # Platform errors
 # ---------------------------------------------------------------------------

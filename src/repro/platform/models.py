@@ -8,6 +8,7 @@ code.  Identifiers are integers assigned by the store.
 from __future__ import annotations
 
 import enum
+import inspect
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -24,9 +25,12 @@ class TaskStatus(str, enum.Enum):
 
     A task moves ``pending -> running`` when a contributor claims a lease on
     it, and from ``running`` either to ``done`` (a successful result arrived),
-    back to ``pending`` (the result was an error, or the lease expired, and
-    the retry budget is not exhausted), or to the terminal ``failed`` state
-    once ``max_attempts`` leases have been burned.  ``failed`` doubles as the
+    back to ``pending`` (an execution failed, or the lease expired, and the
+    retry budget is not exhausted), or to the terminal ``failed`` state: once
+    ``max_attempts`` leases have been burned, or at once -- on its first lease,
+    whatever the budget -- when the engine refused the query text (an error
+    of a kind in :data:`repro.errors.VERDICT_KINDS`: the next lease would be
+    refused the same way).  ``failed`` doubles as the
     dead-letter queue -- :data:`DEAD_LETTER` is an alias for it -- so operators
     find every task that needs human attention under one status.  ``killed``
     is the owner-initiated terminal state.  ``expired`` is retained for
@@ -162,7 +166,9 @@ class Experiment:
     timeout_seconds: float = 60.0
     #: retry budget copied onto every task at enqueue time: how many leases a
     #: task may burn (execution errors or expired leases) before it is
-    #: dead-lettered instead of re-queued.
+    #: dead-lettered instead of re-queued.  A query text the engine refuses
+    #: (a ``syntax`` / ``plan`` error) is dead-lettered on its first lease and
+    #: burns none of it.
     max_attempts: int = 3
     created_at: float = field(default_factory=time.time)
     id: int | None = None
@@ -204,8 +210,8 @@ class Task:
     attempts: int = 0
     #: retry budget (copied from the experiment at enqueue time).
     max_attempts: int = 3
-    #: the most recent failure (execution error or lease-expiry note);
-    #: preserved on the dead-lettered task for post-mortems.
+    #: the most recent failure (the engine's refusal, an execution error or
+    #: a lease-expiry note); preserved on the dead-lettered task for post-mortems.
     last_error: str | None = None
     #: the W3C trace id this task's whole journey is recorded under -- minted
     #: once (at enqueue, or lazily at first claim for tasks inserted directly
@@ -273,6 +279,40 @@ class ResultRecord:
     @classmethod
     def from_dict(cls, payload: dict) -> "ResultRecord":
         return cls(**payload)
+
+
+def new_submission(task, times=(), error: str | None = None,
+                   error_kind: str | None = None, load_averages: dict | None = None,
+                   extras: dict | None = None, idempotency_key: str | None = None,
+                   attempt: int | None = None) -> dict:
+    """One entry of ``PlatformService.submit_results``: the measurements (or
+    the error) of ``task`` (a :class:`Task` or its id) under lease ``attempt``.
+
+    ``error_kind`` (:func:`repro.errors.error_kind`) rides beside ``error``
+    only: a successful submission has no such key, and one from a driver that
+    knows no kinds is an ``execution`` error to the platform.
+    """
+    entry = {"task": task, "times": list(times or ()), "error": error,
+             "load_averages": load_averages or {}, "extras": extras or {},
+             "idempotency_key": idempotency_key, "attempt": attempt}
+    if error is not None and error_kind is not None:
+        entry["error_kind"] = error_kind
+    return entry
+
+
+#: what one result submission may carry: the parameters of
+#: :func:`new_submission`.  The driver builds it there, both transports and
+#: both endpoints hand it on through it, ``PlatformService.submit_results``
+#: reads it -- so a field added to that signature reaches the service over
+#: every path, and a key it does not name over none.
+SUBMISSION_FIELDS = tuple(inspect.signature(new_submission).parameters)
+
+
+def submission_from_wire(payload: dict) -> dict:
+    """The :func:`new_submission` a JSON request body (or batch entry) describes:
+    its known fields, the task as an id."""
+    fields = {name: payload[name] for name in SUBMISSION_FIELDS if name in payload}
+    return new_submission(**{**fields, "task": int(payload["task"])})
 
 
 @dataclass

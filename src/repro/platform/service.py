@@ -46,7 +46,13 @@ from typing import Callable
 
 from repro.core import parse_grammar, serialize_grammar, validate
 from repro.core.templates import DEFAULT_TEMPLATE_LIMIT
-from repro.errors import AccessDenied, ConflictError, NotFound, ValidationError
+from repro.errors import (
+    VERDICT_KINDS,
+    AccessDenied,
+    ConflictError,
+    NotFound,
+    ValidationError,
+)
 from repro.platform.models import (
     Comment,
     DBMSEntry,
@@ -58,6 +64,7 @@ from repro.platform.models import (
     TaskStatus,
     User,
     Visibility,
+    new_submission,
 )
 from repro.obs import (
     NULL_LOGGER,
@@ -465,7 +472,7 @@ class PlatformService:
                              task=task.id, trace_id=task.trace_id,
                              attempt=task.attempts, reason="lease_expired")
             if dead:
-                self._record_flight(task, "dead_letter", now)
+                self._record_flight(task, "dead_letter", now, "lease_expired")
         oldest_lease = self.store.oldest_lease(experiment.id)
         self.metrics.gauge("queue.depth").set(
             self.store.count_tasks(experiment.id, TaskStatus.PENDING.value))
@@ -478,8 +485,10 @@ class PlatformService:
             self.metrics.counter("tasks.dead_lettered").inc(dead_lettered)
         return swept
 
-    def _record_flight(self, task: Task, outcome: str, now: float) -> None:
-        """Offer a terminal task to the flight recorder (with its spans).
+    def _record_flight(self, task: Task, outcome: str, now: float,
+                       reason: str | None = None) -> None:
+        """Offer a terminal task to the flight recorder (with its spans and,
+        for a dead letter, the ``reason`` its log event carries).
 
         Slowness is measured over the final attempt's *processing* time
         (lease grant to terminal outcome), not the task's queue age: a
@@ -497,7 +506,7 @@ class PlatformService:
             task_id=task.id, trace_id=task.trace_id, outcome=outcome,
             duration=duration,
             spans=self.spans.spans(task.trace_id),
-            attempts=task.attempts, last_error=task.last_error,
+            attempts=task.attempts, last_error=task.last_error, reason=reason,
             query_key=task.query_key, dbms=task.dbms_label)
 
     def queue_status(self, experiment: Experiment) -> dict[str, int]:
@@ -510,25 +519,22 @@ class PlatformService:
                       error: str | None = None, load_averages: dict | None = None,
                       extras: dict | None = None,
                       idempotency_key: str | None = None,
-                      attempt: int | None = None) -> ResultRecord | None:
+                      attempt: int | None = None,
+                      error_kind: str | None = None) -> ResultRecord | None:
         """Record the outcome of a task run by ``contributor``."""
-        return self.submit_results(contributor, [{
-            "task": task,
-            "times": times,
-            "error": error,
-            "load_averages": load_averages,
-            "extras": extras,
-            "idempotency_key": idempotency_key,
-            "attempt": attempt,
-        }])[0]
+        return self.submit_results(contributor, [new_submission(
+            task, times, error, error_kind=error_kind, load_averages=load_averages,
+            extras=extras, idempotency_key=idempotency_key, attempt=attempt)])[0]
 
     def submit_results(self, contributor: User,
                        submissions: list[dict]) -> list[ResultRecord | None]:
         """Record a batch of task outcomes in one transaction, exactly once.
 
-        Each submission is a dict with keys ``task`` (a :class:`Task` or its
-        id), ``times``, and optional ``error`` / ``load_averages`` /
-        ``extras`` / ``idempotency_key`` / ``attempt``.  The whole batch is
+        Each submission is a dict of :data:`~repro.platform.models.SUBMISSION_FIELDS`
+        (build it with :func:`~repro.platform.models.new_submission`): ``task`` (a
+        :class:`Task` or its id), ``times``, and optional ``error`` /
+        ``error_kind`` / ``load_averages`` / ``extras`` / ``idempotency_key`` /
+        ``attempt``.  The whole batch is
         one store transaction: its tasks are loaded in one read, every
         submission is fenced against that stored state, and all fresh writes
         commit together -- an invalid submission rejects the batch without
@@ -550,7 +556,17 @@ class PlatformService:
         * a fresh *successful* submission completes the task; a fresh *error*
           submission returns the task to the pending pool (``tasks.retried``)
           until its retry budget is exhausted, then dead-letters it
-          (``tasks.dead_lettered``).
+          (``tasks.dead_lettered``),
+        * unless the error is the engine's verdict on the text: an
+          ``error_kind`` among :data:`repro.errors.VERDICT_KINDS` (``syntax``,
+          ``plan`` -- ``prepare`` refused the query) dead-letters the task on
+          the lease it was measured under, ``attempts`` left where it is
+          (``tasks.dead_lettered`` and ``tasks.refused``): another lease would
+          be refused the same way.  A submission without a kind, or with one
+          this platform does not know, is an ``execution`` error and keeps the
+          budget rule, so a driver for another DBMS loses nothing.  The kind
+          is kept on the failed result (``extras["error_kind"]``), nowhere
+          else.
         """
         prepared: list[dict] = []
         for submission in submissions:
@@ -571,7 +587,7 @@ class PlatformService:
         span_buffer: list[dict] = []
         ingest_buffer: list[dict] = []
         log_buffer: list[tuple[str, str, dict]] = []
-        flight_buffer: list[tuple[Task, str]] = []
+        flight_buffer: list[tuple[Task, str, str | None]] = []
         batch_started = self._clock()
 
         with self.store.transaction("submit"):
@@ -625,6 +641,12 @@ class PlatformService:
                     }))
                     continue
                 error = submission.get("error")
+                extras = submission.get("extras") or {}
+                refused = False
+                if error is not None:
+                    kind = submission.get("error_kind")
+                    refused = kind in VERDICT_KINDS
+                    extras = {**extras, "error_kind": kind if refused else "execution"}
                 record = ResultRecord(
                     task_id=current.id,
                     experiment_id=current.experiment_id,
@@ -635,20 +657,24 @@ class PlatformService:
                     times=submission["times"],
                     error=error,
                     load_averages=submission.get("load_averages") or {},
-                    extras=submission.get("extras") or {},
+                    extras=extras,
                     idempotency_key=key,
                 )
                 if current.trace_id is None:
                     current.trace_id = new_trace_id()
+                reason = None
                 if error is None:
                     current.status = TaskStatus.DONE.value
                     outcome = "done"
-                elif current.attempts >= current.max_attempts:
+                elif refused or current.attempts >= current.max_attempts:
                     current.status = TaskStatus.DEAD_LETTER.value
                     current.last_error = error
                     counters["tasks.dead_lettered"] = \
                         counters.get("tasks.dead_lettered", 0) + 1
+                    if refused:
+                        counters["tasks.refused"] = counters.get("tasks.refused", 0) + 1
                     outcome = "dead_letter"
+                    reason = "refused" if refused else "budget_exhausted"
                 else:
                     current.status = TaskStatus.PENDING.value
                     current.assigned_to = None
@@ -681,7 +707,7 @@ class PlatformService:
                     "task": current.id, "attempt": current.attempts,
                     "outcome": outcome, "dedup": False,
                     "rows": (profile or {}).get("rows"),
-                    "error": error,
+                    "error": error, "reason": reason,
                 })
                 log_buffer.append(("info", "result.accepted", {
                     "task": current.id, "trace_id": current.trace_id,
@@ -697,10 +723,11 @@ class PlatformService:
                 elif outcome == "dead_letter":
                     log_buffer.append(("error", "task.dead_lettered", {
                         "task": current.id, "trace_id": current.trace_id,
-                        "attempt": current.attempts, "error": error,
+                        "attempt": current.attempts, "reason": reason,
+                        "error": error,
                     }))
                 if outcome in ("done", "dead_letter"):
-                    flight_buffer.append((current, outcome))
+                    flight_buffer.append((current, outcome, reason))
                 records.append(record)
                 inserts.append(record)
                 task_updates[current.id] = current
@@ -756,8 +783,8 @@ class PlatformService:
                          **{key: value for key, value in fields.items()
                             if value is not None})
         now = self._clock()
-        for task, outcome in flight_buffer:
-            self._record_flight(task, outcome, now)
+        for task, outcome, reason in flight_buffer:
+            self._record_flight(task, outcome, now, reason)
         for name, amount in counters.items():
             self.metrics.counter(name).inc(amount)
         timings = self.metrics.histogram("results.best_seconds")

@@ -47,6 +47,7 @@ from repro.obs import (
     parse_traceparent,
     use_context,
 )
+from repro.platform.models import submission_from_wire
 from repro.platform.service import PlatformService
 
 #: endpoints with their own latency histogram; anything else shares one
@@ -195,19 +196,8 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
 
     if path == "/api/results/batch" and method == "POST":
         contributor = service.authenticate(key)
-        submissions = [
-            {
-                "task": int(entry["task"]),
-                "times": list(entry.get("times", [])),
-                "error": entry.get("error"),
-                "load_averages": entry.get("load_averages") or {},
-                "extras": entry.get("extras") or {},
-                "idempotency_key": entry.get("idempotency_key"),
-                "attempt": entry.get("attempt"),
-            }
-            for entry in body.get("results", [])
-        ]
-        records = service.submit_results(contributor, submissions)
+        records = service.submit_results(
+            contributor, [submission_from_wire(entry) for entry in body.get("results", [])])
         # a ``null`` entry acknowledges a stale submission that was
         # deliberately dropped; the client must not resubmit it.
         return "200 OK", {"results": [
@@ -216,17 +206,7 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
 
     if path == "/api/result" and method == "POST":
         contributor = service.authenticate(key)
-        task = service.store.task(int(body["task"]))
-        result = service.submit_result(
-            contributor,
-            task,
-            times=list(body.get("times", [])),
-            error=body.get("error"),
-            load_averages=body.get("load_averages") or {},
-            extras=body.get("extras") or {},
-            idempotency_key=body.get("idempotency_key"),
-            attempt=body.get("attempt"),
-        )
+        result = service.submit_results(contributor, [submission_from_wire(body)])[0]
         return "200 OK", {"result": result.to_dict() if result is not None else None}
 
     if path == "/api/results" and method == "GET":

@@ -198,10 +198,13 @@ class QueryPool:
         observations: list[Observation] = []
         for entry in entries if entries is not None else self.entries():
             outcome = measure_query(engine, entry.sql, repeats=repeats, timeout=timeout)
+            # a failure's kind sits where the platform keeps it on a result
+            metadata = outcome.extras if outcome.error is None \
+                else {**outcome.extras, "error_kind": outcome.error_kind}
             observations.append(
                 self.record(entry, engine.label, outcome.best or 0.0,
                             error=outcome.error, repeats=outcome.times,
-                            metadata=outcome.extras)
+                            metadata=metadata)
             )
         return observations
 

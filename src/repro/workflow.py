@@ -127,6 +127,8 @@ class DemoSummary:
             lines.append(
                 f"queue metrics    : {counters.get('tasks.enqueued', 0)} enqueued, "
                 f"{counters.get('tasks.dispatched', 0)} dispatched, "
+                f"{counters.get('tasks.retried', 0)} retried, "
+                f"{counters.get('tasks.refused', 0)} refused, "
                 f"retry_rate={derived.get('tasks.retry_rate', 0.0):.1%}"
             )
         if self.timelines:

@@ -262,3 +262,124 @@ class TestMeasureQuery:
         outcome = measure_query(engine, "selectt broken", repeats=3)
         assert outcome.failed and outcome.times == []
         assert outcome.extras["engine"] == engine.label
+
+    @pytest.mark.parametrize("sql, error, kind", [
+        ("selectt broken", "SQLSyntaxError", "syntax"),
+        ("select id from t order by price + 1", "PlanError", "plan"),
+        ("select id from nowhere", "CatalogError", "plan"),
+        ("select nothing from t", "ExecutionError", "execution"),
+        ("select id from t", None, None),
+    ])
+    def test_error_kind_names_the_failure(self, tiny_db, sql, error, kind):
+        """``syntax`` / ``plan``: ``prepare`` refused the text (no execution
+        was tried); ``execution``: a repetition failed; None: nothing did."""
+        for engine in (RowEngine(tiny_db), ColumnEngine(tiny_db)):
+            outcome = measure_query(engine, sql, repeats=2)
+            assert outcome.error_kind == kind
+            assert (outcome.error or "").split(":")[0] == (error or "")
+            assert "error_kind" not in outcome.extras
+
+    def test_error_kind_of_engines_that_know_nothing_of_it(self):
+        """The kind is read off the exception, wherever it was raised: a
+        foreign exception is an ``execution`` fault, and an engine that only
+        finds a ``PlanError`` while executing still reports a ``plan`` error."""
+        from repro.errors import PlanError
+
+        flaky = measure_query(_StubEngine([(0.01, 7), RuntimeError("flaky")]), "select 1")
+        assert (flaky.error_kind, flaky.times) == ("execution", [0.01])
+        late = measure_query(_StubEngine([PlanError("found late")]), "select 1")
+        assert (late.error_kind, late.error) == ("plan", "PlanError: found late")
+        timed_out = measure_query(_StubEngine([(5.0, 3)]), "select 1", timeout=1.0)
+        assert timed_out.timed_out and timed_out.error_kind is None
+
+    def test_a_refusal_handed_in_is_not_prepared_again(self, tiny_db):
+        engine = RowEngine(tiny_db)
+        sql = "select id from t order by price + 1"
+        with pytest.raises(Exception) as refused:
+            engine.prepare(sql)
+        misses = engine.cache_stats()["misses"]
+        outcome = measure_query(engine, sql, refusal=refused.value)
+        assert outcome.error == f"PlanError: {refused.value}"
+        assert outcome.error_kind == "plan" and outcome.times == []
+        assert engine.cache_stats()["misses"] == misses
+
+
+class TestRefusedTexts:
+    """A text ``prepare`` refuses costs the batch one prepare and the
+    platform one lease."""
+
+    REFUSED = "select id from t order by price + 1"
+    GOOD = "select id from t order by id"
+
+    def _publish(self, platform, texts):
+        from repro.platform.models import Task
+
+        service, _owner, _contributor, experiment, engine = platform
+        for task in service.store.tasks(experiment.id):
+            service.store.delete("tasks", task.id)
+        service.store.insert_many("tasks", [
+            Task(experiment_id=experiment.id, query_sql=sql, query_key=f"k{index}",
+                 dbms_label=engine.label, host_name=f"host{index}")
+            for index, sql in enumerate(texts)])
+
+    def test_a_batch_prepares_a_refused_text_once(self, platform, monkeypatch):
+        """One refused text on two tasks and one good text: two distinct
+        texts, two parses, two plan-cache misses -- the refusal reaches
+        ``measure_query`` as the exception, not as SQL to fail on again."""
+        from repro.engine import engine as engine_module
+
+        service, _owner, contributor, experiment, engine = platform
+        self._publish(platform, [self.REFUSED, self.GOOD, self.REFUSED])
+        parsed = []
+        original = engine_module.parse_select
+        monkeypatch.setattr(engine_module, "parse_select",
+                            lambda sql: parsed.append(sql) or original(sql))
+        runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
+                             engine=engine, config=_config(contributor, engine))
+        assert runner.run_batch(experiment.id) == 3
+        assert sorted(parsed) == sorted([self.REFUSED, self.GOOD])
+        stats = engine.cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (2, 0, 1)
+        records = service.store.results(experiment.id)
+        assert [record.error for record in records] == [
+            "PlanError: ORDER BY expression 'price + 1' is not part of the select list",
+            None, records[0].error]
+
+    def test_the_one_task_driver_sends_the_kind_with_errors_only(self, platform):
+        """``ExperimentDriver`` reports the kind like the batch runner does --
+        and passes no ``error_kind`` at all with a success, so a transport
+        double that predates the keyword still delivers those."""
+        from repro.driver import ExperimentDriver
+
+        service, _owner, contributor, experiment, engine = platform
+        self._publish(platform, [self.GOOD, self.REFUSED])
+        sent = []
+
+        class Recording(InProcessClient):
+            def submit_result(self, task_id, **fields):
+                sent.append(fields)
+                return super().submit_result(task_id, **fields)
+
+        driver = ExperimentDriver(Recording(service, contributor.contributor_key),
+                                  engine, _config(contributor, engine))
+        assert driver.run_all(experiment.id) == 2
+        assert "error_kind" not in sent[0] and sent[1]["error_kind"] == "plan"
+        assert [(task.status, task.attempts) for task in service.store.tasks(experiment.id)] \
+            == [("done", 1), ("failed", 1)]
+
+    def test_a_refused_task_takes_one_lease(self, platform):
+        service, _owner, contributor, experiment, engine = platform
+        self._publish(platform, [self.REFUSED, self.GOOD, "selectt broken"])
+        runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
+                             engine=engine, config=_config(contributor, engine))
+        assert runner.run_all(experiment.id) == 3  # no task came back for more
+        tasks = service.store.tasks(experiment.id)
+        assert [(task.status, task.attempts) for task in tasks] \
+            == [("failed", 1), ("done", 1), ("failed", 1)]
+        records = service.store.results(experiment.id)
+        assert [record.extras.get("error_kind") for record in records] \
+            == ["plan", None, "syntax"]
+        counters = service.metrics.snapshot()["counters"]
+        assert (counters["tasks.dispatched"], counters["tasks.refused"],
+                counters["tasks.dead_lettered"]) == (3, 2, 2)
+        assert "tasks.retried" not in counters

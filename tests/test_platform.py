@@ -167,6 +167,62 @@ class TestQueueAndResults:
         again = service.next_tasks(contributor, experiment, limit=len(tasks) + 1)
         assert task.id not in {entry.id for entry in again}
 
+    @pytest.mark.parametrize("kind", ["syntax", "plan"])
+    def test_refused_text_dead_letters_on_its_first_lease(self, populated, kind):
+        """The engine's verdict on the text is terminal on attempt 1 of 3: the
+        next lease would be refused the same way, so none is spent on it."""
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        task = service.next_task(contributor, experiment)
+        record = service.submit_result(
+            contributor, task, times=[], error="PlanError: no", error_kind=kind,
+            idempotency_key="refusal", attempt=task.attempts)
+        assert (task.status, task.attempts, task.max_attempts) == ("failed", 1, 3)
+        assert task.last_error == "PlanError: no"
+        assert record.extras["error_kind"] == kind
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["tasks.dead_lettered"] == counters["tasks.refused"] == 1
+        assert "tasks.retried" not in counters
+        # terminal: never handed out again, and a replay of the accepted key
+        # returns the record without reviving the task.
+        again = service.next_tasks(contributor, experiment, limit=len(tasks) + 1)
+        assert task.id not in {entry.id for entry in again}
+        replayed = service.submit_result(
+            contributor, task, times=[0.1], idempotency_key="refusal", attempt=1)
+        assert replayed.id == record.id and replayed.error == "PlanError: no"
+        assert service.store.task(task.id).status == "failed"
+
+    @pytest.mark.parametrize("kind", [None, "execution", "cosmic-ray"])
+    def test_other_errors_keep_the_retry_budget(self, populated, kind):
+        """No kind (an older driver, another DBMS's), ``execution`` and a kind
+        this platform does not know all retry twice more, as before."""
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        task = service.next_task(contributor, experiment)
+        statuses = []
+        for attempt in (1, 2, 3):
+            assert task.attempts == attempt
+            record = service.submit_result(contributor, task, times=[], error="boom",
+                                           error_kind=kind, attempt=attempt)
+            assert record.extras["error_kind"] == "execution"
+            statuses.append(task.status)
+            if task.status == "pending":  # lease it again
+                task = next(entry for entry in service.next_tasks(
+                    contributor, experiment, limit=len(tasks)) if entry.id == task.id)
+        assert statuses == ["pending", "pending", "failed"]
+        counters = service.metrics.snapshot()["counters"]
+        assert (counters["tasks.retried"], counters["tasks.dead_lettered"]) == (2, 1)
+        assert "tasks.refused" not in counters
+
+    def test_successful_results_and_tasks_carry_no_kind(self, populated):
+        """The kind is kept on failed results only: not a byte more per
+        successful result row or task row."""
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        task = service.next_task(contributor, experiment)
+        record = service.submit_result(contributor, task, times=[0.1],
+                                       extras={"rows": 1}, error_kind="plan")
+        assert record.extras == {"rows": 1}
+        assert "error_kind" not in record.to_dict()
+        assert "error_kind" not in service.store.task(task.id).to_dict()
+
     def test_empty_success_rejected(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
         task = service.next_task(contributor, experiment)
@@ -366,6 +422,48 @@ class TestWebAPI:
             results = client.results(experiment.id)
             assert len(results) == 1
             assert client.next_task(experiment.id) is None
+
+    def test_a_failing_submission_reads_the_same_over_every_transport(self, populated):
+        """In-process, ``/api/result`` and ``/api/results/batch`` share one
+        definition of a submission's fields: the same refusal leaves the same
+        task state and the same stored record whichever way it travels."""
+        from repro.driver import HTTPClient, InProcessClient
+
+        service, owner, contributor, _, project, experiment = populated
+        pool = service.build_pool(experiment)
+        pool.seed_baseline()
+        pool.seed_random(2)
+        service.enqueue_pool(owner, experiment, pool, "columnstore-1.0", "laptop")
+        failure = dict(times=[], error="PlanError: no", error_kind="plan",
+                       load_averages={"before": {"load1": 0.5}, "after": {}},
+                       extras={"engine": "columnstore-1.0", "rows": 0})
+
+        with PlatformServer(service) as server:
+            http = HTTPClient(server.url, contributor.contributor_key)
+            local = InProcessClient(service, contributor.contributor_key)
+            tasks = local.next_tasks(experiment.id, count=3)
+            assert len(tasks) == 3
+            submit = [
+                lambda task: local.submit_result(task["id"], **failure,
+                                                 attempt=task["attempts"]),
+                lambda task: http.submit_result(task["id"], **failure,
+                                                attempt=task["attempts"]),
+                lambda task: http.submit_results([
+                    {"task": task["id"], **failure, "attempt": task["attempts"]}])[0],
+            ]
+            returned = [send(task) for send, task in zip(submit, tasks)]
+
+        def shape(payload: dict) -> dict:
+            return {key: value for key, value in payload.items()
+                    if key not in ("id", "task_id", "created_at", "query_sql")}
+
+        stored = [shape(record.to_dict()) for record in service.store.results(experiment.id)]
+        assert stored[0] == stored[1] == stored[2] == shape(returned[0])
+        assert [shape(record) for record in returned] == stored
+        assert stored[0]["extras"] == {**failure["extras"], "error_kind": "plan"}
+        assert [(task.status, task.attempts, task.last_error)
+                for task in service.store.tasks(experiment.id)] \
+            == [("failed", 1, "PlanError: no")] * 3
 
     def test_http_access_denied_for_bad_key(self, populated):
         service, owner, contributor, _, project, experiment = populated

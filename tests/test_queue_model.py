@@ -1,8 +1,8 @@
 """Model-based test of the task queue's lease / retry / idempotency machine.
 
 A Hypothesis ``RuleBasedStateMachine`` drives one ``PlatformService`` through
-enqueue, claim, clock ticks, lease sweeps, successful / failing / stale /
-duplicated submissions and kills -- in any order Hypothesis cares to try --
+enqueue, claim, clock ticks, lease sweeps, successful / failing / refused /
+stale / duplicated submissions and kills -- in any order Hypothesis cares to try --
 and compares the store with a small in-memory model after every step.  The
 model is one dict per task (``status``, ``attempts``, ``holder``, ``since``)
 and the rules of ``TaskStatus``'s docstring; the invariants are the platform's
@@ -10,6 +10,8 @@ accounting promises:
 
 * no ``(task, attempt)`` lease is handed out twice,
 * ``attempts`` never exceeds ``max_attempts``,
+* an error the engine's verdict on the text (``syntax`` / ``plan``) fails the
+  task on the lease it came in under; any other error burns the retry budget,
 * every accepted idempotency key has exactly one result row,
 * terminal states (done / failed / killed) are absorbing.
 """
@@ -26,6 +28,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.errors import VERDICT_KINDS
 from repro.platform import PlatformService, Store
 
 LABEL = "columnstore-1.0"
@@ -93,13 +96,15 @@ class QueueMachine(RuleBasedStateMachine):
         return (task["status"] == "running" and task["holder"] == worker
                 and task["attempts"] == attempt)
 
-    def _submit(self, lease, error):
+    def _submit(self, lease, error, kind=None):
         task_id, attempt, worker = lease
         self.keys += 1
         key = f"key-{self.keys}"
-        record = self.service.submit_results(self.workers[worker], [{
-            "task": task_id, "times": [] if error else [0.25], "error": error,
-            "idempotency_key": key, "attempt": attempt}])[0]
+        submission = {"task": task_id, "times": [] if error else [0.25], "error": error,
+                      "idempotency_key": key, "attempt": attempt}
+        if kind is not None:
+            submission["error_kind"] = kind
+        record = self.service.submit_results(self.workers[worker], [submission])[0]
         return key, record
 
     # -- rules --------------------------------------------------------------------
@@ -165,15 +170,38 @@ class QueueMachine(RuleBasedStateMachine):
             assert record is None
 
     @precondition(lambda self: self.leases)
-    @rule(pick=picks)
-    def submit_error(self, pick):
+    @rule(pick=picks, kind=st.sampled_from((None, "execution", "cosmic-ray")))
+    def submit_error(self, pick, kind):
+        """An error that is no verdict on the text -- no kind (an older
+        driver), ``execution``, a kind this platform has never heard of --
+        burns the budget: pending again until ``MAX_ATTEMPTS`` leases are spent."""
         lease = self.leases[pick % len(self.leases)]
         fresh = self._holds(lease)
-        key, record = self._submit(lease, error="boom")
+        key, record = self._submit(lease, error="boom", kind=kind)
         if fresh:
             assert record is not None and record.error == "boom"
+            assert record.extras["error_kind"] == "execution"
             task = self.model[lease[0]]
             task["status"] = "failed" if task["attempts"] >= MAX_ATTEMPTS else "pending"
+            self.accepted[key] = record.id
+        else:
+            assert record is None
+
+    @precondition(lambda self: self.leases)
+    @rule(pick=picks, kind=st.sampled_from(sorted(VERDICT_KINDS)))
+    def submit_refused(self, pick, kind):
+        """The engine refused the text, reported for any lease ever granted:
+        a live one fails the task there and then, whatever ``attempts`` is
+        (``failed`` is terminal, so the lease is never handed out again and
+        ``duplicate`` replays the record); any other is dropped like every
+        stale submission."""
+        lease = self.leases[pick % len(self.leases)]
+        fresh = self._holds(lease)
+        key, record = self._submit(lease, error="PlanError: no", kind=kind)
+        if fresh:
+            assert record is not None and record.error == "PlanError: no"
+            assert record.extras["error_kind"] == kind
+            self.model[lease[0]]["status"] = "failed"  # attempts stay as they are
             self.accepted[key] = record.id
         else:
             assert record is None

@@ -313,6 +313,132 @@ class TestTraceContinuity:
         assert service.flight.entries()[0]["outcome"] == "dead_letter"
 
 
+class TestWhyATaskFailed:
+    """A dead letter says why, in every record that tells its story: refused
+    by the engine (one lease) or budget exhausted (all of them)."""
+
+    def _drain(self, engine, **queue):
+        logger = JsonLogger()
+        service, owner, contributor, experiment = _service_with_queue(
+            logger=logger, **queue)
+        config = DriverConfig(key=contributor.contributor_key,
+                              dbms="columnstore-1.0", host="laptop",
+                              repeats=1, retries=0, trace_tasks=True)
+        runner = BatchRunner(
+            client=InProcessClient(service, contributor.contributor_key),
+            engine=engine, config=config)
+        leases = runner.run_all(experiment.id)
+        return service, experiment, runner, leases, parse_log_lines(logger.stream.getvalue())
+
+    def test_a_refused_task_shows_one_attempt_everywhere(self):
+        # the published text reads table ``t``; this database has none, so
+        # ``prepare`` refuses it (CatalogError -> kind ``plan``).
+        service, experiment, runner, leases, events = self._drain(
+            ColumnEngine(Database("no-tables")))
+        task = service.store.tasks(experiment.id)[0]
+        assert (leases, task.status, task.attempts) == (1, TaskStatus.DEAD_LETTER.value, 1)
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["tasks.refused"] == counters["tasks.dead_lettered"] == 1
+        assert "tasks.retried" not in counters
+
+        dead = [event for event in events if event["event"] == "task.dead_lettered"]
+        assert [(event["reason"], event["attempt"]) for event in dead] == [("refused", 1)]
+        assert not [event for event in events if event["event"] == "task.retried"]
+
+        entry = service.flight.entries()[0]
+        assert (entry["outcome"], entry["reason"], entry["attempts"]) \
+            == ("dead_letter", "refused", 1)
+        assert entry["last_error"].startswith("CatalogError: unknown table 't'")
+        story = [span["name"] for span in entry["spans"]
+                 if span["name"] in ("claim", "driver.execute", "submit")]
+        assert story == ["claim", "driver.execute", "submit"]
+
+        results = service.store.results(experiment.id)
+        timeline = stitch_timelines(
+            tasks=[task], results=results,
+            span_sources=[service.spans, runner.spans])[0]
+        assert (timeline.outcome, timeline.attempts) == ("dead_letter", 1)
+        by_name = {span["name"]: span["attributes"] for span in timeline.spans}
+        assert by_name["driver.execute"]["error"] == entry["last_error"]
+        assert by_name["submit"]["reason"] == "refused"
+        assert timeline.span_names().count("claim") == 1
+        assert any("outcome=dead_letter reason=refused" in line
+                   for line in timeline.lines())
+        assert results[0].extras["error_kind"] == "plan"
+
+    def test_a_spent_budget_reads_budget_exhausted(self):
+        engine = FlakyEngine(ColumnEngine(_flaky_database()),
+                             FaultInjector(FaultConfig(fail_task=1.0), seed=9))
+        service, experiment, _runner, leases, events = self._drain(engine, max_attempts=2)
+        assert leases == 2
+        dead = [event for event in events if event["event"] == "task.dead_lettered"]
+        assert [(event["reason"], event["attempt"]) for event in dead] \
+            == [("budget_exhausted", 2)]
+        assert service.flight.entries()[0]["reason"] == "budget_exhausted"
+        submits = [span["attributes"] for span in
+                   service.spans.spans(service.store.tasks(experiment.id)[0].trace_id)
+                   if span["name"] == "submit"]
+        assert [(attrs["outcome"], attrs.get("reason")) for attrs in submits] \
+            == [("retried", None), ("dead_letter", "budget_exhausted")]
+        assert "tasks.refused" not in service.metrics.snapshot()["counters"]
+        assert [record.extras["error_kind"]
+                for record in service.store.results(experiment.id)] == ["execution"] * 2
+
+    def test_an_expired_lease_still_reads_lease_expired(self):
+        logger = JsonLogger()
+        service, owner, contributor, experiment = _service_with_queue(
+            logger=logger, max_attempts=1)
+        task = service.next_task(contributor, experiment)
+        task.assigned_at -= task.timeout_seconds + 1
+        service.store.update("tasks", task)
+        service.expire_stuck_tasks(experiment)
+        dead = [event for event in parse_log_lines(logger.stream.getvalue())
+                if event["event"] == "task.dead_lettered"]
+        assert [event["reason"] for event in dead] == ["lease_expired"]
+        assert service.flight.entries()[0]["reason"] == "lease_expired"
+
+    def test_history_and_summaries_show_the_refusal(self, tmp_path, capsys):
+        from repro.analytics import experiment_history
+        from repro.cli.main import main
+        from repro.platform import Store
+        from repro.workflow import DemoSummary, _replay_results_into_pool
+
+        path = str(tmp_path / "queue.db")
+        service = PlatformService(Store(path))
+        owner = service.register_user("owner", "owner@example.org")
+        project = service.create_project(owner, "refusals")
+        experiment = service.add_experiment(
+            owner, project, "exp", "select sum(price) from t where id > 0", repeats=1)
+        pool = service.build_pool(experiment, seed=3)
+        pool.seed_baseline()
+        service.enqueue_pool(owner, experiment, pool, "columnstore-1.0", "laptop")
+        engine = ColumnEngine(Database("no-tables"))
+        config = DriverConfig(key=owner.contributor_key, dbms=engine.label,
+                              host="laptop", repeats=1)
+        BatchRunner(client=InProcessClient(service, owner.contributor_key),
+                    engine=engine, config=config).run_all(experiment.id)
+
+        # the yellow node says what failed and of which kind -- read from the
+        # platform's stored result, and from a pool measured without a platform
+        _replay_results_into_pool(service, experiment, pool)
+        measured = service.build_pool(experiment, seed=3)
+        measured.seed_baseline()
+        measured.measure(engine, repeats=1)
+        for source in (pool, measured):
+            node = experiment_history(source, engine.label).error_nodes()[0]
+            assert node.details["error"] == "CatalogError: unknown table 't'"
+            assert node.details["error_kind"] == "plan"
+
+        summary = DemoSummary(service=service, owner=owner, contributor=owner,
+                              project=project, experiment=experiment, pool=pool,
+                              metrics=service.metrics.snapshot())
+        assert "0 retried, 1 refused" in summary.describe()
+        service.store.close()
+        assert main(["metrics", "--store", path]) == 0
+        output = capsys.readouterr().out
+        assert "tasks.refused" in output and "results.failed" in output
+
+
 # ---------------------------------------------------------------------------
 # flight recorder retention
 # ---------------------------------------------------------------------------
