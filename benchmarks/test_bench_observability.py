@@ -18,6 +18,10 @@ longer (telemetry costs about 0.10 ms of a loop that has been 4.6 ms and
 1.9 ms), and the cost is what a regression in ``obs/`` changes.  The share is
 still recorded in the artifact.
 
+A third gate is an exact count, not a timing: the span records one traced Q1
+task ships in ``extras["spans"]`` (seven) and their bytes on the wire and in
+the result store, so the stored cost of telemetry cannot drift back unnoticed.
+
 A run writes ``BENCH_observability.json`` (engine + platform sections), a
 sample EXPLAIN ANALYZE span tree (``BENCH_observability_trace.json``) and a
 stitched end-to-end task timeline from a fault-forced retry
@@ -260,6 +264,51 @@ def test_platform_telemetry_overhead_is_bounded(tpch_db, artifact_dir):
     assert marginal <= PLATFORM_MAX_SECONDS, (
         f"platform telemetry costs {marginal * 1000:.3f} ms per task "
         f"> {PLATFORM_MAX_SECONDS * 1000:.3f} ms")
+
+
+#: what one traced Q1 task may put on the wire and in the result store under
+#: ``extras["spans"]``: driver.execute + engine.query / execute / scan /
+#: pipeline / aggregate / order.  Exact counts, not timings: the list-of-dicts
+#: form this envelope replaced read 2 193 bytes for the same seven records.
+SHIPPED_RECORDS_PER_Q1_TASK = 7
+SHIPPED_BYTES_PER_Q1_TASK = 900
+
+
+def test_shipped_span_budget_per_task(tpch_db, artifact_dir):
+    """The telemetry budget as exact counts: records and bytes shipped per task."""
+    telemetry = TelemetryConfig(slow_task_seconds=0.0)  # every task ships its spans
+    service = PlatformService(telemetry=telemetry)
+    owner = service.register_user("owner", "owner@example.org")
+    contributor = service.register_user("worker", "worker@example.org")
+    service.register_dbms("rowstore", "1.0")
+    service.register_host("bench")
+    project = service.create_project(owner, "budget")
+    service.invite_contributor(owner, project, contributor)
+    experiment = service.add_experiment(owner, project, "budget-exp", QUERIES[1],
+                                        repeats=5, timeout_seconds=60.0)
+    service.store.insert("tasks", Task(
+        experiment_id=experiment.id, query_sql=QUERIES[1], query_key="budget-0",
+        dbms_label="rowstore-1.0", host_name="bench", timeout_seconds=60.0))
+    config = DriverConfig(key=contributor.contributor_key, dbms="rowstore-1.0",
+                          host="bench", repeats=5, retries=0, batch_size=1,
+                          trace_tasks=True, telemetry=telemetry)
+    runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
+                         engine=RowEngine(tpch_db, options=EngineOptions(workers=1)),
+                         config=config)
+    assert runner.run_batch(experiment.id, count=1) == 1
+    shipped = service.store.results(experiment.id)[0].extras["spans"]
+    names = [record[0] for record in shipped["records"]]
+    shipped_bytes = len(json.dumps(shipped))
+    print(f"shipped per traced Q1 task: {len(names)} records, {shipped_bytes} bytes")
+    _merge_artifact(artifact_dir / "BENCH_observability.json", {
+        "shipped": {"records": names, "bytes": shipped_bytes,
+                    "max_records": SHIPPED_RECORDS_PER_Q1_TASK,
+                    "max_bytes": SHIPPED_BYTES_PER_Q1_TASK},
+    })
+    assert len(names) == SHIPPED_RECORDS_PER_Q1_TASK, names
+    assert shipped_bytes <= SHIPPED_BYTES_PER_Q1_TASK, (
+        f"{shipped_bytes} bytes of spans shipped for one Q1 task "
+        f"> {SHIPPED_BYTES_PER_Q1_TASK}: {json.dumps(shipped)}")
 
 
 def test_task_timeline_artifact(tpch_db, artifact_dir):

@@ -34,6 +34,7 @@ from repro.analytics.profiles import (
 )
 from repro.analytics.timeline import (
     TaskTimeline,
+    read_flight_log,
     read_span_log,
     stitch_timelines,
     timeline_lines,
@@ -59,6 +60,7 @@ __all__ = [
     "profile_report",
     "profiles_by_trace",
     "TaskTimeline",
+    "read_flight_log",
     "read_span_log",
     "stitch_timelines",
     "timeline_lines",

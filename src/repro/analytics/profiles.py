@@ -21,6 +21,9 @@ class EngineProfileSummary:
     label: str
     queries: int = 0
     profiled: int = 0
+    #: profiles whose execution looked its text up in the plan cache (one
+    #: run on a prepared plan does not, and reports ``plan_cache_hit`` None).
+    plan_cache_lookups: int = 0
     plan_cache_hits: int = 0
     #: results measured with concurrent driver workers: their wall-clock
     #: phase timings are GIL-inflated, so they are counted here and kept
@@ -41,9 +44,10 @@ class EngineProfileSummary:
 
     @property
     def plan_cache_hit_rate(self) -> float | None:
-        if not self.profiled:
+        """Hits over the profiles that consulted the cache (None = none did)."""
+        if not self.plan_cache_lookups:
             return None
-        return self.plan_cache_hits / self.profiled
+        return self.plan_cache_hits / self.plan_cache_lookups
 
     def describe(self) -> dict:
         return {
@@ -104,6 +108,16 @@ def _label_of(record, profile: dict) -> str:
     return label or profile.get("engine") or "unknown"
 
 
+def plan_cache_hit(profile: dict) -> bool | None:
+    """Whether the profiled execution found its plan in the plan cache; None
+    when it was handed a prepared plan and did not consult the cache
+    (``plan.prepared``: stores written before "unknown" was reported hold
+    such a run as a hit)."""
+    if (profile.get("counters") or {}).get("plan.prepared"):
+        return None
+    return profile.get("plan_cache_hit")
+
+
 def profiles_by_trace(records) -> dict[str, dict]:
     """Index the execution profiles carried by ``records`` by trace id.
 
@@ -144,8 +158,10 @@ def profile_report(records) -> ProfileReport:
         if not profile:
             continue
         summary.profiled += 1
-        if profile.get("plan_cache_hit"):
-            summary.plan_cache_hits += 1
+        hit = plan_cache_hit(profile)
+        if hit is not None:
+            summary.plan_cache_lookups += 1
+            summary.plan_cache_hits += bool(hit)
         counters = profile.get("counters") or {}
         summary.chunks_scanned += counters.get("scan.chunks_scanned", 0)
         summary.chunks_skipped += counters.get("scan.chunks_skipped", 0)

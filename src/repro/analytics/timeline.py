@@ -4,11 +4,12 @@ The platform telemetry leaves span records in several places: the
 service's :class:`~repro.obs.SpanRecorder` (enqueue / claim / sweep /
 submit / http spans), the driver runner's recorder (driver.execute /
 driver.backoff / driver.submit plus the engine's exported
-``engine.*`` tree), result ``extras["spans"]`` shipped with
+``engine.*`` records), result ``extras["spans"]`` shipped with
 submissions, flight-recorder entries, and JSONL span logs.  All of them
-use the same flat record shape with epoch-second timestamps and share
-one trace id per task, so this module can merge any combination of
-sources and answer the operational question the raw spans cannot:
+hold the same flat record with epoch-second timestamps (the stored ones
+as :func:`~repro.obs.decode_spans` reads them) and share one trace id
+per task, so this module can merge any combination of sources and
+answer the operational question the raw spans cannot:
 *where did the time of task N go* -- queue wait, execution, retry
 backoff, or submission?
 """
@@ -19,6 +20,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analytics.profiles import _extras_of
+from repro.obs import decode_spans, parse_log_lines
+
 #: span names whose summed durations define each derived phase.
 _PHASE_SPANS = {
     "execute": ("driver.execute",),
@@ -27,32 +31,35 @@ _PHASE_SPANS = {
 }
 
 
-def read_span_log(path: str | Path) -> list[dict]:
-    """Load span records (or flight entries) from a JSONL file.
+def _log_entries(path: str | Path) -> list[dict]:
+    """The JSON objects of a JSONL file.  Blank and malformed lines are
+    skipped -- a half-written line from a crashed process must not make the
+    post-mortem tooling crash too."""
+    return [entry for entry in parse_log_lines(Path(path).read_text(encoding="utf-8"))
+            if isinstance(entry, dict)]
 
-    Flight-recorder entries embed their task's span records under a
-    ``"spans"`` key; those are flattened into the returned list so a
-    flight log feeds :func:`stitch_timelines` directly.  Blank and
-    malformed lines are skipped -- a half-written line from a crashed
-    process must not make the post-mortem tooling crash too.
-    """
+
+def _flight_spans(entry: dict) -> list[dict] | None:
+    """The span records of a flight-recorder entry; None for any other line."""
+    if "spans" not in entry or "span_id" in entry:
+        return None
+    return decode_spans(entry["spans"], entry.get("trace_id"))
+
+
+def read_flight_log(path: str | Path) -> list[dict]:
+    """The flight entries of a JSONL flight log, their spans decoded into
+    span records (as :meth:`~repro.obs.FlightRecorder.entries` holds them)."""
+    return [{**entry, "spans": spans} for entry in _log_entries(path)
+            if (spans := _flight_spans(entry)) is not None]
+
+
+def read_span_log(path: str | Path) -> list[dict]:
+    """Load span records from a JSONL span log, or from a flight log (each
+    entry's records flattened, so it feeds :func:`stitch_timelines` directly)."""
     records: list[dict] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(entry, dict):
-            continue
-        if "spans" in entry and "span_id" not in entry:  # a flight entry
-            records.extend(span for span in entry.get("spans") or []
-                           if isinstance(span, dict))
-        else:
-            records.append(entry)
+    for entry in _log_entries(path):
+        spans = _flight_spans(entry)
+        records.extend([entry] if spans is None else spans)
     return records
 
 
@@ -75,12 +82,8 @@ class TaskTimeline:
 
     @property
     def total_seconds(self) -> float:
-        if not self.spans:
-            return 0.0
         ends = [span["end"] for span in self.spans if span.get("end") is not None]
-        if not ends:
-            return 0.0
-        return max(ends) - self.spans[0]["start"]
+        return max(ends) - self.spans[0]["start"] if ends else 0.0
 
     def span_names(self) -> list[str]:
         return [span["name"] for span in self.spans]
@@ -153,24 +156,20 @@ def _collect_spans(results, span_sources) -> list[dict]:
     merged: list[dict] = []
     seen: set[str] = set()
 
-    def add(record) -> None:
-        if not isinstance(record, dict) or "span_id" not in record:
-            return
-        if record["span_id"] in seen:
-            return
-        seen.add(record["span_id"])
-        merged.append(record)
+    def add(records) -> None:
+        for record in records:
+            if isinstance(record, dict) and "span_id" in record \
+                    and record["span_id"] not in seen:
+                seen.add(record["span_id"])
+                merged.append(record)
 
     for source in span_sources:
-        records = source.spans() if hasattr(source, "spans") else source
-        for record in records:
-            add(record)
+        add(source.spans() if hasattr(source, "spans") else source)
     for result in results or ():
-        extras = getattr(result, "extras", None)
-        if extras is None and isinstance(result, dict):
-            extras = result.get("extras")
-        for record in (extras or {}).get("spans") or []:
-            add(record)
+        extras = _extras_of(result)
+        if extras.get("spans"):
+            # only the records no recorder already supplied are built
+            add(decode_spans(extras["spans"], extras.get("trace_id"), skip=seen))
     return merged
 
 

@@ -24,7 +24,11 @@ Sub-commands:
   offline from a store file),
 * ``timeline [--flight-log PATH] [--json PATH]`` -- stitch span records into
   per-task timelines: render a flight-recorder / span JSONL log, or run the
-  demo scenario with telemetry enabled and show where each task's time went.
+  demo scenario with telemetry enabled and show where each task's time went;
+  ``timeline --slowest N [--flight-log PATH [--store PATH]]`` shows the N
+  slowest flight-recorder entries, one screen per task: the entry, its
+  stitched timeline and the engine profile its result carries under the same
+  trace id.
 """
 
 from __future__ import annotations
@@ -81,6 +85,12 @@ def main(argv: list[str] | None = None) -> int:
                                  help="also write the stitched report as JSON")
     timeline_parser.add_argument("--limit", type=int, default=0,
                                  help="show at most N timelines (0 = all)")
+    timeline_parser.add_argument("--slowest", type=int, default=0, metavar="N",
+                                 help="show the N slowest flight-recorder entries, "
+                                      "each with its engine profile")
+    timeline_parser.add_argument("--store", default=None, metavar="PATH",
+                                 help="with --flight-log and --slowest: the store "
+                                      "file whose results carry the engine profiles")
     timeline_parser.add_argument("--scale-factor", type=float, default=0.001)
     timeline_parser.add_argument("--pool-size", type=int, default=6)
 
@@ -397,30 +407,89 @@ def _cmd_metrics(arguments) -> int:
     return 0
 
 
+def _slowest_lines(entries: list[dict], profiles: dict[str, dict], count: int) -> list[str]:
+    """One screen per task for the ``count`` slowest flight-recorder entries:
+    the entry, its stitched timeline, and the engine profile that the task's
+    result carries under the same trace id."""
+    from repro.analytics import stitch_timelines
+    from repro.analytics.profiles import plan_cache_hit
+
+    slowest = sorted(entries, key=lambda entry: entry.get("duration") or 0.0,
+                     reverse=True)[:count]
+    lines: list[str] = []
+    for rank, entry in enumerate(slowest, start=1):
+        if lines:
+            lines.append("")
+        lines.append(f"#{rank} task={entry.get('task')} outcome={entry.get('outcome')} "
+                     f"{(entry.get('duration') or 0.0) * 1000:.1f} ms "
+                     f"attempts={entry.get('attempts')} dbms={entry.get('dbms')} "
+                     f"query={str(entry.get('query_key'))[:60]}")
+        if entry.get("outcome") != "done":
+            lines.append(f"   reason={entry.get('reason')} "
+                         f"last_error={entry.get('last_error')}")
+        task = {"trace_id": entry.get("trace_id"), "id": entry.get("task"),
+                "attempts": entry.get("attempts")}
+        for timeline in stitch_timelines(tasks=[task],
+                                         span_sources=[entry.get("spans") or []]):
+            lines.extend(timeline.lines())
+        profile = profiles.get(entry.get("trace_id"))
+        if not profile:
+            lines.append("  engine profile: none (the task's result carries no profile)")
+            continue
+        hit = plan_cache_hit(profile)
+        lines.append(f"  engine profile: engine={profile.get('engine')} "
+                     f"rows={profile.get('rows')} plan_cache="
+                     f"{'not consulted' if hit is None else 'hit' if hit else 'miss'}")
+        phases = " ".join(f"{name}={seconds * 1000:.3f}ms"
+                          for name, seconds in (profile.get("phases") or {}).items())
+        lines.append(f"    phases: {phases or 'n/a'}")
+        counters = " ".join(f"{name}={value:g}" for name, value
+                            in sorted((profile.get("counters") or {}).items()))
+        lines.append(f"    counters: {counters or 'n/a'}")
+    return lines
+
+
 def _cmd_timeline(arguments) -> int:
     import json
     from pathlib import Path as _Path
 
-    from repro.analytics import (read_span_log, stitch_timelines,
-                                 timeline_lines, timeline_report)
+    from repro.analytics import (profiles_by_trace, read_flight_log, read_span_log,
+                                 stitch_timelines, timeline_lines, timeline_report)
 
     if arguments.flight_log:
-        spans = read_span_log(arguments.flight_log)
-        timelines = stitch_timelines(span_sources=[spans])
+        timelines = stitch_timelines(span_sources=[read_span_log(arguments.flight_log)])
+        entries = read_flight_log(arguments.flight_log)
+        results: list = []
+        if arguments.store:
+            from repro.platform import Store
+
+            store = Store(arguments.store)
+            results = store.results()
+            store.close()
     else:
         from repro.obs import TelemetryConfig
         from repro.workflow import run_demo_scenario
 
+        # every task makes the flight recorder when the slowest are asked for
+        telemetry = TelemetryConfig(slow_task_seconds=0.0) if arguments.slowest \
+            else TelemetryConfig()
         summary = run_demo_scenario(scale_factor=arguments.scale_factor,
                                     pool_size=arguments.pool_size,
-                                    telemetry=TelemetryConfig())
+                                    telemetry=telemetry)
         timelines = summary.timelines
-    shown = timelines[:arguments.limit] if arguments.limit > 0 else timelines
-    for line in timeline_lines(shown):
-        print(line)
-    if len(shown) < len(timelines):
-        print(f"... {len(timelines) - len(shown)} more timelines "
-              f"(raise --limit to see them)")
+        entries = summary.service.flight.entries()
+        results = summary.service.store.results(summary.experiment.id)
+    if arguments.slowest:
+        for line in _slowest_lines(entries, profiles_by_trace(results),
+                                   arguments.slowest):
+            print(line)
+    else:
+        shown = timelines[:arguments.limit] if arguments.limit > 0 else timelines
+        for line in timeline_lines(shown):
+            print(line)
+        if len(shown) < len(timelines):
+            print(f"... {len(timelines) - len(shown)} more timelines "
+                  f"(raise --limit to see them)")
     if arguments.json:
         report = timeline_report(timelines)
         _Path(arguments.json).write_text(

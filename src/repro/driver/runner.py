@@ -38,6 +38,7 @@ from repro.obs import (
     QueryTrace,
     SpanContext,
     SpanRecorder,
+    encode_spans,
     export_query_trace,
     new_span_id,
     use_context,
@@ -371,9 +372,9 @@ class BatchRunner:
                     # the engine's whole span tree nests under this task's
                     # execute span: one trace id covers SQL parse -> morsel
                     # workers -> HTTP submit.
-                    export_query_trace(outcome.trace, task["trace_id"],
-                                       parent_span_id=execute_span["span_id"],
-                                       recorder=self.spans)
+                    self.spans.extend(export_query_trace(
+                        outcome.trace, task["trace_id"],
+                        parent_span_id=execute_span["span_id"]))
             return outcome
 
         if self.config.workers > 1:
@@ -400,7 +401,7 @@ class BatchRunner:
             if isinstance(profile, dict):
                 profile["trace_id"] = trace_id
             if self.spans is not None and self._ship_spans(task, outcome):
-                outcome.extras["spans"] = self.spans.spans(trace_id)
+                outcome.extras["spans"] = encode_spans(self.spans.spans(trace_id))
 
         submissions = [
             new_submission(
@@ -454,7 +455,7 @@ class BatchRunner:
                                   task=submission.get("task"),
                                   attempt=submission.get("attempt"), mode=mode)
 
-    def _submit_context(self, submissions: list[dict]) -> "use_context":
+    def _submit_context(self, submissions: list[dict]):
         """Ambient span context for a submission round trip.
 
         A single-task submission inherits its task's trace id, so the

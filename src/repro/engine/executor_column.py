@@ -422,7 +422,8 @@ class ColumnExecutor:
         count_metric(counter, len(morsels))
         results = run_tasks(self.workers, [partial(task, morsel) for morsel in morsels])
         if traced:
-            span.children.extend(lane for _, lane in results)
+            for _, lane in results:
+                self._trace.adopt(span, lane)
         return [result for result, _ in results]
 
     def _scan(self, item: ast.TableExpression, frame: ColFrame, pairs: list,

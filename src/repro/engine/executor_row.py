@@ -365,7 +365,7 @@ class RowExecutor:
         for name, rows_in, rows_out, attributes in operators:
             span = Span(name)
             span.started = parent.started
-            parent.children.append(span.set(
+            self._trace.adopt(parent, span.set(
                 rows_in=rows_in, rows_out=rows_out, fused=fused, **attributes).close())
 
     # -- the interpreter ----------------------------------------------------------

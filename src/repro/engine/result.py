@@ -81,8 +81,10 @@ class QueryResult:
             "rows": len(self.rows),
             "phases": dict(self.phases),
             "counters": counters,
-            "plan_cache_hit": bool(counters.get("plan_cache.hits")
-                                   or counters.get("plan.prepared")),
+            # None: the caller handed in a prepared plan (``plan.prepared``),
+            # so the plan cache was not consulted by this execution
+            "plan_cache_hit": None if counters.get("plan.prepared")
+            else bool(counters.get("plan_cache.hits")),
         }
         if self.metrics is not None:
             efficiency = self.metrics.scan_efficiency()

@@ -5,8 +5,8 @@ the reproduction's measuring layer.  It is deliberately free of engine
 imports so every subsystem (engines, storage, driver, platform) can depend
 on it without cycles:
 
-* :mod:`repro.obs.trace` -- :class:`QueryTrace` span trees emitted by both
-  executors and rendered by ``EXPLAIN ANALYZE``,
+* :mod:`repro.obs.trace` -- :class:`QueryTrace` span records emitted by both
+  executors and rendered as a tree by ``EXPLAIN ANALYZE``,
 * :mod:`repro.obs.metrics` -- the per-query :class:`MetricsContext`
   (replacing the old process-global instrumentation counters) and the
   :class:`MetricsRegistry` (counters / latency histograms with
@@ -14,7 +14,8 @@ on it without cycles:
 * :mod:`repro.obs.propagate` -- W3C-style ``traceparent`` propagation,
   the ambient :class:`SpanContext`, and the cross-process
   :class:`SpanRecorder` whose records ``analytics/timeline.py`` stitches
-  into end-to-end task timelines,
+  into end-to-end task timelines, and :func:`encode_spans` /
+  :func:`decode_spans`, their one wire / stored form,
 * :mod:`repro.obs.log` -- the structured JSON-lines :class:`JsonLogger`
   (trace-correlated, registry-counted) used across the platform,
 * :mod:`repro.obs.flight` -- :class:`TelemetryConfig` knobs and the
@@ -43,6 +44,8 @@ from repro.obs.propagate import (
     SpanContext,
     SpanRecorder,
     current_context,
+    decode_spans,
+    encode_spans,
     export_query_trace,
     new_span_id,
     new_trace_id,
@@ -73,6 +76,8 @@ __all__ = [
     "count",
     "current_context",
     "current_metrics",
+    "decode_spans",
+    "encode_spans",
     "export_query_trace",
     "new_span_id",
     "new_trace_id",

@@ -14,7 +14,8 @@ affordable: the common case costs one comparison against the current
 slow threshold, while the interesting cases (the p99, the retry storm,
 the dead letter) keep enough context to be debugged after the fact.
 Entries can additionally be appended to a JSONL sink for post-mortems
-that outlive the process.
+that outlive the process (their spans as one
+:func:`~repro.obs.propagate.encode_spans` envelope per line).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import threading
 from collections import deque
 from typing import Any, Mapping
+
+from repro.obs.propagate import encode_spans
 
 
 def _get(mapping: Mapping, key: str, fallback: Any) -> Any:
@@ -68,9 +71,6 @@ class TelemetryConfig:
             config.flight_capacity = 0
         return config
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class FlightRecorder:
     """Bounded retention of the slowest and failed task traces.
@@ -112,8 +112,8 @@ class FlightRecorder:
             "outcome": outcome,
             "duration": duration,
             "spans": list(spans or ()),
+            **details,
         }
-        entry.update(details)
         kept = False
         with self._lock:
             if outcome != "done":
@@ -126,8 +126,10 @@ class FlightRecorder:
                     self._slowest.pop()
                 kept = entry in self._slowest
         if kept and self.sink_path:
+            # the log holds a task's records in their stored form
+            line = {**entry, "spans": encode_spans(entry["spans"])}
             with open(self.sink_path, "a", encoding="utf-8") as sink:
-                sink.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+                sink.write(json.dumps(line, sort_keys=True, default=str) + "\n")
         return entry if kept else None
 
     def entries(self) -> list[dict]:

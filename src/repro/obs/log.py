@@ -1,9 +1,7 @@
 """Structured logging: one JSON object per line, trace-correlated.
 
-Every platform component logs through a :class:`JsonLogger` instead of
-bare ``print`` / stderr writes (the WSGI handler's default per-request
-lines interleaved badly under concurrent claimers).  A log record is a
-single JSON line::
+Every platform component logs through a :class:`JsonLogger`.  A log record
+is a single JSON line::
 
     {"ts": 1754550000.123, "level": "info", "event": "result.accepted",
      "component": "service", "trace_id": "...", "span_id": "...",
@@ -121,11 +119,8 @@ def parse_log_lines(text: str) -> list[dict]:
     """Parse JSONL logger output back into records (testing/analytics aid)."""
     records = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError:
+        except json.JSONDecodeError:  # a blank line, or a half-written one
             continue
     return records

@@ -7,10 +7,8 @@ Two complementary pieces:
   variable; instrumentation points deep in the executors and the storage
   layer attribute their counts through :func:`count` without any plumbing.
   Because the active context is a context variable, concurrent executions
-  (the batched driver's thread pool, and eventually morsel workers) never
-  see each other's counters -- this replaces the old process-global
-  ``ScanStats`` / ``ColFrame.materialisations`` class counters, which were
-  neither query-scoped nor thread-safe.
+  (the batched driver's thread pool, morsel workers) never see each other's
+  counters.
 * :class:`MetricsRegistry` -- a small, lock-protected registry of named
   counters and histograms for *service-level* totals (tasks dispatched,
   results accepted, queue timeouts).  The platform service owns one and the
@@ -156,15 +154,6 @@ class Histogram:
             self.minimum = value if self.minimum is None else min(self.minimum, value)
             self.maximum = value if self.maximum is None else max(self.maximum, value)
             self._samples.append(value)
-
-    def percentile(self, fraction: float) -> float | None:
-        """Nearest-rank percentile over the recent reservoir (None if empty)."""
-        with self._lock:
-            ordered = sorted(self._samples)
-        if not ordered:
-            return None
-        rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[rank]
 
     def summary(self) -> dict:
         with self._lock:

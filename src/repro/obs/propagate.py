@@ -14,36 +14,32 @@ style:
 * the ambient :func:`current_context` context variable lets the HTTP
   client stamp outgoing requests without plumbing arguments through
   every call site (same pattern as ``MetricsContext``);
-* a :class:`SpanRecorder` collects finished *span records* -- flat,
-  JSON-friendly dicts keyed by trace id -- on both sides of the wire.
-  Driver- and server-side records for the same task share its trace id,
-  so ``analytics/timeline.py`` can stitch them into one end-to-end
-  timeline.
-
-Span records use epoch seconds (``time.time``) so records from different
-processes line up on one axis; :func:`export_query_trace` converts an
-engine trace's ``perf_counter`` timestamps with a per-export clock
-offset and hangs the whole tree under a driver span, giving a single
-trace id coverage from SQL parse down to morsel workers and back up
-through the HTTP submit.
+* a :class:`SpanRecorder` collects finished :func:`span_record` dicts on
+  both sides of the wire.  Driver- and server-side records for the same
+  task share its trace id, so ``analytics/timeline.py`` can stitch them
+  into one end-to-end timeline; :func:`export_query_trace` rebases an
+  engine trace onto the same axis under a driver span, so one trace id
+  covers SQL parse down to morsel workers and back up through the submit;
+* :func:`encode_spans` / :func:`decode_spans` are the one wire and stored
+  form of a task's records: the envelope under ``extras["spans"]`` of a
+  submitted result and under ``"spans"`` of a flight-log line.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import secrets
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from repro.obs.trace import QueryTrace, Span
-
-_TRACEPARENT_VERSION = "00"
-_TRACE_FLAGS = "01"  # always sampled: recording is opt-in upstream instead
+from repro.obs.trace import QueryTrace
 
 # ids need uniqueness, not unpredictability: a cryptographically seeded
 # Mersenne Twister avoids the per-id ``os.urandom`` syscall that
@@ -72,19 +68,16 @@ class SpanContext:
 
     def to_traceparent(self) -> str:
         """Serialise as a W3C ``traceparent`` header value."""
-        return f"{_TRACEPARENT_VERSION}-{self.trace_id}-{self.span_id}-{_TRACE_FLAGS}"
+        # version 00; flags 01, always sampled: recording is opt-in upstream
+        return f"00-{self.trace_id}-{self.span_id}-01"
 
     def child(self) -> "SpanContext":
         """A context for a child span: same trace, fresh span id."""
         return SpanContext(self.trace_id, new_span_id())
 
 
-def _is_hex(value: str) -> bool:
-    try:
-        int(value, 16)
-    except ValueError:
-        return False
-    return True
+_TRACEPARENT = re.compile(r"[0-9a-f]{2}-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}")
+_SPAN_ID = re.compile(r"[0-9a-fA-F]{16}")
 
 
 def parse_traceparent(header: str | None) -> SpanContext | None:
@@ -95,21 +88,12 @@ def parse_traceparent(header: str | None) -> SpanContext | None:
     flags: a bad header degrades to "no incoming context" rather than an
     error, because telemetry must never fail a request.
     """
-    if not header or not isinstance(header, str):
+    if not isinstance(header, str):
         return None
-    parts = header.strip().split("-")
-    if len(parts) != 4:
+    match = _TRACEPARENT.fullmatch(header.strip().lower())
+    if match is None or not int(match[1], 16) or not int(match[2], 16):
         return None
-    version, trace_id, span_id, flags = parts
-    if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16 \
-            or len(flags) != 2:
-        return None
-    if not (_is_hex(version) and _is_hex(trace_id) and _is_hex(span_id)
-            and _is_hex(flags)):
-        return None
-    if trace_id == "0" * 32 or span_id == "0" * 16:
-        return None
-    return SpanContext(trace_id.lower(), span_id.lower())
+    return SpanContext(match[1], match[2])
 
 
 _CURRENT: ContextVar[SpanContext | None] = ContextVar(
@@ -121,22 +105,14 @@ def current_context() -> SpanContext | None:
     return _CURRENT.get()
 
 
-class use_context:
-    """Context manager installing ``ctx`` as the ambient span context."""
-
-    __slots__ = ("_context", "_token")
-
-    def __init__(self, context: SpanContext | None):
-        self._context = context
-        self._token = None
-
-    def __enter__(self) -> SpanContext | None:
-        self._token = _CURRENT.set(self._context)
-        return self._context
-
-    def __exit__(self, *_exc) -> bool:
-        _CURRENT.reset(self._token)
-        return False
+@contextmanager
+def use_context(context: SpanContext | None) -> Iterator[SpanContext | None]:
+    """Install ``context`` as the ambient span context of a ``with`` block."""
+    token = _CURRENT.set(context)
+    try:
+        yield context
+    finally:
+        _CURRENT.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -163,41 +139,28 @@ def _sanitize(value: Any) -> Any:
 
 
 def sanitize_attributes(attributes: dict) -> dict[str, Any]:
-    return {str(key): _sanitize(value) for key, value in attributes.items()}
+    """JSON-ready attributes; a None value says nothing and is left out."""
+    return {str(key): _sanitize(value) for key, value in attributes.items()
+            if value is not None}
 
 
-class _RecordedSpan:
-    """Context manager timing one span record (closed + stored on exit)."""
-
-    __slots__ = ("_recorder", "record")
-
-    def __init__(self, recorder: "SpanRecorder", record: dict):
-        self._recorder = recorder
-        self.record = record
-
-    def __enter__(self) -> dict:
-        return self.record
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        self.record["end"] = time.time()
-        if exc is not None:
-            self.record["attributes"].setdefault("error", _sanitize(exc))
-        self.record["attributes"] = sanitize_attributes(self.record["attributes"])
-        self._recorder.append(self.record)
-        return False
+def span_record(name: str, trace_id: str, span_id: str, parent_span_id: str | None,
+                start: float, end: float, attributes: dict) -> dict:
+    """The span record: a flat dict with epoch-second timestamps, so records
+    from the driver and the service (different processes, different
+    ``perf_counter`` clocks) merge on one timeline."""
+    return {"name": name, "trace_id": trace_id, "span_id": span_id,
+            "parent_span_id": parent_span_id, "start": start, "end": end,
+            "attributes": attributes}
 
 
 class SpanRecorder:
-    """A bounded, thread-safe sink of finished span records.
+    """A bounded, thread-safe sink of finished :func:`span_record` dicts.
 
-    Each record is a flat dict -- ``{name, trace_id, span_id,
-    parent_span_id, start, end, attributes}`` with epoch-second
-    timestamps -- so records from the driver and the service (different
-    processes, different clocks for ``perf_counter``) merge on one
-    timeline.  The deque bound keeps a long-running service at a fixed
-    memory footprint; ``capacity=0`` disables recording entirely (every
-    call stays a cheap no-op), which is how telemetry-off paths avoid
-    paying for span bookkeeping.
+    The deque bound keeps a long-running service at a fixed memory
+    footprint; ``capacity=0`` disables recording entirely (every call stays
+    a cheap no-op), which is how telemetry-off paths avoid paying for span
+    bookkeeping.
     """
 
     def __init__(self, capacity: int = 2048):
@@ -213,36 +176,21 @@ class SpanRecorder:
     def enabled(self) -> bool:
         return self.capacity > 0
 
-    def append(self, record: dict) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            self._append_locked(record)
-
     def extend(self, records: Iterable[dict]) -> None:
         """Append many records under one lock acquisition (hot-path batches)."""
         if self.capacity <= 0:
             return
         with self._lock:
             for record in records:
-                self._append_locked(record)
-
-    def _append_locked(self, record: dict) -> None:
-        if len(self._spans) >= self.capacity:
-            oldest = self._spans.popleft()
-            bucket = self._by_trace.get(oldest.get("trace_id"))
-            if bucket:
-                if bucket[0] is oldest:  # FIFO: the globally oldest record
-                    bucket.pop(0)        # is also its trace's oldest
-                else:  # defensive; identical records inserted twice
-                    try:
-                        bucket.remove(oldest)
-                    except ValueError:
-                        pass
-                if not bucket:
-                    self._by_trace.pop(oldest.get("trace_id"), None)
-        self._spans.append(record)
-        self._by_trace.setdefault(record.get("trace_id"), []).append(record)
+                if len(self._spans) >= self.capacity:
+                    # FIFO: the globally oldest record is its trace's oldest
+                    oldest = self._spans.popleft()
+                    bucket = self._by_trace[oldest.get("trace_id")]
+                    del bucket[0]
+                    if not bucket:
+                        del self._by_trace[oldest.get("trace_id")]
+                self._spans.append(record)
+                self._by_trace.setdefault(record.get("trace_id"), []).append(record)
 
     def record(self, name: str, trace_id: str,
                parent_span_id: str | None = None,
@@ -255,35 +203,12 @@ class SpanRecorder:
         hit, a lease decision) zero-width spans on the timeline.
         """
         now = time.time()
-        record = {
-            "name": name,
-            "trace_id": trace_id,
-            "span_id": span_id or new_span_id(),
-            "parent_span_id": parent_span_id,
-            "start": now if start is None else start,
-            "end": now if end is None else end,
-            "attributes": sanitize_attributes(attributes),
-        }
-        self.append(record)
+        record = span_record(name, trace_id, span_id or new_span_id(), parent_span_id,
+                             now if start is None else start,
+                             now if end is None else end,
+                             sanitize_attributes(attributes))
+        self.extend((record,))
         return record
-
-    def span(self, name: str, trace_id: str,
-             parent_span_id: str | None = None, **attributes) -> _RecordedSpan:
-        """Open a timed span record (a context manager yielding the dict).
-
-        The caller may mutate ``record["attributes"]`` inside the block;
-        the record is stamped and stored on exit.
-        """
-        record = {
-            "name": name,
-            "trace_id": trace_id,
-            "span_id": new_span_id(),
-            "parent_span_id": parent_span_id,
-            "start": time.time(),
-            "end": None,
-            "attributes": dict(attributes),
-        }
-        return _RecordedSpan(self, record)
 
     def spans(self, trace_id: str | None = None) -> list[dict]:
         """Recorded spans, oldest first (optionally for one trace only)."""
@@ -298,51 +223,116 @@ class SpanRecorder:
 
 
 def export_query_trace(trace: QueryTrace, trace_id: str,
-                       parent_span_id: str | None = None,
-                       recorder: SpanRecorder | None = None) -> list[dict]:
-    """Flatten an engine :class:`QueryTrace` into cross-process records.
+                       parent_span_id: str | None = None) -> list[dict]:
+    """Turn an engine :class:`QueryTrace` into cross-process records.
 
-    The engine's spans are timed with ``perf_counter``; one clock offset
-    (sampled here, at export) rebases them onto the epoch axis shared by
-    every other record of the trace.  Parent/child links become
-    ``parent_span_id`` references, with the trace's root hung under
-    ``parent_span_id`` -- typically the driver's ``driver.execute``
+    One pass over ``trace.records``: the engine's spans are timed with
+    ``perf_counter``; one clock offset (sampled here, at export) rebases
+    them onto the epoch axis shared by every other record of the trace.
+    Parent indices become ``parent_span_id`` references, with the root hung
+    under ``parent_span_id`` -- typically the driver's ``driver.execute``
     span -- so the whole engine tree nests inside the task timeline.
     """
-    offset = time.time() - time.perf_counter()
+    now = time.perf_counter()
+    offset = time.time() - now
+    ids = [new_span_id() for _ in trace.records]
     records: list[dict] = []
-
-    def visit(span: Span, parent: str | None) -> None:
-        ended = span.ended if span.ended is not None else time.perf_counter()
+    for span, span_id in zip(trace.records, ids):
         attributes = sanitize_attributes(span.attributes)
         if span.rows_in is not None:
             attributes["rows_in"] = _sanitize(span.rows_in)
         if span.rows_out is not None:
             attributes["rows_out"] = _sanitize(span.rows_out)
-        record = {
-            "name": f"engine.{span.name}" if span.name != "query" else "engine.query",
-            "trace_id": trace_id,
-            "span_id": new_span_id(),
-            "parent_span_id": parent,
-            "start": span.started + offset,
-            "end": ended + offset,
-            "attributes": attributes,
-        }
-        records.append(record)
-        if recorder is not None:
-            recorder.append(record)
-        for child in span.children:
-            visit(child, record["span_id"])
-
-    visit(trace.root, parent_span_id)
+        records.append(span_record(
+            f"engine.{span.name}", trace_id, span_id,
+            parent_span_id if span.parent is None else ids[span.parent],
+            span.started + offset,
+            (span.ended if span.ended is not None else now) + offset, attributes))
     return records
+
+
+# ---------------------------------------------------------------------------
+# the wire / stored form of one task's records
+# ---------------------------------------------------------------------------
+
+def _is_number(value: Any) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_span_id(value: Any) -> bool:
+    return isinstance(value, str) and _SPAN_ID.fullmatch(value) is not None
+
+
+def encode_spans(records: list[dict]) -> dict:
+    """The envelope of one task's span records (all of one trace).
+
+    ``{"epoch": seconds, "records": [[name, span id, parent, start, duration,
+    attributes], ...]}``.  The trace id is the one the envelope travels beside
+    (``extras["trace_id"]``, a flight entry's ``trace_id``); ``parent`` is the
+    parent's index in the envelope, or its span id (or None) when it is not
+    among the records; ``start`` is whole microseconds after ``epoch`` and
+    ``duration`` whole microseconds.
+    """
+    epoch = round(records[0]["start"], 6) if records else 0.0
+    index = {record["span_id"]: position for position, record in enumerate(records)}
+    rows = []
+    for record in records:
+        start, end = record["start"], record.get("end")
+        parent = record.get("parent_span_id")
+        rows.append([record["name"], record["span_id"], index.get(parent, parent),
+                     round((start - epoch) * 1e6),
+                     round((end - start) * 1e6) if end is not None else 0,
+                     record.get("attributes") or {}])
+    return {"epoch": epoch, "records": rows}
+
+
+def decode_spans(shipped: Any, trace_id: str | None = None,
+                 skip: Any = ()) -> list[dict]:
+    """Span records from their stored form, minus those whose id is in ``skip``.
+
+    ``shipped`` is an :func:`encode_spans` envelope, read under ``trace_id``,
+    or the list of record dicts that store files and flight logs written
+    before the envelope hold (each names its own trace) -- this is the only
+    place that knows the two shapes.  Shipped spans arrive from outside and
+    telemetry must never fail the submission they rode in on: anything else
+    (a wrong type, a short record, an id that is not 16 hex digits, a parent
+    index outside the envelope) decodes to no records at all.
+    """
+    if isinstance(shipped, list):
+        return [record for record in shipped
+                if isinstance(record, dict) and isinstance(record.get("name"), str)
+                and isinstance(record.get("trace_id"), str)
+                and isinstance(record.get("span_id"), str)
+                and _is_number(record.get("start"))
+                and (record.get("end") is None or _is_number(record["end"]))
+                and isinstance(record.get("attributes") or {}, dict)
+                and record["span_id"] not in skip]
+    epoch, rows = (shipped.get("epoch"), shipped.get("records")) \
+        if isinstance(shipped, dict) else (None, None)
+    if not (isinstance(trace_id, str) and _is_number(epoch) and isinstance(rows, list)):
+        return []
+
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 6:
+            return []
+        name, span_id, parent, start, duration, attributes = row
+        if not (isinstance(name, str) and _is_span_id(span_id)
+                and (parent is None or (0 <= parent < len(rows) if type(parent) is int
+                                        else _is_span_id(parent)))
+                and _is_number(start) and _is_number(duration)
+                and isinstance(attributes, dict)):
+            return []
+    return [span_record(name, trace_id, span_id,
+                        rows[parent][1] if type(parent) is int else parent,
+                        epoch + start / 1e6, epoch + (start + duration) / 1e6,
+                        attributes)
+            for name, span_id, parent, start, duration, attributes in rows
+            if span_id not in skip]
 
 
 def write_span_log(path: str, spans: Iterable[dict]) -> int:
     """Append span records to a JSONL file; returns the number written."""
-    written = 0
+    lines = [json.dumps(record, sort_keys=True) + "\n" for record in spans]
     with open(path, "a", encoding="utf-8") as sink:
-        for record in spans:
-            sink.write(json.dumps(record, sort_keys=True) + "\n")
-            written += 1
-    return written
+        sink.writelines(lines)
+    return len(lines)

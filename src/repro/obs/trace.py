@@ -1,25 +1,28 @@
-"""Query-scoped execution tracing: span trees and their text rendering.
+"""Query-scoped execution tracing: flat span records and their tree view.
 
-A :class:`QueryTrace` records one execution as a tree of :class:`Span`
-objects -- parse, plan, compile, then one span per physical operator
-(scan / join / filter / aggregate / project / order).  Every span carries
-wall time, rows in/out and free-form attributes (chunks scanned/skipped,
-selection-vector sizes, cache hits).  The engine opens the trace, both
-executors emit operator spans into it, and ``EXPLAIN ANALYZE`` renders the
-annotated tree.
+A :class:`QueryTrace` records one execution as a list of :class:`Span`
+records in the order they were opened -- parse, plan, compile, then one span
+per physical operator (scan / join / filter / aggregate / project / order).
+Every span carries wall time, rows in/out, free-form attributes (chunks
+scanned/skipped, selection-vector sizes, cache hits) and the index of its
+parent in that list.  The tree -- :attr:`Span.children`, the pre-order walk
+:meth:`QueryTrace.spans`, :meth:`QueryTrace.find`, :func:`format_trace` for
+``EXPLAIN ANALYZE`` -- is a view computed from the parent indices, and
+:func:`repro.obs.propagate.export_query_trace` turns the list into
+cross-process span records in one pass.
 
 Tracing is strictly opt-in: with no trace attached the executors touch a
 shared :data:`NULL_SPAN` singleton whose operations are all no-ops, keeping
 the overhead on the hot path to a predictable few attribute checks (gated
 below 5% by ``benchmarks/test_bench_observability.py``).
 
-The span *stack* belongs to the coordinating thread only.  Morsel-parallel
-operators give each worker its own span lane instead: the worker constructs
-a detached :class:`Span` (never touching the trace's stack), stamps it via
-:meth:`Span.close`, and the coordinator appends the finished lanes under the
-open operator span -- so worker lanes nest inside their operator's window
-and aggregate attributes (``chunks_scanned`` / ``chunks_skipped`` summed
-over lanes) keep the trace invariants the fuzzer asserts.
+The span *stack* and the record list belong to the coordinating thread only.
+A morsel-parallel worker constructs a detached :class:`Span` (never touching
+the trace) and stamps it via :meth:`Span.close`; the coordinator files the
+finished lanes under the open operator span (:meth:`QueryTrace.adopt`), so
+they nest inside their operator's window and aggregate attributes
+(``chunks_scanned`` / ``chunks_skipped`` summed over lanes) keep the trace
+invariants the fuzzer asserts.
 """
 
 from __future__ import annotations
@@ -29,25 +32,38 @@ from typing import Any, Iterator
 
 
 class Span:
-    """One timed node of the trace tree."""
+    """One timed record of a trace, and the context manager that closes it.
 
-    __slots__ = ("name", "started", "ended", "rows_in", "rows_out",
-                 "attributes", "children")
+    ``index`` is its place in :attr:`QueryTrace.records`, ``parent`` its
+    parent's (None for the root); both are None while the span is detached.
+    """
+
+    __slots__ = ("name", "index", "parent", "started", "ended", "rows_in",
+                 "rows_out", "attributes", "_trace")
 
     def __init__(self, name: str):
         self.name = name
+        self.index: int | None = None
+        self.parent: int | None = None
         self.started = time.perf_counter()
         self.ended: float | None = None
         self.rows_in: int | None = None
         self.rows_out: int | None = None
         self.attributes: dict[str, Any] = {}
-        self.children: list["Span"] = []
+        self._trace: "QueryTrace | None" = None
 
     @property
     def elapsed(self) -> float:
         """Span wall time in seconds (up to now while still open)."""
         end = self.ended if self.ended is not None else time.perf_counter()
         return end - self.started
+
+    @property
+    def children(self) -> list["Span"]:
+        """The spans filed under this one, in filing order."""
+        if self._trace is None:
+            return []
+        return [span for span in self._trace.records if span.parent == self.index]
 
     def set(self, rows_in: int | None = None, rows_out: int | None = None,
             **attributes) -> "Span":
@@ -61,31 +77,21 @@ class Span:
         return self
 
     def close(self) -> "Span":
-        """Stamp the end time of a detached span (idempotent).
-
-        Worker lanes are plain spans owned by their pool thread -- no trace
-        stack involved -- so they are closed explicitly rather than through
-        a :class:`_SpanContext`.
-        """
+        """Stamp the end time of a detached span (idempotent): worker lanes
+        belong to their pool thread, not to the trace's stack."""
         if self.ended is None:
             self.ended = time.perf_counter()
         return self
 
-    def walk(self) -> Iterator["Span"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def __enter__(self) -> "Span":
+        return self
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (the driver ships these to the platform)."""
-        return {
-            "name": self.name,
-            "elapsed": self.elapsed,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "attributes": dict(self.attributes),
-            "children": [child.to_dict() for child in self.children],
-        }
+    def __exit__(self, *_exc) -> bool:
+        self.ended = time.perf_counter()
+        stack = self._trace._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        return False
 
 
 class _NullSpan:
@@ -107,43 +113,35 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _SpanContext:
-    __slots__ = ("_trace", "_span")
-
-    def __init__(self, trace: "QueryTrace", span: Span):
-        self._trace = trace
-        self._span = span
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, *_exc) -> bool:
-        self._span.ended = time.perf_counter()
-        stack = self._trace._stack
-        if stack and stack[-1] is self._span:
-            stack.pop()
-        return False
-
-
 class QueryTrace:
-    """The span tree of one query execution."""
+    """The span records of one query execution."""
 
     def __init__(self, sql: str = "", engine: str = ""):
         self.sql = sql
         self.engine = engine
         self.root = Span("query")
-        if sql:
-            self.root.attributes["sql"] = sql
+        self.root.index = 0
+        self.root._trace = self
+        #: every span in the order it was filed; a parent precedes its children.
+        self.records: list[Span] = [self.root]
         self._stack: list[Span] = [self.root]
 
-    def span(self, name: str, **attributes) -> _SpanContext:
+    def adopt(self, parent: Span, span: Span) -> Span:
+        """File a detached ``span`` (a worker lane, an operator of a fused
+        pipeline) under ``parent``, a span of this trace."""
+        span.index = len(self.records)
+        span.parent = parent.index
+        span._trace = self
+        self.records.append(span)
+        return span
+
+    def span(self, name: str, **attributes) -> Span:
         """Open a child span of the innermost open span (a context manager)."""
-        span = Span(name)
+        span = self.adopt(self._stack[-1], Span(name))
         if attributes:
             span.attributes.update(attributes)
-        self._stack[-1].children.append(span)
         self._stack.append(span)
-        return _SpanContext(self, span)
+        return span
 
     def finish(self) -> "QueryTrace":
         """Close the root span (idempotent)."""
@@ -152,22 +150,40 @@ class QueryTrace:
         del self._stack[1:]
         return self
 
+    def tree(self) -> list[list[Span]]:
+        """Per record index, the spans filed under it (one pass over the list)."""
+        children: list[list[Span]] = [[] for _ in self.records]
+        for span in self.records[1:]:
+            children[span.parent].append(span)
+        return children
+
     def spans(self) -> Iterator[Span]:
-        """Every span of the tree, pre-order."""
-        return self.root.walk()
+        """Every span, pre-order (the walk of the tree view)."""
+        children = self.tree()
+        stack = [self.root]
+        while stack:
+            span = stack.pop()
+            yield span
+            stack.extend(reversed(children[span.index]))
 
     def find(self, name: str) -> Span | None:
         """First span named ``name`` in pre-order, or None."""
-        for span in self.spans():
-            if span.name == name:
-                return span
-        return None
+        return next((span for span in self.spans() if span.name == name), None)
 
     def find_all(self, name: str) -> list[Span]:
         return [span for span in self.spans() if span.name == name]
 
     def to_dict(self) -> dict:
-        return {"sql": self.sql, "engine": self.engine, "root": self.root.to_dict()}
+        """JSON-friendly nested form (the EXPLAIN ANALYZE artifact)."""
+        children = self.tree()
+
+        def nested(span: Span) -> dict:
+            return {"name": span.name, "elapsed": span.elapsed,
+                    "rows_in": span.rows_in, "rows_out": span.rows_out,
+                    "attributes": dict(span.attributes),
+                    "children": [nested(child) for child in children[span.index]]}
+
+        return {"sql": self.sql, "engine": self.engine, "root": nested(self.root)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +199,7 @@ def _draw_tree(label_of, children_of, node, prefix: str = "") -> list[str]:
         connector = "└─ " if last else "├─ "
         lines.append(prefix + connector + label_of(child))
         extension = "   " if last else "│  "
-        lines.extend(_draw_tree(label_of, children_of, child, prefix + extension)[0:])
+        lines.extend(_draw_tree(label_of, children_of, child, prefix + extension))
     return lines
 
 
@@ -194,9 +210,8 @@ def _span_label(span: Span) -> str:
     elif span.rows_out is not None:
         parts.append(f", rows={span.rows_out}")
     parts.append(")")
-    attributes = {key: value for key, value in span.attributes.items() if key != "sql"}
-    if attributes:
-        rendered = ", ".join(f"{key}={value}" for key, value in attributes.items())
+    if span.attributes:
+        rendered = ", ".join(f"{key}={value}" for key, value in span.attributes.items())
         parts.append(f" [{rendered}]")
     return "".join(parts)
 
@@ -212,7 +227,8 @@ def format_trace(trace: QueryTrace) -> list[str]:
     """Render a finished trace as an indented span tree (one line per span)."""
     header = _header(trace.engine, trace.sql)
     lines = [header] if header else []
-    lines.extend(_draw_tree(_span_label, lambda span: span.children, trace.root))
+    children = trace.tree()
+    lines.extend(_draw_tree(_span_label, lambda span: children[span.index], trace.root))
     return lines
 
 

@@ -73,6 +73,7 @@ from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
     TelemetryConfig,
+    decode_spans,
     new_trace_id,
 )
 from repro.platform.store import Store
@@ -585,7 +586,7 @@ class PlatformService:
         counters: dict[str, int] = {}
         best_seconds: list[float] = []
         span_buffer: list[dict] = []
-        ingest_buffer: list[dict] = []
+        ingest_buffer: list[tuple[str, object]] = []
         log_buffer: list[tuple[str, str, dict]] = []
         flight_buffer: list[tuple[Task, str, str | None]] = []
         batch_started = self._clock()
@@ -692,16 +693,13 @@ class PlatformService:
                         if isinstance(amount, (int, float)) and amount:
                             counters[f"engine.{name}"] = \
                                 counters.get(f"engine.{name}", 0) + amount
-                if isinstance(record.extras, dict):
-                    # driver-side span records ride along in the extras;
-                    # ingesting them gives the server's recorder (and the
-                    # flight entries built from it) the full cross-process
-                    # timeline of this task.
-                    shipped = record.extras.get("spans")
-                    if isinstance(shipped, list):
-                        ingest_buffer.extend(
-                            span for span in shipped
-                            if isinstance(span, dict) and span.get("trace_id"))
+                if isinstance(record.extras, dict) and record.extras.get("spans"):
+                    # driver-side span records ride along in the extras,
+                    # stored as they arrived; ingesting them (under the
+                    # task's own trace id) gives the server's recorder, and
+                    # the flight entries built from it, the full
+                    # cross-process timeline of this task.
+                    ingest_buffer.append((current.trace_id, record.extras["spans"]))
                 span_buffer.append({
                     "name": "submit", "trace_id": current.trace_id,
                     "task": current.id, "attempt": current.attempts,
@@ -758,30 +756,22 @@ class PlatformService:
             # (checking only against the same trace keeps this off the
             # O(capacity) path).
             seen: dict[str, set] = {}
-            fresh: list[dict] = []
-            for shipped in ingest_buffer:
-                trace_id = shipped.get("trace_id")
+            for trace_id, shipped in ingest_buffer:
                 ids = seen.get(trace_id)
                 if ids is None:
                     ids = seen[trace_id] = {
                         span.get("span_id")
                         for span in self.spans.spans(trace_id)}
-                if shipped.get("span_id") in ids:
-                    continue
-                ids.add(shipped.get("span_id"))
-                fresh.append(shipped)
-            self.spans.extend(fresh)
+                fresh = decode_spans(shipped, trace_id, skip=ids)
+                ids.update(span["span_id"] for span in fresh)
+                self.spans.extend(fresh)
             for buffered in span_buffer:
                 name = buffered.pop("name")
                 trace_id = buffered.pop("trace_id")
-                attributes = {key: value for key, value in buffered.items()
-                              if value is not None}
                 self.spans.record(name, trace_id, start=batch_started,
-                                  **attributes)
+                                  **buffered)
         for level, event, fields in log_buffer:
-            self.log.log(level, event,
-                         **{key: value for key, value in fields.items()
-                            if value is not None})
+            self.log.log(level, event, **fields)
         now = self._clock()
         for task, outcome, reason in flight_buffer:
             self._record_flight(task, outcome, now, reason)

@@ -234,11 +234,14 @@ class TestPhases:
         assert warm.phases["planning"] < cold.phases["planning"]
         assert warm.phases["compile"] == 0.0
 
-    def test_prepared_plan_counts_as_cached(self, clustered_db):
+    def test_prepared_plan_did_not_consult_the_cache(self, clustered_db):
         engine = ColumnEngine(clustered_db)
         plan = engine.prepare("select count(*) from t")
         result = engine.execute(plan)
-        assert result.profile()["plan_cache_hit"]
+        # handed a plan, the execution cannot say what the cache would have
+        # done: unknown, not a hit (engine.cache_stats() reads 0 hits here).
+        assert result.profile()["plan_cache_hit"] is None
+        assert engine.cache_stats()["hits"] == 0
 
     def test_profile_shape(self, clustered_db):
         engine = ColumnEngine(clustered_db)
@@ -427,7 +430,7 @@ class TestDriverProfiles:
         profile = outcome.extras["profile"]
         assert profile["engine"] == engine.label
         assert profile["counters"]["scan.chunks_skipped"] == 2
-        assert profile["plan_cache_hit"]  # repetitions run the prepared plan
+        assert profile["plan_cache_hit"] is None  # repetitions run the prepared plan
 
     def test_failed_query_has_no_profile(self, clustered_db):
         from repro.driver.runner import measure_query
@@ -452,11 +455,20 @@ class TestProfileReport:
                 "phases": {"planning": 0.0, "execute": 0.004},
                 "counters": {"scan.chunks_scanned": 3, "scan.chunks_skipped": 1},
                 "plan_cache_hit": False}}},
+            # two runs on a prepared plan, the second as stores written before
+            # "unknown" existed hold it: neither enters the hit rate
+            {"dbms_label": "columnstore-1.0", "extras": {"profile": {
+                "engine": "columnstore-1.0", "rows": 1, "phases": {},
+                "counters": {"plan.prepared": 1}, "plan_cache_hit": None}}},
+            {"dbms_label": "columnstore-1.0", "extras": {"profile": {
+                "engine": "columnstore-1.0", "rows": 1, "phases": {},
+                "counters": {"plan.prepared": 1}, "plan_cache_hit": True}}},
             {"dbms_label": "rowstore-1.0", "extras": {}},  # no profile submitted
         ]
         report = profile_report(records)
         column = report.engines["columnstore-1.0"]
-        assert column.queries == 2 and column.profiled == 2
+        assert column.queries == 4 and column.profiled == 4
+        assert column.plan_cache_lookups == 2
         assert column.scan_efficiency == pytest.approx(0.5)
         assert column.plan_cache_hit_rate == pytest.approx(0.5)
         assert column.phase_seconds["execute"] == pytest.approx(0.006)

@@ -696,3 +696,53 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "claim" in output
         assert json.loads(artifact.read_text())["tasks"] == 1
+
+    def test_timeline_slowest_joins_flight_entries_to_profiles(self, tmp_path, capsys):
+        """``timeline --slowest N``: the N slowest flight entries of a log, each
+        with its stitched timeline and the engine profile its result carries
+        under the same trace id -- the consumer of ``profiles_by_trace``."""
+        from repro.cli.main import main
+        from repro.platform import Store
+
+        flight_log, store_path = tmp_path / "flight.jsonl", tmp_path / "store.db"
+        telemetry = TelemetryConfig(slow_task_seconds=0.0, flight_log=str(flight_log))
+        service = PlatformService(store=Store(str(store_path)), telemetry=telemetry)
+        owner = service.register_user("owner", "owner@example.org")
+        contributor = service.register_user("worker", "worker@example.org")
+        service.register_dbms("columnstore", "1.0")
+        service.register_host("laptop")
+        project = service.create_project(owner, "slowest")
+        service.invite_contributor(owner, project, contributor)
+        experiment = service.add_experiment(
+            owner, project, "exp", "select sum(price) from t where id > 0",
+            repeats=1, timeout_seconds=60.0)
+        pool = service.build_pool(experiment, seed=3)
+        pool.seed_baseline()
+        pool.seed_random(2)
+        service.enqueue_pool(owner, experiment, pool, dbms_label="columnstore-1.0",
+                             host_name="laptop")
+        config = DriverConfig(key=contributor.contributor_key, dbms="columnstore-1.0",
+                              host="laptop", repeats=1, retries=0, batch_size=1,
+                              trace_tasks=True, telemetry=telemetry)
+        BatchRunner(client=InProcessClient(service, contributor.contributor_key),
+                    engine=ColumnEngine(_flaky_database()), config=config
+                    ).run_all(experiment.id)
+        entries = service.flight.entries()
+        assert len(entries) >= 2
+        slowest = max(entries, key=lambda entry: entry["duration"])
+        service.store.close()
+
+        assert main(["timeline", "--slowest", "1", "--flight-log", str(flight_log),
+                     "--store", str(store_path)]) == 0
+        output = capsys.readouterr().out
+        assert output.count("#1 task=") == 1 and "#2 task=" not in output
+        assert f"#1 task={slowest['task']} outcome=done" in output
+        assert f"trace {slowest['trace_id'][:12]} task={slowest['task']}" in output
+        assert "driver.execute" in output and "engine.scan" in output
+        assert "engine profile: engine=columnstore-1.0 rows=1 plan_cache=not consulted" \
+            in output
+        assert "phases: " in output and "scan.chunks_scanned=1" in output
+        # without the store there is no profile to join: said, not guessed
+        assert main(["timeline", "--slowest", "5", "--flight-log", str(flight_log)]) == 0
+        output = capsys.readouterr().out
+        assert output.count("engine profile: none") == len(entries)
