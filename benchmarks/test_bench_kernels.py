@@ -48,10 +48,8 @@ MATRIX = [
     (6, "column", 60, None),
 ]
 
-# workers pinned to 1: this gate measures single-threaded kernel speedups;
-# morsel parallelism has its own gate (test_bench_parallel.py).
-INTERPRETED = EngineOptions(compile_expressions=False, workers=1)
-COMPILED = EngineOptions(compile_expressions=True, workers=1)
+INTERPRETED = EngineOptions(compile_expressions=False)
+COMPILED = EngineOptions(compile_expressions=True)
 
 
 @pytest.fixture(scope="module")

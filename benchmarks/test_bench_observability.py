@@ -42,7 +42,7 @@ import pytest
 
 from repro.analytics import profiles_by_trace, stitch_timelines, timeline_report
 from repro.driver import BatchRunner, DriverConfig, InProcessClient
-from repro.engine import ColumnEngine, EngineOptions, RowEngine
+from repro.engine import ColumnEngine, RowEngine
 from repro.engine.result import QueryResult
 from repro.obs import JsonLogger, TelemetryConfig
 from repro.platform import (
@@ -103,8 +103,7 @@ def test_disabled_tracing_overhead_is_bounded(tpch_db, benchmark, run_once, arti
     failures = []
     for query_id, kind, samples in MATRIX:
         factory = RowEngine if kind == "row" else ColumnEngine
-        # workers pinned to 1: the overhead gate times the serial hot path.
-        engine = factory(tpch_db, options=EngineOptions(workers=1))
+        engine = factory(tpch_db)
         plan = engine.prepare(QUERIES[query_id])
         engine.execute(plan)  # warm: kernels, columnar views, caches
 
@@ -200,7 +199,7 @@ def _platform_loop(tpch_db, telemetry: TelemetryConfig, tasks: int):
             experiment_id=experiment.id, query_sql=PLATFORM_SQL,
             query_key=f"bench-{index}", dbms_label="columnstore-1.0",
             host_name="bench", timeout_seconds=60.0))
-    engine = ColumnEngine(tpch_db, options=EngineOptions(workers=1))
+    engine = ColumnEngine(tpch_db)
     engine.execute(engine.prepare(PLATFORM_SQL))  # warm kernels + plan cache
     # repeats=5 is the paper's default protocol ("each experiment is run
     # five times"); only the first repetition is traced (by design, see
@@ -293,7 +292,7 @@ def test_shipped_span_budget_per_task(tpch_db, artifact_dir):
                           host="bench", repeats=5, retries=0, batch_size=1,
                           trace_tasks=True, telemetry=telemetry)
     runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
-                         engine=RowEngine(tpch_db, options=EngineOptions(workers=1)),
+                         engine=RowEngine(tpch_db),
                          config=config)
     assert runner.run_batch(experiment.id, count=1) == 1
     shipped = service.store.results(experiment.id)[0].extras["spans"]
@@ -328,7 +327,7 @@ def test_task_timeline_artifact(tpch_db, artifact_dir):
         experiment_id=experiment.id, query_sql=PLATFORM_SQL,
         query_key="timeline-0", dbms_label="columnstore-1.0",
         host_name="bench", timeout_seconds=60.0))
-    engine = ColumnEngine(tpch_db, options=EngineOptions(workers=1))
+    engine = ColumnEngine(tpch_db)
     config = DriverConfig(key=contributor.contributor_key,
                           dbms="columnstore-1.0", host="bench",
                           repeats=1, retries=0, batch_size=1, trace_tasks=True,

@@ -62,8 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     demo_parser = commands.add_parser("demo", help="run the end-to-end demo scenario")
     demo_parser.add_argument("--scale-factor", type=float, default=0.001)
     demo_parser.add_argument("--pool-size", type=int, default=12)
-    demo_parser.add_argument("--workers", type=int, default=1,
-                             help="column-engine morsel workers (1 = serial)")
     demo_parser.add_argument("--metrics", action="store_true",
                              help="also print the platform metrics snapshot")
 
@@ -105,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
     explain_parser.add_argument("--analyze", action="store_true",
                                 help="execute the query and print the span tree")
     explain_parser.add_argument("--scale-factor", type=float, default=0.001)
-    explain_parser.add_argument("--workers", type=int, default=1,
-                                help="column-engine morsel workers (1 = serial)")
 
     commands.add_parser(
         "pipelines", help="generated vs interpreted row-engine blocks and both engines' "
@@ -186,7 +182,7 @@ def _cmd_explain(arguments) -> int:
         return 2
 
     database = build_tpch_database(scale_factor=arguments.scale_factor)
-    row_engine, column_engine = build_engines(database, workers=arguments.workers)
+    row_engine, column_engine = build_engines(database)
     engine = row_engine if arguments.engine == "row" else column_engine
 
     prefix = "explain analyze " if arguments.analyze else "explain "
@@ -305,8 +301,7 @@ def _cmd_demo(arguments) -> int:
     from repro.workflow import run_demo_scenario
 
     summary = run_demo_scenario(scale_factor=arguments.scale_factor,
-                                pool_size=arguments.pool_size,
-                                workers=arguments.workers)
+                                pool_size=arguments.pool_size)
     print(summary.describe())
     if arguments.metrics and summary.metrics:
         print()

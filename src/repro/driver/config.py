@@ -20,7 +20,6 @@ The configuration file uses INI syntax (``configparser``), e.g.::
     timeout = 60
     batch_size = 8
     workers = 1
-    engine_workers = 1
     retries = 4
     retry_delay = 0.05
 
@@ -29,10 +28,7 @@ The configuration file uses INI syntax (``configparser``), e.g.::
 tasks concurrently and therefore inflates the recorded wall-clock times
 (GIL contention); keep it at 1 when the timings matter.  Batches measured
 with ``workers`` above 1 carry ``extras["concurrent_workers"]`` so the
-analytics side can flag them.  ``engine_workers`` is a different knob
-entirely: it sets :attr:`repro.engine.engine.EngineOptions.workers`
-(morsel-parallel execution inside the column engine) for locally-built
-targets and does not compromise timing fidelity.  ``retries`` and
+analytics side can flag them.  ``retries`` and
 ``retry_delay`` bound the runner's retry loop around failed platform round
 trips (decorrelated-jitter backoff; submissions stay safe to retry because
 they carry idempotency keys).
@@ -80,7 +76,6 @@ class DriverConfig:
     timeout: float = 60.0
     batch_size: int = 8
     workers: int = 1
-    engine_workers: int = 1
     #: how many times the runner retries a failed platform round trip
     #: (claiming or submitting) before giving up on it; idempotency keys make
     #: retried submissions safe.  0 disables retries.
@@ -111,8 +106,6 @@ class DriverConfig:
             raise ConfigError("batch_size must be a positive integer")
         if self.workers <= 0:
             raise ConfigError("workers must be a positive integer")
-        if self.engine_workers <= 0:
-            raise ConfigError("engine_workers must be a positive integer")
         if self.retries < 0:
             raise ConfigError("retries must not be negative")
         if self.retry_delay < 0:
@@ -141,7 +134,6 @@ def load_config(path: str | Path) -> DriverConfig:
         timeout = float(target.get("timeout", "60"))
         batch_size = int(target.get("batch_size", "8"))
         workers = int(target.get("workers", "1"))
-        engine_workers = int(target.get("engine_workers", "1"))
         retries = int(target.get("retries", "4"))
         retry_delay = float(target.get("retry_delay", "0.05"))
     except ValueError:
@@ -172,7 +164,6 @@ def load_config(path: str | Path) -> DriverConfig:
         timeout=timeout,
         batch_size=batch_size,
         workers=workers,
-        engine_workers=engine_workers,
         retries=retries,
         retry_delay=retry_delay,
         trace_tasks=trace_tasks,

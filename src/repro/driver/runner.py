@@ -370,8 +370,8 @@ class BatchRunner:
                     error=outcome.error)
                 if outcome.trace is not None:
                     # the engine's whole span tree nests under this task's
-                    # execute span: one trace id covers SQL parse -> morsel
-                    # workers -> HTTP submit.
+                    # execute span: one trace id covers SQL parse -> engine
+                    # operators -> HTTP submit.
                     self.spans.extend(export_query_trace(
                         outcome.trace, task["trace_id"],
                         parent_span_id=execute_span["span_id"]))

@@ -17,8 +17,9 @@ evaluation that the paper's MonetDB anecdote describes).
 
 The shared pieces are the catalog (:class:`Catalog`), the chunked columnar
 storage subsystem (:mod:`repro.engine.storage`: fixed-size chunks of typed
-segments with null masks, zone maps, dictionary-encoded strings and
-aggregated table statistics, fronted by :class:`Database`), the SQL
+segments with null masks and zone maps, every string column
+dictionary-encoded, and aggregated table statistics, fronted by
+:class:`Database`), the SQL
 front-end (:mod:`repro.sqlparser`) and the logical plan layer
 (:mod:`repro.engine.plan`): a :class:`Planner` analyses each query once into
 a :class:`QueryPlan` that both physical backends consume (ordering scan
@@ -32,9 +33,9 @@ prepared plan is lowered once -- one generated Python function per query
 block for the row engine, selection-vector column kernels for the column
 engine -- cached on the plan and toggled by the ``compile_expressions``
 engine option.  The column engine runs every block through one pipeline
-(scan -> refine -> join -> partial -> combine -> finalise or project, see
-:mod:`repro.engine.executor_column`) whose unit of work is a morsel: one per
-block, or one per worker of the ``workers`` option.
+(scan -> refine -> join -> aggregate or project, see
+:mod:`repro.engine.executor_column`): its scans skip the storage chunks their
+zone maps refute and evaluate string predicates over dictionary codes.
 """
 
 from repro.engine.catalog import Catalog, ColumnDef, TableSchema

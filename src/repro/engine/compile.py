@@ -1529,8 +1529,8 @@ class ColumnJoin:
 
 
 class GroupValues(NamedTuple):
-    """What an aggregated block knows of its groups once its morsels'
-    partial states are combined: one value per group and leaf site."""
+    """What an aggregated block knows of its groups once its aggregate calls
+    are folded: one value per group and leaf site."""
 
     count: int
     #: per aggregate-call site, the finished aggregate.
@@ -1547,7 +1547,7 @@ class AggregateSites:
     aggregate calls and subtrees free of them -- those read at each group's
     first row -- under the few node shapes :func:`aggregate_sites` knows to
     combine per group.  The leaves are what runs per row: the kernel
-    compiler, the executor's partial states and the per-group closures all
+    compiler, the executor's aggregation and the per-group closures all
     name them by their number here, as they do the group keys.
     """
 

@@ -52,15 +52,13 @@ class ColumnarTable:
 class Database:
     """An in-memory database instance: catalog + storage (+ cached views)."""
 
-    def __init__(self, name: str = "db", chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 dictionary_strings: bool = True):
+    def __init__(self, name: str = "db", chunk_rows: int = DEFAULT_CHUNK_ROWS):
         self.name = name
         self.chunk_rows = chunk_rows
-        self.dictionary_strings = dictionary_strings
         self.catalog = Catalog()
         self._storage: dict[str, StorageTable] = {}
         self._columnar: dict[str, ColumnarTable] = {}
-        # concurrent executors (batched driver threads, morsel workers) may
+        # concurrent executors (batched driver threads sharing an engine) may
         # request the same columnar view; builds serialise on this lock.
         self._columnar_lock = threading.Lock()
 
@@ -70,8 +68,7 @@ class Database:
                      columns: Iterable[tuple[str, str]] | Iterable[ColumnDef]) -> TableSchema:
         """Create table ``name`` and return its schema."""
         schema = self.catalog.create_table(name, columns)
-        table = StorageTable(schema, chunk_rows=self.chunk_rows,
-                             dictionary_strings=self.dictionary_strings)
+        table = StorageTable(schema, chunk_rows=self.chunk_rows)
         self._storage[schema.name] = table
         self.catalog.bind_statistics(schema.name, table.statistics)
         return schema

@@ -65,55 +65,27 @@ class EngineOptions:
         builds, the join loop nest, filters and aggregation fused), on the
         column engine column kernels.  Either is cached on the
         :class:`QueryPlan`, so the plan cache amortises compilation.
-    zone_maps:
-        Column engine only: the scan skips whole storage chunks whose zone
-        maps refute the push-down predicates before any selection vector is
-        refined.
-    dictionary_encoding:
-        Column engine only: equality / IN / LIKE scan predicates over
-        dictionary-encoded string columns evaluate once over the table-wide
-        dictionary and then against the ``int32`` code vector instead of the
-        object string array.
-    workers:
-        Column engine only: morsel-driven parallelism degree.  Every block
-        runs through one pipeline whose unit of work is a morsel; at 1 (the
-        default) a block is one morsel and runs inline.  Above 1, eligible
-        blocks (single base table, no subqueries, more than one storage
-        chunk) split their surviving chunks into one contiguous range per
-        worker and run each stage's morsels on the shared worker pool
-        (:mod:`repro.engine.parallel`, created lazily and reused across
-        queries): push-down and residual predicates refine each morsel's
-        selection vector, aggregation folds each into a partial state, and
-        the partial states combine in morsel order.  Results are identical
-        to one morsel's; floating-point SUM/AVG may differ in the last ulp
-        because partial sums re-associate.
 
     Every field is an engine version the platform can be asked to measure,
     so there is none for what has one value in use: predicates always refine
-    a selection vector, and nullable typed columns always travel as
-    ``(values, validity)`` pairs (two earlier toggles could switch back to a
-    masked frame per predicate and to object arrays holding ``None``;
-    neither was ever the better choice, see the README's "Knobs").
+    a selection vector, nullable typed columns always travel as ``(values,
+    validity)`` pairs, the column engine's scans always skip the chunks their
+    zone maps refute and always evaluate string predicates over dictionary
+    codes, and a block always runs on one thread (see the README's "Knobs").
     """
 
     predicate_pushdown: bool = True
     hash_joins: bool = True
     overflow_guard: bool = False
     compile_expressions: bool = True
-    zone_maps: bool = True
-    dictionary_encoding: bool = True
-    workers: int = 1
 
-    def describe(self) -> dict[str, "bool | int"]:
+    def describe(self) -> dict[str, bool]:
         """Return the options as a plain dict (for platform catalog entries)."""
         return {
             "predicate_pushdown": self.predicate_pushdown,
             "hash_joins": self.hash_joins,
             "overflow_guard": self.overflow_guard,
             "compile_expressions": self.compile_expressions,
-            "zone_maps": self.zone_maps,
-            "dictionary_encoding": self.dictionary_encoding,
-            "workers": self.workers,
         }
 
 
@@ -472,9 +444,6 @@ class ColumnEngine(Engine):
             hash_joins=self.options.hash_joins,
             overflow_guard=self.options.overflow_guard,
             compile_expressions=self.options.compile_expressions,
-            zone_maps=self.options.zone_maps,
-            dictionary_encoding=self.options.dictionary_encoding,
-            workers=self.options.workers,
             plan=plan,
             trace=trace,
         )

@@ -9,14 +9,13 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
 
 1. **scan** -- FROM items are :class:`ColFrame` column sets that are never
    filtered in place (base tables come from the database's cached columnar
-   views, derived tables are executed recursively).  The zone maps drop the
-   chunks the push-down predicates refute; what survives is one *morsel* --
-   or, where the block fans out over the worker pool
-   (:mod:`repro.engine.parallel`), one per worker.  Serial execution is the
-   one-morsel case of the same code,
-2. **refine** -- push-down and residual predicates narrow each morsel's
-   selection vector, an ``int64`` index of the surviving rows (None: all of
-   them, the first predicate then runs over the arrays as they are);
+   views, string columns with their dictionary codes; derived tables are
+   executed recursively).  The zone maps drop the chunks the push-down
+   predicates refute, and the predicates narrow a selection vector over the
+   rows of the chunks that survive: an ``int64`` index of the selected rows
+   (None: all of them, the first predicate then runs over the arrays as they
+   are).  An equality / IN / LIKE over a string column runs over its codes,
+2. **refine** -- residual predicates narrow the selection further;
    predicates containing subqueries fall back to row-at-a-time evaluation
    for that predicate only (subqueries themselves run through a row
    executor),
@@ -24,14 +23,12 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    kernels of :mod:`repro.engine.keys` for the matching row pairs; the joined
    frame gathers a column through those index vectors the first time
    something reads it,
-4. **partial** -- an aggregated block folds each morsel into a partial
-   state: its groups (ids from the same key kernels) and, per aggregate
-   call, ``np.bincount`` / ``minimum.at`` style accumulators,
-5. **combine / finalise** -- several partials merge in morsel order (one *is*
-   the combined state), the aggregates finish and the select list and HAVING
-   are evaluated per group; a block that does not aggregate projects over
-   the concatenated selection instead,
-6. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
+4. **aggregate** -- an aggregated block groups the selected rows (ids from
+   the same key kernels), folds each aggregate call per group with
+   ``np.bincount`` / ``minimum.at`` style accumulators and evaluates HAVING
+   and the select list per group; a block that does not aggregate projects
+   over the selection instead,
+5. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
    that index, and only the surviving rows are materialised, column-wise.
 
 Expressions run as the compiled kernels of :mod:`repro.engine.compile` or,
@@ -43,14 +40,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from functools import partial
 from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
 from repro.engine.compile import (
-    AggregateSites,
     ColumnBlockKernels,
     ColumnBlockShape,
     ColumnContext,
@@ -71,17 +66,15 @@ from repro.engine.expression import evaluate as row_evaluate
 from repro.engine.keys import (
     KeyOrder,
     group_rows,
-    hash_codes,
     integer_kind,
     join_indexes,
     order_index,
     probe_order,
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, truth_mask
-from repro.engine.parallel import chunk_ranges, run_tasks
 from repro.engine.plan import BlockPlan, Planner, QueryPlan
 from repro.engine.planner import ColumnInfo
-from repro.obs import NULL_SPAN, QueryTrace, Span
+from repro.obs import NULL_SPAN, QueryTrace
 from repro.obs.metrics import count as count_metric
 from repro.engine.vector import ColFrame, VectorEvaluator, VectorFallback, isnull_mask
 from repro.errors import ExecutionError, PlanError
@@ -169,18 +162,13 @@ class ColumnExecutor:
 
     def __init__(self, database: Database, predicate_pushdown: bool = True,
                  hash_joins: bool = True, overflow_guard: bool = False,
-                 compile_expressions: bool = True, zone_maps: bool = True,
-                 dictionary_encoding: bool = True, workers: int = 1,
-                 plan: QueryPlan | None = None,
+                 compile_expressions: bool = True, plan: QueryPlan | None = None,
                  trace: QueryTrace | None = None):
         self.database = database
         self.predicate_pushdown = predicate_pushdown
         self.hash_joins = hash_joins
         self.overflow_guard = overflow_guard
         self.compile_expressions = compile_expressions
-        self.zone_maps = zone_maps
-        self.dictionary_encoding = dictionary_encoding
-        self.workers = max(1, int(workers))
         self._plan = plan
         self._trace = trace
         self._planner: Planner | None = None
@@ -306,29 +294,23 @@ class ColumnExecutor:
             return shape, compile_column_block(block, shape, compiled=False)
 
     def _execute_block(self, select: ast.Select) -> tuple[ColFrame, list[str]]:
-        """Run one block: scan -> refine -> join -> partial -> combine ->
-        finalise, or project.
+        """Run one block: scan -> refine -> join -> aggregate, or project.
 
         Scans stay unmaterialised: push-down and residual predicates narrow
-        the ``int64`` selection of each morsel over the base arrays, joins
-        gather through the composed selection, and only aggregation /
-        projection produce a new :class:`ColFrame`.  A block has one morsel
-        unless it fans out (:meth:`_fans_out`); then each stage runs its
-        morsels as tasks on the worker pool (:meth:`_each_morsel`).
+        the ``int64`` selection over the base arrays, joins gather through
+        the composed selection, and only aggregation / projection produce a
+        new :class:`ColFrame`.
         """
         block = self._block(select)
         shape, kernels = self._block_kernels(block)
         trace = self._trace
         if not select.from_items:
             raise PlanError("a query block needs at least one FROM item")
-        fanned = self.workers > 1 and self._fans_out(select, block)
-        if fanned:
-            count_metric("parallel.blocks", 1)
 
         # each scan span covers materialisation, the zone-map chunk gate and
-        # the push-down refinement of that scan's morsels.
+        # the push-down refinement of that scan's selection.
         frames: list[ColFrame] = []
-        scans: list[list[np.ndarray | None]] = []
+        selections: list[np.ndarray | None] = []
         for index, item in enumerate(select.from_items):
             span_cm = (trace.span("scan", source=scan_source(item))
                        if trace is not None else NULL_SPAN)
@@ -336,37 +318,26 @@ class ColumnExecutor:
                 frame = self._materialise(item, block.item_columns[index],
                                           shape.item_layouts[index])
                 frames.append(frame)
-                scans.append(self._scan(item, frame, kernels.pushdown[index], fanned, span))
-        if shape.joins:  # every scan is one morsel: only single-table blocks fan out
-            frame, morsels = self._join_frames(
-                frames, [morsels[0] for morsels in scans], block, shape), [None]
+                selections.append(self._scan(item, frame, kernels.pushdown[index], span))
+        if shape.joins:
+            frame, selection = self._join_frames(frames, selections, block, shape), None
         else:
-            frame, morsels = frames[0], scans[0]
+            frame, selection = frames[0], selections[0]
 
         if block.residual:
             with self._span("filter") as span:
-                rows_in = _rows(frame, morsels) if trace is not None else 0
-
-                def refine(selection, lane):
-                    refined = self._refine(frame, selection, kernels.residual)
-                    if lane is not None:
-                        lane.set(rows_in=_rows(frame, [selection]), rows_out=len(refined))
-                    return refined
-
-                morsels = self._each_morsel("parallel.filter_tasks", span, fanned,
-                                            morsels, refine)
+                rows_in = _rows(frame, selection)
+                selection = self._refine(frame, selection, kernels.residual)
                 if trace is not None:
-                    rows_out = _rows(frame, morsels)
+                    rows_out = _rows(frame, selection)
                     span.set(rows_in=rows_in, rows_out=rows_out, selection_size=rows_out)
 
         with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows_in = _rows(frame, morsels) if trace is not None else 0
+            rows_in = _rows(frame, selection)
             if block.needs_aggregation:
-                frame = self._aggregate(select, shape, kernels, frame, morsels, fanned, span)
+                frame = self._aggregate(select, shape, kernels, frame, selection)
             else:
-                frame = self._project(
-                    select, shape, kernels, frame,
-                    morsels[0] if len(morsels) == 1 else np.concatenate(morsels))
+                frame = self._project(select, shape, kernels, frame, selection)
             if trace is not None:
                 span.set(rows_in=rows_in, rows_out=frame.length)
 
@@ -374,100 +345,28 @@ class ColumnExecutor:
             frame = self._distinct(frame)
         return frame, block.output_names
 
-    # -- morsels -------------------------------------------------------------------
-
-    def _fans_out(self, select: ast.Select, block: BlockPlan) -> bool:
-        """Whether the block's scan splits into one morsel per worker.
-
-        It does when it scans exactly one base table of at least two sealed
-        chunks, contains no subquery anywhere (workers never recurse into
-        the executor, which keeps the shared pool deadlock-free) and has
-        work to spread: push-down predicates, residual predicates, or an
-        aggregation.
-        """
-        item = select.from_items[0]
-        if len(select.from_items) != 1 or not isinstance(item, ast.TableRef) \
-                or select.subqueries():
-            return False
-        try:
-            storage = self.database.storage(item.name)
-        except Exception:
-            return False
-        storage.flush()
-        return len(storage.chunks) >= 2 and bool(
-            block.pushdown or block.residual or block.needs_aggregation)
-
-    def _each_morsel(self, counter: str, span, fanned: bool, morsels: list,
-                     work: Callable[[Any, Span | None], Any]) -> list:
-        """``work(morsel, lane)`` for every morsel of one stage, in morsel order.
-
-        The one morsel of a block that does not fan out runs right here.
-        Those of one that does run as tasks on the worker pool -- counted
-        under ``counter``; when tracing, each records a detached ``worker``
-        lane ``work`` annotates and the coordinator files under the stage's
-        ``span``.  Per-query metrics stay attributed on the coordinating
-        thread (:func:`~repro.engine.parallel.run_tasks`).
-        """
-        if not fanned:
-            return [work(morsel, None) for morsel in morsels]
-        traced = self._trace is not None
-
-        def task(morsel):
-            lane = Span("worker") if traced else None
-            result = work(morsel, lane)
-            if lane is not None:
-                lane.close()
-            return result, lane
-
-        count_metric(counter, len(morsels))
-        results = run_tasks(self.workers, [partial(task, morsel) for morsel in morsels])
-        if traced:
-            for _, lane in results:
-                self._trace.adopt(span, lane)
-        return [result for result, _ in results]
-
     def _scan(self, item: ast.TableExpression, frame: ColFrame, pairs: list,
-              fanned: bool, span) -> list[np.ndarray | None]:
-        """The morsels of one FROM item: per morsel, the selection its
-        push-down predicates leave of it (None: every row of the item).
+              span) -> np.ndarray | None:
+        """The selection the push-down predicates ``pairs`` leave of one FROM
+        item (None: every row of it).
 
         Over a base table the zone maps first drop the chunks the predicates
-        refute.  What survives is one morsel or, fanned out, one contiguous
-        chunk range per worker; a morsel covering every chunk starts from no
-        selection at all, so its first predicate runs over the arrays as
-        they are.
+        refute, and the first predicate runs over the rows of the survivors
+        -- or, where no chunk was refuted, over the arrays as they are.
         """
-        survivors = scanned = skipped = None
+        base = scanned = skipped = None
         if pairs and isinstance(item, ast.TableRef):
-            pairs, gate = self._scan_gate(item, frame.layout, pairs)
-            if gate is not None:
-                survivors, scanned, skipped = gate
-                count_metric("scan.chunks_scanned", scanned)
-                count_metric("scan.chunks_skipped", skipped)
-        if fanned or survivors is not None:
-            zones = self.database.storage(item.name).zone_index()
-            ranges = chunk_ranges(zones.chunk_count, survivors,
-                                  self.workers if fanned else 1)
-        else:
-            ranges = [None]  # no chunk to tell from another: every row, one morsel
-
-        def rows(chunks) -> np.ndarray | None:
-            return None if chunks is None else zones.rows_of(chunks[2])
-
-        def refine(chunks, lane):
-            base = rows(chunks)
-            selection = self._refine(frame, base, pairs)
-            if lane is not None:
-                start, stop, piece = chunks
-                lane.set(rows_in=_rows(frame, [base]), rows_out=len(selection),
-                         chunks_scanned=len(piece),
-                         chunks_skipped=(stop - start) - len(piece))
-            return selection
-
-        if pairs:
-            morsels = self._each_morsel("parallel.scan_tasks", span, fanned, ranges, refine)
-        else:
-            morsels = [rows(chunks) for chunks in ranges]
+            coded, (survivors, scanned, skipped) = self._scan_gate(item, frame.layout, pairs)
+            # a predicate that runs over dictionary codes has a kernel of its own
+            swapped = sum(new is not old for (new, _), (old, _) in zip(coded, pairs))
+            if swapped:
+                count_metric("scan.dictionary_predicates", swapped)
+            count_metric("scan.chunks_scanned", scanned)
+            count_metric("scan.chunks_skipped", skipped)
+            pairs = coded
+            if survivors is not None:
+                base = self.database.storage(item.name).zone_index().rows_of(survivors)
+        selection = self._refine(frame, base, pairs)
         if self._trace is not None:
             attrs = {}
             if scanned is None:
@@ -475,13 +374,11 @@ class ColumnExecutor:
             if scanned is not None:
                 attrs["chunks_scanned"] = scanned
                 attrs["chunks_skipped"] = skipped
-            rows_out = _rows(frame, morsels)
-            if any(selection is not None for selection in morsels):
+            rows_out = _rows(frame, selection)
+            if selection is not None:
                 attrs["selection_size"] = rows_out
-            if fanned:
-                attrs["workers"] = len(morsels)
             span.set(rows_in=frame.length, rows_out=rows_out, **attrs)
-        return morsels
+        return selection
 
     # -- statistics-driven scan skipping ----------------------------------------
 
@@ -499,19 +396,15 @@ class ColumnExecutor:
                     self._scan_gate(item, layout, pairs)
 
     def _scan_gate(self, item: ast.TableRef, layout: Layout, pairs: list
-                   ) -> tuple[list, tuple[np.ndarray | None, int, int] | None]:
+                   ) -> tuple[list, tuple[np.ndarray | None, int, int]]:
         """What stands before a base-table scan's first predicate: its
         push-down ``pairs`` with the dictionary-code kernels swapped in, and
         the zone-map gate ``(survivors, scanned, skipped)`` -- the surviving
-        *chunk indexes* (None when no chunk can be skipped; a row index is
-        built only once they are split into morsels) and the chunk counts,
-        whose sum is the table's chunk total; None with zone maps off.  Both
-        are memoised in storage until the table changes.
+        *chunk indexes* (None when no chunk can be skipped) and the chunk
+        counts, whose sum is the table's chunk total.  Both are memoised in
+        storage until the table changes.
         """
-        if self.dictionary_encoding:
-            pairs = self._dictionary_pairs(item, layout, pairs)
-        if not self.zone_maps:
-            return pairs, None
+        pairs = self._dictionary_pairs(item, layout, pairs)
 
         def resolve(ref: ast.ColumnRef) -> tuple[str, str] | None:
             position = layout.position(ref)
@@ -524,10 +417,10 @@ class ColumnExecutor:
             [predicate for _, predicate in pairs], resolve)
 
     def _dictionary_pairs(self, item: ast.TableRef, layout: Layout, pairs):
-        """Swap scan predicates over dictionary-encoded columns to code kernels.
+        """Swap scan predicates over string columns to dictionary-code kernels.
 
-        Equality / IN / LIKE (and their negations) over a dictionary-encoded
-        string column are evaluated once over the table-wide dictionary via a
+        Equality / IN / LIKE (and their negations) over a stored string
+        column are evaluated once over the table-wide dictionary via a
         compiled *row* kernel -- giving exact row-engine NULL semantics --
         and then applied to the int32 code vector instead of the object
         array.
@@ -821,58 +714,14 @@ class ColumnExecutor:
 
     def _aggregate(self, select: ast.Select, shape: ColumnBlockShape,
                    kernels: ColumnBlockKernels, frame: ColFrame,
-                   morsels: list[np.ndarray | None], fanned: bool, span) -> ColFrame:
-        """Aggregate in three steps: a partial group state per morsel, their
-        combination (only where there are several: one partial *is* the
-        combined state) and the finish -- the aggregates from their partial
-        states, then HAVING and the select list per group."""
+                   selection: np.ndarray | None) -> ColFrame:
+        """Group the selected rows, read each first-row site at the groups'
+        first rows, fold each aggregate call per group, then evaluate HAVING
+        and the select list per group."""
         sites = shape.sites
-        partials = self._each_morsel("parallel.aggregate_tasks", span, fanned, morsels,
-                                     partial(self._partial, sites, kernels, frame))
-        state = partials[0] if len(partials) == 1 else _combined(sites, partials)
-
-        firsts = state.firsts
-        if not sites.keys:
-            # a global aggregate over an empty input still is one group: its
-            # counts are 0, its other aggregates NULL and, with no first row
-            # to read, so is everything else -- the row engine's empty group.
-            firsts = [first if len(first) else np.full(1, None, dtype=object)
-                      for first in firsts]
-        groups = GroupValues(
-            state.count,
-            [_finished_aggregate(call.name.lower(), partial_state)
-             for call, partial_state in zip(sites.calls, state.calls)],
-            firsts)
-        arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
-        if sites.having is None:
-            return self._output(select, shape, arrays, state.count)
-        # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
-        # (a Kleene mask's invalid rows, or None in an object array)
-        # collapses to False here, exactly like the filter position.
-        keep = truth_mask(sites.having(groups), state.count)
-        return self._output(select, shape, [values[keep] for values in arrays],
-                            int(keep.sum()))
-
-    def _output(self, select: ast.Select, shape: ColumnBlockShape,
-                arrays: list[np.ndarray], length: int) -> ColFrame:
-        """The frame of an aggregated block's output: one array per select
-        item, typed by the plan where it knows (a MIN over dates is an
-        ``int64`` array like any other)."""
-        return ColFrame(
-            columns=[ColumnInfo("", item.output_name(position),
-                                shape.output_types[position] or _type_of(array))
-                     for position, (item, array) in enumerate(zip(select.items, arrays))],
-            arrays=arrays, length=length)
-
-    def _partial(self, sites: AggregateSites, kernels: ColumnBlockKernels,
-                 frame: ColFrame, selection: np.ndarray | None, lane: Span | None
-                 ) -> "_GroupState":
-        """One morsel's partial state: its rows grouped, each first-row site
-        read at the groups' first rows, each aggregate call folded."""
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
         materialised = _LazySelection(frame, selection)
-        factors = None
         if sites.keys:
             # a key that is a plain dictionary-encoded column groups on its
             # int32 code vector (codes biject to values, with -1 for NULL, so
@@ -896,15 +745,39 @@ class ColumnExecutor:
             first_frame = _LazySelection(frame, first_rows)
             firsts = [group_values(self._vector(kernel, expression, first_context, first_frame))
                       for expression, kernel in zip(sites.firsts, kernels.firsts)]
-        calls = [
-            _partial_aggregate(
-                call, None if argument is None
-                else self._vector(kernel, argument, context, materialised),
-                group_ids, count)
-            for call, argument, kernel in zip(sites.calls, sites.arguments, kernels.arguments)]
-        if lane is not None:
-            lane.set(rows_in=length, rows_out=len(first_index))
-        return _GroupState(count, firsts, calls, factors, first_index)
+        if not sites.keys:
+            # a global aggregate over an empty input still is one group: its
+            # counts are 0, its other aggregates NULL and, with no first row
+            # to read, so is everything else -- the row engine's empty group.
+            firsts = [first if len(first) else np.full(1, None, dtype=object)
+                      for first in firsts]
+        groups = GroupValues(
+            count,
+            [_aggregate_call(call, None if argument is None
+                             else self._vector(kernel, argument, context, materialised),
+                             group_ids, count)
+             for call, argument, kernel in zip(sites.calls, sites.arguments, kernels.arguments)],
+            firsts)
+        arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
+        if sites.having is None:
+            return self._output(select, shape, arrays, count)
+        # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
+        # (a Kleene mask's invalid rows, or None in an object array)
+        # collapses to False here, exactly like the filter position.
+        keep = truth_mask(sites.having(groups), count)
+        return self._output(select, shape, [values[keep] for values in arrays],
+                            int(keep.sum()))
+
+    def _output(self, select: ast.Select, shape: ColumnBlockShape,
+                arrays: list[np.ndarray], length: int) -> ColFrame:
+        """The frame of an aggregated block's output: one array per select
+        item, typed by the plan where it knows (a MIN over dates is an
+        ``int64`` array like any other)."""
+        return ColFrame(
+            columns=[ColumnInfo("", item.output_name(position),
+                                shape.output_types[position] or _type_of(array))
+                     for position, (item, array) in enumerate(zip(select.items, arrays))],
+            arrays=arrays, length=length)
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -921,7 +794,7 @@ class ColumnExecutor:
                            for column in view.schema.columns]
             arrays = [view.columns[column.name] for column in view.schema.columns]
             codes = [view.codes.get(column.name) for column in view.schema.columns] \
-                if self.dictionary_encoding and view.codes else None
+                if view.codes else None
             return ColFrame(columns=columns, arrays=arrays, length=view.length,
                             codes=codes, layout=layout)
         if isinstance(item, ast.SubqueryRef):
@@ -1002,10 +875,9 @@ def _selected(array: Any, selection: np.ndarray | None) -> Any:
     return array[selection]
 
 
-def _rows(frame: ColFrame, morsels: list[np.ndarray | None]) -> int:
-    """The rows ``morsels`` select of ``frame`` (None: all of them)."""
-    return sum(frame.length if selection is None else len(selection)
-               for selection in morsels)
+def _rows(frame: ColFrame, selection: np.ndarray | None) -> int:
+    """The rows ``selection`` selects of ``frame`` (None: all of them)."""
+    return frame.length if selection is None else len(selection)
 
 
 def _codes_of(frame: ColFrame, column: int | None, selection: np.ndarray | None
@@ -1183,38 +1055,8 @@ class _LazySelection:
 
 
 # ---------------------------------------------------------------------------
-# aggregation: partial -> combine -> finish
-#
-# Each aggregate function is three functions of one *partial state*, a tuple
-# whose first entry names its kind:
-#
-#   ("counts", counts)                    COUNT(*) / COUNT(x)
-#   ("sums", sums, counts, dtype)         SUM / AVG
-#   ("extremes", extremes, counts, dtype) MIN / MAX; ``dtype`` None: Python
-#                                         values in an object array
-#   ("distinct", buckets, dtype)          any DISTINCT aggregate: per group the
-#                                         distinct values in first-seen order
-#
-# with one entry per group; ``dtype`` is the input's, which decides whether a
-# float64 accumulation goes out as integers again.
+# aggregation: one call's value per group
 # ---------------------------------------------------------------------------
-
-
-class _GroupState:
-    """The groups of one morsel -- or of all of them, combined: per first-row
-    site the expression at each group's first row, per aggregate call its
-    partial state.  A morsel's also keeps its key columns and the groups'
-    first rows, which is what combining reads the group keys from."""
-
-    __slots__ = ("count", "firsts", "calls", "factors", "first_index")
-
-    def __init__(self, count: int, firsts: list[np.ndarray], calls: list[tuple],
-                 factors: list | None = None, first_index: np.ndarray | None = None):
-        self.count = count
-        self.firsts = firsts
-        self.calls = calls
-        self.factors = factors
-        self.first_index = first_index
 
 
 def _null_mask(values: np.ndarray) -> np.ndarray:
@@ -1245,24 +1087,32 @@ def _better(name: str, value: Any, current: Any) -> bool:
     return current is None or ((value < current) if name == "min" else (value > current))
 
 
-def _partial_aggregate(call: ast.FunctionCall, values: Any, group_ids: np.ndarray,
-                       group_count: int) -> tuple:
-    """The partial state of one aggregate call over one morsel's rows;
-    ``values`` is its argument there (None: ``count(*)``)."""
+def _summed(name: str, sums: np.ndarray, counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """SUM / AVG per group from the float64 sums and the counts of the values."""
+    if name == "avg":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _mask_empty(sums / counts, counts)
+    return _mask_empty(_retyped(sums, counts, dtype), counts)
+
+
+def _aggregate_call(call: ast.FunctionCall, values: Any, group_ids: np.ndarray,
+                    group_count: int) -> np.ndarray:
+    """One aggregate call's value per group; ``values`` is its argument over
+    the selected rows (None: ``count(*)``).  SUM / MIN / MAX accumulate in
+    float64 and go out in the input's type."""
     name = call.name.lower()
     if values is None:
-        return "counts", np.bincount(group_ids, minlength=group_count).astype(np.int64)
+        return np.bincount(group_ids, minlength=group_count).astype(np.int64)
+    nulls = _null_mask(values)
     if call.distinct:
         underlying = values.values if isinstance(values, Nullable) else values
         dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
             and underlying.dtype.kind in ("i", "f") else None
         buckets: list[dict] = [{} for _ in range(group_count)]
-        nulls = _null_mask(values)
         for index in range(len(values)):
             if not nulls[index]:
                 buckets[group_ids[index]].setdefault(values[index], None)
-        return "distinct", buckets, dtype
-    nulls = _null_mask(values)
+        return _distinct_aggregate(name, buckets, dtype)
     if nulls.any():
         valid = ~nulls
         grouped, numeric = group_ids[valid], values[valid]
@@ -1270,144 +1120,33 @@ def _partial_aggregate(call: ast.FunctionCall, values: Any, group_ids: np.ndarra
         grouped, numeric = group_ids, values
     counts = np.bincount(grouped, minlength=group_count)
     if name == "count":
-        return "counts", counts.astype(np.int64)
+        return counts.astype(np.int64)
     if isinstance(numeric, Nullable):
         numeric = numeric.values  # no NULL is left among them
     if name in ("sum", "avg"):
         sums = np.bincount(grouped, weights=numeric.astype(np.float64, copy=False),
                            minlength=group_count)
-        return "sums", sums, counts, numeric.dtype
+        return _summed(name, sums, counts, numeric.dtype)
     if name not in ("min", "max"):
         raise ExecutionError(f"unknown aggregate function '{name}'")
     if numeric.dtype.kind in ("i", "f"):
         extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
         (np.minimum if name == "min" else np.maximum).at(
             extremes, grouped, numeric.astype(np.float64, copy=False))
-        return "extremes", extremes, counts, numeric.dtype
-    # strings / objects: python loop per row
+        return _mask_empty(_retyped(extremes, counts, numeric.dtype), counts)
+    # strings / objects: python loop per row, None where a group had none
     best: list[Any] = [None] * group_count
     for value, group in zip(numeric, grouped):
         if _better(name, value, best[group]):
             best[group] = value
-    return "extremes", np.array(best, dtype=object), counts, None
+    return np.array(best, dtype=object)
 
 
-def _combined(sites: AggregateSites, partials: list[_GroupState]) -> _GroupState:
-    """Fold the morsels' partial states into one, serial-identical.
-
-    Morsels cover ascending row ranges, so visiting their groups in morsel
-    order reproduces the first-seen group order (and first-row values) of a
-    single pass over all the rows exactly.
-    """
-    if sites.keys:
-        groups, count = hash_codes([tuple(factor[index] for factor in state.factors)
-                                    for state in partials for index in state.first_index])
-        local_maps = np.split(groups, np.cumsum([state.count for state in partials])[:-1])
-    else:  # the one global group, in every morsel
-        count, local_maps = 1, [np.zeros(1, dtype=np.int64)] * len(partials)
-    return _GroupState(
-        count,
-        [_combined_firsts([state.firsts[site] for state in partials], local_maps, count)
-         for site in range(len(sites.firsts))],
-        [_combined_aggregate(call.name.lower(), [state.calls[site] for state in partials],
-                             local_maps, count)
-         for site, call in enumerate(sites.calls)])
-
-
-def _combined_firsts(parts: list[np.ndarray], local_maps: list[np.ndarray],
-                     count: int) -> np.ndarray:
-    """First-row values per combined group (first contributor in morsel order)."""
-    filled_parts = [part for part in parts if len(part)]
-    if not filled_parts:
-        return np.array([], dtype=parts[0].dtype)
-    dtype = filled_parts[0].dtype
-    if any(part.dtype != dtype for part in filled_parts):
-        dtype = object
-    merged = np.empty(count, dtype=dtype)
-    filled = np.zeros(count, dtype=bool)
-    for part, local in zip(parts, local_maps):
-        if not len(part):
-            continue
-        wanted = ~filled[local]
-        if wanted.any():
-            merged[local[wanted]] = part[wanted]
-            filled[local[wanted]] = True
-    return merged
-
-
-def _combined_aggregate(name: str, parts: list[tuple], local_maps: list[np.ndarray],
-                        group_count: int) -> tuple:
-    """One aggregate's partial states, scattered into the combined groups."""
-    kind = parts[0][0]
-    if kind == "counts":
-        totals = np.zeros(group_count, dtype=np.int64)
-        for (_, counts), local in zip(parts, local_maps):
-            np.add.at(totals, local, counts)
-        return kind, totals
-    if kind == "distinct":
-        buckets: list[dict] = [{} for _ in range(group_count)]
-        for (_, morsel_buckets, _), local in zip(parts, local_maps):
-            for position, bucket in enumerate(morsel_buckets):
-                target = buckets[int(local[position])]
-                for value in bucket:
-                    target.setdefault(value, None)
-        return kind, buckets, _combined_dtype([(part[2], any(part[1])) for part in parts])
-    counts = np.zeros(group_count, dtype=np.int64)
-    for part, local in zip(parts, local_maps):
-        np.add.at(counts, local, part[2])
-    dtype = _combined_dtype([(part[3], part[2].any()) for part in parts])
-    if kind == "sums":
-        sums = np.zeros(group_count, dtype=np.float64)
-        for part, local in zip(parts, local_maps):
-            np.add.at(sums, local, part[1])
-        return kind, sums, counts, dtype
-    if dtype is not None:
-        extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
-        for part, local in zip(parts, local_maps):
-            if part[3] is not None:  # else Python values, and none of them (see below)
-                (np.minimum if name == "min" else np.maximum).at(extremes, local, part[1])
-        return kind, extremes, counts, dtype
-    # Python values in a morsel that has some (a CASE may be numbers in one
-    # morsel and hold NULLs, an object array, in the next): compare finished values
-    best: list[Any] = [None] * group_count
-    for part, local in zip(parts, local_maps):
-        for group, value in zip(local.tolist(), _finished_aggregate(name, part)):
-            if value is not None and _better(name, value, best[group]):
-                best[group] = value
-    return kind, np.array(best, dtype=object), counts, None
-
-
-def _combined_dtype(parts: list[tuple[np.dtype | None, bool]]) -> np.dtype | None:
-    """One aggregate's input dtype over its (dtype, contributed) partial states: a
-    CASE may be all-integer in one morsel and float in the next."""
-    dtypes = [dtype for dtype, contributed in parts if contributed] or [parts[0][0]]
-    # ``is``: numpy compares a dtype equal to None (None means float64 to it)
-    return None if any(dtype is None for dtype in dtypes) else np.result_type(*dtypes)
-
-
-def _finished_aggregate(name: str, state: tuple) -> np.ndarray:
-    """The per-group values of one aggregate call from its partial state."""
-    kind = state[0]
-    if kind == "counts":
-        return state[1]
-    if kind == "distinct":
-        return _finished_distinct(name, state[1], state[2])
-    _, values, counts, dtype = state
-    if name == "avg":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return _mask_empty(values / counts, counts)
-    if dtype is None:  # MIN / MAX over Python values: None where a group had none
-        return values
-    return _mask_empty(_retyped(values, counts, dtype), counts)
-
-
-def _finished_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
-                       ) -> np.ndarray:
-    """A DISTINCT aggregate from each group's distinct values.
-
-    The buckets hold them in first-occurrence order over all the rows, so
-    accumulating them one by one gives the same sums whatever the morsels.
-    """
+def _distinct_aggregate(name: str, buckets: list[dict], dtype: np.dtype | None
+                        ) -> np.ndarray:
+    """A DISTINCT aggregate from each group's distinct values, accumulated one
+    by one in first-occurrence order; ``dtype`` is the input's (None: not a
+    numeric array)."""
     counts = np.array([len(bucket) for bucket in buckets], dtype=np.int64)
     if name == "count":
         return counts
@@ -1418,7 +1157,7 @@ def _finished_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
             for value in bucket:
                 total += float(value)
             sums[index] = total
-        return _finished_aggregate(name, ("sums", sums, counts, dtype or np.dtype(object)))
+        return _summed(name, sums, counts, dtype or np.dtype(object))
     best: list[Any] = [None] * len(buckets)
     for index, bucket in enumerate(buckets):
         for value in bucket:
@@ -1426,5 +1165,5 @@ def _finished_distinct(name: str, buckets: list[dict], dtype: np.dtype | None
                 best[index] = value
     if dtype is None:
         return np.array(best, dtype=object)
-    return _finished_aggregate(name, ("extremes", np.array(
-        [0.0 if value is None else float(value) for value in best]), counts, dtype))
+    extremes = np.array([0.0 if value is None else float(value) for value in best])
+    return _mask_empty(_retyped(extremes, counts, dtype), counts)

@@ -1,6 +1,6 @@
 """Chunked columnar storage subsystem.
 
-Tables are stored as fixed-size chunks (morsels, default 4096 rows) of typed
+Tables are stored as fixed-size chunks (default 4096 rows) of typed
 column segments.  Each segment carries an explicit null mask, a per-chunk
 zone map (min/max, null count, distinct count), and -- for string columns --
 ``int32`` codes into a table-wide dictionary.  Per-table statistics are

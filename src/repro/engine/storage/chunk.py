@@ -12,7 +12,7 @@ from repro.engine.storage.segment import ColumnSegment
 
 
 class Chunk:
-    """One morsel of a table: aligned column segments over the same rows."""
+    """One partition of a table: aligned column segments over the same rows."""
 
     __slots__ = ("segments", "row_count", "start")
 

@@ -8,8 +8,8 @@ references) and lets ``get`` verify identity before trusting a hit.  A
 capacity clear bounds growth under many-distinct-query workloads (the
 pool's morphing produces an unbounded stream of fresh predicates).
 
-The memo is thread-safe: morsel-parallel scans and the batched driver's
-concurrent measurements hit the same per-table caches from pool threads, so
+The memo is thread-safe: the batched driver's concurrent measurements hit
+the same per-table caches from its threads, so
 ``get``/``put`` serialise on a per-memo lock (the critical sections are a
 dict probe and an identity check -- far cheaper than the cached work).
 """

@@ -6,13 +6,11 @@ A segment holds one chunk's worth of one column in encoded form:
   sentinel at NULL positions and an explicit null mask,
 * ``float`` -- a ``float64`` array (NaN sentinel) plus the null mask,
 * ``bool`` -- a ``bool`` array (False sentinel) plus the null mask,
-* ``str`` -- either ``int32`` codes into the table-wide :class:`Dictionary`
-  (NULL = code ``-1``) or, with dictionary encoding disabled, a plain object
-  array holding the strings (NULL = ``None``).
+* ``str`` -- ``int32`` codes into the table-wide :class:`Dictionary` (NULL =
+  code ``-1``).
 
-The null mask replaces the old lossy None -> 0 / NaN / "" coercion: NULLs
-round-trip exactly through both the row views and the column views.  Each
-segment also seals a :class:`ZoneMap` at build time.
+NULLs round-trip exactly through both the row views and the column views.
+Each segment also seals a :class:`ZoneMap` at build time.
 """
 
 from __future__ import annotations
@@ -101,9 +99,6 @@ class ColumnSegment:
     def encoded_bytes(self) -> int:
         """Payload bytes of this segment (dictionary bytes counted per table)."""
         total = self.values.nbytes
-        if self.values.dtype == object:
-            total += sum(0 if value is None else len(value) + _STR_OBJECT_OVERHEAD
-                         for value in self.values)
         if self.null_mask is not None:
             total += self.null_mask.nbytes
         return total
@@ -169,13 +164,14 @@ class ColumnSegment:
 
 def build_segment(values: list, type_name: str,
                   dictionary: Dictionary | None) -> ColumnSegment:
-    """Encode one chunk's worth of coerced Python ``values`` for one column."""
+    """Encode one chunk's worth of coerced Python ``values`` for one column;
+    ``dictionary`` is the table's for a ``str`` column (None otherwise)."""
     null_flags = [value is None for value in values]
     null_count = sum(null_flags)
     null_mask = np.array(null_flags, dtype=bool) if null_count else None
     non_null = [value for value in values if value is not None]
 
-    if type_name == "str" and dictionary is not None:
+    if type_name == "str":
         codes = np.fromiter(
             (-1 if value is None else dictionary.encode(value) for value in values),
             dtype=np.int32, count=len(values))
@@ -194,15 +190,11 @@ def build_segment(values: list, type_name: str,
         data = np.fromiter((False if value is None else bool(value) for value in values),
                            dtype=bool, count=len(values))
         encoded = [bool(value) for value in non_null]
-    elif type_name == "date":
+    else:  # date
         data = np.fromiter(
             (0 if value is None else date_to_ordinal(value) for value in values),
             dtype=np.int64, count=len(values))
         encoded = [date_to_ordinal(value) for value in non_null]
-    else:  # plain (non-dictionary) string storage
-        data = np.array([None if value is None else str(value) for value in values],
-                        dtype=object)
-        encoded = [str(value) for value in non_null]
 
     zone = _zone_map(encoded, null_count, len(values))
     return ColumnSegment(type_name, data, null_mask, None, zone)

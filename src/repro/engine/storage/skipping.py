@@ -6,8 +6,8 @@ Two consumers sit on top of the chunk zone maps:
   summaries.  The column executor's scan asks it which chunks a conjunction
   of push-down predicates can possibly touch and receives the surviving
   chunk indexes (or ``None`` when nothing could be skipped, keeping the
-  no-selection fast path); it splits them into morsels and only then asks
-  for the rows of each (:meth:`ZoneIndex.rows_of`).
+  no-selection fast path), then the rows of those chunks
+  (:meth:`ZoneIndex.rows_of`).
   Refutation is *conservative*: a predicate shape the index does not
   understand simply keeps every chunk.
 * :func:`estimate_selectivity` -- the planner's ordering heuristic: given
@@ -122,8 +122,7 @@ class ZoneIndex:
 
         Returns ``(survivors, scanned, skipped)``: ``survivors`` is None when
         no chunk could be refuted (scan everything, no gather overhead),
-        otherwise the ascending int64 indexes of the surviving chunks --
-        the unit the morsel partitioner splits across workers.  ``scanned``
+        otherwise the ascending int64 indexes of the surviving chunks.  ``scanned``
         counts the chunks actually read and ``skipped`` the refuted ones, so
         ``scanned + skipped`` is always the table's chunk total.  Refutation
         results are memoised by predicate identity.

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (catalog is runtime-free her
     from repro.engine.keys import KeyOrder
     from repro.engine.storage.skipping import ZoneIndex
 
-#: default number of rows per chunk (the morsel size).
+#: default number of rows per chunk (the unit a zone map summarises).
 DEFAULT_CHUNK_ROWS = 4096
 
 #: columnar dtype of the NULL-free whole-column view, per logical type.
@@ -64,18 +64,16 @@ def hash_rows(rows: Iterable[tuple], positions: tuple[int, ...]) -> dict:
 class StorageTable:
     """Chunked, encoded storage for one table's rows."""
 
-    def __init__(self, schema: "TableSchema", chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 dictionary_strings: bool = True):
+    def __init__(self, schema: "TableSchema", chunk_rows: int = DEFAULT_CHUNK_ROWS):
         if chunk_rows <= 0:
             raise ValueError("chunk_rows must be positive")
         self.schema = schema
         self.chunk_rows = chunk_rows
         self.chunks: list[Chunk] = []
-        self.dictionaries: dict[str, Dictionary] = {}
-        if dictionary_strings:
-            for column in schema.columns:
-                if column.type_name == "str":
-                    self.dictionaries[column.name.lower()] = Dictionary()
+        #: one dictionary per string column: every stored string is a code.
+        self.dictionaries: dict[str, Dictionary] = {
+            column.name.lower(): Dictionary()
+            for column in schema.columns if column.type_name == "str"}
         #: bumped on every mutation; callers key caches on it.
         self.version = 0
         #: scan-kernel memo (predicate identity -> kernel); the column
@@ -89,7 +87,7 @@ class StorageTable:
         self._key_indexes: dict[tuple[int, ...], dict] = {}
         self._key_orders: dict[tuple[int, ...], "KeyOrder | None"] = {}
         # guards the tail seal and the lazily-built cached views: concurrent
-        # readers (batched driver threads, morsel workers) must observe a
+        # readers (batched driver threads sharing an engine) must observe a
         # fully-built chunk list / index, never a partially-sealed tail.
         # Reentrant because the cached builders flush first.
         self._lock = threading.RLock()
@@ -240,7 +238,7 @@ class StorageTable:
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     def column_codes(self, name: str) -> np.ndarray | None:
-        """Whole-column int32 dictionary codes (None when not dict-encoded)."""
+        """Whole-column int32 dictionary codes (None when not a string column)."""
         if name.lower() not in self.dictionaries:
             return None
         self.flush()

@@ -19,7 +19,7 @@ style:
   task share its trace id, so ``analytics/timeline.py`` can stitch them
   into one end-to-end timeline; :func:`export_query_trace` rebases an
   engine trace onto the same axis under a driver span, so one trace id
-  covers SQL parse down to morsel workers and back up through the submit;
+  covers SQL parse down to the engine's operators and back up through the submit;
 * :func:`encode_spans` / :func:`decode_spans` are the one wire and stored
   form of a task's records: the envelope under ``extras["spans"]`` of a
   submitted result and under ``"spans"`` of a flight-log line.

@@ -16,13 +16,11 @@ shared :data:`NULL_SPAN` singleton whose operations are all no-ops, keeping
 the overhead on the hot path to a predictable few attribute checks (gated
 below 5% by ``benchmarks/test_bench_observability.py``).
 
-The span *stack* and the record list belong to the coordinating thread only.
-A morsel-parallel worker constructs a detached :class:`Span` (never touching
-the trace) and stamps it via :meth:`Span.close`; the coordinator files the
-finished lanes under the open operator span (:meth:`QueryTrace.adopt`), so
-they nest inside their operator's window and aggregate attributes
-(``chunks_scanned`` / ``chunks_skipped`` summed over lanes) keep the trace
-invariants the fuzzer asserts.
+The span *stack* and the record list belong to the executing thread.  An
+operator that runs fused into the row engine's generated pipeline has no
+span of its own while it runs: the executor builds a detached :class:`Span`
+afterwards, stamps it via :meth:`Span.close` and files it under the pipeline
+span (:meth:`QueryTrace.adopt`), so the tree still shows every operator.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ class Span:
         return self
 
     def close(self) -> "Span":
-        """Stamp the end time of a detached span (idempotent): worker lanes
-        belong to their pool thread, not to the trace's stack."""
+        """Stamp the end time of a detached span (idempotent): it was never
+        on the trace's stack to be closed by leaving it."""
         if self.ended is None:
             self.ended = time.perf_counter()
         return self
@@ -127,8 +125,8 @@ class QueryTrace:
         self._stack: list[Span] = [self.root]
 
     def adopt(self, parent: Span, span: Span) -> Span:
-        """File a detached ``span`` (a worker lane, an operator of a fused
-        pipeline) under ``parent``, a span of this trace."""
+        """File a detached ``span`` (an operator of a fused pipeline) under
+        ``parent``, a span of this trace."""
         span.index = len(self.records)
         span.parent = parent.index
         span._trace = self

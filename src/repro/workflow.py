@@ -47,17 +47,9 @@ def build_tpch_database(scale_factor: float = 0.001, seed: int = 20190113) -> Da
     return database
 
 
-def build_engines(database: Database, workers: int = 1
-                  ) -> tuple[RowEngine, ColumnEngine]:
-    """The two default target systems over one database instance.
-
-    ``workers`` > 1 enables morsel-parallel execution on the column engine
-    (the row interpreter is the single-threaded baseline either way).
-    """
-    from repro.engine import EngineOptions
-
-    column_options = EngineOptions(workers=workers)
-    return RowEngine(database), ColumnEngine(database, options=column_options)
+def build_engines(database: Database) -> tuple[RowEngine, ColumnEngine]:
+    """The two default target systems over one database instance."""
+    return RowEngine(database), ColumnEngine(database)
 
 
 @dataclass
@@ -158,7 +150,6 @@ def run_experiment_on_engines(pool: QueryPool, engines: list[Engine], repeats: i
 def run_demo_scenario(baseline_sql: str = DEFAULT_BASELINE, scale_factor: float = 0.001,
                       pool_size: int = 12, repeats: int = 3, seed: int = 7,
                       use_platform_queue: bool = True,
-                      workers: int = 1,
                       telemetry: TelemetryConfig | None = None) -> DemoSummary:
     """Run the full demo loop and return the collected artefacts.
 
@@ -173,7 +164,7 @@ def run_demo_scenario(baseline_sql: str = DEFAULT_BASELINE, scale_factor: float 
     metrics snapshot.
     """
     database = build_tpch_database(scale_factor=scale_factor)
-    row_engine, column_engine = build_engines(database, workers=workers)
+    row_engine, column_engine = build_engines(database)
     engines: list[Engine] = [row_engine, column_engine]
     tracing = telemetry is not None and telemetry.enabled
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analytics.profiles import profile_report
 from repro.driver import BatchRunner, DriverConfig, HTTPClient, InProcessClient, measure_query
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 from repro.errors import ConfigError, ValidationError
@@ -178,10 +179,55 @@ class TestBatchRunner:
 
         config = load_config(config_path)
         assert config.batch_size == 16 and config.workers == 4
+        # a file written for an older driver still loads: configparser hands
+        # over the keys it is asked for, and none asks for engine_workers
+        config_path.write_text(
+            "[sqalpel]\nkey = abc\n\n[target]\ndbms = columnstore-1.0\nhost = laptop\n"
+            "workers = 2\nengine_workers = 2\n")
+        config = load_config(config_path)
+        assert config.workers == 2 and not hasattr(config, "engine_workers")
         with pytest.raises(ConfigError):
             DriverConfig(key="k", dbms="d", host="h", batch_size=0)
         with pytest.raises(ConfigError):
             DriverConfig(key="k", dbms="d", host="h", workers=0)
+
+
+class TestTimingFidelity:
+    """Batches measured by several driver threads at once are stamped with
+    ``extras["concurrent_workers"]`` and kept out of the phase timings."""
+
+    def _run(self, platform, workers: int):
+        service, _owner, contributor, experiment, engine = platform
+        runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
+                             engine=engine,
+                             config=_config(contributor, engine, batch_size=8,
+                                            workers=workers))
+        executed = runner.run_all(experiment.id)
+        assert executed > 0
+        return list(service.store.results(experiment.id))
+
+    def test_concurrent_batches_are_stamped_and_flagged(self, platform):
+        records = self._run(platform, workers=3)
+        assert all(record.extras.get("concurrent_workers") == 3
+                   for record in records)
+        report = profile_report(records)
+        summary = report.engines[records[0].dbms_label]
+        assert summary.timing_compromised == len(records)
+        # GIL-inflated wall clock stays out of the phase aggregates ...
+        assert summary.phase_seconds == {}
+        # ... while the exact counters are still aggregated.
+        assert summary.profiled == len(records)
+        assert any("timing_compromised=" in line for line in report.lines())
+
+    def test_serial_batches_are_not_flagged(self, platform):
+        records = self._run(platform, workers=1)
+        assert all("concurrent_workers" not in record.extras
+                   for record in records)
+        report = profile_report(records)
+        summary = report.engines[records[0].dbms_label]
+        assert summary.timing_compromised == 0
+        assert summary.phase_seconds
+        assert not any("timing_compromised=" in line for line in report.lines())
 
 
 # ---------------------------------------------------------------------------

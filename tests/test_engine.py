@@ -1,12 +1,15 @@
 """Tests for the relational engine substrate (catalog, storage, both executors)."""
 
 import datetime
+import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine, create_engine
+from repro.engine.storage.memo import IdentityMemo
 from repro.errors import CatalogError, EngineError, ExecutionError, SQLSyntaxError
 from repro.tpch import QUERIES
 from tests.conftest import normalise
@@ -292,14 +295,12 @@ class TestComputedDates:
     def test_values_and_types_match_the_row_engine(self, dated_db, sql):
         reference = RowEngine(dated_db).execute(sql).rows
         assert reference
-        for workers in (1, 4):
-            for compile_expressions in (True, False):
-                options = EngineOptions(workers=workers,
-                                        compile_expressions=compile_expressions)
-                rows = ColumnEngine(dated_db, options=options).execute(sql).rows
-                assert rows == reference, options.describe()
-                assert [[type(value) for value in row] for row in rows] == \
-                    [[type(value) for value in row] for row in reference], options.describe()
+        for compile_expressions in (True, False):
+            options = EngineOptions(compile_expressions=compile_expressions)
+            rows = ColumnEngine(dated_db, options=options).execute(sql).rows
+            assert rows == reference, options.describe()
+            assert [[type(value) for value in row] for row in rows] == \
+                [[type(value) for value in row] for row in reference], options.describe()
 
     def test_the_issue_texts_on_tpch(self, tpch_db, row_engine, column_engine):
         for sql in ("select max(o_orderdate) from orders",
@@ -313,7 +314,7 @@ class TestComputedDates:
 class TestJoinShapes:
     """Join pipelines the fuzzer's two-table forms do not reach: outer-join
     padding that is joined, grouped or de-duplicated again, RIGHT joins,
-    empty sides, derived tables on both sides -- every toggle combination
+    empty sides, derived tables on both sides -- compiled and interpreted,
     against the nested-loop interpreted row engine."""
 
     QUERIES = [
@@ -365,8 +366,6 @@ class TestJoinShapes:
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_every_toggle_agrees_with_the_nested_loop_reference(self, join_db, sql):
-        import itertools
-
         def canonical(rows):
             if "order by" in sql:
                 return rows
@@ -375,28 +374,25 @@ class TestJoinShapes:
 
         reference = RowEngine(join_db, options=EngineOptions(
             hash_joins=False, compile_expressions=False)).execute(sql)
-        for toggles in itertools.product([True, False], repeat=3):
-            options = EngineOptions(compile_expressions=toggles[0],
-                                    dictionary_encoding=toggles[1],
-                                    workers=4 if toggles[2] else 1)
+        for compile_expressions in (True, False):
+            options = EngineOptions(compile_expressions=compile_expressions)
             for engine in (RowEngine(join_db, options=options),
                            ColumnEngine(join_db, options=options)):
                 result = engine.execute(sql)
                 assert result.columns == reference.columns
                 assert canonical(result.rows) == canonical(reference.rows), \
-                    f"{engine.strategy()} {toggles}"
+                    f"{engine.strategy()} compile={compile_expressions}"
 
 
 class TestEngineVersions:
-    def test_options_are_the_seven_versions_the_platform_compares(self):
+    def test_options_are_the_four_versions_the_platform_compares(self):
         """Every field is an engine version an experiment can be asked to
         measure (and a doubling of what the differential tests walk): a new
         one has to argue its case here."""
         import dataclasses
 
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [
-            "predicate_pushdown", "hash_joins", "overflow_guard", "compile_expressions",
-            "zone_maps", "dictionary_encoding", "workers"]
+            "predicate_pushdown", "hash_joins", "overflow_guard", "compile_expressions"]
         assert list(EngineOptions().describe()) == [
             field.name for field in dataclasses.fields(EngineOptions)]
 
@@ -437,6 +433,123 @@ class TestEnginesAgreeOnTPCH:
         result = column_engine.execute(QUERIES[1])
         assert len(result.rows) >= 3
         assert all(row[2] > 0 for row in result.rows)  # sum_qty positive
+
+
+@pytest.fixture(scope="module")
+def sales_db() -> Database:
+    """Many small chunks, NULLs in both a group key and an aggregate input."""
+    database = Database("concurrent-unit", chunk_rows=32)
+    database.create_table("sales", [("id", "int"), ("region", "str"),
+                                    ("amount", "float"), ("qty", "int")])
+    rng = random.Random(20260807)
+    rows = []
+    for index in range(1000):
+        region = rng.choice(["north", "south", "east", "west", None])
+        amount = None if index % 97 == 0 else round(rng.uniform(1, 500), 2)
+        rows.append((index, region, amount, rng.randrange(1, 9)))
+    database.insert_rows("sales", rows)
+    return database
+
+
+EDGE_QUERIES = [
+    "select count(*) from sales where amount > 100",
+    "select region, count(*) as n, sum(qty) as q from sales "
+    "where amount > 50 group by region order by n desc, region",
+    "select region, avg(amount) as a from sales group by region "
+    "having count(*) > 150 order by region",
+    "select count(*) as n, sum(amount) as s, min(amount) as lo, "
+    "max(amount) as hi from sales where id < 0",
+    "select count(distinct region) as r, count(distinct qty) as q from sales "
+    "where amount > 10",
+    "select qty, sum(distinct qty) as s, avg(distinct amount) as a "
+    "from sales group by qty order by qty",
+    "select min(region) as lo, max(region) as hi from sales where qty > 2",
+    "select qty % 3 as bucket, count(*) as n from sales "
+    "where id >= 13 group by qty % 3 order by bucket",
+    # a CASE that is numbers in the first chunks and all NULL (an object
+    # array) in the last
+    "select max(case when id < 500 then qty end) as hi, "
+    "min(case when id < 500 then qty end) as lo from sales",
+    "select region, max(case when id < 500 then amount end) as hi from sales "
+    "group by region order by region",
+    "select sum(qty) + count(*) as both, max(amount) - min(amount) as spread, "
+    "count(*) * 2 as twice from sales where qty > 1",
+]
+
+
+class TestAggregateEdges:
+    """Edges the fuzzer is unlikely to hit -- NULL group keys, empty inputs,
+    DISTINCT aggregates, HAVING, a CASE that turns all-NULL part way through
+    the table -- over many small chunks, against the interpreted nested-loop
+    row engine."""
+
+    @pytest.mark.parametrize("compile_expressions", [True, False])
+    @pytest.mark.parametrize("sql", EDGE_QUERIES)
+    def test_column_engine_matches_the_reference(self, sales_db, sql, compile_expressions):
+        reference = RowEngine(sales_db, options=EngineOptions(
+            hash_joins=False, compile_expressions=False)).execute(sql)
+        result = ColumnEngine(sales_db, options=EngineOptions(
+            compile_expressions=compile_expressions)).execute(sql)
+        assert result.columns == reference.columns
+        assert len(result.rows) == len(reference.rows)
+        for expected, got in zip(reference.rows, result.rows):
+            for want, have in zip(expected, got):
+                if isinstance(want, float) and isinstance(have, float):
+                    assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
+                else:
+                    assert have == want, f"{sql}: {have!r} != {want!r}"
+
+
+class TestConcurrentExecution:
+    """The batched driver's threads share one engine: its per-table memos,
+    columnar views and zone index are built and read concurrently."""
+
+    def test_identity_memo_concurrent_hammer(self):
+        memo = IdentityMemo(capacity=64)
+        keys = [(object(), object()) for _ in range(128)]
+        values = {id(key[0]): index for index, key in enumerate(keys)}
+        errors: list[str] = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(3000):
+                key = keys[rng.randrange(len(keys))]
+                hit, value = memo.get(key)
+                if hit and value != values[id(key[0])]:
+                    errors.append(f"stale value {value!r} for key {key!r}")
+                elif not hit:
+                    memo.put(key, values[id(key[0])])
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(memo) <= 64
+
+    def test_concurrent_queries_one_engine(self, sales_db):
+        """Eight driver threads sharing one engine (locked memos, shared
+        columnar views, zone maps) must all see the answer of one thread."""
+        engine = ColumnEngine(sales_db)
+        sql = "select region, count(*) as n, sum(qty) as q from sales " \
+              "where amount > 25 group by region order by region"
+        expected = engine.execute(sql).rows
+        failures: list[str] = []
+
+        def worker() -> None:
+            for _ in range(5):
+                rows = engine.execute(sql).rows
+                if rows != expected:
+                    failures.append(f"{rows!r} != {expected!r}")
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not failures
 
 
 @given(st.lists(st.tuples(st.integers(-100, 100), st.floats(0, 1000)), min_size=1,

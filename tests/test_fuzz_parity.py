@@ -8,10 +8,11 @@ others, arithmetic over aggregates, MIN / MAX of a date), equi-joins (on a
 never-NULL key, on one and on two nullable keys, as a LEFT JOIN, under an OR
 of ANDs over both tables) and aggregation over those joins -- against a
 small database whose every column carries NULLs.  Each query is executed by
-the row and the column engine under the full EngineOptions toggle matrix
-(deduplicated by the options each engine actually consumes; the column
-engine with one morsel per block and with four) and every result multiset
-must match the interpreted, nested-loop row engine exactly: a reference that
+the row and the column engine with ``compile_expressions`` off and on (the
+option both engines consume; the column engine's scans always skip chunks by
+their zone maps and run string predicates over dictionary codes) and every
+result multiset must match the interpreted, nested-loop row engine exactly: a
+reference that
 evaluates ``a.k = b.k`` as the predicate it is, so the hash joins cannot
 share a misreading of NULL keys with it.
 
@@ -23,9 +24,7 @@ runs 50, the tier-1 suite the full 200.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
-import itertools
 import os
 import random
 
@@ -37,18 +36,8 @@ from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 FUZZ_SEED = 20260730
 FUZZ_ITERATIONS = int(os.environ.get("FUZZ_ITERATIONS", "200"))
 
-#: the full toggle matrix (compile_expressions, zone_maps,
-#: dictionary_encoding); the column engine runs each row of it with
-#: ``workers`` 1 and 4: 16 configurations per query.
-ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
-
-
-def _options(compile_expressions, zone_maps, dictionary_encoding,
-             workers=1) -> EngineOptions:
-    return EngineOptions(compile_expressions=compile_expressions,
-                         zone_maps=zone_maps,
-                         dictionary_encoding=dictionary_encoding,
-                         workers=workers)
+#: compile_expressions off and on: 2 configurations per query and engine.
+ALL_TOGGLES = [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +253,7 @@ class QueryGenerator:
     def _aggregate(self, joined: bool = False) -> str:
         """One select item over the groups: what the column engine's single
         aggregator owns -- plain and DISTINCT calls, a CASE argument that is
-        an integer in some rows (and morsels) and a float or NULL in others,
+        an integer in some rows and a float or NULL in others,
         arithmetic between aggregates, MIN / MAX of a date."""
         roll = self.rng.random()
         if roll < 0.4:
@@ -405,54 +394,24 @@ def _assert_trace_invariants(database: Database, result, context: str) -> None:
         total = len(database.storage(table).chunks)
         assert scanned + skipped == total, \
             f"{context}: scan of {table} covers {scanned}+{skipped} != {total} chunks"
-    # morsel-parallel operators: per-worker lane attributes must sum back to
-    # the operator span's totals (chunk accounting and row counts alike).
-    for span in trace.spans():
-        lanes = [child for child in span.children if child.name == "worker"]
-        if not lanes or span.name not in ("scan", "filter"):
-            continue
-        assert sum(lane.rows_out or 0 for lane in lanes) == span.rows_out, \
-            f"{context}: {span.name} worker lanes do not sum to rows_out"
-        if span.name == "scan":
-            lane_scanned = sum(lane.attributes.get("chunks_scanned", 0)
-                               for lane in lanes)
-            lane_skipped = sum(lane.attributes.get("chunks_skipped", 0)
-                               for lane in lanes)
-            assert lane_scanned == span.attributes.get("chunks_scanned"), \
-                f"{context}: worker lanes scanned {lane_scanned} chunks, " \
-                f"span says {span.attributes.get('chunks_scanned')}"
-            assert lane_skipped == span.attributes.get("chunks_skipped"), \
-                f"{context}: worker lanes skipped {lane_skipped} chunks, " \
-                f"span says {span.attributes.get('chunks_skipped')}"
 
 
 def _assert_parity(database: Database, sql: str, label: str) -> None:
-    reference = RowEngine(database, options=dataclasses.replace(
-        _options(False, True, True), hash_joins=False)).execute(sql)
+    reference = RowEngine(database, options=EngineOptions(
+        compile_expressions=False, hash_joins=False)).execute(sql)
     expected = _canonical(reference.rows)
-    seen: set[tuple] = set()
-    for toggles in ALL_TOGGLES:
-        for workers in (1, 4):
-            options = _options(*toggles, workers=workers)
-            engines = [ColumnEngine(database, options=options)]
-            if workers == 1:
-                engines.insert(0, RowEngine(database, options=options))
-            for engine in engines:
-                effective = (engine.strategy(), toggles[0]) \
-                    if engine.strategy() == "row" \
-                    else (engine.strategy(), *toggles, workers)
-                if effective in seen:
-                    continue
-                seen.add(effective)
-                result = engine.execute(sql, trace=True)
-                config = (f"{engine.strategy()} compile={toggles[0]} "
-                          f"zones={toggles[1]} dict={toggles[2]} workers={workers}")
-                assert result.columns == reference.columns, \
-                    f"{label} [{config}] columns differ on: {sql}"
-                assert _canonical(result.rows) == expected, \
-                    f"{label} [{config}] rows differ on: {sql}"
-                _assert_trace_invariants(database, result,
-                                         f"{label} [{config}] on: {sql}")
+    for compile_expressions in ALL_TOGGLES:
+        options = EngineOptions(compile_expressions=compile_expressions)
+        for engine in (RowEngine(database, options=options),
+                       ColumnEngine(database, options=options)):
+            result = engine.execute(sql, trace=True)
+            config = f"{engine.strategy()} compile={compile_expressions}"
+            assert result.columns == reference.columns, \
+                f"{label} [{config}] columns differ on: {sql}"
+            assert _canonical(result.rows) == expected, \
+                f"{label} [{config}] rows differ on: {sql}"
+            _assert_trace_invariants(database, result,
+                                     f"{label} [{config}] on: {sql}")
 
 
 def test_differential_fuzz_parity(fuzz_db):
@@ -475,8 +434,8 @@ def test_join_sample_holds_after_an_insert():
     sample = [sql for sql in corpus if " b " in sql][:8]
     assert sample
     warm = [RowEngine(database), ColumnEngine(database)]
-    reference = RowEngine(database, options=dataclasses.replace(
-        _options(False, True, True), hash_joins=False))
+    reference = RowEngine(database, options=EngineOptions(
+        compile_expressions=False, hash_joins=False))
 
     def assert_warm_engines(label: str) -> None:
         for number, sql in enumerate(sample):

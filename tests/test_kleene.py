@@ -4,7 +4,7 @@ Every unary/binary boolean combination over {TRUE, FALSE, NULL} is driven
 through the four positions a predicate can appear in -- WHERE filter,
 projection, HAVING, and CASE condition -- and checked against a Python
 reference implementation of the Kleene tables, for the row *and* the column
-engine under the full toggle matrix.  This pins the PR's headline fix: a
+engine with and without compiled kernels.  This pins the PR's headline fix: a
 bare ``NOT (expr)`` over a NULL operand used to differ between the engines
 (ROADMAP "Three-valued NOT").
 """
@@ -17,12 +17,7 @@ import pytest
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 
-#: the full storage/kernel toggle matrix (compile_expressions, zone_maps,
-#: dictionary_encoding).
-ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
-
-#: the kernel toggle alone (the storage toggles cannot affect projection /
-#: HAVING / CASE positions, which run after the scan).
+#: the kernel toggle (compile_expressions), off and on.
 KERNEL_TOGGLES = [(False,), (True,)]
 
 #: the nine (a, b) value combinations; 1 encodes TRUE, 0 FALSE, None NULL
@@ -69,10 +64,8 @@ EXPRESSIONS = [
 ]
 
 
-def _options(compile_expressions, zone_maps=True, dictionary_encoding=True):
-    return EngineOptions(compile_expressions=compile_expressions,
-                         zone_maps=zone_maps,
-                         dictionary_encoding=dictionary_encoding)
+def _options(compile_expressions):
+    return EngineOptions(compile_expressions=compile_expressions)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +96,7 @@ class TestFilterPosition:
             if reference(_truth(a), _truth(b)) is True  # UNKNOWN drops the row
         ]
         sql = f"select id from tv where {predicate} order by id"
-        for engine, combo in _engines(truth_db, ALL_TOGGLES):
+        for engine, combo in _engines(truth_db, KERNEL_TOGGLES):
             result = engine.execute(sql)
             assert result.rows == expected, \
                 f"{engine.strategy()} {combo}: {predicate}"

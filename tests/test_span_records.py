@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analytics import read_flight_log, read_span_log, stitch_timelines
 from repro.driver import BatchRunner, DriverConfig, HTTPClient, InProcessClient
-from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
+from repro.engine import ColumnEngine, Database, RowEngine
 from repro.obs import (
     FlightRecorder,
     QueryTrace,
@@ -55,9 +55,10 @@ def _sample_trace() -> QueryTrace:
     with trace.span("execute") as execute:
         with trace.span("scan", source="t") as scan:
             scan.set(rows_in=10, rows_out=4)
-            # two detached worker lanes, filed by the coordinator
+            # two detached spans, filed once they are closed (as the row
+            # engine files the operators of a fused pipeline)
             for _ in range(2):
-                trace.adopt(scan, Span("worker").set(rows_out=2).close())
+                trace.adopt(scan, Span("fused").set(rows_out=2).close())
         with trace.span("aggregate") as aggregate:
             aggregate.set(rows_in=4, rows_out=1)
         execute.set(rows_out=1)
@@ -69,18 +70,18 @@ class TestFlatTrace:
         trace = _sample_trace()
         assert [(span.name, span.parent) for span in trace.records] == [
             ("query", None), ("plan", 0), ("execute", 0), ("scan", 2),
-            ("worker", 3), ("worker", 3), ("aggregate", 2)]
+            ("fused", 3), ("fused", 3), ("aggregate", 2)]
         assert [span.index for span in trace.records] == list(range(7))
         assert "sql" not in trace.root.attributes  # the text lives on the trace
 
     def test_the_tree_is_a_view_over_the_list(self):
         trace = _sample_trace()
         scan = trace.find("scan")
-        assert [child.name for child in scan.children] == ["worker", "worker"]
+        assert [child.name for child in scan.children] == ["fused", "fused"]
         assert [child.name for child in trace.find("execute").children] \
             == ["scan", "aggregate"]
         assert [span.name for span in trace.spans()] == [
-            "query", "plan", "execute", "scan", "worker", "worker", "aggregate"]
+            "query", "plan", "execute", "scan", "fused", "fused", "aggregate"]
         assert Span("detached").children == []
         nested = trace.to_dict()["root"]
         assert [child["name"] for child in nested["children"]] == ["plan", "execute"]
@@ -158,7 +159,7 @@ RENDERED = {
 @pytest.mark.parametrize("kind,number", sorted(RENDERED))
 def test_explain_analyze_renders_the_same_lines(tpch_db, kind, number):
     factory = RowEngine if kind == "row" else ColumnEngine
-    engine = factory(tpch_db, options=EngineOptions(workers=1))
+    engine = factory(tpch_db)
     engine.execute(QUERIES[number])  # warm: the traced run hits the plan cache
     result = engine.execute("explain analyze " + QUERIES[number])
     lines = [re.sub(r"<rowpipe:\d+>", "<rowpipe:N>",

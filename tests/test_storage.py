@@ -10,7 +10,6 @@ joins probe, and the extended ``Database.size_summary``.
 from __future__ import annotations
 
 import datetime
-import itertools
 import sys
 import threading
 
@@ -28,26 +27,19 @@ from repro.engine.storage import DEFAULT_CHUNK_ROWS, hash_rows
 from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
 from repro.obs import MetricsContext
 
-#: every combination of the storage + kernel toggles relevant to semantics.
-ALL_TOGGLES = list(itertools.product([False, True], repeat=3))
-
-
-def _options(compile_expressions=True, zone_maps=True,
-             dictionary_encoding=True) -> EngineOptions:
-    return EngineOptions(compile_expressions=compile_expressions,
-                         zone_maps=zone_maps,
-                         dictionary_encoding=dictionary_encoding)
+def _options(compile_expressions=True) -> EngineOptions:
+    return EngineOptions(compile_expressions=compile_expressions)
 
 
 def _assert_parity(database: Database, sql: str) -> list[tuple]:
-    """Both engines agree on ``sql`` under every storage/kernel toggle combo."""
+    """Both engines agree on ``sql`` with compiled kernels and without."""
     reference = RowEngine(database, options=_options(False)).execute(sql)
-    for toggles in ALL_TOGGLES:
-        options = _options(*toggles)
+    for compile_expressions in (False, True):
+        options = _options(compile_expressions)
         for engine in (RowEngine(database, options=options),
                        ColumnEngine(database, options=options)):
             result = engine.execute(sql)
-            label = f"{engine.strategy()} {toggles}"
+            label = f"{engine.strategy()} compile={compile_expressions}"
             assert result.columns == reference.columns, f"{label}: columns differ"
             assert result.rows == reference.rows, f"{label}: rows differ on {sql}"
     return reference.rows
@@ -170,9 +162,8 @@ class TestDictionaryEncoding:
 
 
 class TestNullSemantics:
-    """NULLs in filter, join-key and aggregate positions: both engines agree
-    under every toggle combination (the old ``_to_array`` coerced None to
-    0/NaN/'' and the engines could silently disagree)."""
+    """NULLs in filter, join-key and aggregate positions: both engines agree,
+    compiled and interpreted."""
 
     def test_null_in_filters(self, nullable_db):
         for sql in (
@@ -347,12 +338,10 @@ class TestNullSemantics:
               and l_discount between 0.05 and 0.07 and l_quantity < 24"""
         expected = RowEngine(database).execute(sql).scalar()
         assert expected > 0
-        for workers in (1, 4):
-            for compile_expressions in (True, False):
-                engine = ColumnEngine(database, options=EngineOptions(
-                    workers=workers, compile_expressions=compile_expressions))
-                assert engine.execute(sql).scalar() == pytest.approx(expected, rel=1e-12), \
-                    engine.options.describe()
+        for compile_expressions in (True, False):
+            engine = ColumnEngine(database, options=_options(compile_expressions))
+            assert engine.execute(sql).scalar() == pytest.approx(expected, rel=1e-12), \
+                engine.options.describe()
 
         plan = ColumnEngine(database).prepare(sql)
         kernels = column_kernels(plan, plan.root)
@@ -415,15 +404,8 @@ class TestScanSkipping:
         assert (result.metrics.get("scan.chunks_scanned")
                 + result.metrics.get("scan.chunks_skipped")
                 == len(clustered_db.storage("events").chunks))
-        # and skipping never changes the answer
-        off = ColumnEngine(clustered_db, options=_options(zone_maps=False))
-        assert off.execute(sql).rows == result.rows
-
-    def test_zone_maps_disabled_skip_nothing(self, clustered_db):
-        engine = ColumnEngine(clustered_db, options=_options(zone_maps=False))
-        result = engine.execute(
-            "select sum(val) from events where day < date '1994-02-01'")
-        assert result.metrics.get("scan.chunks_skipped") == 0
+        # and skipping never changes the answer: the row engine reads every chunk
+        assert RowEngine(clustered_db).execute(sql).rows == result.rows
 
     def test_all_chunks_refuted_yields_empty_scan(self, clustered_db):
         engine = ColumnEngine(clustered_db)
@@ -458,8 +440,7 @@ class TestScanSkipping:
         result = engine.execute(sql)
         assert result.scalar() == 7
         assert result.metrics.get("scan.chunks_skipped") == 1
-        off = ColumnEngine(null_chunk_db, options=_options(zone_maps=False))
-        assert off.execute(sql).rows == result.rows
+        assert RowEngine(null_chunk_db).execute(sql).rows == result.rows
 
     def test_is_not_null_skips_only_all_null_chunk(self, null_chunk_db):
         engine = ColumnEngine(null_chunk_db)
@@ -477,6 +458,46 @@ class TestScanSkipping:
         result = engine.execute("select x from m where not (x < 5)")
         assert result.rows == [(7,)]
         assert result.metrics.get("scan.chunks_skipped") == 0
+
+    @pytest.fixture()
+    def zones(self):
+        """The zone index of a 42-row table in chunks of 17, 17 and 8 rows."""
+        database = Database("zones", chunk_rows=17)
+        database.create_table("t", [("id", "int")])
+        database.insert_rows("t", [(index,) for index in range(42)])
+        return database.storage("t").zone_index()
+
+    def test_rows_of_concatenates_chunk_rows(self, zones):
+        rows = zones.rows_of(np.array([0, 2], dtype=np.int64))
+        assert rows.tolist() == list(range(17)) + list(range(34, 42))
+
+    def test_rows_of_empty(self, zones):
+        rows = zones.rows_of(np.array([], dtype=np.int64))
+        assert rows.dtype == np.int64 and len(rows) == 0
+
+    def test_rows_of_every_chunk_is_every_row(self, zones):
+        assert zones.rows_of(np.array([0, 1, 2], dtype=np.int64)) is None
+
+    def test_rows_of_neighbouring_chunks_is_one_range(self, zones):
+        rows = zones.rows_of(np.array([1, 2], dtype=np.int64))
+        assert rows.dtype == np.int64 and rows.tolist() == list(range(17, 42))
+
+    def test_rows_of_the_partial_last_chunk(self, zones):
+        rows = zones.rows_of(np.array([2], dtype=np.int64))
+        assert rows.tolist() == list(range(34, 42))
+
+    @pytest.mark.parametrize("predicate", [
+        "val >= 0", "day >= date '1994-01-01'", "id is not null"])
+    def test_unrefutable_predicates_skip_nothing(self, clustered_db, predicate):
+        """Every chunk holds a matching row: the zone maps refute none, and the
+        scan reads the whole table."""
+        sql = f"select count(*), sum(val) from events where {predicate}"
+        result = ColumnEngine(clustered_db).execute(sql)
+        assert result.rows[0][0] == 3000
+        assert result.metrics.get("scan.chunks_skipped") == 0
+        assert result.metrics.get("scan.chunks_scanned") == \
+            len(clustered_db.storage("events").chunks)
+        assert RowEngine(clustered_db).execute(sql).rows == result.rows
 
     def test_planner_orders_pushdown_by_selectivity(self, clustered_db):
         # textual order: wide range first, tight equality last -- the planner
