@@ -14,11 +14,14 @@ Sub-commands:
   blocks run on a generated pipeline and how many on the interpreter, and what
   a warm execution's joins cost on either engine: rows put into per-execution
   builds, probes into storage key indexes (row) and key orders (column), the
-  rows its base-table scans visit beside the rows of the tables they scan, and
-  the table each benchmarked text's joins drive from; exit
-  code 1 when a text the benchmark runs is not fully generated, builds a hash
-  table or sorts a build side over an unfiltered base table, builds an
-  index or order when warm, or carries a scan window yet visits the table,
+  rows its base-table scans visit beside the rows of the tables they scan, how
+  many aggregate arguments fold through a builtin or a comprehension and how
+  many through a generated loop per group, how many base-table scans were
+  NULL-free (generated without NULL tests), and the table each benchmarked
+  text's joins drive from; exit code 1 when a text the benchmark runs is not
+  fully generated, builds a hash table or sorts a build side over an
+  unfiltered base table, builds an index or order when warm, carries a scan
+  window yet visits the table, or gathers a plain column's values in a loop,
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -231,6 +234,7 @@ def _scanned_rows(database, plan, pipelines: list[dict]) -> int:
 
 def _cmd_pipelines(arguments) -> int:
     from repro.engine import ColumnEngine, RowEngine
+    from repro.sqlparser import ast
     from repro.tpch import QUERIES
     from repro.workflow import build_tpch_database
 
@@ -238,9 +242,9 @@ def _cmd_pipelines(arguments) -> int:
     database = build_tpch_database(scale_factor=0.0005)
     engine, column_engine = RowEngine(database), ColumnEngine(database)
     print("query  blocks  generated  interpreted  hooked-exprs  build rows/exec  index probes"
-          "  rows scanned / table rows"
+          "  rows scanned / table rows  folds builtin/loop  NULL-free scans"
           "  |  column: sorted rows/exec  order probes   (block executions; warm)")
-    unlowered, rebuilt, resorted, unwindowed = [], [], [], []
+    unlowered, rebuilt, resorted, unwindowed, looped = [], [], [], [], []
     for number in sorted(QUERIES):
         plan = engine.prepare(QUERIES[number])
         pipelines = engine.pipelines(plan)
@@ -252,12 +256,19 @@ def _cmd_pipelines(arguments) -> int:
         hooked = sum(len(pipeline.get("interpreted", ())) for pipeline in pipelines)
         visited = int(counters.get("scan.rows_visited"))
         table_rows = _scanned_rows(database, plan, pipelines)
+        # read from the pipeline descriptions EXPLAIN prints (per block, not per execution)
+        folds = [fold for pipeline in pipelines for fold in pipeline.get("folds", ())]
+        loops = sum(fold["fold"] == "loop" for fold in folds)
+        scans = sum(isinstance(block.select.from_items[step.frame_index], ast.TableRef)
+                    for block in plan.blocks.values() for step in block.join_order)
+        null_free = sum(len(pipeline.get("null_free", ())) for pipeline in pipelines)
         print(f"Q{number:<5} {len(pipelines):>6}  "
               f"{int(counters.get('row.pipeline.generated')):>9}  "
               f"{int(counters.get('row.pipeline.interpreted_blocks')):>11}  {hooked:>12}  "
               f"{int(counters.get('join.build_rows')):>15}  "
               f"{int(counters.get('join.index_probes')):>12}  "
-              f"{f'{visited} / {table_rows}':>25}  |  "
+              f"{f'{visited} / {table_rows}':>25}  "
+              f"{f'{len(folds) - loops} / {loops}':>18}  {f'{null_free} / {scans}':>15}  |  "
               f"{int(column_counters.get('join.build_rows')):>24}  "
               f"{int(column_counters.get('join.order_probes')):>12}")
         for pipeline in pipelines:
@@ -272,6 +283,8 @@ def _cmd_pipelines(arguments) -> int:
                 print(f"       drives from {names[0]}: {' -> '.join(names)}")
         if hooked or not all(pipeline["generated"] for pipeline in pipelines):
             unlowered.append(number)
+        if any(fold["column"] and fold["fold"] == "loop" for fold in folds):
+            looped.append(number)
 
         for block in plan.blocks.values():
             if block.window is not None:
@@ -290,11 +303,12 @@ def _cmd_pipelines(arguments) -> int:
             (rebuilt, "build a hash table over an unfiltered base table (or an index / "
                       "order when warm)"),
             (resorted, "sort an unfiltered base table on the column engine"),
-            (unwindowed, "carry a scan window yet visit the table")):
+            (unwindowed, "carry a scan window yet visit the table"),
+            (looped, "gather a plain column's aggregate values in a loop per group")):
         if numbers:
             print(f"benchmarked texts {complaint}: "
                   + ", ".join(f"Q{number}" for number in numbers), file=sys.stderr)
-    return 1 if unlowered or rebuilt or resorted or unwindowed else 0
+    return 1 if unlowered or rebuilt or resorted or unwindowed or looped else 0
 
 
 def _cmd_demo(arguments) -> int:

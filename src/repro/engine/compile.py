@@ -13,10 +13,16 @@ plan cache amortises compilation exactly like planning.
   writes the source of one Python function per block and ``compile()``s it
   into a :class:`RowPipeline`: an access path per non-driving FROM item, then
   a single loop nest in the plan's join order -- ``for r0 in scan0: if
-  <push-down>: for r1 in ix1(k, ()): ... <residual> -> <accumulate |
+  <push-down>: for r1 in ix1(k, ()): ... <residual> -> <partition |
   project>`` -- with one row variable per binding instead of concatenated
-  tuples, one running state list per group instead of value lists, and
-  integer row counters that are all a traced run needs.  A base table joined
+  tuples, and integer row counters that are all a traced run needs.  An
+  aggregation partitions, then folds: the loop only appends each passing row
+  to its group's list, and per group each distinct aggregate argument is
+  gathered once (``map(itemgetter(p), g)``, a comprehension, or a generated
+  loop) and folded with the builtins the interpreter folds with.  A column
+  that holds no NULL in the table version being read is never tested: the
+  pipeline is generated per NULL-free set (``null_free``, from storage
+  statistics) and cached under it.  A base table joined
   on equality keys is probed through the key index storage owns
   (:meth:`StorageTable.key_index`, a scalar key for one-column joins), its
   push-down predicates inlined in the probe loop; a hash table is built per
@@ -62,6 +68,7 @@ import math
 import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -290,6 +297,12 @@ class _Source:
         self.journal: list[tuple[dict[str, str], str]] = []
         #: (call, final value) per aggregate call, while finalising a group.
         self.finals: list[tuple[ast.FunctionCall, _Val]] | None = None
+        #: slots (``r0[5]``) and their locals (``c0_5``) whose column holds no
+        #: NULL in the table version the function is generated for.
+        self.nonnull: set[str] = set()
+        #: True while lowering into a comprehension: a column is read from its
+        #: slot, not bound to a local first.
+        self.inline = False
 
     # -- emission -----------------------------------------------------------
 
@@ -334,7 +347,31 @@ class _Source:
     # -- values ---------------------------------------------------------------
 
     def known(self, atom: str) -> bool:
-        return any(atom in known for _, known in self.scopes)
+        return atom in self.nonnull or any(atom in known for _, known in self.scopes)
+
+    def mark(self) -> tuple[int, int, int]:
+        return len(self.lines), len(self.journal), len(self.interpreted)
+
+    def undo(self, mark: tuple[int, int, int]) -> None:
+        """Forget what was emitted, memoised and hooked since ``mark``."""
+        del self.lines[mark[0]:], self.interpreted[mark[2]:]
+        while len(self.journal) > mark[1]:
+            memo, src = self.journal.pop()
+            memo.pop(src, None)
+
+    def inline_expr(self, node: ast.Expression) -> _Val | None:
+        """``node`` as one inline Python expression over column slots, or None
+        (nothing emitted) when lowering it takes statements or the hook."""
+        mark = self.mark()
+        self.inline = True
+        try:
+            val = self.expr(node)
+        finally:
+            self.inline = False
+        if len(self.lines) == mark[0] and len(self.interpreted) == mark[2]:
+            return val
+        self.undo(mark)
+        return None
 
     def _memo(self, src: str) -> str | None:
         """The name already holding ``src`` in an enclosing scope."""
@@ -407,6 +444,8 @@ class _Source:
                 raise CompileFallback(f"column '{ref.qualified}' is not local")
             return _Val(name, (name,))
         slot = slots[position]
+        if self.inline:
+            return _Val(slot, (slot,))
         name = self._memo(slot)
         if name is None:
             name = self._remember(slot, "c" + slot[1:-1].replace("[", "_"))
@@ -424,7 +463,7 @@ class _Source:
     def expr(self, node: ast.Expression) -> _Val:
         """Lower ``node``; what cannot be lowered (a subquery, an outer column)
         is evaluated by the interpreter, on the current row, right here."""
-        mark = len(self.lines), len(self.journal), len(self.interpreted)
+        mark = self.mark()
         try:
             return self._lower(node)
         except CompileFallback:
@@ -432,10 +471,7 @@ class _Source:
             # around an aggregate there is no row to interpret on
             if row is None or (self.finals is not None and ast.has_local_aggregate(node)):
                 raise
-            del self.lines[mark[0]:], self.interpreted[mark[2]:]
-            while len(self.journal) > mark[1]:
-                memo, src = self.journal.pop()
-                memo.pop(src, None)
+            self.undo(mark)
             self.interpreted.append((node, layout))
             return self.atom(_Val(f"interp({len(self.interpreted) - 1}, {row})"))
 
@@ -704,29 +740,38 @@ class RowPipeline:
     #: the enclosing blocks' columns bound once per run, in ``outers`` order.
     outer_refs: list = field(default_factory=list)
     fallback: str | None = None
+    #: per FROM item, the positions of the columns the function takes to hold
+    #: no NULL (it does not test them): the flavour it was generated for.
+    null_free: tuple = ()
+    #: (argument, how its values are gathered per group) per distinct
+    #: aggregate argument: "builtin" (``map(itemgetter(p), g)``),
+    #: "comprehension" or "loop" (a generated loop per group).
+    folds: list = field(default_factory=list)
 
 
-def compile_row_block(block, hash_joins: bool = True) -> RowPipeline:
+def compile_row_block(block, hash_joins: bool = True, null_free: tuple = ()) -> RowPipeline:
     """Lower one :class:`~repro.engine.plan.BlockPlan` to a generated pipeline.
 
-    Never raises: a block the generator cannot lower (a subquery inside an
-    aggregated select list or HAVING, an aggregate shape the interpreter
-    rejects too, more nested loops than Python compiles) comes back with
-    ``run=None`` and runs on the interpreter.
+    ``null_free`` holds, per FROM item, the positions of the columns known to
+    hold no NULL (see :attr:`RowPipeline.null_free`).  Never raises: a block
+    the generator cannot lower (a subquery inside an aggregated select list or
+    HAVING, an aggregate shape the interpreter rejects too, more nested loops
+    than Python compiles) comes back with ``run=None`` and runs on the
+    interpreter.
     """
     try:
-        return _generate_pipeline(block, hash_joins)
+        return _generate_pipeline(block, hash_joins, null_free)
     except Exception as error:
         return RowPipeline(None, hash_joins=hash_joins,
-                           fallback=str(error) or type(error).__name__)
+                           fallback=str(error) or type(error).__name__, null_free=null_free)
 
 
-def row_pipeline(plan, block, hash_joins: bool = True) -> RowPipeline:
-    """The block's pipeline, generated once and cached on ``plan``."""
-    if hash_joins:
-        return plan.kernels(block, ("row",), compile_row_block)
-    return plan.kernels(block, ("row", "nested-loops"),
-                        lambda planned: compile_row_block(planned, hash_joins=False))
+def row_pipeline(plan, block, hash_joins: bool = True, null_free: tuple = ()) -> RowPipeline:
+    """The block's pipeline for one NULL-free set, generated once and cached on
+    ``plan`` (``null_free=()`` is the flavour that tests every column)."""
+    flavour = ("row",) if hash_joins else ("row", "nested-loops")
+    return plan.kernels(block, flavour + (null_free,),
+                        lambda planned: compile_row_block(planned, hash_joins, null_free))
 
 
 def _check_aggregate_shape(node: ast.Expression) -> None:
@@ -751,7 +796,7 @@ def _outer_key(ref: ast.ColumnRef) -> tuple[str, str]:
     return (ref.table or "").lower(), ref.name.lower()
 
 
-def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
+def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline:
     select = block.select
     # a derived table's columns are typed "str" by the planner for want of
     # better knowledge; only a base table's str column is known to hold strings.
@@ -772,6 +817,9 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
             pushdown[index] = [predicate for predicate in pushdown[index]
                                if not window.decides(predicate)]
     src = _Source()
+    for index, positions in enumerate(null_free):
+        for position in positions:
+            src.nonnull.update((f"r{index}[{position}]", f"c{index}_{position}"))
     # a column an enclosing block resolves is constant while the function runs
     outer_refs = {_outer_key(ref): ref for ref in block.outer_refs}
     src.outers = {key: f"o{number}" for number, key in enumerate(outer_refs)}
@@ -837,9 +885,11 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
                 if pushdown[index]:
                     src.emit(f"b{index} += 1")
                 if build:
-                    src.emit(f"k = {key([slots[index][position] for position in build])}")
-                    src.emit("if k is None: continue" if len(build) == 1
-                             else "if None in k: continue")
+                    parts = [slots[index][position] for position in build]
+                    src.emit(f"k = {key(parts)}")
+                    if not all(src.known(part) for part in parts):
+                        src.emit("if k is None: continue" if len(build) == 1
+                                 else "if None in k: continue")
                     src.emit(f"m = {table}.get(k)")
                     src.emit(f"if m is None: {table}[k] = [r{index}]")
                     src.emit(f"else: m.append(r{index})")
@@ -866,7 +916,8 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         src.emit("groups = {}")
         src.emit("lookup = groups.get")
     else:
-        src.emit("g = None")
+        src.emit("g = []")
+        src.emit("push = g.append")
     levels: list[str] = []
     for level, index in enumerate(order):
         src.open(headers[level])
@@ -899,8 +950,10 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
     counts = (f"([{', '.join(visited)}], [{', '.join(scanned)}], [{', '.join(levels)}], "
               f"{'nf' if block.residual else levels[-1]})")
 
+    folds: list[tuple[ast.Expression, str]] = []
     if block.needs_aggregation:
-        _emit_aggregation(src, select, [f"r{index}" for index in order], len(levels), counts)
+        folds = _emit_aggregation(src, select, [f"r{index}" for index in order], len(levels),
+                                  counts)
     else:
         values: list[str] = []
         for item in select.items:
@@ -916,43 +969,42 @@ def _generate_pipeline(block, hash_joins: bool) -> RowPipeline:
         src.emit(f"return out, {counts}")
     return RowPipeline(*src.function("pipeline", "scans, indexes, outers, interp"), hash_joins,
                        src.interpreted, joined[-1][0].columns, probes, windows, builds,
-                       list(outer_refs.values()))
+                       list(outer_refs.values()), null_free=null_free, folds=folds)
 
 
 def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: int,
-                      counts: str) -> None:
-    """Grouping, running accumulators and per-group finalisation.
+                      counts: str) -> list[tuple[ast.Expression, str]]:
+    """Partition, then fold.
 
-    Called with ``src`` inside the innermost of ``nest`` loops.  Each group is
-    one state list ``g``: the group's first rows, then a running slot per
-    distinct (accumulator, argument) pair -- ``sum`` and ``avg`` of one
-    argument share theirs.  ``sum`` adds left to right from 0, exactly as the
-    builtin does.
+    Called with ``src`` inside the innermost of ``nest`` loops, which only
+    appends each row that reaches it -- for a join, the tuple of its row
+    variables -- to its group's list ``g`` (one list without GROUP BY).  Per
+    group, each distinct aggregate argument then becomes one list of values in
+    row order, folded with the builtins
+    :func:`~repro.engine.expression.evaluate_aggregate` folds with (``sum``,
+    ``len``, ``min``, ``max``, ``set``), so a float total is the interpreter's
+    on any CPython (see :func:`_emit_folds`).  Returns (argument, fold kind)
+    per distinct argument, for :attr:`RowPipeline.folds`.
     """
     expressions = [item.expression for item in select.items]
     if select.having is not None:
-        expressions.append(select.having)
+        expressions.insert(0, select.having)  # the interpreter evaluates it first
     for expression in expressions:
         _check_aggregate_shape(expression)
-    inits = [_tuple(rows)]
-    states: dict[tuple[str, str], str] = {}
-
-    def state(kind: str, argument: str, initial: str) -> tuple[str, bool]:
-        created = (kind, argument) not in states
-        if created:
-            states[(kind, argument)] = f"g[{len(inits)}]"
-            inits.append(initial)
-        return states[(kind, argument)], created
-
+    member = rows[0] if len(rows) == 1 else _tuple(rows)
     if select.group_by:
         keys = [src.value(src.expr(expression)) for expression in select.group_by]
         src.emit(f"k = {keys[0] if len(keys) == 1 else _tuple(keys)}")
         src.emit("g = lookup(k)")
-    new_group = len(src.lines)  # patched once every slot is known
-    src.emit("if g is None: g = " + ("groups[k] = " if select.group_by else ""))
+        src.emit(f"if g is None: groups[k] = [{member}]")
+        src.emit(f"else: g.append({member})")
+    else:
+        src.emit(f"push({member})")
+    src.close(nest)
 
-    updates: dict[tuple[str, ...], list[str]] = {}
-    finals: list[tuple[ast.FunctionCall, str]] = []
+    # per distinct argument: the node and the folds its calls need
+    arguments: dict[str, tuple[ast.Expression, set[str]]] = {}
+    calls: list[tuple[ast.FunctionCall, str | None]] = []
     for expression in expressions:
         for call in ast.walk_local(expression):
             if not (isinstance(call, ast.FunctionCall) and call.is_aggregate):
@@ -960,71 +1012,126 @@ def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: i
             name = call.name.lower()
             if name == "count" and (not call.arguments
                                     or isinstance(call.arguments[0], ast.Star)):
-                slot, created = state("rows", "", "0")
-                if created:
-                    updates.setdefault((), []).append(f"{slot} += 1")
-                finals.append((call, slot))
+                calls.append((call, None))
                 continue
             if not call.arguments:
                 raise CompileFallback(f"aggregate '{name}' requires an argument")
             if name not in ("count", "sum", "avg", "min", "max"):
                 raise CompileFallback(f"unknown aggregate function '{name}'")
-            argument = src.expr(call.arguments[0])
-            if name in ("min", "max") and not call.distinct:
-                argument = src.atom(argument)
-            value, todo = argument.src, updates.setdefault(argument.nulls, [])
-            if call.distinct:
-                seen, created = state("distinct", value, "set()")
-                if created:
-                    todo.append(f"{seen}.add({value})")
-                finals.append((call, {
-                    "count": f"len({seen})",
-                    "avg": f"(sum({seen}) / len({seen}) if {seen} else None)",
-                }.get(name, f"({name}({seen}) if {seen} else None)")))
-            elif name in ("min", "max"):
-                best, created = state(name, value, "None")
-                if created:
-                    todo.append(f"if {best} is None or {value} {'<' if name == 'min' else '>'} "
-                                f"{best}: {best} = {value}")
-                finals.append((call, best))
-            else:
-                count, created = state("count", value, "0")
-                if created:
-                    todo.append(f"{count} += 1")
-                total, created = state("sum", value, "0") if name != "count" else ("", False)
-                if created:
-                    todo.append(f"{total} += {value}")
-                finals.append((call, {
-                    "count": count, "sum": f"({total} if {count} else None)",
-                    "avg": f"({total} / {count} if {count} else None)"}[name]))
-    for nulls, statements in updates.items():
-        present = src.nulls(nulls, "is not None", " and ")
-        with src.block(f"if {present}:") if present else nullcontext():
-            for statement in statements:
-                src.emit(statement)
-    src.lines[new_group] += "[" + ", ".join(inits) + "]"
-    src.close(nest)
+            key = repr(call.arguments[0])
+            uses = arguments.setdefault(key, (call.arguments[0], set()))[1]
+            uses.update(("set",) if call.distinct
+                        else ("sum", "count") if name == "avg" else (name,))
+            calls.append((call, key))
 
     if select.group_by:
         src.emit("groups = groups.values()")
     else:
         # the empty global group: non-aggregate subexpressions are NULL there,
         # which only the interpreter's evaluate_aggregate knows how to say.
-        src.emit(f"if g is None: return None, {counts}")
-        src.emit("groups = [g]")
+        src.emit(f"if not g: return None, {counts}")
+        src.emit("groups = (g,)")
     src.emit("out = []")
+    folded: dict[str, tuple[dict[str, str], str, bool]] = {}
+    kinds: list[tuple[ast.Expression, str]] = []
     with src.block("for g in groups:"):
+        for key, (argument, uses) in arguments.items():
+            folded[key] = _emit_folds(src, argument, uses, rows)
+            kinds.append((argument, folded[key][1]))
         if rows:
-            src.emit(f"{_tuple(rows)} = g[0]")
+            src.emit(f"{member} = g[0]")  # what non-aggregate subexpressions read
         src.finals = []
-        for number, (call, final) in enumerate(finals):
-            src.emit(f"a{number} = {final}")
-            src.finals.append((call, _Val(f"a{number}", (f"a{number}",))))
+        for number, (call, key) in enumerate(calls):
+            name = f"a{number}"
+            if key is None:
+                final, never_null = "len(g)", True
+            else:
+                results, _, never_null = folded[key]
+                final = _final(call, results, never_null)
+            src.emit(f"{name} = {final}")
+            if never_null or call.name.lower() == "count":
+                src.scopes[-1][1].add(name)
+            src.finals.append((call, _Val(name, (name,))))
         if select.having is not None:
             src.emit(f"if not ({src.truth(src.expr(select.having))}): continue")
         values = [src.value(src.expr(item.expression)) for item in select.items]
         src.emit(f"out.append({_tuple(values)})")
     src.emit(f"return out, {counts}")
+    return kinds
+
+
+def _emit_folds(src: _Source, argument: ast.Expression, uses: set[str],
+                rows: list[str]) -> tuple[dict[str, str], str, bool]:
+    """Gather one argument's values over the group ``g`` and fold them.
+
+    A plain column of a one-table block is ``map(itemgetter(p), g)``, an
+    argument that lowers to one inline expression a comprehension, anything
+    else (CASE, Kleene operators, what can raise, the interpreter hook) a
+    generated loop over ``g`` that binds the ``rows`` variables per member.
+    NULLs are left out of the values unless the argument holds none (a
+    NULL-free column, see :attr:`RowPipeline.null_free`): then nothing is
+    tested, its count is ``len(g)`` and, for one fold, no list is built.
+    Every fold is the builtin over the values in row order, as in
+    ``evaluate_aggregate`` -- not a ``+=`` chain: from CPython 3.12 ``sum``
+    compensates float rounding (``sum([1e16, 1.0, -1e16])`` is 1.0, the chain
+    0.0).  Returns (the source of each fold in ``uses``, plus ``"values"`` /
+    ``"count"``), the kind of gathering, and whether the values hold no NULL.
+    """
+    def listed(source: str) -> str:
+        name = src.fresh("x")
+        src.emit(f"{name} = {source}")
+        return name
+
+    target = rows[0] if len(rows) == 1 else _tuple(rows) if rows else "_"
+    consumers = [use for use in ("sum", "min", "max", "set") if use in uses]
+    val = src.inline_expr(argument)
+    if val is None:
+        kind, values = "loop", listed("[]")
+        with src.block(f"for {target} in g:"):
+            val = src.expr(argument)
+            present = src.nulls(val.nulls, "is not None", " and ")
+            src.emit(f"{f'if {present}: ' if present else ''}{values}.append({val.src})")
+    else:
+        present = src.nulls(val.nulls, "is not None", " and ")
+        if len(rows) == 1 and val.src in src.cols[1]:
+            getter = src.bind(itemgetter(src.cols[1].index(val.src)))
+            kind, values = "builtin", f"map({getter}, g)"
+            if present or len(consumers) > 1:
+                values = listed(f"list({values})")
+            if present:  # one C-level test per group; the filter only where a NULL is
+                src.emit(f"if None in {values}: "
+                         f"{values} = [e for e in {values} if e is not None]")
+        else:
+            kind = "comprehension"
+            values = listed(f"[{val.src} for {target} in g{f' if {present}' if present else ''}]")
+    never_null = not present
+    results = {"values": values, "count": "len(g)" if never_null else f"len({values})"}
+    for use in consumers:
+        results[use] = src.fresh("f")
+        fold = f"{use}({values})"
+        if use in ("min", "max") and not never_null:
+            fold += f" if {values} else None"  # min / max of nothing raises
+        src.emit(f"{results[use]} = {fold}")
+    return results, kind, never_null
+
+
+def _final(call: ast.FunctionCall, results: dict[str, str], never_null: bool) -> str:
+    """The source of one aggregate call's value from its argument's folds."""
+    name = call.name.lower()
+    if call.distinct:
+        values = results["set"]
+        count = f"len({values})"
+        total = f"{name if name in ('min', 'max') else 'sum'}({values})"
+    else:
+        values, count = results["values"], results["count"]
+        total = results.get("sum" if name == "avg" else name)
+    if name == "count":
+        return count
+    if name == "avg":
+        total = f"{total} / {count}"
+    if never_null or (name in ("min", "max") and not call.distinct):
+        return total  # a min / max fold says None for no values itself
+    return f"({total} if {values} else None)"
 
 
 def _item_pushdown(block, columns: list[ColumnInfo]) -> list[ast.Expression]:

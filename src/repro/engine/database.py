@@ -61,12 +61,17 @@ class Database:
         # concurrent executors (batched driver threads sharing an engine) may
         # request the same columnar view; builds serialise on this lock.
         self._columnar_lock = threading.Lock()
+        #: bumped before every DDL statement and insert takes effect: an
+        #: executor that read it before looking at the tables and reads the
+        #: same value after fetching their rows saw no mutation in between.
+        self.mutations = 0
 
     # -- DDL / DML -----------------------------------------------------------
 
     def create_table(self, name: str,
                      columns: Iterable[tuple[str, str]] | Iterable[ColumnDef]) -> TableSchema:
         """Create table ``name`` and return its schema."""
+        self.mutations += 1
         schema = self.catalog.create_table(name, columns)
         table = StorageTable(schema, chunk_rows=self.chunk_rows)
         self._storage[schema.name] = table
@@ -75,6 +80,7 @@ class Database:
 
     def drop_table(self, name: str) -> None:
         """Drop table ``name``, its storage, and every cached derived view."""
+        self.mutations += 1
         self.catalog.drop_table(name)
         self._storage.pop(name.lower(), None)
         self._columnar.pop(name.lower(), None)
@@ -92,6 +98,7 @@ class Database:
                 coerce_value(value, column.type_name)
                 for value, column in zip(row, schema.columns)
             ))
+        self.mutations += 1
         return self._storage[schema.name].append_rows(coerced)
 
     # -- access ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.engine.executor_column import (
     describe_column_pipeline,
     require_from_items,
 )
-from repro.engine.executor_row import RowExecutor, describe_pipeline
+from repro.engine.executor_row import RowExecutor, describe_pipeline, null_free_columns
 from repro.engine.plan import PlanCache, Planner, QueryPlan, normalize_sql
 from repro.engine.result import QueryResult
 from repro.errors import EngineError
@@ -362,8 +362,13 @@ class RowEngine(Engine):
     def pipelines(self, plan: QueryPlan) -> list[dict]:
         if not self.options.compile_expressions:
             return []
-        return [describe_pipeline(block, row_pipeline(plan, block, self.options.hash_joins))
+        return [describe_pipeline(block, self._row_pipeline(plan, block))
                 for block in plan.blocks.values()]
+
+    def _row_pipeline(self, plan: QueryPlan, block):
+        """The flavour an execution against the database as it is now runs."""
+        return row_pipeline(plan, block, self.options.hash_joins,
+                            null_free_columns(self.database, block))
 
     def _pipeline_lines(self, pipeline: dict) -> list[str]:
         header = f"block ({', '.join(pipeline['output'])}): "
@@ -376,6 +381,12 @@ class RowEngine(Engine):
                 *(f"  join {side['source']}: {side['join']}"
                   f"{', built per execution' if side['built'] else ''}"
                   for side in pipeline["joins"]),
+                *([f"  NULL-free scans: {', '.join(pipeline['null_free'])}"]
+                  if pipeline["null_free"] else []),
+                *([f"  aggregate arguments: " + ", ".join(
+                    f"{sum(fold['fold'] == kind for fold in pipeline['folds'])} {kind}"
+                    for kind in ("builtin", "comprehension", "loop"))]
+                  if pipeline["folds"] else []),
                 *(f"  bound once per run: {name}" for name in pipeline["hoisted"]),
                 *(f"  interpreted per row: {text}" for text in pipeline["interpreted"]),
                 *(f"  | {line}" for line in pipeline["source"].splitlines())]
@@ -383,7 +394,7 @@ class RowEngine(Engine):
     def _precompile(self, plan: QueryPlan) -> None:
         if self.options.compile_expressions:
             for block in plan.blocks.values():
-                row_pipeline(plan, block, self.options.hash_joins)  # never raises
+                self._row_pipeline(plan, block)  # never raises
 
     def _execute_plan(self, plan: QueryPlan,
                       trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:

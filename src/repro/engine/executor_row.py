@@ -9,9 +9,15 @@ A block runs one of two ways:
   block's :class:`~repro.engine.compile.RowPipeline` -- one Python function
   generated from the plan and cached on it -- gets its inputs and does the
   rest in one pass: one loop nest over the driving scan and the probes, the
-  push-down and residual predicates, then grouping with running accumulators
-  or the projection.  No joined tuple and no per-group value list is
-  materialised.  The executor fetches the inputs per run -- a scanned base
+  push-down and residual predicates, then the projection or -- partition,
+  then fold -- each passing row appended to its group's list, each aggregate
+  argument gathered per group and folded with the builtins the interpreter
+  folds with.  No joined tuple is materialised.  A base table's columns that
+  hold no NULL in the version being read (its statistics) are not tested:
+  the plan caches one flavour of the function per NULL-free set
+  (:func:`null_free_columns`), so a NULL an insert brings makes the next
+  execution generate the NULL-testing flavour once.  The executor fetches
+  the inputs per run -- a scanned base
   table is the storage layer's cached row view or, where the plan confined the
   driving scan to a scan window, the rows in that range of one column read
   through its key order (:meth:`RowExecutor._scan_rows`, which counts
@@ -67,6 +73,14 @@ def scan_source(item: ast.TableExpression) -> str:
     return type(item).__name__
 
 
+def null_free_columns(database: Database, block: BlockPlan) -> tuple:
+    """Per FROM item, the positions of the columns that hold no NULL in the
+    table version ``database`` holds now: a base table's, from its
+    statistics; none for a derived table or an explicit JOIN."""
+    return tuple(database.storage(item.name).null_free() if isinstance(item, ast.TableRef)
+                 else () for item in block.select.from_items)
+
+
 def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
     """How one block runs on the row engine, for ``Engine.explain`` / EXPLAIN."""
     if pipeline.run is None:
@@ -101,6 +115,16 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
         + ["aggregate" if block.needs_aggregation else "project"],
         "interpreted": [to_sql(expression) for expression, _ in pipeline.interpreted],
         "hoisted": [ref.qualified for ref in pipeline.outer_refs],
+        # per distinct aggregate argument: how its values are gathered per
+        # group ("builtin", "comprehension" or "loop")
+        "folds": [{"argument": to_sql(argument), "fold": kind,
+                   "column": isinstance(argument, ast.ColumnRef)}
+                  for argument, kind in pipeline.folds],
+        # the scanned base tables none of whose columns the function tests for NULL
+        "null_free": [source for source, item, step in zip(sources, items, block.join_order)
+                      if isinstance(item, ast.TableRef) and pipeline.null_free
+                      and len(pipeline.null_free[step.frame_index])
+                      == len(block.item_columns[step.frame_index])],
         "source": pipeline.source,
     }
 
@@ -268,20 +292,31 @@ class RowExecutor:
             return None
         if self._plan.block(block.select) is not block:
             return None
-        pipeline = row_pipeline(self._plan, block, self.hash_joins)
+        pipeline = row_pipeline(self._plan, block, self.hash_joins, self._null_free(block))
         return pipeline if pipeline.run is not None else None
+
+    def _null_free(self, block: BlockPlan) -> tuple:
+        """:func:`null_free_columns`, remembered on the plan until the
+        database's next mutation (a block may run once per outer row)."""
+        memo = self._plan.kernels(block, ("row", "null-free"), lambda _: [None])
+        database, found = self.database, memo[0]
+        if found is None or found[0] is not database or found[1] != database.mutations:
+            found = memo[0] = (database, database.mutations,
+                               null_free_columns(database, block))
+        return found[2]
 
     def _execute_block(self, select: ast.Select, outer: "_RowEnv | None"
                        ) -> tuple[list[str], list[tuple]]:
         block = self._block(select)
         positions = block.order_positions
+        mutations = self.database.mutations  # before the flavour is picked
         pipeline = self._pipeline(block)
         if pipeline is None:
             count_metric("row.pipeline.interpreted_blocks")
             rows = self._interpret_block(block, outer)
         else:
             count_metric("row.pipeline.generated")
-            rows = self._run_pipeline(block, pipeline, outer)
+            rows = self._run_pipeline(block, pipeline, outer, mutations)
         if select.distinct:
             rows = list(dict.fromkeys(rows))
         if positions:
@@ -293,8 +328,13 @@ class RowExecutor:
     # -- generated pipelines ------------------------------------------------------
 
     def _run_pipeline(self, block: BlockPlan, pipeline: RowPipeline,
-                      outer: "_RowEnv | None") -> list[tuple]:
-        """Fetch the block's inputs and run its generated function over them."""
+                      outer: "_RowEnv | None", mutations: int) -> list[tuple]:
+        """Fetch the block's inputs and run its generated function over them.
+
+        ``pipeline`` is the flavour for the NULL-free columns of the tables
+        as ``database.mutations`` read ``mutations``; when it has moved since,
+        the flavour is picked again for the rows fetched.
+        """
         select, trace = block.select, self._trace
         probes = pipeline.probes
         scans: list[list[tuple] | None] = []
@@ -313,6 +353,11 @@ class RowExecutor:
             scans.append(rows)
             indexes.append(index)
             scan_spans.append(span)
+        if self.database.mutations != mutations:
+            # the rows just fetched may hold a NULL inserted since the flavour
+            # was picked (the access paths are the same in every flavour)
+            pipeline = row_pipeline(self._plan, block, self.hash_joins,
+                                    null_free_columns(self.database, block))
         outers = ()
         if pipeline.outer_refs:
             env = _RowEnv(self, _NO_COLUMNS, (), outer)
@@ -602,11 +647,18 @@ class RowExecutor:
 
     def _order(self, select: ast.Select, positions: list[int],
                rows: list[tuple]) -> list[tuple]:
-        """Sort on the resolved output positions, NULLs as the largest value."""
+        """Sort on the resolved output positions, NULLs as the largest value.
+
+        A key with no NULL in ``rows`` sorts on the value itself; the
+        ``(is None, value)`` pair that puts NULLs last is built only for a key
+        that holds one.  Either way the sorts are stable, so ties keep their order.
+        """
         ordered = list(rows)
         for item, position in reversed(list(zip(select.order_by, positions))):
-            ordered.sort(key=lambda row: (row[position] is None, row[position]),
-                         reverse=item.descending)
+            key = itemgetter(position)
+            if None in map(key, ordered):
+                key = lambda row: (row[position] is None, row[position])
+            ordered.sort(key=key, reverse=item.descending)
         return ordered
 
     def _limit(self, select: ast.Select, rows: list[tuple]) -> list[tuple]:

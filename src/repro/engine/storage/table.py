@@ -83,6 +83,7 @@ class StorageTable:
         self._tail: list[tuple] = []
         self._rows_cache: list[tuple] | None = None
         self._stats_cache: TableStatistics | None = None
+        self._null_free: tuple[int, ...] | None = None
         self._zone_index: "ZoneIndex | None" = None
         self._key_indexes: dict[tuple[int, ...], dict] = {}
         self._key_orders: dict[tuple[int, ...], "KeyOrder | None"] = {}
@@ -126,6 +127,7 @@ class StorageTable:
         self.scan_kernel_cache = IdentityMemo()
         self._rows_cache = None
         self._stats_cache = None
+        self._null_free = None
         self._zone_index = None
         self._key_indexes = {}
         self._key_orders = {}
@@ -273,6 +275,22 @@ class StorageTable:
         """Aggregate chunk zone maps into table statistics (cached)."""
         with self._lock:
             return self._statistics_locked()
+
+    def null_free(self) -> tuple[int, ...]:
+        """Positions of the columns that hold no NULL in this version.
+
+        Read from the statistics' ``null_count`` (the catalog declares no NOT
+        NULL) and cached until the next mutation: the row engine generates
+        its pipelines without NULL tests on these columns.
+        """
+        found = self._null_free  # read once: a mutation may reset it meanwhile
+        if found is None:
+            with self._lock:
+                columns = self._statistics_locked().columns
+                found = self._null_free = tuple(
+                    position for position, column in enumerate(self.schema.columns)
+                    if not columns[column.name.lower()].null_count)
+        return found
 
     def _statistics_locked(self) -> TableStatistics:
         if self._stats_cache is not None:

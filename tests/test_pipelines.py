@@ -613,3 +613,181 @@ def test_explain_analyze_marks_the_fused_operators(tpch_db):
     assert plain.trace.find("pipeline") is None
     assert "fused" not in plain.trace.find("join").attributes
     assert plain.trace.find("join").rows_out == join.rows_out
+
+
+# ---------------------------------------------------------------------------
+# partition, then fold; NULL-free flavours
+# ---------------------------------------------------------------------------
+
+
+def _engines(database: Database) -> tuple[RowEngine, RowEngine]:
+    return RowEngine(database), RowEngine(database, options=EngineOptions(
+        compile_expressions=False))
+
+
+def test_float_sum_and_avg_fold_as_the_builtin_does():
+    """``sum`` over the values in row order on both paths: from CPython 3.12
+    the builtin compensates (1.0 here); a ``+=`` chain would say 0.0."""
+    values = [1e16, 1.0, -1e16]
+    database = Database("floats")
+    for table, extra in (("plain", (2, 0.5)), ("nullable", (2, None))):
+        database.create_table(table, [("k", "int"), ("x", "float")])
+        database.insert_rows(table, [(1, value) for value in values] + [extra])
+    engine, interpreter = _engines(database)
+    total = sum(values)
+    for sql, first in (
+            ("select k, sum(x), avg(x), sum(x * 1.0), count(x) from {} group by k order by k",
+             (1, total, total / 3, total, 3)),
+            ("select sum(x), avg(x) from {} where k = 1", (total, total / 3))):
+        for table in ("plain", "nullable"):
+            rows = engine.execute(sql.format(table)).rows
+            assert repr(rows) == repr(interpreter.execute(sql.format(table)).rows), table
+            assert rows[0] == first, table
+    assert engine.explain("select k, sum(x) from plain group by k")["pipelines"][0][
+        "null_free"] == ["plain"]
+
+
+def _ordered_as_before(rows: list[tuple], keys: list[tuple[int, bool]]) -> list[tuple]:
+    """The sort the row engine did before it sorted NULL-free keys on the value."""
+    ordered = list(rows)
+    for position, descending in reversed(keys):
+        ordered.sort(key=lambda row: (row[position] is None, row[position]),
+                     reverse=descending)
+    return ordered
+
+
+@pytest.mark.parametrize("nulls", [False, True], ids=["null-free", "with-nulls"])
+@pytest.mark.parametrize("order,keys", [
+    ("a", [(1, False)]), ("a desc", [(1, True)]), ("b desc, a", [(2, True), (1, False)]),
+    ("a, b desc, c", [(1, False), (2, True), (3, False)])])
+def test_order_by_sorts_as_before_ties_included(nulls, order, keys):
+    database = Database("order")
+    database.create_table("t", [("id", "int"), ("a", "int"), ("b", "str"), ("c", "float")])
+    rows = [(index, index % 3, "xyz"[index % 2], float(index % 4)) for index in range(24)]
+    if nulls:
+        rows = [(i, None if i % 5 == 0 else a, None if i % 7 == 0 else b, c)
+                for i, a, b, c in rows]
+    database.insert_rows("t", rows)
+    for engine in _engines(database):
+        unordered = engine.execute("select id, a, b, c from t").rows
+        assert engine.execute(f"select id, a, b, c from t order by {order}").rows \
+            == _ordered_as_before(unordered, keys)
+
+
+def _generations(monkeypatch) -> list:
+    """Every pipeline generated from here on, in order."""
+    import repro.engine.compile as compile_module
+
+    generated = []
+    original = compile_module.compile_row_block
+
+    def counting(*arguments, **keywords):
+        generated.append(original(*arguments, **keywords))
+        return generated[-1]
+
+    monkeypatch.setattr(compile_module, "compile_row_block", counting)
+    return generated
+
+
+def _tests_for_null(source: str) -> bool:
+    """Whether generated source tests a value for NULL (a group lookup is no test)."""
+    source = source.replace("if g is None: groups[k]", "")
+    return any(test in source for test in ("is None", "is not None", "None in"))
+
+
+def test_a_null_an_insert_brings_makes_the_next_execution_test_for_it(monkeypatch):
+    database = Database("flavours")
+    database.create_table("li", [("flag", "str"), ("qty", "float"), ("disc", "float"),
+                                 ("ship", "int"), ("pid", "int")])
+    database.create_table("part", [("id", "int"), ("name", "str")])
+    database.insert_rows("li", [("AR"[i % 2], float(i % 7), i % 3 / 10, i % 12, i % 4)
+                                for i in range(40)])
+    database.insert_rows("part", [(i, f"p{i % 2}") for i in range(4)])
+    engine, interpreter = _engines(database)
+    texts = [
+        # Q1's shape: a filter, a group key and folds over NULL-free columns
+        "select flag, sum(qty), avg(qty), sum(qty * (1 - disc)), avg(disc), count(qty), "
+        "count(*), min(disc), max(qty) from li where ship <= 10 group by flag order by flag",
+        # an index-probed side
+        "select name, sum(qty), count(disc) from part, li where id = pid group by name "
+        "order by name",
+        # a derived table: always NULL-aware
+        "select f, sum(q), count(q) from (select flag as f, qty as q from li) d "
+        "group by f order by f"]
+    plans = [engine.prepare(sql) for sql in texts]
+    assert [side["join"] for side in engine.pipelines(plans[1])[0]["joins"]] == \
+        ["index li(pid)"]
+    generated = _generations(monkeypatch)
+
+    def run() -> list[list[dict]]:
+        for plan in plans:
+            assert repr(engine.execute(plan).rows) == repr(interpreter.execute(plan.sql).rows)
+        return [engine.pipelines(plan) for plan in plans]
+
+    first = run()
+    assert generated == []  # prepare generated the flavour the table's version asks for
+    assert not _tests_for_null(first[0][0]["source"]) and first[0][0]["null_free"] == ["li"]
+    assert not _tests_for_null(first[1][0]["source"])
+    assert sorted(first[1][0]["null_free"]) == ["li", "part"]
+    inner, outer = first[2]
+    assert inner["null_free"] == ["li"] and not _tests_for_null(inner["source"])
+    assert outer["null_free"] == [] and _tests_for_null(outer["source"])
+    assert run() == first and generated == []  # warm: nothing is generated
+
+    database.insert_rows("li", [(None, None, None, 5, 1)])
+    second = run()
+    assert len(generated) == 3  # one NULL-testing flavour per block that reads li
+    assert _tests_for_null(second[0][0]["source"]) and second[0][0]["null_free"] == []
+    assert _tests_for_null(second[1][0]["source"])
+    assert second[1][0]["null_free"] == ["part"]
+    assert second[2][1]["source"] == outer["source"]  # the derived table's did not change
+    run()
+    assert len(generated) == 3
+
+
+def test_only_what_cannot_be_one_expression_loops_per_group(tpch_db):
+    engine = RowEngine(tpch_db)
+    (q1,) = engine.explain(QUERIES[1])["pipelines"]
+    assert [(fold["argument"], fold["fold"]) for fold in q1["folds"]] == [
+        ("l_quantity", "builtin"), ("l_extendedprice", "builtin"),
+        ("l_extendedprice * (1 - l_discount)", "comprehension"),
+        ("(l_extendedprice * (1 - l_discount)) * (1 + l_tax)", "comprehension"),
+        ("l_discount", "builtin")]
+    assert "+=" not in q1["source"].split("for g in groups:")[0].replace("n0 += 1", "")
+    (q14,) = engine.explain(QUERIES[14])["pipelines"]  # a join; CASE over LIKE loops
+    assert [fold["fold"] for fold in q14["folds"]] == ["comprehension", "loop"]
+    text = "\n".join(line for (line,) in engine.execute("explain " + QUERIES[1]).rows)
+    assert "  NULL-free scans: lineitem\n" in text
+    assert "  aggregate arguments: 3 builtin, 2 comprehension, 0 loop\n" in text
+
+
+def test_pipeline_table_reports_folds_and_null_free_scans(capsys):
+    from repro.cli.main import main
+
+    assert main(["pipelines"]) == 0
+    header, q1 = capsys.readouterr().out.splitlines()[:2]
+    assert "folds builtin/loop  NULL-free scans" in header
+    assert q1.startswith("Q1 ") and "5 / 0            1 / 1  |" in q1
+
+
+def test_a_null_inserted_while_the_rows_are_fetched_is_tested_for(monkeypatch):
+    """The flavour is checked again once the inputs are in hand: a NULL that
+    arrives between picking it and reading the rows is in the rows read."""
+    from repro.engine.executor_row import RowExecutor
+
+    database = Database("racing")
+    database.create_table("t", [("k", "str"), ("x", "float")])
+    database.insert_rows("t", [("a", 1.5), ("b", 2.0), ("a", 4.0)])
+    engine, interpreter = _engines(database)
+    plan = engine.prepare("select k, sum(x), min(x) from t group by k order by k")
+    scan_rows, arrivals = RowExecutor._scan_rows, [("a", None), (None, 3.0)]
+
+    def racing(self, item, window=None):
+        if self.compile_expressions and arrivals:
+            database.insert_rows("t", [arrivals.pop()])
+        return scan_rows(self, item, window)
+
+    monkeypatch.setattr(RowExecutor, "_scan_rows", racing)
+    for _ in range(2):
+        rows = engine.execute(plan).rows
+        assert repr(rows) == repr(interpreter.execute(plan.sql).rows)
