@@ -9,6 +9,7 @@ straddle the baseline factor.
 
 import pytest
 from repro.analytics import speedup_report
+from repro.driver.runner import measure_query
 from repro.pool.morph import Morpher
 from repro.pool.pool import QueryPool
 from repro.sqlparser import extract_grammar
@@ -31,10 +32,18 @@ def scaled_pool():
                          version="sf-small", options=INTERPRETED)
     large = ColumnEngine(build_tpch_database(0.004), name="columnstore",
                          version="sf-large", options=INTERPRETED)
+    # structurally different variants (a 10-entry pool of Q1 near-copies
+    # spreads ~1.1x warm: under any bound the noise floor allows)
     pool = QueryPool(extract_grammar(QUERIES[1]), seed=5)
     pool.seed_baseline()
-    pool.seed_random(4)
-    Morpher(pool, seed=5).grow_to(10)
+    pool.seed_random(8)
+    Morpher(pool, seed=5).grow_to(16)
+    # one untimed pass per engine: measured cold, the first entry runs inside
+    # CPython's warm-up (a function is specialised after about eight calls)
+    # and its factor reads the interpreter's start, not the variant.
+    for engine in (small, large):
+        for entry in pool:
+            measure_query(engine, entry.sql, repeats=1)
     # the small instance runs in ~100us per query, so best-of-N needs a few
     # more repetitions than the driver default to sit below the noise floor.
     run_experiment_on_engines(pool, [small, large], repeats=5)
@@ -56,6 +65,6 @@ def test_figure3_speedup_distribution(benchmark, run_once, scaled_pool):
     # around the baseline factor rather than a single constant.
     assert report.median() > 1.0
     assert high > low
-    # the variants must differ by more than timer noise; the bound sits just
-    # under the tightest spread observed across quiet runs (~1.2x).
-    assert high / low > 1.15
+    # the variants must differ by more than timer noise: measured warm, the
+    # pool spreads about 2x or more; the bound leaves room for a loaded box.
+    assert high / low > 1.5

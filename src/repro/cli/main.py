@@ -21,7 +21,10 @@ Sub-commands:
   text's joins drive from; exit code 1 when a text the benchmark runs is not
   fully generated, builds a hash table or sorts a build side over an
   unfiltered base table, builds an index or order when warm, carries a scan
-  window yet visits the table, or gathers a plain column's values in a loop,
+  window yet visits the table (row engine) or starts a column scan from the
+  whole table, or gathers a plain column's values in a loop; per text also the
+  column engine's driving scans -- ``window <interval>`` or ``table`` and the
+  rows each starts from, read from the plan-owned scan state,
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -253,6 +256,9 @@ def _cmd_pipelines(arguments) -> int:
         column_plan = column_engine.prepare(QUERIES[number])
         column_engine.execute(column_plan)  # ... and the key orders
         column_counters = column_engine.execute(column_plan).metrics
+        # read from the plan-owned state the warm executions ran on
+        starts = [(block, start) for block, start in zip(
+            column_plan.blocks.values(), column_engine.driving_scans(column_plan)) if start]
         hooked = sum(len(pipeline.get("interpreted", ())) for pipeline in pipelines)
         visited = int(counters.get("scan.rows_visited"))
         table_rows = _scanned_rows(database, plan, pipelines)
@@ -275,6 +281,9 @@ def _cmd_pipelines(arguments) -> int:
             if not pipeline["generated"]:
                 print(f"       interpreted block ({', '.join(pipeline['output'])}): "
                       f"{pipeline['fallback']}")
+        print("       column scans start from: " + ("; ".join(
+            f"{start['access']} {start['rows']} / {start['table_rows']}" for _, start in starts)
+            or "no base table drives a block"))
         if number not in _BENCHMARKED:
             continue
         for block in plan.blocks.values():
@@ -290,7 +299,10 @@ def _cmd_pipelines(arguments) -> int:
             if block.window is not None:
                 print(f"       window {block.window.interval()}, est. "
                       f"{round(block.window.estimated_rows)} of {block.window.table_rows} rows")
-        if any(block.window for block in plan.blocks.values()) and visited >= table_rows:
+        if any(block.window for block in plan.blocks.values()) and visited >= table_rows \
+                or any(block.window is not None and (start["access"] == "table"
+                                                     or start["rows"] >= start["table_rows"])
+                       for block, start in starts):
             unwindowed.append(number)
         if counters.get("join.index_builds") or counters.get("scan.order_builds") \
                 or _builds_unfiltered(pipelines):
@@ -303,7 +315,8 @@ def _cmd_pipelines(arguments) -> int:
             (rebuilt, "build a hash table over an unfiltered base table (or an index / "
                       "order when warm)"),
             (resorted, "sort an unfiltered base table on the column engine"),
-            (unwindowed, "carry a scan window yet visit the table"),
+            (unwindowed, "carry a scan window yet visit the table (row) or start the "
+                         "driving scan from it (column)"),
             (looped, "gather a plain column's aggregate values in a loop per group")):
         if numbers:
             print(f"benchmarked texts {complaint}: "

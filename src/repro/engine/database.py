@@ -13,6 +13,8 @@ for discriminative benchmarking where only the execution model may differ.
 from __future__ import annotations
 
 import threading
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -61,29 +63,55 @@ class Database:
         # concurrent executors (batched driver threads sharing an engine) may
         # request the same columnar view; builds serialise on this lock.
         self._columnar_lock = threading.Lock()
-        #: bumped before every DDL statement and insert takes effect: an
-        #: executor that read it before looking at the tables and reads the
-        #: same value after fetching their rows saw no mutation in between.
+        #: bumped before every DDL statement and insert takes effect and
+        #: again once it has (:meth:`_mutation`): an executor that read it
+        #: before looking at the tables and reads the same value after
+        #: fetching their rows saw no mutation in between, and a value built
+        #: from the tables under the stamp read first is stale once the
+        #: mutation is done -- even one read between the two bumps.
         self.mutations = 0
+        #: the plan entries holding a value built from the tables
+        #: (:class:`~repro.engine.plan.Stamped`), let go at the next mutation.
+        self._stamped: weakref.WeakSet = weakref.WeakSet()
+        self._stamped_lock = threading.Lock()
+
+    def track(self, stamped) -> None:
+        """Have ``stamped`` let go of its value at the next mutation."""
+        with self._stamped_lock:
+            self._stamped.add(stamped)
+
+    @contextmanager
+    def _mutation(self):
+        """Wrap one change of the tables in the two bumps of ``mutations``,
+        then release the values built from the tables as they were."""
+        self.mutations += 1
+        try:
+            yield
+        finally:
+            self.mutations += 1
+            with self._stamped_lock:
+                stamped, self._stamped = list(self._stamped), weakref.WeakSet()
+            for entry in stamped:
+                entry.release(self)
 
     # -- DDL / DML -----------------------------------------------------------
 
     def create_table(self, name: str,
                      columns: Iterable[tuple[str, str]] | Iterable[ColumnDef]) -> TableSchema:
         """Create table ``name`` and return its schema."""
-        self.mutations += 1
-        schema = self.catalog.create_table(name, columns)
-        table = StorageTable(schema, chunk_rows=self.chunk_rows)
-        self._storage[schema.name] = table
-        self.catalog.bind_statistics(schema.name, table.statistics)
+        with self._mutation():
+            schema = self.catalog.create_table(name, columns)
+            table = StorageTable(schema, chunk_rows=self.chunk_rows)
+            self._storage[schema.name] = table
+            self.catalog.bind_statistics(schema.name, table.statistics)
         return schema
 
     def drop_table(self, name: str) -> None:
         """Drop table ``name``, its storage, and every cached derived view."""
-        self.mutations += 1
-        self.catalog.drop_table(name)
-        self._storage.pop(name.lower(), None)
-        self._columnar.pop(name.lower(), None)
+        with self._mutation():
+            self.catalog.drop_table(name)
+            self._storage.pop(name.lower(), None)
+            self._columnar.pop(name.lower(), None)
 
     def insert_rows(self, name: str, rows: Iterable[Sequence]) -> int:
         """Append ``rows`` (sequences in column order) to table ``name``."""
@@ -98,8 +126,8 @@ class Database:
                 coerce_value(value, column.type_name)
                 for value, column in zip(row, schema.columns)
             ))
-        self.mutations += 1
-        return self._storage[schema.name].append_rows(coerced)
+        with self._mutation():
+            return self._storage[schema.name].append_rows(coerced)
 
     # -- access ------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.engine.compile import column_kernels, column_shape, row_pipeline
+from repro.engine.compile import column_shape, row_pipeline
 from repro.engine.database import Database
 from repro.engine.executor_column import (
     ColumnExecutor,
@@ -101,10 +101,6 @@ class Engine:
     _plan_cache: PlanCache | None = field(default=None, init=False, repr=False,
                                           compare=False)
     _planner: Planner | None = field(default=None, init=False, repr=False, compare=False)
-
-    #: whether the backend's driving scans read the plan's scan windows
-    #: (``BlockPlan.window``): EXPLAIN names the access path only where it is taken.
-    scan_windows = False
 
     @property
     def label(self) -> str:
@@ -250,7 +246,7 @@ class Engine:
     def _explain_plan(self, sql: str) -> QueryResult:
         """``EXPLAIN <select>``: render the logical plan without executing."""
         plan = self.prepare(sql)
-        lines = format_plan(plan, engine=self.label, windows=self.scan_windows)
+        lines = format_plan(plan, engine=self.label)
         for pipeline in self.pipelines(plan):
             lines += self._pipeline_lines(pipeline)
         return QueryResult(columns=["plan"], rows=[(line,) for line in lines],
@@ -289,7 +285,7 @@ class Engine:
             "options": self.options.describe(),
             "plan": plan.root.describe(),
             "plan_cache": self.plan_cache.describe(),
-            "plan_tree": format_plan(plan, engine=self.label, windows=self.scan_windows),
+            "plan_tree": format_plan(plan, engine=self.label),
             "pipelines": self.pipelines(plan),
         }
 
@@ -353,8 +349,6 @@ class RowEngine(Engine):
         super().__init__(database=database, name=name, version=version,
                          options=options or EngineOptions(),
                          plan_cache_size=plan_cache_size)
-
-    scan_windows = True
 
     def strategy(self) -> str:
         return "row"
@@ -430,23 +424,23 @@ class ColumnEngine(Engine):
 
     def _pipeline_lines(self, pipeline: dict) -> list[str]:
         return [f"block ({', '.join(pipeline['output'])}): column pipeline over "
-                f"{pipeline['driving'] or 'one empty row'}",
+                f"{pipeline['driving'] or 'one empty row'}"
+                + (f", window {pipeline['window']}" if pipeline["window"] else ""),
                 *(f"  join {side['source']}: {side['join']}" for side in pipeline["joins"])]
 
     def _precompile(self, plan: QueryPlan) -> None:
         require_from_items(plan.select)
-        for block in plan.blocks.values():
-            try:
-                column_kernels(plan, block, self.options.overflow_guard,
-                               self.options.compile_expressions)
-            except Exception:
-                continue
-        # what the scans keep per table version is keyed by the identity of
-        # this plan's predicates: built here, not inside its first execution
-        try:
-            self._executor(plan).warm_scans(plan)
-        except Exception:
-            pass
+        # each block's kernels and scans, kept on the plan: built here, not
+        # inside its first execution
+        self._executor(plan).warm_scans(plan)
+
+    def driving_scans(self, plan: QueryPlan) -> list[dict | None]:
+        """Per block of ``plan``, where its driving scan starts
+        (:meth:`ColumnState.driving_scan`), read from the plan-owned state
+        an execution against the tables as they are would use."""
+        executor = self._executor(plan)
+        return [executor.state(block).driving_scan(self.database)
+                for block in plan.blocks.values()]
 
     def _executor(self, plan: QueryPlan, trace: QueryTrace | None = None) -> ColumnExecutor:
         return ColumnExecutor(

@@ -10,24 +10,31 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
 1. **scan** -- FROM items are :class:`ColFrame` column sets that are never
    filtered in place (base tables come from the database's cached columnar
    views, string columns with their dictionary codes; derived tables are
-   executed recursively).  The zone maps drop the chunks the push-down
-   predicates refute, and the predicates narrow a selection vector over the
-   rows of the chunks that survive: an ``int64`` index of the selected rows
-   (None: all of them, the first predicate then runs over the arrays as they
-   are).  An equality / IN / LIKE over a string column runs over its codes,
+   executed recursively).  The push-down predicates narrow a selection
+   vector -- an ``int64`` index of the selected rows (None: all of them, the
+   first predicate then runs over the arrays as they are) -- that starts from
+   the rows of the chunks the zone maps do not refute and, for the driving
+   scan of a block the planner gave a scan window, from the window's rows,
+   without the conjuncts the window decides.  An equality / IN / LIKE over a
+   string column runs over its codes.  What of this is fixed by the plan and
+   the tables' version -- the frame, the predicates with their dictionary
+   kernels, the zone gate's and the window's rows -- is the plan's: one
+   :class:`ColumnState` per block, built by ``prepare`` and rebuilt by the
+   first execution after a mutation,
 2. **refine** -- residual predicates narrow the selection further;
    predicates containing subqueries fall back to row-at-a-time evaluation
    for that predicate only (subqueries themselves run through a row
-   executor),
+   executor, built the first time one needs it),
 3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
    kernels of :mod:`repro.engine.keys` for the matching row pairs; the joined
    frame gathers a column through those index vectors the first time
    something reads it,
 4. **aggregate** -- an aggregated block groups the selected rows (ids from
    the same key kernels), folds each aggregate call per group with
-   ``np.bincount`` / ``minimum.at`` style accumulators and evaluates HAVING
-   and the select list per group; a block that does not aggregate projects
-   over the selection instead,
+   ``np.bincount`` / ``minimum.at`` style accumulators (a block without GROUP
+   BY folds its one group without ids, adding in the same order) and
+   evaluates HAVING and the select list per group; a block that does not
+   aggregate projects over the selection instead,
 5. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
    that index, and only the surviving rows are materialised, column-wise.
 
@@ -40,8 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from itertools import accumulate
-from typing import Any
+from itertools import accumulate, repeat
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -72,7 +79,7 @@ from repro.engine.keys import (
     probe_order,
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, truth_mask
-from repro.engine.plan import BlockPlan, Planner, QueryPlan
+from repro.engine.plan import BlockPlan, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.obs import NULL_SPAN, QueryTrace
 from repro.obs.metrics import count as count_metric
@@ -146,6 +153,8 @@ def describe_column_pipeline(block: BlockPlan, shape: ColumnBlockShape) -> dict:
         "output": list(block.output_names),
         "driving": scan_source(items[block.join_order[0].frame_index])
         if block.join_order else None,
+        # the range of one column the driving scan starts from instead of the table
+        "window": None if block.window is None else block.window.interval(),
         # "table": the base table (None for a derived one); "built": the build
         # side is sorted on every execution, whatever its row counts
         "joins": [{"source": scan_source(items[step.frame_index]), "join": join(step),
@@ -155,6 +164,67 @@ def describe_column_pipeline(block: BlockPlan, shape: ColumnBlockShape) -> dict:
                    "filtered": block.filtered(step.frame_index)}
                   for step in shape.joins],
     }
+
+
+class _Scan(NamedTuple):
+    """A base-table FROM item's scan as far as the plan and the table's
+    version decide it: everything but the predicates' data work."""
+
+    frame: ColFrame
+    #: the push-down predicates left to evaluate, in order -- not those the
+    #: scan window decides -- with the dictionary-code kernels swapped in.
+    pairs: list
+    #: the rows the first of them starts from, ascending: the window's, those
+    #: of the chunks the zone maps did not refute, or both (None: every row).
+    base: np.ndarray | None
+    #: (scanned, skipped) chunks; their sum is the table's chunk total.
+    chunks: tuple[int, int]
+    #: whether push-down predicates put the zone maps before the scan.
+    gated: bool
+    #: how many of the predicates run over dictionary codes.
+    coded: int
+    #: the scan window the rows come from (None: the scan reads the table).
+    window: ScanWindow | None
+
+
+class ColumnState:
+    """What one block of a plan runs through on the column engine.
+
+    The shape and the kernels are functions of the plan.  The scans -- per
+    FROM item a :class:`_Scan`, None for a derived table or an explicit JOIN,
+    which run per execution -- are functions of the tables too: they are
+    :class:`~repro.engine.plan.Stamped` with ``Database.mutations`` and
+    rebuilt in place by the first execution after it moved.
+    ``ColumnEngine.prepare`` builds both (:meth:`ColumnExecutor.warm_scans`),
+    so a warm execution looks the state up once and does only data work.  A
+    mutation lets go of the scans, so no plan keeps an old version's arrays.
+    """
+
+    __slots__ = ("block", "shape", "kernels", "tables")
+
+    def __init__(self, block: BlockPlan, shape: ColumnBlockShape,
+                 kernels: ColumnBlockKernels):
+        self.block = block
+        self.shape = shape
+        self.kernels = kernels
+        self.tables = Stamped()
+
+    def scans(self, executor: "ColumnExecutor") -> list[_Scan | None]:
+        return self.tables.get(executor.database, executor._build_scans, self)
+
+    def driving_scan(self, database: Database) -> dict | None:
+        """Where the block's driving scan starts while its scans are current:
+        ``access`` (``window <interval>`` or ``table``), the ``rows`` its first
+        predicate starts from and the ``table_rows`` (None: the scans are not
+        current, or the block drives from no base table)."""
+        scans = self.tables.current(database)
+        if scans is None or not self.block.join_order:
+            return None
+        scan = scans[self.block.join_order[0].frame_index]
+        if scan is None:
+            return None
+        return {"access": "table" if scan.window is None else f"window {scan.window.interval()}",
+                "rows": _rows(scan.frame, scan.base), "table_rows": scan.frame.length}
 
 
 class ColumnExecutor:
@@ -173,10 +243,9 @@ class ColumnExecutor:
         self._trace = trace
         self._planner: Planner | None = None
         self._extra_blocks: dict[int, BlockPlan] = {}
-        self._row_executor = RowExecutor(database, predicate_pushdown=predicate_pushdown,
-                                         hash_joins=hash_joins,
-                                         compile_expressions=compile_expressions,
-                                         plan=plan, trace=trace)
+        #: the plan entry a block's :class:`ColumnState` is kept under.
+        self._flavour = ("col", "state", overflow_guard, compile_expressions)
+        self._fallback: RowExecutor | None = None
         self._uncorrelated_cache: dict[int, list[tuple]] = {}
         self._vector_subquery_failed: set[int] = set()
 
@@ -187,17 +256,19 @@ class ColumnExecutor:
             return NULL_SPAN
         return trace.span(name, **attributes)
 
-    def _chunk_total(self, item: ast.TableExpression) -> int | None:
-        """Total storage chunks behind a base-table scan (None otherwise)."""
-        if isinstance(item, ast.TableRef):
-            try:
-                return len(self.database.storage(item.name).chunks)
-            except Exception:
-                return None
-        return None
-
     def _evaluator(self, frame: ColFrame) -> VectorEvaluator:
         return VectorEvaluator(frame, overflow_guard=self.overflow_guard)
+
+    @property
+    def _row_executor(self) -> RowExecutor:
+        """The row executor the subqueries the vectorised path cannot run go
+        to, built the first time one does."""
+        if self._fallback is None:
+            self._fallback = RowExecutor(
+                self.database, predicate_pushdown=self.predicate_pushdown,
+                hash_joins=self.hash_joins, compile_expressions=self.compile_expressions,
+                plan=self._plan, trace=self._trace)
+        return self._fallback
 
     # -- public API -----------------------------------------------------------
 
@@ -205,7 +276,8 @@ class ColumnExecutor:
         """Execute a planned query (or a bare SELECT, planned on the fly)."""
         if isinstance(query, QueryPlan):
             self._plan = query
-            self._row_executor._plan = query
+            if self._fallback is not None:
+                self._fallback._plan = query
             select = query.select
         else:
             select = query
@@ -270,23 +342,32 @@ class ColumnExecutor:
             block = self._planner.plan_block(select, registry=self._extra_blocks)
         return block
 
-    def _block_kernels(self, block: BlockPlan
+    def state(self, block: BlockPlan) -> ColumnState:
+        """The block's :class:`ColumnState`, kept on the shared plan when the
+        block is part of it; a block planned on the spot gets one of its own
+        for this execution, interpreted."""
+        plan = self._plan
+        if plan is not None:
+            state = plan.kernels(block, self._flavour)
+            if state is not None:
+                return state
+            if plan.block(block.select) is block:
+                # resolved before the build: the plan's lock is not reentrant
+                shape, kernels = self._block_kernels(plan, block)
+                return plan.kernels(block, self._flavour,
+                                    lambda planned: ColumnState(planned, shape, kernels))
+        shape = column_block_shape(block)
+        return ColumnState(block, shape, compile_column_block(block, shape, compiled=False))
+
+    def _block_kernels(self, plan: QueryPlan, block: BlockPlan
                        ) -> tuple[ColumnBlockShape, ColumnBlockKernels]:
         """The block's shape -- frame layouts, join keys, outputs, aggregate
-        sites -- and its kernels.
-
-        Both are cached on the shared plan when the block is part of it, so
-        repeated executions of a prepared plan reuse them; a block planned on
-        the spot resolves its shape on the spot and is interpreted.
-        Compilation is best-effort: a failure leaves the block on the
-        vectorised interpreter.
-        """
-        if self._plan is None or self._plan.block(block.select) is not block:
-            shape = column_block_shape(block)
-            return shape, compile_column_block(block, shape, compiled=False)
-        shape = column_shape(self._plan, block)
+        sites -- and its kernels, both cached on ``plan``.  Compilation is
+        best-effort: a failure leaves the block on the vectorised
+        interpreter."""
+        shape = column_shape(plan, block)
         try:
-            return shape, column_kernels(self._plan, block, self.overflow_guard,
+            return shape, column_kernels(plan, block, self.overflow_guard,
                                          self.compile_expressions)
         except ExecutionError:
             raise
@@ -302,23 +383,32 @@ class ColumnExecutor:
         new :class:`ColFrame`.
         """
         block = self._block(select)
-        shape, kernels = self._block_kernels(block)
-        trace = self._trace
         if not select.from_items:
             raise PlanError("a query block needs at least one FROM item")
+        state = self.state(block)
+        shape, kernels = state.shape, state.kernels
+        scans = state.scans(self)
+        trace = self._trace
 
-        # each scan span covers materialisation, the zone-map chunk gate and
-        # the push-down refinement of that scan's selection.
+        # each scan span covers the push-down refinement of that scan's
+        # selection (and a derived table's execution).
         frames: list[ColFrame] = []
         selections: list[np.ndarray | None] = []
         for index, item in enumerate(select.from_items):
             span_cm = (trace.span("scan", source=scan_source(item))
                        if trace is not None else NULL_SPAN)
             with span_cm as span:
-                frame = self._materialise(item, block.item_columns[index],
-                                          shape.item_layouts[index])
-                frames.append(frame)
-                selections.append(self._scan(item, frame, kernels.pushdown[index], span))
+                scan = scans[index]
+                if scan is None:
+                    frame = self._materialise(item, block.item_columns[index],
+                                              shape.item_layouts[index])
+                    selection = self._refine(frame, None, kernels.pushdown[index])
+                else:
+                    frame, selection = scan.frame, self._scan(scan)
+                if trace is not None:
+                    _trace_scan(span, frame, scan, selection)
+            frames.append(frame)
+            selections.append(selection)
         if shape.joins:
             frame, selection = self._join_frames(frames, selections, block, shape), None
         else:
@@ -345,78 +435,84 @@ class ColumnExecutor:
             frame = self._distinct(frame)
         return frame, block.output_names
 
-    def _scan(self, item: ast.TableExpression, frame: ColFrame, pairs: list,
-              span) -> np.ndarray | None:
-        """The selection the push-down predicates ``pairs`` leave of one FROM
-        item (None: every row of it).
+    def _scan(self, scan: _Scan) -> np.ndarray | None:
+        """The selection the push-down predicates leave of a base table."""
+        if scan.gated:
+            if scan.coded:
+                count_metric("scan.dictionary_predicates", scan.coded)
+            count_metric("scan.chunks_scanned", scan.chunks[0])
+            count_metric("scan.chunks_skipped", scan.chunks[1])
+        return self._refine(scan.frame, scan.base, scan.pairs)
 
-        Over a base table the zone maps first drop the chunks the predicates
-        refute, and the first predicate runs over the rows of the survivors
-        -- or, where no chunk was refuted, over the arrays as they are.
-        """
-        base = scanned = skipped = None
-        if pairs and isinstance(item, ast.TableRef):
-            coded, (survivors, scanned, skipped) = self._scan_gate(item, frame.layout, pairs)
-            # a predicate that runs over dictionary codes has a kernel of its own
-            swapped = sum(new is not old for (new, _), (old, _) in zip(coded, pairs))
-            if swapped:
-                count_metric("scan.dictionary_predicates", swapped)
-            count_metric("scan.chunks_scanned", scanned)
-            count_metric("scan.chunks_skipped", skipped)
-            pairs = coded
-            if survivors is not None:
-                base = self.database.storage(item.name).zone_index().rows_of(survivors)
-        selection = self._refine(frame, base, pairs)
-        if self._trace is not None:
-            attrs = {}
-            if scanned is None:
-                scanned, skipped = self._chunk_total(item), 0
-            if scanned is not None:
-                attrs["chunks_scanned"] = scanned
-                attrs["chunks_skipped"] = skipped
-            rows_out = _rows(frame, selection)
-            if selection is not None:
-                attrs["selection_size"] = rows_out
-            span.set(rows_in=frame.length, rows_out=rows_out, **attrs)
-        return selection
-
-    # -- statistics-driven scan skipping ----------------------------------------
+    # -- plan-owned scans ---------------------------------------------------------
 
     def warm_scans(self, plan: QueryPlan) -> None:
-        """Build what the scans of ``plan`` keep per table version -- the
-        dictionary-code kernels and zone-map survivor sets of its push-down
-        predicates (:meth:`_scan_gate`) -- so a fresh plan's first execution
-        finds them.  They are keyed by predicate identity: a text prepared
-        again has new predicates and would build them again."""
+        """Build the :class:`ColumnState` of every block of ``plan`` and its
+        scans for the tables as they are, so the plan's first execution finds
+        them (best-effort: a block that fails here fails, or not, when it
+        runs)."""
         for block in plan.blocks.values():
-            shape, kernels = self._block_kernels(block)
-            for item, layout, pairs in zip(block.select.from_items, shape.item_layouts,
-                                           kernels.pushdown):
-                if pairs and isinstance(item, ast.TableRef):
-                    self._scan_gate(item, layout, pairs)
+            try:
+                self.state(block).scans(self)
+            except Exception:
+                continue
 
-    def _scan_gate(self, item: ast.TableRef, layout: Layout, pairs: list
-                   ) -> tuple[list, tuple[np.ndarray | None, int, int]]:
-        """What stands before a base-table scan's first predicate: its
-        push-down ``pairs`` with the dictionary-code kernels swapped in, and
-        the zone-map gate ``(survivors, scanned, skipped)`` -- the surviving
-        *chunk indexes* (None when no chunk can be skipped) and the chunk
-        counts, whose sum is the table's chunk total.  Both are memoised in
-        storage until the table changes.
+    def _build_scans(self, state: ColumnState) -> list[_Scan | None]:
+        block = state.block
+        return [self._build_scan(block, index, item, state.shape.item_layouts[index],
+                                 state.kernels.pushdown[index])
+                if isinstance(item, ast.TableRef) else None
+                for index, item in enumerate(block.select.from_items)]
+
+    def _build_scan(self, block: BlockPlan, index: int, item: ast.TableRef,
+                    layout: Layout, pairs: list) -> _Scan:
+        """The scan of the base table at FROM position ``index``: its frame,
+        the rows the scan window holds, the chunks the zone maps cannot
+        refute, and the push-down ``pairs`` left to run, dictionary-code
+        kernels swapped in.
+
+        Storage is read in that order -- key order, zone maps, columnar view
+        -- each no older than the one before it, so every row id the first
+        two give is a row of the frame.
         """
-        pairs = self._dictionary_pairs(item, layout, pairs)
+        storage = self.database.storage(item.name)
+        window, rows = block.window_of(index), None
+        if window is not None:
+            order = storage.key_order((window.position,), "scan")
+            if order is None:
+                window = None
+            else:
+                rows = order.range_rows(window.low, window.high)
+        chunks = None
+        if pairs:
+            def resolve(ref: ast.ColumnRef) -> tuple[str, str] | None:
+                position = layout.position(ref)
+                if position is None:
+                    return None
+                column = layout.columns[position]
+                return column.name, column.type_name
 
-        def resolve(ref: ast.ColumnRef) -> tuple[str, str] | None:
-            position = layout.position(ref)
-            if position is None:
-                return None
-            column = layout.columns[position]
-            return column.name, column.type_name
+            zones = storage.zone_index()
+            survivors, *chunks = zones.survivors([predicate for _, predicate in pairs],
+                                                 resolve)
+            if survivors is not None:
+                rows = zones.rows_of(survivors) if rows is None \
+                    else zones.within(survivors, rows)
+        view = self.database.columnar(item.name)
+        frame = self._table_frame(item, view, block.item_columns[index], layout)
+        coded = 0
+        if pairs:
+            swapped = self._dictionary_pairs(view, layout, pairs)
+            coded = sum(new is not old for (new, _), (old, _) in zip(swapped, pairs))
+            pairs = swapped if window is None \
+                else [pair for pair in swapped if not window.decides(pair[1])]
+        if rows is not None and len(rows):
+            rows.flags.writeable = False  # every execution starts from them
+        gated = chunks is not None
+        return _Scan(frame, pairs, rows,
+                     tuple(chunks) if gated else (len(storage.chunks), 0), gated, coded, window)
 
-        return pairs, self.database.storage(item.name).zone_index().survivors(
-            [predicate for _, predicate in pairs], resolve)
-
-    def _dictionary_pairs(self, item: ast.TableRef, layout: Layout, pairs):
+    def _dictionary_pairs(self, view: ColumnarTable, layout: Layout, pairs: list) -> list:
         """Swap scan predicates over string columns to dictionary-code kernels.
 
         Equality / IN / LIKE (and their negations) over a stored string
@@ -425,26 +521,10 @@ class ColumnExecutor:
         and then applied to the int32 code vector instead of the object
         array.
         """
-        view = self.database.columnar(item.name)
         if not view.codes:
             return pairs
-        cache = self.database.storage(item.name).scan_kernel_cache
-        swapped = []
-        hits = misses = 0
-        for kernel, predicate in pairs:
-            hit, dictionary_kernel = cache.get((predicate,))
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-                dictionary_kernel = self._dictionary_kernel(view, layout, predicate)
-                cache.put((predicate,), dictionary_kernel)
-            swapped.append((dictionary_kernel or kernel, predicate))
-        if hits:
-            count_metric("scan.dictionary_kernel.hits", hits)
-        if misses:
-            count_metric("scan.dictionary_kernel.misses", misses)
-        return swapped
+        return [(self._dictionary_kernel(view, layout, predicate) or kernel, predicate)
+                for kernel, predicate in pairs]
 
     def _dictionary_kernel(self, view: ColumnarTable, layout: Layout,
                            predicate: ast.Expression):
@@ -734,8 +814,8 @@ class ColumnExecutor:
                                if codes is None else codes)
             group_ids, first_index = group_rows(factors, length)
             count = len(first_index)
-        else:
-            group_ids = np.zeros(length, dtype=np.int64)
+        else:  # one group: the calls fold without a group id per row
+            group_ids = None
             first_index = np.zeros(1 if length else 0, dtype=np.int64)
             count = 1
         firsts = []
@@ -755,7 +835,7 @@ class ColumnExecutor:
             count,
             [_aggregate_call(call, None if argument is None
                              else self._vector(kernel, argument, context, materialised),
-                             group_ids, count)
+                             group_ids, count, length)
              for call, argument, kernel in zip(sites.calls, sites.arguments, kernels.arguments)],
             firsts)
         arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
@@ -787,16 +867,8 @@ class ColumnExecutor:
         """The frame of one FROM item; ``columns`` / ``layout`` are the
         plan's for it, when the item is one the block's plan resolved."""
         if isinstance(item, ast.TableRef):
-            view = self.database.columnar(item.name)
-            if columns is None:
-                columns = [ColumnInfo(binding=item.binding, name=column.name,
-                                      type_name=column.type_name)
-                           for column in view.schema.columns]
-            arrays = [view.columns[column.name] for column in view.schema.columns]
-            codes = [view.codes.get(column.name) for column in view.schema.columns] \
-                if view.codes else None
-            return ColFrame(columns=columns, arrays=arrays, length=view.length,
-                            codes=codes, layout=layout)
+            return self._table_frame(item, self.database.columnar(item.name), columns,
+                                     layout)
         if isinstance(item, ast.SubqueryRef):
             frame, names = self._execute_block(item.subquery)
             columns = [
@@ -808,6 +880,22 @@ class ColumnExecutor:
         if isinstance(item, ast.Join):
             return self._materialise_join(item, layout)
         raise PlanError(f"unsupported FROM item {type(item).__name__}")
+
+    @staticmethod
+    def _table_frame(item: ast.TableRef, view: ColumnarTable,
+                     columns: list[ColumnInfo] | None = None,
+                     layout: Layout | None = None) -> ColFrame:
+        """The frame over a base table's columnar view (string columns with
+        their dictionary codes)."""
+        if columns is None:
+            columns = [ColumnInfo(binding=item.binding, name=column.name,
+                                  type_name=column.type_name)
+                       for column in view.schema.columns]
+        arrays = [view.columns[column.name] for column in view.schema.columns]
+        codes = [view.codes.get(column.name) for column in view.schema.columns] \
+            if view.codes else None
+        return ColFrame(columns=columns, arrays=arrays, length=view.length,
+                        codes=codes, layout=layout)
 
     def _materialise_join(self, join: ast.Join, layout: Layout | None = None) -> ColFrame:
         left = self._materialise(join.left)
@@ -866,6 +954,21 @@ class _RowEnvBridge:
         self.frame = env.frame  # a ColFrame resolves positions like a RowFrame
         self.row = env.frame.row(env.index)
         self.outer = None
+
+
+def _trace_scan(span, frame: ColFrame, scan: _Scan | None,
+                selection: np.ndarray | None) -> None:
+    """What a traced ``scan`` span says: the rows the scan starts from and
+    keeps and, of a base table, its chunks and access path."""
+    attributes = {}
+    if scan is not None:
+        attributes["chunks_scanned"], attributes["chunks_skipped"] = scan.chunks
+        if scan.window is not None:
+            attributes.update(access="window", window=scan.window.interval())
+    if selection is not None:
+        attributes["selection_size"] = len(selection)
+    span.set(rows_in=_rows(frame, None if scan is None else scan.base),
+             rows_out=_rows(frame, selection), **attributes)
 
 
 def _selected(array: Any, selection: np.ndarray | None) -> Any:
@@ -1095,48 +1198,71 @@ def _summed(name: str, sums: np.ndarray, counts: np.ndarray, dtype: np.dtype) ->
     return _mask_empty(_retyped(sums, counts, dtype), counts)
 
 
-def _aggregate_call(call: ast.FunctionCall, values: Any, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
+def _sequential_sum(values: np.ndarray) -> float:
+    """The float64 sum of ``values`` added left to right onto 0.0 -- what
+    ``np.bincount(..., weights=values)`` puts in a group holding them all,
+    bit for bit (``np.sum`` adds pairwise, which rounds differently)."""
+    if not len(values):
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / nan, as bincount's, unwarned
+        total = np.add.accumulate(values)[-1]
+    # + 0.0: a sum of nothing but -0.0 is 0.0 when it starts from 0.0
+    return float(total) + 0.0
+
+
+def _aggregate_call(call: ast.FunctionCall, values: Any, group_ids: np.ndarray | None,
+                    group_count: int, rows: int) -> np.ndarray:
     """One aggregate call's value per group; ``values`` is its argument over
-    the selected rows (None: ``count(*)``).  SUM / MIN / MAX accumulate in
-    float64 and go out in the input's type."""
+    the ``rows`` selected rows (None: ``count(*)``), ``group_ids`` their
+    groups (None: all of them are the one group).  SUM / MIN / MAX accumulate
+    in float64 and go out in the input's type."""
     name = call.name.lower()
     if values is None:
+        if group_ids is None:
+            return np.array([rows], dtype=np.int64)
         return np.bincount(group_ids, minlength=group_count).astype(np.int64)
-    nulls = _null_mask(values)
+    # an int / bool array has no in-band NULL: nothing to test
+    nulls = None if isinstance(values, np.ndarray) and values.dtype.kind in "iub" \
+        else _null_mask(values)
     if call.distinct:
         underlying = values.values if isinstance(values, Nullable) else values
         dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
             and underlying.dtype.kind in ("i", "f") else None
         buckets: list[dict] = [{} for _ in range(group_count)]
-        for index in range(len(values)):
-            if not nulls[index]:
-                buckets[group_ids[index]].setdefault(values[index], None)
+        groups = repeat(0) if group_ids is None else group_ids
+        for index, group in zip(range(len(values)), groups):
+            if nulls is None or not nulls[index]:
+                buckets[group].setdefault(values[index], None)
         return _distinct_aggregate(name, buckets, dtype)
-    if nulls.any():
+    grouped, numeric = group_ids, values
+    if nulls is not None and nulls.any():
         valid = ~nulls
-        grouped, numeric = group_ids[valid], values[valid]
-    else:  # nothing to leave out, nothing to gather
-        grouped, numeric = group_ids, values
-    counts = np.bincount(grouped, minlength=group_count)
+        grouped, numeric = (None if group_ids is None else group_ids[valid]), values[valid]
+    counts = np.array([len(numeric)], dtype=np.int64) if grouped is None \
+        else np.bincount(grouped, minlength=group_count)
     if name == "count":
         return counts.astype(np.int64)
     if isinstance(numeric, Nullable):
         numeric = numeric.values  # no NULL is left among them
     if name in ("sum", "avg"):
-        sums = np.bincount(grouped, weights=numeric.astype(np.float64, copy=False),
-                           minlength=group_count)
+        weights = numeric.astype(np.float64, copy=False)
+        sums = np.array([_sequential_sum(weights)]) if grouped is None \
+            else np.bincount(grouped, weights=weights, minlength=group_count)
         return _summed(name, sums, counts, numeric.dtype)
     if name not in ("min", "max"):
         raise ExecutionError(f"unknown aggregate function '{name}'")
     if numeric.dtype.kind in ("i", "f"):
+        fold = np.minimum if name == "min" else np.maximum
         extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
-        (np.minimum if name == "min" else np.maximum).at(
-            extremes, grouped, numeric.astype(np.float64, copy=False))
+        as_float = numeric.astype(np.float64, copy=False)
+        if grouped is not None:
+            fold.at(extremes, grouped, as_float)
+        elif len(as_float):  # the same pairwise steps, left to right
+            extremes[0] = fold.accumulate(as_float)[-1]
         return _mask_empty(_retyped(extremes, counts, numeric.dtype), counts)
     # strings / objects: python loop per row, None where a group had none
     best: list[Any] = [None] * group_count
-    for value, group in zip(numeric, grouped):
+    for value, group in zip(numeric, repeat(0) if grouped is None else grouped):
         if _better(name, value, best[group]):
             best[group] = value
     return np.array(best, dtype=object)

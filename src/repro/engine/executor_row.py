@@ -20,8 +20,9 @@ A block runs one of two ways:
   the inputs per run -- a scanned base
   table is the storage layer's cached row view or, where the plan confined the
   driving scan to a scan window, the rows in that range of one column read
-  through its key order (:meth:`RowExecutor._scan_rows`, which counts
-  ``scan.rows_visited`` / ``scan.window_probes``); a probed one its key index
+  through its key order and kept on the plan until the next mutation
+  (:meth:`RowExecutor._scan_rows`, which counts ``scan.rows_visited`` /
+  ``scan.window_probes`` on every execution); a probed one its key index
   (:meth:`Database.key_index`); derived tables and explicit JOINs are executed
   into row lists -- looks up the columns of enclosing blocks the function
   binds once, lends it an interpreter hook for the subexpressions it could not
@@ -50,7 +51,7 @@ from typing import Any, Sequence
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import evaluate, evaluate_aggregate
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, ScanWindow
+from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
@@ -79,6 +80,10 @@ def null_free_columns(database: Database, block: BlockPlan) -> tuple:
     statistics; none for a derived table or an explicit JOIN."""
     return tuple(database.storage(item.name).null_free() if isinstance(item, ast.TableRef)
                  else () for item in block.select.from_items)
+
+
+def _new_stamped(_block: BlockPlan) -> Stamped:
+    return Stamped()
 
 
 def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
@@ -259,27 +264,35 @@ class RowExecutor:
             block = self._planner.plan_block(select, registry=self._extra_blocks)
         return block
 
-    def _scan_rows(self, item: ast.TableRef, window: ScanWindow | None = None
-                   ) -> list[tuple]:
+    def _scan_rows(self, item: ast.TableRef, window: ScanWindow | None = None,
+                   block: BlockPlan | None = None) -> list[tuple]:
         """The rows a scan of base table ``item`` visits, in row order.
 
         The storage layer's cached row view (read-only) or, for a driving
         scan the plan confined to a ``window``, the rows whose key lies in its
-        range, found through the column's storage key order -- fetched per
-        run: storage drops both when the table changes.  Generated pipelines
-        and the interpreter both get their base-table rows here, so
-        ``scan.rows_visited`` counts the same thing for either.
+        range, found through the column's storage key order and kept on the
+        plan of ``block`` until the database's next mutation (read-only too).
+        Generated pipelines and the interpreter both get their base-table
+        rows here, so ``scan.rows_visited`` counts the same thing for either.
         """
         if window is None:
             rows = self.database.rows(item.name)
         else:
-            # the order first: rows appended in between are beyond its row ids
-            order = self.database.storage(item.name).key_order((window.position,), "scan")
-            table = self.database.rows(item.name)
-            rows = [table[row] for row in order.range_rows(window.low, window.high).tolist()]
+            if self._plan is not None and block is not None \
+                    and self._plan.block(block.select) is block:
+                rows = self._plan.kernels(block, ("row", "window"), _new_stamped).get(
+                    self.database, self._window_rows, item, window)
+            else:
+                rows = self._window_rows(item, window)
             count_metric("scan.window_probes")
         count_metric("scan.rows_visited", len(rows))
         return rows
+
+    def _window_rows(self, item: ast.TableRef, window: ScanWindow) -> list[tuple]:
+        # the order first: rows appended in between are beyond its row ids
+        order = self.database.storage(item.name).key_order((window.position,), "scan")
+        table = self.database.rows(item.name)
+        return [table[row] for row in order.range_rows(window.low, window.high).tolist()]
 
     def _pipeline(self, block: BlockPlan) -> RowPipeline | None:
         """The block's generated pipeline (None = interpret).
@@ -298,12 +311,8 @@ class RowExecutor:
     def _null_free(self, block: BlockPlan) -> tuple:
         """:func:`null_free_columns`, remembered on the plan until the
         database's next mutation (a block may run once per outer row)."""
-        memo = self._plan.kernels(block, ("row", "null-free"), lambda _: [None])
-        database, found = self.database, memo[0]
-        if found is None or found[0] is not database or found[1] != database.mutations:
-            found = memo[0] = (database, database.mutations,
-                               null_free_columns(database, block))
-        return found[2]
+        return self._plan.kernels(block, ("row", "null-free"), _new_stamped).get(
+            self.database, null_free_columns, self.database, block)
 
     def _execute_block(self, select: ast.Select, outer: "_RowEnv | None"
                        ) -> tuple[list[str], list[tuple]]:
@@ -348,7 +357,8 @@ class RowExecutor:
                     rows = None
                 else:
                     index = None
-                    rows = self._scan_rows(item, window) if isinstance(item, ast.TableRef) \
+                    rows = self._scan_rows(item, window, block) \
+                        if isinstance(item, ast.TableRef) \
                         else self._materialise(item, outer).rows
             scans.append(rows)
             indexes.append(index)
@@ -425,7 +435,7 @@ class RowExecutor:
             with self._scan_span(item, window=window) as span:
                 # a windowed driving scan visits fewer rows; every predicate
                 # is still evaluated on them
-                frame = self._materialise(item, outer, window)
+                frame = self._materialise(item, outer, window, block)
                 rows_in = len(frame.rows)
                 if block.pushdown:
                     frame = self._apply_pushdown(frame, block.pushdown, outer)
@@ -448,14 +458,15 @@ class RowExecutor:
     # -- FROM materialisation ----------------------------------------------------
 
     def _materialise(self, item: ast.TableExpression, outer: "_RowEnv | None",
-                     window: ScanWindow | None = None) -> RowFrame:
+                     window: ScanWindow | None = None,
+                     block: BlockPlan | None = None) -> RowFrame:
         if isinstance(item, ast.TableRef):
             schema = self.database.catalog.table(item.name)
             columns = [
                 ColumnInfo(binding=item.binding, name=column.name, type_name=column.type_name)
                 for column in schema.columns
             ]
-            return RowFrame(columns=columns, rows=list(self._scan_rows(item, window)))
+            return RowFrame(columns=columns, rows=list(self._scan_rows(item, window, block)))
         if isinstance(item, ast.SubqueryRef):
             names, rows = self._execute_block(item.subquery, outer=outer)
             columns = [

@@ -150,9 +150,9 @@ class ScanWindow:
     on one column -- comparisons against constants, ``BETWEEN`` and ``=``,
     intersected (:func:`~repro.engine.storage.skipping.column_intervals`) --
     as half-open integers ``[low, high)`` on the encoded scale (day ordinals
-    for a date; None = open on that side; ``high <= low`` = no row).  The row
-    engine reads the rows inside it through the column's storage key order,
-    in row order, instead of walking the table, and does not evaluate the
+    for a date; None = open on that side; ``high <= low`` = no row).  Both
+    engines read the rows inside it through the column's storage key order,
+    in row order, instead of walking the table, and do not evaluate the
     conjuncts in ``subsumed``: each is TRUE exactly on the rows in the window.
     """
 
@@ -204,11 +204,8 @@ class BlockPlan:
 
     Beside what both engines execute -- classified predicates, push-down
     assignment, join order, output names, the output position of every ORDER
-    BY item -- it carries one access-path
-    decision, ``window``: the row engine's driving scan reads the rows in the
-    window's range; the column engine runs its first predicate over the whole
-    arrays, which at the sizes measured costs it no more (see the README's
-    "Access paths").
+    BY item -- it carries one access-path decision, ``window``: either
+    engine's driving scan reads the rows in the window's range.
     """
 
     select: ast.Select
@@ -302,14 +299,60 @@ class BlockPlan:
         }
 
 
+class Stamped:
+    """A value a plan keeps of the tables as they are: built by the first
+    reader after ``Database.mutations`` moved (or for another database), and
+    rebuilt in place -- one value per entry, not one per table version.
+
+    The stamp is read before the tables are and the database bumps it again
+    once a mutation has taken effect, so a value built while one lands is
+    stale for the next reader.  The database lets go of the values built
+    from its tables at its next mutation (:meth:`release`), so a plan that
+    does not run again keeps no old arrays alive.  Readers on several
+    threads may build the value at once; each gets a whole value.  A value
+    is never None.
+    """
+
+    __slots__ = ("_found", "__weakref__")
+
+    def __init__(self) -> None:
+        self._found: tuple | None = None
+
+    def get(self, database, build, *arguments):
+        """The value, built by ``build(*arguments)`` when it is not current."""
+        value = self.current(database)
+        if value is None:
+            mutations = database.mutations
+            value = build(*arguments)
+            self._found = (database, mutations, value)
+            database.track(self)
+        return value
+
+    def current(self, database):
+        """The value while it is the tables' as they are, else None."""
+        found = self._found  # read once: another thread may replace it meanwhile
+        if found is None or found[0] is not database or found[1] != database.mutations:
+            return None
+        return found[2]
+
+    def release(self, database) -> None:
+        """Let go of the value if ``database`` has mutated since it was built."""
+        found = self._found
+        if found is not None and found[0] is database and found[1] != database.mutations:
+            self._found = None
+
+
 @dataclass
 class QueryPlan:
     """A fully analysed query: the AST plus one :class:`BlockPlan` per block.
 
     Blocks are keyed by the identity of their ``ast.Select`` node; the plan
     keeps the root AST alive, so the keys stay stable for the plan's
-    lifetime.  Plans are immutable once built and safe to share between the
-    row and column backends and across driver worker threads.
+    lifetime.  The analysis is immutable once built; what the executors
+    derive from it is cached on it (:meth:`kernels`), the part that reads
+    the tables :class:`Stamped` with the database's mutations.  Plans are
+    safe to share between the row and column backends and across driver
+    worker threads.
     """
 
     select: ast.Select
@@ -323,17 +366,19 @@ class QueryPlan:
     _kernels_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                           repr=False, compare=False)
 
-    def kernels(self, block: "BlockPlan", flavour: tuple, build):
+    def kernels(self, block: "BlockPlan", flavour: tuple, build=None):
         """Get-or-build the compiled kernels of ``block`` for ``flavour``.
 
         ``flavour`` distinguishes kernel families that cannot be shared (row
         vs column, overflow-guarded vs not).  ``build(block)`` runs at most
         once per (block, flavour) for the lifetime of the plan; the result is
-        shared across executions and across driver worker threads.
+        shared across executions and across driver worker threads.  Without
+        ``build``, what is there (None: nothing yet).  The lock is not
+        reentrant: ``build`` must not ask for another entry.
         """
         key = (id(block.select),) + flavour
         found = self._kernels.get(key)
-        if found is None:
+        if found is None and build is not None:
             with self._kernels_lock:
                 found = self._kernels.get(key)
                 if found is None:
@@ -501,8 +546,7 @@ class Planner:
         option; of several columns' the fewest estimated rows win, ties to
         column order.  None without push-down, statistics or a base table to
         drive from.  The join order was costed with the driving table read
-        whole and stays as it is: the column engine shares it and reads no
-        window.
+        whole and stays as it is.
         """
         if not join_order or not isinstance(items[join_order[0].frame_index], ast.TableRef):
             return None

@@ -7,7 +7,10 @@ zone map (min/max, null count, distinct count), and -- for string columns --
 aggregated from the segments and exposed through the catalog, the zone-map
 index powers statistics-driven chunk skipping in the column executor's scan
 loop, and the selectivity estimator orders conjunctive scan predicates in
-the planner.
+the planner.  Storage caches views of a table version only -- rows, arrays,
+codes, zone maps, statistics, key indexes and orders -- never anything keyed
+by a plan's predicates: the column engine keeps its per-plan scan state on
+the plan.
 """
 
 from repro.engine.storage.chunk import Chunk

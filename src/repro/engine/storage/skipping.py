@@ -32,9 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from repro.engine.storage.memo import IdentityMemo
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date
-from repro.obs.metrics import count as count_metric
 from repro.sqlparser import ast
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,10 +73,6 @@ class ZoneIndex:
     def __init__(self, table: "StorageTable"):
         chunks = table.chunks
         self.chunk_count = len(chunks)
-        #: memoised refutation results keyed by predicate identity; only the
-        #: (small) surviving-chunk index is cached, never the expanded row
-        #: selection.  The whole index is dropped on table mutation.
-        self._selection_cache = IdentityMemo()
         self.starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
         self.counts = np.array([chunk.row_count for chunk in chunks], dtype=np.int64)
         self._mins: dict[str, np.ndarray] = {}
@@ -124,23 +118,18 @@ class ZoneIndex:
         no chunk could be refuted (scan everything, no gather overhead),
         otherwise the ascending int64 indexes of the surviving chunks.  ``scanned``
         counts the chunks actually read and ``skipped`` the refuted ones, so
-        ``scanned + skipped`` is always the table's chunk total.  Refutation
-        results are memoised by predicate identity.
+        ``scanned + skipped`` is always the table's chunk total.  The column
+        engine asks once per plan and table version and keeps the answer
+        (``ColumnState``).
         """
         if not self.chunk_count:
             return None, 0, 0
-        hit, survivors = self._selection_cache.get(tuple(predicates))
-        if hit:
-            count_metric("scan.zone_memo.hits")
-        else:
-            count_metric("scan.zone_memo.misses")
-            keep = np.ones(self.chunk_count, dtype=bool)
-            for predicate in predicates:
-                mask = self._keep_mask(predicate, resolve)
-                if mask is not None:
-                    keep &= mask
-            survivors = None if keep.all() else np.flatnonzero(keep)
-            self._selection_cache.put(tuple(predicates), survivors)
+        keep = np.ones(self.chunk_count, dtype=bool)
+        for predicate in predicates:
+            mask = self._keep_mask(predicate, resolve)
+            if mask is not None:
+                keep &= mask
+        survivors = None if keep.all() else np.flatnonzero(keep)
         if survivors is None:
             return None, self.chunk_count, 0
         skipped = self.chunk_count - len(survivors)
@@ -165,6 +154,13 @@ class ZoneIndex:
                       dtype=np.int64)
             for index in chunk_indexes
         ])
+
+    def within(self, chunk_indexes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The rows among ascending ``rows`` that lie in the chunks at
+        ``chunk_indexes`` (the rows of a scan window the zone maps keep)."""
+        keep = np.zeros(self.chunk_count, dtype=bool)
+        keep[chunk_indexes] = True
+        return rows[keep[np.searchsorted(self.starts, rows, side="right") - 1]]
 
     # -- refutation -------------------------------------------------------------
 

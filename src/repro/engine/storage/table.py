@@ -6,9 +6,12 @@ appended rows are sealed into fixed-size chunks (default 4096 rows) of typed
 -- the row executor's row tuples, the column executor's whole-column arrays,
 the dictionary code vectors, the zone-map index, the table statistics, the
 key indexes the row engine's joins probe and the key orders the column
-engine's joins and the row engine's scan windows do -- is derived (and cached) from those segments.  Mutations bump
-``version`` and drop the caches, so stale views can never leak across inserts
-or re-creates.
+engine's joins and both engines' scan windows do -- is derived (and cached)
+from those segments.  Mutations bump ``version`` and drop the caches, so
+stale views can never leak across inserts or re-creates.  Nothing here is
+keyed by a plan's predicates: what a plan derives from these views (its
+frames, dictionary-code kernels, zone gates, window rows) is the plan's own
+(``executor_column.ColumnState``, ``plan.Stamped``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from repro.engine.storage.chunk import Chunk
-from repro.engine.storage.memo import IdentityMemo
 from repro.engine.storage.segment import ColumnSegment, Dictionary, build_segment
 from repro.engine.storage.stats import ColumnStatistics, TableStatistics, ZoneMap
 from repro.obs.metrics import count as count_metric
@@ -76,10 +78,6 @@ class StorageTable:
             for column in schema.columns if column.type_name == "str"}
         #: bumped on every mutation; callers key caches on it.
         self.version = 0
-        #: scan-kernel memo (predicate identity -> kernel); the column
-        #: executor caches its dictionary-code kernels here so a prepared
-        #: plan pays the dictionary walk once per table version.
-        self.scan_kernel_cache = IdentityMemo()
         self._tail: list[tuple] = []
         self._rows_cache: list[tuple] | None = None
         self._stats_cache: TableStatistics | None = None
@@ -124,7 +122,6 @@ class StorageTable:
 
     def _invalidate(self) -> None:
         self.version += 1
-        self.scan_kernel_cache = IdentityMemo()
         self._rows_cache = None
         self._stats_cache = None
         self._null_free = None

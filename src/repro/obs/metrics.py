@@ -14,7 +14,7 @@ Two complementary pieces:
   webapp exposes its snapshot at ``/api/metrics``.
 
 Metric names follow a dotted ``<subsystem>.<quantity>[.<outcome>]`` scheme,
-e.g. ``scan.chunks_skipped``, ``scan.zone_memo.hits``, ``plan_cache.misses``;
+e.g. ``scan.chunks_skipped``, ``join.order_probes``, ``plan_cache.misses``;
 see the README's Observability section for the full list.
 """
 

@@ -230,17 +230,17 @@ def format_trace(trace: QueryTrace) -> list[str]:
     return lines
 
 
-def format_plan(plan, engine: str = "", windows: bool = False) -> list[str]:
+def format_plan(plan, engine: str = "") -> list[str]:
     """Render a prepared :class:`QueryPlan` as a logical operator tree.
 
     Works off the plan's own structures (duck-typed, so :mod:`repro.obs`
     stays free of engine imports): the nesting is Limit / OrderBy /
     Distinct / Aggregate-or-Project over Filter over Join over Scans, with
-    derived tables recursing into their sub-blocks.  With ``windows`` -- for
-    an engine that reads them -- a driving scan the plan confined to a scan
-    window names it, with the rows the planner expects in it.
+    derived tables recursing into their sub-blocks.  A driving scan the plan
+    confined to a scan window names it, with the rows the planner expects in
+    it (both engines read the window).
     """
-    tree = _plan_node(plan, plan.select, windows)
+    tree = _plan_node(plan, plan.select)
     header = _header(engine, plan.sql or "")
     lines = [header] if header else []
     lines.extend(_draw_tree(lambda node: node["label"],
@@ -248,17 +248,17 @@ def format_plan(plan, engine: str = "", windows: bool = False) -> list[str]:
     return lines
 
 
-def _plan_node(plan, select, windows: bool = False) -> dict:
+def _plan_node(plan, select) -> dict:
     block = plan.block(select)
     described = block.describe() if block is not None else {}
     pushdown = described.get("pushdown", {})
     # the scan window of the item the join order drives from
-    window = described.get("window") if windows else None
+    window = described.get("window")
     driving = block.join_order[0].frame_index if window else None
 
     scans: list[dict] = []
     for index, item in enumerate(select.from_items):
-        scans.append(_from_item_node(plan, item, pushdown, windows,
+        scans.append(_from_item_node(plan, item, pushdown,
                                      window if index == driving else None))
 
     if len(scans) > 1:
@@ -297,8 +297,7 @@ def _thousands(number: float) -> str:
     return f"{round(number):,}".replace(",", " ")
 
 
-def _from_item_node(plan, item, pushdown: dict, windows: bool = False,
-                    window: dict | None = None) -> dict:
+def _from_item_node(plan, item, pushdown: dict, window: dict | None = None) -> dict:
     name = getattr(item, "name", None)
     if name is not None:  # TableRef
         binding = getattr(item, "binding", name)
@@ -324,11 +323,11 @@ def _from_item_node(plan, item, pushdown: dict, windows: bool = False,
     if subquery is not None:  # SubqueryRef
         alias = getattr(item, "alias", "?")
         return {"label": f"Derived {alias}",
-                "children": [_plan_node(plan, subquery, windows)]}
+                "children": [_plan_node(plan, subquery)]}
     left = getattr(item, "left", None)
     if left is not None:  # explicit Join item
         kind = getattr(item, "kind", "inner")
         return {"label": f"{kind.title()}Join",
-                "children": [_from_item_node(plan, item.left, pushdown, windows),
-                             _from_item_node(plan, item.right, pushdown, windows)]}
+                "children": [_from_item_node(plan, item.left, pushdown),
+                             _from_item_node(plan, item.right, pushdown)]}
     return {"label": type(item).__name__, "children": []}

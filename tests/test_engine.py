@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine, create_engine
-from repro.engine.storage.memo import IdentityMemo
 from repro.errors import CatalogError, EngineError, ExecutionError, SQLSyntaxError
 from repro.tpch import QUERIES
 from tests.conftest import normalise
@@ -501,37 +500,49 @@ class TestAggregateEdges:
 
 
 class TestConcurrentExecution:
-    """The batched driver's threads share one engine: its per-table memos,
+    """The batched driver's threads share one engine: its plans' scan state,
     columnar views and zone index are built and read concurrently."""
 
-    def test_identity_memo_concurrent_hammer(self):
-        memo = IdentityMemo(capacity=64)
-        keys = [(object(), object()) for _ in range(128)]
-        values = {id(key[0]): index for index, key in enumerate(keys)}
-        errors: list[str] = []
+    def test_one_prepared_plan_across_threads_and_an_insert(self, sales_db):
+        """Eight threads execute one prepared plan -- its scan state (frame,
+        zone gate, scan window, dictionary kernels) is the plan's, shared --
+        then an insert into the window's range, then eight threads again:
+        every answer is the interpreted column engine's of the data as it is."""
+        engine = ColumnEngine(sales_db)
+        interpreted = ColumnEngine(sales_db, options=EngineOptions(compile_expressions=False))
+        sql = ("select region, count(*) as n, sum(qty) as q, sum(amount) as s from sales "
+               "where id >= 200 and id < 400 and region <> 'east' "
+               "group by region order by region")
+        plan = engine.prepare(sql)
+        assert plan.root.window is not None
+        failures: list[str] = []
 
-        def worker(seed: int) -> None:
-            rng = random.Random(seed)
-            for _ in range(3000):
-                key = keys[rng.randrange(len(keys))]
-                hit, value = memo.get(key)
-                if hit and value != values[id(key[0])]:
-                    errors.append(f"stale value {value!r} for key {key!r}")
-                elif not hit:
-                    memo.put(key, values[id(key[0])])
+        def hammer(expected) -> None:
+            def worker() -> None:
+                for _ in range(5):
+                    rows = engine.execute(plan).rows
+                    if rows != expected:
+                        failures.append(f"{rows!r} != {expected!r}")
 
-        threads = [threading.Thread(target=worker, args=(seed,))
-                   for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(memo) <= 64
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        before = interpreted.execute(sql).rows
+        hammer(before)
+        sales_db.insert_rows("sales", [(300 + index, "north", 7.5, 3) for index in range(20)])
+        after = interpreted.execute(sql).rows
+        assert after != before
+        hammer(after)
+        assert not failures
+        states = [key for key in plan._kernels if key[1:3] == ("col", "state")]
+        assert len(states) == len(plan.blocks)
 
     def test_concurrent_queries_one_engine(self, sales_db):
-        """Eight driver threads sharing one engine (locked memos, shared
-        columnar views, zone maps) must all see the answer of one thread."""
+        """Eight driver threads sharing one engine (shared plans, columnar
+        views, zone maps) must all see the answer of one thread."""
         engine = ColumnEngine(sales_db)
         sql = "select region, count(*) as n, sum(qty) as q from sales " \
               "where amount > 25 group by region order by region"

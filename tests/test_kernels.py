@@ -8,7 +8,11 @@ parity sweep over every TPC-H query, compiled and interpreted.
 
 from __future__ import annotations
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import populate_tpch
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
@@ -79,7 +83,7 @@ class TestTPCHParity:
     def test_compiled_and_interpreted_rows_are_identical(self, query_id, parity_db):
         """Unrounded: on each engine the compiled and the interpreted plan
         return the same values bit for bit, and a prepared plan's warm second
-        execution (memoised scan kernels, zone survivors, key orders) returns
+        execution (the plan's scan state, stored key orders) returns
         what its first one did."""
         sql = QUERIES[query_id]
         for engine_cls in (RowEngine, ColumnEngine):
@@ -158,17 +162,44 @@ class TestSelectionVectors:
         the predicates, not once per predicate."""
         unfiltered = "select sum(l_extendedprice * l_discount) as revenue from lineitem"
         engine = ColumnEngine(parity_db)
-        assert self._frames_per_execution(engine, QUERIES[6]) == 2  # scan + result
-        assert self._frames_per_execution(engine, unfiltered) == 2
+        # the result: the scan's frame is the plan's, built by prepare
+        assert self._frames_per_execution(engine, QUERIES[6]) == 1
+        assert self._frames_per_execution(engine, unfiltered) == 1
         interpreted = ColumnEngine(parity_db, options=_options(False))
-        assert self._frames_per_execution(interpreted, QUERIES[6]) == 3
-        assert self._frames_per_execution(interpreted, unfiltered) == 2
+        assert self._frames_per_execution(interpreted, QUERIES[6]) == 2
+        assert self._frames_per_execution(interpreted, unfiltered) == 1
 
     def test_join_pipeline_composes_selections(self, parity_db):
-        """Q3's three filtered scans and two joins: a frame per scan, one per
-        join and the result -- the filtered scans are joined through their
-        selections, never materialised to be gathered again."""
-        assert self._frames_per_execution(ColumnEngine(parity_db), QUERIES[3]) == 6
+        """Q3's three filtered scans and two joins: a frame per join and the
+        result -- the scans' frames are the plan's, and the filtered scans
+        are joined through their selections, never materialised to be
+        gathered again."""
+        assert self._frames_per_execution(ColumnEngine(parity_db), QUERIES[3]) == 3
+
+
+_GLOBAL_VALUES = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 0.1, -2.5]), max_size=12),
+    st.lists(st.integers(-2**40, 2**40), max_size=40))
+
+
+@given(values=_GLOBAL_VALUES, name=st.sampled_from(["sum", "avg", "min", "max", "count"]))
+@settings(max_examples=300, deadline=None)
+def test_one_group_folds_as_the_grouped_fold_does(values, name):
+    """A block without GROUP BY folds without a group-id vector; what comes
+    out is what ``np.bincount`` / ``minimum.at`` over one group of ids gave,
+    bit for bit -- a sum of nothing but -0.0 included."""
+    import numpy as np
+
+    from repro.engine.executor_column import _aggregate_call
+
+    array = np.array(values, dtype=np.int64 if values and isinstance(values[0], int)
+                     else np.float64)
+    call = ast.FunctionCall(name, [ast.ColumnRef(name="x")])
+    one = _aggregate_call(call, array, None, 1, len(array))
+    grouped = _aggregate_call(call, array, np.zeros(len(array), dtype=np.int64), 1, len(array))
+    assert repr(one.tolist()) == repr(grouped.tolist())
+    assert one.dtype == grouped.dtype
 
 
 class TestEmptyAggregates:
@@ -305,10 +336,12 @@ class TestKernelCompilation:
 
     def test_prepare_leaves_no_compile_work_to_the_first_execution(self, monkeypatch):
         """``measure_query`` times executions of a prepared plan: the column
-        engine's dictionary-code kernels (a ``compile()`` and a walk over the
-        dictionary per string predicate) and zone-map survivor sets are keyed
-        by the identity of the plan's predicates, so a fresh plan has to build
-        them -- in ``prepare``, not inside its first timed repetition."""
+        engine's kernels and each block's scans -- the frame, the
+        dictionary-code kernels (a ``compile()`` and a walk over the
+        dictionary per string predicate), the zone gate, the scan window's
+        rows -- are the plan's, built in ``prepare``, not inside its first
+        timed repetition.  They stay current until a mutation; the next
+        execution rebuilds them, once."""
         import builtins
 
         database = Database("tpch-prepare")
@@ -322,23 +355,37 @@ class TestKernelCompilation:
             compiled.append(filename)
             return real_compile(source, filename, *args, **kwargs)
 
-        for round_ in range(2):  # a text prepared again has new predicates
+        def scans(plan) -> list:
+            executor = engine._executor(plan)
+            return [executor.state(block).tables.current(database)
+                    for block in plan.blocks.values()]
+
+        earlier: dict[str, list] = {}
+        for round_ in range(2):  # a text prepared again builds a state of its own
             engine.clear_plan_cache()
-            built = 0
             for sql in texts:
                 plan = engine.prepare(sql)
-                built += len(database.storage("lineitem").scan_kernel_cache)
+                built = scans(plan)
+                assert all(found is not None for found in built), sql
+                assert all(found is not before
+                           for found, before in zip(built, earlier.get(sql, ()))), sql
+                earlier[sql] = built
                 monkeypatch.setattr(builtins, "compile", spy)
-                first = engine.execute(plan)
+                engine.execute(plan)
                 monkeypatch.setattr(builtins, "compile", real_compile)
-                assert first.metrics.get("scan.dictionary_kernel.misses") == 0, sql
-                assert first.metrics.get("scan.zone_memo.misses") == 0, sql
+                assert all(map(operator.is_, scans(plan), built)), sql
             assert compiled == []
-            assert built  # there were kernels to build, and prepare built them
-        # a mutation after prepare drops them; the next execution rebuilds, as before
+        # a mutation after prepare: the next execution rebuilds the state, once
         plan = engine.prepare(QUERIES[3])  # c_mktsegment = 'BUILDING'
+        built = scans(plan)
         database.insert_rows("customer", [database.rows("customer")[0]])
-        assert engine.execute(plan).metrics.get("scan.dictionary_kernel.misses") == 1
+        assert scans(plan) == [None] * len(plan.blocks)
+        engine.execute(plan)
+        rebuilt = scans(plan)
+        assert all(found is not None and found is not before
+                   for found, before in zip(rebuilt, built))
+        engine.execute(plan)
+        assert all(map(operator.is_, scans(plan), rebuilt))
 
     def test_row_kernel_matches_interpreter(self):
         layout = Layout([ColumnInfo("t", "a", "int"), ColumnInfo("t", "b", "float")])

@@ -782,10 +782,10 @@ def test_a_null_inserted_while_the_rows_are_fetched_is_tested_for(monkeypatch):
     plan = engine.prepare("select k, sum(x), min(x) from t group by k order by k")
     scan_rows, arrivals = RowExecutor._scan_rows, [("a", None), (None, 3.0)]
 
-    def racing(self, item, window=None):
+    def racing(self, item, *access):
         if self.compile_expressions and arrivals:
             database.insert_rows("t", [arrivals.pop()])
-        return scan_rows(self, item, window)
+        return scan_rows(self, item, *access)
 
     monkeypatch.setattr(RowExecutor, "_scan_rows", racing)
     for _ in range(2):

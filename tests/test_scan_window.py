@@ -3,19 +3,21 @@
 The planner confines a block's driving base-table scan to the narrowest
 interval its push-down conjuncts put on one int / date column
 (``BlockPlan.window``) when the statistics say that is under half the table;
-the row engine then fetches the rows in that range through the column's
-``KeyOrder`` -- in row order -- and does not evaluate the conjuncts the window
+both engines then read the rows in that range through the column's
+``KeyOrder`` -- in row order -- and do not evaluate the conjuncts the window
 decides.  What can go wrong is an edge: an inclusive end read as exclusive, a
 float constant rounded the wrong way, a NULL key let in, a row order that is
-not the scan's.  So the voters here share no code with the window: stdlib
-SQLite over the same rows, the column engine (which scans), the plan with the
-window taken out.
+not the scan's, window rows kept on the plan past a mutation.  So the voters
+here share no code with the window: stdlib SQLite over the same rows, the
+plan with the window taken out.
 """
 
 from __future__ import annotations
 
 import datetime
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -359,10 +361,12 @@ class TestTheRowEngine:
         described = engine.explain(sql)["plan"]["window"]
         assert described["interval"] == "x [12, 15)" and described["subsumed"] == 2
         assert described["table_rows"] == ROWS
-        # the column engine scans: its EXPLAIN says what it does
-        column_text = "\n".join(
-            line for (line,) in ColumnEngine(window_db).execute("explain " + sql).rows)
-        assert "window" not in column_text and "Scan w (pushdown: 3 predicates)" in column_text
+        # the column engine reads the window too, and its EXPLAIN says so
+        column = ColumnEngine(window_db)
+        column_text = "\n".join(line for (line,) in column.execute("explain " + sql).rows)
+        assert "Scan w (window x [12, 15), est. " in column_text
+        assert f"of {ROWS} rows; pushdown: 1 more predicate)" in column_text
+        assert "column pipeline over w, window x [12, 15)" in column_text
         traced = engine.execute(sql, trace=True)
         scan = traced.trace.find("scan")
         inside = sum(1 for row in window_db.rows("w") if row[1] is not None and 12 <= row[1] < 15)
@@ -371,6 +375,102 @@ class TestTheRowEngine:
         assert scan.rows_out == traced.rows[0][0] <= inside
         assert traced.metrics.get("scan.window_probes") == 1
         assert traced.profile()["counters"]["scan.rows_visited"] == inside
+        column_scan = column.execute(sql, trace=True).trace.find("scan")
+        assert column_scan.attributes["access"] == "window"
+        assert column_scan.attributes["window"] == "x [12, 15)"
+        assert column_scan.rows_in == inside and column_scan.rows_out == scan.rows_out
+
+
+class TestTheColumnEngine:
+    def test_a_row_inserted_into_the_window_is_in_the_next_answer(self):
+        """The window's rows are the plan's: warm, nothing is rebuilt; after
+        an insert into the range the next execution rebuilds them -- in
+        place, one state per block -- and sees the new row."""
+        database = _window_database()
+        engine = ColumnEngine(database)
+        sql = "select id, x from w where x >= 12 and x < 15 and y is not null"
+        plan = engine.prepare(sql)  # builds the order and the scan state
+        warm = engine.execute(plan)
+        assert warm.metrics.get("scan.order_builds") == 0
+        [start] = engine.driving_scans(plan)
+        assert start["access"] == "window x [12, 15)"
+        inside = sum(1 for row in database.rows("w") if row[1] is not None and 12 <= row[1] < 15)
+        assert start["rows"] == inside
+        database.insert_rows("w", [(1000, 13, None, None, 1.0, None),
+                                   (1001, 15, None, None, 1.0, None),
+                                   (1002, None, None, None, 1.0, None)])
+        assert engine.driving_scans(plan) == [None]  # stale until the plan runs
+        after = engine.execute(plan)  # the same prepared plan
+        assert after.rows == warm.rows + [(1000, 13)]
+        assert after.metrics.get("scan.order_builds") == 1
+        assert engine.driving_scans(plan)[0]["rows"] == inside + 1
+        assert engine.execute(plan).metrics.get("scan.order_builds") == 0
+        states = [key for key in plan._kernels if key[1:3] == ("col", "state")]
+        assert len(states) == len(plan.blocks) == 1
+        reference = ColumnEngine(database, options=EngineOptions(predicate_pushdown=False))
+        assert after.rows == reference.execute(sql).rows
+
+    def test_the_rows_a_scan_starts_from_are_the_windows_in_the_zone_gate(self):
+        """Zone maps and a window together: the scan starts from the window's
+        rows in the chunks the zone maps keep; the answer is the unwindowed
+        plan's, bit for bit."""
+        database = Database("clustered", chunk_rows=16)
+        database.create_table("c", [("id", "int"), ("v", "float")])
+        database.insert_rows("c", [(index, index / 8.0) for index in range(400)])
+        engine = ColumnEngine(database)
+        sql = "select count(*), sum(v) from c where id >= 40 and id < 120 and v < 10.0"
+        plan = engine.prepare(sql)
+        assert plan.root.window is not None
+        result = engine.execute(plan)
+        [start] = engine.driving_scans(plan)
+        # the window holds ids 40..119; v < 10 refutes every chunk past id 79
+        # (chunks 2..4 of 25 are left): 40..79
+        assert start["rows"] == 40
+        assert result.metrics.get("scan.chunks_scanned") == 3
+        assert result.metrics.get("scan.chunks_skipped") == 22
+        reference = ColumnEngine(database, options=EngineOptions(predicate_pushdown=False))
+        assert repr(result.rows) == repr(reference.execute(sql).rows)
+
+
+@pytest.mark.parametrize("engine_class", [RowEngine, ColumnEngine])
+def test_an_execution_during_an_insert_keeps_no_window_past_it(engine_class, monkeypatch):
+    """An execution that runs while an insert is under way -- ``mutations``
+    already bumped, the rows not yet stored -- reads the rows as they were;
+    what it keeps on the plan must not answer the next execution after the
+    insert."""
+    database = _window_database()
+    engine = engine_class(database)
+    sql = "select id, x from w where x >= 12 and x < 15 and y is not null"
+    plan = engine.prepare(sql)
+    before = engine.execute(plan).rows
+    storage = database.storage("w")
+    append = storage.append_rows
+    during = []
+
+    def append_after_an_execution(rows):
+        during.append(engine.execute(plan).rows)
+        return append(rows)
+
+    monkeypatch.setattr(storage, "append_rows", append_after_an_execution)
+    database.insert_rows("w", [(1000, 13, None, None, 1.0, None)])
+    assert during == [before]
+    assert engine.execute(plan).rows == before + [(1000, 13)]
+
+
+def test_a_mutation_lets_go_of_the_arrays_the_plans_scan():
+    """Plans that do not run again after an insert keep no array of the
+    table as it was: the insert lets go of their scans."""
+    database = _window_database()
+    engine = ColumnEngine(database)
+    plans = [engine.prepare(f"select id from w where x >= {low} and x < {low + 3}")
+             for low in (12, 20, 30)]
+    old = weakref.ref(database.columnar("w").columns["id"])
+    assert all(engine.driving_scans(plan)[0] for plan in plans)
+    database.insert_rows("w", [(1000, 13, None, None, 1.0, None)])
+    database.columnar("w")  # the database's own view moves on
+    gc.collect()
+    assert old() is None
+    assert engine.execute(plans[0]).rows[-1] == (1000,)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +478,43 @@ class TestTheRowEngine:
 # ---------------------------------------------------------------------------
 
 
-def test_tpch_rows_are_those_of_the_unwindowed_scan(monkeypatch):
+@pytest.fixture(scope="module")
+def tpch_windows() -> Database:
+    database = Database("tpch-windows")
+    populate_tpch(database, scale_factor=0.004)
+    return database
+
+
+def test_tpch_rows_are_those_of_the_unwindowed_scan(tpch_windows, monkeypatch):
     """All 22 texts at the ``tpch-mix`` scale factor: ``repr`` of the rows --
     float sums and ``LIMIT`` cuts included -- with the windows the planner
     takes and with every one of them taken out of the plan."""
-    database = Database("tpch-windows")
-    populate_tpch(database, scale_factor=0.004)
-    engine = RowEngine(database)
+    _unwindowed_parity(RowEngine, tpch_windows, monkeypatch)
+
+
+def test_column_rows_are_those_of_the_unwindowed_scan(tpch_windows, monkeypatch):
+    """The same on the column engine, whose driving scan starts from the
+    window's rows wherever the plan has one."""
+    _unwindowed_parity(ColumnEngine, tpch_windows, monkeypatch)
+
+
+def _unwindowed_parity(engine_class, database: Database, monkeypatch) -> None:
+    engine = engine_class(database)
     windowed, names = {}, {}
     for number, sql in QUERIES.items():
         plan = engine.prepare(sql)
         windowed[number] = repr(engine.execute(plan).rows)
         names[number] = [block.join_names() for block in plan.blocks.values()]
+        if engine_class is ColumnEngine:  # a window the plan has is the column scan's
+            accesses = [start["access"] for start in engine.driving_scans(plan) if start]
+            assert sum(access.startswith("window") for access in accesses) == sum(
+                block.window is not None for block in plan.blocks.values()), number
     have_one = {number for number, sql in QUERIES.items()
                 if any(block.window for block in engine.prepare(sql).blocks.values())}
     assert {4, 6, 10, 12, 14, 15, 20} <= have_one and 1 not in have_one
 
     monkeypatch.setattr(Planner, "_scan_window", lambda self, *arguments: None)
-    reference = RowEngine(database)
+    reference = engine_class(database)
     for number, sql in QUERIES.items():
         plan = reference.prepare(sql)
         assert all(block.window is None for block in plan.blocks.values())
