@@ -10,10 +10,10 @@ row engine's worst case for per-row interpretation) and Q6 (scan-dominated)
 On the row engine both queries compare one generated function against the
 interpreter and must stay 10x apart (see ``BENCH_kernels.json`` for the
 recorded speedups).  On the column engine both modes run the one pipeline and
-differ in ``compile_expressions`` alone: the ratios (Q1 ~1.3x, Q6 ~1.3-1.4x
-of a 0.11 ms query) are recorded, not gated -- a threshold the toggle's whole
-effect sits on measures the box -- and the column gate is the exact count of
-frames a warm Q6 builds.
+differ in ``compile_expressions`` alone: the ratios (Q1 1.5-1.8x, Q6
+1.6-2.4x of a 0.15 ms query, on a 2-CPU box) are recorded, not gated -- a
+threshold the toggle's whole effect sits on measures the box -- and the
+column gate is the exact count of frames a warm Q6 builds: 1, its result.
 
 Both engines' join access paths are gated on counts, not on a ratio of
 timings: a warm execution of Q9 probes storage key indexes (row) / key orders

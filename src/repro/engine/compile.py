@@ -1,10 +1,10 @@
 """Compile-once lowering of planned query blocks, for both physical backends.
 
-The recursive interpreters (:mod:`repro.engine.expression` for the row engine,
-:class:`repro.engine.vector.VectorEvaluator` for the column engine) re-dispatch
-on the AST node type for every row / every operator application; on the
-driver's plan-once/execute-many loop that dispatch drowns the
-execution-strategy contrast the paper cares about.  This module lowers each
+The recursive interpreter (:mod:`repro.engine.expression`) re-dispatches on
+the AST node type for every row, and an uncompiled column block lowers its
+expressions again for every evaluation; on the driver's
+plan-once/execute-many loop that dispatch drowns the execution-strategy
+contrast the paper cares about.  This module lowers each
 planned block *once*; the result is cached on the
 :class:`~repro.engine.plan.QueryPlan` (:meth:`QueryPlan.kernels`), so the LRU
 plan cache amortises compilation exactly like planning.
@@ -53,9 +53,10 @@ Both mirror the interpreter semantics exactly (NULL propagation, date
 coercion, LIKE, three-valued predicates).  :class:`CompileFallback` reaches a
 caller only where there is no row to interpret on: from
 :func:`compile_row_kernel`, around aggregate calls (the block then has
-``run=None`` and the executor interprets it whole) and from the column
-compiler, whose block then has no kernel (None) for that expression and
-whose executor hands it to the ``VectorEvaluator``.
+``run=None`` and the executor interprets it whole) and from
+:func:`compile_column_kernel`, whose block then has no kernel (None) for
+that expression; its executor tries the lowering again for each evaluation
+and, where it still fails, evaluates the expression row by row.
 """
 
 from __future__ import annotations
@@ -1192,10 +1193,11 @@ def compile_column_kernel(expression: ast.Expression, layout,
                           overflow_guard: bool = False) -> Callable[[ColumnContext], Any]:
     """Lower ``expression`` to a ``fn(ctx) -> ndarray | scalar`` closure.
 
-    Mirrors :class:`~repro.engine.vector.VectorEvaluator` semantics (dates as
-    int64 ordinals, NULL-as-NaN for floats, the overflow-guard widening).
-    Raises :class:`CompileFallback` where the evaluator would raise
-    :class:`~repro.engine.vector.VectorFallback`.
+    Dates are int64 ordinals, NULL is NaN in plain float arrays, and
+    ``overflow_guard`` widens every arithmetic operand.  Raises
+    :class:`CompileFallback` for what needs row-at-a-time evaluation: a
+    subquery, a column of an enclosing block, a pattern or IN member that
+    varies by row, month arithmetic on a column, a CAST to a string type.
     """
     pair = _col(expression, layout, overflow_guard)
     const, value = pair
@@ -1268,6 +1270,9 @@ def _col_binary(node: ast.BinaryOp, layout, guard) -> tuple[bool, Any]:
 
     if right_pair[0] and isinstance(right_pair[1], ast.IntervalLiteral):
         interval = right_pair[1]
+        if left_pair[0] and not isinstance(left_pair[1], (int, np.integer)):
+            # a string or NULL: the row semantics say what that is
+            raise CompileFallback("interval arithmetic on a constant that is not a date")
         if interval.unit in ("day", "week"):
             days = interval.value * (7 if interval.unit == "week" else 1)
             delta = days if op == "+" else -days
@@ -1276,7 +1281,7 @@ def _col_binary(node: ast.BinaryOp, layout, guard) -> tuple[bool, Any]:
             def fn(ctx):
                 return left(ctx) + delta
             return _maybe_fold(fn, left_pair)
-        if left_pair[0] and isinstance(left_pair[1], (int, np.integer)):
+        if left_pair[0]:
             base = ordinal_to_date(int(left_pair[1]))
             amount = interval.value if op == "+" else -interval.value
             return True, date_to_ordinal(add_interval(base, amount, interval.unit))
@@ -1327,11 +1332,11 @@ def _col_mask_fn(node: ast.Expression, layout, guard) -> Callable[[ColumnContext
 
 
 def _col_align(left_node, right_node, left_pair, right_pair, layout):
-    """Compile-time date alignment (mirrors ``_align_date_operands``).
+    """Compile-time date alignment: a string compared with a date column
+    (a grammar-injected ``'1995-03-15'``) compares as its day ordinal.
 
-    Constant strings compared against date-ordinal columns are converted at
-    compile time; non-constant operands get a runtime str check, matching the
-    evaluator's scalar coercion.
+    Constant strings are converted at compile time; non-constant operands get
+    a runtime str check.
     """
     def is_date_column(node):
         if isinstance(node, ast.ColumnRef):
@@ -1410,27 +1415,17 @@ def _col_between(node: ast.Between, layout, guard) -> tuple[bool, Any]:
 
 def _col_like(node: ast.Like, layout, guard) -> tuple[bool, Any]:
     operand = _as_fn(_col(node.operand, layout, guard))
-    pattern_pair = _col(node.pattern, layout, guard)
+    const, pattern = _col(node.pattern, layout, guard)
+    if not const:
+        # one matcher serves every row; a pattern that varies by row is
+        # matched row by row.
+        raise CompileFallback("LIKE with a non-constant pattern")
+    if pattern is None:
+        return True, None  # NULL pattern: UNKNOWN everywhere
+    predicate = like_predicate(str(pattern))
     negated = node.negated
-    if pattern_pair[0]:
-        if pattern_pair[1] is None:
-            return True, None  # NULL pattern: UNKNOWN everywhere
-        predicate = like_predicate(str(pattern_pair[1]))
-
-        def matcher(ctx):
-            return predicate
-    else:
-        pattern = _as_fn(pattern_pair)
-
-        def matcher(ctx):
-            pattern_value = pattern(ctx)
-            return None if pattern_value is None \
-                else like_predicate(str(pattern_value))
 
     def fn(ctx):
-        predicate = matcher(ctx)
-        if predicate is None:
-            return None
         return like_mask(predicate, operand(ctx), negated, ctx.length)
     return False, fn
 
@@ -1492,7 +1487,7 @@ def _col_cast(node: ast.Cast, layout, guard) -> tuple[bool, Any]:
             return array.astype(np.float64)
     else:
         # string targets need the row value domain (date ordinals would
-        # stringify as integers); the interpreter falls back row-at-a-time.
+        # stringify as integers); such a CAST is evaluated row at a time.
         raise CompileFallback(f"CAST to '{node.type_name}' requires row semantics")
 
     def fn(ctx):
@@ -1575,7 +1570,7 @@ def _col_function(node: ast.FunctionCall, layout, guard) -> tuple[bool, Any]:
 # column block kernels
 # ---------------------------------------------------------------------------
 
-#: a predicate with its compiled kernel (None = evaluate via the interpreter).
+#: a predicate with its compiled kernel (None = lowered per evaluation).
 ColumnPredicate = tuple["Callable[[ColumnContext], Any] | None", ast.Expression]
 
 
@@ -1583,9 +1578,10 @@ ColumnPredicate = tuple["Callable[[ColumnContext], Any] | None", ast.Expression]
 class ColumnBlockKernels:
     """The kernels of one planned block (column engine).
 
-    None stands for "the vectorised interpreter evaluates this one": what the
-    compiler cannot lower and, with ``compile_expressions`` off, everything
-    -- the pipeline that runs them is the same.
+    None stands for "lower this one with :func:`compile_column_kernel` for
+    each evaluation, over all of the frame's rows": what the compiler cannot
+    lower (it is then evaluated row by row) and, with ``compile_expressions``
+    off, everything -- the pipeline that runs them is the same.
     """
 
     #: per FROM item: its push-down predicates (empty list = nothing to apply).

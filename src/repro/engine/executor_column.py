@@ -38,9 +38,10 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
 5. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
    that index, and only the surviving rows are materialised, column-wise.
 
-Expressions run as the compiled kernels of :mod:`repro.engine.compile` or,
-kernel by kernel where there is none (all of them with
-``compile_expressions`` off), through the :class:`VectorEvaluator`.
+Expressions run as the compiled kernels of :mod:`repro.engine.compile`.
+Where a block has none (all of them with ``compile_expressions`` off), the
+expression is lowered the same way for that one evaluation, over the whole
+frame; what cannot be lowered -- a subquery -- is evaluated row by row.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from repro.engine.compile import (
     ColumnBlockShape,
     ColumnContext,
     ColumnJoin,
+    CompileFallback,
     GroupValues,
     Layout,
     as_mask,
@@ -64,6 +66,7 @@ from repro.engine.compile import (
     column_kernels,
     column_shape,
     compile_column_block,
+    compile_column_kernel,
     compile_row_kernel,
     group_values,
 )
@@ -83,7 +86,7 @@ from repro.engine.plan import BlockPlan, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.obs import NULL_SPAN, QueryTrace
 from repro.obs.metrics import count as count_metric
-from repro.engine.vector import ColFrame, VectorEvaluator, VectorFallback, isnull_mask
+from repro.engine.vector import ColFrame, isnull_mask
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 
@@ -256,8 +259,12 @@ class ColumnExecutor:
             return NULL_SPAN
         return trace.span(name, **attributes)
 
-    def _evaluator(self, frame: ColFrame) -> VectorEvaluator:
-        return VectorEvaluator(frame, overflow_guard=self.overflow_guard)
+    def _interpret(self, expression: ast.Expression, frame: ColFrame) -> Any:
+        """``expression`` over all of ``frame``'s rows, lowered for this one
+        evaluation (an expression the block has no kernel for); raises
+        :class:`CompileFallback` where it cannot be lowered."""
+        return compile_column_kernel(expression, frame.layout, self.overflow_guard)(
+            ColumnContext(frame.arrays, frame.length))
 
     @property
     def _row_executor(self) -> RowExecutor:
@@ -319,7 +326,7 @@ class ColumnExecutor:
                 rows = frame.rows()
                 self._uncorrelated_cache[key] = rows
                 return rows
-            except (VectorFallback, ExecutionError, PlanError):
+            except (CompileFallback, ExecutionError, PlanError):
                 self._vector_subquery_failed.add(key)
         # correlated (or otherwise non-vectorisable) subquery: delegate to
         # the row executor with the current fallback row as outer context.
@@ -353,26 +360,13 @@ class ColumnExecutor:
                 return state
             if plan.block(block.select) is block:
                 # resolved before the build: the plan's lock is not reentrant
-                shape, kernels = self._block_kernels(plan, block)
+                shape = column_shape(plan, block)
+                kernels = column_kernels(plan, block, self.overflow_guard,
+                                         self.compile_expressions)
                 return plan.kernels(block, self._flavour,
                                     lambda planned: ColumnState(planned, shape, kernels))
         shape = column_block_shape(block)
         return ColumnState(block, shape, compile_column_block(block, shape, compiled=False))
-
-    def _block_kernels(self, plan: QueryPlan, block: BlockPlan
-                       ) -> tuple[ColumnBlockShape, ColumnBlockKernels]:
-        """The block's shape -- frame layouts, join keys, outputs, aggregate
-        sites -- and its kernels, both cached on ``plan``.  Compilation is
-        best-effort: a failure leaves the block on the vectorised
-        interpreter."""
-        shape = column_shape(plan, block)
-        try:
-            return shape, column_kernels(plan, block, self.overflow_guard,
-                                         self.compile_expressions)
-        except ExecutionError:
-            raise
-        except Exception:
-            return shape, compile_column_block(block, shape, compiled=False)
 
     def _execute_block(self, select: ast.Select) -> tuple[ColFrame, list[str]]:
         """Run one block: scan -> refine -> join -> aggregate, or project.
@@ -591,10 +585,10 @@ class ColumnExecutor:
                 mask = as_mask(kernel(ColumnContext(frame.arrays, length, selection)), length)
             else:
                 try:
-                    mask = self._evaluator(frame).evaluate_predicate(predicate)
+                    mask = as_mask(self._interpret(predicate, frame), frame.length)
                     if selection is not None:
                         mask = mask[selection]
-                except VectorFallback:
+                except CompileFallback:
                     mask = self._fallback_predicate(frame, selection, predicate)
             selection = np.flatnonzero(mask) if selection is None else selection[mask]
         return selection
@@ -710,11 +704,8 @@ class ColumnExecutor:
             if left_idx is None:
                 left_idx = np.arange(left_rows, dtype=np.int64)
             candidates = _joined(left, left_sel, left_idx, right, right_sel, right_idx)
-            evaluator = self._evaluator(candidates)
-            mask = np.ones(candidates.length, dtype=bool)
-            for predicate in residual:
-                mask &= evaluator.evaluate_predicate(predicate)
-            left_idx, right_idx = left_idx[mask], right_idx[mask]
+            keep = self._refine(candidates, None, [(None, predicate) for predicate in residual])
+            left_idx, right_idx = left_idx[keep], right_idx[keep]
         padded = False
         if keep_unmatched_left:
             if residual or not equi:
@@ -734,14 +725,15 @@ class ColumnExecutor:
     def _vector(self, kernel: Callable | None, expression: ast.Expression,
                 context: ColumnContext, materialised: "_LazySelection") -> Any:
         """``expression`` over the selected rows, one value each: its kernel's
-        or, without one, the interpreter's over the (lazily) materialised rows."""
+        or, without one, lowered for this evaluation over the (lazily)
+        materialised rows."""
         if kernel is not None:
             value = kernel(context)
         else:
             frame = materialised.frame()
             try:
-                value = self._evaluator(frame).evaluate(expression)
-            except VectorFallback:
+                value = self._interpret(expression, frame)
+            except CompileFallback:
                 value = self._fallback_column(frame, expression)
         return self._as_array(value, context.length)
 

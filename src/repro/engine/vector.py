@@ -1,8 +1,10 @@
-"""Column-at-a-time (vectorised) expression evaluation over numpy arrays.
+"""NULL-aware column primitives and :class:`ColFrame`, the column engine's
+intermediate relation.
 
-The evaluator mirrors :mod:`repro.engine.expression` but operates on whole
-columns at once.  Date columns are represented as ``int64`` day ordinals
-(days since the Unix epoch); date literals are converted to the same
+The compiled column kernels of :mod:`repro.engine.compile` lower every
+operator onto the functions here, so each operator's three-valued semantics
+has one implementation.  Date columns are represented as ``int64`` day
+ordinals (days since the Unix epoch); date literals are converted to the same
 representation, so comparisons and day-granularity arithmetic stay in the
 integer domain.
 
@@ -15,11 +17,6 @@ Kleene three-valued results (:class:`~repro.engine.mask.Kleene`), so
 three-valued semantics exactly.  Nullable *string* columns still use object
 arrays holding ``None`` -- string kernels iterate Python values anyway --
 and every primitive below accepts both representations.
-
-Expressions the vectorised evaluator cannot handle (nested subqueries,
-correlated references) raise :class:`VectorFallback`; the column executor
-catches it and evaluates that particular predicate row-by-row, which mirrors
-how vectorised engines punt on non-vectorisable operators.
 """
 
 from __future__ import annotations
@@ -38,21 +35,12 @@ from repro.engine.mask import (
     combine_valid,
     data_of,
     is_array,
-    kleene_and,
     kleene_not,
-    kleene_or,
     none_positions,
-    truth_mask,
     wrap_valid,
 )
 from repro.engine.planner import ColumnInfo, Layout
-from repro.engine.types import (
-    add_interval,
-    date_to_ordinal,
-    like_to_predicate,
-    ordinal_to_date,
-    to_date,
-)
+from repro.engine.types import ordinal_to_date
 from repro.errors import ExecutionError
 from repro.obs.metrics import count as count_metric
 from repro.sqlparser import ast
@@ -63,16 +51,10 @@ _DATE_NULL = int(np.iinfo(np.int64).min)
 _EPOCH_ORDINAL = ordinal_to_date(0).toordinal()
 
 
-class VectorFallback(Exception):
-    """Raised when an expression cannot be evaluated column-at-a-time."""
-
-
 # ---------------------------------------------------------------------------
 # NULL-aware vectorised primitives
 #
-# Shared by the vectorised interpreter below and the compiled column kernels
-# (repro.engine.compile): one implementation of each operator's three-valued
-# semantics.  Bulk operands arrive as plain typed arrays (no NULLs),
+# Bulk operands arrive as plain typed arrays (no NULLs),
 # Nullable (values, validity) pairs, or object arrays holding None (strings
 # and fallback outputs); scalar NULL is Python None.
 # ---------------------------------------------------------------------------
@@ -485,9 +467,6 @@ class ColFrame:
         """
         return self.layout.position(ref)
 
-    def array(self, position: int) -> np.ndarray:
-        return self.arrays[position]
-
     def take(self, indexes: np.ndarray) -> "ColFrame":
         """Return a new frame with the rows selected by ``indexes``."""
         arrays = [array[indexes] for array in self.arrays]
@@ -514,7 +493,7 @@ class ColFrame:
 
 
 def concat_values(left: Any, right: Any) -> Any:
-    """SQL ``||`` over columns and/or scalars (shared with the kernel compiler).
+    """SQL ``||`` over columns and/or scalars.
 
     NULL propagates: a ``None`` on either side yields NULL, matching the row
     engine, instead of concatenating the string ``'None'``.
@@ -572,283 +551,18 @@ def _to_python(value: Any, type_name: str) -> Any:
     return value
 
 
-class VectorEvaluator:
-    """Evaluates expressions to numpy arrays over one :class:`ColFrame`.
+def widen_guarded(value: Any) -> Any:
+    """Overflow-guard widening of one arithmetic operand.
 
     ``overflow_guard`` reproduces the behaviour the paper attributes to
     MonetDB when evaluating Q1's ``sum_charge`` expression: every arithmetic
     intermediate is cast to a wider type and fully materialised to guard
     against overflow, which makes expression-heavy projections measurably
-    more expensive.  It is exposed as an engine option so the platform can
-    compare two "versions" of the column engine.
+    more expensive -- an engine option, so the platform can compare two
+    "versions" of the column engine.
     """
-
-    def __init__(self, frame: ColFrame, overflow_guard: bool = False):
-        self.frame = frame
-        self.overflow_guard = overflow_guard
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _broadcast(self, value: Any) -> np.ndarray | Any:
-        return value
-
-    def evaluate(self, expression: ast.Expression) -> Any:
-        """Evaluate ``expression``; returns an array, a mask, or a scalar."""
-        if isinstance(expression, ast.Literal):
-            return expression.value
-        if isinstance(expression, ast.DateLiteral):
-            return date_to_ordinal(expression.value)
-        if isinstance(expression, ast.IntervalLiteral):
-            return expression
-        if isinstance(expression, ast.ColumnRef):
-            position = self.frame.position(expression)
-            if position is None:
-                raise VectorFallback(f"column '{expression.qualified}' is not local")
-            return self.frame.array(position)
-        if isinstance(expression, ast.Star):
-            return np.ones(self.frame.length, dtype=np.int64)
-        if isinstance(expression, ast.UnaryOp):
-            return self._unary(expression)
-        if isinstance(expression, ast.BinaryOp):
-            return self._binary(expression)
-        if isinstance(expression, ast.BoolOp):
-            return self._bool(expression)
-        if isinstance(expression, ast.Comparison):
-            return self._comparison(expression)
-        if isinstance(expression, ast.IsNull):
-            return self._isnull(expression)
-        if isinstance(expression, ast.Between):
-            return self._between(expression)
-        if isinstance(expression, ast.Like):
-            return self._like(expression)
-        if isinstance(expression, ast.InList):
-            return self._in_list(expression)
-        if isinstance(expression, ast.CaseWhen):
-            return self._case(expression)
-        if isinstance(expression, ast.Cast):
-            return self._cast(expression)
-        if isinstance(expression, ast.Extract):
-            return self._extract(expression)
-        if isinstance(expression, ast.Substring):
-            return self._substring(expression)
-        if isinstance(expression, ast.FunctionCall):
-            return self._function(expression)
-        if isinstance(expression, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-            raise VectorFallback("subqueries require row-at-a-time evaluation")
-        raise VectorFallback(f"unsupported expression node {type(expression).__name__}")
-
-    def evaluate_predicate(self, expression: ast.Expression) -> np.ndarray:
-        """Evaluate a predicate to its is-TRUE boolean mask over the frame.
-
-        UNKNOWN collapses to False here -- the SQL filter/HAVING semantics.
-        Interior boolean structure (NOT/AND/OR) keeps the full three-valued
-        result until this final collapse.
-        """
-        return truth_mask(self.evaluate(expression), self.frame.length)
-
-    # -- operators ----------------------------------------------------------------
-
-    def _unary(self, node: ast.UnaryOp) -> Any:
-        operand = self.evaluate(node.operand)
-        if node.operator == "not":
-            return kleene_not(operand)
-        if node.operator != "-":
-            return operand
-        return negate_values(operand)
-
-    def _binary(self, node: ast.BinaryOp) -> Any:
-        left = self.evaluate(node.left)
-        right = self.evaluate(node.right)
-        operator = node.operator
-        if isinstance(right, ast.IntervalLiteral) or isinstance(left, ast.IntervalLiteral):
-            return self._interval_arithmetic(node, left, right)
-        if self.overflow_guard and operator in ("+", "-", "*"):
-            # widen and materialise every intermediate, as an overflow-guarded
-            # engine version would.
-            left = widen_guarded(left)
-            right = widen_guarded(right)
-        if operator == "||":
-            return self._concat(left, right)
-        if operator not in _PY_ARITH:
-            raise ExecutionError(f"unsupported binary operator '{operator}'")
-        return arith_arrays(operator, left, right)
-
-    def _concat(self, left: Any, right: Any) -> Any:
-        return concat_values(left, right)
-
-    def _interval_arithmetic(self, node: ast.BinaryOp, left: Any, right: Any) -> Any:
-        if isinstance(right, ast.IntervalLiteral) and isinstance(left, (int, np.integer)):
-            # literal date +/- interval: compute exactly in the date domain.
-            base = to_date(_ordinal_to_iso(int(left)))
-            amount = right.value if node.operator == "+" else -right.value
-            return date_to_ordinal(add_interval(base, amount, right.unit))
-        if isinstance(right, ast.IntervalLiteral) and is_array(left):
-            if right.unit in ("day", "week"):
-                days = right.value * (7 if right.unit == "week" else 1)
-                return left + (days if node.operator == "+" else -days)
-            raise VectorFallback("month/year interval arithmetic on a column")
-        raise VectorFallback("unsupported interval arithmetic form")
-
-    def _bool(self, node: ast.BoolOp) -> Any:
-        combine = kleene_and if node.operator == "and" else kleene_or
-        combined = self.evaluate(node.operands[0])
-        for operand in node.operands[1:]:
-            combined = combine(combined, self.evaluate(operand))
-        return combined
-
-    def _comparison(self, node: ast.Comparison) -> Any:
-        if node.quantifier is not None:
-            raise VectorFallback("quantified comparisons require row-at-a-time evaluation")
-        left = self.evaluate(node.left)
-        right = self.evaluate(node.right)
-        left, right = _align_date_operands(node.left, node.right, left, right, self.frame)
-        operator = node.operator
-        if operator not in _NUMPY_CMP:
-            raise ExecutionError(f"unsupported comparison operator '{operator}'")
-        return compare_arrays(operator, left, right)
-
-    def _isnull(self, node: ast.IsNull) -> Any:
-        operand = self.evaluate(node.operand)
-        return isnull_mask(operand, self.frame.length, node.negated)
-
-    def _between(self, node: ast.Between) -> Any:
-        operand = self.evaluate(node.operand)
-        low = self.evaluate(node.low)
-        high = self.evaluate(node.high)
-        operand, low = _align_date_operands(node.operand, node.low, operand, low, self.frame)
-        operand, high = _align_date_operands(node.operand, node.high, operand, high, self.frame)
-        inside = kleene_and(compare_arrays(">=", operand, low),
-                            compare_arrays("<=", operand, high))
-        # NOT BETWEEN over a NULL operand or bound stays UNKNOWN (Kleene NOT).
-        return kleene_not(inside) if node.negated else inside
-
-    def _like(self, node: ast.Like) -> Any:
-        operand = self.evaluate(node.operand)
-        pattern = self.evaluate(node.pattern)
-        if pattern is None:
-            return None  # NULL pattern: UNKNOWN everywhere
-        predicate = like_to_predicate(str(pattern))
-        return like_mask(predicate, operand, node.negated, self.frame.length)
-
-    def _in_list(self, node: ast.InList) -> Any:
-        operand = self.evaluate(node.operand)
-        values = [self.evaluate(item) for item in node.items]
-        if any(is_array(value) for value in values):
-            raise VectorFallback("IN list with non-constant members")
-        members = [value for value in values if value is not None]
-        has_null_member = len(members) != len(values)
-        return in_list_mask(operand, members, has_null_member, node.negated,
-                            self.frame.length)
-
-    def _case(self, node: ast.CaseWhen) -> Any:
-        default = self.evaluate(node.default) if node.default is not None else None
-        default = case_branch_values(default)
-        result = np.full(self.frame.length, default, dtype=object) \
-            if not isinstance(default, np.ndarray) else default.astype(object)
-        decided = np.zeros(self.frame.length, dtype=bool)
-        for condition, branch in node.branches:
-            mask = self.evaluate_predicate(condition) & ~decided
-            value = case_branch_values(self.evaluate(branch))
-            if isinstance(value, np.ndarray):
-                result[mask] = value[mask]
-            else:
-                result[mask] = value
-            decided |= mask
-        return collapse_case_result(result)
-
-    def _cast(self, node: ast.Cast) -> Any:
-        operand = self.evaluate(node.operand)
-        target = node.type_name.lower()
-        if isinstance(operand, (np.ndarray, Nullable)):
-            if target.startswith(("int", "bigint", "smallint")):
-                return cast_array(operand, lambda array: array.astype(np.int64))
-            if target.startswith(("float", "double", "real", "decimal", "numeric")):
-                return cast_array(operand, lambda array: array.astype(np.float64))
-            # string targets need the row value domain (a date column is
-            # int64 ordinals here; str() of those would not match the row
-            # engine's '2020-01-01'), so they take the row-at-a-time path.
-            raise VectorFallback(f"CAST to '{node.type_name}' requires row semantics")
-        return operand
-
-    def _extract(self, node: ast.Extract) -> Any:
-        operand = self.evaluate(node.operand)
-        if node.field_name not in ("year", "month", "day"):
-            raise ExecutionError(f"unsupported EXTRACT field '{node.field_name}'")
-        return extract_date_field(operand, node.field_name)
-
-    def _substring(self, node: ast.Substring) -> Any:
-        operand = self.evaluate(node.operand)
-        start = int(self.evaluate(node.start))
-        length = int(self.evaluate(node.length)) if node.length is not None else None
-        begin = max(start - 1, 0)
-        end = None if length is None else begin + length
-
-        def slice_one(value: Any) -> str | None:
-            if value is None:
-                return None  # row semantics: SUBSTRING over NULL is NULL
-            text = str(value)
-            return text[begin:end] if end is not None else text[begin:]
-
-        if is_array(operand):
-            return np.array([slice_one(value) for value in as_objects(operand)],
-                            dtype=object)
-        return slice_one(operand)
-
-    def _function(self, node: ast.FunctionCall) -> Any:
-        name = node.name.lower()
-        if node.is_aggregate:
-            raise ExecutionError(
-                f"aggregate function '{name}' used outside an aggregation context"
-            )
-        arguments = [self.evaluate(argument) for argument in node.arguments]
-        if any(argument is None for argument in arguments):
-            return None  # row semantics: any NULL argument yields NULL
-        if name == "abs":
-            return abs_values(arguments[0])
-        if name == "round":
-            digits = int(arguments[1]) if len(arguments) > 1 else 0
-            return round_values(arguments[0], digits)
-        if name == "length":
-            return length_values(arguments[0])
-        if name in ("lower", "upper"):
-            transform = str.lower if name == "lower" else str.upper
-            return map_string_values(arguments[0], transform)
-        raise VectorFallback(f"function '{name}' has no vectorised implementation")
-
-
-def widen_guarded(value: Any) -> Any:
-    """Overflow-guard widening of one arithmetic operand (shared with the
-    kernel compiler)."""
     if isinstance(value, Nullable):
         return value.astype(np.longdouble)
     if isinstance(value, np.ndarray) and value.dtype != object:
         return np.ascontiguousarray(value.astype(np.longdouble))
     return value
-
-
-def _ordinal_to_iso(ordinal: int) -> str:
-    from repro.engine.types import ordinal_to_date
-
-    return ordinal_to_date(ordinal).isoformat()
-
-
-def _align_date_operands(left_node: ast.Expression, right_node: ast.Expression,
-                         left: Any, right: Any, frame: ColFrame) -> tuple[Any, Any]:
-    """Make sure string dates compared against date-ordinal columns line up.
-
-    When one side is a date column (int64 ordinals) and the other a string
-    literal (e.g. a grammar-injected ``'1995-03-15'``), the string side is
-    converted to an ordinal.
-    """
-    def is_date_column(node: ast.Expression) -> bool:
-        if isinstance(node, ast.ColumnRef):
-            position = frame.position(node)
-            if position is not None:
-                return frame.columns[position].type_name == "date"
-        return False
-
-    if is_date_column(left_node) and isinstance(right, str):
-        right = date_to_ordinal(right)
-    if is_date_column(right_node) and isinstance(left, str):
-        left = date_to_ordinal(left)
-    return left, right

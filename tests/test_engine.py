@@ -290,6 +290,7 @@ class TestComputedDates:
         "select min(t.d), max(t.e) from (select d, d + interval '1' day as e from a) as t",
         "select t.x, t.m + interval '1' day from (select x, min(d) as m from a group by x) "
         "as t order by t.x",
+        "select id, cast(d as varchar), cast(1 as varchar) from a order by id",
     ])
     def test_values_and_types_match_the_row_engine(self, dated_db, sql):
         reference = RowEngine(dated_db).execute(sql).rows
@@ -300,6 +301,15 @@ class TestComputedDates:
             assert rows == reference, options.describe()
             assert [[type(value) for value in row] for row in rows] == \
                 [[type(value) for value in row] for row in reference], options.describe()
+
+    def test_interval_arithmetic_on_a_string_is_the_row_engines_error(self, dated_db):
+        sql = "select '2020-01-01' + interval '1' day from a"
+        for compile_expressions in (True, False):
+            options = EngineOptions(compile_expressions=compile_expressions)
+            for engine in (RowEngine(dated_db, options=options),
+                           ColumnEngine(dated_db, options=options)):
+                with pytest.raises(ExecutionError, match="requires a date operand"):
+                    engine.execute(sql)
 
     def test_the_issue_texts_on_tpch(self, tpch_db, row_engine, column_engine):
         for sql in ("select max(o_orderdate) from orders",
@@ -343,6 +353,14 @@ class TestJoinShapes:
         "select * from a left join b on a.k = b.k order by 1 desc, 5 limit 4 offset 1",
         "select a.id, b.id from a, b where a.f = b.k",
         "select a.id, b.id from a, b",
+        # an ON conjunct holding a subquery is applied row by row
+        "select a.id, b.id from a join b on a.k = b.k "
+        "and exists (select 1 from c where c.s = b.s)",
+        "select a.id, b.id from a left join b on a.k = b.k "
+        "and b.s in (select s from c)",
+        # a LIKE pattern that varies by row
+        "select a.id, b.id from a, b where a.k = b.k and a.s like b.s",
+        "select a.id, a.s like b.s from a, b where a.k = b.k",
     ]
 
     @pytest.fixture(scope="class")
