@@ -13,7 +13,11 @@ recorded speedups).  On the column engine both modes run the one pipeline and
 differ in ``compile_expressions`` alone: the ratios (Q1 1.5-1.8x, Q6
 1.6-2.4x of a 0.15 ms query, on a 2-CPU box) are recorded, not gated -- a
 threshold the toggle's whole effect sits on measures the box -- and the
-column gate is the exact count of frames a warm Q6 builds: 1, its result.
+column gates are exact counts: the frames a warm Q6 builds, 1 (its result);
+the folds a warm Q1 computes, 6 (one count of the groups' rows and one sum
+per distinct argument; a fold per aggregate call made 15); and the rows an
+ORDER BY over a dictionary-coded column sends through the Python dict, 0
+(``q1-pool``'s ``l_linestatus`` text ranks its 5 607 codes).
 
 Both engines' join access paths are gated on counts, not on a ratio of
 timings: a warm execution of Q9 probes storage key indexes (row) / key orders
@@ -171,6 +175,38 @@ def test_warm_column_joins_probe_orders_and_sort_nothing(tpch_db):
         assert counters.get("join.build_rows") == 0
         assert counters.get("join.order_builds") == 0
         assert counters.get("join.order_probes") > 0
+
+
+#: the ``q1-pool`` text that ranks and delivers 5 607 strings at SF 0.001.
+LINESTATUS_ORDER = ("SELECT l_linestatus FROM lineitem WHERE l_shipdate <= "
+                    "(date '1998-12-01' - interval '90' day) ORDER BY l_linestatus")
+
+
+def test_warm_column_aggregation_folds_each_argument_once(tpch_db):
+    """Q1's eight aggregate calls read five distinct arguments, none with a
+    NULL: a warm column execution counts the groups' rows once and sums each
+    argument once -- 6 folds, where a fold per call (a group count and a sum
+    per SUM / AVG, one more count for ``count(*)``) made 15."""
+    engine = _make_engine("column", tpch_db, COMPILED)
+    plan = engine.prepare(QUERIES[1])
+    engine.execute(plan)
+    counters = engine.execute(plan).metrics
+    assert counters.get("aggregate.folds") == 6
+    assert counters.get("group.kernel_rows") and not counters.get("group.fallback_rows")
+
+
+def test_warm_column_order_by_ranks_dictionary_codes(tpch_db):
+    """ORDER BY a dictionary-coded column ranks its codes through the
+    dictionary's sorted strings: no row goes through the Python dict, and
+    the rows are decoded from their codes when delivered."""
+    engine = _make_engine("column", tpch_db, COMPILED)
+    plan = engine.prepare(LINESTATUS_ORDER)
+    engine.execute(plan)
+    result = engine.execute(plan)
+    counters = result.metrics
+    assert counters.get("sort.fallback_rows", 0) == 0
+    assert counters.get("sort.kernel_rows") == len(result.rows) == 5_607
+    assert result.rows == RowEngine(tpch_db).execute(LINESTATUS_ORDER).rows
 
 
 def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, artifact_dir):

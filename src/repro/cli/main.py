@@ -24,7 +24,9 @@ Sub-commands:
   window yet visits the table (row engine) or starts a column scan from the
   whole table, or gathers a plain column's values in a loop; per text also the
   column engine's driving scans -- ``window <interval>`` or ``table`` and the
-  rows each starts from, read from the plan-owned scan state,
+  rows each starts from, read from the plan-owned scan state -- and the folds
+  its aggregated blocks compute per warm execution (one count of the groups'
+  rows and one per fold of each distinct aggregate argument),
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -246,7 +248,8 @@ def _cmd_pipelines(arguments) -> int:
     engine, column_engine = RowEngine(database), ColumnEngine(database)
     print("query  blocks  generated  interpreted  hooked-exprs  build rows/exec  index probes"
           "  rows scanned / table rows  folds builtin/loop  NULL-free scans"
-          "  |  column: sorted rows/exec  order probes   (block executions; warm)")
+          "  |  column: sorted rows/exec  order probes  folds/exec"
+          "   (block executions; warm)")
     unlowered, rebuilt, resorted, unwindowed, looped = [], [], [], [], []
     for number in sorted(QUERIES):
         plan = engine.prepare(QUERIES[number])
@@ -276,7 +279,8 @@ def _cmd_pipelines(arguments) -> int:
               f"{f'{visited} / {table_rows}':>25}  "
               f"{f'{len(folds) - loops} / {loops}':>18}  {f'{null_free} / {scans}':>15}  |  "
               f"{int(column_counters.get('join.build_rows')):>24}  "
-              f"{int(column_counters.get('join.order_probes')):>12}")
+              f"{int(column_counters.get('join.order_probes')):>12}  "
+              f"{int(column_counters.get('aggregate.folds')):>10}")
         for pipeline in pipelines:
             if not pipeline["generated"]:
                 print(f"       interpreted block ({', '.join(pipeline['output'])}): "

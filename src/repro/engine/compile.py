@@ -1512,8 +1512,14 @@ def _col_extract(node: ast.Extract, layout, guard) -> tuple[bool, Any]:
 
 def _col_substring(node: ast.Substring, layout, guard) -> tuple[bool, Any]:
     operand = _as_fn(_col(node.operand, layout, guard))
-    start = _as_fn(_col(node.start, layout, guard))
-    length = _as_fn(_col(node.length, layout, guard)) if node.length is not None else None
+    bounds = [_col(bound, layout, guard) for bound in (node.start, node.length)
+              if bound is not None]
+    if not all(const for const, _ in bounds):
+        # one slice serves every row; bounds that vary by row are sliced row
+        # by row.
+        raise CompileFallback("SUBSTRING with a non-constant start or length")
+    start = _as_fn(bounds[0])
+    length = _as_fn(bounds[1]) if node.length is not None else None
 
     def fn(ctx):
         value = operand(ctx)
@@ -1591,7 +1597,7 @@ class ColumnBlockKernels:
     #: per select item of a block that does not aggregate (None for a star too).
     projection: list[Callable | None]
     #: of an aggregated block, by site number (see :class:`AggregateSites`):
-    #: per group key, per aggregate call (its argument) and per first-row site.
+    #: per group key, per distinct aggregate argument and per first-row site.
     keys: list[Callable | None]
     arguments: list[Callable | None]
     firsts: list[Callable | None]
@@ -1659,26 +1665,52 @@ class AggregateSites:
     #: encoded one groups on its codes), else None.
     key_columns: list[int | None]
     calls: list[ast.FunctionCall]
-    #: per call, what it aggregates (None: ``count(*)``, every row).
-    arguments: list[ast.Expression | None]
+    #: per call, the number of the argument it aggregates (None: ``count(*)``,
+    #: every row).
+    call_arguments: list[int | None]
+    #: the distinct aggregate arguments, told apart by ``repr`` as the row
+    #: engine's pipelines tell them: each is evaluated and folded once,
+    #: however many calls read it.
+    arguments: list[ast.Expression]
+    #: per argument, the folds its calls need: ``sum`` (SUM, AVG), ``min``,
+    #: ``max``, ``count`` and ``distinct`` (the set of values per group,
+    #: which every DISTINCT call over it reads).
+    folds: list[frozenset[str]]
     firsts: list[ast.Expression]
+    #: per first-row site, the joined frame's string column it is nothing
+    #: but (read as its codes where it is dictionary-encoded), else None.
+    first_columns: list[int | None]
     #: per select item, its per-group values from those of the leaves.
     items: list[Callable[[GroupValues], Any]]
     having: Callable[[GroupValues], Any] | None
 
 
-def aggregate_sites(select: ast.Select, layout: Layout) -> AggregateSites:
+def aggregate_sites(select: ast.Select, layout: Layout, strict: Layout) -> AggregateSites:
     """Walk the select list and HAVING of an aggregated block, once.
 
     A node shape the walk does not know around an aggregate call lowers to a
     closure raising the :class:`ExecutionError` when the groups are evaluated.
+    ``strict`` is ``layout`` refusing an ambiguous name: a first-row site
+    that is one is left to its evaluation to refuse.
     """
     calls: list[ast.FunctionCall] = []
+    call_arguments: list[int | None] = []
+    #: per distinct argument: its number, the node and the folds its calls need
+    arguments: dict[str, tuple[int, ast.Expression, set[str]]] = {}
     firsts: list[ast.Expression] = []
 
     def lower(node: ast.Expression) -> Callable[[GroupValues], Any]:
         if isinstance(node, ast.FunctionCall) and node.is_aggregate:
             calls.append(node)
+            if not node.arguments or isinstance(node.arguments[0], ast.Star):
+                call_arguments.append(None)
+            else:
+                argument = node.arguments[0]
+                number, _, uses = arguments.setdefault(
+                    repr(argument), (len(arguments), argument, set()))
+                name = node.name.lower()
+                uses.add("distinct" if node.distinct else "sum" if name == "avg" else name)
+                call_arguments.append(number)
             return lambda groups, _site=len(calls) - 1: groups.calls[_site]
         if not ast.has_local_aggregate(node):
             firsts.append(node)
@@ -1716,10 +1748,16 @@ def aggregate_sites(select: ast.Select, layout: Layout) -> AggregateSites:
     return AggregateSites(
         keys=list(select.group_by),
         key_columns=[_column_of(key, layout) for key in select.group_by],
-        calls=calls,
-        arguments=[None if not call.arguments or isinstance(call.arguments[0], ast.Star)
-                   else call.arguments[0] for call in calls],
-        firsts=firsts, items=items, having=having)
+        calls=calls, call_arguments=call_arguments,
+        arguments=[argument for _, argument, _ in arguments.values()],
+        folds=[frozenset(uses) for _, _, uses in arguments.values()],
+        firsts=firsts, first_columns=[_string_column(first, strict) for first in firsts],
+        items=items, having=having)
+
+
+def _string_column(expression: ast.Expression, layout: Layout) -> int | None:
+    position = _column_of(expression, layout)
+    return None if position is None or layout.type_of(position) != "str" else position
 
 
 #: per-group results on a single representation (masks decode to objects):
@@ -1806,14 +1844,20 @@ class ColumnBlockShape:
     #: per select item, its :func:`~repro.engine.planner.output_type`.
     output_types: list[str | None]
     #: per select item, the joined frame's column it is nothing but (a
-    #: dictionary-encoded one keeps its codes in the output), else None.
+    #: dictionary-encoded one keeps its codes in the output, and is decoded
+    #: from them only where it is read), else None -- an ambiguous name too.
     output_columns: list[int | None]
     #: the leaf sites of an aggregated block (None: the block projects).
     sites: AggregateSites | None
 
 
 def _column_of(expression: ast.Expression, layout: Layout) -> int | None:
-    return layout.position(expression) if isinstance(expression, ast.ColumnRef) else None
+    if not isinstance(expression, ast.ColumnRef):
+        return None
+    try:
+        return layout.position(expression)
+    except ExecutionError:
+        return None  # ambiguous: for the evaluation to refuse
 
 
 def column_block_shape(block) -> ColumnBlockShape:
@@ -1827,8 +1871,9 @@ def column_block_shape(block) -> ColumnBlockShape:
         item_layouts, joins, joined,
         output_types=[None if isinstance(item, ast.Star) else output_type(item, lenient)
                       for item in items],
-        output_columns=[_column_of(item, lenient) for item in items],
-        sites=aggregate_sites(block.select, lenient) if block.needs_aggregation else None)
+        output_columns=[_column_of(item, joined) for item in items],
+        sites=aggregate_sites(block.select, lenient, joined) if block.needs_aggregation
+        else None)
 
 
 def _block_joins(block, item_layouts: list[Layout]) -> tuple[list[ColumnJoin], Layout]:

@@ -29,6 +29,48 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.keys import KeyOrder
 
 
+class ViewDictionary:
+    """One string column's dictionary as a columnar view reads it: what its
+    ``int32`` codes (-1 = NULL) decode to and how they sort.
+
+    The dictionary only grows and its codes stay put, so whatever it holds
+    when a table below is built covers the view's codes.  The decode table
+    and the ranks are built the first time they are asked for -- O(dictionary
+    size), once per view, which is once per stored table version -- and each
+    ends in the entry code -1 reads.
+    """
+
+    __slots__ = ("_dictionary", "_values", "_rank")
+
+    def __init__(self, dictionary: Dictionary):
+        self._dictionary = dictionary
+        self._values: np.ndarray | None = None
+        self._rank: np.ndarray | None = None
+
+    def _table(self) -> np.ndarray:
+        """The decode table: an object array of the strings, then None."""
+        if self._values is None:
+            self._values = np.array(self._dictionary.values + [None], dtype=object)
+        return self._values
+
+    def array(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as the object array a string column is (None for NULL)."""
+        return self._table()[codes]
+
+    def rank(self) -> np.ndarray:
+        """Per code, the rank of its string among the dictionary's in Python's
+        string order, NULL last: ``rank()[codes]`` orders rows as their
+        decoded values do."""
+        if self._rank is None:
+            strings = self._table()[:-1].tolist()
+            size = len(strings)
+            rank = np.empty(size + 1, dtype=np.int64)
+            rank[sorted(range(size), key=strings.__getitem__)] = np.arange(size, dtype=np.int64)
+            rank[size] = size
+            self._rank = rank
+        return self._rank
+
+
 @dataclass
 class ColumnarTable:
     """Column-major view of one table (numpy arrays keyed by column name).
@@ -39,8 +81,9 @@ class ColumnarTable:
     pair; nullable string columns decode to object arrays holding ``None``
     at NULL positions.
     ``codes``/``dictionaries`` expose the dictionary encoding of string
-    columns so scans can evaluate predicates over int32 codes.  ``version``
-    is the storage version the arrays were read at.
+    columns so scans can evaluate predicates over int32 codes, and
+    :meth:`decoder` what those codes decode to and how they sort.
+    ``version`` is the storage version the arrays were read at.
     """
 
     schema: TableSchema
@@ -49,6 +92,18 @@ class ColumnarTable:
     version: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
     dictionaries: dict[str, Dictionary] = field(default_factory=dict)
+    _decoders: dict[str, ViewDictionary] = field(default_factory=dict, init=False,
+                                                 repr=False, compare=False)
+
+    def decoder(self, name: str) -> ViewDictionary | None:
+        """The :class:`ViewDictionary` of string column ``name`` (None: the
+        column is not dictionary-encoded), made the first time it is asked
+        for."""
+        found = self._decoders.get(name)
+        if found is None and name in self.codes:
+            # two threads may both make one: either serves
+            found = self._decoders[name] = ViewDictionary(self.dictionaries[name])
+        return found
 
 
 class Database:

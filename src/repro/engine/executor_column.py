@@ -9,7 +9,8 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
 
 1. **scan** -- FROM items are :class:`ColFrame` column sets that are never
    filtered in place (base tables come from the database's cached columnar
-   views, string columns with their dictionary codes; derived tables are
+   views, string columns with their dictionary codes and the view's
+   :class:`~repro.engine.database.ViewDictionary`; derived tables are
    executed recursively).  The push-down predicates narrow a selection
    vector -- an ``int64`` index of the selected rows (None: all of them, the
    first predicate then runs over the arrays as they are) -- that starts from
@@ -30,13 +31,21 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    frame gathers a column through those index vectors the first time
    something reads it,
 4. **aggregate** -- an aggregated block groups the selected rows (ids from
-   the same key kernels), folds each aggregate call per group with
-   ``np.bincount`` / ``minimum.at`` style accumulators (a block without GROUP
-   BY folds its one group without ids, adding in the same order) and
-   evaluates HAVING and the select list per group; a block that does not
-   aggregate projects over the selection instead,
-5. ORDER BY sorts a row index over the result columns, OFFSET / LIMIT cut
-   that index, and only the surviving rows are materialised, column-wise.
+   the same key kernels; a dictionary-coded key groups on its codes),
+   counts every group's rows once, evaluates each distinct aggregate
+   argument once and folds it once per fold its calls need -- ``np.bincount``
+   / ``minimum.at`` style accumulators; an argument without NULLs takes the
+   group counts as its count -- and finishes every call from those (AVG is
+   its argument's sum over its count).  A block without GROUP BY folds its
+   one group without ids, adding in the same order.  HAVING and the select
+   list are evaluated per group; a select item that is a coded column
+   keeps the codes of each group's first row.  A block that does not
+   aggregate projects over the selection instead, a coded column as its
+   codes, decoded only if something reads it,
+5. ORDER BY sorts a row index over the result columns -- a coded column by
+   its dictionary's ranks, no string compared -- OFFSET / LIMIT cut that
+   index, and only the surviving rows are materialised, column-wise: a coded
+   column is decoded from the codes of the rows delivered.
 
 Expressions run as the compiled kernels of :mod:`repro.engine.compile`.
 Where a block has none (all of them with ``compile_expressions`` off), the
@@ -70,7 +79,7 @@ from repro.engine.compile import (
     compile_row_kernel,
     group_values,
 )
-from repro.engine.database import ColumnarTable, Database
+from repro.engine.database import ColumnarTable, Database, ViewDictionary
 from repro.engine.executor_row import RowExecutor, scan_source
 from repro.engine.expression import evaluate as row_evaluate
 from repro.engine.keys import (
@@ -86,7 +95,7 @@ from repro.engine.plan import BlockPlan, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.obs import NULL_SPAN, QueryTrace
 from repro.obs.metrics import count as count_metric
-from repro.engine.vector import ColFrame, isnull_mask
+from repro.engine.vector import ColFrame, DecodedColumns, isnull_mask
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 
@@ -295,9 +304,10 @@ class ColumnExecutor:
         index = None
         if positions:
             with self._span("order") as span:
-                index = order_index([
-                    (frame.arrays[position], item.descending)
-                    for position, item in zip(positions, select.order_by)])
+                if frame.length > 1:  # one row or none is in order
+                    index = order_index([
+                        (frame.sort_key(position), item.descending)
+                        for position, item in zip(positions, select.order_by)])
                 span.set(rows_out=frame.length)
         if select.offset or select.limit is not None:
             start = select.offset or 0
@@ -743,29 +753,38 @@ class ColumnExecutor:
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
         materialised = _LazySelection(frame, selection)
-        arrays: list[np.ndarray] = []
+        arrays: list[np.ndarray | None] = []
         columns: list[ColumnInfo] = []
-        # a projected dictionary-encoded column keeps its codes, so a block
-        # grouping over this one (a derived table) still groups on int32.
+        # a projected dictionary-encoded column is its codes (None in
+        # ``arrays``): a block grouping over this one (a derived table)
+        # groups on int32, ORDER BY ranks them, delivery decodes them, and
+        # only what reads the strings decodes them first.
         codes: list[np.ndarray | None] = []
+        dictionaries: list[ViewDictionary | None] = []
         for position, item in enumerate(select.items):
             if isinstance(item.expression, ast.Star):
                 star = item.expression
                 for index, column in enumerate(frame.columns):
                     if star.table is None or column.binding.lower() == star.table.lower():
-                        arrays.append(context.column(index))
+                        coded, dictionary = _coded(frame, index, selection)
+                        arrays.append(None if coded is not None else context.column(index))
                         columns.append(ColumnInfo("", column.name, column.type_name))
-                        codes.append(_codes_of(frame, index, selection))
+                        codes.append(coded)
+                        dictionaries.append(dictionary)
                 continue
-            array = self._vector(kernels.projection[position], item.expression,
-                                 context, materialised)
+            coded, dictionary = _coded(frame, shape.output_columns[position], selection)
+            array = None if coded is not None else self._vector(
+                kernels.projection[position], item.expression, context, materialised)
             arrays.append(array)
             columns.append(ColumnInfo("", item.output_name(position),
-                                      shape.output_types[position] or _type_of(array)))
-            codes.append(_codes_of(frame, shape.output_columns[position], selection))
-        return ColFrame(columns=columns, arrays=arrays, length=length,
-                        codes=codes if any(code is not None for code in codes)
-                        else None)
+                                      shape.output_types[position]
+                                      or ("str" if array is None else _type_of(array))))
+            codes.append(coded)
+            dictionaries.append(dictionary)
+        if all(dictionary is None for dictionary in dictionaries):
+            return ColFrame(columns=columns, arrays=arrays, length=length)
+        return ColFrame(columns=columns, arrays=DecodedColumns(arrays, codes, dictionaries),
+                        length=length, codes=codes, dictionaries=dictionaries)
 
     def _fallback_column(self, frame: ColFrame, expression: ast.Expression) -> np.ndarray:
         values = []
@@ -788,7 +807,8 @@ class ColumnExecutor:
                    kernels: ColumnBlockKernels, frame: ColFrame,
                    selection: np.ndarray | None) -> ColFrame:
         """Group the selected rows, read each first-row site at the groups'
-        first rows, fold each aggregate call per group, then evaluate HAVING
+        first rows, fold each distinct aggregate argument once per group and
+        finish every call from its argument's folds, then evaluate HAVING
         and the select list per group."""
         sites = shape.sites
         length = frame.length if selection is None else len(selection)
@@ -801,55 +821,75 @@ class ColumnExecutor:
             # grouping on the decoded strings); everything else evaluates.
             factors = []
             for key, column, kernel in zip(sites.keys, sites.key_columns, kernels.keys):
-                codes = _codes_of(frame, column, selection)
+                key_codes = _codes_of(frame, column, selection)
                 factors.append(self._vector(kernel, key, context, materialised)
-                               if codes is None else codes)
+                               if key_codes is None else key_codes)
             group_ids, first_index = group_rows(factors, length)
             count = len(first_index)
-        else:  # one group: the calls fold without a group id per row
-            group_ids = None
-            first_index = np.zeros(1 if length else 0, dtype=np.int64)
-            count = 1
-        firsts = []
+        else:  # one group: the arguments fold without a group id per row
+            group_ids, first_index, count = None, None, 1
+        firsts, codes, dictionaries = [], None, None
         if sites.firsts:  # row by row like any expression: only the groups' first rows are read
+            if first_index is None:
+                first_index = np.zeros(1 if length else 0, dtype=np.int64)
             first_rows = first_index if selection is None else selection[first_index]
             first_context = ColumnContext(frame.arrays, len(first_rows), first_rows)
             first_frame = _LazySelection(frame, first_rows)
-            firsts = [group_values(self._vector(kernel, expression, first_context, first_frame))
-                      for expression, kernel in zip(sites.firsts, kernels.firsts)]
+            # a coded column is read as its codes at the first rows, and
+            # decoded there: its strings are gathered for no other row
+            coded: dict[int, tuple[np.ndarray, ViewDictionary]] = {}
+            for expression, kernel, column in zip(sites.firsts, kernels.firsts,
+                                                  sites.first_columns):
+                first_codes, dictionary = _coded(frame, column, first_rows)
+                if dictionary is None:
+                    firsts.append(group_values(self._vector(kernel, expression,
+                                                            first_context, first_frame)))
+                else:
+                    coded[column] = first_codes, dictionary
+                    firsts.append(dictionary.array(first_codes))
+            if coded:  # a select item that is a coded column keeps those codes
+                pairs = [coded.get(column, (None, None)) for column in shape.output_columns]
+                codes = [column if column is None or len(first_rows) == count
+                         else np.full(count, -1, dtype=np.int32)  # no first row: NULL
+                         for column, _ in pairs]
+                dictionaries = [dictionary for _, dictionary in pairs]
         if not sites.keys:
             # a global aggregate over an empty input still is one group: its
             # counts are 0, its other aggregates NULL and, with no first row
             # to read, so is everything else -- the row engine's empty group.
             firsts = [first if len(first) else np.full(1, None, dtype=object)
                       for first in firsts]
-        groups = GroupValues(
-            count,
-            [_aggregate_call(call, None if argument is None
-                             else self._vector(kernel, argument, context, materialised),
-                             group_ids, count, length)
-             for call, argument, kernel in zip(sites.calls, sites.arguments, kernels.arguments)],
-            firsts)
+        calls = []
+        if sites.calls:
+            # every group's rows, counted once: the count of count(*) and of
+            # any argument without a NULL among the selected rows
+            sizes = np.array([length], dtype=np.int64) if group_ids is None \
+                else np.bincount(group_ids, minlength=count)
+            # every group has a row, unless it is the one group of no rows
+            filled = group_ids is not None or length > 0
+            folded = [_Folds(self._vector(kernel, argument, context, materialised), uses,
+                             group_ids, sizes, filled)
+                      for argument, kernel, uses in zip(sites.arguments, kernels.arguments,
+                                                        sites.folds)]
+            count_metric("aggregate.folds", (group_ids is not None)
+                         + sum([folds.passes for folds in folded]))
+            calls = [sizes if number is None else folded[number].value(call)
+                     for call, number in zip(sites.calls, sites.call_arguments)]
+        groups = GroupValues(count, calls, firsts)
         arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
-        if sites.having is None:
-            return self._output(select, shape, arrays, count)
-        # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
-        # (a Kleene mask's invalid rows, or None in an object array)
-        # collapses to False here, exactly like the filter position.
-        keep = truth_mask(sites.having(groups), count)
-        return self._output(select, shape, [values[keep] for values in arrays],
-                            int(keep.sum()))
-
-    def _output(self, select: ast.Select, shape: ColumnBlockShape,
-                arrays: list[np.ndarray], length: int) -> ColFrame:
-        """The frame of an aggregated block's output: one array per select
-        item, typed by the plan where it knows (a MIN over dates is an
-        ``int64`` array like any other)."""
+        if sites.having is not None:
+            # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
+            # (a Kleene mask's invalid rows, or None in an object array)
+            # collapses to False here, exactly like the filter position.
+            keep = truth_mask(sites.having(groups), count)
+            arrays, count = [values[keep] for values in arrays], int(keep.sum())
+            if codes is not None:
+                codes = [None if column is None else column[keep] for column in codes]
         return ColFrame(
             columns=[ColumnInfo("", item.output_name(position),
                                 shape.output_types[position] or _type_of(array))
                      for position, (item, array) in enumerate(zip(select.items, arrays))],
-            arrays=arrays, length=length)
+            arrays=arrays, length=count, codes=codes, dictionaries=dictionaries)
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -868,7 +908,8 @@ class ColumnExecutor:
                 for name, column in zip(names, frame.columns)
             ]
             return ColFrame(columns=columns, arrays=frame.arrays, length=frame.length,
-                            codes=frame.codes, layout=layout)
+                            codes=frame.codes, layout=layout,
+                            dictionaries=frame.dictionaries)
         if isinstance(item, ast.Join):
             return self._materialise_join(item, layout)
         raise PlanError(f"unsupported FROM item {type(item).__name__}")
@@ -884,10 +925,12 @@ class ColumnExecutor:
                                   type_name=column.type_name)
                        for column in view.schema.columns]
         arrays = [view.columns[column.name] for column in view.schema.columns]
-        codes = [view.codes.get(column.name) for column in view.schema.columns] \
-            if view.codes else None
+        codes = dictionaries = None
+        if view.codes:
+            codes = [view.codes.get(column.name) for column in view.schema.columns]
+            dictionaries = [view.decoder(column.name) for column in view.schema.columns]
         return ColFrame(columns=columns, arrays=arrays, length=view.length,
-                        codes=codes, layout=layout)
+                        codes=codes, layout=layout, dictionaries=dictionaries)
 
     def _materialise_join(self, join: ast.Join, layout: Layout | None = None) -> ColFrame:
         left = self._materialise(join.left)
@@ -982,6 +1025,13 @@ def _codes_of(frame: ColFrame, column: int | None, selection: np.ndarray | None
     if column is None or frame.codes is None:
         return None
     return _selected(frame.codes[column], selection)
+
+
+def _coded(frame: ColFrame, column: int | None, selection: np.ndarray | None
+           ) -> tuple[np.ndarray | None, ViewDictionary | None]:
+    """:func:`_codes_of` and what the codes decode to ((None, None): not coded)."""
+    codes = _codes_of(frame, column, selection)
+    return (None, None) if codes is None else (codes, frame.dictionaries[column])
 
 
 def _type_of(array: Any) -> str:
@@ -1118,13 +1168,17 @@ def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray | 
         return _GatheredColumns(
             before + _reindexed(right_columns, right_sel, right_idx, padded) + after, pad)
 
-    codes = None
+    codes = dictionaries = None
     if left.codes is not None or right.codes is not None:
         codes = gathered(left.codes or [None] * len(left.columns),
                          right.codes or [None] * len(right.columns), _pad_codes)
+        before = left.dictionaries or [None] * len(left.columns)
+        dictionaries = before[:cut] + (right.dictionaries or [None] * len(right.columns)) \
+            + before[cut:]
     return ColFrame(columns=left.columns[:cut] + right.columns + left.columns[cut:],
                     arrays=gathered(left.arrays, right.arrays, _pad_values),
-                    length=len(right_idx), codes=codes, layout=layout)
+                    length=len(right_idx), codes=codes, layout=layout,
+                    dictionaries=dictionaries)
 
 
 class _LazySelection:
@@ -1150,7 +1204,7 @@ class _LazySelection:
 
 
 # ---------------------------------------------------------------------------
-# aggregation: one call's value per group
+# aggregation: one argument's folds per group
 # ---------------------------------------------------------------------------
 
 
@@ -1159,21 +1213,27 @@ def _null_mask(values: np.ndarray) -> np.ndarray:
     return isnull_mask(values, len(values), negated=False)
 
 
-def _retyped(values: np.ndarray, counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _empty(counts: np.ndarray) -> np.ndarray | None:
+    """The groups without a value to fold (None: there are none)."""
+    empty = counts == 0
+    return empty if empty.any() else None
+
+
+def _retyped(values: np.ndarray, empty: np.ndarray | None, dtype: np.dtype) -> np.ndarray:
     """Per-group float64 SUM / MIN / MAX accumulations as the input's type again:
-    integers over integer inputs, as on the row engine (0 stands in for empty
-    groups, which :func:`_mask_empty` turns into NULL)."""
+    integers over integer inputs, as on the row engine (0 stands in for the
+    ``empty`` groups, which :func:`_mask_empty` turns into NULL)."""
     if dtype.kind not in "iub":
         return values
-    return np.rint(np.where(counts > 0, values, 0)).astype(np.int64)
+    return np.rint(values if empty is None else np.where(empty, 0, values)).astype(np.int64)
 
 
-def _mask_empty(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Replace aggregate outputs of empty groups with None."""
-    if (counts > 0).all():
+def _mask_empty(values: np.ndarray, empty: np.ndarray | None) -> np.ndarray:
+    """Replace aggregate outputs of ``empty`` groups with None."""
+    if empty is None:
         return values
     result = values.astype(object)
-    result[counts == 0] = None
+    result[empty] = None
     return result
 
 
@@ -1182,12 +1242,15 @@ def _better(name: str, value: Any, current: Any) -> bool:
     return current is None or ((value < current) if name == "min" else (value > current))
 
 
-def _summed(name: str, sums: np.ndarray, counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _summed(name: str, sums: np.ndarray, counts: np.ndarray, empty: np.ndarray | None,
+            dtype: np.dtype) -> np.ndarray:
     """SUM / AVG per group from the float64 sums and the counts of the values."""
     if name == "avg":
+        if empty is None:  # no count is 0
+            return sums / counts
         with np.errstate(invalid="ignore", divide="ignore"):
-            return _mask_empty(sums / counts, counts)
-    return _mask_empty(_retyped(sums, counts, dtype), counts)
+            return _mask_empty(sums / counts, empty)
+    return _mask_empty(_retyped(sums, empty, dtype), empty)
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -1202,58 +1265,92 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(total) + 0.0
 
 
-def _aggregate_call(call: ast.FunctionCall, values: Any, group_ids: np.ndarray | None,
-                    group_count: int, rows: int) -> np.ndarray:
-    """One aggregate call's value per group; ``values`` is its argument over
-    the ``rows`` selected rows (None: ``count(*)``), ``group_ids`` their
-    groups (None: all of them are the one group).  SUM / MIN / MAX accumulate
-    in float64 and go out in the input's type."""
-    name = call.name.lower()
-    if values is None:
-        if group_ids is None:
-            return np.array([rows], dtype=np.int64)
-        return np.bincount(group_ids, minlength=group_count).astype(np.int64)
-    # an int / bool array has no in-band NULL: nothing to test
-    nulls = None if isinstance(values, np.ndarray) and values.dtype.kind in "iub" \
-        else _null_mask(values)
-    if call.distinct:
-        underlying = values.values if isinstance(values, Nullable) else values
-        dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
-            and underlying.dtype.kind in ("i", "f") else None
-        buckets: list[dict] = [{} for _ in range(group_count)]
-        groups = repeat(0) if group_ids is None else group_ids
-        for index, group in zip(range(len(values)), groups):
-            if nulls is None or not nulls[index]:
-                buckets[group].setdefault(values[index], None)
-        return _distinct_aggregate(name, buckets, dtype)
-    grouped, numeric = group_ids, values
-    if nulls is not None and nulls.any():
-        valid = ~nulls
-        grouped, numeric = (None if group_ids is None else group_ids[valid]), values[valid]
-    counts = np.array([len(numeric)], dtype=np.int64) if grouped is None \
-        else np.bincount(grouped, minlength=group_count)
-    if name == "count":
-        return counts.astype(np.int64)
-    if isinstance(numeric, Nullable):
-        numeric = numeric.values  # no NULL is left among them
-    if name in ("sum", "avg"):
-        weights = numeric.astype(np.float64, copy=False)
-        sums = np.array([_sequential_sum(weights)]) if grouped is None \
-            else np.bincount(grouped, weights=weights, minlength=group_count)
-        return _summed(name, sums, counts, numeric.dtype)
-    if name not in ("min", "max"):
-        raise ExecutionError(f"unknown aggregate function '{name}'")
+class _Folds:
+    """One aggregate argument folded per group, once per fold its calls need:
+    what every call over it reads.
+
+    ``values`` is the argument over the selected rows, ``group_ids`` their
+    groups (None: all of them are the one group) and ``sizes`` the groups'
+    row counts.  SUM / MIN / MAX accumulate in float64, one ``np.bincount``
+    / ``at`` per fold (left to right over the one group); a NULL-free
+    argument's count is ``sizes``, any other's one more ``np.bincount`` over
+    its valid rows.  DISTINCT collects each group's distinct values once for
+    every DISTINCT call.  ``passes`` counts the per-group vectors computed.
+    """
+
+    __slots__ = ("counts", "empty", "dtype", "sums", "extremes", "buckets", "distinct_dtype",
+                 "passes")
+
+    def __init__(self, values: Any, uses: frozenset[str], group_ids: np.ndarray | None,
+                 sizes: np.ndarray, filled: bool):
+        self.passes = 0
+        groups = len(sizes)
+        # an int / bool array has no in-band NULL: nothing to test
+        nulls = None if isinstance(values, np.ndarray) and values.dtype.kind in "iub" \
+            else _null_mask(values)
+        if "distinct" in uses:
+            underlying = values.values if isinstance(values, Nullable) else values
+            self.distinct_dtype = underlying.dtype if isinstance(underlying, np.ndarray) \
+                and underlying.dtype.kind in ("i", "f") else None
+            self.buckets = [{} for _ in range(groups)]
+            for index, group in zip(range(len(values)),
+                                    repeat(0) if group_ids is None else group_ids):
+                if nulls is None or not nulls[index]:
+                    self.buckets[group].setdefault(values[index], None)
+            self.passes += 1
+            if len(uses) == 1:
+                return
+        grouped, numeric, counts = group_ids, values, sizes
+        if nulls is not None and nulls.any():
+            valid = ~nulls
+            grouped, numeric = (None if group_ids is None else group_ids[valid]), values[valid]
+            counts = np.array([len(numeric)], dtype=np.int64) if grouped is None \
+                else np.bincount(grouped, minlength=groups)
+            self.passes += 1
+            self.empty = _empty(counts)
+        else:  # every group's rows are its values
+            self.empty = None if filled else _empty(sizes)
+        if isinstance(numeric, Nullable):
+            numeric = numeric.values  # no NULL is left among them
+        self.counts, self.dtype = counts, numeric.dtype
+        if "sum" in uses:
+            weights = numeric.astype(np.float64, copy=False)
+            self.sums = np.array([_sequential_sum(weights)]) if grouped is None \
+                else np.bincount(grouped, weights=weights, minlength=groups)
+            self.passes += 1
+        if "min" in uses or "max" in uses:
+            self.extremes = {name: _extremes(name, numeric, grouped, groups, self.empty)
+                             for name in ("min", "max") if name in uses}
+            self.passes += len(self.extremes)
+
+    def value(self, call: ast.FunctionCall) -> np.ndarray:
+        """The call's value per group; SUM / MIN / MAX go out in the input's
+        type, AVG is the sum over the count."""
+        name = call.name.lower()
+        if call.distinct:
+            return _distinct_aggregate(name, self.buckets, self.distinct_dtype)
+        if name == "count":
+            return self.counts
+        if name in ("sum", "avg"):
+            return _summed(name, self.sums, self.counts, self.empty, self.dtype)
+        return self.extremes[name]
+
+
+def _extremes(name: str, numeric: np.ndarray, grouped: np.ndarray | None, groups: int,
+              empty: np.ndarray | None) -> np.ndarray:
+    """MIN / MAX per group over NULL-free ``numeric`` (``grouped`` None: one
+    group), None for an ``empty`` group."""
     if numeric.dtype.kind in ("i", "f"):
         fold = np.minimum if name == "min" else np.maximum
-        extremes = np.full(group_count, np.inf if name == "min" else -np.inf)
+        extremes = np.full(groups, np.inf if name == "min" else -np.inf)
         as_float = numeric.astype(np.float64, copy=False)
         if grouped is not None:
             fold.at(extremes, grouped, as_float)
         elif len(as_float):  # the same pairwise steps, left to right
             extremes[0] = fold.accumulate(as_float)[-1]
-        return _mask_empty(_retyped(extremes, counts, numeric.dtype), counts)
+        return _mask_empty(_retyped(extremes, empty, numeric.dtype), empty)
     # strings / objects: python loop per row, None where a group had none
-    best: list[Any] = [None] * group_count
+    best: list[Any] = [None] * groups
     for value, group in zip(numeric, repeat(0) if grouped is None else grouped):
         if _better(name, value, best[group]):
             best[group] = value
@@ -1268,6 +1365,7 @@ def _distinct_aggregate(name: str, buckets: list[dict], dtype: np.dtype | None
     counts = np.array([len(bucket) for bucket in buckets], dtype=np.int64)
     if name == "count":
         return counts
+    empty = _empty(counts)
     if name in ("sum", "avg"):
         sums = np.empty(len(buckets), dtype=np.float64)
         for index, bucket in enumerate(buckets):
@@ -1275,7 +1373,7 @@ def _distinct_aggregate(name: str, buckets: list[dict], dtype: np.dtype | None
             for value in bucket:
                 total += float(value)
             sums[index] = total
-        return _summed(name, sums, counts, dtype or np.dtype(object))
+        return _summed(name, sums, counts, empty, dtype or np.dtype(object))
     best: list[Any] = [None] * len(buckets)
     for index, bucket in enumerate(buckets):
         for value in bucket:
@@ -1284,4 +1382,4 @@ def _distinct_aggregate(name: str, buckets: list[dict], dtype: np.dtype | None
     if dtype is None:
         return np.array(best, dtype=object)
     extremes = np.array([0.0 if value is None else float(value) for value in best])
-    return _mask_empty(_retyped(extremes, counts, dtype), counts)
+    return _mask_empty(_retyped(extremes, empty, dtype), empty)

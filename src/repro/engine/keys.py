@@ -15,8 +15,13 @@ method their dtype allows:
   Python ``dict``, driven by ``dict.fromkeys`` / ``map`` rather than a
   bytecode loop.  This is the only place a dict sees rows; it keeps Python
   equality (``1 == 1.0 == True``) by construction, and every row it
-  handles is counted as ``join.fallback_rows`` / ``group.fallback_rows``
-  (all others as ``*.kernel_rows``).
+  handles is counted as ``join.fallback_rows`` / ``group.fallback_rows`` /
+  ``sort.fallback_rows`` (all others as ``*.kernel_rows``).
+
+A dictionary-coded string column gets there only as a join key: grouping
+and DISTINCT key on its ``int32`` codes, ORDER BY on its dictionary's ranks
+(:class:`Ranked`), which the columnar view that owns the dictionary sorts
+once.
 
 Multi-column keys multiply their per-column codes together, re-ranking
 first whenever the product would leave ``int64``, and a code space wider
@@ -41,12 +46,14 @@ the per-row loops these kernels replaced produced them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.engine.mask import Nullable, data_of
 from repro.obs.metrics import count as count_metric
 
-__all__ = ["KeyOrder", "build_order", "group_rows", "hash_codes", "integer_kind",
+__all__ = ["KeyOrder", "Ranked", "build_order", "group_rows", "hash_codes", "integer_kind",
            "join_indexes", "order_index", "probe_order"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -469,28 +476,44 @@ def group_rows(factors: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return group_of[codes], first[seen]
 
 
-def _ranks(column: "np.ndarray | Nullable") -> np.ndarray:
-    """Order-preserving ``int64`` ranks of one column, NULL ranked last."""
+class Ranked(NamedTuple):
+    """A sort key already ranked: ``int64`` ranks in the values' order, NULL
+    the largest -- a dictionary-coded column's, read off the ranks of its
+    dictionary (``ViewDictionary.rank()[codes]``), no row's value compared."""
+
+    ranks: np.ndarray
+
+
+def _ranks(column: "np.ndarray | Nullable | Ranked") -> tuple[np.ndarray, bool]:
+    """Order-preserving ``int64`` ranks of one column, NULL ranked last, and
+    whether they went through the dict (an object array: strings without a
+    dictionary, legacy ``None``-carrying columns)."""
+    if isinstance(column, Ranked):
+        return column.ranks, False
     values, valid = data_of(column)
     if valid is not None:
         ranks = np.empty(len(values), dtype=np.int64)
-        present = _ranks(values[valid])
+        present, hashed = _ranks(values[valid])
         ranks[valid] = present
         ranks[~valid] = present.max() + 1 if len(present) else 0
-        return ranks
+        return ranks, hashed
     if values.dtype != object:
-        return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
-    return hash_codes(values.tolist(), ranked=True)[0]
+        return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False), False
+    return hash_codes(values.tolist(), ranked=True)[0], True
 
 
-def order_index(keys: list[tuple["np.ndarray | Nullable", bool]]) -> np.ndarray:
+def order_index(keys: list[tuple["np.ndarray | Nullable | Ranked", bool]]) -> np.ndarray:
     """Stable row order under ``[(column, descending), ...]`` sort keys.
 
     The first key is the most significant.  NULLs are the largest value
     (last ascending, first descending) and ties keep their input order in
     either direction -- what sorting the row tuples on ``(value is None,
-    value)`` with ``reverse=descending``, one key at a time, gave.
+    value)`` with ``reverse=descending``, one key at a time, gave.  A column
+    is ranked by its dtype (see :func:`_ranks`) unless it comes
+    :class:`Ranked`; the rows count once per call, as ``sort.fallback_rows``
+    when a key went through the dict, else as ``sort.kernel_rows``.
     """
-    ranks = [-_ranks(column) if descending else _ranks(column)
-             for column, descending in keys]
-    return np.lexsort(ranks[::-1])
+    ranked = [_ranks(column) for column, _ in keys]
+    _count("sort", len(ranked[0][0]), any(hashed for _, hashed in ranked))
+    return np.lexsort([-ranks if descending else ranks
+                       for (ranks, _), (_, descending) in zip(ranked[::-1], keys[::-1])])

@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.engine.expression import compare_values, in_members
+from repro.engine.keys import Ranked
 from repro.engine.mask import (
     Kleene,
     Nullable,
@@ -429,15 +430,19 @@ class ColFrame:
     Arrays may be plain ndarrays, :class:`Nullable` pairs, or object arrays;
     all three support the gather / scalar indexing the frame uses.
     ``arrays`` is any sequence: a join hands in one that gathers a column
-    the first time it is read.  ``codes``, when present, runs parallel to
-    ``arrays`` and holds the ``int32`` dictionary codes (-1 = NULL) of the
-    columns that still are a dictionary-encoded base column (None for the
-    others); grouping keys on those codes instead of the strings.
+    the first time it is read, a projection one that decodes a coded column
+    the first time it is read (:class:`DecodedColumns`).  ``codes``, when
+    present, runs parallel to ``arrays`` and holds the ``int32`` dictionary
+    codes (-1 = NULL) of the columns that still are a dictionary-encoded
+    base column (None for the others), and ``dictionaries`` what they decode
+    to (a :class:`~repro.engine.database.ViewDictionary` each): grouping and
+    DISTINCT key on those codes instead of the strings, ORDER BY ranks them
+    (:meth:`sort_key`) and :meth:`rows` decodes only the rows it delivers.
     """
 
     def __init__(self, columns: list[ColumnInfo], arrays: Sequence[np.ndarray],
                  length: int, codes: Sequence[np.ndarray | None] | None = None,
-                 layout: Layout | None = None):
+                 layout: Layout | None = None, dictionaries: Sequence | None = None):
         # frame constructions are counted on the active query's metrics
         # context ("frame.materialisations"): the executor is asserted (in
         # tests) to allocate no intermediate frame per predicate, and
@@ -448,6 +453,7 @@ class ColFrame:
         self.arrays = arrays
         self.length = length
         self.codes = codes
+        self.dictionaries = dictionaries
         #: the position lookup over ``columns``' bindings and names.  Scans
         #: and joins are handed the one their block's plan owns; any other
         #: frame builds one the first time a reference is resolved in it.
@@ -468,10 +474,26 @@ class ColFrame:
         return self.layout.position(ref)
 
     def take(self, indexes: np.ndarray) -> "ColFrame":
-        """Return a new frame with the rows selected by ``indexes``."""
-        arrays = [array[indexes] for array in self.arrays]
-        return ColFrame(columns=self.columns, arrays=arrays, length=len(indexes),
-                        layout=self._layout)
+        """Return a new frame with the rows selected by ``indexes``; a coded
+        column keeps its codes and is decoded when it is read."""
+        codes = self.codes
+        if codes is None:
+            return ColFrame(columns=self.columns, arrays=[array[indexes] for array in self.arrays],
+                            length=len(indexes), layout=self._layout)
+        codes = [None if column is None else column[indexes] for column in codes]
+        arrays = [self.arrays[position][indexes] if column is None else None
+                  for position, column in enumerate(codes)]
+        return ColFrame(columns=self.columns, length=len(indexes), layout=self._layout,
+                        arrays=DecodedColumns(arrays, codes, self.dictionaries),
+                        codes=codes, dictionaries=self.dictionaries)
+
+    def sort_key(self, position: int) -> Any:
+        """What ORDER BY ranks the column at ``position`` by: a coded column's
+        ranks in its dictionary's string order, any other its values."""
+        codes = None if self.codes is None else self.codes[position]
+        if codes is None:
+            return self.arrays[position]
+        return Ranked(self.dictionaries[position].rank()[codes])
 
     def row(self, index: int) -> tuple:
         """Materialise one row (dates converted back to :class:`datetime.date`)."""
@@ -485,11 +507,44 @@ class ColFrame:
         """Materialise the rows (all, or those ``index`` picks, in its order).
 
         Result delivery: one ``tolist`` per column and a ``zip``, giving the
-        values :meth:`row` gives cell by cell.
+        values :meth:`row` gives cell by cell.  A coded column is decoded
+        here, from the codes of the rows delivered -- after ORDER BY and
+        LIMIT picked them: one take from its decode table, then ``tolist``.
         """
+        if self.codes is None:
+            return list(zip(*[
+                _python_values(array if index is None else array[index], column.type_name)
+                for column, array in zip(self.columns, self.arrays)]))
         return list(zip(*[
-            _python_values(array if index is None else array[index], column.type_name)
-            for column, array in zip(self.columns, self.arrays)]))
+            _python_values(self.arrays[position] if index is None
+                           else self.arrays[position][index], column.type_name)
+            if codes is None else self.dictionaries[position].array(
+                codes if index is None else codes[index]).tolist()
+            for position, (column, codes) in enumerate(zip(self.columns, self.codes))]))
+
+
+class DecodedColumns(Sequence):
+    """A frame's arrays where each coded column (None in ``arrays``) is
+    decoded from its codes the first time something reads it."""
+
+    __slots__ = ("_arrays", "_codes", "_dictionaries")
+
+    def __init__(self, arrays: list, codes: Sequence, dictionaries: Sequence):
+        self._arrays = arrays
+        self._codes = codes
+        self._dictionaries = dictionaries
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[index] for index in range(*position.indices(len(self)))]
+        array = self._arrays[position]  # an IndexError ends an iteration
+        if array is None:
+            array = self._arrays[position] = self._dictionaries[position].array(
+                self._codes[position])
+        return array
 
 
 def concat_values(left: Any, right: Any) -> Any:

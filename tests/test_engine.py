@@ -361,6 +361,9 @@ class TestJoinShapes:
         # a LIKE pattern that varies by row
         "select a.id, b.id from a, b where a.k = b.k and a.s like b.s",
         "select a.id, a.s like b.s from a, b where a.k = b.k",
+        # a SUBSTRING start / length that varies by row
+        "select a.id, substring(a.s || 'abcdef' from a.id for 2) from a",
+        "select c.id, substring(c.s || 'pqrs' from 2 for c.id - 1) from c",
     ]
 
     @pytest.fixture(scope="class")

@@ -191,15 +191,149 @@ def test_one_group_folds_as_the_grouped_fold_does(values, name):
     bit for bit -- a sum of nothing but -0.0 included."""
     import numpy as np
 
-    from repro.engine.executor_column import _aggregate_call
+    from repro.engine.executor_column import _Folds
 
     array = np.array(values, dtype=np.int64 if values and isinstance(values[0], int)
                      else np.float64)
     call = ast.FunctionCall(name, [ast.ColumnRef(name="x")])
-    one = _aggregate_call(call, array, None, 1, len(array))
-    grouped = _aggregate_call(call, array, np.zeros(len(array), dtype=np.int64), 1, len(array))
+    uses = frozenset({"sum" if name == "avg" else name})
+    sizes = np.array([len(array)], dtype=np.int64)
+    one = _Folds(array, uses, None, sizes, len(array) > 0).value(call)
+    grouped = _Folds(array, uses, np.zeros(len(array), dtype=np.int64), sizes,
+                     len(array) > 0).value(call)
     assert repr(one.tolist()) == repr(grouped.tolist())
     assert one.dtype == grouped.dtype
+
+
+_CODED_STRINGS = st.lists(
+    st.one_of(st.none(), st.sampled_from(["", "a", "A", "b", "ab", "é", "z"]),
+              st.text(max_size=3)), max_size=30)
+
+
+def _view_dictionary(values: list):
+    """The int32 codes of ``values`` (-1 for None) and their dictionary, as a
+    columnar view hands them out."""
+    import numpy as np
+
+    from repro.engine.database import ViewDictionary
+    from repro.engine.storage import Dictionary
+
+    dictionary = Dictionary()
+    codes = np.array([-1 if value is None else dictionary.encode(value) for value in values],
+                     dtype=np.int32)
+    return codes, ViewDictionary(dictionary)
+
+
+@given(columns=st.lists(_CODED_STRINGS, min_size=1, max_size=3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_over_codes_is_the_order_over_strings(columns, data):
+    """ORDER BY over dictionary codes ranks them by the dictionary's sorted
+    strings, NULL last: the permutation is the one ranking the strings
+    themselves gives -- and the one a stable sort of the rows, one key at a
+    time from the least significant, gives -- over ties, NULLs and either
+    direction, for one to three keys."""
+    import numpy as np
+
+    from repro.engine.keys import Ranked, order_index
+
+    rows = min(map(len, columns))
+    columns = [column[:rows] for column in columns]
+    descending = data.draw(st.lists(st.booleans(), min_size=len(columns),
+                                    max_size=len(columns)))
+    coded, objects = [], []
+    for column, desc in zip(columns, descending):
+        codes, dictionary = _view_dictionary(column)
+        rank = dictionary.rank()
+        coded.append((Ranked(rank[codes]), desc))
+        objects.append((np.array(column, dtype=object), desc))
+    expected = list(range(rows))
+    for column, desc in reversed(list(zip(columns, descending))):
+        expected.sort(key=lambda row: (column[row] is None, column[row] or ""), reverse=desc)
+    if rows:
+        assert order_index(coded).tolist() == order_index(objects).tolist() == expected
+
+
+@given(values=_CODED_STRINGS, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_decoded_from_codes_are_the_object_rows(values, data):
+    """``ColFrame.rows`` decodes a coded column from the codes of the rows it
+    delivers; what comes out is what the object array delivered, ``repr``
+    for ``repr`` -- all rows, a permutation, a LIMIT's slice."""
+    import numpy as np
+
+    from repro.engine.vector import DecodedColumns
+
+    codes, dictionary = _view_dictionary(values)
+    columns = [ColumnInfo("t", "s", "str"), ColumnInfo("t", "n", "int")]
+    numbers = np.arange(len(values), dtype=np.int64)
+    plain = ColFrame(columns, [np.array(values, dtype=object), numbers], len(values))
+    coded = ColFrame(columns, DecodedColumns([None, numbers], [codes, None], [dictionary, None]),
+                     len(values), codes=[codes, None], dictionaries=[dictionary, None])
+    permutation = np.array(data.draw(st.permutations(range(len(values)))), dtype=np.int64)
+    for index in (None, permutation, slice(1, 4)):
+        assert repr(coded.rows(index)) == repr(plain.rows(index))
+    # read as an array, the column is the object array
+    assert repr(coded.arrays[0].tolist()) == repr(values)
+
+
+class TestFoldsAndCodesAgreeWithTheRowEngine:
+    """Each aggregate argument folds once for all of its calls, over one
+    count of the groups' rows (an argument with NULLs counts its own), and
+    dictionary-coded strings stay codes through ORDER BY to delivery: the
+    rows are the row engine's, compiled and interpreted."""
+
+    QUERIES = [
+        "select k, count(v), sum(v), avg(v), min(v), max(v), count(*) from t "
+        "group by k order by k desc",
+        "select k, count(w), sum(w), avg(w), min(w), max(w), count(*) from t "
+        "group by k order by k desc",
+        "select s, k from t order by s desc, k",
+        "select count(v), sum(v), avg(v), min(s), max(s), count(distinct s), "
+        "sum(distinct v), avg(v) + sum(w) from t",
+        "select s, count(*), avg(w) from t where k > 1 group by s "
+        "having count(v) > 0 order by s",
+        "select count(v), sum(v), min(s) from t where k > 99",
+        "select distinct s from t order by s desc limit 3",
+    ]
+
+    @pytest.fixture(scope="class")
+    def nulls_db(self) -> Database:
+        database = Database("folds", chunk_rows=4)
+        database.create_table("t", [("k", "int"), ("s", "str"), ("v", "float"),
+                                    ("w", "float")])
+        database.insert_rows("t", [
+            (index % 4, None if index % 5 == 0 else "xyzab"[index % 3:index % 3 + 2],
+             None if index % 3 == 0 else index / 8.0, index * 0.25) for index in range(23)])
+        return database
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_rows_are_the_row_engines(self, nulls_db, sql):
+        expected = repr(RowEngine(nulls_db, options=_options(False)).execute(sql).rows)
+        for (compile_expressions,) in TOGGLES:
+            for engine_cls in (RowEngine, ColumnEngine):
+                engine = engine_cls(nulls_db, options=_options(compile_expressions))
+                assert repr(engine.execute(sql).rows) == expected, \
+                    f"{engine.strategy()} compile={compile_expressions}"
+
+    def test_each_argument_folds_once(self, nulls_db):
+        """Five calls over ``v`` (NULLs: its own count) and a ``count(*)``:
+        the group count, ``v``'s count, sum, min and max."""
+        result = ColumnEngine(nulls_db).execute(self.QUERIES[0])
+        assert result.metrics.get("aggregate.folds") == 5
+        result = ColumnEngine(nulls_db).execute(self.QUERIES[1])
+        assert result.metrics.get("aggregate.folds") == 4  # ``w`` has no NULL
+
+    def test_order_by_a_coded_column_ranks_its_codes(self, nulls_db):
+        result = ColumnEngine(nulls_db).execute(self.QUERIES[2])
+        assert result.metrics.get("sort.kernel_rows") == 23
+        assert not result.metrics.get("sort.fallback_rows")
+
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    def test_substring_with_a_row_varying_start(self, toggles, parity_db):
+        """A start or length that varies by row is sliced row by row."""
+        sql = "select substring(n_name from n_regionkey + 1 for 1) from nation"
+        expected = RowEngine(parity_db, options=_options(False)).execute(sql).rows
+        assert ColumnEngine(parity_db, options=_options(*toggles)).execute(sql).rows == expected
 
 
 class TestEmptyAggregates:
