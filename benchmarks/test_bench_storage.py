@@ -17,8 +17,10 @@ against a switched-off variant:
 
 A run writes ``BENCH_storage.json`` (into the shared ``artifact_dir``:
 ``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) with the
-counts, a recorded (ungated) warm time per query and the per-table
-compression summary, so CI can track the storage trajectory.
+counts, a recorded (ungated) warm time per query, the per-table compression
+summary and the recorded (ungated) split of the fixture's load -- generating
+the rows, inserting them, the first ``rows()`` and the first ``columnar()``
+of every table -- so CI can track the storage trajectory.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 
 import pytest
 
-from repro.data import populate_tpch
+from repro.data import generate_tpch, load_tpch
 from repro.engine import ColumnEngine, Database, RowEngine
 
 SCALE_FACTOR = 0.02
@@ -60,10 +62,24 @@ EXPECTED = {
 }
 
 
+#: seconds of each step of the fixture's load, in order (recorded, not gated).
+LOAD_SPLIT: dict[str, float] = {}
+
+
 @pytest.fixture(scope="module")
 def clustered_db() -> Database:
     database = Database("tpch-clustered", chunk_rows=CHUNK_ROWS)
-    populate_tpch(database, scale_factor=SCALE_FACTOR, clustered=True)
+    started = time.perf_counter()
+    tables = generate_tpch(SCALE_FACTOR)
+    LOAD_SPLIT["generate_s"] = time.perf_counter() - started
+    started = time.perf_counter()
+    load_tpch(database, tables, clustered=True)
+    LOAD_SPLIT["insert_s"] = time.perf_counter() - started
+    for view in ("rows", "columnar"):
+        started = time.perf_counter()
+        for table in database.table_names():
+            getattr(database, view)(table)
+        LOAD_SPLIT[f"first_{view}_s"] = time.perf_counter() - started
     return database
 
 
@@ -109,6 +125,7 @@ def test_scans_skip_chunks_and_read_codes(clustered_db, benchmark, run_once, art
         "scale_factor": SCALE_FACTOR,
         "chunk_rows": CHUNK_ROWS,
         "entries": entries,
+        "load": {**LOAD_SPLIT, "gated": False},
         "lineitem": clustered_db.storage("lineitem").statistics().describe(),
     }
     (artifact_dir / "BENCH_storage.json").write_text(json.dumps(artifact, indent=2))

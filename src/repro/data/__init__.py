@@ -14,13 +14,14 @@ column definitions, and has a ``populate(engine)`` convenience that loads the
 data into an engine instance.
 """
 
-from repro.data.tpch import TPCHGenerator, generate_tpch, populate_tpch
+from repro.data.tpch import TPCHGenerator, generate_tpch, load_tpch, populate_tpch
 from repro.data.ssb import SSBGenerator, generate_ssb, populate_ssb
 from repro.data.airtraffic import AirTrafficGenerator, generate_airtraffic, populate_airtraffic
 
 __all__ = [
     "TPCHGenerator",
     "generate_tpch",
+    "load_tpch",
     "populate_tpch",
     "SSBGenerator",
     "generate_ssb",

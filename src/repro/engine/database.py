@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.engine.catalog import Catalog, ColumnDef, TableSchema
 from repro.engine.storage import DEFAULT_CHUNK_ROWS, Dictionary, StorageTable
-from repro.engine.types import coerce_value
+from repro.engine.types import column_coercer
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,20 +169,30 @@ class Database:
             self._columnar.pop(name.lower(), None)
 
     def insert_rows(self, name: str, rows: Iterable[Sequence]) -> int:
-        """Append ``rows`` (sequences in column order) to table ``name``."""
+        """Append ``rows`` (sequences in column order) to table ``name``.
+
+        The rows are coerced a chunk and a column at a time before the table
+        changes: a row of the wrong width or a value that does not coerce
+        raises and stores nothing.  No rows is no mutation.
+        """
         schema = self.catalog.table(name)
-        coerced: list[tuple] = []
-        for row in rows:
-            if len(row) != len(schema):
-                raise ExecutionError(
-                    f"table '{name}' expects {len(schema)} values per row, got {len(row)}"
-                )
-            coerced.append(tuple(
-                coerce_value(value, column.type_name)
-                for value, column in zip(row, schema.columns)
-            ))
+        rows = list(rows)
+        width = len(schema)
+        if set(map(len, rows)) - {width}:
+            wrong = next(row for row in rows if len(row) != width)
+            raise ExecutionError(
+                f"table '{name}' expects {width} values per row, got {len(wrong)}")
+        by_type = {type_name: column_coercer(type_name)
+                   for type_name in {column.type_name for column in schema.columns}}
+        coercers = [by_type[column.type_name] for column in schema.columns]
+        step = self.chunk_rows
+        batches = [[coerce(values) for coerce, values
+                    in zip(coercers, zip(*rows[start:start + step]))]
+                   for start in range(0, len(rows), step)]
+        if not batches:
+            return 0
         with self._mutation():
-            return self._storage[schema.name].append_rows(coerced)
+            return self._storage[schema.name].append_columns(batches)
 
     # -- access ------------------------------------------------------------------
 

@@ -10,17 +10,19 @@ A segment holds one chunk's worth of one column in encoded form:
   code ``-1``).
 
 NULLs round-trip exactly through both the row views and the column views.
-Each segment also seals a :class:`ZoneMap` at build time.
+Each segment also seals a :class:`ZoneMap` at build time.  Building and
+decoding work on whole arrays: one ``np.array`` per segment, the zone map
+from numpy, dates back through ``datetime64[D]`` and codes through the
+dictionary's object array.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import repeat
 
 import numpy as np
 
 from repro.engine.storage.stats import ZoneMap
-from repro.engine.types import date_to_ordinal, ordinal_to_date
 
 #: approximate CPython object overhead charged per string in the raw-size
 #: estimate (49 bytes is the empty-``str`` footprint on 64-bit builds).
@@ -38,25 +40,33 @@ class Dictionary:
     appends and cached views.
     """
 
-    __slots__ = ("values", "_codes", "_array")
+    __slots__ = ("values", "_codes", "_array", "_raw_sizes")
 
     def __init__(self) -> None:
         self.values: list[str] = []
         self._codes: dict[str, int] = {}
         self._array: np.ndarray | None = None
+        self._raw_sizes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def encode(self, value: str) -> int:
-        """Code of ``value``, inserting it when unseen."""
-        code = self._codes.get(value)
-        if code is None:
-            code = len(self.values)
-            self._codes[value] = code
-            self.values.append(value)
-            self._array = None
-        return code
+    def encode(self, values: list) -> tuple[np.ndarray, list[str]]:
+        """The ``int32`` codes of ``values`` (None: ``-1``), and their distinct
+        strings in first-appearance order; unseen strings are inserted in
+        that order, so each gets the code a value-at-a-time encoding would
+        give it."""
+        distinct = dict.fromkeys(values)
+        distinct.pop(None, None)
+        codes = self._codes
+        unseen = [value for value in distinct if value not in codes]
+        if unseen:
+            start = len(self.values)
+            self.values.extend(unseen)
+            codes.update(zip(unseen, range(start, start + len(unseen))))
+        encoded = np.fromiter(map(codes.get, values, repeat(-1)), dtype=np.int32,
+                              count=len(values))
+        return encoded, list(distinct)
 
     def code_of(self, value: str) -> int | None:
         """Code of ``value`` without inserting (None when absent)."""
@@ -68,9 +78,16 @@ class Dictionary:
             self._array = np.array(self.values, dtype=object)
         return self._array
 
+    def raw_sizes(self) -> np.ndarray:
+        """Per code, the raw-size estimate of its string (cached until growth)."""
+        if self._raw_sizes is None or len(self._raw_sizes) != len(self.values):
+            self._raw_sizes = np.fromiter(map(len, self.values), dtype=np.int64,
+                                          count=len(self.values)) + _STR_OBJECT_OVERHEAD
+        return self._raw_sizes
+
     @property
     def encoded_bytes(self) -> int:
-        return sum(len(value) + _STR_OBJECT_OVERHEAD for value in self.values)
+        return int(self.raw_sizes().sum())
 
 
 class ColumnSegment:
@@ -109,10 +126,8 @@ class ColumnSegment:
         fixed = _FIXED_RAW_BYTES.get(self.type_name)
         if fixed is not None:
             return fixed * self.row_count
-        total = 0
-        for value in self.python_values():
-            total += 0 if value is None else len(value) + _STR_OBJECT_OVERHEAD
-        return total
+        codes = self.values if self.null_mask is None else self.values[~self.null_mask]
+        return int(self.dictionary.raw_sizes()[codes].sum())
 
     # -- decode ----------------------------------------------------------------
 
@@ -139,11 +154,12 @@ class ColumnSegment:
         Dates come back as :class:`datetime.date` (the row-storage domain).
         """
         if self.type_name == "date":
-            ordinals = self.values.tolist()
+            dates = self.values.astype("datetime64[D]")
             if self.null_mask is None:
-                return [ordinal_to_date(ordinal) for ordinal in ordinals]
-            return [None if null else ordinal_to_date(ordinal)
-                    for ordinal, null in zip(ordinals, self.null_mask.tolist())]
+                return dates.tolist()
+            decoded = dates.astype(object)
+            decoded[self.null_mask] = None
+            return decoded.tolist()
         return self.encoded_python_values()
 
     def encoded_python_values(self) -> list:
@@ -153,6 +169,8 @@ class ColumnSegment:
         vectorised operators and date-literal comparisons expect.
         """
         if self.dictionary is not None:
+            if self.null_mask is None:
+                return self.dictionary.array()[self.values].tolist()
             table = self.dictionary.values
             return [None if code < 0 else table[code] for code in self.values.tolist()]
         plain = self.values.tolist()
@@ -162,46 +180,61 @@ class ColumnSegment:
                 for value, null in zip(plain, self.null_mask.tolist())]
 
 
+#: storage dtype and NULL sentinel of the typed (non-string) segments.
+_DTYPES = {"int": np.int64, "date": np.int64, "float": np.float64, "bool": np.bool_}
+_SENTINELS = {"int": 0, "date": 0, "float": np.nan, "bool": False}
+
+
 def build_segment(values: list, type_name: str,
                   dictionary: Dictionary | None) -> ColumnSegment:
-    """Encode one chunk's worth of coerced Python ``values`` for one column;
+    """Encode one chunk's worth of one column: coerced Python ``values``
+    (dates already day ordinals, None for NULL) in one numpy conversion;
     ``dictionary`` is the table's for a ``str`` column (None otherwise)."""
-    null_flags = [value is None for value in values]
-    null_count = sum(null_flags)
-    null_mask = np.array(null_flags, dtype=bool) if null_count else None
-    non_null = [value for value in values if value is not None]
-
-    if type_name == "str":
-        codes = np.fromiter(
-            (-1 if value is None else dictionary.encode(value) for value in values),
-            dtype=np.int32, count=len(values))
-        zone = _zone_map(non_null, null_count, len(values))
-        return ColumnSegment("str", codes, null_mask, dictionary, zone)
-
-    if type_name == "int":
-        data = np.fromiter((0 if value is None else value for value in values),
-                           dtype=np.int64, count=len(values))
-        encoded = non_null
-    elif type_name == "float":
-        data = np.fromiter((np.nan if value is None else value for value in values),
-                           dtype=np.float64, count=len(values))
-        encoded = non_null
-    elif type_name == "bool":
-        data = np.fromiter((False if value is None else bool(value) for value in values),
-                           dtype=bool, count=len(values))
-        encoded = [bool(value) for value in non_null]
-    else:  # date
-        data = np.fromiter(
-            (0 if value is None else date_to_ordinal(value) for value in values),
-            dtype=np.int64, count=len(values))
-        encoded = [date_to_ordinal(value) for value in non_null]
-
-    zone = _zone_map(encoded, null_count, len(values))
-    return ColumnSegment(type_name, data, null_mask, None, zone)
+    if dictionary is not None:
+        return _string_segment(values, dictionary)
+    dtype = _DTYPES[type_name]
+    null_count = values.count(None)
+    if not null_count:
+        data = np.array(values, dtype=dtype)
+        return ColumnSegment(type_name, data, None, None, _zone_map(data, 0))
+    objects = np.array(values, dtype=object)
+    null_mask = np.equal(objects, None)
+    objects[null_mask] = _SENTINELS[type_name]
+    data = objects.astype(dtype)
+    return ColumnSegment(type_name, data, null_mask, None,
+                         _zone_map(data[~null_mask], null_count))
 
 
-def _zone_map(non_null: list, null_count: int, row_count: int) -> ZoneMap:
-    if not non_null:
-        return ZoneMap(None, None, null_count, row_count, 0)
-    return ZoneMap(min(non_null), max(non_null), null_count, row_count,
-                   len(set(non_null)))
+def _string_segment(values: list, dictionary: Dictionary) -> ColumnSegment:
+    """A string segment: dictionary codes, the zone over the chunk's distinct
+    strings."""
+    codes, strings = dictionary.encode(values)
+    null_mask = codes < 0
+    null_count = int(np.count_nonzero(null_mask))
+    zone = (ZoneMap(min(strings), max(strings), null_count, len(values), len(strings))
+            if strings else ZoneMap(None, None, null_count, len(values), 0))
+    return ColumnSegment("str", codes, null_mask if null_count else None,
+                         dictionary, zone)
+
+
+def _zone_map(present: np.ndarray, null_count: int) -> ZoneMap:
+    """The zone of a typed segment's non-NULL values ``present``.
+
+    The bounds are the first minimum and maximum, as Python's ``min`` /
+    ``max`` pick them (``.item()``: Python scalars, exact beyond 2**53), over
+    the values that order: a NaN is left out, so a float chunk holding only
+    NaNs has no bounds, like an all-NULL one.  NaN counts as one distinct
+    value.
+    """
+    row_count = len(present) + null_count
+    nans = 0
+    if present.dtype.kind == "f":
+        missing = np.isnan(present)
+        if missing.any():
+            present, nans = present[~missing], 1
+    if not len(present):
+        return ZoneMap(None, None, null_count, row_count, nans)
+    ordered = np.sort(present)
+    distinct = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1 + nans
+    return ZoneMap(present[present.argmin()].item(), present[present.argmax()].item(),
+                   null_count, row_count, distinct)

@@ -61,13 +61,15 @@ class ZoneIndex:
 
     Float zone boundaries live in ``float64`` arrays with NaN marking
     all-NULL chunks -- NaN comparisons are False, so an all-NULL chunk is
-    refuted by every ordinary predicate for free.  Int / date / bool
-    boundaries stay exact in ``int64`` arrays (a float64 conversion would
-    round values beyond 2**53 and could wrongly refute a matching chunk)
-    with an empty-range sentinel (min=int64.max, max=int64.min) for all-NULL
-    chunks, which every keep-test rejects for the same reason.  String
-    boundaries are object arrays with ``None`` for all-NULL chunks, compared
-    through a small None-aware helper.
+    refuted by every ordinary predicate for free.  The bounds leave NaN
+    values out (an all-NaN chunk has none either), so a chunk holding a NaN
+    is kept by every ``<>`` and every comparison under ``NOT``, which a NaN
+    passes.  Int / date / bool boundaries stay exact in ``int64`` arrays (a
+    float64 conversion would round values beyond 2**53 and could wrongly
+    refute a matching chunk) with an empty-range sentinel (min=int64.max,
+    max=int64.min) for all-NULL chunks, which every keep-test rejects for
+    the same reason.  String boundaries are object arrays with ``None`` for
+    all-NULL chunks, compared through a small None-aware helper.
     """
 
     def __init__(self, table: "StorageTable"):
@@ -79,6 +81,9 @@ class ZoneIndex:
         self._maxs: dict[str, np.ndarray] = {}
         self._null_counts: dict[str, np.ndarray] = {}
         self._types: dict[str, str] = {}
+        #: per float column, the chunks holding a NaN value: more NaNs than
+        #: NULLs, whose slots hold the NaN sentinel
+        self._nans: dict[str, np.ndarray] = {}
         for index, column in enumerate(table.schema.columns):
             lowered = column.name.lower()
             zones = [chunk.segments[index].zone_map for chunk in chunks]
@@ -97,6 +102,9 @@ class ZoneIndex:
                 self._maxs[lowered] = np.array(
                     [np.nan if zone.max_value is None else float(zone.max_value)
                      for zone in zones], dtype=np.float64)
+                self._nans[lowered] = np.array(
+                    [np.count_nonzero(np.isnan(chunk.segments[index].values))
+                     > zone.null_count for chunk, zone in zip(chunks, zones)], dtype=bool)
             else:  # int / date / bool: exact int64 bounds
                 empty_min = np.iinfo(np.int64).max
                 empty_max = np.iinfo(np.int64).min
@@ -220,7 +228,7 @@ class ZoneIndex:
             if negated is None:
                 return None
             return self._keep_comparison(
-                ast.Comparison(negated, node.left, node.right), resolve)
+                ast.Comparison(negated, node.left, node.right), resolve, negated=True)
         if isinstance(node, ast.IsNull):
             return self._keep_is_null(
                 ast.IsNull(node.operand, negated=not node.negated), resolve)
@@ -240,7 +248,10 @@ class ZoneIndex:
         name, _type_name = resolved
         return name.lower()
 
-    def _keep_comparison(self, node: ast.Comparison, resolve) -> np.ndarray | None:
+    def _keep_comparison(self, node: ast.Comparison, resolve,
+                         negated: bool = False) -> np.ndarray | None:
+        """Chunks the comparison ``node`` might accept rows in; ``negated``
+        when it stands for ``NOT`` of its complement (:meth:`_keep_not`)."""
         if node.quantifier is not None:
             return None
         column = self._column(node.left, resolve)
@@ -266,16 +277,23 @@ class ZoneIndex:
                 return _obj_cmp(mins, operator, constant)
             return _obj_cmp(maxs, operator, constant)
         if operator == "=":
-            return (mins <= constant) & (maxs >= constant)
-        if operator == "<>":
-            return ~((mins == constant) & (maxs == constant)) & self._has_non_null(column)
-        if operator == "<":
-            return mins < constant
-        if operator == "<=":
-            return mins <= constant
-        if operator == ">":
-            return maxs > constant
-        return maxs >= constant
+            keep = (mins <= constant) & (maxs >= constant)
+        elif operator == "<>":
+            keep = ~((mins == constant) & (maxs == constant)) & self._has_non_null(column)
+        elif operator == "<":
+            keep = mins < constant
+        elif operator == "<=":
+            keep = mins <= constant
+        elif operator == ">":
+            keep = maxs > constant
+        else:
+            keep = maxs >= constant
+        nans = self._nans.get(column)
+        if nans is not None and (negated or operator == "<>"):
+            # the bounds leave NaNs out: a NaN is <> every constant, and NOT
+            # turns each of its (false) other comparisons true
+            keep |= nans
+        return keep
 
     def _keep_between(self, node: ast.Between, resolve) -> np.ndarray | None:
         column = self._column(node.operand, resolve)

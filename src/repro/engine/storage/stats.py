@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 class ZoneMap:
     """Per-chunk column summary used to refute scan predicates.
 
-    ``min_value``/``max_value`` are None when the segment holds no non-NULL
-    value at all (then every ordinary predicate on the column is false for
-    the whole chunk).
+    ``min_value``/``max_value`` bound the non-NULL values that order (a
+    float NaN does not) and are None when the segment holds none: all NULL,
+    where every ordinary predicate on the column is false for the whole
+    chunk, or all NaN, which only ``<>`` and comparisons under ``NOT`` pass
+    (:class:`~repro.engine.storage.skipping.ZoneIndex` keeps such chunks).
     """
 
     min_value: object

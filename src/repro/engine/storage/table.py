@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -78,7 +78,8 @@ class StorageTable:
             for column in schema.columns if column.type_name == "str"}
         #: bumped on every mutation; callers key caches on it.
         self.version = 0
-        self._tail: list[tuple] = []
+        #: the unsealed rows, column by column.
+        self._tail: list[list] = [[] for _ in schema.columns]
         self._rows_cache: list[tuple] | None = None
         self._stats_cache: TableStatistics | None = None
         self._null_free: tuple[int, ...] | None = None
@@ -93,32 +94,38 @@ class StorageTable:
 
     # -- mutation -----------------------------------------------------------------
 
-    def append_rows(self, rows: list[tuple]) -> int:
-        """Append already-coerced row tuples, sealing full chunks eagerly."""
-        if not rows:
+    def append_columns(self, batches: list[list[list]]) -> int:
+        """Append coerced rows given column-major, one batch of per-column
+        lists (dates as day ordinals, None for NULL) after another, sealing
+        full chunks eagerly; returns the number of rows appended."""
+        appended = sum(len(batch[0]) for batch in batches)
+        if not appended:
             return 0
-        self._invalidate()
-        self._tail.extend(rows)
-        while len(self._tail) >= self.chunk_rows:
-            self._seal(self._tail[:self.chunk_rows])
-            self._tail = self._tail[self.chunk_rows:]
-        return len(rows)
+        with self._lock:  # a reader flushing meanwhile must see whole rows
+            self._invalidate()
+            tail, size = self._tail, self.chunk_rows
+            for batch in batches:
+                for column, values in zip(tail, batch):
+                    column.extend(values)
+                while len(tail[0]) >= size:
+                    self._seal([column[:size] for column in tail])
+                    for column in tail:
+                        del column[:size]
+        return appended
 
     def flush(self) -> None:
         """Seal any pending tail rows into a (possibly short) chunk."""
         with self._lock:
-            if self._tail:
+            if self._tail[0]:
                 self._seal(self._tail)
-                self._tail = []
+                self._tail = [[] for _ in self.schema.columns]
 
-    def _seal(self, rows: list[tuple]) -> None:
+    def _seal(self, columns: list[list]) -> None:
         start = self.chunks[-1].stop if self.chunks else 0
-        segments: list[ColumnSegment] = []
-        for index, column in enumerate(self.schema.columns):
-            values = [row[index] for row in rows]
-            segments.append(build_segment(values, column.type_name,
-                                          self.dictionaries.get(column.name.lower())))
-        self.chunks.append(Chunk(segments, len(rows), start))
+        segments = [build_segment(values, column.type_name,
+                                  self.dictionaries.get(column.name.lower()))
+                    for values, column in zip(columns, self.schema.columns)]
+        self.chunks.append(Chunk(segments, len(columns[0]), start))
 
     def _invalidate(self) -> None:
         self.version += 1
@@ -134,19 +141,18 @@ class StorageTable:
     @property
     def row_count(self) -> int:
         sealed = self.chunks[-1].stop if self.chunks else 0
-        return sealed + len(self._tail)
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Iterate rows chunk by chunk (the row engine's scan order)."""
-        self.flush()
-        for chunk in self.chunks:
-            yield from chunk.rows()
+        return sealed + len(self._tail[0])
 
     def rows(self) -> list[tuple]:
-        """All rows as decoded tuples (cached until the next mutation)."""
+        """All rows as decoded tuples, chunk by chunk -- the row engine's scan
+        order (cached until the next mutation)."""
         with self._lock:
             if self._rows_cache is None:
-                self._rows_cache = list(self.iter_rows())
+                self.flush()
+                rows: list[tuple] = []
+                for chunk in self.chunks:
+                    rows.extend(chunk.rows())
+                self._rows_cache = rows
             return self._rows_cache
 
     def key_index(self, positions: tuple[int, ...]) -> dict:

@@ -1,18 +1,18 @@
 """Value types and coercion helpers shared by both engines.
 
-The engines support four logical column types: ``int``, ``float``, ``str``
-and ``date``.  Dates are held as :class:`datetime.date` objects in row
-storage and as ``datetime64[D]`` arrays in column storage.  NULL is
-represented by ``None`` (row side) / masked sentinel handling (column side);
-comparisons involving NULL yield NULL, and predicates treat NULL as false,
-which matches SQL's three-valued logic closely enough for the supported
-dialect.
+The engines support five logical column types: ``int``, ``float``, ``str``,
+``date`` and ``bool``.  Storage holds dates as int64 day ordinals
+(:func:`column_coercer` encodes them on insert); the row views decode them to
+:class:`datetime.date` objects.  NULL is represented by ``None`` (row side) /
+masked sentinel handling (column side); comparisons involving NULL yield
+NULL, and predicates treat NULL as false, which matches SQL's three-valued
+logic closely enough for the supported dialect.
 """
 
 from __future__ import annotations
 
 import datetime
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 
@@ -20,23 +20,48 @@ from repro.errors import ExecutionError
 LOGICAL_TYPES = ("int", "float", "str", "date", "bool")
 
 _EPOCH = datetime.date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_NONE = type(None)
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def coerce_value(value: Any, type_name: str) -> Any:
-    """Coerce ``value`` to logical type ``type_name`` (None passes through)."""
-    if value is None:
-        return None
-    if type_name == "int":
-        return int(value)
-    if type_name == "float":
-        return float(value)
-    if type_name == "str":
-        return str(value)
-    if type_name == "bool":
-        return bool(value)
+def column_coercer(type_name: str) -> Callable[[Sequence], list]:
+    """The converter of whole columns to logical type ``type_name``: it maps
+    one column's values to a list of them as storage encodes them (None
+    passes through), dates as day ordinals.
+
+    A column already of the type (``int`` / ``float`` / ``str`` / ``bool``
+    exactly) is taken as it is.  The date converter parses each distinct
+    ISO string once for as long as it lives: one converter per type serves
+    an insert's columns and chunks.
+    """
     if type_name == "date":
-        return to_date(value)
-    raise ExecutionError(f"unknown logical type '{type_name}'")
+        return _date_coercer()
+    convert = _CONVERTERS.get(type_name)
+    if convert is None:
+        raise ExecutionError(f"unknown logical type '{type_name}'")
+    kinds = {convert, _NONE}
+
+    def coerce(values: Sequence) -> list:
+        if set(map(type, values)) <= kinds:
+            return list(values)
+        return [None if value is None else convert(value) for value in values]
+
+    return coerce
+
+
+def _date_coercer() -> Callable[[Sequence], list]:
+    parsed: dict = {None: None}
+
+    def coerce(values: Sequence) -> list:
+        if not set(map(type, values)) <= {str, _NONE}:
+            return [None if value is None else date_to_ordinal(value) for value in values]
+        for text in dict.fromkeys(values):
+            if text not in parsed:
+                parsed[text] = date_to_ordinal(text)
+        return list(map(parsed.__getitem__, values))
+
+    return coerce
 
 
 def to_date(value: Any) -> datetime.date:
@@ -52,7 +77,7 @@ def to_date(value: Any) -> datetime.date:
 
 def date_to_ordinal(value: Any) -> int:
     """Days since the Unix epoch for ``value`` (accepts dates or ISO strings)."""
-    return (to_date(value) - _EPOCH).days
+    return to_date(value).toordinal() - _EPOCH_ORDINAL
 
 
 def ordinal_to_date(days: int) -> datetime.date:

@@ -219,8 +219,7 @@ def _view_dictionary(values: list):
     from repro.engine.storage import Dictionary
 
     dictionary = Dictionary()
-    codes = np.array([-1 if value is None else dictionary.encode(value) for value in values],
-                     dtype=np.int32)
+    codes, _ = dictionary.encode(values)
     return codes, ViewDictionary(dictionary)
 
 

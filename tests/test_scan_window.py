@@ -444,14 +444,14 @@ def test_an_execution_during_an_insert_keeps_no_window_past_it(engine_class, mon
     plan = engine.prepare(sql)
     before = engine.execute(plan).rows
     storage = database.storage("w")
-    append = storage.append_rows
+    append = storage.append_columns
     during = []
 
-    def append_after_an_execution(rows):
+    def append_after_an_execution(batches):
         during.append(engine.execute(plan).rows)
-        return append(rows)
+        return append(batches)
 
-    monkeypatch.setattr(storage, "append_rows", append_after_an_execution)
+    monkeypatch.setattr(storage, "append_columns", append_after_an_execution)
     database.insert_rows("w", [(1000, 13, None, None, 1.0, None)])
     assert during == [before]
     assert engine.execute(plan).rows == before + [(1000, 13)]

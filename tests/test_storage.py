@@ -4,7 +4,9 @@ Covers chunking and zone maps, dictionary encoding, NULL round-trips and
 NULL-semantics parity between the engines (filter, join key and aggregate
 positions), statistics-driven scan skipping and predicate ordering, the
 drop/recreate cache-invalidation regression, the key indexes the row engine's
-joins probe, and the extended ``Database.size_summary``.
+joins probe, the extended ``Database.size_summary``, the load path (columns
+coerced and encoded a chunk at a time against a per-cell oracle, failed and
+empty inserts) and NaN-safe float zone maps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import populate_tpch
 from repro.engine import (
@@ -25,6 +29,7 @@ from repro.engine import (
 )
 from repro.engine.storage import DEFAULT_CHUNK_ROWS, hash_rows
 from repro.engine.storage.skipping import estimate_conjunction, estimate_selectivity
+from repro.errors import ExecutionError
 from repro.obs import MetricsContext
 
 def _options(compile_expressions=True) -> EngineOptions:
@@ -834,3 +839,187 @@ class TestSizeSummary:
         text = summary.describe()
         assert "storage" in text
         assert "compression" in text
+
+
+# ---------------------------------------------------------------------------
+# load path: columns coerced and encoded a chunk at a time
+# ---------------------------------------------------------------------------
+
+_LOAD_SCHEMA = [("i", "int"), ("f", "float"), ("s", "str"), ("b", "bool"), ("d", "date")]
+_NAN = float("nan")
+
+
+def _load_value(*strategies):
+    return st.one_of(st.none(), *strategies)
+
+
+_LOAD_ROWS = st.lists(st.tuples(
+    _load_value(st.integers(-2**62, 2**62), st.sampled_from([-1, 0, 2**53 + 1]),
+                st.booleans()),
+    _load_value(st.floats(), st.sampled_from([-0.0, 0.0, _NAN]), st.integers(-9, 9)),
+    _load_value(st.text(max_size=3), st.sampled_from(["", "é", "日本", "a"]),
+                st.integers(0, 3)),
+    _load_value(st.booleans()),
+    _load_value(st.dates(), st.datetimes(),
+                st.dates().map(datetime.date.isoformat),
+                st.datetimes().map(lambda moment: moment.isoformat()),
+                st.sampled_from(["2020-02-29", "2020-02-29T23:59:59", "1970-01-01"])),
+).map(list), max_size=24)
+
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+
+def _cell(value, type_name):
+    """One value as storage encodes it, one cell at a time (the oracle)."""
+    if value is None:
+        return None
+    if type_name == "date":
+        if isinstance(value, str):
+            value = datetime.date.fromisoformat(value[:10])
+        elif isinstance(value, datetime.datetime):
+            value = value.date()
+        return value.toordinal() - _EPOCH_ORDINAL
+    return {"int": int, "float": float, "str": str, "bool": bool}[type_name](value)
+
+
+def _oracle_zone(values: list, type_name: str):
+    from repro.engine.storage import ZoneMap
+
+    present = [value for value in values if value is not None]
+    ordered = [value for value in present if value == value]  # NaN left out
+    distinct = len(set(ordered)) + (len(ordered) < len(present))
+    if not ordered:
+        return ZoneMap(None, None, len(values) - len(present), len(values), distinct)
+    return ZoneMap(min(ordered), max(ordered), len(values) - len(present), len(values),
+                   distinct)
+
+
+class TestLoadPath:
+    """``insert_rows`` coerces and encodes a column at a time; a per-cell
+    oracle says what every segment, code, zone map and view must hold."""
+
+    @given(rows=_LOAD_ROWS, chunk_rows=st.integers(1, 7), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_segments_and_views_match_a_per_cell_oracle(self, rows, chunk_rows, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        database = Database("load", chunk_rows=chunk_rows)
+        database.create_table("t", _LOAD_SCHEMA)
+        for start, stop in zip([0, *cuts], [*cuts, len(rows)]):
+            database.insert_rows("t", rows[start:stop])
+
+        encoded = [[_cell(value, type_name) for value, (_, type_name)
+                    in zip(row, _LOAD_SCHEMA)] for row in rows]
+        columns = [list(column) for column in zip(*encoded)] or [[] for _ in _LOAD_SCHEMA]
+        strings = list(dict.fromkeys(value for value in columns[2] if value is not None))
+        storage = database.storage("t")
+        storage.flush()
+        assert storage.row_count == len(rows)
+        assert [chunk.row_count for chunk in storage.chunks] == \
+            [min(chunk_rows, len(rows) - start) for start in range(0, len(rows), chunk_rows)]
+        assert storage.dictionary("s").values == strings
+        for chunk in storage.chunks:
+            for segment, column, (_, type_name) in zip(chunk.segments, columns, _LOAD_SCHEMA):
+                values = column[chunk.start:chunk.stop]
+                nulls = [value is None for value in values]
+                assert (segment.null_mask is None) == (not any(nulls))
+                if any(nulls):
+                    assert segment.null_mask.tolist() == nulls
+                if type_name == "str":
+                    assert segment.values.dtype == np.int32
+                    assert segment.values.tolist() == \
+                        [-1 if value is None else strings.index(value) for value in values]
+                else:
+                    sentinel = {"int": 0, "date": 0, "float": _NAN, "bool": False}[type_name]
+                    assert repr(segment.values.tolist()) == \
+                        repr([sentinel if value is None else value for value in values])
+                assert repr(segment.zone_map) == repr(_oracle_zone(values, type_name))
+
+        decoded = [tuple(None if value is None else
+                         datetime.date.fromordinal(value + _EPOCH_ORDINAL)
+                         if type_name == "date" else value
+                         for value, (_, type_name) in zip(row, _LOAD_SCHEMA))
+                   for row in encoded]
+        assert repr(database.rows("t")) == repr(decoded)
+        view = database.columnar("t")
+        for (name, _), column in zip(_LOAD_SCHEMA, columns):
+            found = view.columns[name]
+            if hasattr(found, "valid"):
+                found = [value if valid else None
+                         for value, valid in zip(found.values.tolist(), found.valid.tolist())]
+            else:
+                found = found.tolist()
+            assert repr(found) == repr(column), name
+        assert view.codes["s"].tolist() == \
+            [-1 if value is None else strings.index(value) for value in columns[2]]
+
+    @pytest.mark.parametrize("bad, raised, message", [
+        ([(1, 1.0, "a", True, None), (1, 1.0, "a")], ExecutionError,
+         "expects 5 values per row, got 3"),
+        ([(1, 1.0, "new", True, None)] * 5 + [("x", 1.0, "a", True, None)], ValueError,
+         "invalid literal for int"),
+        ([(1, 1.0, "new", True, "1994-13-01")], ValueError, "month must be in"),
+        ([(1, 1.0, "new", True, 1994)], ExecutionError, "cannot interpret 1994 as a date"),
+    ])
+    def test_a_failed_insert_stores_nothing(self, bad, raised, message):
+        database = Database("load-fail", chunk_rows=3)
+        database.create_table("t", _LOAD_SCHEMA)
+        database.insert_rows("t", [(index, 0.5, "old", False, "2020-01-01")
+                                   for index in range(4)])
+        storage = database.storage("t")
+        before = (storage.row_count, storage.version, database.mutations)
+        rows = database.rows("t")
+        with pytest.raises(raised, match=message):
+            database.insert_rows("t", bad)
+        assert (storage.row_count, storage.version, database.mutations) == before
+        assert database.rows("t") is rows
+        assert storage.dictionary("s").values == ["old"]
+
+    def test_an_empty_insert_is_no_mutation(self):
+        database = Database("load-empty", chunk_rows=4)
+        database.create_table("t", [("x", "int"), ("s", "str")])
+        database.insert_rows("t", [(index, str(index % 3)) for index in range(10)])
+        engine = ColumnEngine(database)
+        plan = engine.prepare("select s, sum(x) from t where x > 2 group by s")
+        engine.execute(plan)
+        warm = engine.execute(plan).metrics.get("frame.materialisations")
+        mutations, version = database.mutations, database.storage("t").version
+        assert database.insert_rows("t", []) == 0
+        assert database.insert_rows("t", iter(())) == 0
+        assert (database.mutations, database.storage("t").version) == (mutations, version)
+        # the plan keeps its column state: no scan frame is built again
+        assert engine.execute(plan).metrics.get("frame.materialisations") == warm
+
+
+class TestNaNZones:
+    """A float chunk's zone bounds leave NaN out, and a chunk holding a NaN
+    is kept by ``<>`` and by comparisons under NOT, which a NaN passes."""
+
+    @pytest.mark.parametrize("rows", [
+        [(_NAN,), (5.0,), (0.5,)],
+        [(_NAN,), (1.0,)],
+        [(_NAN,), (_NAN,)],
+        [(_NAN,), (None,)],
+        [(None,), (-0.0,), (_NAN,), (0.0,), (2.0,)],
+    ])
+    def test_a_nan_hides_no_row_from_the_column_engine(self, rows):
+        database = Database("nan-zones", chunk_rows=8)
+        database.create_table("t", [("x", "float")])
+        database.insert_rows("t", rows)
+        for sql in ("select x from t where x > 1",
+                    "select x from t where x < 1",
+                    "select count(*) from t where x >= 0.5",
+                    "select count(*) from t where x <> 1",
+                    "select count(*) from t where not (x < 1)",
+                    "select count(*) from t where not (x = 1)",
+                    "select count(*) from t where not (x >= 0.5 and x <= 5)"):
+            _assert_parity(database, sql)
+
+    def test_the_zone_is_bounded_over_the_values_that_order(self):
+        database = Database("nan-bounds", chunk_rows=3)
+        database.create_table("t", [("x", "float")])
+        database.insert_rows("t", [(_NAN,), (5.0,), (0.5,), (_NAN,), (_NAN,), (None,)])
+        first, second = database.storage("t").zone_maps("x")
+        assert (first.min_value, first.max_value, first.distinct_count) == (0.5, 5.0, 3)
+        assert (second.min_value, second.max_value, second.null_count) == (None, None, 1)
+        assert ColumnEngine(database).execute(
+            "select x from t where x > 1").rows == [(5.0,)]
