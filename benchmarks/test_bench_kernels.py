@@ -28,6 +28,16 @@ probes the statistics-costed join orders brought it down to.  So is the scan
 access path: the rows a warm pass's driving scans visit are exact counts, a
 window's for Q6 / Q10 / Q12 / Q14, the table's for the rest and for Q1.
 
+The fixed cost of a warm execution is gated on a count as well: the Python
+function calls the code under ``src/repro`` makes while one warm execution of
+each ``tpch-mix`` text runs at SF 0.001 (``obs.metrics.python_calls``; numpy's
+and the standard library's own Python frames are counted beside it, not
+gated).  The column engine made 4 434 over the nine texts (row engine: 946)
+before a join level became a row index per FROM item and kernels over
+NULL-free scan columns lost the NULL dispatch; it makes 1 477 now.  The gate
+is that count and 10 % of headroom.  Frame counts are the interpreter's, so
+the gate holds on CPython 3.11, the CI version.
+
 A run writes ``BENCH_kernels.json`` (into the shared ``artifact_dir``:
 ``BENCH_ARTIFACT_DIR``, else the git-ignored ``bench-artifacts/``) so CI can
 track the perf trajectory.
@@ -35,12 +45,15 @@ track the perf trajectory.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 import time
 
 import pytest
 
 from repro.engine import ColumnEngine, EngineOptions, RowEngine
+from repro.obs.metrics import python_calls
 from repro.tpch import QUERIES
 from repro.workflow import build_tpch_database
 
@@ -86,6 +99,50 @@ def _frames_per_execution(engine, sql: str) -> int:
     return int(result.metrics.get("frame.materialisations"))
 
 
+#: bench/workloads.py's ``tpch-mix`` texts.
+TPCH_MIX = (3, 5, 6, 7, 8, 9, 10, 12, 14)
+
+#: the column engine's ``src/repro`` calls of one warm execution of each
+#: ``tpch-mix`` text at SF 0.001, summed: 1 477 measured, 10 % of headroom
+#: (4 434 before; no more than 2 200 allowed).
+COLUMN_CALLS_GATE = 1_625
+#: the same harness on the commit before the per-FROM-item join levels.
+PARENT_CALLS = {"column": (4_434, 889), "row": (946, 88)}
+
+
+@pytest.fixture(scope="module")
+def warm_calls(tpch_db) -> dict[str, dict[int, tuple[int, int]]]:
+    """Per engine kind and ``tpch-mix`` text, the ``(src/repro, other)``
+    Python calls of its third execution (prepared, then run twice)."""
+    calls = {}
+    for kind in ("column", "row"):
+        engine = _make_engine(kind, tpch_db, COMPILED)
+        calls[kind] = {}
+        for number in TPCH_MIX:
+            plan = engine.prepare(QUERIES[number])
+            engine.execute(plan)
+            engine.execute(plan)
+            calls[kind][number] = python_calls(functools.partial(engine.execute, plan),
+                                               "repro")
+    return calls
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="frame counts are CPython 3.11's (the CI version)")
+def test_a_warm_column_execution_does_data_work_not_bookkeeping(warm_calls):
+    """The column engine's Python calls over one warm pass of the nine texts
+    stay at the count a join level per FROM item (not per column) and kernels
+    without NULL dispatch over NULL-free scans brought them to."""
+    column = sum(own for own, _ in warm_calls["column"].values())
+    row = sum(own for own, _ in warm_calls["row"].values())
+    print(f"src/repro calls of a warm tpch-mix pass: column {column} "
+          f"(before: {PARENT_CALLS['column'][0]}), row {row} "
+          f"(before: {PARENT_CALLS['row'][0]})")
+    assert COLUMN_CALLS_GATE <= 2_200
+    assert column <= COLUMN_CALLS_GATE, {number: own for number, (own, _)
+                                         in warm_calls["column"].items()}
+
+
 def test_warm_joins_probe_indexes_and_build_nothing(tpch_db):
     """Q9 joins five unfiltered base tables to a filtered ``part``: after the
     first execution every one of them is a probe into an index storage kept."""
@@ -97,10 +154,6 @@ def test_warm_joins_probe_indexes_and_build_nothing(tpch_db):
         assert counters.get("join.build_rows") == 0
         assert counters.get("join.index_builds") == 0
         assert counters.get("join.index_probes") > 0
-
-
-#: bench/workloads.py's ``tpch-mix`` texts.
-TPCH_MIX = (3, 5, 6, 7, 8, 9, 10, 12, 14)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +262,8 @@ def test_warm_column_order_by_ranks_dictionary_codes(tpch_db):
     assert result.rows == RowEngine(tpch_db).execute(LINESTATUS_ORDER).rows
 
 
-def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, artifact_dir):
+def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, artifact_dir,
+                                              warm_calls):
     """Compiled kernels must keep their warm speedup on the gated hot paths."""
     entries = []
     gated_failures = []
@@ -246,6 +300,12 @@ def test_compiled_kernels_beat_interpretation(tpch_db, benchmark, run_once, arti
     artifact = {
         "entries": entries,
         "q6_colframe_materialisations": frames,
+        # per engine and tpch-mix text: [src/repro calls, numpy / stdlib calls]
+        "warm_calls": {kind: {f"tpch-q{number}": list(counts)
+                              for number, counts in per_text.items()}
+                       for kind, per_text in warm_calls.items()},
+        "warm_calls_before": {kind: list(counts) for kind, counts in PARENT_CALLS.items()},
+        "python": ".".join(map(str, sys.version_info[:3])),
     }
     target = artifact_dir / "BENCH_kernels.json"
     target.write_text(json.dumps(artifact, indent=2))

@@ -26,7 +26,9 @@ Sub-commands:
   column engine's driving scans -- ``window <interval>`` or ``table`` and the
   rows each starts from, read from the plan-owned scan state -- and the folds
   its aggregated blocks compute per warm execution (one count of the groups'
-  rows and one per fold of each distinct aggregate argument),
+  rows and one per fold of each distinct aggregate argument) and the Python
+  calls of one warm column execution under ``src/repro`` (``calls/exec``: its
+  fixed cost, which ``benchmarks/test_bench_kernels.py`` gates),
 * ``metrics [--server URL | --store PATH]`` -- pretty-print a platform
   metrics snapshot (live ``/api/metrics`` fetch, or queue counts computed
   offline from a store file),
@@ -238,7 +240,10 @@ def _scanned_rows(database, plan, pipelines: list[dict]) -> int:
 
 
 def _cmd_pipelines(arguments) -> int:
+    from functools import partial
+
     from repro.engine import ColumnEngine, RowEngine
+    from repro.obs.metrics import python_calls
     from repro.sqlparser import ast
     from repro.tpch import QUERIES
     from repro.workflow import build_tpch_database
@@ -248,8 +253,8 @@ def _cmd_pipelines(arguments) -> int:
     engine, column_engine = RowEngine(database), ColumnEngine(database)
     print("query  blocks  generated  interpreted  hooked-exprs  build rows/exec  index probes"
           "  rows scanned / table rows  folds builtin/loop  NULL-free scans"
-          "  |  column: sorted rows/exec  order probes  folds/exec"
-          "   (block executions; warm)")
+          "  |  column: sorted rows/exec  order probes  folds/exec  calls/exec"
+          "   (block executions; warm; calls: Python calls under src/repro)")
     unlowered, rebuilt, resorted, unwindowed, looped = [], [], [], [], []
     for number in sorted(QUERIES):
         plan = engine.prepare(QUERIES[number])
@@ -259,6 +264,7 @@ def _cmd_pipelines(arguments) -> int:
         column_plan = column_engine.prepare(QUERIES[number])
         column_engine.execute(column_plan)  # ... and the key orders
         column_counters = column_engine.execute(column_plan).metrics
+        column_calls, _ = python_calls(partial(column_engine.execute, column_plan), "repro")
         # read from the plan-owned state the warm executions ran on
         starts = [(block, start) for block, start in zip(
             column_plan.blocks.values(), column_engine.driving_scans(column_plan)) if start]
@@ -280,7 +286,7 @@ def _cmd_pipelines(arguments) -> int:
               f"{f'{len(folds) - loops} / {loops}':>18}  {f'{null_free} / {scans}':>15}  |  "
               f"{int(column_counters.get('join.build_rows')):>24}  "
               f"{int(column_counters.get('join.order_probes')):>12}  "
-              f"{int(column_counters.get('aggregate.folds')):>10}")
+              f"{int(column_counters.get('aggregate.folds')):>10}  {column_calls:>10}")
         for pipeline in pipelines:
             if not pipeline["generated"]:
                 print(f"       interpreted block ({', '.join(pipeline['output'])}): "

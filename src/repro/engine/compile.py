@@ -94,10 +94,13 @@ from repro.engine.mask import (
 from repro.engine.planner import ColumnInfo, Layout, always_date, output_type, probes_index
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
+    ARITHMETIC,
+    NUMPY_COMPARISONS,
     abs_values,
     arith_arrays,
     case_branch_values,
     cast_array,
+    cast_integers,
     collapse_case_result,
     compare_arrays,
     concat_values,
@@ -1180,6 +1183,20 @@ class ColumnContext:
         return gathered
 
 
+def _column_reader(position: int) -> Callable[[ColumnContext], Any]:
+    """The kernel of a column reference: :meth:`ColumnContext.column`,
+    inlined -- a kernel reads its columns with one call each."""
+    def column(ctx: ColumnContext) -> Any:
+        selection = ctx.sel
+        if selection is None:
+            return ctx.arrays[position]
+        gathered = ctx._gathered.get(position)
+        if gathered is None:
+            gathered = ctx._gathered[position] = ctx.arrays[position][selection]
+        return gathered
+    return column
+
+
 def as_mask(value: Any, length: int) -> np.ndarray:
     """Collapse a kernel result to its is-TRUE mask (mirrors evaluate_predicate).
 
@@ -1190,23 +1207,102 @@ def as_mask(value: Any, length: int) -> np.ndarray:
 
 
 def compile_column_kernel(expression: ast.Expression, layout,
-                          overflow_guard: bool = False) -> Callable[[ColumnContext], Any]:
+                          overflow_guard: bool = False,
+                          plain: frozenset = frozenset()) -> Callable[[ColumnContext], Any]:
     """Lower ``expression`` to a ``fn(ctx) -> ndarray | scalar`` closure.
 
     Dates are int64 ordinals, NULL is NaN in plain float arrays, and
-    ``overflow_guard`` widens every arithmetic operand.  Raises
+    ``overflow_guard`` widens every arithmetic operand.  ``plain`` holds the
+    positions in ``layout`` of the columns known to hold no NULL (plain typed
+    or object arrays, never a :class:`Nullable`): arithmetic, comparisons,
+    BETWEEN, AND / OR / NOT and CASE over nothing but those and constants
+    other than NULL lower straight to the numpy operators, without the
+    representation dispatch of :mod:`repro.engine.vector` -- the same
+    values, as that dispatch gives them for such operands.  Raises
     :class:`CompileFallback` for what needs row-at-a-time evaluation: a
     subquery, a column of an enclosing block, a pattern or IN member that
     varies by row, month arithmetic on a column, a CAST to a string type.
     """
-    pair = _col(expression, layout, overflow_guard)
+    pair = _col(expression, layout, overflow_guard, plain)
     const, value = pair
     if const:
         return lambda _ctx, _value=value: _value
     return value
 
 
-def _col(node: ast.Expression, layout, guard: bool) -> tuple[bool, Any]:
+def _plain(node: ast.Expression, layout, plain: frozenset) -> bool:
+    """Whether ``node``'s value over the rows holds no NULL: a column in
+    ``plain``, a constant other than NULL, arithmetic and minus over such
+    values, or a predicate over them (two-valued: a plain boolean array)."""
+    if not plain:
+        return False
+    if isinstance(node, ast.ColumnRef):
+        return layout.position(node) in plain
+    if isinstance(node, ast.Literal):
+        return node.value is not None
+    if isinstance(node, ast.DateLiteral):
+        return True
+    if isinstance(node, ast.BinaryOp):
+        return node.operator in _ARITH_OPS and _plain(node.left, layout, plain) \
+            and _plain(node.right, layout, plain)
+    if isinstance(node, ast.UnaryOp) and node.operator == "-":
+        return _plain(node.operand, layout, plain)
+    return _plain_predicate(node, layout, plain)
+
+
+def _plain_kernel(operation: Callable, fallback: Callable, errors: tuple,
+                  left_pair: tuple[bool, Any], right_pair: tuple[bool, Any]) -> Callable:
+    """``operation(left, right)`` over operands without NULL -- a constant
+    one bound as it is -- and ``fallback(left, right)`` where numpy refuses
+    the operands (``errors``), as the NULL-aware primitive would."""
+    (left_const, left), (right_const, right) = left_pair, right_pair
+    if right_const:
+        def fn(ctx):
+            left_value = left(ctx)
+            try:
+                return operation(left_value, right)
+            except errors:
+                return fallback(left_value, right)
+    elif left_const:
+        def fn(ctx):
+            right_value = right(ctx)
+            try:
+                return operation(left, right_value)
+            except errors:
+                return fallback(left, right_value)
+    else:
+        def fn(ctx):
+            left_value, right_value = left(ctx), right(ctx)
+            try:
+                return operation(left_value, right_value)
+            except errors:
+                return fallback(left_value, right_value)
+    return fn
+
+
+def _plain_predicate(node: ast.Expression, layout, plain: frozenset) -> bool:
+    """Whether ``node`` is a predicate that is TRUE or FALSE on every row, a
+    boolean array: comparisons, BETWEEN, IN (no NULL member) and LIKE over
+    values without NULL, and AND / OR / NOT over such predicates."""
+    if isinstance(node, ast.Comparison):
+        return node.quantifier is None and _plain(node.left, layout, plain) \
+            and _plain(node.right, layout, plain)
+    if isinstance(node, ast.Between):
+        return all(_plain(operand, layout, plain)
+                   for operand in (node.operand, node.low, node.high))
+    if isinstance(node, ast.InList):
+        return _plain(node.operand, layout, plain) and all(
+            _plain(item, layout, plain) for item in node.items)
+    if isinstance(node, ast.Like):
+        return _plain(node.operand, layout, plain) and _plain(node.pattern, layout, plain)
+    if isinstance(node, ast.BoolOp):
+        return all(_plain_predicate(operand, layout, plain) for operand in node.operands)
+    if isinstance(node, ast.UnaryOp) and node.operator == "not":
+        return _plain_predicate(node.operand, layout, plain)
+    return False
+
+
+def _col(node: ast.Expression, layout, guard: bool, plain: frozenset) -> tuple[bool, Any]:
     if isinstance(node, ast.Literal):
         return True, node.value
     if isinstance(node, ast.DateLiteral):
@@ -1217,42 +1313,47 @@ def _col(node: ast.Expression, layout, guard: bool) -> tuple[bool, Any]:
         position = layout.position(node)
         if position is None:
             raise CompileFallback(f"column '{node.qualified}' is not local")
-        return False, lambda ctx, _p=position: ctx.column(_p)
+        return False, _column_reader(position)
     if isinstance(node, ast.Star):
         return False, lambda ctx: np.ones(ctx.length, dtype=np.int64)
     if isinstance(node, ast.UnaryOp):
-        return _col_unary(node, layout, guard)
+        return _col_unary(node, layout, guard, plain)
     if isinstance(node, ast.BinaryOp):
-        return _col_binary(node, layout, guard)
+        return _col_binary(node, layout, guard, plain)
     if isinstance(node, ast.BoolOp):
-        return _col_bool(node, layout, guard)
+        return _col_bool(node, layout, guard, plain)
     if isinstance(node, ast.Comparison):
-        return _col_comparison(node, layout, guard)
+        return _col_comparison(node, layout, guard, plain)
     if isinstance(node, ast.IsNull):
-        return _col_isnull(node, layout, guard)
+        return _col_isnull(node, layout, guard, plain)
     if isinstance(node, ast.Between):
-        return _col_between(node, layout, guard)
+        return _col_between(node, layout, guard, plain)
     if isinstance(node, ast.Like):
-        return _col_like(node, layout, guard)
+        return _col_like(node, layout, guard, plain)
     if isinstance(node, ast.InList):
-        return _col_in_list(node, layout, guard)
+        return _col_in_list(node, layout, guard, plain)
     if isinstance(node, ast.CaseWhen):
-        return _col_case(node, layout, guard)
+        return _col_case(node, layout, guard, plain)
     if isinstance(node, ast.Cast):
-        return _col_cast(node, layout, guard)
+        return _col_cast(node, layout, guard, plain)
     if isinstance(node, ast.Extract):
-        return _col_extract(node, layout, guard)
+        return _col_extract(node, layout, guard, plain)
     if isinstance(node, ast.Substring):
-        return _col_substring(node, layout, guard)
+        return _col_substring(node, layout, guard, plain)
     if isinstance(node, ast.FunctionCall):
-        return _col_function(node, layout, guard)
+        return _col_function(node, layout, guard, plain)
     raise CompileFallback(f"unsupported expression node {type(node).__name__}")
 
 
-def _col_unary(node: ast.UnaryOp, layout, guard) -> tuple[bool, Any]:
-    operand_pair = _col(node.operand, layout, guard)
+def _col_unary(node: ast.UnaryOp, layout, guard, plain) -> tuple[bool, Any]:
+    operand_pair = _col(node.operand, layout, guard, plain)
     operand = _as_fn(operand_pair)
     if node.operator == "not":
+        if not operand_pair[0] and _plain_predicate(node.operand, layout, plain):
+            def fn(ctx):
+                return ~operand(ctx)
+            return False, fn
+
         def fn(ctx):
             return kleene_not(operand(ctx))
         return _maybe_fold(fn, operand_pair)
@@ -1263,9 +1364,9 @@ def _col_unary(node: ast.UnaryOp, layout, guard) -> tuple[bool, Any]:
     return operand_pair
 
 
-def _col_binary(node: ast.BinaryOp, layout, guard) -> tuple[bool, Any]:
-    left_pair = _col(node.left, layout, guard)
-    right_pair = _col(node.right, layout, guard)
+def _col_binary(node: ast.BinaryOp, layout, guard, plain) -> tuple[bool, Any]:
+    left_pair = _col(node.left, layout, guard, plain)
+    right_pair = _col(node.right, layout, guard, plain)
     op = node.operator
 
     if right_pair[0] and isinstance(right_pair[1], ast.IntervalLiteral):
@@ -1302,6 +1403,13 @@ def _col_binary(node: ast.BinaryOp, layout, guard) -> tuple[bool, Any]:
     if op == "||":
         def fn(ctx):
             return concat_values(left(ctx), right(ctx))
+    elif op in _ARITH_OPS and not (left_pair[0] and right_pair[0]) \
+            and _plain(node, layout, plain):
+        # a widened constant is the constant: it is bound as it is
+        return False, _plain_kernel(
+            ARITHMETIC[op], functools.partial(arith_arrays, op), (TypeError, ZeroDivisionError),
+            left_pair if left_pair[0] else (False, left),
+            right_pair if right_pair[0] else (False, right))
     elif op in _ARITH_OPS:
         def fn(ctx):
             return arith_arrays(op, left(ctx), right(ctx))
@@ -1310,10 +1418,13 @@ def _col_binary(node: ast.BinaryOp, layout, guard) -> tuple[bool, Any]:
     return _maybe_fold(fn, left_pair, right_pair)
 
 
-def _col_bool(node: ast.BoolOp, layout, guard) -> tuple[bool, Any]:
-    operand_fns = [_as_fn(_col(operand, layout, guard))
-                   for operand in node.operands]
-    combine = kleene_and if node.operator == "and" else kleene_or
+def _col_bool(node: ast.BoolOp, layout, guard, plain) -> tuple[bool, Any]:
+    pairs = [_col(operand, layout, guard, plain) for operand in node.operands]
+    operand_fns = [_as_fn(pair) for pair in pairs]
+    if not any(const for const, _ in pairs) and _plain_predicate(node, layout, plain):
+        combine = np.logical_and if node.operator == "and" else np.logical_or
+    else:
+        combine = kleene_and if node.operator == "and" else kleene_or
 
     def fn(ctx):
         combined = operand_fns[0](ctx)
@@ -1323,8 +1434,8 @@ def _col_bool(node: ast.BoolOp, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_mask_fn(node: ast.Expression, layout, guard) -> Callable[[ColumnContext], np.ndarray]:
-    operand = _as_fn(_col(node, layout, guard))
+def _col_mask_fn(node: ast.Expression, layout, guard, plain) -> Callable[[ColumnContext], np.ndarray]:
+    operand = _as_fn(_col(node, layout, guard, plain))
 
     def fn(ctx):
         return as_mask(operand(ctx), ctx.length)
@@ -1336,7 +1447,7 @@ def _col_align(left_node, right_node, left_pair, right_pair, layout):
     (a grammar-injected ``'1995-03-15'``) compares as its day ordinal.
 
     Constant strings are converted at compile time; non-constant operands get
-    a runtime str check.
+    a runtime str check -- but a column, whose value is an array, none.
     """
     def is_date_column(node):
         if isinstance(node, ast.ColumnRef):
@@ -1347,7 +1458,7 @@ def _col_align(left_node, right_node, left_pair, right_pair, layout):
     if is_date_column(left_node):
         if right_pair[0] and isinstance(right_pair[1], str):
             right_pair = (True, date_to_ordinal(right_pair[1]))
-        elif not right_pair[0]:
+        elif not right_pair[0] and not isinstance(right_node, ast.ColumnRef):
             inner = right_pair[1]
 
             def aligned(ctx, _fn=inner):
@@ -1357,7 +1468,7 @@ def _col_align(left_node, right_node, left_pair, right_pair, layout):
     if is_date_column(right_node):
         if left_pair[0] and isinstance(left_pair[1], str):
             left_pair = (True, date_to_ordinal(left_pair[1]))
-        elif not left_pair[0]:
+        elif not left_pair[0] and not isinstance(left_node, ast.ColumnRef):
             inner = left_pair[1]
 
             def aligned(ctx, _fn=inner):
@@ -1367,25 +1478,29 @@ def _col_align(left_node, right_node, left_pair, right_pair, layout):
     return left_pair, right_pair
 
 
-def _col_comparison(node: ast.Comparison, layout, guard) -> tuple[bool, Any]:
+def _col_comparison(node: ast.Comparison, layout, guard, plain) -> tuple[bool, Any]:
     if node.quantifier is not None:
         raise CompileFallback("quantified comparisons require row-at-a-time evaluation")
     if node.operator not in _PY_CMP:
         raise CompileFallback(f"unsupported comparison operator '{node.operator}'")
-    left_pair = _col(node.left, layout, guard)
-    right_pair = _col(node.right, layout, guard)
+    left_pair = _col(node.left, layout, guard, plain)
+    right_pair = _col(node.right, layout, guard, plain)
     left_pair, right_pair = _col_align(node.left, node.right, left_pair, right_pair,
                                        layout)
-    left, right = _as_fn(left_pair), _as_fn(right_pair)
     op = node.operator
+    if not (left_pair[0] and right_pair[0]) and _plain_predicate(node, layout, plain):
+        # mixed types numpy cannot compare are compared value by value
+        return False, _plain_kernel(NUMPY_COMPARISONS[op], functools.partial(compare_arrays, op),
+                                    (TypeError,), left_pair, right_pair)
+    left, right = _as_fn(left_pair), _as_fn(right_pair)
 
     def fn(ctx):
         return compare_arrays(op, left(ctx), right(ctx))
     return _maybe_fold(fn, left_pair, right_pair)
 
 
-def _col_isnull(node: ast.IsNull, layout, guard) -> tuple[bool, Any]:
-    operand = _as_fn(_col(node.operand, layout, guard))
+def _col_isnull(node: ast.IsNull, layout, guard, plain) -> tuple[bool, Any]:
+    operand = _as_fn(_col(node.operand, layout, guard, plain))
     negated = node.negated
 
     def fn(ctx):
@@ -1393,16 +1508,29 @@ def _col_isnull(node: ast.IsNull, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_between(node: ast.Between, layout, guard) -> tuple[bool, Any]:
-    operand_pair = _col(node.operand, layout, guard)
-    low_pair = _col(node.low, layout, guard)
-    high_pair = _col(node.high, layout, guard)
+def _col_between(node: ast.Between, layout, guard, plain) -> tuple[bool, Any]:
+    operand_pair = _col(node.operand, layout, guard, plain)
+    low_pair = _col(node.low, layout, guard, plain)
+    high_pair = _col(node.high, layout, guard, plain)
     operand_pair, low_pair = _col_align(node.operand, node.low, operand_pair, low_pair,
                                         layout)
     operand_pair, high_pair = _col_align(node.operand, node.high, operand_pair,
                                          high_pair, layout)
     operand, low, high = _as_fn(operand_pair), _as_fn(low_pair), _as_fn(high_pair)
     negated = node.negated
+    if not operand_pair[0] and _plain_predicate(node, layout, plain):
+        bounds = (low_pair[1], high_pair[1]) if low_pair[0] and high_pair[0] else None
+
+        def fn(ctx):
+            value = operand(ctx)
+            low_value, high_value = bounds or (low(ctx), high(ctx))
+            try:
+                inside = (value >= low_value) & (value <= high_value)
+            except TypeError:  # mixed types: compared value by value
+                inside = kleene_and(compare_arrays(">=", value, low_value),
+                                    compare_arrays("<=", value, high_value))
+            return ~inside if negated else inside
+        return False, fn
 
     def fn(ctx):
         value = operand(ctx)
@@ -1413,9 +1541,9 @@ def _col_between(node: ast.Between, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_like(node: ast.Like, layout, guard) -> tuple[bool, Any]:
-    operand = _as_fn(_col(node.operand, layout, guard))
-    const, pattern = _col(node.pattern, layout, guard)
+def _col_like(node: ast.Like, layout, guard, plain) -> tuple[bool, Any]:
+    operand = _as_fn(_col(node.operand, layout, guard, plain))
+    const, pattern = _col(node.pattern, layout, guard, plain)
     if not const:
         # one matcher serves every row; a pattern that varies by row is
         # matched row by row.
@@ -1430,9 +1558,9 @@ def _col_like(node: ast.Like, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_in_list(node: ast.InList, layout, guard) -> tuple[bool, Any]:
-    operand = _as_fn(_col(node.operand, layout, guard))
-    item_pairs = [_col(item, layout, guard) for item in node.items]
+def _col_in_list(node: ast.InList, layout, guard, plain) -> tuple[bool, Any]:
+    operand = _as_fn(_col(node.operand, layout, guard, plain))
+    item_pairs = [_col(item, layout, guard, plain) for item in node.items]
     if not all(const for const, _ in item_pairs):
         raise CompileFallback("IN list with non-constant members")
     values = [value for _, value in item_pairs]
@@ -1450,23 +1578,30 @@ def _col_in_list(node: ast.InList, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_case(node: ast.CaseWhen, layout, guard) -> tuple[bool, Any]:
-    branches = [(_col_mask_fn(condition, layout, guard),
-                 _as_fn(_col(result, layout, guard)))
+def _col_case(node: ast.CaseWhen, layout, guard, plain) -> tuple[bool, Any]:
+    # a condition that is a plain predicate is its own mask, and a value
+    # without NULL needs no normalising: no call around either
+    branches = [(_as_fn(_col(condition, layout, guard, plain))
+                 if _plain_predicate(condition, layout, plain)
+                 else _col_mask_fn(condition, layout, guard, plain),
+                 _as_fn(_col(result, layout, guard, plain)),
+                 _plain(result, layout, plain))
                 for condition, result in node.branches]
-    default = _as_fn(_col(node.default, layout, guard)) \
+    default = _as_fn(_col(node.default, layout, guard, plain)) \
         if node.default is not None else None
+    default_plain = default is not None and _plain(node.default, layout, plain)
 
     def fn(ctx):
-        default_value = case_branch_values(default(ctx)) if default is not None else None
+        default_value = None if default is None else default(ctx) if default_plain \
+            else case_branch_values(default(ctx))
         if isinstance(default_value, np.ndarray):
             result = default_value.astype(object)
         else:
             result = np.full(ctx.length, default_value, dtype=object)
         decided = np.zeros(ctx.length, dtype=bool)
-        for condition, branch in branches:
+        for condition, branch, plain_branch in branches:
             mask = condition(ctx) & ~decided
-            value = case_branch_values(branch(ctx))
+            value = branch(ctx) if plain_branch else case_branch_values(branch(ctx))
             if isinstance(value, np.ndarray):
                 result[mask] = value[mask]
             else:
@@ -1476,15 +1611,16 @@ def _col_case(node: ast.CaseWhen, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_cast(node: ast.Cast, layout, guard) -> tuple[bool, Any]:
-    operand = _as_fn(_col(node.operand, layout, guard))
+def _col_cast(node: ast.Cast, layout, guard, plain) -> tuple[bool, Any]:
+    operand_pair = _col(node.operand, layout, guard, plain)
+    operand = _as_fn(operand_pair)
     target = node.type_name.lower()
     if target.startswith(("int", "bigint", "smallint")):
-        def convert(array):
-            return array.astype(np.int64)
+        convert, scalar = cast_integers, int
     elif target.startswith(("float", "double", "real", "decimal", "numeric")):
         def convert(array):
             return array.astype(np.float64)
+        scalar = float
     else:
         # string targets need the row value domain (date ordinals would
         # stringify as integers); such a CAST is evaluated row at a time.
@@ -1492,16 +1628,18 @@ def _col_cast(node: ast.Cast, layout, guard) -> tuple[bool, Any]:
 
     def fn(ctx):
         value = operand(ctx)
-        if not isinstance(value, (np.ndarray, Nullable)):
-            return value
-        return cast_array(value, convert)
-    return False, fn
+        if isinstance(value, (np.ndarray, Nullable)):
+            return cast_array(value, convert)
+        if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+            return scalar(value)  # a constant operand, cast as the row engine does
+        return value
+    return _maybe_fold(fn, operand_pair)
 
 
-def _col_extract(node: ast.Extract, layout, guard) -> tuple[bool, Any]:
+def _col_extract(node: ast.Extract, layout, guard, plain) -> tuple[bool, Any]:
     if node.field_name not in ("year", "month", "day"):
         raise CompileFallback(f"unsupported EXTRACT field '{node.field_name}'")
-    operand_pair = _col(node.operand, layout, guard)
+    operand_pair = _col(node.operand, layout, guard, plain)
     operand = _as_fn(operand_pair)
     field_name = node.field_name
 
@@ -1510,9 +1648,9 @@ def _col_extract(node: ast.Extract, layout, guard) -> tuple[bool, Any]:
     return _maybe_fold(fn, operand_pair)
 
 
-def _col_substring(node: ast.Substring, layout, guard) -> tuple[bool, Any]:
-    operand = _as_fn(_col(node.operand, layout, guard))
-    bounds = [_col(bound, layout, guard) for bound in (node.start, node.length)
+def _col_substring(node: ast.Substring, layout, guard, plain) -> tuple[bool, Any]:
+    operand = _as_fn(_col(node.operand, layout, guard, plain))
+    bounds = [_col(bound, layout, guard, plain) for bound in (node.start, node.length)
               if bound is not None]
     if not all(const for const, _ in bounds):
         # one slice serves every row; bounds that vary by row are sliced row
@@ -1539,12 +1677,12 @@ def _col_substring(node: ast.Substring, layout, guard) -> tuple[bool, Any]:
     return False, fn
 
 
-def _col_function(node: ast.FunctionCall, layout, guard) -> tuple[bool, Any]:
+def _col_function(node: ast.FunctionCall, layout, guard, plain) -> tuple[bool, Any]:
     name = node.name.lower()
     if node.is_aggregate:
         raise CompileFallback(
             f"aggregate function '{name}' used outside an aggregation context")
-    pairs = [_col(argument, layout, guard) for argument in node.arguments]
+    pairs = [_col(argument, layout, guard, plain) for argument in node.arguments]
     fns = [_as_fn(pair) for pair in pairs]
     if name == "abs":
         def fn(ctx):
@@ -1622,19 +1760,29 @@ class OrderProbe:
 
 @dataclass
 class ColumnJoin:
-    """One scheduled join of a block, resolved against the frames it meets."""
+    """One scheduled join of a block, resolved against the frames it meets.
+
+    The frames joined so far are numbered as the schedule meets them -- the
+    driving item is source 0, the item of the block's ``n``-th join source
+    ``n`` -- and a joined column is a column of one of them (see
+    :attr:`ColumnBlockShape.slots`).  An execution keeps one row index per
+    source, not per column.
+    """
 
     frame_index: int
     #: per key, its position in the frame joined so far and in the FROM item.
     positions: list[tuple[int, int]]
     #: where the item's columns go among those joined so far.
     cut: int
-    #: the lookup over the joined frame's columns (in FROM order).
-    layout: Layout
     #: the key order a base table joined on integer-kind keys can be probed
     #: through; None for derived tables, explicit JOINs, cross joins and
     #: float or string keys, whose build side is sorted per execution.
     probe: OrderProbe | None
+    #: per key, the (source, position in it) its probe side is read from.
+    left_keys: list[tuple[int, int]]
+    #: whether every probe-side key is a base-table column of integer kind
+    #: (int, bool, date): an order can be probed without looking at them.
+    typed_keys: bool
 
 
 class GroupValues(NamedTuple):
@@ -1849,6 +1997,15 @@ class ColumnBlockShape:
     output_columns: list[int | None]
     #: the leaf sites of an aggregated block (None: the block projects).
     sites: AggregateSites | None
+    #: per source of the joins (see :class:`ColumnJoin`), its FROM position.
+    sources: list[int]
+    #: per column of the frame the joins end in, its (source, position in
+    #: the source); a block without joins reads its one item's columns.
+    slots: list[tuple[int, int]]
+    #: per select item, its output name and, where its type is known from
+    #: the plan, its output column (None: the type is read off the values).
+    output_names: list[str]
+    output_infos: list[ColumnInfo | None]
 
 
 def _column_of(expression: ast.Expression, layout: Layout) -> int | None:
@@ -1863,41 +2020,68 @@ def _column_of(expression: ast.Expression, layout: Layout) -> int | None:
 def column_block_shape(block) -> ColumnBlockShape:
     """Resolve the frame layouts, join keys and outputs of one planned block."""
     item_layouts = [Layout(columns, ambiguous="raise") for columns in block.item_columns]
-    joins, joined = _block_joins(block, item_layouts)
+    joins, joined, slots = _block_joins(block, item_layouts)
     items = [item.expression for item in block.select.items]
     # an ambiguous name is for the evaluation to refuse, not for this look ahead
-    lenient = Layout(joined.columns)
+    lenient = joined.lenient()
+    output_types = [None if isinstance(item, ast.Star) else output_type(item, lenient)
+                    for item in items]
+    names = [item.output_name(position) for position, item in enumerate(block.select.items)]
     return ColumnBlockShape(
-        item_layouts, joins, joined,
-        output_types=[None if isinstance(item, ast.Star) else output_type(item, lenient)
-                      for item in items],
+        item_layouts, joins, joined, output_types=output_types,
         output_columns=[_column_of(item, joined) for item in items],
         sites=aggregate_sites(block.select, lenient, joined) if block.needs_aggregation
-        else None)
+        else None,
+        sources=[step.frame_index for step in block.join_order], slots=slots,
+        output_names=names,
+        output_infos=[None if type_name is None else ColumnInfo("", name, type_name)
+                      for name, type_name in zip(names, output_types)])
 
 
-def _block_joins(block, item_layouts: list[Layout]) -> tuple[list[ColumnJoin], Layout]:
+def _block_joins(block, item_layouts: list[Layout]
+                 ) -> tuple[list[ColumnJoin], Layout, list[tuple[int, int]]]:
     """The block's join schedule after its driving item, resolved, and the
-    layout of the frame it ends in."""
+    layout and slots of the frame it ends in.  Whatever the order, the
+    columns joined so far stand in FROM order (see ``JoinStep``), so a
+    position among them is found by walking the joined items in FROM order."""
     if not block.join_order:
-        return [], Layout(block.columns, ambiguous="raise")
+        return [], Layout(block.columns, ambiguous="raise"), \
+            [(0, position) for position in range(len(block.columns))]
+    items, widths = block.select.from_items, [len(columns) for columns in block.item_columns]
+    source_of = {step.frame_index: number for number, step in enumerate(block.join_order)}
     first = block.join_order[0].frame_index
-    joined, columns, joins = item_layouts[first], list(block.item_columns[first]), []
+    joined, joins = [first], []
+
+    def slot(position: int) -> tuple[int, int]:  # (item, position in it)
+        for item in sorted(joined):
+            if position < widths[item]:
+                return item, position
+            position -= widths[item]
+        raise AssertionError("a key outside the columns joined so far")
+
     for step in block.join_order[1:]:
         item = item_layouts[step.frame_index]
         positions = list(step.keys)
-        source = block.select.from_items[step.frame_index]
+        source = items[step.frame_index]
         probe = None
         if positions and isinstance(source, ast.TableRef) and all(
                 item.type_of(position) in _ORDERED_KEY_TYPES for _, position in positions):
             probe = OrderProbe(source.name, tuple(item.columns[position].name
                                                   for _, position in positions))
-        # the joined columns stay in FROM order (see JoinStep)
-        columns = columns[:step.cut] + block.item_columns[step.frame_index] \
-            + columns[step.cut:]
-        joined = Layout(columns, ambiguous="raise")
-        joins.append(ColumnJoin(step.frame_index, positions, step.cut, joined, probe))
-    return joins, joined
+        keys = [slot(position) for position, _ in positions]
+        # a base table's int / bool / date column is an int64 or bool array
+        # (a Nullable one with NULLs), and the joins before are inner: no padding
+        typed_keys = all(isinstance(items[key_item], ast.TableRef)
+                         and block.item_columns[key_item][column].type_name
+                         in _ORDERED_KEY_TYPES for key_item, column in keys)
+        joins.append(ColumnJoin(step.frame_index, positions, step.cut, probe,
+                                [(source_of[key_item], column) for key_item, column in keys],
+                                typed_keys))
+        joined.append(step.frame_index)
+    slots = [(source_of[item], position) for item in range(len(widths))
+             for position in range(widths[item])]
+    return joins, Layout(block.columns, ambiguous="raise") if joins else item_layouts[first], \
+        slots
 
 
 def column_shape(plan, block) -> ColumnBlockShape:
@@ -1906,22 +2090,37 @@ def column_shape(plan, block) -> ColumnBlockShape:
 
 
 def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = False,
-                         compiled: bool = True) -> ColumnBlockKernels:
+                         compiled: bool = True, null_free: tuple = ()) -> ColumnBlockKernels:
     """The kernels of one :class:`~repro.engine.plan.BlockPlan` for the column
-    engine; every one of them None unless ``compiled``."""
-    item_layouts, joined_layout = shape.item_layouts, shape.joined_layout
+    engine; every one of them None unless ``compiled``.
 
-    def lower(expression, layout=joined_layout):
+    ``null_free`` holds, per FROM item, the positions of its columns known
+    to hold no NULL (``executor_row.null_free_columns``: a base table's, in
+    the table version being read): the kernels over them skip the NULL
+    dispatch (see :func:`compile_column_kernel`).  The scheduled joins are
+    inner, so a NULL-free column is one in the joined frame as well, where
+    the items' columns stand in FROM order (see ``JoinStep``).
+    """
+    item_layouts, joined_layout = shape.item_layouts, shape.joined_layout
+    free = [frozenset(positions) for positions in null_free]
+    joined_plain, start = set(), 0
+    for columns, positions in zip(block.item_columns, null_free):
+        joined_plain.update(map(start.__add__, positions))
+        start += len(columns)
+    joined_plain = frozenset(joined_plain)
+
+    def lower(expression, layout=joined_layout, plain=joined_plain):
         if not compiled or expression is None or isinstance(expression, ast.Star):
             return None
         try:
-            return compile_column_kernel(expression, layout, overflow_guard)
+            return compile_column_kernel(expression, layout, overflow_guard, plain)
         except CompileFallback:
             return None
 
     sites = shape.sites
     return ColumnBlockKernels(
-        pushdown=[[(lower(predicate, item_layouts[index]), predicate)
+        pushdown=[[(lower(predicate, item_layouts[index],
+                          free[index] if index < len(free) else frozenset()), predicate)
                    for predicate in _item_pushdown(block, columns)]
                   for index, columns in enumerate(block.item_columns)],
         residual=[(lower(predicate), predicate) for predicate in block.residual],
@@ -1932,9 +2131,12 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
 
 
 def column_kernels(plan, block, overflow_guard: bool = False,
-                   compiled: bool = True) -> ColumnBlockKernels:
-    """The block's column kernels, lowered once and cached on ``plan``."""
+                   compiled: bool = True, null_free: tuple = ()) -> ColumnBlockKernels:
+    """The block's column kernels for one NULL-free set, lowered once and
+    cached on ``plan`` (``null_free=()``: the flavour that tests every
+    column for NULL)."""
     shape = column_shape(plan, block)  # before the build: the plan's lock is not reentrant
     return plan.kernels(
-        block, ("col", overflow_guard, compiled),
-        lambda planned: compile_column_block(planned, shape, overflow_guard, compiled))
+        block, ("col", overflow_guard, compiled, null_free),
+        lambda planned: compile_column_block(planned, shape, overflow_guard, compiled,
+                                             null_free))

@@ -55,7 +55,8 @@ class ViewDictionary:
 
     def array(self, codes: np.ndarray) -> np.ndarray:
         """``codes`` as the object array a string column is (None for NULL)."""
-        return self._table()[codes]
+        table = self._values
+        return (self._table() if table is None else table)[codes]
 
     def rank(self) -> np.ndarray:
         """Per code, the rank of its string among the dictionary's in Python's

@@ -27,9 +27,11 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    for that predicate only (subqueries themselves run through a row
    executor, built the first time one needs it),
 3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
-   kernels of :mod:`repro.engine.keys` for the matching row pairs; the joined
-   frame gathers a column through those index vectors the first time
-   something reads it,
+   kernels of :mod:`repro.engine.keys` for the matching row pairs; a join
+   level keeps one row index per FROM item (:class:`_Rows`), composed the
+   first time a column of that item is read, where the plan's join slots
+   say which item and position each joined column is, and the joined frame
+   gathers a column the first time something reads it,
 4. **aggregate** -- an aggregated block groups the selected rows (ids from
    the same key kernels; a dictionary-coded key groups on its codes),
    counts every group's rows once, evaluates each distinct aggregate
@@ -55,9 +57,8 @@ frame; what cannot be lowered -- a subquery -- is evaluated row by row.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -77,10 +78,9 @@ from repro.engine.compile import (
     compile_column_block,
     compile_column_kernel,
     compile_row_kernel,
-    group_values,
 )
 from repro.engine.database import ColumnarTable, Database, ViewDictionary
-from repro.engine.executor_row import RowExecutor, scan_source
+from repro.engine.executor_row import RowExecutor, null_free_columns, scan_source
 from repro.engine.expression import evaluate as row_evaluate
 from repro.engine.keys import (
     KeyOrder,
@@ -90,11 +90,11 @@ from repro.engine.keys import (
     order_index,
     probe_order,
 )
-from repro.engine.mask import Kleene, Nullable, as_objects, truth_mask
+from repro.engine.mask import Kleene, Nullable, as_objects, none_positions, truth_mask
 from repro.engine.plan import BlockPlan, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
-from repro.obs import NULL_SPAN, QueryTrace
-from repro.obs.metrics import count as count_metric
+from repro.obs import QueryTrace
+from repro.obs.metrics import count_all
 from repro.engine.vector import ColFrame, DecodedColumns, isnull_mask
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
@@ -199,40 +199,59 @@ class _Scan(NamedTuple):
     window: ScanWindow | None
 
 
+#: a join step's key order before an execution has looked it up.
+_UNSEEN = object()
+
+
+class _Tables(NamedTuple):
+    """What a block runs through that the tables' version decides."""
+
+    #: per FROM item a :class:`_Scan`, None for a derived table or an
+    #: explicit JOIN, which run per execution.
+    scans: list[_Scan | None]
+    #: the block's kernels for the NULL-free columns of these tables.
+    kernels: ColumnBlockKernels
+    #: per join step, the storage key order it probes (None: it sorts its
+    #: build side), looked up by the first execution that reaches the step
+    #: (:data:`_UNSEEN` before): storage builds one only when asked.  Two
+    #: executions racing to it look up the same order.
+    orders: list
+
+
 class ColumnState:
     """What one block of a plan runs through on the column engine.
 
-    The shape and the kernels are functions of the plan.  The scans -- per
-    FROM item a :class:`_Scan`, None for a derived table or an explicit JOIN,
-    which run per execution -- are functions of the tables too: they are
-    :class:`~repro.engine.plan.Stamped` with ``Database.mutations`` and
-    rebuilt in place by the first execution after it moved.
-    ``ColumnEngine.prepare`` builds both (:meth:`ColumnExecutor.warm_scans`),
-    so a warm execution looks the state up once and does only data work.  A
-    mutation lets go of the scans, so no plan keeps an old version's arrays.
+    The shape is a function of the plan.  The rest is a function of the
+    tables too (:class:`_Tables`): the scans, the kernels lowered for the
+    columns that hold no NULL in this version -- one flavour at a time, as
+    the row engine's pipelines -- and each join step's storage key order.
+    It is :class:`~repro.engine.plan.Stamped` with ``Database.mutations``
+    and rebuilt in place by the first execution after it moved, so an
+    insert that brings a NULL re-picks the flavour.  ``ColumnEngine.prepare``
+    builds both (:meth:`ColumnExecutor.warm_scans`), so a warm execution
+    looks the state up once and does only data work.  A mutation lets go
+    of the tables' part, so no plan keeps an old version's arrays.
     """
 
     __slots__ = ("block", "shape", "kernels", "tables")
 
     def __init__(self, block: BlockPlan, shape: ColumnBlockShape,
-                 kernels: ColumnBlockKernels):
+                 kernels: Callable[[tuple], ColumnBlockKernels]):
         self.block = block
         self.shape = shape
+        #: the block's kernels for a NULL-free set (see ``compile.column_kernels``).
         self.kernels = kernels
         self.tables = Stamped()
-
-    def scans(self, executor: "ColumnExecutor") -> list[_Scan | None]:
-        return self.tables.get(executor.database, executor._build_scans, self)
 
     def driving_scan(self, database: Database) -> dict | None:
         """Where the block's driving scan starts while its scans are current:
         ``access`` (``window <interval>`` or ``table``), the ``rows`` its first
         predicate starts from and the ``table_rows`` (None: the scans are not
         current, or the block drives from no base table)."""
-        scans = self.tables.current(database)
-        if scans is None or not self.block.join_order:
+        tables = self.tables.current(database)
+        if tables is None or not self.block.join_order:
             return None
-        scan = scans[self.block.join_order[0].frame_index]
+        scan = tables.scans[self.block.join_order[0].frame_index]
         if scan is None:
             return None
         return {"access": "table" if scan.window is None else f"window {scan.window.interval()}",
@@ -260,13 +279,8 @@ class ColumnExecutor:
         self._fallback: RowExecutor | None = None
         self._uncorrelated_cache: dict[int, list[tuple]] = {}
         self._vector_subquery_failed: set[int] = set()
-
-    def _span(self, name: str, **attributes):
-        """An operator span when tracing, the shared no-op span otherwise."""
-        trace = self._trace
-        if trace is None:
-            return NULL_SPAN
-        return trace.span(name, **attributes)
+        #: the counters an execution adds up, added to the query's at its end.
+        self._tally: dict[str, int] = {}
 
     def _interpret(self, expression: ast.Expression, frame: ColFrame) -> Any:
         """``expression`` over all of ``frame``'s rows, lowered for this one
@@ -299,22 +313,34 @@ class ColumnExecutor:
             select = query
         self._uncorrelated_cache = {}
         self._vector_subquery_failed = set()
-        positions = self._block(select).order_positions
-        frame, names = self._execute_block(select)
+        self._tally = {}
+        block = self._block(select)
+        positions = block.order_positions
+        frame, names = self._execute_block(select, block)
         index = None
-        if positions:
-            with self._span("order") as span:
-                if frame.length > 1:  # one row or none is in order
-                    index = order_index([
-                        (frame.sort_key(position), item.descending)
-                        for position, item in zip(positions, select.order_by)])
+        if positions and frame.length > 1:  # one row or none is in order
+            index = self._order(select, positions, frame)
+        elif positions and self._trace is not None:
+            with self._trace.span("order") as span:
                 span.set(rows_out=frame.length)
         if select.offset or select.limit is not None:
             start = select.offset or 0
             window = slice(start, None if select.limit is None
                            else start + select.limit)
             index = window if index is None else index[window]
+        count_all(self._tally)
         return names, frame.rows(index)
+
+    def _order(self, select: ast.Select, positions: list[int], frame: ColFrame) -> np.ndarray:
+        """The row order ORDER BY puts ``frame``'s rows in."""
+        keys = [(frame.sort_key(position), item.descending)
+                for position, item in zip(positions, select.order_by)]
+        if self._trace is None:
+            return order_index(keys, self._tally)
+        with self._trace.span("order") as span:
+            index = order_index(keys, self._tally)
+            span.set(rows_out=frame.length)
+        return index
 
     def run_subquery(self, select: ast.Select, outer_env: _FallbackRowEnv | None
                      ) -> list[tuple]:
@@ -371,14 +397,18 @@ class ColumnExecutor:
             if plan.block(block.select) is block:
                 # resolved before the build: the plan's lock is not reentrant
                 shape = column_shape(plan, block)
-                kernels = column_kernels(plan, block, self.overflow_guard,
-                                         self.compile_expressions)
+                guard, compiled = self.overflow_guard, self.compile_expressions
+
+                def kernels(null_free: tuple) -> ColumnBlockKernels:
+                    return column_kernels(plan, block, guard, compiled, null_free)
                 return plan.kernels(block, self._flavour,
                                     lambda planned: ColumnState(planned, shape, kernels))
         shape = column_block_shape(block)
-        return ColumnState(block, shape, compile_column_block(block, shape, compiled=False))
+        interpreted = compile_column_block(block, shape, compiled=False)
+        return ColumnState(block, shape, lambda _null_free: interpreted)
 
-    def _execute_block(self, select: ast.Select) -> tuple[ColFrame, list[str]]:
+    def _execute_block(self, select: ast.Select, block: BlockPlan | None = None
+                       ) -> tuple[ColFrame, list[str]]:
         """Run one block: scan -> refine -> join -> aggregate, or project.
 
         Scans stay unmaterialised: push-down and residual predicates narrow
@@ -386,67 +416,74 @@ class ColumnExecutor:
         the composed selection, and only aggregation / projection produce a
         new :class:`ColFrame`.
         """
-        block = self._block(select)
+        if block is None:
+            block = self._block(select)
         if not select.from_items:
             raise PlanError("a query block needs at least one FROM item")
         state = self.state(block)
-        shape, kernels = state.shape, state.kernels
-        scans = state.scans(self)
+        shape = state.shape
+        tables = state.tables.get(self.database, self._build_tables, state)
+        kernels = tables.kernels
         trace = self._trace
 
         # each scan span covers the push-down refinement of that scan's
         # selection (and a derived table's execution).
         frames: list[ColFrame] = []
         selections: list[np.ndarray | None] = []
-        for index, item in enumerate(select.from_items):
-            span_cm = (trace.span("scan", source=scan_source(item))
-                       if trace is not None else NULL_SPAN)
-            with span_cm as span:
-                scan = scans[index]
-                if scan is None:
-                    frame = self._materialise(item, block.item_columns[index],
-                                              shape.item_layouts[index])
-                    selection = self._refine(frame, None, kernels.pushdown[index])
-                else:
-                    frame, selection = scan.frame, self._scan(scan)
-                if trace is not None:
+        for index, scan in enumerate(tables.scans):
+            if trace is None:
+                frame, selection = self._scan(block, shape, kernels, index, scan)
+            else:
+                with trace.span("scan", source=scan_source(select.from_items[index])) as span:
+                    frame, selection = self._scan(block, shape, kernels, index, scan)
                     _trace_scan(span, frame, scan, selection)
             frames.append(frame)
             selections.append(selection)
         if shape.joins:
-            frame, selection = self._join_frames(frames, selections, block, shape), None
+            frame, selection = self._join_frames(frames, selections, block, shape, tables), None
         else:
             frame, selection = frames[0], selections[0]
 
         if block.residual:
-            with self._span("filter") as span:
-                rows_in = _rows(frame, selection)
+            if trace is None:
                 selection = self._refine(frame, selection, kernels.residual)
-                if trace is not None:
+            else:
+                with trace.span("filter") as span:
+                    rows_in = _rows(frame, selection)
+                    selection = self._refine(frame, selection, kernels.residual)
                     rows_out = _rows(frame, selection)
                     span.set(rows_in=rows_in, rows_out=rows_out, selection_size=rows_out)
 
-        with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows_in = _rows(frame, selection)
-            if block.needs_aggregation:
-                frame = self._aggregate(select, shape, kernels, frame, selection)
-            else:
-                frame = self._project(select, shape, kernels, frame, selection)
-            if trace is not None:
+        finish = self._aggregate if block.needs_aggregation else self._project
+        if trace is None:
+            frame = finish(select, shape, kernels, frame, selection)
+        else:
+            with trace.span("aggregate" if block.needs_aggregation else "project") as span:
+                rows_in = _rows(frame, selection)
+                frame = finish(select, shape, kernels, frame, selection)
                 span.set(rows_in=rows_in, rows_out=frame.length)
 
         if select.distinct:
             frame = self._distinct(frame)
         return frame, block.output_names
 
-    def _scan(self, scan: _Scan) -> np.ndarray | None:
-        """The selection the push-down predicates leave of a base table."""
+    def _scan(self, block: BlockPlan, shape: ColumnBlockShape, kernels: ColumnBlockKernels,
+              index: int, scan: _Scan | None) -> tuple[ColFrame, np.ndarray | None]:
+        """FROM item ``index``'s frame and the selection its push-down
+        predicates leave of it."""
+        if scan is None:
+            frame = self._materialise(block.select.from_items[index],
+                                      block.item_columns[index], shape.item_layouts[index])
+            return frame, self._refine(frame, None, kernels.pushdown[index])
         if scan.gated:
+            tally = self._tally
             if scan.coded:
-                count_metric("scan.dictionary_predicates", scan.coded)
-            count_metric("scan.chunks_scanned", scan.chunks[0])
-            count_metric("scan.chunks_skipped", scan.chunks[1])
-        return self._refine(scan.frame, scan.base, scan.pairs)
+                tally["scan.dictionary_predicates"] = \
+                    tally.get("scan.dictionary_predicates", 0) + scan.coded
+            scanned, skipped = scan.chunks
+            tally["scan.chunks_scanned"] = tally.get("scan.chunks_scanned", 0) + scanned
+            tally["scan.chunks_skipped"] = tally.get("scan.chunks_skipped", 0) + skipped
+        return scan.frame, self._refine(scan.frame, scan.base, scan.pairs)
 
     # -- plan-owned scans ---------------------------------------------------------
 
@@ -457,16 +494,31 @@ class ColumnExecutor:
         runs)."""
         for block in plan.blocks.values():
             try:
-                self.state(block).scans(self)
+                state = self.state(block)
+                state.tables.get(self.database, self._build_tables, state)
             except Exception:
                 continue
 
-    def _build_scans(self, state: ColumnState) -> list[_Scan | None]:
-        block = state.block
-        return [self._build_scan(block, index, item, state.shape.item_layouts[index],
-                                 state.kernels.pushdown[index])
-                if isinstance(item, ast.TableRef) else None
-                for index, item in enumerate(block.select.from_items)]
+    def _build_tables(self, state: ColumnState) -> _Tables:
+        """The block's :class:`_Tables` for the tables as they are.
+
+        The NULL-free set is read before the scans' arrays; a mutation that
+        overlaps the two (``mutations`` odd, or moved) may have brought a
+        NULL in between, so the scans are then built for the kernels that
+        test every column -- and are stale for the next execution anyway.
+        """
+        database, block = self.database, state.block
+        mutations = database.mutations
+        null_free = () if mutations % 2 else null_free_columns(database, block)
+        while True:
+            kernels = state.kernels(null_free)
+            scans = [self._build_scan(block, index, item, state.shape.item_layouts[index],
+                                      kernels.pushdown[index])
+                     if isinstance(item, ast.TableRef) else None
+                     for index, item in enumerate(block.select.from_items)]
+            if not null_free or database.mutations == mutations:
+                return _Tables(scans, kernels, [_UNSEEN] * len(state.shape.joins))
+            null_free = ()
 
     def _build_scan(self, block: BlockPlan, index: int, item: ast.TableRef,
                     layout: Layout, pairs: list) -> _Scan:
@@ -592,7 +644,9 @@ class ColumnExecutor:
                 break
             if kernel is not None:
                 length = frame.length if selection is None else len(selection)
-                mask = as_mask(kernel(ColumnContext(frame.arrays, length, selection)), length)
+                mask = kernel(ColumnContext(frame.arrays, length, selection))
+                if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
+                    mask = as_mask(mask, length)
             else:
                 try:
                     mask = as_mask(self._interpret(predicate, frame), frame.length)
@@ -600,7 +654,7 @@ class ColumnExecutor:
                         mask = mask[selection]
                 except CompileFallback:
                     mask = self._fallback_predicate(frame, selection, predicate)
-            selection = np.flatnonzero(mask) if selection is None else selection[mask]
+            selection = mask.nonzero()[0] if selection is None else selection[mask]
         return selection
 
     def _fallback_predicate(self, frame: ColFrame, selection: np.ndarray | None,
@@ -613,9 +667,8 @@ class ColumnExecutor:
             mask[position] = bool(row_evaluate(predicate, env))
         return mask
 
-    def _join_frames(self, frames: list[ColFrame],
-                     selections: list[np.ndarray | None],
-                     block: BlockPlan, shape: ColumnBlockShape) -> ColFrame:
+    def _join_frames(self, frames: list[ColFrame], selections: list[np.ndarray | None],
+                     block: BlockPlan, shape: ColumnBlockShape, tables: _Tables) -> ColFrame:
         """Join the scans following the schedule, composing their selections.
 
         Keys are read from the base arrays through the selection indexes and
@@ -624,102 +677,114 @@ class ColumnExecutor:
         still are their FROM items' base arrays: a base table among them is
         probed through its storage key order.
         """
-        first = block.join_order[0].frame_index
-        frame, selection = frames[first], selections[first]
-        with self._span("join") as span:
-            build_rows = 0
-            levels = [frame.length if selection is None else len(selection)]
-            for step in shape.joins:
-                next_frame = frames[step.frame_index]
-                next_selection = selections[step.frame_index]
-                order = self._stored_order(step, frame, levels[-1], next_frame,
-                                           next_selection)
-                if order is None and step.positions:
-                    build_rows += next_frame.length if next_selection is None \
-                        else len(next_selection)
-                frame = self._join(frame, selection, next_frame, next_selection,
-                                   step.positions, order=order, layout=step.layout,
-                                   cut=step.cut)
-                selection = None
-                levels.append(frame.length)
-            if self._trace is not None:
-                span.set(rows_in=sum(levels[:-1]), rows_out=frame.length,
-                         build_rows=build_rows, **block.join_levels(levels))
+        if self._trace is None:
+            return self._join_levels(frames, selections, block, shape, tables)[0]
+        with self._trace.span("join") as span:
+            frame, levels, build_rows = self._join_levels(frames, selections, block, shape,
+                                                          tables)
+            span.set(rows_in=sum(levels[:-1]), rows_out=frame.length,
+                     build_rows=build_rows, **block.join_levels(levels))
         return frame
 
-    def _stored_order(self, step: ColumnJoin, left: ColFrame, probe_rows: int,
-                      right: ColFrame, right_sel: np.ndarray | None
-                      ) -> KeyOrder | None:
-        """The storage key order a join step probes (None: sort its build side).
-
-        A base table joined on integer-kind keys has one.  All of its rows
-        selected, it is probed as it is.  Under a selection it is probed, and
-        the pairs whose build row is selected kept, when the probes are
-        expected to reach fewer rows than are selected -- ``probe rows x
-        indexed rows / distinct keys``, three exact counts -- since sorting
-        the selection costs its rows; else the selection is sorted as before.
-        """
-        if step.probe is None \
-                or not integer_kind([left.arrays[position] for position, _ in step.positions]):
-            return None
-        order = self.database.key_order(step.probe.table, step.probe.columns)
-        if order is None or order.rows != right.length:
-            return None  # the table moved on under the frame: sort what was scanned
-        if right_sel is not None \
-                and probe_rows * order.indexed_rows >= len(right_sel) * order.distinct:
-            return None
-        return order
-
-    def _join(self, left: ColFrame, left_sel: np.ndarray | None,
-              right: ColFrame, right_sel: np.ndarray | None,
-              equi: list[tuple[int, int]],
-              residual: Sequence[ast.Expression] = (),
-              keep_unmatched_left: bool = False,
-              order: KeyOrder | None = None, layout: Layout | None = None,
-              cut: int | None = None) -> ColFrame:
-        """Join two (selected) frames on ``equi`` position pairs.
-
-        The key kernels pick the row pairs -- probing ``order``, the key
-        order of all of ``right``'s rows (inner joins only), or sorting the
-        selected ones -- ``residual`` predicates then filter the candidate
-        pairs; a LEFT join appends its unmatched left rows, NULL-padded on
-        the right, after the matches.  ``layout`` is the joined frame's,
-        whose columns are ``left``'s with ``right``'s put in at ``cut``
-        (None: after them).
-        """
-        left_rows = left.length if left_sel is None else len(left_sel)
-        right_rows = right.length if right_sel is None else len(right_sel)
-        unmatched = None
-        if equi:
-            probe = [_selected(left.arrays[position], left_sel) for position, _ in equi]
+    def _join_levels(self, frames: list[ColFrame], selections: list[np.ndarray | None],
+                     block: BlockPlan, shape: ColumnBlockShape, tables: _Tables
+                     ) -> tuple[ColFrame, list[int], int]:
+        """:meth:`_join_frames`, and the rows of each level and the build-side
+        rows sorted, for the trace.  A level is its row pairs (:class:`_Rows`):
+        one row index per FROM item, composed where a column of it is read."""
+        first = block.join_order[0].frame_index
+        rows = _Rows(frames[first], selections[first])
+        levels, build_rows, probes = [rows.length], 0, 0
+        for number, step in enumerate(shape.joins):
+            right, right_sel = frames[step.frame_index], selections[step.frame_index]
+            probe = []
+            for source, position in step.left_keys:
+                probe.append(rows.column(source, position))
+            order = self._stored_order(step, number, tables, probe, rows.length, right,
+                                       right_sel)
             if order is not None:
-                count_metric("join.order_probes")
-                left_idx, right_idx, _ = probe_order(order, probe)
-                if right_sel is not None:
+                probes += 1
+                left_idx, right_idx, _ = probe_order(order, probe, self._tally)
+                if right_sel is not None:  # the pairs whose build row is selected
                     selected = np.zeros(right.length, dtype=bool)
                     selected[right_sel] = True
                     keep = selected[right_idx]
-                    left_idx = np.flatnonzero(keep) if left_idx is None else left_idx[keep]
+                    left_idx = keep.nonzero()[0] if left_idx is None else left_idx[keep]
                     right_idx, right_sel = right_idx[keep], None
-            else:
-                if right_rows:
-                    count_metric("join.build_rows", right_rows)
-                left_idx, right_idx, unmatched = join_indexes(
+            elif step.positions:
+                build_rows += _rows(right, right_sel)
+                left_idx, right_idx, _ = join_indexes(
                     probe, [_selected(right.arrays[position], right_sel)
-                            for _, position in equi])
-        else:  # cross join via index replication
-            left_idx = np.repeat(np.arange(left_rows, dtype=np.int64), right_rows)
-            right_idx = np.tile(np.arange(right_rows, dtype=np.int64), left_rows)
+                            for _, position in step.positions], self._tally)
+            else:
+                left_idx, right_idx = _cross(rows.length, _rows(right, right_sel))
+            rows = _Rows(rows, left_idx, _Rows(right, right_sel), right_idx)
+            levels.append(rows.length)
+        tally = self._tally
+        if probes:
+            tally["join.order_probes"] = tally.get("join.order_probes", 0) + probes
+        if build_rows:
+            tally["join.build_rows"] = tally.get("join.build_rows", 0) + build_rows
+        joined = shape.joined_layout
+        return _joined_frame(rows, shape.slots, joined.columns, joined), levels, build_rows
+
+    def _stored_order(self, step: ColumnJoin, number: int, tables: _Tables, probe: list,
+                      probe_rows: int, right: ColFrame, right_sel: np.ndarray | None
+                      ) -> KeyOrder | None:
+        """The storage key order a join step probes (None: sort its build side).
+
+        A base table joined on integer-kind keys has one, looked up once per
+        table version (``tables.orders``).  All of its rows selected, it is
+        probed as it is.  Under a selection it is probed, and the pairs whose
+        build row is selected kept, when the probes are expected to reach
+        fewer rows than are selected -- ``probe rows x indexed rows /
+        distinct keys``, three exact counts -- since sorting the selection
+        costs its rows; else the selection is sorted as before.
+        """
+        if step.probe is None or not (step.typed_keys or integer_kind(probe)):
+            return None
+        order = tables.orders[number]
+        if order is _UNSEEN:
+            order = self.database.key_order(step.probe.table, step.probe.columns)
+            if order is not None and order.rows != right.length:
+                order = None  # the table moved on under the frame: sort what was scanned
+            tables.orders[number] = order
+        if order is None or (right_sel is not None and probe_rows * order.indexed_rows
+                             >= len(right_sel) * order.distinct):
+            return None
+        return order
+
+    def _join(self, left: ColFrame, right: ColFrame, equi: list[tuple[int, int]],
+              residual: Sequence[ast.Expression] = (), keep_unmatched_left: bool = False,
+              layout: Layout | None = None) -> ColFrame:
+        """Join two frames (an explicit ``JOIN``) on ``equi`` position pairs.
+
+        The key kernels pick the row pairs, sorting ``right``'s keys;
+        ``residual`` predicates then filter the candidate pairs; a LEFT join
+        appends its unmatched left rows, NULL-padded on the right, after the
+        matches.  ``layout`` is the joined frame's: ``left``'s columns, then
+        ``right``'s.
+        """
+        unmatched = None
+        if equi:
+            if right.length:
+                self._tally["join.build_rows"] = \
+                    self._tally.get("join.build_rows", 0) + right.length
+            left_idx, right_idx, unmatched = join_indexes(
+                [left.arrays[position] for position, _ in equi],
+                [right.arrays[position] for _, position in equi], self._tally)
+        else:
+            left_idx, right_idx = _cross(left.length, right.length)
         if residual:
             if left_idx is None:
-                left_idx = np.arange(left_rows, dtype=np.int64)
-            candidates = _joined(left, left_sel, left_idx, right, right_sel, right_idx)
+                left_idx = np.arange(left.length, dtype=np.int64)
+            candidates = _joined(left, left_idx, right, right_idx)
             keep = self._refine(candidates, None, [(None, predicate) for predicate in residual])
             left_idx, right_idx = left_idx[keep], right_idx[keep]
         padded = False
         if keep_unmatched_left:
             if residual or not equi:
-                matched = np.zeros(left_rows, dtype=bool)
+                matched = np.zeros(left.length, dtype=bool)
                 matched[left_idx] = True
                 unmatched = np.flatnonzero(~matched)
             padded = len(unmatched) > 0
@@ -727,8 +792,7 @@ class ColumnExecutor:
                 left_idx = np.concatenate([left_idx, unmatched])
                 right_idx = np.concatenate(
                     [right_idx, np.full(len(unmatched), -1, dtype=np.int64)])
-        return _joined(left, left_sel, left_idx, right, right_sel, right_idx, padded,
-                       layout, cut)
+        return _joined(left, left_idx, right, right_idx, padded, layout)
 
     # -- projection ---------------------------------------------------------------------
 
@@ -739,6 +803,8 @@ class ColumnExecutor:
         materialised rows."""
         if kernel is not None:
             value = kernel(context)
+            if isinstance(value, np.ndarray):
+                return value
         else:
             frame = materialised.frame()
             try:
@@ -752,7 +818,7 @@ class ColumnExecutor:
                  selection: np.ndarray | None) -> ColFrame:
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
-        materialised = _LazySelection(frame, selection)
+        materialised = _LazySelection(frame, selection) if None in kernels.projection else None
         arrays: list[np.ndarray | None] = []
         columns: list[ColumnInfo] = []
         # a projected dictionary-encoded column is its codes (None in
@@ -776,9 +842,9 @@ class ColumnExecutor:
             array = None if coded is not None else self._vector(
                 kernels.projection[position], item.expression, context, materialised)
             arrays.append(array)
-            columns.append(ColumnInfo("", item.output_name(position),
-                                      shape.output_types[position]
-                                      or ("str" if array is None else _type_of(array))))
+            columns.append(shape.output_infos[position] or ColumnInfo(
+                "", shape.output_names[position],
+                "str" if array is None else _DTYPE_TYPES.get(array.dtype, "str")))
             codes.append(coded)
             dictionaries.append(dictionary)
         if all(dictionary is None for dictionary in dictionaries):
@@ -813,7 +879,8 @@ class ColumnExecutor:
         sites = shape.sites
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
-        materialised = _LazySelection(frame, selection)
+        materialised = _LazySelection(frame, selection) \
+            if None in kernels.keys or None in kernels.arguments else None
         if sites.keys:
             # a key that is a plain dictionary-encoded column groups on its
             # int32 code vector (codes biject to values, with -1 for NULL, so
@@ -821,10 +888,10 @@ class ColumnExecutor:
             # grouping on the decoded strings); everything else evaluates.
             factors = []
             for key, column, kernel in zip(sites.keys, sites.key_columns, kernels.keys):
-                key_codes = _codes_of(frame, column, selection)
+                key_codes, _ = _coded(frame, column, selection)
                 factors.append(self._vector(kernel, key, context, materialised)
                                if key_codes is None else key_codes)
-            group_ids, first_index = group_rows(factors, length)
+            group_ids, first_index = group_rows(factors, length, self._tally)
             count = len(first_index)
         else:  # one group: the arguments fold without a group id per row
             group_ids, first_index, count = None, None, 1
@@ -834,7 +901,7 @@ class ColumnExecutor:
                 first_index = np.zeros(1 if length else 0, dtype=np.int64)
             first_rows = first_index if selection is None else selection[first_index]
             first_context = ColumnContext(frame.arrays, len(first_rows), first_rows)
-            first_frame = _LazySelection(frame, first_rows)
+            first_frame = _LazySelection(frame, first_rows) if None in kernels.firsts else None
             # a coded column is read as its codes at the first rows, and
             # decoded there: its strings are gathered for no other row
             coded: dict[int, tuple[np.ndarray, ViewDictionary]] = {}
@@ -842,8 +909,9 @@ class ColumnExecutor:
                                                   sites.first_columns):
                 first_codes, dictionary = _coded(frame, column, first_rows)
                 if dictionary is None:
-                    firsts.append(group_values(self._vector(kernel, expression,
-                                                            first_context, first_frame)))
+                    first = self._vector(kernel, expression, first_context, first_frame)
+                    firsts.append(as_objects(first) if isinstance(first, (Nullable, Kleene))
+                                  else first)  # ``group_values``
                 else:
                     coded[column] = first_codes, dictionary
                     firsts.append(dictionary.array(first_codes))
@@ -853,7 +921,7 @@ class ColumnExecutor:
                          else np.full(count, -1, dtype=np.int32)  # no first row: NULL
                          for column, _ in pairs]
                 dictionaries = [dictionary for _, dictionary in pairs]
-        if not sites.keys:
+        if firsts and not sites.keys:
             # a global aggregate over an empty input still is one group: its
             # counts are 0, its other aggregates NULL and, with no first row
             # to read, so is everything else -- the row engine's empty group.
@@ -867,16 +935,22 @@ class ColumnExecutor:
                 else np.bincount(group_ids, minlength=count)
             # every group has a row, unless it is the one group of no rows
             filled = group_ids is not None or length > 0
-            folded = [_Folds(self._vector(kernel, argument, context, materialised), uses,
-                             group_ids, sizes, filled)
-                      for argument, kernel, uses in zip(sites.arguments, kernels.arguments,
-                                                        sites.folds)]
-            count_metric("aggregate.folds", (group_ids is not None)
-                         + sum([folds.passes for folds in folded]))
-            calls = [sizes if number is None else folded[number].value(call)
-                     for call, number in zip(sites.calls, sites.call_arguments)]
+            folded, passes = [], int(group_ids is not None)
+            for argument, kernel, uses in zip(sites.arguments, kernels.arguments, sites.folds):
+                folds = _Folds(self._vector(kernel, argument, context, materialised), uses,
+                               group_ids, sizes, filled)
+                folded.append(folds)
+                passes += folds.passes
+            tally = self._tally
+            tally["aggregate.folds"] = tally.get("aggregate.folds", 0) + passes
+            for call, number in zip(sites.calls, sites.call_arguments):
+                calls.append(sizes if number is None else folded[number].value(call))
         groups = GroupValues(count, calls, firsts)
-        arrays = [np.asarray(group_values(item(groups))) for item in sites.items]
+        arrays = []
+        for item in sites.items:
+            value = item(groups)
+            arrays.append(np.asarray(as_objects(value) if isinstance(value, (Nullable, Kleene))
+                                     else value))  # ``group_values``
         if sites.having is not None:
             # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
             # (a Kleene mask's invalid rows, or None in an object array)
@@ -885,11 +959,12 @@ class ColumnExecutor:
             arrays, count = [values[keep] for values in arrays], int(keep.sum())
             if codes is not None:
                 codes = [None if column is None else column[keep] for column in codes]
-        return ColFrame(
-            columns=[ColumnInfo("", item.output_name(position),
-                                shape.output_types[position] or _type_of(array))
-                     for position, (item, array) in enumerate(zip(select.items, arrays))],
-            arrays=arrays, length=count, codes=codes, dictionaries=dictionaries)
+        columns = shape.output_infos
+        if shape.output_types.count(None):  # a type the plan does not know: read off the values
+            columns = [info or ColumnInfo("", name, _DTYPE_TYPES.get(array.dtype, "str"))
+                       for info, name, array in zip(columns, shape.output_names, arrays)]
+        return ColFrame(columns=columns, arrays=arrays, length=count, codes=codes,
+                        dictionaries=dictionaries)
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -940,14 +1015,12 @@ class ColumnExecutor:
         if join.kind == "right":
             swapped = ast.Join(left=join.right, right=join.left, kind="left",
                                condition=join.condition)
-            frame = self._materialise_join(swapped)
-            width_right = len(right.columns)
-            reordered = frame.arrays[width_right:] + frame.arrays[:width_right]
-            columns = frame.columns[width_right:] + frame.columns[:width_right]
-            return ColFrame(columns=columns, arrays=reordered, length=frame.length,
-                            layout=layout)
+            joined = self._materialise_join(swapped).arrays
+            width = len(right.columns)  # the swapped join's columns: right's, then left's
+            return _joined_frame(joined.rows, joined.slots[width:] + joined.slots[:width],
+                                 left.columns + right.columns, layout)
 
-        return self._join(left, None, right, None, equi, residual,
+        return self._join(left, right, equi, residual,
                           keep_unmatched_left=join.kind == "left", layout=layout)
 
     def _split_join_condition(self, condition: ast.Expression | None,
@@ -979,7 +1052,7 @@ class ColumnExecutor:
         keys = list(frame.arrays) if frame.codes is None else [
             array if codes is None else codes
             for array, codes in zip(frame.arrays, frame.codes)]
-        return frame.take(group_rows(keys, frame.length)[1])
+        return frame.take(group_rows(keys, frame.length, self._tally)[1])
 
 
 class _RowEnvBridge:
@@ -1018,24 +1091,15 @@ def _rows(frame: ColFrame, selection: np.ndarray | None) -> int:
     return frame.length if selection is None else len(selection)
 
 
-def _codes_of(frame: ColFrame, column: int | None, selection: np.ndarray | None
-              ) -> np.ndarray | None:
-    """The dictionary codes of ``frame``'s column at position ``column`` at the
-    selected rows (None: no column, or not a dictionary-encoded one)."""
-    if column is None or frame.codes is None:
-        return None
-    return _selected(frame.codes[column], selection)
-
-
 def _coded(frame: ColFrame, column: int | None, selection: np.ndarray | None
            ) -> tuple[np.ndarray | None, ViewDictionary | None]:
-    """:func:`_codes_of` and what the codes decode to ((None, None): not coded)."""
-    codes = _codes_of(frame, column, selection)
-    return (None, None) if codes is None else (codes, frame.dictionaries[column])
-
-
-def _type_of(array: Any) -> str:
-    return _DTYPE_TYPES.get(array.dtype, "str")
+    """The dictionary codes of ``frame``'s column at position ``column`` at the
+    selected rows, and what they decode to ((None, None): no column, or not
+    a dictionary-encoded one)."""
+    codes = None if column is None or frame.codes is None else frame.codes[column]
+    if codes is None:
+        return None, None
+    return codes if selection is None else codes[selection], frame.dictionaries[column]
 
 
 def _pad_values(gathered: Any, missing: np.ndarray) -> Any:
@@ -1059,49 +1123,12 @@ def _pad_codes(gathered: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return np.where(missing, np.int32(-1), gathered)
 
 
-class _GatheredColumns(Sequence):
-    """The columns of a join result, each gathered the first time it is read.
-
-    A join decides *which rows* pair up; most of the columns riding along
-    are never looked at again (TPC-H Q5's six-way join ends in 47 columns
-    and reads three).  ``parts`` holds, per source frame, its arrays, the
-    row index into them (None: every row, in order) and whether that index
-    has -1 entries (a row an outer join padded: NULL in every column of the
-    part); joining again only re-indexes the parts.
-    """
-
-    __slots__ = ("parts", "_pad", "_ends", "_gathered")
-
-    def __init__(self, parts: list[tuple[Sequence, np.ndarray | None, bool]], pad):
-        self.parts = parts
-        self._pad = pad
-        #: per part, the position after its last column.
-        self._ends = list(accumulate(len(arrays) for arrays, _, _ in parts))
-        self._gathered: dict[int, Any] = {}
-
-    def __len__(self) -> int:
-        return self._ends[-1]
-
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [self[index] for index in range(*position.indices(len(self)))]
-        if not -len(self) <= position < len(self):
-            raise IndexError(position)  # ends an iteration
-        position %= len(self)
-        if position not in self._gathered:
-            part = bisect_right(self._ends, position)
-            arrays, index, padded = self.parts[part]
-            source = arrays[position - (self._ends[part - 1] if part else 0)]
-            if source is None or not padded:
-                column = _selected(source, index)
-            else:
-                missing = index < 0
-                # an empty source has nothing to gather: every row is padding
-                column = self._pad(
-                    source[np.where(missing, 0, index)] if len(source)
-                    else np.zeros(len(index), dtype=source.dtype), missing)
-            self._gathered[position] = column
-        return self._gathered[position]
+def _gather_padded(source: Any, index: np.ndarray, pad) -> Any:
+    """``source`` at the rows ``index`` lists, NULL (``pad``) at the -1s."""
+    missing = index < 0
+    # an empty source has nothing to gather: every row is padding
+    return pad(source[np.where(missing, 0, index)] if len(source)
+               else np.zeros(len(index), dtype=source.dtype), missing)
 
 
 def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
@@ -1117,68 +1144,163 @@ def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
     return np.where(outer < 0, -1, inner[np.maximum(outer, 0)])
 
 
-def _reindexed(arrays: Sequence, selection: np.ndarray | None,
-               index: np.ndarray | None, padded: bool
-               ) -> list[tuple[Sequence, np.ndarray | None, bool]]:
-    """The parts of ``arrays[selection][index]``, without gathering anything."""
-    parts = arrays.parts if isinstance(arrays, _GatheredColumns) \
-        else [(arrays, None, False)]
-    return [(source,
-             _compose(_compose(inner, selection, False), index, padded),
-             inner_padded or padded)
-            for source, inner, inner_padded in parts]
+class _Rows:
+    """Which row of each source frame every row of a join result is made of.
 
+    A join result's columns are columns of its sources -- the frames of the
+    FROM items it joined, in the order the joins met them -- each read at
+    its source's row index: ``index(source)``, with -1 where an outer join
+    padded the row (NULL in every column of that source).  A join keeps its
+    two inputs' :class:`_Rows` and the row pairs it matched; a source's
+    index is composed through them the first time one of its columns is
+    read, once per source and join, however many of its columns are read.
+    """
 
-def _split(parts: list[tuple[Sequence, np.ndarray | None, bool]], cut: int
-           ) -> tuple[list, list]:
-    """``parts`` as those of the columns before position ``cut`` and those of
-    the columns from it on (a part astride it is cut in two)."""
-    before, after, start = [], [], 0
-    for part in parts:
-        arrays, index, padded = part
-        stop = start + len(arrays)
-        if stop <= cut:
-            before.append(part)
-        elif start >= cut:
-            after.append(part)
+    __slots__ = ("sources", "length", "_indexes", "_inputs")
+
+    def __init__(self, left: "_Rows | ColFrame", index: np.ndarray | None = None,
+                 right: "_Rows | None" = None, right_idx: np.ndarray | None = None,
+                 padded: bool = False):
+        """Without ``right``: the rows ``index`` selects of the frame ``left``
+        (None: all of them, in order).  With it, the rows of a join: ``left``
+        row ``index`` (None: every left row, once, in order) beside ``right``
+        row ``right_idx`` (-1 with ``padded``: an all-NULL right row)."""
+        if right is None:
+            self.sources = [left]
+            self.length = left.length if index is None else len(index)
+            #: per source, (its row index, whether that holds a -1), once composed.
+            self._indexes = [(index, False)]
+            self._inputs = None
         else:
-            before.append((arrays[:cut - start], index, padded))
-            after.append((arrays[cut - start:], index, padded))
-        start = stop
-    return before, after
+            self.sources = left.sources + right.sources
+            self.length = len(right_idx)
+            self._indexes = [None] * len(self.sources)
+            self._inputs = (left, index, right, right_idx, padded)
+
+    def index(self, source: int) -> tuple[np.ndarray | None, bool]:
+        found = self._indexes[source]
+        if found is not None:
+            return found
+        way, rows = [], self
+        while found is None:  # down to the join that holds the source's index
+            left, left_idx, right, right_idx, padded = rows._inputs
+            split = len(left.sources)
+            if source < split:
+                way.append((rows, source, left_idx, False))
+                rows = left
+            else:
+                way.append((rows, source, right_idx, padded))
+                source -= split
+                rows = right
+            found = rows._indexes[source]
+        index, padded = found
+        for rows, source, outer, step_padded in reversed(way):
+            if step_padded:
+                index = _compose(index, outer, True)
+            elif index is None or outer is None:  # _compose, unpadded
+                index = outer if index is None else index
+            else:
+                index = index[outer]
+            padded = padded or step_padded
+            rows._indexes[source] = index, padded
+        return index, padded
+
+    def column(self, source: int, position: int) -> Any:
+        """Column ``position`` of source ``source``, at this result's rows."""
+        index, padded = self.index(source)
+        column = self.sources[source].arrays[position]
+        if padded:
+            return _gather_padded(column, index, _pad_values)
+        return column if index is None else column[index]
 
 
-def _joined(left: ColFrame, left_sel: np.ndarray | None, left_idx: np.ndarray | None,
-            right: ColFrame, right_sel: np.ndarray | None, right_idx: np.ndarray,
-            padded: bool = False, layout: Layout | None = None,
-            cut: int | None = None) -> ColFrame:
-    """The frame of ``left`` rows ``left_idx`` beside ``right`` rows ``right_idx``
-    (both counted within their selections; no ``left_idx``: every selected
-    left row, once, in order; ``padded``: -1 in ``right_idx`` stands for an
-    all-NULL right row).  ``right``'s columns go in at ``cut`` among
-    ``left``'s (None: after them)."""
-    if cut is None:
-        cut = len(left.columns)
+def _cross(left_rows: int, right_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs of a cross join, left row by left row."""
+    return (np.repeat(np.arange(left_rows, dtype=np.int64), right_rows),
+            np.tile(np.arange(right_rows, dtype=np.int64), left_rows))
 
-    def gathered(left_columns, right_columns, pad):
-        before = _reindexed(left_columns, left_sel, left_idx, False)
-        after = []
-        if cut < len(left.columns):
-            before, after = _split(before, cut)
-        return _GatheredColumns(
-            before + _reindexed(right_columns, right_sel, right_idx, padded) + after, pad)
 
-    codes = dictionaries = None
-    if left.codes is not None or right.codes is not None:
-        codes = gathered(left.codes or [None] * len(left.columns),
-                         right.codes or [None] * len(right.columns), _pad_codes)
-        before = left.dictionaries or [None] * len(left.columns)
-        dictionaries = before[:cut] + (right.dictionaries or [None] * len(right.columns)) \
-            + before[cut:]
-    return ColFrame(columns=left.columns[:cut] + right.columns + left.columns[cut:],
-                    arrays=gathered(left.arrays, right.arrays, _pad_values),
-                    length=len(right_idx), codes=codes, layout=layout,
-                    dictionaries=dictionaries)
+class _JoinedColumns(Sequence):
+    """One part of a join result's columns -- their ``arrays``, ``codes`` or
+    ``dictionaries`` -- each column read off its source (``slots``: per
+    column, its source and its position there) the first time it is read.
+
+    A join decides *which rows* pair up; most of the columns riding along
+    are never looked at again (TPC-H Q8's eight-way join ends in 58 columns
+    and reads ten).
+    """
+
+    __slots__ = ("rows", "slots", "_part", "_read")
+
+    def __init__(self, rows: _Rows, slots: list[tuple[int, int]], part: str):
+        self.rows = rows
+        self.slots = slots
+        self._part = part
+        self._read: dict[int, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[index] for index in range(*position.indices(len(self)))]
+        read = self._read
+        if position in read:
+            return read[position]
+        source, column = self.slots[position]  # an IndexError ends an iteration
+        frame = self.rows.sources[source]
+        part = self._part
+        if part == "dictionaries":
+            value = None if frame.dictionaries is None else frame.dictionaries[column]
+        else:
+            columns = frame.arrays if part == "arrays" else frame.codes
+            value = None if columns is None else columns[column]
+            if value is not None:
+                index, padded = self.rows.index(source)
+                if padded:
+                    value = _gather_padded(value, index,
+                                           _pad_values if part == "arrays" else _pad_codes)
+                elif index is not None:
+                    value = value[index]
+        read[position] = value
+        return value
+
+
+def _joined_frame(rows: _Rows, slots: list[tuple[int, int]], columns: list[ColumnInfo],
+                  layout: Layout | None) -> ColFrame:
+    """The frame of a join's ``rows`` whose columns are ``slots``; it carries
+    dictionary codes when a source does."""
+    coded = False
+    for source in rows.sources:
+        coded = coded or source.codes is not None
+    return ColFrame(columns=columns, arrays=_JoinedColumns(rows, slots, "arrays"),
+                    length=rows.length, layout=layout,
+                    codes=_JoinedColumns(rows, slots, "codes") if coded else None,
+                    dictionaries=_JoinedColumns(rows, slots, "dictionaries") if coded else None)
+
+
+def _sources(frame: ColFrame) -> tuple[_Rows, list[tuple[int, int]]]:
+    """``frame`` as the rows and slots of a join result: its own, or one
+    source whose columns are its columns."""
+    if isinstance(frame.arrays, _JoinedColumns):
+        return frame.arrays.rows, frame.arrays.slots
+    return _Rows(frame), [(0, position) for position in range(len(frame.columns))]
+
+
+def _joined(left: ColFrame, left_idx: np.ndarray | None, right: ColFrame,
+            right_idx: np.ndarray, padded: bool = False,
+            layout: Layout | None = None) -> ColFrame:
+    """The frame of ``left`` rows ``left_idx`` beside ``right`` rows
+    ``right_idx`` (no ``left_idx``: every left row, once, in order;
+    ``padded``: -1 in ``right_idx`` stands for an all-NULL right row):
+    ``left``'s columns, then ``right``'s."""
+    left_rows, left_slots = _sources(left)
+    right_rows, right_slots = _sources(right)
+    shift = len(left_rows.sources)
+    return _joined_frame(
+        _Rows(left_rows, left_idx, right_rows, right_idx, padded),
+        left_slots + [(source + shift, position) for source, position in right_slots],
+        left.columns + right.columns, layout)
 
 
 class _LazySelection:
@@ -1250,6 +1372,8 @@ def _summed(name: str, sums: np.ndarray, counts: np.ndarray, empty: np.ndarray |
             return sums / counts
         with np.errstate(invalid="ignore", divide="ignore"):
             return _mask_empty(sums / counts, empty)
+    if empty is None and dtype.kind not in "iub":
+        return sums  # float sums, every group with a value
     return _mask_empty(_retyped(sums, empty, dtype), empty)
 
 
@@ -1285,9 +1409,13 @@ class _Folds:
                  sizes: np.ndarray, filled: bool):
         self.passes = 0
         groups = len(sizes)
-        # an int / bool array has no in-band NULL: nothing to test
-        nulls = None if isinstance(values, np.ndarray) and values.dtype.kind in "iub" \
-            else _null_mask(values)
+        # an int / bool array has no in-band NULL: nothing to test; a plain
+        # float array's is NaN (see ``vector.isnull_mask``)
+        if isinstance(values, np.ndarray):
+            nulls = np.isnan(values) if values.dtype == np.float64 \
+                else none_positions(values) if values.dtype == object else None
+        else:
+            nulls = _null_mask(values)
         if "distinct" in uses:
             underlying = values.values if isinstance(values, Nullable) else values
             self.distinct_dtype = underlying.dtype if isinstance(underlying, np.ndarray) \

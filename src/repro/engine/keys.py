@@ -158,9 +158,15 @@ def _combine(columns: list[tuple[np.ndarray, np.ndarray | None]],
     return combined, space, null_code, hashed
 
 
-def _count(operator: str, rows: int, hashed: bool) -> None:
-    count_metric(f"{operator}.fallback_rows" if hashed else f"{operator}.kernel_rows",
-                 rows)
+def _count(operator: str, rows: int, hashed: bool, tally: dict | None) -> None:
+    """Count ``rows`` as the operator's ``fallback_rows`` (through the dict) or
+    ``kernel_rows``: into ``tally``, which the caller adds to the query's
+    counters, or (None) into them at once."""
+    name = f"{operator}.fallback_rows" if hashed else f"{operator}.kernel_rows"
+    if tally is None:
+        count_metric(name, rows)
+    else:
+        tally[name] = tally.get(name, 0) + rows
 
 
 class _Offset:
@@ -320,7 +326,9 @@ class KeyOrder:
         every row has a code, else the code is 0 where it is False."""
         combined = found = None
         for (coder, rerank), column in zip(self.steps, columns):
-            values, valid = data_of(column)
+            # an integer-kind column: plain, or a Nullable (``data_of``)
+            values, valid = (column.values, column.valid) if isinstance(column, Nullable) \
+                else (column, None)
             codes, hit = coder.lookup(values.astype(np.int64, copy=False))
             if valid is not None:
                 hit &= valid
@@ -369,35 +377,37 @@ def build_order(columns: list, operator: str = "join") -> KeyOrder | None:
     return KeyOrder(steps, combined, space, present, rows)
 
 
-def probe_order(order: KeyOrder, columns: list
+def probe_order(order: KeyOrder, columns: list, tally: dict | None = None
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Probe a build side with integer-kind key columns.
 
     Returns what :func:`join_indexes` returns; ``left_idx`` is None for
     "every probe row, once, in order" (a unique build key all of them find).
+    The rows count as ``join.kernel_rows`` (see :func:`_count` for ``tally``).
     """
     codes, found = order.codes(columns)
     rows = len(codes)
-    count_metric("join.kernel_rows", rows)
+    _count("join", rows, False, tally)
     if order.unique:
         right_idx = order.first[codes]
         matched = right_idx >= 0 if found is None else found & (right_idx >= 0)
         if matched.all():
             return None, right_idx, _EMPTY
-        left_idx = np.flatnonzero(matched)
-        return left_idx, right_idx[left_idx], np.flatnonzero(~matched)
+        left_idx = matched.nonzero()[0]
+        return left_idx, right_idx[left_idx], (~matched).nonzero()[0]
     counts = order.run_lengths[codes]
     if found is not None:
         counts[~found] = 0
-    left_idx = np.repeat(np.arange(rows, dtype=np.int64), counts)
+    # (ndarray methods, not the np.* wrappers: no Python frame on this path)
+    left_idx = np.arange(rows, dtype=np.int64).repeat(counts)
     # a left row's matches are consecutive in ``order``, from its run's start
-    ends = np.cumsum(counts)
-    positions = np.repeat(order.run_starts[codes] - (ends - counts), counts) \
+    ends = counts.cumsum()
+    positions = (order.run_starts[codes] - (ends - counts)).repeat(counts) \
         + np.arange(len(left_idx), dtype=np.int64)
-    return left_idx, order.order[positions], np.flatnonzero(counts == 0)
+    return left_idx, order.order[positions], (counts == 0).nonzero()[0]
 
 
-def join_indexes(left: list, right: list
+def join_indexes(left: list, right: list, tally: dict | None = None
                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Equi-join two lists of key columns (one column per key, per side).
 
@@ -408,16 +418,16 @@ def join_indexes(left: list, right: list
     integers, date ordinals, dictionary codes) are :func:`probe_order` over
     :func:`build_order` of the right side, and ``left_idx`` may then be None
     (every left row, once, in order); floats, strings and mixed dtypes are
-    coded jointly, under Python equality.
+    coded jointly, under Python equality.  ``tally``: see :func:`_count`.
     """
     if integer_kind(left):
         order = build_order(right)
         if order is not None:
-            return probe_order(order, left)
-    return _joint_indexes(left, right)
+            return probe_order(order, left, tally)
+    return _joint_indexes(left, right, tally)
 
 
-def _joint_indexes(left: list, right: list
+def _joint_indexes(left: list, right: list, tally: dict | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`join_indexes` by coding both sides' keys in one space."""
     left_rows, right_rows = len(left[0]), len(right[0])
@@ -433,7 +443,7 @@ def _joint_indexes(left: list, right: list
                                      (right_values, right_valid))])
         columns.append((_joint(left_values, right_values), valid))
     codes, space, null_code, hashed = _combine(columns, null_is_a_key=False)
-    _count("join", len(codes), hashed)
+    _count("join", len(codes), hashed, tally)
     probe, build = codes[:left_rows], codes[left_rows:]
 
     # counting sort of the build rows: a run per code, rows ascending in it
@@ -444,20 +454,21 @@ def _joint_indexes(left: list, right: list
         run_lengths[null_code] = 0  # its rows sort last and stay unread
     run_starts = np.cumsum(run_lengths) - run_lengths
     counts = run_lengths[probe]
-    left_idx = np.repeat(np.arange(left_rows, dtype=np.int64), counts)
+    left_idx = np.arange(left_rows, dtype=np.int64).repeat(counts)
     # position of every output row inside its left row's run of matches
     within = np.arange(len(left_idx), dtype=np.int64) \
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[np.repeat(run_starts[probe], counts) + within]
-    return left_idx, right_idx, np.flatnonzero(counts == 0)
+        - (counts.cumsum() - counts).repeat(counts)
+    right_idx = order[run_starts[probe].repeat(counts) + within]
+    return left_idx, right_idx, (counts == 0).nonzero()[0]
 
 
-def group_rows(factors: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def group_rows(factors: list, rows: int, tally: dict | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Group ``rows`` rows by their key columns.
 
     Returns ``(group_ids, first_index)``: a dense id per row, ids numbered
     in first-seen order, and the first row of every group.  NULLs group
-    together; every NaN is its own group.
+    together; every NaN is its own group.  ``tally``: see :func:`_count`.
     """
     columns = []
     for factor in factors:
@@ -466,11 +477,11 @@ def group_rows(factors: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             columns.append((factor, None))  # a None in an object array hashes
     codes, space, _, hashed = _combine(columns, null_is_a_key=True)
-    _count("group", rows, hashed)
+    _count("group", rows, hashed, tally)
     first = np.full(space, rows, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
-    seen = np.flatnonzero(first < rows)
-    seen = seen[np.argsort(first[seen])]
+    seen = (first < rows).nonzero()[0]
+    seen = seen[first[seen].argsort()]
     group_of = np.empty(space, dtype=np.int64)
     group_of[seen] = np.arange(len(seen), dtype=np.int64)
     return group_of[codes], first[seen]
@@ -502,7 +513,8 @@ def _ranks(column: "np.ndarray | Nullable | Ranked") -> tuple[np.ndarray, bool]:
     return hash_codes(values.tolist(), ranked=True)[0], True
 
 
-def order_index(keys: list[tuple["np.ndarray | Nullable | Ranked", bool]]) -> np.ndarray:
+def order_index(keys: list[tuple["np.ndarray | Nullable | Ranked", bool]],
+                tally: dict | None = None) -> np.ndarray:
     """Stable row order under ``[(column, descending), ...]`` sort keys.
 
     The first key is the most significant.  NULLs are the largest value
@@ -511,9 +523,13 @@ def order_index(keys: list[tuple["np.ndarray | Nullable | Ranked", bool]]) -> np
     value)`` with ``reverse=descending``, one key at a time, gave.  A column
     is ranked by its dtype (see :func:`_ranks`) unless it comes
     :class:`Ranked`; the rows count once per call, as ``sort.fallback_rows``
-    when a key went through the dict, else as ``sort.kernel_rows``.
+    when a key went through the dict, else as ``sort.kernel_rows`` (``tally``:
+    see :func:`_count`).
     """
-    ranked = [_ranks(column) for column, _ in keys]
-    _count("sort", len(ranked[0][0]), any(hashed for _, hashed in ranked))
-    return np.lexsort([-ranks if descending else ranks
-                       for (ranks, _), (_, descending) in zip(ranked[::-1], keys[::-1])])
+    sort_keys, any_hashed = [], False  # least significant first, for lexsort
+    for column, descending in reversed(keys):
+        ranks, hashed = _ranks(column)
+        sort_keys.append(-ranks if descending else ranks)
+        any_hashed = any_hashed or hashed
+    _count("sort", len(sort_keys[0]), any_hashed, tally)
+    return np.lexsort(sort_keys)

@@ -320,7 +320,9 @@ class Stamped:
 
     def get(self, database, build, *arguments):
         """The value, built by ``build(*arguments)`` when it is not current."""
-        value = self.current(database)
+        found = self._found  # :meth:`current`, inlined: every execution asks
+        value = found[2] if found is not None and found[0] is database \
+            and found[1] == database.mutations else None
         if value is None:
             mutations = database.mutations
             value = build(*arguments)
@@ -471,6 +473,8 @@ class Planner:
             ] + list(classified.residual)
 
         graph = _JoinGraph(item_columns, classified.equi_joins)
+        _refuse_ambiguous([select.where, select.having, *select.group_by,
+                           *(item.expression for item in select.items)], scope)
         # an equality between two bindings of one FROM item (an explicit JOIN
         # tree) joins no two items: it filters the joined rows
         residual += graph.internal
@@ -612,6 +616,7 @@ class Planner:
             combined = left + right
             if item.condition is not None:
                 condition_scope = Scope(columns=combined, outer=outer_scope)
+                _refuse_ambiguous([item.condition], condition_scope)
                 for subselect in _direct_subselects(item.condition):
                     self._plan_block(subselect, condition_scope, blocks)
             return combined
@@ -677,6 +682,31 @@ class _ColumnSet:
         if ref.table:
             return (ref.table.lower(), ref.name.lower()) in self._qualified
         return ref.name.lower() in self._names
+
+
+def _refuse_ambiguous(expressions: list, scope: Scope) -> None:
+    """Refuse an unqualified column name that matches columns of more than
+    one binding of the scope it resolves in -- the block's own, else the
+    nearest enclosing scope that has the name -- as SQLite refuses it
+    ("ambiguous column name").  Subqueries are checked as blocks of their
+    own; ORDER BY names output columns and is resolved against those
+    (``order_positions``).  A block whose bindings share no name and which
+    has no enclosing scope is not walked."""
+    if scope.outer is None and not scope.has_shared_name():
+        return
+    for expression in expressions:
+        if expression is None or isinstance(expression, ast.Star):
+            continue
+        for node in ast.walk_local(expression):
+            if not isinstance(node, ast.ColumnRef) or node.table:
+                continue
+            name, found, enclosing = node.name.lower(), [], scope
+            while not found and enclosing is not None:
+                found, enclosing = enclosing.matches(name), enclosing.outer
+            owners = sorted({column.binding.lower() for column in found})
+            if len(owners) > 1:
+                raise PlanError(f"ambiguous column name: {node.name} "
+                                f"(qualify it with one of {', '.join(owners)})")
 
 
 class _JoinGraph:

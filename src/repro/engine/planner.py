@@ -73,6 +73,14 @@ class Layout:
     def type_of(self, position: int) -> str:
         return self.columns[position].type_name
 
+    def lenient(self) -> "Layout":
+        """This lookup over the same columns, an ambiguous name resolving to
+        its first column (``"first"``); the indexes are shared, not rebuilt."""
+        other = Layout.__new__(Layout)
+        other.columns, other._index, other._by_name = self.columns, self._index, self._by_name
+        other.ambiguous = "first"
+        return other
+
 
 @dataclass
 class Scope:
@@ -80,32 +88,42 @@ class Scope:
 
     columns: list[ColumnInfo] = field(default_factory=list)
     outer: "Scope | None" = None
-
-    def add(self, column: ColumnInfo) -> None:
-        self.columns.append(column)
-
-    def extend(self, columns: list[ColumnInfo]) -> None:
-        self.columns.extend(columns)
+    #: the columns by lower-case name and by (binding, name), each in column
+    #: order; indexed the first time a name is looked up.
+    _by_name: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _qualified: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- resolution -----------------------------------------------------------
 
-    def resolve_local(self, ref: ast.ColumnRef) -> ColumnInfo | None:
-        """Resolve ``ref`` against this scope only (None when not found)."""
-        name = ref.name.lower()
-        if ref.table:
-            table = ref.table.lower()
+    def _index(self) -> tuple[dict, dict]:
+        if self._by_name is None:
+            by_name: dict[str, list[ColumnInfo]] = {}
+            qualified: dict[tuple[str, str], ColumnInfo] = {}
             for column in self.columns:
-                if column.binding.lower() == table and column.name.lower() == name:
-                    return column
-            return None
-        matches = [column for column in self.columns if column.name.lower() == name]
-        if not matches:
-            return None
-        if len(matches) > 1:
-            # Ambiguity across bindings: prefer an exact single match per
-            # binding order; TPC-H never needs more than this.
-            return matches[0]
-        return matches[0]
+                name = column.name.lower()
+                by_name.setdefault(name, []).append(column)
+                qualified.setdefault((column.binding.lower(), name), column)
+            self._qualified, self._by_name = qualified, by_name
+        return self._by_name, self._qualified
+
+    def matches(self, name: str) -> list[ColumnInfo]:
+        """The columns called ``name`` (lower case), in column order."""
+        return self._index()[0].get(name, [])
+
+    def resolve_local(self, ref: ast.ColumnRef) -> ColumnInfo | None:
+        """Resolve ``ref`` against this scope only (None when not found); an
+        ambiguous unqualified name -- refused by the planner -- resolves to
+        its first column."""
+        by_name, qualified = self._index()
+        if ref.table:
+            return qualified.get((ref.table.lower(), ref.name.lower()))
+        found = by_name.get(ref.name.lower())
+        return found[0] if found else None
+
+    def has_shared_name(self) -> bool:
+        """Whether a name is the name of columns of more than one binding."""
+        return any(len(found) > 1 and len({column.binding.lower() for column in found}) > 1
+                   for found in self._index()[0].values())
 
     def resolve(self, ref: ast.ColumnRef) -> tuple[ColumnInfo, bool]:
         """Resolve ``ref`` here or in an outer scope.

@@ -60,7 +60,7 @@ _EPOCH_ORDINAL = ordinal_to_date(0).toordinal()
 # and fallback outputs); scalar NULL is Python None.
 # ---------------------------------------------------------------------------
 
-_NUMPY_CMP: dict[str, Callable] = {
+NUMPY_COMPARISONS: dict[str, Callable] = {
     "=": _operator.eq,
     "<>": _operator.ne,
     "<": _operator.lt,
@@ -69,7 +69,7 @@ _NUMPY_CMP: dict[str, Callable] = {
     ">=": _operator.ge,
 }
 
-_PY_ARITH: dict[str, Callable] = {
+ARITHMETIC: dict[str, Callable] = {
     "+": _operator.add,
     "-": _operator.sub,
     "*": _operator.mul,
@@ -91,7 +91,7 @@ def compare_arrays(operator: str, left: Any, right: Any) -> Any:
         return compare_values(operator, left, right)
     if left is None or right is None:
         return Kleene.unknown(len(left) if is_array(left) else len(right))
-    compare = _NUMPY_CMP[operator]
+    compare = NUMPY_COMPARISONS[operator]
     left_values, left_valid = data_of(left)
     right_values, right_valid = data_of(right)
     try:
@@ -137,7 +137,7 @@ def arith_arrays(operator: str, left: Any, right: Any) -> Any:
     cannot fault) and the validity masks AND together.  Object arrays fall
     back to an elementwise walk, as before.
     """
-    operation = _PY_ARITH[operator]
+    operation = ARITHMETIC[operator]
     if not is_array(left) and not is_array(right):
         if left is None or right is None:
             return None
@@ -217,17 +217,50 @@ def negate_values(value: Any) -> Any:
         return out
 
 
+#: the float64 range int64 holds: ``[-2**63, 2**63)``.
+_INT64_FLOATS = (-2.0 ** 63, 2.0 ** 63)
+
+
+def cast_integers(values: np.ndarray) -> np.ndarray:
+    """CAST AS INT of NULL-free ``values`` as the row engine's ``int()`` casts
+    each: toward zero, ``int64`` where every value fits, else exact Python
+    integers (an object array); a NaN or an infinity raises what ``int()``
+    raises."""
+    if values.dtype.kind in "iub":
+        return values.astype(np.int64)
+    if values.dtype.kind == "f":
+        low, high = _INT64_FLOATS
+        if ((values >= low) & (values < high)).all():  # NaN is in no range
+            return values.astype(np.int64)
+    integers = [int(value) for value in values.tolist()]
+    try:
+        return np.array(integers, dtype=np.int64)
+    except OverflowError:
+        out = np.empty(len(integers), dtype=object)
+        out[:] = integers
+        return out
+
+
 def cast_array(array: "np.ndarray | Nullable", convert: Callable) -> Any:
     """Apply a dtype cast, keeping NULL positions NULL.
 
     Nullable inputs cast their typed values in bulk and keep the validity
-    mask.  For object arrays the NULL check must run *before* the bulk
-    cast: numpy's object->float64 ``astype`` happily converts ``None`` to
-    NaN without raising, which would silently turn NULL into a value the
-    row engine does not produce.
+    mask; only the valid entries are cast (a float NULL's NaN sentinel does
+    not reach an integer cast), and a cast that had to leave the dtype
+    (:func:`cast_integers` beyond ``int64``) comes back as objects with
+    ``None`` at the NULLs.  For object arrays the NULL check must run
+    *before* the bulk cast: numpy's object->float64 ``astype`` happily
+    converts ``None`` to NaN without raising, which would silently turn
+    NULL into a value the row engine does not produce.
     """
     if isinstance(array, Nullable):
-        return Nullable(convert(array.values), array.valid)
+        values, valid = array.values, array.valid
+        converted = convert(np.where(valid, values, 0) if values.dtype.kind == "f"
+                            else values)
+        if converted.dtype == object:
+            converted[~valid] = None
+            return converted
+        return Nullable(converted, valid)
     if array.dtype == object:
         nulls = none_positions(array)
         if nulls.any():
@@ -274,8 +307,7 @@ def like_mask(matcher: Callable[[Any], bool], operand: Any, negated: bool,
             dtype=bool, count=len(valid))
         result: Any = Kleene(matches, valid)
     elif isinstance(operand, np.ndarray):
-        matches = np.fromiter((matcher(value) for value in operand), dtype=bool,
-                              count=len(operand))
+        matches = np.fromiter(map(matcher, operand), dtype=bool, count=len(operand))
         if operand.dtype == object:
             nulls = none_positions(operand)
             result = Kleene(matches, ~nulls) if nulls.any() else matches

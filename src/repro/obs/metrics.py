@@ -20,8 +20,11 @@ see the README's Observability section for the full list.
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 from collections import deque
+from collections.abc import Callable
 from contextvars import ContextVar
 
 _ACTIVE: ContextVar["MetricsContext | None"] = ContextVar(
@@ -96,6 +99,39 @@ def count(name: str, amount: float = 1) -> None:
         # so it skips the extra method call.
         counters = context.counters
         counters[name] = counters.get(name, 0) + amount
+
+
+def count_all(amounts: dict[str, float]) -> None:
+    """:func:`count` every ``name: amount`` of ``amounts`` in one call: what
+    an operator tallied locally, added once."""
+    context = _ACTIVE.get()
+    if context is not None:
+        counters = context.counters
+        for name, amount in amounts.items():
+            counters[name] = counters.get(name, 0) + amount
+
+
+def python_calls(run: Callable[[], object], package: str) -> tuple[int, int]:
+    """The Python function calls ``run()`` makes on this thread, as
+    ``(calls of code under the directory of module `package`, all others)`` --
+    numpy's and the standard library's own Python frames are the others; C
+    functions are not counted.  A deterministic measure of an operator's
+    fixed cost: the count does not move with the load of the machine (it
+    does with the interpreter version)."""
+    root = os.path.dirname(sys.modules[package].__file__) + os.sep
+    counts = [0, 0]
+
+    def profile(frame, event, _arg) -> None:
+        if event == "call":
+            counts[not frame.f_code.co_filename.startswith(root)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts[0], counts[1]
 
 
 # ---------------------------------------------------------------------------

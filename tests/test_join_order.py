@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
-from repro.errors import ExecutionError
+from repro.errors import PlanError
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_select
 from repro.sqlparser.printer import to_sql
@@ -225,29 +225,34 @@ def people() -> Database:
 
 @pytest.mark.parametrize("where,driving", [
     ("w.id >= 36", "w"), ("w.id >= 5 and b.id = 1", "b")])
-def test_shared_unqualified_names_resolve_in_from_order(people, where, driving):
-    """``name`` and ``id`` are columns of both bindings: unqualified, they are
-    ``w``'s -- the binding the FROM clause lists first -- in the select list,
-    in the join key and in the residual, under either driving table."""
-    sql = (f"select name, b.name, id from person w, person b "
-           f"where boss = b.id and {where} and id + b.id > 0")
+def test_shared_unqualified_names_are_refused_whatever_the_driving_table(people, where,
+                                                                          driving):
+    """``name``, ``id`` and ``boss`` are columns of both bindings.  Qualified,
+    the rows do not depend on the table the statistics drive from.
+    Unqualified, each is ambiguous: ``prepare`` refuses it on both engines,
+    as SQLite does -- in the select list, the join key and the residual --
+    where the row engine used to take ``w``'s (the binding listed first) and
+    the column engine refused the select list only when it ran."""
     qualified = (f"select w.name, b.name, w.id from person w, person b "
                  f"where w.boss = b.id and {where} and w.id + b.id > 0")
+    expected = None
     for options in (EngineOptions(), EngineOptions(compile_expressions=False),
                     EngineOptions(hash_joins=False),
                     EngineOptions(compile_expressions=False, hash_joins=False)):
-        engine = RowEngine(people, options=options)
-        assert engine.prepare(sql).root.join_names()[0] == driving
-        result = engine.execute(sql)
-        assert sorted(result.rows) == sorted(engine.execute(qualified).rows), options
-        assert len(result.rows) == (4 if driving == "w" else 3)
-    # the column engine refuses the shared name in the select list -- under
-    # either driving table -- and resolves the join key as the planner did
-    column = ColumnEngine(people)
-    with pytest.raises(ExecutionError, match="ambiguous column"):
-        column.execute(sql)
-    keyed = f"select w.name, b.name, w.id from person w, person b where boss = b.id and {where}"
-    assert sorted(column.execute(keyed).rows) == sorted(RowEngine(people).execute(keyed).rows)
+        for engine in (RowEngine(people, options=options),
+                       ColumnEngine(people, options=options)):
+            assert engine.prepare(qualified).root.join_names()[0] == driving
+            rows = sorted(engine.execute(qualified).rows)
+            assert rows == (expected or rows) and len(rows) == (4 if driving == "w" else 3)
+            expected = rows
+            for shared in ("name, b.name, w.id", "w.name, b.name, id"):
+                with pytest.raises(PlanError, match="ambiguous column name"):
+                    engine.prepare(qualified.replace("w.name, b.name, w.id", shared))
+            for shared in ("boss = b.id", "id + b.id > 0"):
+                unqualified = qualified.replace(f"w.{shared}", shared)
+                assert unqualified != qualified
+                with pytest.raises(PlanError, match="ambiguous column name"):
+                    engine.prepare(unqualified)
 
 
 def test_equality_between_bindings_of_one_from_item_still_filters(people):

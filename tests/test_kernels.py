@@ -19,7 +19,7 @@ from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine
 from repro.engine.compile import CompileFallback, Layout, compile_row_kernel
 from repro.engine.planner import ColumnInfo
 from repro.engine.vector import ColFrame
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 from repro.tpch import QUERIES
 from tests.conftest import normalise
@@ -110,9 +110,11 @@ class TestAmbiguousColumns:
         assert frame.position(ast.ColumnRef(name="id", table="u")) == 1
 
     def test_column_engine_rejects_ambiguous_reference(self, small_db):
+        """``prepare`` refuses it, on either engine: a plan verdict, not an
+        execution failure."""
         engine = ColumnEngine(small_db)
-        with pytest.raises(ExecutionError, match="ambiguous column"):
-            engine.execute("select id from t, u where t.id = u.t_id")
+        with pytest.raises(PlanError, match="ambiguous column name: id"):
+            engine.prepare("select id from t, u where t.id = u.t_id")
 
     def test_qualified_reference_still_works(self, small_db):
         engine = ColumnEngine(small_db)
@@ -170,11 +172,12 @@ class TestSelectionVectors:
         assert self._frames_per_execution(interpreted, unfiltered) == 1
 
     def test_join_pipeline_composes_selections(self, parity_db):
-        """Q3's three filtered scans and two joins: a frame per join and the
-        result -- the scans' frames are the plan's, and the filtered scans
-        are joined through their selections, never materialised to be
-        gathered again."""
-        assert self._frames_per_execution(ColumnEngine(parity_db), QUERIES[3]) == 3
+        """Q3's three filtered scans and two joins: the joined frame and the
+        result -- the scans' frames are the plan's, the filtered scans are
+        joined through their selections, never materialised to be gathered
+        again, and a join level between is a row index per FROM item, no
+        frame (there was one per join)."""
+        assert self._frames_per_execution(ColumnEngine(parity_db), QUERIES[3]) == 2
 
 
 _GLOBAL_VALUES = st.one_of(

@@ -14,6 +14,7 @@ the select list).
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.errors import CatalogError, PlanError, SQLError, VERDICT_KINDS, error
 from repro.pool.pool import QueryPool
 from repro.sqlparser import extract_grammar
 from repro.tpch import QUERIES
+from tests.conftest import sqlite_mirror, sqlite_rows
 from tests.test_fuzz_parity import FUZZ_ITERATIONS, FUZZ_SEED, QueryGenerator, _fuzz_database
 
 REFUSALS = (PlanError, SQLError, CatalogError)
@@ -99,3 +101,58 @@ def test_a_text_that_prepares_is_never_refused_by_execute(corpora, engine_class,
     # the property is not vacuous: each class of refusal was met
     assert set(refused) == {"PlanError", "SQLSyntaxError", "CatalogError"}
     assert refused["PlanError"] >= 8
+
+
+#: over ``a(k, x)`` and ``b(k, y)``: an unqualified ``k`` names a column of
+#: both bindings.  The row engine let the first binding win, the column
+#: engine refused the first two in ``execute`` and picked ``a.k`` in the third.
+AMBIGUOUS = [
+    "select k from a, b where a.k = b.k",
+    "select sum(k) from a, b where a.k = b.k",
+    "select x from a, b where k = 1",
+    "select a.x from a join b on k = b.y",
+    "select count(*) from a, b where a.k = b.k group by k",
+    "select count(*) from a, b where a.k = b.k group by a.x having max(k) > 0",
+]
+#: what stays unambiguous: qualified names, an ORDER BY naming an output
+#: column, and a correlated subquery's own column before the outer one.
+UNAMBIGUOUS = [
+    "select a.k, b.y from a, b where a.k = b.k",
+    "select a.k as k from a, b where a.k = b.k order by k",
+    "select x from a where exists (select 1 from b where k = x)",
+    "select x, y from a, b where a.k = b.k and x < y",
+]
+
+
+@pytest.fixture(scope="module")
+def two_tables() -> Database:
+    database = Database("ambiguous")
+    database.create_table("a", [("k", "int"), ("x", "int")])
+    database.create_table("b", [("k", "int"), ("y", "int")])
+    database.insert_rows("a", [(1, 1), (2, 3), (3, 9)])
+    database.insert_rows("b", [(1, 5), (3, 7)])
+    return database
+
+
+@pytest.mark.parametrize("sql", AMBIGUOUS)
+def test_an_ambiguous_column_name_is_refused_by_prepare(two_tables, sql):
+    """SQLite refuses each text ("ambiguous column name: k"); so does
+    ``prepare`` on both engines, as a ``plan`` verdict, caching nothing."""
+    with pytest.raises(sqlite3.OperationalError, match="ambiguous column name: k"):
+        sqlite_rows(sqlite_mirror(two_tables), sql)
+    for engine_class in (RowEngine, ColumnEngine):
+        for compiled in (True, False):
+            engine = engine_class(two_tables,
+                                  options=EngineOptions(compile_expressions=compiled))
+            with pytest.raises(PlanError, match="ambiguous column name: k") as refused:
+                engine.prepare(sql)
+            assert error_kind(refused.value) == "plan"
+            assert engine.cache_stats()["size"] == 0
+
+
+@pytest.mark.parametrize("sql", UNAMBIGUOUS)
+def test_names_one_binding_holds_still_prepare(two_tables, sql):
+    expected = sorted(sqlite_rows(sqlite_mirror(two_tables), sql))
+    assert expected  # each control selects rows
+    for engine_class in (RowEngine, ColumnEngine):
+        assert sorted(engine_class(two_tables).execute(sql).rows) == expected, sql

@@ -238,6 +238,27 @@ class TestNullSemantics:
             nullable_db, "select id, cast(price as float) from t order by id")
         assert (2, None) in rows  # not (2, nan)
 
+    def test_cast_to_int_is_the_row_engines_beyond_int64_and_over_nulls(self):
+        """CAST AS INT casts each valid value as ``int()`` does: toward zero,
+        exactly beyond int64 (1e30 was -2**63 on the column engine), with no
+        warning for the NaN a float NULL is stored as (numpy's "invalid value
+        encountered in cast" was emitted whenever a row was NULL)."""
+        import warnings
+
+        database = Database("cast-int", chunk_rows=3)
+        database.create_table("t", [("id", "int"), ("x", "float")])
+        database.insert_rows("t", [(1, 1e30), (2, None), (3, 2.5), (4, -3.7), (5, None)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _assert_parity(database, "select id, cast(x as int) from t order by id")
+            assert rows == [(1, 10 ** 30 + 19884624838656), (2, None), (3, 2), (4, -3),
+                            (5, None)]
+            fitting = _assert_parity(
+                database, "select id, cast(x as int) + 1 from t where id > 1 order by id")
+            assert fitting == [(2, None), (3, 3), (4, -2), (5, None)]
+            assert _assert_parity(database, "select cast(2.5 as int) from t where id = 1") \
+                == [(2,)]
+
     def test_in_list_with_null_member(self, nullable_db):
         # NULL IN (...) is NULL -> false, even when the list contains NULL;
         # np.isin would otherwise match None by identity.
