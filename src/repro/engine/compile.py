@@ -45,15 +45,16 @@ plan cache amortises compilation exactly like planning.
   gathered columns are memoised per evaluation so repeated references pay
   one gather.  Beside them, per block, what the column pipeline needs to
   know before it runs (:class:`ColumnBlockShape`): frame layouts, join keys,
-  output types and -- found by the one walk over an aggregated select list,
-  :func:`aggregate_sites` -- the numbered leaf sites kernels, partial
-  aggregate states and per-group evaluation are all indexed by.
+  output types and the lookup of an aggregated block's group rows.
 
-Both mirror the interpreter semantics exactly (NULL propagation, date
-coercion, LIKE, three-valued predicates).  :class:`CompileFallback` reaches a
-caller only where there is no row to interpret on: from
-:func:`compile_row_kernel`, around aggregate calls (the block then has
-``run=None`` and the executor interprets it whole) and from
+An aggregated select list and HAVING are ordinary expressions over a group
+row (:class:`~repro.engine.plan.Aggregation`, from the planner's one walk):
+both lowerings take them as they take any expression, the row pipeline's
+over the group's first row and its calls' locals, the column kernels over a
+frame of group rows.  Both mirror the interpreter semantics exactly (NULL
+propagation, date coercion, LIKE, three-valued predicates).
+:class:`CompileFallback` reaches a caller only where there is no row to
+interpret on: from :func:`compile_row_kernel`, and from
 :func:`compile_column_kernel`, whose block then has no kernel (None) for
 that expression; its executor tries the lowering again for each evaluation
 and, where it still fails, evaluates the expression row by row.
@@ -88,9 +89,9 @@ from repro.engine.mask import (
     kleene_and,
     kleene_not,
     kleene_or,
-    none_positions,
     truth_mask,
 )
+from repro.engine.plan import Aggregation
 from repro.engine.planner import ColumnInfo, Layout, always_date, output_type, probes_index
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
@@ -113,6 +114,7 @@ from repro.engine.vector import (
     negate_values,
     round_values,
     widen_guarded,
+    zero_divisor,
 )
 from repro.errors import ExecutionError
 from repro.sqlparser import ast
@@ -207,6 +209,12 @@ def _div(left, right):
     return left / right
 
 
+def _mod(left, right):
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left % right
+
+
 def _sub(left, right):
     if isinstance(left, datetime.date) and isinstance(right, datetime.date):
         return (left - right).days
@@ -231,7 +239,7 @@ def _substr(value, start, length=None):
 
 #: what generated source may call besides builtins and its bound constants.
 _RUNTIME = {
-    "_div": _div, "_sub": _sub, "_shift": _shift, "_interval_left": _interval_left,
+    "_div": _div, "_mod": _mod, "_sub": _sub, "_shift": _shift, "_interval_left": _interval_left,
     "_substr": _substr, "add_interval": add_interval, "to_date": to_date,
     "compare_values": compare_values, "in_members": in_members,
     "like_predicate": like_predicate,
@@ -244,10 +252,6 @@ _SERIAL = itertools.count(1)
 _FOLDABLE = (ast.Literal, ast.DateLiteral, ast.IntervalLiteral, ast.UnaryOp,
              ast.BinaryOp, ast.BoolOp, ast.Comparison, ast.IsNull, ast.Between,
              ast.Like, ast.InList, ast.Cast, ast.Extract, ast.Substring, ast.CaseWhen)
-
-#: the node shapes evaluate_aggregate accepts around aggregate calls.
-_AGGREGATE_WRAPPERS = (ast.BinaryOp, ast.UnaryOp, ast.Comparison, ast.BoolOp,
-                       ast.CaseWhen, ast.Cast)
 
 
 def _constant(node: ast.Expression) -> bool:
@@ -299,8 +303,6 @@ class _Source:
         self.outers: dict[tuple[str, str], str] = {}
         #: memo entries in insertion order, so a failed lowering can be undone.
         self.journal: list[tuple[dict[str, str], str]] = []
-        #: (call, final value) per aggregate call, while finalising a group.
-        self.finals: list[tuple[ast.FunctionCall, _Val]] | None = None
         #: slots (``r0[5]``) and their locals (``c0_5``) whose column holds no
         #: NULL in the table version the function is generated for.
         self.nonnull: set[str] = set()
@@ -448,7 +450,7 @@ class _Source:
                 raise CompileFallback(f"column '{ref.qualified}' is not local")
             return _Val(name, (name,))
         slot = slots[position]
-        if self.inline:
+        if self.inline or "[" not in slot:  # a local already (a group's aggregate)
             return _Val(slot, (slot,))
         name = self._memo(slot)
         if name is None:
@@ -472,8 +474,7 @@ class _Source:
             return self._lower(node)
         except CompileFallback:
             layout, _, row = self.cols
-            # around an aggregate there is no row to interpret on
-            if row is None or (self.finals is not None and ast.has_local_aggregate(node)):
+            if row is None:
                 raise
             self.undo(mark)
             self.interpreted.append((node, layout))
@@ -488,9 +489,6 @@ class _Source:
         if kind is ast.Star:
             return self.constant(1)
         if kind is ast.FunctionCall and node.is_aggregate:
-            for call, final in self.finals or ():
-                if call is node:
-                    return final
             raise CompileFallback(
                 f"aggregate function '{node.name.lower()}' used outside an aggregation context")
         if _constant(node):
@@ -524,15 +522,16 @@ class _Source:
         if isinstance(node.left, ast.IntervalLiteral):
             return self.strict("_interval_left({})", self.expr(node.right), effect=True)
         left, right = self.expr(node.left), self.expr(node.right)
-        if op == "/":
+        if op in ("/", "%"):
             if right.const is not None and right.const[0]:
-                return self.strict("({} / {})", left, right)
-            return self.strict("_div({}, {})", left, right, effect=True)
+                return self.strict(f"({{}} {op} {{}})", left, right, effect=op == "%")
+            return self.strict(f"{'_div' if op == '/' else '_mod'}({{}}, {{}})", left, right,
+                               effect=True)
         if op == "-" and not (_never_date(node.left, layout)
                               or _never_date(node.right, layout)):
             return self.strict("_sub({}, {})", left, right)
-        if op in ("+", "-", "*", "%"):
-            return self.strict(f"({{}} {op} {{}})", left, right, effect=op == "%")
+        if op in ("+", "-", "*"):
+            return self.strict(f"({{}} {op} {{}})", left, right)
         raise CompileFallback(f"unsupported binary operator '{op}'")
 
     def kleene(self, conjunction: bool, operands: list[Callable[[], _Val]]) -> _Val:
@@ -720,9 +719,8 @@ class RowPipeline:
     mutation, and a cached plan must see the next ones.  It returns ``(rows, counts)`` with ``counts = (rows read from each
     FROM item, rows of it past its push-down, rows at each join level, rows
     past the residual filter)``; an item read through an index counts the rows
-    its probes reached.  ``rows`` is None for the empty global group, which
-    keeps the interpreter's semantics.  ``run`` is None when the whole block
-    stays on the interpreter (``fallback`` says why).
+    its probes reached.  ``run`` is None when the whole block stays on the
+    interpreter (``fallback`` says why).
     """
 
     #: registered in ``linecache`` as ``run.__code__.co_filename`` (``<rowpipe:N>``).
@@ -731,8 +729,6 @@ class RowPipeline:
     hash_joins: bool = True
     #: (expression, layout) pairs the generated loop evaluates through the hook.
     interpreted: list = field(default_factory=list)
-    #: the joined columns, in FROM order.
-    columns: list = field(default_factory=list)
     #: per FROM item: the storage index it is probed through (None = scanned).
     probes: list[IndexProbe | None] = field(default_factory=list)
     #: per FROM item: the scan window ``run`` expects its rows to be confined
@@ -758,10 +754,8 @@ def compile_row_block(block, hash_joins: bool = True, null_free: tuple = ()) -> 
 
     ``null_free`` holds, per FROM item, the positions of the columns known to
     hold no NULL (see :attr:`RowPipeline.null_free`).  Never raises: a block
-    the generator cannot lower (a subquery inside an aggregated select list or
-    HAVING, an aggregate shape the interpreter rejects too, more nested loops
-    than Python compiles) comes back with ``run=None`` and runs on the
-    interpreter.
+    the generator cannot lower (more nested loops than Python compiles) comes
+    back with ``run=None`` and runs on the interpreter.
     """
     try:
         return _generate_pipeline(block, hash_joins, null_free)
@@ -776,19 +770,6 @@ def row_pipeline(plan, block, hash_joins: bool = True, null_free: tuple = ()) ->
     flavour = ("row",) if hash_joins else ("row", "nested-loops")
     return plan.kernels(block, flavour + (null_free,),
                         lambda planned: compile_row_block(planned, hash_joins, null_free))
-
-
-def _check_aggregate_shape(node: ast.Expression) -> None:
-    """Reject what :func:`evaluate_aggregate` rejects around aggregate calls,
-    so generated and interpreted blocks refuse exactly the same queries."""
-    if (isinstance(node, ast.FunctionCall) and node.is_aggregate) \
-            or not ast.has_local_aggregate(node):
-        return
-    if not isinstance(node, _AGGREGATE_WRAPPERS):
-        raise CompileFallback(
-            f"cannot compile aggregate expression node {type(node).__name__}")
-    for child in node.children():
-        _check_aggregate_shape(child)
 
 
 def _tuple(parts: list[str]) -> str:
@@ -956,8 +937,9 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
 
     folds: list[tuple[ast.Expression, str]] = []
     if block.needs_aggregation:
-        folds = _emit_aggregation(src, select, [f"r{index}" for index in order], len(levels),
-                                  counts)
+        folds = _emit_aggregation(src, block, [f"r{index}" for index in order],
+                                  [len(items[index]) for index in order], len(levels), counts,
+                                  joined[-1])
     else:
         values: list[str] = []
         for item in select.items:
@@ -972,29 +954,29 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
         src.close(len(levels))
         src.emit(f"return out, {counts}")
     return RowPipeline(*src.function("pipeline", "scans, indexes, outers, interp"), hash_joins,
-                       src.interpreted, joined[-1][0].columns, probes, windows, builds,
+                       src.interpreted, probes, windows, builds,
                        list(outer_refs.values()), null_free=null_free, folds=folds)
 
 
-def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: int,
-                      counts: str) -> list[tuple[ast.Expression, str]]:
-    """Partition, then fold.
+def _emit_aggregation(src: _Source, block, rows: list[str], widths: list[int], nest: int,
+                      counts: str, joined: tuple) -> list[tuple[ast.Expression, str]]:
+    """Partition, fold, then evaluate over group rows.
 
     Called with ``src`` inside the innermost of ``nest`` loops, which only
     appends each row that reaches it -- for a join, the tuple of its row
     variables -- to its group's list ``g`` (one list without GROUP BY).  Per
-    group, each distinct aggregate argument then becomes one list of values in
-    row order, folded with the builtins
-    :func:`~repro.engine.expression.evaluate_aggregate` folds with (``sum``,
-    ``len``, ``min``, ``max``, ``set``), so a float total is the interpreter's
-    on any CPython (see :func:`_emit_folds`).  Returns (argument, fold kind)
+    group, each distinct aggregate argument of the block's
+    :class:`~repro.engine.plan.Aggregation` then becomes one list of values
+    in row order, folded with the builtins the interpreter folds with
+    (``sum``, ``len``, ``min``, ``max``, ``set``; see :func:`_emit_folds`),
+    and each call's value is bound to a local.  HAVING and the select list
+    are lowered as any expression is, over the group row: the row variables
+    bound to the group's first row (rows of NULLs, ``widths`` wide, for the
+    empty global group) beside the calls' locals.  ``joined`` is what the joined
+    columns resolve in (see ``_Source.cols``).  Returns (argument, fold kind)
     per distinct argument, for :attr:`RowPipeline.folds`.
     """
-    expressions = [item.expression for item in select.items]
-    if select.having is not None:
-        expressions.insert(0, select.having)  # the interpreter evaluates it first
-    for expression in expressions:
-        _check_aggregate_shape(expression)
+    select, aggregation = block.select, block.aggregation
     member = rows[0] if len(rows) == 1 else _tuple(rows)
     if select.group_by:
         keys = [src.value(src.expr(expression)) for expression in select.group_by]
@@ -1006,66 +988,49 @@ def _emit_aggregation(src: _Source, select: ast.Select, rows: list[str], nest: i
         src.emit(f"push({member})")
     src.close(nest)
 
-    # per distinct argument: the node and the folds its calls need
-    arguments: dict[str, tuple[ast.Expression, set[str]]] = {}
-    calls: list[tuple[ast.FunctionCall, str | None]] = []
-    for expression in expressions:
-        for call in ast.walk_local(expression):
-            if not (isinstance(call, ast.FunctionCall) and call.is_aggregate):
-                continue
-            name = call.name.lower()
-            if name == "count" and (not call.arguments
-                                    or isinstance(call.arguments[0], ast.Star)):
-                calls.append((call, None))
-                continue
-            if not call.arguments:
-                raise CompileFallback(f"aggregate '{name}' requires an argument")
-            if name not in ("count", "sum", "avg", "min", "max"):
-                raise CompileFallback(f"unknown aggregate function '{name}'")
-            key = repr(call.arguments[0])
-            uses = arguments.setdefault(key, (call.arguments[0], set()))[1]
-            uses.update(("set",) if call.distinct
-                        else ("sum", "count") if name == "avg" else (name,))
-            calls.append((call, key))
-
-    if select.group_by:
-        src.emit("groups = groups.values()")
-    else:
-        # the empty global group: non-aggregate subexpressions are NULL there,
-        # which only the interpreter's evaluate_aggregate knows how to say.
-        src.emit(f"if not g: return None, {counts}")
-        src.emit("groups = (g,)")
+    # every group of a GROUP BY has a row; the one group without may have none
+    filled = bool(select.group_by)
+    src.emit("groups = groups.values()" if filled else "groups = (g,)")
     src.emit("out = []")
-    folded: dict[str, tuple[dict[str, str], str, bool]] = {}
     kinds: list[tuple[ast.Expression, str]] = []
     with src.block("for g in groups:"):
-        for key, (argument, uses) in arguments.items():
-            folded[key] = _emit_folds(src, argument, uses, rows)
-            kinds.append((argument, folded[key][1]))
-        if rows:
-            src.emit(f"{member} = g[0]")  # what non-aggregate subexpressions read
-        src.finals = []
-        for number, (call, key) in enumerate(calls):
+        folded = []
+        for argument, uses in zip(aggregation.arguments, aggregation.folds):
+            results, kind, never_null = _emit_folds(src, argument, uses, rows, filled)
+            folded.append((results, never_null))
+            kinds.append((argument, kind))
+        finals = []
+        for number, (call, argument) in enumerate(zip(aggregation.calls,
+                                                      aggregation.call_arguments)):
             name = f"a{number}"
-            if key is None:
+            if argument is None:
                 final, never_null = "len(g)", True
             else:
-                results, _, never_null = folded[key]
-                final = _final(call, results, never_null)
+                results, never_null = folded[argument]
+                final = _final(call, results, never_null, filled)
             src.emit(f"{name} = {final}")
-            if never_null or call.name.lower() == "count":
+            if call.name.lower() == "count" or (never_null and filled):
                 src.scopes[-1][1].add(name)
-            src.finals.append((call, _Val(name, (name,))))
-        if select.having is not None:
-            src.emit(f"if not ({src.truth(src.expr(select.having))}): continue")
-        values = [src.value(src.expr(item.expression)) for item in select.items]
+            finals.append(name)
+        if rows:
+            empty = [(None,) * width for width in widths]
+            src.emit(f"{member} = g[0]" if filled else f"{member} = g[0] if g else "
+                     f"{src.bind(empty[0] if len(rows) == 1 else tuple(empty))}")
+        if not filled:
+            src.nonnull = set()  # the empty global group's row is NULL throughout
+        layout, sources, row = joined
+        src.cols = (Layout(aggregation.columns(layout.columns)), sources + finals,
+                    f"{row} + {_tuple(finals)}" if finals else row)
+        if aggregation.having is not None:
+            src.emit(f"if not ({src.truth(src.expr(aggregation.having))}): continue")
+        values = [src.value(src.expr(item)) for item in aggregation.items]
         src.emit(f"out.append({_tuple(values)})")
     src.emit(f"return out, {counts}")
     return kinds
 
 
-def _emit_folds(src: _Source, argument: ast.Expression, uses: set[str],
-                rows: list[str]) -> tuple[dict[str, str], str, bool]:
+def _emit_folds(src: _Source, argument: ast.Expression, uses: frozenset[str],
+                rows: list[str], filled: bool) -> tuple[dict[str, str], str, bool]:
     """Gather one argument's values over the group ``g`` and fold them.
 
     A plain column of a one-table block is ``map(itemgetter(p), g)``, an
@@ -1075,11 +1040,13 @@ def _emit_folds(src: _Source, argument: ast.Expression, uses: set[str],
     NULLs are left out of the values unless the argument holds none (a
     NULL-free column, see :attr:`RowPipeline.null_free`): then nothing is
     tested, its count is ``len(g)`` and, for one fold, no list is built.
-    Every fold is the builtin over the values in row order, as in
-    ``evaluate_aggregate`` -- not a ``+=`` chain: from CPython 3.12 ``sum``
-    compensates float rounding (``sum([1e16, 1.0, -1e16])`` is 1.0, the chain
-    0.0).  Returns (the source of each fold in ``uses``, plus ``"values"`` /
-    ``"count"``), the kind of gathering, and whether the values hold no NULL.
+    Every fold is the builtin over the values in row order, as the row
+    interpreter's (:func:`~repro.engine.expression.aggregate_value`) -- not
+    a ``+=`` chain: from CPython 3.12 ``sum`` compensates float rounding
+    (``sum([1e16, 1.0, -1e16])`` is 1.0, the chain 0.0).  Unless ``filled``
+    (every group has a row), ``g`` may be empty.  Returns (the source of
+    each fold in ``uses``, plus ``"values"`` / ``"count"``), the kind of
+    gathering, and whether the values hold no NULL.
     """
     def listed(source: str) -> str:
         name = src.fresh("x")
@@ -1087,7 +1054,7 @@ def _emit_folds(src: _Source, argument: ast.Expression, uses: set[str],
         return name
 
     target = rows[0] if len(rows) == 1 else _tuple(rows) if rows else "_"
-    consumers = [use for use in ("sum", "min", "max", "set") if use in uses]
+    consumers = [use for use in ("sum", "min", "max", "distinct") if use in uses]
     val = src.inline_expr(argument)
     if val is None:
         kind, values = "loop", listed("[]")
@@ -1112,18 +1079,20 @@ def _emit_folds(src: _Source, argument: ast.Expression, uses: set[str],
     results = {"values": values, "count": "len(g)" if never_null else f"len({values})"}
     for use in consumers:
         results[use] = src.fresh("f")
-        fold = f"{use}({values})"
-        if use in ("min", "max") and not never_null:
-            fold += f" if {values} else None"  # min / max of nothing raises
+        fold = f"{'set' if use == 'distinct' else use}({values})"
+        if use in ("min", "max") and not (never_null and filled):
+            # min / max of nothing raises
+            fold += f" if {'g' if never_null else values} else None"
         src.emit(f"{results[use]} = {fold}")
     return results, kind, never_null
 
 
-def _final(call: ast.FunctionCall, results: dict[str, str], never_null: bool) -> str:
+def _final(call: ast.FunctionCall, results: dict[str, str], never_null: bool,
+           filled: bool) -> str:
     """The source of one aggregate call's value from its argument's folds."""
     name = call.name.lower()
     if call.distinct:
-        values = results["set"]
+        values = results["distinct"]
         count = f"len({values})"
         total = f"{name if name in ('min', 'max') else 'sum'}({values})"
     else:
@@ -1133,9 +1102,9 @@ def _final(call: ast.FunctionCall, results: dict[str, str], never_null: bool) ->
         return count
     if name == "avg":
         total = f"{total} / {count}"
-    if never_null or (name in ("min", "max") and not call.distinct):
+    if (never_null and filled) or (name in ("min", "max") and not call.distinct):
         return total  # a min / max fold says None for no values itself
-    return f"({total} if {values} else None)"
+    return f"({total} if {'g' if never_null else values} else None)"
 
 
 def _item_pushdown(block, columns: list[ColumnInfo]) -> list[ast.Expression]:
@@ -1280,6 +1249,16 @@ def _plain_kernel(operation: Callable, fallback: Callable, errors: tuple,
     return fn
 
 
+def _divide(operation: Callable) -> Callable:
+    """``/`` or ``%`` over operands without NULL, raising the row engine's
+    error where a divisor is 0 (numpy would say inf, NaN or 0)."""
+    def checked(left, right):
+        if zero_divisor(left, right):
+            raise ExecutionError("division by zero")
+        return operation(left, right)
+    return checked
+
+
 def _plain_predicate(node: ast.Expression, layout, plain: frozenset) -> bool:
     """Whether ``node`` is a predicate that is TRUE or FALSE on every row, a
     boolean array: comparisons, BETWEEN, IN (no NULL member) and LIKE over
@@ -1380,7 +1359,7 @@ def _col_binary(node: ast.BinaryOp, layout, guard, plain) -> tuple[bool, Any]:
             left = _as_fn(left_pair)
 
             def fn(ctx):
-                return left(ctx) + delta
+                return arith_arrays("+", left(ctx), delta)
             return _maybe_fold(fn, left_pair)
         if left_pair[0]:
             base = ordinal_to_date(int(left_pair[1]))
@@ -1407,7 +1386,8 @@ def _col_binary(node: ast.BinaryOp, layout, guard, plain) -> tuple[bool, Any]:
             and _plain(node, layout, plain):
         # a widened constant is the constant: it is bound as it is
         return False, _plain_kernel(
-            ARITHMETIC[op], functools.partial(arith_arrays, op), (TypeError, ZeroDivisionError),
+            _divide(ARITHMETIC[op]) if op in ("/", "%") else ARITHMETIC[op],
+            functools.partial(arith_arrays, op), (TypeError, ZeroDivisionError),
             left_pair if left_pair[0] else (False, left),
             right_pair if right_pair[0] else (False, right))
     elif op in _ARITH_OPS:
@@ -1732,13 +1712,15 @@ class ColumnBlockKernels:
     pushdown: list[list[ColumnPredicate]]
     #: the block's residual conjunction, one entry per predicate.
     residual: list[ColumnPredicate]
-    #: per select item of a block that does not aggregate (None for a star too).
+    #: per select item (None for a star too): over the selected rows or, of
+    #: an aggregated block, over its group rows (see ``ColumnBlockShape``).
     projection: list[Callable | None]
-    #: of an aggregated block, by site number (see :class:`AggregateSites`):
-    #: per group key, per distinct aggregate argument and per first-row site.
+    #: of an aggregated block: per group key and per distinct aggregate
+    #: argument (see :class:`~repro.engine.plan.Aggregation`), over the
+    #: selected rows, and HAVING over the group rows.
     keys: list[Callable | None]
     arguments: list[Callable | None]
-    firsts: list[Callable | None]
+    having: Callable | None
 
 
 #: the column types whose values a key order sorts as integers.
@@ -1785,192 +1767,6 @@ class ColumnJoin:
     typed_keys: bool
 
 
-class GroupValues(NamedTuple):
-    """What an aggregated block knows of its groups once its aggregate calls
-    are folded: one value per group and leaf site."""
-
-    count: int
-    #: per aggregate-call site, the finished aggregate.
-    calls: list[np.ndarray]
-    #: per first-row site, the expression at each group's first row.
-    firsts: list[np.ndarray]
-
-
-@dataclass
-class AggregateSites:
-    """The leaf sites of an aggregated block, found and numbered by one walk.
-
-    A select item (or HAVING) over groups is a tree whose leaves are
-    aggregate calls and subtrees free of them -- those read at each group's
-    first row -- under the few node shapes :func:`aggregate_sites` knows to
-    combine per group.  The leaves are what runs per row: the kernel
-    compiler, the executor's aggregation and the per-group closures all
-    name them by their number here, as they do the group keys.
-    """
-
-    keys: list[ast.Expression]
-    #: per key, the joined frame's column it is nothing but (a dictionary-
-    #: encoded one groups on its codes), else None.
-    key_columns: list[int | None]
-    calls: list[ast.FunctionCall]
-    #: per call, the number of the argument it aggregates (None: ``count(*)``,
-    #: every row).
-    call_arguments: list[int | None]
-    #: the distinct aggregate arguments, told apart by ``repr`` as the row
-    #: engine's pipelines tell them: each is evaluated and folded once,
-    #: however many calls read it.
-    arguments: list[ast.Expression]
-    #: per argument, the folds its calls need: ``sum`` (SUM, AVG), ``min``,
-    #: ``max``, ``count`` and ``distinct`` (the set of values per group,
-    #: which every DISTINCT call over it reads).
-    folds: list[frozenset[str]]
-    firsts: list[ast.Expression]
-    #: per first-row site, the joined frame's string column it is nothing
-    #: but (read as its codes where it is dictionary-encoded), else None.
-    first_columns: list[int | None]
-    #: per select item, its per-group values from those of the leaves.
-    items: list[Callable[[GroupValues], Any]]
-    having: Callable[[GroupValues], Any] | None
-
-
-def aggregate_sites(select: ast.Select, layout: Layout, strict: Layout) -> AggregateSites:
-    """Walk the select list and HAVING of an aggregated block, once.
-
-    A node shape the walk does not know around an aggregate call lowers to a
-    closure raising the :class:`ExecutionError` when the groups are evaluated.
-    ``strict`` is ``layout`` refusing an ambiguous name: a first-row site
-    that is one is left to its evaluation to refuse.
-    """
-    calls: list[ast.FunctionCall] = []
-    call_arguments: list[int | None] = []
-    #: per distinct argument: its number, the node and the folds its calls need
-    arguments: dict[str, tuple[int, ast.Expression, set[str]]] = {}
-    firsts: list[ast.Expression] = []
-
-    def lower(node: ast.Expression) -> Callable[[GroupValues], Any]:
-        if isinstance(node, ast.FunctionCall) and node.is_aggregate:
-            calls.append(node)
-            if not node.arguments or isinstance(node.arguments[0], ast.Star):
-                call_arguments.append(None)
-            else:
-                argument = node.arguments[0]
-                number, _, uses = arguments.setdefault(
-                    repr(argument), (len(arguments), argument, set()))
-                name = node.name.lower()
-                uses.add("distinct" if node.distinct else "sum" if name == "avg" else name)
-                call_arguments.append(number)
-            return lambda groups, _site=len(calls) - 1: groups.calls[_site]
-        if not ast.has_local_aggregate(node):
-            firsts.append(node)
-            return lambda groups, _site=len(firsts) - 1: groups.firsts[_site]
-        if isinstance(node, (ast.BinaryOp, ast.Comparison)):
-            left, right = lower(node.left), lower(node.right)
-            combine = _group_arithmetic if isinstance(node, ast.BinaryOp) else _group_comparison
-            return lambda groups: combine(node.operator, left(groups), right(groups))
-        if isinstance(node, ast.UnaryOp):
-            operand = lower(node.operand)
-            if node.operator == "not":
-                return lambda groups: kleene_not(operand(groups))
-            if node.operator == "-":  # NULL-propagating: an empty group's SUM is None
-                return lambda groups: negate_values(group_values(operand(groups)))
-            return operand
-        if isinstance(node, ast.BoolOp):
-            connective = kleene_and if node.operator == "and" else kleene_or
-            operands = [lower(operand) for operand in node.operands]
-            return lambda groups: functools.reduce(
-                connective, (operand(groups) for operand in operands))
-        if isinstance(node, ast.CaseWhen):
-            branches = [(lower(condition), lower(result)) for condition, result in node.branches]
-            default = None if node.default is None else lower(node.default)
-            return lambda groups: _group_case(branches, default, groups)
-        if isinstance(node, ast.Cast):
-            return lower(node.operand)
-
-        def unsupported(_groups):
-            raise ExecutionError(
-                f"cannot aggregate expression node {type(node).__name__} column-wise")
-        return unsupported
-
-    items = [lower(item.expression) for item in select.items]
-    having = None if select.having is None else lower(select.having)
-    return AggregateSites(
-        keys=list(select.group_by),
-        key_columns=[_column_of(key, layout) for key in select.group_by],
-        calls=calls, call_arguments=call_arguments,
-        arguments=[argument for _, argument, _ in arguments.values()],
-        folds=[frozenset(uses) for _, _, uses in arguments.values()],
-        firsts=firsts, first_columns=[_string_column(first, strict) for first in firsts],
-        items=items, having=having)
-
-
-def _string_column(expression: ast.Expression, layout: Layout) -> int | None:
-    position = _column_of(expression, layout)
-    return None if position is None or layout.type_of(position) != "str" else position
-
-
-#: per-group results on a single representation (masks decode to objects):
-#: what a CASE branch's rows are normalised to as well.
-group_values = case_branch_values
-
-
-def _group_arithmetic(operator: str, left: Any, right: Any) -> np.ndarray:
-    left, left_nulls = _as_float_with_nulls(group_values(left))
-    right, right_nulls = _as_float_with_nulls(group_values(right))
-    if operator == "+":
-        result = left + right
-    elif operator == "-":
-        result = left - right
-    elif operator == "*":
-        result = left * right
-    elif operator == "/":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result = left / right
-    elif operator == "%":
-        result = left % right
-    else:
-        raise ExecutionError(f"unsupported aggregate operator '{operator}'")
-    nulls = left_nulls
-    if right_nulls is not None:
-        nulls = right_nulls if nulls is None else (nulls | right_nulls)
-    if nulls is not None and nulls.any():
-        result = result.astype(object)
-        result[nulls] = None
-    return result
-
-
-def _as_float_with_nulls(values) -> tuple[np.ndarray, np.ndarray | None]:
-    """Float view of per-group values plus the mask of NULL groups."""
-    array = np.asarray(values)
-    if array.dtype != object:
-        return np.asarray(array, dtype=np.float64), None
-    nulls = none_positions(array)
-    if not nulls.any():
-        return array.astype(np.float64), None
-    converted = np.fromiter(
-        (0.0 if value is None else float(value) for value in array),
-        dtype=np.float64, count=len(array))
-    return converted, nulls
-
-
-def _group_comparison(operator: str, left: Any, right: Any) -> Any:
-    if operator not in _PY_CMP:
-        raise ExecutionError(f"unsupported comparison operator '{operator}'")
-    return compare_arrays(operator, np.asarray(group_values(left)),
-                          np.asarray(group_values(right)))
-
-
-def _group_case(branches: list, default: Callable | None, groups: GroupValues) -> np.ndarray:
-    result = np.full(groups.count, None, dtype=object)
-    decided = np.zeros(groups.count, dtype=bool)
-    for condition, branch in branches:
-        mask = truth_mask(condition(groups), groups.count) & ~decided
-        result[mask] = np.asarray(group_values(branch(groups)), dtype=object)[mask]
-        decided |= mask
-    if default is not None:
-        result[~decided] = np.asarray(group_values(default(groups)), dtype=object)[~decided]
-    return result
-
-
 @dataclass
 class ColumnBlockShape:
     """The frames one planned block runs through, known before it runs.
@@ -1995,8 +1791,14 @@ class ColumnBlockShape:
     #: dictionary-encoded one keeps its codes in the output, and is decoded
     #: from them only where it is read), else None -- an ambiguous name too.
     output_columns: list[int | None]
-    #: the leaf sites of an aggregated block (None: the block projects).
-    sites: AggregateSites | None
+    #: of an aggregated block (None: the block projects), the plan's one walk
+    #: over its calls, and the lookup of its group rows: the joined columns
+    #: at each group's first row, then one column per aggregate call.
+    aggregation: Aggregation | None
+    group_layout: Layout | None
+    #: per group key, the joined frame's column it is nothing but (a
+    #: dictionary-encoded one groups on its codes), else None.
+    key_columns: list[int | None]
     #: per source of the joins (see :class:`ColumnJoin`), its FROM position.
     sources: list[int]
     #: per column of the frame the joins end in, its (source, position in
@@ -2027,11 +1829,14 @@ def column_block_shape(block) -> ColumnBlockShape:
     output_types = [None if isinstance(item, ast.Star) else output_type(item, lenient)
                     for item in items]
     names = [item.output_name(position) for position, item in enumerate(block.select.items)]
+    aggregation = block.aggregation
     return ColumnBlockShape(
         item_layouts, joins, joined, output_types=output_types,
         output_columns=[_column_of(item, joined) for item in items],
-        sites=aggregate_sites(block.select, lenient, joined) if block.needs_aggregation
-        else None,
+        aggregation=aggregation,
+        group_layout=None if aggregation is None
+        else Layout(aggregation.columns(joined.columns), ambiguous="raise"),
+        key_columns=[_column_of(key, lenient) for key in block.select.group_by],
         sources=[step.frame_index for step in block.join_order], slots=slots,
         output_names=names,
         output_infos=[None if type_name is None else ColumnInfo("", name, type_name)
@@ -2117,17 +1922,27 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
         except CompileFallback:
             return None
 
-    sites = shape.sites
+    aggregation = shape.aggregation
+    pushdown = [[(lower(predicate, item_layouts[index],
+                        free[index] if index < len(free) else frozenset()), predicate)
+                 for predicate in _item_pushdown(block, columns)]
+                for index, columns in enumerate(block.item_columns)]
+    residual = [(lower(predicate), predicate) for predicate in block.residual]
+    if aggregation is None:
+        return ColumnBlockKernels(pushdown, residual,
+                                  [lower(item.expression) for item in block.select.items],
+                                  [], [], None)
+    # a group row holds no NULL in a count, nor -- every group of a GROUP BY
+    # has a first row -- in a NULL-free joined column
+    width = len(joined_layout.columns)
+    group_plain = (joined_plain if block.select.group_by else frozenset()) | {
+        width + number for number, call in enumerate(aggregation.calls)
+        if call.name.lower() == "count"}
+    group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
     return ColumnBlockKernels(
-        pushdown=[[(lower(predicate, item_layouts[index],
-                          free[index] if index < len(free) else frozenset()), predicate)
-                   for predicate in _item_pushdown(block, columns)]
-                  for index, columns in enumerate(block.item_columns)],
-        residual=[(lower(predicate), predicate) for predicate in block.residual],
-        projection=[] if sites else [lower(item.expression) for item in block.select.items],
-        keys=[lower(key) for key in sites.keys] if sites else [],
-        arguments=[lower(argument) for argument in sites.arguments] if sites else [],
-        firsts=[lower(first) for first in sites.firsts] if sites else [])
+        pushdown, residual, [group(item) for item in aggregation.items],
+        [lower(key) for key in block.select.group_by],
+        [lower(argument) for argument in aggregation.arguments], group(aggregation.having))
 
 
 def column_kernels(plan, block, overflow_guard: bool = False,

@@ -53,7 +53,10 @@ class EngineOptions:
     predicate_pushdown:
         Apply single-table predicates while scanning instead of after joins.
     hash_joins:
-        Use hash joins for equi-join conditions (nested loops otherwise).
+        Row engine only: join on equality keys through a storage key index
+        or a hash table (nested loops otherwise).  The column engine's joins
+        always run on its key kernels; it hands the flag to the row executor
+        that runs the subqueries it evaluates row at a time.
     overflow_guard:
         Column engine only: widen and materialise arithmetic intermediates,
         mimicking the overflow-guarded expression evaluation the paper's

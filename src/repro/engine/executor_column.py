@@ -40,14 +40,16 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    group counts as its count -- and finishes every call from those (AVG is
    its argument's sum over its count).  A block without GROUP BY folds its
    one group without ids, adding in the same order.  HAVING and the select
-   list are evaluated per group; a select item that is a coded column
-   keeps the codes of each group's first row.  A block that does not
+   list are kernels like any other, over the group rows: the joined columns
+   at each group's first row beside the calls' values
+   (:class:`_GroupColumns`); a select item that is a coded column keeps the
+   codes of each group's first row.  A block that does not
    aggregate projects over the selection instead, a coded column as its
    codes, decoded only if something reads it,
 5. ORDER BY sorts a row index over the result columns -- a coded column by
    its dictionary's ranks, no string compared -- OFFSET / LIMIT cut that
-   index, and only the surviving rows are materialised, column-wise: a coded
-   column is decoded from the codes of the rows delivered.
+   index, and only the surviving rows are materialised, a column at a time:
+   a coded column is decoded from the codes of the rows delivered.
 
 Expressions run as the compiled kernels of :mod:`repro.engine.compile`.
 Where a block has none (all of them with ``compile_expressions`` off), the
@@ -69,7 +71,6 @@ from repro.engine.compile import (
     ColumnContext,
     ColumnJoin,
     CompileFallback,
-    GroupValues,
     Layout,
     as_mask,
     column_block_shape,
@@ -872,63 +873,36 @@ class ColumnExecutor:
     def _aggregate(self, select: ast.Select, shape: ColumnBlockShape,
                    kernels: ColumnBlockKernels, frame: ColFrame,
                    selection: np.ndarray | None) -> ColFrame:
-        """Group the selected rows, read each first-row site at the groups'
-        first rows, fold each distinct aggregate argument once per group and
-        finish every call from its argument's folds, then evaluate HAVING
-        and the select list per group."""
-        sites = shape.sites
+        """Group the selected rows, fold each distinct aggregate argument once
+        per group and finish every call from its argument's folds, then
+        evaluate HAVING and the select list over the group rows
+        (:class:`_GroupColumns`).  A select item that is a coded column keeps
+        the codes of each group's first row."""
+        aggregation = shape.aggregation
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection)
         materialised = _LazySelection(frame, selection) \
             if None in kernels.keys or None in kernels.arguments else None
-        if sites.keys:
+        if select.group_by:
             # a key that is a plain dictionary-encoded column groups on its
             # int32 code vector (codes biject to values, with -1 for NULL, so
             # the partition -- and the first-seen order -- is identical to
             # grouping on the decoded strings); everything else evaluates.
             factors = []
-            for key, column, kernel in zip(sites.keys, sites.key_columns, kernels.keys):
+            for key, column, kernel in zip(select.group_by, shape.key_columns, kernels.keys):
                 key_codes, _ = _coded(frame, column, selection)
                 factors.append(self._vector(kernel, key, context, materialised)
                                if key_codes is None else key_codes)
             group_ids, first_index = group_rows(factors, length, self._tally)
             count = len(first_index)
-        else:  # one group: the arguments fold without a group id per row
-            group_ids, first_index, count = None, None, 1
-        firsts, codes, dictionaries = [], None, None
-        if sites.firsts:  # row by row like any expression: only the groups' first rows are read
-            if first_index is None:
-                first_index = np.zeros(1 if length else 0, dtype=np.int64)
             first_rows = first_index if selection is None else selection[first_index]
-            first_context = ColumnContext(frame.arrays, len(first_rows), first_rows)
-            first_frame = _LazySelection(frame, first_rows) if None in kernels.firsts else None
-            # a coded column is read as its codes at the first rows, and
-            # decoded there: its strings are gathered for no other row
-            coded: dict[int, tuple[np.ndarray, ViewDictionary]] = {}
-            for expression, kernel, column in zip(sites.firsts, kernels.firsts,
-                                                  sites.first_columns):
-                first_codes, dictionary = _coded(frame, column, first_rows)
-                if dictionary is None:
-                    first = self._vector(kernel, expression, first_context, first_frame)
-                    firsts.append(as_objects(first) if isinstance(first, (Nullable, Kleene))
-                                  else first)  # ``group_values``
-                else:
-                    coded[column] = first_codes, dictionary
-                    firsts.append(dictionary.array(first_codes))
-            if coded:  # a select item that is a coded column keeps those codes
-                pairs = [coded.get(column, (None, None)) for column in shape.output_columns]
-                codes = [column if column is None or len(first_rows) == count
-                         else np.full(count, -1, dtype=np.int32)  # no first row: NULL
-                         for column, _ in pairs]
-                dictionaries = [dictionary for _, dictionary in pairs]
-        if firsts and not sites.keys:
-            # a global aggregate over an empty input still is one group: its
-            # counts are 0, its other aggregates NULL and, with no first row
-            # to read, so is everything else -- the row engine's empty group.
-            firsts = [first if len(first) else np.full(1, None, dtype=object)
-                      for first in firsts]
+        else:  # one group: the arguments fold without a group id per row
+            group_ids, count = None, 1
+            # the empty global group has no first row: its joined columns read NULL
+            first_rows = None if not length else np.zeros(1, dtype=np.int64) \
+                if selection is None else selection[:1]
         calls = []
-        if sites.calls:
+        if aggregation.calls:
             # every group's rows, counted once: the count of count(*) and of
             # any argument without a NULL among the selected rows
             sizes = np.array([length], dtype=np.int64) if group_ids is None \
@@ -936,35 +910,58 @@ class ColumnExecutor:
             # every group has a row, unless it is the one group of no rows
             filled = group_ids is not None or length > 0
             folded, passes = [], int(group_ids is not None)
-            for argument, kernel, uses in zip(sites.arguments, kernels.arguments, sites.folds):
+            for argument, kernel, uses in zip(aggregation.arguments, kernels.arguments,
+                                              aggregation.folds):
                 folds = _Folds(self._vector(kernel, argument, context, materialised), uses,
                                group_ids, sizes, filled)
                 folded.append(folds)
                 passes += folds.passes
             tally = self._tally
             tally["aggregate.folds"] = tally.get("aggregate.folds", 0) + passes
-            for call, number in zip(sites.calls, sites.call_arguments):
+            for call, number in zip(aggregation.calls, aggregation.call_arguments):
                 calls.append(sizes if number is None else folded[number].value(call))
-        groups = GroupValues(count, calls, firsts)
-        arrays = []
-        for item in sites.items:
-            value = item(groups)
-            arrays.append(np.asarray(as_objects(value) if isinstance(value, (Nullable, Kleene))
-                                     else value))  # ``group_values``
-        if sites.having is not None:
+        groups = _GroupColumns(frame, first_rows, calls, count, shape.group_layout)
+        context = ColumnContext(groups, count)
+        if aggregation.having is not None:
             # HAVING keeps only groups where the predicate is TRUE; UNKNOWN
-            # (a Kleene mask's invalid rows, or None in an object array)
             # collapses to False here, exactly like the filter position.
-            keep = truth_mask(sites.having(groups), count)
-            arrays, count = [values[keep] for values in arrays], int(keep.sum())
-            if codes is not None:
-                codes = [None if column is None else column[keep] for column in codes]
+            keep = truth_mask(self._over_groups(kernels.having, aggregation.having, groups,
+                                                context), count)
+            if not keep.all():
+                groups = groups.take(keep.nonzero()[0])
+                context = ColumnContext(groups, groups.count)
+        arrays, codes, dictionaries = [], [], []
+        for item, kernel, column in zip(aggregation.items, kernels.projection,
+                                        shape.output_columns):
+            coded, dictionary = (None, None) if column is None else groups.coded(column)
+            arrays.append(None if coded is not None
+                          else self._over_groups(kernel, item, groups, context))
+            codes.append(coded)
+            dictionaries.append(dictionary)
         columns = shape.output_infos
         if shape.output_types.count(None):  # a type the plan does not know: read off the values
             columns = [info or ColumnInfo("", name, _DTYPE_TYPES.get(array.dtype, "str"))
                        for info, name, array in zip(columns, shape.output_names, arrays)]
-        return ColFrame(columns=columns, arrays=arrays, length=count, codes=codes,
-                        dictionaries=dictionaries)
+        if dictionaries.count(None) == len(dictionaries):
+            return ColFrame(columns=columns, arrays=arrays, length=groups.count)
+        return ColFrame(columns=columns, arrays=DecodedColumns(arrays, codes, dictionaries),
+                        length=groups.count, codes=codes, dictionaries=dictionaries)
+
+    def _over_groups(self, kernel: Callable | None, expression: ast.Expression,
+                     groups: "_GroupColumns", context: ColumnContext) -> np.ndarray:
+        """``expression`` over the group rows (``context`` reads ``groups``),
+        one value each (Nullable and Kleene results as objects): its kernel's
+        or, without one, lowered for this evaluation -- row by row where it
+        cannot be."""
+        if kernel is None:
+            try:
+                kernel = compile_column_kernel(expression, groups.layout, self.overflow_guard)
+            except CompileFallback:
+                return self._fallback_column(groups.frame(), expression)
+        value = kernel(context)
+        if not isinstance(value, np.ndarray):
+            value = self._as_array(value, groups.count)
+        return as_objects(value) if isinstance(value, Nullable) else value
 
     # -- FROM materialisation ----------------------------------------------------
 
@@ -1323,6 +1320,57 @@ class _LazySelection:
             self._frame = self._base if self._selection is None \
                 else self._base.take(self._selection)
         return self._frame
+
+
+class _GroupColumns(dict):
+    """The columns of an aggregated block's group rows, by position (see
+    :class:`~repro.engine.plan.Aggregation`): the aggregate calls' values
+    after the joined frame's columns, and those at the groups'
+    ``first_rows`` (None: the empty global group, which has none and reads
+    NULL), each read the first time something reads it -- a coded one from
+    its codes."""
+
+    __slots__ = ("joined", "first_rows", "count", "layout")
+
+    def __init__(self, joined: ColFrame, first_rows: np.ndarray | None, calls: list,
+                 count: int, layout: Layout):
+        width = len(joined.columns)
+        super().__init__(zip(range(width, width + len(calls)), calls))
+        self.joined = joined
+        self.first_rows = first_rows
+        self.count = count
+        self.layout = layout
+
+    def __missing__(self, position: int) -> Any:
+        if self.first_rows is None:
+            read = np.full(self.count, None, dtype=object)
+        else:
+            codes, dictionary = self.coded(position)
+            read = self.joined.arrays[position][self.first_rows] if dictionary is None \
+                else dictionary.array(codes)
+        self[position] = read
+        return read
+
+    def coded(self, column: int) -> tuple[np.ndarray | None, ViewDictionary | None]:
+        """The codes of the joined frame's column at position ``column`` at the
+        first rows and what they decode to ((None, None): no first row, or not
+        a dictionary-encoded column)."""
+        if self.first_rows is None or self.joined.columns[column].type_name != "str":
+            return None, None
+        return _coded(self.joined, column, self.first_rows)
+
+    def take(self, groups: np.ndarray) -> "_GroupColumns":
+        """The group rows at the positions ``groups`` lists."""
+        taken = _GroupColumns(self.joined, None if self.first_rows is None
+                              else self.first_rows[groups], [], len(groups), self.layout)
+        taken.update((position, values[groups]) for position, values in self.items())
+        return taken
+
+    def frame(self) -> ColFrame:
+        """The group rows as a frame, for an expression evaluated row by row."""
+        return ColFrame(self.layout.columns, [self[position] for position
+                                              in range(len(self.layout.columns))],
+                        self.count, layout=self.layout)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ A block runs one of two ways:
   counters and the ``scan`` / ``join`` / ``filter`` / ``aggregate`` spans of a
   traced run.
 * **Interpreter** (``compile_expressions=False``, a block outside the prepared
-  plan, or one the generator declined because the interpreter would refuse it
-  too).  Frames are materialised operator by operator -- scan + push-down,
+  plan, or one the generator declined: more nested loops than Python
+  compiles).  Frames are materialised operator by operator -- scan + push-down,
   hash or nested-loop join, residual filter, group / aggregate / HAVING or
   project -- and :mod:`repro.engine.expression` walks every expression per
   row (a windowed driving scan hands it fewer rows; it still evaluates every
@@ -50,7 +50,7 @@ from typing import Any, Sequence
 
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
-from repro.engine.expression import evaluate, evaluate_aggregate
+from repro.engine.expression import aggregate_value, evaluate
 from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.engine.storage import hash_rows
@@ -379,10 +379,6 @@ class RowExecutor:
 
         with self._span("pipeline") as span:
             rows, counts = pipeline.run(scans, indexes, outers, interp)
-            if rows is None:
-                # the empty global group keeps the interpreter's semantics
-                # (non-aggregate subexpressions evaluate to NULL).
-                rows = self._aggregate(select, RowFrame(pipeline.columns, []), outer)
             _, scanned, levels, _ = counts
             build_rows = sum(scanned[position] for position in pipeline.builds)
             if build_rows:
@@ -450,7 +446,7 @@ class RowExecutor:
             span.set(rows_in=rows_in, rows_out=len(frame.rows))
 
         with self._span("aggregate" if block.needs_aggregation else "project") as span:
-            rows = self._aggregate(select, frame, outer) if block.needs_aggregation \
+            rows = self._aggregate(block, frame, outer) if block.needs_aggregation \
                 else self._project(select, frame, outer)
             span.set(rows_in=len(frame.rows), rows_out=len(rows))
         return rows
@@ -633,8 +629,13 @@ class RowExecutor:
             rows.append(tuple(values))
         return rows
 
-    def _aggregate(self, select: ast.Select, frame: RowFrame,
+    def _aggregate(self, block: BlockPlan, frame: RowFrame,
                    outer: "_RowEnv | None") -> list[tuple]:
+        """Partition the rows, fold each distinct aggregate argument once per
+        group, then evaluate HAVING and the select list over the group row:
+        the group's first row (NULLs for the empty global group), then its
+        calls' values (see :class:`~repro.engine.plan.Aggregation`)."""
+        select, aggregation = block.select, block.aggregation
         groups: dict[tuple, list[_RowEnv]] = {}
         if select.group_by:
             for row in frame.rows:
@@ -643,15 +644,19 @@ class RowExecutor:
                 groups.setdefault(key, []).append(env)
         else:
             groups[()] = [_RowEnv(self, frame, row, outer) for row in frame.rows]
-
+        layout = Layout(aggregation.columns(frame.columns))
+        empty = (None,) * len(frame.columns)
         rows: list[tuple] = []
         for envs in groups.values():
-            if select.having is not None:
-                if not bool(evaluate_aggregate(select.having, envs)):
-                    continue
-            rows.append(tuple(
-                evaluate_aggregate(item.expression, envs) for item in select.items
-            ))
+            values = [[value for value in (evaluate(argument, env) for env in envs)
+                       if value is not None] for argument in aggregation.arguments]
+            group = (envs[0].row if envs else empty) + tuple(
+                aggregate_value(call, None if number is None else values[number], len(envs))
+                for call, number in zip(aggregation.calls, aggregation.call_arguments))
+            env = _RowEnv(self, layout, group, outer)
+            if aggregation.having is not None and not evaluate(aggregation.having, env):
+                continue
+            rows.append(tuple(evaluate(item, env) for item in aggregation.items))
         return rows
 
     # -- ordering / limits -----------------------------------------------------------------

@@ -147,12 +147,10 @@ def _evaluate_binary(node: ast.BinaryOp, env: RowEnv) -> Any:
         return left - right
     if operator == "*":
         return left * right
-    if operator == "/":
+    if operator in ("/", "%"):
         if right == 0:
             raise ExecutionError("division by zero")
-        return left / right
-    if operator == "%":
-        return left % right
+        return left / right if operator == "/" else left % right
     raise ExecutionError(f"unsupported binary operator '{operator}'")
 
 
@@ -357,110 +355,25 @@ def _evaluate_substring(node: ast.Substring, env: RowEnv) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# aggregate evaluation over a group of rows
+# aggregate calls over a group of rows
 # ---------------------------------------------------------------------------
 
 
-def evaluate_aggregate(expression: ast.Expression, envs: list[RowEnv]) -> Any:
-    """Evaluate ``expression`` over a group.
-
-    Aggregate function calls are computed over all rows of the group; every
-    non-aggregate subexpression is evaluated on the group's first row (the
-    engines are deliberately lenient about non-grouped columns, the way MySQL
-    is, so that grammar-morphed queries that drop GROUP BY terms still run).
-    An empty group yields None for value aggregates and 0 for counts.
-    """
-    if isinstance(expression, ast.FunctionCall) and expression.is_aggregate:
-        return _compute_aggregate(expression, envs)
-    if not _has_aggregate(expression):
-        if not envs:
-            return None
-        return evaluate(expression, envs[0])
-    if isinstance(expression, ast.BinaryOp):
-        left = evaluate_aggregate(expression.left, envs)
-        right = evaluate_aggregate(expression.right, envs)
-        if left is None or right is None:
-            return None
-        return _evaluate_binary(
-            ast.BinaryOp(expression.operator,
-                         ast.Literal(left, "number"), ast.Literal(right, "number")),
-            envs[0] if envs else _EMPTY_ENV)
-    if isinstance(expression, ast.UnaryOp):
-        value = evaluate_aggregate(expression.operand, envs)
-        if value is None:
-            return None
-        if expression.operator == "not":
-            return not value
-        return -value if expression.operator == "-" else value
-    if isinstance(expression, ast.Comparison):
-        left = evaluate_aggregate(expression.left, envs)
-        right = evaluate_aggregate(expression.right, envs)
-        return _compare(expression.operator, left, right)
-    if isinstance(expression, ast.BoolOp):
-        values = [evaluate_aggregate(operand, envs) for operand in expression.operands]
-        if expression.operator == "and":
-            if any(value is not None and not value for value in values):
-                return False
-            return None if any(value is None for value in values) else True
-        if any(value is not None and value for value in values):
-            return True
-        return None if any(value is None for value in values) else False
-    if isinstance(expression, ast.CaseWhen):
-        for condition, result in expression.branches:
-            if evaluate_aggregate(condition, envs):
-                return evaluate_aggregate(result, envs)
-        if expression.default is not None:
-            return evaluate_aggregate(expression.default, envs)
-        return None
-    if isinstance(expression, ast.Cast):
-        inner = evaluate_aggregate(expression.operand, envs)
-        literal = ast.Literal(inner, "number")
-        return _evaluate_cast(ast.Cast(literal, expression.type_name), _EMPTY_ENV)
-    raise ExecutionError(
-        f"cannot evaluate aggregate expression node {type(expression).__name__}"
-    )
-
-
-class _EmptyEnv:
-    def lookup(self, ref: ast.ColumnRef) -> Any:  # pragma: no cover - defensive
-        raise ExecutionError(f"no row bound for column '{ref.qualified}'")
-
-    def run_subquery(self, select: ast.Select) -> list[tuple]:  # pragma: no cover
-        raise ExecutionError("no subquery executor bound")
-
-
-_EMPTY_ENV = _EmptyEnv()
-
-
-def _has_aggregate(expression: ast.Expression) -> bool:
-    return ast.has_local_aggregate(expression)
-
-
-def _compute_aggregate(call: ast.FunctionCall, envs: list[RowEnv]) -> Any:
+def aggregate_value(call: ast.FunctionCall, values: list | None, rows: int) -> Any:
+    """One aggregate call's value over a group of ``rows`` rows: ``values``
+    are its argument's non-NULL values in row order (None: ``count(*)``).
+    A group without values gives NULL, or 0 for a count."""
     name = call.name.lower()
-    if name == "count":
-        if not call.arguments or isinstance(call.arguments[0], ast.Star):
-            return len(envs)
-        values = [evaluate(call.arguments[0], env) for env in envs]
-        values = [value for value in values if value is not None]
-        if call.distinct:
-            return len(set(values))
-        return len(values)
-
-    if not call.arguments:
-        raise ExecutionError(f"aggregate '{name}' requires an argument")
-    values = [evaluate(call.arguments[0], env) for env in envs]
-    values = [value for value in values if value is not None]
+    if values is None:
+        return rows
     if call.distinct:
         values = list(set(values))
+    if name == "count":
+        return len(values)
     if not values:
         return None
     if name == "sum":
         return sum(values)
     if name == "avg":
         return sum(values) / len(values)
-    if name == "min":
-        return min(values)
-    if name == "max":
-        return max(values)
-    raise ExecutionError(f"unknown aggregate function '{name}'")
+    return min(values) if name == "min" else max(values)

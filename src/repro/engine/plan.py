@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 from repro.engine.catalog import Catalog
@@ -44,6 +44,7 @@ from repro.engine.planner import (
     Scope,
     classify_conjuncts,
     output_columns,
+    output_type,
     output_types,
     probes_index,
 )
@@ -198,6 +199,110 @@ class ScanWindow:
                 "table_rows": self.table_rows, "subsumed": len(self.subsumed)}
 
 
+#: the binding of a group row's aggregate columns.  A quoted identifier
+#: keeps its quotes, so no SQL text can name it.
+GROUP_BINDING = "#group"
+
+
+@dataclass
+class Aggregation:
+    """An aggregated block's select list and HAVING over *group rows*, from
+    the one walk of :func:`plan_aggregation`.
+
+    A group row is the block's joined columns, read at the group's first row
+    (a row of NULLs for the empty global group, which has none), then one
+    column per aggregate call: ``calls[n]``'s value, ``GROUP_BINDING.#n``.
+    ``items`` and ``having`` are the block's with every aggregate call
+    replaced by a reference to its column -- ordinary expressions, which
+    each engine evaluates with the lowering it has for rows.
+    """
+
+    calls: list[ast.FunctionCall]
+    #: per call, the number of the argument it aggregates (None:
+    #: ``count(*)``, every row).
+    call_arguments: list[int | None]
+    #: the distinct aggregate arguments, told apart by ``repr``: each is
+    #: evaluated and folded once per group, however many calls read it.
+    arguments: list[ast.Expression]
+    #: per argument, the folds its calls need: ``sum`` (SUM, AVG), ``min``,
+    #: ``max``, ``count`` and ``distinct`` (the set of values per group,
+    #: which every DISTINCT call over it reads).
+    folds: list[frozenset[str]]
+    #: the select items over the group row (a star stays a star).
+    items: list[ast.Expression]
+    having: ast.Expression | None
+
+    def columns(self, joined: list[ColumnInfo]) -> list[ColumnInfo]:
+        """The group row's columns: ``joined`` (the joined columns as an
+        engine types them), then the calls', typed by what they fold."""
+        layout = Layout(joined)
+        return list(joined) + [ColumnInfo(GROUP_BINDING, f"#{number}", _call_type(call, layout))
+                               for number, call in enumerate(self.calls)]
+
+
+def _call_type(call: ast.FunctionCall, layout: Layout) -> str:
+    """What an aggregate call's value is known to be: a count an int, an
+    average a float, a MIN / MAX of a date a date, any other the type of the
+    column it folds ("any" where that is not known)."""
+    name = call.name.lower()
+    if name in ("count", "avg"):
+        return "int" if name == "count" else "float"
+    known = output_type(call.arguments[0], layout) if call.arguments else None
+    return "any" if known is None or (known == "date" and name == "sum") else known
+
+
+def plan_aggregation(select: ast.Select) -> Aggregation:
+    """Walk the select list and HAVING of an aggregated block, once: number
+    its aggregate calls -- HAVING's first, each expression in the order of
+    :func:`~repro.sqlparser.ast.walk_local` -- and their distinct arguments,
+    and rewrite both over the group row (see :class:`Aggregation`).  An
+    aggregate call without an argument (``sum()``) is refused."""
+    expressions = [item.expression for item in select.items]
+    if select.having is not None:
+        expressions.insert(0, select.having)
+    calls = [node for expression in expressions for node in ast.walk_local(expression)
+             if isinstance(node, ast.FunctionCall) and node.is_aggregate]
+    call_arguments: list[int | None] = []
+    arguments: dict[str, tuple[int, ast.Expression, set[str]]] = {}
+    for call in calls:
+        name = call.name.lower()
+        if not call.arguments or isinstance(call.arguments[0], ast.Star):
+            if name != "count":
+                raise PlanError(f"aggregate '{name}' requires an argument")
+            call_arguments.append(None)
+            continue
+        argument = call.arguments[0]
+        number, _, uses = arguments.setdefault(repr(argument), (len(arguments), argument, set()))
+        uses.add("distinct" if call.distinct else "sum" if name == "avg" else name)
+        call_arguments.append(number)
+    numbers = {id(call): number for number, call in enumerate(calls)}
+    rewritten = [_over_group(expression, numbers) for expression in expressions]
+    return Aggregation(calls, call_arguments,
+                       [argument for _, argument, _ in arguments.values()],
+                       [frozenset(uses) for _, _, uses in arguments.values()],
+                       rewritten[len(rewritten) - len(select.items):],
+                       None if select.having is None else rewritten[0])
+
+
+def _over_group(node: ast.Expression, numbers: dict[int, int]) -> ast.Expression:
+    """``node`` with a reference to its group-row column in place of each
+    aggregate call ``numbers`` numbers (by identity); what holds none is kept
+    as it is, so a subquery keeps the identity its plan is keyed by."""
+    if id(node) in numbers:
+        return ast.ColumnRef(f"#{numbers[id(node)]}", GROUP_BINDING)
+    if not ast.has_local_aggregate(node):
+        return node
+
+    def over(value):
+        if isinstance(value, ast.Expression):
+            return _over_group(value, numbers)
+        if isinstance(value, tuple):  # a CASE branch
+            return tuple(map(over, value))
+        return [over(part) for part in value] if isinstance(value, list) else value
+    return replace(node, **{part.name: over(getattr(node, part.name))
+                            for part in fields(node)})
+
+
 @dataclass
 class BlockPlan:
     """The shared analysis of one SELECT block.
@@ -241,6 +346,9 @@ class BlockPlan:
     #: the range of one column the driving scan is confined to (None: the
     #: block scans its driving table whole; see :meth:`Planner._scan_window`).
     window: ScanWindow | None = None
+    #: an aggregated block's calls, arguments and folds, and its select list
+    #: and HAVING over group rows (None: the block projects).
+    aggregation: Aggregation | None = None
 
     @property
     def correlated(self) -> bool:
@@ -494,6 +602,7 @@ class Planner:
             needs_aggregation=needs_aggregation,
             order_positions=order_positions(select, output_names),
             window=self._scan_window(select.from_items, join_order, pushdown),
+            aggregation=plan_aggregation(select) if needs_aggregation else None,
         )
         blocks[id(select)] = block
 

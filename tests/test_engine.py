@@ -429,6 +429,18 @@ class TestEngineVersions:
         sql = "select name, sum(price) from t where price > 5 group by name order by name"
         assert plain.execute(sql).rows == no_pushdown.execute(sql).rows
 
+    def test_hash_joins_is_a_row_engine_version(self, tpch_db):
+        """The column engine's joins run on its key kernels whatever the
+        option: for every TPC-H text its pipelines and its rows are the same
+        with hash joins and with nested loops (which only the row executor
+        running its row-at-a-time subqueries would use)."""
+        hashed = ColumnEngine(tpch_db)
+        nested = ColumnEngine(tpch_db, version="nl", options=EngineOptions(hash_joins=False))
+        for number in sorted(QUERIES):
+            plans = [engine.prepare(QUERIES[number]) for engine in (hashed, nested)]
+            assert hashed.pipelines(plans[0]) == nested.pipelines(plans[1]), number
+            assert hashed.execute(plans[0]).rows == nested.execute(plans[1]).rows, number
+
     def test_overflow_guard_gives_same_results(self, small_db):
         plain = ColumnEngine(small_db)
         guarded = ColumnEngine(small_db, version="guard",

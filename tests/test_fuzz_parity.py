@@ -4,7 +4,8 @@ A seeded generator produces ~200 random queries -- filters with nested
 NOT/AND/OR over NULL-heavy literals, IN/BETWEEN/LIKE (negations included),
 IS NULL, arithmetic and CASE projections, aggregates with GROUP BY/HAVING
 (DISTINCT forms, a CASE that is an integer in some rows and a float in
-others, arithmetic over aggregates, MIN / MAX of a date), equi-joins (on a
+others, arithmetic over aggregates, MIN / MAX of a date, scalar functions,
+predicates, ``||`` and date arithmetic around aggregates), equi-joins (on a
 never-NULL key, on one and on two nullable keys, as a LEFT JOIN, under an OR
 of ANDs over both tables) and aggregation over those joins -- against a
 small database whose every column carries NULLs.  Each query is executed by
@@ -93,8 +94,8 @@ class QueryGenerator:
     """Deterministic random SQL over the fuzz schema.
 
     Stays inside the dialect both engines share bit-for-bit: no division or
-    modulo (numpy and Python disagree on division-by-zero faulting), date
-    columns only in comparison position and under MIN / MAX, numeric values
+    modulo (tested on their own), date columns only in comparison position,
+    under MIN / MAX and in day arithmetic over a MAX, numeric values
     small enough that ``int64`` cannot overflow.
     """
 
@@ -250,11 +251,22 @@ class QueryGenerator:
                   "count(distinct a.s)"]
     JOINED_AGGREGATES = ["sum(b.v)", "count(b.id)", "max(b.t)", "count(distinct b.v)"]
 
+    #: node shapes around aggregate calls: a select item over the groups is
+    #: an ordinary expression over the group row.
+    WRAPPED = ["round(avg(a.y), 1)", "abs(- sum(a.x))", "coalesce(max(a.x), 0)",
+               "coalesce(sum(a.y), -1.5)", "sum(a.x) between 10 and 60",
+               "count(*) in (1, 2, 3)", "sum(a.x) not in (null, 7)", "min(a.s) like 'a%'",
+               "sum(a.x) is null", "max(a.s) || 'x'", "max(a.d) + interval '1' day",
+               "case when count(*) > 2 then sum(a.x) end",
+               "case when max(a.x) is null then count(*) else min(a.x) end"]
+
     def _aggregate(self, joined: bool = False) -> str:
         """One select item over the groups: what the column engine's single
         aggregator owns -- plain and DISTINCT calls, a CASE argument that is
         an integer in some rows and a float or NULL in others,
-        arithmetic between aggregates, MIN / MAX of a date."""
+        arithmetic between aggregates, MIN / MAX of a date -- and any node
+        shape around them (scalar functions, BETWEEN / IN / LIKE / IS NULL,
+        ``||``, date arithmetic, a CASE whose condition is an aggregate)."""
         roll = self.rng.random()
         if roll < 0.4:
             return self.rng.choice(self.AGGREGATES
@@ -269,11 +281,13 @@ class QueryGenerator:
             tail = self.rng.choice([" else a.y", " else 2.5", " else null", ""])
             return (f"{function}(case when {self._leaf(joined)} "
                     f"then {self.rng.choice(['a.x', 'a.id', '3'])}{tail} end)")
-        if roll < 0.9:
+        if roll < 0.85:
             return self.rng.choice([
                 "sum(a.x) + count(*)", "max(a.x) - min(a.x)", "count(*) * 2",
                 "sum(a.y) - min(a.y)", "count(a.x) + count(a.s)",
                 "- sum(a.x)", "sum(a.x) * count(distinct a.s)"])
+        if roll < 0.95:
+            return self.rng.choice(self.WRAPPED)
         return f"{self.rng.choice(['min', 'max'])}(a.d)"
 
     def _aggregate_query(self) -> str:
@@ -299,6 +313,15 @@ class QueryGenerator:
             f"count(distinct a.s) {self._cmp_op()} {self.rng.randrange(0, 4)}",
             f"sum(a.x) + count(*) {self._cmp_op()} {self.rng.randrange(0, 60)}",
             f"max(a.d) {self._cmp_op()} {self._date_literal()}",
+            f"round(avg(a.y), 1) {self._cmp_op()} {self._float_literal()}",
+            f"coalesce(max(a.x), {self._int_literal()}) {self._cmp_op()} {self._int_literal()}",
+            f"sum(a.x) between {self._int_literal()} and {self._int_literal()}",
+            f"count(*) in ({self.rng.randrange(0, 4)}, {self._int_literal()})",
+            f"max(a.s) like '{self.rng.choice(self.PATTERNS)}'",
+            f"sum(a.x) is {self.rng.choice(['', 'not '])}null",
+            f"max(a.s) || 'x' {self.rng.choice(['=', '<>'])} {self._str_literal()}",
+            f"max(a.d) + interval '1' day {self._cmp_op()} {self._date_literal()}",
+            f"case when count(*) > 2 then sum(a.x) end {self._cmp_op()} {self._int_literal()}",
         ]
         first = self.rng.choice(leaves)
         roll = self.rng.random()

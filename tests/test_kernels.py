@@ -22,7 +22,7 @@ from repro.engine.vector import ColFrame
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 from repro.tpch import QUERIES
-from tests.conftest import normalise
+from tests.conftest import normalise, sqlite_mirror, sqlite_rows
 
 #: the kernel engine option (compile_expressions), off and on.
 TOGGLES = [(False,), (True,)]
@@ -361,15 +361,15 @@ class TestEmptyAggregates:
     def test_expressions_over_empty_aggregates(self, toggles, small_db):
         """What is computed from the aggregates of an empty input is computed
         from them (0 + 0 is 0, not NULL); a NULL aggregate stays NULL through
-        a unary minus; what is not an aggregate -- a literal too -- has no
-        row to be read from and is NULL."""
+        a unary minus; a literal is itself (only a column has no row to be
+        read from, and is NULL) -- as SQLite answers."""
         sql = ("select count(*) + count(price), - sum(price), 7, count(*) * 2 "
                "from t where id > 99")
         grouped = ("select name, - sum(case when id > 5 then price end), - sum(price) "
                    "from t group by name order by name")
         for engine in (RowEngine(small_db, options=_options(*toggles)),
                        ColumnEngine(small_db, options=_options(*toggles))):
-            assert engine.execute(sql).rows == [(0, None, None, None)], engine.label
+            assert engine.execute(sql).rows == [(0, None, 7, 0)], engine.label
             assert engine.execute(grouped).rows == [
                 ("alpha", None, -10.0), ("beta", None, -20.0), ("gamma", None, -30.0)]
 
@@ -544,3 +544,118 @@ class TestKernelCompilation:
             ast.BinaryOp("+", ast.Literal(1, "number"), ast.Literal(2, "number")),
             Layout([]))
         assert kernel(()) == 3
+
+
+# ---------------------------------------------------------------------------
+# expressions over groups: one lowering, every path
+# ---------------------------------------------------------------------------
+
+#: the four paths a text runs on: the row interpreter, the generated row
+#: pipeline and the column engine with and without compiled kernels.
+PATHS = [(RowEngine, False), (RowEngine, True), (ColumnEngine, False), (ColumnEngine, True)]
+
+#: node shapes around aggregate calls, as select items (SQLite votes: True).
+GROUP_ITEMS = [
+    ("round(avg(n_nationkey), 1)", True),
+    ("abs(-sum(n_nationkey))", True),
+    ("coalesce(max(n_nationkey), 0)", True),
+    ("substring(max(n_name) from 1 for 3)", False),
+    ("max(n_name) || 'x'", True),
+    ("count(*) + 1", True),
+    ("count(*) % 7", True),
+    ("n_regionkey + count(*)", True),
+    ("case when count(*) > 4 then sum(n_nationkey) end", True),
+    ("cast(sum(n_nationkey) as int)", True),
+]
+#: predicates over aggregate calls: select items and HAVING.
+GROUP_PREDICATES = [
+    "sum(n_nationkey) between 40 and 60",
+    "sum(n_nationkey) in (47, 50, 68)",
+    "max(n_name) like 'V%'",
+    "sum(n_nationkey) is null",
+    "sum(n_nationkey) > (select avg(n_nationkey) * 5 from nation)",
+]
+GROUP_TEXTS = (
+    [(f"select n_regionkey, {item} from nation group by n_regionkey order by 1", votes)
+     for item, votes in GROUP_ITEMS]
+    + [(f"select n_regionkey, {predicate} from nation group by n_regionkey order by 1", True)
+       for predicate in GROUP_PREDICATES]
+    + [(f"select n_regionkey, count(*) from nation group by n_regionkey having {predicate} "
+        "order by 1", True) for predicate in GROUP_PREDICATES]
+    # dates: SQLite has no EXTRACT and no interval arithmetic
+    + [(f"select o_orderpriority, {item} from orders group by o_orderpriority order by 1",
+        False) for item in ("extract(year from max(o_orderdate))",
+                            "max(o_orderdate) + interval '1' day")]
+    + [("select o_orderpriority, count(*) from orders group by o_orderpriority "
+        "having extract(year from max(o_orderdate)) = 1998 order by 1", False)]
+    # the empty global group: a column reads NULL, the rest is computed
+    + [("select count(*), coalesce(l_returnflag, 'x') from lineitem where false", True),
+       ("select count(*) + count(l_quantity), - sum(l_quantity), 7, count(*) * 2, "
+        "l_returnflag from lineitem where l_quantity < 0", True)])
+
+
+class TestExpressionsOverGroups:
+    """A select item or HAVING around aggregate calls is an ordinary
+    expression over the group row: every shape the per-row lowering knows
+    gives the same rows on every path, and SQLite's where it speaks the
+    same semantics."""
+
+    @pytest.fixture(scope="class")
+    def mirror(self, tpch_db):
+        return sqlite_mirror(tpch_db, ["nation", "orders", "lineitem"])
+
+    @pytest.mark.parametrize("sql,votes", GROUP_TEXTS)
+    def test_every_path_answers_alike(self, tpch_db, mirror, sql, votes):
+        answers = {}
+        for engine_cls, compiled in PATHS:
+            engine = engine_cls(tpch_db, options=_options(compiled))
+            result = engine.execute(sql)
+            answers[f"{engine_cls.__name__} compile={compiled}"] = repr(result.rows)
+            if engine_cls is RowEngine and compiled:
+                assert not result.metrics.get("row.pipeline.interpreted_blocks"), sql
+        assert len(set(answers.values())) == 1, answers
+        rows = RowEngine(tpch_db).execute(sql).rows
+        if votes:
+            assert rows == sqlite_rows(mirror, sql), sql
+
+    def test_integer_arithmetic_over_aggregates_stays_integer(self, tpch_db):
+        sql = ("select count(*) + 1, count(*) % 7, n_regionkey + count(*) from nation "
+               "where n_regionkey = 0 group by n_regionkey")
+        for engine_cls, compiled in PATHS:
+            rows = engine_cls(tpch_db, options=_options(compiled)).execute(sql).rows
+            assert repr(rows) == "[(6, 5, 5)]", (engine_cls.__name__, compiled)
+
+
+class TestDivisionByZero:
+    """``/`` and ``%`` by a 0 that holds a value raise the one error on every
+    path, whatever the operands' representation; a NULL operand makes NULL."""
+
+    @pytest.fixture(scope="class")
+    def nullable_db(self) -> Database:
+        database = Database("divisors", chunk_rows=2)
+        database.create_table("t", [("k", "int"), ("v", "int"), ("d", "int")])
+        database.insert_rows("t", [(1, 10, 2), (2, None, 0), (3, 6, None)])
+        return database
+
+    @pytest.mark.parametrize("engine_cls,compiled", PATHS)
+    @pytest.mark.parametrize("sql", [
+        "select n_nationkey / 0 from nation",
+        "select n_nationkey % 0 from nation",
+        "select n_nationkey / (n_regionkey - n_regionkey) from nation",
+        "select n_nationkey % (n_regionkey - n_regionkey) from nation",
+        "select n_regionkey, sum(n_nationkey) / 0 from nation group by n_regionkey",
+        "select count(*) % (count(*) - count(*)) from nation",
+    ])
+    def test_a_not_null_divisor(self, tpch_db, engine_cls, compiled, sql):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            engine_cls(tpch_db, options=_options(compiled)).execute(sql)
+
+    @pytest.mark.parametrize("engine_cls,compiled", PATHS)
+    def test_a_nullable_divisor(self, nullable_db, engine_cls, compiled):
+        engine = engine_cls(nullable_db, options=_options(compiled))
+        # the 0 divisor sits beside a NULL dividend: NULL, no error
+        assert engine.execute("select k, v / d, v % d from t order by k").rows == [
+            (1, 5.0, 0), (2, None, None), (3, None, None)]
+        for sql in ("select k / d from t", "select k % d from t"):
+            with pytest.raises(ExecutionError, match="division by zero"):
+                engine.execute(sql)

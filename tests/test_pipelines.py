@@ -296,15 +296,17 @@ def test_empty_global_group_keeps_interpreter_semantics(tpch_db):
     assert result.metrics.get("row.pipeline.generated") == 1
 
 
-def test_unsupported_aggregate_shape_falls_back_as_a_block(tpch_db):
-    """What evaluate_aggregate rejects is rejected, not quietly computed."""
+def test_a_function_around_an_aggregate_is_generated(tpch_db):
+    """A node around an aggregate call is an expression over the group row:
+    generated like any other, with the interpreter's answer."""
     engine = RowEngine(tpch_db)
     sql = "select abs(sum(l_quantity)) from lineitem"
     plan = engine.prepare(sql)
-    assert row_pipeline(plan, plan.root).fallback == \
-        "cannot compile aggregate expression node FunctionCall"
-    with pytest.raises(ExecutionError, match="cannot evaluate aggregate expression"):
-        engine.execute(plan)
+    assert row_pipeline(plan, plan.root).run is not None
+    expected = RowEngine(tpch_db, options=EngineOptions(compile_expressions=False)).execute(sql)
+    result = engine.execute(plan)
+    assert result.rows == expected.rows and result.scalar() > 0
+    assert result.metrics.get("row.pipeline.generated") == 1
 
 
 # ---------------------------------------------------------------------------
