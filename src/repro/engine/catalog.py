@@ -44,10 +44,6 @@ class TableSchema:
                 )
             seen.add(lowered)
 
-    def column_names(self) -> list[str]:
-        """Return the column names in definition order."""
-        return [column.name for column in self.columns]
-
     def column_index(self, name: str) -> int:
         """Return the position of column ``name`` (case-insensitive)."""
         lowered = name.lower()
@@ -55,10 +51,6 @@ class TableSchema:
             if column.name.lower() == lowered:
                 return index
         raise CatalogError(f"table '{self.name}' has no column '{name}'")
-
-    def column_type(self, name: str) -> str:
-        """Return the logical type of column ``name``."""
-        return self.columns[self.column_index(name)].type_name
 
     def has_column(self, name: str) -> bool:
         """True when the table defines column ``name`` (case-insensitive)."""

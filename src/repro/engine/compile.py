@@ -83,6 +83,7 @@ from repro.engine.expression import (
     scalar_functions,
 )
 from repro.engine.mask import (
+    Kleene,
     Nullable,
     as_objects,
     is_array,
@@ -118,6 +119,7 @@ from repro.engine.vector import (
 )
 from repro.errors import ExecutionError
 from repro.sqlparser import ast
+from repro.sqlparser.printer import to_sql
 
 
 class CompileFallback(Exception):
@@ -1131,16 +1133,19 @@ class ColumnContext:
     ``sel`` is an ``int64`` index of the surviving rows (None = all rows);
     ``length`` is the number of *selected* rows.  Gathered columns are
     memoised so every column is gathered at most once per evaluation batch.
+    ``frame``, when given, is the frame the arrays are of: a kernel may read
+    a string column's dictionary codes off it instead of the strings.
     """
 
-    __slots__ = ("arrays", "length", "sel", "_gathered")
+    __slots__ = ("arrays", "length", "sel", "_gathered", "frame")
 
     def __init__(self, arrays: list[np.ndarray], length: int,
-                 sel: np.ndarray | None = None):
+                 sel: np.ndarray | None = None, frame: Any = None):
         self.arrays = arrays
         self.length = length
         self.sel = sel
         self._gathered: dict[int, np.ndarray] = {}
+        self.frame = frame
 
     def column(self, position: int) -> np.ndarray:
         if self.sel is None:
@@ -1302,15 +1307,15 @@ def _col(node: ast.Expression, layout, guard: bool, plain: frozenset) -> tuple[b
     if isinstance(node, ast.BoolOp):
         return _col_bool(node, layout, guard, plain)
     if isinstance(node, ast.Comparison):
-        return _col_comparison(node, layout, guard, plain)
+        return _over_dictionary(node, layout, plain, _col_comparison(node, layout, guard, plain))
     if isinstance(node, ast.IsNull):
         return _col_isnull(node, layout, guard, plain)
     if isinstance(node, ast.Between):
-        return _col_between(node, layout, guard, plain)
+        return _over_dictionary(node, layout, plain, _col_between(node, layout, guard, plain))
     if isinstance(node, ast.Like):
-        return _col_like(node, layout, guard, plain)
+        return _over_dictionary(node, layout, plain, _col_like(node, layout, guard, plain))
     if isinstance(node, ast.InList):
-        return _col_in_list(node, layout, guard, plain)
+        return _over_dictionary(node, layout, plain, _col_in_list(node, layout, guard, plain))
     if isinstance(node, ast.CaseWhen):
         return _col_case(node, layout, guard, plain)
     if isinstance(node, ast.Cast):
@@ -1322,6 +1327,58 @@ def _col(node: ast.Expression, layout, guard: bool, plain: frozenset) -> tuple[b
     if isinstance(node, ast.FunctionCall):
         return _col_function(node, layout, guard, plain)
     raise CompileFallback(f"unsupported expression node {type(node).__name__}")
+
+
+def _over_dictionary(node: ast.Expression, layout, plain: frozenset,
+                     pair: tuple[bool, Any]) -> tuple[bool, Any]:
+    """``pair``, the lowering of a comparison, BETWEEN, LIKE or IN whose one
+    column is a string column, made to read that column's dictionary codes
+    where the context's frame has them: the predicate then runs once per
+    dictionary entry (kept by the columnar view under the predicate's SQL
+    text, ``ViewDictionary.evaluated``) and each row takes its code's answer
+    -- a ``Kleene`` where the rows hold a NULL, or where the predicate
+    answers one over the strings, as over the rows' strings."""
+    const, fn = pair
+    if isinstance(node, ast.Comparison):
+        operand, others = (node.left, [node.right]) if isinstance(node.left, ast.ColumnRef) \
+            else (node.right, [node.left])
+    else:
+        operand = node.operand
+        others = [node.pattern] if isinstance(node, ast.Like) else node.items \
+            if isinstance(node, ast.InList) else [node.low, node.high]
+    position = layout.position(operand) if isinstance(operand, ast.ColumnRef) else None
+    if const or position is None or layout.type_of(position) != "str" or any(
+            isinstance(ref, ast.ColumnRef) and layout.position(ref) != position
+            for other in others if not isinstance(other, ast.Literal)
+            for ref in ast.walk_local(other)):
+        return pair
+    nullable = position not in plain
+    text = []  # the predicate's SQL text, printed the first time it is read
+
+    def evaluate(table: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Over the decode table -- the dictionary's strings, then NULL --
+        whether the strings answer a ``Kleene``, and per entry the truth
+        and validity; NULL's is UNKNOWN, as each of these predicates says
+        of a NULL operand."""
+        over = fn(ColumnContext({position: table[:-1]}, len(table) - 1))
+        kleene = isinstance(over, Kleene)
+        truth, valid = (over.truth, over.valid) if kleene \
+            else (over, np.ones(len(over), dtype=bool))
+        return kleene, np.append(truth, False), np.append(valid, False)
+
+    def coded(ctx):
+        frame = ctx.frame
+        codes = None if frame is None or frame.codes is None else frame.codes[position]
+        if codes is None:
+            return fn(ctx)
+        text or text.append(to_sql(node))
+        kleene, truth, valid = frame.dictionaries[position].evaluated(text[0], evaluate)
+        if ctx.sel is not None:
+            codes = codes[ctx.sel]
+        if kleene or (nullable and len(codes) and np.minimum.reduce(codes) < 0):
+            return Kleene(truth.take(codes), valid.take(codes))
+        return truth.take(codes)
+    return False, coded
 
 
 def _col_unary(node: ast.UnaryOp, layout, guard, plain) -> tuple[bool, Any]:
@@ -1721,6 +1778,10 @@ class ColumnBlockKernels:
     keys: list[Callable | None]
     arguments: list[Callable | None]
     having: Callable | None
+    #: of a block that joins: per join step, the sources whose row index is
+    #: gathered through its matches and those no longer read (see
+    #: :func:`_carried`).
+    carried: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 #: the column types whose values a key order sorts as integers.
@@ -1791,6 +1852,8 @@ class ColumnBlockShape:
     #: dictionary-encoded one keeps its codes in the output, and is decoded
     #: from them only where it is read), else None -- an ambiguous name too.
     output_columns: list[int | None]
+    #: the same, for string columns only: those a dictionary may code.
+    output_coded: list[int | None]
     #: of an aggregated block (None: the block projects), the plan's one walk
     #: over its calls, and the lookup of its group rows: the joined columns
     #: at each group's first row, then one column per aggregate call.
@@ -1829,10 +1892,13 @@ def column_block_shape(block) -> ColumnBlockShape:
     output_types = [None if isinstance(item, ast.Star) else output_type(item, lenient)
                     for item in items]
     names = [item.output_name(position) for position, item in enumerate(block.select.items)]
+    output_columns = [_column_of(item, joined) for item in items]
     aggregation = block.aggregation
     return ColumnBlockShape(
         item_layouts, joins, joined, output_types=output_types,
-        output_columns=[_column_of(item, joined) for item in items],
+        output_columns=output_columns,
+        output_coded=[None if column is None or joined.type_of(column) != "str" else column
+                      for column in output_columns],
         aggregation=aggregation,
         group_layout=None if aggregation is None
         else Layout(aggregation.columns(joined.columns), ambiguous="raise"),
@@ -1929,20 +1995,65 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
                 for index, columns in enumerate(block.item_columns)]
     residual = [(lower(predicate), predicate) for predicate in block.residual]
     if aggregation is None:
-        return ColumnBlockKernels(pushdown, residual,
-                                  [lower(item.expression) for item in block.select.items],
-                                  [], [], None)
-    # a group row holds no NULL in a count, nor -- every group of a GROUP BY
-    # has a first row -- in a NULL-free joined column
-    width = len(joined_layout.columns)
-    group_plain = (joined_plain if block.select.group_by else frozenset()) | {
-        width + number for number, call in enumerate(aggregation.calls)
-        if call.name.lower() == "count"}
-    group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
-    return ColumnBlockKernels(
-        pushdown, residual, [group(item) for item in aggregation.items],
-        [lower(key) for key in block.select.group_by],
-        [lower(argument) for argument in aggregation.arguments], group(aggregation.having))
+        projection = [lower(item.expression) for item in block.select.items]
+        kernels = ColumnBlockKernels(pushdown, residual, projection, [], [], None, [])
+        read = [*block.residual, *(item.expression for item in block.select.items)]
+    else:
+        # a group row holds no NULL in a count, nor -- every group of a GROUP BY
+        # has a first row -- in a NULL-free joined column
+        width = len(joined_layout.columns)
+        group_plain = (joined_plain if block.select.group_by else frozenset()) | {
+            width + number for number, call in enumerate(aggregation.calls)
+            if call.name.lower() == "count"}
+        group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
+        kernels = ColumnBlockKernels(
+            pushdown, residual, [group(item) for item in aggregation.items],
+            [lower(key) for key in block.select.group_by],
+            [lower(argument) for argument in aggregation.arguments],
+            group(aggregation.having), [])
+        read = [*block.residual, *block.select.group_by, *aggregation.arguments,
+                *aggregation.items, *([] if aggregation.having is None else [aggregation.having])]
+    if shape.joins:
+        lowered = [kernel for kernel, _ in residual] + kernels.projection + kernels.keys \
+            + kernels.arguments + ([] if aggregation is None or aggregation.having is None
+                                   else [kernels.having])
+        kernels.carried = _carried(shape, None if None in lowered
+                                   else _joined_reads(read, joined_layout))
+    return kernels
+
+
+def _joined_reads(expressions: list[ast.Expression], joined: Layout) -> set[int]:
+    """The positions of the joined frame that compiled kernels of
+    ``expressions`` read -- over the joined frame or over group rows, whose
+    first columns are the joined ones (a call's column is past them)."""
+    reads, lookup = set(), joined.lenient()
+    for expression in expressions:
+        for node in ast.walk_local(expression):  # compiled: no subquery among them
+            if isinstance(node, ast.ColumnRef):
+                position = lookup.position(node)
+                if position is not None:
+                    reads.add(position)
+    return reads
+
+
+def _carried(shape: ColumnBlockShape, reads: set[int] | None
+             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per join step, ``(gathered, dropped)``: the sources (see
+    :class:`ColumnJoin`) joined before it whose row index is still read after
+    it -- as a later step's probe key, or after the joins, at ``reads``,
+    joined positions (None: any, as an interpreted evaluation may read every
+    column) -- and those read no more from this step on."""
+    after = set(range(len(shape.joins) + 1)) if reads is None \
+        else {shape.slots[position][0] for position in reads}
+    kept = []
+    for number in reversed(range(len(shape.joins))):
+        kept.append({source for source in after if source <= number + 1})
+        after.update(source for source, _ in shape.joins[number].left_keys)
+    kept.reverse()
+    live = [{0}] + kept[:-1]  # before each step, the sources not yet dropped
+    return [(tuple(sorted(source for source in kept[number] if source <= number)),
+             tuple(sorted((live[number] | {number + 1}) - kept[number])))
+            for number in range(len(kept))]
 
 
 def column_kernels(plan, block, overflow_guard: bool = False,

@@ -40,12 +40,13 @@ class ViewDictionary:
     ends in the entry code -1 reads.
     """
 
-    __slots__ = ("_dictionary", "_values", "_rank")
+    __slots__ = ("_dictionary", "_values", "_rank", "_evaluated")
 
     def __init__(self, dictionary: Dictionary):
         self._dictionary = dictionary
         self._values: np.ndarray | None = None
         self._rank: np.ndarray | None = None
+        self._evaluated: dict = {}
 
     def _table(self) -> np.ndarray:
         """The decode table: an object array of the strings, then None."""
@@ -56,7 +57,17 @@ class ViewDictionary:
     def array(self, codes: np.ndarray) -> np.ndarray:
         """``codes`` as the object array a string column is (None for NULL)."""
         table = self._values
-        return (self._table() if table is None else table)[codes]
+        return (self._table() if table is None else table).take(codes)
+
+    def evaluated(self, predicate: str, evaluate):
+        """``evaluate(table)`` over the decode table (the strings, then None)
+        for the predicate with SQL text ``predicate`` over this column,
+        computed the first time it is asked for: the predicate runs once per
+        dictionary entry and view, and the rows read their codes' answers."""
+        found = self._evaluated.get(predicate)
+        if found is None:
+            found = self._evaluated[predicate] = evaluate(self._table())
+        return found
 
     def rank(self) -> np.ndarray:
         """Per code, the rank of its string among the dictionary's in Python's
@@ -295,14 +306,3 @@ class Database:
     def __contains__(self, name: str) -> bool:
         return name in self.catalog
 
-
-def database_from_tables(tables: dict[str, list[tuple]],
-                         schema: dict[str, list[tuple[str, str]]],
-                         name: str = "db",
-                         chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Database:
-    """Build a :class:`Database` from generator output (rows + column defs)."""
-    database = Database(name=name, chunk_rows=chunk_rows)
-    for table, columns in schema.items():
-        database.create_table(table, columns)
-        database.insert_rows(table, tables.get(table, []))
-    return database

@@ -27,11 +27,13 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    for that predicate only (subqueries themselves run through a row
    executor, built the first time one needs it),
 3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
-   kernels of :mod:`repro.engine.keys` for the matching row pairs; a join
-   level keeps one row index per FROM item (:class:`_Rows`), composed the
-   first time a column of that item is read, where the plan's join slots
-   say which item and position each joined column is, and the joined frame
-   gathers a column the first time something reads it,
+   kernels of :mod:`repro.engine.keys` for the matching row pairs (a stored
+   key order through its direct table); a join level keeps one row index
+   per FROM item (:class:`_Rows`), gathered through the level's pairs while
+   a later level or the block reads the item (the plan's
+   ``ColumnBlockKernels.carried``), the plan's join slots say which item
+   and position each joined column is, and the joined frame gathers a
+   column the first time something reads it,
 4. **aggregate** -- an aggregated block groups the selected rows (ids from
    the same key kernels; a dictionary-coded key groups on its codes),
    counts every group's rows once, evaluates each distinct aggregate
@@ -59,6 +61,7 @@ frame; what cannot be lowered -- a subquery -- is evaluated row by row.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from itertools import repeat
 from typing import Any, NamedTuple
@@ -89,6 +92,7 @@ from repro.engine.keys import (
     integer_kind,
     join_indexes,
     order_index,
+    probe_direct,
     probe_order,
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, none_positions, truth_mask
@@ -100,6 +104,13 @@ from repro.engine.vector import ColFrame, DecodedColumns, isnull_mask
 from repro.errors import ExecutionError, PlanError
 from repro.sqlparser import ast
 
+_INT64 = np.dtype(np.int64)
+#: a frame column typed where the plan does not know the type (a frozen
+#: ``ColumnInfo``: one serves every frame that has such a column).
+_column_info = functools.lru_cache(maxsize=4096)(ColumnInfo)
+#: the first row of the one group of a block without GROUP BY, all rows selected.
+_FIRST_ROW = np.zeros(1, dtype=np.int64)
+_FIRST_ROW.flags.writeable = False
 #: the output type read off an array, where the plan knows none.
 _DTYPE_TYPES = {np.dtype(np.int64): "int", np.dtype(np.float64): "float",
                 np.dtype(np.bool_): "bool"}
@@ -192,12 +203,12 @@ class _Scan(NamedTuple):
     base: np.ndarray | None
     #: (scanned, skipped) chunks; their sum is the table's chunk total.
     chunks: tuple[int, int]
-    #: whether push-down predicates put the zone maps before the scan.
-    gated: bool
-    #: how many of the predicates run over dictionary codes.
-    coded: int
     #: the scan window the rows come from (None: the scan reads the table).
     window: ScanWindow | None
+    #: the counters every execution of the scan adds: with push-down
+    #: predicates, the chunks the zone maps let through and refuted and the
+    #: predicates over dictionary codes.
+    counts: tuple[tuple[str, int], ...]
 
 
 #: a join step's key order before an execution has looked it up.
@@ -212,10 +223,11 @@ class _Tables(NamedTuple):
     scans: list[_Scan | None]
     #: the block's kernels for the NULL-free columns of these tables.
     kernels: ColumnBlockKernels
-    #: per join step, the storage key order it probes (None: it sorts its
-    #: build side), looked up by the first execution that reaches the step
-    #: (:data:`_UNSEEN` before): storage builds one only when asked.  Two
-    #: executions racing to it look up the same order.
+    #: per join step, the storage key order it probes and that order's
+    #: direct table (None: it sorts its build side), looked up by the first
+    #: execution that reaches the step (:data:`_UNSEEN` before): storage
+    #: builds one only when asked.  Two executions racing to it look up the
+    #: same order.
     orders: list
 
 
@@ -431,13 +443,20 @@ class ColumnExecutor:
         # selection (and a derived table's execution).
         frames: list[ColFrame] = []
         selections: list[np.ndarray | None] = []
+        tally = self._tally
         for index, scan in enumerate(tables.scans):
-            if trace is None:
-                frame, selection = self._scan(block, shape, kernels, index, scan)
-            else:
+            if trace is not None:
                 with trace.span("scan", source=scan_source(select.from_items[index])) as span:
                     frame, selection = self._scan(block, shape, kernels, index, scan)
                     _trace_scan(span, frame, scan, selection)
+            elif scan is None:
+                frame, selection = self._scan(block, shape, kernels, index, scan)
+            else:
+                for name, amount in scan.counts:
+                    tally[name] = tally.get(name, 0) + amount
+                frame = scan.frame
+                selection = self._refine(frame, scan.base, scan.pairs) if scan.pairs \
+                    else scan.base
             frames.append(frame)
             selections.append(selection)
         if shape.joins:
@@ -476,14 +495,9 @@ class ColumnExecutor:
             frame = self._materialise(block.select.from_items[index],
                                       block.item_columns[index], shape.item_layouts[index])
             return frame, self._refine(frame, None, kernels.pushdown[index])
-        if scan.gated:
-            tally = self._tally
-            if scan.coded:
-                tally["scan.dictionary_predicates"] = \
-                    tally.get("scan.dictionary_predicates", 0) + scan.coded
-            scanned, skipped = scan.chunks
-            tally["scan.chunks_scanned"] = tally.get("scan.chunks_scanned", 0) + scanned
-            tally["scan.chunks_skipped"] = tally.get("scan.chunks_skipped", 0) + skipped
+        tally = self._tally
+        for name, amount in scan.counts:
+            tally[name] = tally.get(name, 0) + amount
         return scan.frame, self._refine(scan.frame, scan.base, scan.pairs)
 
     # -- plan-owned scans ---------------------------------------------------------
@@ -565,9 +579,13 @@ class ColumnExecutor:
                 else [pair for pair in swapped if not window.decides(pair[1])]
         if rows is not None and len(rows):
             rows.flags.writeable = False  # every execution starts from them
-        gated = chunks is not None
+        # the zone maps ran (push-down predicates) or not: what the scan counts
+        counts = () if chunks is None else (
+            (("scan.dictionary_predicates", coded),) if coded else ()) + (
+            ("scan.chunks_scanned", chunks[0]), ("scan.chunks_skipped", chunks[1]))
         return _Scan(frame, pairs, rows,
-                     tuple(chunks) if gated else (len(storage.chunks), 0), gated, coded, window)
+                     (len(storage.chunks), 0) if chunks is None else tuple(chunks), window,
+                     counts)
 
     def _dictionary_pairs(self, view: ColumnarTable, layout: Layout, pairs: list) -> list:
         """Swap scan predicates over string columns to dictionary-code kernels.
@@ -617,17 +635,17 @@ class ColumnExecutor:
         except Exception:
             # includes CompileFallback: predicate stays on its generic kernel
             return None
-        matching_codes = np.array(matching, dtype=np.int32)
+        if len(matching) == 1 and not null_matches:  # one comparison per row
+            def kernel(ctx, _codes=codes, _code=np.int32(matching[0])):
+                return (_codes if ctx.sel is None else _codes[ctx.sel]) == _code
+            return kernel
+        # per code whether it matches, NULL's (code -1) last: a take per row
+        table = np.zeros(len(dictionary.values) + 1, dtype=bool)
+        table[matching] = True
+        table[-1] = null_matches
 
-        def kernel(ctx, _codes=codes, _matching=matching_codes, _null=null_matches):
-            gathered = _codes if ctx.sel is None else _codes[ctx.sel]
-            if len(_matching) == 1:
-                mask = gathered == _matching[0]
-            else:
-                mask = np.isin(gathered, _matching)
-            if _null:
-                mask = mask | (gathered == -1)
-            return mask
+        def kernel(ctx, _codes=codes, _table=table):  # (``take``: int32 codes index fast)
+            return _table.take(_codes if ctx.sel is None else _codes[ctx.sel])
         return kernel
 
     def _refine(self, frame: ColFrame, selection: np.ndarray | None,
@@ -641,12 +659,15 @@ class ColumnExecutor:
         an index: None comes back only where ``pairs`` is empty.
         """
         for kernel, predicate in pairs:
-            if selection is not None and len(selection) == 0:
-                break
+            if selection is None:
+                length = frame.length
+            else:
+                length = len(selection)
+                if not length:
+                    break
             if kernel is not None:
-                length = frame.length if selection is None else len(selection)
-                mask = kernel(ColumnContext(frame.arrays, length, selection))
-                if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
+                mask = kernel(ColumnContext(frame.arrays, length, selection, frame))
+                if type(mask) is not np.ndarray or mask.dtype != np.bool_:
                     mask = as_mask(mask, length)
             else:
                 try:
@@ -692,47 +713,69 @@ class ColumnExecutor:
                      ) -> tuple[ColFrame, list[int], int]:
         """:meth:`_join_frames`, and the rows of each level and the build-side
         rows sorted, for the trace.  A level is its row pairs (:class:`_Rows`):
-        one row index per FROM item, composed where a column of it is read."""
-        first = block.join_order[0].frame_index
-        rows = _Rows(frames[first], selections[first])
-        levels, build_rows, probes = [rows.length], 0, 0
+        one row index per source, gathered through each level's matches
+        while a later level or the block reads the source
+        (``ColumnBlockKernels.carried``)."""
+        sources = [frames[index] for index in shape.sources]
+        indexes = [selections[shape.sources[0]]]
+        length = _rows(sources[0], indexes[0])
+        levels, build_rows, probes, tally = [length], 0, 0, self._tally
+        carried = tables.kernels.carried
         for number, step in enumerate(shape.joins):
-            right, right_sel = frames[step.frame_index], selections[step.frame_index]
+            right, right_sel = sources[number + 1], selections[step.frame_index]
             probe = []
             for source, position in step.left_keys:
-                probe.append(rows.column(source, position))
-            order = self._stored_order(step, number, tables, probe, rows.length, right,
-                                       right_sel)
+                column, index = sources[source].arrays[position], indexes[source]
+                probe.append(column if index is None else column[index])
+            order = self._stored_order(step, number, tables, probe, length, right, right_sel)
             if order is not None:
                 probes += 1
-                left_idx, right_idx, _ = probe_order(order, probe, self._tally)
+                order, direct = order
+                column = probe[0]
+                if direct is not None and type(column) is np.ndarray \
+                        and column.dtype == _INT64:
+                    left_idx, right_idx = probe_direct(order, direct, column, tally)
+                else:
+                    left_idx, right_idx, _ = probe_order(order, probe, tally)
                 if right_sel is not None:  # the pairs whose build row is selected
                     selected = np.zeros(right.length, dtype=bool)
                     selected[right_sel] = True
                     keep = selected[right_idx]
                     left_idx = keep.nonzero()[0] if left_idx is None else left_idx[keep]
-                    right_idx, right_sel = right_idx[keep], None
-            elif step.positions:
-                build_rows += _rows(right, right_sel)
-                left_idx, right_idx, _ = join_indexes(
-                    probe, [_selected(right.arrays[position], right_sel)
-                            for _, position in step.positions], self._tally)
+                    right_idx = right_idx[keep]
             else:
-                left_idx, right_idx = _cross(rows.length, _rows(right, right_sel))
-            rows = _Rows(rows, left_idx, _Rows(right, right_sel), right_idx)
-            levels.append(rows.length)
-        tally = self._tally
+                if step.positions:
+                    build_rows += _rows(right, right_sel)
+                    left_idx, right_idx, _ = join_indexes(
+                        probe, [_selected(right.arrays[position], right_sel)
+                                for _, position in step.positions], tally)
+                else:
+                    left_idx, right_idx = _cross(length, _rows(right, right_sel))
+                if right_sel is not None:
+                    right_idx = right_sel[right_idx]
+            gathered, dropped = carried[number]
+            if left_idx is not None:
+                for source in gathered:
+                    index = indexes[source]
+                    indexes[source] = left_idx if index is None else index[left_idx]
+            indexes.append(right_idx)
+            for source in dropped:
+                indexes[source] = _DROPPED
+            length = len(right_idx)
+            levels.append(length)
         if probes:
             tally["join.order_probes"] = tally.get("join.order_probes", 0) + probes
         if build_rows:
             tally["join.build_rows"] = tally.get("join.build_rows", 0) + build_rows
         joined = shape.joined_layout
-        return _joined_frame(rows, shape.slots, joined.columns, joined), levels, build_rows
+        return _joined_frame(_Rows(sources, indexes, None, length), shape.slots,
+                             joined.columns, joined), levels, build_rows
 
     def _stored_order(self, step: ColumnJoin, number: int, tables: _Tables, probe: list,
                       probe_rows: int, right: ColFrame, right_sel: np.ndarray | None
-                      ) -> KeyOrder | None:
-        """The storage key order a join step probes (None: sort its build side).
+                      ) -> tuple[KeyOrder, Any] | None:
+        """The storage key order a join step probes and its direct table
+        (``KeyOrder.direct``), or None: sort its build side.
 
         A base table joined on integer-kind keys has one, looked up once per
         table version (``tables.orders``).  All of its rows selected, it is
@@ -744,16 +787,16 @@ class ColumnExecutor:
         """
         if step.probe is None or not (step.typed_keys or integer_kind(probe)):
             return None
-        order = tables.orders[number]
-        if order is _UNSEEN:
+        found = tables.orders[number]
+        if found is _UNSEEN:
             order = self.database.key_order(step.probe.table, step.probe.columns)
             if order is not None and order.rows != right.length:
                 order = None  # the table moved on under the frame: sort what was scanned
-            tables.orders[number] = order
-        if order is None or (right_sel is not None and probe_rows * order.indexed_rows
-                             >= len(right_sel) * order.distinct):
+            found = tables.orders[number] = None if order is None else (order, order.direct())
+        if found is None or (right_sel is not None and probe_rows * found[0].indexed_rows
+                             >= len(right_sel) * found[0].distinct):
             return None
-        return order
+        return found
 
     def _join(self, left: ColFrame, right: ColFrame, equi: list[tuple[int, int]],
               residual: Sequence[ast.Expression] = (), keep_unmatched_left: bool = False,
@@ -818,7 +861,7 @@ class ColumnExecutor:
                  kernels: ColumnBlockKernels, frame: ColFrame,
                  selection: np.ndarray | None) -> ColFrame:
         length = frame.length if selection is None else len(selection)
-        context = ColumnContext(frame.arrays, length, selection)
+        context = ColumnContext(frame.arrays, length, selection, frame)
         materialised = _LazySelection(frame, selection) if None in kernels.projection else None
         arrays: list[np.ndarray | None] = []
         columns: list[ColumnInfo] = []
@@ -828,27 +871,32 @@ class ColumnExecutor:
         # only what reads the strings decodes them first.
         codes: list[np.ndarray | None] = []
         dictionaries: list[ViewDictionary | None] = []
-        for position, item in enumerate(select.items):
+        frame_codes = frame.codes
+        for position, (item, kernel, column) in enumerate(
+                zip(select.items, kernels.projection, shape.output_coded)):
             if isinstance(item.expression, ast.Star):
                 star = item.expression
-                for index, column in enumerate(frame.columns):
-                    if star.table is None or column.binding.lower() == star.table.lower():
+                for index, info in enumerate(frame.columns):
+                    if star.table is None or info.binding.lower() == star.table.lower():
                         coded, dictionary = _coded(frame, index, selection)
                         arrays.append(None if coded is not None else context.column(index))
-                        columns.append(ColumnInfo("", column.name, column.type_name))
+                        columns.append(_column_info("", info.name, info.type_name))
                         codes.append(coded)
                         dictionaries.append(dictionary)
                 continue
-            coded, dictionary = _coded(frame, shape.output_columns[position], selection)
-            array = None if coded is not None else self._vector(
-                kernels.projection[position], item.expression, context, materialised)
+            coded = None if column is None or frame_codes is None else frame_codes[column]
+            if coded is None:
+                array = self._vector(kernel, item.expression, context, materialised)
+                dictionaries.append(None)
+            else:
+                array, coded = None, coded if selection is None else coded[selection]
+                dictionaries.append(frame.dictionaries[column])
             arrays.append(array)
-            columns.append(shape.output_infos[position] or ColumnInfo(
+            columns.append(shape.output_infos[position] or _column_info(
                 "", shape.output_names[position],
                 "str" if array is None else _DTYPE_TYPES.get(array.dtype, "str")))
             codes.append(coded)
-            dictionaries.append(dictionary)
-        if all(dictionary is None for dictionary in dictionaries):
+        if dictionaries.count(None) == len(dictionaries):
             return ColFrame(columns=columns, arrays=arrays, length=length)
         return ColFrame(columns=columns, arrays=DecodedColumns(arrays, codes, dictionaries),
                         length=length, codes=codes, dictionaries=dictionaries)
@@ -880,9 +928,10 @@ class ColumnExecutor:
         the codes of each group's first row."""
         aggregation = shape.aggregation
         length = frame.length if selection is None else len(selection)
-        context = ColumnContext(frame.arrays, length, selection)
+        context = ColumnContext(frame.arrays, length, selection, frame)
         materialised = _LazySelection(frame, selection) \
             if None in kernels.keys or None in kernels.arguments else None
+        frame_codes = frame.codes
         if select.group_by:
             # a key that is a plain dictionary-encoded column groups on its
             # int32 code vector (codes biject to values, with -1 for NULL, so
@@ -890,17 +939,20 @@ class ColumnExecutor:
             # grouping on the decoded strings); everything else evaluates.
             factors = []
             for key, column, kernel in zip(select.group_by, shape.key_columns, kernels.keys):
-                key_codes, _ = _coded(frame, column, selection)
-                factors.append(self._vector(kernel, key, context, materialised)
-                               if key_codes is None else key_codes)
+                key_codes = None if column is None or frame_codes is None \
+                    else frame_codes[column]
+                if key_codes is not None:
+                    factors.append(key_codes if selection is None else key_codes[selection])
+                else:
+                    factors.append(self._vector(kernel, key, context, materialised))
             group_ids, first_index = group_rows(factors, length, self._tally)
             count = len(first_index)
             first_rows = first_index if selection is None else selection[first_index]
         else:  # one group: the arguments fold without a group id per row
             group_ids, count = None, 1
             # the empty global group has no first row: its joined columns read NULL
-            first_rows = None if not length else np.zeros(1, dtype=np.int64) \
-                if selection is None else selection[:1]
+            first_rows = None if not length else _FIRST_ROW if selection is None \
+                else selection[:1]
         calls = []
         if aggregation.calls:
             # every group's rows, counted once: the count of count(*) and of
@@ -927,25 +979,32 @@ class ColumnExecutor:
             # collapses to False here, exactly like the filter position.
             keep = truth_mask(self._over_groups(kernels.having, aggregation.having, groups,
                                                 context), count)
-            if not keep.all():
-                groups = groups.take(keep.nonzero()[0])
+            kept = keep.nonzero()[0]
+            if len(kept) < count:
+                groups = groups.take(kept)
                 context = ColumnContext(groups, groups.count)
-        arrays, codes, dictionaries = [], [], []
-        for item, kernel, column in zip(aggregation.items, kernels.projection,
-                                        shape.output_columns):
-            coded, dictionary = (None, None) if column is None else groups.coded(column)
-            arrays.append(None if coded is not None
-                          else self._over_groups(kernel, item, groups, context))
-            codes.append(coded)
-            dictionaries.append(dictionary)
+        arrays, coded = [], None
+        for position, (item, kernel, column) in enumerate(
+                zip(aggregation.items, kernels.projection, shape.output_coded)):
+            # a string column may be coded: its codes at the first rows
+            item_codes = None if column is None or groups.first_rows is None \
+                or frame_codes is None else frame_codes[column]
+            if item_codes is not None:
+                coded = coded or [None] * len(aggregation.items)
+                coded[position] = item_codes[groups.first_rows]
+                arrays.append(None)
+            else:
+                arrays.append(self._over_groups(kernel, item, groups, context))
         columns = shape.output_infos
-        if shape.output_types.count(None):  # a type the plan does not know: read off the values
-            columns = [info or ColumnInfo("", name, _DTYPE_TYPES.get(array.dtype, "str"))
+        if None in shape.output_types:  # a type the plan does not know: read off the values
+            columns = [info or _column_info("", name, _DTYPE_TYPES.get(array.dtype, "str"))
                        for info, name, array in zip(columns, shape.output_names, arrays)]
-        if dictionaries.count(None) == len(dictionaries):
+        if coded is None:
             return ColFrame(columns=columns, arrays=arrays, length=groups.count)
-        return ColFrame(columns=columns, arrays=DecodedColumns(arrays, codes, dictionaries),
-                        length=groups.count, codes=codes, dictionaries=dictionaries)
+        dictionaries = [None if codes is None else frame.dictionaries[column]
+                        for codes, column in zip(coded, shape.output_coded)]
+        return ColFrame(columns=columns, arrays=DecodedColumns(arrays, coded, dictionaries),
+                        length=groups.count, codes=coded, dictionaries=dictionaries)
 
     def _over_groups(self, kernel: Callable | None, expression: ast.Expression,
                      groups: "_GroupColumns", context: ColumnContext) -> np.ndarray:
@@ -976,7 +1035,7 @@ class ColumnExecutor:
         if isinstance(item, ast.SubqueryRef):
             frame, names = self._execute_block(item.subquery)
             columns = [
-                ColumnInfo(binding=item.alias, name=name, type_name=column.type_name)
+                _column_info(item.alias, name, column.type_name)
                 for name, column in zip(names, frame.columns)
             ]
             return ColFrame(columns=columns, arrays=frame.arrays, length=frame.length,
@@ -1141,74 +1200,26 @@ def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
     return np.where(outer < 0, -1, inner[np.maximum(outer, 0)])
 
 
-class _Rows:
+#: the row index of a source no evaluation reads any more (indexing with it fails).
+_DROPPED = object()
+
+
+class _Rows(NamedTuple):
     """Which row of each source frame every row of a join result is made of.
 
     A join result's columns are columns of its sources -- the frames of the
     FROM items it joined, in the order the joins met them -- each read at
-    its source's row index: ``index(source)``, with -1 where an outer join
-    padded the row (NULL in every column of that source).  A join keeps its
-    two inputs' :class:`_Rows` and the row pairs it matched; a source's
-    index is composed through them the first time one of its columns is
-    read, once per source and join, however many of its columns are read.
+    its source's row index: ``indexes[source]`` (None: every row, in
+    order), with -1 where an outer join padded the row (NULL in every
+    column of that source: ``padded[source]``; ``padded`` None: no padding
+    anywhere).  A join gathers each index through its row pairs, once per
+    source however many of its columns are read.
     """
 
-    __slots__ = ("sources", "length", "_indexes", "_inputs")
-
-    def __init__(self, left: "_Rows | ColFrame", index: np.ndarray | None = None,
-                 right: "_Rows | None" = None, right_idx: np.ndarray | None = None,
-                 padded: bool = False):
-        """Without ``right``: the rows ``index`` selects of the frame ``left``
-        (None: all of them, in order).  With it, the rows of a join: ``left``
-        row ``index`` (None: every left row, once, in order) beside ``right``
-        row ``right_idx`` (-1 with ``padded``: an all-NULL right row)."""
-        if right is None:
-            self.sources = [left]
-            self.length = left.length if index is None else len(index)
-            #: per source, (its row index, whether that holds a -1), once composed.
-            self._indexes = [(index, False)]
-            self._inputs = None
-        else:
-            self.sources = left.sources + right.sources
-            self.length = len(right_idx)
-            self._indexes = [None] * len(self.sources)
-            self._inputs = (left, index, right, right_idx, padded)
-
-    def index(self, source: int) -> tuple[np.ndarray | None, bool]:
-        found = self._indexes[source]
-        if found is not None:
-            return found
-        way, rows = [], self
-        while found is None:  # down to the join that holds the source's index
-            left, left_idx, right, right_idx, padded = rows._inputs
-            split = len(left.sources)
-            if source < split:
-                way.append((rows, source, left_idx, False))
-                rows = left
-            else:
-                way.append((rows, source, right_idx, padded))
-                source -= split
-                rows = right
-            found = rows._indexes[source]
-        index, padded = found
-        for rows, source, outer, step_padded in reversed(way):
-            if step_padded:
-                index = _compose(index, outer, True)
-            elif index is None or outer is None:  # _compose, unpadded
-                index = outer if index is None else index
-            else:
-                index = index[outer]
-            padded = padded or step_padded
-            rows._indexes[source] = index, padded
-        return index, padded
-
-    def column(self, source: int, position: int) -> Any:
-        """Column ``position`` of source ``source``, at this result's rows."""
-        index, padded = self.index(source)
-        column = self.sources[source].arrays[position]
-        if padded:
-            return _gather_padded(column, index, _pad_values)
-        return column if index is None else column[index]
+    sources: list[ColFrame]
+    indexes: list
+    padded: list[bool] | None
+    length: int
 
 
 def _cross(left_rows: int, right_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1217,35 +1228,36 @@ def _cross(left_rows: int, right_rows: int) -> tuple[np.ndarray, np.ndarray]:
             np.tile(np.arange(right_rows, dtype=np.int64), left_rows))
 
 
-class _JoinedColumns(Sequence):
+class _JoinedColumns(dict):
     """One part of a join result's columns -- their ``arrays``, ``codes`` or
-    ``dictionaries`` -- each column read off its source (``slots``: per
-    column, its source and its position there) the first time it is read.
+    ``dictionaries`` -- by position, each column read off its source
+    (``slots``: per column, its source and its position there) the first
+    time it is read; a column read before is a plain dict lookup.  As a
+    sequence (``len``, iteration) it is every column, in order.
 
     A join decides *which rows* pair up; most of the columns riding along
     are never looked at again (TPC-H Q8's eight-way join ends in 58 columns
     and reads ten).
     """
 
-    __slots__ = ("rows", "slots", "_part", "_read")
+    __slots__ = ("rows", "slots", "_part")
 
     def __init__(self, rows: _Rows, slots: list[tuple[int, int]], part: str):
+        super().__init__()
         self.rows = rows
         self.slots = slots
         self._part = part
-        self._read: dict[int, Any] = {}
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [self[index] for index in range(*position.indices(len(self)))]
-        read = self._read
-        if position in read:
-            return read[position]
-        source, column = self.slots[position]  # an IndexError ends an iteration
-        frame = self.rows.sources[source]
+    def __iter__(self):
+        return (self[position] for position in range(len(self.slots)))
+
+    def __missing__(self, position: int) -> Any:
+        source, column = self.slots[position]
+        rows = self.rows
+        frame = rows.sources[source]
         part = self._part
         if part == "dictionaries":
             value = None if frame.dictionaries is None else frame.dictionaries[column]
@@ -1253,13 +1265,13 @@ class _JoinedColumns(Sequence):
             columns = frame.arrays if part == "arrays" else frame.codes
             value = None if columns is None else columns[column]
             if value is not None:
-                index, padded = self.rows.index(source)
-                if padded:
+                index = rows.indexes[source]
+                if rows.padded is not None and rows.padded[source]:
                     value = _gather_padded(value, index,
                                            _pad_values if part == "arrays" else _pad_codes)
                 elif index is not None:
                     value = value[index]
-        read[position] = value
+        self[position] = value
         return value
 
 
@@ -1281,7 +1293,8 @@ def _sources(frame: ColFrame) -> tuple[_Rows, list[tuple[int, int]]]:
     source whose columns are its columns."""
     if isinstance(frame.arrays, _JoinedColumns):
         return frame.arrays.rows, frame.arrays.slots
-    return _Rows(frame), [(0, position) for position in range(len(frame.columns))]
+    return _Rows([frame], [None], None, frame.length), \
+        [(0, position) for position in range(len(frame.columns))]
 
 
 def _joined(left: ColFrame, left_idx: np.ndarray | None, right: ColFrame,
@@ -1294,8 +1307,13 @@ def _joined(left: ColFrame, left_idx: np.ndarray | None, right: ColFrame,
     left_rows, left_slots = _sources(left)
     right_rows, right_slots = _sources(right)
     shift = len(left_rows.sources)
+    flags = [*(left_rows.padded or [False] * shift),
+             *(padded or flag for flag in right_rows.padded or [False] * len(right_rows.sources))]
     return _joined_frame(
-        _Rows(left_rows, left_idx, right_rows, right_idx, padded),
+        _Rows(left_rows.sources + right_rows.sources,
+              [_compose(index, left_idx, False) for index in left_rows.indexes]
+              + [_compose(index, right_idx, padded) for index in right_rows.indexes],
+              flags if any(flags) else None, len(right_idx)),
         left_slots + [(source + shift, position) for source, position in right_slots],
         left.columns + right.columns, layout)
 
@@ -1345,19 +1363,13 @@ class _GroupColumns(dict):
         if self.first_rows is None:
             read = np.full(self.count, None, dtype=object)
         else:
-            codes, dictionary = self.coded(position)
-            read = self.joined.arrays[position][self.first_rows] if dictionary is None \
-                else dictionary.array(codes)
+            joined = self.joined
+            codes = None if joined.codes is None \
+                or joined.columns[position].type_name != "str" else joined.codes[position]
+            read = joined.arrays[position][self.first_rows] if codes is None \
+                else joined.dictionaries[position].array(codes[self.first_rows])
         self[position] = read
         return read
-
-    def coded(self, column: int) -> tuple[np.ndarray | None, ViewDictionary | None]:
-        """The codes of the joined frame's column at position ``column`` at the
-        first rows and what they decode to ((None, None): no first row, or not
-        a dictionary-encoded column)."""
-        if self.first_rows is None or self.joined.columns[column].type_name != "str":
-            return None, None
-        return _coded(self.joined, column, self.first_rows)
 
     def take(self, groups: np.ndarray) -> "_GroupColumns":
         """The group rows at the positions ``groups`` lists."""
@@ -1386,7 +1398,7 @@ def _null_mask(values: np.ndarray) -> np.ndarray:
 def _empty(counts: np.ndarray) -> np.ndarray | None:
     """The groups without a value to fold (None: there are none)."""
     empty = counts == 0
-    return empty if empty.any() else None
+    return empty if np.logical_or.reduce(empty) else None
 
 
 def _retyped(values: np.ndarray, empty: np.ndarray | None, dtype: np.dtype) -> np.ndarray:
@@ -1477,7 +1489,7 @@ class _Folds:
             if len(uses) == 1:
                 return
         grouped, numeric, counts = group_ids, values, sizes
-        if nulls is not None and nulls.any():
+        if nulls is not None and np.logical_or.reduce(nulls):
             valid = ~nulls
             grouped, numeric = (None if group_ids is None else group_ids[valid]), values[valid]
             counts = np.array([len(numeric)], dtype=np.int64) if grouped is None \

@@ -118,7 +118,11 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
                   for source, item, step in zip(sources[1:], items[1:], block.join_order[1:])],
         "fused": ["scan"] + ["join"] * (len(sources) > 1) + ["filter"] * bool(block.residual)
         + ["aggregate" if block.needs_aggregation else "project"],
-        "interpreted": [to_sql(expression) for expression, _ in pipeline.interpreted],
+        # an expression over a group row reads its aggregate calls' columns:
+        # printed as the calls
+        "interpreted": [to_sql(expression if block.aggregation is None
+                               else block.aggregation.with_calls(expression))
+                        for expression, _ in pipeline.interpreted],
         "hoisted": [ref.qualified for ref in pipeline.outer_refs],
         # per distinct aggregate argument: how its values are gathered per
         # group ("builtin", "comprehension" or "loop")

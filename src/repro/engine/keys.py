@@ -13,10 +13,11 @@ method their dtype allows:
   without a dictionary, legacy ``None``-carrying columns, mixed types) and
   the rare typed pair that has no exact common dtype -- one pass through a
   Python ``dict``, driven by ``dict.fromkeys`` / ``map`` rather than a
-  bytecode loop.  This is the only place a dict sees rows; it keeps Python
-  equality (``1 == 1.0 == True``) by construction, and every row it
-  handles is counted as ``join.fallback_rows`` / ``group.fallback_rows`` /
-  ``sort.fallback_rows`` (all others as ``*.kernel_rows``).
+  bytecode loop.  It keeps Python equality (``1 == 1.0 == True``) by
+  construction, and every row it handles is counted as
+  ``join.fallback_rows`` / ``group.fallback_rows`` / ``sort.fallback_rows``
+  (all others as ``*.kernel_rows``: a grouping of a few rows of plain
+  numbers also keys a dict, for their number, not their type).
 
 A dictionary-coded string column gets there only as a join key: grouping
 and DISTINCT key on its ``int32`` codes, ORDER BY on its dictionary's ranks
@@ -54,9 +55,10 @@ from repro.engine.mask import Nullable, data_of
 from repro.obs.metrics import count as count_metric
 
 __all__ = ["KeyOrder", "Ranked", "build_order", "group_rows", "hash_codes", "integer_kind",
-           "join_indexes", "order_index", "probe_order"]
+           "join_indexes", "order_index", "probe_direct", "probe_order"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_INT64 = np.dtype(np.int64)
 #: combined code spaces are re-ranked before they reach this bound.
 _CODE_SPACE = 2 ** 62
 #: integers beyond this do not survive the trip through float64.
@@ -88,8 +90,8 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, int, bool]:
     if len(values) == 0:
         return _EMPTY, 1, False
     kind = values.dtype.kind
-    if kind in "bi":
-        low, high = int(values.min()), int(values.max())
+    if kind in "bi":  # (the ufuncs' own reductions: no Python frame around them)
+        low, high = int(np.minimum.reduce(values)), int(np.maximum.reduce(values))
         if high - low < _CODE_SPACE:
             return values.astype(np.int64) - low, high - low + 1, False
     if kind in "bif":
@@ -271,7 +273,7 @@ class KeyOrder:
     """
 
     __slots__ = ("steps", "order", "run_starts", "run_lengths", "first", "rows",
-                 "distinct", "unique")
+                 "distinct", "unique", "_direct")
 
     def __init__(self, steps, codes: np.ndarray, space: int, present: np.ndarray | None,
                  rows: int):
@@ -293,6 +295,16 @@ class KeyOrder:
             self.first = np.full(len(self.run_lengths), -1, dtype=np.int64)
             self.first[codes] = np.arange(keyed, dtype=np.int64) if present is None \
                 else present
+        self._direct = _UNBUILT
+
+    def direct(self) -> "_Direct | None":
+        """The order's runs laid out by key value, for probes by one ``int64``
+        column: built the first time a probe asks (None: the order has more
+        than one key column, or its values span too much)."""
+        found = self._direct
+        if found is _UNBUILT:
+            found = self._direct = _direct(self)
+        return found
 
     @property
     def indexed_rows(self) -> int:
@@ -377,6 +389,55 @@ def build_order(columns: list, operator: str = "join") -> KeyOrder | None:
     return KeyOrder(steps, combined, space, present, rows)
 
 
+#: a :class:`KeyOrder`'s direct table before a probe asked for it.
+_UNBUILT = object()
+
+
+class _Direct(NamedTuple):
+    """A one-column :class:`KeyOrder` indexed by key value: position ``value -
+    shift`` of each table is that key's entry, and the first and last
+    positions -- where ``take(mode="clip")`` puts every value outside the
+    table -- are keys that match nothing."""
+
+    shift: int
+    #: unique keys: the row of every value, -1 for none.
+    first: np.ndarray | None
+    #: other keys: the run of every value in ``order`` (length 0: none).
+    starts: np.ndarray | None
+    lengths: np.ndarray | None
+
+
+def _direct(order: KeyOrder) -> _Direct | None:
+    """:meth:`KeyOrder.direct`.  A value outside ``(-2**62, 2**62)`` could
+    wrap around into the table when shifted, and a span of more than about
+    twice the rows would cost more than the rows do: no table then.  Keys
+    that start at 1 get a table from 0, which needs no shift."""
+    if len(order.steps) != 1 or order.steps[0][1] is not None:
+        return None
+    coder = order.steps[0][0]
+    if isinstance(coder, _Offset):
+        low, high = coder.low, coder.high
+    elif len(coder.values):
+        low, high = int(coder.values[0]), int(coder.values[-1])
+    else:
+        return None
+    limit = 2 * order.rows + 64
+    if low <= -2 ** 62 or high >= 2 ** 62 or high - low + 1 > limit:
+        return None
+    shift = 0 if 1 <= low and high + 2 <= limit else low - 1
+
+    def laid_out(per_code: np.ndarray, missing: int) -> np.ndarray:
+        table = np.full(high - shift + 2, missing, dtype=np.int64)
+        if isinstance(coder, _Offset):
+            table[low - shift:high - shift + 1] = per_code[:high - low + 1]
+        else:  # a value's code is its rank among the distinct values
+            table[coder.values - shift] = per_code[:len(coder.values)]
+        return table
+    if order.unique:
+        return _Direct(shift, laid_out(order.first, -1), None, None)
+    return _Direct(shift, None, laid_out(order.run_starts, 0), laid_out(order.run_lengths, 0))
+
+
 def probe_order(order: KeyOrder, columns: list, tally: dict | None = None
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Probe a build side with integer-kind key columns.
@@ -399,12 +460,36 @@ def probe_order(order: KeyOrder, columns: list, tally: dict | None = None
     if found is not None:
         counts[~found] = 0
     # (ndarray methods, not the np.* wrappers: no Python frame on this path)
-    left_idx = np.arange(rows, dtype=np.int64).repeat(counts)
-    # a left row's matches are consecutive in ``order``, from its run's start
-    ends = counts.cumsum()
-    positions = (order.run_starts[codes] - (ends - counts)).repeat(counts) \
-        + np.arange(len(left_idx), dtype=np.int64)
+    left_idx, positions = _runs(order.run_starts[codes], counts)
     return left_idx, order.order[positions], (counts == 0).nonzero()[0]
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per match, its probe row and its position in the order: a probe row's
+    ``counts`` matches are consecutive there, from its run's ``starts``."""
+    left_idx = np.arange(len(counts), dtype=np.int64).repeat(counts)
+    return left_idx, (starts - counts.cumsum() + counts).repeat(counts) \
+        + np.arange(len(left_idx), dtype=np.int64)
+
+
+def probe_direct(order: KeyOrder, direct: _Direct, values: np.ndarray, tally: dict
+                 ) -> tuple[np.ndarray | None, np.ndarray]:
+    """An inner join's :func:`probe_order` with one NULL-free ``int64`` key
+    column, through the order's direct table (:meth:`KeyOrder.direct`): a
+    take per table, no code, no found mask.  Returns ``(left_idx,
+    right_idx)``."""
+    rows = len(values)
+    tally["join.kernel_rows"] = tally.get("join.kernel_rows", 0) + rows
+    at = values - direct.shift if direct.shift else values
+    if direct.first is not None:
+        right_idx = direct.first.take(at, mode="clip")
+        left_idx = (right_idx >= 0).nonzero()[0]
+        if len(left_idx) == rows:
+            return None, right_idx
+        return left_idx, right_idx[left_idx]
+    counts = direct.lengths.take(at, mode="clip")
+    left_idx, positions = _runs(direct.starts.take(at, mode="clip"), counts)
+    return left_idx, order.order[positions]
 
 
 def join_indexes(left: list, right: list, tally: dict | None = None
@@ -419,12 +504,40 @@ def join_indexes(left: list, right: list, tally: dict | None = None
     :func:`build_order` of the right side, and ``left_idx`` may then be None
     (every left row, once, in order); floats, strings and mixed dtypes are
     coded jointly, under Python equality.  ``tally``: see :func:`_count`.
+    Small sides with one NULL-free ``int64`` key column each are joined by
+    sorting the build side and searching it (:func:`_searched_join`).
     """
+    if len(left) == 1 and type(left[0]) is np.ndarray and type(right[0]) is np.ndarray \
+            and left[0].dtype == right[0].dtype == _INT64 \
+            and len(left[0]) * len(right[0]) <= _SEARCHED_PAIRS:
+        return _searched_join(left[0], right[0], tally)
     if integer_kind(left):
         order = build_order(right)
         if order is not None:
             return probe_order(order, left, tally)
     return _joint_indexes(left, right, tally)
+
+
+#: up to this many probe x build rows :func:`join_indexes` sorts the build
+#: side and searches it: building a :class:`KeyOrder` costs more there.
+_SEARCHED_PAIRS = 2 ** 16
+
+
+def _searched_join(left: np.ndarray, right: np.ndarray, tally: dict | None
+                   ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """:func:`join_indexes` of one NULL-free ``int64`` key column a side by a
+    stable sort of ``right`` -- a key's rows stay ascending -- and two binary
+    searches per probe row for its run of matches."""
+    _count("join", len(right) + len(left), False, tally)
+    order = right.argsort(kind="stable")
+    ordered = right[order]
+    starts = ordered.searchsorted(left, "left")
+    counts = ordered.searchsorted(left, "right") - starts
+    left_idx, positions = _runs(starts, counts)
+    unmatched = (counts == 0).nonzero()[0]
+    if len(left_idx) == len(left) and not len(unmatched):  # each row matched once
+        left_idx = None
+    return left_idx, order[positions], unmatched
 
 
 def _joint_indexes(left: list, right: list, tally: dict | None = None
@@ -469,7 +582,21 @@ def group_rows(factors: list, rows: int, tally: dict | None = None
     Returns ``(group_ids, first_index)``: a dense id per row, ids numbered
     in first-seen order, and the first row of every group.  NULLs group
     together; every NaN is its own group.  ``tally``: see :func:`_count`.
+    A few rows of plain numbers (dictionary codes included) are grouped by
+    sorting them (:func:`_sorted_groups`) or, fewer still, by their values
+    in a dict (:func:`_keyed_groups`): cheaper there than coding every key
+    column.
     """
+    if rows < 2:  # no row, or one group of one
+        _count("group", rows, False, tally)
+        return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+    if rows <= _SORTED_ROWS:
+        for factor in factors:
+            if type(factor) is not np.ndarray or factor.dtype.kind not in "bif":
+                break
+        else:
+            _count("group", rows, False, tally)
+            return (_keyed_groups if rows <= _KEYED_ROWS else _sorted_groups)(factors, rows)
     columns = []
     for factor in factors:
         if isinstance(factor, Nullable):
@@ -478,13 +605,63 @@ def group_rows(factors: list, rows: int, tally: dict | None = None
             columns.append((factor, None))  # a None in an object array hashes
     codes, space, _, hashed = _combine(columns, null_is_a_key=True)
     _count("group", rows, hashed, tally)
-    first = np.full(space, rows, dtype=np.int64)
+    first = np.empty(space, dtype=np.int64)
+    first.fill(rows)
     np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
     seen = (first < rows).nonzero()[0]
     seen = seen[first[seen].argsort()]
     group_of = np.empty(space, dtype=np.int64)
     group_of[seen] = np.arange(len(seen), dtype=np.int64)
     return group_of[codes], first[seen]
+
+
+#: up to this many rows :func:`group_rows` sorts (a sort costs n log n where
+#: coding the keys costs a few passes each, and a rank of their product), up
+#: to the second it keys a dict by the rows' values (a pass of Python per row
+#: where a sort costs some twenty array operations).
+_SORTED_ROWS = 256
+_KEYED_ROWS = 32
+
+
+def _keyed_groups(factors: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_rows` by a dict from each row's key values to its group:
+    numbered as rows first show them, a NaN equal to nothing (each ``tolist``
+    value is an object of its own), -0.0 to 0.0."""
+    groups: dict[tuple, int] = {}
+    group_ids, firsts = [], []
+    for row, key in enumerate(zip(*[factor.tolist() for factor in factors])):
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = len(firsts)
+            firsts.append(row)
+        group_ids.append(group)
+    return np.array(group_ids, dtype=np.int64), np.array(firsts, dtype=np.int64)
+
+
+def _sorted_groups(factors: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_rows` by a stable sort of the rows on their keys: a group
+    is a run of equal keys (NaN equals nothing, so each is a run of its
+    own), its first row the run's first, and the runs are numbered by that
+    row."""
+    order = factors[0].argsort(kind="stable") if len(factors) == 1 \
+        else np.lexsort(factors[::-1])
+    boundary = np.empty(rows, dtype=bool)
+    boundary[0] = True
+    tail = boundary[1:]
+    for number, factor in enumerate(factors):
+        ordered = factor[order]
+        if number:
+            tail |= ordered[1:] != ordered[:-1]
+        else:
+            np.not_equal(ordered[1:], ordered[:-1], out=tail)
+    firsts = order[boundary.nonzero()[0]]
+    rank = firsts.argsort()
+    groups = len(firsts)
+    run_group = np.empty(groups, dtype=np.int64)
+    run_group[rank] = np.arange(groups, dtype=np.int64)
+    group_ids = np.empty(rows, dtype=np.int64)
+    group_ids[order] = run_group[boundary.cumsum() - 1]
+    return group_ids, firsts[rank]
 
 
 class Ranked(NamedTuple):
@@ -528,6 +705,13 @@ def order_index(keys: list[tuple["np.ndarray | Nullable | Ranked", bool]],
     """
     sort_keys, any_hashed = [], False  # least significant first, for lexsort
     for column, descending in reversed(keys):
+        if type(column) is np.ndarray and (column.dtype.kind in "bi" or (
+                column.dtype.kind == "f" and not np.logical_or.reduce(np.isnan(column)))):
+            # plain numbers sort as they are; ``~`` reverses integers (and
+            # bools) without overflow, ``-`` floats without NaN
+            sort_keys.append((~column if column.dtype.kind in "bi" else -column)
+                             if descending else column)
+            continue
         ranks, hashed = _ranks(column)
         sort_keys.append(-ranks if descending else ranks)
         any_hashed = any_hashed or hashed

@@ -239,24 +239,46 @@ class Aggregation:
         return list(joined) + [ColumnInfo(GROUP_BINDING, f"#{number}", _call_type(call, layout))
                                for number, call in enumerate(self.calls)]
 
+    def with_calls(self, expression: ast.Expression) -> ast.Expression:
+        """``expression``, one over the group row, with each call's column
+        put back as the call: the SQL it was written as (for EXPLAIN)."""
+        if isinstance(expression, ast.ColumnRef) and expression.table == GROUP_BINDING:
+            return self.calls[int(expression.name[1:])]
+        if not any(isinstance(node, ast.ColumnRef) and node.table == GROUP_BINDING
+                   for node in ast.walk_local(expression)):
+            return expression
+
+        def back(value):
+            if isinstance(value, ast.Expression):
+                return self.with_calls(value)
+            if isinstance(value, tuple):  # a CASE branch
+                return tuple(map(back, value))
+            return [back(part) for part in value] if isinstance(value, list) else value
+        return replace(expression, **{part.name: back(getattr(expression, part.name))
+                                      for part in fields(expression)})
+
 
 def _call_type(call: ast.FunctionCall, layout: Layout) -> str:
     """What an aggregate call's value is known to be: a count an int, an
-    average a float, a MIN / MAX of a date a date, any other the type of the
-    column it folds ("any" where that is not known)."""
+    average a float, any other the type of the column it folds -- a MIN /
+    MAX of a date a date (:func:`plan_aggregation` refuses a SUM of one) --
+    "any" where that is not known."""
     name = call.name.lower()
     if name in ("count", "avg"):
         return "int" if name == "count" else "float"
     known = output_type(call.arguments[0], layout) if call.arguments else None
-    return "any" if known is None or (known == "date" and name == "sum") else known
+    return "any" if known is None else known
 
 
-def plan_aggregation(select: ast.Select) -> Aggregation:
-    """Walk the select list and HAVING of an aggregated block, once: number
-    its aggregate calls -- HAVING's first, each expression in the order of
-    :func:`~repro.sqlparser.ast.walk_local` -- and their distinct arguments,
-    and rewrite both over the group row (see :class:`Aggregation`).  An
-    aggregate call without an argument (``sum()``) is refused."""
+def plan_aggregation(select: ast.Select, columns: list[ColumnInfo]) -> Aggregation:
+    """Walk the select list and HAVING of an aggregated block over
+    ``columns``, once: number its aggregate calls -- HAVING's first, each
+    expression in the order of :func:`~repro.sqlparser.ast.walk_local` --
+    and their distinct arguments, and rewrite both over the group row (see
+    :class:`Aggregation`).  An aggregate call without an argument
+    (``sum()``) is refused, and so is a SUM or AVG of what is known to be a
+    date: a sum of days is no date (MIN, MAX and COUNT of one are)."""
+    layout = None
     expressions = [item.expression for item in select.items]
     if select.having is not None:
         expressions.insert(0, select.having)
@@ -272,6 +294,10 @@ def plan_aggregation(select: ast.Select) -> Aggregation:
             call_arguments.append(None)
             continue
         argument = call.arguments[0]
+        if name in ("sum", "avg"):
+            layout = layout or Layout(columns)
+            if output_type(argument, layout) == "date":
+                raise PlanError(f"aggregate '{name}' is not defined over a date")
         number, _, uses = arguments.setdefault(repr(argument), (len(arguments), argument, set()))
         uses.add("distinct" if call.distinct else "sum" if name == "avg" else name)
         call_arguments.append(number)
@@ -602,7 +628,7 @@ class Planner:
             needs_aggregation=needs_aggregation,
             order_positions=order_positions(select, output_names),
             window=self._scan_window(select.from_items, join_order, pushdown),
-            aggregation=plan_aggregation(select) if needs_aggregation else None,
+            aggregation=plan_aggregation(select, local_columns) if needs_aggregation else None,
         )
         blocks[id(select)] = block
 

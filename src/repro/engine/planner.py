@@ -193,15 +193,6 @@ class ClassifiedPredicates:
     #: keyed by binding -- push-down candidates on top of ``single``.
     implied: dict[str, list[ast.Expression]] = field(default_factory=dict)
 
-    def all_predicates(self) -> list[ast.Expression]:
-        """Every conjunct, in classification order (used when push-down is off)."""
-        ordered: list[ast.Expression] = []
-        for predicates in self.single.values():
-            ordered.extend(predicates)
-        ordered.extend(join for _, _, join in self.equi_joins)
-        ordered.extend(self.residual)
-        return ordered
-
 
 def contains_subquery(expression: ast.Expression) -> bool:
     """True when ``expression`` contains any nested SELECT."""

@@ -68,10 +68,6 @@ class Dictionary:
                               count=len(values))
         return encoded, list(distinct)
 
-    def code_of(self, value: str) -> int | None:
-        """Code of ``value`` without inserting (None when absent)."""
-        return self._codes.get(value)
-
     def array(self) -> np.ndarray:
         """The decode table as an object array (cached until growth)."""
         if self._array is None or len(self._array) != len(self.values):

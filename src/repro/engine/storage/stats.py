@@ -34,10 +34,6 @@ class ZoneMap:
     row_count: int
     distinct_count: int
 
-    @property
-    def non_null_count(self) -> int:
-        return self.row_count - self.null_count
-
 
 @dataclass
 class ColumnStatistics:

@@ -107,19 +107,6 @@ def _days_in_month(year: int, month: int) -> int:
     return (datetime.date(year, month + 1, 1) - datetime.date(year, month, 1)).days
 
 
-def infer_type(value: Any) -> str:
-    """Infer the logical type of a Python value (used for derived columns)."""
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, datetime.date):
-        return "date"
-    return "str"
-
-
 def like_to_predicate(pattern: str) -> Any:
     """Compile a SQL LIKE pattern into a Python predicate function.
 

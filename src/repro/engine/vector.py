@@ -466,7 +466,7 @@ def collapse_case_result(result: np.ndarray) -> np.ndarray:
     The NULL check must run first: numpy's object->float64 conversion
     silently turns ``None`` into NaN, which the row engine never produces.
     """
-    if none_positions(result).any():
+    if np.logical_or.reduce(none_positions(result)):
         return result
     try:
         collapsed = np.array(result.tolist())
@@ -548,7 +548,7 @@ class ColFrame:
         codes = None if self.codes is None else self.codes[position]
         if codes is None:
             return self.arrays[position]
-        return Ranked(self.dictionaries[position].rank()[codes])
+        return Ranked(self.dictionaries[position].rank().take(codes))
 
     def row(self, index: int) -> tuple:
         """Materialise one row (dates converted back to :class:`datetime.date`)."""
@@ -635,16 +635,19 @@ def _python_values(array: Any, type_name: str) -> list:
                                       for kind in set(map(type, items))):
             items = [_to_python(item, type_name) for item in items]
     elif type_name == "date" and values.dtype.kind == "i":
-        present = values != _DATE_NULL
+        missing = values == _DATE_NULL
         if valid is not None:
-            present &= valid
-        valid = present
-        days = np.where(present, values, 0) + _EPOCH_ORDINAL
+            missing |= ~valid
+        nulls = missing.nonzero()[0]
+        days = (np.where(missing, 0, values) if len(nulls) else values) + _EPOCH_ORDINAL
         items = list(map(datetime.date.fromordinal, days.tolist()))
+        for position in nulls.tolist():
+            items[position] = None
+        return items
     else:
         items = values.tolist()
     if valid is not None:
-        for position in np.flatnonzero(~valid).tolist():
+        for position in (~valid).nonzero()[0].tolist():
             items[position] = None
     return items
 

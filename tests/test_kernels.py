@@ -338,6 +338,71 @@ class TestFoldsAndCodesAgreeWithTheRowEngine:
         assert ColumnEngine(parity_db, options=_options(*toggles)).execute(sql).rows == expected
 
 
+class TestPredicatesOverDictionaryCodes:
+    """A comparison, BETWEEN, LIKE or IN over one dictionary-coded string
+    column outside a scan -- a residual over joined rows, a CASE condition,
+    a projected predicate -- runs once per dictionary entry and view, and
+    each row reads its code's answer: the row engine's rows, NULLs and
+    UNKNOWNs included."""
+
+    QUERIES = [
+        "select k, s, case when s like 'x%' then 1 else 0 end from t order by k, s",
+        "select k, s, s in ('xy', null), s not in ('za'), s between 'b' and 'y' from t "
+        "order by k, s",
+        "select k, s, s = 'yz', s <> 'xy', s not like '%z%' from t order by k, s",
+        "select t.k, u.r, t.s from t, u where t.k = u.k and (t.s = 'xy' or u.r = 'b') "
+        "order by t.k, u.r, t.s",
+        "select u.r, sum(case when t.s like '%y%' then t.v else 0 end) from t, u "
+        "where t.k = u.k group by u.r order by u.r",
+    ]
+
+    @pytest.fixture(scope="class")
+    def coded_db(self) -> Database:
+        database = Database("coded", chunk_rows=5)
+        database.create_table("t", [("k", "int"), ("s", "str"), ("v", "float")])
+        database.insert_rows("t", [
+            (index % 4, None if index % 5 == 0 else "xyzab"[index % 3:index % 3 + 2],
+             index / 4.0) for index in range(23)])
+        database.create_table("u", [("k", "int"), ("r", "str")])
+        database.insert_rows("u", [(0, "a"), (1, "b"), (2, None), (3, "b")])
+        return database
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_rows_are_the_row_engines(self, coded_db, sql):
+        expected = repr(RowEngine(coded_db, options=_options(False)).execute(sql).rows)
+        for (compile_expressions,) in TOGGLES:
+            for engine_cls in (RowEngine, ColumnEngine):
+                engine = engine_cls(coded_db, options=_options(compile_expressions))
+                assert repr(engine.execute(sql).rows) == expected, \
+                    f"{engine.strategy()} compile={compile_expressions}"
+
+    def test_q14s_like_runs_once_per_dictionary_entry(self, monkeypatch):
+        """Q14's ``p_type like 'PROMO%'`` is a CASE condition over joined
+        rows; matched row by row it ran once per joined row and execution.
+        (A database of its own: the answers are kept per columnar view.)"""
+        from repro.engine import compile as compile_module
+        tpch_db = Database("q14-like")
+        populate_tpch(tpch_db, scale_factor=0.001)
+        calls = []
+        like = compile_module.like_predicate
+
+        def counted(pattern):
+            matcher = like(pattern)
+
+            def match(value):
+                calls.append(value)
+                return matcher(value)
+            return match
+        monkeypatch.setattr(compile_module, "like_predicate", counted)
+        engine = ColumnEngine(tpch_db)
+        plan = engine.prepare(QUERIES[14])
+        rows = [repr(engine.execute(plan).rows) for _ in range(5)]
+        # matched per joined row, five executions made 200 calls (40 rows each)
+        entries = len(tpch_db.columnar("part").dictionaries["p_type"].values)
+        assert 0 < len(calls) <= entries == 119
+        assert rows == [repr(RowEngine(tpch_db).execute(QUERIES[14]).rows)] * 5
+
+
 class TestEmptyAggregates:
     """Regression: Q17's correlated-subquery filter can empty the frame; the
     column engine used to crash combining aggregates over zero groups."""

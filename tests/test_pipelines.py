@@ -584,6 +584,23 @@ def test_explain_exposes_structure_and_source(tpch_db):
     assert interpreted.explain(QUERIES[3])["pipelines"] == []
 
 
+def test_explain_prints_the_aggregate_calls_an_interpreted_expression_reads(tpch_db):
+    """HAVING ``sum(x) in (select ...)`` stays on the interpreter hook; it
+    runs over the group row, where the call is a column -- EXPLAIN prints
+    the call as written, not that column's ``#group.#0``."""
+    sql = ("select n_regionkey, sum(n_nationkey) from nation group by n_regionkey "
+           "having sum(n_nationkey) in (select r_regionkey * 10 from region)")
+    engine = RowEngine(tpch_db)
+    hooked = [text for pipeline in engine.explain(sql)["pipelines"]
+              for text in pipeline["interpreted"]]
+    assert hooked == ["sum(n_nationkey) in (select r_regionkey * 10 from region)"]
+    text = "\n".join(line for (line,) in engine.execute("explain " + sql).rows)
+    assert "interpreted per row: sum(n_nationkey) in (select" in text
+    assert "#group" not in text
+    assert engine.execute(sql).rows == RowEngine(
+        tpch_db, options=EngineOptions(compile_expressions=False)).execute(sql).rows
+
+
 def test_explain_analyze_marks_the_fused_operators(tpch_db):
     result = RowEngine(tpch_db).execute(QUERIES[3], trace=True)
     pipeline = result.trace.find("pipeline")
