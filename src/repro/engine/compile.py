@@ -119,7 +119,6 @@ from repro.engine.vector import (
 )
 from repro.errors import ExecutionError
 from repro.sqlparser import ast
-from repro.sqlparser.printer import to_sql
 
 
 class CompileFallback(Exception):
@@ -1329,53 +1328,82 @@ def _col(node: ast.Expression, layout, guard: bool, plain: frozenset) -> tuple[b
     raise CompileFallback(f"unsupported expression node {type(node).__name__}")
 
 
+def dictionary_column(node: ast.Expression, layout) -> int | None:
+    """The position of the one string column a comparison, BETWEEN, LIKE or
+    IN reads, where it reads no other column (else None): lowered, such a
+    predicate has one answer per string, so one per dictionary entry."""
+    if not isinstance(node, (ast.Comparison, ast.Between, ast.Like, ast.InList)):
+        return None
+    found = None
+    for part in ast.walk_local(node):
+        if isinstance(part, ast.ColumnRef):
+            position = layout.position(part)
+            if position is None or found not in (None, position):
+                return None
+            found = position
+    return None if found is None or layout.type_of(found) != "str" else found
+
+
 def _over_dictionary(node: ast.Expression, layout, plain: frozenset,
                      pair: tuple[bool, Any]) -> tuple[bool, Any]:
-    """``pair``, the lowering of a comparison, BETWEEN, LIKE or IN whose one
-    column is a string column, made to read that column's dictionary codes
-    where the context's frame has them: the predicate then runs once per
-    dictionary entry (kept by the columnar view under the predicate's SQL
-    text, ``ViewDictionary.evaluated``) and each row takes its code's answer
-    -- a ``Kleene`` where the rows hold a NULL, or where the predicate
-    answers one over the strings, as over the rows' strings."""
+    """``pair``, the lowering of a predicate :func:`dictionary_column` names
+    a column of, made to read that column's dictionary codes where the
+    context's frame has them: once the rows the kernel matched over a
+    dictionary add up to its entries, the predicate runs once per entry --
+    the answers kept on the kernel for the dictionary it read last -- and
+    each row takes its code's answer, a ``Kleene`` where the strings would
+    give one.  (Matching a dictionary then never costs more than matching
+    the rows did, however unique its strings.)"""
     const, fn = pair
-    if isinstance(node, ast.Comparison):
-        operand, others = (node.left, [node.right]) if isinstance(node.left, ast.ColumnRef) \
-            else (node.right, [node.left])
-    else:
-        operand = node.operand
-        others = [node.pattern] if isinstance(node, ast.Like) else node.items \
-            if isinstance(node, ast.InList) else [node.low, node.high]
-    position = layout.position(operand) if isinstance(operand, ast.ColumnRef) else None
-    if const or position is None or layout.type_of(position) != "str" or any(
-            isinstance(ref, ast.ColumnRef) and layout.position(ref) != position
-            for other in others if not isinstance(other, ast.Literal)
-            for ref in ast.walk_local(other)):
+    position = None if const else dictionary_column(node, layout)
+    if position is None:
         return pair
     nullable = position not in plain
-    text = []  # the predicate's SQL text, printed the first time it is read
+    #: the dictionary read last, its answers (None: not yet), the rows matched over it.
+    kept = [(None, None, 0)]
 
-    def evaluate(table: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-        """Over the decode table -- the dictionary's strings, then NULL --
-        whether the strings answer a ``Kleene``, and per entry the truth
-        and validity; NULL's is UNKNOWN, as each of these predicates says
-        of a NULL operand."""
-        over = fn(ColumnContext({position: table[:-1]}, len(table) - 1))
-        kleene = isinstance(over, Kleene)
-        truth, valid = (over.truth, over.valid) if kleene \
+    def answers(dictionary) -> tuple:
+        """Per code -- the dictionary's strings, then NULL -- the truth and
+        validity, whether the strings hold an UNKNOWN and NULL is one (a
+        NULL-free column never reads NULL's: it reads UNKNOWN), and the one
+        code that is TRUE where a NULL-free column's rows need no more than
+        a comparison with it (else None)."""
+        table = dictionary.table()
+        if not nullable:
+            table = table[:-1]
+        over = fn(ColumnContext({position: table}, len(table)))
+        truth, valid = (over.truth, over.valid) if isinstance(over, Kleene) \
             else (over, np.ones(len(over), dtype=bool))
-        return kleene, np.append(truth, False), np.append(valid, False)
+        if not nullable:
+            truth, valid = np.append(truth, False), np.append(valid, False)
+        unknown, matching = not valid[:-1].all(), truth.nonzero()[0]
+        single = np.int32(matching[0]) if len(matching) == 1 and not (nullable or unknown) \
+            else None
+        return truth, valid, unknown, not valid[-1], single
 
     def coded(ctx):
         frame = ctx.frame
         codes = None if frame is None or frame.codes is None else frame.codes[position]
         if codes is None:
             return fn(ctx)
-        text or text.append(to_sql(node))
-        kleene, truth, valid = frame.dictionaries[position].evaluated(text[0], evaluate)
+        dictionary = frame.dictionaries[position]
+        seen, found, spent = kept[0]
+        if seen is not dictionary:
+            found, spent = None, 0
+        if found is None:
+            spent += ctx.length
+            if spent < dictionary.entries():
+                kept[0] = dictionary, None, spent
+                return fn(ctx)
+            found = answers(dictionary)
+            kept[0] = dictionary, found, spent
+        truth, valid, unknown, null_unknown, single = found
         if ctx.sel is not None:
             codes = codes[ctx.sel]
-        if kleene or (nullable and len(codes) and np.minimum.reduce(codes) < 0):
+        if single is not None:
+            return codes == single
+        if unknown or (null_unknown and nullable and len(codes)
+                       and np.minimum.reduce(codes) < 0):
             return Kleene(truth.take(codes), valid.take(codes))
         return truth.take(codes)
     return False, coded
@@ -1778,10 +1806,6 @@ class ColumnBlockKernels:
     keys: list[Callable | None]
     arguments: list[Callable | None]
     having: Callable | None
-    #: of a block that joins: per join step, the sources whose row index is
-    #: gathered through its matches and those no longer read (see
-    #: :func:`_carried`).
-    carried: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 #: the column types whose values a key order sorts as integers.
@@ -1995,65 +2019,20 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
                 for index, columns in enumerate(block.item_columns)]
     residual = [(lower(predicate), predicate) for predicate in block.residual]
     if aggregation is None:
-        projection = [lower(item.expression) for item in block.select.items]
-        kernels = ColumnBlockKernels(pushdown, residual, projection, [], [], None, [])
-        read = [*block.residual, *(item.expression for item in block.select.items)]
-    else:
-        # a group row holds no NULL in a count, nor -- every group of a GROUP BY
-        # has a first row -- in a NULL-free joined column
-        width = len(joined_layout.columns)
-        group_plain = (joined_plain if block.select.group_by else frozenset()) | {
-            width + number for number, call in enumerate(aggregation.calls)
-            if call.name.lower() == "count"}
-        group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
-        kernels = ColumnBlockKernels(
-            pushdown, residual, [group(item) for item in aggregation.items],
-            [lower(key) for key in block.select.group_by],
-            [lower(argument) for argument in aggregation.arguments],
-            group(aggregation.having), [])
-        read = [*block.residual, *block.select.group_by, *aggregation.arguments,
-                *aggregation.items, *([] if aggregation.having is None else [aggregation.having])]
-    if shape.joins:
-        lowered = [kernel for kernel, _ in residual] + kernels.projection + kernels.keys \
-            + kernels.arguments + ([] if aggregation is None or aggregation.having is None
-                                   else [kernels.having])
-        kernels.carried = _carried(shape, None if None in lowered
-                                   else _joined_reads(read, joined_layout))
-    return kernels
-
-
-def _joined_reads(expressions: list[ast.Expression], joined: Layout) -> set[int]:
-    """The positions of the joined frame that compiled kernels of
-    ``expressions`` read -- over the joined frame or over group rows, whose
-    first columns are the joined ones (a call's column is past them)."""
-    reads, lookup = set(), joined.lenient()
-    for expression in expressions:
-        for node in ast.walk_local(expression):  # compiled: no subquery among them
-            if isinstance(node, ast.ColumnRef):
-                position = lookup.position(node)
-                if position is not None:
-                    reads.add(position)
-    return reads
-
-
-def _carried(shape: ColumnBlockShape, reads: set[int] | None
-             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per join step, ``(gathered, dropped)``: the sources (see
-    :class:`ColumnJoin`) joined before it whose row index is still read after
-    it -- as a later step's probe key, or after the joins, at ``reads``,
-    joined positions (None: any, as an interpreted evaluation may read every
-    column) -- and those read no more from this step on."""
-    after = set(range(len(shape.joins) + 1)) if reads is None \
-        else {shape.slots[position][0] for position in reads}
-    kept = []
-    for number in reversed(range(len(shape.joins))):
-        kept.append({source for source in after if source <= number + 1})
-        after.update(source for source, _ in shape.joins[number].left_keys)
-    kept.reverse()
-    live = [{0}] + kept[:-1]  # before each step, the sources not yet dropped
-    return [(tuple(sorted(source for source in kept[number] if source <= number)),
-             tuple(sorted((live[number] | {number + 1}) - kept[number])))
-            for number in range(len(kept))]
+        return ColumnBlockKernels(pushdown, residual,
+                                  [lower(item.expression) for item in block.select.items],
+                                  [], [], None)
+    # a group row holds no NULL in a count, nor -- every group of a GROUP BY
+    # has a first row -- in a NULL-free joined column
+    width = len(joined_layout.columns)
+    group_plain = (joined_plain if block.select.group_by else frozenset()) | {
+        width + number for number, call in enumerate(aggregation.calls)
+        if call.name.lower() == "count"}
+    group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
+    return ColumnBlockKernels(
+        pushdown, residual, [group(item) for item in aggregation.items],
+        [lower(key) for key in block.select.group_by],
+        [lower(argument) for argument in aggregation.arguments], group(aggregation.having))
 
 
 def column_kernels(plan, block, overflow_guard: bool = False,

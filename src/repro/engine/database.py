@@ -40,15 +40,18 @@ class ViewDictionary:
     ends in the entry code -1 reads.
     """
 
-    __slots__ = ("_dictionary", "_values", "_rank", "_evaluated")
+    __slots__ = ("_dictionary", "_values", "_rank")
 
     def __init__(self, dictionary: Dictionary):
         self._dictionary = dictionary
         self._values: np.ndarray | None = None
         self._rank: np.ndarray | None = None
-        self._evaluated: dict = {}
 
-    def _table(self) -> np.ndarray:
+    def entries(self) -> int:
+        """How many strings the dictionary holds (NULL not among them)."""
+        return len(self._dictionary.values)
+
+    def table(self) -> np.ndarray:
         """The decode table: an object array of the strings, then None."""
         if self._values is None:
             self._values = np.array(self._dictionary.values + [None], dtype=object)
@@ -57,24 +60,14 @@ class ViewDictionary:
     def array(self, codes: np.ndarray) -> np.ndarray:
         """``codes`` as the object array a string column is (None for NULL)."""
         table = self._values
-        return (self._table() if table is None else table).take(codes)
-
-    def evaluated(self, predicate: str, evaluate):
-        """``evaluate(table)`` over the decode table (the strings, then None)
-        for the predicate with SQL text ``predicate`` over this column,
-        computed the first time it is asked for: the predicate runs once per
-        dictionary entry and view, and the rows read their codes' answers."""
-        found = self._evaluated.get(predicate)
-        if found is None:
-            found = self._evaluated[predicate] = evaluate(self._table())
-        return found
+        return (self.table() if table is None else table).take(codes)
 
     def rank(self) -> np.ndarray:
         """Per code, the rank of its string among the dictionary's in Python's
         string order, NULL last: ``rank()[codes]`` orders rows as their
         decoded values do."""
         if self._rank is None:
-            strings = self._table()[:-1].tolist()
+            strings = self.table()[:-1].tolist()
             size = len(strings)
             rank = np.empty(size + 1, dtype=np.int64)
             rank[sorted(range(size), key=strings.__getitem__)] = np.arange(size, dtype=np.int64)

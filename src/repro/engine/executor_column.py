@@ -29,11 +29,9 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
 3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
    kernels of :mod:`repro.engine.keys` for the matching row pairs (a stored
    key order through its direct table); a join level keeps one row index
-   per FROM item (:class:`_Rows`), gathered through the level's pairs while
-   a later level or the block reads the item (the plan's
-   ``ColumnBlockKernels.carried``), the plan's join slots say which item
-   and position each joined column is, and the joined frame gathers a
-   column the first time something reads it,
+   per FROM item (:class:`_Rows`), gathered through the level's pairs, the
+   plan's join slots say which item and position each joined column is,
+   and the joined frame gathers a column the first time something reads it,
 4. **aggregate** -- an aggregated block groups the selected rows (ids from
    the same key kernels; a dictionary-coded key groups on its codes),
    counts every group's rows once, evaluates each distinct aggregate
@@ -81,7 +79,7 @@ from repro.engine.compile import (
     column_shape,
     compile_column_block,
     compile_column_kernel,
-    compile_row_kernel,
+    dictionary_column,
 )
 from repro.engine.database import ColumnarTable, Database, ViewDictionary
 from repro.engine.executor_row import RowExecutor, null_free_columns, scan_source
@@ -443,20 +441,13 @@ class ColumnExecutor:
         # selection (and a derived table's execution).
         frames: list[ColFrame] = []
         selections: list[np.ndarray | None] = []
-        tally = self._tally
         for index, scan in enumerate(tables.scans):
-            if trace is not None:
+            if trace is None:
+                frame, selection = self._scan(block, shape, kernels, index, scan)
+            else:
                 with trace.span("scan", source=scan_source(select.from_items[index])) as span:
                     frame, selection = self._scan(block, shape, kernels, index, scan)
                     _trace_scan(span, frame, scan, selection)
-            elif scan is None:
-                frame, selection = self._scan(block, shape, kernels, index, scan)
-            else:
-                for name, amount in scan.counts:
-                    tally[name] = tally.get(name, 0) + amount
-                frame = scan.frame
-                selection = self._refine(frame, scan.base, scan.pairs) if scan.pairs \
-                    else scan.base
             frames.append(frame)
             selections.append(selection)
         if shape.joins:
@@ -498,7 +489,8 @@ class ColumnExecutor:
         tally = self._tally
         for name, amount in scan.counts:
             tally[name] = tally.get(name, 0) + amount
-        return scan.frame, self._refine(scan.frame, scan.base, scan.pairs)
+        return scan.frame, \
+            self._refine(scan.frame, scan.base, scan.pairs) if scan.pairs else scan.base
 
     # -- plan-owned scans ---------------------------------------------------------
 
@@ -573,10 +565,9 @@ class ColumnExecutor:
         frame = self._table_frame(item, view, block.item_columns[index], layout)
         coded = 0
         if pairs:
-            swapped = self._dictionary_pairs(view, layout, pairs)
-            coded = sum(new is not old for (new, _), (old, _) in zip(swapped, pairs))
-            pairs = swapped if window is None \
-                else [pair for pair in swapped if not window.decides(pair[1])]
+            pairs, coded = self._dictionary_pairs(view, layout, pairs)
+            if window is not None:
+                pairs = [pair for pair in pairs if not window.decides(pair[1])]
         if rows is not None and len(rows):
             rows.flags.writeable = False  # every execution starts from them
         # the zone maps ran (push-down predicates) or not: what the scan counts
@@ -587,66 +578,26 @@ class ColumnExecutor:
                      (len(storage.chunks), 0) if chunks is None else tuple(chunks), window,
                      counts)
 
-    def _dictionary_pairs(self, view: ColumnarTable, layout: Layout, pairs: list) -> list:
-        """Swap scan predicates over string columns to dictionary-code kernels.
-
-        Equality / IN / LIKE (and their negations) over a stored string
-        column are evaluated once over the table-wide dictionary via a
-        compiled *row* kernel -- giving exact row-engine NULL semantics --
-        and then applied to the int32 code vector instead of the object
-        array.
-        """
-        if not view.codes:
-            return pairs
-        return [(self._dictionary_kernel(view, layout, predicate) or kernel, predicate)
-                for kernel, predicate in pairs]
-
-    def _dictionary_kernel(self, view: ColumnarTable, layout: Layout,
-                           predicate: ast.Expression):
-        if isinstance(predicate, ast.Comparison):
-            if predicate.operator not in ("=", "<>") or predicate.quantifier is not None:
-                return None
-        elif not isinstance(predicate, (ast.InList, ast.Like)):
-            return None
-        refs = [node for node in predicate.walk() if isinstance(node, ast.ColumnRef)]
-        if not refs:
-            return None
-        positions = set()
-        for ref in refs:
-            try:
-                position = layout.position(ref)
-            except ExecutionError:
-                return None
-            if position is None:
-                return None
-            positions.add(position)
-        if len(positions) != 1:
-            return None
-        column = layout.columns[positions.pop()]
-        codes = view.codes.get(column.name)
-        if codes is None:
-            return None
-        dictionary = view.dictionaries[column.name]
-        try:
-            evaluate = compile_row_kernel(predicate, Layout([column]))
-            null_matches = bool(evaluate((None,)))
-            matching = [code for code, value in enumerate(dictionary.values)
-                        if evaluate((value,))]
-        except Exception:
-            # includes CompileFallback: predicate stays on its generic kernel
-            return None
-        if len(matching) == 1 and not null_matches:  # one comparison per row
-            def kernel(ctx, _codes=codes, _code=np.int32(matching[0])):
-                return (_codes if ctx.sel is None else _codes[ctx.sel]) == _code
-            return kernel
-        # per code whether it matches, NULL's (code -1) last: a take per row
-        table = np.zeros(len(dictionary.values) + 1, dtype=bool)
-        table[matching] = True
-        table[-1] = null_matches
-
-        def kernel(ctx, _codes=codes, _table=table):  # (``take``: int32 codes index fast)
-            return _table.take(_codes if ctx.sel is None else _codes[ctx.sel])
-        return kernel
+    @staticmethod
+    def _dictionary_pairs(view: ColumnarTable, layout: Layout, pairs: list
+                          ) -> tuple[list, int]:
+        """The scan's push-down ``pairs`` with a kernel for every predicate
+        over one dictionary-coded string column (:func:`dictionary_column`;
+        the lowering reads its codes), and how many such predicates there
+        are.  Compiled kernels have that already; interpreted ones lower
+        those predicates here."""
+        swapped, coded = [], 0
+        for kernel, predicate in pairs:
+            position = dictionary_column(predicate, layout)
+            if position is not None \
+                    and view.codes.get(layout.columns[position].name) is not None:
+                try:
+                    kernel = kernel or compile_column_kernel(predicate, layout)
+                    coded += 1
+                except CompileFallback:
+                    pass
+            swapped.append((kernel, predicate))
+        return swapped, coded
 
     def _refine(self, frame: ColFrame, selection: np.ndarray | None,
                 pairs: list) -> np.ndarray | None:
@@ -713,14 +664,11 @@ class ColumnExecutor:
                      ) -> tuple[ColFrame, list[int], int]:
         """:meth:`_join_frames`, and the rows of each level and the build-side
         rows sorted, for the trace.  A level is its row pairs (:class:`_Rows`):
-        one row index per source, gathered through each level's matches
-        while a later level or the block reads the source
-        (``ColumnBlockKernels.carried``)."""
+        one row index per source, gathered through each level's matches."""
         sources = [frames[index] for index in shape.sources]
         indexes = [selections[shape.sources[0]]]
         length = _rows(sources[0], indexes[0])
         levels, build_rows, probes, tally = [length], 0, 0, self._tally
-        carried = tables.kernels.carried
         for number, step in enumerate(shape.joins):
             right, right_sel = sources[number + 1], selections[step.frame_index]
             probe = []
@@ -753,14 +701,9 @@ class ColumnExecutor:
                     left_idx, right_idx = _cross(length, _rows(right, right_sel))
                 if right_sel is not None:
                     right_idx = right_sel[right_idx]
-            gathered, dropped = carried[number]
             if left_idx is not None:
-                for source in gathered:
-                    index = indexes[source]
-                    indexes[source] = left_idx if index is None else index[left_idx]
+                indexes = [left_idx if index is None else index[left_idx] for index in indexes]
             indexes.append(right_idx)
-            for source in dropped:
-                indexes[source] = _DROPPED
             length = len(right_idx)
             levels.append(length)
         if probes:
@@ -1198,10 +1141,6 @@ def _compose(inner: np.ndarray | None, outer: np.ndarray | None,
     if not len(inner):
         return outer  # nothing to index: every row is padding
     return np.where(outer < 0, -1, inner[np.maximum(outer, 0)])
-
-
-#: the row index of a source no evaluation reads any more (indexing with it fails).
-_DROPPED = object()
 
 
 class _Rows(NamedTuple):

@@ -376,13 +376,10 @@ class TestPredicatesOverDictionaryCodes:
                 assert repr(engine.execute(sql).rows) == expected, \
                     f"{engine.strategy()} compile={compile_expressions}"
 
-    def test_q14s_like_runs_once_per_dictionary_entry(self, monkeypatch):
-        """Q14's ``p_type like 'PROMO%'`` is a CASE condition over joined
-        rows; matched row by row it ran once per joined row and execution.
-        (A database of its own: the answers are kept per columnar view.)"""
+    @staticmethod
+    def _counted_likes(monkeypatch) -> list:
+        """The strings every LIKE pattern compiled from now on is matched against."""
         from repro.engine import compile as compile_module
-        tpch_db = Database("q14-like")
-        populate_tpch(tpch_db, scale_factor=0.001)
         calls = []
         like = compile_module.like_predicate
 
@@ -394,13 +391,45 @@ class TestPredicatesOverDictionaryCodes:
                 return matcher(value)
             return match
         monkeypatch.setattr(compile_module, "like_predicate", counted)
+        return calls
+
+    def test_q14s_like_runs_once_per_dictionary_entry(self, monkeypatch):
+        """Q14's ``p_type like 'PROMO%'`` is a CASE condition over joined
+        rows; matched row by row it ran once per joined row and execution."""
+        tpch_db = Database("q14-like")
+        populate_tpch(tpch_db, scale_factor=0.004)
+        calls = self._counted_likes(monkeypatch)
         engine = ColumnEngine(tpch_db)
         plan = engine.prepare(QUERIES[14])
         rows = [repr(engine.execute(plan).rows) for _ in range(5)]
-        # matched per joined row, five executions made 200 calls (40 rows each)
+        # matched per joined row, five executions made 1 280 calls (256 rows each)
         entries = len(tpch_db.columnar("part").dictionaries["p_type"].values)
-        assert 0 < len(calls) <= entries == 119
+        assert 0 < len(calls) <= entries == 149
         assert rows == [repr(RowEngine(tpch_db).execute(QUERIES[14]).rows)] * 5
+
+    def test_a_dictionary_is_read_once_the_rows_cost_as_much(self, monkeypatch):
+        """A near-unique column joined down to a few rows: its dictionary is
+        matched only once the rows matched add up to its entries."""
+        database = Database("unique")
+        database.create_table("t", [("k", "int"), ("s", "str")])
+        database.insert_rows("t", [(index, f"s{index}") for index in range(200)])
+        database.create_table("u", [("k", "int")])
+        database.insert_rows("u", [(3,), (40,), (41,)])
+        sql = "select t.k, case when t.s like 's4%' then 1 else 0 end from t, u " \
+              "where t.k = u.k order by t.k"
+        calls = self._counted_likes(monkeypatch)
+        engine = ColumnEngine(database)
+        plan = engine.prepare(sql)
+        for _ in range(2):
+            assert engine.execute(plan).rows == [(3, 0), (40, 1), (41, 1)]
+        assert len(calls) == 6
+        database.create_table("v", [("k", "int")])  # 200 rows a match
+        database.insert_rows("v", [(index % 3,) for index in range(600)])
+        plan = engine.prepare("select count(*), sum(case when t.s like 's1%' then 1 else 0 end) "
+                              "from t, v where t.k = v.k")
+        for _ in range(3):
+            assert engine.execute(plan).rows == [(600, 200)]
+        assert len(calls) == 6 + 200  # 600 rows: the dictionary, once
 
 
 class TestEmptyAggregates:

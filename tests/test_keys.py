@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import keys as keys_module
 from repro.engine.keys import (
     _joint_indexes,
     build_order,
@@ -27,6 +28,7 @@ from repro.engine.keys import (
     hash_codes,
     join_indexes,
     order_index,
+    probe_direct,
     probe_order,
 )
 from repro.engine.mask import Nullable
@@ -99,6 +101,19 @@ def assert_groups(factors: list) -> MetricsContext:
     return metrics
 
 
+@pytest.fixture(params=["general", "sorted", "keyed"])
+def key_paths(request, monkeypatch):
+    """Every input on the general kernels (coded keys, a built key order),
+    then every one small enough for the small-input ones -- a sorted
+    grouping or a grouping by a dict, a searched join: all answer as the
+    reference loops do."""
+    general = request.param == "general"
+    monkeypatch.setattr(keys_module, "_SORTED_ROWS", 0 if general else 10 ** 9)
+    monkeypatch.setattr(keys_module, "_KEYED_ROWS", 10 ** 9 if request.param == "keyed" else 0)
+    monkeypatch.setattr(keys_module, "_SEARCHED_ROWS", 0 if general else 10 ** 9)
+    return request.param
+
+
 # ---------------------------------------------------------------------------
 # column makers (every representation a frame column can have)
 # ---------------------------------------------------------------------------
@@ -153,6 +168,7 @@ TYPED = [ints, floats, bools, dates]
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("key_paths")
 class TestJoinIndexes:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("make", TYPED + [strings])
@@ -375,6 +391,44 @@ class TestBuildAndProbe:
             assert _as_lists(len(probe), probe_order(order, [probe])) \
                 == _as_lists(len(probe), _joint_indexes([probe], [build]))
 
+    @pytest.mark.parametrize("keys", [
+        [3, 7, 7, 10, 4, 3, 9],               # an offset coder, duplicates, shifted
+        [1, 2, 3, 4, 5, 6],                   # unique, from 1: no shift
+        [0, 10, 20, 30, 5, -4],               # sparse: ranked distinct values
+        [-2 ** 40, -2 ** 40 + 3, -2 ** 40 + 1],
+    ])
+    def test_direct_probes_answer_as_the_order_does(self, keys):
+        """A probe through the direct table (``KeyOrder.direct``) finds what
+        :func:`probe_order` finds, for values below, inside and above the
+        table and at the ends of ``int64``."""
+        order = build_order([np.array(keys, dtype=np.int64)])
+        direct = order.direct()
+        assert direct is not None
+        info = np.iinfo(np.int64)
+        low, high = min(keys), max(keys)
+        probe = np.array([*keys, low - 1, low - 2, high + 1, high + 2, high + 1000, 0, 1,
+                          info.min, info.max, info.min + 1, info.max - 1, *keys[::-1]],
+                         dtype=np.int64)
+        tally = {}
+        left_idx, right_idx = probe_direct(order, direct, probe, tally)
+        expected = probe_order(order, [probe])
+        assert _as_lists(len(probe), (left_idx, right_idx, expected[2])) \
+            == _as_lists(len(probe), expected)
+        assert tally == {"join.kernel_rows": len(probe)}
+
+    def test_a_null_build_key_is_in_no_direct_entry(self):
+        order = build_order([Nullable(np.array([1, 2, 3, 2], dtype=np.int64),
+                                      np.array([True, False, True, True]))])
+        probe = np.array([2, 1, 3, 0, 4], dtype=np.int64)
+        left_idx, right_idx = probe_direct(order, order.direct(), probe, {})
+        assert (left_idx.tolist(), right_idx.tolist()) == ([0, 1, 2], [3, 0, 2])
+
+    def test_wide_or_compound_keys_get_no_direct_table(self):
+        assert build_order([np.array([0, 2 ** 62, 5], dtype=np.int64)]).direct() is None
+        assert build_order([np.array([0, 1000, 5], dtype=np.int64)]).direct() is None
+        two = build_order([np.array([1, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)])
+        assert two.direct() is None
+
     @pytest.mark.parametrize("make_left,make_right", [
         (ints, floats), (floats, ints), (strings, strings), (ints, strings)])
     def test_other_keys_are_not_orderable(self, make_left, make_right):
@@ -394,6 +448,7 @@ class TestBuildAndProbe:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("key_paths")
 class TestGroupRows:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("make", TYPED + [strings, codes])
@@ -481,6 +536,20 @@ class TestOrderIndex:
                 column = with_nones(column, rng)
             keys.append((column, rng.random() < 0.5))
         assert order_index(keys).tolist() == reference_order(keys)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_plain_numbers_sort_as_they_are(self, descending):
+        """Plain int64, bool and NaN-free float keys sort on their values
+        (``~`` / ``-`` reversing them), not on ranks: the ends of ``int64``,
+        -0.0 against 0.0 and ties keep the tuple sort's order."""
+        info = np.iinfo(np.int64)
+        whole = np.array([3, info.max, -1, info.min, 3, 0, info.min, info.max], dtype=np.int64)
+        truth = np.array([True, False, False, True, True, False, True, False])
+        real = np.array([0.5, -0.0, 0.0, -2.5, 1e300, -1e300, 0.5, 0.0])
+        for keys in ([(whole, descending)], [(truth, descending)], [(real, descending)],
+                     [(truth, descending), (whole, not descending)],
+                     [(real, not descending), (truth, descending)]):
+            assert order_index(keys).tolist() == reference_order(keys)
 
     def test_nulls_last_ascending_first_descending_ties_stable(self):
         column = np.array([2, None, 1, 2, None, 1], dtype=object)
