@@ -1500,7 +1500,10 @@ def _col_bool(node: ast.BoolOp, layout, guard, plain) -> tuple[bool, Any]:
 
 
 def _col_mask_fn(node: ast.Expression, layout, guard, plain) -> Callable[[ColumnContext], np.ndarray]:
-    operand = _as_fn(_col(node, layout, guard, plain))
+    const, operand = _col(node, layout, guard, plain)
+    if not const and _plain_predicate(node, layout, plain):
+        return operand  # its own mask: no call around it
+    operand = _as_fn((const, operand))
 
     def fn(ctx):
         return as_mask(operand(ctx), ctx.length)
@@ -1643,35 +1646,34 @@ def _col_in_list(node: ast.InList, layout, guard, plain) -> tuple[bool, Any]:
     return False, fn
 
 
+def _narrowed(ctx: ColumnContext, rows: np.ndarray) -> ColumnContext:
+    """``ctx`` over the rows at the positions ``rows`` of its selection."""
+    if len(rows) == ctx.length:
+        return ctx
+    return ColumnContext(ctx.arrays, len(rows), rows if ctx.sel is None else ctx.sel[rows],
+                         ctx.frame)
+
+
 def _col_case(node: ast.CaseWhen, layout, guard, plain) -> tuple[bool, Any]:
-    # a condition that is a plain predicate is its own mask, and a value
-    # without NULL needs no normalising: no call around either
-    branches = [(_as_fn(_col(condition, layout, guard, plain))
-                 if _plain_predicate(condition, layout, plain)
-                 else _col_mask_fn(condition, layout, guard, plain),
-                 _as_fn(_col(result, layout, guard, plain)),
-                 _plain(result, layout, plain))
+    # as on the row engine, a condition runs over the rows no earlier branch
+    # took and a value over the rows its branch took (a division its guard
+    # keeps from a zero never sees one); a constant value needs no rows
+    branches = [(_col_mask_fn(condition, layout, guard, plain), _col(result, layout, guard, plain))
                 for condition, result in node.branches]
-    default = _as_fn(_col(node.default, layout, guard, plain)) \
-        if node.default is not None else None
-    default_plain = default is not None and _plain(node.default, layout, plain)
+    if node.default is not None:
+        branches.append((None, _col(node.default, layout, guard, plain)))
 
     def fn(ctx):
-        default_value = None if default is None else default(ctx) if default_plain \
-            else case_branch_values(default(ctx))
-        if isinstance(default_value, np.ndarray):
-            result = default_value.astype(object)
-        else:
-            result = np.full(ctx.length, default_value, dtype=object)
-        decided = np.zeros(ctx.length, dtype=bool)
-        for condition, branch, plain_branch in branches:
-            mask = condition(ctx) & ~decided
-            value = branch(ctx) if plain_branch else case_branch_values(branch(ctx))
-            if isinstance(value, np.ndarray):
-                result[mask] = value[mask]
-            else:
-                result[mask] = value
-            decided |= mask
+        result = np.full(ctx.length, None, dtype=object)
+        rest = np.arange(ctx.length)
+        for condition, (const, value) in branches:
+            rows = rest
+            if condition is not None:  # None: the default, the rows left over
+                mask = condition(_narrowed(ctx, rest))
+                rows, rest = rest[mask], rest[~mask]
+            if not const and len(rows):
+                value = case_branch_values(value(_narrowed(ctx, rows)))
+            result[rows] = value
         return collapse_case_result(result)
     return False, fn
 

@@ -399,13 +399,12 @@ class RowEngine(Engine):
         # driver); the expensive analysis lives in the shared plan.
         executor = RowExecutor(
             self.database,
-            predicate_pushdown=self.options.predicate_pushdown,
+            plan,
             hash_joins=self.options.hash_joins,
             compile_expressions=self.options.compile_expressions,
-            plan=plan,
             trace=trace,
         )
-        return executor.execute(plan)
+        return executor.execute()
 
 
 class ColumnEngine(Engine):
@@ -435,7 +434,7 @@ class ColumnEngine(Engine):
         require_from_items(plan.select)
         # each block's kernels and scans, kept on the plan: built here, not
         # inside its first execution
-        self._executor(plan).warm_scans(plan)
+        self._executor(plan).warm_scans()
 
     def driving_scans(self, plan: QueryPlan) -> list[dict | None]:
         """Per block of ``plan``, where its driving scan starts
@@ -448,17 +447,16 @@ class ColumnEngine(Engine):
     def _executor(self, plan: QueryPlan, trace: QueryTrace | None = None) -> ColumnExecutor:
         return ColumnExecutor(
             self.database,
-            predicate_pushdown=self.options.predicate_pushdown,
+            plan,
             hash_joins=self.options.hash_joins,
             overflow_guard=self.options.overflow_guard,
             compile_expressions=self.options.compile_expressions,
-            plan=plan,
             trace=trace,
         )
 
     def _execute_plan(self, plan: QueryPlan,
                       trace: QueryTrace | None = None) -> tuple[list[str], list[tuple]]:
-        return self._executor(plan, trace).execute(plan)
+        return self._executor(plan, trace).execute()
 
 
 _ENGINE_KINDS = {

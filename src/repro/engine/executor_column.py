@@ -24,8 +24,8 @@ pipeline of :meth:`ColumnExecutor._execute_block`:
    first execution after a mutation,
 2. **refine** -- residual predicates narrow the selection further;
    predicates containing subqueries fall back to row-at-a-time evaluation
-   for that predicate only (subqueries themselves run through a row
-   executor, built the first time one needs it),
+   for that predicate only (an uncorrelated subquery runs once on this
+   pipeline, a correlated or FROM-less one on a row executor),
 3. **join** -- the scheduled equi-joins (and explicit ``JOIN``s) ask the key
    kernels of :mod:`repro.engine.keys` for the matching row pairs (a stored
    key order through its direct table); a join level keeps one row index
@@ -74,15 +74,13 @@ from repro.engine.compile import (
     CompileFallback,
     Layout,
     as_mask,
-    column_block_shape,
     column_kernels,
     column_shape,
-    compile_column_block,
     compile_column_kernel,
     dictionary_column,
 )
 from repro.engine.database import ColumnarTable, Database, ViewDictionary
-from repro.engine.executor_row import RowExecutor, null_free_columns, scan_source
+from repro.engine.executor_row import RowExecutor, _RowEnv, null_free_columns, scan_source
 from repro.engine.expression import evaluate as row_evaluate
 from repro.engine.keys import (
     KeyOrder,
@@ -94,12 +92,12 @@ from repro.engine.keys import (
     probe_order,
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, none_positions, truth_mask
-from repro.engine.plan import BlockPlan, Planner, QueryPlan, ScanWindow, Stamped
+from repro.engine.plan import BlockPlan, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.obs import QueryTrace
 from repro.obs.metrics import count_all
 from repro.engine.vector import ColFrame, DecodedColumns, isnull_mask
-from repro.errors import ExecutionError, PlanError
+from repro.errors import PlanError
 from repro.sqlparser import ast
 
 _INT64 = np.dtype(np.int64)
@@ -115,43 +113,53 @@ _DTYPE_TYPES = {np.dtype(np.int64): "int", np.dtype(np.float64): "float",
 
 
 class _FallbackRowEnv:
-    """Row environment over one index of a ColFrame (for subquery predicates)."""
+    """Row environment over one index of a ColFrame (for subquery
+    predicates), in the ``frame`` / ``row`` / ``outer`` shape the row
+    executor reads an outer row in (a correlated subquery runs there), so
+    the row executor's lookup and subquery call serve it."""
 
-    __slots__ = ("executor", "frame", "index", "_row_cache")
+    __slots__ = ("executor", "frame", "index", "outer", "_row")
 
     def __init__(self, executor: "ColumnExecutor", frame: ColFrame, index: int):
         self.executor = executor
         self.frame = frame
         self.index = index
-        self._row_cache: tuple | None = None
+        self.outer = None  # a block the column pipeline runs is uncorrelated
+        self._row: tuple | None = None
 
-    def lookup(self, ref: ast.ColumnRef) -> Any:
-        position = self.frame.position(ref)
-        if position is None:
-            raise ExecutionError(f"unknown column '{ref.qualified}'")
-        if self._row_cache is None:
-            self._row_cache = self.frame.row(self.index)
-        return self._row_cache[position]
+    @property
+    def row(self) -> tuple:
+        if self._row is None:
+            self._row = self.frame.row(self.index)
+        return self._row
 
-    def run_subquery(self, select: ast.Select) -> list[tuple]:
-        return self.executor.run_subquery(select, outer_env=self)
+    lookup = _RowEnv.lookup
+    run_subquery = _RowEnv.run_subquery
 
 
-def require_from_items(select: ast.Select) -> None:
-    """Refuse the one planned text this backend does not run: a block without
-    FROM items as the root or as a derived table under it
-    (:meth:`ColumnExecutor._execute_block`; a FROM-less subquery inside an
-    expression falls back to the row executor, which runs one).
-    ``ColumnEngine.prepare`` asks, so the refusal is not left to ``execute``."""
+def _from_less(select: ast.Select) -> bool:
+    """True when ``select`` or a derived table under it has no FROM item: a
+    block the column pipeline (:meth:`ColumnExecutor._execute_block`) does
+    not run."""
     if not select.from_items:
-        raise PlanError("a query block needs at least one FROM item")
+        return True
     pending = list(select.from_items)
     while pending:
         item = pending.pop()
         if isinstance(item, ast.Join):
             pending += [item.left, item.right]
-        elif isinstance(item, ast.SubqueryRef):
-            require_from_items(item.subquery)
+        elif isinstance(item, ast.SubqueryRef) and _from_less(item.subquery):
+            return True
+    return False
+
+
+def require_from_items(select: ast.Select) -> None:
+    """Refuse the one planned text this backend does not run: a FROM-less
+    block as the root or as a derived table under it (a FROM-less subquery
+    inside an expression runs on the row executor).  ``ColumnEngine.prepare``
+    asks, so the refusal is not left to ``execute``."""
+    if _from_less(select):
+        raise PlanError("a query block needs at least one FROM item")
 
 
 def describe_column_pipeline(block: BlockPlan, shape: ColumnBlockShape) -> dict:
@@ -270,26 +278,22 @@ class ColumnState:
 
 
 class ColumnExecutor:
-    """Executes SELECT blocks against a :class:`Database` column-at-a-time."""
+    """Executes the blocks of one :class:`QueryPlan` against a
+    :class:`Database` column-at-a-time."""
 
-    def __init__(self, database: Database, predicate_pushdown: bool = True,
-                 hash_joins: bool = True, overflow_guard: bool = False,
-                 compile_expressions: bool = True, plan: QueryPlan | None = None,
+    def __init__(self, database: Database, plan: QueryPlan, hash_joins: bool = True,
+                 overflow_guard: bool = False, compile_expressions: bool = True,
                  trace: QueryTrace | None = None):
         self.database = database
-        self.predicate_pushdown = predicate_pushdown
         self.hash_joins = hash_joins
         self.overflow_guard = overflow_guard
         self.compile_expressions = compile_expressions
         self._plan = plan
         self._trace = trace
-        self._planner: Planner | None = None
-        self._extra_blocks: dict[int, BlockPlan] = {}
         #: the plan entry a block's :class:`ColumnState` is kept under.
         self._flavour = ("col", "state", overflow_guard, compile_expressions)
         self._fallback: RowExecutor | None = None
         self._uncorrelated_cache: dict[int, list[tuple]] = {}
-        self._vector_subquery_failed: set[int] = set()
         #: the counters an execution adds up, added to the query's at its end.
         self._tally: dict[str, int] = {}
 
@@ -302,28 +306,20 @@ class ColumnExecutor:
 
     @property
     def _row_executor(self) -> RowExecutor:
-        """The row executor the subqueries the vectorised path cannot run go
-        to, built the first time one does."""
+        """The row executor correlated and FROM-less subqueries run on,
+        built the first time one does."""
         if self._fallback is None:
             self._fallback = RowExecutor(
-                self.database, predicate_pushdown=self.predicate_pushdown,
-                hash_joins=self.hash_joins, compile_expressions=self.compile_expressions,
-                plan=self._plan, trace=self._trace)
+                self.database, self._plan, hash_joins=self.hash_joins,
+                compile_expressions=self.compile_expressions, trace=self._trace)
         return self._fallback
 
     # -- public API -----------------------------------------------------------
 
-    def execute(self, query: "ast.Select | QueryPlan") -> tuple[list[str], list[tuple]]:
-        """Execute a planned query (or a bare SELECT, planned on the fly)."""
-        if isinstance(query, QueryPlan):
-            self._plan = query
-            if self._fallback is not None:
-                self._fallback._plan = query
-            select = query.select
-        else:
-            select = query
+    def execute(self) -> tuple[list[str], list[tuple]]:
+        """Execute the plan."""
+        select = self._plan.select
         self._uncorrelated_cache = {}
-        self._vector_subquery_failed = set()
         self._tally = {}
         block = self._block(select)
         positions = block.order_positions
@@ -353,70 +349,45 @@ class ColumnExecutor:
             span.set(rows_out=frame.length)
         return index
 
-    def run_subquery(self, select: ast.Select, outer_env: _FallbackRowEnv | None
-                     ) -> list[tuple]:
+    def run_subquery(self, select: ast.Select, outer: _FallbackRowEnv) -> list[tuple]:
         """Execute a nested SELECT for a fallback predicate (row semantics).
 
-        Uncorrelated results are cached by ``id(select)`` for the duration of
-        one execution -- the plan keeps the AST alive, so the key is stable
-        and the per-row cache hit is an O(1) dict lookup instead of
-        re-printing the subquery's SQL text.  Subqueries the vectorised path
-        already failed on route straight to the row executor.
+        Where it runs is the plan's to say: a correlated block, or one the
+        column pipeline does not run (FROM-less), goes to the row executor
+        with the current row as its outer row; any other runs on the column
+        pipeline once per execution, its rows cached by ``id(select)`` (the
+        plan keeps the AST alive, so the key is stable).
         """
         key = id(select)
         cached = self._uncorrelated_cache.get(key)
         if cached is not None:
             return cached
-        if key not in self._vector_subquery_failed:
-            try:
-                frame, _names = self._execute_block(select)
-                rows = frame.rows()
-                self._uncorrelated_cache[key] = rows
-                return rows
-            except (CompileFallback, ExecutionError, PlanError):
-                self._vector_subquery_failed.add(key)
-        # correlated (or otherwise non-vectorisable) subquery: delegate to
-        # the row executor with the current fallback row as outer context.
-        return self._row_executor.run_subquery(
-            select, outer=None if outer_env is None else _RowEnvBridge(outer_env))
+        block = self._block(select)
+        if block.correlated or _from_less(select):
+            return self._row_executor.run_subquery(select, outer=outer)
+        rows = self._uncorrelated_cache[key] = self._execute_block(select, block)[0].rows()
+        return rows
 
     # -- block execution -------------------------------------------------------
 
     def _block(self, select: ast.Select) -> BlockPlan:
-        """The shared analysis of ``select`` (planned on demand when absent)."""
-        if self._plan is not None:
-            block = self._plan.block(select)
-            if block is not None:
-                return block
-        block = self._extra_blocks.get(id(select))
-        if block is None:
-            if self._planner is None:
-                self._planner = Planner(self.database.catalog,
-                                        predicate_pushdown=self.predicate_pushdown)
-            block = self._planner.plan_block(select, registry=self._extra_blocks)
-        return block
+        """The plan's analysis of ``select`` (the planner plans every block)."""
+        return self._plan.blocks[id(select)]
 
     def state(self, block: BlockPlan) -> ColumnState:
-        """The block's :class:`ColumnState`, kept on the shared plan when the
-        block is part of it; a block planned on the spot gets one of its own
-        for this execution, interpreted."""
+        """The block's :class:`ColumnState`, kept on the plan."""
         plan = self._plan
-        if plan is not None:
-            state = plan.kernels(block, self._flavour)
-            if state is not None:
-                return state
-            if plan.block(block.select) is block:
-                # resolved before the build: the plan's lock is not reentrant
-                shape = column_shape(plan, block)
-                guard, compiled = self.overflow_guard, self.compile_expressions
+        state = plan.kernels(block, self._flavour)
+        if state is not None:
+            return state
+        # resolved before the build: the plan's lock is not reentrant
+        shape = column_shape(plan, block)
+        guard, compiled = self.overflow_guard, self.compile_expressions
 
-                def kernels(null_free: tuple) -> ColumnBlockKernels:
-                    return column_kernels(plan, block, guard, compiled, null_free)
-                return plan.kernels(block, self._flavour,
-                                    lambda planned: ColumnState(planned, shape, kernels))
-        shape = column_block_shape(block)
-        interpreted = compile_column_block(block, shape, compiled=False)
-        return ColumnState(block, shape, lambda _null_free: interpreted)
+        def kernels(null_free: tuple) -> ColumnBlockKernels:
+            return column_kernels(plan, block, guard, compiled, null_free)
+        return plan.kernels(block, self._flavour,
+                            lambda planned: ColumnState(planned, shape, kernels))
 
     def _execute_block(self, select: ast.Select, block: BlockPlan | None = None
                        ) -> tuple[ColFrame, list[str]]:
@@ -494,12 +465,12 @@ class ColumnExecutor:
 
     # -- plan-owned scans ---------------------------------------------------------
 
-    def warm_scans(self, plan: QueryPlan) -> None:
-        """Build the :class:`ColumnState` of every block of ``plan`` and its
+    def warm_scans(self) -> None:
+        """Build the :class:`ColumnState` of every block of the plan and its
         scans for the tables as they are, so the plan's first execution finds
         them (best-effort: a block that fails here fails, or not, when it
         runs)."""
-        for block in plan.blocks.values():
+        for block in self._plan.blocks.values():
             try:
                 state = self.state(block)
                 state.tables.get(self.database, self._build_tables, state)
@@ -1052,15 +1023,6 @@ class ColumnExecutor:
             array if codes is None else codes
             for array, codes in zip(frame.arrays, frame.codes)]
         return frame.take(group_rows(keys, frame.length, self._tally)[1])
-
-
-class _RowEnvBridge:
-    """Adapts a :class:`_FallbackRowEnv` to the row executor's outer-env shape."""
-
-    def __init__(self, env: _FallbackRowEnv):
-        self.frame = env.frame  # a ColFrame resolves positions like a RowFrame
-        self.row = env.frame.row(env.index)
-        self.outer = None
 
 
 def _trace_scan(span, frame: ColFrame, scan: _Scan | None,

@@ -29,14 +29,13 @@ A block runs one of two ways:
   lower (a subquery), and turns its integer counters into the ``join.*``
   counters and the ``scan`` / ``join`` / ``filter`` / ``aggregate`` spans of a
   traced run.
-* **Interpreter** (``compile_expressions=False``, a block outside the prepared
-  plan, or one the generator declined: more nested loops than Python
-  compiles).  Frames are materialised operator by operator -- scan + push-down,
-  hash or nested-loop join, residual filter, group / aggregate / HAVING or
-  project -- and :mod:`repro.engine.expression` walks every expression per
-  row (a windowed driving scan hands it fewer rows; it still evaluates every
-  predicate on them).  It is the reference the generated code is tested
-  against.
+* **Interpreter** (``compile_expressions=False``, or a block the generator
+  declined: more nested loops than Python compiles).  Frames are
+  materialised operator by operator -- scan + push-down, hash or nested-loop
+  join, residual filter, group / aggregate / HAVING or project -- and
+  :mod:`repro.engine.expression` walks every expression per row (a windowed
+  driving scan hands it fewer rows; it still evaluates every predicate on
+  them).  It is the reference the generated code is tested against.
 
 DISTINCT, ORDER BY and LIMIT / OFFSET run on the block's output either way;
 correlated subqueries re-execute per outer row, uncorrelated ones once.
@@ -51,7 +50,7 @@ from typing import Any, Sequence
 from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import aggregate_value, evaluate
-from repro.engine.plan import BlockPlan, JoinStep, Planner, QueryPlan, ScanWindow, Stamped
+from repro.engine.plan import BlockPlan, JoinStep, QueryPlan, ScanWindow, Stamped
 from repro.engine.planner import ColumnInfo
 from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
@@ -183,19 +182,16 @@ class _RowEnv:
 
 
 class RowExecutor:
-    """Executes planned SELECT blocks against a :class:`Database`, tuple at a time."""
+    """Executes the blocks of one :class:`QueryPlan` against a
+    :class:`Database`, tuple at a time."""
 
-    def __init__(self, database: Database, predicate_pushdown: bool = True,
-                 hash_joins: bool = True, compile_expressions: bool = True,
-                 plan: QueryPlan | None = None, trace: QueryTrace | None = None):
+    def __init__(self, database: Database, plan: QueryPlan, hash_joins: bool = True,
+                 compile_expressions: bool = True, trace: QueryTrace | None = None):
         self.database = database
-        self.predicate_pushdown = predicate_pushdown
         self.hash_joins = hash_joins
         self.compile_expressions = compile_expressions
         self._plan = plan
         self._trace = trace
-        self._planner: Planner | None = None
-        self._extra_blocks: dict[int, BlockPlan] = {}
         self._uncorrelated_cache: dict[int, list[tuple]] = {}
 
     def _span(self, name: str, **attributes):
@@ -225,15 +221,10 @@ class RowExecutor:
 
     # -- public API -----------------------------------------------------------
 
-    def execute(self, query: "ast.Select | QueryPlan") -> tuple[list[str], list[tuple]]:
-        """Execute a planned query (or a bare SELECT, planned on the fly)."""
-        if isinstance(query, QueryPlan):
-            self._plan = query
-            select = query.select
-        else:
-            select = query
+    def execute(self) -> tuple[list[str], list[tuple]]:
+        """Execute the plan."""
         self._uncorrelated_cache = {}
-        return self._execute_block(select, outer=None)
+        return self._execute_block(self._plan.select, outer=None)
 
     def run_subquery(self, select: ast.Select, outer: "_RowEnv | None") -> list[tuple]:
         """Execute a nested SELECT, caching uncorrelated results.
@@ -255,18 +246,8 @@ class RowExecutor:
     # -- block execution -------------------------------------------------------
 
     def _block(self, select: ast.Select) -> BlockPlan:
-        """The shared analysis of ``select`` (planned on demand when absent)."""
-        if self._plan is not None:
-            block = self._plan.block(select)
-            if block is not None:
-                return block
-        block = self._extra_blocks.get(id(select))
-        if block is None:
-            if self._planner is None:
-                self._planner = Planner(self.database.catalog,
-                                        predicate_pushdown=self.predicate_pushdown)
-            block = self._planner.plan_block(select, registry=self._extra_blocks)
-        return block
+        """The plan's analysis of ``select`` (the planner plans every block)."""
+        return self._plan.blocks[id(select)]
 
     def _scan_rows(self, item: ast.TableRef, window: ScanWindow | None = None,
                    block: BlockPlan | None = None) -> list[tuple]:
@@ -282,12 +263,8 @@ class RowExecutor:
         if window is None:
             rows = self.database.rows(item.name)
         else:
-            if self._plan is not None and block is not None \
-                    and self._plan.block(block.select) is block:
-                rows = self._plan.kernels(block, ("row", "window"), _new_stamped).get(
-                    self.database, self._window_rows, item, window)
-            else:
-                rows = self._window_rows(item, window)
+            rows = self._plan.kernels(block, ("row", "window"), _new_stamped).get(
+                self.database, self._window_rows, item, window)
             count_metric("scan.window_probes")
         count_metric("scan.rows_visited", len(rows))
         return rows
@@ -301,13 +278,10 @@ class RowExecutor:
     def _pipeline(self, block: BlockPlan) -> RowPipeline | None:
         """The block's generated pipeline (None = interpret).
 
-        Only blocks owned by a shared plan get one: the plan caches it, so
-        repeated executions -- and the column engine's row-fallback
-        subqueries -- reuse the compiled function.
+        The plan caches it, so repeated executions -- and the column engine's
+        row-executor subqueries -- reuse the compiled function.
         """
-        if not self.compile_expressions or self._plan is None:
-            return None
-        if self._plan.block(block.select) is not block:
+        if not self.compile_expressions:
             return None
         pipeline = row_pipeline(self._plan, block, self.hash_joins, self._null_free(block))
         return pipeline if pipeline.run is not None else None

@@ -557,22 +557,12 @@ class Planner:
     # -- public API -----------------------------------------------------------
 
     def plan(self, select: ast.Select, sql_text: str | None = None) -> QueryPlan:
-        """Analyse ``select`` (and every nested block) into a :class:`QueryPlan`."""
+        """Analyse ``select`` and every block nested in it, each in its own
+        scope, into a :class:`QueryPlan`."""
         blocks: dict[int, BlockPlan] = {}
         self._plan_block(select, None, blocks)
-        root_scope = Scope(columns=list(blocks[id(select)].columns))
-        # Safety net: plan any block the structured walk did not reach (an
-        # exotic AST shape) with the root scope as its outer context.
-        for node in select.walk():
-            if isinstance(node, ast.Select) and id(node) not in blocks:
-                self._plan_block(node, root_scope, blocks)
         return QueryPlan(select=select, sql=sql_text or to_sql(select), blocks=blocks,
                          predicate_pushdown=self.predicate_pushdown)
-
-    def plan_block(self, select: ast.Select, outer_scope: Scope | None = None,
-                   registry: dict[int, BlockPlan] | None = None) -> BlockPlan:
-        """Plan a single block (used by executors for blocks outside a plan)."""
-        return self._plan_block(select, outer_scope, registry if registry is not None else {})
 
     # -- block analysis ----------------------------------------------------------
 

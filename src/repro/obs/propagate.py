@@ -290,23 +290,12 @@ def decode_spans(shipped: Any, trace_id: str | None = None,
                  skip: Any = ()) -> list[dict]:
     """Span records from their stored form, minus those whose id is in ``skip``.
 
-    ``shipped`` is an :func:`encode_spans` envelope, read under ``trace_id``,
-    or the list of record dicts that store files and flight logs written
-    before the envelope hold (each names its own trace) -- this is the only
-    place that knows the two shapes.  Shipped spans arrive from outside and
-    telemetry must never fail the submission they rode in on: anything else
-    (a wrong type, a short record, an id that is not 16 hex digits, a parent
-    index outside the envelope) decodes to no records at all.
+    ``shipped`` is an :func:`encode_spans` envelope, read under ``trace_id``.
+    Shipped spans arrive from outside and telemetry must never fail the
+    submission they rode in on: anything else (a wrong type, a bare list of
+    records, a short record, an id that is not 16 hex digits, a parent index
+    outside the envelope) decodes to no records at all.
     """
-    if isinstance(shipped, list):
-        return [record for record in shipped
-                if isinstance(record, dict) and isinstance(record.get("name"), str)
-                and isinstance(record.get("trace_id"), str)
-                and isinstance(record.get("span_id"), str)
-                and _is_number(record.get("start"))
-                and (record.get("end") is None or _is_number(record["end"]))
-                and isinstance(record.get("attributes") or {}, dict)
-                and record["span_id"] not in skip]
     epoch, rows = (shipped.get("epoch"), shipped.get("records")) \
         if isinstance(shipped, dict) else (None, None)
     if not (isinstance(trace_id, str) and _is_number(epoch) and isinstance(rows, list)):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ColumnEngine, Database, EngineOptions, RowEngine, create_engine
-from repro.errors import CatalogError, EngineError, ExecutionError, SQLSyntaxError
+from repro.engine import executor_column
+from repro.errors import CatalogError, EngineError, ExecutionError, SQLSyntaxError, error_kind
 from repro.tpch import QUERIES
 from tests.conftest import normalise
 
@@ -126,6 +127,24 @@ class TestBasicQueries:
         result = engine.execute(
             "select sum(case when name = 'alpha' then 1 else 0 end) from t")
         assert result.scalar() == 2
+
+    @pytest.mark.parametrize("compile_expressions", [False, True])
+    @pytest.mark.parametrize("sql, expected", [
+        ("select id, case when id <> 2 then price / (id - 2) else 0 end from t order by id",
+         [(1, -10.0), (2, 0), (3, 30.0), (4, 20.0)]),
+        ("select count(*) from t where case when id = 2 then false "
+         "when price / (id - 2) > 5 then true else false end", [(2,)]),
+        ("select name, sum(case when id = 2 then 0 else price / (id - 2) end) from t "
+         "group by name order by name", [("alpha", 10.0), ("beta", 0), ("gamma", 30.0)]),
+    ])
+    def test_a_case_branch_runs_over_the_rows_it_decides(self, small_db, sql, expected,
+                                                         compile_expressions):
+        """A division its guard keeps from a zero divisor never sees one: a
+        condition runs over the rows no earlier branch took, a value over the
+        rows its branch took."""
+        options = EngineOptions(compile_expressions=compile_expressions)
+        for factory in (RowEngine, ColumnEngine):
+            assert factory(small_db, options=options).execute(sql).rows == expected
 
     def test_distinct(self, engine):
         result = engine.execute("select distinct name from t order by name")
@@ -402,6 +421,67 @@ class TestJoinShapes:
                 assert result.columns == reference.columns
                 assert canonical(result.rows) == canonical(reference.rows), \
                     f"{engine.strategy()} compile={compile_expressions}"
+
+
+class TestSubqueryDispatch:
+    """The column engine runs a nested block where its plan says: an
+    uncorrelated one once on its own pipeline, a correlated or FROM-less one
+    on a row executor."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch) -> list:
+        """The row executors the column engine builds."""
+        built = []
+
+        class Counted(executor_column.RowExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_column, "RowExecutor", Counted)
+        return built
+
+    @pytest.mark.parametrize("compile_expressions", [False, True])
+    def test_a_failing_uncorrelated_subquery_raises_once(self, small_db, built, monkeypatch,
+                                                         compile_expressions):
+        sql = "select id from t where price > (select sum(price) / (min(id) - min(id)) from t)"
+        options = EngineOptions(compile_expressions=compile_expressions)
+        with pytest.raises(ExecutionError) as expected:
+            RowEngine(small_db, options=options).execute(sql)
+        engine = ColumnEngine(small_db, options=options)
+        plan = engine.prepare(sql)
+        subquery = next(block.select for block in plan.blocks.values()
+                        if block.select is not plan.select)
+        runs = []
+        execute_block = executor_column.ColumnExecutor._execute_block
+
+        def counted(self, select, block=None):
+            runs.append(select)
+            return execute_block(self, select, block)
+
+        monkeypatch.setattr(executor_column.ColumnExecutor, "_execute_block", counted)
+        with pytest.raises(ExecutionError) as raised:
+            engine.execute(plan)
+        assert (error_kind(raised.value), str(raised.value)) \
+            == (error_kind(expected.value), str(expected.value)) == ("execution", "division by zero")
+        assert runs.count(subquery) == 1
+        assert built == []
+
+    @pytest.mark.parametrize("compile_expressions", [False, True])
+    @pytest.mark.parametrize("sql, row_executors", [
+        ("select count(*) from t where exists (select * from u where u.t_id = t.id)", 1),
+        ("select id from t where price > (select 1) order by id", 1),
+        ("select id from t where id in (select t_id from u) order by id", 0),
+        ("select id from t where price < (select sum(case when id <> 2 then price / (id - 2) "
+         "else 0 end) from t) order by id", 0),
+    ])
+    def test_nested_blocks_answer_as_the_row_engine(self, small_db, built, sql, row_executors,
+                                                    compile_expressions):
+        options = EngineOptions(compile_expressions=compile_expressions)
+        expected = RowEngine(small_db, options=options).execute(sql)
+        result = ColumnEngine(small_db, options=options).execute(sql)
+        assert result.rows == expected.rows
+        assert len(built) == row_executors
 
 
 class TestEngineVersions:

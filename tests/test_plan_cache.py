@@ -1,9 +1,12 @@
 """Tests for the logical-plan IR, the planner and the engine plan cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench.workloads import POOL_SEED, WORKLOADS
 from repro.engine import (
     ColumnEngine,
     Database,
@@ -15,9 +18,14 @@ from repro.engine import (
     RowEngine,
     normalize_sql,
 )
+from repro.errors import PlanError
+from repro.platform import PlatformService
+from repro.pool import Morpher
+from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_select
 from repro.tpch import QUERIES
 from tests.conftest import normalise
+from tests.test_fuzz_parity import FUZZ_ITERATIONS, FUZZ_SEED, QueryGenerator, _fuzz_database
 
 
 @pytest.fixture()
@@ -30,6 +38,21 @@ def small_db() -> Database:
     database.create_table("u", [("id", "int"), ("t_id", "int"), ("tag", "str")])
     database.insert_rows("u", [(1, 1, "x"), (2, 1, "y"), (3, 3, "z")])
     return database
+
+
+def _pool_variants(name: str) -> list[str]:
+    """The pool texts the benchmark's workload ``name`` grows (as
+    bench/harness.py does, from bench/workloads.py's inputs)."""
+    spec = WORKLOADS[name]
+    service = PlatformService()
+    owner = service.register_user("owner", "owner@example.org")
+    project = service.create_project(owner, "tpch", synopsis=name)
+    experiment = service.add_experiment(owner, project, name, QUERIES[spec.baseline])
+    pool = service.build_pool(experiment, seed=POOL_SEED)
+    pool.seed_baseline()
+    pool.seed_random(spec.full.pool_random)
+    Morpher(pool, seed=POOL_SEED).grow_to(spec.full.pool_size)
+    return [entry.sql for entry in pool.entries()]
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +71,10 @@ class TestPlanner:
         assert not root.needs_aggregation
         assert [step.frame_index for step in root.join_order] == [0]
 
-    def test_plan_covers_nested_subquery_blocks(self, small_db):
+    def test_plan_covers_nested_subquery_blocks(self, small_db, tpch_db):
+        """One walk plans every block, each in its own scope: every SELECT of
+        the 22 TPC-H texts, the fuzz corpus and the q1-pool / Q6-pool
+        variants is a block of its plan (the executors plan nothing)."""
         planner = Planner(small_db.catalog)
         select = parse_select(
             "select count(*) from t where price > (select avg(price) from t) "
@@ -56,9 +82,28 @@ class TestPlanner:
         plan = planner.plan(select)
         # root + scalar subquery + correlated EXISTS subquery
         assert len(plan.blocks) == 3
-        for node in select.walk():
-            if type(node).__name__ == "Select":
-                assert plan.block(node) is not None
+        assert [block.correlated for block in plan.blocks.values()] == [False, False, True]
+
+        generator = QueryGenerator(random.Random(FUZZ_SEED))
+        corpora = [(tpch_db, [QUERIES[number] for number in sorted(QUERIES)]),
+                   (_fuzz_database(), [generator.query() for _ in range(FUZZ_ITERATIONS)]),
+                   (tpch_db, _pool_variants("q1-pool")),
+                   (tpch_db, _pool_variants("deep-queue"))]
+        planned = nested = 0
+        for database, texts in corpora:
+            planner = Planner(database.catalog)
+            for sql in texts:
+                select = parse_select(sql)
+                try:
+                    plan = planner.plan(select)
+                except PlanError:
+                    continue  # a pool variant the planner refuses
+                selects = [node for node in select.walk() if isinstance(node, ast.Select)]
+                assert sorted(map(id, selects)) == sorted(plan.blocks), sql
+                planned += 1
+                nested += len(selects) - 1
+        assert planned >= 22 + FUZZ_ITERATIONS + 16 + 16
+        assert nested >= 21  # the subqueries and derived tables of 14 TPC-H texts
 
     def test_equi_join_drives_join_order(self, small_db):
         planner = Planner(small_db.catalog)

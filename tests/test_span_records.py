@@ -225,8 +225,6 @@ def test_envelope_round_trip(records):
         parent = record["parent_span_id"]
         assert row[2] == (parent if parent not in inside
                           else [r["span_id"] for r in records].index(parent))
-    # the legacy form (the list itself) decodes to the very same records
-    assert decode_spans(json.loads(json.dumps(records))) == records
     # ... and ``skip`` holds back the ids a recorder already supplied
     skipped = {records[0]["span_id"]}
     assert [record["span_id"] for record in decode_spans(envelope, TRACE, skip=skipped)] \
@@ -273,6 +271,10 @@ MALFORMED = {
     "a legacy list of junk": [7, "x", None, {"name": "claim"}, {"span_id": "cd" * 8},
                               {"name": "claim", "trace_id": TRACE, "span_id": "cd" * 8,
                                "start": "yesterday"}],
+    # the form drivers shipped before the envelope: no longer read
+    "a bare list of records": [{"name": "claim", "trace_id": TRACE, "span_id": "cd" * 8,
+                                "parent_span_id": None, "start": 1.0, "end": 1.25,
+                                "attributes": {}}],
 }
 
 
@@ -437,30 +439,6 @@ class TestShippedSpans:
         assert not [span for span in service.spans.spans(task["trace_id"])
                     if span["name"].startswith(("driver.", "engine."))]
 
-    def test_a_legacy_list_still_ingests_and_stitches(self):
-        """What a driver of the commit before shipped: the records themselves."""
-        service, contributor, experiment = _platform()
-        task = service.next_task(contributor, experiment)
-        legacy = [
-            {"name": "driver.execute", "trace_id": task.trace_id, "span_id": "01" * 8,
-             "parent_span_id": None, "start": 100.0, "end": 100.5,
-             "attributes": {"attempt": 1, "error": None, "rows": 1}},
-            {"name": "engine.query", "trace_id": task.trace_id, "span_id": "02" * 8,
-             "parent_span_id": "01" * 8, "start": 100.1, "end": 100.4,
-             "attributes": {"sql": "select 1", "rows_out": 1}},
-        ]
-        for _ in range(2):  # the second delivery is a replay: nothing doubles
-            service.submit_result(contributor, task, times=[0.1], attempt=1,
-                                  idempotency_key="k" * 32,
-                                  extras={"trace_id": task.trace_id, "spans": legacy})
-        ingested = [span for span in service.spans.spans(task.trace_id)
-                    if span["name"].startswith(("driver.", "engine."))]
-        assert ingested == legacy
-        stored = service.store.results(experiment.id)
-        assert len(stored) == 1 and stored[0].extras["spans"] == legacy
-        timeline = stitch_timelines(tasks=[task], results=stored)[0]
-        assert timeline.spans == legacy and timeline.phases["execute"] == 0.5
-
 
 class TestFlightLog:
     def test_the_sink_holds_the_envelope_and_reads_back_the_entry(self, tmp_path):
@@ -485,6 +463,9 @@ class TestFlightLog:
         assert read_span_log(sink) == spans
 
     def test_a_flight_log_of_the_commit_before_reads_the_same(self, tmp_path):
+        """A pre-envelope line (a bare span list) still reads back as its
+        entry, its spans dropped; the blank line and the half-written tail
+        a crashed process leaves are skipped."""
         spans = [{"name": "claim", "trace_id": TRACE, "span_id": "cd" * 8,
                   "parent_span_id": None, "start": 1.0, "end": 1.1,
                   "attributes": {"attempt": 1}}]
@@ -492,5 +473,5 @@ class TestFlightLog:
                     "duration": 2.0, "spans": spans, "last_error": "boom"}
         sink = tmp_path / "flight.jsonl"
         sink.write_text(json.dumps(old_line) + "\n\n{half a li")
-        assert read_flight_log(sink) == [old_line]
-        assert read_span_log(sink) == spans
+        assert read_flight_log(sink) == [{**old_line, "spans": []}]
+        assert read_span_log(sink) == []
