@@ -7,8 +7,8 @@ The script plays three roles:
   project, converts a baseline query into a grammar, grows the query pool and
   queues it,
 * a **contributor** runs the queued queries with the experiment driver over
-  HTTP against the platform server (exactly the ``sqalpel.py`` loop) and
-  reports wall-clock times plus load averages,
+  HTTP against the platform server, one task per round trip (exactly the
+  ``sqalpel.py`` loop), and reports wall-clock times plus load averages,
 * a **reader** finally inspects the shared results: queue status, CSV export
   and the experiment history.
 
@@ -16,7 +16,7 @@ Run with ``python examples/shared_project.py``.
 """
 
 from repro.analytics import experiment_history, speedup_report
-from repro.driver import DriverConfig, ExperimentDriver, HTTPClient
+from repro.driver import BatchRunner, DriverConfig, HTTPClient
 from repro.platform import PlatformServer, PlatformService, Visibility
 from repro.pool import Morpher
 from repro.tpch import QUERIES
@@ -58,10 +58,10 @@ def main() -> None:
         for engine in (row_engine, column_engine):
             config = DriverConfig(key=contributor.contributor_key, dbms=engine.label,
                                   host=host.name, repeats=3, timeout=60,
-                                  server=server.url)
-            driver = ExperimentDriver(client=HTTPClient(server.url,
-                                                        contributor.contributor_key),
-                                      engine=engine, config=config)
+                                  batch_size=1, server=server.url)
+            driver = BatchRunner(client=HTTPClient(server.url,
+                                                   contributor.contributor_key),
+                                 engine=engine, config=config)
             executed = driver.run_all(experiment.id)
             print(f"contributor executed {executed} tasks on {engine.label}")
 

@@ -25,10 +25,6 @@ class EngineProfileSummary:
     #: run on a prepared plan does not, and reports ``plan_cache_hit`` None).
     plan_cache_lookups: int = 0
     plan_cache_hits: int = 0
-    #: results measured with concurrent driver workers: their wall-clock
-    #: phase timings are GIL-inflated, so they are counted here and kept
-    #: out of ``phase_seconds`` (the counter-based fields stay exact).
-    timing_compromised: int = 0
     chunks_scanned: float = 0.0
     chunks_skipped: float = 0.0
     materialisations: float = 0.0
@@ -54,7 +50,6 @@ class EngineProfileSummary:
             "label": self.label,
             "queries": self.queries,
             "profiled": self.profiled,
-            "timing_compromised": self.timing_compromised,
             "scan_efficiency": self.scan_efficiency,
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "chunks_scanned": self.chunks_scanned,
@@ -80,16 +75,12 @@ class ProfileReport:
         for label, summary in sorted(self.engines.items()):
             efficiency = summary.scan_efficiency
             hit_rate = summary.plan_cache_hit_rate
-            line = (
+            rendered.append(
                 f"{label:<24} queries={summary.queries:<4} "
                 f"scan_efficiency="
                 f"{'n/a' if efficiency is None else f'{efficiency:.1%}'} "
                 f"plan_cache="
                 f"{'n/a' if hit_rate is None else f'{hit_rate:.0%} hits'}")
-            if summary.timing_compromised:
-                line += (f" timing_compromised={summary.timing_compromised}"
-                         f" (concurrent driver workers)")
-            rendered.append(line)
         return rendered
 
 
@@ -166,11 +157,6 @@ def profile_report(records) -> ProfileReport:
         summary.chunks_scanned += counters.get("scan.chunks_scanned", 0)
         summary.chunks_skipped += counters.get("scan.chunks_skipped", 0)
         summary.materialisations += counters.get("frame.materialisations", 0)
-        if int(extras.get("concurrent_workers") or 0) > 1:
-            # GIL-inflated wall clock: flag it, keep it out of the phase
-            # aggregates (the metric counters above are unaffected).
-            summary.timing_compromised += 1
-            continue
         for phase, seconds in (profile.get("phases") or {}).items():
             summary.phase_seconds[phase] = \
                 summary.phase_seconds.get(phase, 0.0) + seconds

@@ -40,7 +40,6 @@ _RULE_HEADER = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:@(?P<dialect>[A-Za-z_][A-Za-z0-9_.\-]*))?\s*:\s*(?P<rest>.*)$"
 )
 _REFERENCE = re.compile(r"\$\{(?P<braced>[A-Za-z_][A-Za-z0-9_]*)\}(?P<star>\*)?|\$\[(?P<optional>[A-Za-z_][A-Za-z0-9_]*)\]")
-_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _strip_comment(line: str) -> str:
@@ -181,11 +180,6 @@ def serialize_grammar(grammar: Grammar, indent: str = "    ") -> str:
             for alternative in alternatives:
                 lines.append(f"{indent}{alternative.text()}")
     return "\n".join(lines) + "\n"
-
-
-def is_valid_rule_name(name: str) -> bool:
-    """Return True when ``name`` is a legal rule identifier."""
-    return bool(_IDENTIFIER.match(name))
 
 
 #: The grammar of Figure 1 in the paper, used by examples, tests and benches.

@@ -35,10 +35,6 @@ class Text:
 
     value: str
 
-    def is_blank(self) -> bool:
-        """Return True when the fragment contains only whitespace."""
-        return not self.value.strip()
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -232,19 +228,9 @@ class Grammar:
 
     # -- queries ---------------------------------------------------------------
 
-    def start_rule(self) -> Rule:
-        """Return the start rule, raising ``KeyError`` when the grammar is empty."""
-        if not self.start:
-            raise KeyError("grammar has no start rule")
-        return self.rules[self.start]
-
     def lexical_rules(self) -> list[Rule]:
         """Return the lexical token rules in definition order."""
         return [rule for rule in self if rule.is_lexical()]
-
-    def structural_rules(self) -> list[Rule]:
-        """Return the non-lexical rules in definition order."""
-        return [rule for rule in self if not rule.is_lexical()]
 
     def literals(self) -> list[Literal]:
         """Return all lexical literals of the grammar in definition order."""
@@ -252,10 +238,6 @@ class Grammar:
         for rule in self.lexical_rules():
             found.extend(rule.literals())
         return found
-
-    def literal_counts(self) -> dict[str, int]:
-        """Return, per lexical rule, the number of literal alternatives."""
-        return {rule.name: len(rule.alternatives) for rule in self.lexical_rules()}
 
     def tag_count(self) -> int:
         """Return the total number of lexical literals ("tags") in the grammar."""

@@ -74,10 +74,6 @@ class NormalizedGrammar:
         """Total number of lexical literals in the grammar (Table 2 "tag")."""
         return len(self.literals)
 
-    def lexical_classes(self) -> list[str]:
-        """Lexical rule names in definition order."""
-        return [rule.name for rule in self.grammar if rule.name in self.lexical]
-
 
 def normalize(grammar: Grammar, strict: bool = True) -> NormalizedGrammar:
     """Classify the rules of ``grammar`` and pre-compute reachability.

@@ -8,7 +8,7 @@ the pool and to report back the performance results."
 
 from repro.driver.config import DriverConfig, load_config
 from repro.driver.client import HTTPClient, InProcessClient, RetryPolicy
-from repro.driver.runner import BatchRunner, ExperimentDriver, RunOutcome, measure_query
+from repro.driver.runner import BatchRunner, RunOutcome, measure_query
 
 __all__ = [
     "DriverConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "InProcessClient",
     "RetryPolicy",
     "BatchRunner",
-    "ExperimentDriver",
     "RunOutcome",
     "measure_query",
 ]

@@ -1,10 +1,9 @@
 """Transports the driver uses to talk to the platform.
 
-Two interchangeable clients implement the same small protocol (`next_task`,
-`next_tasks`, `submit_result`, `submit_results`, `results`) -- the plural
-forms are the batched pipeline used by
+Two interchangeable clients implement the same small protocol
+(`next_tasks`, `submit_results`, `results`) used by
 :class:`repro.driver.runner.BatchRunner`, claiming N tasks and delivering N
-results per round trip:
+results per round trip (N = 1 is the paper's one-task loop):
 
 * :class:`HTTPClient` talks JSON over HTTP to a deployed
   :class:`repro.platform.webapp.PlatformServer` -- the remote-contributor
@@ -40,7 +39,7 @@ from repro.obs import (
     new_span_id,
     new_trace_id,
 )
-from repro.platform.models import Experiment, new_submission
+from repro.platform.models import Experiment
 from repro.platform.service import PlatformService
 
 #: HTTP statuses worth retrying: the platform is overloaded or restarting,
@@ -84,16 +83,8 @@ def _retry_after_seconds(exc: urllib.error.HTTPError) -> float | None:
 class PlatformClient(Protocol):
     """Protocol shared by the HTTP and in-process transports."""
 
-    def next_task(self, experiment_id: int, dbms: str | None = None) -> dict | None: ...
-
     def next_tasks(self, experiment_id: int, count: int = 1,
                    dbms: str | None = None) -> list[dict]: ...
-
-    def submit_result(self, task_id: int, times: list[float], error: str | None,
-                      load_averages: dict, extras: dict,
-                      idempotency_key: str | None = None,
-                      attempt: int | None = None,
-                      error_kind: str | None = None) -> dict | None: ...
 
     def submit_results(self, results: list[dict]) -> list[dict | None]: ...
 
@@ -184,13 +175,6 @@ class HTTPClient:
 
     # -- protocol ------------------------------------------------------------------
 
-    def next_task(self, experiment_id: int, dbms: str | None = None) -> dict | None:
-        payload = {"experiment": experiment_id}
-        if dbms:
-            payload["dbms"] = dbms
-        response = self._request("POST", "/api/task", payload)
-        return response.get("task")
-
     def next_tasks(self, experiment_id: int, count: int = 1,
                    dbms: str | None = None) -> list[dict]:
         payload = {"experiment": experiment_id, "count": count}
@@ -198,17 +182,6 @@ class HTTPClient:
             payload["dbms"] = dbms
         response = self._request("POST", "/api/tasks", payload)
         return response.get("tasks", [])
-
-    def submit_result(self, task_id: int, times: list[float], error: str | None,
-                      load_averages: dict, extras: dict,
-                      idempotency_key: str | None = None,
-                      attempt: int | None = None,
-                      error_kind: str | None = None) -> dict | None:
-        payload = new_submission(task_id, times, error, error_kind=error_kind,
-                             load_averages=load_averages, extras=extras,
-                             idempotency_key=idempotency_key, attempt=attempt)
-        response = self._request("POST", "/api/result", payload)
-        return response.get("result")
 
     def submit_results(self, results: list[dict]) -> list[dict | None]:
         response = self._request("POST", "/api/results/batch", {"results": results})
@@ -231,26 +204,12 @@ class InProcessClient:
     def _experiment(self, experiment_id: int) -> Experiment:
         return self.service.store.experiment(experiment_id)
 
-    def next_task(self, experiment_id: int, dbms: str | None = None) -> dict | None:
-        task = self.service.next_task(self._contributor(), self._experiment(experiment_id),
-                                      dbms_label=dbms)
-        return task.to_dict() if task is not None else None
-
     def next_tasks(self, experiment_id: int, count: int = 1,
                    dbms: str | None = None) -> list[dict]:
         tasks = self.service.next_tasks(self._contributor(),
                                         self._experiment(experiment_id),
                                         limit=count, dbms_label=dbms)
         return [task.to_dict() for task in tasks]
-
-    def submit_result(self, task_id: int, times: list[float], error: str | None,
-                      load_averages: dict, extras: dict,
-                      idempotency_key: str | None = None,
-                      attempt: int | None = None,
-                      error_kind: str | None = None) -> dict | None:
-        return self.submit_results([new_submission(
-            task_id, times, error, error_kind=error_kind, load_averages=load_averages,
-            extras=extras, idempotency_key=idempotency_key, attempt=attempt)])[0]
 
     def submit_results(self, results: list[dict]) -> list[dict | None]:
         records = self.service.submit_results(self._contributor(), list(results))

@@ -19,16 +19,12 @@ The configuration file uses INI syntax (``configparser``), e.g.::
     repeats = 5
     timeout = 60
     batch_size = 8
-    workers = 1
     retries = 4
     retry_delay = 0.05
 
-``batch_size`` and ``workers`` drive the batched pipeline
-(:class:`repro.driver.runner.BatchRunner`).  ``workers`` above 1 measures
-tasks concurrently and therefore inflates the recorded wall-clock times
-(GIL contention); keep it at 1 when the timings matter.  Batches measured
-with ``workers`` above 1 carry ``extras["concurrent_workers"]`` so the
-analytics side can flag them.  ``retries`` and
+``batch_size`` is how many tasks :class:`repro.driver.runner.BatchRunner`
+claims per round trip (1 is the paper's one-task loop); it measures them one
+after the other, so no measurement contends with another.  ``retries`` and
 ``retry_delay`` bound the runner's retry loop around failed platform round
 trips (decorrelated-jitter backoff; submissions stay safe to retry because
 they carry idempotency keys).
@@ -75,7 +71,6 @@ class DriverConfig:
     repeats: int = 5
     timeout: float = 60.0
     batch_size: int = 8
-    workers: int = 1
     #: how many times the runner retries a failed platform round trip
     #: (claiming or submitting) before giving up on it; idempotency keys make
     #: retried submissions safe.  0 disables retries.
@@ -104,8 +99,6 @@ class DriverConfig:
             raise ConfigError("timeout must be positive")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be a positive integer")
-        if self.workers <= 0:
-            raise ConfigError("workers must be a positive integer")
         if self.retries < 0:
             raise ConfigError("retries must not be negative")
         if self.retry_delay < 0:
@@ -133,12 +126,11 @@ def load_config(path: str | Path) -> DriverConfig:
         repeats = int(target.get("repeats", "5"))
         timeout = float(target.get("timeout", "60"))
         batch_size = int(target.get("batch_size", "8"))
-        workers = int(target.get("workers", "1"))
         retries = int(target.get("retries", "4"))
         retry_delay = float(target.get("retry_delay", "0.05"))
     except ValueError:
-        raise ConfigError("repeats, batch_size, workers and retries must be "
-                          "integers and timeout/retry_delay numbers") from None
+        raise ConfigError("repeats, batch_size and retries must be integers "
+                          "and timeout/retry_delay numbers") from None
 
     extras = {
         key: value
@@ -163,7 +155,6 @@ def load_config(path: str | Path) -> DriverConfig:
         repeats=repeats,
         timeout=timeout,
         batch_size=batch_size,
-        workers=workers,
         retries=retries,
         retry_delay=retry_delay,
         trace_tasks=trace_tasks,

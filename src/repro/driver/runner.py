@@ -8,13 +8,12 @@ experimental run is kept around. [...] An open-ended key-value list structure
 can be returned to keep system specific performance indicators for post
 inspection."
 
-Two drivers share :func:`measure_query`:
-
-* :class:`ExperimentDriver` is the paper's one-task-at-a-time loop,
-* :class:`BatchRunner` is the batched pipeline: it claims N tasks per round
-  trip, prepares each distinct query's plan exactly once (plan-once/
-  execute-many), optionally fans the measurements across a thread pool, and
-  delivers the whole batch of results in a single submission.
+:class:`BatchRunner` is that loop, batched: it claims N tasks per round
+trip, prepares each distinct query's plan exactly once (plan-once/
+execute-many), measures the tasks one after the other with
+:func:`measure_query`, and delivers the whole batch of results in a single
+submission.  With ``batch_size = 1`` it is the paper's one-task loop: one
+claim round trip, one execution, one submit round trip.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import os
 import random
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.driver.client import PlatformClient, RetryPolicy
@@ -183,60 +181,6 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
 
 
 @dataclass
-class ExperimentDriver:
-    """Pulls tasks from the platform one at a time, runs them, reports back."""
-
-    client: PlatformClient
-    engine: Engine
-    config: DriverConfig
-
-    def run_once(self, experiment_id: int) -> dict | None:
-        """Fetch and execute a single task; return the submitted result payload."""
-        task = self.client.next_task(experiment_id, dbms=self.config.dbms)
-        if task is None:
-            return None
-        outcome = measure_query(self.engine, task["query_sql"],
-                                repeats=self.config.repeats,
-                                timeout=self.config.timeout,
-                                trace=self.config.trace_tasks)
-        trace_id = task.get("trace_id")
-        if trace_id:
-            # the submitted extras (and the engine profile inside them) carry
-            # the task's trace id so platform-side analytics can join them
-            # to the stitched timeline instead of aggregating blind.
-            outcome.extras["trace_id"] = trace_id
-            profile = outcome.extras.get("profile")
-            if isinstance(profile, dict):
-                profile["trace_id"] = trace_id
-        load = {"before": outcome.load_before, "after": outcome.load_after}
-        submit_context = SpanContext(trace_id, new_span_id()) if trace_id else None
-        # the kind rides beside the error only: a client that knows no kinds
-        # (an older transport, a test double) still delivers every success.
-        kind = {} if outcome.error is None else {"error_kind": outcome.error_kind}
-        with use_context(submit_context):
-            return self.client.submit_result(
-                task_id=task["id"],
-                times=outcome.times,
-                error=outcome.error,
-                load_averages=load,
-                extras=outcome.extras,
-                idempotency_key=uuid.uuid4().hex,
-                attempt=task.get("attempts"),
-                **kind,
-            )
-
-    def run_all(self, experiment_id: int, max_tasks: int | None = None) -> int:
-        """Drain the experiment's queue; return how many tasks were executed."""
-        executed = 0
-        while max_tasks is None or executed < max_tasks:
-            submitted = self.run_once(experiment_id)
-            if submitted is None:
-                break
-            executed += 1
-        return executed
-
-
-@dataclass
 class BatchRunner:
     """The batched driver pipeline: claim N tasks, plan once, execute many.
 
@@ -245,15 +189,9 @@ class BatchRunner:
     1. claims up to ``config.batch_size`` tasks in one round trip,
     2. groups them by query text and prepares each distinct query's plan
        exactly once through the engine's plan cache,
-    3. measures every task (``config.repeats`` repetitions of the prepared
-       plan), optionally fanning tasks across ``config.workers`` threads,
+    3. measures every task in turn (``config.repeats`` repetitions of the
+       prepared plan), so no measurement contends with another,
     4. submits the whole batch of results in one round trip.
-
-    ``workers > 1`` trades timing fidelity for throughput: concurrent
-    in-process measurements contend for the GIL, inflating each other's
-    wall-clock times.  Use it for correctness sweeps and smoke runs, keep
-    the default of 1 worker whenever the timings feed a discriminative
-    verdict.
 
     Fault tolerance: every platform round trip is retried up to
     ``config.retries`` times with decorrelated-jitter backoff
@@ -377,16 +315,7 @@ class BatchRunner:
                         parent_span_id=execute_span["span_id"]))
             return outcome
 
-        if self.config.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                outcomes = list(pool.map(run, tasks))
-            for outcome in outcomes:
-                # concurrent measurements contend for the GIL; stamp every
-                # outcome so the analytics side can flag the submission and
-                # keep its timings out of fidelity-sensitive aggregates.
-                outcome.extras["concurrent_workers"] = self.config.workers
-        else:
-            outcomes = [run(task) for task in tasks]
+        outcomes = [run(task) for task in tasks]
 
         for task, outcome in zip(tasks, outcomes):
             trace_id = task.get("trace_id")

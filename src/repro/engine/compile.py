@@ -85,6 +85,7 @@ from repro.engine.expression import (
 from repro.engine.mask import (
     Kleene,
     Nullable,
+    as_kleene,
     as_objects,
     is_array,
     kleene_and,
@@ -1486,15 +1487,32 @@ def _col_binary(node: ast.BinaryOp, layout, guard, plain) -> tuple[bool, Any]:
 def _col_bool(node: ast.BoolOp, layout, guard, plain) -> tuple[bool, Any]:
     pairs = [_col(operand, layout, guard, plain) for operand in node.operands]
     operand_fns = [_as_fn(pair) for pair in pairs]
+    conjunction = node.operator == "and"
     if not any(const for const, _ in pairs) and _plain_predicate(node, layout, plain):
-        combine = np.logical_and if node.operator == "and" else np.logical_or
+        combine = np.logical_and if conjunction else np.logical_or
     else:
-        combine = kleene_and if node.operator == "and" else kleene_or
+        combine = kleene_and if conjunction else kleene_or
 
     def fn(ctx):
         combined = operand_fns[0](ctx)
         for operand in operand_fns[1:]:
-            combined = combine(combined, operand(ctx))
+            try:
+                value = operand(ctx)
+            except ExecutionError:
+                # as on the row engine, an operand raises only if it does over
+                # the rows the earlier ones left undecided (AND: not FALSE,
+                # OR: not TRUE); a decided row keeps its verdict
+                decided = truth_mask(kleene_not(combined) if conjunction else combined,
+                                     ctx.length)
+                rows = np.flatnonzero(~decided)
+                part = as_kleene(operand(_narrowed(ctx, rows)), len(rows))
+                value = np.full(ctx.length, not conjunction)
+                value[rows] = part.truth
+                if not part.valid.all():
+                    valid = np.ones(ctx.length, dtype=bool)
+                    valid[rows] = part.valid
+                    value = Kleene(value, valid)
+            combined = combine(combined, value)
         return combined
     return False, fn
 

@@ -93,7 +93,7 @@ from repro.engine.keys import (
 )
 from repro.engine.mask import Kleene, Nullable, as_objects, none_positions, truth_mask
 from repro.engine.plan import BlockPlan, QueryPlan, ScanWindow, Stamped
-from repro.engine.planner import ColumnInfo
+from repro.engine.planner import ColumnInfo, split_join_condition
 from repro.obs import QueryTrace
 from repro.obs.metrics import count_all
 from repro.engine.vector import ColFrame, DecodedColumns, isnull_mask
@@ -980,7 +980,7 @@ class ColumnExecutor:
     def _materialise_join(self, join: ast.Join, layout: Layout | None = None) -> ColFrame:
         left = self._materialise(join.left)
         right = self._materialise(join.right)
-        equi, residual = self._split_join_condition(join.condition, left, right)
+        equi, _, residual = split_join_condition(join.condition, left, right)
 
         if join.kind == "right":
             swapped = ast.Join(left=join.right, right=join.left, kind="left",
@@ -992,28 +992,6 @@ class ColumnExecutor:
 
         return self._join(left, right, equi, residual,
                           keep_unmatched_left=join.kind == "left", layout=layout)
-
-    def _split_join_condition(self, condition: ast.Expression | None,
-                              left: ColFrame, right: ColFrame
-                              ) -> tuple[list[tuple[int, int]], list[ast.Expression]]:
-        equi: list[tuple[int, int]] = []
-        residual: list[ast.Expression] = []
-        for conjunct in ast.conjuncts(condition):
-            if (isinstance(conjunct, ast.Comparison) and conjunct.operator == "="
-                    and isinstance(conjunct.left, ast.ColumnRef)
-                    and isinstance(conjunct.right, ast.ColumnRef)):
-                left_position = left.position(conjunct.left)
-                right_position = right.position(conjunct.right)
-                if left_position is not None and right_position is not None:
-                    equi.append((left_position, right_position))
-                    continue
-                left_position = left.position(conjunct.right)
-                right_position = right.position(conjunct.left)
-                if left_position is not None and right_position is not None:
-                    equi.append((left_position, right_position))
-                    continue
-            residual.append(conjunct)
-        return equi, residual
 
     # -- distinct --------------------------------------------------------------------------
 

@@ -51,7 +51,7 @@ from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import aggregate_value, evaluate
 from repro.engine.plan import BlockPlan, JoinStep, QueryPlan, ScanWindow, Stamped
-from repro.engine.planner import ColumnInfo
+from repro.engine.planner import ColumnInfo, split_join_condition
 from repro.engine.storage import hash_rows
 from repro.errors import ExecutionError, PlanError
 from repro.obs import NULL_SPAN, QueryTrace, Span
@@ -458,10 +458,7 @@ class RowExecutor:
         columns = left.columns + right.columns
         combined = RowFrame(columns=columns, rows=[])
 
-        equi, residual = self._split_join_condition(join.condition, left, right)
-        keys = [(left.position(left_ref), right.position(right_ref))
-                for left_ref, right_ref in equi]
-        condition = [ast.Comparison("=", left_ref, right_ref) for left_ref, right_ref in equi]
+        keys, condition, residual = split_join_condition(join.condition, left, right)
 
         if join.kind in ("inner", "cross", "left"):
             rows = self._hash_join_rows(left, right, keys, condition, residual, combined,
@@ -476,27 +473,6 @@ class RowExecutor:
             raise PlanError(f"unsupported join kind '{join.kind}'")
         combined.rows = rows
         return combined
-
-    def _split_join_condition(self, condition: ast.Expression | None,
-                              left: RowFrame, right: RowFrame
-                              ) -> tuple[list[tuple[ast.ColumnRef, ast.ColumnRef]],
-                                         list[ast.Expression]]:
-        """Separate hashable equi-conjuncts of an explicit JOIN condition."""
-        equi: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
-        residual: list[ast.Expression] = []
-        for conjunct in ast.conjuncts(condition):
-            if (isinstance(conjunct, ast.Comparison) and conjunct.operator == "="
-                    and isinstance(conjunct.left, ast.ColumnRef)
-                    and isinstance(conjunct.right, ast.ColumnRef)):
-                left_ref, right_ref = conjunct.left, conjunct.right
-                if left.position(left_ref) is not None and right.position(right_ref) is not None:
-                    equi.append((left_ref, right_ref))
-                    continue
-                if left.position(right_ref) is not None and right.position(left_ref) is not None:
-                    equi.append((right_ref, left_ref))
-                    continue
-            residual.append(conjunct)
-        return equi, residual
 
     def _hash_join_rows(self, left: RowFrame, right: RowFrame,
                         keys: Sequence[tuple[int, int]], condition: list[ast.Expression],

@@ -284,6 +284,32 @@ def _is_equi_join(conjunct: ast.Expression, scope: Scope) -> bool:
     return left_info.binding.lower() != right_info.binding.lower()
 
 
+def split_join_condition(condition: ast.Expression | None, left, right
+                         ) -> tuple[list[tuple[int, int]], list[ast.Expression],
+                                    list[ast.Expression]]:
+    """Split an explicit JOIN's condition over the frames ``left`` and
+    ``right`` (anything with ``position(ref)``): the ``(left, right)``
+    positions of each column equality between the two sides, those equality
+    conjuncts themselves, and the residual conjuncts."""
+    keys: list[tuple[int, int]] = []
+    equi: list[ast.Expression] = []
+    residual: list[ast.Expression] = []
+    for conjunct in ast.conjuncts(condition):
+        columns = (isinstance(conjunct, ast.Comparison) and conjunct.operator == "="
+                   and isinstance(conjunct.left, ast.ColumnRef)
+                   and isinstance(conjunct.right, ast.ColumnRef))
+        for left_ref, right_ref in ((conjunct.left, conjunct.right),
+                                    (conjunct.right, conjunct.left)) if columns else ():
+            key = (left.position(left_ref), right.position(right_ref))
+            if None not in key:
+                keys.append(key)
+                equi.append(conjunct)
+                break
+        else:
+            residual.append(conjunct)
+    return keys, equi, residual
+
+
 def probes_index(item: ast.TableExpression, keyed: bool, filtered: bool,
                  upstream_filtered: bool) -> bool:
     """Whether the row engine reads a join side through a storage key index.

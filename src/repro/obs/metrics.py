@@ -7,7 +7,7 @@ Two complementary pieces:
   variable; instrumentation points deep in the executors and the storage
   layer attribute their counts through :func:`count` without any plumbing.
   Because the active context is a context variable, concurrent executions
-  (the batched driver's thread pool) never see each other's counters.
+  (several runners in one process) never see each other's counters.
 * :class:`MetricsRegistry` -- a small, lock-protected registry of named
   counters and histograms for *service-level* totals (tasks dispatched,
   results accepted, queue timeouts).  The platform service owns one and the

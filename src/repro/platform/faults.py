@@ -134,16 +134,8 @@ class UnreliableClient:
 
     # -- PlatformClient protocol --------------------------------------------------
 
-    def next_task(self, experiment_id, dbms=None):
-        return self._call("next_task", experiment_id, dbms=dbms)
-
     def next_tasks(self, experiment_id, count=1, dbms=None):
         return self._call("next_tasks", experiment_id, count=count, dbms=dbms)
-
-    def submit_result(self, task_id, times, error, load_averages, extras,
-                      idempotency_key=None, attempt=None):
-        return self._call("submit_result", task_id, times, error, load_averages,
-                          extras, idempotency_key=idempotency_key, attempt=attempt)
 
     def submit_results(self, results):
         return self._call("submit_results", results)

@@ -302,15 +302,15 @@ def new_submission(task, times=(), error: str | None = None,
 
 #: what one result submission may carry: the parameters of
 #: :func:`new_submission`.  The driver builds it there, both transports and
-#: both endpoints hand it on through it, ``PlatformService.submit_results``
+#: the batch endpoint hand it on through it, ``PlatformService.submit_results``
 #: reads it -- so a field added to that signature reaches the service over
 #: every path, and a key it does not name over none.
 SUBMISSION_FIELDS = tuple(inspect.signature(new_submission).parameters)
 
 
 def submission_from_wire(payload: dict) -> dict:
-    """The :func:`new_submission` a JSON request body (or batch entry) describes:
-    its known fields, the task as an id."""
+    """The :func:`new_submission` one entry of a JSON batch describes: its
+    known fields, the task as an id."""
     fields = {name: payload[name] for name in SUBMISSION_FIELDS if name in payload}
     return new_submission(**{**fields, "task": int(payload["task"])})
 

@@ -64,7 +64,6 @@ from repro.platform.models import (
     TaskStatus,
     User,
     Visibility,
-    new_submission,
 )
 from repro.obs import (
     NULL_LOGGER,
@@ -343,12 +342,6 @@ class PlatformService:
         self.metrics.counter("tasks.enqueued").inc(len(created))
         return created
 
-    def next_task(self, contributor: User, experiment: Experiment,
-                  dbms_label: str | None = None) -> Task | None:
-        """Hand the next pending task of an experiment to a contributor."""
-        claimed = self.next_tasks(contributor, experiment, limit=1, dbms_label=dbms_label)
-        return claimed[0] if claimed else None
-
     def next_tasks(self, contributor: User, experiment: Experiment, limit: int = 1,
                    dbms_label: str | None = None) -> list[Task]:
         """Claim a lease on up to ``limit`` pending tasks in one atomic batch.
@@ -371,7 +364,7 @@ class PlatformService:
         self._require_contributor(contributor, project)
         if limit <= 0:
             raise ValidationError("the batch size must be a positive integer")
-        self._sweep_overdue_leases(experiment)
+        self.expire_stuck_tasks(experiment)
         started = time.perf_counter()
         with self.store.transaction("claim"):
             now = self._clock()
@@ -425,24 +418,17 @@ class PlatformService:
         return current
 
     def expire_stuck_tasks(self, experiment: Experiment) -> list[Task]:
-        """Sweep running tasks whose results were not delivered within the timeout.
+        """Sweep running tasks whose results were not delivered within the
+        timeout, in one transaction; returns the swept tasks.
 
         An overdue lease returns its task to the pending pool for another
         contributor (counted as ``tasks.retried``) while the task still has
         retry budget, and dead-letters it otherwise (``tasks.dead_lettered``).
-        Returns the swept tasks.  ``next_tasks`` calls this automatically; the
-        public method exists for owners and test harnesses that want to heal
-        the queue without claiming work.
-        """
-        return self._sweep_overdue_leases(experiment)
-
-    def _sweep_overdue_leases(self, experiment: Experiment) -> list[Task]:
-        """Re-queue / dead-letter overdue leases in one transaction.
-
-        Only running tasks whose lease has ended are decoded (the SQL filter
-        looks at every running task).  The sweep is also the sampling point
-        of the queue gauges: pending depth and the age of the oldest live
-        lease (both post-sweep).
+        Every claim calls this first; owners and test harnesses call it to
+        heal the queue without claiming work.  Only running tasks whose lease
+        has ended are decoded (the SQL filter looks at every running task).
+        The sweep is also the sampling point of the queue gauges: pending
+        depth and the age of the oldest live lease (both post-sweep).
         """
         with self.store.transaction("sweep"):
             now = self._clock()
@@ -515,17 +501,6 @@ class PlatformService:
         return self.store.task_counts(experiment.id)
 
     # ----------------------------------------------------------------- results
-
-    def submit_result(self, contributor: User, task: Task, times: list[float],
-                      error: str | None = None, load_averages: dict | None = None,
-                      extras: dict | None = None,
-                      idempotency_key: str | None = None,
-                      attempt: int | None = None,
-                      error_kind: str | None = None) -> ResultRecord | None:
-        """Record the outcome of a task run by ``contributor``."""
-        return self.submit_results(contributor, [new_submission(
-            task, times, error, error_kind=error_kind, load_averages=load_averages,
-            extras=extras, idempotency_key=idempotency_key, attempt=attempt)])[0]
 
     def submit_results(self, contributor: User,
                        submissions: list[dict]) -> list[ResultRecord | None]:

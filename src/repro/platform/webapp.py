@@ -15,9 +15,7 @@ path                     method  purpose
 ``/api/ping``            GET     liveness probe / version
 ``/api/projects``        GET     projects visible to the caller
 ``/api/experiments``     GET     experiments of a project (``?project=<id>``)
-``/api/task``            POST    assign the next pending task of an experiment
 ``/api/tasks``           POST    claim a batch of pending tasks (``count``)
-``/api/result``          POST    submit the measurements for a task
 ``/api/results/batch``   POST    submit measurements for a batch of tasks
 ``/api/results``         GET     results of an experiment (``?experiment=<id>``)
 ``/api/queue``           GET     queue status of an experiment
@@ -25,7 +23,8 @@ path                     method  purpose
 =======================  ======  ===========================================
 
 The batch endpoints back the driver's :class:`repro.driver.runner.BatchRunner`
-pipeline: one round trip claims N tasks and one round trip delivers N results.
+pipeline: one round trip claims N tasks and one round trip delivers N results;
+a batch of one is the paper's one-task exchange.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ from repro.platform.service import PlatformService
 #: "unmatched" series so probing garbage paths cannot grow the registry
 #: without bound.
 _ENDPOINTS = frozenset((
-    "/api/ping", "/api/projects", "/api/experiments", "/api/task",
-    "/api/tasks", "/api/result", "/api/results/batch", "/api/results",
-    "/api/queue", "/api/metrics",
+    "/api/ping", "/api/projects", "/api/experiments", "/api/tasks",
+    "/api/results/batch", "/api/results", "/api/queue", "/api/metrics",
 ))
 
 
@@ -177,15 +175,6 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
         service.get_project(experiment.project_id, viewer)
         return "200 OK", service.queue_status(experiment)
 
-    if path == "/api/task" and method == "POST":
-        contributor = service.authenticate(key)
-        experiment = service.store.experiment(int(body["experiment"]))
-        task = service.next_task(contributor, experiment,
-                                 dbms_label=body.get("dbms"))
-        if task is None:
-            return "200 OK", {"task": None}
-        return "200 OK", {"task": task.to_dict()}
-
     if path == "/api/tasks" and method == "POST":
         contributor = service.authenticate(key)
         experiment = service.store.experiment(int(body["experiment"]))
@@ -203,11 +192,6 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
         return "200 OK", {"results": [
             record.to_dict() if record is not None else None for record in records
         ]}
-
-    if path == "/api/result" and method == "POST":
-        contributor = service.authenticate(key)
-        result = service.submit_results(contributor, [submission_from_wire(body)])[0]
-        return "200 OK", {"result": result.to_dict() if result is not None else None}
 
     if path == "/api/results" and method == "GET":
         experiment = service.store.experiment(int(query["experiment"]))

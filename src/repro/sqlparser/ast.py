@@ -13,7 +13,7 @@ HAVING, ORDER BY, LIMIT and subqueries in FROM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class Node:
@@ -488,13 +488,3 @@ def column_refs(expression: Expression) -> list[ColumnRef]:
             continue  # do not descend into nested query blocks
         stack.extend(node.children())
     return list(reversed(refs))
-
-
-def make_and(parts: Sequence[Expression]) -> Expression | None:
-    """Combine ``parts`` into a single conjunction (None when empty)."""
-    parts = list(parts)
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return BoolOp(operator="and", operands=parts)

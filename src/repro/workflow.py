@@ -149,7 +149,6 @@ def run_experiment_on_engines(pool: QueryPool, engines: list[Engine], repeats: i
 
 def run_demo_scenario(baseline_sql: str = DEFAULT_BASELINE, scale_factor: float = 0.001,
                       pool_size: int = 12, repeats: int = 3, seed: int = 7,
-                      use_platform_queue: bool = True,
                       telemetry: TelemetryConfig | None = None) -> DemoSummary:
     """Run the full demo loop and return the collected artefacts.
 
@@ -192,24 +191,20 @@ def run_demo_scenario(baseline_sql: str = DEFAULT_BASELINE, scale_factor: float 
 
     executed = 0
     runners: list[BatchRunner] = []
-    if use_platform_queue:
-        for engine in engines:
-            service.enqueue_pool(owner, experiment, pool, dbms_label=engine.label,
-                                 host_name=host.name)
-        for engine in engines:
-            config = DriverConfig(key=contributor.contributor_key, dbms=engine.label,
-                                  host=host.name, repeats=repeats, timeout=120.0,
-                                  batch_size=8, trace_tasks=tracing,
-                                  telemetry=telemetry or TelemetryConfig())
-            runner = BatchRunner(
-                client=InProcessClient(service, contributor.contributor_key),
-                engine=engine, config=config)
-            runners.append(runner)
-            executed += runner.run_all(experiment.id)
-        _replay_results_into_pool(service, experiment, pool)
-    else:
-        run_experiment_on_engines(pool, engines, repeats=repeats)
-        executed = len(pool) * len(engines)
+    for engine in engines:
+        service.enqueue_pool(owner, experiment, pool, dbms_label=engine.label,
+                             host_name=host.name)
+    for engine in engines:
+        config = DriverConfig(key=contributor.contributor_key, dbms=engine.label,
+                              host=host.name, repeats=repeats, timeout=120.0,
+                              batch_size=8, trace_tasks=tracing,
+                              telemetry=telemetry or TelemetryConfig())
+        runner = BatchRunner(
+            client=InProcessClient(service, contributor.contributor_key),
+            engine=engine, config=config)
+        runners.append(runner)
+        executed += runner.run_all(experiment.id)
+    _replay_results_into_pool(service, experiment, pool)
 
     summary = DemoSummary(service=service, owner=owner, contributor=contributor,
                           project=project, experiment=experiment, pool=pool,
@@ -219,7 +214,7 @@ def run_demo_scenario(baseline_sql: str = DEFAULT_BASELINE, scale_factor: float 
     summary.components = component_report(pool, system=row_engine.label)
     summary.history = experiment_history(pool, system=row_engine.label)
     summary.metrics = service.metrics.snapshot()
-    if tracing and use_platform_queue:
+    if tracing:
         results = service.store.results(experiment.id)
         summary.timelines = stitch_timelines(
             tasks=service.store.tasks(experiment.id),

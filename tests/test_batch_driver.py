@@ -144,16 +144,15 @@ class TestBatchRunner:
         executed = runner.run_all(experiment.id, max_tasks=2)
         assert executed == 2
 
-    def test_worker_pool_produces_complete_results(self, platform):
+    def test_a_serial_batch_aggregates_its_phase_seconds(self, platform):
         service, _owner, contributor, experiment, engine = platform
         runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
-                             engine=engine,
-                             config=_config(contributor, engine, workers=3, batch_size=5))
-        executed = runner.run_all(experiment.id)
+                             engine=engine, config=_config(contributor, engine, batch_size=8))
+        assert runner.run_all(experiment.id) > 0
         records = service.store.results(experiment.id)
-        assert len(records) == executed
-        assert all(record.error is None and len(record.times) == 2
-                   for record in records)
+        summary = profile_report(records).engines[engine.label]
+        assert summary.profiled == len(records)
+        assert summary.phase_seconds
 
     def test_http_round_trip(self, platform):
         service, _owner, contributor, experiment, engine = platform
@@ -174,60 +173,21 @@ class TestBatchRunner:
         config_path = tmp_path / "driver.ini"
         config_path.write_text(
             "[sqalpel]\nkey = abc\n\n[target]\ndbms = columnstore-1.0\nhost = laptop\n"
-            "batch_size = 16\nworkers = 4\n")
+            "batch_size = 16\n")
         from repro.driver import load_config
 
         config = load_config(config_path)
-        assert config.batch_size == 16 and config.workers == 4
+        assert config.batch_size == 16
         # a file written for an older driver still loads: configparser hands
-        # over the keys it is asked for, and none asks for engine_workers
+        # over the keys it is asked for, and none asks for workers or
+        # engine_workers
         config_path.write_text(
             "[sqalpel]\nkey = abc\n\n[target]\ndbms = columnstore-1.0\nhost = laptop\n"
             "workers = 2\nengine_workers = 2\n")
         config = load_config(config_path)
-        assert config.workers == 2 and not hasattr(config, "engine_workers")
+        assert not hasattr(config, "workers") and not hasattr(config, "engine_workers")
         with pytest.raises(ConfigError):
             DriverConfig(key="k", dbms="d", host="h", batch_size=0)
-        with pytest.raises(ConfigError):
-            DriverConfig(key="k", dbms="d", host="h", workers=0)
-
-
-class TestTimingFidelity:
-    """Batches measured by several driver threads at once are stamped with
-    ``extras["concurrent_workers"]`` and kept out of the phase timings."""
-
-    def _run(self, platform, workers: int):
-        service, _owner, contributor, experiment, engine = platform
-        runner = BatchRunner(client=InProcessClient(service, contributor.contributor_key),
-                             engine=engine,
-                             config=_config(contributor, engine, batch_size=8,
-                                            workers=workers))
-        executed = runner.run_all(experiment.id)
-        assert executed > 0
-        return list(service.store.results(experiment.id))
-
-    def test_concurrent_batches_are_stamped_and_flagged(self, platform):
-        records = self._run(platform, workers=3)
-        assert all(record.extras.get("concurrent_workers") == 3
-                   for record in records)
-        report = profile_report(records)
-        summary = report.engines[records[0].dbms_label]
-        assert summary.timing_compromised == len(records)
-        # GIL-inflated wall clock stays out of the phase aggregates ...
-        assert summary.phase_seconds == {}
-        # ... while the exact counters are still aggregated.
-        assert summary.profiled == len(records)
-        assert any("timing_compromised=" in line for line in report.lines())
-
-    def test_serial_batches_are_not_flagged(self, platform):
-        records = self._run(platform, workers=1)
-        assert all("concurrent_workers" not in record.extras
-                   for record in records)
-        report = profile_report(records)
-        summary = report.engines[records[0].dbms_label]
-        assert summary.timing_compromised == 0
-        assert summary.phase_seconds
-        assert not any("timing_compromised=" in line for line in report.lines())
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +352,23 @@ class TestRefusedTexts:
             None, records[0].error]
 
     def test_the_one_task_driver_sends_the_kind_with_errors_only(self, platform):
-        """``ExperimentDriver`` reports the kind like the batch runner does --
-        and passes no ``error_kind`` at all with a success, so a transport
-        double that predates the keyword still delivers those."""
-        from repro.driver import ExperimentDriver
-
+        """A batch of one -- the paper's one-task loop -- submits one result
+        per round trip, with the kind beside an error only: a success carries
+        no ``error_kind`` key at all."""
         service, _owner, contributor, experiment, engine = platform
         self._publish(platform, [self.GOOD, self.REFUSED])
         sent = []
 
         class Recording(InProcessClient):
-            def submit_result(self, task_id, **fields):
-                sent.append(fields)
-                return super().submit_result(task_id, **fields)
+            def submit_results(self, results):
+                sent.append(results)
+                return super().submit_results(results)
 
-        driver = ExperimentDriver(Recording(service, contributor.contributor_key),
-                                  engine, _config(contributor, engine))
-        assert driver.run_all(experiment.id) == 2
-        assert "error_kind" not in sent[0] and sent[1]["error_kind"] == "plan"
+        runner = BatchRunner(Recording(service, contributor.contributor_key),
+                             engine, _config(contributor, engine, batch_size=1))
+        assert runner.run_all(experiment.id) == 2
+        assert [len(batch) for batch in sent] == [1, 1]
+        assert "error_kind" not in sent[0][0] and sent[1][0]["error_kind"] == "plan"
         assert [(task.status, task.attempts) for task in service.store.tasks(experiment.id)] \
             == [("done", 1), ("failed", 1)]
 

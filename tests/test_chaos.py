@@ -37,7 +37,7 @@ from repro.platform import (
     TaskStatus,
     UnreliableClient,
 )
-from repro.platform.models import Task
+from repro.platform.models import Task, new_submission
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1234"))
 CHAOS_TASKS = int(os.environ.get("CHAOS_TASKS", "12"))
@@ -293,9 +293,9 @@ class TestChaosAccounting:
         worker = next(w for w in workers
                       if w.contributor_key == probe.contributor_key)
         before = service.metrics.counter("results.deduplicated").value
-        replared = service.submit_result(
-            worker, store.task(probe.task_id), times=[99.9],
-            idempotency_key=probe.idempotency_key, attempt=None)
+        replared = service.submit_results(worker, [new_submission(
+            store.task(probe.task_id), times=[99.9], idempotency_key=probe.idempotency_key,
+            attempt=None)])[0]
         assert replared.id == probe.id
         assert service.metrics.counter("results.deduplicated").value == before + 1
         assert len(store.results(experiment.id)) == len(records)

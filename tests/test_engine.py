@@ -146,6 +146,29 @@ class TestBasicQueries:
         for factory in (RowEngine, ColumnEngine):
             assert factory(small_db, options=options).execute(sql).rows == expected
 
+    @pytest.mark.parametrize("compile_expressions", [False, True])
+    @pytest.mark.parametrize("sql, expected", [
+        ("select id from t where id = 2 or price / (id - 2) > 1", [(2,), (3,), (4,)]),
+        ("select id, id = 2 or price / (id - 2) > 1 from t order by id",
+         [(1, False), (2, True), (3, True), (4, True)]),
+        ("select sum(case when id <> 2 and price / (id - 2) > 1 then 1 else 0 end) from t",
+         [(2,)]),
+        ("select id > 1 and price / (id - 2) > 1 from t", ExecutionError),
+    ])
+    def test_an_and_or_operand_runs_over_the_rows_left_undecided(
+            self, small_db, sql, expected, compile_expressions):
+        """As on the row engine, an AND / OR operand raises only where a row
+        reaches it: one an earlier operand decided (AND: FALSE, OR: TRUE)
+        never does, one left undecided does on both engines."""
+        options = EngineOptions(compile_expressions=compile_expressions)
+        for factory in (RowEngine, ColumnEngine):
+            engine = factory(small_db, options=options)
+            if expected is ExecutionError:
+                with pytest.raises(ExecutionError, match="division by zero"):
+                    engine.execute(sql)
+            else:
+                assert engine.execute(sql).rows == expected
+
     def test_distinct(self, engine):
         result = engine.execute("select distinct name from t order by name")
         assert [row[0] for row in result.rows] == ["alpha", "beta", "gamma"]

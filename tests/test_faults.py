@@ -21,7 +21,7 @@ from repro.platform import (
     Store,
     UnreliableClient,
 )
-from repro.platform.models import User
+from repro.platform.models import User, new_submission
 from repro.platform.webapp import create_wsgi_app
 
 
@@ -105,9 +105,9 @@ class TestUnreliableClient:
         task = inner.next_tasks(experiment.id, count=1)[0]
         injector = FaultInjector(FaultConfig(duplicate=1.0), seed=1)
         client = UnreliableClient(inner, injector)
-        record = client.submit_result(
-            task["id"], times=[0.1], error=None, load_averages={}, extras={},
-            idempotency_key="k" * 32, attempt=task["attempts"])
+        record = client.submit_results([new_submission(
+            task["id"], times=[0.1], idempotency_key="k" * 32,
+            attempt=task["attempts"])])[0]
         assert record is not None
         assert injector.counts["duplicate"] == 1
         # delivered twice, recorded once.
@@ -256,7 +256,7 @@ class TestHTTPRetries:
             client = HTTPClient(server.url, "wrong-key",
                                 retry=RetryPolicy(attempts=5, base_delay=0.001))
             with pytest.raises(TransportError, match="403"):
-                client.next_task(experiment.id)
+                client.next_tasks(experiment.id)
 
     def test_retry_disabled_fails_fast(self):
         service, contributor, experiment = _service_with_queue()

@@ -28,6 +28,7 @@ from repro.obs import (
     current_metrics,
     format_trace,
 )
+from repro.platform.models import new_submission
 from repro.tpch import QUERIES
 from repro.workflow import build_tpch_database
 
@@ -385,8 +386,8 @@ class TestPlatformMetrics:
 
     def test_service_counts_queue_and_result_traffic(self):
         service, contributor, experiment = self._service_with_results()
-        task = service.next_task(contributor, experiment)
-        service.submit_result(contributor, task, times=[0.05, 0.04])
+        task, = service.next_tasks(contributor, experiment)
+        service.submit_results(contributor, [new_submission(task, times=[0.05, 0.04])])
         snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["tasks.enqueued"] == 1
         assert snapshot["counters"]["tasks.dispatched"] == 1
@@ -398,13 +399,13 @@ class TestPlatformMetrics:
         """``/api/metrics`` shows which join / grouping path contributors'
         engines took, from the profiles riding on accepted results."""
         service, contributor, experiment = self._service_with_results()
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         counters = {"join.kernel_rows": 120, "group.fallback_rows": 7,
                     "scan.chunks_scanned": 3, "join.fallback_rows": "many",
                     "join.index_probes": 40, "join.index_builds": 2, "join.build_rows": 9,
                     "join.order_probes": 5, "join.order_builds": 1}
-        service.submit_result(contributor, task, times=[0.05],
-                              extras={"profile": {"counters": counters}})
+        service.submit_results(contributor, [new_submission(
+            task, times=[0.05], extras={"profile": {"counters": counters}})])
         snapshot = service.metrics.snapshot()["counters"]
         assert snapshot["engine.join.kernel_rows"] == 120
         assert snapshot["engine.group.fallback_rows"] == 7

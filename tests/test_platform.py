@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AccessDenied, ConflictError, NotFound, ValidationError
 from repro.platform import PlatformServer, PlatformService, Store, Visibility
-from repro.platform.models import Task
+from repro.platform.models import Task, new_submission
 from repro.tpch import QUERIES
 
 
@@ -98,7 +98,7 @@ class TestAccessControl:
         pool.seed_baseline()
         service.enqueue_pool(owner, experiment, pool, "columnstore-1.0", "laptop")
         with pytest.raises(AccessDenied):
-            service.next_task(outsider, experiment)
+            service.next_tasks(outsider, experiment)
 
     def test_comments_require_read_access(self, populated):
         service, owner, _, outsider, project, _ = populated
@@ -137,20 +137,21 @@ class TestQueueAndResults:
 
     def test_task_assignment_and_result_submission(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         assert task.status == "running"
-        result = service.submit_result(contributor, task, times=[0.1, 0.09],
-                                       load_averages={"before": {"load1": 0.5}},
-                                       extras={"rows": 1})
+        result = service.submit_results(contributor, [new_submission(
+            task, times=[0.1, 0.09], load_averages={"before": {"load1": 0.5}},
+            extras={"rows": 1})])[0]
         assert result.best == pytest.approx(0.09)
         assert service.queue_status(experiment)["done"] == 1
 
     def test_failed_result_requeues_until_budget_then_dead_letters(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         # an error burns the lease but the task returns to the pending pool
         # while it still has retry budget (max_attempts defaults to 3).
-        service.submit_result(contributor, task, times=[], error="syntax error")
+        service.submit_results(contributor, [new_submission(
+            task, times=[], error="syntax error")])
         assert task.status == "pending" and task.attempts == 1
         assert task.last_error == "syntax error"
         # burn the remaining budget: same task, two more failing leases.
@@ -158,7 +159,8 @@ class TestQueueAndResults:
             claimed = service.next_tasks(contributor, experiment, limit=len(tasks))
             failing = next(entry for entry in claimed if entry.id == task.id)
             assert failing.attempts == attempt
-            service.submit_result(contributor, failing, times=[], error="syntax error")
+            service.submit_results(contributor, [new_submission(
+                failing, times=[], error="syntax error")])
         assert failing.status == "failed"
         assert service.queue_status(experiment)["failed"] == 1
         assert service.metrics.counter("tasks.retried").value == 2
@@ -172,10 +174,10 @@ class TestQueueAndResults:
         """The engine's verdict on the text is terminal on attempt 1 of 3: the
         next lease would be refused the same way, so none is spent on it."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
-        record = service.submit_result(
-            contributor, task, times=[], error="PlanError: no", error_kind=kind,
-            idempotency_key="refusal", attempt=task.attempts)
+        task, = service.next_tasks(contributor, experiment)
+        record = service.submit_results(contributor, [new_submission(
+            task, times=[], error="PlanError: no", error_kind=kind,
+            idempotency_key="refusal", attempt=task.attempts)])[0]
         assert (task.status, task.attempts, task.max_attempts) == ("failed", 1, 3)
         assert task.last_error == "PlanError: no"
         assert record.extras["error_kind"] == kind
@@ -186,8 +188,8 @@ class TestQueueAndResults:
         # returns the record without reviving the task.
         again = service.next_tasks(contributor, experiment, limit=len(tasks) + 1)
         assert task.id not in {entry.id for entry in again}
-        replayed = service.submit_result(
-            contributor, task, times=[0.1], idempotency_key="refusal", attempt=1)
+        replayed = service.submit_results(contributor, [new_submission(
+            task, times=[0.1], idempotency_key="refusal", attempt=1)])[0]
         assert replayed.id == record.id and replayed.error == "PlanError: no"
         assert service.store.task(task.id).status == "failed"
 
@@ -196,12 +198,12 @@ class TestQueueAndResults:
         """No kind (an older driver, another DBMS's), ``execution`` and a kind
         this platform does not know all retry twice more, as before."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         statuses = []
         for attempt in (1, 2, 3):
             assert task.attempts == attempt
-            record = service.submit_result(contributor, task, times=[], error="boom",
-                                           error_kind=kind, attempt=attempt)
+            record = service.submit_results(contributor, [new_submission(
+                task, times=[], error="boom", error_kind=kind, attempt=attempt)])[0]
             assert record.extras["error_kind"] == "execution"
             statuses.append(task.status)
             if task.status == "pending":  # lease it again
@@ -216,22 +218,22 @@ class TestQueueAndResults:
         """The kind is kept on failed results only: not a byte more per
         successful result row or task row."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
-        record = service.submit_result(contributor, task, times=[0.1],
-                                       extras={"rows": 1}, error_kind="plan")
+        task, = service.next_tasks(contributor, experiment)
+        record = service.submit_results(contributor, [new_submission(
+            task, times=[0.1], extras={"rows": 1}, error_kind="plan")])[0]
         assert record.extras == {"rows": 1}
         assert "error_kind" not in record.to_dict()
         assert "error_kind" not in service.store.task(task.id).to_dict()
 
     def test_empty_success_rejected(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         with pytest.raises(ValidationError):
-            service.submit_result(contributor, task, times=[])
+            service.submit_results(contributor, [new_submission(task, times=[])])
 
     def test_kill_task_owner_only(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         with pytest.raises(AccessDenied):
             service.kill_task(contributor, task)
         assert service.kill_task(owner, task).status == "killed"
@@ -240,7 +242,7 @@ class TestQueueAndResults:
         """A copy fetched before the claim must not reset the lease's books."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
         stale = service.store.task(tasks[0].id)  # pending, attempts 0
-        claimed = service.next_task(contributor, experiment)
+        claimed, = service.next_tasks(contributor, experiment)
         assert claimed.id == stale.id
         killed = service.kill_task(owner, stale)
         assert killed.status == "killed"
@@ -248,21 +250,21 @@ class TestQueueAndResults:
         assert (stored.status, stored.attempts) == ("killed", 1)
         assert stored.assigned_to == contributor.contributor_key
         # the lease's result now arrives for a task that is no longer running.
-        assert service.submit_result(contributor, claimed, times=[0.1],
-                                     attempt=claimed.attempts) is None
+        assert service.submit_results(contributor, [new_submission(
+            claimed, times=[0.1], attempt=claimed.attempts)])[0] is None
 
     def test_kill_leaves_a_finished_task_done(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         running = service.store.task(task.id)  # the copy the owner looks at
-        service.submit_result(contributor, task, times=[0.1])
+        service.submit_results(contributor, [new_submission(task, times=[0.1])])
         assert service.kill_task(owner, running).status == "done"
         assert service.store.task(task.id).status == "done"
         assert service.metrics.counter("tasks.killed").value == 0
 
     def test_stuck_tasks_expire(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         task.assigned_at -= 10_000  # pretend it started hours ago
         service.store.update("tasks", task)
         expired = service.expire_stuck_tasks(experiment)
@@ -276,7 +278,7 @@ class TestQueueAndResults:
 
     def test_expired_lease_without_budget_dead_letters(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         task.assigned_at -= 10_000
         task.attempts = task.max_attempts  # budget already spent
         service.store.update("tasks", task)
@@ -302,7 +304,7 @@ class TestQueueAndResults:
     def test_late_result_for_reclaimed_lease_is_dropped(self, populated):
         """Attempt fencing: a slow worker cannot overwrite a re-leased task."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        first = service.next_task(contributor, experiment)
+        first, = service.next_tasks(contributor, experiment)
         stale_attempt = first.attempts
         first.assigned_at -= 10_000
         service.store.update("tasks", first)
@@ -310,20 +312,20 @@ class TestQueueAndResults:
         reclaimed = service.next_tasks(contributor, experiment, limit=len(tasks))
         assert first.id in {entry.id for entry in reclaimed}
         # the slow first worker finally reports, echoing its old attempt.
-        late = service.submit_result(contributor, service.store.task(first.id),
-                                     times=[0.5], attempt=stale_attempt)
+        late = service.submit_results(contributor, [new_submission(
+            service.store.task(first.id), times=[0.5], attempt=stale_attempt)])[0]
         assert late is None  # acknowledged but dropped
         assert service.store.task(first.id).status == "running"  # lease intact
         assert service.metrics.counter("results.stale").value == 1
 
     def test_idempotent_resubmission_replays_original(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         key = "deadbeef" * 4
-        first = service.submit_result(contributor, task, times=[0.2, 0.1],
-                                      idempotency_key=key, attempt=task.attempts)
-        again = service.submit_result(contributor, task, times=[9.9],
-                                      idempotency_key=key, attempt=task.attempts)
+        first = service.submit_results(contributor, [new_submission(
+            task, times=[0.2, 0.1], idempotency_key=key, attempt=task.attempts)])[0]
+        again = service.submit_results(contributor, [new_submission(
+            task, times=[9.9], idempotency_key=key, attempt=task.attempts)])[0]
         assert again.id == first.id and again.times == [0.2, 0.1]
         assert len(service.store.results(experiment.id)) == 1
         assert service.metrics.counter("results.deduplicated").value == 1
@@ -336,8 +338,8 @@ class TestQueueAndResults:
 
     def test_hidden_results_only_visible_to_members(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
-        result = service.submit_result(contributor, task, times=[0.2])
+        task, = service.next_tasks(contributor, experiment)
+        result = service.submit_results(contributor, [new_submission(task, times=[0.2])])[0]
         service.set_result_hidden(owner, result, True)
         assert service.results(experiment, viewer=contributor) == []
         visible = service.results(experiment, viewer=owner, include_hidden=True)
@@ -345,8 +347,8 @@ class TestQueueAndResults:
 
     def test_csv_export(self, populated):
         service, owner, contributor, experiment, tasks = self._queue(populated)
-        task = service.next_task(contributor, experiment)
-        service.submit_result(contributor, task, times=[0.3])
+        task, = service.next_tasks(contributor, experiment)
+        service.submit_results(contributor, [new_submission(task, times=[0.3])])
         csv_text = service.export_results_csv(experiment, viewer=owner)
         assert "best_seconds" in csv_text.splitlines()[0]
         assert len(csv_text.splitlines()) == 2
@@ -414,19 +416,19 @@ class TestWebAPI:
         with PlatformServer(service) as server:
             client = HTTPClient(server.url, contributor.contributor_key)
             assert client.ping()["status"] == "ok"
-            task = client.next_task(experiment.id)
-            assert task is not None
-            submitted = client.submit_result(task["id"], times=[0.05, 0.04], error=None,
-                                             load_averages={}, extras={"rows": 1})
+            task, = client.next_tasks(experiment.id)
+            submitted = client.submit_results([new_submission(
+                task["id"], times=[0.05, 0.04], extras={"rows": 1})])[0]
             assert submitted["times"] == [0.05, 0.04]
             results = client.results(experiment.id)
             assert len(results) == 1
-            assert client.next_task(experiment.id) is None
+            assert client.next_tasks(experiment.id) == []
 
     def test_a_failing_submission_reads_the_same_over_every_transport(self, populated):
-        """In-process, ``/api/result`` and ``/api/results/batch`` share one
-        definition of a submission's fields: the same refusal leaves the same
-        task state and the same stored record whichever way it travels."""
+        """In-process, ``HTTPClient.submit_results`` and a raw
+        ``/api/results/batch`` entry share one definition of a submission's
+        fields: the same refusal leaves the same task state and the same
+        stored record whichever way it travels."""
         from repro.driver import HTTPClient, InProcessClient
 
         service, owner, contributor, _, project, experiment = populated
@@ -444,10 +446,10 @@ class TestWebAPI:
             tasks = local.next_tasks(experiment.id, count=3)
             assert len(tasks) == 3
             submit = [
-                lambda task: local.submit_result(task["id"], **failure,
-                                                 attempt=task["attempts"]),
-                lambda task: http.submit_result(task["id"], **failure,
-                                                attempt=task["attempts"]),
+                lambda task: local.submit_results([new_submission(
+                    task["id"], **failure, attempt=task["attempts"])])[0],
+                lambda task: http.submit_results([new_submission(
+                    task["id"], **failure, attempt=task["attempts"])])[0],
                 lambda task: http.submit_results([
                     {"task": task["id"], **failure, "attempt": task["attempts"]}])[0],
             ]
@@ -473,7 +475,7 @@ class TestWebAPI:
         with PlatformServer(service) as server:
             client = HTTPClient(server.url, "wrong-key")
             with pytest.raises(TransportError):
-                client.next_task(experiment.id)
+                client.next_tasks(experiment.id)
 
     @pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe garbage", b'["a list"]'])
     def test_http_malformed_body_is_a_400(self, populated, body):
@@ -484,12 +486,35 @@ class TestWebAPI:
         service, _, contributor, _, _, experiment = populated
         with PlatformServer(service) as server:
             request = urllib.request.Request(
-                f"{server.url}/api/task", data=body, method="POST")
+                f"{server.url}/api/tasks", data=body, method="POST")
             request.add_header("Content-Type", "application/json")
             request.add_header("X-Sqalpel-Key", contributor.contributor_key)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("path", ["/api/task", "/api/result"])
+    def test_the_one_task_routes_answer_404(self, populated, path):
+        """A batch of one is the one-task exchange: the singular routes are
+        unknown paths, and claim or record nothing."""
+        import json
+        import urllib.error
+        import urllib.request
+
+        service, owner, contributor, _, _, experiment = populated
+        pool = service.build_pool(experiment)
+        pool.seed_baseline()
+        service.enqueue_pool(owner, experiment, pool, "columnstore-1.0", "laptop")
+        body = json.dumps({"experiment": experiment.id, "task": 1, "times": [0.1]})
+        with PlatformServer(service) as server:
+            request = urllib.request.Request(
+                f"{server.url}{path}", data=body.encode("utf-8"), method="POST")
+            request.add_header("Content-Type", "application/json")
+            request.add_header("X-Sqalpel-Key", contributor.contributor_key)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 404
+        assert service.queue_status(experiment) == {"pending": 1}
 
 
 class TestIndexedLookups:

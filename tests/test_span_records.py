@@ -37,7 +37,7 @@ from repro.platform import (
     PlatformServer,
     PlatformService,
 )
-from repro.platform.models import TaskStatus
+from repro.platform.models import TaskStatus, new_submission
 from repro.tpch import QUERIES
 from repro.workflow import build_tpch_database
 
@@ -387,11 +387,11 @@ class TestShippedSpans:
     @pytest.mark.parametrize("shipped", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_spans_never_fail_a_submission(self, shipped):
         service, contributor, experiment = _platform(slow_task_seconds=0.0)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         before = len(service.spans)
-        record = service.submit_result(
-            contributor, task, times=[0.1], attempt=task.attempts,
-            extras={"trace_id": task.trace_id, "spans": shipped})
+        record = service.submit_results(contributor, [new_submission(
+            task, times=[0.1], attempt=task.attempts,
+            extras={"trace_id": task.trace_id, "spans": shipped})])[0]
         assert record is not None and task.status == TaskStatus.DONE.value
         stored = service.store.results(experiment.id)[0]
         assert stored.extras["spans"] == shipped  # stored as sent
@@ -406,11 +406,11 @@ class TestShippedSpans:
         """``extras["trace_id"]`` is the contributor's word; the service files
         the records under the id it minted, whatever the extras claim."""
         service, contributor, experiment = _platform()
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         envelope = {"epoch": 1.0, "records": [["claim", "cd" * 8, None, 0, 5, {}]]}
-        record = service.submit_result(
-            contributor, task, times=[0.1], attempt=task.attempts,
-            extras={"trace_id": ["not", "hashable"], "spans": envelope})
+        record = service.submit_results(contributor, [new_submission(
+            task, times=[0.1], attempt=task.attempts,
+            extras={"trace_id": ["not", "hashable"], "spans": envelope})])[0]
         assert record is not None and task.status == TaskStatus.DONE.value
         assert "cd" * 8 in [span["span_id"] for span in service.spans.spans(task.trace_id)]
         # the stitcher has only the extras to go by: no trace id, no records

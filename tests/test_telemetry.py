@@ -34,7 +34,7 @@ from repro.platform import (
     PlatformService,
     UnreliableClient,
 )
-from repro.platform.models import TaskStatus
+from repro.platform.models import TaskStatus, new_submission
 from repro.platform.webapp import create_wsgi_app
 
 
@@ -223,17 +223,17 @@ class TestTraceContinuity:
     def test_trace_id_minted_at_enqueue_and_stable_across_retry(self):
         logger = JsonLogger()
         service, owner, contributor, experiment = _service_with_queue(logger=logger)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         trace_id = task.trace_id
         assert trace_id and len(trace_id) == 32
         # attempt 1 fails -> the task goes back to pending under the SAME trace.
-        service.submit_result(contributor, task, times=[], error="boom",
-                              attempt=task.attempts)
-        task = service.next_task(contributor, experiment)
+        service.submit_results(contributor, [new_submission(
+            task, times=[], error="boom", attempt=task.attempts)])
+        task, = service.next_tasks(contributor, experiment)
         assert task.trace_id == trace_id
         assert task.attempts == 2
-        service.submit_result(contributor, task, times=[0.1],
-                              attempt=task.attempts)
+        service.submit_results(contributor, [new_submission(
+            task, times=[0.1], attempt=task.attempts)])
         assert task.status == TaskStatus.DONE.value
 
         spans = service.spans.spans(trace_id)
@@ -257,9 +257,9 @@ class TestTraceContinuity:
         # replay leaves a dedup-annotated submit span on the task's trace.
         client = UnreliableClient(
             inner, FaultInjector(FaultConfig(duplicate=1.0), seed=1))
-        client.submit_result(task["id"], times=[0.1], error=None,
-                             load_averages={}, extras={},
-                             idempotency_key="k" * 32, attempt=task["attempts"])
+        client.submit_results([new_submission(
+            task["id"], times=[0.1], idempotency_key="k" * 32,
+            attempt=task["attempts"])])
         assert len(service.store.results(experiment.id)) == 1
         submits = [span for span in service.spans.spans(task["trace_id"])
                    if span["name"] == "submit"]
@@ -270,7 +270,7 @@ class TestTraceContinuity:
         logger = JsonLogger()
         service, owner, contributor, experiment = _service_with_queue(
             logger=logger, max_attempts=1)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         trace_id = task.trace_id
         # the lease expires with the retry budget spent -> dead letter.
         task.assigned_at -= task.timeout_seconds + 1
@@ -388,7 +388,7 @@ class TestWhyATaskFailed:
         logger = JsonLogger()
         service, owner, contributor, experiment = _service_with_queue(
             logger=logger, max_attempts=1)
-        task = service.next_task(contributor, experiment)
+        task, = service.next_tasks(contributor, experiment)
         task.assigned_at -= task.timeout_seconds + 1
         service.store.update("tasks", task)
         service.expire_stuck_tasks(experiment)
