@@ -11,23 +11,26 @@ results per round trip (N = 1 is the paper's one-task loop):
 * :class:`InProcessClient` calls a :class:`PlatformService` directly -- used
   by tests, benchmarks and single-machine experiments.
 
-:class:`HTTPClient` retries transient failures (connection errors, 5xx, 429)
-with exponential backoff and *decorrelated jitter* (:class:`RetryPolicy`),
-honouring a ``Retry-After`` header when the server sends one.  Retrying a
-``POST`` is safe because result submissions carry client-generated
-idempotency keys: a request whose response was lost replays the original
-record server-side instead of inserting a duplicate.
+:class:`HTTPClient` keeps one HTTP/1.1 connection open per thread and
+retries transient failures (connection errors, 5xx, 429) with exponential
+backoff and *decorrelated jitter* (:class:`RetryPolicy`), honouring a
+``Retry-After`` header when the server sends one.  Retrying a ``POST`` is
+safe because result submissions carry client-generated idempotency keys: a
+request whose response was lost replays the original record server-side
+instead of inserting a duplicate.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol
+from urllib.parse import urlsplit
 
 from repro.errors import TransportError
 from repro.obs import (
@@ -69,9 +72,8 @@ class RetryPolicy:
                    rng.uniform(self.base_delay, max(previous, self.base_delay) * 3))
 
 
-def _retry_after_seconds(exc: urllib.error.HTTPError) -> float | None:
+def _retry_after_seconds(raw: str | None) -> float | None:
     """Parse a numeric ``Retry-After`` header (None when absent/unparseable)."""
-    raw = exc.headers.get("Retry-After") if exc.headers is not None else None
     if raw is None:
         return None
     try:
@@ -94,11 +96,17 @@ class PlatformClient(Protocol):
 class HTTPClient:
     """JSON-over-HTTP transport (the remote ``sqalpel.py`` setup).
 
-    Transient failures -- ``URLError`` (the platform is unreachable) and the
-    HTTP statuses in ``retry.retry_statuses`` -- are retried per
-    :class:`RetryPolicy`; pass ``retry=None`` to fail fast.  ``metrics``
-    (optional) counts every performed retry under ``client.retries``.
-    ``rng`` seeds the jitter for deterministic tests.
+    Each calling thread keeps one HTTP/1.1 connection to the platform
+    open, with ``TCP_NODELAY`` set (else Nagle's algorithm holds a small
+    write for the peer's delayed ACK, ~40 ms).  A request that finds its
+    kept connection closed by the server is sent once more on a new one,
+    which is not a retry.
+
+    Transient failures -- the platform is unreachable (a connection error or
+    timeout) or answers with an HTTP status in ``retry.retry_statuses`` --
+    are retried per :class:`RetryPolicy`; pass ``retry=None`` to fail fast.
+    ``metrics`` (optional) counts every performed retry under
+    ``client.retries``.  ``rng`` seeds the jitter for deterministic tests.
     """
 
     def __init__(self, base_url: str, contributor_key: str, timeout: float = 30.0,
@@ -113,19 +121,40 @@ class HTTPClient:
         self.metrics = metrics
         self.log = (logger or NULL_LOGGER).bind("client")
         self._rng = rng or random.Random()
+        address = urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection if address.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._host, self._port, self._prefix = address.hostname, address.port, address.path
+        self._local = threading.local()
 
     # -- raw helpers -------------------------------------------------------------
 
     def _request_once(self, method: str, path: str, payload: dict | None,
-                      context: SpanContext) -> dict | list:
-        url = f"{self.base_url}{path}"
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
-        request = urllib.request.Request(url, data=data, method=method)
-        request.add_header("Content-Type", "application/json")
-        request.add_header("X-Sqalpel-Key", self.contributor_key)
-        request.add_header("Traceparent", context.to_traceparent())
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+                      context: SpanContext) -> tuple[int, str | None, bytes]:
+        """One exchange on this thread's connection: ``(status, Retry-After,
+        body)``.  Raises ``OSError`` or ``http.client.HTTPException`` when
+        the platform cannot be reached."""
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        headers = {"Content-Type": "application/json",
+                   "X-Sqalpel-Key": self.contributor_key,
+                   "Traceparent": context.to_traceparent()}
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._host, self._port, timeout=self.timeout)
+        for kept in (connection.sock is not None, False):
+            try:
+                if connection.sock is None:
+                    connection.connect()
+                    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+                return response.status, response.getheader("Retry-After"), response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                if not kept or isinstance(exc, TimeoutError):
+                    raise
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict | list:
         policy = self.retry
@@ -138,24 +167,8 @@ class HTTPClient:
         context = current_context() or SpanContext(new_trace_id(), new_span_id())
         for attempt in range(attempts + 1):
             try:
-                return self._request_once(method, path, payload, context)
-            except urllib.error.HTTPError as exc:
-                detail = exc.read().decode("utf-8", errors="replace")
-                transient = policy is not None and exc.code in policy.retry_statuses
-                if not transient or attempt == attempts:
-                    raise TransportError(
-                        f"{method} {path} failed with {exc.code}: {detail}") from exc
-                # the server knows best when it will recover; fall back to
-                # decorrelated jitter when it does not say.
-                retry_after = _retry_after_seconds(exc)
-                delay = (min(retry_after, policy.max_delay)
-                         if retry_after is not None
-                         else policy.next_delay(delay, self._rng))
-                self.log.warning("client.retry", method=method, path=path,
-                                 status=exc.code, delay=delay,
-                                 attempt=attempt + 1,
-                                 trace_id=context.trace_id)
-            except (urllib.error.URLError, TimeoutError) as exc:
+                status, retry_after, body = self._request_once(method, path, payload, context)
+            except (OSError, http.client.HTTPException) as exc:
                 if policy is None or attempt == attempts:
                     raise TransportError(
                         f"cannot reach the platform at {self.base_url}{path}: {exc}"
@@ -163,6 +176,22 @@ class HTTPClient:
                 delay = policy.next_delay(delay, self._rng)
                 self.log.warning("client.retry", method=method, path=path,
                                  error=str(exc), delay=delay,
+                                 attempt=attempt + 1,
+                                 trace_id=context.trace_id)
+            else:
+                if 200 <= status < 300:
+                    return json.loads(body.decode("utf-8"))
+                detail = body.decode("utf-8", errors="replace")
+                transient = policy is not None and status in policy.retry_statuses
+                if not transient or attempt == attempts:
+                    raise TransportError(f"{method} {path} failed with {status}: {detail}")
+                # the server knows best when it will recover; fall back to
+                # decorrelated jitter when it does not say.
+                seconds = _retry_after_seconds(retry_after)
+                delay = (min(seconds, policy.max_delay) if seconds is not None
+                         else policy.next_delay(delay, self._rng))
+                self.log.warning("client.retry", method=method, path=path,
+                                 status=status, delay=delay,
                                  attempt=attempt + 1,
                                  trace_id=context.trace_id)
             if self.metrics is not None:

@@ -88,7 +88,8 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
                   trace: bool = False, refusal: Exception | None = None) -> RunOutcome:
     """Run ``query`` ``repeats`` times on ``engine`` and collect execution times.
 
-    The query is prepared (parsed, planned and compiled) exactly once; every
+    The query is prepared (parsed, planned and compiled) exactly once -- a
+    :class:`QueryPlan` the caller prepared is used as it is; every
     repetition executes the prepared plan and reports
     :attr:`QueryResult.elapsed`, i.e. pure execution time -- planning is not
     double-counted into the timings, and neither is what ``prepare`` builds
@@ -134,6 +135,8 @@ def measure_query(engine: Engine, query: "str | ast.Select | QueryPlan",
     plan: QueryPlan | None = None
     if refusal is not None:
         failed(refusal)
+    elif isinstance(query, QueryPlan):
+        plan = query
     else:
         try:
             plan = engine.prepare(query)

@@ -23,10 +23,10 @@ dictionary-encoded, and aggregated table statistics, fronted by
 front-end (:mod:`repro.sqlparser`) and the logical plan layer
 (:mod:`repro.engine.plan`): a :class:`Planner` analyses each query once into
 a :class:`QueryPlan` that both physical backends consume (ordering scan
-predicates by statistics-estimated selectivity), and every engine keeps a
-keyed LRU :class:`PlanCache` so repeated executions -- the driver's
-five-repetition loop, the pool's morph/re-measure cycle -- parse and plan
-exactly once per distinct query.
+predicates by statistics-estimated selectivity), and the engines over a
+database share its keyed LRU :class:`PlanCache` so repeated executions --
+the driver's five-repetition loop, the pool's morph/re-measure cycle, the
+other engine -- parse and plan exactly once per distinct query.
 
 On top of the plan sits the compiler (:mod:`repro.engine.compile`): each
 prepared plan is lowered once -- one generated Python function per query

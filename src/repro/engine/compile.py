@@ -93,7 +93,6 @@ from repro.engine.mask import (
     kleene_or,
     truth_mask,
 )
-from repro.engine.plan import Aggregation
 from repro.engine.planner import ColumnInfo, Layout, always_date, output_type, probes_index
 from repro.engine.types import add_interval, date_to_ordinal, ordinal_to_date, to_date
 from repro.engine.vector import (
@@ -276,6 +275,11 @@ class _Val(NamedTuple):
 _NULL = _Val("None", ("None",), (None,))
 
 
+#: a lookup over no columns: a FROM-less block's, or one that leaves every name
+#: to the enclosing blocks.
+NO_COLUMNS = Layout([])
+
+
 class _Source:
     """Emits the body of one generated function, statement by statement.
 
@@ -298,7 +302,7 @@ class _Source:
         #: what column refs resolve in: the layout, each position's source
         #: (``r0[5]``) and the whole row's, for the interpreter hook (None = no
         #: hook: what cannot be lowered raises).
-        self.cols: tuple[Any, list[str], str | None] = (Layout([]), [], None)
+        self.cols: tuple[Any, list[str], str | None] = (NO_COLUMNS, [], None)
         #: (expression, layout) pairs evaluated through the interpreter hook.
         self.interpreted: list[tuple[ast.Expression, Any]] = []
         #: the local each column of an enclosing block is bound to (see _outer_key).
@@ -787,12 +791,12 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
     select = block.select
     # a derived table's columns are typed "str" by the planner for want of
     # better knowledge; only a base table's str column is known to hold strings.
-    items = [columns if isinstance(item, ast.TableRef) else
-             [replace(column, type_name="any") for column in columns]
-             for item, columns in zip(select.from_items, block.item_columns)]
+    derived = [not isinstance(item, ast.TableRef) for item in select.from_items]
+    items = [[replace(column, type_name="any") for column in columns] if retyped else columns
+             for retyped, columns in zip(derived, block.item_columns)]
     slots = [[f"r{index}[{position}]" for position in range(len(columns))]
              for index, columns in enumerate(items)]
-    layouts = [Layout(columns) for columns in items]
+    layouts = [layout.view(columns) for layout, columns in zip(block.item_layouts, items)]
     pushdown = [_item_pushdown(block, columns) for columns in items]
     filtered = [bool(predicates) for predicates in pushdown]
     order = [step.frame_index for step in block.join_order]
@@ -823,9 +827,9 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
 
     # per join level: the key on either side, and what the rows joined so far
     # resolve in (see _Source.cols) -- their columns in FROM order, whatever
-    # the join order (see JoinStep).
+    # the join order (see JoinStep); all of them, the block's.
     keys: list[tuple[list[str], list[int]]] = []
-    joined: list[tuple[Layout, list[str], str]] = [(Layout([]), [], "()")]
+    joined: list[tuple[list[ColumnInfo], list[str], str]] = [([], [], "()")]
     probes: list[IndexProbe | None] = [None] * len(items)
     upstream_filtered = False
     for level, step in enumerate(block.join_order):
@@ -840,8 +844,7 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
                 item.name, tuple(items[index][position].name for position in build),
                 tuple(build))
         upstream_filtered = upstream_filtered or filtered[index]
-        joined.append((Layout(columns.columns[:step.cut] + items[index]
-                              + columns.columns[step.cut:]),
+        joined.append((columns[:step.cut] + items[index] + columns[step.cut:],
                        sources[:step.cut] + slots[index] + sources[step.cut:],
                        " + ".join(f"r{item}" for item in sorted(order[:level + 1]))))
 
@@ -920,7 +923,8 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
                 src.emit(f"v{index} += 1")
                 scan_guards(index)
         elif not hash_joins:
-            src.cols = joined[level + 1]
+            columns, sources, row = joined[level + 1]
+            src.cols = (Layout(columns), sources, row)
             for _, _, conjunct in block.join_order[level].connecting:
                 src.guard(conjunct)
         if f"n{level}" in counters:
@@ -929,7 +933,9 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
     if not order:  # no FROM clause: one empty row
         src.open("for _ in (0,):")
         levels.append("1")
-    src.cols = joined[-1]
+    columns, sources, row = joined[-1]
+    layout = block.layout.view(columns)
+    src.cols = (layout, sources, row)
     for predicate in block.residual:
         src.guard(predicate)
     if block.residual:
@@ -939,15 +945,17 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
 
     folds: list[tuple[ast.Expression, str]] = []
     if block.needs_aggregation:
+        group = Layout(block.aggregation.columns(layout)) if any(derived) \
+            else block.group_layout.view()
         folds = _emit_aggregation(src, block, [f"r{index}" for index in order],
                                   [len(items[index]) for index in order], len(levels), counts,
-                                  joined[-1])
+                                  (group, sources, row))
     else:
         values: list[str] = []
         for item in select.items:
             star = item.expression
             if isinstance(star, ast.Star):
-                values += [slot for column, slot in zip(joined[-1][0].columns, joined[-1][1])
+                values += [slot for column, slot in zip(columns, sources)
                            if star.table is None
                            or column.binding.lower() == star.table.lower()]
             else:
@@ -961,7 +969,7 @@ def _generate_pipeline(block, hash_joins: bool, null_free: tuple) -> RowPipeline
 
 
 def _emit_aggregation(src: _Source, block, rows: list[str], widths: list[int], nest: int,
-                      counts: str, joined: tuple) -> list[tuple[ast.Expression, str]]:
+                      counts: str, grouped: tuple) -> list[tuple[ast.Expression, str]]:
     """Partition, fold, then evaluate over group rows.
 
     Called with ``src`` inside the innermost of ``nest`` loops, which only
@@ -974,8 +982,8 @@ def _emit_aggregation(src: _Source, block, rows: list[str], widths: list[int], n
     and each call's value is bound to a local.  HAVING and the select list
     are lowered as any expression is, over the group row: the row variables
     bound to the group's first row (rows of NULLs, ``widths`` wide, for the
-    empty global group) beside the calls' locals.  ``joined`` is what the joined
-    columns resolve in (see ``_Source.cols``).  Returns (argument, fold kind)
+    empty global group) beside the calls' locals.  ``grouped`` is what the
+    group row's columns resolve in (see ``_Source.cols``).  Returns (argument, fold kind)
     per distinct argument, for :attr:`RowPipeline.folds`.
     """
     select, aggregation = block.select, block.aggregation
@@ -1020,9 +1028,8 @@ def _emit_aggregation(src: _Source, block, rows: list[str], widths: list[int], n
                      f"{src.bind(empty[0] if len(rows) == 1 else tuple(empty))}")
         if not filled:
             src.nonnull = set()  # the empty global group's row is NULL throughout
-        layout, sources, row = joined
-        src.cols = (Layout(aggregation.columns(layout.columns)), sources + finals,
-                    f"{row} + {_tuple(finals)}" if finals else row)
+        layout, sources, row = grouped
+        src.cols = (layout, sources + finals, f"{row} + {_tuple(finals)}" if finals else row)
         if aggregation.having is not None:
             src.emit(f"if not ({src.truth(src.expr(aggregation.having))}): continue")
         values = [src.value(src.expr(item)) for item in aggregation.items]
@@ -1876,33 +1883,23 @@ class ColumnJoin:
 class ColumnBlockShape:
     """The frames one planned block runs through, known before it runs.
 
-    Everything here is a function of the plan -- the column lookup of every
-    FROM item and of every join prefix, where each join's keys sit, which
-    storage order a join may probe, what comes out of the select list -- so
-    frames are handed their lookup instead of indexing their columns again,
-    and nothing walks the select list, on every execution.  It exists
-    whatever the engine options: interpreted blocks run through the same
-    frames.
+    Everything here is a function of the plan -- where each join's keys
+    sit, which storage order a join may probe, what comes out of the select
+    list; the column lookups of the FROM items, the joined frame and the
+    group rows are the plan's own (``BlockPlan.layout`` ...) -- so frames are
+    handed their lookup instead of indexing their columns again, and nothing
+    walks the select list, on every execution.  It exists whatever the
+    engine options: interpreted blocks run through the same frames.
     """
 
-    item_layouts: list[Layout]
     #: the join schedule after its first (driving) item.
     joins: list[ColumnJoin]
-    #: the lookup of the frame the residual, grouping and projection see.
-    joined_layout: Layout
     #: per select item, its :func:`~repro.engine.planner.output_type`.
     output_types: list[str | None]
-    #: per select item, the joined frame's column it is nothing but (a
+    #: per select item, the joined frame's string column it is nothing but (a
     #: dictionary-encoded one keeps its codes in the output, and is decoded
     #: from them only where it is read), else None -- an ambiguous name too.
-    output_columns: list[int | None]
-    #: the same, for string columns only: those a dictionary may code.
     output_coded: list[int | None]
-    #: of an aggregated block (None: the block projects), the plan's one walk
-    #: over its calls, and the lookup of its group rows: the joined columns
-    #: at each group's first row, then one column per aggregate call.
-    aggregation: Aggregation | None
-    group_layout: Layout | None
     #: per group key, the joined frame's column it is nothing but (a
     #: dictionary-encoded one groups on its codes), else None.
     key_columns: list[int | None]
@@ -1928,24 +1925,19 @@ def _column_of(expression: ast.Expression, layout: Layout) -> int | None:
 
 def column_block_shape(block) -> ColumnBlockShape:
     """Resolve the frame layouts, join keys and outputs of one planned block."""
-    item_layouts = [Layout(columns, ambiguous="raise") for columns in block.item_columns]
-    joins, joined, slots = _block_joins(block, item_layouts)
+    joins, slots = _block_joins(block, block.item_layouts)
+    joined = block.layout
     items = [item.expression for item in block.select.items]
     # an ambiguous name is for the evaluation to refuse, not for this look ahead
-    lenient = joined.lenient()
+    lenient = joined.view()
     output_types = [None if isinstance(item, ast.Star) else output_type(item, lenient)
                     for item in items]
     names = [item.output_name(position) for position, item in enumerate(block.select.items)]
-    output_columns = [_column_of(item, joined) for item in items]
-    aggregation = block.aggregation
+    columns = [_column_of(item, joined) for item in items]
     return ColumnBlockShape(
-        item_layouts, joins, joined, output_types=output_types,
-        output_columns=output_columns,
+        joins, output_types=output_types,
         output_coded=[None if column is None or joined.type_of(column) != "str" else column
-                      for column in output_columns],
-        aggregation=aggregation,
-        group_layout=None if aggregation is None
-        else Layout(aggregation.columns(joined.columns), ambiguous="raise"),
+                      for column in columns],
         key_columns=[_column_of(key, lenient) for key in block.select.group_by],
         sources=[step.frame_index for step in block.join_order], slots=slots,
         output_names=names,
@@ -1954,14 +1946,13 @@ def column_block_shape(block) -> ColumnBlockShape:
 
 
 def _block_joins(block, item_layouts: list[Layout]
-                 ) -> tuple[list[ColumnJoin], Layout, list[tuple[int, int]]]:
+                 ) -> tuple[list[ColumnJoin], list[tuple[int, int]]]:
     """The block's join schedule after its driving item, resolved, and the
-    layout and slots of the frame it ends in.  Whatever the order, the
+    slots of the frame it ends in.  Whatever the order, the
     columns joined so far stand in FROM order (see ``JoinStep``), so a
     position among them is found by walking the joined items in FROM order."""
     if not block.join_order:
-        return [], Layout(block.columns, ambiguous="raise"), \
-            [(0, position) for position in range(len(block.columns))]
+        return [], [(0, position) for position in range(len(block.columns))]
     items, widths = block.select.from_items, [len(columns) for columns in block.item_columns]
     source_of = {step.frame_index: number for number, step in enumerate(block.join_order)}
     first = block.join_order[0].frame_index
@@ -1995,8 +1986,7 @@ def _block_joins(block, item_layouts: list[Layout]
         joined.append(step.frame_index)
     slots = [(source_of[item], position) for item in range(len(widths))
              for position in range(widths[item])]
-    return joins, Layout(block.columns, ambiguous="raise") if joins else item_layouts[first], \
-        slots
+    return joins, slots
 
 
 def column_shape(plan, block) -> ColumnBlockShape:
@@ -2016,7 +2006,7 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
     inner, so a NULL-free column is one in the joined frame as well, where
     the items' columns stand in FROM order (see ``JoinStep``).
     """
-    item_layouts, joined_layout = shape.item_layouts, shape.joined_layout
+    item_layouts, joined_layout = block.item_layouts, block.layout
     free = [frozenset(positions) for positions in null_free]
     joined_plain, start = set(), 0
     for columns, positions in zip(block.item_columns, null_free):
@@ -2032,7 +2022,7 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
         except CompileFallback:
             return None
 
-    aggregation = shape.aggregation
+    aggregation = block.aggregation
     pushdown = [[(lower(predicate, item_layouts[index],
                         free[index] if index < len(free) else frozenset()), predicate)
                  for predicate in _item_pushdown(block, columns)]
@@ -2048,7 +2038,7 @@ def compile_column_block(block, shape: ColumnBlockShape, overflow_guard: bool = 
     group_plain = (joined_plain if block.select.group_by else frozenset()) | {
         width + number for number, call in enumerate(aggregation.calls)
         if call.name.lower() == "count"}
-    group = functools.partial(lower, layout=shape.group_layout, plain=group_plain)
+    group = functools.partial(lower, layout=block.group_layout, plain=group_plain)
     return ColumnBlockKernels(
         pushdown, residual, [group(item) for item in aggregation.items],
         [lower(key) for key in block.select.group_by],

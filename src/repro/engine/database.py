@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.engine.catalog import Catalog, ColumnDef, TableSchema
+from repro.engine.plan import PlanCache
 from repro.engine.storage import DEFAULT_CHUNK_ROWS, Dictionary, StorageTable
 from repro.engine.types import column_coercer
 from repro.errors import ExecutionError
@@ -134,6 +135,16 @@ class Database:
         #: (:class:`~repro.engine.plan.Stamped`), let go at the next mutation.
         self._stamped: weakref.WeakSet = weakref.WeakSet()
         self._stamped_lock = threading.Lock()
+        self._plans: PlanCache | None = None
+
+    def plan_cache(self, maxsize: int) -> PlanCache:
+        """The plan cache of every engine over this database, as large as
+        the largest ``maxsize`` asked for."""
+        with self._stamped_lock:
+            if self._plans is None:
+                self._plans = PlanCache(maxsize)
+            self._plans.maxsize = max(self._plans.maxsize, maxsize)
+            return self._plans
 
     def track(self, stamped) -> None:
         """Have ``stamped`` let go of its value at the next mutation."""

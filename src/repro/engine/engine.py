@@ -11,7 +11,8 @@ lexes, parses and plans a query into a shared :class:`QueryPlan` exactly once
 (consulting a keyed LRU :class:`PlanCache`), and :meth:`Engine.execute`
 accepts either raw SQL, a parsed AST, or a prepared plan.  The driver's
 five-repetition loop and the pool's morph/re-measure cycle therefore pay the
-front-end cost once per distinct query, not once per execution.
+front-end cost once per distinct query, not once per execution -- and per
+database, not per engine: the engines over one share its plan cache.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class Engine:
     _plan_cache: PlanCache | None = field(default=None, init=False, repr=False,
                                           compare=False)
     _planner: Planner | None = field(default=None, init=False, repr=False, compare=False)
+    _flavour: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.options = self.options or EngineOptions()  # None: the defaults
+        self._flavour = (self.strategy(), self.options)
 
     @property
     def label(self) -> str:
@@ -120,9 +126,12 @@ class Engine:
 
     @property
     def plan_cache(self) -> PlanCache:
-        """The engine's keyed plan cache (per engine instance, LRU)."""
+        """Its database's plan cache, shared by every engine over it (its
+        counters count all their lookups); with ``plan_cache_size`` 0 one of
+        its own that keeps nothing."""
         if self._plan_cache is None:
-            self._plan_cache = PlanCache(self.plan_cache_size)
+            self._plan_cache = PlanCache(0) if self.plan_cache_size <= 0 \
+                else self.database.plan_cache(self.plan_cache_size)
         return self._plan_cache
 
     # -- public API -----------------------------------------------------------
@@ -131,7 +140,9 @@ class Engine:
         """Plan ``query`` once, consulting the plan cache for SQL text input.
 
         Passing an already-prepared plan returns it unchanged, so callers can
-        uniformly write ``engine.execute(engine.prepare(sql))`` loops.
+        uniformly write ``engine.execute(engine.prepare(sql))`` loops.  The
+        cache is keyed by the text and ``predicate_pushdown``: a plan another
+        engine made is a hit, on which this one builds only its kernels.
 
         This is the engine's verdict on the text: whatever it would refuse
         without reading a row -- a text that does not parse
@@ -169,26 +180,29 @@ class Engine:
             phases["compile"] = time.perf_counter() - started
             return plan
         started = time.perf_counter()
-        key = normalize_sql(query)
+        key = (normalize_sql(query), self.options.predicate_pushdown)
         plan = self.plan_cache.get(key)
         if plan is not None:
             phases["planning"] = time.perf_counter() - started
-            phases["compile"] = 0.0
             count_metric("plan_cache.hits")
             if trace is not None:
                 with trace.span("plan", plan_cache="hit"):
                     pass
-            return plan
-        count_metric("plan_cache.misses")
-        with self._span(trace, "parse"):
-            select = parse_select(query)
-        with self._span(trace, "plan", plan_cache="miss"):
-            plan = self.planner.plan(select, sql_text=query)
-        phases["planning"] = time.perf_counter() - started
+            if self._flavour in plan.prepared:
+                phases["compile"] = 0.0
+                return plan
+        else:
+            count_metric("plan_cache.misses")
+            with self._span(trace, "parse"):
+                select = parse_select(query)
+            with self._span(trace, "plan", plan_cache="miss"):
+                plan = self.planner.plan(select, sql_text=query)
+            phases["planning"] = time.perf_counter() - started
         started = time.perf_counter()
         with self._span(trace, "compile"):
             self._precompile(plan)
         phases["compile"] = time.perf_counter() - started
+        plan.prepared.add(self._flavour)
         self.plan_cache.put(key, plan)
         return plan
 
@@ -307,14 +321,15 @@ class Engine:
         return self.plan_cache.describe()
 
     def clear_plan_cache(self) -> None:
-        """Drop every cached plan (e.g. after the database schema changed)."""
+        """Drop every cached plan (e.g. after the database schema changed):
+        the database's, so no engine over it finds one afterwards."""
         self.plan_cache.clear()
 
     def with_version(self, version: str, **option_overrides) -> "Engine":
         """Return a new engine sharing the database but with different options.
 
-        The new engine starts with an empty plan cache: plans depend on the
-        options (e.g. push-down), so cached plans never leak across versions.
+        It shares the database's plan cache, whose key holds the one option
+        a plan depends on, ``predicate_pushdown``.
         """
         options = replace(self.options, **option_overrides)
         return type(self)(database=self.database, name=self.name, version=version,
@@ -343,15 +358,11 @@ class Engine:
         raise NotImplementedError
 
 
+@dataclass
 class RowEngine(Engine):
     """Tuple-at-a-time engine (the "row store" target system)."""
 
-    def __init__(self, database: Database, name: str = "rowstore", version: str = "1.0",
-                 options: EngineOptions | None = None,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE):
-        super().__init__(database=database, name=name, version=version,
-                         options=options or EngineOptions(),
-                         plan_cache_size=plan_cache_size)
+    name: str = "rowstore"
 
     def strategy(self) -> str:
         return "row"
@@ -407,15 +418,11 @@ class RowEngine(Engine):
         return executor.execute()
 
 
+@dataclass
 class ColumnEngine(Engine):
     """Vectorised engine (the "column store" target system)."""
 
-    def __init__(self, database: Database, name: str = "columnstore", version: str = "1.0",
-                 options: EngineOptions | None = None,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE):
-        super().__init__(database=database, name=name, version=version,
-                         options=options or EngineOptions(),
-                         plan_cache_size=plan_cache_size)
+    name: str = "columnstore"
 
     def strategy(self) -> str:
         return "column"

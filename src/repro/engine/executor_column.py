@@ -455,7 +455,7 @@ class ColumnExecutor:
         predicates leave of it."""
         if scan is None:
             frame = self._materialise(block.select.from_items[index],
-                                      block.item_columns[index], shape.item_layouts[index])
+                                      block.item_columns[index], block.item_layouts[index])
             return frame, self._refine(frame, None, kernels.pushdown[index])
         tally = self._tally
         for name, amount in scan.counts:
@@ -490,7 +490,7 @@ class ColumnExecutor:
         null_free = () if mutations % 2 else null_free_columns(database, block)
         while True:
             kernels = state.kernels(null_free)
-            scans = [self._build_scan(block, index, item, state.shape.item_layouts[index],
+            scans = [self._build_scan(block, index, item, block.item_layouts[index],
                                       kernels.pushdown[index])
                      if isinstance(item, ast.TableRef) else None
                      for index, item in enumerate(block.select.from_items)]
@@ -681,7 +681,7 @@ class ColumnExecutor:
             tally["join.order_probes"] = tally.get("join.order_probes", 0) + probes
         if build_rows:
             tally["join.build_rows"] = tally.get("join.build_rows", 0) + build_rows
-        joined = shape.joined_layout
+        joined = block.layout
         return _joined_frame(_Rows(sources, indexes, None, length), shape.slots,
                              joined.columns, joined), levels, build_rows
 
@@ -840,7 +840,8 @@ class ColumnExecutor:
         evaluate HAVING and the select list over the group rows
         (:class:`_GroupColumns`).  A select item that is a coded column keeps
         the codes of each group's first row."""
-        aggregation = shape.aggregation
+        block = self._block(select)
+        aggregation = block.aggregation
         length = frame.length if selection is None else len(selection)
         context = ColumnContext(frame.arrays, length, selection, frame)
         materialised = _LazySelection(frame, selection) \
@@ -886,7 +887,7 @@ class ColumnExecutor:
             tally["aggregate.folds"] = tally.get("aggregate.folds", 0) + passes
             for call, number in zip(aggregation.calls, aggregation.call_arguments):
                 calls.append(sizes if number is None else folded[number].value(call))
-        groups = _GroupColumns(frame, first_rows, calls, count, shape.group_layout)
+        groups = _GroupColumns(frame, first_rows, calls, count, block.group_layout)
         context = ColumnContext(groups, count)
         if aggregation.having is not None:
             # HAVING keeps only groups where the predicate is TRUE; UNKNOWN

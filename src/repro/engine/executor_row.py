@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Sequence
 
-from repro.engine.compile import IndexProbe, Layout, RowPipeline, row_pipeline
+from repro.engine.compile import NO_COLUMNS, IndexProbe, Layout, RowPipeline, row_pipeline
 from repro.engine.database import Database
 from repro.engine.expression import aggregate_value, evaluate
 from repro.engine.plan import BlockPlan, JoinStep, QueryPlan, ScanWindow, Stamped
@@ -135,10 +135,6 @@ def describe_pipeline(block: BlockPlan, pipeline: RowPipeline) -> dict:
                       == len(block.item_columns[step.frame_index])],
         "source": pipeline.source,
     }
-
-
-#: what a reference to an enclosing block's column is looked up from.
-_NO_COLUMNS = Layout([])
 
 
 @dataclass
@@ -348,7 +344,7 @@ class RowExecutor:
                                     null_free_columns(self.database, block))
         outers = ()
         if pipeline.outer_refs:
-            env = _RowEnv(self, _NO_COLUMNS, (), outer)
+            env = _RowEnv(self, NO_COLUMNS, (), outer)
             outers = [env.lookup(ref) for ref in pipeline.outer_refs]
 
         def interp(index: int, row: tuple) -> Any:
@@ -598,7 +594,7 @@ class RowExecutor:
                 groups.setdefault(key, []).append(env)
         else:
             groups[()] = [_RowEnv(self, frame, row, outer) for row in frame.rows]
-        layout = Layout(aggregation.columns(frame.columns))
+        layout = Layout(aggregation.columns(frame._layout))
         empty = (None,) * len(frame.columns)
         rows: list[tuple] = []
         for envs in groups.values():

@@ -17,10 +17,10 @@ This module factors the analysis into a *plan-once/execute-many* pipeline:
   key position resolved) and the output names,
 * :class:`RowExecutor` / :class:`ColumnExecutor` consume the shared plan and
   only perform the *physical* work (materialise, filter, join, aggregate),
-* :class:`PlanCache` is a keyed LRU (normalised SQL text -> plan) that
-  engines consult in :meth:`Engine.prepare`, so the driver's repetition loop
-  and the pool's morph/re-measure cycle lex, parse and plan exactly once per
-  distinct query.
+* :class:`PlanCache` is a keyed LRU (normalised SQL text -> plan), one per
+  database, that its engines consult in :meth:`Engine.prepare`, so the
+  driver's repetition loop, the pool's morph/re-measure cycle and a second
+  engine lex, parse and plan exactly once per distinct query.
 
 The plan is *logical*: access paths and the representation of intermediate
 frames stay each backend's own; the plan fixes the decisions both share --
@@ -35,6 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
+from typing import Hashable
 
 from repro.engine.catalog import Catalog
 from repro.engine.planner import (
@@ -232,12 +233,12 @@ class Aggregation:
     items: list[ast.Expression]
     having: ast.Expression | None
 
-    def columns(self, joined: list[ColumnInfo]) -> list[ColumnInfo]:
-        """The group row's columns: ``joined`` (the joined columns as an
+    def columns(self, joined: Layout) -> list[ColumnInfo]:
+        """The group row's columns: ``joined``'s (the joined columns as an
         engine types them), then the calls', typed by what they fold."""
-        layout = Layout(joined)
-        return list(joined) + [ColumnInfo(GROUP_BINDING, f"#{number}", _call_type(call, layout))
-                               for number, call in enumerate(self.calls)]
+        return list(joined.columns) + [
+            ColumnInfo(GROUP_BINDING, f"#{number}", _call_type(call, joined))
+            for number, call in enumerate(self.calls)]
 
     def with_calls(self, expression: ast.Expression) -> ast.Expression:
         """``expression``, one over the group row, with each call's column
@@ -270,15 +271,14 @@ def _call_type(call: ast.FunctionCall, layout: Layout) -> str:
     return "any" if known is None else known
 
 
-def plan_aggregation(select: ast.Select, columns: list[ColumnInfo]) -> Aggregation:
+def plan_aggregation(select: ast.Select, layout: Layout) -> Aggregation:
     """Walk the select list and HAVING of an aggregated block over
-    ``columns``, once: number its aggregate calls -- HAVING's first, each
+    ``layout``'s columns, once: number its aggregate calls -- HAVING's first, each
     expression in the order of :func:`~repro.sqlparser.ast.walk_local` --
     and their distinct arguments, and rewrite both over the group row (see
     :class:`Aggregation`).  An aggregate call without an argument
     (``sum()``) is refused, and so is a SUM or AVG of what is known to be a
     date: a sum of days is no date (MIN, MAX and COUNT of one are)."""
-    layout = None
     expressions = [item.expression for item in select.items]
     if select.having is not None:
         expressions.insert(0, select.having)
@@ -294,10 +294,8 @@ def plan_aggregation(select: ast.Select, columns: list[ColumnInfo]) -> Aggregati
             call_arguments.append(None)
             continue
         argument = call.arguments[0]
-        if name in ("sum", "avg"):
-            layout = layout or Layout(columns)
-            if output_type(argument, layout) == "date":
-                raise PlanError(f"aggregate '{name}' is not defined over a date")
+        if name in ("sum", "avg") and output_type(argument, layout) == "date":
+            raise PlanError(f"aggregate '{name}' is not defined over a date")
         number, _, uses = arguments.setdefault(repr(argument), (len(arguments), argument, set()))
         uses.add("distinct" if call.distinct else "sum" if name == "avg" else name)
         call_arguments.append(number)
@@ -375,6 +373,11 @@ class BlockPlan:
     #: an aggregated block's calls, arguments and folds, and its select list
     #: and HAVING over group rows (None: the block projects).
     aggregation: Aggregation | None = None
+    #: the lookups over each FROM item's columns, all of them and the group
+    #: rows, made once for every lowering (strict: see :meth:`Layout.view`).
+    item_layouts: list[Layout] = field(default_factory=list, repr=False)
+    layout: Layout = field(default_factory=lambda: Layout([]), repr=False)
+    group_layout: Layout | None = field(default=None, repr=False)
 
     @property
     def correlated(self) -> bool:
@@ -487,14 +490,16 @@ class QueryPlan:
     lifetime.  The analysis is immutable once built; what the executors
     derive from it is cached on it (:meth:`kernels`), the part that reads
     the tables :class:`Stamped` with the database's mutations.  Plans are
-    safe to share between the row and column backends and across driver
-    worker threads.
+    shared between the row and column backends (through the database's one
+    :class:`PlanCache`) and across driver worker threads.
     """
 
     select: ast.Select
     sql: str
     blocks: dict[int, BlockPlan]
     predicate_pushdown: bool = True
+    #: the ``(strategy, options)`` of each engine that built its kernels on it.
+    prepared: set = field(default_factory=set, init=False, repr=False, compare=False)
     #: compiled physical kernels keyed by (block id, flavour); populated
     #: lazily by the executors (see :meth:`kernels`) and therefore amortised
     #: by the plan cache exactly like the logical analysis itself.
@@ -574,6 +579,9 @@ class Planner:
         item_columns = [self._item_columns(item, outer_scope, blocks)
                         for item in select.from_items]
         local_columns = [column for columns in item_columns for column in columns]
+        item_layouts = [Layout(columns, ambiguous="raise") for columns in item_columns]
+        layout = item_layouts[0] if len(item_layouts) == 1 \
+            else Layout(local_columns, ambiguous="raise")
         scope = Scope(columns=local_columns, outer=outer_scope)
         classified = classify_conjuncts(select.where, scope)
 
@@ -596,7 +604,7 @@ class Planner:
                 for predicate in predicates
             ] + list(classified.residual)
 
-        graph = _JoinGraph(item_columns, classified.equi_joins)
+        graph = _JoinGraph(item_columns, classified.equi_joins, layout.view())
         _refuse_ambiguous([select.where, select.having, *select.group_by,
                            *(item.expression for item in select.items)], scope)
         # an equality between two bindings of one FROM item (an explicit JOIN
@@ -606,6 +614,7 @@ class Planner:
         output_names = output_columns(select, scope)  # a star expands in FROM order
         needs_aggregation = (bool(select.group_by) or select.having is not None
                              or select.has_aggregates())
+        aggregation = plan_aggregation(select, layout.view()) if needs_aggregation else None
         block = BlockPlan(
             select=select,
             item_columns=item_columns,
@@ -618,33 +627,42 @@ class Planner:
             needs_aggregation=needs_aggregation,
             order_positions=order_positions(select, output_names),
             window=self._scan_window(select.from_items, join_order, pushdown),
-            aggregation=plan_aggregation(select, local_columns) if needs_aggregation else None,
+            aggregation=aggregation,
+            item_layouts=item_layouts,
+            layout=layout,
+            group_layout=None if aggregation is None
+            else Layout(aggregation.columns(layout.view()), ambiguous="raise"),
         )
         blocks[id(select)] = block
 
         # Subqueries inside expressions see the block's own columns as their
         # outer scope (they are evaluated against the joined frame).
-        for expression in self._block_expressions(select):
-            for subselect in _direct_subselects(expression):
+        for expression in (select.where, select.having,
+                           *(item.expression for item in select.items), *select.group_by,
+                           *(order.expression for order in select.order_by)):
+            for subselect in _direct_subselects(expression) if expression is not None else ():
                 self._plan_block(subselect, scope, blocks)
 
         # ORDER BY items resolve to output columns (order_positions), never
         # against a row, so an alias there is not an outer reference.
-        local = _ColumnSet(local_columns)
         for part in select.children():
             if isinstance(part, ast.OrderItem):
                 continue
-            for node in ast.walk_local(part):
-                if isinstance(node, ast.ColumnRef) and not local.has(node):
+            stack = [part]  # ast.walk_local's order
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.ColumnRef) and not scope.is_local(node):
                     block.free_refs.append(node)
                     if outer_scope is not None and outer_scope.is_visible(node):
                         block.outer_refs.append(node)
                 for child in node.children():
-                    if isinstance(child, ast.Select):
-                        # a derived table sees this block's outer scope, not its columns
-                        block.free_refs += [
-                            ref for ref in self._plan_block(child, scope, blocks).free_refs
-                            if isinstance(node, ast.SubqueryRef) or not local.has(ref)]
+                    if not isinstance(child, ast.Select):
+                        stack.append(child)
+                        continue
+                    # a derived table sees this block's outer scope, not its columns
+                    block.free_refs += [
+                        ref for ref in self._plan_block(child, scope, blocks).free_refs
+                        if isinstance(node, ast.SubqueryRef) or not scope.is_local(ref)]
         return block
 
     def _order_pushdown(self, binding: str, predicates: list[ast.Expression],
@@ -700,19 +718,6 @@ class Planner:
         return ScanWindow(interval.column.name, position, interval.column.type_name, low, high,
                           tuple(interval.decided), estimated, statistics.row_count)
 
-    def _block_expressions(self, select: ast.Select) -> list[ast.Expression]:
-        expressions: list[ast.Expression] = []
-        if select.where is not None:
-            expressions.append(select.where)
-        if select.having is not None:
-            expressions.append(select.having)
-        for item in select.items:
-            if not isinstance(item.expression, ast.Star):
-                expressions.append(item.expression)
-        expressions.extend(select.group_by)
-        expressions.extend(order.expression for order in select.order_by)
-        return expressions
-
     # -- FROM item columns -------------------------------------------------------
 
     def _item_columns(self, item: ast.TableExpression, outer_scope: Scope | None,
@@ -731,7 +736,7 @@ class Planner:
             return [
                 ColumnInfo(binding=item.alias, name=name, type_name=type_name or "str")
                 for name, type_name in zip(inner.output_names,
-                                           output_types(item.subquery, inner.columns))
+                                           output_types(item.subquery, inner.layout.view()))
             ]
         if isinstance(item, ast.Join):
             if item.kind not in JOIN_KINDS:
@@ -795,20 +800,6 @@ class Planner:
                           [pushdown.get(item.binding.lower(), []) for item in items])
 
 
-class _ColumnSet:
-    """Static column-membership test mirroring frame position lookup."""
-
-    def __init__(self, columns: list[ColumnInfo]):
-        self._qualified = {(column.binding.lower(), column.name.lower())
-                           for column in columns}
-        self._names = {column.name.lower() for column in columns}
-
-    def has(self, ref: ast.ColumnRef) -> bool:
-        if ref.table:
-            return (ref.table.lower(), ref.name.lower()) in self._qualified
-        return ref.name.lower() in self._names
-
-
 def _refuse_ambiguous(expressions: list, scope: Scope) -> None:
     """Refuse an unqualified column name that matches columns of more than
     one binding of the scope it resolves in -- the block's own, else the
@@ -842,10 +833,10 @@ class _JoinGraph:
     schedule nor a cost ever looks a name up in the columns joined so far.
     """
 
-    def __init__(self, item_columns: list[list[ColumnInfo]], equi_joins: list[EquiJoin]):
+    def __init__(self, item_columns: list[list[ColumnInfo]], equi_joins: list[EquiJoin],
+                 layout: Layout):
         self.item_columns = item_columns
         self.widths = [len(columns) for columns in item_columns]
-        layout = Layout([column for columns in item_columns for column in columns])
         owner = [index for index, width in enumerate(self.widths) for _ in range(width)]
         starts = [0, *accumulate(self.widths)]
         #: per item, in WHERE order: (the item at the other end, the own key
@@ -1029,16 +1020,11 @@ def _binding_tables(items: list[ast.TableExpression]) -> dict[str, str]:
 
 
 def _direct_subselects(expression: ast.Expression) -> list[ast.Select]:
-    """SELECT nodes nested directly in ``expression`` (not inside another SELECT)."""
-    selects = [node for node in expression.walk() if isinstance(node, ast.Select)]
+    """SELECT nodes nested directly in ``expression`` (not inside another
+    SELECT), in pre-order: one walk that does not enter them."""
     direct: list[ast.Select] = []
-    for candidate in selects:
-        contained = any(
-            other is not candidate and any(node is candidate for node in other.walk())
-            for other in selects
-        )
-        if not contained:
-            direct.append(candidate)
+    for child in expression.children():
+        direct += [child] if isinstance(child, ast.Select) else _direct_subselects(child)
     return direct
 
 
@@ -1060,7 +1046,8 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Thread-safe LRU cache mapping normalised SQL keys to query plans.
+    """Thread-safe LRU cache mapping keys to query plans; a database's keys
+    them by normalised SQL text and ``predicate_pushdown`` (``Engine.prepare``).
 
     A ``maxsize`` of 0 (or less) disables caching entirely: every lookup is
     a miss and nothing is retained, which is what benchmarks use to compare
@@ -1070,7 +1057,7 @@ class PlanCache:
     def __init__(self, maxsize: int = 128):
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
-        self._plans: OrderedDict[str, QueryPlan] = OrderedDict()
+        self._plans: OrderedDict[Hashable, QueryPlan] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -1081,7 +1068,7 @@ class PlanCache:
     def enabled(self) -> bool:
         return self.maxsize > 0
 
-    def get(self, key: str) -> QueryPlan | None:
+    def get(self, key: Hashable) -> QueryPlan | None:
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
@@ -1091,7 +1078,7 @@ class PlanCache:
             self.stats.hits += 1
             return plan
 
-    def put(self, key: str, plan: QueryPlan) -> None:
+    def put(self, key: Hashable, plan: QueryPlan) -> None:
         if not self.enabled:
             return
         with self._lock:

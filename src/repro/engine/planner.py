@@ -33,10 +33,12 @@ class ColumnInfo:
     binding: str
     name: str
     type_name: str
+    #: ``(binding, name)`` lower-cased, what a reference resolves by: made
+    #: once, with the column.
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.binding.lower(), self.name.lower())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.binding.lower(), self.name.lower()))
 
 
 class Layout:
@@ -56,8 +58,9 @@ class Layout:
         self._index: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
         for position, column in enumerate(self.columns):
-            self._index[(column.binding.lower(), column.name.lower())] = position
-            self._by_name.setdefault(column.name.lower(), []).append(position)
+            key = column.key
+            self._index[key] = position
+            self._by_name.setdefault(key[1], []).append(position)
 
     def position(self, ref: ast.ColumnRef) -> int | None:
         if ref.table:
@@ -73,12 +76,15 @@ class Layout:
     def type_of(self, position: int) -> str:
         return self.columns[position].type_name
 
-    def lenient(self) -> "Layout":
-        """This lookup over the same columns, an ambiguous name resolving to
-        its first column (``"first"``); the indexes are shared, not rebuilt."""
+    def view(self, columns: list[ColumnInfo] | None = None,
+             ambiguous: str = "first") -> "Layout":
+        """This lookup with ``ambiguous`` and, given ``columns`` -- the same
+        bindings and names, typed otherwise -- over those; the indexes are
+        shared, not rebuilt."""
         other = Layout.__new__(Layout)
-        other.columns, other._index, other._by_name = self.columns, self._index, self._by_name
-        other.ambiguous = "first"
+        other.columns, other._index, other._by_name = \
+            self.columns if columns is None else columns, self._index, self._by_name
+        other.ambiguous = ambiguous
         return other
 
 
@@ -100,9 +106,8 @@ class Scope:
             by_name: dict[str, list[ColumnInfo]] = {}
             qualified: dict[tuple[str, str], ColumnInfo] = {}
             for column in self.columns:
-                name = column.name.lower()
-                by_name.setdefault(name, []).append(column)
-                qualified.setdefault((column.binding.lower(), name), column)
+                by_name.setdefault(column.key[1], []).append(column)
+                qualified.setdefault(column.key, column)
             self._qualified, self._by_name = qualified, by_name
         return self._by_name, self._qualified
 
@@ -385,16 +390,15 @@ def output_columns(select: ast.Select, scope: Scope) -> list[str]:
     return names
 
 
-def output_types(select: ast.Select, columns: list[ColumnInfo]) -> list[str | None]:
+def output_types(select: ast.Select, layout: Layout) -> list[str | None]:
     """Beside :func:`output_columns`' names, the types :func:`output_type`
-    knows of a block over ``columns``: what a derived table's columns are
-    typed from."""
-    layout = Layout(columns)
+    knows of a block over ``layout``'s columns: what a derived table's
+    columns are typed from."""
     types: list[str | None] = []
     for item in select.items:
         if isinstance(item.expression, ast.Star):
             types.extend(column.type_name for column in _star_columns(item.expression,
-                                                                      columns))
+                                                                      layout.columns))
         else:
             types.append(output_type(item.expression, layout))
     return types

@@ -12,6 +12,8 @@ import inspect
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.errors import ValidationError
+
 
 class Visibility(str, enum.Enum):
     """Project visibility, mirroring the public/private split of Section 4.2."""
@@ -308,11 +310,26 @@ def new_submission(task, times=(), error: str | None = None,
 SUBMISSION_FIELDS = tuple(inspect.signature(new_submission).parameters)
 
 
+def wire_integer(fields: dict, name: str, default: int | None = None) -> int:
+    """Field ``name`` of a request as an integer (``default`` when missing);
+    a missing or mistyped one is a :class:`ValidationError` (400)."""
+    if name not in fields and default is not None:
+        return default
+    try:
+        return int(fields[name])
+    except KeyError:
+        raise ValidationError(f"the request has no '{name}'") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"'{name}' must be an integer, not {fields[name]!r}") from None
+
+
 def submission_from_wire(payload: dict) -> dict:
     """The :func:`new_submission` one entry of a JSON batch describes: its
     known fields, the task as an id."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"a result must be a JSON object, not {payload!r}")
     fields = {name: payload[name] for name in SUBMISSION_FIELDS if name in payload}
-    return new_submission(**{**fields, "task": int(payload["task"])})
+    return new_submission(**{**fields, "task": wire_integer(payload, "task")})
 
 
 @dataclass

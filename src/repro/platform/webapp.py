@@ -24,17 +24,25 @@ path                     method  purpose
 
 The batch endpoints back the driver's :class:`repro.driver.runner.BatchRunner`
 pipeline: one round trip claims N tasks and one round trip delivers N results;
-a batch of one is the paper's one-task exchange.
+a batch of one is the paper's one-task exchange.  A missing or mistyped
+request field is answered 400, as malformed JSON is.  :class:`PlatformServer`
+serves a connection's HTTP/1.1 requests on one thread until the client closes
+it, and closes what is still open when it stops.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import socket
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler
 from socketserver import ThreadingMixIn
 from typing import Callable
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+from wsgiref.simple_server import ServerHandler, WSGIRequestHandler, WSGIServer, make_server
 
 from repro import __version__
 from repro.errors import AccessDenied, NotFound, PlatformError, ValidationError
@@ -46,7 +54,7 @@ from repro.obs import (
     parse_traceparent,
     use_context,
 )
-from repro.platform.models import submission_from_wire
+from repro.platform.models import submission_from_wire, wire_integer
 from repro.platform.service import PlatformService
 
 #: endpoints with their own latency histogram; anything else shares one
@@ -166,27 +174,30 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
         return "200 OK", [project.to_dict() for project in projects]
 
     if path == "/api/experiments" and method == "GET":
-        project = service.get_project(int(query["project"]), viewer)
+        project = service.get_project(wire_integer(query, "project"), viewer)
         experiments = service.experiments(project, viewer)
         return "200 OK", [experiment.to_dict() for experiment in experiments]
 
     if path == "/api/queue" and method == "GET":
-        experiment = service.store.experiment(int(query["experiment"]))
+        experiment = service.store.experiment(wire_integer(query, "experiment"))
         service.get_project(experiment.project_id, viewer)
         return "200 OK", service.queue_status(experiment)
 
     if path == "/api/tasks" and method == "POST":
         contributor = service.authenticate(key)
-        experiment = service.store.experiment(int(body["experiment"]))
+        experiment = service.store.experiment(wire_integer(body, "experiment"))
         tasks = service.next_tasks(contributor, experiment,
-                                   limit=int(body.get("count", 1)),
+                                   limit=wire_integer(body, "count", 1),
                                    dbms_label=body.get("dbms"))
         return "200 OK", {"tasks": [task.to_dict() for task in tasks]}
 
     if path == "/api/results/batch" and method == "POST":
         contributor = service.authenticate(key)
+        results = body.get("results", [])
+        if not isinstance(results, list):
+            raise ValidationError(f"'results' must be a list, not {results!r}")
         records = service.submit_results(
-            contributor, [submission_from_wire(entry) for entry in body.get("results", [])])
+            contributor, [submission_from_wire(entry) for entry in results])
         # a ``null`` entry acknowledges a stale submission that was
         # deliberately dropped; the client must not resubmit it.
         return "200 OK", {"results": [
@@ -194,18 +205,55 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
         ]}
 
     if path == "/api/results" and method == "GET":
-        experiment = service.store.experiment(int(query["experiment"]))
+        experiment = service.store.experiment(wire_integer(query, "experiment"))
         records = service.results(experiment, viewer=viewer)
         return "200 OK", [record.to_dict() for record in records]
 
     raise NotFound(f"no endpoint for {method} {path}")
 
 
-class _QuietHandler(WSGIRequestHandler):
-    """Request handler that does not spam stderr with access logs."""
+class _Response(ServerHandler):
+    """wsgiref's response writer, speaking HTTP/1.1: a response whose
+    length the application does not give ends its connection."""
+
+    http_version = "1.1"
+
+    def cleanup_headers(self) -> None:
+        super().cleanup_headers()
+        if "Content-Length" not in self.headers:
+            self.headers["Connection"] = "close"
+            self.request_handler.close_connection = True
+
+
+class _KeepAliveHandler(WSGIRequestHandler):
+    """Serves the requests of one connection until the client closes it or
+    asks to.  A request's body is read before the application runs, so the
+    next request starts where it ends; a response goes out in one write."""
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    handle = BaseHTTPRequestHandler.handle  # handle_one_request until closed
 
     def log_message(self, format, *args):  # noqa: A002 - signature fixed by stdlib
         pass
+
+    def handle_one_request(self) -> None:
+        self.raw_requestline = self.rfile.readline(65537)
+        if not self.raw_requestline or not self.parse_request():
+            self.close_connection = True
+            return
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:  # where the body ends is unknown: none follows it
+            length, self.close_connection = 0, True
+        self.wfile.flush()  # a "100 Continue" the client waits for before its body
+        body = io.BytesIO(self.rfile.read(length) if length > 0 else b"")
+        response = _Response(body, self.wfile, self.get_stderr(), self.get_environ(),
+                             multithread=False)
+        response.request_handler = self
+        response.run(self.server.get_app())
+        self.wfile.flush()
 
 
 def _handler_class(logger: JsonLogger | None) -> type[WSGIRequestHandler]:
@@ -219,10 +267,10 @@ def _handler_class(logger: JsonLogger | None) -> type[WSGIRequestHandler]:
     request logging at all.
     """
     if logger is None:
-        return _QuietHandler
+        return _KeepAliveHandler
     access_log = logger.bind("webapp")
 
-    class _StructuredHandler(WSGIRequestHandler):
+    class _StructuredHandler(_KeepAliveHandler):
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             access_log.info("http.access", client=self.address_string(),
                             message=format % args)
@@ -231,23 +279,52 @@ def _handler_class(logger: JsonLogger | None) -> type[WSGIRequestHandler]:
 
 
 class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """WSGI server handling each request on its own daemon thread.
+    """WSGI server serving each connection on its own daemon thread.
 
     ``wsgiref``'s default server is single-threaded, which would serialise
     every contributor behind the slowest request and hide concurrency bugs
     from the chaos/load tests.  Handler threads are daemonic so a hung
     request cannot block interpreter shutdown; request-level consistency is
     the service's job (every queue transition is one store transaction).
+    The server knows its open connections, so :meth:`close_connections` can
+    end the threads that wait on them for a next request.
     """
 
     daemon_threads = True
+
+    def __init__(self, *args, **kwargs):
+        self._open: set[socket.socket] = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down: its thread reads the end of it
+        (or fails its write) and closes it."""
+        for connection in self._open.copy():
+            with contextlib.suppress(OSError):  # closed meanwhile
+                connection.shutdown(socket.SHUT_RDWR)
+
+    def handle_error(self, request, client_address) -> None:
+        # a connection closed mid-request is no server fault worth a traceback
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
 
 
 class PlatformServer:
     """A background HTTP server wrapping the WSGI app (used by driver tests/examples).
 
     ``application`` overrides the WSGI callable (the fault-injection tests
-    wrap the real app in deliberately misbehaving middleware).
+    wrap the real app in deliberately misbehaving middleware).  It serves
+    HTTP/1.1 keep-alive connections; :meth:`stop` closes the ones still
+    open -- a client's next request on one fails as one to a stopped server
+    does -- and returns without waiting on a poll interval.
     """
 
     def __init__(self, service: PlatformService, host: str = "127.0.0.1",
@@ -261,20 +338,30 @@ class PlatformServer:
         self.host = host
         self.port = self._server.server_address[1]
         self._thread: threading.Thread | None = None
+        self._stopping = False
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "PlatformServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self) -> None:
+        while not self._stopping:
+            self._server.handle_request()  # blocks until a connection arrives
+
     def stop(self) -> None:
-        self._server.shutdown()
+        self._stopping = True
         if self._thread is not None:
+            # a connection of its own wakes the accept loop to see the flag
+            with contextlib.suppress(OSError):
+                socket.create_connection((self.host, self.port), timeout=1).close()
             self._thread.join(timeout=5)
+            self._thread = None
+        self._server.close_connections()
         self._server.server_close()
 
     def __enter__(self) -> "PlatformServer":

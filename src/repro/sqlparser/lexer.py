@@ -10,7 +10,8 @@ verbatim inside grammar literals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -41,8 +42,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``value`` is the canonical value (keywords lower-cased, strings without
@@ -63,130 +63,68 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-_OPERATORS = (
-    "<>", "<=", ">=", "!=", "||", "=", "<", ">", "+", "-", "*", "/", "%",
-)
-_PUNCTUATION = "(),.;"
+#: Blanks, then one alternative per kind of lexeme, tried in this order.
+#: (Blanks take no backtracking: the ones that end the text match nothing.)
+#: A block comment ends at the first ``*/`` from its own ``*`` on (``/*/`` is
+#: a whole one); a string's ``''`` is an escaped quote, and the possessive
+#: repeat gives none of it back, so ``'a''`` is unterminated -- as is any
+#: quote or ``/*`` the alternatives before ``open`` do not close.  Letters
+#: and digits are what ``\w`` and ``\d`` take: outside ASCII a non-decimal
+#: digit (``²``) or another numeric character (``½``) is a letter.
+_LEXEME = re.compile(r"""\s*+(?:
+    (?P<comment>--[^\n]*)
+  | (?P<block>/\*(?:/|.*?\*/))
+  | (?P<string>'(?:[^']|'')*+')
+  | (?P<quoted>"[^"]*")
+  | (?P<open>/\*|['"])
+  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE](?:[+-]|(?=\d))\d*)?)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<operator><>|<=|>=|!=|\|\||[-=<>+*/%])
+  | (?P<punctuation>[(),.;])
+  | (?P<other>.)
+)""", re.VERBOSE | re.DOTALL)
+
+#: the lexemes that are a token spelled as its value.
+_VERBATIM = {"number": TokenKind.NUMBER, "operator": TokenKind.OPERATOR,
+             "punctuation": TokenKind.PUNCTUATION}
+_UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
+                 "/*": "unterminated block comment"}
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenise ``sql`` into a list of tokens terminated by an EOF token.
 
-    Raises :class:`SQLSyntaxError` on unterminated strings or unexpected
-    characters.
+    Raises :class:`SQLSyntaxError` on unterminated strings, quoted
+    identifiers and block comments and on unexpected characters.  A token's
+    ``line`` counts the line breaks in the blanks and block comments before
+    it (not those inside a string or quoted identifier).
     """
     tokens: list[Token] = []
-    index = 0
-    line = 1
-    length = len(sql)
-
-    while index < length:
-        char = sql[index]
-
-        if char == "\n":
-            line += 1
-            index += 1
-            continue
-        if char.isspace():
-            index += 1
-            continue
-
-        # -- comments -----------------------------------------------------
-        if sql.startswith("--", index):
-            end = sql.find("\n", index)
-            index = length if end == -1 else end
-            continue
-        if sql.startswith("/*", index):
-            end = sql.find("*/", index)
-            if end == -1:
-                raise SQLSyntaxError("unterminated block comment", position=index, line=line)
-            line += sql.count("\n", index, end)
-            index = end + 2
-            continue
-
-        # -- string literals ----------------------------------------------
-        if char == "'":
-            end = index + 1
-            chunks: list[str] = []
-            while True:
-                if end >= length:
-                    raise SQLSyntaxError("unterminated string literal", position=index, line=line)
-                if sql[end] == "'":
-                    if end + 1 < length and sql[end + 1] == "'":
-                        chunks.append("'")
-                        end += 2
-                        continue
-                    break
-                chunks.append(sql[end])
-                end += 1
-            text = sql[index:end + 1]
-            tokens.append(Token(TokenKind.STRING, "".join(chunks), text, index, line))
-            index = end + 1
-            continue
-
-        # -- quoted identifiers ---------------------------------------------
-        if char == '"':
-            end = sql.find('"', index + 1)
-            if end == -1:
-                raise SQLSyntaxError("unterminated quoted identifier", position=index, line=line)
-            text = sql[index:end + 1]
-            tokens.append(Token(TokenKind.IDENTIFIER, sql[index + 1:end], text, index, line))
-            index = end + 1
-            continue
-
-        # -- numbers -----------------------------------------------------------
-        if char.isdigit() or (char == "." and index + 1 < length and sql[index + 1].isdigit()):
-            end = index
-            seen_dot = False
-            seen_exp = False
-            while end < length:
-                current = sql[end]
-                if current.isdigit():
-                    end += 1
-                elif current == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    end += 1
-                elif current in "eE" and not seen_exp and end + 1 < length and (
-                        sql[end + 1].isdigit() or sql[end + 1] in "+-"):
-                    seen_exp = True
-                    end += 2 if sql[end + 1] in "+-" else 1
-                else:
-                    break
-            text = sql[index:end]
-            tokens.append(Token(TokenKind.NUMBER, text, text, index, line))
-            index = end
-            continue
-
-        # -- identifiers / keywords ---------------------------------------------
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (sql[end].isalnum() or sql[end] == "_"):
-                end += 1
-            text = sql[index:end]
+    append = tokens.append
+    line, end = 1, 0
+    for match in _LEXEME.finditer(sql):
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        if start != match.start():
+            line += sql.count("\n", match.start(), start)
+        text = match[kind]
+        if kind == "word":
             lowered = text.lower()
-            kind = TokenKind.KEYWORD if lowered in KEYWORDS else TokenKind.IDENTIFIER
-            value = lowered if kind is TokenKind.KEYWORD else text
-            tokens.append(Token(kind, value, text, index, line))
-            index = end
-            continue
-
-        # -- operators ----------------------------------------------------------
-        matched = False
-        for operator in _OPERATORS:
-            if sql.startswith(operator, index):
-                tokens.append(Token(TokenKind.OPERATOR, operator, operator, index, line))
-                index += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-
-        if char in _PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCTUATION, char, char, index, line))
-            index += 1
-            continue
-
-        raise SQLSyntaxError(f"unexpected character {char!r}", position=index, line=line)
-
-    tokens.append(Token(TokenKind.EOF, "", "", length, line))
+            if lowered in KEYWORDS:
+                append(Token(TokenKind.KEYWORD, lowered, text, start, line))
+            else:
+                append(Token(TokenKind.IDENTIFIER, text, text, start, line))
+        elif kind in _VERBATIM:
+            append(Token(_VERBATIM[kind], text, text, start, line))
+        elif kind == "block":
+            line += text.count("\n")
+        elif kind == "string":
+            append(Token(TokenKind.STRING, text[1:-1].replace("''", "'"), text, start, line))
+        elif kind == "quoted":
+            append(Token(TokenKind.IDENTIFIER, text[1:-1], text, start, line))
+        elif kind == "open":
+            raise SQLSyntaxError(_UNTERMINATED[text], position=start, line=line)
+        elif kind == "other":
+            raise SQLSyntaxError(f"unexpected character {text!r}", position=start, line=line)
+    append(Token(TokenKind.EOF, "", "", len(sql), line + sql.count("\n", end)))
     return tokens

@@ -12,7 +12,10 @@ from repro.errors import SQLSyntaxError
 from repro.sqlparser import ast
 from repro.sqlparser.lexer import Token, TokenKind, tokenize
 
-_COMPARISON_OPERATORS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+_COMPARISON_OPERATORS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+_ADDITIVE_OPERATORS = frozenset({"+", "-", "||"})
+_MULTIPLICATIVE_OPERATORS = frozenset({"*", "/", "%"})
+_SIGNS = frozenset({"-", "+"})
 _INTERVAL_UNITS = {"day", "month", "year", "week"}
 
 
@@ -23,12 +26,10 @@ class _Parser:
         self.sql = sql
         self.tokens = tokenize(sql)
         self.index = 0
+        #: the token at ``index``: read on every step, so kept, not looked up.
+        self.current: Token = self.tokens[0]
 
     # -- cursor helpers -------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
 
     def peek(self, offset: int = 1) -> Token:
         target = min(self.index + offset, len(self.tokens) - 1)
@@ -38,6 +39,7 @@ class _Parser:
         token = self.current
         if token.kind is not TokenKind.EOF:
             self.index += 1
+            self.current = self.tokens[self.index]
         return token
 
     def error(self, message: str) -> SQLSyntaxError:
@@ -47,7 +49,8 @@ class _Parser:
                               line=token.line)
 
     def accept_keyword(self, *names: str) -> bool:
-        if self.current.is_keyword(*names):
+        token = self.current
+        if token.kind is TokenKind.KEYWORD and token.value in names:
             self.advance()
             return True
         return False
@@ -70,7 +73,7 @@ class _Parser:
             raise self.error(f"expected {value!r}")
         return self.advance()
 
-    def accept_operator(self, *values: str) -> Token | None:
+    def accept_operator(self, values: frozenset[str]) -> Token | None:
         token = self.current
         if token.kind is TokenKind.OPERATOR and token.value in values:
             return self.advance()
@@ -291,6 +294,8 @@ class _Parser:
             return ast.Exists(subquery=subquery)
 
         left = self._parse_additive()
+        if self.current.kind is not TokenKind.KEYWORD:
+            return self._parse_comparison(left)
 
         negated = False
         if self.current.is_keyword("not") and self.peek().is_keyword("in", "like", "between"):
@@ -311,8 +316,10 @@ class _Parser:
             is_negated = bool(self.accept_keyword("not"))
             self.expect_keyword("null")
             return ast.IsNull(operand=left, negated=is_negated)
+        return self._parse_comparison(left)
 
-        operator_token = self.accept_operator(*_COMPARISON_OPERATORS)
+    def _parse_comparison(self, left: ast.Expression) -> ast.Expression:
+        operator_token = self.accept_operator(_COMPARISON_OPERATORS)
         if operator_token is not None:
             operator = "<>" if operator_token.value == "!=" else operator_token.value
             quantifier: str | None = None
@@ -343,7 +350,7 @@ class _Parser:
     def _parse_additive(self) -> ast.Expression:
         left = self._parse_multiplicative()
         while True:
-            token = self.accept_operator("+", "-", "||")
+            token = self.accept_operator(_ADDITIVE_OPERATORS)
             if token is None:
                 return left
             right = self._parse_multiplicative()
@@ -352,14 +359,14 @@ class _Parser:
     def _parse_multiplicative(self) -> ast.Expression:
         left = self._parse_unary()
         while True:
-            token = self.accept_operator("*", "/", "%")
+            token = self.accept_operator(_MULTIPLICATIVE_OPERATORS)
             if token is None:
                 return left
             right = self._parse_unary()
             left = ast.BinaryOp(operator=token.value, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expression:
-        token = self.accept_operator("-", "+")
+        token = self.accept_operator(_SIGNS)
         if token is not None:
             return ast.UnaryOp(operator=token.value, operand=self._parse_unary())
         return self._parse_primary()
@@ -382,25 +389,16 @@ class _Parser:
             self.advance()
             return ast.Literal(value=token.value, type_name="string")
 
-        if token.is_keyword("null"):
-            self.advance()
-            return ast.Literal(value=None, type_name="null")
-        if token.is_keyword("true", "false"):
-            self.advance()
-            return ast.Literal(value=token.value == "true", type_name="boolean")
-
-        if token.is_keyword("date"):
-            return self._parse_date_literal()
-        if token.is_keyword("interval"):
-            return self._parse_interval_literal()
-        if token.is_keyword("case"):
-            return self._parse_case()
-        if token.is_keyword("cast"):
-            return self._parse_cast()
-        if token.is_keyword("extract"):
-            return self._parse_extract()
-        if token.is_keyword("substring"):
-            return self._parse_substring()
+        if token.kind is TokenKind.KEYWORD:
+            if token.value == "null":
+                self.advance()
+                return ast.Literal(value=None, type_name="null")
+            if token.value in ("true", "false"):
+                self.advance()
+                return ast.Literal(value=token.value == "true", type_name="boolean")
+            special = self._KEYWORD_PRIMARIES.get(token.value)
+            if special is not None:
+                return special(self)
 
         if token.kind is TokenKind.PUNCTUATION and token.value == "(":
             self.advance()
@@ -494,6 +492,11 @@ class _Parser:
                 length = self.parse_expression()
         self.expect_punctuation(")")
         return ast.Substring(operand=operand, start=start, length=length)
+
+    #: the keywords that open an expression of their own.
+    _KEYWORD_PRIMARIES = {"date": _parse_date_literal, "interval": _parse_interval_literal,
+                          "case": _parse_case, "cast": _parse_cast,
+                          "extract": _parse_extract, "substring": _parse_substring}
 
     def _parse_identifier_expression(self) -> ast.Expression:
         name_token = self.advance()

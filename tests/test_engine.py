@@ -673,7 +673,9 @@ class TestConcurrentExecution:
         assert after != before
         hammer(after)
         assert not failures
-        states = [key for key in plan._kernels if key[1:3] == ("col", "state")]
+        # one state per block for this engine (the interpreted engine, which
+        # finds the plan in the database's cache, keeps its own beside it)
+        states = [key for key in plan._kernels if key[1:] == ("col", "state", False, True)]
         assert len(states) == len(plan.blocks)
 
     def test_concurrent_queries_one_engine(self, sales_db):

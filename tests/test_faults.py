@@ -1,7 +1,9 @@
 """Tests for the fault-injection layer and the retry machinery it exercises."""
 
+import io
 import random
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -266,6 +268,96 @@ class TestHTTPRetries:
             with pytest.raises(TransportError):
                 client.ping()
         assert flaky.requests == 1
+
+
+class TestMalformedRequests:
+    """A missing or mistyped field is the client's fault: 400, which the
+    client does not retry -- not a 500 it would send four more times."""
+
+    @staticmethod
+    def _status(application, path: str, body: bytes, key: str) -> str:
+        environ = {"REQUEST_METHOD": "POST", "PATH_INFO": path, "QUERY_STRING": "",
+                   "CONTENT_LENGTH": str(len(body)), "wsgi.input": io.BytesIO(body),
+                   "HTTP_X_SQALPEL_KEY": key}
+        statuses = []
+        application(environ, lambda status, headers: statuses.append(status))
+        return statuses[0]
+
+    @pytest.mark.parametrize("path, body", [
+        ("/api/tasks", b"{}"),
+        ("/api/tasks", b'{"experiment": "x"}'),
+        ("/api/tasks", b'{"experiment": 1, "count": null}'),
+        ("/api/results/batch", b'{"results": [{"times": [1]}]}'),
+        ("/api/results/batch", b'{"results": [{"task": "one"}]}'),
+        ("/api/results/batch", b'{"results": [1]}'),
+        ("/api/results/batch", b'{"results": {"task": 1}}'),
+    ])
+    def test_the_app_answers_400(self, path, body):
+        service, contributor, _ = _service_with_queue()
+        application = create_wsgi_app(service)
+        assert self._status(application, path, body, contributor.contributor_key) \
+            == "400 Bad Request"
+
+    def test_the_client_sends_a_malformed_request_once(self):
+        service, contributor, _ = _service_with_queue()
+        counting = _FlakyApp(create_wsgi_app(service), fail=0)
+        with PlatformServer(service, application=counting) as server:
+            client = HTTPClient(server.url, contributor.contributor_key,
+                                retry=RetryPolicy(attempts=4, base_delay=0.001))
+            with pytest.raises(TransportError, match="failed with 400: .*'task'"):
+                client.submit_results([{"times": [1]}])
+        assert counting.requests == 1
+
+
+class TestKeptConnections:
+    def test_requests_share_one_connection(self):
+        service, contributor, experiment = _service_with_queue()
+        with PlatformServer(service) as server:
+            client = HTTPClient(server.url, contributor.contributor_key)
+            client.ping()
+            kept = client._local.connection.sock
+            assert client.next_tasks(experiment.id, count=1)
+            assert client._local.connection.sock is kept
+            assert len(server._server._open) == 1
+
+    def test_stop_closes_kept_connections_promptly(self):
+        """``stop`` returns at once and closes the connection a client keeps:
+        the client's next request fails as one to a stopped server does,
+        "cannot reach" once its retries are spent."""
+        service, contributor, _ = _service_with_queue()
+        metrics = MetricsRegistry()
+        server = PlatformServer(service).start()
+        client = HTTPClient(server.url, contributor.contributor_key,
+                            retry=RetryPolicy(attempts=2, base_delay=0.001, max_delay=0.01),
+                            metrics=metrics)
+        assert client.ping()["status"] == "ok"
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.1
+        with pytest.raises(TransportError, match="cannot reach the platform"):
+            client.ping()
+        assert metrics.counter("client.retries").value == 2
+        deadline = time.monotonic() + 2.0
+        while server._server._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._server._open  # no handler thread outlives the stop
+
+    def test_a_connection_per_thread(self):
+        service, contributor, _ = _service_with_queue()
+        with PlatformServer(service) as server:
+            client = HTTPClient(server.url, contributor.contributor_key)
+            sockets = []
+
+            def ping() -> None:
+                client.ping()
+                sockets.append(client._local.connection.sock)
+
+            threads = [threading.Thread(target=ping) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len({id(sock) for sock in sockets}) == 3
 
 
 class TestRetryPolicy:

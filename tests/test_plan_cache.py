@@ -398,15 +398,19 @@ class TestPlanCache:
         stats = engine.cache_stats()
         assert stats["size"] == 0 and stats["hits"] == 0 and stats["misses"] == 2
 
-    def test_with_version_starts_with_fresh_cache(self, small_db):
+    def test_with_version_plans_under_its_own_push_down(self, small_db):
+        """A version shares the database's cache, whose key holds the one
+        option a plan depends on: a push-down version never finds the plan
+        of a version without, and both plans stay cached."""
         base = ColumnEngine(small_db)
         base.prepare("select count(*) from t")
         variant = base.with_version("no-pd", predicate_pushdown=False)
-        assert variant.cache_stats()["size"] == 0
+        assert variant.plan_cache is base.plan_cache
         plan = variant.prepare("select name from t where price > 15")
         assert plan.root.pushdown == {}  # planned under the new options
         assert base.prepare("select name from t where price > 15").root.pushdown
-        assert base.cache_stats()["size"] == 2  # the base cache was untouched
+        assert base.cache_stats()["size"] == 3
+        assert base.cache_stats()["hits"] == 0
 
     def test_clear_resets_stats(self, small_db):
         engine = RowEngine(small_db)
@@ -424,6 +428,126 @@ class TestPlanCache:
         assert cache.get("a") is None and cache.get("b") is sentinel
         assert cache.stats.evictions == 1
         assert len(cache) == 1
+
+
+# ---------------------------------------------------------------------------
+# one cache per database, shared by its engines
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shared_db() -> Database:
+    from repro.data import populate_tpch
+
+    database = Database("shared-plans")
+    populate_tpch(database, scale_factor=0.0005)
+    return database
+
+
+def _plan_shape(plan: QueryPlan) -> tuple[str, list[int]]:
+    return repr(plan.select), list(plan.blocks)
+
+
+class TestSharedPlans:
+    def test_both_engines_leave_a_shared_plan_as_it_was(self, shared_db):
+        """The row engine plans each text, the column engine finds the plan;
+        both prepare it and execute it twice, and the AST and the block keys
+        (the ids of its SELECT nodes) read as they did after planning -- over
+        the 22 TPC-H texts and the q1-pool and Q6-pool (deep-queue) variants."""
+        row, column = RowEngine(shared_db), ColumnEngine(shared_db)
+        row.clear_plan_cache()
+        texts = [QUERIES[number] for number in sorted(QUERIES)]
+        texts += _pool_variants("q1-pool") + _pool_variants("deep-queue")
+        shared = 0
+        for sql in texts:
+            try:
+                plan = row.prepare(sql)
+            except PlanError:  # an ORDER BY variant refused by both engines
+                continue
+            before = _plan_shape(plan)
+            try:
+                assert column.prepare(sql) is plan
+            except PlanError:  # a FROM-less block the column engine refuses
+                continue
+            shared += 1
+            for engine in (row, column, row, column):
+                engine.execute(plan)
+            assert _plan_shape(plan) == before, sql
+            assert plan.prepared == {("row", row.options), ("column", column.options)}
+        assert shared >= 22 + 16 + 16 - 8
+
+    def test_the_second_engine_parses_and_plans_nothing(self, shared_db, monkeypatch):
+        row, column = RowEngine(shared_db), ColumnEngine(shared_db)
+        row.clear_plan_cache()
+        plan = row.prepare(QUERIES[9])
+        import repro.engine.engine as engine_module
+
+        def refuse(*arguments, **keywords):
+            raise AssertionError("parsed or planned a text another engine planned")
+        monkeypatch.setattr(engine_module, "parse_select", refuse)
+        monkeypatch.setattr(Planner, "plan", refuse)
+        misses = column.cache_stats()["misses"]
+        assert column.prepare(QUERIES[9]) is plan
+        assert column.cache_stats()["misses"] == misses
+        # its own kernels and scans are built in prepare, not in the execution
+        states = [plan.kernels(block, ("col", "state", False, True))
+                  for block in plan.blocks.values()]
+        assert all(state.tables.current(shared_db) is not None for state in states)
+        assert column.execute(plan).metrics.get("plan.prepared") == 1
+
+    @pytest.mark.parametrize("clearing", ["row", "column"])
+    def test_a_clear_on_either_engine_makes_the_next_prepare_a_miss(self, shared_db,
+                                                                    clearing):
+        engines = {"row": RowEngine(shared_db), "column": ColumnEngine(shared_db)}
+        for preparing in engines.values():
+            old = engines["row"].prepare(QUERIES[6])
+            assert engines["column"].prepare(QUERIES[6]) is old
+            engines[clearing].clear_plan_cache()
+            assert preparing.cache_stats()["size"] == 0
+            assert preparing.prepare(QUERIES[6]) is not old
+            assert preparing.cache_stats()["misses"] == 1
+
+    def test_engines_whose_push_down_differs_never_share_a_plan(self, shared_db):
+        row, column = RowEngine(shared_db), ColumnEngine(shared_db)
+        no_pushdown = [RowEngine(shared_db, options=EngineOptions(predicate_pushdown=False)),
+                       ColumnEngine(shared_db, options=EngineOptions(predicate_pushdown=False))]
+        row.clear_plan_cache()
+        for number in (6, 12):
+            with_pushdown = row.prepare(QUERIES[number])
+            assert column.prepare(QUERIES[number]) is with_pushdown
+            without = [engine.prepare(QUERIES[number]) for engine in no_pushdown]
+            assert without[0] is without[1] is not with_pushdown
+            assert without[0].root.pushdown == {} and with_pushdown.root.pushdown
+        assert row.cache_stats()["size"] == 4
+
+    def test_the_column_state_does_not_depend_on_hash_joins(self, shared_db):
+        """A block's column state is kept under ``("col", "state",
+        overflow_guard, compile_expressions)``: shape, kernels, scans and
+        join key orders come from the plan and the tables alone.
+        ``hash_joins`` reaches only the row executor a correlated or FROM-less
+        subquery runs on, which each execution builds from its own engine's
+        options -- so column engines that differ in it share the state and
+        answer as engines that do not share it."""
+        from repro.data import populate_tpch
+
+        apart = Database("apart")
+        populate_tpch(apart, scale_factor=0.0005)
+        for number in (2, 9, 17, 20, 22):
+            options = {"nested": EngineOptions(hash_joins=False), "hashed": EngineOptions()}
+            shared = {name: ColumnEngine(shared_db, options=value)
+                      for name, value in options.items()}
+            shared["nested"].clear_plan_cache()
+            plan = shared["nested"].prepare(QUERIES[number])
+            states = {key: value for key, value in plan._kernels.items()
+                      if key[1:3] == ("col", "state")}
+            assert states
+            assert shared["hashed"].prepare(QUERIES[number]) is plan
+            for name, value in options.items():
+                alone = ColumnEngine(apart, options=value)
+                alone.clear_plan_cache()
+                assert shared[name].execute(plan).rows == alone.execute(QUERIES[number]).rows
+            assert {key: value for key, value in plan._kernels.items()
+                    if key[1:3] == ("col", "state")} == states
 
 
 # ---------------------------------------------------------------------------

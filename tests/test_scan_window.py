@@ -500,6 +500,7 @@ def test_column_rows_are_those_of_the_unwindowed_scan(tpch_windows, monkeypatch)
 
 def _unwindowed_parity(engine_class, database: Database, monkeypatch) -> None:
     engine = engine_class(database)
+    engine.clear_plan_cache()  # the database's: it may hold the unwindowed plans
     windowed, names = {}, {}
     for number, sql in QUERIES.items():
         plan = engine.prepare(sql)
@@ -515,6 +516,7 @@ def _unwindowed_parity(engine_class, database: Database, monkeypatch) -> None:
 
     monkeypatch.setattr(Planner, "_scan_window", lambda self, *arguments: None)
     reference = engine_class(database)
+    reference.clear_plan_cache()  # the database's: it holds the windowed plans
     for number, sql in QUERIES.items():
         plan = reference.prepare(sql)
         assert all(block.window is None for block in plan.blocks.values())

@@ -1,5 +1,7 @@
 """Tests for the SQL lexer, parser, printer and the query-to-grammar extractor."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,171 @@ from repro.core import space_report, validate
 from repro.errors import SQLSyntaxError
 from repro.sqlparser import ast, extract_grammar, parse_select, to_sql, tokenize
 from repro.sqlparser.extract import ExtractionOptions
+from repro.sqlparser import lexer as sqlparser_lexer
 from repro.sqlparser.lexer import TokenKind
 from repro.tpch import QUERIES, query_ids
 
 
+def _tokenize_by_character(sql: str) -> list[tuple]:
+    """The loop ``tokenize`` was before it became one master pattern: the
+    reference the lexer is held to, as (kind, value, text, position, line)."""
+    keywords = sqlparser_lexer.KEYWORDS
+    operators = ("<>", "<=", ">=", "!=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
+    tokens: list[tuple] = []
+    index, line, length = 0, 1, len(sql)
+    while index < length:
+        char = sql[index]
+        if char == "\n":
+            line += 1
+            index += 1
+            continue
+        if char.isspace():
+            index += 1
+            continue
+        if sql.startswith("--", index):
+            end = sql.find("\n", index)
+            index = length if end == -1 else end
+            continue
+        if sql.startswith("/*", index):
+            end = sql.find("*/", index)
+            if end == -1:
+                raise SQLSyntaxError("unterminated block comment", position=index, line=line)
+            line += sql.count("\n", index, end)
+            index = end + 2
+            continue
+        if char == "'":
+            end, chunks = index + 1, []
+            while True:
+                if end >= length:
+                    raise SQLSyntaxError("unterminated string literal", position=index,
+                                         line=line)
+                if sql[end] == "'":
+                    if end + 1 < length and sql[end + 1] == "'":
+                        chunks.append("'")
+                        end += 2
+                        continue
+                    break
+                chunks.append(sql[end])
+                end += 1
+            tokens.append(("string", "".join(chunks), sql[index:end + 1], index, line))
+            index = end + 1
+            continue
+        if char == '"':
+            end = sql.find('"', index + 1)
+            if end == -1:
+                raise SQLSyntaxError("unterminated quoted identifier", position=index,
+                                     line=line)
+            tokens.append(("identifier", sql[index + 1:end], sql[index:end + 1], index, line))
+            index = end + 1
+            continue
+        if char.isdigit() or (char == "." and index + 1 < length and sql[index + 1].isdigit()):
+            end, seen_dot, seen_exp = index, False, False
+            while end < length:
+                current = sql[end]
+                if current.isdigit():
+                    end += 1
+                elif current == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    end += 1
+                elif current in "eE" and not seen_exp and end + 1 < length and (
+                        sql[end + 1].isdigit() or sql[end + 1] in "+-"):
+                    seen_exp = True
+                    end += 2 if sql[end + 1] in "+-" else 1
+                else:
+                    break
+            tokens.append(("number", sql[index:end], sql[index:end], index, line))
+            index = end
+            continue
+        if char.isalpha() or char == "_":
+            end = index
+            while end < length and (sql[end].isalnum() or sql[end] == "_"):
+                end += 1
+            text = sql[index:end]
+            keyword = text.lower() in keywords
+            tokens.append(("keyword" if keyword else "identifier",
+                           text.lower() if keyword else text, text, index, line))
+            index = end
+            continue
+        operator = next((operator for operator in operators if sql.startswith(operator, index)),
+                        None)
+        if operator is not None:
+            tokens.append(("operator", operator, operator, index, line))
+            index += len(operator)
+            continue
+        if char in "(),.;":
+            tokens.append(("punctuation", char, char, index, line))
+            index += 1
+            continue
+        raise SQLSyntaxError(f"unexpected character {char!r}", position=index, line=line)
+    tokens.append(("eof", "", "", length, line))
+    return tokens
+
+
+def _tokens(sql: str) -> list[tuple]:
+    return [(token.kind.value, token.value, token.text, token.position, token.line)
+            for token in tokenize(sql)]
+
+
+def _lexed(lex, sql: str) -> list[tuple] | tuple:
+    """What ``lex`` makes of ``sql``: its tokens, or the error."""
+    try:
+        return lex(sql)
+    except SQLSyntaxError as error:
+        return ("error", str(error), error.position, error.line)
+
+
+def _lexer_corpus() -> list[str]:
+    """The 22 TPC-H texts, every variant of the Q1 / Q3 / Q5 / Q6 / Q10 /
+    Q12 pools (seeded and grown as the benchmark and the prepare-verdict
+    tests grow theirs) and the differential fuzz corpus."""
+    from bench.workloads import POOL_SEED, WORKLOADS
+    from repro.pool import Morpher
+    from repro.pool.pool import QueryPool
+    from tests.test_fuzz_parity import FUZZ_ITERATIONS, FUZZ_SEED, QueryGenerator
+
+    texts = [QUERIES[number] for number in sorted(QUERIES)]
+    for number in (1, 3, 5, 6, 10, 12):
+        pool = QueryPool(extract_grammar(QUERIES[number]), seed=POOL_SEED)
+        pool.seed_baseline()
+        pool.seed_random(WORKLOADS["q1-pool"].full.pool_random)
+        Morpher(pool, seed=POOL_SEED).grow_to(WORKLOADS["q1-pool"].full.pool_size)
+        texts += [entry.sql for entry in pool.entries()]
+    generator = QueryGenerator(random.Random(FUZZ_SEED))
+    return texts + [generator.query() for _ in range(FUZZ_ITERATIONS)]
+
+
 class TestLexer:
+    def test_the_pattern_lexes_the_corpus_as_the_character_loop_did(self):
+        corpus = _lexer_corpus()
+        assert len(corpus) > 22 + 6 * 20
+        for sql in corpus:
+            assert _lexed(_tokens, sql) == _lexed(_tokenize_by_character, sql), sql
+
+    @pytest.mark.parametrize("sql, message, position", [
+        ("select 'it''s\n  ", "unterminated string literal", 7),
+        ("select 'a''", "unterminated string literal", 7),
+        ("select 1 /* no end\n*", "unterminated block comment", 9),
+        ('select "no end from t', "unterminated quoted identifier", 7),
+        ("select 1\n  from t where @x", "unexpected character '@'", 24),
+        ("select 1 ! 2", "unexpected character '!'", 9),
+    ])
+    def test_errors_name_the_same_place(self, sql, message, position):
+        with pytest.raises(SQLSyntaxError) as raised:
+            tokenize(sql)
+        assert (str(raised.value), raised.value.position, raised.value.line) \
+            == _lexed(_tokenize_by_character, sql)[1:]
+        assert message in str(raised.value) and raised.value.position == position
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["select", "x", "é", "_a1", "'", "''", '"', " ", "\n", "\t", "\r\n", "--", "/*",
+         "*/", "/", "*", "-", "+", "1", "2.5", ".", "e", "E", "1e", "<", ">", "=", "!", "|",
+         "@", ";", "(", ")", ","]), max_size=16).map("".join))
+    def test_the_pattern_lexes_generated_texts_as_the_character_loop_did(self, sql):
+        """Blanks and line breaks in and around tokens, comments, quotes and
+        escapes, unterminated ones, numbers with and without exponents."""
+        assert _lexed(_tokens, sql) == _lexed(_tokenize_by_character, sql)
+
     def test_keywords_and_identifiers(self):
         tokens = tokenize("SELECT foo FROM bar")
         kinds = [token.kind for token in tokens[:-1]]
