@@ -22,10 +22,10 @@ instead of inserting a duplicate.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field
@@ -82,6 +82,31 @@ def _retry_after_seconds(raw: str | None) -> float | None:
         return None
 
 
+def _read_response(reader) -> tuple[int, dict[str, str], bytes]:
+    """Read one response off ``reader``: ``(status, headers with lower-cased
+    names, body)``.  A body without ``Content-Length`` runs to the end of
+    the connection (the headers then say ``close``)."""
+    status = 100
+    while status < 200:  # interim (1xx) responses precede the final one
+        line = reader.readline(65537)
+        version, _, rest = line.partition(b" ")
+        if not version.startswith(b"HTTP/1.") or not rest[:3].isdigit():
+            raise ConnectionError(f"malformed status line {line[:80]!r}" if line
+                                  else "the platform closed the connection")
+        status, headers = int(rest[:3]), {}
+        while (line := reader.readline(65537)) not in (b"\r\n", b"\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "")
+    if not length.isdecimal() or version == b"HTTP/1.0":
+        headers["connection"] = "close"
+        return status, headers, reader.read(int(length) if length.isdecimal() else -1)
+    body = reader.read(int(length))
+    if len(body) < int(length):
+        raise ConnectionError("the platform closed the connection mid-response")
+    return status, headers, body
+
+
 class PlatformClient(Protocol):
     """Protocol shared by the HTTP and in-process transports."""
 
@@ -96,11 +121,12 @@ class PlatformClient(Protocol):
 class HTTPClient:
     """JSON-over-HTTP transport (the remote ``sqalpel.py`` setup).
 
-    Each calling thread keeps one HTTP/1.1 connection to the platform
-    open, with ``TCP_NODELAY`` set (else Nagle's algorithm holds a small
-    write for the peer's delayed ACK, ~40 ms).  A request that finds its
-    kept connection closed by the server is sent once more on a new one,
-    which is not a retry.
+    Each calling thread keeps one socket to the platform open, with
+    ``TCP_NODELAY`` set (else Nagle's algorithm holds a small write for the
+    peer's delayed ACK, ~40 ms), sends a request in one ``sendall`` and reads
+    the response with :func:`_read_response`; ``Connection: close`` ends the
+    socket.  A request that finds its kept socket closed by the server is
+    sent once more on a new one, which is not a retry.
 
     Transient failures -- the platform is unreachable (a connection error or
     timeout) or answers with an HTTP status in ``retry.retry_statuses`` --
@@ -122,39 +148,52 @@ class HTTPClient:
         self.log = (logger or NULL_LOGGER).bind("client")
         self._rng = rng or random.Random()
         address = urlsplit(self.base_url)
-        self._connection_class = (http.client.HTTPSConnection if address.scheme == "https"
-                                  else http.client.HTTPConnection)
-        self._host, self._port, self._prefix = address.hostname, address.port, address.path
+        self._tls = address.scheme == "https"
+        self._host, self._netloc, self._prefix = address.hostname, address.netloc, address.path
+        self._port = address.port or (443 if self._tls else 80)
+        #: per thread: ``sock``, its kept connection, and a ``reader`` over it
         self._local = threading.local()
 
     # -- raw helpers -------------------------------------------------------------
 
     def _request_once(self, method: str, path: str, payload: dict | None,
                       context: SpanContext) -> tuple[int, str | None, bytes]:
-        """One exchange on this thread's connection: ``(status, Retry-After,
-        body)``.  Raises ``OSError`` or ``http.client.HTTPException`` when
-        the platform cannot be reached."""
-        body = json.dumps(payload).encode("utf-8") if payload is not None else None
-        headers = {"Content-Type": "application/json",
-                   "X-Sqalpel-Key": self.contributor_key,
-                   "Traceparent": context.to_traceparent()}
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = self._connection_class(
-                self._host, self._port, timeout=self.timeout)
-        for kept in (connection.sock is not None, False):
+        """One exchange on this thread's socket: ``(status, Retry-After,
+        body)``.  Raises ``OSError`` when the platform cannot be reached or
+        answers with something that is no HTTP/1.x response."""
+        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
+        message = (f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+                   f"X-Sqalpel-Key: {self.contributor_key}\r\n"
+                   f"Traceparent: {context.to_traceparent()}\r\n"
+                   "Content-Type: application/json\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
+        local = self._local
+        for kept in (hasattr(local, "sock"), False):
             try:
-                if connection.sock is None:
-                    connection.connect()
-                    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                connection.request(method, self._prefix + path, body, headers)
-                response = connection.getresponse()
-                return response.status, response.getheader("Retry-After"), response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()
+                if not hasattr(local, "sock"):
+                    sock = socket.create_connection((self._host, self._port), self.timeout)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    if self._tls:
+                        sock = ssl.create_default_context().wrap_socket(
+                            sock, server_hostname=self._host)
+                    local.sock, local.reader = sock, sock.makefile("rb")
+                local.sock.sendall(message)
+                status, headers, data = _read_response(local.reader)
+            except OSError as exc:
+                self._close()
                 if not kept or isinstance(exc, TimeoutError):
                     raise
+            else:
+                if headers.get("connection", "").lower() == "close":
+                    self._close()
+                return status, headers.get("retry-after"), data
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _close(self) -> None:
+        """Drop this thread's socket; the next request opens a new one."""
+        if hasattr(self._local, "sock"):
+            self._local.reader.close()
+            self._local.__dict__.pop("sock").close()
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict | list:
         policy = self.retry
@@ -168,7 +207,7 @@ class HTTPClient:
         for attempt in range(attempts + 1):
             try:
                 status, retry_after, body = self._request_once(method, path, payload, context)
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 if policy is None or attempt == attempts:
                     raise TransportError(
                         f"cannot reach the platform at {self.base_url}{path}: {exc}"

@@ -30,8 +30,9 @@ threads of one server, between several server *processes* sharing one store
 file, and across a crash (a transition is either entirely on disk or not at
 all).  Claim, sweep, submit and kill read through the ``(experiment,
 status)`` index and decode only the tasks they touch, so what a claim or a
-submission costs follows its batch, not the queue's depth or history;
-``queue.claim_seconds`` records the time inside each claim transaction.  Two
+submission costs follows its batch, not the queue's depth or history; a
+claim and its sweep are one transaction, and ``queue.claim_seconds`` records
+the time inside it, the sweep included.  Two
 reads still grow with the queue: the pending count behind the ``queue.depth``
 gauge (an index walk, sampled by the sweep before each claim) and the
 de-duplication pass of ``enqueue_pool``, which reads a field out of every
@@ -350,23 +351,24 @@ class PlatformService:
         ``limit`` oldest pending tasks and one batched write claim the whole
         batch, in one store transaction, so concurrent claims -- from other
         threads or other processes on the same store file -- partition the
-        queue: no task is ever assigned twice.  Every claim first sweeps
-        overdue leases back into the pending pool (or into the dead-letter
-        state), so lease expiry needs no background thread: the queue heals
-        whenever somebody asks for work.
+        queue: no task is ever assigned twice.  The same transaction first
+        sweeps overdue leases back into the pending pool (or into the
+        dead-letter state), so lease expiry needs no background thread: the
+        queue heals whenever somebody asks for work; a rolled-back claim
+        counts no sweep.
 
         Claiming burns one unit of the task's retry budget and stamps the
         attempt number that a later submission must echo to be accepted.
         ``queue.claim_seconds`` records the time inside the claim
-        transaction (the sweep and the gauges it samples are not in it).
+        transaction, the sweep and the gauges it samples included.
         """
         project = self.store.project(experiment.project_id)
         self._require_contributor(contributor, project)
         if limit <= 0:
             raise ValidationError("the batch size must be a positive integer")
-        self.expire_stuck_tasks(experiment)
         started = time.perf_counter()
         with self.store.transaction("claim"):
+            _, sweep_committed = self._sweep(experiment)
             now = self._clock()
             claimed = self.store.pending_tasks(experiment.id, limit, dbms_label)
             for task in claimed:
@@ -381,6 +383,7 @@ class PlatformService:
             self.store.update_many("tasks", claimed)
         self.metrics.histogram("queue.claim_seconds").observe(
             time.perf_counter() - started)
+        sweep_committed()
         if self.spans.enabled:
             for task in claimed:
                 self.spans.record("claim", task.trace_id, start=now,
@@ -424,53 +427,62 @@ class PlatformService:
         An overdue lease returns its task to the pending pool for another
         contributor (counted as ``tasks.retried``) while the task still has
         retry budget, and dead-letters it otherwise (``tasks.dead_lettered``).
-        Every claim calls this first; owners and test harnesses call it to
-        heal the queue without claiming work.  Only running tasks whose lease
-        has ended are decoded (the SQL filter looks at every running task).
-        The sweep is also the sampling point of the queue gauges: pending
-        depth and the age of the oldest live lease (both post-sweep).
+        Every claim sweeps first, in the claim's transaction; owners and test
+        harnesses call this to heal the queue without claiming work.  Only
+        running tasks whose lease has ended are decoded (the SQL filter looks
+        at every running task).  The sweep is also the sampling point of the
+        queue gauges: pending depth and the age of the oldest live lease
+        (both post-sweep).  Its telemetry waits for its commit.
         """
         with self.store.transaction("sweep"):
-            now = self._clock()
-            swept = self.store.overdue_leases(experiment.id, now)
-            for task in swept:
-                if task.attempts >= task.max_attempts:
-                    task.status = TaskStatus.DEAD_LETTER.value
-                    task.last_error = (
-                        f"lease expired after {task.timeout_seconds:.1f}s on attempt "
-                        f"{task.attempts}/{task.max_attempts} (was assigned to "
-                        f"{task.assigned_to})")
-                else:
-                    task.status = TaskStatus.PENDING.value
-                    task.assigned_to = None
-                    task.assigned_at = None
-            self.store.update_many("tasks", swept)
-        # the sweep committed: a crashed one is retried by the next claim and
-        # must not count, trace or log its effects twice.
-        dead_lettered = 0
-        for task in swept:
-            dead = task.status == TaskStatus.DEAD_LETTER.value
-            dead_lettered += dead
-            if self.spans.enabled and task.trace_id:
-                self.spans.record("sweep", task.trace_id, start=now, task=task.id,
-                                  outcome="dead_letter" if dead else "retried",
-                                  attempt=task.attempts)
-            self.log.warning("task.dead_lettered" if dead else "task.retried",
-                             task=task.id, trace_id=task.trace_id,
-                             attempt=task.attempts, reason="lease_expired")
-            if dead:
-                self._record_flight(task, "dead_letter", now, "lease_expired")
-        oldest_lease = self.store.oldest_lease(experiment.id)
-        self.metrics.gauge("queue.depth").set(
-            self.store.count_tasks(experiment.id, TaskStatus.PENDING.value))
-        self.metrics.gauge("queue.oldest_lease_seconds").set(
-            max(0.0, now - oldest_lease) if oldest_lease else 0.0)
-        self.metrics.counter("queue.timeouts").inc(len(swept))
-        if len(swept) > dead_lettered:
-            self.metrics.counter("tasks.retried").inc(len(swept) - dead_lettered)
-        if dead_lettered:
-            self.metrics.counter("tasks.dead_lettered").inc(dead_lettered)
+            swept, committed = self._sweep(experiment)
+        committed()
         return swept
+
+    def _sweep(self, experiment: Experiment) -> tuple[list[Task], Callable[[], None]]:
+        """The sweep's reads and writes, in the caller's transaction; returns
+        the swept tasks and the telemetry to apply once that commits."""
+        now = self._clock()
+        swept = self.store.overdue_leases(experiment.id, now)
+        for task in swept:
+            if task.attempts >= task.max_attempts:
+                task.status = TaskStatus.DEAD_LETTER.value
+                task.last_error = (
+                    f"lease expired after {task.timeout_seconds:.1f}s on attempt "
+                    f"{task.attempts}/{task.max_attempts} (was assigned to "
+                    f"{task.assigned_to})")
+            else:
+                task.status = TaskStatus.PENDING.value
+                task.assigned_to = None
+                task.assigned_at = None
+        self.store.update_many("tasks", swept)
+        oldest_lease = self.store.oldest_lease(experiment.id)
+        depth = self.store.count_tasks(experiment.id, TaskStatus.PENDING.value)
+
+        def committed() -> None:
+            dead_lettered = 0
+            for task in swept:
+                dead = task.status == TaskStatus.DEAD_LETTER.value
+                dead_lettered += dead
+                if self.spans.enabled and task.trace_id:
+                    self.spans.record("sweep", task.trace_id, start=now, task=task.id,
+                                      outcome="dead_letter" if dead else "retried",
+                                      attempt=task.attempts)
+                self.log.warning("task.dead_lettered" if dead else "task.retried",
+                                 task=task.id, trace_id=task.trace_id,
+                                 attempt=task.attempts, reason="lease_expired")
+                if dead:
+                    self._record_flight(task, "dead_letter", now, "lease_expired")
+            self.metrics.gauge("queue.depth").set(depth)
+            self.metrics.gauge("queue.oldest_lease_seconds").set(
+                max(0.0, now - oldest_lease) if oldest_lease else 0.0)
+            self.metrics.counter("queue.timeouts").inc(len(swept))
+            if len(swept) > dead_lettered:
+                self.metrics.counter("tasks.retried").inc(len(swept) - dead_lettered)
+            if dead_lettered:
+                self.metrics.counter("tasks.dead_lettered").inc(dead_lettered)
+
+        return swept, committed
 
     def _record_flight(self, task: Task, outcome: str, now: float,
                        reason: str | None = None) -> None:
@@ -574,10 +586,14 @@ class PlatformService:
             inserts: list[ResultRecord] = []
             task_updates: dict[int, Task] = {}
             idempotency: list[tuple[str, ResultRecord]] = []
+            # a key repeated within the batch is stale or refused by the store
+            replays = self.store.recall_submissions(
+                submission["idempotency_key"] for submission in prepared
+                if submission.get("idempotency_key"))
             for submission in prepared:
                 key = submission.get("idempotency_key")
                 if key:
-                    replay_id = self.store.recall_submission(key)
+                    replay_id = replays.get(key)
                     if replay_id is not None:
                         records.append(self.store.result(replay_id))
                         counters["results.deduplicated"] = \

@@ -351,6 +351,13 @@ class Store:
             ).fetchone()
         return int(row[0]) if row else None
 
+    def recall_submissions(self, keys: Iterable[str]) -> dict[str, int]:
+        """Key -> result id of those of ``keys`` already recorded, in one read."""
+        keys = tuple(set(keys))
+        rows = self._rows("SELECT key, result_id FROM idempotency WHERE key IN "
+                          f"({', '.join('?' * len(keys))})", keys)
+        return {key: int(result_id) for key, result_id in rows}
+
     def idempotency_size(self) -> int:
         """Number of remembered submission keys (chaos-test accounting)."""
         with self._lock:

@@ -1,8 +1,8 @@
 """WSGI JSON API exposing the platform service.
 
 The paper's GUI is a Flask/Bokeh web application; the reproduction exposes the
-same operations as a JSON-over-HTTP API on the standard library's ``wsgiref``
-server so the remote experiment driver can interact with a deployment exactly
+same operations as a JSON-over-HTTP API, a WSGI app behind a small server,
+so the remote experiment driver can interact with a deployment exactly
 the way ``sqalpel.py`` does: request a task from a project pool, execute it
 locally and report the findings.
 
@@ -27,7 +27,8 @@ pipeline: one round trip claims N tasks and one round trip delivers N results;
 a batch of one is the paper's one-task exchange.  A missing or mistyped
 request field is answered 400, as malformed JSON is.  :class:`PlatformServer`
 serves a connection's HTTP/1.1 requests on one thread until the client closes
-it, and closes what is still open when it stops.
+it, and closes what is still open when it stops.  It frames HTTP/1.1 itself
+(RFC 9112): no ``email`` header parsing, no per-request copy of ``os.environ``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
-from socketserver import ThreadingMixIn
+import traceback
+from email.utils import formatdate
+from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 from typing import Callable
-from wsgiref.simple_server import ServerHandler, WSGIRequestHandler, WSGIServer, make_server
+from urllib.parse import unquote
 
 from repro import __version__
 from repro.errors import AccessDenied, NotFound, PlatformError, ValidationError
@@ -159,8 +161,6 @@ def _read_body(environ) -> dict:
 
 def _dispatch(service: PlatformService, method: str, path: str, query: dict,
               key: str, body: dict) -> tuple[str, dict | list]:
-    viewer = service.store.user_by_key(key) if key else None
-
     if path == "/api/ping" and method == "GET":
         return "200 OK", {"status": "ok", "version": __version__}
 
@@ -169,20 +169,7 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
         # timeouts); no auth needed -- the snapshot carries no query data.
         return "200 OK", service.metrics.snapshot()
 
-    if path == "/api/projects" and method == "GET":
-        projects = service.list_projects(viewer)
-        return "200 OK", [project.to_dict() for project in projects]
-
-    if path == "/api/experiments" and method == "GET":
-        project = service.get_project(wire_integer(query, "project"), viewer)
-        experiments = service.experiments(project, viewer)
-        return "200 OK", [experiment.to_dict() for experiment in experiments]
-
-    if path == "/api/queue" and method == "GET":
-        experiment = service.store.experiment(wire_integer(query, "experiment"))
-        service.get_project(experiment.project_id, viewer)
-        return "200 OK", service.queue_status(experiment)
-
+    # the contributor loop's two routes read the caller once, to refuse it
     if path == "/api/tasks" and method == "POST":
         contributor = service.authenticate(key)
         experiment = service.store.experiment(wire_integer(body, "experiment"))
@@ -204,6 +191,22 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
             record.to_dict() if record is not None else None for record in records
         ]}
 
+    viewer = service.store.user_by_key(key) if key else None
+
+    if path == "/api/projects" and method == "GET":
+        projects = service.list_projects(viewer)
+        return "200 OK", [project.to_dict() for project in projects]
+
+    if path == "/api/experiments" and method == "GET":
+        project = service.get_project(wire_integer(query, "project"), viewer)
+        experiments = service.experiments(project, viewer)
+        return "200 OK", [experiment.to_dict() for experiment in experiments]
+
+    if path == "/api/queue" and method == "GET":
+        experiment = service.store.experiment(wire_integer(query, "experiment"))
+        service.get_project(experiment.project_id, viewer)
+        return "200 OK", service.queue_status(experiment)
+
     if path == "/api/results" and method == "GET":
         experiment = service.store.experiment(wire_integer(query, "experiment"))
         records = service.results(experiment, viewer=viewer)
@@ -212,89 +215,127 @@ def _dispatch(service: PlatformService, method: str, path: str, query: dict,
     raise NotFound(f"no endpoint for {method} {path}")
 
 
-class _Response(ServerHandler):
-    """wsgiref's response writer, speaking HTTP/1.1: a response whose
-    length the application does not give ends its connection."""
-
-    http_version = "1.1"
-
-    def cleanup_headers(self) -> None:
-        super().cleanup_headers()
-        if "Content-Length" not in self.headers:
-            self.headers["Connection"] = "close"
-            self.request_handler.close_connection = True
+#: the longest request or header line, and the most headers (``http.server``'s)
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+_JSON = [("Content-Type", "application/json")]
 
 
-class _KeepAliveHandler(WSGIRequestHandler):
-    """Serves the requests of one connection until the client closes it or
-    asks to.  A request's body is read before the application runs, so the
-    next request starts where it ends; a response goes out in one write."""
+class _Refused(Exception):
+    """A request the handler answers with this status, then closes."""
 
-    protocol_version = "HTTP/1.1"
-    wbufsize = -1
+
+class _ConnectionHandler(StreamRequestHandler):
+    """Serves the HTTP/1.1 requests of one connection (RFC 9112) until the
+    client closes it or asks to: reads the request line, the header lines
+    and a ``Content-Length`` body, calls the WSGI application, and writes the
+    status line, the headers and the body in one write.  What it cannot
+    frame it refuses, then closes: 400, 414 (a request line over 64 KiB), 431
+    (a header line over 64 KiB or over 100 headers) or 501 (any
+    ``Transfer-Encoding``)."""
+
     disable_nagle_algorithm = True
-    handle = BaseHTTPRequestHandler.handle  # handle_one_request until closed
 
-    def log_message(self, format, *args):  # noqa: A002 - signature fixed by stdlib
-        pass
-
-    def handle_one_request(self) -> None:
-        self.raw_requestline = self.rfile.readline(65537)
-        if not self.raw_requestline or not self.parse_request():
-            self.close_connection = True
-            return
+    def handle(self) -> None:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:  # where the body ends is unknown: none follows it
-            length, self.close_connection = 0, True
-        self.wfile.flush()  # a "100 Continue" the client waits for before its body
-        body = io.BytesIO(self.rfile.read(length) if length > 0 else b"")
-        response = _Response(body, self.wfile, self.get_stderr(), self.get_environ(),
-                             multithread=False)
-        response.request_handler = self
-        response.run(self.server.get_app())
-        self.wfile.flush()
+            while self.serve_one():
+                pass
+        except _Refused as refused:
+            self.send(str(refused), _JSON, json.dumps({"error": str(refused)}).encode(), False)
+
+    def serve_one(self) -> bool:
+        """Answer one request; False once the connection is to close."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            raise _Refused("414 URI Too Long")
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or parts[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            raise _Refused("400 Bad Request")
+        method, target, version = parts
+        path, _, query = target.partition("?")
+        environ = {**self.server.environ, "REQUEST_METHOD": method, "SERVER_PROTOCOL": version,
+                   "PATH_INFO": unquote(path, "latin-1"), "QUERY_STRING": query}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if len(line) > _MAX_LINE:
+                raise _Refused("431 Request Header Fields Too Large")
+            if not colon or not name or name != name.strip():  # obs-fold included
+                raise _Refused("400 Bad Request")
+            key = name.upper().replace("-", "_")
+            key = key if key in ("CONTENT_TYPE", "CONTENT_LENGTH") else "HTTP_" + key
+            if "_" not in name:  # else ``X_Sqalpel_Key`` would pass for ``X-Sqalpel-Key``
+                environ[key] = f"{environ[key]},{value.strip()}" if key in environ \
+                    else value.strip()
+        else:
+            raise _Refused("431 Request Header Fields Too Large")
+        if "HTTP_TRANSFER_ENCODING" in environ:  # only Content-Length bodies are read
+            raise _Refused("501 Not Implemented")
+        if not (length := environ.get("CONTENT_LENGTH", "0")).isdecimal():
+            raise _Refused("400 Bad Request")
+        if version == "HTTP/1.1" and environ.get("HTTP_EXPECT", "").lower() == "100-continue":
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(int(length))
+        if not line or len(body) < int(length):  # the client left mid-request
+            return False
+        environ["wsgi.input"] = io.BytesIO(body)
+        keep = version == "HTTP/1.1" and "close" not in \
+            environ.get("HTTP_CONNECTION", "").lower().replace(" ", "").split(",")
+        started, written = [], []
+
+        def start_response(status, headers, exc_info=None):
+            started[:] = status, headers
+            return written.append
+
+        try:
+            result = self.server.application(environ, start_response)
+            body = b"".join([*written, *result])
+            getattr(result, "close", lambda: None)()
+            status, headers = started
+        except Exception:  # the application failed: 500, and the connection ends
+            traceback.print_exc()
+            status, headers, keep = "500 Internal Server Error", _JSON, False
+            body = b'{"error": "the server failed to answer the request"}'
+        self.send(status, headers, body, keep)
+        return keep
+
+    def send(self, status: str, headers: list, body: bytes, keep: bool) -> None:
+        lines = [f"HTTP/1.1 {status}", *(f"{name}: {value}" for name, value in headers
+                                         if name.lower() not in ("content-length", "connection")),
+                 f"Content-Length: {len(body)}", f"Date: {formatdate(usegmt=True)}"]
+        if not keep:
+            lines.append("Connection: close")
+        self.connection.sendall("\r\n".join([*lines, "\r\n"]).encode("latin-1") + body)
 
 
-def _handler_class(logger: JsonLogger | None) -> type[WSGIRequestHandler]:
-    """A request-handler class routing stdlib access logs through ``logger``.
+class ThreadingWSGIServer(ThreadingMixIn, TCPServer):
+    """HTTP server calling one WSGI application, each connection on its own
+    daemon thread.
 
-    ``BaseHTTPRequestHandler`` writes one raw line to stderr per request,
-    which interleaves badly under concurrent claimers; with a structured
-    logger attached those lines become ``http.access`` JSON records on the
-    shared sink (one ``write`` each, so they never shear), and without one
-    the handler is fully quiet -- tests and the in-process driver see no
-    request logging at all.
-    """
-    if logger is None:
-        return _KeepAliveHandler
-    access_log = logger.bind("webapp")
-
-    class _StructuredHandler(_KeepAliveHandler):
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            access_log.info("http.access", client=self.address_string(),
-                            message=format % args)
-
-    return _StructuredHandler
-
-
-class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """WSGI server serving each connection on its own daemon thread.
-
-    ``wsgiref``'s default server is single-threaded, which would serialise
-    every contributor behind the slowest request and hide concurrency bugs
-    from the chaos/load tests.  Handler threads are daemonic so a hung
-    request cannot block interpreter shutdown; request-level consistency is
-    the service's job (every queue transition is one store transaction).
-    The server knows its open connections, so :meth:`close_connections` can
-    end the threads that wait on them for a next request.
+    A single-threaded server would serialise every contributor behind the
+    slowest request and hide concurrency bugs from the chaos/load tests.
+    Handler threads are daemonic so a hung request cannot block interpreter
+    shutdown; request-level consistency is the service's job (every queue
+    transition is one store transaction).  The server knows its open
+    connections, so :meth:`close_connections` can end the threads that wait
+    on them for a next request.
     """
 
     daemon_threads = True
+    allow_reuse_address = True
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, address: tuple[str, int], application: Callable):
+        self.application = application
         self._open: set[socket.socket] = set()
-        super().__init__(*args, **kwargs)
+        super().__init__(address, _ConnectionHandler)
+        #: what every request's WSGI environ starts from
+        self.environ = {"SERVER_NAME": address[0], "SERVER_PORT": str(self.server_address[1]),
+                        "SCRIPT_NAME": "", "wsgi.version": (1, 0), "wsgi.url_scheme": "http",
+                        "wsgi.errors": sys.stderr, "wsgi.multithread": True,
+                        "wsgi.multiprocess": False, "wsgi.run_once": False}
 
     def process_request(self, request, client_address) -> None:
         self._open.add(request)
@@ -322,19 +363,19 @@ class PlatformServer:
 
     ``application`` overrides the WSGI callable (the fault-injection tests
     wrap the real app in deliberately misbehaving middleware).  It serves
-    HTTP/1.1 keep-alive connections; :meth:`stop` closes the ones still
-    open -- a client's next request on one fails as one to a stopped server
-    does -- and returns without waiting on a poll interval.
+    HTTP/1.1 keep-alive connections (:class:`_ConnectionHandler`); every
+    response carries ``Content-Length`` and ``Date``.  :meth:`stop` closes the
+    connections still open -- a client's next request on one fails as one to
+    a stopped server does -- and returns without waiting on a poll interval.
+    ``logger`` receives the app's ``http.request`` record, one per request.
     """
 
     def __init__(self, service: PlatformService, host: str = "127.0.0.1",
                  port: int = 0, application: Callable | None = None,
                  logger: JsonLogger | None = None):
         self.service = service
-        self._server = make_server(host, port,
-                                   application or create_wsgi_app(service, logger),
-                                   server_class=ThreadingWSGIServer,
-                                   handler_class=_handler_class(logger))
+        self._server = ThreadingWSGIServer(
+            (host, port), application or create_wsgi_app(service, logger))
         self.host = host
         self.port = self._server.server_address[1]
         self._thread: threading.Thread | None = None

@@ -315,9 +315,9 @@ class TestKeptConnections:
         with PlatformServer(service) as server:
             client = HTTPClient(server.url, contributor.contributor_key)
             client.ping()
-            kept = client._local.connection.sock
+            kept = client._local.sock
             assert client.next_tasks(experiment.id, count=1)
-            assert client._local.connection.sock is kept
+            assert client._local.sock is kept
             assert len(server._server._open) == 1
 
     def test_stop_closes_kept_connections_promptly(self):
@@ -350,7 +350,7 @@ class TestKeptConnections:
 
             def ping() -> None:
                 client.ping()
-                sockets.append(client._local.connection.sock)
+                sockets.append(client._local.sock)
 
             threads = [threading.Thread(target=ping) for _ in range(3)]
             for thread in threads:

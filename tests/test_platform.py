@@ -1,10 +1,12 @@
 """Tests for the platform: store, access control, queue, results, web API."""
 
+import sqlite3
 from collections import Counter
 
 import pytest
 
 from repro.errors import AccessDenied, ConflictError, NotFound, ValidationError
+from repro.obs import JsonLogger, parse_log_lines
 from repro.platform import PlatformServer, PlatformService, Store, Visibility
 from repro.platform.models import Task, new_submission
 from repro.tpch import QUERIES
@@ -30,6 +32,22 @@ def populated(service):
                                         dbms=dbms, host=host, repeats=2,
                                         timeout_seconds=30)
     return service, owner, contributor, outsider, project, experiment
+
+
+def _queue_of(count: int):
+    """A service with one contributor and ``count`` pending tasks."""
+    service = PlatformService()
+    owner = service.register_user("owner", "owner@example.org")
+    contributor = service.register_user("contrib", "contrib@example.org")
+    project = service.create_project(owner, "keys")
+    service.invite_contributor(owner, project, contributor)
+    experiment = service.add_experiment(owner, project, "q6", QUERIES[6], repeats=1)
+    service.store.insert_many("tasks", [
+        Task(experiment_id=experiment.id, query_sql=QUERIES[6], query_key=f"q{number}",
+             dbms_label="columnstore-1.0", host_name="laptop",
+             max_attempts=experiment.max_attempts)
+        for number in range(count)])
+    return service, contributor, experiment
 
 
 class TestUsersAndCatalogs:
@@ -301,6 +319,39 @@ class TestQueueAndResults:
         assert [entry.id for entry in reclaimed] == [stuck.id]
         assert reclaimed[0].attempts == 2
 
+    def test_a_claim_that_fails_after_its_sweep_counts_no_sweep(self, populated,
+                                                                monkeypatch):
+        """The sweep is part of the claim's transaction: a claim that fails
+        after it rolls the sweep back, and none of the sweep's telemetry is
+        recorded."""
+        service, owner, contributor, experiment, tasks = self._queue(populated)
+        logger = JsonLogger()
+        service.log = logger.bind("service")
+        claimed = service.next_tasks(contributor, experiment, limit=len(tasks))
+        for task in claimed:
+            task.assigned_at -= 10_000
+        service.store.update_many("tasks", claimed)
+
+        def failing(*_args, **_kwargs):
+            raise RuntimeError("the claim fails after its sweep")
+
+        monkeypatch.setattr(service.store, "pending_tasks", failing)
+        with pytest.raises(RuntimeError):
+            service.next_tasks(contributor, experiment, limit=1)
+        assert {service.store.task(task.id).status for task in claimed} == {"running"}
+        assert not [span for task in claimed
+                    for span in service.spans.spans(task.trace_id)
+                    if span["name"] == "sweep"]
+        events = [record["event"] for record in parse_log_lines(logger.stream.getvalue())]
+        assert "task.retried" not in events
+        assert service.metrics.counter("tasks.retried").value == 0
+        assert service.metrics.counter("queue.timeouts").value == 0
+
+        monkeypatch.undo()
+        reclaimed = service.next_tasks(contributor, experiment, limit=1)
+        assert len(reclaimed) == 1 and reclaimed[0].attempts == 2
+        assert service.metrics.counter("tasks.retried").value == len(claimed)
+
     def test_late_result_for_reclaimed_lease_is_dropped(self, populated):
         """Attempt fencing: a slow worker cannot overwrite a re-leased task."""
         service, owner, contributor, experiment, tasks = self._queue(populated)
@@ -329,6 +380,44 @@ class TestQueueAndResults:
         assert again.id == first.id and again.times == [0.2, 0.1]
         assert len(service.store.results(experiment.id)) == 1
         assert service.metrics.counter("results.deduplicated").value == 1
+
+    def test_a_batch_replays_exactly_its_accepted_keys(self):
+        service, contributor, experiment = _queue_of(8)
+        tasks = service.next_tasks(contributor, experiment, limit=8)
+        keys = [f"key-{task.id}" for task in tasks]
+        earlier = service.submit_results(contributor, [
+            new_submission(task.id, times=[0.1], idempotency_key=key, attempt=task.attempts)
+            for task, key in zip(tasks[:3], keys)])
+        batch = service.submit_results(contributor, [
+            new_submission(task.id, times=[0.2], idempotency_key=key, attempt=task.attempts)
+            for task, key in zip(tasks, keys)])
+        assert [record.id for record in batch[:3]] == [record.id for record in earlier]
+        assert [record.times for record in batch] == [[0.1]] * 3 + [[0.2]] * 5
+        assert service.metrics.counter("results.deduplicated").value == 3
+        assert len(service.store.results(experiment.id)) == 8
+
+    def test_a_key_repeated_within_a_batch(self):
+        """The second entry of a key repeated for one task is stale; a key
+        repeated for two tasks is refused by the idempotency table, and the
+        batch records nothing."""
+        service, contributor, experiment = _queue_of(3)
+        first, second, third = service.next_tasks(contributor, experiment, limit=3)
+        twice = [new_submission(first.id, times=[0.1], idempotency_key="same",
+                                attempt=first.attempts)] * 2
+        accepted, stale = service.submit_results(contributor, twice)
+        assert accepted is not None and stale is None
+        assert service.metrics.counter("results.stale").value == 1
+        replayed = service.submit_results(contributor, twice)
+        assert [record.id for record in replayed] == [accepted.id] * 2
+        with pytest.raises(sqlite3.IntegrityError):
+            service.submit_results(contributor, [
+                new_submission(second.id, times=[0.1], idempotency_key="other",
+                               attempt=second.attempts),
+                new_submission(third.id, times=[0.1], idempotency_key="other",
+                               attempt=third.attempts)])
+        assert len(service.store.results(experiment.id)) == 1
+        assert {service.store.task(task.id).status for task in (second, third)} \
+            == {"running"}
 
     def test_max_attempts_must_be_positive(self, populated):
         service, owner, _, _, project, _ = populated
