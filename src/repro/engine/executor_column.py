@@ -355,10 +355,9 @@ class ColumnExecutor:
         Where it runs is the plan's to say: a correlated block, or one the
         column pipeline does not run (FROM-less), goes to the row executor
         with the current row as its outer row; any other runs on the column
-        pipeline once per execution, its rows cached by ``id(select)`` (the
-        plan keeps the AST alive, so the key is stable).
+        pipeline once per execution, its rows cached by the block's number.
         """
-        key = id(select)
+        key = select.block
         cached = self._uncorrelated_cache.get(key)
         if cached is not None:
             return cached
@@ -372,7 +371,7 @@ class ColumnExecutor:
 
     def _block(self, select: ast.Select) -> BlockPlan:
         """The plan's analysis of ``select`` (the planner plans every block)."""
-        return self._plan.blocks[id(select)]
+        return self._plan.blocks[select.block]
 
     def state(self, block: BlockPlan) -> ColumnState:
         """The block's :class:`ColumnState`, kept on the plan."""

@@ -226,12 +226,11 @@ class RowExecutor:
         """Execute a nested SELECT, caching uncorrelated results.
 
         Whether the block is correlated was decided when it was planned; the
-        per-execution cache is keyed by ``id(select)`` -- the plan keeps the
-        AST alive, so the key is stable and the per-row lookup does not
-        re-print the subquery's SQL.
+        per-execution cache is keyed by the block's number, so the per-row
+        lookup does not re-print the subquery's SQL.
         """
         correlated = outer is not None and self._block(select).correlated
-        cache_key = id(select) if not correlated else None
+        cache_key = select.block if not correlated else None
         if cache_key is not None and cache_key in self._uncorrelated_cache:
             return self._uncorrelated_cache[cache_key]
         _, rows = self._execute_block(select, outer=outer if correlated else None)
@@ -243,7 +242,7 @@ class RowExecutor:
 
     def _block(self, select: ast.Select) -> BlockPlan:
         """The plan's analysis of ``select`` (the planner plans every block)."""
-        return self._plan.blocks[id(select)]
+        return self._plan.blocks[select.block]
 
     def _scan_rows(self, item: ast.TableRef, window: ScanWindow | None = None,
                    block: BlockPlan | None = None) -> list[tuple]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Hashable
 
@@ -248,15 +248,7 @@ class Aggregation:
         if not any(isinstance(node, ast.ColumnRef) and node.table == GROUP_BINDING
                    for node in ast.walk_local(expression)):
             return expression
-
-        def back(value):
-            if isinstance(value, ast.Expression):
-                return self.with_calls(value)
-            if isinstance(value, tuple):  # a CASE branch
-                return tuple(map(back, value))
-            return [back(part) for part in value] if isinstance(value, list) else value
-        return replace(expression, **{part.name: back(getattr(expression, part.name))
-                                      for part in fields(expression)})
+        return ast.rebuild(expression, self.with_calls)
 
 
 def _call_type(call: ast.FunctionCall, layout: Layout) -> str:
@@ -282,8 +274,8 @@ def plan_aggregation(select: ast.Select, layout: Layout) -> Aggregation:
     expressions = [item.expression for item in select.items]
     if select.having is not None:
         expressions.insert(0, select.having)
-    calls = [node for expression in expressions for node in ast.walk_local(expression)
-             if isinstance(node, ast.FunctionCall) and node.is_aggregate]
+    calls: list[ast.FunctionCall] = []
+    rewritten = [_over_group(expression, calls) for expression in expressions]
     call_arguments: list[int | None] = []
     arguments: dict[str, tuple[int, ast.Expression, set[str]]] = {}
     for call in calls:
@@ -299,8 +291,6 @@ def plan_aggregation(select: ast.Select, layout: Layout) -> Aggregation:
         number, _, uses = arguments.setdefault(repr(argument), (len(arguments), argument, set()))
         uses.add("distinct" if call.distinct else "sum" if name == "avg" else name)
         call_arguments.append(number)
-    numbers = {id(call): number for number, call in enumerate(calls)}
-    rewritten = [_over_group(expression, numbers) for expression in expressions]
     return Aggregation(calls, call_arguments,
                        [argument for _, argument, _ in arguments.values()],
                        [frozenset(uses) for _, _, uses in arguments.values()],
@@ -308,23 +298,17 @@ def plan_aggregation(select: ast.Select, layout: Layout) -> Aggregation:
                        None if select.having is None else rewritten[0])
 
 
-def _over_group(node: ast.Expression, numbers: dict[int, int]) -> ast.Expression:
+def _over_group(node: ast.Expression, calls: list[ast.FunctionCall]) -> ast.Expression:
     """``node`` with a reference to its group-row column in place of each
-    aggregate call ``numbers`` numbers (by identity); what holds none is kept
-    as it is, so a subquery keeps the identity its plan is keyed by."""
-    if id(node) in numbers:
-        return ast.ColumnRef(f"#{numbers[id(node)]}", GROUP_BINDING)
-    if not ast.has_local_aggregate(node):
+    aggregate call, which is appended to ``calls`` as the rewrite meets it
+    (:func:`~repro.sqlparser.ast.rebuild`'s order, :func:`~repro.sqlparser.ast.walk_local`'s);
+    a subquery, and what holds no call, is kept as it is."""
+    if isinstance(node, ast.FunctionCall) and node.is_aggregate:
+        calls.append(node)
+        return ast.ColumnRef(f"#{len(calls) - 1}", GROUP_BINDING)
+    if isinstance(node, ast.Select) or not ast.has_local_aggregate(node):
         return node
-
-    def over(value):
-        if isinstance(value, ast.Expression):
-            return _over_group(value, numbers)
-        if isinstance(value, tuple):  # a CASE branch
-            return tuple(map(over, value))
-        return [over(part) for part in value] if isinstance(value, list) else value
-    return replace(node, **{part.name: over(getattr(node, part.name))
-                            for part in fields(node)})
+    return ast.rebuild(node, lambda part: _over_group(part, calls))
 
 
 @dataclass
@@ -485,13 +469,14 @@ class Stamped:
 class QueryPlan:
     """A fully analysed query: the AST plus one :class:`BlockPlan` per block.
 
-    Blocks are keyed by the identity of their ``ast.Select`` node; the plan
-    keeps the root AST alive, so the keys stay stable for the plan's
-    lifetime.  The analysis is immutable once built; what the executors
-    derive from it is cached on it (:meth:`kernels`), the part that reads
-    the tables :class:`Stamped` with the database's mutations.  Plans are
-    shared between the row and column backends (through the database's one
-    :class:`PlanCache`) and across driver worker threads.
+    The AST is a frozen value, and ``blocks`` is keyed by each block's
+    number (``ast.Select.block``, from the parse), in the order the planner
+    planned them, the root first; a rewritten copy of an expression still
+    finds its subqueries' blocks.  The analysis is immutable once built;
+    what the executors derive from it is cached on it (:meth:`kernels`), the
+    part that reads the tables :class:`Stamped` with the database's
+    mutations.  Plans are shared between the row and column backends
+    (through the database's one :class:`PlanCache`) and across driver threads.
     """
 
     select: ast.Select
@@ -500,7 +485,7 @@ class QueryPlan:
     predicate_pushdown: bool = True
     #: the ``(strategy, options)`` of each engine that built its kernels on it.
     prepared: set = field(default_factory=set, init=False, repr=False, compare=False)
-    #: compiled physical kernels keyed by (block id, flavour); populated
+    #: compiled physical kernels keyed by (block number, flavour); populated
     #: lazily by the executors (see :meth:`kernels`) and therefore amortised
     #: by the plan cache exactly like the logical analysis itself.
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -517,7 +502,7 @@ class QueryPlan:
         ``build``, what is there (None: nothing yet).  The lock is not
         reentrant: ``build`` must not ask for another entry.
         """
-        key = (id(block.select),) + flavour
+        key = (block.select.block,) + flavour
         found = self._kernels.get(key)
         if found is None and build is not None:
             with self._kernels_lock:
@@ -529,11 +514,11 @@ class QueryPlan:
 
     def block(self, select: ast.Select) -> BlockPlan | None:
         """The plan of one query block (None when the block is unknown)."""
-        return self.blocks.get(id(select))
+        return self.blocks.get(select.block)
 
     @property
     def root(self) -> BlockPlan:
-        return self.blocks[id(self.select)]
+        return self.blocks[self.select.block]
 
     def describe(self) -> dict:
         return {
@@ -573,8 +558,11 @@ class Planner:
 
     def _plan_block(self, select: ast.Select, outer_scope: Scope | None,
                     blocks: dict[int, BlockPlan]) -> BlockPlan:
-        existing = blocks.get(id(select))
+        existing = blocks.get(select.block)
         if existing is not None:
+            if existing.select is not select:
+                raise PlanError(f"two query blocks are numbered {select.block}: "
+                                "the tree was not built by one parse")
             return existing
         item_columns = [self._item_columns(item, outer_scope, blocks)
                         for item in select.from_items]
@@ -633,7 +621,7 @@ class Planner:
             group_layout=None if aggregation is None
             else Layout(aggregation.columns(layout.view()), ambiguous="raise"),
         )
-        blocks[id(select)] = block
+        blocks[select.block] = block
 
         # Subqueries inside expressions see the block's own columns as their
         # outer scope (they are evaluated against the joined frame).

@@ -59,10 +59,14 @@ from repro.obs import NULL_LOGGER, JsonLogger
 from repro.platform import models
 
 
+#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _encode(payload: dict) -> str:
     """Serialise a row body; compact separators, since nobody reads raw rows
     and result rows can carry dozens of shipped span records in ``extras``."""
-    return json.dumps(payload, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 _TABLES = (

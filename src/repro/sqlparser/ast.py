@@ -8,16 +8,22 @@ IN (value lists and subqueries), EXISTS, IS NULL, CASE, CAST, EXTRACT,
 SUBSTRING, aggregate and scalar function calls, date and interval literals,
 joins expressed in the FROM list or with explicit JOIN ... ON, GROUP BY,
 HAVING, ORDER BY, LIMIT and subqueries in FROM.
+
+Nodes are frozen values: the parser builds each one whole, and a rewrite
+builds a new tree (:func:`rebuild`).  Each ``Select`` carries its block
+number, which the plans key their blocks by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterator, TypeVar
 
 
 class Node:
     """Base class of all AST nodes."""
+
+    __slots__ = ()
 
     def children(self) -> Iterator["Node"]:
         """Yield the direct child nodes (used by generic walkers)."""
@@ -38,8 +44,10 @@ class Node:
 class Expression(Node):
     """Base class of expression nodes."""
 
+    __slots__ = ()
 
-@dataclass
+
+@dataclass(frozen=True, slots=True)
 class Literal(Expression):
     """A constant: number, string, boolean or NULL."""
 
@@ -47,14 +55,14 @@ class Literal(Expression):
     type_name: str = "unknown"  # number | string | boolean | null
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DateLiteral(Expression):
     """A ``date 'YYYY-MM-DD'`` literal, stored as an ISO string."""
 
     value: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class IntervalLiteral(Expression):
     """An ``interval '3' month`` literal."""
 
@@ -62,7 +70,7 @@ class IntervalLiteral(Expression):
     unit: str  # day | month | year
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expression):
     """A (possibly qualified) column reference."""
 
@@ -74,14 +82,14 @@ class ColumnRef(Expression):
         return f"{self.table}.{self.name}" if self.table else self.name
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Star(Expression):
     """``*`` or ``table.*`` in a select list or inside ``count(*)``."""
 
     table: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UnaryOp(Expression):
     """Unary operators: ``-x``, ``+x``, ``NOT x``."""
 
@@ -92,7 +100,7 @@ class UnaryOp(Expression):
         yield self.operand
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BinaryOp(Expression):
     """Binary arithmetic/comparison/string operators."""
 
@@ -105,7 +113,7 @@ class BinaryOp(Expression):
         yield self.right
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BoolOp(Expression):
     """N-ary AND / OR."""
 
@@ -116,7 +124,7 @@ class BoolOp(Expression):
         yield from self.operands
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Comparison(Expression):
     """Comparison with an optional ANY/ALL subquery quantifier."""
 
@@ -130,7 +138,7 @@ class Comparison(Expression):
         yield self.right
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class IsNull(Expression):
     """``expr IS [NOT] NULL``."""
 
@@ -141,7 +149,7 @@ class IsNull(Expression):
         yield self.operand
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Between(Expression):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -156,7 +164,7 @@ class Between(Expression):
         yield self.high
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Like(Expression):
     """``expr [NOT] LIKE pattern``."""
 
@@ -169,7 +177,7 @@ class Like(Expression):
         yield self.pattern
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class InList(Expression):
     """``expr [NOT] IN (v1, v2, ...)``."""
 
@@ -182,7 +190,7 @@ class InList(Expression):
         yield from self.items
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class InSubquery(Expression):
     """``expr [NOT] IN (SELECT ...)``."""
 
@@ -195,7 +203,7 @@ class InSubquery(Expression):
         yield self.subquery
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Exists(Expression):
     """``[NOT] EXISTS (SELECT ...)``."""
 
@@ -206,7 +214,7 @@ class Exists(Expression):
         yield self.subquery
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ScalarSubquery(Expression):
     """A subquery used as a scalar value."""
 
@@ -216,7 +224,7 @@ class ScalarSubquery(Expression):
         yield self.subquery
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FunctionCall(Expression):
     """A function or aggregate call."""
 
@@ -232,7 +240,7 @@ class FunctionCall(Expression):
         return self.name.lower() in AGGREGATE_FUNCTIONS
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Cast(Expression):
     """``CAST(expr AS type)``."""
 
@@ -243,7 +251,7 @@ class Cast(Expression):
         yield self.operand
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Extract(Expression):
     """``EXTRACT(field FROM expr)``."""
 
@@ -254,7 +262,7 @@ class Extract(Expression):
         yield self.operand
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Substring(Expression):
     """``SUBSTRING(expr FROM start FOR length)`` (or comma form)."""
 
@@ -269,7 +277,7 @@ class Substring(Expression):
             yield self.length
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CaseWhen(Expression):
     """A searched CASE expression."""
 
@@ -296,8 +304,10 @@ AGGREGATE_FUNCTIONS = frozenset({"sum", "avg", "min", "max", "count"})
 class TableExpression(Node):
     """Base class of FROM-clause items."""
 
+    __slots__ = ()
 
-@dataclass
+
+@dataclass(frozen=True, slots=True)
 class TableRef(TableExpression):
     """A base table reference with an optional alias."""
 
@@ -310,7 +320,7 @@ class TableRef(TableExpression):
         return self.alias or self.name
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SubqueryRef(TableExpression):
     """A derived table: ``(SELECT ...) alias``."""
 
@@ -325,7 +335,7 @@ class SubqueryRef(TableExpression):
         return self.alias
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Join(TableExpression):
     """An explicit ``A JOIN B ON condition``."""
 
@@ -345,7 +355,7 @@ class Join(TableExpression):
         return "<join>"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SelectItem(Node):
     """One projection-list element with an optional alias."""
 
@@ -364,7 +374,7 @@ class SelectItem(Node):
         return f"col{position + 1}"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class OrderItem(Node):
     """One ORDER BY term."""
 
@@ -375,7 +385,7 @@ class OrderItem(Node):
         yield self.expression
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Select(Node):
     """A SELECT query block."""
 
@@ -388,6 +398,9 @@ class Select(Node):
     limit: int | None = None
     offset: int | None = None
     distinct: bool = False
+    #: the block's number: the order the parser opened the blocks of one
+    #: text in, 0 for the root.  No comparison, ``repr`` or printed SQL sees it.
+    block: int = field(default=0, compare=False, repr=False)
 
     def children(self) -> Iterator[Node]:
         yield from self.items
@@ -436,6 +449,27 @@ class Select(Node):
             if isinstance(node, Select):
                 nested.append(node)
         return nested
+
+
+N = TypeVar("N", bound=Node)
+
+
+def rebuild(node: N, child: Callable[[Node], Node], **changes) -> N:
+    """A copy of ``node`` with ``changes`` in place of the fields they name
+    and ``child(part)`` in place of every other node ``part`` among its
+    fields (in a list, or in a CASE branch's tuple).  The parts are met last
+    first, the order :func:`walk_local` yields them in."""
+    def over(value):
+        if isinstance(value, Node):
+            return child(value)
+        if isinstance(value, (list, tuple)):
+            parts = [over(part) for part in reversed(value)][::-1]
+            return parts if isinstance(value, list) else tuple(parts)
+        return value
+    for part in reversed(fields(node)):
+        if part.name not in changes:
+            changes[part.name] = over(getattr(node, part.name))
+    return replace(node, **changes)
 
 
 def walk_local(expression: Node) -> Iterator[Node]:

@@ -28,6 +28,8 @@ class _Parser:
         self.index = 0
         #: the token at ``index``: read on every step, so kept, not looked up.
         self.current: Token = self.tokens[0]
+        #: the number the next SELECT opened gets.
+        self.blocks = 0
 
     # -- cursor helpers -------------------------------------------------------
 
@@ -92,48 +94,43 @@ class _Parser:
 
     def parse_select(self) -> ast.Select:
         self.expect_keyword("select")
-        select = ast.Select()
-        if self.accept_keyword("distinct"):
-            select.distinct = True
-        else:
+        block, self.blocks = self.blocks, self.blocks + 1  # numbered as opened
+        distinct = bool(self.accept_keyword("distinct"))
+        if not distinct:
             self.accept_keyword("all")
 
-        select.items = self._parse_select_list()
-
-        if self.accept_keyword("from"):
-            select.from_items = self._parse_from_list()
-        if self.accept_keyword("where"):
-            select.where = self.parse_expression()
+        items = self._comma_list(self._parse_select_item)
+        from_items = self._comma_list(self._parse_joined_table) \
+            if self.accept_keyword("from") else []
+        where = self.parse_expression() if self.accept_keyword("where") else None
+        group_by: list[ast.Expression] = []
         if self.current.is_keyword("group"):
             self.advance()
             self.expect_keyword("by")
-            select.group_by = self._parse_expression_list()
-        if self.accept_keyword("having"):
-            select.having = self.parse_expression()
+            group_by = self._comma_list(self.parse_expression)
+        having = self.parse_expression() if self.accept_keyword("having") else None
+        order_by: list[ast.OrderItem] = []
         if self.current.is_keyword("order"):
             self.advance()
             self.expect_keyword("by")
-            select.order_by = self._parse_order_list()
+            order_by = self._comma_list(self._parse_order_item)
+        limit = offset = None
         if self.accept_keyword("limit"):
-            select.limit = self._parse_integer("LIMIT")
+            limit = self._parse_integer("LIMIT")
             if self.accept_keyword("offset"):
-                select.offset = self._parse_integer("OFFSET")
-        elif self.accept_keyword("offset"):
-            select.offset = self._parse_integer("OFFSET")
-            self.accept_keyword("rows")
+                offset = self._parse_integer("OFFSET")
+        else:
+            if self.accept_keyword("offset"):
+                offset = self._parse_integer("OFFSET")
+                self.accept_keyword("rows")
             if self.accept_keyword("fetch"):
                 self.accept_keyword("first")
-                select.limit = self._parse_integer("FETCH FIRST")
+                limit = self._parse_integer("FETCH FIRST")
                 self.accept_keyword("rows")
                 self.accept_keyword("row")
                 self.expect_keyword("only")
-        elif self.accept_keyword("fetch"):
-            self.accept_keyword("first")
-            select.limit = self._parse_integer("FETCH FIRST")
-            self.accept_keyword("rows")
-            self.accept_keyword("row")
-            self.expect_keyword("only")
-        return select
+        return ast.Select(items, from_items, where, group_by, having, order_by, limit,
+                          offset, distinct, block)
 
     def _parse_integer(self, clause: str) -> int:
         token = self.current
@@ -146,10 +143,11 @@ class _Parser:
             raise SQLSyntaxError(f"{clause} requires an integer, got {token.text!r}",
                                  position=token.position, line=token.line) from None
 
-    def _parse_select_list(self) -> list[ast.SelectItem]:
-        items = [self._parse_select_item()]
+    def _comma_list(self, parse_item) -> list:
+        """One ``parse_item()`` or more, separated by commas."""
+        items = [parse_item()]
         while self.accept_punctuation(","):
-            items.append(self._parse_select_item())
+            items.append(parse_item())
         return items
 
     def _parse_select_item(self) -> ast.SelectItem:
@@ -172,12 +170,6 @@ class _Parser:
         raise self.error(f"expected {what}")
 
     # -- FROM clause --------------------------------------------------------------
-
-    def _parse_from_list(self) -> list[ast.TableExpression]:
-        items = [self._parse_joined_table()]
-        while self.accept_punctuation(","):
-            items.append(self._parse_joined_table())
-        return items
 
     def _parse_joined_table(self) -> ast.TableExpression:
         left = self._parse_table_primary()
@@ -231,12 +223,6 @@ class _Parser:
 
     # -- ORDER BY -------------------------------------------------------------------
 
-    def _parse_order_list(self) -> list[ast.OrderItem]:
-        items = [self._parse_order_item()]
-        while self.accept_punctuation(","):
-            items.append(self._parse_order_item())
-        return items
-
     def _parse_order_item(self) -> ast.OrderItem:
         expression = self.parse_expression()
         descending = False
@@ -248,12 +234,6 @@ class _Parser:
             if not (self.accept_keyword("first") or self.accept_keyword("last")):
                 raise self.error("expected FIRST or LAST after NULLS")
         return ast.OrderItem(expression=expression, descending=descending)
-
-    def _parse_expression_list(self) -> list[ast.Expression]:
-        items = [self.parse_expression()]
-        while self.accept_punctuation(","):
-            items.append(self.parse_expression())
-        return items
 
     # -- expressions ------------------------------------------------------------------
     #
@@ -341,9 +321,7 @@ class _Parser:
             subquery = self.parse_select()
             self.expect_punctuation(")")
             return ast.InSubquery(operand=left, subquery=subquery, negated=negated)
-        items = [self._parse_additive()]
-        while self.accept_punctuation(","):
-            items.append(self._parse_additive())
+        items = self._comma_list(self._parse_additive)
         self.expect_punctuation(")")
         return ast.InList(operand=left, items=items, negated=negated)
 
@@ -511,9 +489,7 @@ class _Parser:
                 self.advance()
                 arguments.append(ast.Star())
             elif not (self.current.kind is TokenKind.PUNCTUATION and self.current.value == ")"):
-                arguments.append(self.parse_expression())
-                while self.accept_punctuation(","):
-                    arguments.append(self.parse_expression())
+                arguments = self._comma_list(self.parse_expression)
             self.expect_punctuation(")")
             return ast.FunctionCall(name=name.lower(), arguments=arguments, distinct=distinct)
 

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: directory (relative to the repository root) -> the most lines it may hold.
 BUDGETS = {
-    "src/repro/engine": 10_503,
+    "src/repro/engine": 10_489,
     "src/repro": 22_690,
 }
 

@@ -58,6 +58,22 @@ def _comma_blocks(select: ast.Select) -> list[ast.Select]:
             if isinstance(node, ast.Select) and len(node.from_items) > 1]
 
 
+def _reshaped(select: ast.Select, reshape) -> ast.Select:
+    """``select`` built anew, nested blocks first, with ``reshape(block)`` in
+    place of each block whose FROM clause lists several items (AST nodes are
+    frozen values: a reshaped query is a new tree)."""
+    def visit(node: ast.Node) -> ast.Node:
+        node = ast.rebuild(node, visit)
+        if isinstance(node, ast.Select) and len(node.from_items) > 1:
+            return reshape(node)
+        return node
+    return visit(select)
+
+
+def _kept(node: ast.Node) -> ast.Node:
+    return node
+
+
 def _engines(database: Database, interpreter: bool = True) -> list:
     engines = [RowEngine(database), ColumnEngine(database)]
     if interpreter:  # it joins frame by frame, the generator in one loop nest
@@ -79,9 +95,8 @@ _AS_WRITTEN: dict[tuple[str, int], object] = {}
 def test_tpch_texts_do_not_depend_on_from_order(tpch_db, number, data):
     select = parse_select(QUERIES[number])
     blocks = _comma_blocks(select)
-    for block in blocks:
-        block.from_items = data.draw(st.permutations(block.from_items))
-    sql = to_sql(select)
+    sql = to_sql(_reshaped(select, lambda block: ast.rebuild(
+        block, _kept, from_items=data.draw(st.permutations(block.from_items)))))
     for engine in _engines(tpch_db, interpreter=False) if blocks else []:
         key = (engine.label, number)
         if key not in _AS_WRITTEN:
@@ -109,8 +124,8 @@ def test_fuzzed_joins_do_not_depend_on_from_order(fuzz_db, seed):
 # ---------------------------------------------------------------------------
 
 
-def _as_join_tree(block: ast.Select, database: Database) -> None:
-    """Rewrite a comma FROM list into one ``JOIN ... ON`` tree in FROM order.
+def _as_join_tree(block: ast.Select, database: Database) -> ast.Select:
+    """``block`` with its comma FROM list as one ``JOIN ... ON`` tree in FROM order.
 
     An ``a.x = b.y`` conjunct of the WHERE clause moves into the ON condition
     of the first join whose two sides hold its columns; an item nothing links
@@ -141,9 +156,9 @@ def _as_join_tree(block: ast.Select, database: Database) -> None:
             else ast.BoolOp("and", linking)
         tree = ast.Join(tree, block.from_items[index], "inner" if linking else "cross",
                         condition)
-    block.from_items = [tree]
-    block.where = None if not conjuncts else conjuncts[0] if len(conjuncts) == 1 \
-        else ast.BoolOp("and", conjuncts)
+    return ast.rebuild(block, _kept, from_items=[tree],
+                       where=None if not conjuncts else conjuncts[0] if len(conjuncts) == 1
+                       else ast.BoolOp("and", conjuncts))
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
@@ -153,9 +168,8 @@ def test_explicit_join_trees_equal_the_comma_form(tpch_db, number):
               if all(isinstance(item, ast.TableRef) for item in block.from_items)]
     if not blocks:
         pytest.skip("no comma join over base tables")
-    for block in blocks:
-        _as_join_tree(block, tpch_db)
-    sql = to_sql(select)
+    sql = to_sql(_reshaped(select, lambda block: _as_join_tree(block, tpch_db) if all(
+        isinstance(item, ast.TableRef) for item in block.from_items) else block))
     for engine in _engines(tpch_db, interpreter=False):
         plan = engine.prepare(sql)
         assert all(step.estimated_rows is None  # executed as written, nothing costed
@@ -173,7 +187,7 @@ def test_fuzzed_explicit_joins_equal_the_comma_form(fuzz_db, seed):
     select = parse_select(sql)
     if len(select.from_items) < 2:
         return
-    _as_join_tree(select, fuzz_db)
+    select = _as_join_tree(select, fuzz_db)
     for engine in _engines(fuzz_db):
         _assert_same(engine.execute(to_sql(select)), engine.execute(sql),
                      f"{engine.label} {engine.options}: {sql}")

@@ -126,7 +126,7 @@ class TestAmbiguousColumns:
 class TestSubqueryCacheKeying:
     @pytest.mark.parametrize("kind", ["row", "column"])
     def test_uncorrelated_subquery_never_reprints_sql(self, kind, small_db, monkeypatch):
-        """The per-row cache hit must be an id() lookup, not a to_sql render."""
+        """The per-row cache hit must be a block-number lookup, not a to_sql render."""
         import repro.engine.plan as plan_module
         import repro.sqlparser.printer as printer
 

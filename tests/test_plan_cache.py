@@ -1,5 +1,6 @@
 """Tests for the logical-plan IR, the planner and the engine plan cache."""
 
+import dataclasses
 import random
 
 import pytest
@@ -99,7 +100,7 @@ class TestPlanner:
                 except PlanError:
                     continue  # a pool variant the planner refuses
                 selects = [node for node in select.walk() if isinstance(node, ast.Select)]
-                assert sorted(map(id, selects)) == sorted(plan.blocks), sql
+                assert sorted(node.block for node in selects) == sorted(plan.blocks), sql
                 planned += 1
                 nested += len(selects) - 1
         assert planned >= 22 + FUZZ_ITERATIONS + 16 + 16
@@ -190,6 +191,74 @@ class TestPlanner:
         description = plan.describe()
         assert json.dumps(description)
         assert description["root"]["equi_joins"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the plan is a value: frozen nodes, blocks found by number
+# ---------------------------------------------------------------------------
+
+
+#: a text holding every node class :mod:`repro.sqlparser.ast` has.
+_EVERY_NODE = (
+    "select distinct x.*, -x.a, cast(x.a as int), extract(year from date '1995-01-01'),"
+    " substring(x.b from 1 for 2), case when x.a is null then 1 else 2 end,"
+    " count(*), (select max(a) from t) m"
+    " from t x join (select a from t) d on x.a = d.a"
+    " where x.a between 1 and 2 and x.b like 'a%' and x.a in (1, 2)"
+    " and (x.a in (select a from t) or not exists (select * from t)"
+    " or x.a > any (select a from t)) and x.c < date '1995-01-01' + interval '3' month"
+    " group by x.a having sum(x.a) > 1 order by 2 desc")
+
+
+class TestPlanValues:
+    def test_no_node_can_be_assigned_to_or_holds_a_dict(self):
+        nodes = list(parse_select(_EVERY_NODE).walk())
+        node_classes = {cls for cls in vars(ast).values() if isinstance(cls, type)
+                        and issubclass(cls, ast.Node) and dataclasses.is_dataclass(cls)}
+        assert {type(node) for node in nodes} == node_classes
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), type(node).__name__
+            for part in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, part.name, getattr(node, part.name))
+
+    def test_blocks_are_numbered_as_the_parser_opens_them(self):
+        for sql in [_EVERY_NODE] + [QUERIES[number] for number in sorted(QUERIES)]:
+            numbers = [node.block for node in parse_select(sql).walk()
+                       if isinstance(node, ast.Select)]
+            assert numbers == list(range(len(numbers))), sql
+
+    def test_two_blocks_of_one_number_are_refused(self, small_db):
+        def tree(inner_block: int) -> ast.Select:
+            inner = ast.Select([ast.SelectItem(ast.ColumnRef("t_id"))], [ast.TableRef("u")],
+                               block=inner_block)
+            return ast.Select([ast.SelectItem(ast.ColumnRef("id"))], [ast.TableRef("t")],
+                              where=ast.InSubquery(ast.ColumnRef("id"), inner))
+        planner = Planner(small_db.catalog)
+        assert list(planner.plan(tree(1)).blocks) == [0, 1]
+        with pytest.raises(PlanError, match="two query blocks are numbered 0"):
+            planner.plan(tree(0))
+
+    def test_each_occurrence_of_a_subquery_text_is_a_block_of_its_own(self, small_db):
+        """One uncorrelated ``IN`` text twice, and one correlated ``EXISTS``
+        text under two outer blocks: equal SELECTs, separate blocks, and the
+        same rows on both engines, compile on and off."""
+        sql = ("select id, (select count(*) from t where exists"
+               " (select * from u where u.t_id = t.id)) as linked"
+               " from t where id in (select t_id from u)"
+               " and (id in (select t_id from u) or price > 100)"
+               " and exists (select * from u where u.t_id = t.id) order by id")
+        blocks = Planner(small_db.catalog).plan(parse_select(sql)).blocks
+        assert sorted(blocks) == list(range(6))  # numbered in text order
+        for first, second in ((3, 4), (2, 5)):  # the IN text, the EXISTS text
+            assert blocks[first].select == blocks[second].select
+            assert blocks[first].select is not blocks[second].select
+        assert [blocks[number].correlated for number in range(6)] \
+            == [False, False, True, False, False, True]
+        for kind in (RowEngine, ColumnEngine):
+            for compiled in (True, False):
+                engine = kind(small_db, options=EngineOptions(compile_expressions=compiled))
+                assert engine.execute(sql).rows == [(1, 2), (3, 2)], (kind, compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +521,7 @@ class TestSharedPlans:
     def test_both_engines_leave_a_shared_plan_as_it_was(self, shared_db):
         """The row engine plans each text, the column engine finds the plan;
         both prepare it and execute it twice, and the AST and the block keys
-        (the ids of its SELECT nodes) read as they did after planning -- over
+        (the numbers of its SELECT nodes) read as they did after planning -- over
         the 22 TPC-H texts and the q1-pool and Q6-pool (deep-queue) variants."""
         row, column = RowEngine(shared_db), ColumnEngine(shared_db)
         row.clear_plan_cache()
